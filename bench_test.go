@@ -294,31 +294,52 @@ func BenchmarkPlaceOptimal(b *testing.B)         { benchPlace(b, placer.SchemeOp
 func BenchmarkPlaceOptimalParallel(b *testing.B) { benchPlace(b, placer.SchemeOptimal, 4) }
 
 // TestPlaceOptimalCostGuard pins the Optimal scheme's cost envelope on the
-// BenchmarkPlaceOptimal fixture (four-chain set, δ=0.5, budget 2000): a
-// pruning, binder or bound regression that blows up search work fails CI
-// here instead of silently multiplying solve time. Ceilings carry ~2x
-// headroom over the measured baseline (~117 ms, ~725k allocs per solve);
-// the wall-clock bound is a slow-machine-tolerant hang guard.
+// BenchmarkPlaceOptimal fixture (four-chain set, δ=0.5, budget 2000, built
+// and placed from scratch each time, as Runner.RunSet does): a pruning,
+// binder, bound or evaluation-scratch regression that blows up search work
+// fails CI here instead of silently multiplying solve time. Ceilings carry
+// ~2x headroom over the measured baseline (~67 ms, ~226k allocs per solve,
+// ~113 per evaluated combo — nearly all of it switch-table construction on
+// stage-memo misses, pattern enumeration and the first use of each
+// evaluation slot; a warm evaluation allocates nothing, see
+// placer.TestEvaluateCandidateSteadyStateAllocs). The wall-clock bound is a
+// slow-machine-tolerant hang guard.
 func TestPlaceOptimalCostGuard(t *testing.T) {
-	r := experiments.NewRunner(hw.NewPaperTestbed())
-	r.SkipMeasure = true
-	r.BruteForceBudget = 2000
-	r.Parallel = 1
+	topo, db, set := hw.NewPaperTestbed(), profile.DefaultDB(), []int{1, 2, 3, 4}
+	evaluated := 0
 	solve := func() {
-		sr, _, err := r.RunSet([]int{1, 2, 3, 4}, 0.5, placer.SchemeOptimal)
+		bases, err := experiments.BaseRates(set, topo, db)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !sr.Feasible {
-			t.Fatalf("infeasible: %s", sr.Reason)
+		for i := range bases {
+			bases[i] *= 0.5
 		}
+		chains, err := experiments.BuildChains(set, bases, hw.Gbps(100), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := placer.Place(placer.SchemeOptimal, &placer.Input{Chains: chains, Topo: topo, DB: db,
+			Restrict: experiments.EvalRestrict, BruteForceBudget: 2000, Parallel: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Feasible {
+			t.Fatalf("infeasible: %s", res.Reason)
+		}
+		evaluated = res.Search.Evaluated
 	}
 	start := time.Now()
 	allocs := testing.AllocsPerRun(3, solve)
 	perSolve := time.Since(start) / 4 // AllocsPerRun does one warmup + 3 runs
-	t.Logf("optimal solve: %.0f allocs, %s wall clock", allocs, perSolve)
-	if allocs > 1.5e6 {
-		t.Errorf("allocations per solve %.0f exceed the 1.5M guard", allocs)
+	perCombo := allocs / float64(evaluated)
+	t.Logf("optimal solve: %.0f allocs, %d combos evaluated (%.1f allocs each), %s wall clock",
+		allocs, evaluated, perCombo, perSolve)
+	if allocs > 450e3 {
+		t.Errorf("allocations per solve %.0f exceed the 450k guard", allocs)
+	}
+	if perCombo > 230 {
+		t.Errorf("allocations per evaluated combo %.1f exceed the 230 guard", perCombo)
 	}
 	if perSolve > 5*time.Second {
 		t.Errorf("solve took %s, over the 5s guard", perSolve)

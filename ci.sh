@@ -4,6 +4,26 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# run_guard NAMES [go test flags and packages]: runs the tests named in the
+# '|'-separated list and fails unless every one of them ran and passed. A
+# plain `go test -run REGEX` passes when the regex matches nothing, so a
+# renamed or deleted guard would otherwise keep its CI block green.
+run_guard() {
+  local names=$1 out n
+  shift
+  if ! out=$(go test -v -run "^(${names})\$" "$@" 2>&1); then
+    echo "$out" | grep -v '^=== ' | tail -60
+    return 1
+  fi
+  for n in ${names//|/ }; do
+    if ! grep -q -- "^--- PASS: ${n} " <<<"$out"; then
+      echo "ci: guard ${n} did not run in: go test $* (renamed or deleted?)" >&2
+      return 1
+    fi
+  done
+  grep -E '^(--- PASS|ok|PASS)|bench_test.go' <<<"$out"
+}
+
 echo "==> go vet ./..."
 go vet ./...
 
@@ -165,21 +185,36 @@ go test -run '^$' -fuzz 'FuzzChainSpec' -fuzztime=10s ./internal/nfspec
 # prune-order-independent reasons) and the place-scale sweep get a named
 # race pass so the search invariants cannot be skipped by test caching.
 echo "==> branch-and-bound soundness (race)"
-go test -race -count=1 \
-  -run 'TestBranchAndBoundMatchesExhaustiveProperty|TestBudgetCappedNeverBeatsExhaustive|TestOptimalSearchStatsDeterministic|TestSymmetryCollapseInvariant|TestFirstReasonPruneOrderIndependent|TestOptimalTruncationFlag' \
-  ./internal/placer
-go test -race -count=1 -run 'TestPlaceScaleSweep' ./internal/experiments
+run_guard 'TestBranchAndBoundMatchesExhaustiveProperty|TestBudgetCappedNeverBeatsExhaustive|TestOptimalSearchStatsDeterministic|TestSymmetryCollapseInvariant|TestFirstReasonPruneOrderIndependent|TestOptimalTruncationFlag' \
+  -race -count=1 ./internal/placer
+run_guard 'TestPlaceScaleSweepDeterministic|TestPlaceScaleSweepExhaustiveReference|TestPlaceScaleSweepBudgetPropagates|TestPlaceScaleSweepRejectsBadPoint' \
+  -race -count=1 ./internal/experiments
+
+# Placement byte-identity and ownership: the golden placement matrix (five
+# chain sets x three deltas x two fleets x six schemes, at Parallel 1/3/4/8)
+# must render to testdata/placements.golden byte for byte; a returned Result
+# must share no memory with the evaluation scratch; the core-overflow reason
+# must not depend on map order; and the incremental calls must keep pinned
+# chains' *Subgroup pointers. Then, without the race detector (it makes
+# sync.Pool drop the LP tableau), a warm candidate evaluation must allocate
+# nothing.
+echo "==> placement golden matrix + Result ownership (race)"
+run_guard 'TestGoldenPlacements|TestResultSharesNoScratchMemory|TestCoreOverflowReasonDeterministic|TestAdmitPinningInvariant|TestReplacePinningInvariant|TestRetirePinningInvariant' \
+  -race -count=1 ./internal/placer
+run_guard 'TestEvaluateCandidateSteadyStateAllocs' -count=1 ./internal/placer
 
 # Placement cost guard: the Optimal solve on the benchmark fixture must stay
-# under its alloc and wall-clock ceilings (~2x headroom over baseline), so a
-# pruning or binder regression fails here instead of doubling solve time.
+# under its alloc ceilings — per solve and per evaluated combo — and its
+# wall-clock ceiling (~2x headroom over baseline), so a pruning, binder or
+# evaluation-scratch regression fails here instead of doubling solve time.
 echo "==> optimal placement cost guard"
-go test -run 'TestPlaceOptimalCostGuard' -count=1 .
+run_guard 'TestPlaceOptimalCostGuard' -count=1 .
 
 # Benchmark smoke: one iteration of the placement and simulator
 # micro-benchmarks proves the bench harness (and the -bench-out path it
 # shares) still compiles and runs.
 echo "==> benchmark smoke"
 go test -run '^$' -bench 'BenchmarkPlace(Lemur|Optimal)|BenchmarkSimulate(Small|Medium)' -benchtime 1x -benchmem .
+go test -run '^$' -bench 'BenchmarkEvaluateCandidate' -benchtime 1x -benchmem ./internal/placer
 
 echo "ci: all checks passed"

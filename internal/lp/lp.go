@@ -118,7 +118,13 @@ func grownInts(b []int, n int) []int {
 }
 
 // Solve finds an optimal solution via two-phase simplex with Bland's rule.
-func Solve(p Problem) (Solution, error) {
+func Solve(p Problem) (Solution, error) { return SolveInto(p, nil) }
+
+// SolveInto is Solve with the caller's buffer for Solution.X: x is reused
+// when its capacity holds len(p.C) values, so a caller that solves many LPs
+// of one shape and reads each solution before the next solve allocates
+// nothing per solve.
+func SolveInto(p Problem, x []float64) (Solution, error) {
 	if err := p.Validate(); err != nil {
 		return Solution{}, err
 	}
@@ -130,7 +136,7 @@ func Solve(p Problem) (Solution, error) {
 				return Solution{}, ErrUnbounded
 			}
 		}
-		return Solution{X: make([]float64, n)}, nil
+		return Solution{X: grownFloats(x, n)}, nil
 	}
 
 	sc := scratchPool.Get().(*scratch)
@@ -239,7 +245,7 @@ func Solve(p Problem) (Solution, error) {
 		}
 	}
 
-	sol := Solution{X: make([]float64, n), Iterations: t.pivots}
+	sol := Solution{X: grownFloats(x, n), Iterations: t.pivots}
 	for i, b := range t.basis {
 		if b < n {
 			sol.X[b] = t.a[i][ncols]

@@ -11,11 +11,7 @@ import (
 // It performs no stage eviction and no SLO-aware allocation, so it fails
 // when the program overflows the pipeline or a slow chain starves.
 func placeHWPreferred(in *Input) (*Result, error) {
-	assign := hwPreferredAssign(in)
-	if reason, ok := bindServers(in, assign); !ok {
-		return infeasible(SchemeHWPreferred, reason), nil
-	}
-	return finish(in, assign, policyEven), nil
+	return finish(in, hwPreferredAssign(in), policyEven), nil
 }
 
 func hwPreferredAssign(in *Input) map[*nfgraph.Node]Assign {
@@ -58,9 +54,6 @@ func placeSWPreferred(in *Input) (*Result, error) {
 		}
 	}
 	bindNICs(in, assign)
-	if reason, ok := bindServers(in, assign); !ok {
-		return infeasible(SchemeSWPreferred, reason), nil
-	}
 	return finishWhole(in, assign, policyEven), nil
 }
 
@@ -69,11 +62,7 @@ func placeSWPreferred(in *Input) (*Result, error) {
 // profiles), then spare cores to chains sequentially by index until each
 // hits t_max — possibly starving later chains (§5.1).
 func placeGreedy(in *Input) (*Result, error) {
-	assign := hwPreferredAssign(in)
-	if reason, ok := bindServers(in, assign); !ok {
-		return infeasible(SchemeGreedy, reason), nil
-	}
-	return finish(in, assign, policySequential), nil
+	return finish(in, hwPreferredAssign(in), policySequential), nil
 }
 
 // placeMinBounce chooses, independently per chain, the assignment that
@@ -92,9 +81,6 @@ func placeMinBounce(in *Input) (*Result, error) {
 		}
 	}
 	bindNICs(in, assign)
-	if reason, ok := bindServers(in, assign); !ok {
-		return infeasible(SchemeMinBounce, reason), nil
-	}
 	return finish(in, assign, policyEven), nil
 }
 

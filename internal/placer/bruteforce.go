@@ -51,7 +51,7 @@ func placeBruteForce(in *Input) (*Result, error) {
 	perChain := make([][]chainPattern, len(in.Chains))
 	st := &SearchStats{Combinations: 1}
 	for ci, g := range in.Chains {
-		pats, err := enumerateChainPatterns(in, g)
+		pats, err := enumerateChainPatterns(in, ci, g)
 		if err != nil {
 			return infeasible(SchemeOptimal, err.Error()), nil
 		}
@@ -100,13 +100,14 @@ func placeBruteForce(in *Input) (*Result, error) {
 	workers := in.workers()
 	binder := newServerBinder(in)
 
-	type comboVerdict struct {
-		results [2]*Result // [no-splits, split-breaks]; nil when skipped
-		reason  string     // binding prefilter rejection
+	// One evaluation slot per chunk position, reused by every chunk: the
+	// combo's pattern indices, its binding verdict and its scratches.
+	slots := make([]comboSlot, bruteForceChunk)
+	comboIdx := make([]int, bruteForceChunk*n)
+	for k := range slots {
+		slots[k].combo = comboIdx[k*n : (k+1)*n : (k+1)*n]
 	}
-	verdicts := make([]comboVerdict, bruteForceChunk)
-	combos := make([][]int, 0, bruteForceChunk)
-	comboSeq := make([]int64, 0, bruteForceChunk)
+	queued := 0
 
 	var best *Result
 	// firstReason tracks the earliest infeasibility reason by enumeration
@@ -127,61 +128,36 @@ func placeBruteForce(in *Input) (*Result, error) {
 	haveIncumbent := false
 
 	flush := func() {
-		m := len(combos)
-		if m == 0 {
-			return
-		}
-		runIndexed(m, workers, func(k int) {
-			v := &verdicts[k]
-			*v = comboVerdict{}
-			assign := make(map[*nfgraph.Node]Assign, len(in.prep.nodes))
-			for ci, pi := range combos[k] {
-				for node, a := range perChain[ci][pi].assign {
-					assign[node] = a
-				}
+		runIndexed(queued, workers, func(k int) {
+			s := &slots[k]
+			s.cand.tmpls = s.cand.tmpls[:0]
+			for ci, pi := range s.combo {
+				s.cand.tmpls = append(s.cand.tmpls, perChain[ci][pi].tmpl)
 			}
-			if reason, ok := binder.bind(in, perChain, combos[k], assign); !ok {
-				v.reason = reason
-				return
-			}
-			for vi, breaks := range [2]map[*nfgraph.Node]bool{nil, splitBreaks(in, assign)} {
-				if vi == 1 && len(breaks) == 0 {
-					continue
-				}
-				v.results[vi] = finishSplit(in, assign, breaks, policyMarginal)
+			if s.bindReason = binder.bind(in, perChain, s); s.bindReason == "" {
+				evaluateCandidate(in, &s.candSlot, policyMarginal)
 			}
 		})
 		// Deterministic reduce in enumeration order with the serial sweep's
 		// exact tie-breaks.
-		for k := 0; k < m; k++ {
-			v := &verdicts[k]
-			if v.reason != "" {
+		for k := 0; k < queued; k++ {
+			s := &slots[k]
+			if s.bindReason != "" {
 				st.BindRejected++
 				mBBBindRejected.Inc()
-				noteAt(comboSeq[k], v.reason)
+				noteAt(s.seq, s.bindReason)
 				continue
 			}
 			st.Evaluated++
-			for _, res := range v.results {
-				if res == nil {
-					continue
-				}
-				if !res.Feasible {
-					noteAt(comboSeq[k], res.Reason)
-					continue
-				}
-				if best == nil || res.Marginal > best.Marginal+1e-6 {
-					best = res
-				}
-				if !haveIncumbent || res.Marginal > incumbent {
-					incumbent, haveIncumbent = res.Marginal, true
+			s.reduce(&best, func(reason string) { noteAt(s.seq, reason) }, func(marginal float64) {
+				if !haveIncumbent || marginal > incumbent {
+					incumbent, haveIncumbent = marginal, true
 					st.IncumbentUpdates++
 					mBBIncumbent.Inc()
 				}
-			}
+			})
 		}
-		combos = combos[:0]
-		comboSeq = comboSeq[:0]
+		queued = 0
 	}
 
 	var (
@@ -228,13 +204,13 @@ func placeBruteForce(in *Input) (*Result, error) {
 				}
 				return
 			}
-			combos = append(combos, append([]int(nil), idx...))
-			comboSeq = append(comboSeq, seq)
-			if len(combos) == bruteForceChunk {
+			copy(slots[queued].combo, idx)
+			slots[queued].seq = seq
+			if queued++; queued == bruteForceChunk {
 				flush()
 			}
 			if !in.ExhaustiveSearch &&
-				st.Evaluated+st.BindRejected+len(combos) >= budget {
+				st.Evaluated+st.BindRejected+queued >= budget {
 				counting = true
 			}
 			return
@@ -322,21 +298,33 @@ type SearchStats struct {
 // prefilter-rejected) — the denominator-side of prune-rate reporting.
 func (s *SearchStats) Visited() int { return s.Evaluated + s.BindRejected }
 
+// comboSlot is one queued pattern combination: an evaluation slot plus the
+// combo's pattern index per chain, its enumeration sequence number, the
+// binder's rejection (empty when it bound) and the binder's buffers.
+type comboSlot struct {
+	candSlot
+	combo      []int
+	seq        int64
+	bindReason string
+	order      []int
+	buckets    []uint64
+}
+
 // chainPattern is one deduplicated per-chain placement pattern with its
 // precomputed search features.
 type chainPattern struct {
-	assign   map[*nfgraph.Node]Assign
-	sig      string  // dedup signature (performance-relevant features)
-	minCores int     // mandatory cores: one per probe subgroup
-	demand   int     // bindServers-style t_min core demand (admissible floor)
-	bound    float64 // admissible chain-rate upper bound, bps
-	gain     float64 // admissible marginal contribution: max(0, bound - t_min)
+	tmpl     *chainTemplate // what evaluation stamps into its scratch
+	sig      string         // dedup signature (performance-relevant features)
+	minCores int            // mandatory cores: one per probe subgroup
+	demand   int            // bindServers-style t_min core demand (admissible floor)
+	bound    float64        // admissible chain-rate upper bound, bps
+	gain     float64        // admissible marginal contribution: max(0, bound - t_min)
 }
 
 // enumerateChainPatterns lists the distinct placement patterns of one chain
 // over its nodes' allowed platforms, deduplicated by performance signature
 // (subgroup cost/weight/replicability multiset + NIC uses + switch set).
-func enumerateChainPatterns(in *Input, g *nfgraph.Graph) ([]chainPattern, error) {
+func enumerateChainPatterns(in *Input, ci int, g *nfgraph.Graph) ([]chainPattern, error) {
 	var flex []*nfgraph.Node
 	fixed := make(map[*nfgraph.Node]Assign)
 	for _, n := range g.Order {
@@ -367,12 +355,11 @@ func enumerateChainPatterns(in *Input, g *nfgraph.Graph) ([]chainPattern, error)
 	walk = func(i int) {
 		if i == len(flex) {
 			fillDevices(in, assign)
-			cp := patternFeatures(in, g, assign)
+			cp := patternFeatures(in, g, newChainTemplate(in, ci, g, assign))
 			if seen[cp.sig] {
 				return
 			}
 			seen[cp.sig] = true
-			cp.assign = cloneAssign(assign)
 			out = append(out, cp)
 			return
 		}
@@ -398,36 +385,32 @@ func enumerateChainPatterns(in *Input, g *nfgraph.Graph) ([]chainPattern, error)
 //     maximal run of non-replicable nodes (plus the per-subgroup overhead
 //     both variants pay) is a sound single-core ceiling.
 //   - Work on replicable nodes scales with cores but every core comes from
-//     the one server the chain binds to: rate ≤ maxWorkerCores · clock ·
+//     the one server the chain binds to: rate ≤ max worker cores · clock ·
 //     frame / Σ(weight·cycles of replicable work), ignoring overheads and
 //     core integrality (both only lower the true rate).
 //   - The chain's server link: each subgroup entry crosses the server NIC,
 //     so rate ≤ maxServerLink / Σ subgroup weights even as sole tenant; the
 //     split variant only adds crossings.
 //   - SmartNIC uses, t_max and the ingress port cap as before.
-func patternFeatures(in *Input, g *nfgraph.Graph, assign map[*nfgraph.Node]Assign) chainPattern {
-	probe := probeAssign(assign)
-	subs := computeSubgroups(in, 0, g, probe)
+func patternFeatures(in *Input, g *nfgraph.Graph, t *chainTemplate) chainPattern {
 	overhead := in.Topo.EncapCycles + in.Topo.DemuxCycles
 	tmin := g.Chain.SLO.TMinBps
 
 	var parts []string
-	cp := chainPattern{bound: g.Chain.SLO.TMaxBps}
+	cp := chainPattern{tmpl: t, demand: t.demand, bound: g.Chain.SLO.TMaxBps}
 	if in.Topo.Switch != nil {
 		cp.bound = minF(cp.bound, in.Topo.Switch.PortCapacityBps)
 	}
 	totalWeight := 0.0
 	replCost := 0.0 // Σ weight·cycles of core-scalable work
-	for _, sg := range subs {
+	for _, sg := range t.subs[0] {
 		parts = append(parts, fmt.Sprintf("s:%.0f/%.3f/%v", sg.Cycles, sg.Weight, sg.Replicable))
 		cp.minCores++
 		totalWeight += sg.Weight
 		if sg.Replicable {
-			cp.demand += in.coresToMeet(sg, tmin)
 			replCost += sg.Weight * sg.Cycles
 			continue
 		}
-		cp.demand++
 		// Maximal non-replicable runs within the subgroup: the tightest
 		// single-core ceiling that survives the split variant.
 		segCyc, segMax := 0.0, 0.0
@@ -448,19 +431,19 @@ func patternFeatures(in *Input, g *nfgraph.Graph, assign map[*nfgraph.Node]Assig
 	}
 	if replCost > 0 {
 		cp.bound = minF(cp.bound,
-			float64(in.maxWorkerCores())*in.clockHz()/replCost*in.frameBits())
+			float64(in.prep.maxCores)*in.clockHz()/replCost*in.frameBits())
 	}
 	if totalWeight > 0 {
-		cp.bound = minF(cp.bound, in.maxServerLinkBps()/totalWeight)
+		cp.bound = minF(cp.bound, in.prep.maxLink/totalWeight)
 	}
-	for _, u := range computeNICUses(in, 0, g, probe) {
+	for _, u := range t.nics {
 		parts = append(parts, fmt.Sprintf("n:%s/%.0f/%.3f", u.Node.Class(), u.Cycles, u.Weight))
 		cp.bound = minF(cp.bound, in.nicRateBps(u))
 	}
 	// The switch node set matters for stage packing.
 	var sw []string
-	for _, n := range g.Order {
-		if a, ok := assign[n]; ok && a.Platform == hw.PISA {
+	for i, n := range g.Order {
+		if t.assign[i].Platform == hw.PISA {
 			sw = append(sw, n.Name())
 		}
 	}
@@ -483,7 +466,7 @@ func symmetryClasses(in *Input, perChain [][]chainPattern) []int {
 	for i := range prev {
 		prev[i] = -1
 	}
-	if in.DisableSymmetry || len(in.Chains) < 2 || !in.uniformFleet() {
+	if in.DisableSymmetry || len(in.Chains) < 2 || !in.prep.uniform {
 		return prev
 	}
 	last := map[string]int{}
@@ -536,40 +519,32 @@ func chainClassKey(in *Input, ci int, pats []chainPattern) string {
 // among the emptiest, which on a hardware-uniform fleet is also the
 // canonical representative of every server-permutation-equivalent binding.
 type serverBinder struct {
-	names    []string
-	caps     []int
-	maxCap   int
-	words    int        // uint64 words per bucket bitset
-	template [][]uint64 // initial bucket occupancy, copied per bind
+	caps     []int    // worker cores per server (the prep's)
+	maxCap   int      // largest of them
+	words    int      // uint64 words per bucket bitset
+	template []uint64 // initial bucket occupancy (maxCap+1 bitsets), copied per bind
 }
 
 // newServerBinder precomputes the bucket template for the input's fleet.
 func newServerBinder(in *Input) *serverBinder {
-	sb := &serverBinder{}
-	for _, s := range in.Topo.Servers {
-		sb.names = append(sb.names, s.Name)
-		c := s.WorkerCores()
-		sb.caps = append(sb.caps, c)
-		if c > sb.maxCap {
-			sb.maxCap = c
-		}
-	}
+	sb := &serverBinder{caps: in.prep.srvCores, maxCap: in.prep.maxCores}
 	sb.words = (len(sb.caps) + 63) / 64
-	sb.template = make([][]uint64, sb.maxCap+1)
-	for i := range sb.template {
-		sb.template[i] = make([]uint64, sb.words)
-	}
+	sb.template = make([]uint64, (sb.maxCap+1)*sb.words)
 	for i, c := range sb.caps {
-		sb.template[c][i/64] |= 1 << uint(i%64)
+		sb.template[c*sb.words+i/64] |= 1 << uint(i%64)
 	}
 	return sb
 }
 
-// bind assigns every server-platform node of the combo a server device, or
-// rejects the combo with a deterministic reason. Safe for concurrent use:
-// all mutable state is allocated per call.
-func (sb *serverBinder) bind(in *Input, perChain [][]chainPattern, combo []int, assign map[*nfgraph.Node]Assign) (string, bool) {
+// bind chooses a server for every chain of the slot's combo that has server
+// nodes (s.cand.srv; -1 for the rest), or rejects the combo with a
+// deterministic reason. Safe for concurrent use: all mutable state is the
+// slot's.
+func (sb *serverBinder) bind(in *Input, perChain [][]chainPattern, s *comboSlot) string {
+	combo := s.combo
 	demand := func(ci int) int { return perChain[ci][combo[ci]].demand }
+	srv := append(s.cand.srv[:0], make([]int, len(combo))...)
+	s.cand.srv = srv
 
 	if len(sb.caps) == 1 {
 		total := 0
@@ -578,72 +553,51 @@ func (sb *serverBinder) bind(in *Input, perChain [][]chainPattern, combo []int, 
 		}
 		if total > sb.caps[0] {
 			return fmt.Sprintf("server %s: chains need %d cores for t_min, has %d",
-				sb.names[0], total, sb.caps[0]), false
+				in.Topo.Servers[0].Name, total, sb.caps[0])
 		}
-		name := sb.names[0]
-		for n, a := range assign {
-			if a.Platform == hw.Server {
-				a.Device = name
-				assign[n] = a
-			}
-		}
-		return "", true
+		return ""
 	}
 
-	// Most demanding chain first (chain index breaks ties) onto the
+	// Most demanding chain first (chain index breaks ties — a total order,
+	// so the insertion sort below yields the one possible result) onto the
 	// emptiest server, chains with no server nodes skipped.
-	order := make([]int, 0, len(combo))
+	order := s.order[:0]
 	for ci := range combo {
-		if demand(ci) > 0 {
-			order = append(order, ci)
+		srv[ci] = -1
+		if demand(ci) == 0 {
+			continue
 		}
+		at := len(order)
+		order = append(order, ci)
+		for ; at > 0 && demand(order[at-1]) < demand(ci); at-- {
+			order[at] = order[at-1]
+		}
+		order[at] = ci
 	}
-	sort.Slice(order, func(i, j int) bool {
-		if demand(order[i]) != demand(order[j]) {
-			return demand(order[i]) > demand(order[j])
-		}
-		return order[i] < order[j]
-	})
+	s.order = order
 
-	buckets := make([][]uint64, len(sb.template))
-	for i, t := range sb.template {
-		buckets[i] = append([]uint64(nil), t...)
-	}
-	chainServer := make([]string, len(combo))
+	buckets := append(s.buckets[:0], sb.template...)
+	s.buckets = buckets
 	for _, ci := range order {
 		d := demand(ci)
-		srv, rem := -1, -1
-		for b := sb.maxCap; b >= 0; b-- {
-			for w, word := range buckets[b] {
+		pick, rem := -1, -1
+		for b := sb.maxCap; b >= 0 && pick < 0; b-- {
+			for w, word := range buckets[b*sb.words : (b+1)*sb.words] {
 				if word != 0 {
-					srv, rem = w*64+bits.TrailingZeros64(word), b
+					pick, rem = w*64+bits.TrailingZeros64(word), b
 					break
 				}
-			}
-			if srv >= 0 {
-				break
 			}
 		}
 		if d > rem {
 			return fmt.Sprintf("server %s: chain %s needs %d cores for t_min, %d left",
-				sb.names[srv], in.Chains[ci].Chain.Name, d, rem), false
+				in.Topo.Servers[pick].Name, in.Chains[ci].Chain.Name, d, rem)
 		}
-		buckets[rem][srv/64] &^= 1 << uint(srv%64)
-		buckets[rem-d][srv/64] |= 1 << uint(srv%64)
-		chainServer[ci] = sb.names[srv]
+		buckets[rem*sb.words+pick/64] &^= 1 << uint(pick%64)
+		buckets[(rem-d)*sb.words+pick/64] |= 1 << uint(pick%64)
+		srv[ci] = pick
 	}
-	for ci, g := range in.Chains {
-		if chainServer[ci] == "" {
-			continue
-		}
-		for _, n := range g.Order {
-			if a, ok := assign[n]; ok && a.Platform == hw.Server {
-				a.Device = chainServer[ci]
-				assign[n] = a
-			}
-		}
-	}
-	return "", true
+	return ""
 }
 
 func maxF(a, b float64) float64 { return math.Max(a, b) }

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"time"
 
-	"lemur/internal/hw"
 	"lemur/internal/nfgraph"
 	"lemur/internal/obs"
 )
@@ -200,9 +199,9 @@ func admitIncremental(prev *Result, in *Input, ncs []int, isNew []bool) (*Result
 			firstReason = reason
 		}
 	}
-	for _, base := range admitBaseAssigns(prev, in, ncs) {
-		assign := base
-		if reason, ok := evictAffected(in, assign, isNew); !ok {
+	ev := newEvalScratch(in) // one scratch serves every candidate of the call
+	for _, assign := range baselineAssigns(in, prev.Assign, ncs) {
+		if reason, ok := evictUntilFits(ev, assign, isNew); !ok {
 			note(reason)
 			continue
 		}
@@ -220,7 +219,7 @@ func admitIncremental(prev *Result, in *Input, ncs []int, isNew []bool) (*Result
 				}
 				breaks = mergeBreaks(pinnedBreaks, marks)
 			}
-			res, reason := assembleReplace(in, in, prev, assign, breaks, isNew)
+			res, reason := assembleReplace(ev, prev, assign, breaks, isNew)
 			if reason != "" {
 				note(reason)
 				continue
@@ -238,45 +237,6 @@ func admitIncremental(prev *Result, in *Input, ncs []int, isNew []bool) (*Result
 		firstReason = "no feasible incremental admission"
 	}
 	return best, firstReason
-}
-
-// admitBaseAssigns builds the candidate platform assignments for an
-// admission: prev's assignment cloned, with each new chain's nodes assigned
-// by the heuristic's step-1 preferences (switch first, then server) — plus,
-// when a SmartNIC is present and some new node can use it, an offload
-// variant. Mirrors baselineAssigns restricted to the new chains.
-func admitBaseAssigns(prev *Result, in *Input, ncs []int) []map[*nfgraph.Node]Assign {
-	serverOnly := cloneAssign(prev.Assign)
-	withNIC := cloneAssign(prev.Assign)
-	nicUseful := false
-	for _, ci := range ncs {
-		for _, n := range in.Chains[ci].Order {
-			switch {
-			case in.allows(n, hw.PISA):
-				serverOnly[n] = Assign{Platform: hw.PISA, Device: in.Topo.Switch.Name}
-				withNIC[n] = serverOnly[n]
-			case in.allows(n, hw.Server):
-				serverOnly[n] = Assign{Platform: hw.Server}
-				if in.allows(n, hw.SmartNIC) {
-					withNIC[n] = Assign{Platform: hw.SmartNIC}
-					nicUseful = true
-				} else {
-					withNIC[n] = serverOnly[n]
-				}
-			case in.allows(n, hw.SmartNIC):
-				serverOnly[n] = Assign{Platform: hw.SmartNIC}
-				withNIC[n] = serverOnly[n]
-				nicUseful = true
-			default:
-				serverOnly[n] = Assign{Platform: hw.Server}
-				withNIC[n] = serverOnly[n]
-			}
-		}
-	}
-	if nicUseful {
-		return []map[*nfgraph.Node]Assign{withNIC, serverOnly}
-	}
-	return []map[*nfgraph.Node]Assign{serverOnly}
 }
 
 // compactInput builds the repack input: a copy of in whose Chains hold only
@@ -384,15 +344,8 @@ func Retire(prev *Result, in *Input, goneChains []int) (*Result, error) {
 	// Re-check the shrunken placement: the switch program can only have
 	// lost tables (Stages records the reclaimed verdict) and the rate LP
 	// redistributes the released link capacity among the survivors.
-	if reason, ok := stageCheck(in, res); !ok {
-		sp.SetAttr("error", reason).End()
-		return nil, fmt.Errorf("%w: %s", ErrInfeasible, reason)
-	}
-	if reason, ok := checkLatency(in, res); !ok {
-		sp.SetAttr("error", reason).End()
-		return nil, fmt.Errorf("%w: %s", ErrInfeasible, reason)
-	}
-	if reason, ok := solveRates(in, res); !ok {
+	ev := newEvalScratch(in)
+	if reason, ok := ev.check(res, ev.stageCheck, ev.checkLatency, ev.solveRates); !ok {
 		sp.SetAttr("error", reason).End()
 		return nil, fmt.Errorf("%w: %s", ErrInfeasible, reason)
 	}

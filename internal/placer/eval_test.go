@@ -1,0 +1,254 @@
+package placer
+
+import (
+	"fmt"
+	"reflect"
+	"strings"
+	"testing"
+
+	"lemur/internal/hw"
+	"lemur/internal/nfgraph"
+	"lemur/internal/nfspec"
+	"lemur/internal/profile"
+)
+
+// overflowSpec: n chains whose two Monitors sit either side of a P4-only
+// IPv4Fwd, so each chain needs two server subgroups — two cores — wherever
+// it lands.
+func overflowSpec(n int) string {
+	var b strings.Builder
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "chain ov%d {\n  slo { tmin = 100Mbps  tmax = 100Gbps }\n  aggregate { src = 10.%d.0.0/16 }\n"+
+			"  m1 = Monitor()\n  f1 = IPv4Fwd()\n  m2 = Monitor()\n  f2 = IPv4Fwd()\n  m1 -> f1 -> m2 -> f2\n}\n", i, i)
+	}
+	return b.String()
+}
+
+// tinyFleet is n servers of one worker core each.
+func tinyFleet(n int) *hw.Topology {
+	topo := hw.NewPaperTestbed(hw.WithServers(n))
+	for _, s := range topo.Servers {
+		s.Sockets, s.CoresPerSocket, s.ReservedCores = 1, 2, 1
+	}
+	return topo
+}
+
+// TestCoreOverflowReasonDeterministic: when several servers are over their
+// core budget at once, the reason names the lowest-index one — every time.
+// The ledger used to be a map and the reason followed its iteration order.
+func TestCoreOverflowReasonDeterministic(t *testing.T) {
+	t.Run("allocateCores", func(t *testing.T) {
+		in := mustInput(t, tinyFleet(4), overflowSpec(4))
+		for i := 0; i < 200; i++ {
+			res, err := Place(SchemeHWPreferred, in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const want = "server nf-server-0: 2 subgroups need 2 cores, has 1"
+			if res.Feasible || res.Reason != want {
+				t.Fatalf("call %d: feasible=%v reason %q, want %q", i, res.Feasible, res.Reason, want)
+			}
+		}
+	})
+	t.Run("allocateCoresReplace", func(t *testing.T) {
+		// The same four overloaded servers as a re-placement sees them:
+		// every chain fresh, each bound whole to its own server.
+		in := mustInput(t, tinyFleet(4), overflowSpec(4))
+		in.ensurePrep()
+		assign := hwPreferredAssign(in)
+		for ci, g := range in.Chains {
+			for _, n := range g.Order {
+				if a := assign[n]; a.Platform == hw.Server {
+					a.Device = in.Topo.Servers[ci].Name
+					assign[n] = a
+				}
+			}
+		}
+		for i := 0; i < 200; i++ {
+			res := &Result{Assign: assign}
+			for ci, g := range in.Chains {
+				res.Subgroups = append(res.Subgroups, computeSubgroups(in, ci, g, assign)...)
+			}
+			fresh := make([]bool, len(res.Subgroups))
+			for si := range fresh {
+				fresh[si] = true
+			}
+			ev := newEvalScratch(in)
+			if reason, ok := ev.adopt(res); !ok {
+				t.Fatal(reason)
+			}
+			const want = "server nf-server-0: needs 2 cores, has 1"
+			if reason, ok := ev.allocateCoresReplace(fresh); ok || reason != want {
+				t.Fatalf("call %d: ok=%v reason %q, want %q", i, ok, reason, want)
+			}
+		}
+	})
+}
+
+// TestResultSharesNoScratchMemory: a returned Result is the caller's.
+// Scribbling over the first Result's subgroups, assignment, break marks and
+// rates must not reach the evaluation scratch, the templates or the prep:
+// placing the same Input again yields a Result deep-equal to a third
+// placement and to the first one's canonical rendering before the
+// scribbling. Run under -race this also shows no evaluation slot is written
+// after its Result was handed out.
+func TestResultSharesNoScratchMemory(t *testing.T) {
+	for _, scheme := range Schemes() {
+		for _, parallel := range []int{1, 4} {
+			in := bbFixedInput(t, 4)
+			in.Parallel = parallel
+			first, err := Place(scheme, in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !first.Feasible || len(first.Subgroups) == 0 {
+				t.Fatalf("%s: fixture must place with server subgroups (reason %q)", scheme, first.Reason)
+			}
+			want := canonResult(in, first)
+
+			for _, sg := range first.Subgroups {
+				sg.Cores, sg.Server, sg.Cycles = 99, "scribbled", -1
+				for i := range sg.Nodes {
+					sg.Nodes[i] = nil
+				}
+			}
+			for n := range first.Assign {
+				first.Assign[n] = Assign{Platform: hw.OpenFlow, Device: "scribbled"}
+				if first.Breaks != nil {
+					first.Breaks[n] = true
+				}
+			}
+			for i := range first.ChainRates {
+				first.ChainRates[i] = -1
+			}
+			for i := range first.PredictedP99Sec {
+				first.PredictedP99Sec[i] = -1
+			}
+
+			second, err := Place(scheme, in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := canonResult(in, second); got != want {
+				t.Fatalf("%s parallel=%d: second placement moved after the first Result was mutated:\n%s\nwant:\n%s",
+					scheme, parallel, got, want)
+			}
+			third, err := Place(scheme, in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			second.PlaceTime, third.PlaceTime = 0, 0
+			if !reflect.DeepEqual(second, third) {
+				t.Fatalf("%s parallel=%d: second and third placements are not deep-equal", scheme, parallel)
+			}
+			for i, sg := range second.Subgroups {
+				if sg == third.Subgroups[i] {
+					t.Fatalf("%s: two Results share *Subgroup %s", scheme, sg.Name())
+				}
+			}
+		}
+	}
+}
+
+// evalFixtureSpec: three chains with replicable and non-replicable NFs, a
+// branch, and enough P4-capable NFs for a few dozen patterns each.
+const evalFixtureSpec = `
+chain ea {
+  slo { tmin = 2Gbps  tmax = 100Gbps }
+  aggregate { src = 10.0.0.0/16 }
+  bpf = BPF()
+  acl = ACL()
+  nat = NAT()
+  enc = Encrypt()
+  fwd = IPv4Fwd()
+  bpf -> acl -> nat -> enc -> fwd
+}
+chain eb {
+  slo { tmin = 1Gbps  tmax = 100Gbps }
+  aggregate { src = 10.1.0.0/16 }
+  lb = LB()
+  ded = Dedup()
+  mon = Monitor()
+  tun = Tunnel()
+  fwd = IPv4Fwd()
+  lb -> [weight = 0.5] ded
+  lb -> [weight = 0.5] mon
+  ded -> tun
+  mon -> tun
+  tun -> fwd
+}
+chain ec {
+  slo { tmin = 1Gbps  tmax = 100Gbps }
+  aggregate { src = 10.2.0.0/16 }
+  lim = Limiter()
+  url = UrlFilter()
+  det = Detunnel()
+  fwd = IPv4Fwd()
+  lim -> url -> det -> fwd
+}
+`
+
+// warmCandidateSlot builds the heaviest pattern combination of the fixture
+// (most server subgroups per chain) on a four-server fleet, binds it and
+// evaluates it once, so the slot's scratches are sized.
+func warmCandidateSlot(tb testing.TB) (*Input, *candSlot) {
+	chains, err := nfspec.Parse(evalFixtureSpec)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	in := &Input{Topo: hw.NewPaperTestbed(hw.WithServers(4)), DB: profile.DefaultDB(), Restrict: evalRestrict}
+	for _, c := range chains {
+		g, err := nfgraph.Build(c)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		in.Chains = append(in.Chains, g)
+	}
+	in.ensurePrep()
+	slot := &candSlot{}
+	for ci, g := range in.Chains {
+		pats, err := enumerateChainPatterns(in, ci, g)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		best := pats[0]
+		for _, p := range pats {
+			if len(p.tmpl.subs[0]) > len(best.tmpl.subs[0]) {
+				best = p
+			}
+		}
+		slot.cand.tmpls = append(slot.cand.tmpls, best.tmpl)
+	}
+	slot.cand.srv = bindServers(in, slot.cand.tmpls)
+	evaluateCandidate(in, slot, policyMarginal)
+	if !slot.ev[0].res.Feasible {
+		tb.Fatalf("fixture candidate infeasible: %s", slot.ev[0].res.Reason)
+	}
+	return in, slot
+}
+
+// BenchmarkEvaluateCandidate measures the placer's inner loop: one pattern
+// combination stamped into a warm slot and taken through the whole back half
+// (stage check, core allocation with its LP hill-climb, latency checks, rate
+// LP). Steady state allocates nothing; -benchmem shows it.
+func BenchmarkEvaluateCandidate(b *testing.B) {
+	in, slot := warmCandidateSlot(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		evaluateCandidate(in, slot, policyMarginal)
+	}
+}
+
+// TestEvaluateCandidateSteadyStateAllocs: re-evaluating a candidate in a
+// warm slot touches no heap — the property the Optimal search's cost rests
+// on.
+func TestEvaluateCandidateSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops the LP tableau at random under the race detector")
+	}
+	in, slot := warmCandidateSlot(t)
+	if a := testing.AllocsPerRun(100, func() { evaluateCandidate(in, slot, policyMarginal) }); a != 0 {
+		t.Errorf("evaluateCandidate allocates %.1f objects per call in steady state, want 0", a)
+	}
+}

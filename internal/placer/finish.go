@@ -2,50 +2,44 @@ package placer
 
 import (
 	"fmt"
-	"sort"
 
 	"lemur/internal/hw"
 	"lemur/internal/nfgraph"
 )
 
-// finish runs the common back half of every scheme: derive subgroups and
-// NIC uses from the assignment, check switch stages, allocate cores, check
-// latency SLOs, and solve the rate LP. It returns a Result that is either
-// feasible with rates filled in or carries the first infeasibility reason.
+// finish evaluates one whole-input assignment whose server nodes are not
+// yet bound — the baselines' single candidate, without split marks — and
+// returns its Result, feasible or carrying the first infeasibility reason.
 func finish(in *Input, assign map[*nfgraph.Node]Assign, policy allocPolicy) *Result {
-	return finishSplit(in, assign, nil, policy)
-}
-
-// finishSplit is finish with explicit subgroup break marks.
-func finishSplit(in *Input, assign map[*nfgraph.Node]Assign, breaks map[*nfgraph.Node]bool, policy allocPolicy) *Result {
-	res := &Result{Assign: assign, Breaks: breaks}
-	for ci, g := range in.Chains {
-		res.Subgroups = append(res.Subgroups, computeSubgroupsSplit(in, ci, g, assign, breaks)...)
-		res.NICUses = append(res.NICUses, computeNICUses(in, ci, g, assign)...)
-	}
-	return finishCommon(in, res, policy)
+	c := newCandidate(in, assign)
+	ev := newEvalScratch(in)
+	ev.evaluate(&c, 0, policy)
+	return ev.materialise()
 }
 
 // finishWhole is finish with the SW-Preferred subgroup model: each chain's
 // server NFs form one whole-chain run-to-completion group (the paper's "all
 // NFs are in one subgroup", §5.2), which is non-replicable as soon as the
-// chain branches, merges, or contains a non-replicable NF.
+// chain branches, merges, or contains a non-replicable NF. It binds the
+// chains' server nodes in assign.
 func finishWhole(in *Input, assign map[*nfgraph.Node]Assign, policy allocPolicy) *Result {
+	c := newCandidate(in, assign)
 	res := &Result{Assign: assign}
 	for ci, g := range in.Chains {
-		byServer := map[string]*Subgroup{}
+		server := in.Topo.Servers[c.srv[ci]].Name
+		var sg *Subgroup
 		for _, n := range g.Order {
 			a, ok := assign[n]
 			if !ok || a.Platform != hw.Server {
 				continue
 			}
-			sg := byServer[a.Device]
+			a.Device = server
+			assign[n] = a
 			if sg == nil {
 				sg = &Subgroup{
-					ChainIdx: ci, Server: a.Device, Weight: 1, Replicable: true,
+					ChainIdx: ci, Server: server, Weight: 1, Replicable: true,
 					Cycles: in.Topo.EncapCycles + in.Topo.DemuxCycles,
 				}
-				byServer[a.Device] = sg
 				res.Subgroups = append(res.Subgroups, sg)
 			}
 			sg.Nodes = append(sg.Nodes, n)
@@ -56,37 +50,14 @@ func finishWhole(in *Input, assign map[*nfgraph.Node]Assign, policy allocPolicy)
 				sg.Replicable = false
 			}
 		}
-		res.NICUses = append(res.NICUses, computeNICUses(in, ci, g, assign)...)
+		res.NICUses = append(res.NICUses, c.tmpls[ci].nics...)
 	}
-	return finishCommon(in, res, policy)
-}
-
-func finishCommon(in *Input, res *Result, policy allocPolicy) *Result {
-	if reason, ok := stageCheck(in, res); !ok {
+	ev := newEvalScratch(in)
+	if reason, ok := ev.adopt(res); !ok {
 		res.Reason = reason
 		return res
 	}
-	if reason, ok := allocateCores(in, res, policy); !ok {
-		res.Reason = reason
-		return res
-	}
-	if reason, ok := checkLatency(in, res); !ok {
-		res.Reason = reason
-		return res
-	}
-	if reason, ok := solveRates(in, res); !ok {
-		res.Reason = reason
-		return res
-	}
-	if reason, ok := checkTailLatency(in, res); !ok {
-		// solveRates already filled the rate summary; an infeasible Result
-		// must not carry stale rates (see TestPlaceInfeasibleReasons).
-		res.Reason = reason
-		res.ChainRates, res.Marginal, res.PredictedAggregate = nil, 0, 0
-		res.PredictedP99Sec = nil
-		return res
-	}
-	res.Feasible = true
+	ev.finish(policy)
 	return res
 }
 
@@ -94,8 +65,9 @@ func finishCommon(in *Input, res *Result, policy allocPolicy) *Result {
 // worst root-to-leaf path delay — NF execution on servers and NICs, a fixed
 // switch pipeline latency, and one hop latency per platform transition —
 // must not exceed the bound.
-func checkLatency(in *Input, res *Result) (string, bool) {
+func (ev *evalScratch) checkLatency() (string, bool) {
 	const switchPipelineSec = 1e-6
+	in, res, p := ev.in, ev.res, ev.p
 	for ci, g := range in.Chains {
 		dmax := g.Chain.SLO.DMaxSec
 		if dmax <= 0 || res.IsRetired(ci) {
@@ -119,12 +91,12 @@ func checkLatency(in *Input, res *Result) (string, bool) {
 				g.Chain.Name, dmax*1e6, floor*1e6), false
 		}
 		worst := 0.0
-		for _, path := range in.chainPaths(ci) {
+		for _, path := range p.paths[ci] {
 			d := switchPipelineSec
 			prev, prevDev := hw.PISA, ""
 			hops := 0
 			for _, n := range path.Nodes {
-				a := res.Assign[n]
+				a := ev.assign[p.base[ci]+n.Seq]
 				if a.Platform != prev || (a.Platform != hw.PISA && a.Device != prevDev) {
 					hops++
 					prev, prevDev = a.Platform, a.Device
@@ -133,7 +105,7 @@ func checkLatency(in *Input, res *Result) (string, bool) {
 				case hw.Server:
 					d += in.nodeCycles(n) / in.clockHz()
 				case hw.SmartNIC:
-					if nic, err := in.Topo.SmartNICByName(a.Device); err == nil {
+					if nic := p.nics[a.Device]; nic != nil {
 						d += in.nodeCycles(n) / (nic.SpeedupVsServerCore * in.clockHz())
 					}
 				}
@@ -149,77 +121,6 @@ func checkLatency(in *Input, res *Result) (string, bool) {
 		if worst > dmax {
 			return fmt.Sprintf("chain %s: worst-path delay %.1fus exceeds d_max %.1fus",
 				g.Chain.Name, worst*1e6, dmax*1e6), false
-		}
-	}
-	return "", true
-}
-
-// bindServers chooses a server for every server-assigned node. Chains are
-// kept whole on one server (subgroup coalescing and run-to-completion both
-// assume it) and spread across servers by projected core demand, most
-// demanding first.
-func bindServers(in *Input, assign map[*nfgraph.Node]Assign) (string, bool) {
-	if len(in.Topo.Servers) == 1 {
-		name := in.Topo.Servers[0].Name
-		for n, a := range assign {
-			if a.Platform == hw.Server {
-				a.Device = name
-				assign[n] = a
-			}
-		}
-		return "", true
-	}
-	// Estimate each chain's minimum core demand: its subgroup count if all
-	// its server nodes landed on one server.
-	type demand struct {
-		chain int
-		cores int
-	}
-	demands := make([]demand, len(in.Chains))
-	for ci, g := range in.Chains {
-		probe := make(map[*nfgraph.Node]Assign, len(g.Order))
-		for _, n := range g.Order {
-			if a, ok := assign[n]; ok {
-				if a.Platform == hw.Server {
-					a.Device = probeDevice
-				}
-				probe[n] = a
-			}
-		}
-		subs := computeSubgroups(in, ci, g, probe)
-		min := 0
-		for _, sg := range subs {
-			need := in.coresToMeet(sg, g.Chain.SLO.TMinBps)
-			if !sg.Replicable {
-				need = 1
-			}
-			min += need
-		}
-		demands[ci] = demand{chain: ci, cores: min}
-	}
-	sort.Slice(demands, func(i, j int) bool { return demands[i].cores > demands[j].cores })
-
-	remaining := map[string]int{}
-	for _, s := range in.Topo.Servers {
-		remaining[s.Name] = s.WorkerCores()
-	}
-	chainServer := make([]string, len(in.Chains))
-	for _, d := range demands {
-		best, bestRem := "", -1<<30
-		for _, s := range in.Topo.Servers {
-			if rem := remaining[s.Name]; rem > bestRem {
-				best, bestRem = s.Name, rem
-			}
-		}
-		chainServer[d.chain] = best
-		remaining[best] -= d.cores
-	}
-	for ci, g := range in.Chains {
-		for _, n := range g.Order {
-			if a, ok := assign[n]; ok && a.Platform == hw.Server {
-				a.Device = chainServer[ci]
-				assign[n] = a
-			}
 		}
 	}
 	return "", true
@@ -244,24 +145,6 @@ func bindNICs(in *Input, assign map[*nfgraph.Node]Assign) {
 func cloneAssign(m map[*nfgraph.Node]Assign) map[*nfgraph.Node]Assign {
 	out := make(map[*nfgraph.Node]Assign, len(m))
 	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
-
-// probeDevice is the placeholder server name used when deriving subgroup
-// structure before real server binding.
-const probeDevice = "probe"
-
-// probeAssign clones an assignment with every server node rewritten to the
-// probe placeholder device — one pass, one allocation (the clone-then-
-// rewrite pattern this replaces paid a second full map walk).
-func probeAssign(m map[*nfgraph.Node]Assign) map[*nfgraph.Node]Assign {
-	out := make(map[*nfgraph.Node]Assign, len(m))
-	for k, v := range m {
-		if v.Platform == hw.Server {
-			v.Device = probeDevice
-		}
 		out[k] = v
 	}
 	return out

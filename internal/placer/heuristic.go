@@ -32,9 +32,12 @@ func lemurHeuristic(in *Input, policy allocPolicy) (*Result, error) {
 		variants    []map[*nfgraph.Node]Assign
 	}
 	var bases []baseCand
-	for _, base := range baselineAssigns(in) {
-		assign, ok, reason := evictUntilFits(in, base)
-		if !ok {
+	all := make([]int, len(in.Chains))
+	for ci := range all {
+		all[ci] = ci
+	}
+	for _, assign := range baselineAssigns(in, nil, all) {
+		if reason, ok := evictUntilFits(newEvalScratch(in), assign, nil); !ok {
 			bases = append(bases, baseCand{evictReason: reason})
 			continue
 		}
@@ -53,28 +56,17 @@ func lemurHeuristic(in *Input, policy allocPolicy) (*Result, error) {
 	// Step 3: allocate cores, run the LP, keep the best marginal. Each
 	// variant is also tried with non-replicable NFs split into their own
 	// subgroups (trading a bounce for core scalability, §5.3). Variants
-	// evaluate concurrently; the reduce below walks them in base/variant
-	// order so serial and parallel runs pick the identical Result.
-	type verdict struct {
-		bindReason string
-		results    [2]*Result // [no-splits, split-breaks]; nil when skipped
-	}
+	// evaluate concurrently, each in a slot of its own; the reduce below
+	// walks them in base/variant order so serial and parallel runs pick the
+	// identical Result.
 	var flat []map[*nfgraph.Node]Assign
 	for _, bc := range bases {
 		flat = append(flat, bc.variants...)
 	}
-	verdicts := make([]verdict, len(flat))
+	slots := make([]candSlot, len(flat))
 	runIndexed(len(flat), workers, func(i int) {
-		bound := cloneAssign(flat[i])
-		v := &verdicts[i]
-		if reason, ok := bindServers(in, bound); !ok {
-			v.bindReason = reason
-			return
-		}
-		v.results[0] = finishSplit(in, bound, nil, policy)
-		if breaks := splitBreaks(in, bound); len(breaks) > 0 {
-			v.results[1] = finishSplit(in, bound, breaks, policy)
-		}
+		slots[i].cand = newCandidate(in, flat[i])
+		evaluateCandidate(in, &slots[i], policy)
 	})
 
 	var best *Result
@@ -86,29 +78,10 @@ func lemurHeuristic(in *Input, policy allocPolicy) (*Result, error) {
 	}
 	vi := 0
 	for _, bc := range bases {
-		if bc.evictReason != "" {
-			note(bc.evictReason)
-			continue
-		}
+		note(bc.evictReason)
 		for range bc.variants {
-			v := &verdicts[vi]
+			slots[vi].reduce(&best, note, nil)
 			vi++
-			if v.bindReason != "" {
-				note(v.bindReason)
-				continue
-			}
-			for _, res := range v.results {
-				if res == nil {
-					continue
-				}
-				if !res.Feasible {
-					note(res.Reason)
-					continue
-				}
-				if best == nil || res.Marginal > best.Marginal+1e-6 {
-					best = res
-				}
-			}
 		}
 	}
 	if best == nil {
@@ -120,15 +93,16 @@ func lemurHeuristic(in *Input, policy allocPolicy) (*Result, error) {
 	return best, nil
 }
 
-// baselineAssigns produces the step-1 greedy assignments: every NF with a
+// baselineAssigns produces the step-1 greedy assignments of the given chains
+// on top of a copy of prev (nil for a fresh placement; an admission passes
+// the running placement's assignment and its new chains): every NF with a
 // P4 implementation on the switch, the rest on servers — plus, when a
 // SmartNIC is present, a variant offloading eBPF-capable server NFs to it.
-func baselineAssigns(in *Input) []map[*nfgraph.Node]Assign {
-	serverOnly := make(map[*nfgraph.Node]Assign)
-	withNIC := make(map[*nfgraph.Node]Assign)
+func baselineAssigns(in *Input, prev map[*nfgraph.Node]Assign, chains []int) []map[*nfgraph.Node]Assign {
+	serverOnly, withNIC := cloneAssign(prev), cloneAssign(prev)
 	nicUseful := false
-	for _, g := range in.Chains {
-		for _, n := range g.Order {
+	for _, ci := range chains {
+		for _, n := range in.Chains[ci].Order {
 			switch {
 			case in.allows(n, hw.PISA):
 				serverOnly[n] = Assign{Platform: hw.PISA, Device: in.Topo.Switch.Name}
@@ -146,9 +120,8 @@ func baselineAssigns(in *Input) []map[*nfgraph.Node]Assign {
 				withNIC[n] = serverOnly[n]
 				nicUseful = true
 			default:
-				// No platform available: leave unassigned; finish will fail
-				// with a capacity reason via the zero-rate subgroup... mark
-				// on server to surface a clear reason instead.
+				// No platform available: mark on server, so that evaluation
+				// surfaces a clear reason.
 				serverOnly[n] = Assign{Platform: hw.Server}
 				withNIC[n] = serverOnly[n]
 			}
@@ -162,22 +135,28 @@ func baselineAssigns(in *Input) []map[*nfgraph.Node]Assign {
 	return []map[*nfgraph.Node]Assign{serverOnly}
 }
 
-// evictUntilFits implements heuristic step 1's eviction loop: while the
-// switch program overflows the pipeline, move the lowest-cycle-cost
-// server-capable NF off the switch (line-rate is guaranteed for whatever
-// stays, so cheap NFs are the best candidates to absorb on cores).
-func evictUntilFits(in *Input, base map[*nfgraph.Node]Assign) (map[*nfgraph.Node]Assign, bool, string) {
-	assign := cloneAssign(base)
-	probe := &Result{Assign: assign} // reused across eviction rounds
+// evictUntilFits implements heuristic step 1's eviction loop on assign, in
+// place: while the switch program overflows the pipeline, move the
+// lowest-cycle-cost server-capable NF off the switch (line-rate is
+// guaranteed for whatever stays, so cheap NFs are the best candidates to
+// absorb on cores). A non-nil only restricts the victims to the chains it
+// marks — the incremental calls must not move a pinned chain's switch
+// residency, which is part of its placement. ev is the caller's scratch.
+func evictUntilFits(ev *evalScratch, assign map[*nfgraph.Node]Assign, only []bool) (string, bool) {
+	in := ev.in
+	ev.res = &Result{Assign: assign}
 	for {
-		probe.Stages = 0
-		reason, ok := stageCheck(in, probe)
+		ev.load(assign)
+		reason, ok := ev.stageCheck()
 		if ok {
-			return assign, true, ""
+			return "", true
 		}
 		var victim *nfgraph.Node
 		victimCost := math.Inf(1)
-		for _, g := range in.Chains {
+		for ci, g := range in.Chains {
+			if only != nil && !only[ci] {
+				continue
+			}
 			for _, n := range g.Order {
 				if a, on := assign[n]; !on || a.Platform != hw.PISA {
 					continue
@@ -191,7 +170,7 @@ func evictUntilFits(in *Input, base map[*nfgraph.Node]Assign) (map[*nfgraph.Node
 			}
 		}
 		if victim == nil {
-			return nil, false, reason
+			return reason, false
 		}
 		assign[victim] = Assign{Platform: hw.Server}
 		mEvictions.Inc()
@@ -216,8 +195,8 @@ type bridge struct {
 	s1, s2   *Subgroup
 }
 
-// findBridges locates coalescing opportunities under a probed assignment
-// (server nodes carry the probe placeholder device; see probeAssign).
+// findBridges locates coalescing opportunities under an assignment whose
+// server nodes are not yet bound to a device.
 func findBridges(in *Input, probe map[*nfgraph.Node]Assign) []bridge {
 	var bridges []bridge
 	for ci, g := range in.Chains {
@@ -249,17 +228,15 @@ func findBridges(in *Input, probe map[*nfgraph.Node]Assign) []bridge {
 
 // applyCoalescing applies step-2 rules repeatedly until fixpoint and
 // returns a new assignment. Moves only ever take NFs off the switch, so the
-// stage constraint verified in step 1 keeps holding. The probed view is
-// maintained incrementally across fixpoint rounds instead of recloning the
-// assignment per bridge scan.
+// stage constraint verified in step 1 keeps holding. Server nodes are not
+// bound yet, so the growing assignment is its own subgroup probe.
 func applyCoalescing(in *Input, assign map[*nfgraph.Node]Assign, mode coalesceMode) map[*nfgraph.Node]Assign {
 	out := cloneAssign(assign)
-	probe := probeAssign(assign)
 	overhead := in.Topo.EncapCycles + in.Topo.DemuxCycles
 	f := in.clockHz()
 	for {
 		moved := false
-		for _, b := range findBridges(in, probe) {
+		for _, b := range findBridges(in, out) {
 			cb := in.nodeCycles(b.node)
 			cc := b.s1.Cycles + b.s2.Cycles + cb - overhead // one shared overhead
 			w := b.s1.Weight
@@ -282,7 +259,7 @@ func applyCoalescing(in *Input, assign map[*nfgraph.Node]Assign, mode coalesceMo
 				// conservative: the chain's throughput does not decrease —
 				// the pair is not the chain bottleneck at 1 core each.
 				chainBottle := math.Inf(1)
-				probeSubs := res1CoreCaps(in, probe, b.chainIdx)
+				probeSubs := res1CoreCaps(in, out, b.chainIdx)
 				for _, r := range probeSubs {
 					chainBottle = minF(chainBottle, r)
 				}
@@ -297,7 +274,6 @@ func applyCoalescing(in *Input, assign map[*nfgraph.Node]Assign, mode coalesceMo
 			}
 			if apply {
 				out[b.node] = Assign{Platform: hw.Server}
-				probe[b.node] = Assign{Platform: hw.Server, Device: probeDevice}
 				mCoalesceMoves.Inc()
 				moved = true
 				break // recompute bridges after each move
@@ -310,7 +286,7 @@ func applyCoalescing(in *Input, assign map[*nfgraph.Node]Assign, mode coalesceMo
 }
 
 // res1CoreCaps returns each subgroup's chain-rate ceiling at one core for
-// the given chain under a probed assignment.
+// the given chain under an unbound assignment.
 func res1CoreCaps(in *Input, probe map[*nfgraph.Node]Assign, chainIdx int) []float64 {
 	subs := computeSubgroups(in, chainIdx, in.Chains[chainIdx], probe)
 	var out []float64
@@ -355,6 +331,7 @@ func placeNoCoalesce(in *Input) (*Result, error) {
 // allocation. Used by the No-Profiling ablation and the §5.2 sensitivity
 // experiment.
 func reEvaluate(in *Input, decided *Result) *Result {
+	in.ensurePrep()
 	res := &Result{Assign: decided.Assign, Stages: decided.Stages, Breaks: decided.Breaks}
 	for ci, g := range in.Chains {
 		res.Subgroups = append(res.Subgroups, computeSubgroupsSplit(in, ci, g, decided.Assign, decided.Breaks)...)
@@ -367,15 +344,8 @@ func reEvaluate(in *Input, decided *Result) *Result {
 	for i, sg := range res.Subgroups {
 		sg.Cores = decided.Subgroups[i].Cores
 	}
-	if reason, ok := checkLatency(in, res); !ok {
-		res.Reason = reason
-		return res
-	}
-	if reason, ok := solveRates(in, res); !ok {
-		res.Reason = reason
-		return res
-	}
-	res.Feasible = true
+	ev := newEvalScratch(in)
+	res.Reason, res.Feasible = ev.check(res, ev.checkLatency, ev.solveRates)
 	return res
 }
 

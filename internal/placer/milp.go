@@ -39,7 +39,7 @@ func allocateMILP(in *Input, res *Result) (string, bool) {
 	for s := 0; s < nSubs; s++ {
 		integer[nChains+s] = true
 	}
-	arena := newRowArena(nVars, 3*nSubs+len(in.Topo.Servers)+nChains+4)
+	newRow := func() []float64 { return make([]float64, nVars) }
 	addRow := func(row []float64, b float64) {
 		prob.A = append(prob.A, row)
 		prob.B = append(prob.B, b)
@@ -54,16 +54,16 @@ func allocateMILP(in *Input, res *Result) (string, bool) {
 	for s, sg := range res.Subgroups {
 		i := sg.ChainIdx
 		coef := sg.Weight * sg.Cycles / bits
-		row := arena.row()
+		row := newRow()
 		row[i] = coef
 		row[nChains+s] = -f
 		addRow(row, -tmin[i]*coef)
 
-		lo := arena.row()
+		lo := newRow()
 		lo[nChains+s] = -1
 		addRow(lo, -1) // k_s >= 1
 		if !sg.Replicable {
-			hi := arena.row()
+			hi := newRow()
 			hi[nChains+s] = 1
 			addRow(hi, 1) // k_s <= 1
 		}
@@ -71,7 +71,7 @@ func allocateMILP(in *Input, res *Result) (string, bool) {
 
 	// Per-server core budgets.
 	for _, srv := range in.Topo.Servers {
-		row := arena.row()
+		row := newRow()
 		any := false
 		for s, sg := range res.Subgroups {
 			if sg.Server == srv.Name {
@@ -95,7 +95,7 @@ func allocateMILP(in *Input, res *Result) (string, bool) {
 		if ub < tmin[i] {
 			return fmt.Sprintf("chain %s: hard capacity %.3g < t_min %.3g", g.Chain.Name, ub, tmin[i]), false
 		}
-		row := arena.row()
+		row := newRow()
 		row[i] = 1
 		addRow(row, ub-tmin[i])
 	}
@@ -136,7 +136,7 @@ func allocateMILP(in *Input, res *Result) (string, bool) {
 		if fixed > l.cap+1e-6 {
 			return fmt.Sprintf("link %s: t_min traffic exceeds capacity", dev), false
 		}
-		row := arena.row()
+		row := newRow()
 		copy(row, l.visits)
 		addRow(row, l.cap-fixed)
 	}
@@ -178,7 +178,8 @@ func placeMILP(in *Input) (*Result, error) {
 		base.Reason = "milp fallback: " + reason
 		return base, nil
 	}
-	if reason, ok := checkLatency(in, milp); !ok {
+	ev := newEvalScratch(in)
+	if reason, ok := ev.check(milp, ev.checkLatency); !ok {
 		base.Reason = "milp fallback: " + reason
 		return base, nil
 	}

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"lemur/internal/hw"
-	"lemur/internal/nfgraph"
 )
 
 // The tail-latency admission check (the d_max_p99 SLO): where checkLatency
@@ -20,15 +19,23 @@ import (
 // subgroup the path crosses — records it in Result.PredictedP99Sec, and
 // rejects the placement if a chain with a d_max_p99 bound exceeds it. It
 // must run after solveRates (the estimate needs ChainRates).
-func checkTailLatency(in *Input, res *Result) (string, bool) {
+func (ev *evalScratch) checkTailLatency() (string, bool) {
 	const switchPipelineSec = 1e-6
-	res.PredictedP99Sec = make([]float64, len(in.Chains))
-	subOf := make(map[*nfgraph.Node]*Subgroup, len(res.Subgroups))
-	for _, sg := range res.Subgroups {
+	in, res, p := ev.in, ev.res, ev.p
+	res.PredictedP99Sec = grown(res.PredictedP99Sec, len(in.Chains))
+	// subOf maps a dense node index to its subgroup's index (-1: none);
+	// seen[si] holds the number of the last path that counted subgroup si.
+	ev.subOf = ev.subOf[:0]
+	for range p.nodes {
+		ev.subOf = append(ev.subOf, -1)
+	}
+	ev.seen = append(ev.seen[:0], make([]int, len(res.Subgroups))...)
+	for si, sg := range res.Subgroups {
 		for _, n := range sg.Nodes {
-			subOf[n] = sg
+			ev.subOf[p.base[sg.ChainIdx]+n.Seq] = si
 		}
 	}
+	pathNo := 0
 	for ci, g := range in.Chains {
 		if res.IsRetired(ci) {
 			continue
@@ -38,13 +45,13 @@ func checkTailLatency(in *Input, res *Result) (string, bool) {
 			rate = res.ChainRates[ci]
 		}
 		worst := 0.0
-		for _, path := range in.chainPaths(ci) {
+		for _, path := range p.paths[ci] {
+			pathNo++
 			d := switchPipelineSec
 			prev, prevDev := hw.PISA, ""
 			hops := 0
-			var seen map[*Subgroup]bool
 			for _, n := range path.Nodes {
-				a := res.Assign[n]
+				a := ev.assign[p.base[ci]+n.Seq]
 				if a.Platform != prev || (a.Platform != hw.PISA && a.Device != prevDev) {
 					hops++
 					prev, prevDev = a.Platform, a.Device
@@ -52,15 +59,12 @@ func checkTailLatency(in *Input, res *Result) (string, bool) {
 				switch a.Platform {
 				case hw.Server:
 					d += in.nodeCycles(n) / in.clockHz()
-					if sg := subOf[n]; sg != nil && !seen[sg] {
-						if seen == nil {
-							seen = make(map[*Subgroup]bool, 4)
-						}
-						seen[sg] = true
-						d += mm1P99WaitSec(in, sg, rate)
+					if si := ev.subOf[p.base[ci]+n.Seq]; si >= 0 && ev.seen[si] != pathNo {
+						ev.seen[si] = pathNo
+						d += mm1P99WaitSec(in, res.Subgroups[si], rate)
 					}
 				case hw.SmartNIC:
-					if nic, err := in.Topo.SmartNICByName(a.Device); err == nil {
+					if nic := p.nics[a.Device]; nic != nil {
 						d += in.nodeCycles(n) / (nic.SpeedupVsServerCore * in.clockHz())
 					}
 				}

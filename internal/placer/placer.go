@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"lemur/internal/hw"
@@ -108,10 +109,11 @@ type Input struct {
 	// collapse. Benchmarks use it to measure collapse rates.
 	DisableSymmetry bool
 
-	// prep caches per-input derived state (worst-case node cycles, stage
-	// verdicts). Place installs it; consumers validate it against the
-	// current DB/topology and fall back to direct computation on mismatch,
-	// so copies of an Input with a swapped cost database stay correct.
+	// prep caches per-input derived state (worst-case node cycles, server
+	// indices, stage verdicts). Every entry point installs one that matches
+	// the input's current chains, DB and topology (ensurePrep), so copies
+	// of an Input with a swapped cost database or a reduced topology stay
+	// correct.
 	prep *inputPrep
 }
 
@@ -305,41 +307,42 @@ func Place(scheme Scheme, in *Input) (*Result, error) {
 // allowedPlatforms returns the platforms node may run on under this input:
 // registry availability, optional class restriction, and topology presence.
 func (in *Input) allowedPlatforms(n *nfgraph.Node) []hw.Platform {
-	base := n.Meta.Platforms
-	if r, ok := in.Restrict[n.Class()]; ok {
-		base = r
-	}
 	var out []hw.Platform
-	for _, p := range base {
-		switch p {
-		case hw.Server:
-			if len(in.Topo.Servers) > 0 {
-				out = append(out, p)
-			}
-		case hw.PISA:
-			if in.Topo.Switch != nil {
-				out = append(out, p)
-			}
-		case hw.SmartNIC:
-			if len(in.Topo.SmartNICs) > 0 {
-				out = append(out, p)
-			}
-		case hw.OpenFlow:
-			if in.Topo.OFSwitch != nil {
-				out = append(out, p)
-			}
+	for _, p := range in.candidatePlatforms(n) {
+		if in.present(p) {
+			out = append(out, p)
 		}
 	}
 	return out
 }
 
-func (in *Input) allows(n *nfgraph.Node, p hw.Platform) bool {
-	for _, q := range in.allowedPlatforms(n) {
-		if q == p {
-			return true
-		}
+// candidatePlatforms is node's platform list before topology presence.
+func (in *Input) candidatePlatforms(n *nfgraph.Node) []hw.Platform {
+	if r, ok := in.Restrict[n.Class()]; ok {
+		return r
+	}
+	return n.Meta.Platforms
+}
+
+// present reports whether the topology has any device of platform p.
+func (in *Input) present(p hw.Platform) bool {
+	switch p {
+	case hw.Server:
+		return len(in.Topo.Servers) > 0
+	case hw.PISA:
+		return in.Topo.Switch != nil
+	case hw.SmartNIC:
+		return len(in.Topo.SmartNICs) > 0
+	case hw.OpenFlow:
+		return in.Topo.OFSwitch != nil
 	}
 	return false
+}
+
+// allows reports whether node may run on platform p. It allocates nothing:
+// the latency check and the eviction loops ask it per node per candidate.
+func (in *Input) allows(n *nfgraph.Node, p hw.Platform) bool {
+	return in.present(p) && slices.Contains(in.candidatePlatforms(n), p)
 }
 
 // nodeCycles is the profiled worst-case server cost of one node, inflated by

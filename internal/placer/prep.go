@@ -12,30 +12,59 @@ import (
 )
 
 // inputPrep caches derived state that every candidate evaluation of one
-// placement input recomputes otherwise: the profiled worst-case cycles per
-// node (DB lookups build string keys, and the brute-force scorer asks for the
-// same node thousands of times) and the stage-check verdict per distinct
-// switch-resident node set (table construction and PISA compilation depend
-// only on which nodes sit on the switch, not on rates or δ).
+// placement input recomputes otherwise. It has two halves. chainPrep depends
+// only on the chain set and the cost database: flattened nodes, profiled
+// worst-case cycles, path expansions, PISA table names, the LP's fixed
+// vectors. The rest depends on the topology: the server and SmartNIC indices
+// the evaluation scratch keys its core ledger and LP links by, the fleet summary
+// the branch-and-bound search relaxes against, and the stage-check memo
+// (which depends on the switch only, so it survives a change of servers).
 //
-// A prep is installed by Place before scheme dispatch and carries the
-// identity of the inputs it was derived from; each consumer validates the
-// relevant identity and silently falls back to direct computation on
-// mismatch. That keeps the ablations that copy an Input and swap its cost
-// database (NoProfiling, the §5.2 sensitivity sweep) correct without any
-// cooperation from their call sites.
+// ensurePrep installs a prep that matches the input at every entry point
+// (Place, Replace, Admit, Retire, ReEvaluate, and the heuristic, for the
+// ablations that copy an Input and swap its cost database), so the
+// evaluation path indexes it without validating. A changed topology keeps
+// the chain half: Replace's reduced topology costs one small index, not a
+// second pass over the cost database.
 type inputPrep struct {
+	*chainPrep
+	topo *hw.Topology
+
+	// srvOrd maps a server name to its index in Topo.Servers, srvCores holds
+	// the worker-core budget by that index, nics maps SmartNIC names to
+	// their specs.
+	srvOrd   map[string]int
+	srvCores []int
+	nics     map[string]*hw.SmartNICSpec
+
+	// Fleet summary for the branch-and-bound search: the largest per-server
+	// worker-core budget and primary-NIC capacity (its admissible
+	// single-server relaxations), and whether every server is
+	// hardware-identical (the gate for symmetry canonicalization — on a
+	// heterogeneous fleet, permuting chains across servers genuinely
+	// changes the binding).
+	maxCores int
+	maxLink  float64
+	uniform  bool
+
+	stage *stageMemo
+}
+
+// chainPrep is the half of the prep derived from the chain set and the cost
+// database alone. All read-only after build.
+type chainPrep struct {
 	db     *profile.DB
-	topo   *hw.Topology
 	chains []*nfgraph.Graph
 
-	// nodes flattens every chain's nodes in enumeration order; rawCycles
-	// holds DB.WorstCycles per node (cross-socket penalty applied live).
-	// pisaNames holds each PISA-capable node's logical table names and
-	// maxTables bounds the switch program size (both feed the optimized
-	// BuildSwitchTables path, which otherwise rebuilds the same strings for
-	// every candidate). All read-only after build.
+	// nodes flattens every chain's nodes in enumeration order and base[ci]
+	// is chain ci's first index in it, so base[ci]+n.Seq is node n's dense
+	// index. rawCycles holds DB.WorstCycles per node (cross-socket penalty
+	// applied live). pisaNames holds each PISA-capable node's logical table
+	// names and maxTables bounds the switch program size (both feed the
+	// optimized BuildSwitchTables path, which otherwise rebuilds the same
+	// strings for every candidate).
 	nodes     []*nfgraph.Node
+	base      []int
 	rawCycles map[*nfgraph.Node]float64
 	pisaNames map[*nfgraph.Node][]string
 	maxTables int
@@ -50,21 +79,13 @@ type inputPrep struct {
 	// coefficients, never mutates them).
 	ones  []float64
 	tmins []float64
+}
 
-	// Fleet summary for the branch-and-bound search: the largest per-server
-	// worker-core budget and primary-NIC capacity (its admissible
-	// single-server relaxations), and whether every server is
-	// hardware-identical (the gate for symmetry canonicalization — on a
-	// heterogeneous fleet, permuting chains across servers genuinely
-	// changes the binding).
-	maxCores int
-	maxLink  float64
-	uniform  bool
-
-	// stage memoizes stageCheck verdicts keyed by the PISA-assignment
-	// bitstring over nodes. Guarded: parallel workers share one prep.
-	mu    sync.Mutex
-	stage map[string]stageVerdict
+// stageMemo memoizes stageCheck verdicts keyed by the PISA-assignment
+// bitstring over nodes. Guarded: parallel workers share one prep.
+type stageMemo struct {
+	mu sync.Mutex
+	m  map[string]stageVerdict
 }
 
 // stageVerdict is a memoized stageCheck outcome.
@@ -91,18 +112,29 @@ func StageMemoStats() (hits, misses uint64) {
 }
 
 // ensurePrep installs (or refreshes) the prep for the input's current DB,
-// topology and chain set. Called once per Place, before workers fan out.
+// topology and chain set. Called at every entry point, before workers fan
+// out.
 func (in *Input) ensurePrep() {
-	if p := in.prep; p != nil && p.db == in.DB && p.topo == in.Topo && sameChains(p.chains, in.Chains) {
-		return
+	p := in.prep
+	if p == nil || p.db != in.DB || !sameChains(p.chains, in.Chains) {
+		in.prep = newTopoPrep(in, newChainPrep(in), nil)
+	} else if p.topo != in.Topo {
+		memo := p.stage
+		if p.topo.Switch != in.Topo.Switch {
+			memo = nil
+		}
+		in.prep = newTopoPrep(in, p.chainPrep, memo)
 	}
-	p := &inputPrep{
+}
+
+func newChainPrep(in *Input) *chainPrep {
+	p := &chainPrep{
 		db:     in.DB,
-		topo:   in.Topo,
 		chains: append([]*nfgraph.Graph(nil), in.Chains...),
-		stage:  make(map[string]stageVerdict),
+		base:   make([]int, len(in.Chains)),
 	}
-	for _, g := range in.Chains {
+	for ci, g := range in.Chains {
+		p.base[ci] = len(p.nodes)
 		p.nodes = append(p.nodes, g.Order...)
 	}
 	p.rawCycles = make(map[*nfgraph.Node]float64, len(p.nodes))
@@ -117,7 +149,6 @@ func (in *Input) ensurePrep() {
 		p.ones[i] = 1
 		p.tmins[i] = g.Chain.SLO.TMinBps
 	}
-	p.maxCores, p.maxLink, p.uniform = fleetSummary(in.Topo)
 	p.pisaNames = make(map[*nfgraph.Node][]string)
 	p.maxTables = 1 // steer_classify
 	for ci, g := range in.Chains {
@@ -134,64 +165,52 @@ func (in *Input) ensurePrep() {
 			p.maxTables += prof.Tables
 		}
 	}
-	in.prep = p
+	return p
 }
 
-// fleetSummary computes the prep's fleet fields from a topology.
-func fleetSummary(topo *hw.Topology) (maxCores int, maxLink float64, uniform bool) {
-	uniform = true
-	ref := topo.Servers[0]
-	for _, s := range topo.Servers {
-		if c := s.WorkerCores(); c > maxCores {
-			maxCores = c
+// newTopoPrep derives the topology half over a chain half; memo carries a
+// stage memo over when the switch did not change.
+func newTopoPrep(in *Input, cp *chainPrep, memo *stageMemo) *inputPrep {
+	if memo == nil {
+		memo = &stageMemo{m: make(map[string]stageVerdict)}
+	}
+	topo := in.Topo
+	p := &inputPrep{
+		chainPrep: cp, topo: topo, stage: memo,
+		srvOrd:   make(map[string]int, len(topo.Servers)),
+		srvCores: make([]int, len(topo.Servers)),
+		nics:     make(map[string]*hw.SmartNICSpec, len(topo.SmartNICs)),
+		uniform:  true,
+	}
+	for _, nic := range topo.SmartNICs {
+		if _, dup := p.nics[nic.Name]; !dup {
+			p.nics[nic.Name] = nic
 		}
-		if len(s.NICs) > 0 && s.NICs[0].CapacityBps > maxLink {
-			maxLink = s.NICs[0].CapacityBps
+	}
+	ref := topo.Servers[0]
+	for i, s := range topo.Servers {
+		if _, dup := p.srvOrd[s.Name]; !dup {
+			p.srvOrd[s.Name] = i
+		}
+		p.srvCores[i] = s.WorkerCores()
+		p.maxCores = max(p.maxCores, p.srvCores[i])
+		if len(s.NICs) > 0 && s.NICs[0].CapacityBps > p.maxLink {
+			p.maxLink = s.NICs[0].CapacityBps
 		}
 		if s.Sockets != ref.Sockets || s.CoresPerSocket != ref.CoresPerSocket ||
 			s.ClockHz != ref.ClockHz || s.ReservedCores != ref.ReservedCores ||
 			len(s.NICs) != len(ref.NICs) {
-			uniform = false
+			p.uniform = false
 			continue
 		}
 		for i := range s.NICs {
 			if s.NICs[i].CapacityBps != ref.NICs[i].CapacityBps ||
 				s.NICs[i].Socket != ref.NICs[i].Socket {
-				uniform = false
+				p.uniform = false
 			}
 		}
 	}
-	return maxCores, maxLink, uniform
-}
-
-// maxWorkerCores is the largest per-server worker-core budget, via the prep
-// when it matches the input's topology.
-func (in *Input) maxWorkerCores() int {
-	if p := in.prep; p != nil && p.topo == in.Topo {
-		return p.maxCores
-	}
-	c, _, _ := fleetSummary(in.Topo)
-	return c
-}
-
-// maxServerLinkBps is the largest per-server primary-NIC capacity, via the
-// prep when it matches the input's topology.
-func (in *Input) maxServerLinkBps() float64 {
-	if p := in.prep; p != nil && p.topo == in.Topo {
-		return p.maxLink
-	}
-	_, l, _ := fleetSummary(in.Topo)
-	return l
-}
-
-// uniformFleet reports whether every server is hardware-identical, via the
-// prep when it matches the input's topology.
-func (in *Input) uniformFleet() bool {
-	if p := in.prep; p != nil && p.topo == in.Topo {
-		return p.uniform
-	}
-	_, _, u := fleetSummary(in.Topo)
-	return u
+	return p
 }
 
 func sameChains(a, b []*nfgraph.Graph) bool {
@@ -206,15 +225,6 @@ func sameChains(a, b []*nfgraph.Graph) bool {
 	return true
 }
 
-// chainPaths returns chain ci's root-to-leaf paths, via the prep when it
-// matches the input's current chain set.
-func (in *Input) chainPaths(ci int) []nfgraph.Path {
-	if p := in.prep; p != nil && sameChains(p.chains, in.Chains) {
-		return p.paths[ci]
-	}
-	return in.Chains[ci].Paths()
-}
-
 // rawWorstCycles returns DB.WorstCycles for a node, via the prep when it
 // matches the input's current database.
 func (in *Input) rawWorstCycles(n *nfgraph.Node) float64 {
@@ -224,44 +234,4 @@ func (in *Input) rawWorstCycles(n *nfgraph.Node) float64 {
 		}
 	}
 	return in.DB.WorstCycles(n.Class(), n.Inst.Params)
-}
-
-// stageKey renders the switch-resident node set as a byte per node. Table
-// construction (optimized codegen) depends only on this set — node names,
-// PISA profiles and graph structure are fixed per input — so the string is a
-// complete key for the stage verdict.
-func (p *inputPrep) stageKey(assign map[*nfgraph.Node]Assign) string {
-	buf := make([]byte, len(p.nodes))
-	for i, n := range p.nodes {
-		if a, ok := assign[n]; ok && a.Platform == hw.PISA {
-			buf[i] = 'p'
-		} else {
-			buf[i] = '.'
-		}
-	}
-	return string(buf)
-}
-
-// stageFor returns the memoized verdict for an assignment, or computes and
-// records it via compute. Valid only when the prep matches the input; the
-// caller checks.
-func (p *inputPrep) stageFor(assign map[*nfgraph.Node]Assign, compute func() stageVerdict) stageVerdict {
-	key := p.stageKey(assign)
-	p.mu.Lock()
-	v, ok := p.stage[key]
-	p.mu.Unlock()
-	if ok {
-		stageMemoHits.Add(1)
-		mStageMemoHit.Inc()
-		return v
-	}
-	// Compute outside the lock: verdicts are content-determined, so a
-	// concurrent duplicate insert stores the same value.
-	stageMemoMisses.Add(1)
-	mStageMemoMiss.Inc()
-	v = compute()
-	p.mu.Lock()
-	p.stage[key] = v
-	p.mu.Unlock()
-	return v
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"lemur/internal/hw"
 	"lemur/internal/lp"
 )
 
@@ -22,8 +23,8 @@ func (in *Input) nicRateBps(u *NICUse) float64 {
 	if u.Cycles <= 0 || u.Weight <= 0 {
 		return 0
 	}
-	nic, err := in.Topo.SmartNICByName(u.Device)
-	if err != nil {
+	nic := in.prep.nics[u.Device]
+	if nic == nil {
 		return 0
 	}
 	pps := nic.SpeedupVsServerCore * in.clockHz() / u.Cycles
@@ -63,67 +64,70 @@ func (in *Input) coresToMeet(sg *Subgroup, targetBps float64) int {
 	return cores
 }
 
-// rowArena carves constraint rows out of one flat allocation instead of one
-// make per row. Rows come zeroed (blocks are always fresh heap memory) and
-// are never retained by lp.Solve, which copies coefficients into its own
-// tableau.
-type rowArena struct {
-	flat []float64
-	n    int
+// lpLink is one device's link constraint under construction: the device, its
+// capacity, and the traffic-weighted visits per chain (an LP row).
+type lpLink struct {
+	dev    string
+	cap    float64
+	visits []float64
 }
 
-// newRowArena pre-sizes a block for `rows` n-wide rows; row() grows in bulk
-// when the estimate was low.
-func newRowArena(n, rows int) *rowArena {
-	return &rowArena{flat: make([]float64, 0, n*rows), n: n}
-}
-
-func (a *rowArena) row() []float64 {
-	if cap(a.flat)-len(a.flat) < a.n {
-		a.flat = make([]float64, 0, a.n*16)
-	}
-	end := len(a.flat) + a.n
-	r := a.flat[len(a.flat):end:end]
-	a.flat = a.flat[:end]
+// row hands out a zeroed LP row, one value per chain, from the scratch's
+// reusable block (solveLP sizes it). Rows stay valid until the next solveLP.
+func (ev *evalScratch) row() []float64 {
+	n := len(ev.in.Chains)
+	r := ev.flat[ev.flatUsed : ev.flatUsed+n : ev.flatUsed+n]
+	ev.flatUsed += n
+	clear(r)
 	return r
 }
 
-// solveRates runs the marginal-throughput LP (§3.2): maximize Σ(r_i − t_min)
-// subject to t_min ≤ r_i ≤ min(capacity, t_max, ingress port) and per-device
-// link constraints Σ m_{i,d}·r_i ≤ C_d. On success it fills ChainRates,
-// Marginal and PredictedAggregate; on failure it returns the infeasibility
-// reason.
-func solveRates(in *Input, res *Result) (string, bool) {
-	n := len(in.Chains)
-	// Objective and t_min vectors are fixed per input; share them from the
-	// prep (lp.Solve copies, never mutates) instead of rebuilding per solve.
-	var ones, tmin []float64
-	if p := in.prep; p != nil && sameChains(p.chains, in.Chains) {
-		ones, tmin = p.ones, p.tmins
-	} else {
-		ones = make([]float64, n)
-		tmin = make([]float64, n)
-		for i, g := range in.Chains {
-			ones[i] = 1
-			tmin[i] = g.Chain.SLO.TMinBps
+// addVisit adds weight w of chain's traffic to dev's link constraint.
+// Devices number a handful, so a linear slice beats a map — and gives the LP
+// a deterministic constraint order.
+func (ev *evalScratch) addVisit(dev string, cap float64, chain int, w float64) {
+	for i := range ev.links {
+		if ev.links[i].dev == dev {
+			ev.links[i].visits[chain] += w
+			return
 		}
 	}
+	ev.links = append(ev.links, lpLink{dev: dev, cap: cap, visits: ev.row()})
+	ev.links[len(ev.links)-1].visits[chain] += w
+}
+
+// solveLP builds and solves the marginal-throughput LP (§3.2) for the
+// scratch's current subgroups, cores and NIC uses: maximize Σ(r_i − t_min)
+// subject to t_min ≤ r_i ≤ min(capacity, t_max, ingress port) and per-device
+// link constraints Σ m_{i,d}·r_i ≤ C_d. It returns the solution (X in
+// scratch memory, valid until the next call) and the t_min vector it was
+// solved against, or the infeasibility reason.
+func (ev *evalScratch) solveLP() (lp.Solution, []float64, string, bool) {
+	in, res, p := ev.in, ev.res, ev.p
+	n := len(in.Chains)
+	// The objective and t_min vectors are fixed per input and shared from
+	// the prep (lp.Solve copies, never mutates).
+	tmin := p.tmins
 	if res.Retired != nil {
 		// Retired chain slots carry no traffic: t_min drops to zero on a
-		// local copy (the prep's tmins are shared read-only) and the rate is
-		// pinned at zero below, so a retired slot never constrains or claims
-		// link capacity.
-		t2 := make([]float64, n)
-		copy(t2, tmin[:n])
-		for i := range t2 {
+		// scratch copy and the rate is pinned at zero below, so a retired
+		// slot never constrains or claims link capacity.
+		ev.tmin = append(ev.tmin[:0], tmin...)
+		tmin = ev.tmin
+		for i := range tmin {
 			if res.IsRetired(i) {
-				t2[i] = 0
+				tmin[i] = 0
 			}
 		}
-		tmin = t2
 	}
-	prob := lp.Problem{C: ones, A: make([][]float64, 0, n+4), B: make([]float64, 0, n+4)}
-	arena := newRowArena(n, n+4)
+	// A row per chain plus one per device that can carry a link constraint.
+	if rows := n + len(p.srvCores) + len(p.nics); len(ev.flat) < rows*n {
+		ev.flat = make([]float64, rows*n)
+		ev.lpA, ev.lpB = make([][]float64, 0, rows), make([]float64, 0, rows)
+		ev.links = make([]lpLink, 0, rows-n)
+	}
+	ev.flatUsed, ev.links = 0, ev.links[:0]
+	A, B := ev.lpA[:0], ev.lpB[:0]
 	for i, g := range in.Chains {
 		ub := minF(chainCapBps(in, res, i), g.Chain.SLO.TMaxBps)
 		ub = minF(ub, in.Topo.Switch.PortCapacityBps) // ingress port
@@ -131,77 +135,77 @@ func solveRates(in *Input, res *Result) (string, bool) {
 			ub = 0 // retired slot: rate forced to zero
 		}
 		if ub < tmin[i]-1e-6 {
-			return fmt.Sprintf("chain %s: capacity %.3g bps < t_min %.3g bps",
+			return lp.Solution{}, nil, fmt.Sprintf("chain %s: capacity %.3g bps < t_min %.3g bps",
 				g.Chain.Name, ub, tmin[i]), false
 		}
 		// x_i = r_i - tmin_i <= ub - tmin.
-		row := arena.row()
+		row := ev.row()
 		row[i] = 1
-		prob.A = append(prob.A, row)
-		prob.B = append(prob.B, ub-tmin[i])
+		A, B = append(A, row), append(B, ub-tmin[i])
 	}
 
-	// Link constraints per device. Devices number a handful, so a linear
-	// slice beats a map — and gives the LP a deterministic constraint
-	// order. Visit rows come from the arena and are appended to the
-	// problem as-is.
-	type link struct {
-		dev    string
-		cap    float64
-		visits []float64
-	}
-	var links []link
-	addVisit := func(dev string, cap float64, chain int, w float64) {
-		for i := range links {
-			if links[i].dev == dev {
-				links[i].visits[chain] += w
-				return
-			}
-		}
-		links = append(links, link{dev: dev, cap: cap, visits: arena.row()})
-		links[len(links)-1].visits[chain] += w
-	}
-	for _, sg := range res.Subgroups {
-		srv, err := in.Topo.ServerByName(sg.Server)
-		if err != nil {
-			return err.Error(), false
-		}
-		addVisit(sg.Server, srv.NICs[0].CapacityBps, sg.ChainIdx, sg.Weight)
+	// Link constraints per device, in order of first visit.
+	for si, sg := range res.Subgroups {
+		ev.addVisit(sg.Server, in.Topo.Servers[ev.srvOf[si]].NICs[0].CapacityBps, sg.ChainIdx, sg.Weight)
 	}
 	for _, u := range res.NICUses {
-		nic, err := in.Topo.SmartNICByName(u.Device)
-		if err != nil {
-			return err.Error(), false
+		nic := p.nics[u.Device]
+		if nic == nil {
+			return lp.Solution{}, nil, fmt.Sprintf("%v: smartnic %q", hw.ErrNotFound, u.Device), false
 		}
-		addVisit(u.Device, nic.CapacityBps, u.ChainIdx, u.Weight)
+		ev.addVisit(u.Device, nic.CapacityBps, u.ChainIdx, u.Weight)
 	}
-	for _, l := range links {
+	for _, l := range ev.links {
 		fixed := 0.0
 		for i, m := range l.visits {
 			fixed += m * tmin[i]
 		}
 		if fixed > l.cap+1e-6 {
-			return fmt.Sprintf("link %s: t_min traffic %.3g bps exceeds capacity %.3g bps",
+			return lp.Solution{}, nil, fmt.Sprintf("link %s: t_min traffic %.3g bps exceeds capacity %.3g bps",
 				l.dev, fixed, l.cap), false
 		}
-		prob.A = append(prob.A, l.visits)
-		prob.B = append(prob.B, l.cap-fixed)
+		A, B = append(A, l.visits), append(B, l.cap-fixed)
 	}
+	ev.lpA, ev.lpB = A, B
 
-	sol, err := lp.Solve(prob)
+	sol, err := lp.SolveInto(lp.Problem{C: p.ones, A: A, B: B}, ev.x)
 	mLPSolves.Inc()
 	if err != nil {
-		return fmt.Sprintf("rate LP: %v", err), false
+		return lp.Solution{}, nil, fmt.Sprintf("rate LP: %v", err), false
 	}
+	ev.x = sol.X
 	mLPIterations.Observe(float64(sol.Iterations))
 	mLPObjective.Observe(sol.Value)
-	res.ChainRates = make([]float64, n)
-	res.Marginal = sol.Value
+	return sol, tmin, "", true
+}
+
+// solveRates solves the rate LP and, on success, fills the Result's
+// ChainRates, Marginal and PredictedAggregate; on failure it returns the
+// infeasibility reason.
+func (ev *evalScratch) solveRates() (string, bool) {
+	sol, tmin, reason, ok := ev.solveLP()
+	if !ok {
+		return reason, false
+	}
+	res := ev.res
+	res.ChainRates = grown(res.ChainRates, len(ev.in.Chains))
+	res.Marginal, res.PredictedAggregate = sol.Value, 0
 	for i := range res.ChainRates {
 		res.ChainRates[i] = tmin[i] + sol.X[i]
 		res.PredictedAggregate += res.ChainRates[i]
 	}
 	return "", true
+}
+
+// grown resizes s to n zeroed elements, in place when its capacity allows
+// (the scratch's own Result) and freshly otherwise (a heap Result).
+func grown(s []float64, n int) []float64 {
+	if cap(s) < n {
+		return make([]float64, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // allocPolicy controls how spare cores are handed out.
@@ -214,14 +218,14 @@ const (
 	policyNone                          // NoCoreAlloc ablation: minimum only
 )
 
-// lpMarginal scores a core allocation by solving the rate LP on a scratch
-// result (no mutation of res's rate fields). Returns -Inf when infeasible.
-func lpMarginal(in *Input, res *Result) float64 {
-	scratch := &Result{Subgroups: res.Subgroups, NICUses: res.NICUses}
-	if _, ok := solveRates(in, scratch); !ok {
+// lpMarginal scores the current core allocation by solving the rate LP
+// without touching the Result's rate fields. Returns -Inf when infeasible.
+func (ev *evalScratch) lpMarginal() float64 {
+	sol, _, _, ok := ev.solveLP()
+	if !ok {
 		return math.Inf(-1)
 	}
-	return scratch.Marginal
+	return sol.Value
 }
 
 // refineAllocation hill-climbs the greedy allocation: the per-core greedy
@@ -229,32 +233,29 @@ func lpMarginal(in *Input, res *Result) float64 {
 // core more valuable on another chain. Try single-core moves between
 // subgroups on the same server, scored by the real LP, until no move
 // improves the marginal.
-func refineAllocation(in *Input, res *Result) {
+func (ev *evalScratch) refineAllocation() {
+	in, subs := ev.in, ev.res.Subgroups
 	minCores := func(sg *Subgroup) int {
 		if in.DisableCoreScaling || !sg.Replicable {
 			return 1
 		}
-		need := in.coresToMeet(sg, in.Chains[sg.ChainIdx].Chain.SLO.TMinBps)
-		if need < 1 {
-			need = 1
-		}
-		return need
+		return in.coresToMeet(sg, in.Chains[sg.ChainIdx].Chain.SLO.TMinBps)
 	}
 	for iter := 0; iter < 64; iter++ {
-		base := lpMarginal(in, res)
+		base := ev.lpMarginal()
 		var bestDonor, bestRecip *Subgroup
 		bestGain := 1e5 // require a meaningful (0.1 Kbps) improvement
-		for _, donor := range res.Subgroups {
+		for _, donor := range subs {
 			if donor.Cores <= minCores(donor) {
 				continue
 			}
-			for _, recip := range res.Subgroups {
+			for _, recip := range subs {
 				if recip == donor || !recip.Replicable || recip.Server != donor.Server {
 					continue
 				}
 				donor.Cores--
 				recip.Cores++
-				if m := lpMarginal(in, res); m-base > bestGain {
+				if m := ev.lpMarginal(); m-base > bestGain {
 					bestGain = m - base
 					bestDonor, bestRecip = donor, recip
 				}
@@ -270,48 +271,72 @@ func refineAllocation(in *Input, res *Result) {
 	}
 }
 
+// chargeCores resets the core ledger and charges every subgroup's current
+// Cores to its server. It returns the lowest-index server over budget, or
+// -1: servers are checked in topology order so that the reason reported
+// when several overflow is a function of the input alone.
+func (ev *evalScratch) chargeCores() int {
+	ev.used = append(ev.used[:0], make([]int, len(ev.p.srvCores))...)
+	for si, sg := range ev.res.Subgroups {
+		ev.used[ev.srvOf[si]] += sg.Cores
+	}
+	for o, u := range ev.used {
+		if u > ev.p.srvCores[o] {
+			return o
+		}
+	}
+	return -1
+}
+
+// raiseToTMin gives every subgroup (only those marked, when only is
+// non-nil) the cores its chain's t_min needs, from the full budget: SLO
+// feasibility outranks the admission-headroom reserve. It fails when a
+// non-replicable subgroup needs more than one core or a server runs out.
+func (ev *evalScratch) raiseToTMin(only []bool) (string, bool) {
+	in, budget, used, srvOf := ev.in, ev.p.srvCores, ev.used, ev.srvOf
+	for si, sg := range ev.res.Subgroups {
+		if only != nil && !only[si] {
+			continue
+		}
+		need := in.coresToMeet(sg, in.Chains[sg.ChainIdx].Chain.SLO.TMinBps)
+		if need > 1 && !sg.Replicable {
+			return fmt.Sprintf("subgroup %s: needs %d cores for t_min but is not replicable",
+				sg.Name(), need), false
+		}
+		for sg.Cores < need {
+			if used[srvOf[si]] >= budget[srvOf[si]] {
+				return fmt.Sprintf("server %s: out of cores raising %s to t_min",
+					sg.Server, sg.Name()), false
+			}
+			sg.Cores++
+			used[srvOf[si]]++
+		}
+	}
+	return "", true
+}
+
 // allocateCores assigns cores to subgroups: one core each, raised to meet
 // t_min (SLO-aware policies only), then spare cores per policy. It returns
 // an infeasibility reason when minimums cannot be met.
-func allocateCores(in *Input, res *Result, policy allocPolicy) (string, bool) {
-	// Per-server budgets.
-	budget := map[string]int{}
-	for _, s := range in.Topo.Servers {
-		budget[s.Name] = s.WorkerCores()
-	}
-	used := map[string]int{}
+func (ev *evalScratch) allocateCores(policy allocPolicy) (string, bool) {
+	in, res, subs := ev.in, ev.res, ev.res.Subgroups
+	budget, srvOf := ev.p.srvCores, ev.srvOf
 
 	// Mandatory single core per subgroup.
-	for _, sg := range res.Subgroups {
+	for _, sg := range subs {
 		sg.Cores = 1
-		used[sg.Server]++
 	}
-	for srv, u := range used {
-		if u > budget[srv] {
-			return fmt.Sprintf("server %s: %d subgroups need %d cores, has %d",
-				srv, u, u, budget[srv]), false
-		}
+	if o := ev.chargeCores(); o >= 0 {
+		return fmt.Sprintf("server %s: %d subgroups need %d cores, has %d",
+			in.Topo.Servers[o].Name, ev.used[o], ev.used[o], budget[o]), false
 	}
+	used := ev.used
 
 	// Raise to meet t_min where the policy is SLO-aware. Even/none policies
 	// skip this (they are not SLO-driven), matching the baselines.
-	sloAware := policy == policyMarginal || policy == policySequential
-	if sloAware && !in.DisableCoreScaling {
-		for _, sg := range res.Subgroups {
-			tmin := in.Chains[sg.ChainIdx].Chain.SLO.TMinBps
-			need := in.coresToMeet(sg, tmin)
-			if need > 1 && !sg.Replicable {
-				return fmt.Sprintf("subgroup %s: needs %d cores for t_min but is not replicable",
-					sg.Name(), need), false
-			}
-			for sg.Cores < need {
-				if used[sg.Server] >= budget[sg.Server] {
-					return fmt.Sprintf("server %s: out of cores raising %s to t_min",
-						sg.Server, sg.Name()), false
-				}
-				sg.Cores++
-				used[sg.Server]++
-			}
+	if sloAware := policy == policyMarginal || policy == policySequential; sloAware && !in.DisableCoreScaling {
+		if reason, ok := ev.raiseToTMin(nil); !ok {
+			return reason, false
 		}
 	}
 
@@ -321,13 +346,13 @@ func allocateCores(in *Input, res *Result, policy allocPolicy) (string, bool) {
 
 	// Discretionary cores honor the admission-headroom reserve; the t_min
 	// raise above does not (SLO feasibility outranks future admissions).
-	spare := func(srv string) int { return budget[srv] - in.HeadroomCores - used[srv] }
-	give := func(sg *Subgroup) bool {
-		if !sg.Replicable || spare(sg.Server) <= 0 {
+	spare := func(si int) int { return budget[srvOf[si]] - in.HeadroomCores - used[srvOf[si]] }
+	give := func(si int) bool {
+		if !subs[si].Replicable || spare(si) <= 0 {
 			return false
 		}
-		sg.Cores++
-		used[sg.Server]++
+		subs[si].Cores++
+		used[srvOf[si]]++
 		return true
 	}
 
@@ -339,48 +364,49 @@ func allocateCores(in *Input, res *Result, policy allocPolicy) (string, bool) {
 		// evaluated per chain, not per subgroup (single-core probing sees
 		// zero gain whenever two subgroups tie).
 		for {
-			var bestAdds []*Subgroup
+			ev.bestAdds = ev.bestAdds[:0]
 			bestPerCore := 1e3 // require > ~1 Kbps/core
 			for ci, g := range in.Chains {
 				cap := minF(chainCapBps(in, res, ci), g.Chain.SLO.TMaxBps)
 				if cap >= g.Chain.SLO.TMaxBps {
 					continue
 				}
-				var adds []*Subgroup
+				adds := ev.adds[:0]
 				stuck := false
-				for _, sg := range res.Subgroups {
+				for si, sg := range subs {
 					if sg.ChainIdx != ci {
 						continue
 					}
 					if in.subRateBps(sg) <= cap*1.000001 {
-						if !sg.Replicable || spare(sg.Server) <= 0 {
+						if !sg.Replicable || spare(si) <= 0 {
 							stuck = true
 							break
 						}
-						adds = append(adds, sg)
+						adds = append(adds, si)
 					}
 				}
+				ev.adds = adds
 				if stuck || len(adds) == 0 {
 					continue
 				}
-				for _, sg := range adds {
-					sg.Cores++
+				for _, si := range adds {
+					subs[si].Cores++
 				}
 				after := minF(chainCapBps(in, res, ci), g.Chain.SLO.TMaxBps)
-				for _, sg := range adds {
-					sg.Cores--
+				for _, si := range adds {
+					subs[si].Cores--
 				}
 				if perCore := (after - cap) / float64(len(adds)); perCore > bestPerCore {
 					bestPerCore = perCore
-					bestAdds = adds
+					ev.bestAdds = append(ev.bestAdds[:0], adds...)
 				}
 			}
-			if bestAdds == nil {
+			if len(ev.bestAdds) == 0 {
 				break
 			}
 			ok := true
-			for _, sg := range bestAdds {
-				if !give(sg) {
+			for _, si := range ev.bestAdds {
+				if !give(si) {
 					ok = false
 					break
 				}
@@ -389,7 +415,7 @@ func allocateCores(in *Input, res *Result, policy allocPolicy) (string, bool) {
 				break
 			}
 		}
-		refineAllocation(in, res)
+		ev.refineAllocation()
 	case policyEven:
 		// Round-robin chains; within a chain, rotate its replicable
 		// subgroups; stop when a full sweep places nothing.
@@ -397,19 +423,20 @@ func allocateCores(in *Input, res *Result, policy allocPolicy) (string, bool) {
 		for {
 			placed := false
 			for ci := range in.Chains {
-				var subs []*Subgroup
-				for _, sg := range res.Subgroups {
+				repl := ev.adds[:0]
+				for si, sg := range subs {
 					if sg.ChainIdx == ci && sg.Replicable {
-						subs = append(subs, sg)
+						repl = append(repl, si)
 					}
 				}
-				if len(subs) == 0 {
+				ev.adds = repl
+				if len(repl) == 0 {
 					continue
 				}
-				for try := 0; try < len(subs); try++ {
-					sg := subs[cursor[ci]%len(subs)]
+				for try := 0; try < len(repl); try++ {
+					si := repl[cursor[ci]%len(repl)]
 					cursor[ci]++
-					if give(sg) {
+					if give(si) {
 						placed = true
 						break
 					}
@@ -428,17 +455,17 @@ func allocateCores(in *Input, res *Result, policy allocPolicy) (string, bool) {
 				if cap >= g.Chain.SLO.TMaxBps {
 					break
 				}
-				var bottleneck *Subgroup
+				bottleneck := -1
 				bottleRate := math.Inf(1)
-				for _, sg := range res.Subgroups {
+				for si, sg := range subs {
 					if sg.ChainIdx != ci {
 						continue
 					}
 					if r := in.subRateBps(sg); r < bottleRate {
-						bottleRate, bottleneck = r, sg
+						bottleRate, bottleneck = r, si
 					}
 				}
-				if bottleneck == nil || !give(bottleneck) {
+				if bottleneck < 0 || !give(bottleneck) {
 					break
 				}
 			}

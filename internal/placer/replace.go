@@ -134,24 +134,29 @@ func Replace(prev *Result, in *Input, failed NodeSet) (*Result, error) {
 			ErrInfeasible, in.Topo.Switch.Name)
 	}
 
-	// Reduced topology: surviving servers and SmartNICs, same specs.
+	// Reduced topology: surviving servers and SmartNICs, same specs. Its
+	// prep shares the chain half and, the switch being the same, the stage
+	// memo; only the server and SmartNIC indices are rebuilt.
 	rin := *in
-	rt := *in.Topo
-	rt.Servers = nil
-	for _, s := range in.Topo.Servers {
-		if !dead[s.Name] {
-			rt.Servers = append(rt.Servers, s)
+	if len(dead) > 0 {
+		rt := *in.Topo
+		rt.Servers = nil
+		for _, s := range in.Topo.Servers {
+			if !dead[s.Name] {
+				rt.Servers = append(rt.Servers, s)
+			}
 		}
-	}
-	rt.SmartNICs = nil
-	for _, n := range in.Topo.SmartNICs {
-		if !dead[n.Name] {
-			rt.SmartNICs = append(rt.SmartNICs, n)
+		rt.SmartNICs = nil
+		for _, n := range in.Topo.SmartNICs {
+			if !dead[n.Name] {
+				rt.SmartNICs = append(rt.SmartNICs, n)
+			}
 		}
-	}
-	rin.Topo = &rt
-	if len(rt.Servers) == 0 && len(dead) > 0 {
-		return nil, fmt.Errorf("%w: no servers survive", ErrInfeasible)
+		if len(rt.Servers) == 0 {
+			return nil, fmt.Errorf("%w: no servers survive", ErrInfeasible)
+		}
+		rin.Topo = &rt
+		rin.ensurePrep()
 	}
 
 	affected := AffectedChains(in, prev, dead)
@@ -182,7 +187,8 @@ func Replace(prev *Result, in *Input, failed NodeSet) (*Result, error) {
 
 	// The combined switch program must still fit; if re-homing pushed nodes
 	// onto the switch past its stages, evict — from affected chains only.
-	if reason, ok := evictAffected(in, assign, isAffected); !ok {
+	ev := newEvalScratch(&rin) // one scratch serves every candidate of the call
+	if reason, ok := evictUntilFits(ev, assign, isAffected); !ok {
 		return nil, fmt.Errorf("%w: %s", ErrInfeasible, reason)
 	}
 
@@ -213,7 +219,7 @@ func Replace(prev *Result, in *Input, failed NodeSet) (*Result, error) {
 			}
 			breaks = mergeBreaks(pinnedBreaks, marks)
 		}
-		res, reason := assembleReplace(in, &rin, prev, assign, breaks, isAffected)
+		res, reason := assembleReplace(ev, prev, assign, breaks, isAffected)
 		if reason != "" {
 			if len(cands) == 0 && !withSplits {
 				// Remember the primary variant's reason below via cands scan.
@@ -263,44 +269,6 @@ func rehome(rin *Input, n *nfgraph.Node) (Assign, string) {
 	return Assign{}, fmt.Sprintf("nf %s has no surviving platform", n.Name())
 }
 
-// evictAffected is evictUntilFits restricted to affected chains: while the
-// combined switch program overflows, move the cheapest server-capable
-// switch NF of an *affected* chain onto a server. Pinned chains' switch
-// residency is part of their placement and must not move.
-func evictAffected(in *Input, assign map[*nfgraph.Node]Assign, isAffected []bool) (string, bool) {
-	probe := &Result{Assign: assign}
-	for {
-		probe.Stages = 0
-		reason, ok := stageCheck(in, probe)
-		if ok {
-			return "", true
-		}
-		var victim *nfgraph.Node
-		victimCost := math.Inf(1)
-		for ci, g := range in.Chains {
-			if !isAffected[ci] {
-				continue
-			}
-			for _, n := range g.Order {
-				if a, on := assign[n]; !on || a.Platform != hw.PISA {
-					continue
-				}
-				if !in.allows(n, hw.Server) {
-					continue
-				}
-				if c := in.nodeCycles(n); c < victimCost {
-					victimCost, victim = c, n
-				}
-			}
-		}
-		if victim == nil {
-			return reason, false
-		}
-		assign[victim] = Assign{Platform: hw.Server}
-		mEvictions.Inc()
-	}
-}
-
 // bindReplaced binds the affected chains' unbound server nodes, one server
 // per chain, favouring a server the chain already uses and then free cores.
 func bindReplaced(rin *Input, prev *Result, assign map[*nfgraph.Node]Assign, affected []int, isAffected []bool) (string, bool) {
@@ -330,7 +298,7 @@ func bindReplaced(rin *Input, prev *Result, assign map[*nfgraph.Node]Assign, aff
 		for _, n := range g.Order {
 			if a, ok := assign[n]; ok {
 				if a.Platform == hw.Server {
-					a.Device = probeDevice
+					a.Device = "" // surviving bindings must not split the probe's runs
 				}
 				probe[n] = a
 			}
@@ -417,43 +385,38 @@ func mergeBreaks(a, b map[*nfgraph.Node]bool) map[*nfgraph.Node]bool {
 // assembleReplace builds the combined Result: pinned chains reuse their
 // previous *Subgroup/*NICUse values verbatim, affected chains get fresh
 // ones, then cores are allocated to the fresh subgroups only and the full
-// chain set is re-checked (stages, latency, rate LP). The empty reason
-// means success.
-func assembleReplace(in, rin *Input, prev *Result, assign map[*nfgraph.Node]Assign, breaks map[*nfgraph.Node]bool, isAffected []bool) (*Result, string) {
+// chain set is re-checked (stages, latency, rate LP). ev is the call's
+// scratch, over the surviving topology (the input's own for an admission).
+// The empty reason means success.
+func assembleReplace(ev *evalScratch, prev *Result, assign map[*nfgraph.Node]Assign, breaks map[*nfgraph.Node]bool, isAffected []bool) (*Result, string) {
+	rin := ev.in
 	res := &Result{Assign: assign, Breaks: breaks, Retired: prev.Retired}
-	fresh := map[*Subgroup]bool{}
-	for ci, g := range in.Chains {
+	var fresh []bool // per res.Subgroups entry
+	for ci, g := range rin.Chains {
 		if isAffected[ci] {
-			for _, sg := range computeSubgroupsSplit(rin, ci, g, assign, breaks) {
-				fresh[sg] = true
-				res.Subgroups = append(res.Subgroups, sg)
-			}
+			res.Subgroups = append(res.Subgroups, computeSubgroupsSplit(rin, ci, g, assign, breaks)...)
 			res.NICUses = append(res.NICUses, computeNICUses(rin, ci, g, assign)...)
-			continue
-		}
-		for _, sg := range prev.Subgroups {
-			if sg.ChainIdx == ci {
-				res.Subgroups = append(res.Subgroups, sg)
+		} else {
+			for _, sg := range prev.Subgroups {
+				if sg.ChainIdx == ci {
+					res.Subgroups = append(res.Subgroups, sg)
+				}
+			}
+			for _, u := range prev.NICUses {
+				if u.ChainIdx == ci {
+					res.NICUses = append(res.NICUses, u)
+				}
 			}
 		}
-		for _, u := range prev.NICUses {
-			if u.ChainIdx == ci {
-				res.NICUses = append(res.NICUses, u)
-			}
+		for len(fresh) < len(res.Subgroups) {
+			fresh = append(fresh, isAffected[ci])
 		}
 	}
-	// The switch program spans all chains; the prep memo still applies
-	// (same switch, same chain set), so check against the original input.
-	if reason, ok := stageCheck(in, res); !ok {
-		return nil, reason
-	}
-	if reason, ok := allocateCoresReplace(rin, res, fresh); !ok {
-		return nil, reason
-	}
-	if reason, ok := checkLatency(rin, res); !ok {
-		return nil, reason
-	}
-	if reason, ok := solveRates(rin, res); !ok {
+	// The switch program spans all chains; the stage memo still applies
+	// (same switch, same chain set).
+	reason, ok := ev.check(res, ev.stageCheck,
+		func() (string, bool) { return ev.allocateCoresReplace(fresh) }, ev.checkLatency, ev.solveRates)
+	if !ok {
 		return nil, reason
 	}
 	res.Feasible = true
@@ -465,90 +428,69 @@ func assembleReplace(in, rin *Input, prev *Result, assign map[*nfgraph.Node]Assi
 // pinning invariant says they are never written). Fresh subgroups get one
 // core, are raised to meet t_min, then spare cores go to each affected
 // chain's bottleneck until t_max, per chain in index order.
-func allocateCoresReplace(rin *Input, res *Result, fresh map[*Subgroup]bool) (string, bool) {
-	budget := map[string]int{}
-	for _, s := range rin.Topo.Servers {
-		budget[s.Name] = s.WorkerCores()
-	}
-	used := map[string]int{}
-	for _, sg := range res.Subgroups {
-		if fresh[sg] {
+func (ev *evalScratch) allocateCoresReplace(fresh []bool) (string, bool) {
+	rin, res, subs := ev.in, ev.res, ev.res.Subgroups
+	budget, srvOf := ev.p.srvCores, ev.srvOf
+	for si, sg := range subs {
+		if fresh[si] {
 			sg.Cores = 1
 		}
-		used[sg.Server] += sg.Cores
 	}
-	for srv, u := range used {
-		if u > budget[srv] {
-			return fmt.Sprintf("server %s: needs %d cores, has %d", srv, u, budget[srv]), false
-		}
+	if o := ev.chargeCores(); o >= 0 {
+		return fmt.Sprintf("server %s: needs %d cores, has %d",
+			rin.Topo.Servers[o].Name, ev.used[o], budget[o]), false
 	}
-	spare := func(srv string) int { return budget[srv] - used[srv] }
-	// Discretionary cores honor the admission-headroom reserve so that a
-	// rack placed with headroom keeps it across successive admissions; the
-	// t_min raise below uses the full budget (feasibility comes first).
-	slack := func(srv string) int { return budget[srv] - rin.HeadroomCores - used[srv] }
+	used := ev.used
+	if rin.DisableCoreScaling {
+		return "", true
+	}
 
-	if !rin.DisableCoreScaling {
-		for _, sg := range res.Subgroups {
-			if !fresh[sg] {
-				continue
-			}
-			tmin := rin.Chains[sg.ChainIdx].Chain.SLO.TMinBps
-			need := rin.coresToMeet(sg, tmin)
-			if need > 1 && !sg.Replicable {
-				return fmt.Sprintf("subgroup %s: needs %d cores for t_min but is not replicable",
-					sg.Name(), need), false
-			}
-			for sg.Cores < need {
-				if spare(sg.Server) <= 0 {
-					return fmt.Sprintf("server %s: out of cores raising %s to t_min",
-						sg.Server, sg.Name()), false
-				}
-				sg.Cores++
-				used[sg.Server]++
-			}
+	if reason, ok := ev.raiseToTMin(fresh); !ok {
+		return reason, false
+	}
+
+	// Spare cores: pour into each affected chain's bottleneck (fresh
+	// subgroups only — pinned ones are immutable). Discretionary cores honor
+	// the admission-headroom reserve so that a rack placed with headroom
+	// keeps it across successive admissions.
+	done := -1 // subgroups are grouped by ascending chain index
+	for si, sg := range subs {
+		ci := sg.ChainIdx
+		if !fresh[si] || ci <= done {
+			continue
 		}
-
-		// Spare cores: pour into each affected chain's bottleneck (fresh
-		// subgroups only — pinned ones are immutable).
-		seen := map[int]bool{}
-		for _, sg := range res.Subgroups {
-			if !fresh[sg] || seen[sg.ChainIdx] {
-				continue
+		done = ci
+		g := rin.Chains[ci]
+		for {
+			cap := chainCapBps(rin, res, ci)
+			if cap >= g.Chain.SLO.TMaxBps {
+				break
 			}
-			ci := sg.ChainIdx
-			seen[ci] = true
-			g := rin.Chains[ci]
-			for {
-				cap := chainCapBps(rin, res, ci)
-				if cap >= g.Chain.SLO.TMaxBps {
-					break
+			bottleneck := -1
+			bottleRate := math.Inf(1)
+			for ti, c := range subs {
+				if c.ChainIdx != ci || !fresh[ti] {
+					continue
 				}
-				var bottleneck *Subgroup
-				bottleRate := math.Inf(1)
-				for _, c := range res.Subgroups {
-					if c.ChainIdx != ci || !fresh[c] {
-						continue
-					}
-					if r := rin.subRateBps(c); r < bottleRate {
-						bottleRate, bottleneck = r, c
-					}
+				if r := rin.subRateBps(c); r < bottleRate {
+					bottleRate, bottleneck = r, ti
 				}
-				if bottleneck == nil || !bottleneck.Replicable || slack(bottleneck.Server) <= 0 {
-					break
-				}
-				// Only grow when the bottleneck actually caps the chain
-				// (a pinned subgroup or NIC may be the real limit).
-				if bottleRate > cap*1.000001 {
-					break
-				}
-				bottleneck.Cores++
-				used[bottleneck.Server]++
-				if chainCapBps(rin, res, ci) <= cap*1.000001 {
-					bottleneck.Cores--
-					used[bottleneck.Server]--
-					break
-				}
+			}
+			if bottleneck < 0 || !subs[bottleneck].Replicable {
+				break
+			}
+			o := srvOf[bottleneck]
+			// Only grow when a core is to spare and the bottleneck actually
+			// caps the chain (a pinned subgroup or NIC may be the real limit).
+			if budget[o]-rin.HeadroomCores-used[o] <= 0 || bottleRate > cap*1.000001 {
+				break
+			}
+			subs[bottleneck].Cores++
+			used[o]++
+			if chainCapBps(rin, res, ci) <= cap*1.000001 {
+				subs[bottleneck].Cores--
+				used[o]--
+				break
 			}
 		}
 	}

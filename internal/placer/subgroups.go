@@ -65,35 +65,45 @@ func nodeReplicable(n *nfgraph.Node) bool {
 	return n.Meta.Replicable && !n.IsBranch() && !n.IsMerge()
 }
 
-// splitBreaks proposes break marks isolating non-replicable NFs from
-// replicable neighbours within each server run, so the scalable parts can
-// take extra cores. The extra subgroup boundary costs a switch bounce and a
-// core, which the LP and allocation account for.
+// splitMarks proposes break marks isolating non-replicable NFs from
+// replicable neighbours within each server run of one chain's unsplit
+// subgroups, so the scalable parts can take extra cores. The extra subgroup
+// boundary costs a switch bounce and a core, which the LP and allocation
+// account for.
+func splitMarks(subs []*Subgroup) []*nfgraph.Node {
+	var marks []*nfgraph.Node // usually stays nil
+	for _, sg := range subs {
+		if len(sg.Nodes) < 2 || sg.Replicable {
+			continue
+		}
+		hasRepl := false
+		for _, n := range sg.Nodes {
+			if nodeReplicable(n) {
+				hasRepl = true
+			}
+		}
+		if !hasRepl {
+			continue // nothing to rescue
+		}
+		for i := 1; i < len(sg.Nodes); i++ {
+			if nodeReplicable(sg.Nodes[i]) != nodeReplicable(sg.Nodes[i-1]) {
+				marks = append(marks, sg.Nodes[i])
+			}
+		}
+	}
+	return marks
+}
+
+// splitBreaks collects every chain's split marks under a whole-input
+// assignment as a Result.Breaks map (nil when there are none).
 func splitBreaks(in *Input, assign map[*nfgraph.Node]Assign) map[*nfgraph.Node]bool {
-	var breaks map[*nfgraph.Node]bool // allocated on first mark; usually stays nil
-	nodeRepl := nodeReplicable
+	var breaks map[*nfgraph.Node]bool
 	for ci, g := range in.Chains {
-		for _, sg := range computeSubgroups(in, ci, g, assign) {
-			if len(sg.Nodes) < 2 || sg.Replicable {
-				continue
+		for _, n := range splitMarks(computeSubgroups(in, ci, g, assign)) {
+			if breaks == nil {
+				breaks = make(map[*nfgraph.Node]bool)
 			}
-			hasRepl := false
-			for _, n := range sg.Nodes {
-				if nodeRepl(n) {
-					hasRepl = true
-				}
-			}
-			if !hasRepl {
-				continue // nothing to rescue
-			}
-			for i := 1; i < len(sg.Nodes); i++ {
-				if nodeRepl(sg.Nodes[i]) != nodeRepl(sg.Nodes[i-1]) {
-					if breaks == nil {
-						breaks = make(map[*nfgraph.Node]bool)
-					}
-					breaks[sg.Nodes[i]] = true
-				}
-			}
+			breaks[n] = true
 		}
 	}
 	return breaks
@@ -114,24 +124,6 @@ func computeNICUses(in *Input, chainIdx int, g *nfgraph.Graph, assign map[*nfgra
 		}
 	}
 	return uses
-}
-
-// deviceVisits sums, per device, the traffic-weighted number of times a
-// packet of this chain crosses the device's link (subgroup entries for
-// servers, NF visits for SmartNICs). Used for the LP's link constraints.
-func deviceVisits(subs []*Subgroup, nics []*NICUse, chainIdx int) map[string]float64 {
-	visits := make(map[string]float64)
-	for _, sg := range subs {
-		if sg.ChainIdx == chainIdx {
-			visits[sg.Server] += sg.Weight
-		}
-	}
-	for _, u := range nics {
-		if u.ChainIdx == chainIdx {
-			visits[u.Device] += u.Weight
-		}
-	}
-	return visits
 }
 
 // Bounces counts platform transitions of a chain under an assignment — the

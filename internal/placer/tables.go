@@ -148,15 +148,32 @@ func BuildSwitchTables(in *Input, assigns []map[*nfgraph.Node]Assign, optimize b
 // node set (skipping table construction entirely), and below that in the
 // shared content-keyed compile cache (pisa.CompileCached) — across schemes,
 // coalescing variants and δ points the same program recurs constantly, and δ
-// never changes it.
-func stageCheck(in *Input, res *Result) (string, bool) {
-	var v stageVerdict
-	if p := in.prep; p != nil && p.topo == in.Topo && sameChains(p.chains, in.Chains) {
-		v = p.stageFor(res.Assign, func() stageVerdict { return compileStages(in, res.Assign) })
+// never changes it. Table construction (optimized codegen) depends only on
+// that set — node names, PISA profiles and graph structure are fixed per
+// input — so ev.key is a complete key for the verdict.
+func (ev *evalScratch) stageCheck() (string, bool) {
+	memo := ev.p.stage
+	memo.mu.Lock()
+	v, ok := memo.m[string(ev.key)]
+	memo.mu.Unlock()
+	if ok {
+		stageMemoHits.Add(1)
+		mStageMemoHit.Inc()
 	} else {
-		v = compileStages(in, res.Assign)
+		// Compute outside the lock: verdicts are content-determined, so a
+		// concurrent duplicate insert stores the same value.
+		stageMemoMisses.Add(1)
+		mStageMemoMiss.Inc()
+		assign := ev.res.Assign
+		if assign == nil {
+			assign = ev.assignMap()
+		}
+		v = compileStages(ev.in, assign)
+		memo.mu.Lock()
+		memo.m[string(ev.key)] = v
+		memo.mu.Unlock()
 	}
-	res.Stages = v.stages
+	ev.res.Stages = v.stages
 	if !v.ok {
 		mStageCheckFail.Inc()
 		return v.reason, false

@@ -83,6 +83,11 @@ func (tb *Testbed) Verify(n int) (*WalkStats, error) {
 			End()
 	}()
 	env := &nf.Env{Rand: rand.New(rand.NewSource(tb.Seed))}
+	// One frame buffer and one decode scratch serve the whole walk: frames
+	// are generated into the buffer and rewritten in place hop by hop, as
+	// the simulator does.
+	var buf []byte
+	var scratch packet.Packet
 	for ci, g := range tb.D.Input.Chains {
 		agg := g.Chain.Aggregate
 		cfg := trafficgen.Config{
@@ -96,10 +101,13 @@ func (tb *Testbed) Verify(n int) (*WalkStats, error) {
 		}
 		for i := 0; i < n; i++ {
 			env.NowSec = float64(i) * 1e-5
-			p := gen.Next(env.NowSec)
+			frame := gen.NextInto(buf, env.NowSec)
 			stats.Injected++
 			stats.ByChain[ci].Injected++
-			hops, outcome, err := tb.walk(p.Data, env)
+			frame, hops, outcome, err := tb.walk(frame, &scratch, env)
+			if cap(frame) > 0 {
+				buf = frame // may have outgrown the buffer it was generated into
+			}
 			if hops > stats.MaxHops {
 				stats.MaxHops = hops
 			}
@@ -121,52 +129,54 @@ func (tb *Testbed) Verify(n int) (*WalkStats, error) {
 	return stats, nil
 }
 
-// walk pushes one frame through the deployment until egress or drop.
-func (tb *Testbed) walk(frame []byte, env *nf.Env) (hops int, outcome pisa.PortKind, err error) {
+// walk pushes one frame through the deployment until egress or drop,
+// rewriting it in place, and hands back the frame's final buffer (nil when an
+// NF dropped it) for reuse. scratch is the switch's decode buffer.
+func (tb *Testbed) walk(frame []byte, scratch *packet.Packet, env *nf.Env) (last []byte, hops int, outcome pisa.PortKind, err error) {
 	for hops = 0; hops < maxWalkHops; hops++ {
-		out, fwd, perr := tb.D.Switch.ProcessFrame(frame, env)
+		out, fwd, perr := tb.D.Switch.ProcessFrameInto(scratch, frame, env)
 		if perr != nil {
-			return hops, pisa.Dropped, perr
+			return frame, hops, pisa.Dropped, perr
 		}
+		frame = out
 		switch fwd.Kind {
 		case pisa.Egress:
-			return hops, pisa.Egress, nil
+			return frame, hops, pisa.Egress, nil
 		case pisa.Dropped:
-			return hops, pisa.Dropped, nil
+			return frame, hops, pisa.Dropped, nil
 		case pisa.Continue:
-			frame = out
 			continue
 		case pisa.ToServer:
 			pl := tb.D.Pipelines[fwd.Target]
 			if pl == nil {
-				return hops, pisa.Dropped, fmt.Errorf("runtime: no pipeline %q", fwd.Target)
+				return frame, hops, pisa.Dropped, fmt.Errorf("runtime: no pipeline %q", fwd.Target)
 			}
-			next, perr := pl.ProcessFrame(out, env)
+			next, perr := pl.ProcessFrameInPlace(frame, env)
 			if perr != nil {
-				return hops, pisa.Dropped, perr
+				return frame, hops, pisa.Dropped, perr
 			}
 			if next == nil {
-				return hops, pisa.Dropped, nil // NF drop on the server
+				return frame, hops, pisa.Dropped, nil // NF drop on the server
 			}
 			frame = next
 		case pisa.ToNIC:
 			nic := tb.D.NICs[fwd.Target]
 			if nic == nil {
-				return hops, pisa.Dropped, fmt.Errorf("runtime: no NIC %q", fwd.Target)
+				return frame, hops, pisa.Dropped, fmt.Errorf("runtime: no NIC %q", fwd.Target)
 			}
-			next, perr := nic.ProcessFrame(out, env)
+			next, perr := nic.ProcessFrameInPlace(frame, env)
 			if perr != nil {
-				return hops, pisa.Dropped, perr
+				return frame, hops, pisa.Dropped, perr
 			}
 			if next == nil {
-				return hops, pisa.Dropped, nil
+				return frame, hops, pisa.Dropped, nil
 			}
 			frame = next
 		default:
-			return hops, pisa.Dropped, fmt.Errorf("runtime: unsupported forward %v", fwd.Kind)
+			return frame, hops, pisa.Dropped, fmt.Errorf("runtime: unsupported forward %v", fwd.Kind)
 		}
 	}
-	return hops, pisa.Dropped, errors.New("runtime: frame exceeded hop budget (steering loop?)")
+	return frame, hops, pisa.Dropped, errors.New("runtime: frame exceeded hop budget (steering loop?)")
 }
 
 // Measurement is the testbed's measured counterpart of a placement's

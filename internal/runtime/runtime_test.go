@@ -1,14 +1,19 @@
 package runtime
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"lemur/internal/hw"
 	"lemur/internal/metacompiler"
+	"lemur/internal/nf"
 	"lemur/internal/nfgraph"
 	"lemur/internal/nfspec"
+	"lemur/internal/pisa"
 	"lemur/internal/placer"
 	"lemur/internal/profile"
+	"lemur/internal/trafficgen"
 )
 
 var evalRestrict = map[string][]hw.Platform{"IPv4Fwd": {hw.PISA}}
@@ -237,5 +242,102 @@ chain nic {
 	}
 	if m.Rates[0] < 8e9-1 {
 		t.Errorf("measured %v below tmin", m.Rates[0])
+	}
+}
+
+// allocatingVerify is the walk Verify used before it went in place: frames
+// from gen.Next, every hop through the allocating ProcessFrame of switch,
+// pipeline and NIC. It is the oracle TestVerifyInPlaceMatchesAllocating
+// holds the in-place walk to.
+func allocatingVerify(t *testing.T, tb *Testbed, n int) *WalkStats {
+	t.Helper()
+	stats := &WalkStats{ByChain: make([]ChainWalk, len(tb.D.Input.Chains))}
+	env := &nf.Env{Rand: rand.New(rand.NewSource(tb.Seed))}
+	for ci, g := range tb.D.Input.Chains {
+		agg := g.Chain.Aggregate
+		gen, err := trafficgen.New(trafficgen.Config{
+			Mode: trafficgen.LongLived, Seed: tb.Seed + int64(ci),
+			SrcCIDR: agg.SrcCIDR, DstCIDR: agg.DstCIDR, Proto: agg.Proto, DstPort: agg.DstPort,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			env.NowSec = float64(i) * 1e-5
+			frame := gen.Next(env.NowSec).Data
+			stats.Injected++
+			stats.ByChain[ci].Injected++
+			outcome, hops := pisa.Dropped, 0
+		walk:
+			for ; hops < maxWalkHops; hops++ {
+				out, fwd, err := tb.D.Switch.ProcessFrame(frame, env)
+				if err != nil {
+					t.Fatal(err)
+				}
+				frame = out
+				switch fwd.Kind {
+				case pisa.Egress, pisa.Dropped:
+					outcome = fwd.Kind
+					break walk
+				case pisa.ToServer:
+					frame, err = tb.D.Pipelines[fwd.Target].ProcessFrame(frame, env)
+				case pisa.ToNIC:
+					frame, err = tb.D.NICs[fwd.Target].ProcessFrame(frame, env)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if frame == nil {
+					break // an NF dropped it
+				}
+			}
+			if hops > stats.MaxHops {
+				stats.MaxHops = hops
+			}
+			if outcome == pisa.Egress {
+				stats.Egressed++
+				stats.ByChain[ci].Egressed++
+			} else {
+				stats.Dropped++
+				stats.ByChain[ci].Dropped++
+			}
+		}
+	}
+	return stats
+}
+
+// TestVerifyInPlaceMatchesAllocating: Verify walks one reused buffer through
+// NextInto and the in-place frame paths; its WalkStats must equal the
+// allocating walk's on a twin deployment, drop for drop and hop for hop.
+func TestVerifyInPlaceMatchesAllocating(t *testing.T) {
+	branched := "chain split {\n  slo { tmin = 1Gbps  tmax = 100Gbps }\n  aggregate { src = 10.1.0.0/16 }\n" +
+		"  bpf0 = BPF()\n  enc0 = Encrypt()\n  dec0 = Decrypt()\n  nat0 = NAT()\n  fwd0 = IPv4Fwd()\n" +
+		"  bpf0 -> [weight = 0.5] enc0\n  bpf0 -> [weight = 0.5] dec0\n  enc0 -> nat0\n  dec0 -> nat0\n  nat0 -> fwd0\n}\n"
+	denied := "chain deny {\n  slo { tmin = 1Gbps  tmax = 100Gbps }\n  aggregate { src = 10.2.0.0/16  dst = 172.16.0.0/12 }\n" +
+		"  acl0 = ACL(allow_dst = \"192.0.2.0/24\", rules = 0)\n  enc0 = Encrypt()\n  fwd0 = IPv4Fwd()\n" +
+		"  acl0 -> enc0 -> fwd0\n}\n"
+	offload := "chain off {\n  slo { tmin = 1Gbps  tmax = 100Gbps }\n  aggregate { src = 10.3.0.0/16 }\n" +
+		"  fe0 = FastEncrypt()\n  mon0 = Monitor()\n  fwd0 = IPv4Fwd()\n  fe0 -> mon0 -> fwd0\n}\n"
+	cases := []struct {
+		name string
+		topo func() *hw.Topology
+		src  string
+	}{
+		{"linear", func() *hw.Topology { return hw.NewPaperTestbed() }, simpleSpec},
+		{"branched+denied", func() *hw.Topology { return hw.NewPaperTestbed(hw.WithServers(2)) }, branched + denied},
+		{"smartnic", func() *hw.Topology { return hw.NewPaperTestbed(hw.WithSmartNIC()) }, offload + branched},
+	}
+	for _, tc := range cases {
+		for _, scheme := range []placer.Scheme{placer.SchemeLemur, placer.SchemeSWPreferred} {
+			_, _, tb := deploy(t, tc.topo(), tc.src, scheme)
+			_, _, twin := deploy(t, tc.topo(), tc.src, scheme)
+			got, err := tb.Verify(300)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", tc.name, scheme, err)
+			}
+			if want := allocatingVerify(t, twin, 300); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s/%s: in-place walk %+v, allocating walk %+v", tc.name, scheme, got, want)
+			}
+		}
 	}
 }
