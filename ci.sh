@@ -144,24 +144,27 @@ awk -v t="$daemon" -v f="$DAEMON_FLOOR" 'BEGIN { exit (t+0 < f+0) ? 1 : 0 }' || 
 # fixed allocs-per-packet budget (testing.AllocsPerRun inside the test), and
 # the million-flow smoke must hold steady state under 0.5 allocs/packet.
 echo "==> simulator allocation guard"
-go test -run 'TestSimulateAllocBudget' -count=1 ./internal/runtime
+run_guard 'TestSimulateAllocBudget' -count=1 ./internal/runtime
 
 echo "==> million-flow allocation guard"
-go test -run 'TestMillionFlowAllocBudget' -count=1 ./internal/runtime
+run_guard 'TestMillionFlowAllocBudget' -count=1 ./internal/runtime
 
-# Parallel-simulation guards: the sharded engine must stay byte-identical
-# to the serial engine under the race detector at worker counts up to 8 —
+# Sharded-simulation guards: a multi-shard run must stay byte-identical to
+# the one-shard run under the race detector at worker counts up to 8 —
 # across random topologies, mid-run failover, and churn re-partitions —
 # and the CLI-facing worker/flow validation must keep rejecting bad input.
-# Then the parallel path holds its own allocs-per-packet budget (< 0.5,
-# measured at workers=4 on a multi-shard deployment).
-echo "==> parallel simulation byte-identity (race, workers up to 8)"
-go test -race -count=1 \
-  -run 'TestSimulateParallel(MatchesReference|FailoverByteIdentity|ChurnByteIdentity)|TestSimulateWorkersValidation|TestBuildSimPartitionInvariants' \
-  ./internal/runtime
+# The golden matrix (testdata/sim.golden, generated before the three
+# drivers became one run loop) pins SimResult and metrics at Workers
+# 1/2/4/8, and the epoch contract pins where that loop barriers. Then the
+# sharded path holds its own allocs-per-packet budget (< 0.5, measured at
+# workers=4 on a multi-shard deployment and at workers=2 under a fault
+# plan, where allocations must also not grow with the step count).
+echo "==> sharded simulation byte-identity, golden matrix, epoch contract (race, workers up to 8)"
+run_guard 'TestSimulateParallelMatchesReference|TestSimulateParallelFailoverByteIdentity|TestSimulateParallelChurnByteIdentity|TestSimulateWorkersValidation|TestBuildSimPartitionInvariants|TestSimulateGolden|TestSimulateEpochContract|TestSimulateStepCount' \
+  -race -count=1 ./internal/runtime
 
-echo "==> parallel simulation allocation guard"
-go test -run 'TestSimulateParallelAllocBudget' -count=1 ./internal/runtime
+echo "==> sharded simulation allocation guard"
+run_guard 'TestSimulateParallelAllocBudget' -count=1 ./internal/runtime
 
 # Deadline-scheduling guards: the EDF scheduler-tree builder and its
 # Deadline node get a named race pass; the simulator's deadline-free
@@ -169,10 +172,9 @@ go test -run 'TestSimulateParallelAllocBudget' -count=1 ./internal/runtime
 # deadline-bearing fast-vs-reference identity, and the quantile-select
 # property tests run un-cached alongside it.
 echo "==> deadline scheduling (bess scheduler race pass + simulator identity)"
-go test -race -count=1 -run 'TestSchedulerTrees|TestCapacityModel' ./internal/bess
-go test -race -count=1 \
-  -run 'TestDeadlineFreePolicyByteIdentity|TestSimulateDeadlineMatchesReference|TestSchedPolicyValidation|TestQuantileSelect' \
-  ./internal/runtime
+run_guard 'TestSchedulerTrees|TestSchedulerTreesEDF|TestCapacityModel' -race -count=1 ./internal/bess
+run_guard 'TestDeadlineFreePolicyByteIdentity|TestSimulateDeadlineMatchesReference|TestSchedPolicyValidation|TestQuantileSelect|TestQuantileSelectTiny|TestQuantileSelectAdversarial' \
+  -race -count=1 ./internal/runtime
 
 # Ten seconds of FuzzChainSpec exercises the nfspec grammar — the slo block
 # (tmin/tmax/dmax/d_max_p99 with unit suffixes and bad-value rejection),

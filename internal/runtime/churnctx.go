@@ -5,7 +5,6 @@ import (
 
 	"lemur/internal/churn"
 	"lemur/internal/nfgraph"
-	"lemur/internal/obs"
 )
 
 // ChurnReport extends a SimResult with the chain-churn outcome: which
@@ -54,155 +53,20 @@ type ChurnReport struct {
 	PostSLOCompliant []bool
 }
 
-// pendingChurn is one request waiting out its detection+reconfig window.
-type pendingChurn struct {
-	kind   churn.Kind
-	atSec  float64 // landing time (request + detection + reconfig)
-	reqSec float64 // request time
-	name   string
-	slot   int // resolved chain slot (retire only)
-}
-
-// churnCtx is the live churn state threaded through one Simulate run. It
-// only exists when the config carries a non-empty churn plan, so the
-// churn-free path stays byte-identical to the previous engine.
-type churnCtx struct {
-	events           []churn.Event
-	next             int
-	detect, reconfig float64
-	catalog          map[string]*nfgraph.Graph
-
-	pending []pendingChurn
-
-	// admitReqSec is per chain slot: the admission request time, < 0 for
-	// chains running from the start. Drives AdmitLatencySec.
-	admitReqSec []float64
-
-	postStart    float64
-	egressAtPost []int
-
-	report *ChurnReport
-}
-
-// newChurnCtx validates a churn plan against the catalog and builds the run
-// state. Admit targets must resolve in the catalog up front (a typo should
-// fail the run, not silently no-op); retire targets are resolved at fire
-// time, since the chain may itself be admitted mid-run.
-func newChurnCtx(plan *churn.Plan, catalog map[string]*nfgraph.Graph, nChains int) (*churnCtx, error) {
+// validateChurn checks a churn plan against the catalog. Admit targets must
+// resolve in the catalog up front (a typo should fail the run, not silently
+// no-op); retire targets are resolved at fire time, since the chain may
+// itself be admitted mid-run.
+func validateChurn(plan *churn.Plan, catalog map[string]*nfgraph.Graph) error {
 	if err := plan.Validate(); err != nil {
-		return nil, err
+		return err
 	}
 	for _, ev := range plan.Events {
 		if ev.Kind == churn.Admit {
 			if _, ok := catalog[ev.Chain]; !ok {
-				return nil, fmt.Errorf("runtime: admit target %q is not in the churn catalog", ev.Chain)
+				return fmt.Errorf("runtime: admit target %q is not in the churn catalog", ev.Chain)
 			}
 		}
 	}
-	detect, reconfig := plan.Delays()
-	cc := &churnCtx{
-		events:       append([]churn.Event(nil), plan.Normalize().Events...),
-		detect:       detect,
-		reconfig:     reconfig,
-		catalog:      catalog,
-		admitReqSec:  make([]float64, nChains),
-		egressAtPost: make([]int, nChains),
-		report: &ChurnReport{
-			DetectionDelaySec: detect,
-			ReconfigDelaySec:  reconfig,
-			AdmittedAtSec:     make([]float64, nChains),
-			AdmitLatencySec:   make([]float64, nChains),
-			RetiredAtSec:      make([]float64, nChains),
-			ChurnDrops:        make([]int, nChains),
-		},
-	}
-	for i := 0; i < nChains; i++ {
-		cc.admitReqSec[i] = -1
-		cc.report.AdmittedAtSec[i] = -1
-		cc.report.AdmitLatencySec[i] = -1
-		cc.report.RetiredAtSec[i] = -1
-	}
-	return cc, nil
-}
-
-// growChain extends the per-chain churn state for a chain admitted into the
-// next slot, recording its request and landing times.
-func (cc *churnCtx) growChain(reqSec, landSec float64) {
-	cc.admitReqSec = append(cc.admitReqSec, reqSec)
-	cc.egressAtPost = append(cc.egressAtPost, 0)
-	cc.report.AdmittedAtSec = append(cc.report.AdmittedAtSec, landSec)
-	cc.report.AdmitLatencySec = append(cc.report.AdmitLatencySec, -1)
-	cc.report.RetiredAtSec = append(cc.report.RetiredAtSec, -1)
-	cc.report.ChurnDrops = append(cc.report.ChurnDrops, 0)
-}
-
-// reject records an event that could not be applied.
-func (cc *churnCtx) reject(ev churn.Event, reason string) {
-	cc.report.Rejected = append(cc.report.Rejected, fmt.Sprintf("%s: %s", ev.String(), reason))
-}
-
-// pendingRetire reports whether a retirement for slot is already queued.
-func (cc *churnCtx) pendingRetire(slot int) bool {
-	for _, pd := range cc.pending {
-		if pd.kind == churn.Retire && pd.slot == slot {
-			return true
-		}
-	}
-	return false
-}
-
-// markPost moves the post-churn measurement window to start at t,
-// snapshotting per-chain egress counts so finalize can difference them.
-func (cc *churnCtx) markPost(t float64, egressed []int) {
-	if t < cc.postStart {
-		return
-	}
-	cc.postStart = t
-	copy(cc.egressAtPost, egressed)
-}
-
-// noteFirstEgress records, at a step boundary, the admission latency of any
-// mid-run-admitted chain whose first packet egressed during the step.
-func (cc *churnCtx) noteFirstEgress(now float64, egressed []int) {
-	for ci := range cc.admitReqSec {
-		if cc.admitReqSec[ci] >= 0 && cc.report.AdmitLatencySec[ci] < 0 && egressed[ci] > 0 {
-			cc.report.AdmitLatencySec[ci] = now - cc.admitReqSec[ci]
-		}
-	}
-}
-
-// finalize closes the report: the post-window achieved rate of every
-// surviving chain is compared against min(t_min, offered) with the same 10%
-// discretization tolerance the failover report uses; retired chains demand
-// nothing and pass trivially. offered is the final per-slot offered vector
-// (admitted chains appended, retired chains zeroed).
-func (cc *churnCtx) finalize(res *SimResult, tb *Testbed, cfg *SimConfig, frameBits float64, offered []float64) {
-	in := tb.D.Input
-	window := cfg.DurationSec - cc.postStart
-	cc.report.PostWindowSec = window
-	cc.report.PostAchievedBps = make([]float64, len(res.Egressed))
-	cc.report.PostSLOCompliant = make([]bool, len(res.Egressed))
-	totalDrops := 0
-	for _, n := range cc.report.ChurnDrops {
-		totalDrops += n
-	}
-	obs.C("lemur_sim_churn_events_total").Add(uint64(len(cc.report.Events)))
-	obs.C("lemur_sim_churn_drops_total").Add(uint64(totalDrops))
-	if window <= 0 {
-		return
-	}
-	for ci := range res.Egressed {
-		post := res.Egressed[ci] - cc.egressAtPost[ci]
-		bps := float64(post) * frameBits * cfg.Scale / window
-		cc.report.PostAchievedBps[ci] = bps
-		if tb.D.Result.IsRetired(ci) {
-			cc.report.PostSLOCompliant[ci] = true
-			continue
-		}
-		want := offered[ci]
-		if tmin := in.Chains[ci].Chain.SLO.TMinBps; tmin > 0 && tmin < want {
-			want = tmin
-		}
-		cc.report.PostSLOCompliant[ci] = bps >= want*0.9
-	}
+	return nil
 }

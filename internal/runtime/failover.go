@@ -2,12 +2,9 @@ package runtime
 
 import (
 	"fmt"
-	"math/rand"
 
 	"lemur/internal/chaos"
-	"lemur/internal/obs"
 	"lemur/internal/placer"
-	"lemur/internal/profile"
 )
 
 // FailoverReport extends a SimResult with the fault-injection outcome:
@@ -43,35 +40,13 @@ type FailoverReport struct {
 	PostSLOCompliant []bool
 }
 
-// faultCtx is the live fault-injection state threaded through one Simulate
-// run. It only exists when the config carries a non-empty chaos plan, so
-// the fault-free fast path stays byte-identical to the pre-failover engine.
-type faultCtx struct {
-	events           []chaos.Event
-	next             int
-	detect, reconfig float64
-
-	failed     placer.NodeSet     // raw crash targets, cumulative
-	dead       placer.NodeSet     // crash targets expanded with hosted NICs
-	capFactor  map[string]float64 // per-server budget multiplier (degrade)
-	costFactor map[string]float64 // per-server cost multiplier (overload)
-
-	rewireAt  float64   // simulated time the pending rewire lands; <0 none
-	downSince []float64 // per chain; >=0 while the chain has no placement
-
-	postStart    float64 // start of the post-failover measurement window
-	egressAtPost []int   // egressed snapshot at postStart
-
-	report *FailoverReport
-}
-
-// newFaultCtx validates a chaos plan against the deployment's topology and
-// builds the run state. Crash targets must be servers or SmartNICs (the ToR
-// is the coordinator — its death is not survivable and is rejected), and
-// degrade/overload targets must be servers (the only devices with budgets).
-func newFaultCtx(tb *Testbed, plan *chaos.Plan, nChains int) (*faultCtx, error) {
+// validateFaults checks a chaos plan against the deployment's topology.
+// Crash targets must be servers or SmartNICs (the ToR is the coordinator —
+// its death is not survivable and is rejected), and degrade/overload
+// targets must be servers (the only devices with budgets).
+func validateFaults(tb *Testbed, plan *chaos.Plan) error {
 	if err := plan.Validate(); err != nil {
-		return nil, err
+		return err
 	}
 	topo := tb.D.Input.Topo
 	servers := placer.NodeSet{}
@@ -86,42 +61,18 @@ func newFaultCtx(tb *Testbed, plan *chaos.Plan, nChains int) (*faultCtx, error) 
 		switch ev.Kind {
 		case chaos.Crash:
 			if ev.Target == topo.Switch.Name {
-				return nil, fmt.Errorf("runtime: crash target %q is the ToR switch; all traffic enters there", ev.Target)
+				return fmt.Errorf("runtime: crash target %q is the ToR switch; all traffic enters there", ev.Target)
 			}
 			if !servers[ev.Target] && !nics[ev.Target] {
-				return nil, fmt.Errorf("runtime: crash target %q is not a server or SmartNIC", ev.Target)
+				return fmt.Errorf("runtime: crash target %q is not a server or SmartNIC", ev.Target)
 			}
 		default:
 			if !servers[ev.Target] {
-				return nil, fmt.Errorf("runtime: %s target %q is not a server", ev.Kind, ev.Target)
+				return fmt.Errorf("runtime: %s target %q is not a server", ev.Kind, ev.Target)
 			}
 		}
 	}
-	detect, reconfig := plan.Delays()
-	fc := &faultCtx{
-		events:     append([]chaos.Event(nil), plan.Normalize().Events...),
-		detect:     detect,
-		reconfig:   reconfig,
-		failed:     placer.NodeSet{},
-		dead:       placer.NodeSet{},
-		capFactor:  map[string]float64{},
-		costFactor: map[string]float64{},
-		rewireAt:   -1,
-		downSince:  make([]float64, nChains),
-		report: &FailoverReport{
-			DetectionDelaySec: detect,
-			ReconfigDelaySec:  reconfig,
-			DowntimeSec:       make([]float64, nChains),
-			FaultDrops:        make([]int, nChains),
-			PostAchievedBps:   make([]float64, nChains),
-			PostSLOCompliant:  make([]bool, nChains),
-		},
-		egressAtPost: make([]int, nChains),
-	}
-	for i := range fc.downSince {
-		fc.downSince[i] = -1
-	}
-	return fc, nil
+	return nil
 }
 
 // mult returns the registered multiplier for key, defaulting to 1.
@@ -130,93 +81,4 @@ func mult(m map[string]float64, key string) float64 {
 		return v
 	}
 	return 1
-}
-
-// markPost moves the post-failover measurement window to start at t,
-// snapshotting per-chain egress counts so finalize can difference them.
-func (fc *faultCtx) markPost(t float64, egressed []int) {
-	if t < fc.postStart {
-		return
-	}
-	fc.postStart = t
-	copy(fc.egressAtPost, egressed)
-}
-
-// finalize closes the report: chains still down accrue downtime to the end
-// of the run, and the post-window achieved rate is compared against
-// min(t_min, offered) with a 10% tolerance for discretization.
-func (fc *faultCtx) finalize(res *SimResult, tb *Testbed, cfg *SimConfig, frameBits float64) {
-	in := tb.D.Input
-	for ci := range fc.downSince {
-		if fc.downSince[ci] >= 0 {
-			fc.report.DowntimeSec[ci] += cfg.DurationSec - fc.downSince[ci]
-			fc.downSince[ci] = -1
-		}
-	}
-	window := cfg.DurationSec - fc.postStart
-	fc.report.PostWindowSec = window
-	totalFaultDrops := 0
-	for _, n := range fc.report.FaultDrops {
-		totalFaultDrops += n
-	}
-	obs.C("lemur_sim_fault_events_total").Add(uint64(len(fc.report.Events)))
-	obs.C("lemur_sim_fault_drops_total").Add(uint64(totalFaultDrops))
-	if window <= 0 {
-		return
-	}
-	for ci := range res.Egressed {
-		post := res.Egressed[ci] - fc.egressAtPost[ci]
-		bps := float64(post) * frameBits * cfg.Scale / window
-		fc.report.PostAchievedBps[ci] = bps
-		want := res.OfferedBps[ci]
-		if tmin := in.Chains[ci].Chain.SLO.TMinBps; tmin > 0 && tmin < want {
-			want = tmin
-		}
-		fc.report.PostSLOCompliant[ci] = bps >= want*0.9
-	}
-}
-
-// rebuildSimArrays re-derives the simulator's dense accounting state after
-// a mid-run rewire — failover, admission, or retirement: a fresh dispatch
-// index over the updated deployment, with pinned subgroups carrying their
-// realized costs, budgets, and credits across (keyed by bess-subgroup
-// identity) and new or re-placed subgroups drawing fresh costs from the
-// run's rng in index order — deterministic for a fixed seed and schedule.
-// capFactor/costFactor carry any degrade/overload multipliers already in
-// force (nil-safe; churn passes nil) and apply to fresh entries only.
-func rebuildSimArrays(tb *Testbed, capFactor, costFactor map[string]float64, cfg *SimConfig, rng *rand.Rand,
-	old *simIndex, cost, budget, credit []float64) (*simIndex, []float64, []float64, []float64, error) {
-
-	in := tb.D.Input
-	ix, err := buildSimIndex(tb.D)
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	ne := len(ix.entries)
-	nCost := make([]float64, ne)
-	nBudget := make([]float64, ne)
-	nCredit := make([]float64, ne)
-	for i := 0; i < ix.nPrimary; i++ {
-		e := &ix.entries[i]
-		if oi, ok := old.idxOf[e.sub]; ok && int(oi) < old.nPrimary && old.entries[oi].sub == e.sub {
-			nCost[i] = cost[oi]
-			nBudget[i] = budget[oi]
-			nCredit[i] = credit[oi]
-			continue
-		}
-		c := in.Topo.EncapCycles + in.Topo.DemuxCycles
-		for _, n := range e.psg.Nodes {
-			worst := in.DB.WorstCycles(n.Class(), n.Inst.Params)
-			floor := profile.NoiseFloor(n.Class())
-			c += worst * (floor + rng.Float64()*(1-floor))
-		}
-		if e.cross {
-			c *= in.Topo.CrossSocketPenalty
-		}
-		nCost[i] = c * mult(costFactor, e.psg.Server)
-		nBudget[i] = float64(e.psg.Cores) * e.srv.ClockHz * cfg.StepSec / cfg.Scale *
-			mult(capFactor, e.psg.Server)
-	}
-	tb.simIdx = ix // keep the lazy cache coherent with the rewired deployment
-	return ix, nCost, nBudget, nCredit, nil
 }

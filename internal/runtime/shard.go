@@ -6,25 +6,26 @@ import (
 	"lemur/internal/metacompiler"
 )
 
-// The parallel engine partitions a run by steering-graph connectivity, not
-// by cutting individual queues: a worker shard owns whole connected
-// components of the chain↔device graph (chains, the servers their
-// subgroups run on, and the SmartNICs on their paths). Inside a component,
-// packets hop between devices exactly as the serial engine walks them;
-// across components nothing is shared but the ToR switch, whose steering
-// state is read-only during a step and whose frame counters are atomic.
+// The engine partitions a run by steering-graph connectivity, not by
+// cutting individual queues: a worker shard owns whole connected components
+// of the chain↔device graph (chains, the servers their subgroups run on,
+// and the SmartNICs on their paths). Inside a component, packets hop
+// between devices exactly as a one-shard run walks them; across components
+// nothing is shared but the ToR switch, whose steering state is read-only
+// during an epoch and whose frame counters are atomic.
 // Restricting the serial per-step schedule to one shard's components —
 // primaries in ascending index order, chains in ascending slot order — is
 // therefore exactly the serial execution on disjoint state, which is what
 // makes the parallel result byte-identical rather than merely close.
 
-// simPartition is the ownership map for one parallel run: every index
-// entry, chain slot, and SmartNIC is assigned to exactly one worker shard.
-// Rebuilt (cheaply) after any mid-run rewire changes the steering graph.
+// simPartition is the ownership map of one run: every index entry, chain
+// slot, and SmartNIC is assigned to exactly one worker shard. Rebuilt
+// (cheaply) after any mid-run rewire changes the steering graph.
 type simPartition struct {
 	// workers is the effective shard count: min(requested, components).
 	workers int
-	// components is the number of connected components found.
+	// components is the number of connected components found (1, without
+	// looking, when one worker was requested).
 	components int
 
 	ownerOfEntry []int32          // per ix.entries index
@@ -43,7 +44,28 @@ type simPartition struct {
 // shard). Deterministic: node numbering follows chain slots then
 // first-appearance order over Result.Subgroups, Result.NICUses, and the
 // index entries, so the same deployment always yields the same partition.
+// One worker (or fewer) needs no graph: it owns everything, in index order.
 func buildSimPartition(d *metacompiler.Deployment, ix *simIndex, nChains, workers int) *simPartition {
+	if workers <= 1 {
+		part := &simPartition{
+			workers: 1, components: 1,
+			ownerOfEntry: make([]int32, len(ix.entries)),
+			ownerOfChain: make([]int32, nChains),
+			nicOwner:     make(map[string]int32, len(d.NICs)),
+			prims:        [][]int32{make([]int32, ix.nPrimary)},
+			chains:       [][]int32{make([]int32, nChains)},
+		}
+		for i := range part.prims[0] {
+			part.prims[0][i] = int32(i)
+		}
+		for ci := range part.chains[0] {
+			part.chains[0][ci] = int32(ci)
+		}
+		for name := range d.NICs {
+			part.nicOwner[name] = 0
+		}
+		return part
+	}
 	devID := make(map[string]int)
 	nDevs := 0
 	dev := func(name string) int {
@@ -56,11 +78,8 @@ func buildSimPartition(d *metacompiler.Deployment, ix *simIndex, nChains, worker
 		return id
 	}
 	entryDev := func(e *simEntry) int {
-		switch {
-		case e.srv != nil:
-			return dev(e.srv.Name)
-		case e.pipe != nil:
-			return dev(e.pipe.Server.Name)
+		if h := e.host(); h != "" {
+			return dev(h)
 		}
 		return -1
 	}

@@ -2,14 +2,13 @@ package runtime
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"lemur/internal/chaos"
 	"lemur/internal/churn"
-	"lemur/internal/nf"
 	"lemur/internal/nfgraph"
 	"lemur/internal/obs"
-	"lemur/internal/profile"
 )
 
 // The analytic Measure covers steady-state rates; Simulate is the
@@ -22,10 +21,10 @@ import (
 // Simulate is the batched, arena-backed fast engine: dense integer subgroup
 // indexing (simIndex), a simPacket freelist with pooled frame buffers
 // recycled through egress/drop, ring-buffer subgroup queues, and in-place
-// NSH encap/decap on every hop. Its output is byte-identical to
-// simulateReference (sim_reference.go) for a fixed seed — same rng draw
-// order, same histogram observation order — which the in-package property
-// tests enforce.
+// NSH encap/decap on every hop. Its output is byte-identical to the
+// per-packet reference engine the in-package property tests carry
+// (simulateReference, sim_reference_test.go) for a fixed seed — same rng
+// draw order, same histogram observation order.
 
 // SimConfig parameterizes a simulation run.
 type SimConfig struct {
@@ -51,7 +50,7 @@ type SimConfig struct {
 	// Workers splits the run across worker goroutines that own disjoint
 	// connected components of the chain↔device steering graph (see
 	// buildSimPartition). The result — SimResult and metrics snapshot — is
-	// byte-identical at any value: 0 and 1 run the serial engine, larger
+	// byte-identical at any value: 0 and 1 run one shard inline, larger
 	// values are capped at the deployment's component count. Negative is
 	// an error.
 	Workers int
@@ -73,8 +72,8 @@ type SimConfig struct {
 	// drop the dead device's in-flight packets, blackhole traffic steered at
 	// it during the detection+reconfiguration window, then trigger an
 	// incremental re-placement (placer.Replace) and steering rewire
-	// (Deployment.Rewire) mid-run. A nil or empty plan leaves the engine
-	// byte-identical to the fault-free fast path.
+	// (Deployment.Rewire) mid-run. A nil or empty plan schedules nothing:
+	// the run is byte-identical to one without the field.
 	Faults *chaos.Plan
 
 	// Churn is an optional deterministic chain-churn schedule: admissions
@@ -84,8 +83,8 @@ type SimConfig struct {
 	// pin-preserving verdicts are applied; full-repack answers are recorded
 	// as rejections); retirements stop the chain's offered load at the
 	// request and reclaim its resources at the landing. A nil or empty plan
-	// leaves the engine byte-identical to the churn-free fast path. Churn
-	// and Faults are mutually exclusive in one run.
+	// schedules nothing: the run is byte-identical to one without the
+	// field. Churn and Faults are mutually exclusive in one run.
 	Churn *churn.Plan
 	// ChurnCatalog resolves admit events' chain names to pre-built NF
 	// graphs. Every admit target in Churn must be present.
@@ -180,13 +179,26 @@ func (r *packetRing) popServed(served int) {
 }
 
 // Simulate runs the discrete-time simulation with the given offered rates.
-// With cfg.Workers > 1 the run is executed by the parallel engine
-// (simengine.go): the steering graph's connected components are
-// partitioned across worker shards and each shard executes the serial
+// The steering graph's connected components are partitioned across up to
+// cfg.Workers shards (simengine.go) and each shard executes the serial
 // schedule restricted to its components, which is byte-identical to the
-// serial run — the in-package property tests enforce this against
-// simulateReference at several worker counts.
+// one-shard run — the in-package property tests enforce this against the
+// reference engine at several worker counts.
 func (tb *Testbed) Simulate(offered []float64, cfg SimConfig) (*SimResult, error) {
+	eng, err := tb.newSimEngine(offered, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := eng.run(); err != nil {
+		return nil, err
+	}
+	return eng.finish(), nil
+}
+
+// newSimEngine validates the config and builds a run's engine, ready to
+// run: generators and per-chain arrays sized, costs drawn, shards
+// partitioned.
+func (tb *Testbed) newSimEngine(offered []float64, cfg SimConfig) (*simEngine, error) {
 	cfg.defaults()
 	if cfg.Workers < 0 {
 		return nil, fmt.Errorf("runtime: negative sim worker count %d", cfg.Workers)
@@ -194,7 +206,8 @@ func (tb *Testbed) Simulate(offered []float64, cfg SimConfig) (*SimResult, error
 	if cfg.FlowScale < 0 {
 		return nil, fmt.Errorf("runtime: negative flow scale %d", cfg.FlowScale)
 	}
-	if _, err := cfg.schedEDF(); err != nil {
+	edf, err := cfg.schedEDF()
+	if err != nil {
 		return nil, err
 	}
 	in := tb.D.Input
@@ -205,183 +218,44 @@ func (tb *Testbed) Simulate(offered []float64, cfg SimConfig) (*SimResult, error
 	if err != nil {
 		return nil, err
 	}
-	// Fault injection engages only for a non-empty plan, keeping the
-	// fault-free path byte-identical to the pre-failover engine.
-	var fc *faultCtx
-	if !cfg.Faults.Empty() {
-		fc, err = newFaultCtx(tb, cfg.Faults, len(in.Chains))
-		if err != nil {
-			return nil, err
-		}
-	}
-	// Chain churn engages only for a non-empty plan, keeping the churn-free
-	// path byte-identical to the previous engine.
-	var cc *churnCtx
-	if !cfg.Churn.Empty() {
-		if fc != nil {
-			return nil, fmt.Errorf("runtime: fault and churn schedules cannot be combined in one run")
-		}
-		cc, err = newChurnCtx(cfg.Churn, cfg.ChurnCatalog, len(in.Chains))
-		if err != nil {
-			return nil, err
-		}
-		// Retirements zero slots and admissions append; work on a copy so
-		// the caller's offered slice is never mutated.
-		offered = append([]float64(nil), offered...)
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed*17 + 3))
-
-	eng := &simEngine{
-		tb: tb, cfg: &cfg, in: in, ix: ix, fc: fc, cc: cc, rng: rng,
-		offered: offered, frameBits: in.FrameBitsOrDefault(),
-	}
-
-	// Traffic generators per chain (FlowScale-aware).
-	eng.gens = make([]frameSource, len(in.Chains))
-	for ci, g := range in.Chains {
-		gen, gerr := newChainGen(g.Chain.Aggregate, ci, &cfg)
-		if gerr != nil {
-			return nil, gerr
-		}
-		eng.gens[ci] = gen
-	}
-
-	// Realized per-packet costs and per-step budgets, indexed by entry.
-	// The cost draws walk entries[:nPrimary] — name-sorted, the same order
-	// the reference engine draws in, so seeded runs stay byte-identical.
-	ne := len(ix.entries)
-	eng.cost = make([]float64, ne)
-	eng.budget = make([]float64, ne)
-	eng.credit = make([]float64, ne)
-	for i := 0; i < ix.nPrimary; i++ {
-		e := &ix.entries[i]
-		c := in.Topo.EncapCycles + in.Topo.DemuxCycles
-		for _, n := range e.psg.Nodes {
-			worst := in.DB.WorstCycles(n.Class(), n.Inst.Params)
-			floor := profile.NoiseFloor(n.Class())
-			c += worst * (floor + rng.Float64()*(1-floor))
-		}
-		if e.cross {
-			c *= in.Topo.CrossSocketPenalty
-		}
-		eng.cost[i] = c
-		eng.budget[i] = float64(e.psg.Cores) * e.srv.ClockHz * cfg.StepSec / cfg.Scale
-	}
-
-	// Ring queues, one per entry (orphan entries have zero budget and are
-	// never drained; their rings only absorb parks until overflow).
-	eng.rings = make([]packetRing, ne)
-	for i := range eng.rings {
-		eng.rings[i].buf = make([]*simPacket, cfg.QueueCap)
-	}
-
-	// Worker shards. A requested parallel run falls back to the serial
-	// engine when the steering graph has only one component to own.
-	nShards := 1
-	if cfg.Workers > 1 {
-		if part := buildSimPartition(tb.D, ix, len(offered), cfg.Workers); part.workers > 1 {
-			eng.part = part
-			nShards = part.workers
-		}
-	}
-	eng.shards = make([]*simShard, nShards)
-	for i := range eng.shards {
-		sh := &simShard{id: i}
-		if i == 0 {
-			// Shard 0 shares the engine rng, exactly like the serial
-			// engine's single NF env did.
-			sh.env = &nf.Env{Rand: rng}
-		} else {
-			// Every other shard gets its own deterministic stream. No NF
-			// draws from the env today, so the serial engine's draw order
-			// is untouched either way; the streams exist so one that does
-			// cannot race its siblings.
-			sh.env = &nf.Env{Rand: rand.New(rand.NewSource(cfg.Seed*31 + 1_000_003*int64(i)))}
-		}
-		eng.shards[i] = sh
-	}
-	if eng.part != nil {
-		for i, sh := range eng.shards {
-			sh.prims, sh.chains = eng.part.prims[i], eng.part.chains[i]
-		}
-		if fc == nil && cc == nil {
-			// Fixed partition: every hoisted series is wholly shard-owned
-			// for the whole run, so shards accumulate into private
-			// registries, merged deterministically when the run ends.
-			// Fault/churn runs can migrate series ownership mid-run and
-			// keep their handles on the shared default registry instead.
-			on := obs.Default().Enabled()
-			for _, sh := range eng.shards {
-				sh.reg = obs.New()
-				if on {
-					sh.reg.Enable()
-				}
-			}
-		}
-	} else {
-		eng.assignSerial()
-	}
-	eng.hoistHandles()
-	eng.hoistChainCounters()
-
-	res := &SimResult{
-		OfferedBps:       append([]float64(nil), offered...),
-		AchievedBps:      make([]float64, len(offered)),
-		DropRate:         make([]float64, len(offered)),
-		AvgQueueDelaySec: make([]float64, len(offered)),
-		Injected:         make([]int, len(offered)),
-		Egressed:         make([]int, len(offered)),
-	}
-	if fc != nil {
-		res.Failover = fc.report
-	}
-	if cc != nil {
-		res.Churn = cc.report
-	}
-	eng.res = res
-	eng.dropped = make([]int, len(offered))
-	eng.queueDelay = make([]float64, len(offered))
-
-	// Delay samples pre-sized from expected injections to kill append churn.
-	frameBits := eng.frameBits
-	eng.delaySamples = make([][]float64, len(offered))
-	for ci := range offered {
-		expect := int(offered[ci]/frameBits/cfg.Scale*cfg.DurationSec) + 16
-		eng.delaySamples[ci] = make([]float64, 0, expect)
-	}
-
-	// Fractional arrival accumulators.
-	eng.acc = make([]float64, len(offered))
-	eng.steps = int(cfg.DurationSec / cfg.StepSec)
-	eng.stepCredit = make([]float64, ix.nPrimary)
-
-	switch {
-	case eng.part == nil:
-		err = eng.runSerial()
-	case fc == nil && cc == nil:
-		err = eng.runParallelFree()
-	default:
-		err = eng.runParallelEpochs()
-	}
+	rc, err := newReconfCtx(tb, &cfg)
 	if err != nil {
 		return nil, err
 	}
-	eng.mergeShards()
+	eng := &simEngine{
+		tb: tb, cfg: &cfg, ix: &simIndex{}, rc: rc, res: &SimResult{}, edf: edf,
+		rng:       rand.New(rand.NewSource(cfg.Seed*17 + 3)),
+		frameBits: in.FrameBitsOrDefault(),
+		// Rounded, not truncated: 0.35 s of 1 ms steps is 350 steps, though
+		// 0.35/0.001 is 349.99999999999994 in floating point.
+		steps: int(math.Round(cfg.DurationSec / cfg.StepSec)),
+	}
+	// The engine owns its offered vector: retirements zero slots and
+	// admissions append, and the caller's slice is never mutated.
+	if err := eng.addChains(offered, -1, -1); err != nil {
+		return nil, err
+	}
+	eng.install(ix)
+	return eng, nil
+}
 
-	if fc != nil {
-		fc.finalize(res, tb, &cfg, frameBits)
+// finish folds the run's accumulators into its SimResult.
+func (eng *simEngine) finish() *SimResult {
+	tb, cfg, res := eng.tb, eng.cfg, eng.res
+	// Private shard registries fold into the default one in shard order.
+	for _, sh := range eng.shards {
+		if sh.reg != nil {
+			obs.Default().Merge(sh.reg)
+		}
 	}
-	if cc != nil {
-		cc.finalize(res, tb, &cfg, frameBits, eng.offered)
-	}
+	eng.rc.finalize(eng)
 	tb.syncStateGauges()
-	offered = eng.offered // admissions may have grown the chain set
-	res.P99QueueDelaySec = make([]float64, len(offered))
-	for ci := range offered {
+	res.P99QueueDelaySec = make([]float64, len(eng.offered))
+	for ci := range eng.offered { // admissions may have grown the chain set
 		if res.Injected[ci] > 0 {
 			res.DropRate[ci] = float64(eng.dropped[ci]) / float64(res.Injected[ci])
 		}
-		res.AchievedBps[ci] = float64(res.Egressed[ci]) * frameBits * cfg.Scale / cfg.DurationSec
+		res.AchievedBps[ci] = float64(res.Egressed[ci]) * eng.frameBits * cfg.Scale / cfg.DurationSec
 		if n := res.Egressed[ci]; n > 0 {
 			res.AvgQueueDelaySec[ci] = eng.queueDelay[ci] / float64(n)
 			s := eng.delaySamples[ci]
@@ -389,5 +263,5 @@ func (tb *Testbed) Simulate(offered []float64, cfg SimConfig) (*SimResult, error
 		}
 	}
 	res.DeadlineCompliance = finalizeDeadlines(tb.D.Input.Chains, eng.delaySamples)
-	return res, nil
+	return res
 }

@@ -349,7 +349,8 @@ chain pb {
 // TestSimulateParallelAllocBudget is the parallel path's allocation guard:
 // the sharded engine at workers=4 over a flow-scaled two-component chain
 // set must stay under 0.5 allocations per simulated packet — the per-shard
-// pools, private registries, and partition build are all amortized.
+// pools, private registries, and partition build are all amortized. The same
+// budget then holds under a fault plan (see faultPlanAllocBudget).
 func TestSimulateParallelAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("parallel alloc smoke is not -short")
@@ -378,4 +379,5 @@ func TestSimulateParallelAllocBudget(t *testing.T) {
 	if perPkt > budget {
 		t.Fatalf("allocation regression: %.3f allocs/packet exceeds the %.1f budget", perPkt, budget)
 	}
+	faultPlanAllocBudget(t)
 }

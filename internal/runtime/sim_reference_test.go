@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -142,7 +143,7 @@ func (tb *Testbed) simulateReference(offered []float64, cfg SimConfig) (*SimResu
 
 	// Fractional arrival accumulators.
 	acc := make([]float64, len(offered))
-	steps := int(cfg.DurationSec / cfg.StepSec)
+	steps := int(math.Round(cfg.DurationSec / cfg.StepSec))
 
 	// advance walks a packet from the switch until it egresses, drops, or
 	// parks in a subgroup queue (returns the subgroup it parked at).

@@ -1,184 +1,194 @@
 package runtime
 
 import (
-	"strconv"
-
 	"lemur/internal/chaos"
 	"lemur/internal/churn"
+	"lemur/internal/metacompiler"
 	"lemur/internal/nfgraph"
 	"lemur/internal/obs"
 	"lemur/internal/placer"
 )
 
-// The engine's control plane: fault and churn schedules fire at step
-// boundaries and may rewire the deployment mid-run. In parallel runs these
-// methods execute only in the coordinator's serial section between epoch
-// barriers (runParallelEpochs), using shard 0's arena pools, and any
-// rewire re-partitions the shards before the next epoch starts.
+// The engine's control plane. Everything here runs in the run loop's serial
+// section, between epochs: no shard is executing, so it may touch any
+// engine state, mutate the deployment's steering, and re-partition. It uses
+// shard 0's arena pools for the packets it drops.
 
-// rebuildAndMigrate swaps the simulator's accounting state after any
-// mid-run rewire (failover, admission, or retirement): fresh index and
-// cost/budget/credit arrays with pinned entries carried across, parked
-// packets migrated to their (pinned) subgroups' new entries by
-// bess-subgroup identity, per-subgroup metric handles re-hoisted, and — in
-// parallel runs — the shard partition rebuilt for the new steering graph.
-// Packets with no surviving entry are handed to onOrphan and dropped, as a
-// real reconfiguration loses them.
-func (eng *simEngine) rebuildAndMigrate(capFactor, costFactor map[string]float64, onOrphan func(*simPacket)) error {
-	cfg := eng.cfg
-	sh := eng.shards[0]
-	newIx, nCost, nBudget, nCredit, rerr := rebuildSimArrays(eng.tb, capFactor, costFactor, cfg, eng.rng, eng.ix, eng.cost, eng.budget, eng.credit)
-	if rerr != nil {
-		return rerr
-	}
-	newRings := make([]packetRing, len(newIx.entries))
-	for i := range newRings {
-		newRings[i].buf = make([]*simPacket, cfg.QueueCap)
-	}
-	for i := range eng.ix.entries {
-		r := &eng.rings[i]
-		n0 := r.n
-		if n0 == 0 {
+// install makes ix the engine's dispatch index and (re)derives the dense
+// accounting state behind it: cost/budget/credit arrays, one ring per
+// entry, the shard partition and the metric handles. Subgroups the previous
+// index already carried keep their realized cost, budget and credit (keyed
+// by bess-subgroup identity) and their parked packets; the rest realize
+// fresh costs (Testbed.actualCycles) from the run's rng in index order —
+// name-sorted, the order the reference engine draws in — scaled by any
+// degrade/overload multiplier in force. At the start of a run the previous index is empty, so everything
+// is fresh; after a mid-run rewire only the re-placed subgroups are, and
+// packets parked on a subgroup that did not survive are dropped, as a real
+// reconfiguration loses them.
+func (eng *simEngine) install(ix *simIndex) {
+	cfg, rc, old := eng.cfg, eng.rc, eng.ix
+	ne := len(ix.entries)
+	cost, budget, credit := make([]float64, ne), make([]float64, ne), make([]float64, ne)
+	for i := 0; i < ix.nPrimary; i++ {
+		e := &ix.entries[i]
+		if oi, ok := old.idxOf[e.sub]; ok && int(oi) < old.nPrimary && old.entries[oi].sub == e.sub {
+			cost[i], budget[i], credit[i] = eng.cost[oi], eng.budget[oi], eng.credit[oi]
 			continue
 		}
-		tgt := int32(-1)
-		if ni, ok := newIx.idxOf[eng.ix.entries[i].sub]; ok {
-			tgt = ni
-		}
-		for k := 0; k < n0; k++ {
-			p := r.at(k)
-			if tgt >= 0 && newRings[tgt].n < cfg.QueueCap {
-				newRings[tgt].push(p)
+		cost[i] = eng.tb.actualCycles(e.psg, e.cross, eng.rng) * mult(rc.costFactor, e.psg.Server)
+		budget[i] = float64(e.psg.Cores) * e.srv.ClockHz * cfg.StepSec / cfg.Scale *
+			mult(rc.capFactor, e.psg.Server)
+	}
+	// Orphan entries have zero budget and are never drained; their rings
+	// only absorb parks until overflow.
+	rings := make([]packetRing, ne)
+	for i := range rings {
+		rings[i].buf = make([]*simPacket, cfg.QueueCap)
+	}
+	for i := range old.entries {
+		r := &eng.rings[i]
+		tgt, ok := ix.idxOf[old.entries[i].sub]
+		for k := 0; k < r.n; k++ {
+			if p := r.at(k); ok && rings[tgt].n < cfg.QueueCap {
+				rings[tgt].push(p)
 			} else {
-				onOrphan(p)
-				eng.die(sh, p, p.frame)
+				rc.chains[p.chain].drops++
+				eng.die(eng.shards[0], p, p.frame)
 			}
 		}
-		r.popServed(n0)
 	}
-	eng.ix, eng.cost, eng.budget, eng.credit, eng.rings = newIx, nCost, nBudget, nCredit, newRings
-	eng.stepCredit = make([]float64, newIx.nPrimary)
-	if eng.part != nil {
-		eng.part = buildSimPartition(eng.tb.D, newIx, len(eng.offered), len(eng.shards))
-		for i, s := range eng.shards {
-			if i < eng.part.workers {
-				s.prims, s.chains = eng.part.prims[i], eng.part.chains[i]
-			} else {
-				s.prims, s.chains = nil, nil
-			}
+	eng.ix, eng.cost, eng.budget, eng.credit, eng.rings = ix, cost, budget, credit, rings
+	eng.stepCredit = make([]float64, ix.nPrimary)
+	eng.tb.simIdx = ix // keep the lazy cache coherent with the rewired deployment
+	eng.partition()
+}
+
+// applyDue is the serial section: it fires every plan event that has come
+// due at a step boundary, then lands every reconfiguration whose
+// detection+reconfiguration window has matured. A landing that rewired the
+// deployment gets a fresh index installed and restarts the post window.
+func (eng *simEngine) applyDue(now float64) error {
+	rc := eng.rc
+	for rc.next < len(rc.events) && due(rc.events[rc.next].atSec, now) {
+		ev := rc.events[rc.next]
+		rc.next++
+		if ev.fault != nil {
+			rc.fo.Events = append(rc.fo.Events, ev.fault.String())
+			eng.applyFault(ev.fault)
+		} else {
+			rc.ch.Events = append(rc.ch.Events, ev.churn.String())
+			eng.requestChurn(ev.churn)
 		}
-	} else {
-		eng.assignSerial()
 	}
-	eng.hoistHandles()
+	for len(rc.pending) > 0 && due(rc.pending[0].atSec, now) {
+		ld := rc.pending[0]
+		rc.pending = rc.pending[1:]
+		land := eng.landRetire
+		switch {
+		case ld.churn == nil:
+			land = eng.landRewire
+		case ld.churn.Kind == churn.Admit:
+			land = eng.landAdmit
+		}
+		rewired, err := land(ld)
+		if err != nil {
+			return err
+		}
+		if !rewired {
+			continue
+		}
+		ix, err := buildSimIndex(eng.tb.D)
+		if err != nil {
+			return err
+		}
+		eng.install(ix)
+		rc.markPost(ld.atSec, eng.res.Egressed)
+	}
 	return nil
 }
 
-// applyFaults fires due chaos events at a step boundary: crashes drain
-// and blackhole their device, degrades/overloads rescale budgets/costs,
-// and a matured detection+reconfiguration window runs the incremental
-// Replace→Rewire and swaps the simulator's accounting state in place —
-// parked packets migrate to their (pinned) subgroups' new entries by
-// bess-subgroup identity; packets of re-placed chains are dropped, as a
-// real reconfiguration loses them.
-func (eng *simEngine) applyFaults(now float64) error {
-	fc, ix, sh := eng.fc, eng.ix, eng.shards[0]
-	for fc.next < len(fc.events) && fc.events[fc.next].AtSec <= now+1e-12 {
-		ev := fc.events[fc.next]
-		fc.next++
-		fc.report.Events = append(fc.report.Events, ev.String())
-		switch ev.Kind {
-		case chaos.Crash:
-			if fc.dead[ev.Target] {
+// applyFault fires one chaos event: a crash drains and blackholes its
+// device and queues the rewire that will follow the detection+reconfig
+// window; a degrade or overload rescales the target server's budgets or
+// costs on the spot.
+func (eng *simEngine) applyFault(ev *chaos.Event) {
+	rc, ix, in := eng.rc, eng.ix, eng.tb.D.Input
+	switch ev.Kind {
+	case chaos.Crash:
+		if rc.dead[ev.Target] {
+			return
+		}
+		rc.failed[ev.Target] = true
+		for dev := range placer.NewNodeSet(ev.Target).Expand(in.Topo) {
+			rc.dead[dev] = true
+		}
+		// Chains severed now: their placement references a dead device.
+		for _, ci := range placer.AffectedChains(in, eng.tb.D.Result, rc.dead) {
+			if rc.chains[ci].downSince < 0 {
+				rc.chains[ci].downSince = ev.AtSec
+			}
+		}
+		// In-flight packets parked on the dead device drop; its subgroups
+		// stop serving.
+		for i := range ix.entries {
+			if !rc.dead[ix.entries[i].host()] {
 				continue
 			}
-			fc.failed[ev.Target] = true
-			for dev := range placer.NewNodeSet(ev.Target).Expand(eng.in.Topo) {
-				fc.dead[dev] = true
+			r := &eng.rings[i]
+			for k := 0; k < r.n; k++ {
+				p := r.at(k)
+				rc.chains[p.chain].drops++
+				eng.die(eng.shards[0], p, p.frame)
 			}
-			// Chains severed now: their placement references a dead device.
-			for _, ci := range placer.AffectedChains(eng.in, eng.tb.D.Result, fc.dead) {
-				if fc.downSince[ci] < 0 {
-					fc.downSince[ci] = ev.AtSec
-				}
+			r.popServed(r.n)
+			if i < ix.nPrimary {
+				eng.budget[i], eng.credit[i] = 0, 0
 			}
-			// In-flight packets parked on the dead device drop; its
-			// subgroups stop serving.
-			for i := range ix.entries {
-				e := &ix.entries[i]
-				host := ""
-				switch {
-				case e.srv != nil:
-					host = e.srv.Name
-				case e.pipe != nil:
-					host = e.pipe.Server.Name
-				}
-				if host == "" || !fc.dead[host] {
-					continue
-				}
-				r := &eng.rings[i]
-				for k := 0; k < r.n; k++ {
-					p := r.at(k)
-					fc.report.FaultDrops[p.chain]++
-					eng.die(sh, p, p.frame)
-				}
-				r.popServed(r.n)
-				if i < ix.nPrimary {
-					eng.budget[i], eng.credit[i] = 0, 0
-				}
+		}
+		// One rewire serves every crash so far: a crash inside a pending
+		// rewire's window postpones it rather than queueing a second. (A
+		// fault plan queues nothing else: Faults and Churn are exclusive.)
+		rc.pending = append(rc.pending[:0], landing{atSec: ev.AtSec + rc.detect + rc.reconfig})
+	case chaos.LinkDegrade, chaos.NFOverload:
+		factors, scaled := rc.capFactor, eng.budget
+		if ev.Kind == chaos.NFOverload {
+			factors, scaled = rc.costFactor, eng.cost
+		}
+		factors[ev.Target] = mult(factors, ev.Target) * ev.Factor
+		for i := 0; i < ix.nPrimary; i++ {
+			if ix.entries[i].srv.Name == ev.Target {
+				scaled[i] *= ev.Factor
 			}
-			fc.rewireAt = ev.AtSec + fc.detect + fc.reconfig
-		case chaos.LinkDegrade:
-			fc.capFactor[ev.Target] = mult(fc.capFactor, ev.Target) * ev.Factor
-			for i := 0; i < ix.nPrimary; i++ {
-				if ix.entries[i].srv.Name == ev.Target {
-					eng.budget[i] *= ev.Factor
-				}
-			}
-			fc.markPost(ev.AtSec, eng.res.Egressed)
-		case chaos.NFOverload:
-			fc.costFactor[ev.Target] = mult(fc.costFactor, ev.Target) * ev.Factor
-			for i := 0; i < ix.nPrimary; i++ {
-				if ix.entries[i].srv.Name == ev.Target {
-					eng.cost[i] *= ev.Factor
-				}
-			}
-			fc.markPost(ev.AtSec, eng.res.Egressed)
+		}
+		rc.markPost(ev.AtSec, eng.res.Egressed)
+	}
+}
+
+// landRewire runs the incremental Replace→Rewire for every crash so far.
+// A failed re-placement is recorded, not returned: the severed chains stay
+// down and the post window restarts regardless.
+func (eng *simEngine) landRewire(ld landing) (bool, error) {
+	rc, d := eng.rc, eng.tb.D
+	affected := placer.AffectedChains(d.Input, d.Result, rc.dead)
+	nextRes, err := placer.Replace(d.Result, d.Input, rc.failed)
+	var rep *metacompiler.RewireReport
+	if err == nil {
+		rep, err = d.Rewire(nextRes, affected)
+	}
+	if err != nil {
+		rc.fo.ReplaceError = err.Error()
+		rc.markPost(ld.atSec, eng.res.Egressed)
+		return false, nil
+	}
+	rc.fo.RewireSummary = rep.String()
+	for _, ci := range affected {
+		if c := &rc.chains[ci]; c.downSince >= 0 {
+			c.downtime += ld.atSec - c.downSince
+			c.downSince = -1
 		}
 	}
-	if fc.rewireAt >= 0 && now+1e-12 >= fc.rewireAt {
-		at := fc.rewireAt
-		fc.rewireAt = -1
-		prev := eng.tb.D.Result
-		nextRes, rerr := placer.Replace(prev, eng.in, fc.failed)
-		if rerr != nil {
-			fc.report.ReplaceError = rerr.Error()
-			fc.markPost(at, eng.res.Egressed)
-			return nil // severed chains stay down
-		}
-		affected := placer.AffectedChains(eng.in, prev, fc.dead)
-		rep, rerr := eng.tb.D.Rewire(nextRes, affected)
-		if rerr != nil {
-			fc.report.ReplaceError = rerr.Error()
-			fc.markPost(at, eng.res.Egressed)
-			return nil
-		}
-		fc.report.RewireSummary = rep.String()
-		if rerr := eng.rebuildAndMigrate(fc.capFactor, fc.costFactor, func(p *simPacket) {
-			fc.report.FaultDrops[p.chain]++
-		}); rerr != nil {
-			return rerr
-		}
-		for _, ci := range affected {
-			if fc.downSince[ci] >= 0 {
-				fc.report.DowntimeSec[ci] += at - fc.downSince[ci]
-				fc.downSince[ci] = -1
-			}
-		}
-		fc.markPost(at, eng.res.Egressed)
-		obs.C("lemur_sim_failovers_total").Inc()
-	}
-	return nil
+	obs.C("lemur_sim_failovers_total").Inc()
+	return true, nil
 }
 
 // liveSlot resolves a chain name to its running (non-retired) slot in
@@ -192,127 +202,77 @@ func (eng *simEngine) liveSlot(name string) int {
 	return -1
 }
 
-// applyChurn fires due churn requests at a step boundary and lands the
-// ones whose detection+reconfiguration window has matured. A retirement
-// stops the chain's offered load at the request (the tenant has left)
-// and reclaims resources at the landing; an admission solves at the
-// landing — placer.Admit against the then-current deployment — so
-// overlapping events always see fresh state. Only pin-preserving
-// admission verdicts are applied; anything else is recorded as a
-// rejection, never a disruptive mid-run repack.
-func (eng *simEngine) applyChurn(now float64) error {
-	cc, cfg := eng.cc, eng.cfg
-	for cc.next < len(cc.events) && cc.events[cc.next].AtSec <= now+1e-12 {
-		ev := cc.events[cc.next]
-		cc.next++
-		cc.report.Events = append(cc.report.Events, ev.String())
-		switch ev.Kind {
-		case churn.Admit:
-			cc.pending = append(cc.pending, pendingChurn{
-				kind: churn.Admit, atSec: ev.AtSec + cc.detect + cc.reconfig,
-				reqSec: ev.AtSec, name: ev.Chain,
-			})
-		case churn.Retire:
-			slot := eng.liveSlot(ev.Chain)
-			if slot < 0 {
-				cc.reject(ev, "no such running chain")
-				continue
-			}
-			if cc.pendingRetire(slot) {
-				cc.reject(ev, "already retiring")
-				continue
-			}
-			eng.offered[slot] = 0
-			cc.pending = append(cc.pending, pendingChurn{
-				kind: churn.Retire, atSec: ev.AtSec + cc.detect + cc.reconfig,
-				reqSec: ev.AtSec, name: ev.Chain, slot: slot,
-			})
+// requestChurn fires one churn request. A retirement stops the chain's
+// offered load right away (the tenant has left) and reclaims resources at
+// the landing; an admission only queues — it solves at the landing, so
+// overlapping events always see fresh state.
+func (eng *simEngine) requestChurn(ev *churn.Event) {
+	rc := eng.rc
+	ld := landing{atSec: ev.AtSec + rc.detect + rc.reconfig, churn: ev}
+	if ev.Kind == churn.Retire {
+		ld.slot = eng.liveSlot(ev.Chain)
+		if ld.slot < 0 {
+			rc.reject(ev, "no such running chain")
+			return
 		}
-	}
-	for len(cc.pending) > 0 && cc.pending[0].atSec <= now+1e-12 {
-		pd := cc.pending[0]
-		cc.pending = cc.pending[1:]
-		reqEv := churn.Event{Kind: pd.kind, Chain: pd.name, AtSec: pd.reqSec}
-		switch pd.kind {
-		case churn.Admit:
-			if eng.liveSlot(pd.name) >= 0 {
-				cc.reject(reqEv, "chain already running")
-				continue
-			}
-			nOld := len(eng.tb.D.Input.Chains)
-			grown := *eng.tb.D.Input
-			grown.Chains = make([]*nfgraph.Graph, nOld+1)
-			copy(grown.Chains, eng.tb.D.Input.Chains)
-			grown.Chains[nOld] = cc.catalog[pd.name]
-			newIn := &grown
-			arep, aerr := placer.Admit(eng.tb.D.Result, newIn, []int{nOld})
-			if aerr != nil {
-				cc.reject(reqEv, aerr.Error())
-				continue
-			}
-			if arep.Outcome != placer.AdmitIncremental {
-				reason := arep.Outcome.String()
-				if arep.IncrementalReason != "" {
-					reason += ": " + arep.IncrementalReason
-				}
-				cc.reject(reqEv, reason)
-				continue
-			}
-			rep, rerr := eng.tb.D.AdmitChains(newIn, arep.Result, []int{nOld})
-			if rerr != nil {
-				return rerr
-			}
-			cc.report.RewireSummaries = append(cc.report.RewireSummaries, rep.String())
-			// Grow every per-chain engine array for the new tail slot.
-			rate := arep.Result.ChainRates[nOld]
-			eng.offered = append(eng.offered, rate)
-			eng.res.OfferedBps = append(eng.res.OfferedBps, rate)
-			eng.res.AchievedBps = append(eng.res.AchievedBps, 0)
-			eng.res.DropRate = append(eng.res.DropRate, 0)
-			eng.res.AvgQueueDelaySec = append(eng.res.AvgQueueDelaySec, 0)
-			eng.res.Injected = append(eng.res.Injected, 0)
-			eng.res.Egressed = append(eng.res.Egressed, 0)
-			eng.dropped = append(eng.dropped, 0)
-			eng.queueDelay = append(eng.queueDelay, 0)
-			eng.acc = append(eng.acc, 0)
-			expect := int(rate/eng.frameBits/cfg.Scale*(cfg.DurationSec-now)) + 16
-			eng.delaySamples = append(eng.delaySamples, make([]float64, 0, expect))
-			gen, gerr := newChainGen(newIn.Chains[nOld].Chain.Aggregate, nOld, cfg)
-			if gerr != nil {
-				return gerr
-			}
-			eng.gens = append(eng.gens, gen)
-			lbl := obs.L("chain", strconv.Itoa(nOld))
-			eng.injC = append(eng.injC, obs.C("lemur_sim_injected_total", lbl))
-			eng.egrC = append(eng.egrC, obs.C("lemur_sim_egressed_total", lbl))
-			eng.drpC = append(eng.drpC, obs.C("lemur_sim_dropped_total", lbl))
-			cc.growChain(pd.reqSec, pd.atSec)
-			if rerr := eng.rebuildAndMigrate(nil, nil, func(p *simPacket) {
-				cc.report.ChurnDrops[p.chain]++
-			}); rerr != nil {
-				return rerr
-			}
-			cc.markPost(pd.atSec, eng.res.Egressed)
-			obs.C("lemur_sim_admissions_total").Inc()
-		case churn.Retire:
-			nextRes, rerr := placer.Retire(eng.tb.D.Result, eng.tb.D.Input, []int{pd.slot})
-			if rerr != nil {
-				return rerr
-			}
-			rep, rerr := eng.tb.D.RetireChains(nextRes, []int{pd.slot})
-			if rerr != nil {
-				return rerr
-			}
-			cc.report.RewireSummaries = append(cc.report.RewireSummaries, rep.String())
-			cc.report.RetiredAtSec[pd.slot] = pd.atSec
-			if rerr := eng.rebuildAndMigrate(nil, nil, func(p *simPacket) {
-				cc.report.ChurnDrops[p.chain]++
-			}); rerr != nil {
-				return rerr
-			}
-			cc.markPost(pd.atSec, eng.res.Egressed)
-			obs.C("lemur_sim_retirements_total").Inc()
+		if rc.pendingRetire(ld.slot) {
+			rc.reject(ev, "already retiring")
+			return
 		}
+		eng.offered[ld.slot] = 0
 	}
-	return nil
+	rc.pending = append(rc.pending, ld)
+}
+
+// landAdmit solves an admission against the then-current deployment
+// (placer.Admit) and, for a pin-preserving verdict, installs it. Anything
+// else is recorded as a rejection, never a disruptive mid-run repack.
+func (eng *simEngine) landAdmit(ld landing) (bool, error) {
+	rc, d, name := eng.rc, eng.tb.D, ld.churn.Chain
+	if eng.liveSlot(name) >= 0 {
+		rc.reject(ld.churn, "chain already running")
+		return false, nil
+	}
+	nOld := len(d.Input.Chains)
+	grown := *d.Input
+	grown.Chains = make([]*nfgraph.Graph, nOld+1)
+	copy(grown.Chains, d.Input.Chains)
+	grown.Chains[nOld] = rc.catalog[name]
+	arep, err := placer.Admit(d.Result, &grown, []int{nOld})
+	if err != nil {
+		rc.reject(ld.churn, err.Error())
+		return false, nil
+	}
+	if arep.Outcome != placer.AdmitIncremental {
+		reason := arep.Outcome.String()
+		if arep.IncrementalReason != "" {
+			reason += ": " + arep.IncrementalReason
+		}
+		rc.reject(ld.churn, reason)
+		return false, nil
+	}
+	rep, err := d.AdmitChains(&grown, arep.Result, []int{nOld})
+	if err != nil {
+		return false, err
+	}
+	rc.ch.RewireSummaries = append(rc.ch.RewireSummaries, rep.String())
+	obs.C("lemur_sim_admissions_total").Inc()
+	return true, eng.addChains(arep.Result.ChainRates[nOld:nOld+1], ld.churn.AtSec, ld.atSec)
+}
+
+// landRetire reclaims a retired chain's resources.
+func (eng *simEngine) landRetire(ld landing) (bool, error) {
+	rc, d := eng.rc, eng.tb.D
+	nextRes, err := placer.Retire(d.Result, d.Input, []int{ld.slot})
+	if err != nil {
+		return false, err
+	}
+	rep, err := d.RetireChains(nextRes, []int{ld.slot})
+	if err != nil {
+		return false, err
+	}
+	rc.ch.RewireSummaries = append(rc.ch.RewireSummaries, rep.String())
+	rc.chains[ld.slot].retiredAt = ld.atSec
+	obs.C("lemur_sim_retirements_total").Inc()
+	return true, nil
 }

@@ -72,22 +72,17 @@ func drainOrder(prims []int32, slackOf func(int32) (float64, bool)) []int32 {
 }
 
 // refreshDrainOrder recomputes every shard's drain permutation from the
-// deployment's current deadline slacks. hoistHandles calls it after each
+// deployment's current deadline slacks. hoist calls it after each
 // shard-primary (re)assignment — initial partition and every mid-run
 // rewire — so the order always reflects the live placement.
 func (eng *simEngine) refreshDrainOrder() {
-	edf, err := eng.cfg.schedEDF()
 	var slacks map[*placer.Subgroup]float64
-	if edf && err == nil {
+	if eng.edf {
 		slacks = eng.tb.D.DeadlineSlacks()
 	}
 	for _, sh := range eng.shards {
 		sh.drain = drainOrder(sh.prims, func(pi int32) (float64, bool) {
-			psg := eng.ix.entries[pi].psg
-			if psg == nil {
-				return 0, false
-			}
-			s, ok := slacks[psg]
+			s, ok := slacks[eng.ix.entries[pi].psg]
 			return s, ok
 		})
 	}

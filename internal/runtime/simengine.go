@@ -12,14 +12,13 @@ import (
 	"lemur/internal/obs"
 	"lemur/internal/packet"
 	"lemur/internal/pisa"
-	"lemur/internal/placer"
 )
 
 // simShard is one worker's private slice of a simulation run: its own NF
 // environment (with a per-shard rng stream), switch decode scratch, packet
 // freelist and frame-buffer pool, optional private metrics registry, and
-// the primary entries and chain slots it owns. The serial engine is the
-// degenerate case: one shard owning everything.
+// the primary entries and chain slots it owns. A serial run is the same
+// thing with one shard owning everything.
 type simShard struct {
 	id      int
 	env     *nf.Env
@@ -30,7 +29,7 @@ type simShard struct {
 
 	// reg is the shard's private metrics registry, merged into the default
 	// registry in shard-index order when the run ends. Non-nil only for
-	// parallel runs with a fixed partition (no faults, no churn): there
+	// multi-shard runs with a static plan (no faults, no churn): there
 	// every hoisted series is wholly owned by one shard for the whole run,
 	// so merging its privately accumulated state is exact. Runs that can
 	// re-partition mid-run (failover, churn) keep handles on the shared
@@ -77,17 +76,25 @@ func (sh *simShard) putBuf(b []byte) {
 	}
 }
 
+// adopt makes next the walk's current frame. Hops run in place, so next
+// normally aliases frame; the base-pointer check catches an NF that swapped
+// buffers and retires the orphaned one to the pool.
+func (sh *simShard) adopt(frame, next []byte) []byte {
+	if &next[0] != &frame[0] {
+		sh.putBuf(frame)
+	}
+	return next
+}
+
 // simEngine is the state of one Simulate run, shared by its shards. Fields
-// a shard touches during a step are either read-only for the step, indexed
-// by an entry or chain slot the shard owns, or (the ToR switch) internally
-// atomic, so the parallel drivers need no locks inside a step.
+// a shard touches during an epoch are either read-only for the epoch,
+// indexed by an entry or chain slot the shard owns, or (the ToR switch)
+// internally atomic, so shards need no locks between epoch barriers.
 type simEngine struct {
 	tb  *Testbed
 	cfg *SimConfig
-	in  *placer.Input
 	ix  *simIndex
-	fc  *faultCtx
-	cc  *churnCtx
+	rc  *reconfCtx
 	rng *rand.Rand
 
 	offered []float64
@@ -104,48 +111,136 @@ type simEngine struct {
 	acc          []float64
 	frameBits    float64
 	steps        int
+	epochs       int  // epochs run so far; read by the epoch-contract tests
+	edf          bool // deadline slacks order the drain sweep (see simedf.go)
 
 	qDepthH, qDelayH []*obs.Histogram
 	coreUtilH        [][]*obs.Histogram
 	injC, egrC, drpC []*obs.Counter
 
-	// part is nil for serial runs; shards then degenerate to shards[0]
-	// owning every primary and chain.
 	part   *simPartition
 	shards []*simShard
+}
+
+// addChains extends every per-chain array by one slot per rate: the whole
+// chain set at the start of a run (reqSec < 0), an admitted chain mid-run
+// (reqSec and landSec are its admission request and landing times). The
+// new slots take the next indices of the deployment's chain list.
+func (eng *simEngine) addChains(rates []float64, reqSec, landSec float64) error {
+	cfg, res, n := eng.cfg, eng.res, len(rates)
+	horizon := cfg.DurationSec
+	if landSec > 0 {
+		horizon -= landSec
+	}
+	for i, rate := range rates {
+		ci := len(eng.offered) + i
+		gen, err := newChainGen(eng.tb.D.Input.Chains[ci].Chain.Aggregate, ci, cfg)
+		if err != nil {
+			return err
+		}
+		eng.gens = append(eng.gens, gen)
+		// Delay samples pre-sized from expected injections to kill append churn.
+		expect := int(rate/eng.frameBits/cfg.Scale*horizon) + 16
+		eng.delaySamples = append(eng.delaySamples, make([]float64, 0, expect))
+		eng.rc.addChain(reqSec, landSec)
+	}
+	eng.offered = append(eng.offered, rates...)
+	res.OfferedBps = append(res.OfferedBps, rates...)
+	res.AchievedBps = grown(res.AchievedBps, n)
+	res.DropRate = grown(res.DropRate, n)
+	res.AvgQueueDelaySec = grown(res.AvgQueueDelaySec, n)
+	res.Injected = grown(res.Injected, n)
+	res.Egressed = grown(res.Egressed, n)
+	eng.dropped = grown(eng.dropped, n)
+	eng.queueDelay = grown(eng.queueDelay, n)
+	eng.acc = grown(eng.acc, n) // fractional arrival accumulators
+	return nil
+}
+
+// grown returns s extended by n zero slots. Never nil, so an empty chain
+// set still encodes as [] rather than null.
+func grown[T any](s []T, n int) []T {
+	if s == nil {
+		return make([]T, n)
+	}
+	return append(s, make([]T, n)...)
+}
+
+// partition (re)assigns entries, chains and NICs to shards for the current
+// steering graph and re-hoists the metric handles onto their owners. The
+// first call fixes the run's shard count — one for Workers <= 1, else
+// min(Workers, components); later calls (after a mid-run rewire) re-pack
+// onto the same shards and leave any surplus ones idle.
+func (eng *simEngine) partition() {
+	workers := eng.cfg.Workers
+	if eng.shards != nil {
+		workers = len(eng.shards)
+	}
+	eng.part = buildSimPartition(eng.tb.D, eng.ix, len(eng.offered), workers)
+	if eng.shards == nil {
+		eng.newShards(eng.part.workers)
+	}
+	for i, sh := range eng.shards {
+		sh.prims, sh.chains = nil, nil
+		if i < eng.part.workers {
+			sh.prims, sh.chains = eng.part.prims[i], eng.part.chains[i]
+		}
+	}
+	eng.hoist()
+}
+
+// newShards creates the run's worker shards.
+func (eng *simEngine) newShards(n int) {
+	eng.shards = make([]*simShard, n)
+	for i := range eng.shards {
+		sh := &simShard{id: i}
+		if i == 0 {
+			// Shard 0 shares the engine rng, exactly like the one NF env of
+			// the engine before sharding did.
+			sh.env = &nf.Env{Rand: eng.rng}
+		} else {
+			// Every other shard gets its own deterministic stream. No NF
+			// draws from the env today, so the one-shard draw order is
+			// untouched either way; the streams exist so one that does
+			// cannot race its siblings.
+			sh.env = &nf.Env{Rand: rand.New(rand.NewSource(eng.cfg.Seed*31 + 1_000_003*int64(i)))}
+		}
+		if n > 1 && eng.rc.static() {
+			// Fixed partition: see simShard.reg.
+			sh.reg = obs.New()
+			if obs.Default().Enabled() {
+				sh.reg.Enable()
+			}
+		}
+		eng.shards[i] = sh
+	}
 }
 
 // regForOwner picks the registry a hoisted handle accumulates into: the
 // owner shard's private registry when the run uses them, the shared
 // default registry otherwise.
 func (eng *simEngine) regForOwner(owner int32) *obs.Registry {
-	if eng.part != nil {
-		if sh := eng.shards[owner]; sh.reg != nil {
-			return sh.reg
-		}
+	if reg := eng.shards[owner].reg; reg != nil {
+		return reg
 	}
 	return obs.Default()
 }
 
-// hoistHandles (re)builds the per-subgroup and per-core metric handles so
-// the step loop pays one atomic branch per observation. Handle slices are
-// indexed in primaries (sorted) order, keeping observation order — and
-// therefore histogram float sums — deterministic for a fixed seed. A
-// mid-run rewire re-hoists them for the new primary set. It is the single
-// choke point after every shard-primary (re)assignment, so it also
-// refreshes the per-shard EDF drain order (see refreshDrainOrder).
-func (eng *simEngine) hoistHandles() {
-	defer eng.refreshDrainOrder()
-	ix := eng.ix
+// hoist (re)builds the per-subgroup, per-core and per-chain metric handles,
+// each on its owning shard's registry, so the step loop pays one atomic
+// branch per observation. Subgroup handle slices are indexed in primaries
+// (sorted) order, keeping observation order — and therefore histogram float
+// sums — deterministic for a fixed seed. It is the single choke point after
+// every shard (re)assignment, so it also refreshes the per-shard EDF drain
+// order (see refreshDrainOrder).
+func (eng *simEngine) hoist() {
+	ix, nChains := eng.ix, len(eng.offered)
 	eng.qDepthH = make([]*obs.Histogram, ix.nPrimary)
 	eng.qDelayH = make([]*obs.Histogram, ix.nPrimary)
 	eng.coreUtilH = make([][]*obs.Histogram, ix.nPrimary)
 	for i := 0; i < ix.nPrimary; i++ {
 		psg := ix.entries[i].psg
-		reg := obs.Default()
-		if eng.part != nil {
-			reg = eng.regForOwner(eng.part.ownerOfEntry[i])
-		}
+		reg := eng.regForOwner(eng.part.ownerOfEntry[i])
 		eng.qDepthH[i] = reg.Histogram("lemur_sim_queue_depth", obs.L("subgroup", psg.Name()))
 		eng.qDelayH[i] = reg.Histogram("lemur_sim_queue_delay_seconds", obs.L("subgroup", psg.Name()))
 		for _, cs := range eng.tb.D.Shares[psg] {
@@ -153,52 +248,17 @@ func (eng *simEngine) hoistHandles() {
 				obs.L("server", psg.Server), obs.L("core", strconv.Itoa(cs.Core))))
 		}
 	}
-}
-
-// hoistChainCounters builds the per-chain injected/egressed/dropped
-// counters, each on its owning shard's registry (or the default one).
-func (eng *simEngine) hoistChainCounters() {
-	eng.injC = make([]*obs.Counter, len(eng.offered))
-	eng.egrC = make([]*obs.Counter, len(eng.offered))
-	eng.drpC = make([]*obs.Counter, len(eng.offered))
-	for ci := range eng.offered {
-		reg := obs.Default()
-		if eng.part != nil {
-			reg = eng.regForOwner(eng.part.ownerOfChain[ci])
-		}
+	eng.injC = make([]*obs.Counter, nChains)
+	eng.egrC = make([]*obs.Counter, nChains)
+	eng.drpC = make([]*obs.Counter, nChains)
+	for ci := 0; ci < nChains; ci++ {
+		reg := eng.regForOwner(eng.part.ownerOfChain[ci])
 		lbl := obs.L("chain", strconv.Itoa(ci))
 		eng.injC[ci] = reg.Counter("lemur_sim_injected_total", lbl)
 		eng.egrC[ci] = reg.Counter("lemur_sim_egressed_total", lbl)
 		eng.drpC[ci] = reg.Counter("lemur_sim_dropped_total", lbl)
 	}
-}
-
-// assignSerial points shard 0 at every primary and chain slot.
-func (eng *simEngine) assignSerial() {
-	sh := eng.shards[0]
-	sh.prims = sh.prims[:0]
-	for i := 0; i < eng.ix.nPrimary; i++ {
-		sh.prims = append(sh.prims, int32(i))
-	}
-	sh.chains = sh.chains[:0]
-	for ci := range eng.offered {
-		sh.chains = append(sh.chains, int32(ci))
-	}
-}
-
-// mergeShards folds per-shard registries into the default registry, in
-// shard-index order. A no-op for runs hoisted on the default registry.
-func (eng *simEngine) mergeShards() {
-	for _, sh := range eng.shards {
-		if sh.reg != nil {
-			obs.Default().Merge(sh.reg)
-		}
-	}
-}
-
-func (eng *simEngine) drop(ci int) {
-	eng.dropped[ci]++
-	eng.drpC[ci].Inc()
+	eng.refreshDrainOrder()
 }
 
 // egress/die finalize a packet and recycle its arena resources into the
@@ -213,18 +273,18 @@ func (eng *simEngine) egress(sh *simShard, p *simPacket, frame []byte) {
 }
 
 func (eng *simEngine) die(sh *simShard, p *simPacket, frame []byte) {
-	eng.drop(p.chain)
+	eng.dropped[p.chain]++
+	eng.drpC[p.chain].Inc()
 	sh.putBuf(frame)
 	sh.putPkt(p)
 }
 
 // advance walks a packet from the switch until it egresses, drops, or
 // parks in a subgroup queue. All hops run in place over the packet's
-// pooled buffer; the base-pointer checks catch NFs that swap buffers and
-// retire the orphaned one to the pool. In parallel runs every subgroup and
-// NIC the walk touches must belong to the executing shard — the partition
-// guarantees it, and the ownership assertions fail loudly if a steering
-// update ever breaks that.
+// pooled buffer (see simShard.adopt). Every subgroup and NIC the walk
+// touches must belong to the executing shard — the partition guarantees it,
+// and the ownership assertions fail loudly if a steering update ever breaks
+// that.
 func (eng *simEngine) advance(sh *simShard, p *simPacket, now float64) (parked bool, err error) {
 	cfg := eng.cfg
 	frame := p.frame
@@ -241,16 +301,13 @@ func (eng *simEngine) advance(sh *simShard, p *simPacket, now float64) (parked b
 			eng.die(sh, p, frame)
 			return false, nil
 		case pisa.Continue:
-			if &out[0] != &frame[0] {
-				sh.putBuf(frame)
-			}
-			frame = out
+			frame = sh.adopt(frame, out)
 			continue
 		case pisa.ToServer:
-			if eng.fc != nil && eng.fc.dead[fwd.Target] {
+			if eng.rc.dead[fwd.Target] {
 				// Blackhole: steered into a crashed server before the
 				// reconfigured rules landed.
-				eng.fc.report.FaultDrops[p.chain]++
+				eng.rc.chains[p.chain].drops++
 				eng.die(sh, p, frame)
 				return false, nil
 			}
@@ -258,10 +315,7 @@ func (eng *simEngine) advance(sh *simShard, p *simPacket, now float64) (parked b
 			if pl == nil {
 				return false, fmt.Errorf("runtime: no pipeline %q", fwd.Target)
 			}
-			if &out[0] != &frame[0] {
-				sh.putBuf(frame)
-			}
-			frame = out
+			frame = sh.adopt(frame, out)
 			spi, si, terr := nsh.Tag(frame)
 			if terr != nil {
 				return false, terr
@@ -270,7 +324,7 @@ func (eng *simEngine) advance(sh *simShard, p *simPacket, now float64) (parked b
 			if idx < 0 {
 				return false, fmt.Errorf("runtime: no subgroup for spi=%d si=%d", spi, si)
 			}
-			if eng.part != nil && eng.part.ownerOfEntry[idx] != int32(sh.id) {
+			if eng.part.ownerOfEntry[idx] != int32(sh.id) {
 				return false, fmt.Errorf("runtime: shard %d touched subgroup entry %d owned by shard %d (partition bug)",
 					sh.id, idx, eng.part.ownerOfEntry[idx])
 			}
@@ -299,13 +353,10 @@ func (eng *simEngine) advance(sh *simShard, p *simPacket, now float64) (parked b
 				eng.die(sh, p, frame)
 				return false, nil
 			}
-			if &next[0] != &frame[0] {
-				sh.putBuf(frame)
-			}
-			frame = next
+			frame = sh.adopt(frame, next)
 		case pisa.ToNIC:
-			if eng.fc != nil && eng.fc.dead[fwd.Target] {
-				eng.fc.report.FaultDrops[p.chain]++
+			if eng.rc.dead[fwd.Target] {
+				eng.rc.chains[p.chain].drops++
 				eng.die(sh, p, frame)
 				return false, nil
 			}
@@ -313,16 +364,11 @@ func (eng *simEngine) advance(sh *simShard, p *simPacket, now float64) (parked b
 			if nic == nil {
 				return false, fmt.Errorf("runtime: no NIC %q", fwd.Target)
 			}
-			if eng.part != nil {
-				if ow, ok := eng.part.nicOwner[fwd.Target]; !ok || ow != int32(sh.id) {
-					return false, fmt.Errorf("runtime: shard %d processed NIC %q owned by shard %d (partition bug)",
-						sh.id, fwd.Target, ow)
-				}
+			if ow, ok := eng.part.nicOwner[fwd.Target]; !ok || ow != int32(sh.id) {
+				return false, fmt.Errorf("runtime: shard %d processed NIC %q owned by shard %d (partition bug)",
+					sh.id, fwd.Target, ow)
 			}
-			if &out[0] != &frame[0] {
-				sh.putBuf(frame)
-			}
-			frame = out
+			frame = sh.adopt(frame, out)
 			next, perr := nic.ProcessFrameInPlace(frame, sh.env)
 			if perr != nil {
 				return false, perr
@@ -331,10 +377,7 @@ func (eng *simEngine) advance(sh *simShard, p *simPacket, now float64) (parked b
 				eng.die(sh, p, frame)
 				return false, nil
 			}
-			if &next[0] != &frame[0] {
-				sh.putBuf(frame)
-			}
-			frame = next
+			frame = sh.adopt(frame, next)
 		default:
 			return false, fmt.Errorf("runtime: unsupported forward %v", fwd.Kind)
 		}
@@ -354,15 +397,12 @@ func (eng *simEngine) resume(sh *simShard, p *simPacket, pl *bess.Pipeline, now 
 		eng.die(sh, p, old)
 		return false, nil
 	}
-	if &next[0] != &old[0] {
-		sh.putBuf(old)
-	}
-	p.frame = next
+	p.frame = sh.adopt(old, next)
 	return eng.advance(sh, p, now)
 }
 
 // stepShard runs one simulated step restricted to the shard's owned
-// primaries and chains, in the serial engine's exact order: credit refill,
+// primaries and chains, in the serial schedule's exact order: credit refill,
 // queue drains (FIFO, oldest wait times retained, one subgroup's backlog
 // served back-to-back so its pipeline and NF state stay hot), new
 // arrivals in per-chain bursts over pooled buffers, then per-core
@@ -443,103 +483,58 @@ func (eng *simEngine) stepShard(sh *simShard, now float64) error {
 	return nil
 }
 
-// runSerial is the single-goroutine driver: one shard, every step,
-// fault/churn schedules applied inline at step boundaries. Byte-identical
-// to the pre-parallel engine.
-func (eng *simEngine) runSerial() error {
-	sh := eng.shards[0]
-	for step := 0; step < eng.steps; step++ {
-		now := float64(step) * eng.cfg.StepSec
-		if eng.fc != nil {
-			if err := eng.applyFaults(now); err != nil {
-				return err
-			}
-		}
-		if eng.cc != nil {
-			if err := eng.applyChurn(now); err != nil {
-				return err
-			}
-		}
-		if err := eng.stepShard(sh, now); err != nil {
+// run is the one driver: a loop over event-bounded epochs. Each epoch opens
+// with a serial section — applyDue fires and lands whatever the plan has
+// due at this step, which may rewire steering and re-partition the shards —
+// and then every shard executes all steps up to the next boundary, the
+// first step at which the serial section can have work again (see
+// reconfCtx.nextBoundary). Within an epoch shards share no mutable state
+// and each runs the serial schedule restricted to what it owns, so running
+// them free between boundaries yields the serial result. An empty plan is
+// one epoch; one shard runs inline, several get a goroutine each per epoch.
+func (eng *simEngine) run() error {
+	stepSec := eng.cfg.StepSec
+	errs := make([]error, len(eng.shards))
+	for step := 0; step < eng.steps; {
+		if err := eng.applyDue(float64(step) * stepSec); err != nil {
 			return err
 		}
-		if eng.cc != nil {
-			eng.cc.noteFirstEgress(now+eng.cfg.StepSec, eng.res.Egressed)
-		}
-	}
-	return nil
-}
-
-// runParallelFree is the fault-free, churn-free parallel driver. The
-// partition is fixed for the whole run and shards share no mutable state,
-// so each worker runs every step of its components independently — no
-// barriers at all. Per-shard errors are collected and the lowest shard's
-// error wins, keeping even the failure mode deterministic.
-func (eng *simEngine) runParallelFree() error {
-	var wg sync.WaitGroup
-	errs := make([]error, len(eng.shards))
-	for i := range eng.shards {
-		sh := eng.shards[i]
-		wg.Add(1)
-		go func(i int, sh *simShard) {
-			defer wg.Done()
-			for step := 0; step < eng.steps; step++ {
-				if err := eng.stepShard(sh, float64(step)*eng.cfg.StepSec); err != nil {
-					errs[i] = err
-					return
+		end := eng.rc.nextBoundary(step, eng.steps, stepSec)
+		eng.epochs++
+		if len(eng.shards) == 1 {
+			errs[0] = eng.runSteps(eng.shards[0], step, end)
+		} else {
+			var wg sync.WaitGroup
+			for i, sh := range eng.shards {
+				if len(sh.prims) == 0 && len(sh.chains) == 0 {
+					continue
 				}
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					errs[i] = eng.runSteps(sh, step, end)
+				}()
 			}
-		}(i, sh)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
+			wg.Wait()
 		}
-	}
-	return nil
-}
-
-// runParallelEpochs is the barriered driver for runs with fault or churn
-// schedules: each step is an epoch. The coordinator first applies due
-// fault/churn events serially (these mutate shared steering state and may
-// re-partition the shards), then the shards execute the step concurrently,
-// then a barrier joins them before the next epoch's serial section. The
-// churn context's first-egress probe also runs in the serial section.
-func (eng *simEngine) runParallelEpochs() error {
-	errs := make([]error, len(eng.shards))
-	for step := 0; step < eng.steps; step++ {
-		now := float64(step) * eng.cfg.StepSec
-		if eng.fc != nil {
-			if err := eng.applyFaults(now); err != nil {
-				return err
-			}
-		}
-		if eng.cc != nil {
-			if err := eng.applyChurn(now); err != nil {
-				return err
-			}
-		}
-		var wg sync.WaitGroup
-		for i := range eng.shards {
-			sh := eng.shards[i]
-			if len(sh.prims) == 0 && len(sh.chains) == 0 {
-				continue
-			}
-			wg.Add(1)
-			go func(i int, sh *simShard) {
-				defer wg.Done()
-				errs[i] = eng.stepShard(sh, now)
-			}(i, sh)
-		}
-		wg.Wait()
+		// The lowest shard's error wins, keeping even the failure mode
+		// deterministic.
 		for _, err := range errs {
 			if err != nil {
 				return err
 			}
 		}
-		if eng.cc != nil {
-			eng.cc.noteFirstEgress(now+eng.cfg.StepSec, eng.res.Egressed)
+		eng.rc.noteFirstEgress(float64(end-1)*stepSec+stepSec, eng.res.Egressed)
+		step = end
+	}
+	return nil
+}
+
+// runSteps executes steps [from, to) of one shard.
+func (eng *simEngine) runSteps(sh *simShard, from, to int) error {
+	for step := from; step < to; step++ {
+		if err := eng.stepShard(sh, float64(step)*eng.cfg.StepSec); err != nil {
+			return err
 		}
 	}
 	return nil

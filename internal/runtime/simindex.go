@@ -21,6 +21,19 @@ type simEntry struct {
 	cross bool             // true when the subgroup runs off the NIC socket
 }
 
+// host names the server the entry's subgroup runs on ("" for an unplaced
+// orphan) — the device a crash of which takes the entry down, and the node
+// the partition attaches it to.
+func (e *simEntry) host() string {
+	switch {
+	case e.srv != nil:
+		return e.srv.Name
+	case e.pipe != nil:
+		return e.pipe.Server.Name
+	}
+	return ""
+}
+
 // simIndex precomputes the dense dispatch tables the hot loop needs: the
 // per-hop map[*bess.Subgroup] lookups and the quadratic pipelineOf/primaryOf
 // scans of the original engine become slice indexing. Built once per
