@@ -24,6 +24,38 @@ run_guard() {
   grep -E '^(--- PASS|ok|PASS)|bench_test.go' <<<"$out"
 }
 
+# fuzz_smoke TARGET PKG: ten seconds of fuzzing. `go test -fuzz` only warns
+# when the pattern matches no target, so first require that TARGET exists.
+fuzz_smoke() {
+  local target=$1 pkg=$2 listed
+  echo "==> fuzz smoke (${target}, 10s)"
+  listed=$(go test -list "^${target}\$" "$pkg")
+  if ! grep -qx "$target" <<<"$listed"; then
+    echo "ci: fuzz target ${target} not found in ${pkg} (renamed or deleted?)" >&2
+    return 1
+  fi
+  go test -run '^$' -fuzz "^${target}\$" -fuzztime=10s "$pkg"
+}
+
+# coverage_floor LABEL REGEX FLOOR: statement coverage, summed over the
+# files of /tmp/lemur-cover.out whose path matches REGEX, must reach FLOOR
+# percent — and REGEX must match something, so a floor cannot go quiet
+# because its files were renamed.
+coverage_floor() {
+  local label=$1 regex=$2 floor=$3 pct
+  pct=$(awk -v re="$regex" '$1 ~ re { total += $2; if ($3 > 0) covered += $2 }
+    END { if (total > 0) printf "%.1f", 100 * covered / total; else print "none" }' /tmp/lemur-cover.out)
+  echo "    ${label} coverage: ${pct}%"
+  if [ "$pct" = none ]; then
+    echo "ci: ${label} coverage floor matches no file" >&2
+    return 1
+  fi
+  awk -v t="$pct" -v f="$floor" 'BEGIN { exit (t+0 < f+0) ? 1 : 0 }' || {
+    echo "ci: ${label} coverage ${pct}% fell below the ${floor}% floor" >&2
+    return 1
+  }
+}
+
 echo "==> go vet ./..."
 go vet ./...
 
@@ -57,88 +89,49 @@ go test -race -count=1 ./internal/placer ./internal/experiments ./internal/runti
 # API, chaos crash, Prometheus endpoint) get a named race pass so the
 # lemurd path cannot be skipped by test caching.
 echo "==> control-plane daemon guards (race)"
-go test -race -count=1 \
-  -run 'TestReconcileIdempotent|TestConvergenceRandomSequences|TestRejectedSpecIsolation|TestSnapshotRoundTrip|TestEndToEndDaemon|TestReconcileSweepDeterministic' \
-  ./internal/daemon ./internal/experiments
+run_guard 'TestReconcileIdempotent|TestConvergenceRandomSequences|TestRejectedSpecIsolation|TestSnapshotRoundTrip|TestEndToEndDaemon|TestOneDeltaPerTick|TestAdmissionAfterFailureLandsOnce' \
+  -race -count=1 ./internal/daemon
+run_guard 'TestReconcileSweepDeterministic' -race -count=1 ./internal/experiments
 
-# Fuzz smoke: ten seconds of FuzzReplace exercises the incremental
-# re-placement invariants (pinning, no-failure identity) beyond the seed
-# corpus; ten seconds of FuzzChurnPlan exercises the churn grammar's
-# parse/render round-trip.
-echo "==> fuzz smoke (FuzzReplace, 10s)"
-go test -run '^$' -fuzz 'FuzzReplace' -fuzztime=10s ./internal/placer
-
-echo "==> fuzz smoke (FuzzChurnPlan, 10s)"
-go test -run '^$' -fuzz 'FuzzChurnPlan' -fuzztime=10s ./internal/churn
-
-# Ten seconds of FuzzFlowSchedule exercises the arena flow-schedule
-# round-trip: regeneration determinism, birth-order/hash consistency, and
-# replay-window equality against a brute-force liveness scan.
-echo "==> fuzz smoke (FuzzFlowSchedule, 10s)"
-go test -run '^$' -fuzz 'FuzzFlowSchedule' -fuzztime=10s ./internal/trafficgen
+# Fuzz smoke: ten seconds of FuzzReplace exercises the incremental door's
+# invariants (pinning, no-failure identity, combined retire/admit/fail
+# deltas) beyond the seed corpus; FuzzChurnPlan the churn grammar's
+# parse/render round-trip; FuzzFlowSchedule the arena flow-schedule
+# round-trip (regeneration determinism, birth-order/hash consistency,
+# replay-window equality against a brute-force liveness scan).
+fuzz_smoke FuzzReplace ./internal/placer
+fuzz_smoke FuzzChurnPlan ./internal/churn
+fuzz_smoke FuzzFlowSchedule ./internal/trafficgen
 
 # Coverage gate: total statement coverage must not regress below the
-# recorded baseline (80.0% when this gate was added; floor leaves a small
+# recorded baseline (80.0% when this gate was added; the floor leaves a small
 # margin for counter noise).
-COVERAGE_FLOOR=79.0
-echo "==> coverage gate (floor ${COVERAGE_FLOOR}%)"
+echo "==> coverage gate"
 go test -coverprofile=/tmp/lemur-cover.out ./... > /dev/null
 total=$(go tool cover -func=/tmp/lemur-cover.out | awk '/^total:/ {gsub(/%/, "", $NF); print $NF}')
 echo "    total coverage: ${total}%"
-awk -v t="$total" -v f="$COVERAGE_FLOOR" 'BEGIN { exit (t+0 < f+0) ? 1 : 0 }' || {
-  echo "ci: coverage ${total}% fell below the ${COVERAGE_FLOOR}% floor" >&2
+awk -v t="$total" 'BEGIN { exit (t+0 < 79.0) ? 1 : 0 }' || {
+  echo "ci: coverage ${total}% fell below the 79.0% floor" >&2
   exit 1
 }
 
-# The churn stack (grammar, Admit/Retire, AdmitChains/RetireChains, churn
-# sweep, churn simulation) gets its own aggregate floor so the online path
-# cannot silently lose its tests.
-CHURN_FLOOR=75.0
-churn=$(awk '$1 ~ /churn/ { total += $2; if ($3 > 0) covered += $2 }
-  END { if (total > 0) printf "%.1f", 100 * covered / total; else print 0 }' /tmp/lemur-cover.out)
-echo "    churn-file coverage: ${churn}%"
-awk -v t="$churn" -v f="$CHURN_FLOOR" 'BEGIN { exit (t+0 < f+0) ? 1 : 0 }' || {
-  echo "ci: churn-file coverage ${churn}% fell below the ${CHURN_FLOOR}% floor" >&2
-  exit 1
-}
-
-# The million-flow state layer (sharded NF tables, arena flow schedules,
-# FlowScale plumbing, scale sweep) gets its own aggregate floor so the
-# scale path cannot silently lose its tests.
-SCALE_FLOOR=75.0
-scale=$(awk '$1 ~ /internal\/nf\/(flowtab|nat|monitor|dedup|lb|reference)\.go|internal\/trafficgen\/|internal\/runtime\/flowscale\.go|internal\/experiments\/scalesweep\.go/ {
-    total += $2; if ($3 > 0) covered += $2 }
-  END { if (total > 0) printf "%.1f", 100 * covered / total; else print 0 }' /tmp/lemur-cover.out)
-echo "    scale-file coverage: ${scale}%"
-awk -v t="$scale" -v f="$SCALE_FLOOR" 'BEGIN { exit (t+0 < f+0) ? 1 : 0 }' || {
-  echo "ci: scale-file coverage ${scale}% fell below the ${SCALE_FLOOR}% floor" >&2
-  exit 1
-}
-
-# The deadline-scheduling path (EDF scheduler trees, metacompiler slacks,
-# p99 admission, simulator drain order + quantiles, latency sweep) gets its
-# own aggregate floor so the SLO path cannot silently lose its tests.
-DEADLINE_FLOOR=75.0
-deadline=$(awk '$1 ~ /internal\/bess\/scheduler\.go|internal\/metacompiler\/deadline\.go|internal\/placer\/p99\.go|internal\/runtime\/(simedf|quantile)\.go|internal\/experiments\/latencysweep\.go/ {
-    total += $2; if ($3 > 0) covered += $2 }
-  END { if (total > 0) printf "%.1f", 100 * covered / total; else print 0 }' /tmp/lemur-cover.out)
-echo "    deadline-file coverage: ${deadline}%"
-awk -v t="$deadline" -v f="$DEADLINE_FLOOR" 'BEGIN { exit (t+0 < f+0) ? 1 : 0 }' || {
-  echo "ci: deadline-file coverage ${deadline}% fell below the ${DEADLINE_FLOOR}% floor" >&2
-  exit 1
-}
-
-# The control-plane daemon (spec validation, reconcile loop, snapshot,
-# watch dir, status/API surface) gets its own aggregate floor so the lemurd
-# path cannot silently lose its tests.
-DAEMON_FLOOR=75.0
-daemon=$(awk '$1 ~ /internal\/daemon\// { total += $2; if ($3 > 0) covered += $2 }
-  END { if (total > 0) printf "%.1f", 100 * covered / total; else print 0 }' /tmp/lemur-cover.out)
-echo "    daemon-file coverage: ${daemon}%"
-awk -v t="$daemon" -v f="$DAEMON_FLOOR" 'BEGIN { exit (t+0 < f+0) ? 1 : 0 }' || {
-  echo "ci: daemon-file coverage ${daemon}% fell below the ${DAEMON_FLOOR}% floor" >&2
-  exit 1
-}
+# Per-stack floors, so that a path cannot silently lose its tests. The
+# reconfiguration stack is listed file by file: the churn grammar, the
+# incremental door (placer.Reconfigure, Deployment.Apply and the wrappers
+# bench/ still calls), the churn sweep and the simulator's control plane.
+coverage_floor reconfiguration \
+  'internal/churn/churn\.go|internal/placer/(reconfigure|legacy)\.go|internal/metacompiler/(apply|legacy)\.go|internal/experiments/churnsweep\.go|internal/runtime/(churnctx|simctl|reconf)\.go' 75.0
+# The million-flow state layer: sharded NF tables, arena flow schedules,
+# FlowScale plumbing, scale sweep.
+coverage_floor scale \
+  'internal/nf/(flowtab|nat|monitor|dedup|lb|reference)\.go|internal/trafficgen/|internal/runtime/flowscale\.go|internal/experiments/scalesweep\.go' 75.0
+# The deadline-scheduling path: EDF scheduler trees, metacompiler slacks,
+# p99 admission, simulator drain order + quantiles, latency sweep.
+coverage_floor deadline \
+  'internal/bess/scheduler\.go|internal/metacompiler/deadline\.go|internal/placer/p99\.go|internal/runtime/(simedf|quantile)\.go|internal/experiments/latencysweep\.go' 75.0
+# The control-plane daemon: spec validation, reconcile loop, snapshot, watch
+# dir, status/API surface.
+coverage_floor daemon 'internal/daemon/' 75.0
 
 # Allocation-regression guard: the arena-backed simulator must stay under its
 # fixed allocs-per-packet budget (testing.AllocsPerRun inside the test), and
@@ -179,8 +172,7 @@ run_guard 'TestDeadlineFreePolicyByteIdentity|TestSimulateDeadlineMatchesReferen
 # Ten seconds of FuzzChainSpec exercises the nfspec grammar — the slo block
 # (tmin/tmax/dmax/d_max_p99 with unit suffixes and bad-value rejection),
 # aggregates, NF args, and edges — beyond the seed corpus.
-echo "==> fuzz smoke (FuzzChainSpec, 10s)"
-go test -run '^$' -fuzz 'FuzzChainSpec' -fuzztime=10s ./internal/nfspec
+fuzz_smoke FuzzChainSpec ./internal/nfspec
 
 # Branch-and-bound soundness: the Optimal placer's pruning/symmetry property
 # tests (byte-identity vs the exhaustive reference, budget semantics,
@@ -196,12 +188,15 @@ run_guard 'TestPlaceScaleSweepDeterministic|TestPlaceScaleSweepExhaustiveReferen
 # chain sets x three deltas x two fleets x six schemes, at Parallel 1/3/4/8)
 # must render to testdata/placements.golden byte for byte; a returned Result
 # must share no memory with the evaluation scratch; the core-overflow reason
-# must not depend on map order; and the incremental calls must keep pinned
-# chains' *Subgroup pointers. Then, without the race detector (it makes
+# must not depend on map order; the reconfiguration matrix (Replace, Admit,
+# Retire and their rewires over 32 racks) must render to
+# testdata/reconfig.golden; and the incremental door must keep pinned chains'
+# *Subgroup pointers, kind by kind and for a combined retire/admit/fail
+# delta. Then, without the race detector (it makes
 # sync.Pool drop the LP tableau), a warm candidate evaluation must allocate
 # nothing.
 echo "==> placement golden matrix + Result ownership (race)"
-run_guard 'TestGoldenPlacements|TestResultSharesNoScratchMemory|TestCoreOverflowReasonDeterministic|TestAdmitPinningInvariant|TestReplacePinningInvariant|TestRetirePinningInvariant' \
+run_guard 'TestGoldenPlacements|TestGoldenReconfigure|TestResultSharesNoScratchMemory|TestCoreOverflowReasonDeterministic|TestAdmitPinningInvariant|TestReplacePinningInvariant|TestRetirePinningInvariant|TestReconfigureCombinedDelta' \
   -race -count=1 ./internal/placer
 run_guard 'TestEvaluateCandidateSteadyStateAllocs' -count=1 ./internal/placer
 

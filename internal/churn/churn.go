@@ -23,10 +23,10 @@ type Kind int
 
 const (
 	// Admit adds a chain (named in the catalog) to the running deployment
-	// via the incremental admission path (placer.Admit + AdmitChains).
+	// via the incremental path (placer.Reconfigure + Deployment.Apply).
 	Admit Kind = iota
 	// Retire removes a running chain by name, reclaiming its resources
-	// (placer.Retire + RetireChains). Its offered load stops at AtSec.
+	// through the same path. Its offered load stops at AtSec.
 	Retire
 )
 
@@ -60,7 +60,7 @@ type Plan struct {
 	// DetectionDelaySec models the control plane noticing the request
 	// (tenant API → controller); 0 means chaos.DefaultDetectionDelaySec.
 	DetectionDelaySec float64
-	// ReconfigDelaySec models solve + rule install (Admit/Retire + rewire);
+	// ReconfigDelaySec models solve + rule install (Reconfigure + Apply);
 	// 0 means chaos.DefaultReconfigDelaySec.
 	ReconfigDelaySec float64
 }

@@ -84,7 +84,7 @@ func (s *System) LoadSpec(src string) error {
 // configuration but holding only the chains keep accepts (by spec name, in
 // load order). The derived pipeline state starts empty; graphs are shared by
 // pointer with the parent, so a placement of the subset can later admit the
-// excluded chains incrementally (placer.Admit keys pinned state by pointer).
+// excluded chains incrementally (placer.Reconfigure keys pinned state by pointer).
 func (s *System) Subset(keep func(name string) bool) *System {
 	d := NewSystem(s.Topo)
 	d.DB, d.Restrict, d.Scheme, d.Seed, d.Parallel, d.Headroom, d.SimWorkers =

@@ -5,10 +5,9 @@
 //
 // The loop is modeled on production controllers (metallb-style): every pass
 // re-derives the full diff between desired and actual from scratch — there
-// is no event queue to lose — and applies it through the existing online
-// primitives: placer.Admit for new chains, placer.Retire for removed ones,
-// placer.Replace for declared/injected node failures, with the metacompiler
-// side (Deployment.AdmitChains / RetireChains / Rewire) keeping the running
+// is no event queue to lose — and applies it as one delta (chains to retire,
+// chains to admit, the cumulative failure set) through the one incremental
+// door: placer.Reconfigure, with Deployment.Apply keeping the running
 // deployment's switch tables, pipelines, and SmartNIC programs in lockstep.
 //
 // Invariants (property-tested in daemon_test.go):
@@ -164,7 +163,7 @@ type actualState struct {
 	dep   *metacompiler.Deployment
 	slots []slotState
 	// handled holds raw (operator-given) names of failures already driven
-	// through placer.Replace; dead is the cumulative expanded NodeSet
+	// through placer.Reconfigure; dead is the cumulative expanded NodeSet
 	// (failed servers plus SmartNICs they host).
 	handled map[string]bool
 	dead    placer.NodeSet
@@ -326,7 +325,7 @@ func (d *Daemon) checkImmutable(vs *validSpec) error {
 
 // InjectFailures declares the named devices dead, as the chaos plan and the
 // POST /v1/fail endpoint do. Names must exist in the desired (or applied)
-// topology. The next reconcile pass drives placer.Replace to move affected
+// topology. The next reconcile pass drives placer.Reconfigure to move affected
 // chains off them; failures are cumulative for the daemon's lifetime.
 func (d *Daemon) InjectFailures(nodes []string) error {
 	d.mu.Lock()

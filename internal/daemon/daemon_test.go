@@ -14,10 +14,11 @@ import (
 // subnets gives every test chain a stable aggregate, so a chain's
 // fingerprint depends only on its name and declared SLO.
 var subnets = map[string]string{
-	"alpha": "10.1.0.0/16",
-	"beta":  "10.2.0.0/16",
-	"gamma": "10.3.0.0/16",
-	"delta": "10.4.0.0/16",
+	"alpha":   "10.1.0.0/16",
+	"beta":    "10.2.0.0/16",
+	"gamma":   "10.3.0.0/16",
+	"delta":   "10.4.0.0/16",
+	"epsilon": "10.5.0.0/16",
 }
 
 // chainText renders one cheap two-NF chain (the failover-test shape: a

@@ -25,7 +25,7 @@ type ReconcileResult struct {
 	// ChaosFired lists chaos-plan crash targets injected this pass.
 	ChaosFired []string `json:"chaos_fired,omitempty"`
 	// Admitted, Retired, and Replaced list the chain names admitted and
-	// retired and the failure names driven through placer.Replace.
+	// retired and the failure names newly repaired this pass.
 	Admitted []string `json:"admitted,omitempty"`
 	Retired  []string `json:"retired,omitempty"`
 	Replaced []string `json:"replaced,omitempty"`
@@ -190,21 +190,23 @@ func restrictFor(s *Spec) map[string][]hw.Platform {
 	return map[string][]hw.Platform{"IPv4Fwd": {hw.PISA}}
 }
 
-// applyLocked drives the actual state toward d.desired: first apply via
-// placer.Place + metacompiler.Compile, then per-pass retire → admit →
-// replace. It reports whether the running deployment changed. On error the
-// already-applied steps stand (the loop is level-triggered — the next pass
-// recomputes the remaining diff and the backoff gate paces the retry).
+// applyLocked drives the actual state toward d.desired: a first apply
+// (place + compile the whole desired chain set) when nothing runs yet, then
+// one delta — the slots to retire, the tail to admit, the cumulative failure
+// set — through one placer.Reconfigure and one Deployment.Apply. An empty
+// delta makes no call (Reconfigure would mint a fresh Result and break
+// idempotence). When the admissions make the delta infeasible it is asked
+// again without them, so retirements and failure repair still land this
+// pass; the admission error is returned either way and arms the backoff. It
+// reports whether the running deployment changed.
 func (d *Daemon) applyLocked(rr *ReconcileResult) (bool, error) {
 	vs := d.desired
 	mutated := false
 
-	// First apply: place and compile the whole desired chain set.
 	if d.st == nil {
-		topo := vs.spec.topology()
 		in := &placer.Input{
 			Chains:        append([]*nfgraph.Graph(nil), vs.graphs...),
-			Topo:          topo,
+			Topo:          vs.spec.topology(),
 			DB:            defaultDB(),
 			Restrict:      restrictFor(vs.spec),
 			Parallel:      vs.spec.Placement.Parallel,
@@ -217,187 +219,153 @@ func (d *Daemon) applyLocked(rr *ReconcileResult) (bool, error) {
 		if !res.Feasible {
 			return false, fmt.Errorf("initial placement infeasible: %s", res.Reason)
 		}
-		dep, err := metacompiler.Compile(in, res)
-		if err != nil {
-			return false, fmt.Errorf("initial compile: %w", err)
-		}
-		st := &actualState{
-			topo:    topo,
-			in:      in,
-			res:     res,
-			dep:     dep,
-			handled: map[string]bool{},
-			dead:    placer.NodeSet{},
-			hwKey:   hardwareKey(vs.spec),
-		}
+		slots := make([]slotState, len(vs.chains))
 		for i, c := range vs.chains {
-			st.slots = append(st.slots, slotState{Name: c.Name, FP: vs.fp[i]})
+			slots[i] = slotState{Name: c.Name, FP: vs.fp[i]}
 			rr.Admitted = append(rr.Admitted, c.Name)
 		}
-		d.st = st
+		if err := d.deployLocked("initial", in, res, slots); err != nil {
+			return false, err
+		}
 		mutated = true
 	}
+	st := d.st
 
-	// Desired index: name -> position in vs. A running slot whose name is
-	// gone, or whose fingerprint differs (the chain was redefined), is
-	// retired; a redefined chain re-admits below into a fresh slot.
-	desiredAt := map[string]int{}
+	// The diff. A running slot whose name is gone from the spec, or whose
+	// fingerprint differs (the chain was redefined), retires; every desired
+	// chain without a live, fingerprint-matching slot joins as a contiguous
+	// tail of new slots, in desired-spec order (a redefined chain re-admits
+	// into a fresh slot); every failure name not yet handled is new.
+	desiredFP, liveFP := map[string]string{}, map[string]string{}
 	for i, c := range vs.chains {
-		desiredAt[c.Name] = i
+		desiredFP[c.Name] = vs.fp[i]
 	}
-	var gone []int
-	for si, s := range d.st.slots {
+	var dl placer.Delta
+	var retired []string
+	for si, s := range st.slots {
 		if s.Retired {
 			continue
 		}
-		di, ok := desiredAt[s.Name]
-		if ok && vs.fp[di] == s.FP {
+		liveFP[s.Name] = s.FP
+		if fp, ok := desiredFP[s.Name]; !ok || fp != s.FP {
+			dl.Retire = append(dl.Retire, si)
+			retired = append(retired, s.Name)
+		}
+	}
+	in := st.in
+	var admitted []slotState
+	var names []string
+	for i, c := range vs.chains {
+		if fp, ok := liveFP[c.Name]; ok && fp == vs.fp[i] {
 			continue
 		}
-		gone = append(gone, si)
+		if admitted == nil {
+			grown := *st.in
+			grown.Chains = append([]*nfgraph.Graph(nil), st.in.Chains...)
+			in = &grown
+		}
+		dl.Admit = append(dl.Admit, len(in.Chains))
+		in.Chains = append(in.Chains, vs.graphs[i])
+		admitted = append(admitted, slotState{Name: c.Name, FP: vs.fp[i]})
+		names = append(names, c.Name)
 	}
-	if len(gone) > 0 {
-		nextRes, err := placer.Retire(d.st.res, d.st.in, gone)
-		if err != nil {
-			return mutated, fmt.Errorf("retire: %w", err)
-		}
-		if _, err := d.st.dep.RetireChains(nextRes, gone); err != nil {
-			return mutated, fmt.Errorf("retire rewire: %w", err)
-		}
-		d.st.res = nextRes
-		for _, si := range gone {
-			d.st.slots[si].Retired = true
-			rr.Retired = append(rr.Retired, d.st.slots[si].Name)
-		}
-		mutated = true
-	}
-
-	// Admits: every desired chain without a live, fingerprint-matching slot
-	// joins as a contiguous tail of new slots, in desired-spec order.
-	activeFP := map[string]string{}
-	for _, s := range d.st.slots {
-		if !s.Retired {
-			activeFP[s.Name] = s.FP
-		}
-	}
-	var add []int
-	for i, c := range vs.chains {
-		if fp, ok := activeFP[c.Name]; !ok || fp != vs.fp[i] {
-			add = append(add, i)
-		}
-	}
-	admittedNow := false
-	if len(add) > 0 {
-		nOld := len(d.st.in.Chains)
-		grown := *d.st.in
-		grown.Chains = make([]*nfgraph.Graph, nOld, nOld+len(add))
-		copy(grown.Chains, d.st.in.Chains)
-		var newIdx []int
-		var names []string
-		for _, di := range add {
-			newIdx = append(newIdx, len(grown.Chains))
-			grown.Chains = append(grown.Chains, vs.graphs[di])
-			names = append(names, vs.chains[di].Name)
-		}
-		arep, err := placer.Admit(d.st.res, &grown, newIdx)
-		if err != nil {
-			return mutated, fmt.Errorf("admit %v: %w", names, err)
-		}
-		switch arep.Outcome {
-		case placer.AdmitIncremental:
-			if _, err := d.st.dep.AdmitChains(&grown, arep.Result, newIdx); err != nil {
-				return mutated, fmt.Errorf("admit rewire %v: %w", names, err)
-			}
-			d.st.in = &grown
-			d.st.res = arep.Result
-			for _, di := range add {
-				d.st.slots = append(d.st.slots, slotState{Name: vs.chains[di].Name, FP: vs.fp[di]})
-			}
-			rr.Admitted = append(rr.Admitted, names...)
-			rr.PinnedSubgroups += arep.PinnedSubgroups
-			admittedNow, mutated = true, true
-		case placer.AdmitRepack:
-			if !d.cfg.AllowRepack {
-				return mutated, fmt.Errorf("admitting %v needs a full repack (%s); repacks are disabled (-allow-repack)",
-					names, arep.IncrementalReason)
-			}
-			if len(d.st.dead) > 0 {
-				return mutated, fmt.Errorf("admitting %v needs a full repack but %d devices have failed; a repack would re-place onto dead hardware",
-					names, len(d.st.dead))
-			}
-			if err := d.applyRepackLocked(vs, arep, add, nOld, rr); err != nil {
-				return mutated, err
-			}
-			rr.Admitted = append(rr.Admitted, names...)
-			admittedNow, mutated = true, true
-		default:
-			return mutated, fmt.Errorf("admitting %v infeasible: %s", names, arep.IncrementalReason)
-		}
-	}
-
-	// Failures last: Replace sees the final chain set of the pass, so a
-	// chain admitted above that landed on a dead device is moved in the
-	// same pass. Skipped entirely when no new failures arrived and no
-	// admission could have touched dead hardware — Replace with an empty
-	// diff would still mint a fresh Result and break idempotence.
 	target := d.targetFailuresLocked()
 	var newFail []string
 	for _, n := range target {
-		if !d.st.handled[n] {
+		if !st.handled[n] {
 			newFail = append(newFail, n)
 		}
 	}
-	if len(newFail) > 0 || (admittedNow && len(d.st.dead) > 0) {
-		failed := placer.NewNodeSet(target...)
-		prev := d.st.res
-		nextRes, err := placer.Replace(prev, d.st.in, failed)
-		if err != nil {
-			return mutated, fmt.Errorf("re-placement after failure of %v: %w", target, err)
+	if len(dl.Retire)+len(dl.Admit)+len(newFail) == 0 {
+		return mutated, nil
+	}
+	dl.Failed = placer.NewNodeSet(target...)
+	dead := dl.Failed.Expand(st.topo)
+
+	rep, err := placer.Reconfigure(st.res, in, dl)
+	var admitErr error
+	if err == nil && len(dl.Admit) > 0 {
+		switch {
+		case rep.Outcome == placer.AdmitIncremental:
+		case rep.Outcome == placer.AdmitInfeasible:
+			admitErr = fmt.Errorf("admitting %v infeasible: %s", names, rep.IncrementalReason)
+		case !d.cfg.AllowRepack:
+			admitErr = fmt.Errorf("admitting %v needs a full repack (%s); repacks are disabled (-allow-repack)",
+				names, rep.IncrementalReason)
+		case len(dead) > 0:
+			admitErr = fmt.Errorf("admitting %v needs a full repack but %d devices have failed; the slot table assumes the full rack",
+				names, len(dead))
 		}
-		dead := failed.Expand(d.st.in.Topo)
-		affected := placer.AffectedChains(d.st.in, prev, dead)
-		if _, err := d.st.dep.Rewire(nextRes, affected); err != nil {
-			return mutated, fmt.Errorf("failure rewire: %w", err)
-		}
-		d.st.res = nextRes
-		d.st.dead = dead
-		for _, n := range newFail {
-			d.st.handled[n] = true
-		}
-		rr.Replaced = newFail
-		mutated = true
-		if len(newFail) > 0 && !d.replaying {
-			d.appendSnapshotLocked(snapEntry{Kind: snapFailures, Nodes: newFail})
+		if admitErr != nil {
+			if len(dl.Retire)+len(newFail) == 0 {
+				return mutated, admitErr
+			}
+			in, dl.Admit, admitted, names = st.in, nil, nil, nil
+			rep, err = placer.Reconfigure(st.res, in, dl)
 		}
 	}
+	if err != nil {
+		return mutated, fmt.Errorf("reconfigure: %w", err)
+	}
 
-	return mutated, nil
+	switch rep.Outcome {
+	case placer.AdmitIncremental:
+		if _, err := st.dep.Apply(in, rep.Result, dl); err != nil {
+			return mutated, fmt.Errorf("apply: %w", err)
+		}
+		st.in, st.res = in, rep.Result
+		for _, si := range dl.Retire {
+			st.slots[si].Retired = true
+		}
+		st.slots = append(st.slots, admitted...)
+		if len(dl.Admit) > 0 {
+			rr.PinnedSubgroups = rep.PinnedSubgroups
+		}
+	case placer.AdmitRepack:
+		// An allowed repack: every chain's dataplane state moves and the slot
+		// table is rebuilt from the repack's chain mapping — retired slots are
+		// compacted away, so slot indices (and SPI ranges) change.
+		all := append(st.slots[:len(st.slots):len(st.slots)], admitted...)
+		slots := make([]slotState, len(rep.RepackChains))
+		for j, orig := range rep.RepackChains {
+			slots[j] = all[orig]
+		}
+		if err := d.deployLocked("repack", rep.RepackInput, rep.Repack, slots); err != nil {
+			return mutated, err
+		}
+		rr.Repacked = true
+	default:
+		return mutated, fmt.Errorf("re-placement (retiring %v, failed %v): %w", retired, target, rep.Err())
+	}
+	rr.Admitted = append(rr.Admitted, names...)
+	rr.Retired = retired
+	rr.Replaced = newFail
+	st.dead = dead
+	for _, n := range newFail {
+		st.handled[n] = true
+	}
+	if len(newFail) > 0 && !d.replaying {
+		d.appendSnapshotLocked(snapEntry{Kind: snapFailures, Nodes: newFail})
+	}
+	return true, admitErr
 }
 
-// applyRepackLocked applies a full-repack admission verdict: the whole
-// deployment is recompiled from the repack placement (every chain's
-// dataplane state moves) and the slot table is rebuilt from the repack's
-// chain mapping — retired slots are compacted away, so slot indices (and
-// SPI ranges) change. Only reachable with Config.AllowRepack and no failed
-// devices.
-func (d *Daemon) applyRepackLocked(vs *validSpec, arep *placer.AdmitReport, add []int, nOld int, rr *ReconcileResult) error {
-	dep, err := metacompiler.Compile(arep.RepackInput, arep.Repack)
+// deployLocked compiles a whole-rack placement and makes it the actual
+// state with the given slot table: the common tail of the first apply and
+// of an allowed repack. Every chain's dataplane state is (re)built.
+func (d *Daemon) deployLocked(what string, in *placer.Input, res *placer.Result, slots []slotState) error {
+	dep, err := metacompiler.Compile(in, res)
 	if err != nil {
-		return fmt.Errorf("repack compile: %w", err)
+		return fmt.Errorf("%s compile: %w", what, err)
 	}
-	newSlots := make([]slotState, len(arep.RepackChains))
-	for j, orig := range arep.RepackChains {
-		if orig < nOld {
-			newSlots[j] = slotState{Name: d.st.slots[orig].Name, FP: d.st.slots[orig].FP}
-		} else {
-			di := add[orig-nOld]
-			newSlots[j] = slotState{Name: vs.chains[di].Name, FP: vs.fp[di]}
+	if d.st == nil {
+		d.st = &actualState{
+			topo:    in.Topo,
+			handled: map[string]bool{},
+			dead:    placer.NodeSet{},
+			hwKey:   hardwareKey(d.desired.spec),
 		}
 	}
-	d.st.in = arep.RepackInput
-	d.st.res = arep.Repack
-	d.st.dep = dep
-	d.st.slots = newSlots
-	rr.Repacked = true
+	d.st.in, d.st.res, d.st.dep, d.st.slots = in, res, dep, slots
 	return nil
 }

@@ -38,7 +38,7 @@ type Spec struct {
 
 	// FailedNodes declares devices (servers or SmartNICs, by topology name)
 	// the operator knows to be dead. The reconcile loop drives
-	// placer.Replace to move affected chains off them. Declared failures
+	// placer.Reconfigure to move affected chains off them. Declared failures
 	// are cumulative with failures injected via POST /v1/fail and with the
 	// daemon's chaos plan; a node never returns to service within one
 	// daemon lifetime.

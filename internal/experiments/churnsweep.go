@@ -125,9 +125,9 @@ func (r *Runner) churnStep(full *placer.Input, nBase, chainIdx int, scheme place
 	st.BaseFeasible = prev.Feasible
 	if prev.Feasible {
 		grownIn := *full
-		grownIn.Chains = full.Chains[:nBase+1 : nBase+1]
+		grownIn.Chains = full.Chains[: nBase+1 : nBase+1]
 		grownIn.HeadroomCores = r.Headroom
-		rep, err := placer.Admit(prev, &grownIn, []int{nBase})
+		rep, err := placer.Reconfigure(prev, &grownIn, placer.Delta{Admit: []int{nBase}})
 		if err != nil {
 			return st, err
 		}
@@ -144,7 +144,7 @@ func (r *Runner) churnStep(full *placer.Input, nBase, chainIdx int, scheme place
 	}
 
 	fullIn := *full
-	fullIn.Chains = full.Chains[:nBase+1 : nBase+1]
+	fullIn.Chains = full.Chains[: nBase+1 : nBase+1]
 	fullIn.HeadroomCores = r.Headroom
 	start := time.Now()
 	fres, err := placer.Place(scheme, &fullIn)

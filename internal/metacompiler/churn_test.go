@@ -152,6 +152,38 @@ func TestAdmitChainsValidation(t *testing.T) {
 		!strings.Contains(err.Error(), "chains") {
 		t.Fatalf("wrong chain count must fail, got %v", err)
 	}
+
+	// A call rejected for its result — the last thing checked — must leave
+	// the deployment as it was: the valid call that follows still sees its
+	// own chain prefix and lands.
+	newChains, err := nfspec.Parse(churnAdmitSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := nfgraph.Build(newChains[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	grown.Chains = append(grown.Chains, g)
+	paths, entries := len(d.ChainPaths), d.Switch.EntryCount()
+	for name, bad := range map[string]*placer.Result{
+		"infeasible":  {Reason: "synthetic"},
+		"short rates": d.Result, // covers two chains, the grown input has three
+	} {
+		if _, err := d.AdmitChains(&grown, bad, []int{2}); err == nil {
+			t.Fatalf("%s result must fail", name)
+		}
+		if d.Input != in || len(d.ChainPaths) != paths || d.Switch.EntryCount() != entries {
+			t.Fatalf("rejected call (%s result) changed the deployment", name)
+		}
+	}
+	rep, err := placer.Admit(d.Result, &grown, []int{2})
+	if err != nil || rep.Outcome != placer.AdmitIncremental {
+		t.Fatalf("admit: %v %+v", err, rep)
+	}
+	if _, err := d.AdmitChains(&grown, rep.Result, []int{2}); err != nil {
+		t.Fatalf("valid call after a rejected one: %v", err)
+	}
 }
 
 // TestRetireChainsReclaims: retiring a chain removes exactly its switch

@@ -77,9 +77,11 @@ func Compile(in *placer.Input, res *placer.Result) (*Deployment, error) {
 	}
 	d.ChainPaths = paths
 
-	insts, err := instantiate(in)
-	if err != nil {
-		return nil, err
+	insts := make(map[*nfgraph.Node]nf.NF)
+	for _, g := range in.Chains {
+		if err := instantiate(insts, g); err != nil {
+			return nil, err
+		}
 	}
 
 	cores, err := assignCores(in, res)
@@ -110,21 +112,18 @@ func Compile(in *placer.Input, res *placer.Result) (*Deployment, error) {
 	return d, nil
 }
 
-// instantiate builds one NF instance per graph node (shared across every
-// platform entry that references the node, so NF state behaves like one
-// deployment).
-func instantiate(in *placer.Input) (map[*nfgraph.Node]nf.NF, error) {
-	out := make(map[*nfgraph.Node]nf.NF)
-	for _, g := range in.Chains {
-		for _, n := range g.Order {
-			inst, err := nf.New(n.Class(), g.Chain.Name+"/"+n.Name(), n.Inst.Params)
-			if err != nil {
-				return nil, fmt.Errorf("metacompiler: %w", err)
-			}
-			out[n] = inst
+// instantiate adds one fresh NF instance per node of chain g to insts (an
+// instance is shared across every platform entry that references its node,
+// so NF state behaves like one deployment).
+func instantiate(insts map[*nfgraph.Node]nf.NF, g *nfgraph.Graph) error {
+	for _, n := range g.Order {
+		inst, err := nf.New(n.Class(), g.Chain.Name+"/"+n.Name(), n.Inst.Params)
+		if err != nil {
+			return fmt.Errorf("metacompiler: %w", err)
 		}
+		insts[n] = inst
 	}
-	return out, nil
+	return nil
 }
 
 // coreAssignment maps each placer subgroup to concrete core shares.

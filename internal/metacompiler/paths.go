@@ -57,7 +57,7 @@ func buildServicePaths(in *placer.Input) ([][]*ServicePath, error) {
 
 // chainServicePaths builds one chain's service paths for slot ci. The SPI
 // range is a pure function of the slot index, so paths for a chain admitted
-// later (AdmitChains) are identical to what a from-scratch Compile at the
+// later (Apply) are identical to what a from-scratch Compile at the
 // same slot would produce.
 func chainServicePaths(g *nfgraph.Graph, ci int) ([]*ServicePath, error) {
 	paths := g.Paths()

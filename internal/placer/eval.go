@@ -56,14 +56,22 @@ func newChainTemplate(in *Input, ci int, g *nfgraph.Graph, assign map[*nfgraph.N
 		}
 		t.subs[1] = computeSubgroupsSplit(in, ci, g, assign, marks)
 	}
-	for _, sg := range t.subs[0] {
+	t.demand = in.tminDemand(g, t.subs[0])
+	return t
+}
+
+// tminDemand projects the cores a chain's subgroups need to carry its t_min:
+// what both server binders (bindServers, bindReplaced) rank chains by.
+func (in *Input) tminDemand(g *nfgraph.Graph, subs []*Subgroup) int {
+	demand := 0
+	for _, sg := range subs {
 		if sg.Replicable {
-			t.demand += in.coresToMeet(sg, g.Chain.SLO.TMinBps)
+			demand += in.coresToMeet(sg, g.Chain.SLO.TMinBps)
 		} else {
-			t.demand++
+			demand++
 		}
 	}
-	return t
+	return demand
 }
 
 // candidate is one placement to evaluate: a template per chain and the
@@ -116,7 +124,7 @@ func bindServers(in *Input, tmpls []*chainTemplate) []int {
 
 // evalScratch is one evaluation slot's working memory: the candidate in
 // dense form, the Result under evaluation, the core ledger and the LP rows.
-// A Place (or Replace, Admit, Retire) call owns its scratches; nothing here
+// A Place (or Reconfigure) call owns its scratches; nothing here
 // outlives the call or is shared between calls, and a Result handed to the
 // caller never aliases it (see materialise).
 type evalScratch struct {

@@ -78,7 +78,7 @@ type Input struct {
 
 	// HeadroomCores withholds this many worker cores per server from the
 	// discretionary spare-core pour, so an online deployment keeps budget
-	// free for future Admit calls. Raising subgroups to t_min may still
+	// free for future admissions. Raising subgroups to t_min may still
 	// consume the reserve (feasibility comes first); only the
 	// throughput-maximizing extra cores honor it. 0 reserves nothing, which
 	// matches the paper's offline placement.
@@ -198,7 +198,7 @@ type Result struct {
 	// Stages is the PISA compiler's verdict for this placement.
 	Stages int
 
-	// Retired marks chain slots that have been retired by Retire. A chain's
+	// Retired marks chain slots that Reconfigure has retired. A chain's
 	// index determines its SPI range and downstream pointer-keyed state, so
 	// retiring keeps the slot (the chain stays in Input.Chains) but removes
 	// every assignment and resource: retired slots contribute no subgroups,

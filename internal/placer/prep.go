@@ -21,10 +21,10 @@ import (
 // (which depends on the switch only, so it survives a change of servers).
 //
 // ensurePrep installs a prep that matches the input at every entry point
-// (Place, Replace, Admit, Retire, ReEvaluate, and the heuristic, for the
+// (Place, Reconfigure, ReEvaluate, and the heuristic, for the
 // ablations that copy an Input and swap its cost database), so the
 // evaluation path indexes it without validating. A changed topology keeps
-// the chain half: Replace's reduced topology costs one small index, not a
+// the chain half: Reconfigure's reduced topology costs one small index, not a
 // second pass over the cost database.
 type inputPrep struct {
 	*chainPrep

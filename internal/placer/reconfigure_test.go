@@ -1,0 +1,188 @@
+package placer
+
+import (
+	"math/rand"
+	"testing"
+
+	"lemur/internal/hw"
+	"lemur/internal/nfgraph"
+	"lemur/internal/nfspec"
+	"lemur/internal/profile"
+)
+
+// combinedDraw is one seeded (topology, chain set, delta) draw: a rack of
+// 2-4 servers running nBase chains, and one delta that retires one of them,
+// admits a tail of one or two more and fails a device, all at once.
+type combinedDraw struct {
+	baseIn, grownIn *Input
+	delta           Delta
+}
+
+func drawCombined(t *testing.T, rng *rand.Rand) combinedDraw {
+	t.Helper()
+	opts := []hw.TestbedOption{hw.WithServers(2 + rng.Intn(3))}
+	if rng.Intn(2) == 0 {
+		opts = append(opts, hw.WithSmartNIC())
+	}
+	topo := hw.NewPaperTestbed(opts...)
+	nBase, nAdmit := 2+rng.Intn(2), 1+rng.Intn(2)
+	src := ""
+	for c := 0; c < nBase+nAdmit; c++ {
+		src += randomChainSpec(rng, c)
+	}
+	chains, err := nfspec.Parse(src)
+	if err != nil {
+		t.Fatalf("%v\n%s", err, src)
+	}
+	grown := &Input{Topo: topo, DB: profile.DefaultDB(), Restrict: evalRestrict, HeadroomCores: 2 + rng.Intn(3)}
+	for _, ch := range chains {
+		g, err := nfgraph.Build(ch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		grown.Chains = append(grown.Chains, g)
+	}
+	d := combinedDraw{baseIn: prefixInput(grown, nBase), grownIn: grown}
+	d.delta.Retire = []int{rng.Intn(nBase)}
+	for ci := nBase; ci < nBase+nAdmit; ci++ {
+		d.delta.Admit = append(d.delta.Admit, ci)
+	}
+	victim := topo.Servers[rng.Intn(len(topo.Servers))].Name
+	if len(topo.SmartNICs) > 0 && rng.Intn(3) == 0 {
+		victim = topo.SmartNICs[0].Name
+	}
+	d.delta.Failed = NewNodeSet(victim)
+	return d
+}
+
+// nicUsesByChain groups a result's NIC-use pointers by chain slot.
+func nicUsesByChain(uses []*NICUse) map[int][]*NICUse {
+	out := map[int][]*NICUse{}
+	for _, u := range uses {
+		out[u.ChainIdx] = append(out[u.ChainIdx], u)
+	}
+	return out
+}
+
+// TestReconfigureCombinedDelta: over 80 seeded draws where ONE call retires
+// a chain, admits a tail and fails a device, every untouched chain keeps its
+// *Subgroup and *NICUse pointers and its assignments, nothing lands on a dead
+// device, the retired slot is stripped and every running chain holds t_min —
+// and whenever the three-call composition Retire → Admit → Replace finds a
+// placement, so does the single call. Marginal throughput is compared in
+// aggregate over the draws, not per draw: both are greedy (spare cores go to
+// the touched chains one after another — in index order here, in event order
+// there), so each wins some draws; the one call must give up nothing overall.
+func TestReconfigureCombinedDelta(t *testing.T) {
+	rng := rand.New(rand.NewSource(150915))
+	incremental, sequentialOK := 0, 0
+	singleSum, sequentialSum := 0.0, 0.0
+	for trial := 0; trial < 80; trial++ {
+		d := drawCombined(t, rng)
+		prev, err := Place(SchemeLemur, d.baseIn)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if !prev.Feasible {
+			continue
+		}
+		snap := snapshotSubgroups(prev.Subgroups)
+		prevAssign := cloneAssign(prev.Assign)
+		dead := d.delta.Failed.Expand(d.grownIn.Topo)
+
+		rep, err := Reconfigure(prev, d.grownIn, d.delta)
+		if err != nil {
+			t.Fatalf("trial %d: Reconfigure: %v", trial, err)
+		}
+		verifySnapshot(t, trial, prev.Subgroups, snap) // prev untouched, whatever the verdict
+
+		// The composition the single call replaces, through the old doors.
+		var seq *Result
+		if r1, err := Retire(prev, d.baseIn, d.delta.Retire); err == nil {
+			if a, err := Admit(r1, d.grownIn, d.delta.Admit); err == nil && a.Outcome == AdmitIncremental {
+				seq, _ = Replace(a.Result, d.grownIn, d.delta.Failed)
+			}
+		}
+		if seq != nil {
+			sequentialOK++
+			if rep.Outcome != AdmitIncremental {
+				t.Errorf("trial %d: sequential composition feasible but the single call is %s (%s)",
+					trial, rep.Outcome, rep.IncrementalReason)
+				continue
+			}
+			singleSum += rep.Result.Marginal
+			sequentialSum += seq.Marginal
+		}
+		if rep.Outcome != AdmitIncremental {
+			if rep.IncrementalReason == "" {
+				t.Errorf("trial %d: %s verdict without a reason", trial, rep.Outcome)
+			}
+			continue
+		}
+		incremental++
+		next := rep.Result
+
+		touched := map[int]bool{d.delta.Retire[0]: true}
+		for _, ci := range AffectedChains(d.baseIn, prev, dead) {
+			touched[ci] = true
+		}
+		prevSubs, nextSubs := subgroupsByChain(prev.Subgroups), subgroupsByChain(next.Subgroups)
+		prevNICs, nextNICs := nicUsesByChain(prev.NICUses), nicUsesByChain(next.NICUses)
+		for ci := range d.baseIn.Chains {
+			if touched[ci] {
+				continue
+			}
+			if len(prevSubs[ci]) != len(nextSubs[ci]) || len(prevNICs[ci]) != len(nextNICs[ci]) {
+				t.Fatalf("trial %d: untouched chain %d changed shape", trial, ci)
+			}
+			for i, sg := range prevSubs[ci] {
+				if nextSubs[ci][i] != sg {
+					t.Errorf("trial %d: untouched chain %d subgroup %d is a different object", trial, ci, i)
+				}
+			}
+			for i, u := range prevNICs[ci] {
+				if nextNICs[ci][i] != u {
+					t.Errorf("trial %d: untouched chain %d NIC use %d is a different object", trial, ci, i)
+				}
+			}
+			for _, n := range d.baseIn.Chains[ci].Order {
+				if next.Assign[n] != prevAssign[n] {
+					t.Errorf("trial %d: untouched chain %d node %s moved", trial, ci, n.Name())
+				}
+			}
+		}
+
+		gone := d.delta.Retire[0]
+		if !next.IsRetired(gone) || next.ChainRates[gone] != 0 || len(nextSubs[gone])+len(nextNICs[gone]) != 0 {
+			t.Errorf("trial %d: retired slot %d not stripped", trial, gone)
+		}
+		for _, n := range d.baseIn.Chains[gone].Order {
+			if _, ok := next.Assign[n]; ok {
+				t.Errorf("trial %d: retired node %s still assigned", trial, n.Name())
+			}
+		}
+		for n, a := range next.Assign {
+			if a.Device != "" && dead[a.Device] {
+				t.Errorf("trial %d: node %s assigned to dead device %s", trial, n.Name(), a.Device)
+			}
+		}
+		for _, sg := range next.Subgroups {
+			if dead[sg.Server] {
+				t.Errorf("trial %d: subgroup %s on dead server %s", trial, sg.Name(), sg.Server)
+			}
+		}
+		for ci, g := range d.grownIn.Chains {
+			if tmin := g.Chain.SLO.TMinBps; ci != gone && next.ChainRates[ci] < tmin*(1-1e-9) {
+				t.Errorf("trial %d: chain %d below t_min: %g < %g", trial, ci, next.ChainRates[ci], tmin)
+			}
+		}
+	}
+	if singleSum < 0.99*sequentialSum {
+		t.Errorf("single calls' marginal %.4g bps falls short of the sequential compositions' %.4g bps over %d draws",
+			singleSum, sequentialSum, sequentialOK)
+	}
+	if incremental < 30 || sequentialOK < 20 {
+		t.Fatalf("%d incremental verdicts, %d feasible sequential compositions; property under-exercised",
+			incremental, sequentialOK)
+	}
+}

@@ -94,14 +94,18 @@ func splitMarks(subs []*Subgroup) []*nfgraph.Node {
 	return marks
 }
 
-// splitBreaks collects every chain's split marks under a whole-input
-// assignment as a Result.Breaks map (nil when there are none).
-func splitBreaks(in *Input, assign map[*nfgraph.Node]Assign) map[*nfgraph.Node]bool {
+// splitBreaks returns base plus the given chains' split marks under a
+// whole-input assignment, as a Result.Breaks map — or nil when those chains
+// have no marks. base is not written.
+func splitBreaks(in *Input, assign map[*nfgraph.Node]Assign, chains []int, base map[*nfgraph.Node]bool) map[*nfgraph.Node]bool {
 	var breaks map[*nfgraph.Node]bool
-	for ci, g := range in.Chains {
-		for _, n := range splitMarks(computeSubgroups(in, ci, g, assign)) {
+	for _, ci := range chains {
+		for _, n := range splitMarks(computeSubgroups(in, ci, in.Chains[ci], assign)) {
 			if breaks == nil {
-				breaks = make(map[*nfgraph.Node]bool)
+				breaks = make(map[*nfgraph.Node]bool, len(base)+1)
+				for b := range base {
+					breaks[b] = true
+				}
 			}
 			breaks[n] = true
 		}

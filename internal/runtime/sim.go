@@ -71,15 +71,15 @@ type SimConfig struct {
 	// Faults is an optional deterministic fault-injection schedule. Crashes
 	// drop the dead device's in-flight packets, blackhole traffic steered at
 	// it during the detection+reconfiguration window, then trigger an
-	// incremental re-placement (placer.Replace) and steering rewire
-	// (Deployment.Rewire) mid-run. A nil or empty plan schedules nothing:
+	// incremental re-placement (placer.Reconfigure) and steering rewire
+	// (Deployment.Apply) mid-run. A nil or empty plan schedules nothing:
 	// the run is byte-identical to one without the field.
 	Faults *chaos.Plan
 
 	// Churn is an optional deterministic chain-churn schedule: admissions
 	// and retirements requested at simulated times, each landing after the
 	// same detection+reconfiguration window chaos uses. Admissions run the
-	// incremental placer.Admit → Deployment.AdmitChains path mid-run (only
+	// same placer.Reconfigure → Deployment.Apply path mid-run (only
 	// pin-preserving verdicts are applied; full-repack answers are recorded
 	// as rejections); retirements stop the chain's offered load at the
 	// request and reclaim its resources at the landing. A nil or empty plan

@@ -83,14 +83,7 @@ func (eng *simEngine) applyDue(now float64) error {
 	for len(rc.pending) > 0 && due(rc.pending[0].atSec, now) {
 		ld := rc.pending[0]
 		rc.pending = rc.pending[1:]
-		land := eng.landRetire
-		switch {
-		case ld.churn == nil:
-			land = eng.landRewire
-		case ld.churn.Kind == churn.Admit:
-			land = eng.landAdmit
-		}
-		rewired, err := land(ld)
+		rewired, err := eng.land(ld)
 		if err != nil {
 			return err
 		}
@@ -164,31 +157,74 @@ func (eng *simEngine) applyFault(ev *chaos.Event) {
 	}
 }
 
-// landRewire runs the incremental Replace→Rewire for every crash so far.
-// A failed re-placement is recorded, not returned: the severed chains stay
-// down and the post window restarts regardless.
-func (eng *simEngine) landRewire(ld landing) (bool, error) {
+// land applies one matured reconfiguration — the repair of every crash so
+// far, an admission or a retirement — through the one incremental door:
+// placer.Reconfigure against the then-current deployment (so overlapping
+// events always see fresh state), then Deployment.Apply for a pin-preserving
+// verdict. The kinds differ only in their bookkeeping. A failed re-placement
+// after a crash is recorded, not returned: the severed chains stay down and
+// the post window restarts regardless. An admission that does not fit with
+// pins is recorded as a rejection, never a disruptive mid-run repack.
+func (eng *simEngine) land(ld landing) (bool, error) {
 	rc, d := eng.rc, eng.tb.D
-	affected := placer.AffectedChains(d.Input, d.Result, rc.dead)
-	nextRes, err := placer.Replace(d.Result, d.Input, rc.failed)
-	var rep *metacompiler.RewireReport
-	if err == nil {
-		rep, err = d.Rewire(nextRes, affected)
-	}
-	if err != nil {
-		rc.fo.ReplaceError = err.Error()
-		rc.markPost(ld.atSec, eng.res.Egressed)
-		return false, nil
-	}
-	rc.fo.RewireSummary = rep.String()
-	for _, ci := range affected {
-		if c := &rc.chains[ci]; c.downSince >= 0 {
-			c.downtime += ld.atSec - c.downSince
-			c.downSince = -1
+	in, dl := d.Input, placer.Delta{Failed: rc.failed}
+	nOld := len(in.Chains)
+	ev := ld.churn // nil for a crash repair
+	switch {
+	case ev != nil && ev.Kind == churn.Retire:
+		dl.Retire = []int{ld.slot}
+	case ev != nil:
+		if eng.liveSlot(ev.Chain) >= 0 {
+			rc.reject(ev, "chain already running")
+			return false, nil
 		}
+		grown := *in
+		grown.Chains = append(append(make([]*nfgraph.Graph, 0, nOld+1), in.Chains...), rc.catalog[ev.Chain])
+		in, dl.Admit = &grown, []int{nOld}
 	}
-	obs.C("lemur_sim_failovers_total").Inc()
-	return true, nil
+	rep, err := placer.Reconfigure(d.Result, in, dl)
+	solved := err == nil && rep.Outcome == placer.AdmitIncremental
+	var rw *metacompiler.RewireReport
+	if solved {
+		rw, err = d.Apply(in, rep.Result, dl)
+	} else if err == nil {
+		err = rep.Err()
+	}
+
+	switch {
+	case ev == nil:
+		if err != nil {
+			rc.fo.ReplaceError = err.Error()
+			rc.markPost(ld.atSec, eng.res.Egressed)
+			return false, nil
+		}
+		rc.fo.RewireSummary = rw.String()
+		for _, ci := range rep.Affected {
+			if c := &rc.chains[ci]; c.downSince >= 0 {
+				c.downtime += ld.atSec - c.downSince
+				c.downSince = -1
+			}
+		}
+		obs.C("lemur_sim_failovers_total").Inc()
+		return true, nil
+	case !solved && ev.Kind == churn.Admit:
+		reason := err.Error()
+		if rep != nil {
+			reason = rep.Outcome.String() + ": " + rep.IncrementalReason
+		}
+		rc.reject(ev, reason)
+		return false, nil
+	case err != nil:
+		return false, err
+	}
+	rc.ch.RewireSummaries = append(rc.ch.RewireSummaries, rw.String())
+	if ev.Kind == churn.Retire {
+		rc.chains[ld.slot].retiredAt = ld.atSec
+		obs.C("lemur_sim_retirements_total").Inc()
+		return true, nil
+	}
+	obs.C("lemur_sim_admissions_total").Inc()
+	return true, eng.addChains(rep.Result.ChainRates[nOld:], ev.AtSec, ld.atSec)
 }
 
 // liveSlot resolves a chain name to its running (non-retired) slot in
@@ -222,57 +258,4 @@ func (eng *simEngine) requestChurn(ev *churn.Event) {
 		eng.offered[ld.slot] = 0
 	}
 	rc.pending = append(rc.pending, ld)
-}
-
-// landAdmit solves an admission against the then-current deployment
-// (placer.Admit) and, for a pin-preserving verdict, installs it. Anything
-// else is recorded as a rejection, never a disruptive mid-run repack.
-func (eng *simEngine) landAdmit(ld landing) (bool, error) {
-	rc, d, name := eng.rc, eng.tb.D, ld.churn.Chain
-	if eng.liveSlot(name) >= 0 {
-		rc.reject(ld.churn, "chain already running")
-		return false, nil
-	}
-	nOld := len(d.Input.Chains)
-	grown := *d.Input
-	grown.Chains = make([]*nfgraph.Graph, nOld+1)
-	copy(grown.Chains, d.Input.Chains)
-	grown.Chains[nOld] = rc.catalog[name]
-	arep, err := placer.Admit(d.Result, &grown, []int{nOld})
-	if err != nil {
-		rc.reject(ld.churn, err.Error())
-		return false, nil
-	}
-	if arep.Outcome != placer.AdmitIncremental {
-		reason := arep.Outcome.String()
-		if arep.IncrementalReason != "" {
-			reason += ": " + arep.IncrementalReason
-		}
-		rc.reject(ld.churn, reason)
-		return false, nil
-	}
-	rep, err := d.AdmitChains(&grown, arep.Result, []int{nOld})
-	if err != nil {
-		return false, err
-	}
-	rc.ch.RewireSummaries = append(rc.ch.RewireSummaries, rep.String())
-	obs.C("lemur_sim_admissions_total").Inc()
-	return true, eng.addChains(arep.Result.ChainRates[nOld:nOld+1], ld.churn.AtSec, ld.atSec)
-}
-
-// landRetire reclaims a retired chain's resources.
-func (eng *simEngine) landRetire(ld landing) (bool, error) {
-	rc, d := eng.rc, eng.tb.D
-	nextRes, err := placer.Retire(d.Result, d.Input, []int{ld.slot})
-	if err != nil {
-		return false, err
-	}
-	rep, err := d.RetireChains(nextRes, []int{ld.slot})
-	if err != nil {
-		return false, err
-	}
-	rc.ch.RewireSummaries = append(rc.ch.RewireSummaries, rep.String())
-	rc.chains[ld.slot].retiredAt = ld.atSec
-	obs.C("lemur_sim_retirements_total").Inc()
-	return true, nil
 }

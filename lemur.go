@@ -146,7 +146,7 @@ func WithSchedPolicy(policy string) Option {
 
 // WithAdmissionHeadroom reserves cores worker cores per server that the
 // placer's throughput-maximizing spare-core pour will not touch, keeping
-// budget free for chains admitted later (SimulateChurn, placer.Admit). The
+// budget free for chains admitted later (SimulateChurn, placer.Reconfigure). The
 // reserve is discretionary: raising a chain to its t_min SLO may still use
 // the cores. The default 0 matches the paper's offline placement, which
 // spends every core on marginal throughput.
@@ -450,7 +450,7 @@ type ChurnOutcome struct {
 // loaded into the System but are held out of the initial deployment: the run
 // starts with the remaining chains placed and deployed, then each admission
 // lands after the detection+reconfiguration window via the incremental
-// placer.Admit path (pin-preserving only — full-repack verdicts are recorded
+// placer.Reconfigure path (pin-preserving only — full-repack verdicts are recorded
 // as rejections), and each retirement stops the chain's load at the request
 // and reclaims its resources at the landing. Every chain offers loadFactor ×
 // its placed rate; admitted chains offer their admitted rate.
