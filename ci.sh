@@ -196,7 +196,7 @@ run_guard 'TestPlaceScaleSweepDeterministic|TestPlaceScaleSweepExhaustiveReferen
 # sync.Pool drop the LP tableau), a warm candidate evaluation must allocate
 # nothing.
 echo "==> placement golden matrix + Result ownership (race)"
-run_guard 'TestGoldenPlacements|TestGoldenReconfigure|TestResultSharesNoScratchMemory|TestCoreOverflowReasonDeterministic|TestAdmitPinningInvariant|TestReplacePinningInvariant|TestRetirePinningInvariant|TestReconfigureCombinedDelta' \
+run_guard 'TestGoldenPlacements|TestGoldenReconfigure|TestResultSharesNoScratchMemory|TestCoreOverflowReasonDeterministic|TestAdmitPinningInvariant|TestReplacePinningInvariant|TestRetirePinningInvariant|TestReconfigureCombinedDelta|TestPinHistogramCountsCarriedSubgroups' \
   -race -count=1 ./internal/placer
 run_guard 'TestEvaluateCandidateSteadyStateAllocs' -count=1 ./internal/placer
 

@@ -73,14 +73,7 @@ func (d *Deployment) Apply(in *placer.Input, next *placer.Result, dl placer.Delt
 	if err != nil {
 		return nil, err
 	}
-	// Interim: the spans Rewire and RetireChains emitted, so the simulator
-	// golden's snapshots hold until one span replaces them.
-	retireOnly := !dl.Repairs() && len(dl.Admit) == 0
-	name, attr := "metacompiler.rewire", "affected"
-	if retireOnly {
-		name, attr = "metacompiler.retire", "gone"
-	}
-	sp := obs.Span(name)
+	sp := obs.Span("metacompiler.apply")
 	defer sp.End()
 
 	d.ChainPaths = append(d.ChainPaths, paths...)
@@ -121,7 +114,7 @@ func (d *Deployment) Apply(in *placer.Input, next *placer.Result, dl placer.Delt
 			rep.AffectedChains = append(rep.AffectedChains, ci)
 		}
 	}
-	sp.SetAttrInt(attr, len(rep.AffectedChains))
+	sp.SetAttrInt("touched", len(rep.AffectedChains))
 
 	// Retract the touched chains' steering state by SPI range.
 	prevEntries := d.Switch.EntryCount()
@@ -174,7 +167,7 @@ func (d *Deployment) Apply(in *placer.Input, next *placer.Result, dl placer.Delt
 	}
 	// Per-kind counters, once per kind present: a delta that only retires is
 	// not a rewire (nothing is installed).
-	if !retireOnly {
+	if dl.Repairs() || len(dl.Admit) > 0 {
 		obs.C("lemur_rewires_total").Inc()
 	}
 	if len(dl.Admit) > 0 {
@@ -185,11 +178,9 @@ func (d *Deployment) Apply(in *placer.Input, next *placer.Result, dl placer.Delt
 	}
 	obs.C("lemur_rewire_rules_removed_total").Add(uint64(rep.RemovedSwitchEntries + rep.RemovedClassifierRules))
 	obs.C("lemur_rewire_rules_installed_total").Add(uint64(rep.InstalledSwitchEntries + rep.InstalledClassifierRules))
-	sp.SetAttrInt("removed_entries", rep.RemovedSwitchEntries)
-	if !retireOnly {
-		sp.SetAttrInt("installed_entries", rep.InstalledSwitchEntries)
-	}
-	sp.SetAttrInt("kept_entries", rep.KeptSwitchEntries)
+	sp.SetAttrInt("removed_entries", rep.RemovedSwitchEntries).
+		SetAttrInt("installed_entries", rep.InstalledSwitchEntries).
+		SetAttrInt("kept_entries", rep.KeptSwitchEntries)
 	return rep, nil
 }
 

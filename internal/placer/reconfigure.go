@@ -238,15 +238,8 @@ func Reconfigure(prev *Result, in *Input, d Delta) (*Report, error) {
 	if len(d.Retire) > 0 {
 		mRetireCalls.Inc()
 	}
-	// Interim: the spans Admit and Retire emitted, kind by kind, so the
-	// simulator golden's snapshots hold until one span replaces them.
-	var spAdmit, spRetire *obs.ActiveSpan
-	if len(d.Admit) > 0 {
-		spAdmit = obs.Span("placer.admit").SetAttrInt("new_chains", len(d.Admit))
-	}
-	if len(d.Retire) > 0 {
-		spRetire = obs.Span("placer.retire").SetAttrInt("gone_chains", len(d.Retire))
-	}
+	sp := obs.Span("placer.reconfigure").SetAttrInt("admit", len(d.Admit)).
+		SetAttrInt("retire", len(d.Retire)).SetAttrInt("failed", len(d.Failed))
 
 	rep := &Report{}
 	start := time.Now()
@@ -260,9 +253,17 @@ func Reconfigure(prev *Result, in *Input, d Delta) (*Report, error) {
 	switch {
 	case rep.Result != nil:
 		rep.Result.Scheme, rep.Result.PlaceTime = prev.Scheme, rep.IncrementalTime
-		rep.PinnedSubgroups = len(prev.Subgroups)
+		kept := make(map[*Subgroup]bool, len(rep.Result.Subgroups))
+		for _, sg := range rep.Result.Subgroups {
+			kept[sg] = true
+		}
+		for _, sg := range prev.Subgroups {
+			if kept[sg] {
+				rep.PinnedSubgroups++
+			}
+		}
 		if d.Repairs() {
-			mReplacePins.Observe(float64(len(prev.Subgroups) - len(rep.Affected)))
+			mReplacePins.Observe(float64(rep.PinnedSubgroups))
 		}
 		if len(d.Admit) > 0 {
 			mAdmitPins.Observe(float64(rep.PinnedSubgroups))
@@ -275,7 +276,7 @@ func Reconfigure(prev *Result, in *Input, d Delta) (*Report, error) {
 		rep.RepackInput, rep.RepackChains = compactInput(rin, base)
 		full, err := Place(prev.Scheme, rep.RepackInput)
 		if err != nil {
-			spAdmit.SetAttr("error", err.Error()).End()
+			sp.SetAttr("error", err.Error()).End()
 			return nil, err
 		}
 		if full.Feasible {
@@ -287,11 +288,7 @@ func Reconfigure(prev *Result, in *Input, d Delta) (*Report, error) {
 	if len(d.Admit) > 0 {
 		obs.C("lemur_placer_admit_outcome_total", obs.L("outcome", rep.Outcome.String())).Inc()
 	}
-	spAdmit.SetAttr("outcome", rep.Outcome.String()).End()
-	if rep.Result != nil {
-		spRetire.SetAttrInt("pinned_subgroups", len(rep.Result.Subgroups))
-	}
-	spRetire.End()
+	sp.SetAttr("outcome", rep.Outcome.String()).SetAttrInt("pinned_subgroups", rep.PinnedSubgroups).End()
 	return rep, nil
 }
 

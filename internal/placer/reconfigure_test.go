@@ -7,6 +7,7 @@ import (
 	"lemur/internal/hw"
 	"lemur/internal/nfgraph"
 	"lemur/internal/nfspec"
+	"lemur/internal/obs"
 	"lemur/internal/profile"
 )
 
@@ -128,10 +129,12 @@ func TestReconfigureCombinedDelta(t *testing.T) {
 		}
 		prevSubs, nextSubs := subgroupsByChain(prev.Subgroups), subgroupsByChain(next.Subgroups)
 		prevNICs, nextNICs := nicUsesByChain(prev.NICUses), nicUsesByChain(next.NICUses)
+		pinned := 0
 		for ci := range d.baseIn.Chains {
 			if touched[ci] {
 				continue
 			}
+			pinned += len(prevSubs[ci])
 			if len(prevSubs[ci]) != len(nextSubs[ci]) || len(prevNICs[ci]) != len(nextNICs[ci]) {
 				t.Fatalf("trial %d: untouched chain %d changed shape", trial, ci)
 			}
@@ -150,6 +153,9 @@ func TestReconfigureCombinedDelta(t *testing.T) {
 					t.Errorf("trial %d: untouched chain %d node %s moved", trial, ci, n.Name())
 				}
 			}
+		}
+		if rep.PinnedSubgroups != pinned {
+			t.Errorf("trial %d: PinnedSubgroups = %d, want the %d carried by pointer", trial, rep.PinnedSubgroups, pinned)
 		}
 
 		gone := d.delta.Retire[0]
@@ -184,5 +190,47 @@ func TestReconfigureCombinedDelta(t *testing.T) {
 	if incremental < 30 || sequentialOK < 20 {
 		t.Fatalf("%d incremental verdicts, %d feasible sequential compositions; property under-exercised",
 			incremental, sequentialOK)
+	}
+}
+
+// TestPinHistogramCountsCarriedSubgroups: the pinned-subgroups histogram
+// observes subgroups carried by pointer, not prev's subgroups minus the
+// number of severed chains — the two part ways as soon as a severed chain
+// has more than one subgroup, which the draws must include.
+func TestPinHistogramCountsCarriedSubgroups(t *testing.T) {
+	obs.Enable()
+	defer obs.Disable()
+	rng := rand.New(rand.NewSource(253))
+	multi := 0
+	for trial := 0; trial < 60; trial++ {
+		in := buildFailoverInput(t, rng)
+		prev, err := Place(SchemeLemur, in)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if !prev.Feasible {
+			continue
+		}
+		failed := NewNodeSet(in.Topo.Servers[rng.Intn(len(in.Topo.Servers))].Name)
+		before := mReplacePins.Sum()
+		next, err := Replace(prev, in, failed)
+		if err != nil {
+			continue
+		}
+		carried, snap := 0, snapshotSubgroups(prev.Subgroups)
+		for _, sg := range next.Subgroups {
+			if _, ok := snap[sg]; ok {
+				carried++
+			}
+		}
+		if got := mReplacePins.Sum() - before; got != float64(carried) {
+			t.Errorf("trial %d: histogram observed %v, want the %d subgroups carried by pointer", trial, got, carried)
+		}
+		if severed := len(AffectedChains(in, prev, failed.Expand(in.Topo))); len(prev.Subgroups)-severed != carried {
+			multi++
+		}
+	}
+	if multi < 5 {
+		t.Fatalf("only %d draws sever a multi-subgroup chain; property under-exercised", multi)
 	}
 }
