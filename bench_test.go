@@ -101,7 +101,7 @@ func BenchmarkFigure3aMultiServer(b *testing.B) {
 	var rows []experiments.Figure3aResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = experiments.Figure3a([]float64{0.5, 1.5}, 1)
+		rows, err = experiments.NewRunner(hw.NewPaperTestbed()).Figure3a([]float64{0.5, 1.5})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -119,7 +119,7 @@ func BenchmarkFigure3bSmartNIC(b *testing.B) {
 	var rows []experiments.Figure3bResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = experiments.Figure3b([]float64{0.5, 1.5}, 1)
+		rows, err = experiments.NewRunner(hw.NewPaperTestbed()).Figure3b([]float64{0.5, 1.5})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -206,7 +206,7 @@ func BenchmarkLatencyConstraints(b *testing.B) {
 	var rows []experiments.LatencyResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = experiments.Latency([]float64{45e-6, 35e-6}, 1)
+		rows, err = experiments.NewRunner(hw.NewPaperTestbed()).Latency([]float64{45e-6, 35e-6})
 		if err != nil {
 			b.Fatal(err)
 		}

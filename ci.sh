@@ -71,6 +71,29 @@ go run ./tools/doccheck ./internal/placer ./internal/metacompiler ./internal/run
 echo "==> go build ./..."
 go build ./...
 
+# Deletion guards. The evaluation harness lost its process-global defaults
+# and the NF package its table-backend switch; neither may come back outside
+# a test file, and the map-backed reference tables (nf.*Ref, test-only since
+# they moved to reference_test.go) must not be linked into any command.
+echo "==> deleted-globals guard"
+if grep -rn 'DefaultParallel\|DefaultVerifyPackets\|nf\.Impl\|TableReference' --include='*.go' internal cmd *.go | grep -v '_test\.go:'; then
+  echo "ci: a deleted process-global switch is back in non-test code" >&2
+  exit 1
+fi
+echo "==> NF-table oracle stays out of the binaries (go tool nm)"
+for cmd in lemur lemurd lemur-bench; do
+  go build -o "/tmp/lemur-ci-$cmd" "./cmd/$cmd"
+  syms=$(go tool nm "/tmp/lemur-ci-$cmd")
+  if ! grep -q 'lemur/internal/nf\.(\*NAT)' <<<"$syms"; then
+    echo "ci: go tool nm shows no NF symbols in $cmd (guard would pass vacuously)" >&2
+    exit 1
+  fi
+  if grep 'lemur/internal/nf\..*Ref)' <<<"$syms"; then
+    echo "ci: $cmd links a reference NF table" >&2
+    exit 1
+  fi
+done
+
 echo "==> go test -race ./..."
 go test -race ./...
 
@@ -92,6 +115,18 @@ echo "==> control-plane daemon guards (race)"
 run_guard 'TestReconcileIdempotent|TestConvergenceRandomSequences|TestRejectedSpecIsolation|TestSnapshotRoundTrip|TestEndToEndDaemon|TestOneDeltaPerTick|TestAdmissionAfterFailureLandsOnce' \
   -race -count=1 ./internal/daemon
 run_guard 'TestReconcileSweepDeterministic' -race -count=1 ./internal/experiments
+
+# The evaluation harness's one cell runner: bounded workers, every index
+# once, inline at one worker, and errors reduced by index like results — so
+# a sweep with two failing points names the lower one on every schedule.
+echo "==> experiment cell runner (race)"
+run_guard 'TestForEach|TestFailoverSweepErrorDeterministic' -race -count=1 ./internal/experiments
+
+# Sharded/reference table identity: the sharded arena tables against the
+# map-backed references that now live only in internal/nf's test files — NF
+# by NF, and through the whole simulator over 50+ random stateful topologies.
+echo "==> sharded/reference NF table identity (race)"
+run_guard 'TestShardedMatchesReference|TestShardedTablesMatchReference' -race -count=1 ./internal/nf
 
 # Fuzz smoke: ten seconds of FuzzReplace exercises the incremental door's
 # invariants (pinning, no-failure identity, combined retire/admit/fail
@@ -124,7 +159,7 @@ coverage_floor reconfiguration \
 # The million-flow state layer: sharded NF tables, arena flow schedules,
 # FlowScale plumbing, scale sweep.
 coverage_floor scale \
-  'internal/nf/(flowtab|nat|monitor|dedup|lb|reference)\.go|internal/trafficgen/|internal/runtime/flowscale\.go|internal/experiments/scalesweep\.go' 75.0
+  'internal/nf/(flowtab|nat|monitor|dedup|lb)\.go|internal/trafficgen/|internal/runtime/flowscale\.go|internal/experiments/scalesweep\.go' 75.0
 # The deadline-scheduling path: EDF scheduler trees, metacompiler slacks,
 # p99 admission, simulator drain order + quantiles, latency sweep.
 coverage_floor deadline \
@@ -213,5 +248,29 @@ run_guard 'TestPlaceOptimalCostGuard' -count=1 .
 echo "==> benchmark smoke"
 go test -run '^$' -bench 'BenchmarkPlace(Lemur|Optimal)|BenchmarkSimulate(Small|Medium)' -benchtime 1x -benchmem .
 go test -run '^$' -bench 'BenchmarkEvaluateCandidate' -benchtime 1x -benchmem ./internal/placer
+
+# The repository benchmark (bench/, a module of its own that root ./... does
+# not reach): vet and test it against this tree, then run every workload
+# BENCHMARK.json declares for one second. The last line of a run is its JSON
+# result; it must report every output checked and no failed operation. Host
+# times are advisory on a shared box and are not compared.
+echo "==> benchmark module (cd bench && go vet . && go test .)"
+(cd bench && go vet . && go test .)
+workloads=$(awk '/"workloads"/ { on = 1 }
+  on && /"name"/ { gsub(/[",]/, "", $2); print $2 }
+  on && /\]/ { exit }' BENCHMARK.json)
+if [ -z "$workloads" ]; then
+  echo "ci: BENCHMARK.json declares no workloads" >&2
+  exit 1
+fi
+for w in $workloads; do
+  echo "==> benchmark smoke: $w (seed 1, 1 s)"
+  last=$(bash bench/run.sh --workload "$w" --seed 1 --seconds 1 --trace 0 | tail -n 1)
+  if ! grep -q '"correct":true' <<<"$last" || ! grep -q '"failed":0[,}]' <<<"$last"; then
+    echo "ci: benchmark workload $w did not finish correct with failed=0:" >&2
+    echo "$last" | cut -c1-400 >&2
+    exit 1
+  fi
+done
 
 echo "ci: all checks passed"

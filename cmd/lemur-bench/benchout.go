@@ -1,11 +1,9 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	runtimepkg "runtime"
-	"text/tabwriter"
 	"time"
 
 	"lemur/internal/experiments"
@@ -73,17 +71,16 @@ type benchReport struct {
 // runBenchOut sweeps placement-only timings (no testbed measurement) for
 // every scheme over the four-chain combination at the low-δ grid, and writes
 // per-cell ns/op plus the shared PISA compile-cache statistics.
-func runBenchOut(path string, parallel, simWorkers int) {
+func (b bench) runBenchOut(path string) {
 	const iters = 3
 	combo := []int{1, 2, 3, 4}
 	deltas := []float64{0.5, 1.0, 1.5, 2.0}
 
-	r := experiments.NewRunner(hw.NewPaperTestbed())
+	r := b.newRunner(hw.NewPaperTestbed())
 	r.SkipMeasure = true
-	r.Parallel = parallel
 
 	pisa.SharedCache().Reset()
-	report := benchReport{Parallel: parallel, Meta: newRunMeta(parallel, simWorkers)}
+	report := benchReport{Parallel: b.parallel, Meta: newRunMeta(b.parallel, b.simWorkers)}
 	start := time.Now()
 	for _, scheme := range placer.Schemes() {
 		for _, d := range deltas {
@@ -108,20 +105,14 @@ func runBenchOut(path string, parallel, simWorkers int) {
 			})
 		}
 	}
-	report.Sim = simBenchEntries(simWorkers)
+	report.Sim = simBenchEntries(b.simWorkers)
 	report.TotalNs = time.Since(start).Nanoseconds()
 	st := pisa.SharedCache().Stats()
 	report.CacheHits = st.Hits
 	report.CacheMisses = st.Misses
 	report.CacheHitRate = st.HitRate()
 
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		fatal(err)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		fatal(err)
-	}
+	writeJSON(path, report)
 	fmt.Printf("wrote %s (total %.2fs, pisa cache hit rate %.1f%%)\n",
 		path, time.Duration(report.TotalNs).Seconds(), st.HitRate()*100)
 }
@@ -197,38 +188,29 @@ func simBenchEntries(simWorkers int) []simBenchEntry {
 // runSimSweep is the -sim command: a parallel load-factor sweep over chains
 // {1,2,3} using the batched simulator, reduced deterministically by point
 // index (the table is identical at any -parallel value).
-func runSimSweep(parallel, simWorkers int) {
-	r := experiments.NewRunner(hw.NewPaperTestbed())
-	r.Parallel = parallel
+func (b bench) runSimSweep() {
+	r := b.newRunner(hw.NewPaperTestbed())
 	points := experiments.DefaultSimPoints(1)
-	cells, err := r.SimSweep([]int{1, 2, 3}, 0.5, points, runtime.SimConfig{DurationSec: 0.5, Workers: simWorkers})
+	cells, err := r.SimSweep([]int{1, 2, 3}, 0.5, points, runtime.SimConfig{DurationSec: 0.5, Workers: b.simWorkers})
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Println("simulation sweep: chains {1,2,3}, δ=0.5, per-chain load factor vs outcome")
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	w := tw()
 	fmt.Fprintln(w, "load\toffered\tachieved\tdrop\tavg delay\tp99 delay\t")
 	for _, c := range cells {
-		var off, ach, inj, egr float64
-		worstP99, worstAvg := 0.0, 0.0
-		for ci := range c.Sim.OfferedBps {
-			off += c.Sim.OfferedBps[ci]
-			ach += c.Sim.AchievedBps[ci]
+		var inj, egr float64
+		for ci := range c.Sim.Injected {
 			inj += float64(c.Sim.Injected[ci])
 			egr += float64(c.Sim.Egressed[ci])
-			if c.Sim.P99QueueDelaySec[ci] > worstP99 {
-				worstP99 = c.Sim.P99QueueDelaySec[ci]
-			}
-			if c.Sim.AvgQueueDelaySec[ci] > worstAvg {
-				worstAvg = c.Sim.AvgQueueDelaySec[ci]
-			}
 		}
 		drop := 0.0
 		if inj > 0 {
 			drop = (inj - egr) / inj
 		}
 		fmt.Fprintf(w, "%.1fx\t%s Gbps\t%s Gbps\t%.2f%%\t%.1fus\t%.1fus\t\n",
-			c.Point.LoadFactor, gbps(off), gbps(ach), drop*100, worstAvg*1e6, worstP99*1e6)
+			c.Point.LoadFactor, gbps(sum(c.Sim.OfferedBps)), gbps(sum(c.Sim.AchievedBps)), drop*100,
+			worst(c.Sim.AvgQueueDelaySec)*1e6, worst(c.Sim.P99QueueDelaySec)*1e6)
 	}
 	w.Flush()
 }
@@ -243,9 +225,8 @@ func runSimSweep(parallel, simWorkers int) {
 // parallel and stdout is byte-identical at any -parallel value; the
 // incremental-vs-full solve-time comparison is wall clock, so it goes to
 // stderr.
-func runChurnBench(parallel int) {
-	r := experiments.NewRunner(hw.NewPaperTestbed())
-	r.Parallel = parallel
+func (b bench) runChurnBench() {
+	r := b.newRunner(hw.NewPaperTestbed())
 	r.Headroom = 4
 	base := []int{1, 2}
 	admits := experiments.DefaultChurnAdmits(12)
@@ -255,7 +236,7 @@ func runChurnBench(parallel int) {
 	}
 	fmt.Printf("churn: base chains %v at δ=0.5 with %d-core headroom, admitting %v one at a time\n",
 		base, r.Headroom, admits)
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	w := tw()
 	fmt.Fprintln(w, "step\tbase\tadmit\tverdict\tpinned\tmarginal\trepack ok\t")
 	for _, st := range steps {
 		marginal := "—"
@@ -283,23 +264,22 @@ func runChurnBench(parallel int) {
 // crashes k servers mid-run and reports downtime, fault drops, and how many
 // chains still meet their SLO after the incremental re-placement. The sweep
 // runs cells in parallel and is byte-identical at any -parallel value.
-func runFailover(parallel, simWorkers int) {
+func (b bench) runFailover() {
 	topo := hw.NewPaperTestbed(hw.WithServers(3))
 	var servers []string
 	for _, s := range topo.Servers {
 		servers = append(servers, s.Name)
 	}
-	r := experiments.NewRunner(topo)
-	r.Parallel = parallel
+	r := b.newRunner(topo)
 	points := experiments.DefaultFailoverPoints(servers, 1)
 	// Scale 50 keeps per-step cycle budgets above every chain's per-packet
 	// cost so low-rate expensive chains make progress in the simulator.
-	cells, err := r.FailoverSweep([]int{1, 2, 3}, 0.5, points, runtime.SimConfig{DurationSec: 0.25, Scale: 50, Workers: simWorkers})
+	cells, err := r.FailoverSweep([]int{1, 2, 3}, 0.5, points, runtime.SimConfig{DurationSec: 0.25, Scale: 50, Workers: b.simWorkers})
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Println("failover: chains {1,2,3}, δ=0.5, crash k servers at t=0.05s (detection 10ms + reconfig 20ms)")
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	w := tw()
 	fmt.Fprintln(w, "k\tcrashed\tSLO-compliant\tmax downtime\tfault drops\trewire\t")
 	for _, c := range cells {
 		crashed := "—"

@@ -1,10 +1,7 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"text/tabwriter"
 
 	"lemur/internal/experiments"
 	"lemur/internal/hw"
@@ -41,8 +38,8 @@ type coresReport struct {
 // must match the serial run byte for byte. Wall-clock speedup is only
 // meaningful when GOMAXPROCS/NumCPU (recorded in the report metadata) give
 // the shards real cores to land on.
-func runCores(flows, targetPackets int, outPath string) {
-	r := experiments.NewRunner(hw.NewPaperTestbed(hw.WithServers(8)))
+func (b bench) runCores(flows, targetPackets int, outPath string) {
+	r := b.newRunner(hw.NewPaperTestbed(hw.WithServers(8)))
 	counts := experiments.DefaultCoresCounts()
 	cells, err := r.CoresSweep([]int{1, 2, 3, 4}, 0.5, flows, targetPackets, counts, runtime.SimConfig{})
 	if err != nil {
@@ -50,7 +47,7 @@ func runCores(flows, targetPackets int, outPath string) {
 	}
 
 	fmt.Printf("cores sweep: chains {1,2,3,4}, δ=0.5, %d flows, one run per worker count (SimResult byte-identical across all)\n", flows)
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	w := tw()
 	fmt.Fprintln(w, "workers\tpackets\twall\tpkts/sec\tspeedup\tallocs/pkt\t")
 	for _, c := range cells {
 		fmt.Fprintf(w, "%d\t%d\t%.2fs\t%.0f\t%.2fx\t%.3f\t\n",
@@ -86,13 +83,7 @@ func runCores(flows, targetPackets int, outPath string) {
 			AllocsPerPkt: c.AllocsPerPkt,
 		})
 	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		fatal(err)
-	}
-	if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-		fatal(err)
-	}
+	writeJSON(outPath, report)
 	fmt.Printf("wrote %s (%d points, %.2fs simulated wall clock)\n",
 		outPath, len(report.Points), float64(report.TotalNs)/1e9)
 }

@@ -1,10 +1,7 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"text/tabwriter"
 
 	"lemur/internal/experiments"
 	"lemur/internal/hw"
@@ -27,21 +24,20 @@ type latencyReport struct {
 // deadline-compliance sweep over the nine-hop deadline chain (see
 // experiments.LatencyChainSpec for why that shape), written as BENCH_7.json
 // and summarized on stdout.
-func runLatencySweep(parallel, simWorkers int, path string) {
-	r := experiments.NewRunner(hw.NewPaperTestbed())
-	r.Parallel = parallel
+func (b bench) runLatencySweep(path string) {
+	r := b.newRunner(hw.NewPaperTestbed())
 	spec := experiments.DefaultLatencySpec
 	schemes := []placer.Scheme{placer.SchemeLemur, placer.SchemeHWPreferred, placer.SchemeSWPreferred}
 	points := experiments.DefaultLatencyPoints(1)
 	curves, err := r.LatencySweep(spec, points, schemes,
-		runtime.SimConfig{DurationSec: 1.0, Workers: simWorkers})
+		runtime.SimConfig{DurationSec: 1.0, Workers: b.simWorkers})
 	if err != nil {
 		fatal(err)
 	}
 
 	fmt.Printf("deadline scheduling: t_min %s Gbps, d_max %.0f ms, EDF vs round-robin\n",
 		gbps(spec.TMinBps), spec.DMaxSec*1e3)
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	w := tw()
 	fmt.Fprintln(w, "scheme\tload\tthroughput edf/rr\tworst p99 edf/rr\tcompliance edf/rr\t")
 	for _, cv := range curves {
 		if !cv.Feasible {
@@ -62,18 +58,11 @@ func runLatencySweep(parallel, simWorkers int, path string) {
 	if path == "" {
 		return
 	}
-	report := latencyReport{
-		Meta:   newRunMeta(experiments.DefaultParallel, simWorkers),
+	writeJSON(path, latencyReport{
+		Meta:   newRunMeta(b.parallel, b.simWorkers),
 		Spec:   spec,
 		Curves: curves,
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		fatal(err)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		fatal(err)
-	}
+	})
 	fmt.Printf("wrote %s\n", path)
 }
 

@@ -17,6 +17,7 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -76,14 +77,14 @@ func main() {
 	if *cores && *coresPkts <= 0 {
 		fatal(fmt.Errorf("-cores-pkts must be a positive packet count, got %d", *coresPkts))
 	}
+	b := bench{parallel: *parallel, simWorkers: *simWorkers}
 	if *metrics != "" {
 		obs.Enable()
 		metricsPath = *metrics
 		// Walk real frames through every deployment so the per-platform
 		// packet counters in the snapshot are live, not zero.
-		experiments.DefaultVerifyPackets = 100
+		b.verifyPackets = 100
 	}
-	experiments.DefaultParallel = *parallel
 
 	deltas := experiments.DefaultDeltas()
 	if *quick {
@@ -92,23 +93,23 @@ func main() {
 
 	switch {
 	case *benchOut != "":
-		runBenchOut(*benchOut, *parallel, *simWorkers)
+		b.runBenchOut(*benchOut)
 	case *sim:
-		runSimSweep(*parallel, *simWorkers)
+		b.runSimSweep()
 	case *scale:
-		runScale(*parallel, *simWorkers, *scaleOut)
+		b.runScale(*scaleOut)
 	case *cores:
-		runCores(*coresFlows, *coresPkts, *coresOut)
+		b.runCores(*coresFlows, *coresPkts, *coresOut)
 	case *placeScale:
-		runPlaceScale(*parallel, *placeOut)
+		b.runPlaceScale(*placeOut)
 	case *failover:
-		runFailover(*parallel, *simWorkers)
+		b.runFailover()
 	case *churnBench:
-		runChurnBench(*parallel)
+		b.runChurnBench()
 	case *reconcile:
-		runReconcile(*parallel, *reconIvl, *reconOut)
+		b.runReconcile(*reconIvl, *reconOut)
 	case *figure != "":
-		runFigure(*figure, deltas, *quick)
+		b.runFigure(*figure, deltas, *quick)
 	case *table == "3":
 		printTable3()
 	case *table == "4":
@@ -116,16 +117,16 @@ func main() {
 	case *extreme:
 		runExtreme()
 	case *sensitivity:
-		runSensitivity()
+		b.runSensitivity()
 	case *latency:
-		runLatency()
-		runLatencySweep(*parallel, *simWorkers, *latencyOut)
+		b.runLatency()
+		b.runLatencySweep(*latencyOut)
 	case *loc:
-		runLoC()
+		b.runLoC()
 	case *scaling:
-		runScaling(*quick)
+		b.runScaling(*quick)
 	case *feasibility:
-		runFeasibility(deltas, *quick)
+		b.runFeasibility(deltas, *quick)
 	default:
 		flag.Usage()
 		os.Exit(2)
@@ -159,16 +160,52 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
+// bench carries the flags the sub-commands share.
+type bench struct {
+	parallel   int // -parallel
+	simWorkers int // -sim-workers
+	// verifyPackets is the frame count every runner walks through each
+	// deployment; non-zero only under -metrics-out.
+	verifyPackets int
+}
+
+// newRunner is the one place a sub-command gets its Runner: the paper's
+// defaults on topo, with -parallel and the -metrics-out verify count applied.
+// Experiments that build sibling runners copy them from this one.
+func (b bench) newRunner(topo *hw.Topology) *experiments.Runner {
+	r := experiments.NewRunner(topo)
+	r.Parallel = b.parallel
+	r.VerifyPackets = b.verifyPackets
+	return r
+}
+
+// writeJSON writes a -*-out document: v as indented JSON plus a trailing
+// newline. The caller asked for the file, so a failure is fatal.
+func writeJSON(path string, v any) {
+	data, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		fatal(err)
+	}
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+		fatal(err)
+	}
+}
+
 func gbps(v float64) string { return fmt.Sprintf("%.2f", v/1e9) }
 
-func runFigure(which string, deltas []float64, quick bool) {
-	combos := map[string][]int{
-		"2a": {1, 2, 3, 4}, "2b": {1, 2, 3}, "2c": {1, 2, 4},
-		"2d": {1, 3, 4}, "2e": {2, 3, 4},
+// gbpsOrInfeasible is one Figure 3 table cell.
+func gbpsOrInfeasible(feasible bool, bps float64) string {
+	if !feasible {
+		return "infeasible"
 	}
+	return gbps(bps) + " Gbps"
+}
+
+func (b bench) runFigure(which string, deltas []float64, quick bool) {
 	switch which {
 	case "2a", "2b", "2c", "2d", "2e":
-		r := experiments.NewRunner(hw.NewPaperTestbed())
+		combo := experiments.Figure2Combos()[which[1]-'a'] // listed in panel order, 2a first
+		r := b.newRunner(hw.NewPaperTestbed())
 		schemes := []placer.Scheme{placer.SchemeLemur, placer.SchemeOptimal,
 			placer.SchemeHWPreferred, placer.SchemeSWPreferred,
 			placer.SchemeMinBounce, placer.SchemeGreedy}
@@ -176,20 +213,19 @@ func runFigure(which string, deltas []float64, quick bool) {
 			schemes = []placer.Scheme{placer.SchemeLemur, placer.SchemeHWPreferred,
 				placer.SchemeSWPreferred, placer.SchemeGreedy}
 		}
-		rows, err := r.Figure2Panel(combos[which], deltas, schemes)
+		rows, err := r.Figure2Panel(combo, deltas, schemes)
 		if err != nil {
 			fatal(err)
 		}
-		printPanel(fmt.Sprintf("Figure %s: chains %v, aggregate throughput (Gbps) vs δ", which, combos[which]), rows)
+		printPanel(fmt.Sprintf("Figure %s: chains %v, aggregate throughput (Gbps) vs δ", which, combo), rows)
 	case "2f":
-		r := experiments.NewRunner(hw.NewPaperTestbed())
-		rows, err := r.Figure2f(deltas)
+		rows, err := b.newRunner(hw.NewPaperTestbed()).Figure2f(deltas)
 		if err != nil {
 			fatal(err)
 		}
 		printPanel("Figure 2f: component ablations, chains {1,2,3,4}", rows)
 	case "3a":
-		rows, err := experiments.Figure3a([]float64{0.5, 1.0, 1.5}, 1)
+		rows, err := b.newRunner(hw.NewPaperTestbed()).Figure3a([]float64{0.5, 1.0, 1.5})
 		if err != nil {
 			fatal(err)
 		}
@@ -197,19 +233,13 @@ func runFigure(which string, deltas []float64, quick bool) {
 		w := tw()
 		fmt.Fprintln(w, "δ\t1-server\t2-server\t")
 		for _, row := range rows {
-			s := "infeasible"
-			if row.SingleFeasible {
-				s = gbps(row.SingleAggregate) + " Gbps"
-			}
-			d := "infeasible"
-			if row.TwoServerFeasible {
-				d = gbps(row.TwoServerAggregate) + " Gbps"
-			}
-			fmt.Fprintf(w, "%.1f\t%s\t%s\t\n", row.Delta, s, d)
+			fmt.Fprintf(w, "%.1f\t%s\t%s\t\n", row.Delta,
+				gbpsOrInfeasible(row.SingleFeasible, row.SingleAggregate),
+				gbpsOrInfeasible(row.TwoServerFeasible, row.TwoServerAggregate))
 		}
 		w.Flush()
 	case "3b":
-		rows, err := experiments.Figure3b([]float64{0.5, 1.0, 1.5}, 1)
+		rows, err := b.newRunner(hw.NewPaperTestbed()).Figure3b([]float64{0.5, 1.0, 1.5})
 		if err != nil {
 			fatal(err)
 		}
@@ -217,15 +247,9 @@ func runFigure(which string, deltas []float64, quick bool) {
 		w := tw()
 		fmt.Fprintln(w, "δ\tserver-only\twith SmartNIC\tNIC used\t")
 		for _, row := range rows {
-			s := "infeasible"
-			if row.ServerOnlyFeasible {
-				s = gbps(row.ServerOnlyAgg) + " Gbps"
-			}
-			n := "infeasible"
-			if row.WithNICFeasible {
-				n = gbps(row.WithNICAgg) + " Gbps"
-			}
-			fmt.Fprintf(w, "%.1f\t%s\t%s\t%v\t\n", row.Delta, s, n, row.NICUsed)
+			fmt.Fprintf(w, "%.1f\t%s\t%s\t%v\t\n", row.Delta,
+				gbpsOrInfeasible(row.ServerOnlyFeasible, row.ServerOnlyAgg),
+				gbpsOrInfeasible(row.WithNICFeasible, row.WithNICAgg), row.NICUsed)
 		}
 		w.Flush()
 	case "3c":
@@ -317,9 +341,9 @@ func runExtreme() {
 	w.Flush()
 }
 
-func runSensitivity() {
+func (b bench) runSensitivity() {
 	fmt.Println("§5.2 profiling-error sensitivity, chains {1,2,3,4}, δ=0.5")
-	r := experiments.NewRunner(hw.NewPaperTestbed())
+	r := b.newRunner(hw.NewPaperTestbed())
 	rows, base, err := r.Sensitivity(0.5, []float64{0.01, 0.02, 0.03, 0.04, 0.05, 0.06, 0.07, 0.08, 0.09, 0.10})
 	if err != nil {
 		fatal(err)
@@ -334,9 +358,9 @@ func runSensitivity() {
 	w.Flush()
 }
 
-func runLatency() {
+func (b bench) runLatency() {
 	fmt.Println("§5.3 latency SLOs, chains {1,3}, δ=1.0")
-	rows, err := experiments.Latency([]float64{45e-6, 35e-6, 25e-6}, 1)
+	rows, err := b.newRunner(hw.NewPaperTestbed()).Latency([]float64{45e-6, 35e-6, 25e-6})
 	if err != nil {
 		fatal(err)
 	}
@@ -349,10 +373,9 @@ func runLatency() {
 	w.Flush()
 }
 
-func runLoC() {
+func (b bench) runLoC() {
 	fmt.Println("§5.3 meta-compiler LoC accounting, chains {1,2,3,4}, δ=0.5")
-	r := experiments.NewRunner(hw.NewPaperTestbed())
-	loc, err := r.MetaCompilerLoC(0.5)
+	loc, err := b.newRunner(hw.NewPaperTestbed()).MetaCompilerLoC(0.5)
 	if err != nil {
 		fatal(err)
 	}
@@ -362,14 +385,13 @@ func runLoC() {
 	fmt.Printf("  auto-generated share: %.0f%%\n", loc.AutoShare*100)
 }
 
-func runScaling(quick bool) {
+func (b bench) runScaling(quick bool) {
 	fmt.Println("§5.3 placer scaling, chains {1,2,3,4}, δ=0.5")
-	r := experiments.NewRunner(hw.NewPaperTestbed())
 	budget := 20000
 	if quick {
 		budget = 2000
 	}
-	sc, err := r.PlacerScaling(0.5, budget)
+	sc, err := b.newRunner(hw.NewPaperTestbed()).PlacerScaling(0.5, budget)
 	if err != nil {
 		fatal(err)
 	}
@@ -378,15 +400,14 @@ func runScaling(quick bool) {
 	fmt.Printf("  speedup:     %.0fx, same result: %v\n", sc.SpeedupX, sc.SameResult)
 }
 
-func runFeasibility(deltas []float64, quick bool) {
+func (b bench) runFeasibility(deltas []float64, quick bool) {
 	fmt.Println("feasible-solution share per scheme over all Figure 2 sets")
-	r := experiments.NewRunner(hw.NewPaperTestbed())
 	schemes := []placer.Scheme{placer.SchemeLemur, placer.SchemeHWPreferred,
 		placer.SchemeSWPreferred, placer.SchemeMinBounce, placer.SchemeGreedy}
 	if !quick {
 		schemes = append(schemes, placer.SchemeOptimal)
 	}
-	_, share, solvShare, err := r.FeasibilitySummary(deltas, schemes)
+	_, share, solvShare, err := b.newRunner(hw.NewPaperTestbed()).FeasibilitySummary(deltas, schemes)
 	if err != nil {
 		fatal(err)
 	}

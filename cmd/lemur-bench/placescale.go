@@ -1,10 +1,7 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"text/tabwriter"
 
 	"lemur/internal/experiments"
 	"lemur/internal/hw"
@@ -35,9 +32,8 @@ const placeScaleExhaustiveCap = 200_000
 // directly. Placement results are byte-identical at any -parallel value;
 // solve times are wall clock (generate with -parallel 1 for honest serial
 // timings).
-func runPlaceScale(parallel int, outPath string) {
-	r := experiments.NewRunner(hw.NewPaperTestbed())
-	r.Parallel = parallel
+func (b bench) runPlaceScale(outPath string) {
+	r := b.newRunner(hw.NewPaperTestbed())
 	r.SkipMeasure = true
 	r.BruteForceBudget = 1 << 30 // the sweep measures pruning, not budgets
 	points := experiments.DefaultPlaceScalePoints()
@@ -49,7 +45,7 @@ func runPlaceScale(parallel int, outPath string) {
 	}
 
 	fmt.Println("placement-scale sweep: fleet size × chain set, all schemes, δ=0.5, placement only")
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	w := tw()
 	fmt.Fprintln(w, "servers\tchains\tscheme\tfeasible\taggregate\tsolve\tcombos\tvisited\tpruned\tcollapsed\tspeedup\t")
 	for _, c := range cells {
 		for _, s := range c.Schemes {
@@ -79,7 +75,7 @@ func runPlaceScale(parallel int, outPath string) {
 	}
 	report := placeScaleReport{
 		Benchmark: "lemur-bench -place-scale -place-scale-out (placement solve-time curve)",
-		Meta:      newRunMeta(parallel, 0),
+		Meta:      newRunMeta(b.parallel, 0),
 		Config: map[string]any{
 			"delta":          0.5,
 			"restrict":       "IPv4Fwd pinned to PISA (Table 3 footnote)",
@@ -89,13 +85,7 @@ func runPlaceScale(parallel int, outPath string) {
 		},
 		Cells: cells,
 	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		fatal(err)
-	}
-	if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-		fatal(err)
-	}
+	writeJSON(outPath, report)
 	fmt.Printf("wrote %s (%d cells)\n", outPath, len(report.Cells))
 }
 

@@ -1,10 +1,7 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"text/tabwriter"
 	"time"
 
 	"lemur/internal/experiments"
@@ -24,14 +21,14 @@ type reconcileReport struct {
 // runReconcile is the -reconcile command: run the control-plane convergence
 // sweep at the given reconcile interval, print the table, and optionally
 // write BENCH_8.json.
-func runReconcile(parallel int, interval time.Duration, path string) {
-	points, err := experiments.ReconcileSweep(interval, parallel)
+func (b bench) runReconcile(interval time.Duration, path string) {
+	points, err := experiments.ReconcileSweep(interval, b.parallel)
 	if err != nil {
 		fatal(err)
 	}
 
 	fmt.Printf("lemurd reconcile convergence at interval %v (fake clock)\n", interval)
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	w := tw()
 	fmt.Fprintln(w, "scenario\tbase\tops\tticks\tconverge\tpinned\treconciles\tapplies\tbackoff\trejected\t")
 	for _, p := range points {
 		conv := fmt.Sprintf("%.1fs", p.ConvergeSimSec)
@@ -47,18 +44,11 @@ func runReconcile(parallel int, interval time.Duration, path string) {
 	if path == "" {
 		return
 	}
-	report := reconcileReport{
-		Parallel:    parallel,
+	writeJSON(path, reconcileReport{
+		Parallel:    b.parallel,
 		IntervalSec: interval.Seconds(),
-		Meta:        newRunMeta(parallel, 0),
+		Meta:        newRunMeta(b.parallel, 0),
 		Rows:        points,
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		fatal(err)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		fatal(err)
-	}
+	})
 	fmt.Printf("wrote %s\n", path)
 }

@@ -1,11 +1,8 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	runtimepkg "runtime"
-	"text/tabwriter"
 
 	"lemur/internal/experiments"
 	"lemur/internal/hw"
@@ -45,21 +42,20 @@ type scaleReport struct {
 // Stdout is deterministic and byte-identical at any -parallel value;
 // wall-clock throughput goes to the -scale-out JSON (meaningful when the
 // cells run serially: -parallel 1).
-func runScale(parallel, simWorkers int, outPath string) {
-	r := experiments.NewRunner(hw.NewPaperTestbed())
-	r.Parallel = parallel
+func (b bench) runScale(outPath string) {
+	r := b.newRunner(hw.NewPaperTestbed())
 	points := experiments.DefaultScalePoints(11)
 
 	var before, after runtimepkg.MemStats
 	runtimepkg.ReadMemStats(&before)
-	cells, err := r.ScaleSweep([]int{1, 2, 3, 4}, 0.5, points, runtime.SimConfig{Workers: simWorkers})
+	cells, err := r.ScaleSweep([]int{1, 2, 3, 4}, 0.5, points, runtime.SimConfig{Workers: b.simWorkers})
 	runtimepkg.ReadMemStats(&after)
 	if err != nil {
 		fatal(err)
 	}
 
 	fmt.Println("flow-scale sweep: chains {1,2,3,4}, δ=0.5, stateful NFs on servers, flow count vs state pressure")
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	w := tw()
 	fmt.Fprintln(w, "flows\tpackets\tsim time\tdrop\tavg delay\tp99 delay\tNAT entries\texhausted\tevictions\t")
 	for _, c := range cells {
 		natEntries, exhausted, evicted := 0, uint64(0), uint64(0)
@@ -81,7 +77,7 @@ func runScale(parallel, simWorkers int, outPath string) {
 	}
 	report := scaleReport{
 		Benchmark: "lemur-bench -scale -scale-out (flow-scale throughput curve)",
-		Meta:      newRunMeta(parallel, simWorkers),
+		Meta:      newRunMeta(b.parallel, b.simWorkers),
 		Config: map[string]any{
 			"chains":    []int{1, 2, 3, 4},
 			"delta":     0.5,
@@ -113,16 +109,10 @@ func runScale(parallel, simWorkers int, outPath string) {
 			NFState:      c.NFState,
 		})
 	}
-	if parallel == 1 && totalPkts > 0 {
+	if b.parallel == 1 && totalPkts > 0 {
 		report.AllocsPerPkt = float64(after.Mallocs-before.Mallocs) / float64(totalPkts)
 	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		fatal(err)
-	}
-	if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-		fatal(err)
-	}
+	writeJSON(outPath, report)
 	fmt.Printf("wrote %s (%d points, %.2fs simulated wall clock)\n",
 		outPath, len(report.Points), float64(report.TotalNs)/1e9)
 }

@@ -3,9 +3,9 @@
 // link degradations, and NF overloads at simulated times; the runtime
 // consumes it via runtime.SimConfig.Faults and reacts by dropping
 // in-flight packets, throttling budgets, and — for crashes — triggering
-// an incremental re-placement (placer.Replace) plus a steering-rule
-// rewire (metacompiler.Rewire) after a configurable detection +
-// reconfiguration delay.
+// an incremental re-placement (placer.Reconfigure with Delta.Failed) plus
+// a steering-rule rewire (metacompiler.Deployment.Apply) after a
+// configurable detection + reconfiguration delay.
 //
 // The package is dependency-free by design: the placer, metacompiler,
 // runtime, and CLIs all import it without cycles.

@@ -92,101 +92,6 @@ func TestDeployImplicitlyPlaces(t *testing.T) {
 	}
 }
 
-func TestFailServerReplans(t *testing.T) {
-	s := newSys(t, hw.WithServers(2))
-	if err := s.LoadSpec(spec); err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Place()
-	if err != nil || !res.Feasible {
-		t.Fatalf("initial placement: %v %s", err, res.Reason)
-	}
-	if err := s.FailServer("nf-server-1"); err != nil {
-		t.Fatal(err)
-	}
-	if s.Result() != nil {
-		t.Error("failure did not invalidate the placement")
-	}
-	res2, err := s.Place()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res2.Feasible {
-		t.Fatalf("replan infeasible: %s", res2.Reason)
-	}
-	for _, sg := range res2.Subgroups {
-		if sg.Server == "nf-server-1" {
-			t.Errorf("replan still uses the failed server")
-		}
-	}
-	// Unknown and last-server failures are rejected.
-	if err := s.FailServer("ghost"); err == nil {
-		t.Error("want error for unknown server")
-	}
-	if err := s.FailServer("nf-server-0"); err == nil {
-		t.Error("want error failing the last server")
-	}
-}
-
-func TestFailSmartNICFallsBackToServer(t *testing.T) {
-	s := newSys(t, hw.WithSmartNIC())
-	nicSpec := `
-chain nic {
-  slo { tmin = 3Gbps  tmax = 100Gbps }
-  aggregate { src = 10.0.0.0/8 }
-  fe0  = FastEncrypt()
-  fwd0 = IPv4Fwd()
-  fe0 -> fwd0
-}`
-	if err := s.LoadSpec(nicSpec); err != nil {
-		t.Fatal(err)
-	}
-	res, _ := s.Place()
-	if !res.Feasible || len(res.NICUses) == 0 {
-		t.Fatalf("expected a NIC placement: feasible=%v nics=%d", res.Feasible, len(res.NICUses))
-	}
-	if err := s.FailSmartNIC("agilio-cx-40"); err != nil {
-		t.Fatal(err)
-	}
-	res2, _ := s.Place()
-	if !res2.Feasible {
-		t.Fatalf("fallback infeasible: %s", res2.Reason)
-	}
-	if len(res2.NICUses) != 0 {
-		t.Error("replan still uses the failed NIC")
-	}
-	if err := s.FailSmartNIC("ghost"); err == nil {
-		t.Error("want error for unknown NIC")
-	}
-}
-
-func TestReserveHeadroom(t *testing.T) {
-	s := newSys(t)
-	if err := s.LoadSpec(spec); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.ReserveHeadroom(5); err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Place()
-	if err != nil || !res.Feasible {
-		t.Fatalf("placement with headroom: %v", err)
-	}
-	used := 0
-	for _, sg := range res.Subgroups {
-		used += sg.Cores
-	}
-	if used > 10 { // 16 total - 1 demux - 5 headroom
-		t.Errorf("headroom violated: %d cores used", used)
-	}
-	if err := s.ReserveHeadroom(99); err == nil {
-		t.Error("want error for impossible headroom")
-	}
-	if err := s.ReserveHeadroom(-1); err == nil {
-		t.Error("want error for negative headroom")
-	}
-}
-
 func TestMILPSchemeViaSystem(t *testing.T) {
 	s := newSys(t)
 	s.Scheme = placer.SchemeMILP

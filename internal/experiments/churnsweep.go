@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"lemur/internal/placer"
@@ -73,33 +72,17 @@ func (r *Runner) ChurnSweep(baseChainIdxs, admitChainIdxs []int, delta float64, 
 	}
 
 	steps := make([]ChurnStep, len(admitChainIdxs))
-	sem := make(chan struct{}, r.workers())
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-
-	for k := range admitChainIdxs {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			st, err := r.churnStep(full, len(baseChainIdxs)+k, admitChainIdxs[k], scheme)
-			mu.Lock()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("experiments: churn step %d: %w", k, err)
-				}
-			} else {
-				st.Step = k
-				steps[k] = st
-			}
-			mu.Unlock()
-		}(k)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	err = forEach(len(steps), r.Parallel, func(k int) error {
+		st, err := r.churnStep(full, len(baseChainIdxs)+k, admitChainIdxs[k], scheme)
+		if err != nil {
+			return fmt.Errorf("experiments: churn step %d: %w", k, err)
+		}
+		st.Step = k
+		steps[k] = st
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return steps, nil
 }
@@ -115,19 +98,20 @@ func (r *Runner) churnStep(full *placer.Input, nBase, chainIdx int, scheme place
 		Chain:      chainIdx,
 		ChainName:  full.Chains[nBase].Chain.Name,
 	}
-	prevIn := *full
-	prevIn.Chains = full.Chains[:nBase:nBase]
-	prevIn.HeadroomCores = r.Headroom
-	prev, err := placer.Place(scheme, &prevIn)
+	// prefix is a fresh Input over the first n chains, headroom reserved.
+	prefix := func(n int) *placer.Input {
+		in := *full
+		in.Chains = full.Chains[:n:n]
+		in.HeadroomCores = r.Headroom
+		return &in
+	}
+	prev, err := placer.Place(scheme, prefix(nBase))
 	if err != nil {
 		return st, err
 	}
 	st.BaseFeasible = prev.Feasible
 	if prev.Feasible {
-		grownIn := *full
-		grownIn.Chains = full.Chains[: nBase+1 : nBase+1]
-		grownIn.HeadroomCores = r.Headroom
-		rep, err := placer.Reconfigure(prev, &grownIn, placer.Delta{Admit: []int{nBase}})
+		rep, err := placer.Reconfigure(prev, prefix(nBase+1), placer.Delta{Admit: []int{nBase}})
 		if err != nil {
 			return st, err
 		}
@@ -143,11 +127,9 @@ func (r *Runner) churnStep(full *placer.Input, nBase, chainIdx int, scheme place
 		st.Reason = "base placement infeasible: " + prev.Reason
 	}
 
-	fullIn := *full
-	fullIn.Chains = full.Chains[: nBase+1 : nBase+1]
-	fullIn.HeadroomCores = r.Headroom
+	fullIn := prefix(nBase + 1)
 	start := time.Now()
-	fres, err := placer.Place(scheme, &fullIn)
+	fres, err := placer.Place(scheme, fullIn)
 	st.FullPlaceNs = time.Since(start).Nanoseconds()
 	if err != nil {
 		return st, err

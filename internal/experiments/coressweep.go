@@ -4,13 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"math"
 	runtimepkg "runtime"
 	"time"
 
-	"lemur/internal/hw"
-	"lemur/internal/metacompiler"
-	"lemur/internal/placer"
 	"lemur/internal/runtime"
 )
 
@@ -62,56 +58,19 @@ func (r *Runner) CoresSweep(chainIdxs []int, delta float64, flows, targetPackets
 		}
 	}
 
-	in, _, err := r.input(chainIdxs, delta)
+	fs, err := r.placeFlowScale("coressweep", chainIdxs, delta)
 	if err != nil {
 		return nil, err
 	}
-	restrict := map[string][]hw.Platform{}
-	for class, platforms := range in.Restrict {
-		restrict[class] = platforms
-	}
-	for _, class := range []string{"NAT", "Monitor", "Dedup", "LB"} {
-		restrict[class] = []hw.Platform{hw.Server}
-	}
-	in.Restrict = restrict
-	res, err := placer.Place(placer.SchemeLemur, in)
-	if err != nil {
-		return nil, err
-	}
-	if !res.Feasible {
-		return nil, fmt.Errorf("experiments: coressweep: placement infeasible: %s", res.Reason)
-	}
-	sumRate := 0.0
-	for _, rate := range res.ChainRates {
-		sumRate += rate
-	}
-	if sumRate <= 0 {
-		return nil, fmt.Errorf("experiments: coressweep: zero aggregate rate")
-	}
-
-	base := cfg
-	base.FlowScale = flows
-	if base.Scale <= 0 {
-		base.Scale = 1
-	}
-	if base.StepSec <= 0 {
-		base.StepSec = 1e-3
-	}
-	if targetPackets > 0 {
-		pktsPerSimSec := sumRate / in.FrameBitsOrDefault() / base.Scale
-		steps := math.Ceil(float64(targetPackets) / pktsPerSimSec / base.StepSec)
-		base.DurationSec = steps * base.StepSec
-	}
+	base := fs.config(cfg, flows, targetPackets)
 
 	cells := make([]CoresCell, len(workerCounts))
 	var want []byte
 	for i, w := range workerCounts {
-		d, err := metacompiler.Compile(in, res)
+		tb, err := r.deploy(fs.in, fs.res)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: coressweep workers=%d: %w", w, err)
 		}
-		tb := runtime.New(d, r.Seed)
-		offered := append([]float64(nil), res.ChainRates...)
 		pcfg := base
 		pcfg.Workers = w
 
@@ -119,7 +78,7 @@ func (r *Runner) CoresSweep(chainIdxs []int, delta float64, flows, targetPackets
 		runtimepkg.GC()
 		runtimepkg.ReadMemStats(&ms0)
 		t0 := time.Now()
-		sim, err := tb.Simulate(offered, pcfg)
+		sim, err := tb.Simulate(fs.res.ChainRates, pcfg)
 		wall := time.Since(t0)
 		runtimepkg.ReadMemStats(&ms1)
 		if err != nil {

@@ -2,10 +2,8 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 
 	"lemur/internal/chaos"
-	"lemur/internal/metacompiler"
 	"lemur/internal/placer"
 	"lemur/internal/runtime"
 )
@@ -46,59 +44,30 @@ func (r *Runner) FailoverSweep(chainIdxs []int, delta float64, points []Failover
 	if err != nil {
 		return nil, err
 	}
-	res, err := placer.Place(placer.SchemeLemur, in)
+	res, err := placeFeasible("failover sweep", placer.SchemeLemur, in)
 	if err != nil {
 		return nil, err
 	}
-	if !res.Feasible {
-		return nil, fmt.Errorf("experiments: failover sweep: placement infeasible: %s", res.Reason)
-	}
 
 	cells := make([]FailoverCell, len(points))
-	sem := make(chan struct{}, r.workers())
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-
-	for pi, pt := range points {
-		wg.Add(1)
-		go func(pi int, pt FailoverPoint) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			cell, err := r.failoverCell(in, res, pt, cfg)
-			mu.Lock()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("experiments: failover point %d: %w", pi, err)
-				}
-			} else {
-				cells[pi] = cell
-			}
-			mu.Unlock()
-		}(pi, pt)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	err = forEach(len(points), r.Parallel, func(pi int) error {
+		cell, err := r.failoverCell(in, res, points[pi], cfg)
+		if err != nil {
+			return fmt.Errorf("experiments: failover point %d: %w", pi, err)
+		}
+		cells[pi] = cell
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return cells, nil
 }
 
 func (r *Runner) failoverCell(in *placer.Input, res *placer.Result, pt FailoverPoint, cfg runtime.SimConfig) (FailoverCell, error) {
-	d, err := metacompiler.Compile(in, res)
-	if err != nil {
-		return FailoverCell{}, err
-	}
-	tb := runtime.New(d, r.Seed)
-
 	load := pt.LoadFactor
 	if load <= 0 {
 		load = 1
-	}
-	offered := make([]float64, len(res.ChainRates))
-	for i, rate := range res.ChainRates {
-		offered[i] = rate * load
 	}
 
 	pcfg := cfg
@@ -119,14 +88,14 @@ func (r *Runner) failoverCell(in *placer.Input, res *placer.Result, pt FailoverP
 		pcfg.Faults = nil
 	}
 
-	sim, err := tb.Simulate(offered, pcfg)
+	sim, err := r.simulate(in, res, load, pcfg)
 	if err != nil {
 		return FailoverCell{}, err
 	}
 
 	cell := FailoverCell{Point: pt, Sim: sim, TotalChains: len(in.Chains)}
 	for ci := range in.Chains {
-		want := offered[ci]
+		want := sim.OfferedBps[ci]
 		if tmin := in.Chains[ci].Chain.SLO.TMinBps; tmin > 0 && tmin < want {
 			want = tmin
 		}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"lemur/internal/hw"
@@ -85,6 +86,24 @@ func TestFailoverSweepCompliance(t *testing.T) {
 		}
 		if len(c.Sim.Failover.Events) != len(c.Point.Crash) {
 			t.Errorf("k=%d cell fired %d events", len(c.Point.Crash), len(c.Sim.Failover.Events))
+		}
+	}
+}
+
+// TestFailoverSweepErrorDeterministic: errors reduce by point index, like
+// results. Two points that both fail (their crash targets do not exist) must
+// always report point 0, however the four workers happen to be scheduled.
+func TestFailoverSweepErrorDeterministic(t *testing.T) {
+	points := []FailoverPoint{
+		{Crash: []string{"ghost-a"}, AtSec: 0.05, Seed: 1},
+		{Crash: []string{"ghost-b"}, AtSec: 0.05, Seed: 2},
+	}
+	r := NewRunner(hw.NewPaperTestbed(hw.WithServers(2)))
+	r.Parallel = 4
+	for run := 0; run < 50; run++ {
+		_, err := r.FailoverSweep([]int{2}, 0.5, points, runtime.SimConfig{DurationSec: 0.1, Scale: 50})
+		if err == nil || !strings.Contains(err.Error(), "failover point 0") || !strings.Contains(err.Error(), "ghost-a") {
+			t.Fatalf("run %d: err = %v, want failover point 0 (ghost-a)", run, err)
 		}
 	}
 }

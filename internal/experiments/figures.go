@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"lemur/internal/hw"
@@ -10,7 +9,6 @@ import (
 	"lemur/internal/nf"
 	"lemur/internal/placer"
 	"lemur/internal/profile"
-	"lemur/internal/runtime"
 )
 
 // Figure2f runs the component ablations on the four-chain set: full Lemur
@@ -33,31 +31,29 @@ type Figure3aResult struct {
 // Figure3a reproduces the multi-server experiment (§5.3): at δ=0.5 a single
 // 8-core server yields less than half the two-server aggregate; at δ=1.5
 // the single-server case is infeasible (the Dedup→ACL→Limiter subgroup can
-// no longer share one core, and splitting it exhausts the cores).
-func Figure3a(deltas []float64, seed int64) ([]Figure3aResult, error) {
+// no longer share one core, and splitting it exhausts the cores). The two
+// racks are fixed by the experiment; everything else is the receiver's.
+func (r *Runner) Figure3a(deltas []float64) ([]Figure3aResult, error) {
+	single := r.on(hw.NewPaperTestbed(hw.WithSingleSocket()))
+	double := r.on(hw.NewPaperTestbed(hw.WithServers(2), hw.WithSingleSocket()))
 	var out []Figure3aResult
 	for _, d := range deltas {
-		row := Figure3aResult{Delta: d}
-
-		single := NewRunner(hw.NewPaperTestbed(hw.WithSingleSocket()))
-		single.Seed = seed
 		sr, _, err := single.RunSet([]int{1, 2, 3}, d, placer.SchemeLemur)
 		if err != nil {
 			return nil, err
 		}
-		row.SingleFeasible = sr.Feasible
-		row.SingleReason = sr.Reason
-		row.SingleAggregate = sr.MeasuredAggregate
-
-		double := NewRunner(hw.NewPaperTestbed(hw.WithServers(2), hw.WithSingleSocket()))
-		double.Seed = seed
 		dr, _, err := double.RunSet([]int{1, 2, 3}, d, placer.SchemeLemur)
 		if err != nil {
 			return nil, err
 		}
-		row.TwoServerFeasible = dr.Feasible
-		row.TwoServerAggregate = dr.MeasuredAggregate
-		out = append(out, row)
+		out = append(out, Figure3aResult{
+			Delta:              d,
+			SingleFeasible:     sr.Feasible,
+			SingleReason:       sr.Reason,
+			SingleAggregate:    sr.MeasuredAggregate,
+			TwoServerFeasible:  dr.Feasible,
+			TwoServerAggregate: dr.MeasuredAggregate,
+		})
 	}
 	return out, nil
 }
@@ -75,51 +71,33 @@ type Figure3bResult struct {
 // Figure3b reproduces the SmartNIC experiment (§5.3): offloading ChaCha to
 // the eBPF NIC lifts chain 5 toward the 40G line rate, and at δ=1.5 no
 // server-only solution exists because t_min exceeds what one (non-
-// replicable) ChaCha core can do.
-func Figure3b(deltas []float64, seed int64) ([]Figure3bResult, error) {
+// replicable) ChaCha core can do. As in Figure3a, only the two racks are
+// fixed.
+func (r *Runner) Figure3b(deltas []float64) ([]Figure3bResult, error) {
+	serverOnly := r.on(hw.NewPaperTestbed())
+	withNIC := r.on(hw.NewPaperTestbed(hw.WithSmartNIC()))
 	var out []Figure3bResult
 	for _, d := range deltas {
-		row := Figure3bResult{Delta: d}
-
-		serverOnly := NewRunner(hw.NewPaperTestbed())
-		serverOnly.Seed = seed
 		sr, _, err := serverOnly.RunSet([]int{5}, d, placer.SchemeLemur)
 		if err != nil {
 			return nil, err
 		}
-		row.ServerOnlyFeasible = sr.Feasible
-		row.ServerOnlyAgg = sr.MeasuredAggregate
-
-		withNIC := NewRunner(hw.NewPaperTestbed(hw.WithSmartNIC()))
-		withNIC.Seed = seed
 		in, _, err := withNIC.input([]int{5}, d)
 		if err != nil {
 			return nil, err
 		}
-		res, err := placer.Place(placer.SchemeLemur, in)
+		nr, res, err := withNIC.runInput(in, placer.SchemeLemur)
 		if err != nil {
 			return nil, err
 		}
-		row.WithNICFeasible = res.Feasible
-		if res.Feasible {
-			row.NICUsed = len(res.NICUses) > 0
-			dpl, err := metacompiler.Compile(in, res)
-			if err != nil {
-				return nil, err
-			}
-			tb := runtime.New(dpl, seed)
-			if withNIC.VerifyPackets > 0 {
-				if _, err := tb.Verify(withNIC.VerifyPackets); err != nil {
-					return nil, err
-				}
-			}
-			m, err := MeasureAchieved(tb, in, res)
-			if err != nil {
-				return nil, err
-			}
-			row.WithNICAgg = m.Aggregate
-		}
-		out = append(out, row)
+		out = append(out, Figure3bResult{
+			Delta:              d,
+			ServerOnlyFeasible: sr.Feasible,
+			ServerOnlyAgg:      sr.MeasuredAggregate,
+			WithNICFeasible:    nr.Feasible,
+			WithNICAgg:         nr.MeasuredAggregate,
+			NICUsed:            nr.Feasible && len(res.NICUses) > 0,
+		})
 	}
 	return out, nil
 }
@@ -195,8 +173,6 @@ func ExtremeConfig(schemes []placer.Scheme) ([]ExtremeConfigResult, error) {
 	db := profile.DefaultDB()
 	// δ=0.5 of the chain's ~44.9 Gbps NAT base rate.
 	natCycles := db.WorstCycles("NAT", nil) * topo.CrossSocketPenalty
-	base := topo.Servers[0].ClockHz / natCycles * placer.DefaultFrameBits / (1.0 / 11)
-	_ = base
 	// The paper quotes t_min ≈ 44.9 Gbps/2 directly from one NAT core's
 	// full-chain rate; our NIC caps a server bounce at 40G, so use the same
 	// δ-scaled arithmetic on the unweighted NAT rate.
@@ -246,12 +222,9 @@ func (r *Runner) Sensitivity(delta float64, errs []float64) ([]SensitivityResult
 	if err != nil {
 		return nil, 0, err
 	}
-	baseRes, err := placer.Place(placer.SchemeLemur, in)
+	baseRes, err := placeFeasible("sensitivity baseline", placer.SchemeLemur, in)
 	if err != nil {
 		return nil, 0, err
-	}
-	if !baseRes.Feasible {
-		return nil, 0, fmt.Errorf("experiments: baseline infeasible: %s", baseRes.Reason)
 	}
 	var out []SensitivityResult
 	for _, e := range errs {
@@ -286,37 +259,28 @@ type LatencyResult struct {
 // Latency reproduces the latency-SLO experiment: a 45µs budget admits the
 // bouncy high-throughput placement; a tighter budget forces fewer bounces
 // and lower throughput.
-func Latency(dmaxes []float64, seed int64) ([]LatencyResult, error) {
-	return LatencyAt(dmaxes, 1.0, seed)
+func (r *Runner) Latency(dmaxes []float64) ([]LatencyResult, error) {
+	return r.LatencyAt(dmaxes, 1.0)
 }
 
 // LatencyAt runs the latency study at a chosen δ (core scarcity makes the
-// bounce/throughput tradeoff bind).
-func LatencyAt(dmaxes []float64, delta float64, seed int64) ([]LatencyResult, error) {
+// bounce/throughput tradeoff bind). Each d_max replaces the receiver's
+// DMaxSec for its row.
+func (r *Runner) LatencyAt(dmaxes []float64, delta float64) ([]LatencyResult, error) {
 	var out []LatencyResult
 	for _, dmax := range dmaxes {
-		r := NewRunner(hw.NewPaperTestbed())
-		r.Seed = seed
-		r.DMaxSec = dmax
-		in, _, err := r.input([]int{1, 3}, delta)
+		lr := *r
+		lr.DMaxSec = dmax
+		in, _, err := lr.input([]int{1, 3}, delta)
 		if err != nil {
 			return nil, err
 		}
-		res, err := placer.Place(placer.SchemeLemur, in)
+		sr, res, err := lr.runInput(in, placer.SchemeLemur)
 		if err != nil {
 			return nil, err
 		}
-		row := LatencyResult{DMaxSec: dmax, Feasible: res.Feasible}
-		if res.Feasible {
-			d, err := metacompiler.Compile(in, res)
-			if err != nil {
-				return nil, err
-			}
-			m, err := MeasureAchieved(runtime.New(d, seed), in, res)
-			if err != nil {
-				return nil, err
-			}
-			row.Aggregate = m.Aggregate
+		row := LatencyResult{DMaxSec: dmax, Feasible: sr.Feasible, Aggregate: sr.MeasuredAggregate}
+		if sr.Feasible {
 			for _, g := range in.Chains {
 				row.Bounces += placer.Bounces(g, res.Assign)
 			}
@@ -413,12 +377,9 @@ func (r *Runner) MetaCompilerLoC(delta float64) (*LoCResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := placer.Place(placer.SchemeLemur, in)
+	res, err := placeFeasible(fmt.Sprintf("meta-compiler LoC at δ=%v", delta), placer.SchemeLemur, in)
 	if err != nil {
 		return nil, err
-	}
-	if !res.Feasible {
-		return nil, fmt.Errorf("experiments: infeasible at δ=%v: %s", delta, res.Reason)
 	}
 	d, err := metacompiler.Compile(in, res)
 	if err != nil {
@@ -469,36 +430,20 @@ func (r *Runner) FeasibilitySummary(deltas []float64, schemes []placer.Scheme) (
 		}
 	}
 	feasible := make([]bool, len(jobs))
-	sem := make(chan struct{}, r.workers())
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	for i := range jobs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			sr, _, err := r2.RunSet(jobs[i].combo, jobs[i].delta, jobs[i].scheme)
-			if err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-				return
-			}
-			feasible[i] = sr.Feasible
-		}(i)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, nil, nil, firstErr
+	err := forEach(len(jobs), r.Parallel, func(i int) error {
+		sr, _, err := r2.RunSet(jobs[i].combo, jobs[i].delta, jobs[i].scheme)
+		if err != nil {
+			return err
+		}
+		feasible[i] = sr.Feasible
+		return nil
+	})
+	if err != nil {
+		return nil, nil, nil, err
 	}
 
 	var cells []FeasibilityCell
 	count := map[placer.Scheme]int{}
-	solvCount := map[placer.Scheme]int{}
 	total, solvable := 0, 0
 	for i := 0; i < len(jobs); i += len(schemes) {
 		total++
@@ -514,19 +459,16 @@ func (r *Runner) FeasibilitySummary(deltas []float64, schemes []placer.Scheme) (
 		}
 		if any {
 			solvable++
-			for si, s := range schemes {
-				if feasible[i+si] {
-					solvCount[s]++
-				}
-			}
 		}
 	}
+	// A set some scheme solved is a solvable set, so a scheme's feasible sets
+	// all lie among them: both shares have the same numerator.
 	share := map[placer.Scheme]float64{}
 	solvShare := map[placer.Scheme]float64{}
 	for _, s := range schemes {
 		share[s] = float64(count[s]) / float64(total)
 		if solvable > 0 {
-			solvShare[s] = float64(solvCount[s]) / float64(solvable)
+			solvShare[s] = float64(count[s]) / float64(solvable)
 		}
 	}
 	return cells, share, solvShare, nil

@@ -8,7 +8,7 @@ import (
 )
 
 func TestFigure3aShape(t *testing.T) {
-	rows, err := Figure3a([]float64{0.5, 1.5}, 1)
+	rows, err := NewRunner(newPaperTopo()).Figure3a([]float64{0.5, 1.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func TestFigure3aShape(t *testing.T) {
 }
 
 func TestFigure3bShape(t *testing.T) {
-	rows, err := Figure3b([]float64{0.5, 1.5}, 1)
+	rows, err := NewRunner(newPaperTopo()).Figure3b([]float64{0.5, 1.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestSensitivityTolerant(t *testing.T) {
 }
 
 func TestLatencyTradeoff(t *testing.T) {
-	rows, err := Latency([]float64{45e-6, 35e-6}, 1)
+	rows, err := NewRunner(newPaperTopo()).Latency([]float64{45e-6, 35e-6})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"sync"
 
 	"lemur/internal/hw"
-	"lemur/internal/metacompiler"
 	"lemur/internal/placer"
 	"lemur/internal/runtime"
 )
@@ -211,66 +209,35 @@ func (r *Runner) LatencySweep(spec LatencySpec, points []LatencyPoint,
 		}
 	}
 
-	sem := make(chan struct{}, r.workers())
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	for _, jb := range jobs {
-		wg.Add(1)
-		go func(jb job) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			run, err := r.latencyCell(jb.in, jb.res, points[jb.pi], jb.policy, cfg)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("experiments: latency sweep %s point %d %s: %w",
-						curves[jb.si].Scheme, jb.pi, jb.policy, err)
-				}
-				return
-			}
-			if jb.policy == runtime.SchedEDF {
-				curves[jb.si].Cells[jb.pi].EDF = run
-			} else {
-				curves[jb.si].Cells[jb.pi].RR = run
-			}
-		}(jb)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	err := forEach(len(jobs), r.Parallel, func(i int) error {
+		jb := jobs[i]
+		pcfg := cfg
+		pcfg.Seed = points[jb.pi].Seed
+		pcfg.SchedPolicy = jb.policy
+		sim, err := r.simulate(jb.in, jb.res, points[jb.pi].LoadFactor, pcfg)
+		if err != nil {
+			return fmt.Errorf("experiments: latency sweep %s point %d %s: %w",
+				curves[jb.si].Scheme, jb.pi, jb.policy, err)
+		}
+		run := &LatencyRun{
+			AchievedBps:        sim.AchievedBps,
+			DropRate:           sim.DropRate,
+			AvgQueueDelaySec:   sim.AvgQueueDelaySec,
+			P99QueueDelaySec:   sim.P99QueueDelaySec,
+			DeadlineCompliance: sim.DeadlineCompliance,
+		}
+		// The two arms of a load point are two cells with a slot each.
+		if jb.policy == runtime.SchedEDF {
+			curves[jb.si].Cells[jb.pi].EDF = run
+		} else {
+			curves[jb.si].Cells[jb.pi].RR = run
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return curves, nil
-}
-
-// latencyCell compiles and simulates one (point, policy) arm.
-func (r *Runner) latencyCell(in *placer.Input, res *placer.Result,
-	pt LatencyPoint, policy string, cfg runtime.SimConfig) (*LatencyRun, error) {
-	d, err := metacompiler.Compile(in, res)
-	if err != nil {
-		return nil, err
-	}
-	tb := runtime.New(d, r.Seed)
-	offered := make([]float64, len(res.ChainRates))
-	for i, rate := range res.ChainRates {
-		offered[i] = rate * pt.LoadFactor
-	}
-	pcfg := cfg
-	pcfg.Seed = pt.Seed
-	pcfg.SchedPolicy = policy
-	sim, err := tb.Simulate(offered, pcfg)
-	if err != nil {
-		return nil, err
-	}
-	return &LatencyRun{
-		AchievedBps:        sim.AchievedBps,
-		DropRate:           sim.DropRate,
-		AvgQueueDelaySec:   sim.AvgQueueDelaySec,
-		P99QueueDelaySec:   sim.P99QueueDelaySec,
-		DeadlineCompliance: sim.DeadlineCompliance,
-	}, nil
 }
 
 // finiteOrNeg copies vs with non-finite entries (the diverged M/M/1

@@ -118,9 +118,7 @@ func (r *Runner) PlaceScaleSweep(points []PlaceScalePoint, schemes []placer.Sche
 		if p.Servers < 1 {
 			return nil, fmt.Errorf("experiments: place-scale point with %d servers", p.Servers)
 		}
-		r2 := *r
-		r2.Topo = PlaceScaleTopology(p)
-		in, _, err := r2.input(p.Chains, p.Delta)
+		in, _, err := r.on(PlaceScaleTopology(p)).input(p.Chains, p.Delta)
 		if err != nil {
 			return nil, err
 		}

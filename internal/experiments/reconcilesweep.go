@@ -4,10 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"strings"
-	"sync"
 	"time"
-
-	runtimepkg "runtime"
 
 	"lemur/internal/daemon"
 )
@@ -66,36 +63,20 @@ func ReconcileSweep(interval time.Duration, parallel int) ([]ReconcilePoint, err
 	if interval <= 0 {
 		return nil, fmt.Errorf("experiments: reconcile interval must be positive, got %v", interval)
 	}
-	workers := parallel
-	if workers <= 0 {
-		workers = runtimepkg.GOMAXPROCS(0)
-	}
 	scenarios := ReconcileScenarios()
 	points := make([]ReconcilePoint, len(scenarios))
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	for i, sc := range scenarios {
-		wg.Add(1)
-		go func(i int, sc string) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			start := time.Now()
-			pt, err := runReconcileScenario(sc, interval)
-			pt.WallNs = time.Since(start).Nanoseconds()
-			mu.Lock()
-			if err != nil && firstErr == nil {
-				firstErr = fmt.Errorf("experiments: reconcile scenario %s: %w", sc, err)
-			}
-			points[i] = pt
-			mu.Unlock()
-		}(i, sc)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	err := forEach(len(scenarios), parallel, func(i int) error {
+		start := time.Now()
+		pt, err := runReconcileScenario(scenarios[i], interval)
+		if err != nil {
+			return fmt.Errorf("experiments: reconcile scenario %s: %w", scenarios[i], err)
+		}
+		pt.WallNs = time.Since(start).Nanoseconds()
+		points[i] = pt
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return points, nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	runtimepkg "runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"lemur/internal/hw"
@@ -47,17 +48,6 @@ type Runner struct {
 	Headroom int
 }
 
-// DefaultVerifyPackets seeds every new Runner's VerifyPackets. Commands set
-// it (cmd/lemur-bench --metrics-out) so experiment helpers that build their
-// own internal runners still walk real frames and populate the per-platform
-// packet counters.
-var DefaultVerifyPackets int
-
-// DefaultParallel seeds every new Runner's Parallel. Commands set it
-// (cmd/lemur-bench -parallel) so experiment helpers that build their own
-// internal runners inherit the requested worker count.
-var DefaultParallel int
-
 // NewRunner returns a runner with the paper's defaults on the given
 // topology.
 func NewRunner(topo *hw.Topology) *Runner {
@@ -67,17 +57,61 @@ func NewRunner(topo *hw.Topology) *Runner {
 		Seed:             1,
 		TMaxBps:          hw.Gbps(100),
 		BruteForceBudget: 2000,
-		VerifyPackets:    DefaultVerifyPackets,
-		Parallel:         DefaultParallel,
 	}
 }
 
-// workers is the experiment-cell concurrency bound.
-func (r *Runner) workers() int {
-	if r.Parallel > 0 {
-		return r.Parallel
+// on returns a copy of r bound to another topology. Experiments that compare
+// racks derive their sibling runners this way, so Seed, Parallel,
+// VerifyPackets and every other setting carry over by value.
+func (r *Runner) on(topo *hw.Topology) *Runner {
+	r2 := *r
+	r2.Topo = topo
+	return &r2
+}
+
+// forEach runs cell(0..n-1) on up to workers goroutines: GOMAXPROCS when
+// workers <= 0, inline when one worker (or one cell) is all there is. Cells
+// are handed out by an atomic cursor, so completion order is nondeterministic
+// — a cell writes its result into an index-addressed slot, and forEach
+// reduces errors the same way: every cell runs even after one has failed (the
+// slots of the others stay complete) and the lowest-index error is returned,
+// so neither results nor the reported failure depend on the schedule.
+func forEach(n, workers int, cell func(i int) error) error {
+	if workers <= 0 {
+		workers = runtimepkg.GOMAXPROCS(0)
 	}
-	return runtimepkg.GOMAXPROCS(0)
+	if workers > n {
+		workers = n
+	}
+	errs := make([]error, n)
+	if workers <= 1 {
+		for i := range errs {
+			errs[i] = cell(i)
+		}
+	} else {
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		wg.Add(workers)
+		for w := 0; w < workers; w++ {
+			go func() {
+				defer wg.Done()
+				for {
+					i := int(next.Add(1)) - 1
+					if i >= n {
+						return
+					}
+					errs[i] = cell(i)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // SchemeResult is one scheme's outcome on one experiment set.
@@ -132,6 +166,18 @@ func (r *Runner) RunSet(chainIdxs []int, delta float64, scheme placer.Scheme) (*
 	if err != nil {
 		return nil, nil, err
 	}
+	out, _, err := r.runInput(in, scheme)
+	if err != nil {
+		return nil, nil, err
+	}
+	return out, set, nil
+}
+
+// runInput is RunSet past the input: place it, and — unless the placement is
+// infeasible or SkipMeasure is set — deploy, verify and measure. The placer's
+// Result comes back too, for experiments that also report on the placement
+// itself (NIC use, bounces).
+func (r *Runner) runInput(in *placer.Input, scheme placer.Scheme) (*SchemeResult, *placer.Result, error) {
 	res, err := placer.Place(scheme, in)
 	if err != nil {
 		return nil, nil, err
@@ -144,19 +190,18 @@ func (r *Runner) RunSet(chainIdxs []int, delta float64, scheme placer.Scheme) (*
 		PlaceTime: res.PlaceTime,
 	}
 	if !res.Feasible {
-		return out, set, nil
+		return out, res, nil
 	}
 	out.PredictedAggregate = res.PredictedAggregate
 	out.Marginal = res.Marginal
 	if r.SkipMeasure {
 		out.MeasuredAggregate = res.PredictedAggregate
-		return out, set, nil
+		return out, res, nil
 	}
-	d, err := metacompiler.Compile(in, res)
+	tb, err := r.deploy(in, res)
 	if err != nil {
 		return nil, nil, fmt.Errorf("experiments: %s: %w", scheme, err)
 	}
-	tb := runtime.New(d, r.Seed)
 	if r.VerifyPackets > 0 {
 		if _, err := tb.Verify(r.VerifyPackets); err != nil {
 			return nil, nil, fmt.Errorf("experiments: %s verification: %w", scheme, err)
@@ -167,7 +212,47 @@ func (r *Runner) RunSet(chainIdxs []int, delta float64, scheme placer.Scheme) (*
 		return nil, nil, err
 	}
 	out.MeasuredAggregate = m.Aggregate
-	return out, set, nil
+	return out, res, nil
+}
+
+// placeFeasible places in with scheme for a sweep that goes on to run traffic
+// over the placement: with nothing to run, an infeasible verdict is an error,
+// named after the sweep (what).
+func placeFeasible(what string, scheme placer.Scheme, in *placer.Input) (*placer.Result, error) {
+	res, err := placer.Place(scheme, in)
+	if err != nil {
+		return nil, err
+	}
+	if !res.Feasible {
+		return nil, fmt.Errorf("experiments: %s: placement infeasible: %s", what, res.Reason)
+	}
+	return res, nil
+}
+
+// deploy compiles a placement and stands it up on a fresh simulated testbed
+// seeded with r.Seed. Verify and Simulate mutate NF and queue state (and a
+// failover run rewires the deployment in place), so every cell that runs
+// traffic deploys its own from the shared placement.
+func (r *Runner) deploy(in *placer.Input, res *placer.Result) (*runtime.Testbed, error) {
+	d, err := metacompiler.Compile(in, res)
+	if err != nil {
+		return nil, err
+	}
+	return runtime.New(d, r.Seed), nil
+}
+
+// simulate runs one simulation cell: a fresh deployment of res, offered load
+// × the placed rates, under cfg. The offered rates are SimResult.OfferedBps.
+func (r *Runner) simulate(in *placer.Input, res *placer.Result, load float64, cfg runtime.SimConfig) (*runtime.SimResult, error) {
+	tb, err := r.deploy(in, res)
+	if err != nil {
+		return nil, err
+	}
+	offered := make([]float64, len(res.ChainRates))
+	for i, rate := range res.ChainRates {
+		offered[i] = rate * load
+	}
+	return tb.Simulate(offered, cfg)
 }
 
 // MeasureAchieved drives the testbed the way the paper does: each chain
@@ -199,41 +284,24 @@ type DeltaRow struct {
 // by Runner.Parallel (GOMAXPROCS when unset).
 func (r *Runner) Figure2Panel(chainIdxs []int, deltas []float64, schemes []placer.Scheme) ([]DeltaRow, error) {
 	rows := make([]DeltaRow, len(deltas))
-	type cell struct {
-		di, si int
-	}
-	sem := make(chan struct{}, r.workers())
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-
-	for di := range deltas {
+	for di := range rows {
 		rows[di].Schemes = make([]*SchemeResult, len(schemes))
 	}
-	for di, d := range deltas {
-		for si, s := range schemes {
-			wg.Add(1)
-			go func(c cell, d float64, s placer.Scheme) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				sr, set, err := r.RunSet(chainIdxs, d, s)
-				mu.Lock()
-				defer mu.Unlock()
-				if err != nil {
-					if firstErr == nil {
-						firstErr = err
-					}
-					return
-				}
-				rows[c.di].Set = set
-				rows[c.di].Schemes[c.si] = sr
-			}(cell{di, si}, d, s)
+	err := forEach(len(deltas)*len(schemes), r.Parallel, func(i int) error {
+		di, si := i/len(schemes), i%len(schemes)
+		sr, set, err := r.RunSet(chainIdxs, deltas[di], schemes[si])
+		if err != nil {
+			return err
 		}
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+		rows[di].Schemes[si] = sr
+		if si == 0 {
+			// The set depends on δ alone; one cell per row records it.
+			rows[di].Set = set
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return rows, nil
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 	"time"
 
 	"lemur/internal/hw"
@@ -72,6 +71,70 @@ func DefaultScalePoints(base int64) []ScalePoint {
 	}
 }
 
+// flowScale is the placed chain set both flow-scale sweeps simulate: ScaleSweep
+// varies the flow population over it, CoresSweep the simulator's worker count.
+type flowScale struct {
+	in      *placer.Input
+	res     *placer.Result
+	sumRate float64 // Σ placed chain rates, bits/sec
+}
+
+// placeFlowScale builds the canonical chain set's input with the stateful
+// classes pinned to servers and places it with Lemur; what names the calling
+// sweep in errors.
+func (r *Runner) placeFlowScale(what string, chainIdxs []int, delta float64) (*flowScale, error) {
+	in, _, err := r.input(chainIdxs, delta)
+	if err != nil {
+		return nil, err
+	}
+	// Pin the stateful classes to servers. PISA and SmartNIC match tables
+	// top out at tens of thousands of entries — a million-flow population
+	// only fits in server memory, and only the server NFs carry the sharded
+	// state tables these sweeps measure.
+	restrict := map[string][]hw.Platform{}
+	for class, platforms := range in.Restrict {
+		restrict[class] = platforms
+	}
+	for _, class := range []string{"NAT", "Monitor", "Dedup", "LB"} {
+		restrict[class] = []hw.Platform{hw.Server}
+	}
+	in.Restrict = restrict
+	res, err := placeFeasible(what, placer.SchemeLemur, in)
+	if err != nil {
+		return nil, err
+	}
+	fs := &flowScale{in: in, res: res}
+	for _, rate := range res.ChainRates {
+		fs.sumRate += rate
+	}
+	if fs.sumRate <= 0 {
+		return nil, fmt.Errorf("experiments: %s: zero aggregate rate", what)
+	}
+	return fs, nil
+}
+
+// config completes cfg for a run over flows concurrent flows that injects
+// about targetPackets packets (0 keeps cfg's duration).
+func (fs *flowScale) config(cfg runtime.SimConfig, flows, targetPackets int) runtime.SimConfig {
+	cfg.FlowScale = flows
+	if cfg.Scale <= 0 {
+		// Scale 1: simulate the offered rates unscaled, so multi-million
+		// packet targets stay seconds of simulated time, not hours.
+		cfg.Scale = 1
+	}
+	if cfg.StepSec <= 0 {
+		cfg.StepSec = 1e-3
+	}
+	if targetPackets > 0 {
+		// The engines inject offered/frameBits/Scale packets per simulated
+		// second across the chain set; invert that for the duration.
+		pktsPerSimSec := fs.sumRate / fs.in.FrameBitsOrDefault() / cfg.Scale
+		steps := math.Ceil(float64(targetPackets) / pktsPerSimSec / cfg.StepSec)
+		cfg.DurationSec = steps * cfg.StepSec
+	}
+	return cfg
+}
+
 // ScaleSweep places one chain set once, then simulates every flow-count
 // point on its own freshly compiled deployment (a run mutates NF table
 // state). The simulated duration is derived per point so the injected
@@ -85,99 +148,37 @@ func (r *Runner) ScaleSweep(chainIdxs []int, delta float64, points []ScalePoint,
 			return nil, fmt.Errorf("experiments: scalesweep point %d: non-positive flow count %d", pi, pt.Flows)
 		}
 	}
-	in, _, err := r.input(chainIdxs, delta)
+	fs, err := r.placeFlowScale("scalesweep", chainIdxs, delta)
 	if err != nil {
 		return nil, err
-	}
-	// Pin the stateful classes to servers. PISA and SmartNIC match tables
-	// top out at tens of thousands of entries — a million-flow population
-	// only fits in server memory, and only the server NFs carry the sharded
-	// state tables this sweep measures.
-	restrict := map[string][]hw.Platform{}
-	for class, platforms := range in.Restrict {
-		restrict[class] = platforms
-	}
-	for _, class := range []string{"NAT", "Monitor", "Dedup", "LB"} {
-		restrict[class] = []hw.Platform{hw.Server}
-	}
-	in.Restrict = restrict
-	res, err := placer.Place(placer.SchemeLemur, in)
-	if err != nil {
-		return nil, err
-	}
-	if !res.Feasible {
-		return nil, fmt.Errorf("experiments: scalesweep: placement infeasible: %s", res.Reason)
-	}
-	sumRate := 0.0
-	for _, rate := range res.ChainRates {
-		sumRate += rate
-	}
-	if sumRate <= 0 {
-		return nil, fmt.Errorf("experiments: scalesweep: zero aggregate rate")
 	}
 
 	cells := make([]ScaleCell, len(points))
-	sem := make(chan struct{}, r.workers())
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-
-	for pi, pt := range points {
-		wg.Add(1)
-		go func(pi int, pt ScalePoint) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			cell, err := r.scaleCell(in, res, pt, cfg, sumRate)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("experiments: scalesweep point %d (%d flows): %w", pi, pt.Flows, err)
-				}
-				return
-			}
-			cells[pi] = *cell
-		}(pi, pt)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	err = forEach(len(points), r.Parallel, func(pi int) error {
+		cell, err := r.scaleCell(fs, points[pi], cfg)
+		if err != nil {
+			return fmt.Errorf("experiments: scalesweep point %d (%d flows): %w", pi, points[pi].Flows, err)
+		}
+		cells[pi] = *cell
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return cells, nil
 }
 
 // scaleCell compiles and simulates one flow-count point.
-func (r *Runner) scaleCell(in *placer.Input, res *placer.Result, pt ScalePoint,
-	cfg runtime.SimConfig, sumRate float64) (*ScaleCell, error) {
-	d, err := metacompiler.Compile(in, res)
+func (r *Runner) scaleCell(fs *flowScale, pt ScalePoint, cfg runtime.SimConfig) (*ScaleCell, error) {
+	tb, err := r.deploy(fs.in, fs.res)
 	if err != nil {
 		return nil, err
 	}
-	tb := runtime.New(d, r.Seed)
-	offered := append([]float64(nil), res.ChainRates...)
-
-	pcfg := cfg
+	pcfg := fs.config(cfg, pt.Flows, pt.TargetPackets)
 	pcfg.Seed = pt.Seed
-	pcfg.FlowScale = pt.Flows
-	if pcfg.Scale <= 0 {
-		// Scale 1: simulate the offered rates unscaled, so multi-million
-		// packet targets stay seconds of simulated time, not hours.
-		pcfg.Scale = 1
-	}
-	if pcfg.StepSec <= 0 {
-		pcfg.StepSec = 1e-3
-	}
-	if pt.TargetPackets > 0 {
-		// The engines inject offered/frameBits/Scale packets per simulated
-		// second across the chain set; invert that for the duration.
-		pktsPerSimSec := sumRate / in.FrameBitsOrDefault() / pcfg.Scale
-		steps := math.Ceil(float64(pt.TargetPackets) / pktsPerSimSec / pcfg.StepSec)
-		pcfg.DurationSec = steps * pcfg.StepSec
-	}
 
 	t0 := time.Now()
-	sim, err := tb.Simulate(offered, pcfg)
+	sim, err := tb.Simulate(fs.res.ChainRates, pcfg)
 	wall := time.Since(t0)
 	if err != nil {
 		return nil, err
@@ -186,7 +187,7 @@ func (r *Runner) scaleCell(in *placer.Input, res *placer.Result, pt ScalePoint,
 		Point:       pt,
 		DurationSec: pcfg.DurationSec,
 		Sim:         sim,
-		NFState:     HarvestNFState(d),
+		NFState:     HarvestNFState(tb.D),
 		WallNs:      wall.Nanoseconds(),
 	}
 	for ci := range sim.Injected {

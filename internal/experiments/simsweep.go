@@ -2,9 +2,7 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 
-	"lemur/internal/metacompiler"
 	"lemur/internal/placer"
 	"lemur/internal/runtime"
 )
@@ -33,56 +31,24 @@ func (r *Runner) SimSweep(chainIdxs []int, delta float64, points []SimPoint, cfg
 	if err != nil {
 		return nil, err
 	}
-	res, err := placer.Place(placer.SchemeLemur, in)
+	res, err := placeFeasible("simsweep", placer.SchemeLemur, in)
 	if err != nil {
 		return nil, err
 	}
-	if !res.Feasible {
-		return nil, fmt.Errorf("experiments: simsweep: placement infeasible: %s", res.Reason)
-	}
 
 	cells := make([]SimCell, len(points))
-	sem := make(chan struct{}, r.workers())
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-
-	for pi, pt := range points {
-		wg.Add(1)
-		go func(pi int, pt SimPoint) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			// Simulate mutates NF and queue state: every cell compiles its
-			// own deployment from the shared placement.
-			d, err := metacompiler.Compile(in, res)
-			if err == nil {
-				tb := runtime.New(d, r.Seed)
-				offered := make([]float64, len(res.ChainRates))
-				for i, rate := range res.ChainRates {
-					offered[i] = rate * pt.LoadFactor
-				}
-				pcfg := cfg
-				pcfg.Seed = pt.Seed
-				var sim *runtime.SimResult
-				sim, err = tb.Simulate(offered, pcfg)
-				if err == nil {
-					mu.Lock()
-					cells[pi] = SimCell{Point: pt, Sim: sim}
-					mu.Unlock()
-					return
-				}
-			}
-			mu.Lock()
-			if firstErr == nil {
-				firstErr = fmt.Errorf("experiments: simsweep point %d: %w", pi, err)
-			}
-			mu.Unlock()
-		}(pi, pt)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	err = forEach(len(points), r.Parallel, func(pi int) error {
+		pcfg := cfg
+		pcfg.Seed = points[pi].Seed
+		sim, err := r.simulate(in, res, points[pi].LoadFactor, pcfg)
+		if err != nil {
+			return fmt.Errorf("experiments: simsweep point %d: %w", pi, err)
+		}
+		cells[pi] = SimCell{Point: points[pi], Sim: sim}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return cells, nil
 }

@@ -42,9 +42,6 @@ const dedupShim = 8 // bytes emitted per deduplicated chunk
 func NewDedup(name string, params Params) (NF, error) {
 	chunk := params.Int("chunk", 64)
 	maxSize := params.Int("cache", 65536)
-	if Impl == TableReference {
-		return newDedupRef(name, chunk, maxSize), nil
-	}
 	return &Dedup{
 		base:    base{name: name, class: "Dedup"},
 		chunk:   chunk,

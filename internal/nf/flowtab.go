@@ -21,7 +21,7 @@ import "lemur/internal/obs"
 //   - FIFO eviction: tables capped by an NF parameter (Monitor max_flows,
 //     Dedup cache, LB affinity) evict the oldest live entry, tracked by a
 //     fixed ring of (hash, key) pairs in insertion order. The retained
-//     map-backed reference implementations (reference.go) use the same
+//     map-backed reference implementations (reference_test.go) use the same
 //     policy, which is what keeps the two byte-identical under pressure —
 //     the old "evict whatever map iteration yields first" was unobservable
 //     only because no test pushed the tables past their caps.
@@ -29,27 +29,6 @@ import "lemur/internal/obs"
 // The table is deliberately not goroutine-safe: NF Process is single-
 // threaded per instance (the paper's run-to-completion subgroups), and the
 // simulator compiles one deployment per concurrent cell.
-
-// TableImpl selects the flow-state backend stateful NF constructors use.
-type TableImpl int
-
-// Table backends: the sharded arena tables (default) and the retained
-// map-backed reference the property tests hold them byte-identical to.
-const (
-	// TableSharded is the production backend: sharded open-addressing
-	// tables over flat arenas (this file).
-	TableSharded TableImpl = iota
-	// TableReference is the retained map-backed backend (reference.go),
-	// kept as the oracle for the sharded/reference identity property tests
-	// in internal/runtime. Not for production use at scale.
-	TableReference
-)
-
-// Impl is the backend new NAT/Monitor/Dedup/LB instances bind at
-// construction time. Tests flip it to TableReference around a
-// metacompiler.Compile to build a reference deployment; everything else
-// leaves it at TableSharded.
-var Impl = TableSharded
 
 const (
 	flowShardCount = 16        // power of two
@@ -320,26 +299,18 @@ func newStateObs(class, name string) stateObs {
 // gauge reflects the live table even when NF state outlives an obs registry
 // reset (a warm testbed simulated twice).
 func SyncStateObs(n NF) {
-	switch v := n.(type) {
-	case *NAT:
-		v.so.entries.Set(float64(v.out.count()))
-	case *Monitor:
-		v.so.entries.Set(float64(v.flows.count()))
-	case *Dedup:
-		v.so.entries.Set(float64(v.cache.count()))
-	case *LB:
-		if v.affinity != nil {
-			v.so.entries.Set(float64(v.affinity.count()))
-		}
-	case *natRef:
-		v.so.entries.Set(float64(len(v.out)))
-	case *monitorRef:
-		v.so.entries.Set(float64(len(v.flows)))
-	case *dedupRef:
-		v.so.entries.Set(float64(len(v.cache)))
-	case *lbRef:
-		if v.affinity != nil {
-			v.so.entries.Set(float64(len(v.affinity)))
-		}
+	if s, ok := n.(interface{ syncStateObs() }); ok {
+		s.syncStateObs()
+	}
+}
+
+func (n *NAT) syncStateObs()     { n.so.entries.Set(float64(n.out.count())) }
+func (m *Monitor) syncStateObs() { m.so.entries.Set(float64(m.flows.count())) }
+func (d *Dedup) syncStateObs()   { d.so.entries.Set(float64(d.cache.count())) }
+
+// An LB with the affinity table disabled has no occupancy to report.
+func (l *LB) syncStateObs() {
+	if l.affinity != nil {
+		l.so.entries.Set(float64(l.affinity.count()))
 	}
 }

@@ -139,23 +139,14 @@ func TestFlowTableFull(t *testing.T) {
 	}
 }
 
-// withImpl runs f under the given table backend, restoring the default.
-func withImpl(impl TableImpl, f func()) {
-	old := Impl
-	Impl = impl
-	defer func() { Impl = old }()
-	f()
-}
-
-// mkPair builds the same NF under both backends.
+// mkPair builds the same NF over the sharded tables and over the references.
 func mkPair(t *testing.T, class, name string, params Params) (sharded, ref NF) {
 	t.Helper()
-	var err error
-	withImpl(TableSharded, func() { sharded, err = Registry[class].New(name, params) })
+	sharded, err := Registry[class].New(name, params)
 	if err != nil {
 		t.Fatal(err)
 	}
-	withImpl(TableReference, func() { ref, err = Registry[class].New(name, params) })
+	WithReferenceTables(func() { ref, err = Registry[class].New(name, params) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,6 +230,22 @@ func TestShardedMatchesReference(t *testing.T) {
 						sv.AffinityFlows(), len(rv.affinity), sv.Evicted, rv.evicted)
 				}
 			}
+			// The identity is only worth something if the stream pushed the
+			// table past its cap.
+			var pressure uint64
+			switch sv := s.(type) {
+			case *NAT:
+				pressure = sv.Exhausted
+			case *Monitor:
+				pressure = sv.Evicted
+			case *Dedup:
+				pressure = sv.Evicted
+			case *LB:
+				pressure = sv.Evicted
+			}
+			if pressure == 0 {
+				t.Errorf("%s never evicted or exhausted: the comparison is vacuous", tc.class)
+			}
 		})
 	}
 }
@@ -300,8 +307,8 @@ func TestNATPortWindowExhaustion(t *testing.T) {
 // TestNATRefClampsIdentically pins the reference backend to the same port
 // window clamp, so the exhaustion threshold cannot diverge between backends.
 func TestNATRefClampsIdentically(t *testing.T) {
-	withImpl(TableReference, func() {
-		n, err := NewNAT("big", Params{"entries": 100000})
+	WithReferenceTables(func() {
+		n, err := New("NAT", "big", Params{"entries": 100000})
 		if err != nil {
 			t.Fatal(err)
 		}

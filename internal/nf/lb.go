@@ -64,9 +64,6 @@ func NewLB(name string, params Params) (NF, error) {
 	if maxAff < 0 {
 		maxAff = 0
 	}
-	if Impl == TableReference {
-		return newLBRef(name, backends, maxAff), nil
-	}
 	lb := &LB{
 		base:     base{name: name, class: "LB"},
 		backends: backends,

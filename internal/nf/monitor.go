@@ -32,9 +32,6 @@ type Monitor struct {
 // table (default 100000).
 func NewMonitor(name string, params Params) (NF, error) {
 	maxFlows := params.Int("max_flows", 100000)
-	if Impl == TableReference {
-		return newMonitorRef(name, maxFlows), nil
-	}
 	return &Monitor{
 		base:  base{name: name, class: "Monitor"},
 		flows: newFlowTable[packet.FiveTuple, FlowStats](maxFlows, true),

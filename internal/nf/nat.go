@@ -101,9 +101,6 @@ func NewNAT(name string, params Params) (NF, error) {
 	if err != nil {
 		return nil, err
 	}
-	if Impl == TableReference {
-		return newNATRef(name, cfg), nil
-	}
 	n := &NAT{
 		base:   base{name: name, class: "NAT"},
 		natCfg: cfg,

@@ -9,8 +9,9 @@ import (
 
 // Map-backed reference implementations of the stateful NFs, retained from
 // the pre-sharding code as the oracle the flowTable-backed versions are held
-// byte-identical to (the PR 3 simulateReference pattern, applied one layer
-// down). Constructors return these when Impl == TableReference.
+// byte-identical to (the simulateReference pattern, applied one layer down).
+// They live in a test file so no binary carries them; WithReferenceTables
+// (export_test.go) binds them in place of the production constructors.
 //
 // The translation/accounting logic is the original map code; the only
 // additions are the ones both backends need to agree on:
@@ -36,7 +37,11 @@ type natRef struct {
 	exhausted uint64
 }
 
-func newNATRef(name string, cfg natCfg) *natRef {
+func newNATRef(name string, params Params) (NF, error) {
+	cfg, err := parseNATCfg(name, params)
+	if err != nil {
+		return nil, err
+	}
 	n := &natRef{
 		base:   base{name: name, class: "NAT"},
 		natCfg: cfg,
@@ -46,7 +51,7 @@ func newNATRef(name string, cfg natCfg) *natRef {
 		exhC:   natExhaustedCounter(name),
 	}
 	n.nextPort = n.portBase
-	return n
+	return n, nil
 }
 
 // Process mirrors NAT.Process over the flat maps.
@@ -116,13 +121,13 @@ type monitorRef struct {
 	evicted uint64
 }
 
-func newMonitorRef(name string, maxFlows int) *monitorRef {
+func newMonitorRef(name string, params Params) (NF, error) {
 	return &monitorRef{
 		base:  base{name: name, class: "Monitor"},
 		flows: make(map[packet.FiveTuple]*FlowStats),
-		max:   maxFlows,
+		max:   params.Int("max_flows", 100000),
 		so:    newStateObs("Monitor", name),
-	}
+	}, nil
 }
 
 // Process mirrors Monitor.Process with FIFO eviction over the flat map.
@@ -172,14 +177,14 @@ type dedupRef struct {
 	evicted           uint64
 }
 
-func newDedupRef(name string, chunk, maxSize int) *dedupRef {
+func newDedupRef(name string, params Params) (NF, error) {
 	return &dedupRef{
 		base:    base{name: name, class: "Dedup"},
-		chunk:   chunk,
+		chunk:   params.Int("chunk", 64),
 		cache:   make(map[uint64]uint32),
-		maxSize: maxSize,
+		maxSize: params.Int("cache", 65536),
 		so:      newStateObs("Dedup", name),
-	}
+	}, nil
 }
 
 // Process mirrors Dedup.Process with FIFO fingerprint rotation.
@@ -232,7 +237,15 @@ type lbRef struct {
 	evicted uint64
 }
 
-func newLBRef(name string, backends []packet.IPv4Addr, maxAff int) *lbRef {
+func newLBRef(name string, params Params) (NF, error) {
+	backends, err := parseLBBackends(name, params)
+	if err != nil {
+		return nil, err
+	}
+	maxAff := params.Int("affinity", 65536)
+	if maxAff < 0 {
+		maxAff = 0
+	}
 	l := &lbRef{
 		base:     base{name: name, class: "LB"},
 		backends: backends,
@@ -242,7 +255,7 @@ func newLBRef(name string, backends []packet.IPv4Addr, maxAff int) *lbRef {
 	if maxAff > 0 {
 		l.affinity = make(map[packet.FiveTuple]uint32)
 	}
-	return l
+	return l, nil
 }
 
 // Process mirrors LB.Process over the flat affinity map.
@@ -274,4 +287,15 @@ func (l *lbRef) Process(p *packet.Packet, _ *Env) {
 	}
 	p.IP.Dst = l.backends[bi]
 	p.SyncHeaders()
+}
+
+// The references publish occupancy through the same hook as the sharded
+// tables (SyncStateObs), so end-of-run gauges match too.
+func (n *natRef) syncStateObs()     { n.so.entries.Set(float64(len(n.out))) }
+func (m *monitorRef) syncStateObs() { m.so.entries.Set(float64(len(m.flows))) }
+func (d *dedupRef) syncStateObs()   { d.so.entries.Set(float64(len(d.cache))) }
+func (l *lbRef) syncStateObs() {
+	if l.affinity != nil {
+		l.so.entries.Set(float64(len(l.affinity)))
+	}
 }

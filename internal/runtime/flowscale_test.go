@@ -7,8 +7,6 @@ import (
 	"testing"
 
 	"lemur/internal/hw"
-	"lemur/internal/metacompiler"
-	"lemur/internal/nf"
 	"lemur/internal/obs"
 	"lemur/internal/placer"
 )
@@ -48,75 +46,6 @@ func randomStatefulSpec(rng *rand.Rand, idx int) string {
 		spec += " -> " + nm
 	}
 	return spec + "\n}\n"
-}
-
-// compileWithImpl compiles a spec with the chosen NF table backend bound,
-// restoring the default before returning.
-func compileWithImpl(t *testing.T, src string, impl nf.TableImpl) *metacompiler.Deployment {
-	t.Helper()
-	old := nf.Impl
-	nf.Impl = impl
-	defer func() { nf.Impl = old }()
-	return compileRandom(t, src)
-}
-
-// TestShardedTablesMatchReference is the table-backend identity property:
-// the same random deployment compiled once over the sharded arena tables and
-// once over the retained map-backed references must produce byte-identical
-// SimResults AND metrics snapshots — across 50+ random stateful topologies ×
-// seeds, under both FlowScale traffic patterns (immortal flow populations
-// and per-second churn), with table caps small enough that FIFO eviction,
-// Dedup rotation, and NAT port exhaustion all run hot.
-func TestShardedTablesMatchReference(t *testing.T) {
-	reg := obs.Default()
-	reg.Enable()
-	t.Cleanup(func() {
-		reg.Disable()
-		reg.Reset()
-	})
-
-	rng := rand.New(rand.NewSource(606))
-	factors := []float64{0.8, 1.1, 1.6}
-	cases, skipped := 0, 0
-	for trial := 0; cases < 52 && trial < 130; trial++ {
-		nChains := 1 + rng.Intn(2)
-		src := ""
-		for c := 0; c < nChains; c++ {
-			src += randomStatefulSpec(rng, c)
-		}
-		dShard := compileWithImpl(t, src, nf.TableSharded)
-		if dShard == nil {
-			skipped++
-			continue
-		}
-		dRef := compileWithImpl(t, src, nf.TableReference)
-		cases++
-
-		offered := make([]float64, len(dShard.Result.ChainRates))
-		for i, r := range dShard.Result.ChainRates {
-			offered[i] = r * factors[(trial+i)%len(factors)]
-		}
-		cfg := SimConfig{Seed: int64(2000 + trial), DurationSec: 0.06}
-		// Alternate the two FlowScale traffic patterns: a pre-generated
-		// immortal population, and churn arriving at FlowScale flows/sec.
-		cfg.FlowScale = 200 + rng.Intn(1800)
-		cfg.FlowChurn = trial%2 == 1
-
-		shardStats, shardMetrics := runSim(t, dShard, offered, cfg, (*Testbed).Simulate)
-		refStats, refMetrics := runSim(t, dRef, offered, cfg, (*Testbed).Simulate)
-
-		if !bytes.Equal(shardStats, refStats) {
-			t.Fatalf("trial %d (scale %d churn %v): SimResult diverged\nsharded: %s\nref:     %s\nspec:\n%s",
-				trial, cfg.FlowScale, cfg.FlowChurn, shardStats, refStats, src)
-		}
-		if !bytes.Equal(shardMetrics, refMetrics) {
-			t.Fatalf("trial %d (scale %d churn %v): metrics diverged (sharded %d bytes, ref %d bytes)\nspec:\n%s",
-				trial, cfg.FlowScale, cfg.FlowChurn, len(shardMetrics), len(refMetrics), src)
-		}
-	}
-	if cases < 50 {
-		t.Fatalf("only %d feasible random cases (%d skipped); loosen the generator", cases, skipped)
-	}
 }
 
 // TestFlowScaleEnginesAgree extends the fast/reference engine identity to

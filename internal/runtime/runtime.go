@@ -284,7 +284,6 @@ func (tb *Testbed) Measure(offered []float64) (*Measurement, error) {
 	for i, r := range m.Rates {
 		m.Aggregate += r
 		m.WorstLatencySec[i] = tb.pathLatency(i)
-		_ = r
 	}
 	return m, nil
 }
@@ -354,5 +353,3 @@ func crossSocket(srv *hw.ServerSpec, shares []bess.CoreShare) bool {
 	}
 	return false
 }
-
-var _ = packet.EthernetLen // keep packet import for doc examples
