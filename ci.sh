@@ -56,6 +56,22 @@ coverage_floor() {
   }
 }
 
+# one_definition LABEL WANT REGEX DIR...: the non-test Go lines under the
+# DIRs that match REGEX (extended, case-insensitive) must number exactly
+# WANT — so a second copy fails the guard, and so does losing the one place
+# it allows (a guard that could match nothing would pass vacuously).
+one_definition() {
+  local label=$1 want=$2 regex=$3 hits n
+  shift 3
+  hits=$(grep -rniE --include='*.go' -- "$regex" "$@" | grep -v '_test\.go:' || true)
+  n=$(grep -c . <<<"$hits" || true)
+  if [ "$n" -ne "$want" ]; then
+    echo "ci: ${label}: want ${want} non-test match(es) of /${regex}/, found ${n}:" >&2
+    echo "$hits" >&2
+    return 1
+  fi
+}
+
 echo "==> go vet ./..."
 go vet ./...
 
@@ -94,6 +110,32 @@ for cmd in lemur lemurd lemur-bench; do
   fi
 done
 
+# One back half, one path model, one registry path. evalScratch.finish is the
+# only sequencing of the placer's checks: no caller may pick its own subset
+# again (the varargs ev.check is gone), so each check has exactly one call
+# site — finish — and stageCheck two (finish and evictUntilFits' probe). The
+# switch-pipeline latency and the hop predicate are declared once, in
+# internal/placer, for the placer, the runtime and the metacompiler. The
+# simulator records into the default registry only.
+echo "==> one-exit, one-path-model and one-registry guards"
+if grep -rn --include='*.go' -e 'ev\.check(' -e ') check(' internal/placer | grep -v '_test\.go:'; then
+  echo "ci: the caller-chosen check list (evalScratch.check) is back in internal/placer" >&2
+  exit 1
+fi
+one_definition 'checkLatency call sites' 1 '\.checkLatency\(\)' internal/placer
+one_definition 'solveRates call sites' 1 '\.solveRates\(\)' internal/placer
+one_definition 'checkTailLatency call sites' 1 '\.checkTailLatency\(\)' internal/placer
+one_definition 'stageCheck call sites' 2 '\.stageCheck\(\)' internal/placer
+one_definition 'switch-pipeline latency constant' 1 'pipeline[a-z]* *= *1e-6' \
+  internal/placer internal/runtime internal/metacompiler
+one_definition 'spelled-out hop predicate' 1 'platform != prev' \
+  internal/placer internal/runtime internal/metacompiler
+one_definition 'simulator handles on the default registry' 1 'obs\.H\("lemur_sim_queue_depth"' internal/runtime
+if [ -e internal/obs/merge.go ] || grep -rn --include='*.go' -e 'regForOwner' -e 'sh\.reg\b' internal; then
+  echo "ci: the simulator's private-registry path (obs merge, regForOwner, simShard.reg) is back" >&2
+  exit 1
+fi
+
 echo "==> go test -race ./..."
 go test -race ./...
 
@@ -112,7 +154,7 @@ go test -race -count=1 ./internal/placer ./internal/experiments ./internal/runti
 # API, chaos crash, Prometheus endpoint) get a named race pass so the
 # lemurd path cannot be skipped by test caching.
 echo "==> control-plane daemon guards (race)"
-run_guard 'TestReconcileIdempotent|TestConvergenceRandomSequences|TestRejectedSpecIsolation|TestSnapshotRoundTrip|TestEndToEndDaemon|TestOneDeltaPerTick|TestAdmissionAfterFailureLandsOnce' \
+run_guard 'TestReconcileIdempotent|TestConvergenceRandomSequences|TestRejectedSpecIsolation|TestSnapshotRoundTrip|TestEndToEndDaemon|TestOneDeltaPerTick|TestAdmissionAfterFailureLandsOnce|TestStatusPredictedP99AfterAdmission|TestStatusFailsClosed|TestTailViolatingAdmissionRefused' \
   -race -count=1 ./internal/daemon
 run_guard 'TestReconcileSweepDeterministic' -race -count=1 ./internal/experiments
 
@@ -225,13 +267,15 @@ run_guard 'TestPlaceScaleSweepDeterministic|TestPlaceScaleSweepExhaustiveReferen
 # must share no memory with the evaluation scratch; the core-overflow reason
 # must not depend on map order; the reconfiguration matrix (Replace, Admit,
 # Retire and their rewires over 32 racks) must render to
-# testdata/reconfig.golden; and the incremental door must keep pinned chains'
+# testdata/reconfig.golden; the incremental door must keep pinned chains'
 # *Subgroup pointers, kind by kind and for a combined retire/admit/fail
-# delta. Then, without the race detector (it makes
+# delta; the door, ReEvaluate and the MILP must enforce d_max_p99 and fill
+# the prediction like Place; and the MILP must be deterministic and leave
+# the heuristic's Result alone. Then, without the race detector (it makes
 # sync.Pool drop the LP tableau), a warm candidate evaluation must allocate
 # nothing.
 echo "==> placement golden matrix + Result ownership (race)"
-run_guard 'TestGoldenPlacements|TestGoldenReconfigure|TestResultSharesNoScratchMemory|TestCoreOverflowReasonDeterministic|TestAdmitPinningInvariant|TestReplacePinningInvariant|TestRetirePinningInvariant|TestReconfigureCombinedDelta|TestPinHistogramCountsCarriedSubgroups' \
+run_guard 'TestGoldenPlacements|TestGoldenReconfigure|TestResultSharesNoScratchMemory|TestCoreOverflowReasonDeterministic|TestAdmitPinningInvariant|TestReplacePinningInvariant|TestRetirePinningInvariant|TestReconfigureCombinedDelta|TestPinHistogramCountsCarriedSubgroups|TestReconfigureEnforcesTailLatency|TestMILPDeterministic|TestMILPLeavesHeuristicIntact' \
   -race -count=1 ./internal/placer
 run_guard 'TestEvaluateCandidateSteadyStateAllocs' -count=1 ./internal/placer
 

@@ -7,7 +7,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"net/http"
 	"os"
@@ -61,8 +60,8 @@ func runStatus(args []string) {
 	}
 	fmt.Printf("\n%-12s %5s %14s %14s %12s %8s  %s\n", "CHAIN", "SLOT", "RATE", "TMIN", "P99", "SLO", "PLACEMENT")
 	for _, c := range st.Chains {
-		p99 := "-"
-		if c.PredictedP99Sec > 0 && !math.IsInf(c.PredictedP99Sec, 1) {
+		p99 := "unbounded" // -1: a subgroup on the worst path runs at ρ >= 1
+		if c.PredictedP99Sec >= 0 {
 			p99 = fmt.Sprintf("%.1fus", c.PredictedP99Sec*1e6)
 		}
 		verdict := "met"

@@ -45,11 +45,14 @@ type ChainStatus struct {
 	TMinBps float64 `json:"tmin_bps"`
 	TMaxBps float64 `json:"tmax_bps"`
 	// PredictedP99Sec is the placement's queueing-model tail-latency
-	// estimate; DMaxP99Sec the bound it is judged against (0 = none).
+	// estimate, -1 when it is unbounded (a subgroup on the chain's worst
+	// path runs at ρ >= 1; JSON cannot carry +Inf) or missing; DMaxP99Sec
+	// the bound it is judged against (0 = none).
 	PredictedP99Sec float64 `json:"predicted_p99_sec"`
 	DMaxP99Sec      float64 `json:"dmax_p99_sec,omitempty"`
 	// SLOMet is the verdict: rate within the SLO band and the p99 estimate
-	// within its bound.
+	// within its bound. It fails closed: a tail-bounded chain without a
+	// finite prediction is not met.
 	SLOMet bool `json:"slo_met"`
 	// Servers and Devices list where the chain runs: servers hosting its
 	// subgroups and NIC/switch devices it uses, each sorted.
@@ -115,8 +118,9 @@ func (d *Daemon) chainStatusesLocked() []ChainStatus {
 		if slot < len(res.ChainRates) {
 			cs.RateBps = res.ChainRates[slot]
 		}
+		p99 := math.Inf(1) // no prediction: nothing shows a tail bound is met
 		if slot < len(res.PredictedP99Sec) {
-			cs.PredictedP99Sec = res.PredictedP99Sec[slot]
+			p99 = res.PredictedP99Sec[slot]
 		}
 		servers, devices := map[string]bool{}, map[string]bool{}
 		for _, sg := range res.Subgroups {
@@ -137,8 +141,11 @@ func (d *Daemon) chainStatusesLocked() []ChainStatus {
 		}
 		cs.Servers = sortedKeys(servers)
 		cs.Devices = sortedKeys(devices)
-		cs.SLOMet = cs.RateBps >= cs.TMinBps-1 &&
-			(cs.DMaxP99Sec == 0 || (!math.IsInf(cs.PredictedP99Sec, 1) && cs.PredictedP99Sec <= cs.DMaxP99Sec))
+		cs.SLOMet = cs.RateBps >= cs.TMinBps-1 && (cs.DMaxP99Sec == 0 || p99 <= cs.DMaxP99Sec)
+		cs.PredictedP99Sec = p99
+		if math.IsInf(p99, 1) {
+			cs.PredictedP99Sec = -1
+		}
 		out = append(out, cs)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })

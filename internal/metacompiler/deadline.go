@@ -13,10 +13,6 @@ import (
 // subgroups earliest-deadline-first by that slack. Deadline-free chains are
 // untouched: their cores keep plain round-robin.
 
-// switchPipelineDelaySec mirrors the placer's fixed PISA pipeline latency
-// (checkLatency in internal/placer/finish.go).
-const switchPipelineDelaySec = 1e-6
-
 // EffectiveDeadlineSec is the chain's scheduling deadline: the mean bound
 // d_max when set, else the tail bound d_max_p99, else 0 (no deadline). The
 // runtime shares it to score deadline-SLO compliance with the same
@@ -52,12 +48,12 @@ func (d *Deployment) DeadlineSlacks() map[*placer.Subgroup]float64 {
 			}
 		}
 		for _, sp := range d.ChainPaths[ci] {
-			delay := switchPipelineDelaySec
-			prev, prevDev := hw.PISA, ""
+			delay := placer.SwitchPipelineSec
+			prev := placer.Assign{Platform: hw.PISA}
 			for _, seg := range segments(sp, res.Assign, res.Breaks) {
-				if seg.platform != prev || (seg.platform != hw.PISA && seg.device != prevDev) {
+				if at := (placer.Assign{Platform: seg.platform, Device: seg.device}); at.HopFrom(prev) {
 					delay += in.Topo.HopLatencySec
-					prev, prevDev = seg.platform, seg.device
+					prev = at
 				}
 				if seg.platform != hw.Server {
 					continue

@@ -187,6 +187,7 @@ func TestRetirePinningInvariant(t *testing.T) {
 			}
 			retired++
 			verifySnapshot(t, trial, prev.Subgroups, snap)
+			checkInvariants(t, trial, scheme, in, next)
 
 			if !next.IsRetired(victim) {
 				t.Fatalf("trial %d %s: retired chain %d not marked", trial, scheme, victim)

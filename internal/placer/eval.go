@@ -147,8 +147,10 @@ type evalScratch struct {
 	// The core ledger: srvOf is each res.Subgroups entry's index in
 	// Topo.Servers and used the cores charged per server (budgets are
 	// p.srvCores). adds and bestAdds are allocateCores' subgroup-index
-	// buffers.
+	// buffers; fresh marks, per res.Subgroups entry, the subgroups the
+	// pinned policy may write (assembleReplace fills it).
 	srvOf, used, adds, bestAdds []int
+	fresh                       []bool
 
 	// The rate LP: rows are carved from flat and reused, x receives the
 	// solution, tmin is the per-call t_min copy a retired slot needs.
@@ -159,8 +161,10 @@ type evalScratch struct {
 	tmin     []float64
 	links    []lpLink
 
-	// checkTailLatency's node-to-subgroup index and per-path visit stamps.
+	// checkTailLatency's node-to-subgroup index and per-path visit stamps:
+	// seen[si] is the number (pathNo) of the last path that counted si.
 	subOf, seen []int
+	pathNo      int
 }
 
 func newEvalScratch(in *Input) *evalScratch {
@@ -239,14 +243,16 @@ func (ev *evalScratch) adopt(res *Result) (string, bool) {
 	return "", true
 }
 
-// check adopts res and runs the given stages in order, stopping at the
-// first that fails: the incremental calls' way through the back half.
-func (ev *evalScratch) check(res *Result, stages ...func() (string, bool)) (string, bool) {
-	reason, ok := ev.adopt(res)
-	for i := 0; ok && i < len(stages); i++ {
-		reason, ok = stages[i]()
+// finishResult is finish for a heap Result the caller assembled: the way
+// through the back half for everything that is not a stamped candidate
+// (SW-Preferred's whole-chain groups, Reconfigure, ReEvaluate, the MILP).
+// res ends up feasible or carrying the first infeasibility reason.
+func (ev *evalScratch) finishResult(res *Result, policy allocPolicy) {
+	if reason, ok := ev.adopt(res); !ok {
+		res.Reason = reason
+		return
 	}
-	return reason, ok
+	ev.finish(policy)
 }
 
 // load fills the dense assignment and the stage key from a map.
@@ -271,10 +277,13 @@ func (ev *evalScratch) assignMap() map[*nfgraph.Node]Assign {
 	return m
 }
 
-// finish runs the common back half of every scheme on the scratch: check
-// switch stages, allocate cores, check latency SLOs, solve the rate LP and
-// check the tail latency. ev.res ends up either feasible with rates filled
-// in or carrying the first infeasibility reason.
+// finish runs the common back half on the scratch: check switch stages,
+// allocate cores, check latency SLOs, solve the rate LP and check the tail
+// latency. ev.res ends up either feasible with rates filled in or carrying
+// the first infeasibility reason. It is the only sequencing of those steps:
+// every Result the package hands out — Place under any scheme, Reconfigure,
+// ReEvaluate — left through here, and callers differ only in the policy
+// that chooses cores, so none can leave an SLO check out.
 func (ev *evalScratch) finish(policy allocPolicy) {
 	res := ev.res
 	reason, ok := ev.stageCheck()
@@ -290,14 +299,11 @@ func (ev *evalScratch) finish(policy allocPolicy) {
 	if ok {
 		if reason, ok = ev.checkTailLatency(); !ok {
 			// solveRates already filled the rate summary; an infeasible Result
-			// must not carry stale rates (see TestPlaceInfeasibleReasons). A
-			// heap Result drops them; the scratch's own keeps the capacity.
+			// must not carry stale rates (see TestPlaceInfeasibleReasons).
+			// Truncating serves both kinds of Result: the scratch's own keeps
+			// its capacity, a heap one reads as empty.
 			res.Marginal, res.PredictedAggregate = 0, 0
-			if res == &ev.own {
-				res.ChainRates, res.PredictedP99Sec = res.ChainRates[:0], res.PredictedP99Sec[:0]
-			} else {
-				res.ChainRates, res.PredictedP99Sec = nil, nil
-			}
+			res.ChainRates, res.PredictedP99Sec = res.ChainRates[:0], res.PredictedP99Sec[:0]
 		}
 	}
 	res.Reason, res.Feasible = reason, ok

@@ -78,7 +78,8 @@ func TestCoreOverflowReasonDeterministic(t *testing.T) {
 				t.Fatal(reason)
 			}
 			const want = "server nf-server-0: needs 2 cores, has 1"
-			if reason, ok := ev.allocateCoresReplace(fresh); ok || reason != want {
+			ev.fresh = fresh
+			if reason, ok := ev.allocateCoresReplace(); ok || reason != want {
 				t.Fatalf("call %d: ok=%v reason %q, want %q", i, ok, reason, want)
 			}
 		}

@@ -52,22 +52,15 @@ func finishWhole(in *Input, assign map[*nfgraph.Node]Assign, policy allocPolicy)
 		}
 		res.NICUses = append(res.NICUses, c.tmpls[ci].nics...)
 	}
-	ev := newEvalScratch(in)
-	if reason, ok := ev.adopt(res); !ok {
-		res.Reason = reason
-		return res
-	}
-	ev.finish(policy)
+	newEvalScratch(in).finishResult(res, policy)
 	return res
 }
 
 // checkLatency verifies d_max for every chain that sets one (§5.3): the
-// worst root-to-leaf path delay — NF execution on servers and NICs, a fixed
-// switch pipeline latency, and one hop latency per platform transition —
-// must not exceed the bound.
+// worst root-to-leaf path delay (see worstPathSec) must not exceed the
+// bound.
 func (ev *evalScratch) checkLatency() (string, bool) {
-	const switchPipelineSec = 1e-6
-	in, res, p := ev.in, ev.res, ev.p
+	in, res := ev.in, ev.res
 	for ci, g := range in.Chains {
 		dmax := g.Chain.SLO.DMaxSec
 		if dmax <= 0 || res.IsRetired(ci) {
@@ -79,7 +72,7 @@ func (ev *evalScratch) checkLatency() (string, bool) {
 		// be met by ANY placement. Report that explicitly (and before
 		// the path walk, which is silently vacuous for chains whose
 		// path set is empty) instead of blaming this placement's paths.
-		floor := switchPipelineSec
+		floor := SwitchPipelineSec
 		for _, n := range g.Order {
 			if !in.allows(n, hw.PISA) {
 				floor += 2 * in.Topo.HopLatencySec
@@ -90,40 +83,60 @@ func (ev *evalScratch) checkLatency() (string, bool) {
 			return fmt.Sprintf("chain %s: d_max %.1fus is below the best-case propagation delay %.1fus; no placement can meet it",
 				g.Chain.Name, dmax*1e6, floor*1e6), false
 		}
-		worst := 0.0
-		for _, path := range p.paths[ci] {
-			d := switchPipelineSec
-			prev, prevDev := hw.PISA, ""
-			hops := 0
-			for _, n := range path.Nodes {
-				a := ev.assign[p.base[ci]+n.Seq]
-				if a.Platform != prev || (a.Platform != hw.PISA && a.Device != prevDev) {
-					hops++
-					prev, prevDev = a.Platform, a.Device
-				}
-				switch a.Platform {
-				case hw.Server:
-					d += in.nodeCycles(n) / in.clockHz()
-				case hw.SmartNIC:
-					if nic := p.nics[a.Device]; nic != nil {
-						d += in.nodeCycles(n) / (nic.SpeedupVsServerCore * in.clockHz())
-					}
-				}
-			}
-			if prev != hw.PISA {
-				hops++
-			}
-			d += float64(hops) * in.Topo.HopLatencySec
-			if d > worst {
-				worst = d
-			}
-		}
-		if worst > dmax {
+		if worst := ev.worstPathSec(ci, false); worst > dmax {
 			return fmt.Sprintf("chain %s: worst-path delay %.1fus exceeds d_max %.1fus",
 				g.Chain.Name, worst*1e6, dmax*1e6), false
 		}
 	}
 	return "", true
+}
+
+// worstPathSec is the placer's one model of a placed path: the largest
+// delay over chain ci's root-to-leaf paths, each the fixed switch pipeline
+// latency, NF execution on servers and SmartNICs, and one hop latency per
+// platform transition (the return to the ToR included). With tail set it is
+// the p99 model instead: every server subgroup a path crosses adds, once per
+// path and at its first node, its M/M/1 p99 wait at the chain's solved rate
+// — which needs checkTailLatency's subOf/seen index and ChainRates filled.
+func (ev *evalScratch) worstPathSec(ci int, tail bool) float64 {
+	in, res, p := ev.in, ev.res, ev.p
+	worst := 0.0
+	for _, path := range p.paths[ci] {
+		ev.pathNo++ // stamps the subgroups this path has counted (tail only)
+		d := SwitchPipelineSec
+		prev := Assign{Platform: hw.PISA}
+		hops := 0
+		for _, n := range path.Nodes {
+			i := p.base[ci] + n.Seq
+			a := ev.assign[i]
+			if a.HopFrom(prev) {
+				hops++
+				prev = a
+			}
+			switch a.Platform {
+			case hw.Server:
+				d += in.nodeCycles(n) / in.clockHz()
+				if tail {
+					if si := ev.subOf[i]; si >= 0 && ev.seen[si] != ev.pathNo {
+						ev.seen[si] = ev.pathNo
+						d += mm1P99WaitSec(in, res.Subgroups[si], res.ChainRates[ci])
+					}
+				}
+			case hw.SmartNIC:
+				if nic := p.nics[a.Device]; nic != nil {
+					d += in.nodeCycles(n) / (nic.SpeedupVsServerCore * in.clockHz())
+				}
+			}
+		}
+		if prev.Platform != hw.PISA {
+			hops++
+		}
+		d += float64(hops) * in.Topo.HopLatencySec
+		if d > worst {
+			worst = d
+		}
+	}
+	return worst
 }
 
 // bindNICs attaches SmartNIC-assigned nodes to the first SmartNIC (our

@@ -87,6 +87,7 @@ func FuzzReplace(f *testing.F) {
 		if next == nil || !next.Feasible {
 			t.Fatalf("nil error but no feasible result: %+v", next)
 		}
+		checkInvariants(t, 0, prev.Scheme, in, next)
 		// A feasible result must be internally complete: every chain rated,
 		// every subgroup on a live server with at least one core, nothing
 		// left on a retired slot.

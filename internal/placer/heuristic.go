@@ -328,11 +328,12 @@ func placeNoCoalesce(in *Input) (*Result, error) {
 
 // reEvaluate rebuilds a decided placement's rates under the input's real
 // cost database, keeping the (possibly misinformed) structure and core
-// allocation. Used by the No-Profiling ablation and the §5.2 sensitivity
-// experiment.
+// allocation, and holds it to every check a placement decided under that
+// database would have passed. Used by the No-Profiling ablation and the §5.2
+// sensitivity experiment.
 func reEvaluate(in *Input, decided *Result) *Result {
 	in.ensurePrep()
-	res := &Result{Assign: decided.Assign, Stages: decided.Stages, Breaks: decided.Breaks}
+	res := &Result{Assign: decided.Assign, Breaks: decided.Breaks}
 	for ci, g := range in.Chains {
 		res.Subgroups = append(res.Subgroups, computeSubgroupsSplit(in, ci, g, decided.Assign, decided.Breaks)...)
 		res.NICUses = append(res.NICUses, computeNICUses(in, ci, g, decided.Assign)...)
@@ -344,8 +345,7 @@ func reEvaluate(in *Input, decided *Result) *Result {
 	for i, sg := range res.Subgroups {
 		sg.Cores = decided.Subgroups[i].Cores
 	}
-	ev := newEvalScratch(in)
-	res.Reason, res.Feasible = ev.check(res, ev.checkLatency, ev.solveRates)
+	newEvalScratch(in).finishResult(res, policyDecided)
 	return res
 }
 

@@ -38,7 +38,8 @@ func randomChainSpec(rng *rand.Rand, idx int) string {
 // TestPlacementInvariantsProperty: for random chain sets, any feasible
 // placement from any scheme must satisfy the §3.1 feasibility definition:
 // (a) every chain gets at least t_min; (b) the switch program fits;
-// (c) core budgets hold per server; (d) no link is oversubscribed. Also:
+// (c) core budgets hold per server; (d) no link is oversubscribed; (e) every
+// chain carries a p99 prediction, within d_max_p99 where one is set. Also:
 // non-replicable subgroups never get more than one core, and rates never
 // exceed t_max.
 func TestPlacementInvariantsProperty(t *testing.T) {
@@ -75,10 +76,20 @@ func TestPlacementInvariantsProperty(t *testing.T) {
 	}
 }
 
+// checkInvariants holds a feasible Result — a fresh placement or what the
+// incremental door returned, retired slots and all — to the feasibility
+// definition. A retired slot must have no rate and no assignment; everything
+// else applies to the active chains.
 func checkInvariants(t *testing.T, trial int, scheme Scheme, in *Input, res *Result) {
 	t.Helper()
 	// (a) rates within [tmin, tmax].
 	for i, g := range in.Chains {
+		if res.IsRetired(i) {
+			if res.ChainRates[i] != 0 {
+				t.Errorf("trial %d %s: retired chain %d still rated %v", trial, scheme, i, res.ChainRates[i])
+			}
+			continue
+		}
 		if res.ChainRates[i] < g.Chain.SLO.TMinBps-1 {
 			t.Errorf("trial %d %s: chain %d rate %v < tmin %v",
 				trial, scheme, i, res.ChainRates[i], g.Chain.SLO.TMinBps)
@@ -129,10 +140,29 @@ func checkInvariants(t *testing.T, trial int, scheme Scheme, in *Input, res *Res
 			t.Errorf("trial %d %s: link %s carries %v of %v", trial, scheme, dev, l, caps[dev])
 		}
 	}
-	// Every node is assigned to an allowed platform.
-	for _, g := range in.Chains {
+	// (e) a tail-latency prediction per chain slot, and for an active chain
+	// with a d_max_p99 a finite one within the bound (+Inf and NaN both fail
+	// the comparison).
+	if len(res.PredictedP99Sec) != len(in.Chains) {
+		t.Errorf("trial %d %s: %d p99 predictions for %d chains", trial, scheme, len(res.PredictedP99Sec), len(in.Chains))
+	} else {
+		for i, g := range in.Chains {
+			if bound := g.Chain.SLO.DMaxP99Sec; bound > 0 && !res.IsRetired(i) && !(res.PredictedP99Sec[i] <= bound) {
+				t.Errorf("trial %d %s: chain %d predicted p99 %v against d_max_p99 %v",
+					trial, scheme, i, res.PredictedP99Sec[i], bound)
+			}
+		}
+	}
+	// Every node of an active chain is assigned to an allowed platform.
+	for i, g := range in.Chains {
 		for _, n := range g.Order {
 			a, ok := res.Assign[n]
+			if res.IsRetired(i) {
+				if ok {
+					t.Errorf("trial %d %s: retired node %s still assigned", trial, scheme, n.Name())
+				}
+				continue
+			}
 			if !ok {
 				t.Errorf("trial %d %s: %s unassigned", trial, scheme, n.Name())
 				continue
@@ -152,7 +182,7 @@ func checkInvariants(t *testing.T, trial int, scheme Scheme, in *Input, res *Res
 	for _, g := range in.Chains {
 		for _, n := range g.Order {
 			want := 0
-			if a := res.Assign[n]; a.Platform == hw.Server {
+			if a, ok := res.Assign[n]; ok && a.Platform == hw.Server {
 				want = 1
 			}
 			if seen[n] != want {

@@ -30,9 +30,11 @@ func Admit(prev *Result, in *Input, newChains []int) (*AdmitReport, error) {
 }
 
 // Retire is Reconfigure for a retirement-only delta: prev without the
-// goneChains, their slots marked Retired, or an error wrapping ErrInfeasible
-// (which cannot happen when prev was feasible: removing chains only relaxes
-// constraints — the property tests pin this).
+// goneChains, their slots marked Retired, or an error wrapping ErrInfeasible.
+// For chains without a tail bound that cannot happen when prev was feasible
+// (removing chains only relaxes constraints — the property tests pin this);
+// a chain with a d_max_p99 can be lifted to saturation by the capacity a
+// retirement frees, which Reconfigure refuses.
 func Retire(prev *Result, in *Input, goneChains []int) (*Result, error) {
 	rep, err := Reconfigure(prev, in, Delta{Retire: goneChains})
 	if err != nil {

@@ -23,8 +23,12 @@ import (
 //	     Σ_i m_{i,d}·(x_i + t_min,i) ≤ C_d          ∀ device link d
 //	     k_s integer
 //
-// via branch and bound over the LP relaxation.
-func allocateMILP(in *Input, res *Result) (string, bool) {
+// via branch and bound over the LP relaxation. allocateMILP is finish's
+// policyMILP arm and only chooses Cores: like every other policy's, its
+// allocation then passes the latency checks and gets its rates from the
+// rate LP (which, the cores fixed, reaches the same objective).
+func (ev *evalScratch) allocateMILP() (string, bool) {
+	in, res, tmin := ev.in, ev.res, ev.p.tmins
 	nChains := len(in.Chains)
 	nSubs := len(res.Subgroups)
 	nVars := nChains + nSubs // x_0..x_{n-1}, then k per subgroup
@@ -32,10 +36,8 @@ func allocateMILP(in *Input, res *Result) (string, bool) {
 	bits := in.frameBits()
 
 	prob := lp.Problem{C: make([]float64, nVars)}
+	copy(prob.C, ev.p.ones) // the rate LP's objective: Σ x_i
 	integer := make([]bool, nVars)
-	for i := 0; i < nChains; i++ {
-		prob.C[i] = 1
-	}
 	for s := 0; s < nSubs; s++ {
 		integer[nChains+s] = true
 	}
@@ -45,18 +47,13 @@ func allocateMILP(in *Input, res *Result) (string, bool) {
 		prob.B = append(prob.B, b)
 	}
 
-	tmin := make([]float64, nChains)
-	for i, g := range in.Chains {
-		tmin[i] = g.Chain.SLO.TMinBps
-	}
-
 	// Subgroup capacity coupling and per-subgroup core bounds.
 	for s, sg := range res.Subgroups {
 		i := sg.ChainIdx
-		coef := sg.Weight * sg.Cycles / bits
+		coef := sg.Weight * sg.Cycles / bits / f // cores per bps
 		row := newRow()
-		row[i] = coef
-		row[nChains+s] = -f
+		row[i] = coef * milpRateUnit
+		row[nChains+s] = -1
 		addRow(row, -tmin[i]*coef)
 
 		lo := newRow()
@@ -69,18 +66,18 @@ func allocateMILP(in *Input, res *Result) (string, bool) {
 		}
 	}
 
-	// Per-server core budgets.
-	for _, srv := range in.Topo.Servers {
+	// Per-server core budgets, in topology order.
+	for o, cores := range ev.p.srvCores {
 		row := newRow()
 		any := false
-		for s, sg := range res.Subgroups {
-			if sg.Server == srv.Name {
+		for s := range res.Subgroups {
+			if ev.srvOf[s] == o {
 				row[nChains+s] = 1
 				any = true
 			}
 		}
 		if any {
-			addRow(row, float64(srv.WorkerCores()))
+			addRow(row, float64(cores))
 		}
 	}
 
@@ -97,48 +94,18 @@ func allocateMILP(in *Input, res *Result) (string, bool) {
 		}
 		row := newRow()
 		row[i] = 1
-		addRow(row, ub-tmin[i])
+		addRow(row, (ub-tmin[i])/milpRateUnit)
 	}
 
-	// Link constraints.
-	type link struct {
-		cap    float64
-		visits []float64
+	// Link constraints: the rate LP's rows, widened by the core variables.
+	ev.resetRows()
+	if reason, ok := ev.linkRows(tmin); !ok {
+		return reason, false
 	}
-	links := map[string]*link{}
-	visit := func(dev string, cap float64, chain int, w float64) {
-		l := links[dev]
-		if l == nil {
-			l = &link{cap: cap, visits: make([]float64, nChains)}
-			links[dev] = l
-		}
-		l.visits[chain] += w
-	}
-	for _, sg := range res.Subgroups {
-		srv, err := in.Topo.ServerByName(sg.Server)
-		if err != nil {
-			return err.Error(), false
-		}
-		visit(sg.Server, srv.NICs[0].CapacityBps, sg.ChainIdx, sg.Weight)
-	}
-	for _, u := range res.NICUses {
-		nic, err := in.Topo.SmartNICByName(u.Device)
-		if err != nil {
-			return err.Error(), false
-		}
-		visit(u.Device, nic.CapacityBps, u.ChainIdx, u.Weight)
-	}
-	for dev, l := range links {
-		fixed := 0.0
-		for i, m := range l.visits {
-			fixed += m * tmin[i]
-		}
-		if fixed > l.cap+1e-6 {
-			return fmt.Sprintf("link %s: t_min traffic exceeds capacity", dev), false
-		}
+	for _, l := range ev.links {
 		row := newRow()
 		copy(row, l.visits)
-		addRow(row, l.cap-fixed)
+		addRow(row, l.spare/milpRateUnit)
 	}
 
 	sol, err := lp.SolveMILP(prob, integer, 0)
@@ -148,15 +115,14 @@ func allocateMILP(in *Input, res *Result) (string, bool) {
 	for s, sg := range res.Subgroups {
 		sg.Cores = int(math.Round(sol.X[nChains+s]))
 	}
-	res.ChainRates = make([]float64, nChains)
-	res.Marginal = sol.Value
-	res.PredictedAggregate = 0
-	for i := range res.ChainRates {
-		res.ChainRates[i] = tmin[i] + sol.X[i]
-		res.PredictedAggregate += res.ChainRates[i]
-	}
 	return "", true
 }
+
+// milpRateUnit is the unit of the MILP's rate variables, 1 Gbps. With the
+// coupling rows divided by f the program reads in Gbps and cores; written in
+// bps its coefficients span 1e-10..1e10, and the simplex's absolute 1e-9
+// tolerances take phase-1 round-off for infeasibility.
+const milpRateUnit = 1e9
 
 // placeMILP runs the Lemur pipeline with exact MILP core allocation instead
 // of the greedy/LP split — the reproduction of the paper's MILP artifact.
@@ -164,25 +130,28 @@ func allocateMILP(in *Input, res *Result) (string, bool) {
 // structure.
 func placeMILP(in *Input) (*Result, error) {
 	base, err := lemurHeuristic(in, policyMarginal)
-	if err != nil {
-		return nil, err
+	if err != nil || !base.Feasible {
+		return base, err
 	}
-	if !base.Feasible {
+	milp := resolveMILP(in, base)
+	if !milp.Feasible {
+		// Fall back to the heuristic allocation, which the attempt left alone.
+		base.Reason = "milp fallback: " + milp.Reason
 		return base, nil
 	}
-	// Re-solve the allocation exactly on the heuristic's structure.
-	milp := &Result{Assign: base.Assign, Breaks: base.Breaks, Stages: base.Stages,
-		Subgroups: base.Subgroups, NICUses: base.NICUses}
-	if reason, ok := allocateMILP(in, milp); !ok {
-		// Fall back to the heuristic allocation.
-		base.Reason = "milp fallback: " + reason
-		return base, nil
-	}
-	ev := newEvalScratch(in)
-	if reason, ok := ev.check(milp, ev.checkLatency); !ok {
-		base.Reason = "milp fallback: " + reason
-		return base, nil
-	}
-	milp.Feasible = true
 	return milp, nil
+}
+
+// resolveMILP re-solves base's core allocation exactly on the heuristic's
+// structure. The MILP writes Cores, so it works on copies of base's
+// subgroups: base stays what the heuristic returned, whatever the verdict.
+func resolveMILP(in *Input, base *Result) *Result {
+	milp := &Result{Assign: base.Assign, Breaks: base.Breaks, NICUses: base.NICUses,
+		Subgroups: make([]*Subgroup, len(base.Subgroups))}
+	for i, sg := range base.Subgroups {
+		c := *sg
+		milp.Subgroups[i] = &c
+	}
+	newEvalScratch(in).finishResult(milp, policyMILP)
+	return milp
 }

@@ -34,6 +34,12 @@ chain b {
 		if !heur.Feasible || !milp.Feasible {
 			t.Fatalf("heur=%v(%s) milp=%v(%s)", heur.Feasible, heur.Reason, milp.Feasible, milp.Reason)
 		}
+		// The MILP itself must have solved: a fallback returns the heuristic's
+		// Result (feasible, the reason says why), which would make the
+		// comparison below vacuous.
+		if milp.Reason != "" {
+			t.Errorf("MILP fell back to the heuristic allocation: %s", milp.Reason)
+		}
 		// Exact allocation on the same structure can never be worse.
 		if milp.Marginal < heur.Marginal-1e6 {
 			t.Errorf("MILP marginal %v < heuristic %v", milp.Marginal, heur.Marginal)
@@ -80,5 +86,47 @@ chain lim {
 		if !sg.Replicable && sg.Cores != 1 {
 			t.Errorf("non-replicable %s got %d cores from the MILP", sg.Name(), sg.Cores)
 		}
+	}
+}
+
+// TestMILPLeavesHeuristicIntact: the MILP arm writes Cores, so it must work
+// on copies — the heuristic's Result is what placeMILP returns when the
+// exact attempt fails, and it has to be the heuristic's then. The fixture is
+// link-bound, where the greedy pour overshoots and the exact allocation
+// differs: rendering the heuristic's Result before and after the MILP ran
+// on it gives the same bytes.
+func TestMILPLeavesHeuristicIntact(t *testing.T) {
+	in := input(t, hw.NewPaperTestbed(), `
+chain mon {
+  slo { tmin = 2Gbps  tmax = 100Gbps }
+  mon0 = Monitor()
+  fwd0 = IPv4Fwd()
+  mon0 -> fwd0
+}`)
+	in.ensurePrep()
+	heur, err := lemurHeuristic(in, policyMarginal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !heur.Feasible {
+		t.Fatalf("fixture: %s", heur.Reason)
+	}
+	before := canonicalResult(in, heur)
+	milp := resolveMILP(in, heur)
+	if !milp.Feasible {
+		t.Fatalf("MILP arm: %s", milp.Reason)
+	}
+	differs := false
+	for i, sg := range milp.Subgroups {
+		if sg == heur.Subgroups[i] {
+			t.Errorf("subgroup %s is shared with the heuristic's Result", sg.Name())
+		}
+		differs = differs || sg.Cores != heur.Subgroups[i].Cores
+	}
+	if !differs {
+		t.Fatal("fixture: the exact allocation must differ from the greedy one")
+	}
+	if after := canonicalResult(in, heur); after != before {
+		t.Errorf("the MILP arm rewrote the heuristic's Result:\n%s\nwas:\n%s", after, before)
 	}
 }

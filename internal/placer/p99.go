@@ -3,8 +3,7 @@ package placer
 import (
 	"fmt"
 	"math"
-
-	"lemur/internal/hw"
+	"slices"
 )
 
 // The tail-latency admission check (the d_max_p99 SLO): where checkLatency
@@ -15,68 +14,29 @@ import (
 // ln(100ρ)/(μ-λ) (zero when 100ρ <= 1, unbounded at ρ >= 1).
 
 // checkTailLatency predicts each chain's p99 delay at the solved rates —
-// worst root-to-leaf fixed delay plus the M/M/1 p99 wait at every server
-// subgroup the path crosses — records it in Result.PredictedP99Sec, and
-// rejects the placement if a chain with a d_max_p99 bound exceeds it. It
-// must run after solveRates (the estimate needs ChainRates).
+// worstPathSec's tail model — records it in Result.PredictedP99Sec, and
+// rejects the placement if a chain with a d_max_p99 bound exceeds it. finish
+// runs it after solveRates (the estimate needs ChainRates).
 func (ev *evalScratch) checkTailLatency() (string, bool) {
-	const switchPipelineSec = 1e-6
 	in, res, p := ev.in, ev.res, ev.p
 	res.PredictedP99Sec = grown(res.PredictedP99Sec, len(in.Chains))
 	// subOf maps a dense node index to its subgroup's index (-1: none);
 	// seen[si] holds the number of the last path that counted subgroup si.
-	ev.subOf = ev.subOf[:0]
+	ev.subOf = slices.Grow(ev.subOf[:0], len(p.nodes))
 	for range p.nodes {
 		ev.subOf = append(ev.subOf, -1)
 	}
-	ev.seen = append(ev.seen[:0], make([]int, len(res.Subgroups))...)
+	ev.seen, ev.pathNo = append(ev.seen[:0], make([]int, len(res.Subgroups))...), 0
 	for si, sg := range res.Subgroups {
 		for _, n := range sg.Nodes {
 			ev.subOf[p.base[sg.ChainIdx]+n.Seq] = si
 		}
 	}
-	pathNo := 0
 	for ci, g := range in.Chains {
 		if res.IsRetired(ci) {
 			continue
 		}
-		rate := 0.0
-		if ci < len(res.ChainRates) {
-			rate = res.ChainRates[ci]
-		}
-		worst := 0.0
-		for _, path := range p.paths[ci] {
-			pathNo++
-			d := switchPipelineSec
-			prev, prevDev := hw.PISA, ""
-			hops := 0
-			for _, n := range path.Nodes {
-				a := ev.assign[p.base[ci]+n.Seq]
-				if a.Platform != prev || (a.Platform != hw.PISA && a.Device != prevDev) {
-					hops++
-					prev, prevDev = a.Platform, a.Device
-				}
-				switch a.Platform {
-				case hw.Server:
-					d += in.nodeCycles(n) / in.clockHz()
-					if si := ev.subOf[p.base[ci]+n.Seq]; si >= 0 && ev.seen[si] != pathNo {
-						ev.seen[si] = pathNo
-						d += mm1P99WaitSec(in, res.Subgroups[si], rate)
-					}
-				case hw.SmartNIC:
-					if nic := p.nics[a.Device]; nic != nil {
-						d += in.nodeCycles(n) / (nic.SpeedupVsServerCore * in.clockHz())
-					}
-				}
-			}
-			if prev != hw.PISA {
-				hops++
-			}
-			d += float64(hops) * in.Topo.HopLatencySec
-			if d > worst {
-				worst = d
-			}
-		}
+		worst := ev.worstPathSec(ci, true)
 		res.PredictedP99Sec[ci] = worst
 		bound := g.Chain.SLO.DMaxP99Sec
 		if bound <= 0 {

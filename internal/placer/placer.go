@@ -133,6 +133,20 @@ type Assign struct {
 	Device   string // server / smartnic / switch name
 }
 
+// SwitchPipelineSec is the fixed latency of one pass through the PISA
+// pipeline. Every path delay the system models starts from it: the placer's
+// d_max and d_max_p99 checks, the runtime's measured path latency and the
+// metacompiler's EDF slacks.
+const SwitchPipelineSec = 1e-6
+
+// HopFrom reports whether a packet that was last at prev crosses a link to
+// reach a: the platform changes or — off the switch, which is one device —
+// the device does. A path starts and ends at the ToR, Assign{Platform:
+// hw.PISA}, so one that ends anywhere else pays one more hop to egress.
+func (a Assign) HopFrom(prev Assign) bool {
+	return a.Platform != prev.Platform || (a.Platform != hw.PISA && a.Device != prev.Device)
+}
+
 // Subgroup is a maximal run of contiguous server NFs executed
 // run-to-completion on shared cores (§3.2).
 type Subgroup struct {
@@ -192,7 +206,8 @@ type Result struct {
 	// the LP-assigned rates: the worst root-to-leaf path's fixed delay
 	// (execution, switch pipeline, hop latency) plus an M/M/1 p99 queueing
 	// estimate at every server subgroup the path crosses. +Inf marks a
-	// saturated subgroup (ρ >= 1). Filled only on feasible results.
+	// saturated subgroup (ρ >= 1). Filled on every feasible result — Place,
+	// Reconfigure and ReEvaluate alike — and only on those.
 	PredictedP99Sec []float64
 
 	// Stages is the PISA compiler's verdict for this placement.

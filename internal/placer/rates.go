@@ -64,16 +64,30 @@ func (in *Input) coresToMeet(sg *Subgroup, targetBps float64) int {
 	return cores
 }
 
-// lpLink is one device's link constraint under construction: the device, its
-// capacity, and the traffic-weighted visits per chain (an LP row).
+// lpLink is one device's link constraint: the device, its capacity, the
+// traffic-weighted visits per chain (an LP row) and the capacity to spare
+// once every chain's t_min is carried (the row's right-hand side).
 type lpLink struct {
-	dev    string
-	cap    float64
-	visits []float64
+	dev        string
+	cap, spare float64
+	visits     []float64
+}
+
+// resetRows sizes the scratch's row block for the input — a row per chain
+// plus one per device that can carry a link constraint — and takes back
+// every row and link handed out since the last call.
+func (ev *evalScratch) resetRows() {
+	n := len(ev.in.Chains)
+	if rows := n + len(ev.p.srvCores) + len(ev.p.nics); len(ev.flat) < rows*n {
+		ev.flat = make([]float64, rows*n)
+		ev.lpA, ev.lpB = make([][]float64, 0, rows), make([]float64, 0, rows)
+		ev.links = make([]lpLink, 0, rows-n)
+	}
+	ev.flatUsed, ev.links = 0, ev.links[:0]
 }
 
 // row hands out a zeroed LP row, one value per chain, from the scratch's
-// reusable block (solveLP sizes it). Rows stay valid until the next solveLP.
+// reusable block. Rows stay valid until the next resetRows.
 func (ev *evalScratch) row() []float64 {
 	n := len(ev.in.Chains)
 	r := ev.flat[ev.flatUsed : ev.flatUsed+n : ev.flatUsed+n]
@@ -83,8 +97,8 @@ func (ev *evalScratch) row() []float64 {
 }
 
 // addVisit adds weight w of chain's traffic to dev's link constraint.
-// Devices number a handful, so a linear slice beats a map — and gives the LP
-// a deterministic constraint order.
+// Devices number a handful, so a linear slice beats a map — and gives the
+// program a deterministic constraint order.
 func (ev *evalScratch) addVisit(dev string, cap float64, chain int, w float64) {
 	for i := range ev.links {
 		if ev.links[i].dev == dev {
@@ -96,6 +110,38 @@ func (ev *evalScratch) addVisit(dev string, cap float64, chain int, w float64) {
 	ev.links[len(ev.links)-1].visits[chain] += w
 }
 
+// linkRows builds ev.links, the per-device link constraints
+// Σ m_{i,d}·r_i ≤ C_d of the scratch's subgroups and NIC uses, in order of
+// first visit, against the given t_min vector. The rate LP and the MILP both
+// take their link rows from here (after resetRows), so the two programs
+// cannot disagree on a link, or on row order.
+func (ev *evalScratch) linkRows(tmin []float64) (string, bool) {
+	in, res, p := ev.in, ev.res, ev.p
+	for si, sg := range res.Subgroups {
+		ev.addVisit(sg.Server, in.Topo.Servers[ev.srvOf[si]].NICs[0].CapacityBps, sg.ChainIdx, sg.Weight)
+	}
+	for _, u := range res.NICUses {
+		nic := p.nics[u.Device]
+		if nic == nil {
+			return fmt.Sprintf("%v: smartnic %q", hw.ErrNotFound, u.Device), false
+		}
+		ev.addVisit(u.Device, nic.CapacityBps, u.ChainIdx, u.Weight)
+	}
+	for li := range ev.links {
+		l := &ev.links[li]
+		fixed := 0.0
+		for i, m := range l.visits {
+			fixed += m * tmin[i]
+		}
+		if fixed > l.cap+1e-6 {
+			return fmt.Sprintf("link %s: t_min traffic %.3g bps exceeds capacity %.3g bps",
+				l.dev, fixed, l.cap), false
+		}
+		l.spare = l.cap - fixed
+	}
+	return "", true
+}
+
 // solveLP builds and solves the marginal-throughput LP (§3.2) for the
 // scratch's current subgroups, cores and NIC uses: maximize Σ(r_i − t_min)
 // subject to t_min ≤ r_i ≤ min(capacity, t_max, ingress port) and per-device
@@ -104,7 +150,6 @@ func (ev *evalScratch) addVisit(dev string, cap float64, chain int, w float64) {
 // solved against, or the infeasibility reason.
 func (ev *evalScratch) solveLP() (lp.Solution, []float64, string, bool) {
 	in, res, p := ev.in, ev.res, ev.p
-	n := len(in.Chains)
 	// The objective and t_min vectors are fixed per input and shared from
 	// the prep (lp.Solve copies, never mutates).
 	tmin := p.tmins
@@ -120,13 +165,7 @@ func (ev *evalScratch) solveLP() (lp.Solution, []float64, string, bool) {
 			}
 		}
 	}
-	// A row per chain plus one per device that can carry a link constraint.
-	if rows := n + len(p.srvCores) + len(p.nics); len(ev.flat) < rows*n {
-		ev.flat = make([]float64, rows*n)
-		ev.lpA, ev.lpB = make([][]float64, 0, rows), make([]float64, 0, rows)
-		ev.links = make([]lpLink, 0, rows-n)
-	}
-	ev.flatUsed, ev.links = 0, ev.links[:0]
+	ev.resetRows()
 	A, B := ev.lpA[:0], ev.lpB[:0]
 	for i, g := range in.Chains {
 		ub := minF(chainCapBps(in, res, i), g.Chain.SLO.TMaxBps)
@@ -144,27 +183,11 @@ func (ev *evalScratch) solveLP() (lp.Solution, []float64, string, bool) {
 		A, B = append(A, row), append(B, ub-tmin[i])
 	}
 
-	// Link constraints per device, in order of first visit.
-	for si, sg := range res.Subgroups {
-		ev.addVisit(sg.Server, in.Topo.Servers[ev.srvOf[si]].NICs[0].CapacityBps, sg.ChainIdx, sg.Weight)
-	}
-	for _, u := range res.NICUses {
-		nic := p.nics[u.Device]
-		if nic == nil {
-			return lp.Solution{}, nil, fmt.Sprintf("%v: smartnic %q", hw.ErrNotFound, u.Device), false
-		}
-		ev.addVisit(u.Device, nic.CapacityBps, u.ChainIdx, u.Weight)
+	if reason, ok := ev.linkRows(tmin); !ok {
+		return lp.Solution{}, nil, reason, false
 	}
 	for _, l := range ev.links {
-		fixed := 0.0
-		for i, m := range l.visits {
-			fixed += m * tmin[i]
-		}
-		if fixed > l.cap+1e-6 {
-			return lp.Solution{}, nil, fmt.Sprintf("link %s: t_min traffic %.3g bps exceeds capacity %.3g bps",
-				l.dev, fixed, l.cap), false
-		}
-		A, B = append(A, l.visits), append(B, l.cap-fixed)
+		A, B = append(A, l.visits), append(B, l.spare)
 	}
 	ev.lpA, ev.lpB = A, B
 
@@ -208,7 +231,10 @@ func grown(s []float64, n int) []float64 {
 	return s
 }
 
-// allocPolicy controls how spare cores are handed out.
+// allocPolicy is how finish chooses cores — the one step of the back half
+// that legitimately differs between callers. The first four hand out spare
+// cores over a whole fresh placement; the last three serve Results that
+// arrive with some or all of their cores already decided.
 type allocPolicy int
 
 const (
@@ -216,6 +242,9 @@ const (
 	policyEven                          // HWPreferred/MinBounce: round-robin chains
 	policySequential                    // Greedy: chain order, one chain at a time
 	policyNone                          // NoCoreAlloc ablation: minimum only
+	policyPinned                        // Reconfigure: only ev.fresh subgroups are written (allocateCoresReplace)
+	policyDecided                       // ReEvaluate: every subgroup keeps the Cores it came with
+	policyMILP                          // MILP: exact integer allocation on the given structure (allocateMILP)
 )
 
 // lpMarginal scores the current core allocation by solving the rate LP
@@ -315,12 +344,24 @@ func (ev *evalScratch) raiseToTMin(only []bool) (string, bool) {
 	return "", true
 }
 
-// allocateCores assigns cores to subgroups: one core each, raised to meet
-// t_min (SLO-aware policies only), then spare cores per policy. It returns
-// an infeasibility reason when minimums cannot be met.
+// allocateCores assigns cores to subgroups. For a fresh placement: one core
+// each, raised to meet t_min (SLO-aware policies only), then spare cores per
+// policy; the pinned, decided and MILP policies are dispatched first. It
+// returns an infeasibility reason when minimums cannot be met.
 func (ev *evalScratch) allocateCores(policy allocPolicy) (string, bool) {
 	in, res, subs := ev.in, ev.res, ev.res.Subgroups
 	budget, srvOf := ev.p.srvCores, ev.srvOf
+	switch policy {
+	case policyDecided:
+		// Pinned with nothing fresh: the ledger is charged and checked, no
+		// subgroup is written.
+		ev.fresh = append(ev.fresh[:0], make([]bool, len(subs))...)
+		fallthrough
+	case policyPinned:
+		return ev.allocateCoresReplace()
+	case policyMILP:
+		return ev.allocateMILP()
+	}
 
 	// Mandatory single core per subgroup.
 	for _, sg := range subs {

@@ -196,6 +196,14 @@ var (
 // mutated — so downstream per-subgroup state (metacompiler shares, simulator
 // queues) survives. With nothing touched the call is one re-validation pass.
 //
+// Every candidate, the re-validation included, leaves through the same
+// finish as a fresh placement: stages, cores, d_max, the rate LP over the
+// whole chain set and the d_max_p99 tail check, so the door enforces exactly
+// the SLOs Place enforces and its Result carries PredictedP99Sec. The rate LP
+// is not tail-aware: when a retirement or failure frees link capacity it may
+// lift a pinned tail-bounded chain to ρ = 1, and the delta is then refused
+// with the p99 reason — what Place answers for the same final chain set.
+//
 // When no pin-preserving placement exists and the delta admits chains, a
 // full re-solve of all active chains under prev.Scheme decides between
 // AdmitRepack (reported, never applied: the caller chooses whether the
@@ -372,8 +380,9 @@ func solveIncremental(base *Result, rin *Input, dead NodeSet, retire, admit []in
 	pinned := pinnedBreaks(rin, base.Breaks, moved)
 	if len(touched) == 0 {
 		// Nothing to re-solve: re-check what base carries. The switch program
-		// can only have lost tables (Stages records the reclaimed verdict) and
-		// the rate LP redistributes any released link capacity.
+		// can only have lost tables (Stages records the reclaimed verdict), the
+		// rate LP redistributes any released link capacity and the tail check
+		// judges the chains at their new rates.
 		res, reason := assembleReplace(ev, base, base.Assign, pinned, moved)
 		return res, nil, reason
 	}
@@ -526,15 +535,17 @@ func pinnedBreaks(in *Input, breaks map[*nfgraph.Node]bool, moved []bool) map[*n
 	return out
 }
 
-// assembleReplace builds the combined Result: pinned chains reuse their
+// assembleReplace builds the combined Result — pinned chains reuse their
 // previous *Subgroup/*NICUse values verbatim, moved chains get fresh ones
-// (none, for a retired chain: it has no assignments left), then cores are allocated to the fresh subgroups only and the full
-// chain set is re-checked (stages, latency, rate LP). ev is the call's
-// scratch, over the surviving topology. The empty reason means success.
+// (none, for a retired chain: it has no assignments left) — and sends it
+// through finish under the pinned policy: cores go to the fresh subgroups
+// only, and the full chain set passes every check a fresh placement passes
+// (stages, d_max, rate LP, d_max_p99). ev is the call's scratch, over the
+// surviving topology. The empty reason means success.
 func assembleReplace(ev *evalScratch, prev *Result, assign map[*nfgraph.Node]Assign, breaks map[*nfgraph.Node]bool, moved []bool) (*Result, string) {
 	rin := ev.in
 	res := &Result{Assign: assign, Breaks: breaks, Retired: prev.Retired}
-	var fresh []bool // per res.Subgroups entry
+	ev.fresh = ev.fresh[:0]
 	for ci, g := range rin.Chains {
 		if moved[ci] {
 			res.Subgroups = append(res.Subgroups, computeSubgroupsSplit(rin, ci, g, assign, breaks)...)
@@ -551,28 +562,26 @@ func assembleReplace(ev *evalScratch, prev *Result, assign map[*nfgraph.Node]Ass
 				}
 			}
 		}
-		for len(fresh) < len(res.Subgroups) {
-			fresh = append(fresh, moved[ci])
+		for len(ev.fresh) < len(res.Subgroups) {
+			ev.fresh = append(ev.fresh, moved[ci])
 		}
 	}
 	// The switch program spans all chains; the stage memo still applies
 	// (same switch, same chain set).
-	reason, ok := ev.check(res, ev.stageCheck,
-		func() (string, bool) { return ev.allocateCoresReplace(fresh) }, ev.checkLatency, ev.solveRates)
-	if !ok {
-		return nil, reason
+	if ev.finishResult(res, policyPinned); !res.Feasible {
+		return nil, res.Reason
 	}
-	res.Feasible = true
 	return res, ""
 }
 
-// allocateCoresReplace allocates cores to the fresh subgroups from the
-// budget left by the pinned ones (which keep their previous Cores — the
-// pinning invariant says they are never written). Fresh subgroups get one
-// core, are raised to meet t_min, then spare cores go to each touched
-// chain's bottleneck until t_max, per chain in index order.
-func (ev *evalScratch) allocateCoresReplace(fresh []bool) (string, bool) {
-	rin, res, subs := ev.in, ev.res, ev.res.Subgroups
+// allocateCoresReplace is finish's policyPinned arm: it allocates cores to the
+// fresh subgroups (ev.fresh) from the budget left by the pinned ones, which
+// keep their previous Cores — the pinning invariant says they are never
+// written. Fresh subgroups get one core, are raised to meet t_min, then
+// spare cores go to each touched chain's bottleneck until t_max, per chain
+// in index order.
+func (ev *evalScratch) allocateCoresReplace() (string, bool) {
+	rin, res, subs, fresh := ev.in, ev.res, ev.res.Subgroups, ev.fresh
 	budget, srvOf := ev.p.srvCores, ev.srvOf
 	for si, sg := range subs {
 		if fresh[si] {

@@ -2,6 +2,8 @@ package placer
 
 import (
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"lemur/internal/hw"
@@ -122,6 +124,7 @@ func TestReconfigureCombinedDelta(t *testing.T) {
 		}
 		incremental++
 		next := rep.Result
+		checkInvariants(t, trial, prev.Scheme, d.grownIn, next)
 
 		touched := map[int]bool{d.delta.Retire[0]: true}
 		for _, ci := range AffectedChains(d.baseIn, prev, dead) {
@@ -233,4 +236,128 @@ func TestPinHistogramCountsCarriedSubgroups(t *testing.T) {
 	if multi < 5 {
 		t.Fatalf("only %d draws sever a multi-subgroup chain; property under-exercised", multi)
 	}
+}
+
+// Tail-bounded fixtures for TestReconfigureEnforcesTailLatency. Each chain's
+// t_max caps its rate below its bottleneck's capacity, so the M/M/1 estimate
+// is finite — except dp, the TestPlaceInfeasibleReasons case: uncapped, its
+// non-replicable Limiter solves at exactly ρ = 1.
+const (
+	tailOK = "chain ok {\n  slo { tmin = 1Gbps  tmax = 3Gbps  dmax_p99 = 200us }\n" +
+		"  aggregate { src = 10.1.0.0/16 }\n  m = Monitor()\n  fwd = IPv4Fwd()\n  m -> fwd\n}\n"
+	tailDP = "chain dp {\n  slo { tmin = 100Mbps  dmax_p99 = 50us }\n" +
+		"  aggregate { src = 10.9.0.0/16 }\n  lim = Limiter()\n  fwd = IPv4Fwd()\n  lim -> fwd\n}\n"
+	tailEnc = "chain enc {\n  slo { tmin = 1Gbps  tmax = 2Gbps  dmax_p99 = 500us }\n" +
+		"  aggregate { src = 10.2.0.0/16 }\n  a = ACL()\n  e = Encrypt()\n  fwd = IPv4Fwd()\n  a -> e -> fwd\n}\n"
+	tailLim = "chain lim {\n  slo { tmin = 500Mbps  tmax = 5Gbps  dmax_p99 = 100us }\n" +
+		"  aggregate { src = 10.3.0.0/16 }\n  lim = Limiter()\n  fwd = IPv4Fwd()\n  lim -> fwd\n}\n"
+	// heavy holds 30 of the one server's 40 Gbps link at a fixed rate.
+	tailHeavy = "chain heavy {\n  slo { tmin = 30Gbps  tmax = 30Gbps }\n" +
+		"  aggregate { src = 10.4.0.0/16 }\n  m = Monitor()\n  fwd = IPv4Fwd()\n  m -> fwd\n}\n"
+)
+
+// TestReconfigureEnforcesTailLatency: the incremental door, ReEvaluate and
+// the MILP leave through the same finish as Place, so they enforce d_max_p99
+// and fill PredictedP99Sec like Place does.
+func TestReconfigureEnforcesTailLatency(t *testing.T) {
+	reconfigure := func(t *testing.T, prev *Result, in *Input, d Delta) *Report {
+		t.Helper()
+		rep, err := Reconfigure(prev, in, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	place := func(t *testing.T, scheme Scheme, in *Input) *Result {
+		t.Helper()
+		res, err := Place(scheme, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	wantP99Refusal := func(t *testing.T, what string, rep *Report) {
+		t.Helper()
+		if rep.Outcome == AdmitIncremental || !strings.Contains(rep.IncrementalReason, "d_max_p99") {
+			t.Errorf("%s: verdict %s, reason %q; want a refusal naming d_max_p99", what, rep.Outcome, rep.IncrementalReason)
+		}
+	}
+
+	t.Run("admission breaking its bound is refused", func(t *testing.T) {
+		grown := mustInput(t, hw.NewPaperTestbed(), tailOK+tailDP)
+		if res := place(t, SchemeLemur, grown); res.Feasible || !strings.Contains(res.Reason, "d_max_p99") {
+			t.Fatalf("fixture: Place must refuse ok+dp on d_max_p99, got feasible=%v %q", res.Feasible, res.Reason)
+		}
+		base := prefixInput(grown, 1)
+		prev := place(t, SchemeLemur, base)
+		if !prev.Feasible {
+			t.Fatalf("fixture: ok alone must place: %s", prev.Reason)
+		}
+		checkInvariants(t, 0, SchemeLemur, base, prev)
+		wantP99Refusal(t, "admit dp", reconfigure(t, prev, grown, Delta{Admit: []int{1}}))
+
+		same := reconfigure(t, prev, base, Delta{})
+		if same.Outcome != AdmitIncremental {
+			t.Fatalf("re-validation: %s: %s", same.Outcome, same.IncrementalReason)
+		}
+		if got := same.Result.PredictedP99Sec; !slices.Equal(got, prev.PredictedP99Sec) {
+			t.Errorf("re-validation: p99 %v, want prev's %v", got, prev.PredictedP99Sec)
+		}
+	})
+
+	t.Run("admit, fail, retire keep every bound", func(t *testing.T) {
+		grown := mustInput(t, hw.NewPaperTestbed(hw.WithServers(2)), tailOK+tailEnc+tailLim)
+		grown.HeadroomCores = 2
+		base := prefixInput(grown, 2)
+		cur := place(t, SchemeLemur, base)
+		if !cur.Feasible {
+			t.Fatalf("fixture: %s", cur.Reason)
+		}
+		checkInvariants(t, 0, SchemeLemur, base, cur)
+		failed := NewNodeSet(cur.Subgroups[0].Server)
+		for step, d := range []Delta{{Admit: []int{2}}, {Failed: failed}, {Retire: []int{0}, Failed: failed}} {
+			rep := reconfigure(t, cur, grown, d)
+			if rep.Outcome != AdmitIncremental {
+				t.Fatalf("step %d: %s: %s", step, rep.Outcome, rep.IncrementalReason)
+			}
+			cur = rep.Result
+			checkInvariants(t, step+1, SchemeLemur, grown, cur)
+		}
+	})
+
+	t.Run("retirement lifting a pinned chain to saturation is refused", func(t *testing.T) {
+		// heavy and dp share the one server's link: while heavy runs, dp gets
+		// the 10 Gbps heavy leaves, a third of its Limiter's capacity. Retiring
+		// heavy lets the rate LP lift dp — pinned, untouched — to ρ = 1.
+		in := mustInput(t, hw.NewPaperTestbed(), tailHeavy+tailDP)
+		prev := place(t, SchemeLemur, in)
+		if !prev.Feasible {
+			t.Fatalf("fixture: heavy+dp must place: %s", prev.Reason)
+		}
+		checkInvariants(t, 0, SchemeLemur, in, prev)
+		wantP99Refusal(t, "retire heavy", reconfigure(t, prev, in, Delta{Retire: []int{0}}))
+		// The door answers what Place answers for the same final chain set.
+		alone := mustInput(t, hw.NewPaperTestbed(), tailDP)
+		if res := place(t, SchemeLemur, alone); res.Feasible || !strings.Contains(res.Reason, "d_max_p99") {
+			t.Errorf("Place(dp alone): feasible=%v %q; want the same d_max_p99 refusal", res.Feasible, res.Reason)
+		}
+	})
+
+	t.Run("ReEvaluate and MILP fill the prediction", func(t *testing.T) {
+		in := mustInput(t, hw.NewPaperTestbed(), tailOK+tailLim)
+		heur := place(t, SchemeLemur, in)
+		if !heur.Feasible {
+			t.Fatalf("fixture: %s", heur.Reason)
+		}
+		re := ReEvaluate(in, heur)
+		if !re.Feasible || !slices.Equal(re.PredictedP99Sec, heur.PredictedP99Sec) {
+			t.Errorf("ReEvaluate: feasible=%v (%s) p99 %v, want the placement's %v", re.Feasible, re.Reason, re.PredictedP99Sec, heur.PredictedP99Sec)
+		}
+		checkInvariants(t, 0, heur.Scheme, in, re)
+		milp := place(t, SchemeMILP, in)
+		if !milp.Feasible || milp.Reason != "" {
+			t.Fatalf("MILP: feasible=%v, reason %q (a fallback is the heuristic's Result)", milp.Feasible, milp.Reason)
+		}
+		checkInvariants(t, 0, SchemeMILP, in, milp)
+	})
 }

@@ -149,16 +149,14 @@ func bounceCount(g *nfgraph.Graph, assign map[*nfgraph.Node]Assign) int {
 func bounceCountPaths(paths []nfgraph.Path, assign map[*nfgraph.Node]Assign) int {
 	total := 0
 	for _, path := range paths {
-		prev := hw.PISA // traffic enters via the ToR
-		prevDev := ""
+		prev := Assign{Platform: hw.PISA} // traffic enters via the ToR
 		for _, n := range path.Nodes {
-			a := assign[n]
-			if a.Platform != prev || (a.Platform != hw.PISA && a.Device != prevDev) {
+			if a := assign[n]; a.HopFrom(prev) {
 				total++
-				prev, prevDev = a.Platform, a.Device
+				prev = a
 			}
 		}
-		if prev != hw.PISA {
+		if prev.Platform != hw.PISA {
 			total++ // return to the ToR for egress
 		}
 	}

@@ -109,8 +109,7 @@ func newReconfCtx(tb *Testbed, cfg *SimConfig) (*reconfCtx, error) {
 }
 
 // static reports whether the run can never reconfigure: no event will fire,
-// so the shard partition — and with it every metric series' owner — is
-// fixed for the whole run.
+// so it carries no failover or churn report to close.
 func (rc *reconfCtx) static() bool { return len(rc.events) == 0 }
 
 // due is the one firing predicate: an event or landing scheduled for t is

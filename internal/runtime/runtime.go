@@ -310,18 +310,17 @@ func (tb *Testbed) actualCycles(psg *placer.Subgroup, crossSocket bool, rng *ran
 // placement.
 func (tb *Testbed) pathLatency(i int) float64 {
 	in := tb.D.Input
-	const switchPipelineSec = 1e-6
 	worst := 0.0
 	g := in.Chains[i]
 	for _, path := range g.Paths() {
-		d := switchPipelineSec
-		prev, prevDev := hw.PISA, ""
+		d := placer.SwitchPipelineSec
+		prev := placer.Assign{Platform: hw.PISA}
 		hops := 0
 		for _, n := range path.Nodes {
 			a := tb.D.Result.Assign[n]
-			if a.Platform != prev || (a.Platform != hw.PISA && a.Device != prevDev) {
+			if a.HopFrom(prev) {
 				hops++
-				prev, prevDev = a.Platform, a.Device
+				prev = a
 			}
 			switch a.Platform {
 			case hw.Server:
@@ -332,7 +331,7 @@ func (tb *Testbed) pathLatency(i int) float64 {
 				}
 			}
 		}
-		if prev != hw.PISA {
+		if prev.Platform != hw.PISA {
 			hops++
 		}
 		d += float64(hops) * in.Topo.HopLatencySec

@@ -29,7 +29,6 @@ type simPartition struct {
 	components int
 
 	ownerOfEntry []int32          // per ix.entries index
-	ownerOfChain []int32          // per chain slot
 	nicOwner     map[string]int32 // per SmartNIC name
 
 	// prims[w] / chains[w] are worker w's owned primary entry indices and
@@ -50,7 +49,6 @@ func buildSimPartition(d *metacompiler.Deployment, ix *simIndex, nChains, worker
 		part := &simPartition{
 			workers: 1, components: 1,
 			ownerOfEntry: make([]int32, len(ix.entries)),
-			ownerOfChain: make([]int32, nChains),
 			nicOwner:     make(map[string]int32, len(d.NICs)),
 			prims:        [][]int32{make([]int32, ix.nPrimary)},
 			chains:       [][]int32{make([]int32, nChains)},
@@ -187,7 +185,6 @@ func buildSimPartition(d *metacompiler.Deployment, ix *simIndex, nChains, worker
 		workers:      w,
 		components:   nc,
 		ownerOfEntry: make([]int32, len(ix.entries)),
-		ownerOfChain: make([]int32, nChains),
 		nicOwner:     make(map[string]int32, len(d.NICs)),
 		prims:        make([][]int32, w),
 		chains:       make([][]int32, w),
@@ -204,7 +201,6 @@ func buildSimPartition(d *metacompiler.Deployment, ix *simIndex, nChains, worker
 	}
 	for ci := 0; ci < nChains; ci++ {
 		owner := ownerOfComp[comp(ci)]
-		part.ownerOfChain[ci] = owner
 		part.chains[owner] = append(part.chains[owner], int32(ci))
 	}
 	for name := range d.NICs {

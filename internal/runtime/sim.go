@@ -8,7 +8,6 @@ import (
 	"lemur/internal/chaos"
 	"lemur/internal/churn"
 	"lemur/internal/nfgraph"
-	"lemur/internal/obs"
 )
 
 // The analytic Measure covers steady-state rates; Simulate is the
@@ -242,12 +241,6 @@ func (tb *Testbed) newSimEngine(offered []float64, cfg SimConfig) (*simEngine, e
 // finish folds the run's accumulators into its SimResult.
 func (eng *simEngine) finish() *SimResult {
 	tb, cfg, res := eng.tb, eng.cfg, eng.res
-	// Private shard registries fold into the default one in shard order.
-	for _, sh := range eng.shards {
-		if sh.reg != nil {
-			obs.Default().Merge(sh.reg)
-		}
-	}
 	eng.rc.finalize(eng)
 	tb.syncStateGauges()
 	res.P99QueueDelaySec = make([]float64, len(eng.offered))

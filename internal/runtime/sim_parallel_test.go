@@ -306,10 +306,10 @@ func TestBuildSimPartitionInvariants(t *testing.T) {
 			t.Fatalf("req=%d: %d of %d primaries owned", req, len(seenP), ix.nPrimary)
 		}
 		seenC := map[int32]bool{}
-		for w, chains := range part.chains {
+		for _, chains := range part.chains {
 			for _, ci := range chains {
-				if seenC[ci] || part.ownerOfChain[ci] != int32(w) {
-					t.Fatalf("req=%d: chain %d multiply or inconsistently owned", req, ci)
+				if seenC[ci] {
+					t.Fatalf("req=%d: chain %d multiply owned", req, ci)
 				}
 				seenC[ci] = true
 			}
@@ -349,7 +349,7 @@ chain pb {
 // TestSimulateParallelAllocBudget is the parallel path's allocation guard:
 // the sharded engine at workers=4 over a flow-scaled two-component chain
 // set must stay under 0.5 allocations per simulated packet — the per-shard
-// pools, private registries, and partition build are all amortized. The same
+// pools and the partition build are amortized. The same
 // budget then holds under a fault plan (see faultPlanAllocBudget).
 func TestSimulateParallelAllocBudget(t *testing.T) {
 	if testing.Short() {

@@ -16,9 +16,8 @@ import (
 
 // simShard is one worker's private slice of a simulation run: its own NF
 // environment (with a per-shard rng stream), switch decode scratch, packet
-// freelist and frame-buffer pool, optional private metrics registry, and
-// the primary entries and chain slots it owns. A serial run is the same
-// thing with one shard owning everything.
+// freelist and frame-buffer pool, and the primary entries and chain slots
+// it owns. A serial run is the same thing with one shard owning everything.
 type simShard struct {
 	id      int
 	env     *nf.Env
@@ -26,16 +25,6 @@ type simShard struct {
 
 	freePkts []*simPacket
 	freeBufs [][]byte
-
-	// reg is the shard's private metrics registry, merged into the default
-	// registry in shard-index order when the run ends. Non-nil only for
-	// multi-shard runs with a static plan (no faults, no churn): there
-	// every hoisted series is wholly owned by one shard for the whole run,
-	// so merging its privately accumulated state is exact. Runs that can
-	// re-partition mid-run (failover, churn) keep handles on the shared
-	// default registry instead — continuing the same accumulator across an
-	// ownership change preserves the serial fold where a merge could not.
-	reg *obs.Registry
 
 	prims  []int32
 	chains []int32
@@ -205,34 +194,20 @@ func (eng *simEngine) newShards(n int) {
 			// cannot race its siblings.
 			sh.env = &nf.Env{Rand: rand.New(rand.NewSource(eng.cfg.Seed*31 + 1_000_003*int64(i)))}
 		}
-		if n > 1 && eng.rc.static() {
-			// Fixed partition: see simShard.reg.
-			sh.reg = obs.New()
-			if obs.Default().Enabled() {
-				sh.reg.Enable()
-			}
-		}
 		eng.shards[i] = sh
 	}
 }
 
-// regForOwner picks the registry a hoisted handle accumulates into: the
-// owner shard's private registry when the run uses them, the shared
-// default registry otherwise.
-func (eng *simEngine) regForOwner(owner int32) *obs.Registry {
-	if reg := eng.shards[owner].reg; reg != nil {
-		return reg
-	}
-	return obs.Default()
-}
-
-// hoist (re)builds the per-subgroup, per-core and per-chain metric handles,
-// each on its owning shard's registry, so the step loop pays one atomic
-// branch per observation. Subgroup handle slices are indexed in primaries
-// (sorted) order, keeping observation order — and therefore histogram float
-// sums — deterministic for a fixed seed. It is the single choke point after
-// every shard (re)assignment, so it also refreshes the per-shard EDF drain
-// order (see refreshDrainOrder).
+// hoist (re)builds the per-subgroup, per-core and per-chain metric handles
+// on the default registry, so the step loop pays one atomic branch per
+// observation. Every hoisted series is observed by one shard at a time — its
+// owner under the current partition — and ownership only changes in a serial
+// section, so a series sees the serial run's observations in the serial
+// run's order at any worker count. Subgroup handle slices are indexed in
+// primaries (sorted) order, keeping observation order — and therefore
+// histogram float sums — deterministic for a fixed seed. It is the single
+// choke point after every shard (re)assignment, so it also refreshes the
+// per-shard EDF drain order (see refreshDrainOrder).
 func (eng *simEngine) hoist() {
 	ix, nChains := eng.ix, len(eng.offered)
 	eng.qDepthH = make([]*obs.Histogram, ix.nPrimary)
@@ -240,11 +215,10 @@ func (eng *simEngine) hoist() {
 	eng.coreUtilH = make([][]*obs.Histogram, ix.nPrimary)
 	for i := 0; i < ix.nPrimary; i++ {
 		psg := ix.entries[i].psg
-		reg := eng.regForOwner(eng.part.ownerOfEntry[i])
-		eng.qDepthH[i] = reg.Histogram("lemur_sim_queue_depth", obs.L("subgroup", psg.Name()))
-		eng.qDelayH[i] = reg.Histogram("lemur_sim_queue_delay_seconds", obs.L("subgroup", psg.Name()))
+		eng.qDepthH[i] = obs.H("lemur_sim_queue_depth", obs.L("subgroup", psg.Name()))
+		eng.qDelayH[i] = obs.H("lemur_sim_queue_delay_seconds", obs.L("subgroup", psg.Name()))
 		for _, cs := range eng.tb.D.Shares[psg] {
-			eng.coreUtilH[i] = append(eng.coreUtilH[i], reg.Histogram("lemur_bess_core_utilization",
+			eng.coreUtilH[i] = append(eng.coreUtilH[i], obs.H("lemur_bess_core_utilization",
 				obs.L("server", psg.Server), obs.L("core", strconv.Itoa(cs.Core))))
 		}
 	}
@@ -252,11 +226,10 @@ func (eng *simEngine) hoist() {
 	eng.egrC = make([]*obs.Counter, nChains)
 	eng.drpC = make([]*obs.Counter, nChains)
 	for ci := 0; ci < nChains; ci++ {
-		reg := eng.regForOwner(eng.part.ownerOfChain[ci])
 		lbl := obs.L("chain", strconv.Itoa(ci))
-		eng.injC[ci] = reg.Counter("lemur_sim_injected_total", lbl)
-		eng.egrC[ci] = reg.Counter("lemur_sim_egressed_total", lbl)
-		eng.drpC[ci] = reg.Counter("lemur_sim_dropped_total", lbl)
+		eng.injC[ci] = obs.C("lemur_sim_injected_total", lbl)
+		eng.egrC[ci] = obs.C("lemur_sim_egressed_total", lbl)
+		eng.drpC[ci] = obs.C("lemur_sim_dropped_total", lbl)
 	}
 	eng.refreshDrainOrder()
 }
