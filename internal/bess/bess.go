@@ -279,8 +279,10 @@ func (pl *Pipeline) ProcessFrame(frame []byte, env *nf.Env) ([]byte, error) {
 // fast path: the demux/mux shift the L2 header over the NSH slot inside
 // frame's own backing array (nsh.DecapShift/EncapShift), so a server hop
 // whose NFs rewrite the packet in place performs no allocation and no
-// payload copy. The returned frame aliases the input unless an NF replaced
-// the packet buffer, in which case it falls back to an allocating encap.
+// payload copy. NFs may change the frame's length (nf.Tunnel, nf.Detunnel):
+// the returned frame is a slice of the input with the same base pointer
+// unless an NF had to replace the packet buffer (a VLAN push with no tail
+// room), in which case the mux falls back to the allocating nsh.Encap.
 func (pl *Pipeline) ProcessFrameInPlace(frame []byte, env *nf.Env) ([]byte, error) {
 	return pl.process(frame, env, &pl.scratch, true)
 }
@@ -329,11 +331,14 @@ func (pl *Pipeline) process(frame []byte, env *nf.Env, p *packet.Packet, inPlace
 	if b := pickBranch(sg.Branches, p); b != nil {
 		outSPI, outSI = b.SPI, b.SI
 	}
-	if inPlace && len(p.Data) == len(inner) && &p.Data[0] == &inner[0] {
-		if err := nsh.EncapShift(frame, outSPI, outSI); err != nil {
+	if inPlace && &p.Data[0] == &inner[0] {
+		// Still the caller's buffer, whatever its length now: the NSH slot
+		// in front of it is free.
+		full := frame[:packet.NSHLen+len(p.Data)]
+		if err := nsh.EncapShift(full, outSPI, outSI); err != nil {
 			return nil, err
 		}
-		return frame, nil
+		return full, nil
 	}
 	return nsh.Encap(p.Data, outSPI, outSI)
 }

@@ -80,9 +80,9 @@ type Config struct {
 	// several changed files the lexicographically last valid one wins).
 	WatchDir string
 	// SnapshotPath, when set, is the crash-safe apply-log file: every
-	// accepted spec and applied failure set is appended and the whole file
-	// atomically rewritten, and a restarting daemon replays it through the
-	// reconcile path to resume the identical placement.
+	// accepted spec and applied failure set is appended as one line and
+	// fsynced, and a restarting daemon replays it through the reconcile
+	// path to resume the identical placement.
 	SnapshotPath string
 	// Interval is the reconcile period (and the WatchDir poll period).
 	// Must be positive.
@@ -222,7 +222,6 @@ type Daemon struct {
 	backoff    backoffState
 	counters   Counters
 	watchSeen  map[string]string
-	snapLog    []snapEntry
 	replaying  bool
 }
 

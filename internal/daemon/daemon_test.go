@@ -423,11 +423,12 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSnapshotCorruptionRejected: a truncated snapshot fails startup loudly
-// instead of silently re-placing from scratch.
+// TestSnapshotCorruptionRejected: a complete line that does not decode fails
+// startup loudly instead of silently re-placing from scratch. (A last line
+// without its newline is a torn append, not corruption: snapshot_test.go.)
 func TestSnapshotCorruptionRejected(t *testing.T) {
 	snap := filepath.Join(t.TempDir(), "lemurd.snap")
-	if err := os.WriteFile(snap, []byte(`{"kind":"spec","spec":{`), 0o644); err != nil {
+	if err := os.WriteFile(snap, []byte(`{"kind":"spec","spec":{`+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	_, err := New(Config{Interval: time.Second, SnapshotPath: snap, Clock: NewFakeClock(time.Unix(0, 0))})

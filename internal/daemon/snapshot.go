@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
-	"path/filepath"
 )
 
 // Snapshot kinds: an accepted desired-state document, or a set of failures
@@ -35,58 +35,78 @@ type snapEntry struct {
 	Nodes []string `json:"nodes,omitempty"`
 }
 
-// appendSnapshotLocked appends one entry to the in-memory log and, when
-// SnapshotPath is configured, atomically rewrites the snapshot file
-// (temp file + rename, so a crash mid-write leaves the previous snapshot
-// intact). Write errors are returned to no one by design — the daemon keeps
-// serving; the error is surfaced via lastErr on the status endpoint.
+// appendSnapshotLocked makes one entry durable when SnapshotPath is
+// configured: it is appended to the file and fsynced before the call
+// returns, so whatever the daemon then acknowledges survives a crash. Write
+// errors are returned to no one by design — the daemon keeps serving; the
+// error is surfaced via lastErr on the status endpoint.
 func (d *Daemon) appendSnapshotLocked(e snapEntry) {
-	d.snapLog = append(d.snapLog, e)
 	if d.cfg.SnapshotPath == "" {
 		return
 	}
-	if err := writeSnapshot(d.cfg.SnapshotPath, d.snapLog); err != nil {
+	if err := appendSnapshot(d.cfg.SnapshotPath, e); err != nil {
 		d.lastErr = fmt.Sprintf("snapshot write: %v", err)
 	}
 }
 
-// writeSnapshot atomically persists the full log as JSON lines.
-func writeSnapshot(path string, log []snapEntry) error {
-	var buf []byte
-	for _, e := range log {
-		b, err := json.Marshal(e)
-		if err != nil {
-			return err
-		}
-		buf = append(buf, b...)
-		buf = append(buf, '\n')
-	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".lemurd-snap-*")
+// appendSnapshot appends e to the log at path as one JSON line.
+func appendSnapshot(path string, e snapEntry) error {
+	line, err := json.Marshal(e)
 	if err != nil {
 		return err
 	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(buf); err != nil {
-		tmp.Close()
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o600)
+	if err != nil {
 		return err
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		f.Close()
 		return err
 	}
-	if err := tmp.Close(); err != nil {
+	if err := appendLine(f, fi.Size(), append(line, '\n')); err != nil {
+		f.Close()
 		return err
 	}
-	return os.Rename(tmp.Name(), path)
+	return f.Close()
+}
+
+// logFile is what appendLine needs of the *os.File it appends to; tests
+// substitute one whose writes fail part-way.
+type logFile interface {
+	io.Writer
+	Sync() error
+	Truncate(size int64) error
+}
+
+// appendLine writes line at the end of f, which is size bytes long, and
+// fsyncs it. A crash mid-write leaves a last line without its newline, which
+// the next start discards (see loadSnapshot). A write or sync that fails in
+// a live daemon truncates the file back to size, so that the next append
+// cannot glue its line onto the fragment.
+func appendLine(f logFile, size int64, line []byte) error {
+	_, err := f.Write(line)
+	if err == nil {
+		err = f.Sync()
+	}
+	if err == nil {
+		return nil
+	}
+	if terr := f.Truncate(size); terr != nil {
+		return fmt.Errorf("%w (and the partial line could not be truncated away: %v)", err, terr)
+	}
+	return err
 }
 
 // loadSnapshot replays an existing snapshot file at startup. A missing file
-// is a fresh start; a corrupt file is an error (operators decide whether to
-// delete it — silently ignoring it would re-place from scratch and move
-// every running chain). Each entry is re-applied through the normal code
-// paths with a reconcile pass after it, reproducing the live daemon's exact
-// mutation sequence; snapshot writes are suppressed while replaying.
+// is a fresh start. Bytes after the last newline are an append that a crash
+// cut short before it was acknowledged: they are dropped, and truncated off
+// the file so the next append starts a line. A complete line that does not
+// decode is an error (operators decide whether to delete the file —
+// silently ignoring it would re-place from scratch and move every running
+// chain). Each entry is re-applied through the normal code paths with a
+// reconcile pass after it, reproducing the live daemon's exact mutation
+// sequence; snapshot writes are suppressed while replaying.
 func (d *Daemon) loadSnapshot() error {
 	raw, err := os.ReadFile(d.cfg.SnapshotPath)
 	if os.IsNotExist(err) {
@@ -94,6 +114,12 @@ func (d *Daemon) loadSnapshot() error {
 	}
 	if err != nil {
 		return fmt.Errorf("daemon: snapshot: %w", err)
+	}
+	if whole := bytes.LastIndexByte(raw, '\n') + 1; whole < len(raw) {
+		if err := os.Truncate(d.cfg.SnapshotPath, int64(whole)); err != nil {
+			return fmt.Errorf("daemon: snapshot: dropping the torn last line: %w", err)
+		}
+		raw = raw[:whole]
 	}
 	var entries []snapEntry
 	dec := json.NewDecoder(bytes.NewReader(raw))
@@ -122,7 +148,6 @@ func (d *Daemon) loadSnapshot() error {
 		default:
 			return fmt.Errorf("daemon: snapshot replay entry %d: unknown kind %q", i, e.Kind)
 		}
-		d.snapLog = append(d.snapLog, e)
 		// Reconcile after each entry so the replay reproduces the live
 		// daemon's exact mutation interleaving (slot/SPI layout depends on
 		// the order of admits across generations). A transient apply

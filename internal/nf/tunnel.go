@@ -6,6 +6,12 @@ import (
 	"lemur/internal/packet"
 )
 
+// VLAN push and pop keep the buffer contract of the nsh in-place quartet
+// (nsh.EncapInPlace/DecapInPlace): the frame an NF leaves in p.Data is a
+// slice of the buffer it was given, with the same base pointer. The 12 MAC
+// bytes stay where they are and everything after them moves by VLANLen, so
+// device muxes and buffer pools that key on &p.Data[0] keep working.
+
 // Tunnel pushes an 802.1Q VLAN tag (the paper's "Push VLAN tag" NF). It is
 // implementable on every platform.
 type Tunnel struct {
@@ -18,18 +24,26 @@ func NewTunnel(name string, params Params) (NF, error) {
 	return &Tunnel{base: base{name: name, class: "Tunnel"}, vid: uint16(params.Int("vid", 100))}, nil
 }
 
-// Process inserts the VLAN tag after the Ethernet header. Frames that are
-// already tagged pass through unchanged (no QinQ in this reproduction).
+// Process inserts the VLAN tag after the Ethernet addresses, growing the
+// frame at its tail inside p.Data's spare capacity; only a buffer with less
+// than VLANLen of tail room is replaced by a copy. Frames that are already
+// tagged pass through unchanged (no QinQ in this reproduction).
 func (t *Tunnel) Process(p *packet.Packet, _ *Env) {
 	if p.HasVLAN || len(p.Data) < packet.EthernetLen {
 		return
 	}
-	out := make([]byte, len(p.Data)+packet.VLANLen)
-	copy(out, p.Data[:12])
+	n := len(p.Data)
+	var out []byte
+	if cap(p.Data) >= n+packet.VLANLen {
+		out = p.Data[:n+packet.VLANLen]
+	} else {
+		out = make([]byte, n+packet.VLANLen)
+		copy(out, p.Data[:12])
+	}
+	copy(out[packet.EthernetLen+packet.VLANLen:], p.Data[packet.EthernetLen:n])
 	binary.BigEndian.PutUint16(out[12:14], packet.EtherTypeVLAN)
 	binary.BigEndian.PutUint16(out[14:16], t.vid&0x0FFF)
 	binary.BigEndian.PutUint16(out[16:18], p.Eth.EtherType)
-	copy(out[18:], p.Data[packet.EthernetLen:])
 	reDecode(p, out)
 }
 
@@ -43,16 +57,15 @@ func NewDetunnel(name string, _ Params) (NF, error) {
 	return &Detunnel{base: base{name: name, class: "Detunnel"}}, nil
 }
 
-// Process removes the VLAN tag; untagged frames pass through.
+// Process removes the VLAN tag by shifting the rest of the frame left over
+// it; untagged frames pass through.
 func (d *Detunnel) Process(p *packet.Packet, _ *Env) {
 	if !p.HasVLAN {
 		return
 	}
-	out := make([]byte, len(p.Data)-packet.VLANLen)
-	copy(out, p.Data[:12])
-	binary.BigEndian.PutUint16(out[12:14], p.VLAN.EtherType)
-	copy(out[packet.EthernetLen:], p.Data[packet.EthernetLen+packet.VLANLen:])
-	reDecode(p, out)
+	binary.BigEndian.PutUint16(p.Data[12:14], p.VLAN.EtherType)
+	copy(p.Data[packet.EthernetLen:], p.Data[packet.EthernetLen+packet.VLANLen:])
+	reDecode(p, p.Data[:len(p.Data)-packet.VLANLen])
 }
 
 // reDecode replaces the packet contents, preserving NF-visible metadata

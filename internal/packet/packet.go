@@ -37,6 +37,13 @@ const (
 	UDPLen      = 8
 )
 
+// TailRoom is the spare capacity a frame buffer needs behind the frame for
+// every hop to stay inside it: the two headers the dataplane can push onto
+// a frame, each at most once (an NSH header by the switch, a VLAN tag by
+// nf.Tunnel). trafficgen reserves it; nsh.EncapInPlace and nf.Tunnel copy
+// into a fresh buffer only when it is missing.
+const TailRoom = NSHLen + VLANLen
+
 // Common decode errors.
 var (
 	ErrTooShort    = errors.New("packet: buffer too short")

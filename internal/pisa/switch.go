@@ -215,17 +215,21 @@ var ErrNoPath = errors.New("pisa: no service path for frame")
 // ProcessFrame runs one frame through the switch pipeline and returns the
 // possibly-rewritten frame plus the forwarding decision. env supplies
 // simulated time for any switch-resident NFs that need it. The input frame
-// buffer is reused for tag rewrites but encap/decap return a fresh buffer.
+// buffer is reused for tag rewrites and for a switch-resident VLAN push or
+// pop (nf.Tunnel grows the frame into its spare capacity when it has any,
+// nf.Detunnel shrinks it where it lies), but NSH encap/decap return a fresh
+// buffer.
 func (s *Switch) ProcessFrame(frame []byte, env *nf.Env) ([]byte, Forward, error) {
 	var p packet.Packet
 	return s.process(frame, env, &p, false)
 }
 
 // ProcessFrameInPlace is ProcessFrame for the simulator's zero-allocation
-// fast path: NSH encap grows the frame inside its spare capacity (falling
-// back to a copy only when there is none) and decap shrinks it at the tail,
-// so the returned frame keeps the input's backing array and full capacity —
-// exactly what a pooled-buffer caller needs to recycle it.
+// fast path: NSH encap, like a VLAN push before it, grows the frame inside
+// its spare capacity (falling back to a copy only when there is none) and
+// decap shrinks it at the tail, so the returned frame keeps the input's
+// backing array and full capacity — exactly what a pooled-buffer caller
+// needs to recycle it. packet.TailRoom is what both growths take together.
 func (s *Switch) ProcessFrameInPlace(frame []byte, env *nf.Env) ([]byte, Forward, error) {
 	return s.process(frame, env, &s.scratch, true)
 }

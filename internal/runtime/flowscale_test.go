@@ -98,13 +98,13 @@ chain mf {
 }`
 
 // TestMillionFlowAllocBudget is the million-flow allocation guard: a
-// stateful chain driven by a one-million-flow schedule must run at well
-// under 0.5 allocations per simulated packet. The schedule arenas, the NF
-// table arenas (grown to cap on the warm-up run, then recycled through
-// freelists), and the engine's packet pools make the steady state
-// allocation-free; this test pins that property so a regression anywhere in
-// the stack — per-packet tuple synthesis, map fallback, arena churn — fails
-// loudly.
+// stateful chain driven by a one-million-flow schedule must run at under
+// 0.18 allocations per simulated packet, all of it per-run set-up. The
+// schedule arenas, the NF table arenas (grown to cap on the warm-up run,
+// then recycled through freelists), and the engine's packet pools make the
+// steady state allocation-free; this test pins that property so a
+// regression anywhere in the stack — per-packet tuple synthesis, map
+// fallback, arena churn — fails loudly.
 func TestMillionFlowAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("million-flow smoke is not -short")
@@ -126,8 +126,8 @@ func TestMillionFlowAllocBudget(t *testing.T) {
 	}
 	perPkt := allocs / float64(injected)
 	t.Logf("allocs/run %.0f, injected %d, allocs/pkt %.3f", allocs, injected, perPkt)
-	const budget = 0.5
+	const budget = 0.18 // 1.5x the 0.119 measured: per-run set-up over 980 packets
 	if perPkt > budget {
-		t.Fatalf("allocation regression: %.3f allocs/packet exceeds the %.1f budget", perPkt, budget)
+		t.Fatalf("allocation regression: %.3f allocs/packet exceeds the %.2f budget", perPkt, budget)
 	}
 }

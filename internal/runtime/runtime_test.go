@@ -20,11 +20,17 @@ var evalRestrict = map[string][]hw.Platform{"IPv4Fwd": {hw.PISA}}
 
 func deploy(t *testing.T, topo *hw.Topology, src string, scheme placer.Scheme) (*placer.Input, *placer.Result, *Testbed) {
 	t.Helper()
+	return deployRestricted(t, topo, src, scheme, evalRestrict)
+}
+
+// deployRestricted is deploy with the caller's platform restrictions.
+func deployRestricted(t *testing.T, topo *hw.Topology, src string, scheme placer.Scheme, restrict map[string][]hw.Platform) (*placer.Input, *placer.Result, *Testbed) {
+	t.Helper()
 	chains, err := nfspec.Parse(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := &placer.Input{Topo: topo, DB: profile.DefaultDB(), Restrict: evalRestrict}
+	in := &placer.Input{Topo: topo, DB: profile.DefaultDB(), Restrict: restrict}
 	for _, c := range chains {
 		g, err := nfgraph.Build(c)
 		if err != nil {

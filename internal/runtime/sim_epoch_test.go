@@ -85,14 +85,14 @@ func TestSimulateEpochContract(t *testing.T) {
 }
 
 // simMallocs runs one Simulate over a freshly built testbed and returns the
-// heap objects it allocated and the packets it injected. Unlike
+// heap objects and bytes it allocated and the packets it injected. Unlike
 // testing.AllocsPerRun it keeps the build — placement and compile, which a
 // fault run cannot reuse because the crash rewires the deployment — out of
 // the measurement.
-func simMallocs(t *testing.T, build func(*testing.T) (*Testbed, []float64, SimConfig), workers int) (mallocs float64, injected int) {
+func simMallocs(t *testing.T, build func(*testing.T) (*Testbed, []float64, SimConfig), workers int) (mallocs, bytes float64, injected int) {
 	t.Helper()
 	const runs = 3
-	var total uint64
+	var objs, size uint64
 	for i := 0; i <= runs; i++ { // run 0 warms pools and caches
 		tb, offered, cfg := build(t)
 		cfg.Workers = workers
@@ -104,19 +104,20 @@ func simMallocs(t *testing.T, build func(*testing.T) (*Testbed, []float64, SimCo
 			t.Fatal(err)
 		}
 		if i > 0 {
-			total += after.Mallocs - before.Mallocs
+			objs += after.Mallocs - before.Mallocs
+			size += after.TotalAlloc - before.TotalAlloc
 		}
 		injected = 0
 		for _, n := range sim.Injected {
 			injected += n
 		}
 	}
-	return float64(total) / runs, injected
+	return float64(objs) / runs, float64(size) / runs, injected
 }
 
 // faultPlanAllocBudget is TestSimulateParallelAllocBudget's fault-plan arm:
 // crash/overload/crash at Workers 2 — two rewires, three re-partitions —
-// stays under the same 0.5 allocations per packet, and the driver's own
+// stays under 0.13 allocations per packet, and the driver's own
 // allocations follow the epoch count, not the step count: the same plan
 // over twice the simulated time at half the offered rate (equal packets,
 // twice the steps) allocates no more.
@@ -131,16 +132,16 @@ func faultPlanAllocBudget(t *testing.T) {
 		return tb, offered, cfg
 	}
 
-	mShort, pShort := simMallocs(t, short, 2)
-	mLong, pLong := simMallocs(t, long, 2)
+	mShort, _, pShort := simMallocs(t, short, 2)
+	mLong, _, pLong := simMallocs(t, long, 2)
 	t.Logf("1 s: %.0f allocs, %d packets (%.3f/pkt); 2 s at half rate: %.0f allocs, %d packets",
 		mShort, pShort, mShort/float64(pShort), mLong, pLong)
 	if pShort == 0 || math.Abs(float64(pLong-pShort)) > 0.01*float64(pShort) {
 		t.Fatalf("runs are not packet-matched: %d vs %d", pShort, pLong)
 	}
-	const budget = 0.5
+	const budget = 0.13 // 1.5x the 0.084 measured
 	if perPkt := mShort / float64(pShort); perPkt > budget {
-		t.Fatalf("allocation regression: %.3f allocs/packet exceeds the %.1f budget", perPkt, budget)
+		t.Fatalf("allocation regression: %.3f allocs/packet exceeds the %.2f budget", perPkt, budget)
 	}
 	// 1% covers the packet-count mismatch allowed above; a per-step cost
 	// (the 1 000 extra steps) would show as thousands of allocations.

@@ -348,9 +348,10 @@ chain pb {
 
 // TestSimulateParallelAllocBudget is the parallel path's allocation guard:
 // the sharded engine at workers=4 over a flow-scaled two-component chain
-// set must stay under 0.5 allocations per simulated packet — the per-shard
-// pools and the partition build are amortized. The same
-// budget then holds under a fault plan (see faultPlanAllocBudget).
+// set must stay under 0.25 allocations per simulated packet — the per-shard
+// pools and the partition build are amortized. A fault plan has a budget of
+// its own (see faultPlanAllocBudget). What one more packet costs is
+// TestSimulateAllocBudget's subject.
 func TestSimulateParallelAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("parallel alloc smoke is not -short")
@@ -375,9 +376,9 @@ func TestSimulateParallelAllocBudget(t *testing.T) {
 	}
 	perPkt := allocs / float64(injected)
 	t.Logf("allocs/run %.0f, injected %d, allocs/pkt %.3f", allocs, injected, perPkt)
-	const budget = 0.5
+	const budget = 0.25 // 1.5x the 0.162 measured: set-up and partition over 4 844 packets
 	if perPkt > budget {
-		t.Fatalf("allocation regression: %.3f allocs/packet exceeds the %.1f budget", perPkt, budget)
+		t.Fatalf("allocation regression: %.3f allocs/packet exceeds the %.2f budget", perPkt, budget)
 	}
 	faultPlanAllocBudget(t)
 }

@@ -256,31 +256,3 @@ func TestQuantileSelectAdversarial(t *testing.T) {
 		}
 	}
 }
-
-// TestSimulateAllocBudget is the allocation-regression guard: steady-state
-// allocations per simulated packet must stay under a small fixed budget
-// (the pre-arena engine spent ~13 allocs/packet; the pooled engine's spend
-// is per-run setup amortized over the packets).
-func TestSimulateAllocBudget(t *testing.T) {
-	_, res, tb := deploy(t, hw.NewPaperTestbed(), simpleSpec, placer.SchemeLemur)
-	offered := []float64{res.ChainRates[0] * 1.2}
-	cfg := SimConfig{Seed: 3, DurationSec: 0.5}
-
-	var injected int
-	allocs := testing.AllocsPerRun(5, func() {
-		sim, err := tb.Simulate(offered, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		injected = sim.Injected[0]
-	})
-	if injected == 0 {
-		t.Fatal("no packets injected")
-	}
-	perPkt := allocs / float64(injected)
-	t.Logf("allocs/run %.0f, injected %d, allocs/pkt %.3f", allocs, injected, perPkt)
-	const budget = 2.0
-	if perPkt > budget {
-		t.Fatalf("allocation regression: %.3f allocs/packet exceeds budget %.1f", perPkt, budget)
-	}
-}

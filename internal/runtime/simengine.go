@@ -65,9 +65,11 @@ func (sh *simShard) putBuf(b []byte) {
 	}
 }
 
-// adopt makes next the walk's current frame. Hops run in place, so next
-// normally aliases frame; the base-pointer check catches an NF that swapped
-// buffers and retires the orphaned one to the pool.
+// adopt makes next the walk's current frame. Every hop returns a slice of
+// the buffer it was given (see DESIGN.md, "Packet freelist + pooled frame
+// buffers"), so next aliases frame; the base-pointer check catches a hop
+// that had to fall back to a copy — a frame without packet.TailRoom behind
+// it — and retires the orphaned buffer to the pool.
 func (sh *simShard) adopt(frame, next []byte) []byte {
 	if &next[0] != &frame[0] {
 		sh.putBuf(frame)

@@ -126,12 +126,23 @@ func Verify(p *Program, spec *hw.SmartNICSpec) error {
 	return nil
 }
 
+// maxStackBytes is the eBPF stack limit, the value hw.WithSmartNIC declares
+// as SmartNICSpec.StackBytes and Verify holds programs to.
+const maxStackBytes = 512
+
 // Run executes a verified program over the packet. Packet loads/stores are
 // bounds-checked at runtime (out-of-bounds access drops the packet, the
 // XDP contract). Forward-only jumps guarantee termination.
 func Run(p *Program, pkt []byte) (int64, error) {
 	var regs [NumRegs]int64
-	stack := make([]byte, p.StackBytes)
+	// Programs within the eBPF stack limit hw declares run on a local
+	// array; only an oversized (unverifiable) one pays for a heap stack.
+	var local [maxStackBytes]byte
+	stack := local[:]
+	if p.StackBytes > maxStackBytes {
+		stack = make([]byte, p.StackBytes)
+	}
+	stack = stack[:p.StackBytes]
 	pc := 0
 	for pc < len(p.Insns) {
 		in := p.Insns[pc]
@@ -141,7 +152,13 @@ func Run(p *Program, pkt []byte) (int64, error) {
 		case OpMovReg:
 			regs[in.Dst] = regs[in.Src]
 		case OpLdB, OpLdH, OpLdW:
-			n := map[Op]int{OpLdB: 1, OpLdH: 2, OpLdW: 4}[in.Op]
+			n := 1
+			switch in.Op {
+			case OpLdH:
+				n = 2
+			case OpLdW:
+				n = 4
+			}
 			off := int(in.Off)
 			if off < 0 || off+n > len(pkt) {
 				return XDPDrop, nil

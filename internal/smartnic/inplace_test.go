@@ -68,3 +68,21 @@ func TestNICProcessFrameInPlaceXDPDrop(t *testing.T) {
 		t.Errorf("DroppedFrames = %d", nic.DroppedFrames)
 	}
 }
+
+// TestRunAllocFree: interpreting a program within the eBPF stack limit
+// allocates nothing — its stack is a local array and its load widths a
+// switch.
+func TestRunAllocFree(t *testing.T) {
+	prog := SynthesizeNF("stacked", 3600, maxStackBytes)
+	if err := Verify(prog, nicSpec()); err != nil {
+		t.Fatal(err)
+	}
+	pkt := testFrame(80)
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := Run(prog, pkt); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("Run: %v allocs per packet, want 0", allocs)
+	}
+}

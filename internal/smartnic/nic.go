@@ -127,7 +127,9 @@ func (n *NIC) ProcessFrame(frame []byte, env *nf.Env) ([]byte, error) {
 // ProcessFrameInPlace is ProcessFrame for the simulator's zero-allocation
 // fast path: NSH decap/re-encap shift the L2 header inside frame's own
 // backing array, so a NIC hop whose NFs rewrite the packet in place performs
-// no allocation and no payload copy.
+// no allocation and no payload copy. The buffer contract is the server
+// mux's (bess.Pipeline.ProcessFrameInPlace): same base pointer out as in,
+// at whatever length the NFs left the frame.
 func (n *NIC) ProcessFrameInPlace(frame []byte, env *nf.Env) ([]byte, error) {
 	return n.process(frame, env, &n.scratch, true)
 }
@@ -178,11 +180,12 @@ func (n *NIC) process(frame []byte, env *nf.Env, p *packet.Packet, inPlace bool)
 	if si < pp.AdvanceSI {
 		return nil, fmt.Errorf("smartnic: SI underflow (si=%d advance=%d)", si, pp.AdvanceSI)
 	}
-	if inPlace && len(p.Data) == len(inner) && &p.Data[0] == &inner[0] {
-		if err := nsh.EncapShift(frame, spi, si-pp.AdvanceSI); err != nil {
+	if inPlace && &p.Data[0] == &inner[0] {
+		full := frame[:packet.NSHLen+len(p.Data)]
+		if err := nsh.EncapShift(full, spi, si-pp.AdvanceSI); err != nil {
 			return nil, err
 		}
-		return frame, nil
+		return full, nil
 	}
 	return nsh.Encap(p.Data, spi, si-pp.AdvanceSI)
 }

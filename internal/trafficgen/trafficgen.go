@@ -184,8 +184,8 @@ func (g *Generator) Next(nowSec float64) *packet.Packet {
 // into buf (reused when capacity suffices, extended otherwise) and returning
 // the frame slice. The rng draw order is identical to Next, so interleaving
 // the two APIs on one generator keeps the packet stream byte-identical.
-// Freshly allocated buffers reserve packet.NSHLen spare capacity so an NSH
-// encap later in the pipeline can grow the frame in place.
+// Freshly allocated buffers reserve packet.TailRoom spare capacity so an NSH
+// encap and a VLAN push later in the pipeline can grow the frame in place.
 func (g *Generator) NextInto(buf []byte, nowSec float64) []byte {
 	return g.emitInto(buf, g.nextTuple(nowSec))
 }
@@ -212,12 +212,12 @@ func (g *Generator) emitInto(buf []byte, tu packet.FiveTuple) []byte {
 		PayloadLen: payLen,
 	}
 	if buf == nil {
-		// One allocation sized for the un-encapped frame plus NSH headroom.
+		// One allocation sized for the un-encapped frame plus tail room.
 		total := packet.EthernetLen + packet.IPv4Len + packet.UDPLen + payLen
 		if g.cfg.Proto == packet.IPProtoTCP {
 			total += packet.TCPLen - packet.UDPLen
 		}
-		buf = make([]byte, 0, total+packet.NSHLen)
+		buf = make([]byte, 0, total+packet.TailRoom)
 	}
 	frame := b.AppendTo(buf[:0])
 	g.fillPayload(frame[len(frame)-payLen:])
