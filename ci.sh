@@ -181,6 +181,12 @@ run_guard 'TestShardedMatchesReference|TestShardedTablesMatchReference' -race -c
 fuzz_smoke FuzzReplace ./internal/placer
 fuzz_smoke FuzzChurnPlan ./internal/churn
 fuzz_smoke FuzzFlowSchedule ./internal/trafficgen
+# The one-arena schedule: the frames ScheduleGen emits are held to a digest
+# taken before Schedule lost its hash and birth-time arenas, BornAt is bit
+# for bit the birth time it used to store, and a negative flow count or
+# arrival rate is an error, not a panic or a loop without end.
+echo "==> flow-schedule shape (emitted-frame digest, BornAt, rejected configs)"
+run_guard 'TestScheduleGenDigest|TestBornAtMatchesStored|TestScheduleIntoRejects' -count=1 ./internal/trafficgen
 # FuzzVLANInPlace: the in-place VLAN push/pop against the allocating
 # reference kept in the test file, on arbitrary frames and capacities.
 fuzz_smoke FuzzVLANInPlace ./internal/nf
@@ -228,10 +234,13 @@ run_guard 'TestSwitchVLANInPlaceMatches' -count=1 ./internal/pisa
 # Allocation-regression guard: what one more simulated packet allocates (a
 # run against one twice as long, so per-run set-up cancels) must be no heap
 # object and under 16 bytes, across server- and switch-resident VLAN hops at
-# Workers 1 and 2; the buffer pool must not outgrow the packets in flight;
-# and the million-flow smoke must hold under 0.18 allocs/packet.
-echo "==> simulator allocation guard (marginal cost per packet, pool bound)"
-run_guard 'TestSimulateAllocBudget|TestSimulatePoolBound' -count=1 ./internal/runtime
+# Workers 1 and 2; the buffer pool must not outgrow the packets in flight,
+# run after run on one Testbed, nor a warm run add to it; a warm run at 200 K
+# flows a chain must stay under 0.02 objects and 32 bytes per packet (the
+# schedules and the parked buffers are the Testbed's, not the run's); and the
+# million-flow smoke must hold under 0.18 allocs/packet.
+echo "==> simulator allocation guard (marginal cost per packet, pool bound, warm run)"
+run_guard 'TestSimulateAllocBudget|TestSimulatePoolBound|TestSimulateWarmAllocBudget' -count=1 ./internal/runtime
 
 echo "==> million-flow allocation guard"
 run_guard 'TestMillionFlowAllocBudget' -count=1 ./internal/runtime
@@ -242,12 +251,16 @@ run_guard 'TestMillionFlowAllocBudget' -count=1 ./internal/runtime
 # and the CLI-facing worker/flow validation must keep rejecting bad input.
 # The golden matrix (testdata/sim.golden, generated before the three
 # drivers became one run loop) pins SimResult and metrics at Workers
-# 1/2/4/8, and the epoch contract pins where that loop barriers. Then the
+# 1/2/4/8, and the epoch contract pins where that loop barriers.
+# testdata/flowscale.golden (generated before a Testbed kept anything but
+# its index between runs) pins FlowScale runs one, two and three on one
+# Testbed at Workers 1/2, and the stale-slot guard holds a warm Testbed to a
+# fresh one's result for every input of a kept flow schedule. Then the
 # sharded path holds its own allocs-per-packet budget (< 0.25 at workers=4
 # on a multi-shard deployment, < 0.13 at workers=2 under a fault plan, where
 # allocations must also not grow with the step count).
 echo "==> sharded simulation byte-identity, golden matrix, epoch contract (race, workers up to 8)"
-run_guard 'TestSimulateParallelMatchesReference|TestSimulateParallelFailoverByteIdentity|TestSimulateParallelChurnByteIdentity|TestSimulateWorkersValidation|TestBuildSimPartitionInvariants|TestSimulateGolden|TestSimulateEpochContract|TestSimulateStepCount' \
+run_guard 'TestSimulateParallelMatchesReference|TestSimulateParallelFailoverByteIdentity|TestSimulateParallelChurnByteIdentity|TestSimulateWorkersValidation|TestBuildSimPartitionInvariants|TestSimulateGolden|TestFlowScaleGolden|TestWarmScheduleInvalidates|TestSimulateEpochContract|TestSimulateStepCount' \
   -race -count=1 ./internal/runtime
 
 echo "==> sharded simulation allocation guard"
@@ -317,6 +330,21 @@ go test -run '^$' -bench 'BenchmarkEvaluateCandidate' -benchtime 1x -benchmem ./
 # times are advisory on a shared box and are not compared; allocations per
 # packet on sim_frame_path repeat to a fraction of a percent, so that count
 # is held below 0.02 (0.0042 measured; one buffer per VLAN packet is 0.09).
+# Heap bytes per packet on sim_stateful_hit repeat to four digits and are
+# held below 60 (15.3 measured; regenerating the warm deployment's flow
+# schedules on every run is 380).
+# counted_below WORKLOAD METRIC LIMIT HINT LAST: the metric in a run's JSON
+# result line must be present and below LIMIT.
+counted_below() {
+  local w=$1 metric=$2 limit=$3 hint=$4 v
+  v=$(sed -n 's/.*"'"$metric"'":{"value":\([0-9.eE+-]*\).*/\1/p' <<<"$5")
+  if [ -z "$v" ] || ! awk -v v="$v" -v l="$limit" 'BEGIN { exit !(v < l) }'; then
+    echo "ci: $w $metric = '${v}', want < ${limit} (${hint})" >&2
+    return 1
+  fi
+  echo "$w $metric ${v} (< ${limit})"
+}
+
 echo "==> benchmark module (cd bench && go vet . && go test .)"
 (cd bench && go vet . && go test .)
 workloads=$(awk '/"workloads"/ { on = 1 }
@@ -334,14 +362,10 @@ for w in $workloads; do
     echo "$last" | cut -c1-400 >&2
     exit 1
   fi
-  if [ "$w" = sim_frame_path ]; then
-    allocs=$(sed -n 's/.*"allocs_per_work":{"value":\([0-9.eE+-]*\).*/\1/p' <<<"$last")
-    if [ -z "$allocs" ] || ! awk -v a="$allocs" 'BEGIN { exit !(a < 0.02) }'; then
-      echo "ci: sim_frame_path allocs_per_work = '${allocs}', want < 0.02 (a per-packet allocation on the frame path?)" >&2
-      exit 1
-    fi
-    echo "sim_frame_path allocs_per_work ${allocs} (< 0.02)"
-  fi
+  case $w in
+    sim_frame_path) counted_below "$w" allocs_per_work 0.02 'a per-packet allocation on the frame path?' "$last" ;;
+    sim_stateful_hit) counted_below "$w" alloc_bytes_per_work 60 'a warm run rebuilding its flow schedules or frame buffers?' "$last" ;;
+  esac
 done
 
 echo "ci: all checks passed"

@@ -13,8 +13,8 @@ import (
 // 40-flow incremental generator for an arena-backed pre-generated schedule
 // (trafficgen.ScheduleInto) so the stateful NFs can be driven with up to
 // millions of concurrent flows. Both engines build their packet sources
-// through newChainGen, so the fast/reference and sharded/reference identity
-// properties hold at any scale.
+// through Testbed.newChainGen, so the fast/reference and sharded/reference
+// identity properties hold at any scale.
 
 // frameSource is the per-chain packet source the sim engines draw from —
 // satisfied by both trafficgen.Generator (incremental) and
@@ -30,13 +30,24 @@ type frameSource interface {
 	FlowCount() int
 }
 
+// schedSlot is the flow schedule a Testbed keeps for one chain slot: the
+// arena and the (trafficgen.Config, horizon) it was generated from, which
+// is everything ScheduleInto reads.
+type schedSlot struct {
+	cfg     trafficgen.Config
+	horizon float64
+	sched   *trafficgen.Schedule
+}
+
 // newChainGen builds chain ci's traffic source for cfg. FlowScale <= 0 is
 // the legacy path — a plain LongLived generator, byte-identical to every
-// pre-FlowScale run. FlowScale > 0 pre-generates the chain's whole flow
-// population: FlowScale immortal flows, or, with FlowChurn, a schedule
+// pre-FlowScale run. FlowScale > 0 replays the chain's whole pre-generated
+// flow population: FlowScale immortal flows, or, with FlowChurn, a schedule
 // arriving at FlowScale/LifeSec flows per second whose steady-state live
-// window holds FlowScale flows.
-func newChainGen(agg nfspec.Aggregate, ci int, cfg *SimConfig) (frameSource, error) {
+// window holds FlowScale flows. The schedule lives in the Testbed's slot
+// for the chain: a run that asks for the one already there replays it, any
+// other regenerates it into the same arena.
+func (tb *Testbed) newChainGen(agg nfspec.Aggregate, ci int, cfg *SimConfig) (frameSource, error) {
 	tcfg := trafficgen.Config{
 		Mode: trafficgen.LongLived, Seed: cfg.Seed + int64(ci),
 		SrcCIDR: agg.SrcCIDR, DstCIDR: agg.DstCIDR,
@@ -51,11 +62,18 @@ func newChainGen(agg nfspec.Aggregate, ci int, cfg *SimConfig) (frameSource, err
 	} else {
 		tcfg.Flows = cfg.FlowScale
 	}
-	sched, err := trafficgen.ScheduleInto(nil, tcfg, cfg.DurationSec)
-	if err != nil {
-		return nil, err
+	if ci >= len(tb.scheds) {
+		tb.scheds = grown(tb.scheds, ci+1-len(tb.scheds))
 	}
-	return trafficgen.NewScheduled(tcfg, sched)
+	slot := &tb.scheds[ci]
+	if slot.sched == nil || slot.cfg != tcfg || slot.horizon != cfg.DurationSec {
+		sched, err := trafficgen.ScheduleInto(slot.sched, tcfg, cfg.DurationSec)
+		if err != nil {
+			return nil, err // slot.sched is untouched and still matches its key
+		}
+		*slot = schedSlot{tcfg, cfg.DurationSec, sched}
+	}
+	return trafficgen.NewScheduled(tcfg, slot.sched)
 }
 
 // syncStateGauges publishes every deployed stateful NF's end-of-run table

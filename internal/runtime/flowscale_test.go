@@ -7,7 +7,9 @@ import (
 	"testing"
 
 	"lemur/internal/hw"
+	"lemur/internal/nfspec"
 	"lemur/internal/obs"
+	"lemur/internal/packet"
 	"lemur/internal/placer"
 )
 
@@ -130,4 +132,123 @@ func TestMillionFlowAllocBudget(t *testing.T) {
 	if perPkt > budget {
 		t.Fatalf("allocation regression: %.3f allocs/packet exceeds the %.2f budget", perPkt, budget)
 	}
+}
+
+// TestWarmScheduleInvalidates is the stale-slot guard. A Testbed replays the
+// schedule it kept for a chain only when the run asks for exactly that
+// schedule: for every trafficgen.Config field newChainGen sets, and for the
+// horizon, a warm Testbed that changes it gives what a fresh one gives, and
+// one that changes nothing keeps its arena. The chains are stateless, so NF
+// state is not a difference between a warm and a fresh Testbed. The slot
+// wants the horizon equal, not merely covered: "horizon shorter" is the one
+// case a stale slot would also pass (births past the horizon are never
+// reached), and the slot does not lean on that.
+func TestWarmScheduleInvalidates(t *testing.T) {
+	base := SimConfig{Seed: 7, DurationSec: 0.1, Scale: 50, QueueCap: 512, FlowScale: 2000}
+	churn := base
+	churn.FlowChurn = true
+
+	// What SimConfig feeds the key: Seed, Mode, Flows, NewFlowsSec, horizon.
+	for _, tc := range []struct {
+		name  string
+		first SimConfig
+		edit  func(*SimConfig)
+	}{
+		{"Seed", base, func(c *SimConfig) { c.Seed++ }},
+		{"Flows", base, func(c *SimConfig) { c.FlowScale = 3000 }},
+		{"Mode", base, func(c *SimConfig) { c.FlowChurn = true }},
+		{"Mode back", churn, func(c *SimConfig) { c.FlowChurn = false }},
+		{"NewFlowsSec", churn, func(c *SimConfig) { c.FlowScale = 1000 }},
+		{"horizon longer", churn, func(c *SimConfig) { c.DurationSec = 0.25 }},
+		{"horizon shorter", churn, func(c *SimConfig) { c.DurationSec = 0.05 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			second := tc.first
+			tc.edit(&second)
+			fresh, offered := deployStateless(t)
+			want, err := fresh.Simulate(offered, second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			warm, _ := deployStateless(t)
+			if _, err := warm.Simulate(offered, tc.first); err != nil {
+				t.Fatal(err)
+			}
+			got, err := warm.Simulate(offered, second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(marshalSim(t, got), marshalSim(t, want)) {
+				t.Fatalf("warm Testbed served a stale schedule\nwarm:  %s\nfresh: %s", marshalSim(t, got), marshalSim(t, want))
+			}
+		})
+	}
+
+	// What the chain's aggregate feeds it: SrcCIDR, DstCIDR, Proto, DstPort.
+	// A Testbed's aggregates change only with its deployment, so these go
+	// through newChainGen directly and compare frames.
+	agg := nfspec.Aggregate{SrcCIDR: "10.1.0.0/16", DstCIDR: "172.16.0.0/12"}
+	for _, tc := range []struct {
+		name string
+		edit func(*nfspec.Aggregate)
+	}{
+		{"SrcCIDR", func(a *nfspec.Aggregate) { a.SrcCIDR = "10.2.0.0/16" }},
+		{"DstCIDR", func(a *nfspec.Aggregate) { a.DstCIDR = "172.16.0.0/13" }},
+		{"Proto", func(a *nfspec.Aggregate) { a.Proto = packet.IPProtoTCP }},
+		{"DstPort", func(a *nfspec.Aggregate) { a.DstPort = 53 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			edited := agg
+			tc.edit(&edited)
+			warm := &Testbed{}
+			if _, err := warm.newChainGen(agg, 0, &base); err != nil {
+				t.Fatal(err)
+			}
+			got, err := warm.newChainGen(edited, 0, &base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := (&Testbed{}).newChainGen(edited, 0, &base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 500; i++ {
+				if g, w := got.NextInto(nil, 0), want.NextInto(nil, 0); !bytes.Equal(g, w) {
+					t.Fatalf("frame %d: warm Testbed served a stale schedule", i)
+				}
+			}
+		})
+	}
+
+	t.Run("unchanged", func(t *testing.T) {
+		for _, cfg := range []SimConfig{base, churn} {
+			tb, offered := deployStateless(t)
+			first, err := tb.Simulate(offered, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			again, err := tb.Simulate(offered, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(marshalSim(t, again), marshalSim(t, first)) {
+				t.Fatalf("the same config on a warm Testbed\nrun 1: %s\nrun 2: %s", marshalSim(t, first), marshalSim(t, again))
+			}
+			// Regenerating reuses the arena too, so its address proves
+			// nothing alone: a mark in it shows whether it was rewritten.
+			sched := tb.scheds[1].sched
+			arena, mark := &sched.Tuples[0], sched.Tuples[0]
+			mark.SrcPort ^= 1
+			sched.Tuples[0] = mark
+			if _, err := tb.Simulate(offered, cfg); err != nil {
+				t.Fatal(err)
+			}
+			if tb.scheds[1].sched != sched || &sched.Tuples[0] != arena {
+				t.Fatal("an unchanged config moved the arena")
+			}
+			if sched.Tuples[0] != mark {
+				t.Fatal("an unchanged config rebuilt the schedule")
+			}
+		}
+	})
 }

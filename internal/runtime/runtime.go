@@ -31,7 +31,10 @@ import (
 	"lemur/internal/trafficgen"
 )
 
-// Testbed executes one deployment.
+// Testbed executes one deployment. It runs one Simulate at a time: the NFs
+// it drives carry their state from run to run, and so does what the Testbed
+// itself keeps between runs (DESIGN.md, "What a Testbed keeps between
+// runs").
 type Testbed struct {
 	D    *metacompiler.Deployment
 	Seed int64
@@ -40,6 +43,13 @@ type Testbed struct {
 	simOnce sync.Once
 	simIdx  *simIndex
 	simErr  error
+
+	// scheds holds each chain slot's FlowScale schedule (see newChainGen);
+	// spares holds, per shard index, the packets and frame buffers the last
+	// run's shard owned when it finished, for the next run's shard to start
+	// with.
+	scheds []schedSlot
+	spares []simSpares
 }
 
 // New builds a testbed.

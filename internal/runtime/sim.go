@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"lemur/internal/chaos"
 	"lemur/internal/churn"
@@ -256,5 +257,34 @@ func (eng *simEngine) finish() *SimResult {
 		}
 	}
 	res.DeadlineCompliance = finalizeDeadlines(tb.D.Input.Chains, eng.delaySamples)
+	eng.handBack()
 	return res
+}
+
+// handBack returns every packet and frame buffer of the run to the Testbed,
+// shard by shard, for the next run: the shards' free lists plus the packets
+// still parked in the rings, each to the shard that owns its ring (the lists
+// grow once, to fit: a run that ends overloaded parks thousands). The engine
+// is spent afterwards.
+func (eng *simEngine) handBack() {
+	owner := eng.part.ownerOfEntry
+	parked := make([]int, len(eng.shards))
+	for i := range eng.rings {
+		parked[owner[i]] += eng.rings[i].n
+	}
+	for i, sh := range eng.shards {
+		sh.freePkts = slices.Grow(sh.freePkts, parked[i])
+		sh.freeBufs = slices.Grow(sh.freeBufs, parked[i])
+	}
+	for i := range eng.rings {
+		r, sh := &eng.rings[i], eng.shards[owner[i]]
+		for k := 0; k < r.n; k++ {
+			p := r.at(k)
+			sh.putBuf(p.frame)
+			sh.putPkt(p)
+		}
+	}
+	for i, sh := range eng.shards {
+		eng.tb.spares[i], sh.simSpares = sh.simSpares, simSpares{}
+	}
 }

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"fmt"
+	goruntime "runtime"
 	"testing"
 
 	"lemur/internal/hw"
@@ -134,29 +135,87 @@ func TestSimulateAllocBudget(t *testing.T) {
 // TestSimulatePoolBound: the frame-buffer pool holds no more buffers than
 // the shard ever had packets in flight. Packets and buffers are drawn and
 // returned together, and a simPacket is only allocated when its free list is
-// empty, so the packets a shard owns at the end of a run — free or parked —
-// are its peak in flight. A hop that abandons the packet's buffer for
-// another makes the pool grow by one for every such packet instead: the
-// walk pools the orphan and the replacement, and takes only one back.
+// empty, so the packets a shard hands back at the end of a run — free or
+// parked — are its peak in flight. A hop that abandons the packet's buffer
+// for another makes the pool grow by one for every such packet instead: the
+// walk pools the orphan and the replacement, and takes only one back. The
+// bound holds from run to run on one Testbed, and a warm run of the same
+// config adds nothing: every shard finds the set it handed back, so the
+// third run ends owning what the second did. (Spares pooled across shards
+// would have shard 1 allocate its set again on every run.)
 func TestSimulatePoolBound(t *testing.T) {
 	for _, name := range vlanPlacements {
 		for _, workers := range []int{1, 2} {
 			t.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(t *testing.T) {
 				tb, offered := deployVLAN(t, name)
-				eng, sim := runEngine(t, tb, offered, SimConfig{Seed: 3, DurationSec: 0.3, Scale: 200, QueueCap: 4096, Workers: workers})
-				if sim.Injected[1] < 500 {
-					t.Fatalf("VLAN chain injected %d packets", sim.Injected[1])
+				var owned [3][]int // per run, per shard: packets then buffers
+				for run := range owned {
+					eng, sim := runEngine(t, tb, offered, SimConfig{Seed: 3, DurationSec: 0.3, Scale: 200, QueueCap: 4096, Workers: workers})
+					if sim.Injected[1] < 500 {
+						t.Fatalf("VLAN chain injected %d packets", sim.Injected[1])
+					}
+					if len(eng.shards) != workers {
+						t.Fatalf("%d shard(s) at Workers %d", len(eng.shards), workers)
+					}
+					total := 0
+					for i, sp := range tb.spares {
+						peak := len(sp.freePkts)
+						if len(sp.freeBufs) > peak {
+							t.Errorf("run %d: shard %d pools %d frame buffers for a peak of %d packets in flight", run+1, i, len(sp.freeBufs), peak)
+						}
+						owned[run] = append(owned[run], peak, len(sp.freeBufs))
+						total += peak
+					}
+					if total == 0 {
+						t.Fatalf("run %d handed nothing back to the Testbed", run+1)
+					}
 				}
-				for _, sh := range eng.shards {
-					peak := len(sh.freePkts)
-					for _, pi := range sh.prims {
-						peak += eng.rings[pi].n
-					}
-					if len(sh.freeBufs) > peak {
-						t.Errorf("shard %d pools %d frame buffers for a peak of %d packets in flight", sh.id, len(sh.freeBufs), peak)
-					}
+				if fmt.Sprint(owned[2]) != fmt.Sprint(owned[1]) {
+					t.Errorf("a warm run grew the pools: [packets buffers ...] per shard %v after run 2, %v after run 3", owned[1], owned[2])
 				}
 			})
 		}
+	}
+}
+
+// TestSimulateWarmAllocBudget: the second run of a config on a Testbed
+// allocates per-run set-up and the delay samples, nothing that grows with
+// the flow count and no frame buffer — under 0.02 heap objects and 32 bytes
+// per packet at 200 000 flows a chain, where regenerating the schedules
+// alone is 55 bytes a packet and the buffers parked at the end of a run
+// another few.
+func TestSimulateWarmAllocBudget(t *testing.T) {
+	const (
+		allocBudget = 0.02 // heap objects per packet
+		byteBudget  = 32.0 // heap bytes per packet
+	)
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			tb, offered := deployStateless(t)
+			cfg := SimConfig{Seed: 3, DurationSec: 0.4, Scale: 10, QueueCap: 4096, FlowScale: 200_000, Workers: workers}
+			if _, err := tb.Simulate(offered, cfg); err != nil {
+				t.Fatal(err)
+			}
+			var before, after goruntime.MemStats
+			goruntime.ReadMemStats(&before)
+			sim, err := tb.Simulate(offered, cfg)
+			goruntime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pkts := float64(sim.Injected[0] + sim.Injected[1])
+			if pkts < 100_000 {
+				t.Fatalf("only %.0f packets: set-up would dominate", pkts)
+			}
+			perPkt := float64(after.Mallocs-before.Mallocs) / pkts
+			bytesPerPkt := float64(after.TotalAlloc-before.TotalAlloc) / pkts
+			t.Logf("warm run: %.0f packets, %.4f allocs/pkt, %.2f B/pkt", pkts, perPkt, bytesPerPkt)
+			if perPkt >= allocBudget {
+				t.Errorf("warm run allocates %.4f objects per packet, budget %.2f", perPkt, allocBudget)
+			}
+			if bytesPerPkt >= byteBudget {
+				t.Errorf("warm run allocates %.1f heap bytes per packet, budget %.0f", bytesPerPkt, byteBudget)
+			}
+		})
 	}
 }

@@ -18,7 +18,7 @@ import (
 	"lemur/internal/placer"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/sim.golden from the current engine")
+var updateGolden = flag.Bool("update", false, "rewrite the testdata/*.golden files from the current engine")
 
 // goldenCase is one row of the simulator golden matrix. build returns a
 // fresh testbed (mid-run rewires mutate the deployment, so every run needs
@@ -175,11 +175,7 @@ func TestSimulateGolden(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", gc.name, w, err)
 			}
-			var snap bytes.Buffer
-			if err := reg.WriteJSON(&snap); err != nil {
-				t.Fatal(err)
-			}
-			rec := fmt.Sprintf("== %s\n%s\n%s\n", gc.name, marshalSim(t, sim), dropIdleSeries(t, scrubWallClock(t, snap.Bytes())))
+			rec := goldenRecord(t, reg, gc.name, sim)
 			if first == nil {
 				first = []byte(rec)
 				got.Write(first)
@@ -189,12 +185,30 @@ func TestSimulateGolden(t *testing.T) {
 		}
 	}
 
-	path := filepath.Join("testdata", "sim.golden")
+	checkGolden(t, "sim.golden", got.Bytes())
+}
+
+// goldenRecord renders one run as a golden record: the SimResult and the
+// registry's wall-clock-scrubbed snapshot with idle series dropped.
+func goldenRecord(t *testing.T, reg *obs.Registry, name string, sim *SimResult) string {
+	t.Helper()
+	var snap bytes.Buffer
+	if err := reg.WriteJSON(&snap); err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprintf("== %s\n%s\n%s\n", name, marshalSim(t, sim), dropIdleSeries(t, scrubWallClock(t, snap.Bytes())))
+}
+
+// checkGolden holds got to testdata/<name> byte for byte, or rewrites the
+// file under -update.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
@@ -203,13 +217,13 @@ func TestSimulateGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(want, got.Bytes()) {
-		wl, gl := bytes.Split(want, []byte("\n")), bytes.Split(got.Bytes(), []byte("\n"))
+	if !bytes.Equal(want, got) {
+		wl, gl := bytes.Split(want, []byte("\n")), bytes.Split(got, []byte("\n"))
 		for i := 0; i < len(wl) && i < len(gl); i++ {
 			if !bytes.Equal(wl[i], gl[i]) {
-				t.Fatalf("sim.golden line %d differs\nwant: %.600s\ngot:  %.600s", i+1, wl[i], gl[i])
+				t.Fatalf("%s line %d differs\nwant: %.600s\ngot:  %.600s", name, i+1, wl[i], gl[i])
 			}
 		}
-		t.Fatalf("sim.golden has %d lines, this run produced %d", len(wl), len(gl))
+		t.Fatalf("%s has %d lines, this run produced %d", name, len(wl), len(gl))
 	}
 }

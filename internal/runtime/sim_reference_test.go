@@ -39,7 +39,7 @@ func (tb *Testbed) simulateReference(offered []float64, cfg SimConfig) (*SimResu
 	// the fast engine).
 	gens := make([]frameSource, len(in.Chains))
 	for ci, g := range in.Chains {
-		gen, err := newChainGen(g.Chain.Aggregate, ci, &cfg)
+		gen, err := tb.newChainGen(g.Chain.Aggregate, ci, &cfg)
 		if err != nil {
 			return nil, err
 		}

@@ -23,8 +23,7 @@ type simShard struct {
 	env     *nf.Env
 	scratch packet.Packet
 
-	freePkts []*simPacket
-	freeBufs [][]byte
+	simSpares
 
 	prims  []int32
 	chains []int32
@@ -34,6 +33,15 @@ type simShard struct {
 	// permutation of it when resident subgroups carry deadline slacks.
 	// Rebuilt by refreshDrainOrder after every prims reassignment.
 	drain []int32
+}
+
+// simSpares are a shard's free lists: packets and frame buffers not in
+// flight. A Testbed keeps one per shard index between runs — per index, not
+// pooled, so that a two-shard run's second shard finds its own set again
+// and neither list outgrows what its shard ever had in flight.
+type simSpares struct {
+	freePkts []*simPacket
+	freeBufs [][]byte
 }
 
 func (sh *simShard) getPkt() *simPacket {
@@ -125,7 +133,7 @@ func (eng *simEngine) addChains(rates []float64, reqSec, landSec float64) error 
 	}
 	for i, rate := range rates {
 		ci := len(eng.offered) + i
-		gen, err := newChainGen(eng.tb.D.Input.Chains[ci].Chain.Aggregate, ci, cfg)
+		gen, err := eng.tb.newChainGen(eng.tb.D.Input.Chains[ci].Chain.Aggregate, ci, cfg)
 		if err != nil {
 			return err
 		}
@@ -180,11 +188,17 @@ func (eng *simEngine) partition() {
 	eng.hoist()
 }
 
-// newShards creates the run's worker shards.
+// newShards creates the run's worker shards, each starting with the spares
+// the Testbed kept for its index (handed back by finish).
 func (eng *simEngine) newShards(n int) {
+	tb := eng.tb
+	if n > len(tb.spares) {
+		tb.spares = grown(tb.spares, n-len(tb.spares))
+	}
 	eng.shards = make([]*simShard, n)
 	for i := range eng.shards {
-		sh := &simShard{id: i}
+		sh := &simShard{id: i, simSpares: tb.spares[i]}
+		tb.spares[i] = simSpares{}
 		if i == 0 {
 			// Shard 0 shares the engine rng, exactly like the one NF env of
 			// the engine before sharding did.

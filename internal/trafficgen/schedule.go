@@ -11,49 +11,54 @@ import (
 // Arena flow schedules. The incremental Generator synthesizes flows as the
 // simulation advances, which is fine at footnote-6 populations (tens of
 // flows, 10k/s churn) but not at the million-flow scale experiments: the
-// runtime wants the whole flow population materialized up front, in flat
-// arrays the GC never walks per-flow, with packet emission reduced to an
+// runtime wants the whole flow population materialized up front, in one
+// flat array the GC never walks per-flow, with packet emission reduced to an
 // index draw. A Schedule is exactly that — every flow the aggregate will
-// ever contain, with birth times, pre-generated deterministically from the
-// config seed into reusable arenas.
+// ever contain, pre-generated deterministically from the config seed into a
+// reusable arena.
 //
-// Lifetimes are constant (Config.LifeSec), so flows expire in birth order
+// Lifetimes are constant (Config.LifeSec) and births evenly spaced, so a
+// flow's birth time is arithmetic on its index, flows expire in birth order
 // and the live population is always a contiguous [head, tail) window over
-// the arrays. Advancing the window is O(1) amortized per packet — no
+// the arena. Advancing the window is O(1) amortized per packet — no
 // retirement scan, no per-packet tuple allocation.
 
-// Schedule holds one aggregate's pre-generated flow population in flat
-// arenas: parallel arrays of five-tuples, their precomputed hashes, and
-// birth times (seconds, nondecreasing). LifeSec is the constant flow
-// lifetime; 0 means flows never expire (LongLived).
+// Schedule holds one aggregate's pre-generated flow population: one arena of
+// five-tuples in birth order. LifeSec is the constant flow lifetime; 0 means
+// flows never expire (LongLived). Flow i is born at BornAt(i).
 type Schedule struct {
 	Tuples  []packet.FiveTuple
-	Hashes  []uint64
-	BornSec []float64
 	LifeSec float64
+
+	// Births step by gapSec from firstSec; both are 0 for immortal flows.
+	firstSec, gapSec float64
 }
+
+// BornAt returns flow i's birth time in seconds, nondecreasing in i. It is
+// indexed arithmetic, not a running sum, so it is exact for every i alike.
+func (s *Schedule) BornAt(i int) float64 { return s.firstSec + float64(i)*s.gapSec }
 
 // FlowsAt returns the indices [head, tail) of flows live at nowSec: born no
 // later than nowSec and not yet expired. O(log n); the replay generator
 // tracks the same window incrementally.
 func (s *Schedule) FlowsAt(nowSec float64) (head, tail int) {
-	tail = sort.Search(len(s.BornSec), func(i int) bool { return s.BornSec[i] > nowSec })
+	tail = sort.Search(len(s.Tuples), func(i int) bool { return s.BornAt(i) > nowSec })
 	if s.LifeSec <= 0 {
 		return 0, tail
 	}
 	// Expiry predicate is born+life <= now everywhere (here, the replay
 	// window, and the tests' brute-force scans) — mixing algebraically
 	// equivalent forms like born <= now-life is not float-safe.
-	head = sort.Search(tail, func(i int) bool { return s.BornSec[i]+s.LifeSec > nowSec })
+	head = sort.Search(tail, func(i int) bool { return s.BornAt(i)+s.LifeSec > nowSec })
 	return head, tail
 }
 
 // ScheduleInto pre-generates the flow schedule for cfg covering simulated
-// time [0, horizonSec] into dst's arenas (reused when capacity suffices; a
+// time [0, horizonSec] into dst's arena (reused when capacity suffices; a
 // nil dst allocates a fresh Schedule) and returns it. The synthesis is
 // deterministic under cfg.Seed and independent of horizon-irrelevant state:
-// regenerating with the same config and horizon yields byte-identical
-// arenas.
+// regenerating with the same config and horizon yields a byte-identical
+// arena. A config it rejects leaves dst as it was.
 //
 // LongLived configs produce cfg.Flows immortal flows born at 0 — the same
 // tuples, in the same order, as New(cfg) pre-draws. ShortLived configs
@@ -66,55 +71,44 @@ func ScheduleInto(dst *Schedule, cfg Config, horizonSec float64) (*Schedule, err
 	if err != nil {
 		return nil, err
 	}
+	// n flows, born gap apart from first. A negative count would leave an
+	// empty schedule to index; a negative rate, births that never reach the
+	// horizon.
+	var n int
+	var life, first, gap float64
+	switch cfg.Mode {
+	case LongLived:
+		if cfg.Flows < 0 {
+			return nil, fmt.Errorf("trafficgen: negative flow count %d", cfg.Flows)
+		}
+		n = cfg.Flows
+	case ShortLived:
+		if cfg.NewFlowsSec < 0 {
+			return nil, fmt.Errorf("trafficgen: negative flow arrival rate %d/s", cfg.NewFlowsSec)
+		}
+		life, first, gap = cfg.LifeSec, -cfg.LifeSec, 1/float64(cfg.NewFlowsSec)
+		// Every birth up to the horizon, counted on the birth times the
+		// replay will compare against (BornAt's expression).
+		for first+float64(n)*gap <= horizonSec {
+			n++
+		}
+	default:
+		return nil, fmt.Errorf("trafficgen: unknown mode %d", cfg.Mode)
+	}
 	if dst == nil {
 		dst = &Schedule{}
 	}
-	dst.Tuples = dst.Tuples[:0]
-	dst.Hashes = dst.Hashes[:0]
-	dst.BornSec = dst.BornSec[:0]
+	dst.LifeSec, dst.firstSec, dst.gapSec = life, first, gap
+	if cap(dst.Tuples) < n {
+		dst.Tuples = make([]packet.FiveTuple, n)
+	}
+	dst.Tuples = dst.Tuples[:n]
 
 	rng := rand.New(rand.NewSource(cfg.Seed + 1))
 	var redund [64]byte
 	rng.Read(redund[:]) // mirror the generator's redundant-chunk draw
-
-	push := func(born float64) {
-		tu := synthTuple(rng, sp, &cfg)
-		dst.Tuples = append(dst.Tuples, tu)
-		dst.Hashes = append(dst.Hashes, tu.Hash())
-		dst.BornSec = append(dst.BornSec, born)
-	}
-	switch cfg.Mode {
-	case LongLived:
-		dst.LifeSec = 0
-		if cap(dst.Tuples) < cfg.Flows {
-			dst.Tuples = make([]packet.FiveTuple, 0, cfg.Flows)
-			dst.Hashes = make([]uint64, 0, cfg.Flows)
-			dst.BornSec = make([]float64, 0, cfg.Flows)
-		}
-		for i := 0; i < cfg.Flows; i++ {
-			push(0)
-		}
-	case ShortLived:
-		dst.LifeSec = cfg.LifeSec
-		ia := 1 / float64(cfg.NewFlowsSec)
-		want := int((horizonSec+cfg.LifeSec)/ia) + 2
-		if cap(dst.Tuples) < want {
-			dst.Tuples = make([]packet.FiveTuple, 0, want)
-			dst.Hashes = make([]uint64, 0, want)
-			dst.BornSec = make([]float64, 0, want)
-		}
-		// Births step by the interarrival from one lifetime before t=0.
-		// Indexed arithmetic (not repeated adds) keeps the times exact and
-		// regeneration byte-identical.
-		for i := 0; ; i++ {
-			born := -cfg.LifeSec + float64(i)*ia
-			if born > horizonSec {
-				break
-			}
-			push(born)
-		}
-	default:
-		return nil, fmt.Errorf("trafficgen: unknown mode %d", cfg.Mode)
+	for i := range dst.Tuples {
+		dst.Tuples[i] = synthTuple(rng, sp, &cfg)
 	}
 	return dst, nil
 }
@@ -147,13 +141,13 @@ func NewScheduled(cfg Config, s *Schedule) (*ScheduleGen, error) {
 // backwards in a simulation run, so head and tail only grow.
 func (sg *ScheduleGen) advance(nowSec float64) {
 	s := sg.s
-	for sg.tail < len(s.BornSec) && s.BornSec[sg.tail] <= nowSec {
+	for sg.tail < len(s.Tuples) && s.BornAt(sg.tail) <= nowSec {
 		sg.tail++
 	}
 	if s.LifeSec <= 0 {
 		return
 	}
-	for sg.head < sg.tail && s.BornSec[sg.head]+s.LifeSec <= nowSec {
+	for sg.head < sg.tail && s.BornAt(sg.head)+s.LifeSec <= nowSec {
 		sg.head++
 	}
 }

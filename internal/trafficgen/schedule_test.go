@@ -2,8 +2,13 @@ package trafficgen
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"flag"
+	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"lemur/internal/packet"
@@ -11,7 +16,7 @@ import (
 
 // TestScheduleLongLivedMatchesGenerator: the pre-generated LongLived
 // schedule must contain exactly the tuples New(cfg) pre-draws, in order,
-// with their hashes precomputed.
+// all born at 0.
 func TestScheduleLongLivedMatchesGenerator(t *testing.T) {
 	cfg := Config{Mode: LongLived, Flows: 64, Seed: 11}
 	s, err := ScheduleInto(nil, cfg, 1.0)
@@ -22,18 +27,15 @@ func TestScheduleLongLivedMatchesGenerator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s.Tuples) != 64 || len(s.Hashes) != 64 || len(s.BornSec) != 64 {
-		t.Fatalf("arena lengths = %d/%d/%d, want 64", len(s.Tuples), len(s.Hashes), len(s.BornSec))
+	if len(s.Tuples) != 64 {
+		t.Fatalf("arena length = %d, want 64", len(s.Tuples))
 	}
 	for i, tu := range s.Tuples {
 		if tu != g.flows[i] {
 			t.Fatalf("tuple %d: schedule %v != generator %v", i, tu, g.flows[i])
 		}
-		if s.Hashes[i] != tu.Hash() {
-			t.Fatalf("hash %d stale", i)
-		}
-		if s.BornSec[i] != 0 {
-			t.Fatalf("long-lived flow %d born %v, want 0", i, s.BornSec[i])
+		if s.BornAt(i) != 0 {
+			t.Fatalf("long-lived flow %d born %v, want 0", i, s.BornAt(i))
 		}
 	}
 	if s.LifeSec != 0 {
@@ -71,6 +73,67 @@ func TestScheduleReuseAndDeterminism(t *testing.T) {
 	}
 }
 
+// TestScheduleIntoRejects: configs that would leave a schedule nothing can
+// replay — no flow to pick, or births that never reach the horizon — are
+// errors, and a rejected config leaves the arena it was aimed at alone.
+func TestScheduleIntoRejects(t *testing.T) {
+	good := Config{Mode: ShortLived, NewFlowsSec: 100, Seed: 2}
+	dst, err := ScheduleInto(nil, good, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append([]packet.FiveTuple(nil), dst.Tuples...)
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"bad source prefix", Config{SrcCIDR: "bogus"}},
+		{"unknown mode", Config{Mode: Mode(7)}},
+		{"negative flow count", Config{Mode: LongLived, Flows: -1}},
+		{"negative arrival rate", Config{Mode: ShortLived, NewFlowsSec: -5}},
+	} {
+		if _, err := ScheduleInto(dst, tc.cfg, 0.5); err == nil {
+			t.Errorf("%s: no error", tc.name)
+		}
+		if len(dst.Tuples) != len(want) || dst.Tuples[0] != want[0] || dst.BornAt(1) != -1+0.01 {
+			t.Fatalf("%s: the rejected config changed dst", tc.name)
+		}
+	}
+}
+
+// TestBornAtMatchesStored: BornAt is bit for bit the birth time the
+// schedule used to store per flow — 0 for immortal flows, and for churn the
+// value of the fill loop's own expression.
+func TestBornAtMatchesStored(t *testing.T) {
+	long, err := ScheduleInto(nil, Config{Mode: LongLived, Flows: 1000}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range long.Tuples {
+		if math.Float64bits(long.BornAt(i)) != 0 {
+			t.Fatalf("immortal flow %d born %v, want +0", i, long.BornAt(i))
+		}
+	}
+	for _, rate := range []int{10_000, 100_000, 333_333} {
+		cfg := Config{Mode: ShortLived, NewFlowsSec: rate, LifeSec: 0.5}
+		s, err := ScheduleInto(nil, cfg, 0) // the arithmetic does not need the arena
+		if err != nil {
+			t.Fatal(err)
+		}
+		ia := 1 / float64(cfg.NewFlowsSec)
+		for i := 0; i < 1_000_000; i++ {
+			stored := -cfg.LifeSec + float64(i)*ia
+			if math.Float64bits(s.BornAt(i)) != math.Float64bits(stored) {
+				t.Fatalf("rate %d flow %d: BornAt %v != stored %v", rate, i, s.BornAt(i), stored)
+			}
+		}
+		// The arena ends at the last birth inside the horizon.
+		if n := len(s.Tuples); s.BornAt(n-1) > 0 || s.BornAt(n) <= 0 {
+			t.Fatalf("rate %d: %d flows, births %v and %v around horizon 0", rate, n, s.BornAt(n-1), s.BornAt(n))
+		}
+	}
+}
+
 // TestScheduleChurnWindow checks the ShortLived schedule's live-window
 // semantics: steady-state population from t=0, births in nondecreasing
 // order (so retirement order equals birth order), and FlowsAt agreeing
@@ -81,16 +144,16 @@ func TestScheduleChurnWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 1; i < len(s.BornSec); i++ {
-		if s.BornSec[i] < s.BornSec[i-1] {
+	for i := 1; i < len(s.Tuples); i++ {
+		if s.BornAt(i) < s.BornAt(i-1) {
 			t.Fatalf("births out of order at %d", i)
 		}
 	}
 	for _, now := range []float64{0, 0.1, 0.25, 0.5} {
 		head, tail := s.FlowsAt(now)
 		brute := 0
-		for i := range s.BornSec {
-			if s.BornSec[i] <= now && s.BornSec[i]+s.LifeSec > now {
+		for i := range s.Tuples {
+			if s.BornAt(i) <= now && s.BornAt(i)+s.LifeSec > now {
 				brute++
 				if i < head || i >= tail {
 					t.Fatalf("live flow %d outside window [%d,%d) at t=%v", i, head, tail, now)
@@ -223,9 +286,8 @@ func TestShortLivedRetirementMatchesLegacy(t *testing.T) {
 }
 
 // FuzzFlowSchedule fuzzes the arena schedule generator: regeneration must
-// be byte-identical under a fixed seed, arenas must stay internally
-// consistent (hashes match tuples, births nondecreasing so retirement
-// order equals birth order), and the replay window must equal a
+// be byte-identical under a fixed seed, births must be nondecreasing (so
+// retirement order equals birth order), and the replay window must equal a
 // brute-force liveness scan at every sampled time — the round-trip
 // property schedule → replay → same live-flow population as incremental
 // evaluation of the same schedule.
@@ -255,13 +317,10 @@ func FuzzFlowSchedule(f *testing.F) {
 			t.Fatalf("regeneration length %d != %d", len(again.Tuples), len(s.Tuples))
 		}
 		for i := range s.Tuples {
-			if s.Tuples[i] != again.Tuples[i] || s.BornSec[i] != again.BornSec[i] {
+			if s.Tuples[i] != again.Tuples[i] || s.BornAt(i) != again.BornAt(i) {
 				t.Fatalf("regeneration diverged at %d", i)
 			}
-			if s.Hashes[i] != s.Tuples[i].Hash() {
-				t.Fatalf("hash %d stale", i)
-			}
-			if i > 0 && s.BornSec[i] < s.BornSec[i-1] {
+			if i > 0 && s.BornAt(i) < s.BornAt(i-1) {
 				t.Fatalf("births out of order at %d", i)
 			}
 		}
@@ -276,8 +335,8 @@ func FuzzFlowSchedule(f *testing.F) {
 			}
 			sg.NextInto(nil, now)
 			brute := 0
-			for j := range s.BornSec {
-				if s.BornSec[j] <= now && (s.LifeSec <= 0 || s.BornSec[j]+s.LifeSec > now) {
+			for j := range s.Tuples {
+				if s.BornAt(j) <= now && (s.LifeSec <= 0 || s.BornAt(j)+s.LifeSec > now) {
 					brute++
 					if j < sg.head || j >= sg.tail {
 						t.Fatalf("live flow %d outside replay window [%d,%d) at t=%v",
@@ -291,4 +350,53 @@ func FuzzFlowSchedule(f *testing.F) {
 			}
 		}
 	})
+}
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/schedulegen.golden from the current generator")
+
+// TestScheduleGenDigest pins the bytes ScheduleGen emits: a SHA-256 over the
+// first 2 000 frames of an immortal and of a churning schedule, held to
+// testdata/schedulegen.golden. The file was generated on the commit before
+// Schedule lost its hash and birth-time arenas, so it holds every later
+// shape of the schedule to the same tuples, the same window arithmetic and
+// the same rng draw order.
+func TestScheduleGenDigest(t *testing.T) {
+	var got bytes.Buffer
+	for _, cfg := range []Config{
+		{Mode: LongLived, Flows: 5000, Seed: 31, Redundancy: 0.3, HTTPShare: 0.2},
+		{Mode: ShortLived, NewFlowsSec: 3333, LifeSec: 0.25, Seed: 32, Proto: packet.IPProtoTCP, DstPort: 443},
+	} {
+		s, err := ScheduleInto(nil, cfg, 1.0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sg, err := NewScheduled(cfg, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		var buf []byte
+		for i := 0; i < 2000; i++ {
+			// 1.2 s in all: the churn window turns over four times and
+			// runs past the schedule's horizon.
+			frame := sg.NextInto(buf, float64(i)*0.0006)
+			h.Write(frame)
+			buf = frame[:0]
+		}
+		fmt.Fprintf(&got, "mode=%d flows=%d live=%d sha256=%x\n", cfg.Mode, len(s.Tuples), sg.FlowCount(), h.Sum(nil))
+	}
+	path := filepath.Join("testdata", "schedulegen.golden")
+	if *updateGolden {
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(want, got.Bytes()) {
+		t.Fatalf("schedulegen.golden differs\nwant:\n%sgot:\n%s", want, got.Bytes())
+	}
 }
