@@ -297,13 +297,15 @@ func BenchmarkPlaceOptimalParallel(b *testing.B) { benchPlace(b, placer.SchemeOp
 // BenchmarkPlaceOptimal fixture (four-chain set, δ=0.5, budget 2000, built
 // and placed from scratch each time, as Runner.RunSet does): a pruning,
 // binder, bound or evaluation-scratch regression that blows up search work
-// fails CI here instead of silently multiplying solve time. Ceilings carry
-// ~2x headroom over the measured baseline (~67 ms, ~226k allocs per solve,
-// ~113 per evaluated combo — nearly all of it switch-table construction on
-// stage-memo misses, pattern enumeration and the first use of each
-// evaluation slot; a warm evaluation allocates nothing, see
-// placer.TestEvaluateCandidateSteadyStateAllocs). The wall-clock bound is a
-// slow-machine-tolerant hang guard.
+// fails CI here instead of silently multiplying solve time. The allocation
+// ceilings are 1.5x the measured baseline (~23.4k allocs per solve, ~11.7
+// per evaluated combo: pattern enumeration, the first use of each evaluation
+// slot and the stage memo's own entries — a stage-memo miss lowers its
+// candidate on the slot's scratch, see placer.TestStageCheckMissAllocs, and
+// a warm evaluation allocates nothing, see
+// placer.TestEvaluateCandidateSteadyStateAllocs; with per-candidate
+// dependency lists on the heap the same solve was ~225k). The wall-clock
+// bound (~66 ms measured) is a slow-machine-tolerant hang guard.
 func TestPlaceOptimalCostGuard(t *testing.T) {
 	topo, db, set := hw.NewPaperTestbed(), profile.DefaultDB(), []int{1, 2, 3, 4}
 	evaluated := 0
@@ -335,11 +337,14 @@ func TestPlaceOptimalCostGuard(t *testing.T) {
 	perCombo := allocs / float64(evaluated)
 	t.Logf("optimal solve: %.0f allocs, %d combos evaluated (%.1f allocs each), %s wall clock",
 		allocs, evaluated, perCombo, perSolve)
-	if allocs > 450e3 {
-		t.Errorf("allocations per solve %.0f exceed the 450k guard", allocs)
+	// Without the race detector only (ci.sh runs this guard a second time
+	// without it): under it the LP tableau is reallocated for most solves,
+	// ~65k objects on this fixture.
+	if allocs > 35e3 && !raceEnabled {
+		t.Errorf("allocations per solve %.0f exceed the 35k guard", allocs)
 	}
-	if perCombo > 230 {
-		t.Errorf("allocations per evaluated combo %.1f exceed the 230 guard", perCombo)
+	if perCombo > 17.5 && !raceEnabled {
+		t.Errorf("allocations per evaluated combo %.1f exceed the 17.5 guard", perCombo)
 	}
 	if perSolve > 5*time.Second {
 		t.Errorf("solve took %s, over the 5s guard", perSolve)

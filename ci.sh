@@ -300,14 +300,19 @@ run_guard 'TestPlaceScaleSweepDeterministic|TestPlaceScaleSweepExhaustiveReferen
 # testdata/reconfig.golden; the incremental door must keep pinned chains'
 # *Subgroup pointers, kind by kind and for a combined retire/admit/fail
 # delta; the door, ReEvaluate and the MILP must enforce d_max_p99 and fill
-# the prediction like Place; and the MILP must be deterministic and leave
-# the heuristic's Result alone. Then, without the race detector (it makes
-# sync.Pool drop the LP tableau), a warm candidate evaluation must allocate
-# nothing.
+# the prediction like Place; the MILP must be deterministic and leave the
+# heuristic's Result alone; the arena lowering must give the allocating
+# reference's tables on random assignments over the canonical chains, a
+# chain template's slab the reference's subgroups, and the compile cache's
+# verdict-only probe Compile's verdicts. Then, without the race detector (it
+# makes sync.Pool drop the LP tableau), a warm candidate evaluation must
+# allocate nothing and a stage-memo miss on a warm compile cache nothing but
+# the memo's own entry.
 echo "==> placement golden matrix + Result ownership (race)"
-run_guard 'TestGoldenPlacements|TestGoldenReconfigure|TestResultSharesNoScratchMemory|TestCoreOverflowReasonDeterministic|TestAdmitPinningInvariant|TestReplacePinningInvariant|TestRetirePinningInvariant|TestReconfigureCombinedDelta|TestPinHistogramCountsCarriedSubgroups|TestReconfigureEnforcesTailLatency|TestMILPDeterministic|TestMILPLeavesHeuristicIntact' \
+run_guard 'TestGoldenPlacements|TestGoldenReconfigure|TestResultSharesNoScratchMemory|TestCoreOverflowReasonDeterministic|TestAdmitPinningInvariant|TestReplacePinningInvariant|TestRetirePinningInvariant|TestReconfigureCombinedDelta|TestPinHistogramCountsCarriedSubgroups|TestReconfigureEnforcesTailLatency|TestMILPDeterministic|TestMILPLeavesHeuristicIntact|TestSwitchTablesMatchReference|TestTemplateSubgroupsMatchReference' \
   -race -count=1 ./internal/placer
-run_guard 'TestEvaluateCandidateSteadyStateAllocs' -count=1 ./internal/placer
+run_guard 'TestCompileCacheProbeMatchesCompile' -race -count=1 ./internal/pisa
+run_guard 'TestEvaluateCandidateSteadyStateAllocs|TestStageCheckMissAllocs' -count=1 ./internal/placer
 
 # Placement cost guard: the Optimal solve on the benchmark fixture must stay
 # under its alloc ceilings — per solve and per evaluated combo — and its
@@ -332,7 +337,9 @@ go test -run '^$' -bench 'BenchmarkEvaluateCandidate' -benchtime 1x -benchmem ./
 # is held below 0.02 (0.0042 measured; one buffer per VLAN packet is 0.09).
 # Heap bytes per packet on sim_stateful_hit repeat to four digits and are
 # held below 60 (15.3 measured; regenerating the warm deployment's flow
-# schedules on every run is 380).
+# schedules on every run is 380). Heap objects per cell on ctl_place_fleet
+# repeat to five digits and are held below 5500 (2500 measured; a
+# candidate's dependency lists as heap slices of their own is 8458).
 # counted_below WORKLOAD METRIC LIMIT HINT LAST: the metric in a run's JSON
 # result line must be present and below LIMIT.
 counted_below() {
@@ -365,6 +372,7 @@ for w in $workloads; do
   case $w in
     sim_frame_path) counted_below "$w" allocs_per_work 0.02 'a per-packet allocation on the frame path?' "$last" ;;
     sim_stateful_hit) counted_below "$w" alloc_bytes_per_work 60 'a warm run rebuilding its flow schedules or frame buffers?' "$last" ;;
+    ctl_place_fleet) counted_below "$w" allocs_per_work 5500 'per-candidate dependency lists back on the heap?' "$last" ;;
   esac
 done
 

@@ -319,3 +319,37 @@ func TestSchedulerTreesEDF(t *testing.T) {
 		}
 	}
 }
+
+// TestSchedulerRendering pins CoreScheduler.String (and the Render under
+// it) character for character on a tree with every node kind, a rate wider
+// than the digit buffer's usual load and slacks that round both ways: the
+// rendering is appended piecewise, not formatted through fmt.
+func TestSchedulerRendering(t *testing.T) {
+	leaf := func(name string) *SchedNode { return &SchedNode{Kind: Leaf, Subgroup: &Subgroup{Name: name}} }
+	urgent := leaf("c0/a..b")
+	urgent.SlackSec, urgent.HasSlack = 12.34e-6, true
+	zero := leaf("c1/x")
+	zero.HasSlack = true
+	cs := CoreScheduler{Core: 117, Root: &SchedNode{Kind: Deadline, Children: []*SchedNode{
+		{Kind: RateLimit, RateBps: 2.5e11, Children: []*SchedNode{urgent}},
+		zero,
+		{Kind: RoundRobin, Children: []*SchedNode{leaf("c2/y"), {Kind: RateLimit, RateBps: 0.4}}},
+	}}}
+	const want = "core 117:\n" +
+		"  deadline_edf\n" +
+		"    rate_limit 250000000000 bps\n" +
+		"      subgroup c0/a..b slack 12.3us\n" +
+		"    subgroup c1/x slack 0.0us\n" +
+		"    round_robin\n" +
+		"      subgroup c2/y\n" +
+		"      rate_limit 0 bps\n"
+	if got := cs.String(); got != want {
+		t.Errorf("String() =\n%s\nwant\n%s", got, want)
+	}
+	var b strings.Builder
+	b.WriteString("# scheduler\n")
+	cs.Render(&b)
+	if got := b.String(); got != "# scheduler\n"+want {
+		t.Errorf("Render after a prefix =\n%s", got)
+	}
+}

@@ -1,8 +1,8 @@
 package bess
 
 import (
-	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -153,28 +153,46 @@ func (n *SchedNode) NextLeaf() *SchedNode {
 // generated BESS script describes.
 func (cs CoreScheduler) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "core %d:\n", cs.Core)
-	var walk func(n *SchedNode, depth int)
-	walk = func(n *SchedNode, depth int) {
-		indent := strings.Repeat("  ", depth+1)
-		switch n.Kind {
-		case RoundRobin:
-			fmt.Fprintf(&b, "%sround_robin\n", indent)
-		case Deadline:
-			fmt.Fprintf(&b, "%sdeadline_edf\n", indent)
-		case RateLimit:
-			fmt.Fprintf(&b, "%srate_limit %.0f bps\n", indent, n.RateBps)
-		case Leaf:
-			if n.HasSlack {
-				fmt.Fprintf(&b, "%ssubgroup %s slack %.1fus\n", indent, n.Subgroup.Name, n.SlackSec*1e6)
-			} else {
-				fmt.Fprintf(&b, "%ssubgroup %s\n", indent, n.Subgroup.Name)
-			}
-		}
-		for _, c := range n.Children {
-			walk(c, depth+1)
-		}
-	}
-	walk(cs.Root, 0)
+	cs.Render(&b)
 	return b.String()
+}
+
+// Render appends String's rendering to b, for a caller assembling a larger
+// text (the metacompiler's BESS script): nothing is formatted through fmt or
+// built aside.
+func (cs CoreScheduler) Render(b *strings.Builder) {
+	var num [32]byte
+	b.WriteString("core ")
+	b.Write(strconv.AppendInt(num[:0], int64(cs.Core), 10))
+	b.WriteString(":\n")
+	cs.Root.render(b, 0)
+}
+
+func (n *SchedNode) render(b *strings.Builder, depth int) {
+	var num [32]byte
+	for i := 0; i <= depth; i++ {
+		b.WriteString("  ")
+	}
+	switch n.Kind {
+	case RoundRobin:
+		b.WriteString("round_robin\n")
+	case Deadline:
+		b.WriteString("deadline_edf\n")
+	case RateLimit:
+		b.WriteString("rate_limit ")
+		b.Write(strconv.AppendFloat(num[:0], n.RateBps, 'f', 0, 64))
+		b.WriteString(" bps\n")
+	case Leaf:
+		b.WriteString("subgroup ")
+		b.WriteString(n.Subgroup.Name)
+		if n.HasSlack {
+			b.WriteString(" slack ")
+			b.Write(strconv.AppendFloat(num[:0], n.SlackSec*1e6, 'f', 1, 64))
+			b.WriteString("us")
+		}
+		b.WriteString("\n")
+	}
+	for _, c := range n.Children {
+		c.render(b, depth+1)
+	}
 }

@@ -69,16 +69,19 @@ const defaultRuleCount = 1024
 //	default    string — "allow" flips the default action to permit
 func NewACL(name string, params Params) (NF, error) {
 	a := &ACL{base: base{name: name, class: "ACL"}}
-	if cidr := params.Str("allow_dst", ""); cidr != "" {
+	cidr := params.Str("allow_dst", "")
+	n := params.Int("rules", 0)
+	if n == 0 && cidr == "" {
+		n = defaultRuleCount
+	}
+	// Sized once: the allow_dst rule, the n synthetic ones, the match-all.
+	a.rules = make([]Rule, 0, max(n, 0)+2)
+	if cidr != "" {
 		addr, bits, err := bpf.ParseCIDR(cidr)
 		if err != nil {
 			return nil, fmt.Errorf("nf: ACL %s: %w", name, err)
 		}
 		a.rules = append(a.rules, Rule{DstAddr: addr, DstMask: bpf.MaskBits(bits)})
-	}
-	n := params.Int("rules", 0)
-	if n == 0 && len(a.rules) == 0 {
-		n = defaultRuleCount
 	}
 	for i := 0; i < n; i++ {
 		// Synthetic disjoint /24 allow rules under 10.0.0.0/8, mirroring

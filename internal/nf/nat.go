@@ -16,7 +16,10 @@ import (
 //
 // The forward table is a sharded flowTable keyed by the packed (addr, port)
 // pair; the reverse table is a dense array indexed by external port minus
-// portBase, since the allocator only ever hands out ports from that window.
+// portBase, since the allocator only ever hands out ports from that window —
+// and in order, so the array is grown to the highest port handed out rather
+// than built for the whole window (96 KB at the default cap, of which a
+// short run touches a few entries); a port beyond it has never been mapped.
 // When the port space (or the "entries" cap) is exhausted, new flows are
 // dropped and counted — the table never evicts, because silently breaking an
 // established translation would corrupt return traffic.
@@ -105,7 +108,6 @@ func NewNAT(name string, params Params) (NF, error) {
 		base:   base{name: name, class: "NAT"},
 		natCfg: cfg,
 		out:    newFlowTable[natKey, uint16](0, false),
-		in:     make([]natSlot, cfg.maxEntry),
 		so:     newStateObs("NAT", name),
 		exhC:   natExhaustedCounter(name),
 	}
@@ -173,11 +175,20 @@ func (n *NAT) allocate(key natKey) (uint16, bool) {
 			np = int(n.portBase)
 		}
 		n.nextPort = uint16(np)
-		if slot := &n.in[int(cand)-int(n.portBase)]; !slot.used {
-			*n.out.insert(natHash(key), key) = cand
-			slot.key, slot.used = key, true
-			return cand, true
+		idx := int(cand) - int(n.portBase)
+		if idx < len(n.in) && n.in[idx].used {
+			continue
 		}
+		if idx >= len(n.in) {
+			// Doubling, to the cap: a table that fills has then allocated
+			// at most twice the array it used to be built with.
+			grown := make([]natSlot, min(max(2*len(n.in), idx+1, 64), n.maxEntry))
+			copy(grown, n.in)
+			n.in = grown
+		}
+		*n.out.insert(natHash(key), key) = cand
+		n.in[idx] = natSlot{key: key, used: true}
+		return cand, true
 	}
 	return 0, false
 }

@@ -1,10 +1,7 @@
 package pisa
 
 import (
-	"errors"
-	"fmt"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -40,14 +37,12 @@ func (s CacheStats) HitRate() float64 {
 	return float64(s.Hits) / float64(s.Hits+s.Misses)
 }
 
-// verdict is one memoized compile outcome: everything needed to reconstruct
-// Compile's (*Binary, error) return without re-packing.
+// verdict is one memoized compile outcome: Compile's (*Binary, error)
+// return, kept so that neither has to be rebuilt to answer a hit.
 type verdict struct {
-	stageOf  []int  // nil when the compile failed before producing a layout
-	stages   int    // needed stages (valid whenever stageOf != nil)
-	have     int    // the spec's stage budget, for overflow reconstruction
-	overflow bool   // ErrStageOverflow (Binary still attached)
-	errMsg   string // non-overflow failure text ("" = success)
+	stageOf []int // nil when the compile failed before producing a layout
+	stages  int   // needed stages (valid whenever stageOf != nil)
+	err     error // Compile's error; immutable, so every hit returns this one
 }
 
 // binary materializes a fresh Binary so callers can never corrupt the cached
@@ -57,17 +52,6 @@ func (v *verdict) binary() *Binary {
 		return nil
 	}
 	return &Binary{StageOf: append([]int(nil), v.stageOf...), Stages: v.stages}
-}
-
-func (v *verdict) err() error {
-	switch {
-	case v.overflow:
-		return fmt.Errorf("%w: needs %d stages, switch has %d", ErrStageOverflow, v.stages, v.have)
-	case v.errMsg != "":
-		return errors.New(v.errMsg)
-	default:
-		return nil
-	}
 }
 
 // CompileCache is a goroutine-safe, bounded memo table over Compile. The
@@ -110,31 +94,42 @@ var (
 // program more than once; verdicts are content-determined, so whichever
 // insert wins the race stores the identical outcome.
 func (c *CompileCache) Compile(spec *hw.PISASpec, tables []LogicalTable) (*Binary, error) {
-	key := cacheKey(spec, tables)
+	v := c.verdictOf(appendCacheKey(make([]byte, 0, 32+len(tables)*24), spec, tables), spec, tables)
+	return v.binary(), v.err
+}
 
+// Stages is Compile for a caller that wants only the verdict — the Placer's
+// stage check, which asks once per candidate placement: the stage count (0
+// when the compile failed before producing a layout) and Compile's error. A
+// hit allocates nothing: no Binary is materialized, and the cache key is
+// built in *key, the caller's buffer, which Stages reuses and may grow. The
+// cache keeps neither key nor tables past the call, so the caller may
+// overwrite both.
+func (c *CompileCache) Stages(spec *hw.PISASpec, tables []LogicalTable, key *[]byte) (int, error) {
+	*key = appendCacheKey((*key)[:0], spec, tables)
+	v := c.verdictOf(*key, spec, tables)
+	return v.stages, v.err
+}
+
+// verdictOf looks key up, counting the hit or miss, and on a miss compiles
+// the program and stores its verdict under a copy of key.
+func (c *CompileCache) verdictOf(key []byte, spec *hw.PISASpec, tables []LogicalTable) *verdict {
 	c.mu.Lock()
-	v := c.m[key]
+	v := c.m[string(key)]
 	c.mu.Unlock()
 	if v != nil {
 		c.hits.Add(1)
 		mCacheHit.Inc()
-		return v.binary(), v.err()
+		return v
 	}
 	c.misses.Add(1)
 	mCacheMiss.Inc()
 
 	bin, err := Compile(spec, tables)
-	v = &verdict{have: spec.Stages}
+	v = &verdict{err: err}
 	if bin != nil {
-		v.stageOf = append([]int(nil), bin.StageOf...)
-		v.stages = bin.Stages
-	}
-	if err != nil {
-		if errors.Is(err, ErrStageOverflow) {
-			v.overflow = true
-		} else {
-			v.errMsg = err.Error()
-		}
+		// Compile's Binary is this call's alone; callers get copies.
+		v.stageOf, v.stages = bin.StageOf, bin.Stages
 	}
 
 	c.mu.Lock()
@@ -144,9 +139,9 @@ func (c *CompileCache) Compile(spec *hw.PISASpec, tables []LogicalTable) (*Binar
 		mCacheEvict.Add(n)
 		c.m = make(map[string]*verdict)
 	}
-	c.m[key] = v
+	c.m[string(key)] = v
 	c.mu.Unlock()
-	return bin, err
+	return v
 }
 
 // Compile-cache effectiveness gauges. Counters already track hit/miss flow
@@ -200,36 +195,31 @@ func (c *CompileCache) Reset() {
 	c.evictions.Store(0)
 }
 
-// cacheKey canonicalizes the compile inputs. Table order matters (Deps index
-// into the slice), so the serialization is positional.
-func cacheKey(spec *hw.PISASpec, tables []LogicalTable) string {
-	var b strings.Builder
-	b.Grow(32 + len(tables)*24)
-	var buf [20]byte
-	writeInt := func(n int) {
-		b.Write(strconv.AppendInt(buf[:0], int64(n), 10))
-	}
-	writeInt(spec.Stages)
-	b.WriteByte('/')
-	writeInt(spec.SRAMPerStage)
-	b.WriteByte('/')
-	writeInt(spec.TCAMPerStage)
-	b.WriteByte('/')
-	writeInt(spec.TablesPerStage)
+// appendCacheKey appends the canonical form of the compile inputs to b.
+// Table order matters (Deps index into the slice), so the serialization is
+// positional.
+func appendCacheKey(b []byte, spec *hw.PISASpec, tables []LogicalTable) []byte {
+	b = strconv.AppendInt(b, int64(spec.Stages), 10)
+	b = append(b, '/')
+	b = strconv.AppendInt(b, int64(spec.SRAMPerStage), 10)
+	b = append(b, '/')
+	b = strconv.AppendInt(b, int64(spec.TCAMPerStage), 10)
+	b = append(b, '/')
+	b = strconv.AppendInt(b, int64(spec.TablesPerStage), 10)
 	for i := range tables {
 		t := &tables[i]
-		b.WriteByte(';')
-		b.WriteString(t.Name)
-		b.WriteByte(':')
-		writeInt(t.SRAM)
-		b.WriteByte(',')
-		writeInt(t.TCAM)
+		b = append(b, ';')
+		b = append(b, t.Name...)
+		b = append(b, ':')
+		b = strconv.AppendInt(b, int64(t.SRAM), 10)
+		b = append(b, ',')
+		b = strconv.AppendInt(b, int64(t.TCAM), 10)
 		for _, d := range t.Deps {
-			b.WriteByte('<')
-			writeInt(d)
+			b = append(b, '<')
+			b = strconv.AppendInt(b, int64(d), 10)
 		}
 	}
-	return b.String()
+	return b
 }
 
 // sharedCache memoizes compile verdicts process-wide — the Placer's stage
@@ -238,8 +228,3 @@ var sharedCache = NewCompileCache(DefaultCacheEntries)
 
 // SharedCache returns the process-wide compile cache.
 func SharedCache() *CompileCache { return sharedCache }
-
-// CompileCached compiles via the process-wide cache.
-func CompileCached(spec *hw.PISASpec, tables []LogicalTable) (*Binary, error) {
-	return sharedCache.Compile(spec, tables)
-}

@@ -209,3 +209,66 @@ func TestCacheSyncObs(t *testing.T) {
 		}
 	}
 }
+
+// TestCompileCacheProbeMatchesCompile: Stages, the verdict-only probe, gives
+// Compile's stage count and Compile's error — fit, stage overflow and
+// per-stage budget failure alike — on first sight (miss) and on repeat (hit),
+// counts hits and misses as Compile does, shares entries with it, reuses the
+// caller's key buffer, and a hit allocates nothing.
+func TestCompileCacheProbeMatchesCompile(t *testing.T) {
+	rng := rand.New(rand.NewSource(2024))
+	cache := NewCompileCache(0)
+	var key []byte
+	fits, overflows, others := 0, 0, 0
+	for trial := 0; trial < 150; trial++ {
+		spec := randomSpec(rng)
+		tables := randomTables(rng)
+		cold, coldErr := Compile(spec, tables)
+		wantStages := 0
+		if cold != nil {
+			wantStages = cold.Stages
+		}
+		switch {
+		case coldErr == nil:
+			fits++
+		case errors.Is(coldErr, ErrStageOverflow):
+			overflows++
+		default:
+			others++
+		}
+		for _, pass := range []string{"miss", "hit"} {
+			stages, err := cache.Stages(spec, tables, &key)
+			label := fmt.Sprintf("trial %d %s", trial, pass)
+			if stages != wantStages {
+				t.Errorf("%s: stages = %d, Compile says %d", label, stages, wantStages)
+			}
+			if (err == nil) != (coldErr == nil) ||
+				(err != nil && (err.Error() != coldErr.Error() ||
+					errors.Is(err, ErrStageOverflow) != errors.Is(coldErr, ErrStageOverflow))) {
+				t.Errorf("%s: error %v, Compile says %v", label, err, coldErr)
+			}
+		}
+		// The probe's entry serves Compile, under the same key.
+		bin, err := cache.Compile(spec, tables)
+		if (bin == nil) != (cold == nil) || (bin != nil && !reflect.DeepEqual(bin.StageOf, cold.StageOf)) ||
+			(err == nil) != (coldErr == nil) {
+			t.Errorf("trial %d: Compile after Stages = (%+v, %v), cold = (%+v, %v)", trial, bin, err, cold, coldErr)
+		}
+	}
+	if fits == 0 || overflows == 0 || others == 0 {
+		t.Fatalf("fixture must cover every verdict: %d fits, %d overflows, %d other errors", fits, overflows, others)
+	}
+	if st := cache.Stats(); st.Misses != 150 || st.Hits != 300 {
+		t.Errorf("stats = %+v, want 150 misses and 300 hits", st)
+	}
+
+	spec, tables := randomSpec(rng), randomTables(rng)
+	cache.Stages(spec, tables, &key)
+	at := &key[0]
+	if a := testing.AllocsPerRun(100, func() { cache.Stages(spec, tables, &key) }); a != 0 {
+		t.Errorf("a probe hit allocates %.0f objects, want 0", a)
+	}
+	if &key[0] != at {
+		t.Error("the probe did not reuse the caller's key buffer")
+	}
+}

@@ -43,7 +43,10 @@ func Compile(spec *hw.PISASpec, tables []LogicalTable) (*Binary, error) {
 	type stageRes struct {
 		sram, tcam, tables int
 	}
-	var stages []stageRes
+	// Real pipelines are a dozen stages deep; the ledger outgrows the stack
+	// only for a program that overflows one by far.
+	var ledger [32]stageRes
+	stages := ledger[:0]
 	bin := &Binary{StageOf: make([]int, len(tables))}
 
 	for i, t := range tables {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/bits"
 	"sort"
+	"strconv"
 	"strings"
 
 	"lemur/internal/hw"
@@ -149,7 +150,11 @@ func placeBruteForce(in *Input) (*Result, error) {
 				continue
 			}
 			st.Evaluated++
-			s.reduce(&best, func(reason string) { noteAt(s.seq, reason) }, func(marginal float64) {
+			s.reduce(&best, func(ev *evalScratch) {
+				if s.seq < firstSeq {
+					noteAt(s.seq, ev.reason())
+				}
+			}, func(marginal float64) {
 				if !haveIncumbent || marginal > incumbent {
 					incumbent, haveIncumbent = marginal, true
 					st.IncumbentUpdates++
@@ -396,7 +401,9 @@ func patternFeatures(in *Input, g *nfgraph.Graph, t *chainTemplate) chainPattern
 	overhead := in.Topo.EncapCycles + in.Topo.DemuxCycles
 	tmin := g.Chain.SLO.TMinBps
 
-	var parts []string
+	parts := make([]string, 0, len(t.subs[0])+len(t.nics)+1)
+	var partBuf [48]byte
+	part := partBuf[:0]
 	cp := chainPattern{tmpl: t, demand: t.demand, bound: g.Chain.SLO.TMaxBps}
 	if in.Topo.Switch != nil {
 		cp.bound = minF(cp.bound, in.Topo.Switch.PortCapacityBps)
@@ -404,7 +411,15 @@ func patternFeatures(in *Input, g *nfgraph.Graph, t *chainTemplate) chainPattern
 	totalWeight := 0.0
 	replCost := 0.0 // Σ weight·cycles of core-scalable work
 	for _, sg := range t.subs[0] {
-		parts = append(parts, fmt.Sprintf("s:%.0f/%.3f/%v", sg.Cycles, sg.Weight, sg.Replicable))
+		// "s:%.0f/%.3f/%v", appended: signatures are built for every
+		// pattern walked, kept or duplicate.
+		part = append(part[:0], "s:"...)
+		part = strconv.AppendFloat(part, sg.Cycles, 'f', 0, 64)
+		part = append(part, '/')
+		part = strconv.AppendFloat(part, sg.Weight, 'f', 3, 64)
+		part = append(part, '/')
+		part = strconv.AppendBool(part, sg.Replicable)
+		parts = append(parts, string(part))
 		cp.minCores++
 		totalWeight += sg.Weight
 		if sg.Replicable {
@@ -437,17 +452,30 @@ func patternFeatures(in *Input, g *nfgraph.Graph, t *chainTemplate) chainPattern
 		cp.bound = minF(cp.bound, in.prep.maxLink/totalWeight)
 	}
 	for _, u := range t.nics {
-		parts = append(parts, fmt.Sprintf("n:%s/%.0f/%.3f", u.Node.Class(), u.Cycles, u.Weight))
+		// "n:%s/%.0f/%.3f"
+		part = append(part[:0], "n:"...)
+		part = append(part, u.Node.Class()...)
+		part = append(part, '/')
+		part = strconv.AppendFloat(part, u.Cycles, 'f', 0, 64)
+		part = append(part, '/')
+		part = strconv.AppendFloat(part, u.Weight, 'f', 3, 64)
+		parts = append(parts, string(part))
 		cp.bound = minF(cp.bound, in.nicRateBps(u))
 	}
-	// The switch node set matters for stage packing.
-	var sw []string
+	// The switch node set matters for stage packing: "sw:" and its nodes'
+	// names, comma-separated.
+	part = append(part[:0], "sw"...)
+	sep := byte(':')
 	for i, n := range g.Order {
 		if t.assign[i].Platform == hw.PISA {
-			sw = append(sw, n.Name())
+			part = append(append(part, sep), n.Name()...)
+			sep = ','
 		}
 	}
-	parts = append(parts, "sw:"+strings.Join(sw, ","))
+	if sep == ':' {
+		part = append(part, ':')
+	}
+	parts = append(parts, string(part))
 	sort.Strings(parts)
 	cp.sig = strings.Join(parts, ";")
 	cp.gain = maxF(0, cp.bound-tmin)

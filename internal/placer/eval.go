@@ -39,22 +39,31 @@ type chainTemplate struct {
 func newChainTemplate(in *Input, ci int, g *nfgraph.Graph, assign map[*nfgraph.Node]Assign) *chainTemplate {
 	t := &chainTemplate{assign: make([]Assign, len(g.Order))}
 	key := make([]byte, len(g.Order))
+	onServer := 0
 	for i, n := range g.Order {
 		a, ok := assign[n]
 		if !ok {
 			a.Platform = unassigned
 		}
+		if a.Platform == hw.Server {
+			onServer++
+		}
 		t.assign[i], key[i] = a, stageKeyByte(a.Platform)
 	}
 	t.pisa = string(key)
-	t.subs[0] = computeSubgroupsSplit(in, ci, g, assign, nil)
+	// Both variants' subgroups and node lists come from one slab, which the
+	// template keeps alive and evaluations only read (evaluate stamps copies;
+	// a winner's are copied again by materialise).
+	var slab subgroupSlab
+	slab.reserve(2 * onServer)
+	t.subs[0] = slab.split(in, ci, g, assign, nil)
 	t.nics = computeNICUses(in, ci, g, assign)
 	if t.breaks = splitMarks(t.subs[0]); len(t.breaks) > 0 {
 		marks := make(map[*nfgraph.Node]bool, len(t.breaks))
 		for _, n := range t.breaks {
 			marks[n] = true
 		}
-		t.subs[1] = computeSubgroupsSplit(in, ci, g, assign, marks)
+		t.subs[1] = slab.split(in, ci, g, assign, marks)
 	}
 	t.demand = in.tminDemand(g, t.subs[0])
 	return t
@@ -161,6 +170,16 @@ type evalScratch struct {
 	tmin     []float64
 	links    []lpLink
 
+	// short is set when the candidate failed in raiseToTMin: the refusal,
+	// which reason puts into words if anyone asks.
+	short tminShortfall
+
+	// A stage-memo miss's working memory: the candidate's logical tables
+	// with their dependency lists, and the compile cache's key for them.
+	// Both are dead once the verdict is stored.
+	tables     tableBuf
+	compileKey []byte
+
 	// checkTailLatency's node-to-subgroup index and per-path visit stamps:
 	// seen[si] is the number (pathNo) of the last path that counted si.
 	subOf, seen []int
@@ -253,6 +272,7 @@ func (ev *evalScratch) finishResult(res *Result, policy allocPolicy) {
 		return
 	}
 	ev.finish(policy)
+	res.Reason = ev.reason()
 }
 
 // load fills the dense assignment and the stage key from a map.
@@ -283,9 +303,12 @@ func (ev *evalScratch) assignMap() map[*nfgraph.Node]Assign {
 // the first infeasibility reason. It is the only sequencing of those steps:
 // every Result the package hands out — Place under any scheme, Reconfigure,
 // ReEvaluate — left through here, and callers differ only in the policy
-// that chooses cores, so none can leave an SLO check out.
+// that chooses cores, so none can leave an SLO check out. One reason is left
+// unrendered (see tminShortfall), so an infeasible candidate's is read
+// through reason, not from res.
 func (ev *evalScratch) finish(policy allocPolicy) {
 	res := ev.res
+	ev.short = tminShortfall{}
 	reason, ok := ev.stageCheck()
 	if ok {
 		reason, ok = ev.allocateCores(policy)
@@ -309,6 +332,15 @@ func (ev *evalScratch) finish(policy allocPolicy) {
 	res.Reason, res.Feasible = reason, ok
 }
 
+// reason is the evaluated candidate's infeasibility reason ("" when it is
+// feasible).
+func (ev *evalScratch) reason() string {
+	if ev.short.sg != nil {
+		return ev.short.String()
+	}
+	return ev.res.Reason
+}
+
 // materialise copies the evaluated candidate out of the scratch into a heap
 // Result that shares no memory with it: a fresh Assign map, fresh Subgroups
 // and NICUses, fresh rate slices. The reduce calls it only for a candidate
@@ -316,6 +348,7 @@ func (ev *evalScratch) finish(policy allocPolicy) {
 func (ev *evalScratch) materialise() *Result {
 	src := ev.res
 	out := *src
+	out.Reason = ev.reason()
 	out.Assign = ev.assignMap()
 	out.Breaks = nil
 	if len(ev.breaks) > 0 {
@@ -382,13 +415,14 @@ func evaluateCandidate(in *Input, s *candSlot, policy allocPolicy) {
 
 // reduce folds the slot's evaluations into best with the serial sweep's
 // tie-break (a later candidate must win by more than 1e-6), reporting each
-// infeasibility reason to note and each feasible marginal to feasible (nil
-// to ignore). Callers reduce slots in enumeration order.
-func (s *candSlot) reduce(best **Result, note func(reason string), feasible func(marginal float64)) {
+// infeasible evaluation to note — which asks it for its reason only if it
+// means to keep it — and each feasible marginal to feasible (nil to ignore).
+// Callers reduce slots in enumeration order.
+func (s *candSlot) reduce(best **Result, note func(ev *evalScratch), feasible func(marginal float64)) {
 	for _, ev := range s.ev[:s.n] {
 		res := ev.res
 		if !res.Feasible {
-			note(res.Reason)
+			note(ev)
 			continue
 		}
 		if *best == nil || res.Marginal > (*best).Marginal+1e-6 {

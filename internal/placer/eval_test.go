@@ -3,12 +3,14 @@ package placer
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"lemur/internal/hw"
 	"lemur/internal/nfgraph"
 	"lemur/internal/nfspec"
+	"lemur/internal/pisa"
 	"lemur/internal/profile"
 )
 
@@ -251,5 +253,123 @@ func TestEvaluateCandidateSteadyStateAllocs(t *testing.T) {
 	in, slot := warmCandidateSlot(t)
 	if a := testing.AllocsPerRun(100, func() { evaluateCandidate(in, slot, policyMarginal) }); a != 0 {
 		t.Errorf("evaluateCandidate allocates %.1f objects per call in steady state, want 0", a)
+	}
+}
+
+// TestStageCheckMissAllocs: a stage-memo miss whose program the compile
+// cache has seen lowers the candidate, builds the cache key and reads the
+// verdict without touching the heap; what is left is the memo's own entry —
+// the key's string and, for a program that does not fit, its reason.
+func TestStageCheckMissAllocs(t *testing.T) {
+	in, slot := warmCandidateSlot(t)
+	ev := slot.ev[0]
+	var capable []int // dense indices of the nodes with a P4 implementation
+	for i, n := range in.prep.nodes {
+		if n.Meta.PISA != nil {
+			capable = append(capable, i)
+		}
+	}
+	const programs = 200
+	if 1<<len(capable) < programs {
+		t.Fatalf("fixture has %d P4-capable nodes, too few for %d distinct switch sets", len(capable), programs)
+	}
+	// load puts the mask's subset of the capable nodes on the switch, the
+	// rest on servers: a distinct stage key per mask.
+	load := func(mask int) {
+		for bit, i := range capable {
+			p := hw.Server
+			if mask>>bit&1 == 1 {
+				p = hw.PISA
+			}
+			ev.assign[i].Platform, ev.key[i] = p, stageKeyByte(p)
+		}
+	}
+	for mask := 0; mask < programs; mask++ {
+		load(mask)
+		ev.stageCheck() // warms the compile cache and sizes the scratch's buffers
+	}
+	_, missesBefore := StageMemoStats()
+	compileBefore := pisa.SharedCache().Stats()
+	in.prep.stage = &stageMemo{m: make(map[string]stageVerdict, 2*programs)} // forget the verdicts, keep the programs
+
+	mask, failed := 0, 0
+	allocs := testing.AllocsPerRun(programs-1, func() {
+		load(mask)
+		if _, ok := ev.stageCheck(); !ok {
+			failed++
+		}
+		mask++
+	})
+	if _, misses := StageMemoStats(); misses-missesBefore != programs {
+		t.Fatalf("%d stage-memo misses over %d distinct keys", misses-missesBefore, programs)
+	}
+	if st := pisa.SharedCache().Stats(); st.Misses != compileBefore.Misses {
+		t.Fatalf("the compile cache was not warm: %d misses during the measurement", st.Misses-compileBefore.Misses)
+	}
+	// One string per entry, a second for each failing verdict's reason.
+	if limit := float64(programs+failed) / float64(programs-1); allocs > limit {
+		t.Errorf("a stage-memo miss allocates %.2f objects, want at most %.2f (the memo's key, %d of %d with a reason)",
+			allocs, limit, failed, programs)
+	}
+}
+
+// TestTemplateSubgroupsMatchReference: the subgroups a chain template carves
+// from its slab, both variants, are computeSubgroupsSplit's — same runs in
+// the same order, same nodes, cost, weight and replicability — for every
+// pattern of the fixture; and no two lists of one template overlap.
+func TestTemplateSubgroupsMatchReference(t *testing.T) {
+	in, _ := warmCandidateSlot(t)
+	same := func(label string, got, want []*Subgroup) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d subgroups, want %d", label, len(got), len(want))
+		}
+		for i := range want {
+			g, w := *got[i], *want[i]
+			if !slices.Equal(g.Nodes, w.Nodes) {
+				t.Fatalf("%s: subgroup %d holds %s, want %s", label, i, got[i].Name(), want[i].Name())
+			}
+			if cap(g.Nodes) != len(g.Nodes) {
+				t.Fatalf("%s: subgroup %d's node list is not capped: an append would reach its neighbour's", label, i)
+			}
+			g.Nodes, w.Nodes = nil, nil
+			if !reflect.DeepEqual(g, w) {
+				t.Fatalf("%s: subgroup %d = %+v, want %+v", label, i, g, w)
+			}
+		}
+	}
+	split := 0
+	for ci, g := range in.Chains {
+		pats, err := enumerateChainPatterns(in, ci, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for pi, p := range pats {
+			assign := map[*nfgraph.Node]Assign{}
+			for i, n := range g.Order {
+				assign[n] = p.tmpl.assign[i]
+			}
+			label := fmt.Sprintf("chain %d pattern %d", ci, pi)
+			same(label+" unsplit", p.tmpl.subs[0], computeSubgroupsSplit(in, ci, g, assign, nil))
+			if p.tmpl.subs[1] == nil {
+				continue
+			}
+			split++
+			marks := map[*nfgraph.Node]bool{}
+			for _, n := range p.tmpl.breaks {
+				marks[n] = true
+			}
+			same(label+" split", p.tmpl.subs[1], computeSubgroupsSplit(in, ci, g, assign, marks))
+			for _, a := range p.tmpl.subs[0] {
+				for _, b := range p.tmpl.subs[1] {
+					if a == b || &a.Nodes[0] == &b.Nodes[0] {
+						t.Fatalf("%s: the two variants share memory", label)
+					}
+				}
+			}
+		}
+	}
+	if split == 0 {
+		t.Fatal("fixture has no pattern with split marks")
 	}
 }

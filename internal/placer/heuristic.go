@@ -71,16 +71,17 @@ func lemurHeuristic(in *Input, policy allocPolicy) (*Result, error) {
 
 	var best *Result
 	var firstReason string
-	note := func(reason string) {
-		if firstReason == "" && reason != "" {
-			firstReason = reason
-		}
-	}
 	vi := 0
 	for _, bc := range bases {
-		note(bc.evictReason)
+		if firstReason == "" {
+			firstReason = bc.evictReason
+		}
 		for range bc.variants {
-			slots[vi].reduce(&best, note, nil)
+			slots[vi].reduce(&best, func(ev *evalScratch) {
+				if firstReason == "" {
+					firstReason = ev.reason()
+				}
+			}, nil)
 			vi++
 		}
 	}

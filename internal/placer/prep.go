@@ -60,14 +60,16 @@ type chainPrep struct {
 	// is chain ci's first index in it, so base[ci]+n.Seq is node n's dense
 	// index. rawCycles holds DB.WorstCycles per node (cross-socket penalty
 	// applied live). pisaNames holds each PISA-capable node's logical table
-	// names and maxTables bounds the switch program size (both feed the
-	// optimized BuildSwitchTables path, which otherwise rebuilds the same
-	// strings for every candidate).
+	// names; maxTables bounds the switch program's size and maxDeps the
+	// ints in its dependency lists (all three feed the optimized lowering,
+	// tableBuf.lower, which otherwise rebuilds the same strings and regrows
+	// the same buffers for every candidate).
 	nodes     []*nfgraph.Node
 	base      []int
 	rawCycles map[*nfgraph.Node]float64
 	pisaNames map[*nfgraph.Node][]string
 	maxTables int
+	maxDeps   int
 
 	// paths caches each chain's root-to-leaf path expansion (Graph.Paths
 	// allocates its result on every call; latency checks and bounce counts
@@ -152,6 +154,7 @@ func newChainPrep(in *Input) *chainPrep {
 	p.pisaNames = make(map[*nfgraph.Node][]string)
 	p.maxTables = 1 // steer_classify
 	for ci, g := range in.Chains {
+		chainTables := 0
 		for _, n := range g.Order {
 			prof := n.Meta.PISA
 			if prof == nil {
@@ -162,7 +165,24 @@ func newChainPrep(in *Input) *chainPrep {
 				names[t] = fmt.Sprintf("c%d_%s_t%d", ci, n.Name(), t)
 			}
 			p.pisaNames[n] = names
-			p.maxTables += prof.Tables
+			chainTables += prof.Tables
+		}
+		p.maxTables += chainTables
+		// A node gathers at most what its predecessors carry, then writes
+		// one single-entry list per table and one for its successors. What
+		// it carries on is one table when it is on the switch and what it
+		// gathered when it is not: never more than the chain has tables.
+		carried := make([]int, len(g.Order))
+		for _, n := range g.Order {
+			gathered := 0
+			for _, pred := range n.Ins {
+				gathered += carried[pred.Seq]
+			}
+			carried[n.Seq] = min(max(gathered, 1), max(chainTables, 1))
+			p.maxDeps += gathered + 1
+			if prof := n.Meta.PISA; prof != nil {
+				p.maxDeps += prof.Tables
+			}
 		}
 	}
 	return p

@@ -317,11 +317,29 @@ func (ev *evalScratch) chargeCores() int {
 	return -1
 }
 
+// tminShortfall is why raiseToTMin refused, not yet put into words: sg could
+// not be raised to its chain's t_min, either because it needs `need` cores
+// and is not replicable or (need 0) because its server ran out. A search
+// reports one reason — the first in enumeration order — out of thousands of
+// refused candidates, so the words are left to evalScratch.reason.
+type tminShortfall struct {
+	sg   *Subgroup
+	need int
+}
+
+func (s tminShortfall) String() string {
+	if s.need > 0 {
+		return fmt.Sprintf("subgroup %s: needs %d cores for t_min but is not replicable", s.sg.Name(), s.need)
+	}
+	return fmt.Sprintf("server %s: out of cores raising %s to t_min", s.sg.Server, s.sg.Name())
+}
+
 // raiseToTMin gives every subgroup (only those marked, when only is
 // non-nil) the cores its chain's t_min needs, from the full budget: SLO
-// feasibility outranks the admission-headroom reserve. It fails when a
-// non-replicable subgroup needs more than one core or a server runs out.
-func (ev *evalScratch) raiseToTMin(only []bool) (string, bool) {
+// feasibility outranks the admission-headroom reserve. It fails, leaving the
+// reason in ev.short, when a non-replicable subgroup needs more than one
+// core or a server runs out.
+func (ev *evalScratch) raiseToTMin(only []bool) bool {
 	in, budget, used, srvOf := ev.in, ev.p.srvCores, ev.used, ev.srvOf
 	for si, sg := range ev.res.Subgroups {
 		if only != nil && !only[si] {
@@ -329,19 +347,19 @@ func (ev *evalScratch) raiseToTMin(only []bool) (string, bool) {
 		}
 		need := in.coresToMeet(sg, in.Chains[sg.ChainIdx].Chain.SLO.TMinBps)
 		if need > 1 && !sg.Replicable {
-			return fmt.Sprintf("subgroup %s: needs %d cores for t_min but is not replicable",
-				sg.Name(), need), false
+			ev.short = tminShortfall{sg, need}
+			return false
 		}
 		for sg.Cores < need {
 			if used[srvOf[si]] >= budget[srvOf[si]] {
-				return fmt.Sprintf("server %s: out of cores raising %s to t_min",
-					sg.Server, sg.Name()), false
+				ev.short = tminShortfall{sg, 0}
+				return false
 			}
 			sg.Cores++
 			used[srvOf[si]]++
 		}
 	}
-	return "", true
+	return true
 }
 
 // allocateCores assigns cores to subgroups. For a fresh placement: one core
@@ -376,8 +394,8 @@ func (ev *evalScratch) allocateCores(policy allocPolicy) (string, bool) {
 	// Raise to meet t_min where the policy is SLO-aware. Even/none policies
 	// skip this (they are not SLO-driven), matching the baselines.
 	if sloAware := policy == policyMarginal || policy == policySequential; sloAware && !in.DisableCoreScaling {
-		if reason, ok := ev.raiseToTMin(nil); !ok {
-			return reason, false
+		if !ev.raiseToTMin(nil) {
+			return "", false // the reason is ev.short
 		}
 	}
 

@@ -597,8 +597,8 @@ func (ev *evalScratch) allocateCoresReplace() (string, bool) {
 		return "", true
 	}
 
-	if reason, ok := ev.raiseToTMin(fresh); !ok {
-		return reason, false
+	if !ev.raiseToTMin(fresh) {
+		return "", false // the reason is ev.short
 	}
 
 	// Spare cores: pour into each touched chain's bottleneck (fresh

@@ -17,8 +17,50 @@ func computeSubgroups(in *Input, chainIdx int, g *nfgraph.Graph, assign map[*nfg
 // computeSubgroupsSplit is computeSubgroups with explicit break marks:
 // a marked node starts a new subgroup even mid-run.
 func computeSubgroupsSplit(in *Input, chainIdx int, g *nfgraph.Graph, assign map[*nfgraph.Node]Assign, breaks map[*nfgraph.Node]bool) []*Subgroup {
-	var subs []*Subgroup
-	inSub := make([]bool, len(g.Order)) // indexed by Node.Seq
+	return new(subgroupSlab).split(in, chainIdx, g, assign, breaks)
+}
+
+// subgroupSlab is the memory subgroup lists are carved from: the Subgroups,
+// their node lists (capped sub-slices of one block) and the pointer lists
+// handed out. A chain template derives both its variants on one slab; a list
+// stays valid for as long as anything points into it, because a slab that
+// runs out takes a new block and leaves the old one to its lists.
+type subgroupSlab struct {
+	subs  []Subgroup
+	nodes []*nfgraph.Node
+	ptrs  []*Subgroup
+	inSub []bool // by Node.Seq
+}
+
+// reserve makes room for one more list over n server nodes: at most n
+// subgroups, n nodes in them, n pointers to them.
+func (s *subgroupSlab) reserve(n int) {
+	if len(s.subs)+n > cap(s.subs) {
+		s.subs = make([]Subgroup, 0, n)
+		s.nodes = make([]*nfgraph.Node, 0, n)
+		s.ptrs = make([]*Subgroup, 0, n)
+	}
+}
+
+// split is the one subgroup derivation, behind computeSubgroupsSplit and the
+// chain templates.
+func (s *subgroupSlab) split(in *Input, chainIdx int, g *nfgraph.Graph, assign map[*nfgraph.Node]Assign, breaks map[*nfgraph.Node]bool) []*Subgroup {
+	onServer := 0
+	for _, n := range g.Order {
+		if a, ok := assign[n]; ok && a.Platform == hw.Server {
+			onServer++
+		}
+	}
+	if onServer == 0 {
+		return nil
+	}
+	s.reserve(onServer)
+	if cap(s.inSub) < len(g.Order) {
+		s.inSub = make([]bool, len(g.Order))
+	}
+	inSub := s.inSub[:len(g.Order)]
+	clear(inSub)
+	first := len(s.ptrs)
 
 	overhead := in.Topo.EncapCycles + in.Topo.DemuxCycles
 
@@ -27,11 +69,13 @@ func computeSubgroupsSplit(in *Input, chainIdx int, g *nfgraph.Graph, assign map
 		if !ok || a.Platform != hw.Server || inSub[n.Seq] {
 			continue
 		}
-		sg := &Subgroup{ChainIdx: chainIdx, Server: a.Device, Weight: n.Weight, Replicable: true}
+		s.subs = append(s.subs, Subgroup{ChainIdx: chainIdx, Server: a.Device, Weight: n.Weight, Replicable: true})
+		sg := &s.subs[len(s.subs)-1]
+		from := len(s.nodes)
 		cur := n
 		for {
 			inSub[cur.Seq] = true
-			sg.Nodes = append(sg.Nodes, cur)
+			s.nodes = append(s.nodes, cur)
 			sg.Cycles += in.nodeCycles(cur)
 			if !cur.Meta.Replicable || cur.IsBranch() || cur.IsMerge() {
 				sg.Replicable = false
@@ -50,10 +94,11 @@ func computeSubgroupsSplit(in *Input, chainIdx int, g *nfgraph.Graph, assign map
 			}
 			cur = next
 		}
+		sg.Nodes = s.nodes[from:len(s.nodes):len(s.nodes)]
 		sg.Cycles += overhead
-		subs = append(subs, sg)
+		s.ptrs = append(s.ptrs, sg)
 	}
-	return subs
+	return s.ptrs[first:len(s.ptrs):len(s.ptrs)]
 }
 
 // nodeReplicable reports whether one node can replicate across cores on its

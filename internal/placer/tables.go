@@ -21,85 +21,159 @@ import (
 // With optimize=false it models naive topological-order codegen: a separate
 // SI-update table after every NF table, explicit encap/decap tables for
 // cross-platform chains, and serialized branches — the 27-stage variant of
-// §5.2.
+// §5.2. The returned tables are the caller's: they share no memory with the
+// input or with an earlier call.
 func BuildSwitchTables(in *Input, assigns []map[*nfgraph.Node]Assign, optimize bool) []pisa.LogicalTable {
+	dense, base := denseAssigns(in, assigns)
+	return new(tableBuf).lower(in, dense, base, optimize)
+}
+
+// denseAssigns flattens per-chain assignment maps into the dense form lower
+// reads: node n of chain ci at base[ci]+n.Seq, unassigned when the map has
+// no entry for it.
+func denseAssigns(in *Input, assigns []map[*nfgraph.Node]Assign) (dense []Assign, base []int) {
+	base = make([]int, len(in.Chains))
+	for ci, g := range in.Chains {
+		base[ci] = len(dense)
+		for _, n := range g.Order {
+			a, ok := assigns[ci][n]
+			if !ok {
+				a.Platform = unassigned
+			}
+			dense = append(dense, a)
+		}
+	}
+	return dense, base
+}
+
+// tableBuf is the memory one lowering writes and the next one on the same
+// buffer overwrites: the table list, the arena every dependency list is a
+// capped sub-slice of, and the lists the nodes of the chain being lowered
+// hand to their successors.
+type tableBuf struct {
+	tables []pisa.LogicalTable
+	arena  []int
+	last   [][]int // by Node.Seq, reused chain after chain
+}
+
+// reserve makes room for n more ints at the arena's tail. A list must be
+// reserved whole before its first int is written: when the arena is full the
+// room comes from a new block, and the lists carved so far keep the old one.
+func (b *tableBuf) reserve(n int) {
+	if len(b.arena)+n > cap(b.arena) {
+		b.arena = make([]int, 0, max(2*cap(b.arena), n))
+	}
+}
+
+// dep appends idx to the list under construction at arena[from:] unless it is
+// already there. Dep lists are tiny (fan-in plus carried tables), so dedup is
+// a linear scan.
+func (b *tableBuf) dep(from, idx int) {
+	for _, d := range b.arena[from:] {
+		if d == idx {
+			return
+		}
+	}
+	b.arena = append(b.arena, idx)
+}
+
+// seal closes the list at arena[from:]: capped, so that nothing appended to
+// it can reach the next list, and nil when empty.
+func (b *tableBuf) seal(from int) []int {
+	if from == len(b.arena) {
+		return nil
+	}
+	return b.arena[from:len(b.arena):len(b.arena)]
+}
+
+// one is the single-entry list {idx}.
+func (b *tableBuf) one(idx int) []int {
+	b.reserve(1)
+	b.arena = append(b.arena, idx)
+	return b.seal(len(b.arena) - 1)
+}
+
+func (b *tableBuf) add(t pisa.LogicalTable) int {
+	b.tables = append(b.tables, t)
+	return len(b.tables) - 1
+}
+
+// lower is the one lowering body, behind BuildSwitchTables and the stage
+// check alike. assign is the dense assignment, node n of chain ci at
+// base[ci]+n.Seq, unassigned for a node without one. The tables it returns
+// live in b until the next lower on b.
+func (b *tableBuf) lower(in *Input, assign []Assign, base []int, optimize bool) []pisa.LogicalTable {
 	// The prep (when it matches this chain set) carries precomputed table
-	// names and a size bound, so the optimized path — run once per
-	// candidate placement — allocates no strings.
+	// names and size bounds, so the optimized path — run once per candidate
+	// placement — allocates no strings and, on a buffer that has been through
+	// one call, nothing at all.
 	var names map[*nfgraph.Node][]string
-	var tables []pisa.LogicalTable
 	if p := in.prep; p != nil && sameChains(p.chains, in.Chains) {
 		names = p.pisaNames
-		tables = make([]pisa.LogicalTable, 0, p.maxTables)
+		if b.tables == nil {
+			b.tables, b.arena = make([]pisa.LogicalTable, 0, p.maxTables), make([]int, 0, p.maxDeps)
+		}
 	}
-	add := func(t pisa.LogicalTable) int {
-		tables = append(tables, t)
-		return len(tables) - 1
-	}
-	steer := add(pisa.LogicalTable{Name: "steer_classify", SRAM: 1, TCAM: 1})
+	b.tables, b.arena = b.tables[:0], b.arena[:0]
+	steer := b.add(pisa.LogicalTable{Name: "steer_classify", SRAM: 1, TCAM: 1})
 
 	for ci, g := range in.Chains {
-		assign := assigns[ci]
+		at := assign[base[ci]:] // by Node.Seq
 		crossPlatform := false
 		for _, n := range g.Order {
-			if a, ok := assign[n]; ok && a.Platform != hw.PISA {
+			if p := at[n.Seq].Platform; p != unassigned && p != hw.PISA {
 				crossPlatform = true
 				break
 			}
 		}
 
-		// lastTables[n.Seq] = indices of the tables that must precede node
-		// n's table, propagated through non-switch nodes.
-		lastTables := make([][]int, len(g.Order))
+		// lastTables[n.Seq] = indices of the tables that must precede the
+		// tables of node n's successors, propagated through non-switch nodes.
+		if cap(b.last) < len(g.Order) {
+			b.last = make([][]int, len(g.Order))
+		}
+		lastTables := b.last[:len(g.Order)]
+		clear(lastTables)
 		var prevSibling int = -1
 		for _, n := range g.Order {
-			// Gather dependencies from predecessors. Dep lists are tiny
-			// (fan-in plus carried tables), so dedup by linear scan.
-			var deps []int
-			addDep := func(idx int) {
-				if idx < 0 {
-					return
-				}
-				for _, d := range deps {
-					if d == idx {
-						return
-					}
-				}
-				deps = append(deps, idx)
+			// Gather dependencies from predecessors: at most every carried
+			// list in full, plus steering and a sibling in naive codegen.
+			room := 2
+			for _, pred := range n.Ins {
+				room += len(lastTables[pred.Seq])
 			}
+			b.reserve(room)
+			from := len(b.arena)
 			if len(n.Ins) == 0 && !optimize {
 				// Naive codegen serializes classification before the first
 				// NF; optimization (c) folds steering into the first stage,
 				// so optimized entry tables carry no dependency on it.
-				addDep(steer)
+				b.dep(from, steer)
 			}
 			for _, pred := range n.Ins {
 				for _, d := range lastTables[pred.Seq] {
-					addDep(d)
+					b.dep(from, d)
 				}
 			}
 
-			a, onSwitch := assign[n]
-			if !onSwitch || a.Platform != hw.PISA {
-				// Not a switch node: dependencies pass through.
-				lastTables[n.Seq] = deps
-				continue
-			}
-
 			prof := n.Meta.PISA
-			if prof == nil {
-				lastTables[n.Seq] = deps
+			if at[n.Seq].Platform != hw.PISA || prof == nil {
+				// Not a switch node: dependencies pass through.
+				lastTables[n.Seq] = b.seal(from)
 				continue
 			}
 			if !optimize && n.IsMerge() {
 				// Naive codegen re-checks merges with a guard table.
-				guard := add(pisa.LogicalTable{Name: fmt.Sprintf("c%d_%s_guard", ci, n.Name()), SRAM: 1, Deps: deps})
-				deps = []int{guard}
+				guard := b.add(pisa.LogicalTable{Name: fmt.Sprintf("c%d_%s_guard", ci, n.Name()), SRAM: 1, Deps: b.seal(from)})
+				b.reserve(2)
+				from = len(b.arena)
+				b.arena = append(b.arena, guard)
 			}
 			if !optimize && prevSibling >= 0 && len(n.Ins) == 1 && n.Ins[0].IsBranch() {
 				// Naive codegen serializes sibling branches.
-				deps = append(deps, prevSibling)
+				b.arena = append(b.arena, prevSibling)
 			}
+			deps := b.seal(from)
 			var last int
 			for t := 0; t < prof.Tables; t++ {
 				var name string
@@ -108,49 +182,60 @@ func BuildSwitchTables(in *Input, assigns []map[*nfgraph.Node]Assign, optimize b
 				} else {
 					name = fmt.Sprintf("c%d_%s_t%d", ci, n.Name(), t)
 				}
-				idx := add(pisa.LogicalTable{
+				last = b.add(pisa.LogicalTable{
 					Name: name,
 					SRAM: prof.SRAM, TCAM: prof.TCAM,
 					Deps: deps,
 				})
-				deps = []int{idx}
-				last = idx
+				deps = b.one(last)
 			}
 			if !optimize {
 				// Naive: explicit SI-update table after every NF.
-				si := add(pisa.LogicalTable{Name: fmt.Sprintf("c%d_%s_si", ci, n.Name()), SRAM: 1, Deps: []int{last}})
-				last = si
+				last = b.add(pisa.LogicalTable{Name: fmt.Sprintf("c%d_%s_si", ci, n.Name()), SRAM: 1, Deps: b.one(last)})
 			}
 			if len(n.Ins) == 1 && n.Ins[0].IsBranch() {
 				prevSibling = last
 			}
-			lastTables[n.Seq] = []int{last}
+			lastTables[n.Seq] = b.one(last)
 		}
 
 		if !optimize && crossPlatform {
 			// Naive: dedicated encap and decap tables at the chain edges.
-			var tails []int
+			enc := b.add(pisa.LogicalTable{Name: fmt.Sprintf("c%d_nsh_encap", ci), SRAM: 1, Deps: b.one(steer)})
+			room := 1
 			for _, n := range g.Order {
 				if len(n.Outs) == 0 {
-					tails = append(tails, lastTables[n.Seq]...)
+					room += len(lastTables[n.Seq])
 				}
 			}
-			enc := add(pisa.LogicalTable{Name: fmt.Sprintf("c%d_nsh_encap", ci), SRAM: 1, Deps: []int{steer}})
-			add(pisa.LogicalTable{Name: fmt.Sprintf("c%d_nsh_decap", ci), SRAM: 1, Deps: append(tails, enc)})
+			b.reserve(room)
+			from := len(b.arena)
+			for _, n := range g.Order {
+				if len(n.Outs) == 0 {
+					b.arena = append(b.arena, lastTables[n.Seq]...)
+				}
+			}
+			b.arena = append(b.arena, enc)
+			b.add(pisa.LogicalTable{Name: fmt.Sprintf("c%d_nsh_decap", ci), SRAM: 1, Deps: b.seal(from)})
 		}
 	}
-	return tables
+	return b.tables
 }
 
 // stageCheck compiles the placement's switch program and records the stage
 // count. It returns false with a reason when the program does not fit.
 // Verdicts are memoized at two levels: per input keyed by the switch-resident
 // node set (skipping table construction entirely), and below that in the
-// shared content-keyed compile cache (pisa.CompileCached) — across schemes,
-// coalescing variants and δ points the same program recurs constantly, and δ
-// never changes it. Table construction (optimized codegen) depends only on
-// that set — node names, PISA profiles and graph structure are fixed per
-// input — so ev.key is a complete key for the verdict.
+// shared content-keyed compile cache — across schemes, coalescing variants
+// and δ points the same program recurs constantly, and δ never changes it.
+// Table construction (optimized codegen) depends only on that set — node
+// names, PISA profiles and graph structure are fixed per input — so ev.key
+// is a complete key for the verdict.
+//
+// A miss lowers the scratch's dense assignment into the scratch's table
+// buffer and asks the compile cache for the verdict alone, so up to the
+// verdict the memo stores it leaves nothing on the heap (DESIGN.md, "Who
+// owns a candidate's tables").
 func (ev *evalScratch) stageCheck() (string, bool) {
 	memo := ev.p.stage
 	memo.mu.Lock()
@@ -164,11 +249,12 @@ func (ev *evalScratch) stageCheck() (string, bool) {
 		// concurrent duplicate insert stores the same value.
 		stageMemoMisses.Add(1)
 		mStageMemoMiss.Inc()
-		assign := ev.res.Assign
-		if assign == nil {
-			assign = ev.assignMap()
+		tables := ev.tables.lower(ev.in, ev.assign, ev.p.base, true)
+		stages, err := pisa.SharedCache().Stages(ev.in.Topo.Switch, tables, &ev.compileKey)
+		v = stageVerdict{stages: stages, ok: err == nil}
+		if err != nil {
+			v.reason = "pisa: " + err.Error()
 		}
-		v = compileStages(ev.in, assign)
 		memo.mu.Lock()
 		memo.m[string(ev.key)] = v
 		memo.mu.Unlock()
@@ -180,41 +266,4 @@ func (ev *evalScratch) stageCheck() (string, bool) {
 	}
 	mStageCheckOK.Inc()
 	return "", true
-}
-
-// compileStages is the uncached stage check: lower to logical tables and run
-// the PISA compiler.
-func compileStages(in *Input, assign map[*nfgraph.Node]Assign) stageVerdict {
-	// Chains' node sets are disjoint, so the global assignment map serves
-	// as every chain's view — no per-chain map split on this hot path.
-	assigns := make([]map[*nfgraph.Node]Assign, len(in.Chains))
-	for i := range assigns {
-		assigns[i] = assign
-	}
-	tables := BuildSwitchTables(in, assigns, true)
-	bin, err := pisa.CompileCached(in.Topo.Switch, tables)
-	v := stageVerdict{ok: err == nil}
-	if bin != nil {
-		v.stages = bin.Stages
-	}
-	if err != nil {
-		v.reason = fmt.Sprintf("pisa: %v", err)
-	}
-	return v
-}
-
-// perChainAssigns splits a global assignment map into per-chain maps in
-// chain order (each node belongs to exactly one chain graph).
-func perChainAssigns(in *Input, assign map[*nfgraph.Node]Assign) []map[*nfgraph.Node]Assign {
-	out := make([]map[*nfgraph.Node]Assign, len(in.Chains))
-	for i, g := range in.Chains {
-		m := make(map[*nfgraph.Node]Assign, len(g.Order))
-		for _, n := range g.Order {
-			if a, ok := assign[n]; ok {
-				m[n] = a
-			}
-		}
-		out[i] = m
-	}
-	return out
 }

@@ -2,9 +2,11 @@ package placer
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"lemur/internal/hw"
+	"lemur/internal/nfgraph"
 	"lemur/internal/pisa"
 )
 
@@ -112,4 +114,128 @@ chain swonly {
 			t.Errorf("switch-only chain emitted NSH table %s", lt.Name)
 		}
 	}
+}
+
+// perChainAssigns splits a global assignment map into per-chain maps in
+// chain order (each node belongs to exactly one chain graph).
+func perChainAssigns(in *Input, assign map[*nfgraph.Node]Assign) []map[*nfgraph.Node]Assign {
+	out := make([]map[*nfgraph.Node]Assign, len(in.Chains))
+	for i, g := range in.Chains {
+		m := make(map[*nfgraph.Node]Assign, len(g.Order))
+		for _, n := range g.Order {
+			if a, ok := assign[n]; ok {
+				m[n] = a
+			}
+		}
+		out[i] = m
+	}
+	return out
+}
+
+// referenceSwitchTables is BuildSwitchTables as it was before the lowering
+// wrote into an arena: every dependency list a heap slice of its own, the
+// assignment read from per-chain maps. Kept as the oracle for
+// TestSwitchTablesMatchReference.
+func referenceSwitchTables(in *Input, assigns []map[*nfgraph.Node]Assign, optimize bool) []pisa.LogicalTable {
+	var names map[*nfgraph.Node][]string
+	var tables []pisa.LogicalTable
+	if p := in.prep; p != nil && sameChains(p.chains, in.Chains) {
+		names = p.pisaNames
+	}
+	add := func(t pisa.LogicalTable) int {
+		tables = append(tables, t)
+		return len(tables) - 1
+	}
+	steer := add(pisa.LogicalTable{Name: "steer_classify", SRAM: 1, TCAM: 1})
+
+	for ci, g := range in.Chains {
+		assign := assigns[ci]
+		crossPlatform := false
+		for _, n := range g.Order {
+			if a, ok := assign[n]; ok && a.Platform != hw.PISA {
+				crossPlatform = true
+				break
+			}
+		}
+
+		lastTables := make([][]int, len(g.Order))
+		var prevSibling int = -1
+		for _, n := range g.Order {
+			var deps []int
+			addDep := func(idx int) {
+				if idx < 0 {
+					return
+				}
+				for _, d := range deps {
+					if d == idx {
+						return
+					}
+				}
+				deps = append(deps, idx)
+			}
+			if len(n.Ins) == 0 && !optimize {
+				addDep(steer)
+			}
+			for _, pred := range n.Ins {
+				for _, d := range lastTables[pred.Seq] {
+					addDep(d)
+				}
+			}
+
+			a, onSwitch := assign[n]
+			if !onSwitch || a.Platform != hw.PISA {
+				lastTables[n.Seq] = deps
+				continue
+			}
+
+			prof := n.Meta.PISA
+			if prof == nil {
+				lastTables[n.Seq] = deps
+				continue
+			}
+			if !optimize && n.IsMerge() {
+				guard := add(pisa.LogicalTable{Name: fmt.Sprintf("c%d_%s_guard", ci, n.Name()), SRAM: 1, Deps: deps})
+				deps = []int{guard}
+			}
+			if !optimize && prevSibling >= 0 && len(n.Ins) == 1 && n.Ins[0].IsBranch() {
+				deps = append(deps, prevSibling)
+			}
+			var last int
+			for t := 0; t < prof.Tables; t++ {
+				var name string
+				if nn := names[n]; t < len(nn) {
+					name = nn[t]
+				} else {
+					name = fmt.Sprintf("c%d_%s_t%d", ci, n.Name(), t)
+				}
+				idx := add(pisa.LogicalTable{
+					Name: name,
+					SRAM: prof.SRAM, TCAM: prof.TCAM,
+					Deps: deps,
+				})
+				deps = []int{idx}
+				last = idx
+			}
+			if !optimize {
+				si := add(pisa.LogicalTable{Name: fmt.Sprintf("c%d_%s_si", ci, n.Name()), SRAM: 1, Deps: []int{last}})
+				last = si
+			}
+			if len(n.Ins) == 1 && n.Ins[0].IsBranch() {
+				prevSibling = last
+			}
+			lastTables[n.Seq] = []int{last}
+		}
+
+		if !optimize && crossPlatform {
+			var tails []int
+			for _, n := range g.Order {
+				if len(n.Outs) == 0 {
+					tails = append(tails, lastTables[n.Seq]...)
+				}
+			}
+			enc := add(pisa.LogicalTable{Name: fmt.Sprintf("c%d_nsh_encap", ci), SRAM: 1, Deps: []int{steer}})
+			add(pisa.LogicalTable{Name: fmt.Sprintf("c%d_nsh_decap", ci), SRAM: 1, Deps: append(tails, enc)})
+		}
+	}
+	return tables
 }
