@@ -304,15 +304,18 @@ run_guard 'TestPlaceScaleSweepDeterministic|TestPlaceScaleSweepExhaustiveReferen
 # heuristic's Result alone; the arena lowering must give the allocating
 # reference's tables on random assignments over the canonical chains, a
 # chain template's slab the reference's subgroups, and the compile cache's
-# verdict-only probe Compile's verdicts. Then, without the race detector (it
-# makes sync.Pool drop the LP tableau), a warm candidate evaluation must
-# allocate nothing and a stage-memo miss on a warm compile cache nothing but
-# the memo's own entry.
+# verdict-only probe Compile's verdicts; the rate LP over live slots must
+# give the full-width program's rates bit for bit with one pivot fewer per
+# retired slot, and a chain prep extended by admissions must deep-equal a
+# fresh build. Then, without the race detector (it makes sync.Pool drop the
+# LP tableau), a warm candidate evaluation must allocate nothing, a
+# stage-memo miss on a warm compile cache nothing but the memo's own entry,
+# and an admission or retirement at 261 slots no more than at 5.
 echo "==> placement golden matrix + Result ownership (race)"
-run_guard 'TestGoldenPlacements|TestGoldenReconfigure|TestResultSharesNoScratchMemory|TestCoreOverflowReasonDeterministic|TestAdmitPinningInvariant|TestReplacePinningInvariant|TestRetirePinningInvariant|TestReconfigureCombinedDelta|TestPinHistogramCountsCarriedSubgroups|TestReconfigureEnforcesTailLatency|TestMILPDeterministic|TestMILPLeavesHeuristicIntact|TestSwitchTablesMatchReference|TestTemplateSubgroupsMatchReference' \
+run_guard 'TestGoldenPlacements|TestGoldenReconfigure|TestResultSharesNoScratchMemory|TestCoreOverflowReasonDeterministic|TestAdmitPinningInvariant|TestReplacePinningInvariant|TestRetirePinningInvariant|TestReconfigureCombinedDelta|TestPinHistogramCountsCarriedSubgroups|TestReconfigureEnforcesTailLatency|TestMILPDeterministic|TestMILPLeavesHeuristicIntact|TestSwitchTablesMatchReference|TestTemplateSubgroupsMatchReference|TestRateLPMatchesFullWidth|TestChainPrepExtensionMatchesFresh' \
   -race -count=1 ./internal/placer
 run_guard 'TestCompileCacheProbeMatchesCompile' -race -count=1 ./internal/pisa
-run_guard 'TestEvaluateCandidateSteadyStateAllocs|TestStageCheckMissAllocs' -count=1 ./internal/placer
+run_guard 'TestEvaluateCandidateSteadyStateAllocs|TestStageCheckMissAllocs|TestReconfigureCostFlatInRetiredSlots' -count=1 ./internal/placer
 
 # Placement cost guard: the Optimal solve on the benchmark fixture must stay
 # under its alloc ceilings — per solve and per evaluated combo — and its
@@ -339,7 +342,10 @@ go test -run '^$' -bench 'BenchmarkEvaluateCandidate' -benchtime 1x -benchmem ./
 # held below 60 (15.3 measured; regenerating the warm deployment's flow
 # schedules on every run is 380). Heap objects per cell on ctl_place_fleet
 # repeat to five digits and are held below 5500 (2500 measured; a
-# candidate's dependency lists as heap slices of their own is 8458).
+# candidate's dependency lists as heap slices of their own is 8458). Heap
+# bytes per op on ctl_reconcile are held below 400000 (300 K measured; a rate
+# LP with a column per slot ever admitted and a chain prep rebuilt over every
+# slot per admission is 508 K).
 # counted_below WORKLOAD METRIC LIMIT HINT LAST: the metric in a run's JSON
 # result line must be present and below LIMIT.
 counted_below() {
@@ -373,6 +379,7 @@ for w in $workloads; do
     sim_frame_path) counted_below "$w" allocs_per_work 0.02 'a per-packet allocation on the frame path?' "$last" ;;
     sim_stateful_hit) counted_below "$w" alloc_bytes_per_work 60 'a warm run rebuilding its flow schedules or frame buffers?' "$last" ;;
     ctl_place_fleet) counted_below "$w" allocs_per_work 5500 'per-candidate dependency lists back on the heap?' "$last" ;;
+    ctl_reconcile) counted_below "$w" alloc_bytes_per_work 400000 'the rate LP or the chain prep sized by retired slots again?' "$last" ;;
   esac
 done
 

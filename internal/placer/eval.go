@@ -161,8 +161,12 @@ type evalScratch struct {
 	srvOf, used, adds, bestAdds []int
 	fresh                       []bool
 
-	// The rate LP: rows are carved from flat and reused, x receives the
-	// solution, tmin is the per-call t_min copy a retired slot needs.
+	// The rate LP: cols maps a chain slot to its column (-1 retired; empty,
+	// the identity, when no slot is retired) and ncols counts the columns;
+	// rows are carved from flat and reused, x receives the solution, tmin is
+	// the t_min vector gathered by column when a slot is retired.
+	cols     []int
+	ncols    int
 	flat     []float64
 	flatUsed int
 	lpA      [][]float64

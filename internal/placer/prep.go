@@ -2,6 +2,8 @@ package placer
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -25,7 +27,8 @@ import (
 // ablations that copy an Input and swap its cost database), so the
 // evaluation path indexes it without validating. A changed topology keeps
 // the chain half: Reconfigure's reduced topology costs one small index, not a
-// second pass over the cost database.
+// second pass over the cost database. An admission extends the chain half:
+// it costs the admitted chains, not the slots admitted before them.
 type inputPrep struct {
 	*chainPrep
 	topo *hw.Topology
@@ -51,7 +54,8 @@ type inputPrep struct {
 }
 
 // chainPrep is the half of the prep derived from the chain set and the cost
-// database alone. All read-only after build.
+// database alone. All read-only after build, including what a later chain
+// half extended from it shares (see extendChainPrep).
 type chainPrep struct {
 	db     *profile.DB
 	chains []*nfgraph.Graph
@@ -59,15 +63,15 @@ type chainPrep struct {
 	// nodes flattens every chain's nodes in enumeration order and base[ci]
 	// is chain ci's first index in it, so base[ci]+n.Seq is node n's dense
 	// index. rawCycles holds DB.WorstCycles per node (cross-socket penalty
-	// applied live). pisaNames holds each PISA-capable node's logical table
-	// names; maxTables bounds the switch program's size and maxDeps the
-	// ints in its dependency lists (all three feed the optimized lowering,
-	// tableBuf.lower, which otherwise rebuilds the same strings and regrows
-	// the same buffers for every candidate).
+	// applied live). pisaNames holds, by dense index, each PISA-capable
+	// node's logical table names; maxTables bounds the switch program's size
+	// and maxDeps the ints in its dependency lists (all three feed the
+	// optimized lowering, tableBuf.lower, which otherwise rebuilds the same
+	// strings and regrows the same buffers for every candidate).
 	nodes     []*nfgraph.Node
 	base      []int
 	rawCycles map[*nfgraph.Node]float64
-	pisaNames map[*nfgraph.Node][]string
+	pisaNames [][]string
 	maxTables int
 	maxDeps   int
 
@@ -115,12 +119,19 @@ func StageMemoStats() (hits, misses uint64) {
 
 // ensurePrep installs (or refreshes) the prep for the input's current DB,
 // topology and chain set. Called at every entry point, before workers fan
-// out.
+// out. An admission grows the chain set by a tail (Delta.Admit), so a prep
+// whose chains are a prefix of the input's, on the same database, has its
+// chain half extended rather than rebuilt; any other change of chain set or
+// database rebuilds it. Either way the stage memo starts empty: its keys
+// span the chain set.
 func (in *Input) ensurePrep() {
 	p := in.prep
-	if p == nil || p.db != in.DB || !sameChains(p.chains, in.Chains) {
-		in.prep = newTopoPrep(in, newChainPrep(in), nil)
-	} else if p.topo != in.Topo {
+	switch {
+	case p == nil || p.db != in.DB || !chainPrefix(p.chains, in.Chains):
+		in.prep = newTopoPrep(in, extendChainPrep(nil, in), nil)
+	case len(p.chains) < len(in.Chains):
+		in.prep = newTopoPrep(in, extendChainPrep(p.chainPrep, in), nil)
+	case p.topo != in.Topo:
 		memo := p.stage
 		if p.topo.Switch != in.Topo.Switch {
 			memo = nil
@@ -129,50 +140,68 @@ func (in *Input) ensurePrep() {
 	}
 }
 
-func newChainPrep(in *Input) *chainPrep {
+// chainPrefix reports whether a is a prefix of b, pointer for pointer.
+func chainPrefix(a, b []*nfgraph.Graph) bool {
+	return len(a) <= len(b) && slices.Equal(a, b[:len(a)])
+}
+
+// extendChainPrep is the one chain-half builder: it derives in's chain half
+// from from, the chain half of a prefix of in's chains on the same database
+// (nil for none — a fresh build is the extension of nothing). The prefix's
+// vectors are copied, its chains' path expansions and table names shared
+// (both read-only), and only the chains past it are derived, so an admission
+// costs the admitted chains rather than every slot ever admitted.
+func extendChainPrep(from *chainPrep, in *Input) *chainPrep {
+	if from == nil {
+		from = &chainPrep{maxTables: 1} // steer_classify
+	}
+	k, nc := len(from.chains), len(in.Chains)
+	total := len(from.nodes)
+	for _, g := range in.Chains[k:] {
+		total += len(g.Order)
+	}
 	p := &chainPrep{
-		db:     in.DB,
-		chains: append([]*nfgraph.Graph(nil), in.Chains...),
-		base:   make([]int, len(in.Chains)),
+		db:        in.DB,
+		chains:    slices.Clone(in.Chains),
+		nodes:     append(make([]*nfgraph.Node, 0, total), from.nodes...),
+		base:      append(make([]int, 0, nc), from.base...),
+		rawCycles: make(map[*nfgraph.Node]float64, total),
+		pisaNames: append(make([][]string, 0, total), from.pisaNames...),
+		maxTables: from.maxTables,
+		maxDeps:   from.maxDeps,
+		paths:     append(make([][]nfgraph.Path, 0, nc), from.paths...),
+		ones:      append(make([]float64, 0, nc), from.ones...),
+		tmins:     append(make([]float64, 0, nc), from.tmins...),
 	}
-	for ci, g := range in.Chains {
-		p.base[ci] = len(p.nodes)
+	maps.Copy(p.rawCycles, from.rawCycles)
+	var carried []int
+	for ci := k; ci < nc; ci++ {
+		g := in.Chains[ci]
+		p.base = append(p.base, len(p.nodes))
 		p.nodes = append(p.nodes, g.Order...)
-	}
-	p.rawCycles = make(map[*nfgraph.Node]float64, len(p.nodes))
-	for _, n := range p.nodes {
-		p.rawCycles[n] = in.DB.WorstCycles(n.Class(), n.Inst.Params)
-	}
-	p.paths = make([][]nfgraph.Path, len(in.Chains))
-	p.ones = make([]float64, len(in.Chains))
-	p.tmins = make([]float64, len(in.Chains))
-	for i, g := range in.Chains {
-		p.paths[i] = g.Paths()
-		p.ones[i] = 1
-		p.tmins[i] = g.Chain.SLO.TMinBps
-	}
-	p.pisaNames = make(map[*nfgraph.Node][]string)
-	p.maxTables = 1 // steer_classify
-	for ci, g := range in.Chains {
+		p.paths = append(p.paths, g.Paths())
+		p.ones = append(p.ones, 1)
+		p.tmins = append(p.tmins, g.Chain.SLO.TMinBps)
 		chainTables := 0
 		for _, n := range g.Order {
-			prof := n.Meta.PISA
-			if prof == nil {
-				continue
+			p.rawCycles[n] = in.DB.WorstCycles(n.Class(), n.Inst.Params)
+			var names []string
+			if prof := n.Meta.PISA; prof != nil {
+				names = make([]string, prof.Tables)
+				for t := range names {
+					names[t] = fmt.Sprintf("c%d_%s_t%d", ci, n.Name(), t)
+				}
+				chainTables += prof.Tables
 			}
-			names := make([]string, prof.Tables)
-			for t := range names {
-				names[t] = fmt.Sprintf("c%d_%s_t%d", ci, n.Name(), t)
-			}
-			p.pisaNames[n] = names
-			chainTables += prof.Tables
+			p.pisaNames = append(p.pisaNames, names)
 		}
 		p.maxTables += chainTables
 		// A node gathers at most what its predecessors carry, then writes
 		// one single-entry list per table and one for its successors. What
 		// it carries on is one table when it is on the switch and what it
 		// gathered when it is not: never more than the chain has tables.
-		carried := make([]int, len(g.Order))
+		// Every node is written before a successor reads it.
+		carried = slices.Grow(carried[:0], len(g.Order))[:len(g.Order)]
 		for _, n := range g.Order {
 			gathered := 0
 			for _, pred := range n.Ins {
@@ -231,18 +260,6 @@ func newTopoPrep(in *Input, cp *chainPrep, memo *stageMemo) *inputPrep {
 		}
 	}
 	return p
-}
-
-func sameChains(a, b []*nfgraph.Graph) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // rawWorstCycles returns DB.WorstCycles for a node, via the prep when it

@@ -3,6 +3,7 @@ package placer
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"lemur/internal/hw"
 	"lemur/internal/lp"
@@ -73,11 +74,28 @@ type lpLink struct {
 	visits     []float64
 }
 
-// resetRows sizes the scratch's row block for the input — a row per chain
-// plus one per device that can carry a link constraint — and takes back
-// every row and link handed out since the last call.
+// resetRows lays out the rate program's columns, one per live chain slot,
+// sizes the scratch's row block for them — a row per column plus one per
+// device that can carry a link constraint — and takes back every row and
+// link handed out since the last call. A retired slot gets no column: its
+// rate is zero, it visits no link, and carrying it would only add a
+// degenerate pivot and a row and a column per slot ever retired.
 func (ev *evalScratch) resetRows() {
 	n := len(ev.in.Chains)
+	ev.cols = ev.cols[:0]
+	if ev.res.Retired != nil {
+		ev.cols = slices.Grow(ev.cols, n)
+		live := 0
+		for ci := 0; ci < n; ci++ {
+			c := -1
+			if !ev.res.IsRetired(ci) {
+				c, live = live, live+1
+			}
+			ev.cols = append(ev.cols, c)
+		}
+		n = live
+	}
+	ev.ncols = n
 	if rows := n + len(ev.p.srvCores) + len(ev.p.nics); len(ev.flat) < rows*n {
 		ev.flat = make([]float64, rows*n)
 		ev.lpA, ev.lpB = make([][]float64, 0, rows), make([]float64, 0, rows)
@@ -86,10 +104,19 @@ func (ev *evalScratch) resetRows() {
 	ev.flatUsed, ev.links = 0, ev.links[:0]
 }
 
-// row hands out a zeroed LP row, one value per chain, from the scratch's
+// col is chain slot ci's column in the rate program, -1 for a retired slot.
+// With no slot retired the map is the identity and is never built.
+func (ev *evalScratch) col(ci int) int {
+	if len(ev.cols) == 0 {
+		return ci
+	}
+	return ev.cols[ci]
+}
+
+// row hands out a zeroed LP row, one value per column, from the scratch's
 // reusable block. Rows stay valid until the next resetRows.
 func (ev *evalScratch) row() []float64 {
-	n := len(ev.in.Chains)
+	n := ev.ncols
 	r := ev.flat[ev.flatUsed : ev.flatUsed+n : ev.flatUsed+n]
 	ev.flatUsed += n
 	clear(r)
@@ -98,23 +125,27 @@ func (ev *evalScratch) row() []float64 {
 
 // addVisit adds weight w of chain's traffic to dev's link constraint.
 // Devices number a handful, so a linear slice beats a map — and gives the
-// program a deterministic constraint order.
+// program a deterministic constraint order. A retired slot's visit (it has
+// none: retiring strips its subgroups and NIC uses) would carry rate zero
+// and adds nothing.
 func (ev *evalScratch) addVisit(dev string, cap float64, chain int, w float64) {
-	for i := range ev.links {
-		if ev.links[i].dev == dev {
-			ev.links[i].visits[chain] += w
-			return
-		}
+	li := 0
+	for li < len(ev.links) && ev.links[li].dev != dev {
+		li++
 	}
-	ev.links = append(ev.links, lpLink{dev: dev, cap: cap, visits: ev.row()})
-	ev.links[len(ev.links)-1].visits[chain] += w
+	if li == len(ev.links) {
+		ev.links = append(ev.links, lpLink{dev: dev, cap: cap, visits: ev.row()})
+	}
+	if c := ev.col(chain); c >= 0 {
+		ev.links[li].visits[c] += w
+	}
 }
 
 // linkRows builds ev.links, the per-device link constraints
 // Σ m_{i,d}·r_i ≤ C_d of the scratch's subgroups and NIC uses, in order of
-// first visit, against the given t_min vector. The rate LP and the MILP both
-// take their link rows from here (after resetRows), so the two programs
-// cannot disagree on a link, or on row order.
+// first visit, against the given t_min vector (by column). The rate LP and
+// the MILP both take their link rows from here (after resetRows), so the two
+// programs cannot disagree on a link, or on row order.
 func (ev *evalScratch) linkRows(tmin []float64) (string, bool) {
 	in, res, p := ev.in, ev.res, ev.p
 	for si, sg := range res.Subgroups {
@@ -145,42 +176,42 @@ func (ev *evalScratch) linkRows(tmin []float64) (string, bool) {
 // solveLP builds and solves the marginal-throughput LP (§3.2) for the
 // scratch's current subgroups, cores and NIC uses: maximize Σ(r_i − t_min)
 // subject to t_min ≤ r_i ≤ min(capacity, t_max, ingress port) and per-device
-// link constraints Σ m_{i,d}·r_i ≤ C_d. It returns the solution (X in
-// scratch memory, valid until the next call) and the t_min vector it was
-// solved against, or the infeasibility reason.
+// link constraints Σ m_{i,d}·r_i ≤ C_d, over the live chain slots only (see
+// resetRows). It returns the solution (X in scratch memory, valid until the
+// next call) and the t_min vector it was solved against, both by column, or
+// the infeasibility reason.
 func (ev *evalScratch) solveLP() (lp.Solution, []float64, string, bool) {
 	in, res, p := ev.in, ev.res, ev.p
+	ev.resetRows()
 	// The objective and t_min vectors are fixed per input and shared from
-	// the prep (lp.Solve copies, never mutates).
+	// the prep (lp.Solve copies, never mutates); with a slot retired, t_min
+	// is gathered by column on the scratch.
 	tmin := p.tmins
-	if res.Retired != nil {
-		// Retired chain slots carry no traffic: t_min drops to zero on a
-		// scratch copy and the rate is pinned at zero below, so a retired
-		// slot never constrains or claims link capacity.
-		ev.tmin = append(ev.tmin[:0], tmin...)
-		tmin = ev.tmin
-		for i := range tmin {
-			if res.IsRetired(i) {
-				tmin[i] = 0
+	if len(ev.cols) > 0 {
+		ev.tmin = slices.Grow(ev.tmin[:0], ev.ncols)
+		for ci, c := range ev.cols {
+			if c >= 0 {
+				ev.tmin = append(ev.tmin, tmin[ci])
 			}
 		}
+		tmin = ev.tmin
 	}
-	ev.resetRows()
 	A, B := ev.lpA[:0], ev.lpB[:0]
 	for i, g := range in.Chains {
+		c := ev.col(i)
+		if c < 0 {
+			continue
+		}
 		ub := minF(chainCapBps(in, res, i), g.Chain.SLO.TMaxBps)
 		ub = minF(ub, in.Topo.Switch.PortCapacityBps) // ingress port
-		if res.IsRetired(i) {
-			ub = 0 // retired slot: rate forced to zero
-		}
-		if ub < tmin[i]-1e-6 {
+		if ub < tmin[c]-1e-6 {
 			return lp.Solution{}, nil, fmt.Sprintf("chain %s: capacity %.3g bps < t_min %.3g bps",
-				g.Chain.Name, ub, tmin[i]), false
+				g.Chain.Name, ub, tmin[c]), false
 		}
 		// x_i = r_i - tmin_i <= ub - tmin.
 		row := ev.row()
-		row[i] = 1
-		A, B = append(A, row), append(B, ub-tmin[i])
+		row[c] = 1
+		A, B = append(A, row), append(B, ub-tmin[c])
 	}
 
 	if reason, ok := ev.linkRows(tmin); !ok {
@@ -191,7 +222,7 @@ func (ev *evalScratch) solveLP() (lp.Solution, []float64, string, bool) {
 	}
 	ev.lpA, ev.lpB = A, B
 
-	sol, err := lp.SolveInto(lp.Problem{C: p.ones, A: A, B: B}, ev.x)
+	sol, err := lp.SolveInto(lp.Problem{C: p.ones[:ev.ncols], A: A, B: B}, ev.x)
 	mLPSolves.Inc()
 	if err != nil {
 		return lp.Solution{}, nil, fmt.Sprintf("rate LP: %v", err), false
@@ -203,8 +234,9 @@ func (ev *evalScratch) solveLP() (lp.Solution, []float64, string, bool) {
 }
 
 // solveRates solves the rate LP and, on success, fills the Result's
-// ChainRates, Marginal and PredictedAggregate; on failure it returns the
-// infeasibility reason.
+// ChainRates (scattered back from the columns; a retired slot's stays +0),
+// Marginal and PredictedAggregate; on failure it returns the infeasibility
+// reason.
 func (ev *evalScratch) solveRates() (string, bool) {
 	sol, tmin, reason, ok := ev.solveLP()
 	if !ok {
@@ -214,7 +246,9 @@ func (ev *evalScratch) solveRates() (string, bool) {
 	res.ChainRates = grown(res.ChainRates, len(ev.in.Chains))
 	res.Marginal, res.PredictedAggregate = sol.Value, 0
 	for i := range res.ChainRates {
-		res.ChainRates[i] = tmin[i] + sol.X[i]
+		if c := ev.col(i); c >= 0 {
+			res.ChainRates[i] = tmin[c] + sol.X[c]
+		}
 		res.PredictedAggregate += res.ChainRates[i]
 	}
 	return "", true

@@ -2,6 +2,7 @@ package placer
 
 import (
 	"fmt"
+	"slices"
 
 	"lemur/internal/hw"
 	"lemur/internal/nfgraph"
@@ -107,8 +108,8 @@ func (b *tableBuf) lower(in *Input, assign []Assign, base []int, optimize bool) 
 	// names and size bounds, so the optimized path — run once per candidate
 	// placement — allocates no strings and, on a buffer that has been through
 	// one call, nothing at all.
-	var names map[*nfgraph.Node][]string
-	if p := in.prep; p != nil && sameChains(p.chains, in.Chains) {
+	var names [][]string // by dense index, base[ci]+n.Seq
+	if p := in.prep; p != nil && slices.Equal(p.chains, in.Chains) {
 		names = p.pisaNames
 		if b.tables == nil {
 			b.tables, b.arena = make([]pisa.LogicalTable, 0, p.maxTables), make([]int, 0, p.maxDeps)
@@ -174,10 +175,14 @@ func (b *tableBuf) lower(in *Input, assign []Assign, base []int, optimize bool) 
 				b.arena = append(b.arena, prevSibling)
 			}
 			deps := b.seal(from)
+			var nn []string
+			if names != nil {
+				nn = names[base[ci]+n.Seq]
+			}
 			var last int
 			for t := 0; t < prof.Tables; t++ {
 				var name string
-				if nn := names[n]; t < len(nn) {
+				if t < len(nn) {
 					name = nn[t]
 				} else {
 					name = fmt.Sprintf("c%d_%s_t%d", ci, n.Name(), t)

@@ -3,6 +3,7 @@ package placer
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"lemur/internal/hw"
@@ -137,10 +138,11 @@ func perChainAssigns(in *Input, assign map[*nfgraph.Node]Assign) []map[*nfgraph.
 // assignment read from per-chain maps. Kept as the oracle for
 // TestSwitchTablesMatchReference.
 func referenceSwitchTables(in *Input, assigns []map[*nfgraph.Node]Assign, optimize bool) []pisa.LogicalTable {
-	var names map[*nfgraph.Node][]string
+	var names [][]string
+	var base []int
 	var tables []pisa.LogicalTable
-	if p := in.prep; p != nil && sameChains(p.chains, in.Chains) {
-		names = p.pisaNames
+	if p := in.prep; p != nil && slices.Equal(p.chains, in.Chains) {
+		names, base = p.pisaNames, p.base
 	}
 	add := func(t pisa.LogicalTable) int {
 		tables = append(tables, t)
@@ -200,10 +202,14 @@ func referenceSwitchTables(in *Input, assigns []map[*nfgraph.Node]Assign, optimi
 			if !optimize && prevSibling >= 0 && len(n.Ins) == 1 && n.Ins[0].IsBranch() {
 				deps = append(deps, prevSibling)
 			}
+			var nn []string
+			if names != nil {
+				nn = names[base[ci]+n.Seq]
+			}
 			var last int
 			for t := 0; t < prof.Tables; t++ {
 				var name string
-				if nn := names[n]; t < len(nn) {
+				if t < len(nn) {
 					name = nn[t]
 				} else {
 					name = fmt.Sprintf("c%d_%s_t%d", ci, n.Name(), t)
