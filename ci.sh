@@ -317,6 +317,17 @@ run_guard 'TestGoldenPlacements|TestGoldenReconfigure|TestResultSharesNoScratchM
 run_guard 'TestCompileCacheProbeMatchesCompile' -race -count=1 ./internal/pisa
 run_guard 'TestEvaluateCandidateSteadyStateAllocs|TestStageCheckMissAllocs|TestReconfigureCostFlatInRetiredSlots' -count=1 ./internal/placer
 
+# One install path: Compile is Apply's install half run onto an empty
+# deployment. Over chains 1-5 at three deltas on 4, 16 and 64 servers and the
+# SmartNIC rack, by every scheme, it must stand up what the separate install
+# sequence it replaced stood up (compile_reference_test.go), at no more
+# allocations than it (1 % slack); a result with a retired slot must compile
+# and verify; and every lemur Deploy must compile once, into fresh state.
+echo "==> one install path (compile oracle, allocation guard, retired slot, one compile per Deploy)"
+run_guard 'TestCompileMatchesReference|TestCompileAllocsNoWorse' -count=1 ./internal/metacompiler
+run_guard 'TestCompileRetiredSlot' -count=1 ./internal/runtime
+run_guard 'TestDeployCompilesOncePerCall' -count=1 .
+
 # Placement cost guard: the Optimal solve on the benchmark fixture must stay
 # under its alloc ceilings — per solve and per evaluated combo — and its
 # wall-clock ceiling (~2x headroom over baseline), so a pruning, binder or

@@ -3,9 +3,6 @@ package metacompiler
 import (
 	"fmt"
 
-	"lemur/internal/bess"
-	"lemur/internal/nf"
-	"lemur/internal/nfgraph"
 	"lemur/internal/obs"
 	"lemur/internal/placer"
 )
@@ -63,7 +60,8 @@ func chainSPIRange(ci int) (lo, hi uint32) {
 // that still run are re-emitted with fresh NF instances (their state
 // restarts, as on a real migration). Every other chain's rules, subgroups,
 // core shares and NF instances are untouched, by pointer identity; the Kept
-// counts in the report prove it. Artifacts are regenerated once.
+// counts in the report prove it. Artifacts are regenerated once. The
+// install half is the one Compile runs onto an empty deployment.
 //
 // Apply is all-or-nothing on bad input: every check runs before the first
 // write. A full-repack verdict is not applied here — it needs a fresh
@@ -76,6 +74,7 @@ func (d *Deployment) Apply(in *placer.Input, next *placer.Result, dl placer.Delt
 	sp := obs.Span("metacompiler.apply")
 	defer sp.End()
 
+	nOld := len(d.ChainPaths)
 	d.ChainPaths = append(d.ChainPaths, paths...)
 	d.Input = in
 
@@ -116,10 +115,14 @@ func (d *Deployment) Apply(in *placer.Input, next *placer.Result, dl placer.Delt
 	}
 	sp.SetAttrInt("touched", len(rep.AffectedChains))
 
-	// Retract the touched chains' steering state by SPI range.
+	// Retract the touched chains' steering state by SPI range. An admitted
+	// slot's range has never held any.
 	prevEntries := d.Switch.EntryCount()
 	prevRules := d.Switch.ClassifierRuleCount()
 	for _, ci := range rep.AffectedChains {
+		if ci >= nOld {
+			break
+		}
 		lo, hi := chainSPIRange(ci)
 		e, r := d.Switch.RemoveSPIRange(lo, hi)
 		rep.RemovedSwitchEntries += e
@@ -137,34 +140,17 @@ func (d *Deployment) Apply(in *placer.Input, next *placer.Result, dl placer.Delt
 	rep.KeptSwitchEntries = prevEntries - rep.RemovedSwitchEntries
 	rep.KeptClassifierRules = prevRules - rep.RemovedClassifierRules
 
-	// Lay fresh subgroups onto cores left free by the pinned ones.
-	if err := d.assignCoresIncremental(next); err != nil {
-		return nil, err
-	}
+	// Lay fresh subgroups onto cores left free by the pinned ones and re-emit
+	// the touched chains that still run against the new placement.
 	keptSubs, keptNIC := d.subgroupCount(), d.nicProgramCount()
-
-	// Re-emit the touched chains that still run against the new placement.
-	d.Result = next
-	insts := make(map[*nfgraph.Node]nf.NF)
-	for _, ci := range rep.AffectedChains {
-		if next.IsRetired(ci) {
-			continue
-		}
-		if err := instantiate(insts, in.Chains[ci]); err != nil {
-			return nil, err
-		}
-		if err := d.installChain(ci, insts, d.Shares); err != nil {
-			return nil, err
-		}
+	if err := d.install(next, rep.AffectedChains); err != nil {
+		return nil, err
 	}
 	rep.InstalledSwitchEntries = d.Switch.EntryCount() - rep.KeptSwitchEntries
 	rep.InstalledClassifierRules = d.Switch.ClassifierRuleCount() - rep.KeptClassifierRules
 	rep.InstalledSubgroups = d.subgroupCount() - keptSubs
 	rep.InstalledNICPrograms = d.nicProgramCount() - keptNIC
 
-	if err := d.generateArtifacts(); err != nil {
-		return nil, err
-	}
 	// Per-kind counters, once per kind present: a delta that only retires is
 	// not a rewire (nothing is installed).
 	if dl.Repairs() || len(dl.Admit) > 0 {
@@ -212,19 +198,13 @@ func (d *Deployment) checkApply(in *placer.Input, next *placer.Result, dl placer
 			return nil, fmt.Errorf("metacompiler: apply: chain %d is not marked retired in the result", ci)
 		}
 	}
-	var paths [][]*ServicePath
 	for i, ci := range dl.Admit {
 		if ci != nOld+i {
 			return nil, fmt.Errorf("metacompiler: apply: admitted chains must be the contiguous tail [%d,%d), got %v",
 				nOld, len(in.Chains), dl.Admit)
 		}
-		sps, err := chainServicePaths(in.Chains[ci], ci)
-		if err != nil {
-			return nil, err
-		}
-		paths = append(paths, sps)
 	}
-	return paths, nil
+	return admitPaths(in, nOld)
 }
 
 func (d *Deployment) subgroupCount() int {
@@ -241,43 +221,4 @@ func (d *Deployment) nicProgramCount() int {
 		n += nic.ProgramCount()
 	}
 	return n
-}
-
-// assignCoresIncremental gives concrete core shares to every subgroup in
-// next that lacks them, scanning each server's cores upward from the
-// reserved demux block and skipping cores held by pinned subgroups. The
-// scan order is deterministic (next.Subgroups order, ascending cores), so
-// applies are byte-reproducible.
-func (d *Deployment) assignCoresIncremental(next *placer.Result) error {
-	used := map[string]map[int]bool{}
-	for _, srv := range d.Input.Topo.Servers {
-		used[srv.Name] = map[int]bool{}
-	}
-	for _, psg := range next.Subgroups {
-		for _, s := range d.Shares[psg] {
-			used[psg.Server][s.Core] = true
-		}
-	}
-	for _, psg := range next.Subgroups {
-		if _, ok := d.Shares[psg]; ok {
-			continue
-		}
-		srv, err := d.Input.Topo.ServerByName(psg.Server)
-		if err != nil {
-			return err
-		}
-		shares := make([]bess.CoreShare, 0, psg.Cores)
-		for core := srv.ReservedCores; len(shares) < psg.Cores; core++ {
-			if core >= srv.TotalCores() {
-				return fmt.Errorf("metacompiler: server %s out of cores for %s", psg.Server, psg.Name())
-			}
-			if used[psg.Server][core] {
-				continue
-			}
-			used[psg.Server][core] = true
-			shares = append(shares, bess.CoreShare{Core: core, Fraction: 1})
-		}
-		d.Shares[psg] = shares
-	}
-	return nil
 }

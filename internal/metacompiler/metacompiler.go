@@ -49,20 +49,29 @@ type Deployment struct {
 	Artifacts *Artifacts
 }
 
-// Compile builds a Deployment from a feasible placement.
+// Compile builds a Deployment from a feasible placement. It is Apply onto an
+// empty rack: every chain slot is admitted (the slot index fixes its service
+// paths) and installed by the half Apply runs for the chains a delta
+// touches, so a chain compiled with the rack and one admitted later get the
+// same code. A retired slot keeps its service paths and installs nothing.
 func Compile(in *placer.Input, res *placer.Result) (*Deployment, error) {
 	if !res.Feasible {
 		return nil, fmt.Errorf("metacompiler: placement is infeasible: %s", res.Reason)
 	}
 	sp := obs.Span("metacompiler.compile").SetAttrInt("chains", len(in.Chains))
+	paths, err := admitPaths(in, 0)
+	if err != nil {
+		return nil, err
+	}
 	d := &Deployment{
 		Input:      in,
-		Result:     res,
 		Switch:     pisa.NewSwitch(in.Topo.Switch),
-		Pipelines:  make(map[string]*bess.Pipeline),
-		NICs:       make(map[string]*smartnic.NIC),
-		SubgroupOf: make(map[*bess.Subgroup]*placer.Subgroup),
-		claimed:    make(map[*placer.Subgroup]bool),
+		Pipelines:  make(map[string]*bess.Pipeline, len(in.Topo.Servers)),
+		NICs:       make(map[string]*smartnic.NIC, len(in.Topo.SmartNICs)),
+		ChainPaths: paths,
+		SubgroupOf: make(map[*bess.Subgroup]*placer.Subgroup, len(res.Subgroups)),
+		Shares:     make(map[*placer.Subgroup][]bess.CoreShare, len(res.Subgroups)),
+		claimed:    make(map[*placer.Subgroup]bool, len(res.Subgroups)),
 	}
 	for _, s := range in.Topo.Servers {
 		d.Pipelines[s.Name] = bess.NewPipeline(s)
@@ -70,33 +79,11 @@ func Compile(in *placer.Input, res *placer.Result) (*Deployment, error) {
 	for _, n := range in.Topo.SmartNICs {
 		d.NICs[n.Name] = smartnic.NewNIC(n)
 	}
-
-	paths, err := buildServicePaths(in)
-	if err != nil {
-		return nil, err
+	slots := make([]int, len(in.Chains))
+	for ci := range slots {
+		slots[ci] = ci
 	}
-	d.ChainPaths = paths
-
-	insts := make(map[*nfgraph.Node]nf.NF)
-	for _, g := range in.Chains {
-		if err := instantiate(insts, g); err != nil {
-			return nil, err
-		}
-	}
-
-	cores, err := assignCores(in, res)
-	if err != nil {
-		return nil, err
-	}
-	d.Shares = cores
-
-	for ci := range in.Chains {
-		if err := d.installChain(ci, insts, cores); err != nil {
-			return nil, err
-		}
-	}
-
-	if err := d.generateArtifacts(); err != nil {
+	if err := d.install(res, slots); err != nil {
 		return nil, err
 	}
 	a := d.Artifacts
@@ -126,38 +113,74 @@ func instantiate(insts map[*nfgraph.Node]nf.NF, g *nfgraph.Graph) error {
 	return nil
 }
 
-// coreAssignment maps each placer subgroup to concrete core shares.
-type coreAssignment map[*placer.Subgroup][]bess.CoreShare
+// install is the half of standing up a deployment that Compile and Apply
+// share: it takes next as the deployment's placement, gives cores to the
+// subgroups that hold none, installs every listed chain that still runs
+// with fresh NF instances (a chain's state restarts, as on a real
+// migration), and renders the artifacts once.
+func (d *Deployment) install(next *placer.Result, chains []int) error {
+	d.Result = next
+	if err := d.assignFreeCores(); err != nil {
+		return err
+	}
+	insts := make(map[*nfgraph.Node]nf.NF)
+	for _, ci := range chains {
+		if next.IsRetired(ci) {
+			continue
+		}
+		if err := instantiate(insts, d.Input.Chains[ci]); err != nil {
+			return err
+		}
+		if err := d.installChain(ci, insts); err != nil {
+			return err
+		}
+	}
+	return d.generateArtifacts()
+}
 
-// assignCores lays subgroups onto concrete core indices per server,
-// skipping each server's reserved demux cores (core 0 first). Cores on the
-// NIC's socket run same-NUMA; the rest are cross-socket.
-func assignCores(in *placer.Input, res *placer.Result) (coreAssignment, error) {
-	next := map[string]int{}
-	for _, s := range in.Topo.Servers {
-		next[s.Name] = s.ReservedCores // cores [0, ReservedCores) run the demux
+// assignFreeCores gives concrete core shares to every subgroup of the
+// placement that holds none, scanning each server's cores upward from the
+// reserved demux block (cores [0, ReservedCores) run the demux) and skipping
+// cores held by pinned subgroups. The scan order is deterministic (Subgroups
+// order, ascending cores), so compiles and applies are byte-reproducible.
+// Cores on the NIC's socket run same-NUMA; the rest are cross-socket.
+func (d *Deployment) assignFreeCores() error {
+	type serverCore struct {
+		server string
+		core   int
 	}
-	out := make(coreAssignment)
-	for _, sg := range res.Subgroups {
-		srv, err := in.Topo.ServerByName(sg.Server)
+	used := map[serverCore]bool{}
+	for _, psg := range d.Result.Subgroups {
+		for _, s := range d.Shares[psg] {
+			used[serverCore{psg.Server, s.Core}] = true
+		}
+	}
+	for _, psg := range d.Result.Subgroups {
+		if _, ok := d.Shares[psg]; ok {
+			continue
+		}
+		srv, err := d.Input.Topo.ServerByName(psg.Server)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		for k := 0; k < sg.Cores; k++ {
-			core := next[sg.Server]
+		shares := make([]bess.CoreShare, 0, psg.Cores)
+		for core := srv.ReservedCores; len(shares) < psg.Cores; core++ {
 			if core >= srv.TotalCores() {
-				return nil, fmt.Errorf("metacompiler: server %s out of cores for %s", sg.Server, sg.Name())
+				return fmt.Errorf("metacompiler: server %s out of cores for %s", psg.Server, psg.Name())
 			}
-			next[sg.Server]++
-			out[sg] = append(out[sg], bess.CoreShare{Core: core, Fraction: 1})
+			if at := (serverCore{psg.Server, core}); !used[at] {
+				used[at] = true
+				shares = append(shares, bess.CoreShare{Core: core, Fraction: 1})
+			}
 		}
+		d.Shares[psg] = shares
 	}
-	return out, nil
+	return nil
 }
 
 // installChain walks one chain's service paths and installs switch entries,
 // server subgroups and NIC programs for every owned segment.
-func (d *Deployment) installChain(ci int, insts map[*nfgraph.Node]nf.NF, cores coreAssignment) error {
+func (d *Deployment) installChain(ci int, insts map[*nfgraph.Node]nf.NF) error {
 	in, res := d.Input, d.Result
 	g := in.Chains[ci]
 	chainPaths := d.ChainPaths[ci]
@@ -192,7 +215,7 @@ func (d *Deployment) installChain(ci int, insts map[*nfgraph.Node]nf.NF, cores c
 			if si+1 < len(segs) {
 				next = &segs[si+1]
 			}
-			if err := d.installSegment(ci, sp, seg, next, chainPaths, insts, subOf, cores); err != nil {
+			if err := d.installSegment(ci, sp, seg, next, chainPaths, insts, subOf); err != nil {
 				return err
 			}
 			// Relay entry: every off-switch segment gets a ToR steering
@@ -225,7 +248,7 @@ func (d *Deployment) installChain(ci int, insts map[*nfgraph.Node]nf.NF, cores c
 // installSegment emits the per-platform program for one owned segment.
 func (d *Deployment) installSegment(ci int, sp *ServicePath, seg segment, next *segment,
 	chainPaths []*ServicePath, insts map[*nfgraph.Node]nf.NF,
-	subOf map[*nfgraph.Node]*placer.Subgroup, cores coreAssignment) error {
+	subOf map[*nfgraph.Node]*placer.Subgroup) error {
 
 	nodes := sp.Nodes[seg.start:seg.end]
 	nfs := make([]nf.NF, len(nodes))
@@ -299,7 +322,7 @@ func (d *Deployment) installSegment(ci int, sp *ServicePath, seg segment, next *
 		}
 		if psg != nil {
 			sub.CyclesPerPkt = psg.Cycles
-			if shares, ok := cores[psg]; ok && !d.claimed[psg] {
+			if shares, ok := d.Shares[psg]; ok && !d.claimed[psg] {
 				// Concrete shares go to the first install; aliased installs
 				// (merge suffixes under sibling SPIs) share the NFs but not
 				// the accounting.

@@ -38,27 +38,28 @@ type segment struct {
 	device     string
 }
 
-// buildServicePaths assigns SPIs to every chain's linear paths and computes
-// prefix ownership. SPIs are chainIdx*spiStride + pathIdx + 1 so chains can
-// hold up to spiStride paths.
+// SPIs are chainIdx*spiStride + pathIdx + 1 so chains can hold up to
+// spiStride paths.
 const spiStride = 64
 
-func buildServicePaths(in *placer.Input) ([][]*ServicePath, error) {
-	out := make([][]*ServicePath, len(in.Chains))
-	for ci, g := range in.Chains {
-		sps, err := chainServicePaths(g, ci)
+// admitPaths builds the service paths of the chain slots [from,
+// len(in.Chains)) — every slot for Compile, the admitted tail for Apply.
+func admitPaths(in *placer.Input, from int) ([][]*ServicePath, error) {
+	out := make([][]*ServicePath, 0, len(in.Chains)-from)
+	for ci := from; ci < len(in.Chains); ci++ {
+		sps, err := chainServicePaths(in.Chains[ci], ci)
 		if err != nil {
 			return nil, err
 		}
-		out[ci] = sps
+		out = append(out, sps)
 	}
 	return out, nil
 }
 
-// chainServicePaths builds one chain's service paths for slot ci. The SPI
-// range is a pure function of the slot index, so paths for a chain admitted
-// later (Apply) are identical to what a from-scratch Compile at the
-// same slot would produce.
+// chainServicePaths builds one chain's service paths for slot ci (SPI
+// assignment and prefix ownership). The SPI range is a pure function of the
+// slot index, so paths for a chain admitted later (Apply) are identical to
+// what a from-scratch Compile at the same slot would produce.
 func chainServicePaths(g *nfgraph.Graph, ci int) ([]*ServicePath, error) {
 	paths := g.Paths()
 	if len(paths) >= spiStride {

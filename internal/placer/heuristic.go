@@ -43,7 +43,7 @@ func lemurHeuristic(in *Input, policy allocPolicy) (*Result, error) {
 		}
 		variants := make([]map[*nfgraph.Node]Assign, 1, 4)
 		variants[0] = assign
-		if !in.DisableCoalescing {
+		if !in.disableCoalescing {
 			variants = variants[:4]
 			modes := []coalesceMode{coalesceConservative, coalesceAggressive, coalesceAll}
 			runIndexed(len(modes), workers, func(i int) {
@@ -314,7 +314,7 @@ func placeNoProfiling(in *Input) (*Result, error) {
 // scaling disabled (every subgroup gets exactly one core).
 func placeNoCoreAlloc(in *Input) (*Result, error) {
 	pinned := *in
-	pinned.DisableCoreScaling = true
+	pinned.disableCoreScaling = true
 	return lemurHeuristic(&pinned, policyMarginal)
 }
 
@@ -323,7 +323,7 @@ func placeNoCoreAlloc(in *Input) (*Result, error) {
 // merge subgroups and free cores.
 func placeNoCoalesce(in *Input) (*Result, error) {
 	flat := *in
-	flat.DisableCoalescing = true
+	flat.disableCoalescing = true
 	return lemurHeuristic(&flat, policyMarginal)
 }
 

@@ -72,10 +72,6 @@ type Input struct {
 	// to the registry.
 	Restrict map[string][]hw.Platform
 
-	// DisableCoreScaling pins every subgroup to one core (the Figure 2f
-	// "No Core Allocation" ablation).
-	DisableCoreScaling bool
-
 	// HeadroomCores withholds this many worker cores per server from the
 	// discretionary spare-core pour, so an online deployment keeps budget
 	// free for future admissions. Raising subgroups to t_min may still
@@ -83,9 +79,6 @@ type Input struct {
 	// throughput-maximizing extra cores honor it. 0 reserves nothing, which
 	// matches the paper's offline placement.
 	HeadroomCores int
-
-	// DisableCoalescing ablates heuristic step 2 (subgroup coalescing).
-	DisableCoalescing bool
 
 	// BruteForceBudget caps the number of cross-chain pattern combinations
 	// the Optimal scheme scores (0 = default).
@@ -108,6 +101,14 @@ type Input struct {
 	// visit every chain-permutation-equivalent combo it would otherwise
 	// collapse. Benchmarks use it to measure collapse rates.
 	DisableSymmetry bool
+
+	// disableCoreScaling pins every subgroup to one core (the Figure 2f
+	// "No Core Allocation" ablation); only SchemeNoCoreAlloc sets it.
+	disableCoreScaling bool
+
+	// disableCoalescing ablates heuristic step 2 (subgroup coalescing); only
+	// SchemeNoCoalesce sets it.
+	disableCoalescing bool
 
 	// prep caches per-input derived state (worst-case node cycles, server
 	// indices, stage verdicts). Every entry point installs one that matches

@@ -299,7 +299,7 @@ func (ev *evalScratch) lpMarginal() float64 {
 func (ev *evalScratch) refineAllocation() {
 	in, subs := ev.in, ev.res.Subgroups
 	minCores := func(sg *Subgroup) int {
-		if in.DisableCoreScaling || !sg.Replicable {
+		if in.disableCoreScaling || !sg.Replicable {
 			return 1
 		}
 		return in.coresToMeet(sg, in.Chains[sg.ChainIdx].Chain.SLO.TMinBps)
@@ -427,13 +427,13 @@ func (ev *evalScratch) allocateCores(policy allocPolicy) (string, bool) {
 
 	// Raise to meet t_min where the policy is SLO-aware. Even/none policies
 	// skip this (they are not SLO-driven), matching the baselines.
-	if sloAware := policy == policyMarginal || policy == policySequential; sloAware && !in.DisableCoreScaling {
+	if sloAware := policy == policyMarginal || policy == policySequential; sloAware && !in.disableCoreScaling {
 		if !ev.raiseToTMin(nil) {
 			return "", false // the reason is ev.short
 		}
 	}
 
-	if policy == policyNone || in.DisableCoreScaling {
+	if policy == policyNone || in.disableCoreScaling {
 		return "", true
 	}
 

@@ -593,7 +593,7 @@ func (ev *evalScratch) allocateCoresReplace() (string, bool) {
 			rin.Topo.Servers[o].Name, ev.used[o], budget[o]), false
 	}
 	used := ev.used
-	if rin.DisableCoreScaling {
+	if rin.disableCoreScaling {
 		return "", true
 	}
 

@@ -166,6 +166,48 @@ func TestSimulateChurnAdmitRetire(t *testing.T) {
 	}
 }
 
+// TestCompileRetiredSlot: a placement with a retired slot compiles like any
+// other. The retired chain keeps its service paths (its slot fixes them) but
+// installs nothing under their SPIs, and the deployment passes the verify
+// walk, which sends the retired slot no frames.
+func TestCompileRetiredSlot(t *testing.T) {
+	in, res, _ := deploy(t, hw.NewPaperTestbed(), failoverSpec, placer.SchemeLemur)
+	rep, err := placer.Reconfigure(res, in, placer.Delta{Retire: []int{1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rep.Err(); err != nil {
+		t.Fatal(err)
+	}
+	d, err := metacompiler.Compile(in, rep.Result)
+	if err != nil {
+		t.Fatalf("Compile of a result with a retired slot: %v", err)
+	}
+	stats, err := New(d, 42).Verify(50)
+	if err != nil {
+		t.Fatalf("Verify: %v", err)
+	}
+	if got := stats.ByChain[0]; got.Injected != 50 || got.Egressed != 50 {
+		t.Errorf("live chain walk = %+v, want 50 injected and egressed", got)
+	}
+	if got := stats.ByChain[1]; got.Injected != 0 {
+		t.Errorf("retired slot got %d frames", got.Injected)
+	}
+	if len(d.ChainPaths) != 2 || len(d.ChainPaths[1]) == 0 {
+		t.Fatalf("retired slot has no service paths: %d slots", len(d.ChainPaths))
+	}
+	for _, sp := range d.ChainPaths[1] {
+		for _, pl := range d.Pipelines {
+			if n := len(pl.RemoveSPIRange(sp.SPI, sp.SPI)); n != 0 {
+				t.Errorf("retired slot installed %d subgroups under spi %d", n, sp.SPI)
+			}
+		}
+		if e, r := d.Switch.RemoveSPIRange(sp.SPI, sp.SPI); e != 0 || r != 0 {
+			t.Errorf("retired slot installed %d switch entries and %d classifier rules under spi %d", e, r, sp.SPI)
+		}
+	}
+}
+
 // TestSimulateChurnFreeByteIdentity is the acceptance property: a churn-free
 // run — nil plan or zero-event plan — is byte-identical (SimResult JSON and
 // metrics snapshot) to the engine without churn support, and an armed but

@@ -77,7 +77,8 @@ const maxWalkHops = 64
 
 // Verify injects n generated frames per chain and walks each through the
 // full cross-platform path, checking that chains terminate (egress or
-// explicit drop) and that steering never wedges.
+// explicit drop) and that steering never wedges. A retired slot carries no
+// traffic: it gets no frames.
 func (tb *Testbed) Verify(n int) (*WalkStats, error) {
 	sp := obs.Span("runtime.verify").SetAttrInt("frames_per_chain", n)
 	stats := &WalkStats{ByChain: make([]ChainWalk, len(tb.D.Input.Chains))}
@@ -99,6 +100,9 @@ func (tb *Testbed) Verify(n int) (*WalkStats, error) {
 	var buf []byte
 	var scratch packet.Packet
 	for ci, g := range tb.D.Input.Chains {
+		if tb.D.Result.IsRetired(ci) {
+			continue
+		}
 		agg := g.Chain.Aggregate
 		cfg := trafficgen.Config{
 			Mode: trafficgen.LongLived, Seed: tb.Seed + int64(ci),

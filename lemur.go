@@ -25,17 +25,19 @@
 package lemur
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
 
 	"lemur/internal/chaos"
 	"lemur/internal/churn"
-	"lemur/internal/core"
 	"lemur/internal/hw"
 	"lemur/internal/metacompiler"
 	"lemur/internal/nfgraph"
+	"lemur/internal/nfspec"
 	"lemur/internal/placer"
+	"lemur/internal/profile"
 	"lemur/internal/runtime"
 )
 
@@ -155,60 +157,93 @@ func WithAdmissionHeadroom(cores int) Option {
 }
 
 // System is one Lemur instance over the paper's rack-scale testbed topology
-// (a Tofino-class ToR plus Xeon NF servers).
+// (a Tofino-class ToR plus Xeon NF servers): the loaded chains and the
+// place → compile → deploy pipeline over them (Figure 1).
 type System struct {
-	sys *core.System
-	// schedPolicy is the WithSchedPolicy drain discipline, threaded into
-	// every simulate run.
-	schedPolicy string
+	opts options
+	topo *hw.Topology
+	db   *profile.DB
+
+	graphs []*nfgraph.Graph
+	in     *placer.Input  // the input the last Place solved; nil until then
+	res    *placer.Result // the last placement, kept for Deploy
 }
 
 // New builds a System over the paper's testbed, customized by options.
 func New(opts ...Option) *System {
-	o := &options{scheme: placer.SchemeLemur, seed: 1}
+	o := options{scheme: placer.SchemeLemur, seed: 1}
 	for _, opt := range opts {
-		opt(o)
+		opt(&o)
 	}
-	sys := core.NewSystem(hw.NewPaperTestbed(o.topoOpts...))
-	sys.Scheme = o.scheme
-	sys.Restrict = o.restrict
-	sys.Seed = o.seed
-	sys.Parallel = o.parallel
-	sys.Headroom = o.headroom
-	sys.SimWorkers = o.simWorkers
-	return &System{sys: sys, schedPolicy: o.schedPolicy}
+	return &System{opts: o, topo: hw.NewPaperTestbed(o.topoOpts...), db: profile.DefaultDB()}
 }
 
-// LoadSpec parses NF chain specification text (see the nfspec language in
-// README) and adds its chains to the system.
-func (s *System) LoadSpec(src string) error { return s.sys.LoadSpec(src) }
+var errNoChains = errors.New("lemur: no chains loaded")
 
-// Place runs the placement algorithm and returns the outcome. An
-// infeasible placement is not an error: inspect Placement.Feasible and
-// Placement.Reason.
+// LoadSpec parses NF chain specification text (see the nfspec language in
+// README) and adds its chains to the system. It may be called more than
+// once; each call drops the last placement.
+func (s *System) LoadSpec(src string) error {
+	chains, err := nfspec.Parse(src)
+	if err != nil {
+		return err
+	}
+	for _, c := range chains {
+		g, err := nfgraph.Build(c)
+		if err != nil {
+			return err
+		}
+		s.graphs = append(s.graphs, g)
+	}
+	s.in, s.res = nil, nil
+	return nil
+}
+
+// place runs the configured scheme over graphs on the System's rack.
+func (s *System) place(graphs []*nfgraph.Graph) (*placer.Input, *placer.Result, error) {
+	if len(graphs) == 0 {
+		return nil, nil, errNoChains
+	}
+	in := &placer.Input{
+		Chains: graphs, Topo: s.topo, DB: s.db, Restrict: s.opts.restrict,
+		Parallel: s.opts.parallel, HeadroomCores: s.opts.headroom,
+	}
+	res, err := placer.Place(s.opts.scheme, in)
+	return in, res, err
+}
+
+// Place runs the placement algorithm and returns the outcome; Deploy uses
+// it until the next Place or LoadSpec. An infeasible placement is not an
+// error: inspect Placement.Feasible and Placement.Reason.
 func (s *System) Place() (*Placement, error) {
-	res, err := s.sys.Place()
+	in, res, err := s.place(s.graphs)
 	if err != nil {
 		return nil, err
 	}
-	return &Placement{sys: s.sys, res: res}, nil
+	s.in, s.res = in, res
+	return &Placement{graphs: s.graphs, res: res}, nil
 }
 
 // Deploy compiles the placement (running Place first if needed) and stands
-// up the simulated cross-platform testbed.
+// up the simulated cross-platform testbed. Every call compiles once into
+// fresh state, so a deployment a failover run rewired never carries over.
 func (s *System) Deploy() (*Deployment, error) {
-	tb, err := s.sys.Deploy()
+	if s.res == nil {
+		if _, err := s.Place(); err != nil {
+			return nil, err
+		}
+	}
+	d, err := metacompiler.Compile(s.in, s.res)
 	if err != nil {
 		return nil, err
 	}
-	d, _ := s.sys.Compile() // already cached by Deploy
-	return &Deployment{tb: tb, dep: d, workers: s.sys.SimWorkers, schedPolicy: s.schedPolicy}, nil
+	return &Deployment{tb: runtime.New(d, s.opts.seed), opts: &s.opts}, nil
 }
 
 // Placement reports where every NF landed and what the chains will get.
 type Placement struct {
-	sys *core.System
-	res *placer.Result
+	graphs []*nfgraph.Graph
+	res    *placer.Result
 }
 
 // Feasible reports whether every SLO can be met.
@@ -249,7 +284,7 @@ type NFPlacement struct {
 // Assignments lists every NF's placement, ordered by chain then topology.
 func (p *Placement) Assignments() []NFPlacement {
 	var out []NFPlacement
-	for _, g := range p.sys.Graphs() {
+	for _, g := range p.graphs {
 		for _, n := range g.Order {
 			if a, ok := p.res.Assign[n]; ok {
 				out = append(out, NFPlacement{
@@ -276,7 +311,7 @@ type SubgroupInfo struct {
 // Subgroups lists the server subgroups and their core allocations.
 func (p *Placement) Subgroups() []SubgroupInfo {
 	var out []SubgroupInfo
-	graphs := p.sys.Graphs()
+	graphs := p.graphs
 	for _, sg := range p.res.Subgroups {
 		info := SubgroupInfo{Server: sg.Server, Cores: sg.Cores}
 		if sg.ChainIdx < len(graphs) {
@@ -299,7 +334,7 @@ func (p *Placement) Summary() string {
 	}
 	fmt.Fprintf(&b, "feasible placement (%d switch stages, marginal %.2f Gbps)\n",
 		p.res.Stages, p.res.Marginal/1e9)
-	for i, g := range p.sys.Graphs() {
+	for i, g := range p.graphs {
 		fmt.Fprintf(&b, "chain %-10s t_min %6.2f Gbps -> rate %6.2f Gbps\n",
 			g.Chain.Name, g.Chain.SLO.TMinBps/1e9, p.res.ChainRates[i]/1e9)
 	}
@@ -317,13 +352,10 @@ func (p *Placement) Summary() string {
 
 // Deployment is a live, compiled cross-platform installation.
 type Deployment struct {
-	tb  *runtime.Testbed
-	dep *metacompiler.Deployment
-	// workers is the System's SimWorkers, threaded into every simulate run.
-	workers int
-	// schedPolicy is the System's scheduler policy (WithSchedPolicy),
-	// threaded into every simulate run.
-	schedPolicy string
+	tb *runtime.Testbed
+	// opts are the System's options; simulate runs take their worker count
+	// and scheduler policy.
+	opts *options
 }
 
 // TrafficReport summarizes a packet-walk verification.
@@ -352,7 +384,7 @@ type Measurement struct {
 // Measure drives each chain at its placed rate and reports what the
 // testbed actually achieves.
 func (d *Deployment) Measure() (*Measurement, error) {
-	m, err := d.tb.Measure(d.dep.Result.ChainRates)
+	m, err := d.tb.Measure(d.tb.D.Result.ChainRates)
 	if err != nil {
 		return nil, err
 	}
@@ -360,12 +392,12 @@ func (d *Deployment) Measure() (*Measurement, error) {
 }
 
 // P4Source returns the generated unified switch program.
-func (d *Deployment) P4Source() string { return d.dep.Artifacts.P4Source }
+func (d *Deployment) P4Source() string { return d.tb.D.Artifacts.P4Source }
 
 // BESSScripts returns the generated per-server pipeline scripts.
 func (d *Deployment) BESSScripts() map[string]string {
 	out := map[string]string{}
-	for k, v := range d.dep.Artifacts.BESSScripts {
+	for k, v := range d.tb.D.Artifacts.BESSScripts {
 		out[k] = v
 	}
 	return out
@@ -374,7 +406,7 @@ func (d *Deployment) BESSScripts() map[string]string {
 // EBPFSources returns the generated SmartNIC XDP programs.
 func (d *Deployment) EBPFSources() map[string]string {
 	out := map[string]string{}
-	for k, v := range d.dep.Artifacts.EBPFSources {
+	for k, v := range d.tb.D.Artifacts.EBPFSources {
 		out[k] = v
 	}
 	return out
@@ -383,7 +415,7 @@ func (d *Deployment) EBPFSources() map[string]string {
 // AutoGeneratedShare is the fraction of deployment P4 code the
 // meta-compiler generated (vs hand-written NF implementations).
 func (d *Deployment) AutoGeneratedShare() float64 {
-	return d.dep.Artifacts.AutoGeneratedShare()
+	return d.tb.D.Artifacts.AutoGeneratedShare()
 }
 
 // SimReport summarizes a discrete-time simulation run: per-chain goodput,
@@ -469,10 +501,16 @@ func (s *System) SimulateChurn(loadFactor float64, schedule string) (*SimReport,
 			admitTargets[ev.Chain] = true
 		}
 	}
+	// The base chains share their graphs with the System by pointer, so the
+	// run can admit the held-out ones incrementally (placer.Reconfigure keys
+	// pinned state by pointer).
 	catalog := map[string]*nfgraph.Graph{}
-	for _, g := range s.sys.Graphs() {
+	var base []*nfgraph.Graph
+	for _, g := range s.graphs {
 		if admitTargets[g.Chain.Name] {
 			catalog[g.Chain.Name] = g
+		} else {
+			base = append(base, g)
 		}
 	}
 	for name := range admitTargets {
@@ -480,19 +518,21 @@ func (s *System) SimulateChurn(loadFactor float64, schedule string) (*SimReport,
 			return nil, fmt.Errorf("lemur: admit target %q is not a loaded chain", name)
 		}
 	}
-	base := s.sys.Subset(func(name string) bool { return !admitTargets[name] })
-	tb, err := base.Deploy()
+	in, res, err := s.place(base)
 	if err != nil {
 		return nil, err
 	}
-	res := base.Result()
+	d, err := metacompiler.Compile(in, res)
+	if err != nil {
+		return nil, err
+	}
 	offered := make([]float64, len(res.ChainRates))
 	for i, r := range res.ChainRates {
 		offered[i] = r * loadFactor
 	}
-	sim, err := tb.Simulate(offered, runtime.SimConfig{
-		Seed: tb.Seed, DurationSec: 0.5, Churn: plan, ChurnCatalog: catalog,
-		Workers: s.sys.SimWorkers, SchedPolicy: s.schedPolicy,
+	sim, err := runtime.New(d, s.opts.seed).Simulate(offered, runtime.SimConfig{
+		Seed: s.opts.seed, DurationSec: 0.5, Churn: plan, ChurnCatalog: catalog,
+		Workers: s.opts.simWorkers, SchedPolicy: s.opts.schedPolicy,
 	})
 	if err != nil {
 		return nil, err
@@ -527,13 +567,13 @@ func (d *Deployment) SimulateWithFaults(loadFactor float64, schedule string) (*S
 }
 
 func (d *Deployment) simulate(loadFactor float64, plan *chaos.Plan) (*SimReport, error) {
-	offered := make([]float64, len(d.dep.Result.ChainRates))
-	for i, r := range d.dep.Result.ChainRates {
+	offered := make([]float64, len(d.tb.D.Result.ChainRates))
+	for i, r := range d.tb.D.Result.ChainRates {
 		offered[i] = r * loadFactor
 	}
 	sim, err := d.tb.Simulate(offered, runtime.SimConfig{
 		Seed: d.tb.Seed, DurationSec: 0.5, Faults: plan,
-		Workers: d.workers, SchedPolicy: d.schedPolicy,
+		Workers: d.opts.simWorkers, SchedPolicy: d.opts.schedPolicy,
 	})
 	if err != nil {
 		return nil, err
