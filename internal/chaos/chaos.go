@@ -1,11 +1,12 @@
-// Package chaos defines deterministic fault-injection plans for the
-// discrete-time simulator. A Plan is a seeded schedule of node crashes,
-// link degradations, and NF overloads at simulated times; the runtime
-// consumes it via runtime.SimConfig.Faults and reacts by dropping
-// in-flight packets, throttling budgets, and — for crashes — triggering
-// an incremental re-placement (placer.Reconfigure with Delta.Failed) plus
-// a steering-rule rewire (metacompiler.Deployment.Apply) after a
-// configurable detection + reconfiguration delay.
+// Package chaos defines the deterministic reconfiguration schedules of the
+// discrete-time simulator. A Plan is a seeded schedule of events at
+// simulated times: node crashes, link degradations and NF overloads (the
+// fault kinds), or chain admissions and retirements (the churn kinds). The
+// runtime consumes it via runtime.SimConfig.Faults. Faults drop in-flight
+// packets and throttle budgets; a crash, an admission and a retirement each
+// land, after a configurable detection + reconfiguration delay, as an
+// incremental re-placement (placer.Reconfigure) plus a steering-rule rewire
+// (metacompiler.Deployment.Apply).
 //
 // The package is dependency-free by design: the placer, metacompiler,
 // runtime, and CLIs all import it without cycles.
@@ -13,13 +14,14 @@ package chaos
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strconv"
 	"strings"
 )
 
-// Kind classifies a fault event.
+// Kind classifies a scheduled event.
 type Kind int
 
 const (
@@ -35,63 +37,94 @@ const (
 	// NFOverload scales the per-packet cost of every NF on the target
 	// server by Factor (e.g. 4.0 models a pathological input mix).
 	NFOverload
+	// Admit adds a chain (named in the run's catalog) to the running
+	// deployment via the incremental path (placer.Reconfigure +
+	// Deployment.Apply).
+	Admit
+	// Retire removes a running chain by name, reclaiming its resources
+	// through the same path. Its offered load stops at AtSec.
+	Retire
 )
 
+var kindNames = [...]string{"crash", "degrade", "overload", "admit", "retire"}
+
+// kindAliases maps every spelling Parse accepts to its kind.
+var kindAliases = map[string]Kind{
+	"crash": Crash, "kill": Crash, "fail": Crash,
+	"degrade": LinkDegrade, "link": LinkDegrade, "slow": LinkDegrade,
+	"overload": NFOverload, "hot": NFOverload,
+	"admit": Admit, "add": Admit, "arrive": Admit,
+	"retire": Retire, "remove": Retire, "depart": Retire,
+}
+
 func (k Kind) String() string {
-	switch k {
-	case Crash:
-		return "crash"
-	case LinkDegrade:
-		return "degrade"
-	case NFOverload:
-		return "overload"
+	if k >= 0 && int(k) < len(kindNames) {
+		return kindNames[k]
 	}
 	return fmt.Sprintf("chaos.Kind(%d)", int(k))
 }
 
-// Default fault-model parameters. Detection covers the testbed noticing a
-// dead node (BFD/heartbeat timescale); reconfig covers Replace + Rewire
-// (rule re-install timescale). Both are simulated-time delays.
+// Churn reports whether k changes the chain set (Admit, Retire) rather than
+// the devices (Crash, LinkDegrade, NFOverload).
+func (k Kind) Churn() bool { return k == Admit || k == Retire }
+
+// defaultFactor is the Factor a kind takes when the schedule names none; 0
+// for the kinds that take no factor at all.
+func (k Kind) defaultFactor() float64 {
+	switch k {
+	case LinkDegrade:
+		return 0.5
+	case NFOverload:
+		return 4.0
+	}
+	return 0
+}
+
+// Default control-plane timing. Detection covers the testbed noticing a
+// dead node or a tenant request (BFD/heartbeat or API timescale); reconfig
+// covers Reconfigure + Apply (rule re-install timescale). Both are
+// simulated-time delays.
 const (
 	DefaultDetectionDelaySec = 0.010
 	DefaultReconfigDelaySec  = 0.020
-
-	defaultDegradeFactor  = 0.5
-	defaultOverloadFactor = 4.0
 )
 
-// Event is one scheduled fault.
+// Event is one scheduled fault, admission or retirement.
 type Event struct {
-	Kind   Kind
-	Target string  // device name: a server ("nf-server-1") or SmartNIC ("agilio-cx-40")
-	AtSec  float64 // simulated time the fault fires
+	Kind Kind
+	// Target names a device for the fault kinds — a server
+	// ("nf-server-1") or SmartNIC ("agilio-cx-40") — and a chain (its spec
+	// name, e.g. "chain6") for Admit and Retire.
+	Target string
+	AtSec  float64 // simulated time the event fires
 	// Factor parameterizes LinkDegrade (capacity multiplier, <1 slows)
-	// and NFOverload (cost multiplier, >1 slows). Ignored for Crash.
+	// and NFOverload (cost multiplier, >1 slows). Ignored for the others.
 	Factor float64
 }
 
 // String renders the event in the grammar Parse accepts.
 func (e Event) String() string {
 	s := fmt.Sprintf("%s:%s@%gs", e.Kind, e.Target, e.AtSec)
-	if e.Kind != Crash && e.Factor != 0 {
+	if e.Kind.defaultFactor() != 0 && e.Factor != 0 {
 		s += fmt.Sprintf("x%g", e.Factor)
 	}
 	return s
 }
 
-// Plan is a deterministic fault schedule plus the failover timing model.
+// Plan is a deterministic event schedule plus the control-plane timing
+// model every event shares.
 type Plan struct {
 	// Events fire at their AtSec in simulated time. Normalize sorts them.
 	Events []Event
-	// DetectionDelaySec elapses between a crash and the testbed noticing;
-	// the node drops traffic silently during this window.
+	// DetectionDelaySec elapses between an event and the control plane
+	// noticing it; a crashed node drops traffic silently during this window.
 	DetectionDelaySec float64
 	// ReconfigDelaySec elapses between detection and the re-placed
-	// steering rules taking effect (Replace + Rewire install time).
+	// steering rules taking effect (Reconfigure + Apply install time).
 	ReconfigDelaySec float64
 }
 
-// Empty reports whether the plan injects no faults at all.
+// Empty reports whether the plan schedules no event at all.
 func (p *Plan) Empty() bool { return p == nil || len(p.Events) == 0 }
 
 // Normalize sorts events by fire time (stable, so equal-time events keep
@@ -136,7 +169,8 @@ func (p *Plan) String() string {
 	return strings.Join(parts, ";")
 }
 
-// Validate checks event well-formedness (times, factors, targets).
+// Validate checks event well-formedness (kinds, targets, finite times and
+// factors in range).
 func (p *Plan) Validate() error {
 	if p == nil {
 		return nil
@@ -145,11 +179,17 @@ func (p *Plan) Validate() error {
 		if e.Target == "" {
 			return fmt.Errorf("chaos: event %d: empty target", i)
 		}
+		if math.IsNaN(e.AtSec) || math.IsInf(e.AtSec, 0) {
+			return fmt.Errorf("chaos: event %d (%s): time %g is not finite", i, e.Target, e.AtSec)
+		}
 		if e.AtSec < 0 {
 			return fmt.Errorf("chaos: event %d (%s): negative time %g", i, e.Target, e.AtSec)
 		}
+		if math.IsNaN(e.Factor) || math.IsInf(e.Factor, 0) {
+			return fmt.Errorf("chaos: event %d (%s): factor %g is not finite", i, e.Target, e.Factor)
+		}
 		switch e.Kind {
-		case Crash:
+		case Crash, Admit, Retire:
 		case LinkDegrade:
 			if e.Factor < 0 || e.Factor > 1 {
 				return fmt.Errorf("chaos: event %d (%s): degrade factor %g outside [0,1]", i, e.Target, e.Factor)
@@ -170,11 +210,14 @@ func (p *Plan) Validate() error {
 //	crash:nf-server-1@0.3s
 //	crash:nf-server-1@300ms;degrade:agilio-cx-40@0.1sx0.5
 //	overload:nf-server-2@50msx8,crash:nf-server-1@0.2
+//	admit:chain6@300ms;retire:chain2@0.6s
 //
-// Grammar per event: kind ":" target "@" time ["x" factor]. Events are
-// separated by ";" or ",". Times accept "0.3s", "300ms", or bare seconds.
-// Factors default to 0.5 (degrade) and 4 (overload); crash takes none.
-// The returned plan is normalized (events sorted by time) and validated.
+// Grammar per event: kind ":" target "@" time ["x" factor]. Kinds are crash
+// (aliases kill, fail), degrade (link, slow), overload (hot), admit (add,
+// arrive) and retire (remove, depart). Events are separated by ";" or ",".
+// Times accept "0.3s", "300ms", "50us", or bare seconds. Only degrade and
+// overload take a factor, defaulting to 0.5 and 4. The returned plan is
+// normalized (events sorted by time) and validated.
 func Parse(s string) (*Plan, error) {
 	p := &Plan{}
 	for _, tok := range strings.FieldsFunc(s, func(r rune) bool { return r == ';' || r == ',' }) {
@@ -200,35 +243,26 @@ func parseEvent(tok string) (Event, error) {
 	if !ok {
 		return ev, fmt.Errorf("chaos: %q: want kind:target@time", tok)
 	}
-	switch strings.ToLower(strings.TrimSpace(kind)) {
-	case "crash", "kill", "fail":
-		ev.Kind = Crash
-	case "degrade", "link", "slow":
-		ev.Kind = LinkDegrade
-	case "overload", "hot":
-		ev.Kind = NFOverload
-	default:
-		return ev, fmt.Errorf("chaos: %q: unknown kind %q (want crash, degrade, or overload)", tok, kind)
+	ev.Kind, ok = kindAliases[strings.ToLower(strings.TrimSpace(kind))]
+	if !ok {
+		return ev, fmt.Errorf("chaos: %q: unknown kind %q (want crash, degrade, overload, admit, or retire)", tok, kind)
 	}
 	target, at, ok := strings.Cut(rest, "@")
 	if !ok {
 		return ev, fmt.Errorf("chaos: %q: missing @time", tok)
 	}
 	ev.Target = strings.TrimSpace(target)
-	if i := strings.LastIndexByte(at, 'x'); i >= 0 && ev.Kind != Crash {
-		f, err := strconv.ParseFloat(strings.TrimSpace(at[i+1:]), 64)
-		if err != nil {
-			return ev, fmt.Errorf("chaos: %q: bad factor: %v", tok, err)
+	if def := ev.Kind.defaultFactor(); def != 0 {
+		if i := strings.LastIndexByte(at, 'x'); i >= 0 {
+			f, err := strconv.ParseFloat(strings.TrimSpace(at[i+1:]), 64)
+			if err != nil {
+				return ev, fmt.Errorf("chaos: %q: bad factor: %v", tok, err)
+			}
+			ev.Factor = f
+			at = at[:i]
 		}
-		ev.Factor = f
-		at = at[:i]
-	}
-	if ev.Factor == 0 {
-		switch ev.Kind {
-		case LinkDegrade:
-			ev.Factor = defaultDegradeFactor
-		case NFOverload:
-			ev.Factor = defaultOverloadFactor
+		if ev.Factor == 0 {
+			ev.Factor = def
 		}
 	}
 	sec, err := parseTime(strings.TrimSpace(at))
@@ -239,11 +273,8 @@ func parseEvent(tok string) (Event, error) {
 	return ev, nil
 }
 
-// ParseTime parses a schedule timestamp — "0.3s", "300ms", "50us", or bare
-// seconds — into seconds. Shared with the churn schedule grammar, which uses
-// the same @time syntax.
-func ParseTime(s string) (float64, error) { return parseTime(s) }
-
+// parseTime parses a schedule timestamp — "0.3s", "300ms", "50us", or bare
+// seconds — into seconds.
 func parseTime(s string) (float64, error) {
 	mult := 1.0
 	switch {

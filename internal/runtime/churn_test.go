@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"lemur/internal/chaos"
-	"lemur/internal/churn"
 	"lemur/internal/hw"
 	"lemur/internal/metacompiler"
 	"lemur/internal/nfgraph"
@@ -81,14 +80,14 @@ func graphFor(t *testing.T, src string) *nfgraph.Graph {
 // the post-churn window.
 func TestSimulateChurnAdmitRetire(t *testing.T) {
 	_, _, tb := deployHeadroom(t, hw.NewPaperTestbed(hw.WithServers(2)), failoverSpec, 4)
-	plan, err := churn.Parse("admit:gamma@0.05s;retire:beta@0.15s")
+	plan, err := chaos.Parse("admit:gamma@0.05s;retire:beta@0.15s")
 	if err != nil {
 		t.Fatal(err)
 	}
 	catalog := map[string]*nfgraph.Graph{"gamma": graphFor(t, gammaSpec)}
 
 	sim, err := tb.Simulate([]float64{4e9, 4e9}, SimConfig{
-		Seed: 7, DurationSec: 0.3, Churn: plan, ChurnCatalog: catalog,
+		Seed: 7, DurationSec: 0.3, Faults: plan, ChurnCatalog: catalog,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -224,9 +223,9 @@ func TestSimulateChurnFreeByteIdentity(t *testing.T) {
 		reg.Reset()
 	})
 
-	run := func(plan *churn.Plan) (*SimResult, []byte, []byte) {
+	run := func(plan *chaos.Plan) (*SimResult, []byte, []byte) {
 		reg.Reset()
-		sim, err := tb.Simulate(offered, SimConfig{Seed: 99, DurationSec: 0.2, Churn: plan, ChurnCatalog: catalog})
+		sim, err := tb.Simulate(offered, SimConfig{Seed: 99, DurationSec: 0.2, Faults: plan, ChurnCatalog: catalog})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -242,7 +241,7 @@ func TestSimulateChurnFreeByteIdentity(t *testing.T) {
 	}
 
 	_, statsNil, metricsNil := run(nil)
-	simEmpty, statsEmpty, metricsEmpty := run(&churn.Plan{})
+	simEmpty, statsEmpty, metricsEmpty := run(&chaos.Plan{})
 	if simEmpty.Churn != nil {
 		t.Error("zero-event churn plan must not attach a ChurnReport")
 	}
@@ -253,7 +252,7 @@ func TestSimulateChurnFreeByteIdentity(t *testing.T) {
 		t.Errorf("empty churn plan perturbed metrics:\n nil:   %s\n empty: %s", metricsNil, metricsEmpty)
 	}
 
-	dormantPlan, err := churn.Parse("admit:gamma@10s")
+	dormantPlan, err := chaos.Parse("admit:gamma@10s")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,13 +292,13 @@ func TestSimulateChurnDeterministic(t *testing.T) {
 		// before it and fails when run in isolation).
 		pisa.SharedCache().Reset()
 		_, _, tb := deployHeadroom(t, hw.NewPaperTestbed(hw.WithServers(2)), failoverSpec, 4)
-		plan, err := churn.Parse("admit:gamma@0.05s;retire:beta@0.12s")
+		plan, err := chaos.Parse("admit:gamma@0.05s;retire:beta@0.12s")
 		if err != nil {
 			t.Fatal(err)
 		}
 		reg.Reset()
 		sim, err := tb.Simulate([]float64{4e9, 4e9}, SimConfig{
-			Seed: 13, DurationSec: 0.25, Churn: plan,
+			Seed: 13, DurationSec: 0.25, Faults: plan,
 			ChurnCatalog: map[string]*nfgraph.Graph{"gamma": graphFor(t, gammaSpec)},
 		})
 		if err != nil {
@@ -335,8 +334,8 @@ func TestSimulateChurnDeterministic(t *testing.T) {
 func TestSimulateChurnRejections(t *testing.T) {
 	t.Run("retire unknown chain", func(t *testing.T) {
 		_, _, tb := deploy(t, hw.NewPaperTestbed(), failoverSpec, placer.SchemeLemur)
-		plan, _ := churn.Parse("retire:nosuch@0.05s")
-		sim, err := tb.Simulate([]float64{4e9, 4e9}, SimConfig{Seed: 3, DurationSec: 0.15, Churn: plan})
+		plan, _ := chaos.Parse("retire:nosuch@0.05s")
+		sim, err := tb.Simulate([]float64{4e9, 4e9}, SimConfig{Seed: 3, DurationSec: 0.15, Faults: plan})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -350,9 +349,9 @@ func TestSimulateChurnRejections(t *testing.T) {
 
 	t.Run("admit already-running chain", func(t *testing.T) {
 		in, _, tb := deploy(t, hw.NewPaperTestbed(), failoverSpec, placer.SchemeLemur)
-		plan, _ := churn.Parse("admit:alpha@0.05s")
+		plan, _ := chaos.Parse("admit:alpha@0.05s")
 		sim, err := tb.Simulate([]float64{4e9, 4e9}, SimConfig{
-			Seed: 3, DurationSec: 0.15, Churn: plan,
+			Seed: 3, DurationSec: 0.15, Faults: plan,
 			ChurnCatalog: map[string]*nfgraph.Graph{"alpha": in.Chains[0]},
 		})
 		if err != nil {
@@ -365,8 +364,8 @@ func TestSimulateChurnRejections(t *testing.T) {
 
 	t.Run("double retirement", func(t *testing.T) {
 		_, _, tb := deploy(t, hw.NewPaperTestbed(), failoverSpec, placer.SchemeLemur)
-		plan, _ := churn.Parse("retire:beta@0.05s;retire:beta@0.06s")
-		sim, err := tb.Simulate([]float64{4e9, 4e9}, SimConfig{Seed: 3, DurationSec: 0.2, Churn: plan})
+		plan, _ := chaos.Parse("retire:beta@0.05s;retire:beta@0.06s")
+		sim, err := tb.Simulate([]float64{4e9, 4e9}, SimConfig{Seed: 3, DurationSec: 0.2, Faults: plan})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -395,9 +394,9 @@ chain greedy {
   fwd0 = IPv4Fwd()
   mon0 -> fwd0
 }`)
-		plan, _ := churn.Parse("admit:greedy@0.05s")
+		plan, _ := chaos.Parse("admit:greedy@0.05s")
 		sim, err := tb.Simulate([]float64{4e9, 4e9}, SimConfig{
-			Seed: 3, DurationSec: 0.15, Churn: plan,
+			Seed: 3, DurationSec: 0.15, Faults: plan,
 			ChurnCatalog: map[string]*nfgraph.Graph{"greedy": greedy},
 		})
 		if err != nil {
@@ -413,8 +412,8 @@ chain greedy {
 
 	t.Run("admit target missing from catalog", func(t *testing.T) {
 		_, _, tb := deploy(t, hw.NewPaperTestbed(), failoverSpec, placer.SchemeLemur)
-		plan, _ := churn.Parse("admit:gamma@0.05s")
-		if _, err := tb.Simulate([]float64{4e9, 4e9}, SimConfig{Seed: 3, DurationSec: 0.1, Churn: plan}); err == nil ||
+		plan, _ := chaos.Parse("admit:gamma@0.05s")
+		if _, err := tb.Simulate([]float64{4e9, 4e9}, SimConfig{Seed: 3, DurationSec: 0.1, Faults: plan}); err == nil ||
 			!strings.Contains(err.Error(), "churn catalog") {
 			t.Fatalf("want catalog error, got %v", err)
 		}
@@ -422,16 +421,21 @@ chain greedy {
 
 	t.Run("faults and churn cannot be combined", func(t *testing.T) {
 		_, _, tb := deploy(t, hw.NewPaperTestbed(), failoverSpec, placer.SchemeLemur)
-		plan, _ := churn.Parse("retire:beta@0.05s")
-		cfg := SimConfig{Seed: 3, DurationSec: 0.1, Churn: plan}
-		faults, err := chaos.Parse("crash:nf-server-0@0.05s")
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.Faults = faults
-		if _, err := tb.Simulate([]float64{4e9, 4e9}, cfg); err == nil ||
-			!strings.Contains(err.Error(), "cannot be combined") {
-			t.Fatalf("want combination error, got %v", err)
+		// The grammar takes both kinds in one schedule; the run refuses it,
+		// whichever kind comes first.
+		for _, sched := range []string{
+			"retire:beta@0.05s;crash:nf-server-0@0.05s",
+			"crash:nf-server-0@0.05s;retire:beta@0.06s",
+		} {
+			plan, err := chaos.Parse(sched)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := SimConfig{Seed: 3, DurationSec: 0.1, Faults: plan}
+			if _, err := tb.Simulate([]float64{4e9, 4e9}, cfg); err == nil ||
+				!strings.Contains(err.Error(), "cannot be combined") {
+				t.Fatalf("%s: want combination error, got %v", sched, err)
+			}
 		}
 	})
 }

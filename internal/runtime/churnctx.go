@@ -1,12 +1,5 @@
 package runtime
 
-import (
-	"fmt"
-
-	"lemur/internal/churn"
-	"lemur/internal/nfgraph"
-)
-
 // ChurnReport extends a SimResult with the chain-churn outcome: which
 // scheduled events fired, which were rejected (and why), when each admitted
 // chain's rules landed and how long its first packet took to egress, how
@@ -15,7 +8,7 @@ import (
 // final chain slot (admitted chains occupy the appended tail).
 type ChurnReport struct {
 	// Events lists every request that came due within the simulated
-	// duration, rendered in the churn grammar, in request order. Requests
+	// duration, rendered in the chaos grammar, in request order. Requests
 	// that could not be applied appear here AND in Rejected.
 	Events []string
 	// DetectionDelaySec and ReconfigDelaySec are the control-plane timing
@@ -51,22 +44,4 @@ type ChurnReport struct {
 	PostWindowSec    float64
 	PostAchievedBps  []float64
 	PostSLOCompliant []bool
-}
-
-// validateChurn checks a churn plan against the catalog. Admit targets must
-// resolve in the catalog up front (a typo should fail the run, not silently
-// no-op); retire targets are resolved at fire time, since the chain may
-// itself be admitted mid-run.
-func validateChurn(plan *churn.Plan, catalog map[string]*nfgraph.Graph) error {
-	if err := plan.Validate(); err != nil {
-		return err
-	}
-	for _, ev := range plan.Events {
-		if ev.Kind == churn.Admit {
-			if _, ok := catalog[ev.Chain]; !ok {
-				return fmt.Errorf("runtime: admit target %q is not in the churn catalog", ev.Chain)
-			}
-		}
-	}
-	return nil
 }

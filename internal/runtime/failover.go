@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"lemur/internal/chaos"
+	"lemur/internal/nfgraph"
 	"lemur/internal/placer"
 )
 
@@ -40,11 +41,15 @@ type FailoverReport struct {
 	PostSLOCompliant []bool
 }
 
-// validateFaults checks a chaos plan against the deployment's topology.
-// Crash targets must be servers or SmartNICs (the ToR is the coordinator —
-// its death is not survivable and is rejected), and degrade/overload
-// targets must be servers (the only devices with budgets).
-func validateFaults(tb *Testbed, plan *chaos.Plan) error {
+// validatePlan checks a plan against the deployment's topology and the churn
+// catalog. Crash targets must be servers or SmartNICs (the ToR is the
+// coordinator — its death is not survivable and is rejected), degrade and
+// overload targets must be servers (the only devices with budgets), and admit
+// targets must resolve in the catalog up front (a typo should fail the run,
+// not silently no-op); retire targets are resolved at fire time, since the
+// chain may itself be admitted mid-run. One run is a failover run or a churn
+// run, never both.
+func validatePlan(tb *Testbed, plan *chaos.Plan, catalog map[string]*nfgraph.Graph) error {
 	if err := plan.Validate(); err != nil {
 		return err
 	}
@@ -58,6 +63,9 @@ func validateFaults(tb *Testbed, plan *chaos.Plan) error {
 		nics[n.Name] = true
 	}
 	for _, ev := range plan.Events {
+		if ev.Kind.Churn() != plan.Events[0].Kind.Churn() {
+			return fmt.Errorf("runtime: fault and churn schedules cannot be combined in one run")
+		}
 		switch ev.Kind {
 		case chaos.Crash:
 			if ev.Target == topo.Switch.Name {
@@ -66,9 +74,13 @@ func validateFaults(tb *Testbed, plan *chaos.Plan) error {
 			if !servers[ev.Target] && !nics[ev.Target] {
 				return fmt.Errorf("runtime: crash target %q is not a server or SmartNIC", ev.Target)
 			}
-		default:
+		case chaos.LinkDegrade, chaos.NFOverload:
 			if !servers[ev.Target] {
 				return fmt.Errorf("runtime: %s target %q is not a server", ev.Kind, ev.Target)
+			}
+		case chaos.Admit:
+			if _, ok := catalog[ev.Target]; !ok {
+				return fmt.Errorf("runtime: admit target %q is not in the churn catalog", ev.Target)
 			}
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 
 	"lemur/internal/chaos"
 	"lemur/internal/hw"
@@ -393,5 +394,34 @@ func TestSimulateFaultValidation(t *testing.T) {
 				t.Fatalf("want error containing %q, got %v", tc.want, err)
 			}
 		})
+	}
+}
+
+// TestSimulateRejectsNonFinitePlan: a hand-built plan whose time or factor is
+// NaN or infinite is rejected before the run starts. A NaN time is never due,
+// so a run that took one would look for its firing step forever; the wait is
+// bounded so that regression fails instead of hanging the suite.
+func TestSimulateRejectsNonFinitePlan(t *testing.T) {
+	in, _, tb := deploy(t, hw.NewPaperTestbed(), failoverSpec, placer.SchemeLemur)
+	server := in.Topo.Servers[0].Name
+	for _, ev := range []chaos.Event{
+		{Kind: chaos.Crash, Target: server, AtSec: math.NaN()},
+		{Kind: chaos.Crash, Target: server, AtSec: math.Inf(1)},
+		{Kind: chaos.LinkDegrade, Target: server, AtSec: 0.01, Factor: math.NaN()},
+	} {
+		done := make(chan error, 1)
+		go func() {
+			plan := &chaos.Plan{Events: []chaos.Event{ev}}
+			_, err := tb.Simulate([]float64{1e9, 1e9}, SimConfig{Seed: 1, DurationSec: 0.05, Faults: plan})
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), "not finite") {
+				t.Fatalf("Simulate with %+v: want a not-finite error, got %v", ev, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("Simulate with %+v did not return within 10 s", ev)
+		}
 	}
 }

@@ -4,26 +4,16 @@ import (
 	"fmt"
 
 	"lemur/internal/chaos"
-	"lemur/internal/churn"
 	"lemur/internal/nfgraph"
 	"lemur/internal/obs"
 	"lemur/internal/placer"
 )
 
-// planEvent is one entry of a run's reconfiguration schedule: a chaos event
-// or a churn request (exactly one is set), merged into one time-ordered
-// stream so the run loop has a single cursor to ask "what is due next".
-type planEvent struct {
-	atSec float64
-	fault *chaos.Event
-	churn *churn.Event
-}
-
 // landing is a reconfiguration waiting out the detection+reconfiguration
 // window: the rewire that follows a crash, or a churn request.
 type landing struct {
 	atSec float64      // request (or crash) time plus both delays
-	churn *churn.Event // the request landing; nil for a crash rewire
+	churn *chaos.Event // the request landing; nil for a crash rewire
 	slot  int          // resolved chain slot (retire only)
 }
 
@@ -43,13 +33,13 @@ type chainReconf struct {
 }
 
 // reconfCtx is the live reconfiguration state of one Simulate run: the
-// plan's event stream, the one delay model chaos and churn share, the
-// time-ordered queue of landings, the fault state (dead devices, budget and
-// cost multipliers), and the post-window bookkeeping both reports are cut
-// from. Every run has one; an empty plan has no events, so nothing ever
-// comes due and the whole run is a single epoch.
+// plan's time-ordered events (one cursor asks "what is due next"), its
+// delay model, the time-ordered queue of landings, the fault state (dead
+// devices, budget and cost multipliers), and the post-window bookkeeping
+// both reports are cut from. Every run has one; an empty plan has no
+// events, so nothing ever comes due and the whole run is a single epoch.
 type reconfCtx struct {
-	events           []planEvent
+	events           []chaos.Event
 	next             int
 	detect, reconfig float64
 	catalog          map[string]*nfgraph.Graph
@@ -66,44 +56,31 @@ type reconfCtx struct {
 	chains    []chainReconf
 	postStart float64 // start of the post-reconfiguration measurement window
 
-	fo *FailoverReport // non-nil for a non-empty chaos plan
+	fo *FailoverReport // non-nil for a non-empty fault plan
 	ch *ChurnReport    // non-nil for a non-empty churn plan
 }
 
-// newReconfCtx validates the config's chaos or churn plan against the
-// deployment and builds the run state. The reports only exist for a
-// non-empty plan, which keeps plan-free output byte-identical to the
-// engine before failover and churn existed.
+// newReconfCtx validates the config's plan against the deployment and
+// builds the run state. The reports only exist for a non-empty plan, which
+// keeps plan-free output byte-identical to the engine before failover and
+// churn existed.
 func newReconfCtx(tb *Testbed, cfg *SimConfig) (*reconfCtx, error) {
 	rc := &reconfCtx{}
-	if !cfg.Faults.Empty() {
-		if err := validateFaults(tb, cfg.Faults); err != nil {
+	if plan := cfg.Faults; !plan.Empty() {
+		if err := validatePlan(tb, plan, cfg.ChurnCatalog); err != nil {
 			return nil, err
 		}
-		// Only a fault plan writes these; everyone else reads them nil.
-		rc.failed, rc.dead = placer.NodeSet{}, placer.NodeSet{}
-		rc.capFactor, rc.costFactor = map[string]float64{}, map[string]float64{}
-		rc.detect, rc.reconfig = cfg.Faults.Delays()
-		evs := append([]chaos.Event(nil), cfg.Faults.Normalize().Events...)
-		for i := range evs {
-			rc.events = append(rc.events, planEvent{atSec: evs[i].AtSec, fault: &evs[i]})
+		rc.detect, rc.reconfig = plan.Delays()
+		rc.events = append([]chaos.Event(nil), plan.Normalize().Events...)
+		if rc.events[0].Kind.Churn() {
+			rc.catalog = cfg.ChurnCatalog
+			rc.ch = &ChurnReport{DetectionDelaySec: rc.detect, ReconfigDelaySec: rc.reconfig}
+		} else {
+			// Only a fault plan writes these; everyone else reads them nil.
+			rc.failed, rc.dead = placer.NodeSet{}, placer.NodeSet{}
+			rc.capFactor, rc.costFactor = map[string]float64{}, map[string]float64{}
+			rc.fo = &FailoverReport{DetectionDelaySec: rc.detect, ReconfigDelaySec: rc.reconfig}
 		}
-		rc.fo = &FailoverReport{DetectionDelaySec: rc.detect, ReconfigDelaySec: rc.reconfig}
-	}
-	if !cfg.Churn.Empty() {
-		if rc.fo != nil {
-			return nil, fmt.Errorf("runtime: fault and churn schedules cannot be combined in one run")
-		}
-		if err := validateChurn(cfg.Churn, cfg.ChurnCatalog); err != nil {
-			return nil, err
-		}
-		rc.detect, rc.reconfig = cfg.Churn.Delays()
-		rc.catalog = cfg.ChurnCatalog
-		evs := append([]churn.Event(nil), cfg.Churn.Normalize().Events...)
-		for i := range evs {
-			rc.events = append(rc.events, planEvent{atSec: evs[i].AtSec, churn: &evs[i]})
-		}
-		rc.ch = &ChurnReport{DetectionDelaySec: rc.detect, ReconfigDelaySec: rc.reconfig}
 	}
 	return rc, nil
 }
@@ -149,7 +126,7 @@ func (rc *reconfCtx) nextBoundary(step, steps int, stepSec float64) int {
 	}
 	end := steps
 	if rc.next < len(rc.events) {
-		end = dueStep(rc.events[rc.next].atSec, stepSec, end)
+		end = dueStep(rc.events[rc.next].AtSec, stepSec, end)
 	}
 	if len(rc.pending) > 0 {
 		end = dueStep(rc.pending[0].atSec, stepSec, end)
@@ -167,14 +144,14 @@ func (rc *reconfCtx) addChain(reqSec, landSec float64) {
 }
 
 // reject records a churn request that could not be applied.
-func (rc *reconfCtx) reject(ev *churn.Event, reason string) {
+func (rc *reconfCtx) reject(ev *chaos.Event, reason string) {
 	rc.ch.Rejected = append(rc.ch.Rejected, fmt.Sprintf("%s: %s", ev.String(), reason))
 }
 
 // pendingRetire reports whether a retirement for slot is already queued.
 func (rc *reconfCtx) pendingRetire(slot int) bool {
 	for _, ld := range rc.pending {
-		if ld.churn != nil && ld.churn.Kind == churn.Retire && ld.slot == slot {
+		if ld.churn != nil && ld.churn.Kind == chaos.Retire && ld.slot == slot {
 			return true
 		}
 	}

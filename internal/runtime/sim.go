@@ -7,7 +7,6 @@ import (
 	"slices"
 
 	"lemur/internal/chaos"
-	"lemur/internal/churn"
 	"lemur/internal/nfgraph"
 )
 
@@ -68,26 +67,21 @@ type SimConfig struct {
 	// FlowScale > 0.
 	FlowChurn bool
 
-	// Faults is an optional deterministic fault-injection schedule. Crashes
-	// drop the dead device's in-flight packets, blackhole traffic steered at
-	// it during the detection+reconfiguration window, then trigger an
-	// incremental re-placement (placer.Reconfigure) and steering rewire
-	// (Deployment.Apply) mid-run. A nil or empty plan schedules nothing:
+	// Faults is an optional deterministic reconfiguration schedule: fault
+	// events or churn events, not both in one run. Crashes drop the dead
+	// device's in-flight packets, blackhole traffic steered at it during the
+	// detection+reconfiguration window, then trigger an incremental
+	// re-placement (placer.Reconfigure) and steering rewire
+	// (Deployment.Apply) mid-run; degrade and overload rescale budgets and
+	// costs on the spot. Admissions and retirements land after the same
+	// window through the same two calls (only pin-preserving verdicts are
+	// applied; full-repack answers are recorded as rejections); a
+	// retirement stops the chain's offered load at the request and reclaims
+	// its resources at the landing. A nil or empty plan schedules nothing:
 	// the run is byte-identical to one without the field.
 	Faults *chaos.Plan
-
-	// Churn is an optional deterministic chain-churn schedule: admissions
-	// and retirements requested at simulated times, each landing after the
-	// same detection+reconfiguration window chaos uses. Admissions run the
-	// same placer.Reconfigure → Deployment.Apply path mid-run (only
-	// pin-preserving verdicts are applied; full-repack answers are recorded
-	// as rejections); retirements stop the chain's offered load at the
-	// request and reclaim its resources at the landing. A nil or empty plan
-	// schedules nothing: the run is byte-identical to one without the
-	// field. Churn and Faults are mutually exclusive in one run.
-	Churn *churn.Plan
 	// ChurnCatalog resolves admit events' chain names to pre-built NF
-	// graphs. Every admit target in Churn must be present.
+	// graphs. Every admit target in Faults must be present.
 	ChurnCatalog map[string]*nfgraph.Graph
 
 	// debugCheckDelays makes the engine fail if a packet's accumulated
@@ -133,12 +127,12 @@ type SimResult struct {
 	// deadline, keeping deadline-free output byte-identical to pre-EDF runs.
 	DeadlineCompliance []float64 `json:",omitempty"`
 
-	// Failover carries the fault-injection outcome; nil unless the run was
-	// configured with a non-empty chaos plan.
+	// Failover carries the fault-injection outcome; nil unless the run's
+	// plan holds fault events.
 	Failover *FailoverReport `json:",omitempty"`
 
-	// Churn carries the chain-churn outcome; nil unless the run was
-	// configured with a non-empty churn plan. Per-chain slices in the main
+	// Churn carries the chain-churn outcome; nil unless the run's plan
+	// holds admit or retire events. Per-chain slices in the main
 	// result (and here) are indexed by final chain slot: chains admitted
 	// mid-run occupy the appended tail, retired chains keep their slot.
 	Churn *ChurnReport `json:",omitempty"`

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"lemur/internal/chaos"
-	"lemur/internal/churn"
 	"lemur/internal/hw"
 	"lemur/internal/nfgraph"
 	"lemur/internal/obs"
@@ -81,12 +80,12 @@ const goldenCrashPlan = "crash:%[1]s@0.05s;overload:%[2]s@0.15sx2;crash:%[2]s@0.
 // headroom, then retires pb.
 func goldenChurn(t *testing.T) (*Testbed, []float64, SimConfig) {
 	_, res, tb := deployHeadroom(t, hw.NewPaperTestbed(hw.WithServers(3)), twoComponentSpec, 4)
-	plan, err := churn.Parse("admit:gamma@0.05s;retire:pb@0.12s")
+	plan, err := chaos.Parse("admit:gamma@0.05s;retire:pb@0.12s")
 	if err != nil {
 		t.Fatal(err)
 	}
 	return tb, []float64{res.ChainRates[0] * 1.7, res.ChainRates[1] * 1.3}, SimConfig{
-		Seed: 13, DurationSec: 0.3, Scale: 200, Churn: plan,
+		Seed: 13, DurationSec: 0.3, Scale: 200, Faults: plan,
 		ChurnCatalog: map[string]*nfgraph.Graph{"gamma": graphFor(t, gammaSpec)},
 	}
 }

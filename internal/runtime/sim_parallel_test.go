@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"lemur/internal/chaos"
-	"lemur/internal/churn"
 	"lemur/internal/hw"
 	"lemur/internal/metacompiler"
 	"lemur/internal/nfgraph"
@@ -213,13 +212,13 @@ func TestSimulateParallelChurnByteIdentity(t *testing.T) {
 		t.Helper()
 		pisa.SharedCache().Reset()
 		_, _, tb := deployHeadroom(t, hw.NewPaperTestbed(hw.WithServers(3)), failoverSpec, 4)
-		plan, err := churn.Parse("admit:gamma@0.05s;retire:beta@0.12s")
+		plan, err := chaos.Parse("admit:gamma@0.05s;retire:beta@0.12s")
 		if err != nil {
 			t.Fatal(err)
 		}
 		reg.Reset()
 		sim, err := tb.Simulate([]float64{4e9, 4e9}, SimConfig{
-			Seed: 13, DurationSec: 0.25, Churn: plan, Workers: workers,
+			Seed: 13, DurationSec: 0.25, Faults: plan, Workers: workers,
 			ChurnCatalog: map[string]*nfgraph.Graph{"gamma": graphFor(t, gammaSpec)},
 		})
 		if err != nil {

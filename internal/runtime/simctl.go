@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"lemur/internal/chaos"
-	"lemur/internal/churn"
 	"lemur/internal/metacompiler"
 	"lemur/internal/nfgraph"
 	"lemur/internal/obs"
@@ -69,15 +68,15 @@ func (eng *simEngine) install(ix *simIndex) {
 // deployment gets a fresh index installed and restarts the post window.
 func (eng *simEngine) applyDue(now float64) error {
 	rc := eng.rc
-	for rc.next < len(rc.events) && due(rc.events[rc.next].atSec, now) {
-		ev := rc.events[rc.next]
+	for rc.next < len(rc.events) && due(rc.events[rc.next].AtSec, now) {
+		ev := &rc.events[rc.next]
 		rc.next++
-		if ev.fault != nil {
-			rc.fo.Events = append(rc.fo.Events, ev.fault.String())
-			eng.applyFault(ev.fault)
+		if ev.Kind.Churn() {
+			rc.ch.Events = append(rc.ch.Events, ev.String())
+			eng.requestChurn(ev)
 		} else {
-			rc.ch.Events = append(rc.ch.Events, ev.churn.String())
-			eng.requestChurn(ev.churn)
+			rc.fo.Events = append(rc.fo.Events, ev.String())
+			eng.applyFault(ev)
 		}
 	}
 	for len(rc.pending) > 0 && due(rc.pending[0].atSec, now) {
@@ -100,7 +99,7 @@ func (eng *simEngine) applyDue(now float64) error {
 	return nil
 }
 
-// applyFault fires one chaos event: a crash drains and blackholes its
+// applyFault fires one fault event: a crash drains and blackholes its
 // device and queues the rewire that will follow the detection+reconfig
 // window; a degrade or overload rescales the target server's budgets or
 // costs on the spot.
@@ -140,7 +139,7 @@ func (eng *simEngine) applyFault(ev *chaos.Event) {
 		}
 		// One rewire serves every crash so far: a crash inside a pending
 		// rewire's window postpones it rather than queueing a second. (A
-		// fault plan queues nothing else: Faults and Churn are exclusive.)
+		// fault plan queues nothing else: a plan holds faults or churn.)
 		rc.pending = append(rc.pending[:0], landing{atSec: ev.AtSec + rc.detect + rc.reconfig})
 	case chaos.LinkDegrade, chaos.NFOverload:
 		factors, scaled := rc.capFactor, eng.budget
@@ -171,15 +170,15 @@ func (eng *simEngine) land(ld landing) (bool, error) {
 	nOld := len(in.Chains)
 	ev := ld.churn // nil for a crash repair
 	switch {
-	case ev != nil && ev.Kind == churn.Retire:
+	case ev != nil && ev.Kind == chaos.Retire:
 		dl.Retire = []int{ld.slot}
 	case ev != nil:
-		if eng.liveSlot(ev.Chain) >= 0 {
+		if eng.liveSlot(ev.Target) >= 0 {
 			rc.reject(ev, "chain already running")
 			return false, nil
 		}
 		grown := *in
-		grown.Chains = append(append(make([]*nfgraph.Graph, 0, nOld+1), in.Chains...), rc.catalog[ev.Chain])
+		grown.Chains = append(append(make([]*nfgraph.Graph, 0, nOld+1), in.Chains...), rc.catalog[ev.Target])
 		in, dl.Admit = &grown, []int{nOld}
 	}
 	rep, err := placer.Reconfigure(d.Result, in, dl)
@@ -207,7 +206,7 @@ func (eng *simEngine) land(ld landing) (bool, error) {
 		}
 		obs.C("lemur_sim_failovers_total").Inc()
 		return true, nil
-	case !solved && ev.Kind == churn.Admit:
+	case !solved && ev.Kind == chaos.Admit:
 		reason := err.Error()
 		if rep != nil {
 			reason = rep.Outcome.String() + ": " + rep.IncrementalReason
@@ -218,7 +217,7 @@ func (eng *simEngine) land(ld landing) (bool, error) {
 		return false, err
 	}
 	rc.ch.RewireSummaries = append(rc.ch.RewireSummaries, rw.String())
-	if ev.Kind == churn.Retire {
+	if ev.Kind == chaos.Retire {
 		rc.chains[ld.slot].retiredAt = ld.atSec
 		obs.C("lemur_sim_retirements_total").Inc()
 		return true, nil
@@ -242,11 +241,11 @@ func (eng *simEngine) liveSlot(name string) int {
 // offered load right away (the tenant has left) and reclaims resources at
 // the landing; an admission only queues — it solves at the landing, so
 // overlapping events always see fresh state.
-func (eng *simEngine) requestChurn(ev *churn.Event) {
+func (eng *simEngine) requestChurn(ev *chaos.Event) {
 	rc := eng.rc
 	ld := landing{atSec: ev.AtSec + rc.detect + rc.reconfig, churn: ev}
-	if ev.Kind == churn.Retire {
-		ld.slot = eng.liveSlot(ev.Chain)
+	if ev.Kind == chaos.Retire {
+		ld.slot = eng.liveSlot(ev.Target)
 		if ld.slot < 0 {
 			rc.reject(ev, "no such running chain")
 			return

@@ -31,7 +31,6 @@ import (
 	"strings"
 
 	"lemur/internal/chaos"
-	"lemur/internal/churn"
 	"lemur/internal/hw"
 	"lemur/internal/metacompiler"
 	"lemur/internal/nfgraph"
@@ -442,18 +441,7 @@ type SimReport struct {
 // fired, how long each chain was down, what the faults cost in packets, and
 // whether each chain's post-failover rate still clears its SLO. Slices are
 // per chain, in spec order.
-type FailoverOutcome struct {
-	Events            []string
-	DetectionDelaySec float64
-	ReconfigDelaySec  float64
-	ReplaceError      string
-	RewireSummary     string
-	DowntimeSec       []float64
-	FaultDrops        []int
-	PostWindowSec     float64
-	PostAchievedBps   []float64
-	PostSLOCompliant  []bool
-}
+type FailoverOutcome = runtime.FailoverReport
 
 // ChurnOutcome reports a chain-churn run: which scheduled admissions and
 // retirements fired, which were rejected (and why), per-chain admission
@@ -461,27 +449,15 @@ type FailoverOutcome struct {
 // index final chain slots: chains admitted mid-run occupy the appended tail,
 // retired chains keep their slot. Times are seconds of simulated time;
 // rates are bits/sec.
-type ChurnOutcome struct {
-	Events            []string
-	DetectionDelaySec float64
-	ReconfigDelaySec  float64
-	Rejected          []string
-	RewireSummaries   []string
-	AdmittedAtSec     []float64
-	AdmitLatencySec   []float64
-	RetiredAtSec      []float64
-	ChurnDrops        []int
-	PostWindowSec     float64
-	PostAchievedBps   []float64
-	PostSLOCompliant  []bool
-}
+type ChurnOutcome = runtime.ChurnReport
 
 // SimulateChurn runs the discrete-time simulator under a deterministic
-// chain-churn schedule (the churn grammar, e.g. "admit:chain6@0.3s" or
-// "admit:web@0.1s;retire:chain2@0.6s"). Chains named by admit events must be
-// loaded into the System but are held out of the initial deployment: the run
-// starts with the remaining chains placed and deployed, then each admission
-// lands after the detection+reconfiguration window via the incremental
+// chain-churn schedule (admit and retire events in the chaos grammar, e.g.
+// "admit:chain6@0.3s" or "admit:web@0.1s;retire:chain2@0.6s"). Chains named
+// by admit events must be loaded into the System but are held out of the
+// initial deployment: the run starts with the remaining chains placed and
+// deployed, then each admission lands after the detection+reconfiguration
+// window via the incremental
 // placer.Reconfigure path (pin-preserving only — full-repack verdicts are recorded
 // as rejections), and each retirement stops the chain's load at the request
 // and reclaims its resources at the landing. Every chain offers loadFactor ×
@@ -491,14 +467,14 @@ type ChurnOutcome struct {
 // fault run, a churn run rewires its deployment in place, so each call
 // deploys fresh state; the System's cached placement is untouched.
 func (s *System) SimulateChurn(loadFactor float64, schedule string) (*SimReport, error) {
-	plan, err := churn.Parse(schedule)
+	plan, err := parseSchedule(schedule, true)
 	if err != nil {
 		return nil, err
 	}
 	admitTargets := map[string]bool{}
 	for _, ev := range plan.Events {
-		if ev.Kind == churn.Admit {
-			admitTargets[ev.Chain] = true
+		if ev.Kind == chaos.Admit {
+			admitTargets[ev.Target] = true
 		}
 	}
 	// The base chains share their graphs with the System by pointer, so the
@@ -531,7 +507,7 @@ func (s *System) SimulateChurn(loadFactor float64, schedule string) (*SimReport,
 		offered[i] = r * loadFactor
 	}
 	sim, err := runtime.New(d, s.opts.seed).Simulate(offered, runtime.SimConfig{
-		Seed: s.opts.seed, DurationSec: 0.5, Churn: plan, ChurnCatalog: catalog,
+		Seed: s.opts.seed, DurationSec: 0.5, Faults: plan, ChurnCatalog: catalog,
 		Workers: s.opts.simWorkers, SchedPolicy: s.opts.schedPolicy,
 	})
 	if err != nil {
@@ -559,11 +535,31 @@ func (d *Deployment) Simulate(loadFactor float64) (*SimReport, error) {
 // compliance. A failover run rewires the deployment in place — Deploy a
 // fresh one per run.
 func (d *Deployment) SimulateWithFaults(loadFactor float64, schedule string) (*SimReport, error) {
-	plan, err := chaos.Parse(schedule)
+	plan, err := parseSchedule(schedule, false)
 	if err != nil {
 		return nil, err
 	}
 	return d.simulate(loadFactor, plan)
+}
+
+// parseSchedule parses a schedule in the chaos grammar whose events must all
+// be churn events (admit, retire) when churn is set, else all faults (crash,
+// degrade, overload).
+func parseSchedule(schedule string, churn bool) (*chaos.Plan, error) {
+	plan, err := chaos.Parse(schedule)
+	if err != nil {
+		return nil, err
+	}
+	for _, ev := range plan.Events {
+		if ev.Kind.Churn() != churn {
+			want := "fault"
+			if churn {
+				want = "churn"
+			}
+			return nil, fmt.Errorf("lemur: %s is not a %s event", ev, want)
+		}
+	}
+	return plan, nil
 }
 
 func (d *Deployment) simulate(loadFactor float64, plan *chaos.Plan) (*SimReport, error) {
@@ -584,7 +580,7 @@ func (d *Deployment) simulate(loadFactor float64, plan *chaos.Plan) (*SimReport,
 // newSimReport translates the runtime's simulation result into the public
 // report shape.
 func newSimReport(sim *runtime.SimResult) *SimReport {
-	rep := &SimReport{
+	return &SimReport{
 		AchievedBps:        sim.AchievedBps,
 		DropRate:           sim.DropRate,
 		AvgQueueDelaySec:   sim.AvgQueueDelaySec,
@@ -592,36 +588,7 @@ func newSimReport(sim *runtime.SimResult) *SimReport {
 		DeadlineCompliance: sim.DeadlineCompliance,
 		Injected:           sim.Injected,
 		Egressed:           sim.Egressed,
+		Failover:           sim.Failover,
+		Churn:              sim.Churn,
 	}
-	if fo := sim.Failover; fo != nil {
-		rep.Failover = &FailoverOutcome{
-			Events:            fo.Events,
-			DetectionDelaySec: fo.DetectionDelaySec,
-			ReconfigDelaySec:  fo.ReconfigDelaySec,
-			ReplaceError:      fo.ReplaceError,
-			RewireSummary:     fo.RewireSummary,
-			DowntimeSec:       fo.DowntimeSec,
-			FaultDrops:        fo.FaultDrops,
-			PostWindowSec:     fo.PostWindowSec,
-			PostAchievedBps:   fo.PostAchievedBps,
-			PostSLOCompliant:  fo.PostSLOCompliant,
-		}
-	}
-	if co := sim.Churn; co != nil {
-		rep.Churn = &ChurnOutcome{
-			Events:            co.Events,
-			DetectionDelaySec: co.DetectionDelaySec,
-			ReconfigDelaySec:  co.ReconfigDelaySec,
-			Rejected:          co.Rejected,
-			RewireSummaries:   co.RewireSummaries,
-			AdmittedAtSec:     co.AdmittedAtSec,
-			AdmitLatencySec:   co.AdmitLatencySec,
-			RetiredAtSec:      co.RetiredAtSec,
-			ChurnDrops:        co.ChurnDrops,
-			PostWindowSec:     co.PostWindowSec,
-			PostAchievedBps:   co.PostAchievedBps,
-			PostSLOCompliant:  co.PostSLOCompliant,
-		}
-	}
-	return rep
 }

@@ -73,6 +73,18 @@ for t in $tests; do
 	fi
 done
 
+# --- CHANGES.md entry size -------------------------------------------------
+# From PR 22 on, a PR's CHANGES.md entry (one line) stays under 4 096 bytes:
+# the record says what changed and where to look, not the whole measurement.
+long=$(LC_ALL=C awk 'match($0, /^- PR [0-9]+/) {
+	n = substr($0, 6, RLENGTH - 5) + 0
+	if (n >= 22 && length($0) > 4096) printf "PR %d (%d bytes) ", n, length($0)
+}' CHANGES.md)
+if [ -n "$long" ]; then
+	echo "docs gate: CHANGES.md entries over 4096 bytes: $long"
+	fail=1
+fi
+
 if [ "$fail" -ne 0 ]; then
 	echo "docs gate: FAILED"
 	exit 1
