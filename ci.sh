@@ -333,6 +333,24 @@ run_guard 'TestCompileMatchesReference|TestCompileAllocsNoWorse' -count=1 ./inte
 run_guard 'TestCompileRetiredSlot' -count=1 ./internal/runtime
 run_guard 'TestDeployCompilesOncePerCall' -count=1 .
 
+# An operator op costs what it changes. lemurd parses a desired-state
+# document chain block by chain block and keeps the previous document's
+# parse of every unchanged block: the verdict on every FuzzChainSpec seed and
+# its mutations must be the whole-document parse's (testdata/
+# seed_errors.golden) with a warm cache and a cold one, a block-by-block
+# parse must never accept what Parse rejects, and no chain graph may run in
+# two slots. Apply renders only what a delta touched: after random
+# admit/retire/fail sequences its artifacts must equal a full render. A
+# one-chain admission must cost SetSpec, and Apply, within ten objects at 5
+# and at 60 live chains.
+echo "==> per-chain reuse (parse cache, incremental artifacts, live-chain cost)"
+run_guard 'TestSetSpecErrorsWarmMatchCold|TestSetSpecReusesUnchangedChains|TestNoGraphInTwoSlots' -race -count=1 ./internal/daemon
+run_guard 'TestBlocksSplit|TestParseByBlocksMatchesParse' -race -count=1 ./internal/nfspec
+run_guard 'TestIncrementalArtifactsMatchFullRender' -race -count=1 ./internal/metacompiler
+run_guard 'TestSetSpecAdmitCostFlatInLiveChains' -count=1 ./internal/daemon
+run_guard 'TestApplyAdmitCostFlatInLiveChains' -count=1 ./internal/metacompiler
+fuzz_smoke FuzzParseBlocks ./internal/nfspec
+
 # Placement cost guard: the Optimal solve on the benchmark fixture must stay
 # under its alloc ceilings — per solve and per evaluated combo — and its
 # wall-clock ceiling (~2x headroom over baseline), so a pruning, binder or
@@ -359,9 +377,9 @@ go test -run '^$' -bench 'BenchmarkEvaluateCandidate' -benchtime 1x -benchmem ./
 # schedules on every run is 380). Heap objects per cell on ctl_place_fleet
 # repeat to five digits and are held below 5500 (2500 measured; a
 # candidate's dependency lists as heap slices of their own is 8458). Heap
-# bytes per op on ctl_reconcile are held below 400000 (300 K measured; a rate
-# LP with a column per slot ever admitted and a chain prep rebuilt over every
-# slot per admission is 508 K).
+# bytes per op on ctl_reconcile are held below 250000 (130 K measured; a
+# whole-document parse and a full artifact render per op is 295 K, and a
+# rate LP with a column per slot ever admitted on top of them 508 K).
 # counted_below WORKLOAD METRIC LIMIT HINT LAST: the metric in a run's JSON
 # result line must be present and below LIMIT.
 counted_below() {
@@ -395,7 +413,7 @@ for w in $workloads; do
     sim_frame_path) counted_below "$w" allocs_per_work 0.02 'a per-packet allocation on the frame path?' "$last" ;;
     sim_stateful_hit) counted_below "$w" alloc_bytes_per_work 60 'a warm run rebuilding its flow schedules or frame buffers?' "$last" ;;
     ctl_place_fleet) counted_below "$w" allocs_per_work 5500 'per-candidate dependency lists back on the heap?' "$last" ;;
-    ctl_reconcile) counted_below "$w" alloc_bytes_per_work 400000 'the rate LP or the chain prep sized by retired slots again?' "$last" ;;
+    ctl_reconcile) counted_below "$w" alloc_bytes_per_work 250000 'a whole-document parse or full artifact render per op again?' "$last" ;;
   esac
 done
 

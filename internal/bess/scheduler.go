@@ -1,7 +1,8 @@
 package bess
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -69,58 +70,103 @@ func BuildSchedulers(pl *Pipeline, rateCaps map[string]float64) []CoreScheduler 
 // deadline-free residents appended in name order. Cores with no
 // deadline-bearing resident keep the round-robin tree verbatim, so a nil or
 // empty slackSec reproduces BuildSchedulers exactly.
+//
+// The trees of one call share two arenas, one of nodes and one of child
+// lists, so a pipeline's trees cost a handful of allocations however many
+// subgroups it runs.
 func BuildSchedulersEDF(pl *Pipeline, rateCaps, slackSec map[string]float64) []CoreScheduler {
-	byCore := make(map[int][]*Subgroup)
+	// One use per core share, in core order and pipeline order within a core.
+	type use struct {
+		core, seq int
+		sg        *Subgroup
+	}
+	n := 0
+	for _, sg := range pl.Subgroups() {
+		n += len(sg.Shares)
+	}
+	if n == 0 {
+		return nil
+	}
+	uses := make([]use, 0, n)
 	for _, sg := range pl.Subgroups() {
 		for _, s := range sg.Shares {
-			byCore[s.Core] = append(byCore[s.Core], sg)
+			uses = append(uses, use{s.Core, len(uses), sg})
 		}
 	}
-	cores := make([]int, 0, len(byCore))
-	for c := range byCore {
-		cores = append(cores, c)
+	slices.SortFunc(uses, func(a, b use) int {
+		if a.core != b.core {
+			return cmp.Compare(a.core, b.core)
+		}
+		return cmp.Compare(a.seq, b.seq)
+	})
+	cores, capped := 0, 0
+	for i, u := range uses {
+		if i == 0 || u.core != uses[i-1].core {
+			cores++
+		}
+		if c, ok := rateCaps[u.sg.Name]; ok && c > 0 {
+			capped++
+		}
 	}
-	sort.Ints(cores)
-
-	var out []CoreScheduler
-	for _, c := range cores {
-		subs := byCore[c]
-		hasDeadline := false
-		for _, sg := range subs {
-			if _, ok := slackSec[sg.Name]; ok {
-				hasDeadline = true
+	// The arenas never grow past their capacity, so node pointers and
+	// child lists stay valid.
+	nodes := make([]SchedNode, 0, cores+n+capped)
+	kids := make([]*SchedNode, 0, n+capped)
+	add := func(nd SchedNode) *SchedNode {
+		nodes = append(nodes, nd)
+		return &nodes[len(nodes)-1]
+	}
+	out := make([]CoreScheduler, 0, cores)
+	for i := 0; i < len(uses); {
+		j := i + 1
+		for j < len(uses) && uses[j].core == uses[i].core {
+			j++
+		}
+		subs := uses[i:j]
+		root := add(SchedNode{Kind: RoundRobin})
+		for _, u := range subs {
+			if _, ok := slackSec[u.sg.Name]; ok {
+				root.Kind = Deadline
 				break
 			}
 		}
-		root := &SchedNode{Kind: RoundRobin}
-		if hasDeadline {
-			root.Kind = Deadline
-			subs = append([]*Subgroup(nil), subs...)
-			sort.SliceStable(subs, func(i, j int) bool {
-				si, iok := slackSec[subs[i].Name]
-				sj, jok := slackSec[subs[j].Name]
-				if iok != jok {
-					return iok // deadline-bearing first
+		if root.Kind == Deadline {
+			slices.SortStableFunc(subs, func(a, b use) int {
+				sa, aok := slackSec[a.sg.Name]
+				sb, bok := slackSec[b.sg.Name]
+				switch {
+				case aok != bok: // deadline-bearing first
+					if aok {
+						return -1
+					}
+					return 1
+				case aok && sa != sb: // most urgent (least slack) first
+					if sa < sb {
+						return -1
+					}
+					return 1
 				}
-				if iok && si != sj {
-					return si < sj // most urgent (least slack) first
-				}
-				return subs[i].Name < subs[j].Name
+				return strings.Compare(a.sg.Name, b.sg.Name)
 			})
 		}
-		for _, sg := range subs {
-			leaf := &SchedNode{Kind: Leaf, Subgroup: sg}
-			if s, ok := slackSec[sg.Name]; ok {
+		at := len(kids)
+		kids = kids[:at+len(subs)]
+		root.Children = kids[at : at+len(subs) : at+len(subs)]
+		for k, u := range subs {
+			leaf := add(SchedNode{Kind: Leaf, Subgroup: u.sg})
+			if s, ok := slackSec[u.sg.Name]; ok {
 				leaf.SlackSec, leaf.HasSlack = s, true
 			}
 			child := leaf
-			if cap, ok := rateCaps[sg.Name]; ok && cap > 0 {
-				child = &SchedNode{Kind: RateLimit, RateBps: cap, Children: []*SchedNode{leaf}}
+			if cap, ok := rateCaps[u.sg.Name]; ok && cap > 0 {
+				kids = append(kids, leaf)
+				child = add(SchedNode{Kind: RateLimit, RateBps: cap, Children: kids[len(kids)-1 : len(kids) : len(kids)]})
 				child.SlackSec, child.HasSlack = leaf.SlackSec, leaf.HasSlack
 			}
-			root.Children = append(root.Children, child)
+			root.Children[k] = child
 		}
-		out = append(out, CoreScheduler{Core: c, Root: root})
+		out = append(out, CoreScheduler{Core: uses[i].core, Root: root})
+		i = j
 	}
 	return out
 }

@@ -285,13 +285,24 @@ func (d *Daemon) CountersSnapshot() Counters {
 // and the generation exactly as they were (the rejected-spec-isolation
 // property test pins this). source labels the origin ("api", "file:x.json")
 // in error messages and the rejection log.
+//
+// The parse reuses the current desired state's parse of every unchanged
+// chain. A reused graph is one the desired state holds, so it runs in at
+// most one slot; a spec accepted while this one parsed makes it parse again
+// against that one.
 func (d *Daemon) SetSpec(raw []byte, source string) (int64, error) {
-	vs, err := parseSpec(raw)
-	if err == nil {
-		err = d.checkImmutable(vs)
-	}
+	d.mu.Lock()
+	prev := d.desired
+	d.mu.Unlock()
+	vs, err := parseSpec(raw, prev)
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	if err == nil && d.desired != prev {
+		vs, err = parseSpec(raw, d.desired)
+	}
+	if err == nil {
+		err = d.checkImmutableLocked(vs)
+	}
 	if err != nil {
 		d.counters.RejectedSpecs++
 		mRejectedSpecs.Inc()
@@ -310,11 +321,9 @@ func (d *Daemon) SetSpec(raw []byte, source string) (int64, error) {
 	return d.generation, nil
 }
 
-// checkImmutable rejects a spec that changes the hardware or placement
+// checkImmutableLocked rejects a spec that changes the hardware or placement
 // configuration after the first apply.
-func (d *Daemon) checkImmutable(vs *validSpec) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+func (d *Daemon) checkImmutableLocked(vs *validSpec) error {
 	if d.st != nil && hardwareKey(vs.spec) != d.st.hwKey {
 		return fmt.Errorf("daemon: hardware/placement config is immutable after the first apply (have %q, spec wants %q) — restart the daemon to re-rack",
 			d.st.hwKey, hardwareKey(vs.spec))
@@ -369,7 +378,7 @@ func (d *Daemon) topoLocked() *hw.Topology {
 		return d.st.topo
 	}
 	if d.desired != nil {
-		return d.desired.spec.topology()
+		return d.desired.topo
 	}
 	return nil
 }

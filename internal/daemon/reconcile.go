@@ -206,7 +206,7 @@ func (d *Daemon) applyLocked(rr *ReconcileResult) (bool, error) {
 	if d.st == nil {
 		in := &placer.Input{
 			Chains:        append([]*nfgraph.Graph(nil), vs.graphs...),
-			Topo:          vs.spec.topology(),
+			Topo:          vs.topo,
 			DB:            defaultDB(),
 			Restrict:      restrictFor(vs.spec),
 			Parallel:      vs.spec.Placement.Parallel,

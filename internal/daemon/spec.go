@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"slices"
 
 	"lemur/internal/hw"
 	"lemur/internal/nfgraph"
@@ -87,11 +88,24 @@ type PlacementSpec struct {
 type validSpec struct {
 	raw    []byte // canonical JSON of the accepted document
 	spec   *Spec
+	topo   *hw.Topology // the validated topology spec.Hardware describes
 	chains []*nfspec.Chain
 	graphs []*nfgraph.Graph
 	// fp[i] is chains[i]'s content fingerprint; a changed fingerprint under
 	// an unchanged name is a retire-then-readmit.
 	fp []string
+	// blocks[i] is the block of spec.Chains that chains[i] was parsed from,
+	// and lets the document's let blocks in order: the next document reuses
+	// chains[i], graphs[i] and fp[i] for the same block after the same lets.
+	blocks []chainBlock
+	lets   []string
+}
+
+// chainBlock is where a chain came from: its block's text, and how many let
+// blocks preceded it.
+type chainBlock struct {
+	text string
+	lets int
 }
 
 // knownSchemes are the placement schemes a Spec may name.
@@ -163,8 +177,11 @@ func chainFingerprint(c *nfspec.Chain) (string, error) {
 // rejectable without consulting the running deployment is rejected here.
 // (Hardware/placement immutability is checked by the daemon against its
 // applied state, and placement infeasibility is a reconcile-time condition
-// handled with backoff, not a validation error.)
-func parseSpec(raw []byte) (*validSpec, error) {
+// handled with backoff, not a validation error.) prev, the accepted document
+// before this one or nil, lends its parse of every unchanged chain and its
+// topology when the hardware is unchanged; the result and every error are
+// those of a parse without it.
+func parseSpec(raw []byte, prev *validSpec) (*validSpec, error) {
 	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.DisallowUnknownFields()
 	spec := &Spec{}
@@ -189,48 +206,166 @@ func parseSpec(raw []byte) (*validSpec, error) {
 	if !knownSchemes[spec.scheme()] {
 		return nil, fmt.Errorf("daemon: unknown placement scheme %q", spec.Placement.Scheme)
 	}
-	chains, err := nfspec.Parse(spec.Chains)
-	if err != nil {
-		return nil, fmt.Errorf("daemon: chains: %w", err)
+	vs := &validSpec{raw: append([]byte(nil), raw...), spec: spec}
+	if err := vs.parseChains(prev); err != nil {
+		return nil, err
 	}
-	if len(chains) == 0 {
-		return nil, fmt.Errorf("daemon: spec declares no chains (to tear everything down, stop the daemon)")
-	}
-	vs := &validSpec{raw: append([]byte(nil), raw...), spec: spec, chains: chains}
-	seen := map[string]bool{}
-	for _, c := range chains {
-		if seen[c.Name] {
-			return nil, fmt.Errorf("daemon: duplicate chain name %q (names are the reconcile identity)", c.Name)
+	if prev != nil && prev.spec.Hardware == spec.Hardware {
+		vs.topo = prev.topo
+	} else {
+		vs.topo = spec.topology()
+		if err := vs.topo.Validate(); err != nil {
+			return nil, fmt.Errorf("daemon: hardware: %w", err)
 		}
-		seen[c.Name] = true
-		g, err := nfgraph.Build(c)
-		if err != nil {
-			return nil, fmt.Errorf("daemon: chain %q: %w", c.Name, err)
-		}
-		fp, err := chainFingerprint(c)
-		if err != nil {
-			return nil, err
-		}
-		vs.graphs = append(vs.graphs, g)
-		vs.fp = append(vs.fp, fp)
-	}
-	topo := spec.topology()
-	if err := topo.Validate(); err != nil {
-		return nil, fmt.Errorf("daemon: hardware: %w", err)
-	}
-	known := map[string]bool{}
-	for _, srv := range topo.Servers {
-		known[srv.Name] = true
-	}
-	for _, nic := range topo.SmartNICs {
-		known[nic.Name] = true
 	}
 	for _, n := range spec.FailedNodes {
-		if !known[n] {
+		if !hasDevice(vs.topo, n) {
 			return nil, fmt.Errorf("daemon: failed_nodes names unknown device %q", n)
 		}
 	}
 	return vs, nil
+}
+
+// hasDevice reports whether topo has a server or SmartNIC named name.
+func hasDevice(topo *hw.Topology, name string) bool {
+	for _, srv := range topo.Servers {
+		if srv.Name == name {
+			return true
+		}
+	}
+	for _, nic := range topo.SmartNICs {
+		if nic.Name == name {
+			return true
+		}
+	}
+	return false
+}
+
+// parseChains parses spec.Chains by block: a chain block whose text and
+// preceding let blocks match one of prev's keeps prev's chain, graph and
+// fingerprint, and only the other blocks are parsed, built and
+// fingerprinted. Anything the blocks cannot settle — a document that does
+// not split, a block that fails, a repeated name, no chain — is parsed
+// whole, so every error is the whole-document parse's.
+func (vs *validSpec) parseChains(prev *validSpec) error {
+	var blocks []nfspec.Block
+	if prev != nil {
+		blocks = make([]nfspec.Block, 0, len(prev.blocks)+len(prev.lets)+1)
+	}
+	blocks, ok := nfspec.Blocks(blocks, vs.spec.Chains)
+	if !ok {
+		return vs.parseWhole()
+	}
+	n := 0 // chain blocks
+	for _, b := range blocks {
+		if !b.Let {
+			n++
+		}
+	}
+	vs.chains = make([]*nfspec.Chain, 0, n)
+	vs.graphs = make([]*nfgraph.Graph, 0, n)
+	vs.fp = make([]string, 0, n)
+	vs.blocks = make([]chainBlock, 0, n)
+	var macros nfspec.Macros
+	var fresh []int // indices of the chains parsed here
+	for _, b := range blocks {
+		if b.Let {
+			if _, err := macros.ParseBlock(b); err != nil {
+				return vs.parseWhole()
+			}
+			vs.lets = append(vs.lets, b.Text)
+			continue
+		}
+		cb := chainBlock{text: b.Text, lets: len(vs.lets)}
+		var c *nfspec.Chain
+		if j := prev.find(cb, vs.lets, len(vs.chains)); j >= 0 {
+			c = prev.chains[j]
+			vs.graphs = append(vs.graphs, prev.graphs[j])
+			vs.fp = append(vs.fp, prev.fp[j])
+		} else {
+			var err error
+			if c, err = macros.ParseBlock(b); err != nil {
+				return vs.parseWhole()
+			}
+			fresh = append(fresh, len(vs.chains))
+			vs.graphs = append(vs.graphs, nil)
+			vs.fp = append(vs.fp, "")
+		}
+		for _, have := range vs.chains {
+			if have.Name == c.Name {
+				return vs.parseWhole()
+			}
+		}
+		vs.chains = append(vs.chains, c)
+		vs.blocks = append(vs.blocks, cb)
+	}
+	if len(vs.chains) == 0 {
+		return vs.parseWhole()
+	}
+	for _, i := range fresh {
+		if err := vs.build(i); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// parseWhole parses spec.Chains as one document, building every chain. It
+// settles what parseChains cannot; the chains it returns key no reuse.
+func (vs *validSpec) parseWhole() error {
+	chains, err := nfspec.Parse(vs.spec.Chains)
+	if err != nil {
+		return fmt.Errorf("daemon: chains: %w", err)
+	}
+	if len(chains) == 0 {
+		return fmt.Errorf("daemon: spec declares no chains (to tear everything down, stop the daemon)")
+	}
+	vs.chains, vs.blocks, vs.lets = chains, nil, nil
+	vs.graphs = make([]*nfgraph.Graph, len(chains))
+	vs.fp = make([]string, len(chains))
+	seen := map[string]bool{}
+	for i, c := range chains {
+		if seen[c.Name] {
+			return fmt.Errorf("daemon: duplicate chain name %q (names are the reconcile identity)", c.Name)
+		}
+		seen[c.Name] = true
+		if err := vs.build(i); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// build builds and fingerprints chains[i].
+func (vs *validSpec) build(i int) error {
+	c := vs.chains[i]
+	g, err := nfgraph.Build(c)
+	if err != nil {
+		return fmt.Errorf("daemon: chain %q: %w", c.Name, err)
+	}
+	fp, err := chainFingerprint(c)
+	if err != nil {
+		return err
+	}
+	vs.graphs[i], vs.fp[i] = g, fp
+	return nil
+}
+
+// find returns the index of vs's chain parsed from block cb after the let
+// blocks lets[:cb.lets], or -1. Documents mostly keep their order, so the
+// search starts at hint.
+func (vs *validSpec) find(cb chainBlock, lets []string, hint int) int {
+	if vs == nil || len(vs.blocks) == 0 || cb.lets > len(vs.lets) ||
+		!slices.Equal(vs.lets[:cb.lets], lets[:cb.lets]) {
+		return -1
+	}
+	n := len(vs.blocks)
+	for k := 0; k < n; k++ {
+		if j := (hint + k) % n; vs.blocks[j] == cb {
+			return j
+		}
+	}
+	return -1
 }
 
 // hardwareKey renders the immutable-after-first-apply portion of a spec for

@@ -64,10 +64,11 @@ func compileReference(in *placer.Input, res *placer.Result) (*Deployment, error)
 		}
 	}
 
-	if err := d.generateArtifacts(); err != nil {
+	a, err := d.generateArtifacts(nil, nil, nil)
+	if err != nil {
 		return nil, err
 	}
-	a := d.Artifacts
+	d.Artifacts = a
 	obs.C("lemur_compiles_total").Inc()
 	obs.G("lemur_compile_lines", obs.L("kind", "p4")).Set(float64(a.P4TotalLines))
 	obs.G("lemur_compile_lines", obs.L("kind", "p4_handwritten")).Set(float64(a.HandwrittenP4Lines))

@@ -86,7 +86,11 @@ func Compile(in *placer.Input, res *placer.Result) (*Deployment, error) {
 	if err := d.install(res, slots); err != nil {
 		return nil, err
 	}
-	a := d.Artifacts
+	a, err := d.generateArtifacts(nil, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	d.Artifacts = a
 	obs.C("lemur_compiles_total").Inc()
 	obs.G("lemur_compile_lines", obs.L("kind", "p4")).Set(float64(a.P4TotalLines))
 	obs.G("lemur_compile_lines", obs.L("kind", "p4_handwritten")).Set(float64(a.HandwrittenP4Lines))
@@ -115,9 +119,9 @@ func instantiate(insts map[*nfgraph.Node]nf.NF, g *nfgraph.Graph) error {
 
 // install is the half of standing up a deployment that Compile and Apply
 // share: it takes next as the deployment's placement, gives cores to the
-// subgroups that hold none, installs every listed chain that still runs
+// subgroups that hold none, and installs every listed chain that still runs
 // with fresh NF instances (a chain's state restarts, as on a real
-// migration), and renders the artifacts once.
+// migration). The caller renders the artifacts once after it.
 func (d *Deployment) install(next *placer.Result, chains []int) error {
 	d.Result = next
 	if err := d.assignFreeCores(); err != nil {
@@ -135,7 +139,7 @@ func (d *Deployment) install(next *placer.Result, chains []int) error {
 			return err
 		}
 	}
-	return d.generateArtifacts()
+	return nil
 }
 
 // assignFreeCores gives concrete core shares to every subgroup of the
@@ -149,7 +153,15 @@ func (d *Deployment) assignFreeCores() error {
 		server string
 		core   int
 	}
-	used := map[serverCore]bool{}
+	held := 0 // cores held once every subgroup has its shares
+	for _, psg := range d.Result.Subgroups {
+		if shares, ok := d.Shares[psg]; ok {
+			held += len(shares)
+		} else {
+			held += psg.Cores
+		}
+	}
+	used := make(map[serverCore]bool, held)
 	for _, psg := range d.Result.Subgroups {
 		for _, s := range d.Shares[psg] {
 			used[serverCore{psg.Server, s.Core}] = true

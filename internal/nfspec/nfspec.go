@@ -88,35 +88,98 @@ func (c *Chain) Instance(name string) *Instance {
 // Parse parses a spec file possibly containing multiple chains and macro
 // (let) definitions.
 func Parse(src string) ([]*Chain, error) {
-	p := &parser{lx: newLexer(src), macros: map[string]value{}}
+	p := &parser{lx: newLexer(src, 1), macros: map[string]value{}}
 	var chains []*Chain
-	for {
-		tok := p.peek()
-		switch {
-		case tok.kind == tEOF:
-			if len(chains) == 0 {
-				return nil, fmt.Errorf("nfspec: no chains defined")
-			}
-			return chains, nil
-		case tok.kind == tIdent && tok.text == "let":
-			if err := p.parseLet(); err != nil {
-				return nil, err
-			}
-		case tok.kind == tIdent && tok.text == "chain":
-			c, err := p.parseChain()
-			if err != nil {
-				return nil, err
-			}
-			for _, prev := range chains {
-				if prev.Name == c.Name {
-					return nil, fmt.Errorf("nfspec: duplicate chain %q", c.Name)
-				}
-			}
-			chains = append(chains, c)
-		default:
-			return nil, fmt.Errorf("nfspec: line %d: expected 'chain' or 'let', got %q", tok.line, tok.text)
+	for p.peek().kind != tEOF {
+		c, err := p.parseBlock()
+		if err != nil {
+			return nil, err
 		}
+		if c == nil {
+			continue
+		}
+		for _, prev := range chains {
+			if prev.Name == c.Name {
+				return nil, fmt.Errorf("nfspec: duplicate chain %q", c.Name)
+			}
+		}
+		chains = append(chains, c)
 	}
+	if len(chains) == 0 {
+		return nil, fmt.Errorf("nfspec: no chains defined")
+	}
+	return chains, nil
+}
+
+// Block is one top-level definition of a spec document: a let or a chain,
+// from its keyword through its last token.
+type Block struct {
+	Let  bool   // a let definition; otherwise a chain
+	Text string // the definition's text, a substring of the document
+	Line int    // the document line the keyword is on
+}
+
+// Blocks appends the top-level blocks of src to dst in document order. A
+// let or chain keyword starts a block only outside braces, brackets and
+// parentheses, and strings and comments are skipped as the lexer skips
+// them; lexing allocates nothing. ok is false when src does not split that
+// way (a token before the first keyword, an unterminated string, unbalanced
+// brackets); Parse then reports what is wrong with it.
+func Blocks(dst []Block, src string) (blocks []Block, ok bool) {
+	l := lexer{src: src, line: 1}
+	depth, start, end := 0, -1, 0
+	for l.scan(); l.tok.kind != tEOF; l.scan() {
+		t := l.tok
+		if t.kind == tPunct {
+			switch t.text {
+			case "{", "[", "(":
+				depth++
+			case "}", "]", ")":
+				if depth--; depth < 0 {
+					return dst, false
+				}
+			case "\x00unterminated":
+				return dst, false
+			}
+		}
+		if t.kind == tIdent && depth == 0 && (t.text == "let" || t.text == "chain") {
+			if start >= 0 {
+				dst[len(dst)-1].Text = src[start:end]
+			}
+			start = t.pos
+			dst = append(dst, Block{Let: t.text == "let", Line: t.line})
+		} else if start < 0 {
+			return dst, false
+		}
+		end = l.pos
+	}
+	if start >= 0 {
+		dst[len(dst)-1].Text = src[start:end]
+	}
+	return dst, depth == 0
+}
+
+// Macros is the environment the let blocks of a document define, for
+// parsing the document one block at a time. The zero value is empty.
+type Macros struct{ defs map[string]value }
+
+// ParseBlock parses one block of a document (see Blocks) against the let
+// blocks before it, which must have gone through m in document order. A let
+// extends m and yields a nil chain. The block must hold exactly one
+// definition; error text and line numbers are Parse's for the same tokens.
+func (m *Macros) ParseBlock(b Block) (*Chain, error) {
+	if m.defs == nil {
+		m.defs = map[string]value{}
+	}
+	p := &parser{lx: newLexer(b.Text, b.Line), macros: m.defs}
+	c, err := p.parseBlock()
+	if err == nil && p.peek().kind != tEOF {
+		err = p.topLevelError()
+	}
+	if err != nil {
+		return nil, err
+	}
+	return c, nil
 }
 
 // value is a parsed literal: float64, string, bool, or []string.
@@ -138,29 +201,36 @@ type token struct {
 	kind tokKind
 	text string
 	line int
+	pos  int // byte offset in the lexer's source
 }
 
+// lexer produces tokens on demand: tok is the lookahead, the token the
+// parser takes next, and scan replaces it with the one after. Token texts
+// are substrings of the source, so only an unrecognised byte allocates.
 type lexer struct {
 	src  string
 	pos  int
 	line int
-	toks []token
+	tok  token
 }
 
-func newLexer(src string) *lexer {
-	l := &lexer{src: src, line: 1}
-	l.run()
+// newLexer starts lexing src, whose first byte is on document line line.
+func newLexer(src string, line int) lexer {
+	l := lexer{src: src, line: line}
+	l.scan()
 	return l
 }
 
-func (l *lexer) emit(k tokKind, text string) {
-	l.toks = append(l.toks, token{kind: k, text: text, line: l.line})
+func (l *lexer) emit(k tokKind, text string, pos int) {
+	l.tok = token{kind: k, text: text, line: l.line, pos: pos}
 }
 
-func (l *lexer) run() {
+// scan lexes the next token into tok; past the end of the source it is
+// tEOF.
+func (l *lexer) scan() {
 	s := l.src
 	for l.pos < len(s) {
-		c := s[l.pos]
+		c, start := s[l.pos], l.pos
 		switch {
 		case c == '\n':
 			l.line++
@@ -172,11 +242,13 @@ func (l *lexer) run() {
 				l.pos++
 			}
 		case c == '-' && l.pos+1 < len(s) && s[l.pos+1] == '>':
-			l.emit(tPunct, "->")
 			l.pos += 2
+			l.emit(tPunct, s[start:l.pos], start)
+			return
 		case strings.IndexByte("=(){}[],", c) >= 0:
-			l.emit(tPunct, string(c))
 			l.pos++
+			l.emit(tPunct, s[start:l.pos], start)
+			return
 		case c == '"' || c == '\'':
 			quote := c
 			j := l.pos + 1
@@ -187,33 +259,37 @@ func (l *lexer) run() {
 				j++
 			}
 			if j >= len(s) {
-				l.emit(tPunct, "\x00unterminated")
 				l.pos = len(s)
-				break
+				l.emit(tPunct, "\x00unterminated", start)
+				return
 			}
-			l.emit(tString, s[l.pos+1:j])
 			l.pos = j + 1
+			l.emit(tString, s[start+1:j], start)
+			return
 		case c >= '0' && c <= '9' || (c == '.' || c == '-') && l.pos+1 < len(s) && s[l.pos+1] >= '0' && s[l.pos+1] <= '9':
 			j := l.pos + 1 // the sign (or first digit/dot) is consumed
 			for j < len(s) && (s[j] >= '0' && s[j] <= '9' || s[j] == '.' ||
 				s[j] >= 'a' && s[j] <= 'z' || s[j] >= 'A' && s[j] <= 'Z' || s[j] == '/') {
 				j++
 			}
-			l.emit(tNumber, s[l.pos:j])
 			l.pos = j
+			l.emit(tNumber, s[start:j], start)
+			return
 		case isIdentByte(c):
 			j := l.pos
 			for j < len(s) && (isIdentByte(s[j]) || s[j] >= '0' && s[j] <= '9' || s[j] == '.') {
 				j++
 			}
-			l.emit(tIdent, s[l.pos:j])
 			l.pos = j
+			l.emit(tIdent, s[start:j], start)
+			return
 		default:
-			l.emit(tPunct, "\x00bad:"+string(c))
 			l.pos++
+			l.emit(tPunct, "\x00bad:"+string(c), start)
+			return
 		}
 	}
-	l.emit(tEOF, "")
+	l.emit(tEOF, "", l.pos)
 }
 
 func isIdentByte(c byte) bool {
@@ -223,13 +299,30 @@ func isIdentByte(c byte) bool {
 // ---- parser ----
 
 type parser struct {
-	lx     *lexer
-	pos    int
+	lx     lexer
 	macros map[string]value
 }
 
-func (p *parser) peek() token { return p.lx.toks[p.pos] }
-func (p *parser) next() token { t := p.lx.toks[p.pos]; p.pos++; return t }
+func (p *parser) peek() token { return p.lx.tok }
+func (p *parser) next() token { t := p.lx.tok; p.lx.scan(); return t }
+
+// parseBlock parses the let or chain definition at the parser's position;
+// a let yields a nil chain.
+func (p *parser) parseBlock() (*Chain, error) {
+	switch t := p.peek(); {
+	case t.kind == tIdent && t.text == "let":
+		return nil, p.parseLet()
+	case t.kind == tIdent && t.text == "chain":
+		return p.parseChain()
+	}
+	return nil, p.topLevelError()
+}
+
+// topLevelError rejects a token where a definition must start.
+func (p *parser) topLevelError() error {
+	t := p.peek()
+	return fmt.Errorf("nfspec: line %d: expected 'chain' or 'let', got %q", t.line, t.text)
+}
 
 func (p *parser) expectPunct(text string) error {
 	t := p.next()
