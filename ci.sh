@@ -169,8 +169,10 @@ run_guard 'TestForEach|TestFailoverSweepErrorDeterministic' -race -count=1 ./int
 # Sharded/reference table identity: the sharded arena tables against the
 # map-backed references that now live only in internal/nf's test files — NF
 # by NF, and through the whole simulator over 50+ random stateful topologies.
-echo "==> sharded/reference NF table identity (race)"
-run_guard 'TestShardedMatchesReference|TestShardedTablesMatchReference' -race -count=1 ./internal/nf
+# A table allocates what it holds: filling one to its cap costs at most 2.2x
+# its final arena and slot index, and evict-then-insert at the cap nothing.
+echo "==> sharded/reference NF table identity, table allocation bound (race)"
+run_guard 'TestShardedMatchesReference|TestShardedTablesMatchReference|TestFlowTableAllocBound' -race -count=1 ./internal/nf
 
 # Fuzz smoke: ten seconds of FuzzReplace exercises the incremental door's
 # invariants (pinning, no-failure identity, combined retire/admit/fail
@@ -195,6 +197,9 @@ run_guard 'TestScheduleGenDigest|TestBornAtMatchesStored|TestScheduleIntoRejects
 # FuzzVLANInPlace: the in-place VLAN push/pop against the allocating
 # reference kept in the test file, on arbitrary frames and capacities.
 fuzz_smoke FuzzVLANInPlace ./internal/nf
+# FuzzFlowTable: arbitrary insert/get/evict sequences on the insertion-order
+# arena against a map plus a queue, at caps 0-31 under a colliding hash.
+fuzz_smoke FuzzFlowTable ./internal/nf
 
 # Coverage gate: total statement coverage must not regress below the
 # recorded baseline (80.0% when this gate was added; the floor leaves a small

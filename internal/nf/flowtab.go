@@ -6,25 +6,27 @@ import "lemur/internal/obs"
 // per-flow state that the original implementation held in flat Go maps; at
 // millions of concurrent flows those maps collapse under GC pressure (every
 // entry is a separately scanned object) and rehash pauses. flowTable is the
-// replacement: a power-of-two sharded open-addressing table over a flat
-// entry arena, keyed by a caller-precomputed 64-bit flow hash.
+// replacement: one flat entry arena per table, indexed by a power-of-two
+// sharded open-addressing slot array, keyed by a caller-precomputed 64-bit
+// flow hash.
 //
-//   - Sharded: the hash's top bits pick one of 16 shards, so shards grow
-//     independently (bounded rehash pauses) and the layout is ready for
-//     per-core partitioning when NF replication wants it.
-//   - Open addressing: each shard probes a power-of-two slot index linearly
-//     from the hash's low bits; deletion backward-shifts the cluster so no
-//     tombstones accumulate under eviction churn.
-//   - Arena entries: key/value pairs live in a flat per-shard slice reused
-//     through a freelist, so steady-state insert/evict cycles allocate
-//     nothing and the GC scans one object per shard, not one per flow.
-//   - FIFO eviction: tables capped by an NF parameter (Monitor max_flows,
-//     Dedup cache, LB affinity) evict the oldest live entry, tracked by a
-//     fixed ring of (hash, key) pairs in insertion order. The retained
-//     map-backed reference implementations (reference_test.go) use the same
-//     policy, which is what keeps the two byte-identical under pressure —
-//     the old "evict whatever map iteration yields first" was unobservable
-//     only because no test pushed the tables past their caps.
+//   - The arena is the FIFO: entries live in a ring in insertion order
+//     (ents[(head+i) % len(ents)] is the i-th oldest). insert writes at the
+//     tail and evictOldest pops the head; the NFs never delete any other
+//     entry (NAT never deletes at all), so no freelist and no second copy of
+//     the keys is needed to know eviction order. Tables capped by an NF
+//     parameter (Monitor max_flows, Dedup cache, LB affinity) therefore evict
+//     the oldest live entry, as the map-backed references (reference_test.go)
+//     do — which is what keeps the two byte-identical under pressure.
+//   - Sharded index: the hash's top bits pick one of 16 shards, each a slot
+//     array of arena positions probed linearly from the hash's low bits.
+//     Shards grow independently (bounded rehash pauses); eviction
+//     backward-shifts the probe cluster so no tombstones accumulate.
+//   - Explicit growth: the arena doubles 16, 32, … up to the cap and is
+//     never grown by append, so filling a table allocates at most twice its
+//     final arena, and steady-state evict/insert cycles allocate nothing.
+//     Growth unrolls a wrapped ring to head 0 and renumbers the slots once.
+//     The GC scans one arena per table, not one object per flow.
 //
 // The table is deliberately not goroutine-safe: NF Process is single-
 // threaded per instance (the paper's run-to-completion subgroups), and the
@@ -35,6 +37,7 @@ const (
 	flowShardShift = 64 - 4    // hash top bits pick the shard
 	flowSlotEmpty  = int32(-1) // empty open-addressing slot
 	minShardSlots  = 16        // initial per-shard slot count
+	minArena       = 16        // initial arena length
 )
 
 // mix64 finalizes a 64-bit key into a well-distributed hash (splitmix64
@@ -56,188 +59,30 @@ type tabEntry[K comparable, V any] struct {
 	val  V
 }
 
-// tabShard is one open-addressing shard: a power-of-two slot index over the
-// entry arena plus a freelist recycling evicted entries.
-type tabShard[K comparable, V any] struct {
-	slots   []int32 // arena indices, flowSlotEmpty when vacant
-	mask    uint64
-	entries []tabEntry[K, V]
-	free    []int32
-	n       int
-}
-
-func (s *tabShard[K, V]) init() {
-	s.slots = make([]int32, minShardSlots)
-	for i := range s.slots {
-		s.slots[i] = flowSlotEmpty
-	}
-	s.mask = uint64(len(s.slots) - 1)
-}
-
-func (s *tabShard[K, V]) get(h uint64, k K) *V {
-	if s.slots == nil {
-		return nil
-	}
-	i := h & s.mask
-	for {
-		ei := s.slots[i]
-		if ei == flowSlotEmpty {
-			return nil
-		}
-		if e := &s.entries[ei]; e.hash == h && e.key == k {
-			return &e.val
-		}
-		i = (i + 1) & s.mask
-	}
-}
-
-// place probes for the first vacant slot and installs the arena index.
-func (s *tabShard[K, V]) place(ei int32) {
-	i := s.entries[ei].hash & s.mask
-	for s.slots[i] != flowSlotEmpty {
-		i = (i + 1) & s.mask
-	}
-	s.slots[i] = ei
-}
-
-func (s *tabShard[K, V]) grow() {
-	old := s.slots
-	s.slots = make([]int32, len(old)*2)
-	for i := range s.slots {
-		s.slots[i] = flowSlotEmpty
-	}
-	s.mask = uint64(len(s.slots) - 1)
-	for _, ei := range old {
-		if ei != flowSlotEmpty {
-			s.place(ei)
-		}
-	}
-}
-
-// insert adds a key the caller has verified absent and returns a pointer to
-// its zero value, valid until the next mutation of the shard.
-func (s *tabShard[K, V]) insert(h uint64, k K) *V {
-	if s.slots == nil {
-		s.init()
-	}
-	// Load factor 3/4: grow before the probe chains degrade.
-	if (s.n+1)*4 > len(s.slots)*3 {
-		s.grow()
-	}
-	var ei int32
-	if nf := len(s.free); nf > 0 {
-		ei = s.free[nf-1]
-		s.free = s.free[:nf-1]
-		s.entries[ei] = tabEntry[K, V]{hash: h, key: k}
-	} else {
-		s.entries = append(s.entries, tabEntry[K, V]{hash: h, key: k})
-		ei = int32(len(s.entries) - 1)
-	}
-	s.place(ei)
-	s.n++
-	return &s.entries[ei].val
-}
-
-// del removes a key, backward-shifting the probe cluster so lookups never
-// cross tombstones. Returns false if the key is absent.
-func (s *tabShard[K, V]) del(h uint64, k K) bool {
-	if s.slots == nil {
-		return false
-	}
-	i := h & s.mask
-	for {
-		ei := s.slots[i]
-		if ei == flowSlotEmpty {
-			return false
-		}
-		if e := &s.entries[ei]; e.hash == h && e.key == k {
-			var zero tabEntry[K, V]
-			s.entries[ei] = zero // release key/value references to the GC
-			s.free = append(s.free, ei)
-			break
-		}
-		i = (i + 1) & s.mask
-	}
-	// Backward-shift deletion: pull each displaced cluster member into the
-	// hole if its ideal slot lies at or before the hole (cyclically).
-	j := i
-	for {
-		j = (j + 1) & s.mask
-		ej := s.slots[j]
-		if ej == flowSlotEmpty {
-			break
-		}
-		ideal := s.entries[ej].hash & s.mask
-		if ((j - ideal) & s.mask) >= ((j - i) & s.mask) {
-			s.slots[i] = ej
-			i = j
-		}
-	}
-	s.slots[i] = flowSlotEmpty
-	s.n--
-	return true
-}
-
-// fifoEnt is one insertion-order record: the key plus its precomputed hash,
-// so eviction never rehashes.
-type fifoEnt[K comparable] struct {
-	hash uint64
-	key  K
-}
-
-// fifoRing is a growable circular buffer of live keys in insertion order.
-// Only eviction removes keys, and the NFs never delete individually, so the
-// ring head is always the oldest live entry.
-type fifoRing[K comparable] struct {
-	buf  []fifoEnt[K]
-	head int
-	n    int
-}
-
-func (r *fifoRing[K]) push(h uint64, k K) {
-	if r.n == len(r.buf) {
-		want := 2 * len(r.buf)
-		if want < minShardSlots {
-			want = minShardSlots
-		}
-		grown := make([]fifoEnt[K], want)
-		for i := 0; i < r.n; i++ {
-			grown[i] = r.buf[(r.head+i)%len(r.buf)]
-		}
-		r.buf, r.head = grown, 0
-	}
-	r.buf[(r.head+r.n)%len(r.buf)] = fifoEnt[K]{hash: h, key: k}
-	r.n++
-}
-
-func (r *fifoRing[K]) pop() fifoEnt[K] {
-	e := r.buf[r.head]
-	var zero fifoEnt[K]
-	r.buf[r.head] = zero
-	r.head = (r.head + 1) % len(r.buf)
-	r.n--
-	return e
+// tabShard is one shard's open-addressing index into the table's arena.
+type tabShard struct {
+	slots []int32 // arena positions, flowSlotEmpty when vacant
+	mask  uint64
+	n     int
 }
 
 // flowTable is the sharded table handed to the NFs. max caps the live entry
 // count; evict selects the over-capacity policy (FIFO eviction vs caller-
 // handled rejection, which is what NAT does).
 type flowTable[K comparable, V any] struct {
-	shards [flowShardCount]tabShard[K, V]
+	ents   []tabEntry[K, V] // insertion-order ring of the n live entries
+	head   int              // arena position of the oldest live entry
 	n      int
 	max    int
-	fifo   *fifoRing[K]
+	evict  bool
+	shards [flowShardCount]tabShard
 }
 
-// newFlowTable builds a table capped at max entries (0 = unbounded). When
-// evict is set the table maintains the FIFO ring evictOldest consumes;
-// callers that reject instead (NAT) skip the ring's bookkeeping.
+// newFlowTable builds a table capped at max entries (≤ 0 = unbounded). Only
+// a table built with evict set gives up entries to evictOldest; callers that
+// reject instead (NAT) never lose one.
 func newFlowTable[K comparable, V any](max int, evict bool) *flowTable[K, V] {
-	t := &flowTable[K, V]{max: max}
-	if evict {
-		t.fifo = &fifoRing[K]{}
-	}
-	return t
+	return &flowTable[K, V]{max: max, evict: evict}
 }
 
 func (t *flowTable[K, V]) count() int { return t.n }
@@ -246,29 +91,126 @@ func (t *flowTable[K, V]) count() int { return t.n }
 func (t *flowTable[K, V]) full() bool { return t.max > 0 && t.n >= t.max }
 
 func (t *flowTable[K, V]) get(h uint64, k K) *V {
-	return t.shards[h>>flowShardShift].get(h, k)
-}
-
-// insert adds an absent key and returns its zero-valued slot. The pointer is
-// valid until the next insert/evict on the same table.
-func (t *flowTable[K, V]) insert(h uint64, k K) *V {
-	t.n++
-	if t.fifo != nil {
-		t.fifo.push(h, k)
+	s := &t.shards[h>>flowShardShift]
+	if s.n == 0 {
+		return nil
 	}
-	return t.shards[h>>flowShardShift].insert(h, k)
+	for i := h & s.mask; ; i = (i + 1) & s.mask {
+		ei := s.slots[i]
+		if ei == flowSlotEmpty {
+			return nil
+		}
+		if e := &t.ents[ei]; e.hash == h && e.key == k {
+			return &e.val
+		}
+	}
 }
 
-// evictOldest removes the oldest live entry (FIFO), returning its key.
+// insert adds an absent key at the ring's tail and returns its zero-valued
+// slot. The pointer is valid until the next insert/evict on the same table.
+func (t *flowTable[K, V]) insert(h uint64, k K) *V {
+	if t.n == len(t.ents) {
+		t.grow()
+	}
+	ei := t.head + t.n
+	if ei >= len(t.ents) {
+		ei -= len(t.ents)
+	}
+	t.n++
+	t.ents[ei] = tabEntry[K, V]{hash: h, key: k}
+	s := &t.shards[h>>flowShardShift]
+	// Load factor 3/4: grow the index before the probe chains degrade.
+	if (s.n+1)*4 > len(s.slots)*3 {
+		t.growShard(s)
+	}
+	t.place(s, h, int32(ei))
+	s.n++
+	return &t.ents[ei].val
+}
+
+// place probes for the first vacant slot and installs the arena position.
+func (t *flowTable[K, V]) place(s *tabShard, h uint64, ei int32) {
+	i := h & s.mask
+	for s.slots[i] != flowSlotEmpty {
+		i = (i + 1) & s.mask
+	}
+	s.slots[i] = ei
+}
+
+func (t *flowTable[K, V]) growShard(s *tabShard) {
+	old := s.slots
+	s.slots = make([]int32, max(2*len(old), minShardSlots))
+	for i := range s.slots {
+		s.slots[i] = flowSlotEmpty
+	}
+	s.mask = uint64(len(s.slots) - 1)
+	for _, ei := range old {
+		if ei != flowSlotEmpty {
+			t.place(s, t.ents[ei].hash, ei)
+		}
+	}
+}
+
+// grow doubles the full arena, capped at max, copying the ring out oldest
+// first. If the ring had wrapped, every slot's position moves back by head.
+func (t *flowTable[K, V]) grow() {
+	old := len(t.ents)
+	want := max(2*old, minArena)
+	if t.max > old {
+		want = min(want, t.max)
+	}
+	ents := make([]tabEntry[K, V], want)
+	copy(ents[copy(ents, t.ents[t.head:]):], t.ents[:t.head])
+	if t.head != 0 {
+		head := int32(t.head)
+		for si := range t.shards {
+			slots := t.shards[si].slots
+			for i, ei := range slots {
+				if ei == flowSlotEmpty {
+					continue
+				}
+				if ei -= head; ei < 0 {
+					ei += int32(old)
+				}
+				slots[i] = ei
+			}
+		}
+	}
+	t.ents, t.head = ents, 0
+}
+
+// evictOldest removes the oldest live entry (the ring's head), returning its
+// key.
 func (t *flowTable[K, V]) evictOldest() (K, bool) {
-	if t.fifo == nil || t.fifo.n == 0 {
+	if !t.evict || t.n == 0 {
 		var zero K
 		return zero, false
 	}
-	e := t.fifo.pop()
-	t.shards[e.hash>>flowShardShift].del(e.hash, e.key)
+	e := &t.ents[t.head]
+	k := e.key
+	s := &t.shards[e.hash>>flowShardShift]
+	i := e.hash & s.mask
+	for s.slots[i] != int32(t.head) {
+		i = (i + 1) & s.mask
+	}
+	// Backward-shift deletion: pull each displaced cluster member into the
+	// hole if its ideal slot lies at or before the hole (cyclically), so
+	// lookups never cross tombstones.
+	for j := (i + 1) & s.mask; s.slots[j] != flowSlotEmpty; j = (j + 1) & s.mask {
+		ideal := t.ents[s.slots[j]].hash & s.mask
+		if (j-ideal)&s.mask >= (j-i)&s.mask {
+			s.slots[i] = s.slots[j]
+			i = j
+		}
+	}
+	s.slots[i] = flowSlotEmpty
+	s.n--
+	*e = tabEntry[K, V]{} // release key/value references to the GC
+	if t.head++; t.head == len(t.ents) {
+		t.head = 0
+	}
 	t.n--
-	return e.key, true
+	return k, true
 }
 
 // State-table observability. Every stateful NF exports its live occupancy

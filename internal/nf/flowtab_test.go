@@ -2,70 +2,212 @@ package nf
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"lemur/internal/packet"
 )
 
 // badHash maps keys onto 4 shards and 8 slot residues so probe chains get
-// deep and deletions exercise the backward-shift path. It is a valid (if
+// deep and evictions exercise the backward-shift path. It is a valid (if
 // terrible) hash: deterministic per key.
 func badHash(k uint64) uint64 {
 	return (k%4)<<flowShardShift | (k % 8)
 }
 
-// TestTabShardAgainstMapOracle drives one shard with a random insert/get/del
-// workload under a collision-heavy hash and checks every lookup against a
-// plain map. This is the open-addressing core: growth, probe chains, and
-// backward-shift deletion (no tombstones) all trigger at this size.
-func TestTabShardAgainstMapOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	var s tabShard[uint64, uint64]
-	oracle := map[uint64]uint64{}
-	keys := []uint64{}
-	for op := 0; op < 20000; op++ {
-		switch r := rng.Intn(10); {
-		case r < 5: // insert a fresh key
-			k := uint64(rng.Intn(4096))
-			if _, dup := oracle[k]; dup {
-				continue
+// tableOracle drives a flowTable under badHash and a plain map plus an
+// insertion-order queue with the same operations, failing on the first
+// disagreement. Inserts into a full table evict first, as the NFs do.
+type tableOracle struct {
+	t     testing.TB
+	tab   *flowTable[uint64, uint64]
+	vals  map[uint64]uint64
+	queue []uint64 // live keys, oldest first
+
+	wraps        int // evictions that moved the ring's head back to 0
+	wrappedGrows int // arena growths with the ring's head not at 0
+}
+
+func newTableOracle(t testing.TB, max int) *tableOracle {
+	return &tableOracle{t: t, tab: newFlowTable[uint64, uint64](max, true), vals: map[uint64]uint64{}}
+}
+
+// insert adds k (a no-op but a lookup when k is live).
+func (o *tableOracle) insert(k, v uint64) {
+	if _, live := o.vals[k]; live {
+		o.get(k)
+		return
+	}
+	if o.tab.full() {
+		o.evict()
+	}
+	if o.tab.n == len(o.tab.ents) && o.tab.head != 0 {
+		o.wrappedGrows++
+	}
+	*o.tab.insert(badHash(k), k) = v
+	o.vals[k] = v
+	o.queue = append(o.queue, k)
+	o.checkCount()
+}
+
+func (o *tableOracle) get(k uint64) {
+	got := o.tab.get(badHash(k), k)
+	want, live := o.vals[k]
+	if live != (got != nil) {
+		o.t.Fatalf("get(%d) present=%v, oracle=%v", k, got != nil, live)
+	}
+	if live && *got != want {
+		o.t.Fatalf("get(%d) = %d, want %d", k, *got, want)
+	}
+}
+
+func (o *tableOracle) evict() {
+	k, ok := o.tab.evictOldest()
+	if ok != (len(o.queue) > 0) {
+		o.t.Fatalf("evictOldest ok=%v with %d live keys", ok, len(o.queue))
+	}
+	if !ok {
+		return
+	}
+	if k != o.queue[0] {
+		o.t.Fatalf("evicted %d, want oldest %d", k, o.queue[0])
+	}
+	delete(o.vals, k)
+	o.queue = o.queue[1:]
+	if o.tab.head == 0 {
+		o.wraps++
+	}
+	o.get(k)
+	o.checkCount()
+}
+
+func (o *tableOracle) checkCount() {
+	n := 0
+	for i := range o.tab.shards {
+		n += o.tab.shards[i].n
+	}
+	if o.tab.count() != len(o.vals) || n != len(o.vals) {
+		o.t.Fatalf("count %d, shard sum %d, oracle %d", o.tab.count(), n, len(o.vals))
+	}
+	if o.tab.max > 0 && len(o.tab.ents) > o.tab.max {
+		o.t.Fatalf("arena %d outgrew cap %d", len(o.tab.ents), o.tab.max)
+	}
+}
+
+// drain checks every live key resolves, then evicts them all in order.
+func (o *tableOracle) drain() {
+	for k := range o.vals {
+		o.get(k)
+	}
+	for len(o.queue) > 0 {
+		o.evict()
+	}
+	o.evict()
+}
+
+// TestFlowTableAgainstOracle drives the table with random insert, get and
+// evictOldest under a collision-heavy hash and checks every result against
+// a map plus an insertion-order queue: probe chains, index growth,
+// backward-shift eviction, the ring's wraparound and arena growth — capped,
+// uncapped and while the ring is wrapped.
+func TestFlowTableAgainstOracle(t *testing.T) {
+	cases := []struct {
+		name           string
+		max            int
+		insert, evict  int // per-mille of ops; the rest are lookups
+		minWraps       int
+		minWrappedGrow int
+	}{
+		{"uncapped", 0, 500, 300, 1, 0},
+		{"small-cap", 37, 600, 100, 100, 0},
+		{"grow-wrapped", 0, 600, 250, 1, 3},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(42))
+			o := newTableOracle(t, tc.max)
+			for op := 0; op < 20000; op++ {
+				k := uint64(rng.Intn(4096))
+				switch r := rng.Intn(1000); {
+				case r < tc.insert:
+					o.insert(k, rng.Uint64())
+				case r < tc.insert+tc.evict:
+					o.evict()
+				default:
+					o.get(k)
+				}
 			}
-			v := rng.Uint64()
-			*s.insert(badHash(k), k) = v
-			oracle[k] = v
-			keys = append(keys, k)
-		case r < 8 && len(keys) > 0: // delete a live key
-			i := rng.Intn(len(keys))
-			k := keys[i]
-			if !s.del(badHash(k), k) {
-				t.Fatalf("op %d: del(%d) missed a live key", op, k)
+			if o.wraps < tc.minWraps || o.wrappedGrows < tc.minWrappedGrow {
+				t.Fatalf("%d wraps, %d wrapped growths: want at least %d and %d",
+					o.wraps, o.wrappedGrows, tc.minWraps, tc.minWrappedGrow)
 			}
-			delete(oracle, k)
-			keys[i] = keys[len(keys)-1]
-			keys = keys[:len(keys)-1]
-		default: // probe a key that may or may not exist
-			k := uint64(rng.Intn(4096))
-			got := s.get(badHash(k), k)
-			want, live := oracle[k]
-			if live != (got != nil) {
-				t.Fatalf("op %d: get(%d) present=%v, oracle=%v", op, k, got != nil, live)
-			}
-			if live && *got != want {
-				t.Fatalf("op %d: get(%d) = %d, want %d", op, k, *got, want)
+			o.drain()
+		})
+	}
+}
+
+// FuzzFlowTable decodes its input as a cap byte and then one op a byte (two
+// low bits: insert, insert, get, evictOldest; the rest: a key of 64) and
+// checks the table against the same oracle.
+func FuzzFlowTable(f *testing.F) {
+	f.Add([]byte{0, 0, 4, 8, 12, 3, 16, 20, 3, 3, 24, 2, 6})
+	f.Add([]byte{5, 0, 4, 8, 12, 16, 20, 24, 28, 3, 32, 36, 2, 10, 14})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		o := newTableOracle(t, int(data[0]%32))
+		for i, b := range data[1:] {
+			k := uint64(b >> 2)
+			switch b & 3 {
+			case 0, 1:
+				o.insert(k, uint64(i))
+			case 2:
+				o.get(k)
+			case 3:
+				o.evict()
 			}
 		}
+		o.drain()
+	})
+}
+
+// TestFlowTableAllocBound holds the arena to what it holds. Filling a
+// Dedup-shaped table to its cap allocates at most 2.2× its final arena plus
+// slot index (explicit doubling sums to under 2×; append's ~1.25× growth
+// above 256 elements did not), and steady-state evict-then-insert cycles at
+// the cap allocate nothing.
+func TestFlowTableAllocBound(t *testing.T) {
+	const tableCap = 65536
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tab := newFlowTable[uint64, uint32](tableCap, true)
+	for k := uint64(0); k < tableCap; k++ {
+		*tab.insert(mix64(k), k) = uint32(k)
 	}
-	if s.n != len(oracle) {
-		t.Fatalf("shard count %d != oracle %d", s.n, len(oracle))
+	runtime.ReadMemStats(&after)
+	allocated := after.TotalAlloc - before.TotalAlloc
+	final := uint64(cap(tab.ents)) * uint64(unsafe.Sizeof(tab.ents[0]))
+	for i := range tab.shards {
+		final += uint64(cap(tab.shards[i].slots)) * uint64(unsafe.Sizeof(int32(0)))
 	}
-	for k, want := range oracle {
-		got := s.get(badHash(k), k)
-		if got == nil || *got != want {
-			t.Fatalf("final sweep: key %d wrong", k)
-		}
+	if len(tab.ents) != tableCap {
+		t.Fatalf("arena %d entries at cap %d", len(tab.ents), tableCap)
 	}
-	if s.del(badHash(99999), 99999) {
-		t.Error("del of absent key reported success")
+	t.Logf("filling to cap: %d B allocated for a %d B table", allocated, final)
+	if float64(allocated) > 2.2*float64(final) {
+		t.Errorf("filling to cap allocated %d B for a %d B table (%.2fx, want <= 2.2x)",
+			allocated, final, float64(allocated)/float64(final))
+	}
+	next := uint64(tableCap)
+	allocs := testing.AllocsPerRun(10000, func() {
+		tab.evictOldest()
+		*tab.insert(mix64(next), next) = uint32(next)
+		next++
+	})
+	if allocs != 0 {
+		t.Errorf("evict-then-insert at the cap allocated %.2f objects per cycle, want 0", allocs)
 	}
 }
 
@@ -247,6 +389,28 @@ func TestShardedMatchesReference(t *testing.T) {
 				t.Errorf("%s never evicted or exhausted: the comparison is vacuous", tc.class)
 			}
 		})
+	}
+}
+
+// TestMonitorUnboundedMaxFlows: a max_flows of 0 or below means no cap, in
+// both backends. It used to count a phantom eviction on the first flow and
+// keep one flow in the sharded table, and panic in the reference.
+func TestMonitorUnboundedMaxFlows(t *testing.T) {
+	for _, maxFlows := range []int{0, -1} {
+		s, r := mkPair(t, "Monitor", "m0", Params{"max_flows": maxFlows})
+		for i := 0; i < 500; i++ {
+			src := packet.IPv4Addr{10, 0, byte(i >> 8), byte(i)}
+			s.Process(udp(src, packet.IPv4Addr{8, 8, 8, 8}, 1000, 53, nil), env())
+			r.Process(udp(src, packet.IPv4Addr{8, 8, 8, 8}, 1000, 53, nil), env())
+		}
+		sv, rv := s.(*Monitor), r.(*monitorRef)
+		if sv.NumFlows() != 500 || sv.Evicted != 0 {
+			t.Errorf("max_flows=%d: %d flows, %d evicted; want 500 and 0", maxFlows, sv.NumFlows(), sv.Evicted)
+		}
+		if len(rv.flows) != sv.NumFlows() || rv.evicted != sv.Evicted {
+			t.Errorf("max_flows=%d: reference %d flows, %d evicted; sharded %d, %d",
+				maxFlows, len(rv.flows), rv.evicted, sv.NumFlows(), sv.Evicted)
+		}
 	}
 }
 

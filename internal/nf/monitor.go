@@ -21,7 +21,6 @@ type FlowStats struct {
 type Monitor struct {
 	base
 	flows *flowTable[packet.FiveTuple, FlowStats]
-	max   int
 	so    stateObs
 
 	// Evicted counts flows dropped from the table when full.
@@ -29,13 +28,11 @@ type Monitor struct {
 }
 
 // NewMonitor builds the statistics collector. Param "max_flows" caps the
-// table (default 100000).
+// table (default 100000); a cap ≤ 0 leaves it unbounded, so it never evicts.
 func NewMonitor(name string, params Params) (NF, error) {
-	maxFlows := params.Int("max_flows", 100000)
 	return &Monitor{
 		base:  base{name: name, class: "Monitor"},
-		flows: newFlowTable[packet.FiveTuple, FlowStats](maxFlows, true),
-		max:   maxFlows,
+		flows: newFlowTable[packet.FiveTuple, FlowStats](params.Int("max_flows", 100000), true),
 		so:    newStateObs("Monitor", name),
 	}, nil
 }
@@ -49,7 +46,7 @@ func (m *Monitor) Process(p *packet.Packet, env *Env) {
 	h := tu.Hash()
 	st := m.flows.get(h, tu)
 	if st == nil {
-		if m.flows.count() >= m.max {
+		if m.flows.full() {
 			m.flows.evictOldest()
 			m.Evicted++
 			m.so.evicted.Inc()

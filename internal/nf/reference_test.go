@@ -138,7 +138,7 @@ func (m *monitorRef) Process(p *packet.Packet, env *Env) {
 	}
 	st, ok := m.flows[tu]
 	if !ok {
-		if len(m.flows) >= m.max {
+		if m.max > 0 && len(m.flows) >= m.max {
 			delete(m.flows, m.order[m.head])
 			m.head++
 			m.evicted++

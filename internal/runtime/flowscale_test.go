@@ -103,8 +103,8 @@ chain mf {
 // stateful chain driven by a one-million-flow schedule must run at under
 // 0.18 allocations per simulated packet, all of it per-run set-up. The
 // schedule arenas, the NF table arenas (grown to cap on the warm-up run,
-// then recycled through freelists), and the engine's packet pools make the
-// steady state allocation-free; this test pins that property so a
+// then reused as insertion-order rings), and the engine's packet pools make
+// the steady state allocation-free; this test pins that property so a
 // regression anywhere in the stack — per-packet tuple synthesis, map
 // fallback, arena churn — fails loudly.
 func TestMillionFlowAllocBudget(t *testing.T) {
