@@ -198,6 +198,10 @@ run_guard 'TestScheduleGenDigest|TestBornAtMatchesStored|TestScheduleIntoRejects
 # FuzzVLANInPlace: the in-place VLAN push/pop against the allocating
 # reference kept in the test file, on arbitrary frames and capacities.
 fuzz_smoke FuzzVLANInPlace ./internal/nf
+# FuzzNSHInPlace: the in-place NSH quartet (EncapInPlace, DecapInPlace,
+# DecapShift, EncapShift) against Encap and the copying decap kept in the
+# test file, on arbitrary frames and capacities.
+fuzz_smoke FuzzNSHInPlace ./internal/nsh
 # FuzzFlowTable: arbitrary insert/get/evict sequences on the insertion-order
 # arena against a map plus a queue, at caps 0-31 under a colliding hash.
 fuzz_smoke FuzzFlowTable ./internal/nf
@@ -232,15 +236,18 @@ coverage_floor deadline \
 # dir, status/API surface.
 coverage_floor daemon 'internal/daemon/' 75.0
 
-# Frame-buffer contract: on every device the in-place path gives the bytes
-# of the allocating one across NFs that change the frame's length (VLAN push
-# and pop, tagged arrivals, with and without tail room) and stays in the
-# caller's buffer; a Tunnel -> Limiter -> Detunnel server hop and the eBPF
-# interpreter allocate nothing.
+# Frame-buffer contract: every device has one frame path, the in-place hop,
+# and it gives the bytes of the copying oracle kept in the package's test
+# files (processCopy) across stateful NFs and NFs that change the frame's
+# length (VLAN push and pop, tagged arrivals, with and without tail room)
+# and stays in the caller's buffer; Verify's walk equals a walk that runs
+# every hop on a private copy; a Tunnel -> Limiter -> Detunnel server hop and
+# the eBPF interpreter allocate nothing.
 echo "==> frame-buffer contract: device equivalence across VLAN push/pop"
-run_guard 'TestVLANInPlaceMatches|TestVLANHopAllocFree' -count=1 ./internal/bess
-run_guard 'TestNICVLANInPlaceMatches|TestRunAllocFree' -count=1 ./internal/smartnic
-run_guard 'TestSwitchVLANInPlaceMatches' -count=1 ./internal/pisa
+run_guard 'TestProcessFrameInPlaceMatches|TestVLANInPlaceMatches|TestVLANHopAllocFree' -count=1 ./internal/bess
+run_guard 'TestNICProcessFrameInPlaceMatches|TestNICVLANInPlaceMatches|TestRunAllocFree' -count=1 ./internal/smartnic
+run_guard 'TestSwitchProcessFrameInPlaceMatches|TestSwitchVLANInPlaceMatches' -count=1 ./internal/pisa
+run_guard 'TestVerifyInPlaceMatchesAllocating' -count=1 ./internal/runtime
 
 # Allocation-regression guard: what one more simulated packet allocates (a
 # run against one twice as long, so per-run set-up cancels) must be no heap
@@ -283,7 +290,7 @@ run_guard 'TestSimulateParallelAllocBudget' -count=1 ./internal/runtime
 # deadline-bearing fast-vs-reference identity, and the quantile-select
 # property tests run un-cached alongside it.
 echo "==> deadline scheduling (bess scheduler race pass + simulator identity)"
-run_guard 'TestSchedulerTrees|TestSchedulerTreesEDF|TestCapacityModel' -race -count=1 ./internal/bess
+run_guard 'TestSchedulerTrees|TestSchedulerTreesEDF' -race -count=1 ./internal/bess
 run_guard 'TestDeadlineFreePolicyByteIdentity|TestSimulateDeadlineMatchesReference|TestSchedPolicyValidation|TestQuantileSelect|TestQuantileSelectTiny|TestQuantileSelectAdversarial' \
   -race -count=1 ./internal/runtime
 

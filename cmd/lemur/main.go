@@ -347,14 +347,16 @@ func dumpPcap(spec, path string, nPerChain int) error {
 		if err != nil {
 			return err
 		}
+		var buf []byte
 		for i := 0; i < nPerChain; i++ {
 			ts := float64(i) * 1e-5
-			if err := pw.WriteFrame(ts, gen.Next(ts).Data); err != nil {
+			buf = gen.NextInto(buf, ts)
+			if err := pw.WriteFrame(ts, buf); err != nil {
 				return err
 			}
 		}
 	}
-	return nil
+	return f.Close()
 }
 
 func fatal(err error) {

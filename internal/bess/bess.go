@@ -3,10 +3,10 @@
 // pinned to cores, an NSH re-encapsulating multiplexer, and the per-core
 // hierarchical scheduler the meta-compiler programs (§4.2, §A.1).
 //
-// Functionally, ProcessFrame executes real NF code over real frames. For
-// capacity, a subgroup's throughput follows the paper's model: k cores at
-// clock f running a subgroup whose per-packet cost is c yields k·f/c packets
-// per second.
+// Functionally, ProcessFrameInPlace executes real NF code over real frames.
+// For capacity, a subgroup's throughput follows the paper's model: k cores
+// at clock f running a subgroup whose per-packet cost is c yields k·f/c
+// packets per second (the placer's subRateBps).
 package bess
 
 import (
@@ -115,27 +115,6 @@ type Subgroup struct {
 
 	// Processed counts packets run through the subgroup.
 	Processed uint64
-}
-
-// TotalCores returns the fractional core allocation.
-func (sg *Subgroup) TotalCores() float64 {
-	total := 0.0
-	for _, s := range sg.Shares {
-		total += s.Fraction
-	}
-	return total
-}
-
-// CapacityPPS is the paper's throughput model: allocated cores × f / c.
-func (sg *Subgroup) CapacityPPS(clockHz, crossSocketPenalty float64) float64 {
-	c := sg.CyclesPerPkt
-	if c <= 0 {
-		return 0
-	}
-	if sg.CrossSocket {
-		c *= crossSocketPenalty
-	}
-	return sg.TotalCores() * clockHz / c
 }
 
 var (
@@ -264,45 +243,27 @@ func (pl *Pipeline) CoreLoad() map[int]float64 {
 	return load
 }
 
-// ProcessFrame is the full server path for one frame arriving from the
-// switch: the shared demux decapsulates NSH and steers by (SPI, SI), the
+// ProcessFrameInPlace is the full server path for one frame arriving from
+// the switch: the shared demux decapsulates NSH and steers by (SPI, SI), the
 // subgroup's NFs run to completion, and the mux re-encapsulates with the
 // advanced (or branch-retagged) service index. The returned frame goes back
 // to the ToR. A nil frame with nil error means the chain dropped the packet.
-// The input frame is never mutated.
-func (pl *Pipeline) ProcessFrame(frame []byte, env *nf.Env) ([]byte, error) {
-	var p packet.Packet
-	return pl.process(frame, env, &p, false)
-}
-
-// ProcessFrameInPlace is ProcessFrame for the simulator's zero-allocation
-// fast path: the demux/mux shift the L2 header over the NSH slot inside
-// frame's own backing array (nsh.DecapShift/EncapShift), so a server hop
-// whose NFs rewrite the packet in place performs no allocation and no
-// payload copy. NFs may change the frame's length (nf.Tunnel, nf.Detunnel):
-// the returned frame is a slice of the input with the same base pointer
-// unless an NF had to replace the packet buffer (a VLAN push with no tail
-// room), in which case the mux falls back to the allocating nsh.Encap.
-func (pl *Pipeline) ProcessFrameInPlace(frame []byte, env *nf.Env) ([]byte, error) {
-	return pl.process(frame, env, &pl.scratch, true)
-}
-
-func (pl *Pipeline) process(frame []byte, env *nf.Env, p *packet.Packet, inPlace bool) (out []byte, rerr error) {
+//
+// The demux and mux shift the L2 header over the NSH slot inside frame's own
+// backing array (nsh.DecapShift/EncapShift), so a hop whose NFs rewrite the
+// packet in place performs no allocation and no payload copy. NFs may change
+// the frame's length (nf.Tunnel, nf.Detunnel): the returned frame is a slice
+// of the input with the same base pointer unless an NF had to replace the
+// packet buffer (a VLAN push with no tail room), in which case the mux falls
+// back to the allocating nsh.Encap.
+func (pl *Pipeline) ProcessFrameInPlace(frame []byte, env *nf.Env) (out []byte, rerr error) {
 	mFrames.Inc()
 	defer func() {
 		if out == nil {
 			mDrops.Inc()
 		}
 	}()
-	var inner []byte
-	var spi uint32
-	var si uint8
-	var err error
-	if inPlace {
-		inner, spi, si, err = nsh.DecapShift(frame)
-	} else {
-		inner, spi, si, err = nsh.Decap(frame)
-	}
+	inner, spi, si, err := nsh.DecapShift(frame)
 	if err != nil {
 		return nil, fmt.Errorf("bess: demux: %w", err)
 	}
@@ -310,6 +271,7 @@ func (pl *Pipeline) process(frame []byte, env *nf.Env, p *packet.Packet, inPlace
 	if !ok {
 		return nil, fmt.Errorf("%w: spi=%d si=%d", ErrNoSubgroup, spi, si)
 	}
+	p := &pl.scratch
 	if err := p.Decode(inner); err != nil {
 		return nil, fmt.Errorf("bess: %w", err)
 	}
@@ -331,7 +293,7 @@ func (pl *Pipeline) process(frame []byte, env *nf.Env, p *packet.Packet, inPlace
 	if b := pickBranch(sg.Branches, p); b != nil {
 		outSPI, outSI = b.SPI, b.SI
 	}
-	if inPlace && &p.Data[0] == &inner[0] {
+	if &p.Data[0] == &inner[0] {
 		// Still the caller's buffer, whatever its length now: the NSH slot
 		// in front of it is free.
 		full := frame[:packet.NSHLen+len(p.Data)]

@@ -51,7 +51,7 @@ func TestPipelineProcessFrame(t *testing.T) {
 	if err := pl.Add(sg); err != nil {
 		t.Fatal(err)
 	}
-	out, err := pl.ProcessFrame(encFrame(t, 1, 10, 80), &nf.Env{})
+	out, err := pl.ProcessFrameInPlace(encFrame(t, 1, 10, 80), &nf.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestPipelineDrop(t *testing.T) {
 	if err := pl.Add(sg); err != nil {
 		t.Fatal(err)
 	}
-	out, err := pl.ProcessFrame(encFrame(t, 1, 10, 80), &nf.Env{})
+	out, err := pl.ProcessFrameInPlace(encFrame(t, 1, 10, 80), &nf.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,10 +85,10 @@ func TestPipelineDrop(t *testing.T) {
 
 func TestPipelineErrors(t *testing.T) {
 	pl := NewPipeline(server())
-	if _, err := pl.ProcessFrame(frame(80), &nf.Env{}); err == nil {
+	if _, err := pl.ProcessFrameInPlace(frame(80), &nf.Env{}); err == nil {
 		t.Error("untagged frame must fail demux")
 	}
-	if _, err := pl.ProcessFrame(encFrame(t, 5, 5, 80), &nf.Env{}); !errors.Is(err, ErrNoSubgroup) {
+	if _, err := pl.ProcessFrameInPlace(encFrame(t, 5, 5, 80), &nf.Env{}); !errors.Is(err, ErrNoSubgroup) {
 		t.Errorf("unknown path: %v", err)
 	}
 	sg := mkSub(t, "sg0")
@@ -145,7 +145,7 @@ func TestSIUnderflow(t *testing.T) {
 	if err := pl.Add(sg); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pl.ProcessFrame(encFrame(t, 1, 1, 80), &nf.Env{}); err == nil {
+	if _, err := pl.ProcessFrameInPlace(encFrame(t, 1, 1, 80), &nf.Env{}); err == nil {
 		t.Error("SI underflow must error")
 	}
 }
@@ -160,7 +160,7 @@ func TestBranchReTag(t *testing.T) {
 	if err := pl.Add(sg); err != nil {
 		t.Fatal(err)
 	}
-	out, err := pl.ProcessFrame(encFrame(t, 1, 10, 53), &nf.Env{})
+	out, err := pl.ProcessFrameInPlace(encFrame(t, 1, 10, 53), &nf.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,30 +168,10 @@ func TestBranchReTag(t *testing.T) {
 	if spi != 30 || si != 4 {
 		t.Errorf("branch tag = %d/%d, want 30/4", spi, si)
 	}
-	out2, _ := pl.ProcessFrame(encFrame(t, 1, 10, 80), &nf.Env{})
+	out2, _ := pl.ProcessFrameInPlace(encFrame(t, 1, 10, 80), &nf.Env{})
 	spi2, _, _ := nsh.Tag(out2)
 	if spi2 != 31 {
 		t.Errorf("default branch = %d, want 31", spi2)
-	}
-}
-
-func TestCapacityModel(t *testing.T) {
-	sg := &Subgroup{CyclesPerPkt: 1700, Shares: []CoreShare{{Core: 0, Fraction: 1}, {Core: 1, Fraction: 1}}}
-	// 2 cores * 1.7e9 / 1700 = 2e6 pps.
-	if got := sg.CapacityPPS(1.7e9, 1.06); math.Abs(got-2e6) > 1 {
-		t.Errorf("capacity = %v, want 2e6", got)
-	}
-	sg.CrossSocket = true
-	cross := sg.CapacityPPS(1.7e9, 1.06)
-	if math.Abs(cross-2e6/1.06) > 1 {
-		t.Errorf("cross-socket capacity = %v, want %v", cross, 2e6/1.06)
-	}
-	if (&Subgroup{}).CapacityPPS(1.7e9, 1) != 0 {
-		t.Error("zero-cost subgroup must report zero capacity, not infinity")
-	}
-	half := &Subgroup{CyclesPerPkt: 1700, Shares: []CoreShare{{Core: 0, Fraction: 0.5}}}
-	if got := half.CapacityPPS(1.7e9, 1); math.Abs(got-0.5e6) > 1 {
-		t.Errorf("fractional share capacity = %v", got)
 	}
 }
 
@@ -208,7 +188,7 @@ func TestSchedulerTrees(t *testing.T) {
 	if err := pl.Add(b); err != nil {
 		t.Fatal(err)
 	}
-	scheds := BuildSchedulers(pl, map[string]float64{"b": 1e9})
+	scheds := BuildSchedulersEDF(pl, map[string]float64{"b": 1e9}, nil)
 	if len(scheds) != 2 {
 		t.Fatalf("schedulers = %d, want 2 (cores 1,2)", len(scheds))
 	}
@@ -239,7 +219,7 @@ func TestSchedulerTrees(t *testing.T) {
 // TestSchedulerTreesEDF: a core hosting a deadline-bearing subgroup gets a
 // Deadline root ordered by ascending slack (deadline-free residents last,
 // name-ordered); cores with no deadline resident keep round-robin verbatim;
-// and nil slack input reproduces BuildSchedulers exactly.
+// and nil or empty slack input gives round-robin trees throughout.
 func TestSchedulerTreesEDF(t *testing.T) {
 	pl := NewPipeline(server())
 	a := mkSub(t, "a") // core 1, slack 30us
@@ -305,17 +285,19 @@ func TestSchedulerTreesEDF(t *testing.T) {
 		t.Error("empty deadline tree must return nil")
 	}
 
-	// Deadline-free identity: nil slack reproduces BuildSchedulers output
-	// byte-for-byte.
-	plain := BuildSchedulers(pl, map[string]float64{"b": 1e9})
-	viaEDF := BuildSchedulersEDF(pl, map[string]float64{"b": 1e9}, nil)
-	if len(plain) != len(viaEDF) {
-		t.Fatalf("tree count %d vs %d", len(plain), len(viaEDF))
+	// Deadline-free: nil and empty slack give the same round-robin trees.
+	plain := BuildSchedulersEDF(pl, map[string]float64{"b": 1e9}, nil)
+	empty := BuildSchedulersEDF(pl, map[string]float64{"b": 1e9}, map[string]float64{})
+	if len(plain) != len(empty) {
+		t.Fatalf("tree count %d vs %d", len(plain), len(empty))
 	}
 	for i := range plain {
-		if plain[i].String() != viaEDF[i].String() {
-			t.Errorf("core %d trees diverge without deadlines:\n%s\nvs\n%s",
-				plain[i].Core, plain[i].String(), viaEDF[i].String())
+		if plain[i].Root.Kind != RoundRobin {
+			t.Errorf("core %d root kind = %v without deadlines, want RoundRobin", plain[i].Core, plain[i].Root.Kind)
+		}
+		if plain[i].String() != empty[i].String() {
+			t.Errorf("core %d trees diverge between nil and empty slack:\n%s\nvs\n%s",
+				plain[i].Core, plain[i].String(), empty[i].String())
 		}
 	}
 }

@@ -7,10 +7,11 @@ import (
 	"lemur/internal/nf"
 )
 
-// TestProcessFrameInPlaceMatches: the in-place fast path (DecapShift/
-// EncapShift over the pooled buffer) must emit exactly the bytes of the
-// allocating ProcessFrame, including across stateful NFs, for a stream of
-// frames. Two pipelines so NF state evolves identically on each side.
+// TestProcessFrameInPlaceMatches: the in-place hop (DecapShift/EncapShift
+// over the pooled buffer) must emit exactly the bytes of the copying
+// processCopy, including across stateful NFs, for a stream of frames; the
+// oracle never touches its input. Two pipelines so NF state evolves
+// identically on each side.
 func TestProcessFrameInPlaceMatches(t *testing.T) {
 	mk := func() *Pipeline {
 		pl := NewPipeline(server())
@@ -24,21 +25,25 @@ func TestProcessFrameInPlaceMatches(t *testing.T) {
 	env := &nf.Env{}
 	for i := 0; i < 50; i++ {
 		in := encFrame(t, 1, 10, uint16(80+i%5))
-		want, err := ref.ProcessFrame(append([]byte(nil), in...), env)
+		orig := append([]byte(nil), in...)
+		want, err := processCopy(ref, in, env)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if !bytes.Equal(in, orig) {
+			t.Fatalf("frame %d: processCopy mutated its input", i)
 		}
 		got, err := fast.ProcessFrameInPlace(append([]byte(nil), in...), env)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Fatalf("frame %d: in-place output diverges from ProcessFrame", i)
+			t.Fatalf("frame %d: in-place output diverges from processCopy", i)
 		}
 	}
 }
 
-// TestProcessFrameInPlaceDrop: drops behave identically on both paths.
+// TestProcessFrameInPlaceDrop: a chain drop is a nil frame and no error.
 func TestProcessFrameInPlaceDrop(t *testing.T) {
 	pl := NewPipeline(server())
 	sg := mkSub(t, "sg0", "ACL") // synthetic rules don't admit 172.16/12

@@ -54,22 +54,17 @@ type CoreScheduler struct {
 	Root *SchedNode
 }
 
-// BuildSchedulers derives per-core scheduler trees from the pipeline's core
-// shares: each used core gets a round-robin root over the subgroups sharing
-// it; subgroups with a rate cap get a RateLimit interposed.
-// rateCaps maps subgroup name -> bps cap (0/absent = uncapped).
-func BuildSchedulers(pl *Pipeline, rateCaps map[string]float64) []CoreScheduler {
-	return BuildSchedulersEDF(pl, rateCaps, nil)
-}
-
-// BuildSchedulersEDF is BuildSchedulers with per-subgroup deadline slack:
-// slackSec maps subgroup name -> slack seconds (chain d_max minus best-case
+// BuildSchedulersEDF derives per-core scheduler trees from the pipeline's
+// core shares: each used core gets a round-robin root over the subgroups
+// sharing it; subgroups with a rate cap get a RateLimit interposed.
+// rateCaps maps subgroup name -> bps cap (0/absent = uncapped). slackSec
+// maps subgroup name -> deadline slack seconds (chain d_max minus best-case
 // upstream delay; absent = the owning chain has no deadline). A core where
 // at least one resident subgroup carries slack gets a Deadline root whose
 // children are ordered by ascending slack (name as the tie-break), with
 // deadline-free residents appended in name order. Cores with no
-// deadline-bearing resident keep the round-robin tree verbatim, so a nil or
-// empty slackSec reproduces BuildSchedulers exactly.
+// deadline-bearing resident keep the round-robin tree, so a nil or empty
+// slackSec gives round-robin trees throughout.
 //
 // The trees of one call share two arenas, one of nodes and one of child
 // lists, so a pipeline's trees cost a handful of allocations however many

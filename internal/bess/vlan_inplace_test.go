@@ -42,8 +42,8 @@ func vlanEncFrame(t *testing.T, vid, dport uint16) []byte {
 }
 
 // TestVLANInPlaceMatches: a hop that changes the frame's length emits on the
-// in-place path exactly the bytes of the allocating ProcessFrame, with tail
-// room (where the frame must stay in the caller's buffer) and without it
+// in-place path exactly the bytes of the copying processCopy, with tail room
+// (where the frame must stay in the caller's buffer) and without it
 // (Tunnel's copying fallback, then nsh.Encap).
 func TestVLANInPlaceMatches(t *testing.T) {
 	for _, tc := range vlanCases {
@@ -60,7 +60,7 @@ func TestVLANInPlaceMatches(t *testing.T) {
 				env := &nf.Env{}
 				for i := 0; i < 20; i++ {
 					in := vlanEncFrame(t, tc.vid, uint16(80+i%5))
-					want, err := ref.ProcessFrame(append([]byte(nil), in...), env)
+					want, err := processCopy(ref, in, env)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -71,7 +71,7 @@ func TestVLANInPlaceMatches(t *testing.T) {
 						t.Fatal(err)
 					}
 					if !bytes.Equal(got, want) {
-						t.Fatalf("frame %d: in-place output diverges from ProcessFrame:\n want %x\n got  %x", i, want, got)
+						t.Fatalf("frame %d: in-place output diverges from processCopy:\n want %x\n got  %x", i, want, got)
 					}
 					if (room > 0 || !tc.grows) && &got[0] != &buf[0] {
 						t.Fatalf("frame %d: hop left the caller's buffer (len %d -> %d, tail room %d)", i, len(in), len(got), room)

@@ -25,8 +25,9 @@ func randomFrame(rng *rand.Rand) []byte {
 }
 
 // TestEncapDecapRoundTripFuzz: for random frames and random (SPI, SI),
-// Encap -> Tag -> Decap must return the tag and the original frame bytes
-// exactly (mirrors the seeded-random fuzz style of internal/bpf).
+// Encap -> Tag -> SetTag -> DecapInPlace must return the tag and the
+// original frame bytes exactly (mirrors the seeded-random fuzz style of
+// internal/bpf).
 func TestEncapDecapRoundTripFuzz(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 500; trial++ {
@@ -46,53 +47,21 @@ func TestEncapDecapRoundTripFuzz(t *testing.T) {
 			t.Fatalf("trial %d: tag = (%d,%d), want (%d,%d)", trial, gotSPI, gotSI, spi, si)
 		}
 
-		// Retag to a fresh random point, then check Decap returns it.
+		// Retag to a fresh random point, then check the decap returns it.
 		spi2 := uint32(rng.Intn(MaxSPI + 1))
 		si2 := uint8(rng.Intn(256))
 		if err := SetTag(enc, spi2, si2); err != nil {
 			t.Fatalf("trial %d: SetTag: %v", trial, err)
 		}
-		dec, dSPI, dSI, err := Decap(enc)
+		dec, dSPI, dSI, err := DecapInPlace(enc)
 		if err != nil {
-			t.Fatalf("trial %d: Decap: %v", trial, err)
+			t.Fatalf("trial %d: DecapInPlace: %v", trial, err)
 		}
 		if dSPI != spi2 || dSI != si2 {
 			t.Fatalf("trial %d: decap tag = (%d,%d), want (%d,%d)", trial, dSPI, dSI, spi2, si2)
 		}
 		if !bytes.Equal(dec, frame) {
 			t.Fatalf("trial %d: round-trip mangled the frame:\n in:  %x\n out: %x", trial, frame, dec)
-		}
-	}
-}
-
-// TestAdvanceFuzz: Advance must decrement SI and never panic; SI underflow
-// and TTL expiry must surface as the named errors.
-func TestAdvanceFuzz(t *testing.T) {
-	rng := rand.New(rand.NewSource(32))
-	for trial := 0; trial < 300; trial++ {
-		frame := randomFrame(rng)
-		si := uint8(rng.Intn(16))
-		enc, err := Encap(frame, uint32(1+rng.Intn(MaxSPI)), si)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		steps := uint8(rng.Intn(16))
-		err = Advance(enc, steps)
-		if steps > si {
-			if err == nil {
-				t.Fatalf("trial %d: Advance(%d) from si=%d did not underflow", trial, steps, si)
-			}
-			continue
-		}
-		if err != nil {
-			t.Fatalf("trial %d: Advance(%d) from si=%d: %v", trial, steps, si, err)
-		}
-		_, gotSI, err := Tag(enc)
-		if err != nil {
-			t.Fatalf("trial %d: Tag after Advance: %v", trial, err)
-		}
-		if gotSI != si-steps {
-			t.Fatalf("trial %d: si = %d after Advance(%d) from %d", trial, gotSI, steps, si)
 		}
 	}
 }
@@ -120,8 +89,8 @@ func TestDecodeGarbageNeverPanics(t *testing.T) {
 				}
 			}()
 			_, _, _ = Tag(buf)
-			_, _, _, _ = Decap(buf)
-			_ = Advance(buf, uint8(rng.Intn(4)))
+			_, _, _, _ = DecapInPlace(append([]byte(nil), buf...))
+			_, _, _, _ = DecapShift(append([]byte(nil), buf...))
 			_ = SetTag(buf, uint32(rng.Intn(MaxSPI+1)), uint8(rng.Intn(256)))
 			_, _ = Encap(buf, uint32(rng.Intn(MaxSPI+1)), uint8(rng.Intn(256)))
 		}()

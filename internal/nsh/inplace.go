@@ -8,9 +8,9 @@ import (
 	"lemur/internal/packet"
 )
 
-// In-place encap/decap variants for the simulator's zero-allocation fast
-// path. They produce frames byte-identical to Encap/Decap but reuse the
-// caller's buffer instead of allocating:
+// In-place encap/decap for every device hop. Encap output is byte-identical
+// to Encap's, decap output to the plain frame Encap wrapped, and both reuse
+// the caller's buffer instead of allocating:
 //
 //   - EncapInPlace / DecapInPlace grow or shrink the frame at its tail,
 //     memmoving the payload and preserving the buffer base pointer so pooled
@@ -52,10 +52,11 @@ func EncapInPlace(frame []byte, spi uint32, si uint8) ([]byte, error) {
 	return out, nil
 }
 
-// DecapInPlace strips the NSH header like Decap but shifts the payload left
-// within frame's backing array: the returned slice shares frame's base
-// pointer (and therefore its full capacity), which keeps pooled buffers
-// reusable for a later in-place re-encap.
+// DecapInPlace strips the NSH header, restoring the plain L2+IPv4 frame and
+// returning the removed SPI/SI. It shifts the payload left within frame's
+// backing array: the returned slice shares frame's base pointer (and
+// therefore its full capacity), which keeps pooled buffers reusable for a
+// later in-place re-encap.
 func DecapInPlace(frame []byte) (out []byte, spi uint32, si uint8, err error) {
 	etOff, hdrOff, err := tagOffset(frame)
 	if err != nil {

@@ -52,16 +52,17 @@ func TestEncapInPlaceMatchesEncap(t *testing.T) {
 	}
 }
 
-// TestDecapInPlaceMatchesDecap: same bytes as Decap, base pointer preserved.
+// TestDecapInPlaceMatchesDecap: same bytes as the copying decapCopy, base
+// pointer preserved.
 func TestDecapInPlaceMatchesDecap(t *testing.T) {
 	orig := plainFrame(t)
 	enc, err := Encap(orig, 77, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, spi, si, err := Decap(append([]byte(nil), enc...))
+	want, spi, si, err := decapCopy(enc)
 	if err != nil || spi != 77 || si != 5 {
-		t.Fatalf("Decap = %d/%d, %v", spi, si, err)
+		t.Fatalf("decapCopy = %d/%d, %v", spi, si, err)
 	}
 	mine := append([]byte(nil), enc...)
 	got, spi2, si2, err := DecapInPlace(mine)
@@ -69,7 +70,7 @@ func TestDecapInPlaceMatchesDecap(t *testing.T) {
 		t.Fatalf("DecapInPlace = %d/%d, %v", spi2, si2, err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatal("DecapInPlace diverges from Decap")
+		t.Fatal("DecapInPlace diverges from decapCopy")
 	}
 	if &got[0] != &mine[0] || cap(got) != cap(mine) {
 		t.Fatal("DecapInPlace must keep the base pointer and capacity for reuse")
@@ -81,7 +82,7 @@ func TestDecapInPlaceMatchesDecap(t *testing.T) {
 
 // TestShiftRoundTrip: DecapShift exposes the inner frame without copying the
 // payload; EncapShift re-wraps it. The round trip must be byte-identical to
-// Decap followed by Encap, and the inner slice must alias the frame.
+// decapCopy followed by Encap, and the inner slice must alias the frame.
 func TestShiftRoundTrip(t *testing.T) {
 	for _, mk := range []func(*testing.T) []byte{plainFrame, vlanFrame} {
 		orig := mk(t)
@@ -89,7 +90,7 @@ func TestShiftRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantInner, _, _, err := Decap(append([]byte(nil), enc...))
+		wantInner, _, _, err := decapCopy(enc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +101,7 @@ func TestShiftRoundTrip(t *testing.T) {
 			t.Fatalf("DecapShift = %d/%d, %v", spi, si, err)
 		}
 		if !bytes.Equal(inner, wantInner) {
-			t.Fatal("DecapShift inner diverges from Decap")
+			t.Fatal("DecapShift inner diverges from decapCopy")
 		}
 		if &inner[0] != &frame[packet.NSHLen] {
 			t.Fatal("DecapShift inner must alias frame[NSHLen:]")
@@ -119,8 +120,7 @@ func TestShiftRoundTrip(t *testing.T) {
 	}
 }
 
-// TestShiftErrors: the in-place variants must reject the same malformed
-// inputs the allocating ones do.
+// TestShiftErrors: the in-place codecs reject malformed inputs.
 func TestShiftErrors(t *testing.T) {
 	if _, _, _, err := DecapShift(plainFrame(t)); err == nil {
 		t.Error("DecapShift on plain frame must fail")

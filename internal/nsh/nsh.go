@@ -1,7 +1,8 @@
 // Package nsh implements Network Service Header (RFC 8300) chain steering:
-// encapsulating frames with an SPI/SI service-path tag, the SI-decrement
-// walk along a service path, and the VLAN-vid fallback encoding used when a
-// platform (the paper's OpenFlow switch) cannot carry NSH.
+// encapsulating frames with an SPI/SI service-path tag, reading and
+// rewriting that tag as each hop advances the service index, and the
+// VLAN-vid fallback encoding used when a platform (the paper's OpenFlow
+// switch) cannot carry NSH.
 //
 // A service path (SPI) is one linearized NF chain; the service index (SI)
 // counts down as the packet traverses NFs, so "which NF comes next" is a
@@ -23,15 +24,9 @@ const MaxSPI = 1<<24 - 1
 // InitialTTL is the TTL set on freshly encapsulated packets.
 const InitialTTL = 63
 
-var (
-	// ErrNotEncapped is returned when decap/walk operations are applied to a
-	// frame with no NSH header.
-	ErrNotEncapped = errors.New("nsh: frame is not NSH-encapsulated")
-	// ErrTTLExpired is returned when the service path loops too long.
-	ErrTTLExpired = errors.New("nsh: TTL expired")
-	// ErrSIExhausted is returned when SI would underflow (chain overrun).
-	ErrSIExhausted = errors.New("nsh: service index exhausted")
-)
+// ErrNotEncapped is returned when a decap or tag operation is applied to a
+// frame with no NSH header.
+var ErrNotEncapped = errors.New("nsh: frame is not NSH-encapsulated")
 
 // tagOffset locates the byte offset of the ethertype field that would carry
 // (or carries) the NSH ethertype: after the Ethernet header, skipping one
@@ -87,32 +82,9 @@ func Encap(frame []byte, spi uint32, si uint8) ([]byte, error) {
 	out := make([]byte, len(frame)+packet.NSHLen)
 	copy(out, frame[:hdrOff])
 	binary.BigEndian.PutUint16(out[etOff:], packet.EtherTypeNSH)
-	// base header: ver=0 ttl=InitialTTL len=2 mdtype=2 nextproto=IPv4(0x1)
-	b0 := uint32(InitialTTL)<<22 | uint32(2)<<16 | uint32(2)<<12 | uint32(0x01)
-	binary.BigEndian.PutUint32(out[hdrOff:], b0)
-	binary.BigEndian.PutUint32(out[hdrOff+4:], spi<<8|uint32(si))
+	putBaseHeader(out[hdrOff:], spi, si)
 	copy(out[hdrOff+packet.NSHLen:], frame[hdrOff:])
 	return out, nil
-}
-
-// Decap strips the NSH header, restoring the plain L2+IPv4 frame. It
-// returns the removed SPI/SI alongside.
-func Decap(frame []byte) (out []byte, spi uint32, si uint8, err error) {
-	etOff, hdrOff, err := tagOffset(frame)
-	if err != nil {
-		return nil, 0, 0, fmt.Errorf("nsh: decap: %w", err)
-	}
-	if binary.BigEndian.Uint16(frame[etOff:]) != packet.EtherTypeNSH ||
-		len(frame) < hdrOff+packet.NSHLen {
-		return nil, 0, 0, ErrNotEncapped
-	}
-	sp := binary.BigEndian.Uint32(frame[hdrOff+4:])
-	spi, si = sp>>8, uint8(sp)
-	out = make([]byte, len(frame)-packet.NSHLen)
-	copy(out, frame[:hdrOff])
-	binary.BigEndian.PutUint16(out[etOff:], packet.EtherTypeIPv4)
-	copy(out[hdrOff:], frame[hdrOff+packet.NSHLen:])
-	return out, spi, si, nil
 }
 
 // Tag reads the SPI/SI of an encapsulated frame without modifying it.
@@ -123,33 +95,6 @@ func Tag(frame []byte) (spi uint32, si uint8, err error) {
 	}
 	sp := binary.BigEndian.Uint32(frame[off+4:])
 	return sp >> 8, uint8(sp), nil
-}
-
-// Advance decrements the service index in place (one NF, or one coalesced
-// run of NFs, has been applied) and decrements TTL. steps is the number of
-// service indices consumed; the paper's meta-compiler consolidates one SI
-// update per sequential run (§4.2 optimization b), which maps to steps>1.
-func Advance(frame []byte, steps uint8) error {
-	off, err := nshOffset(frame)
-	if err != nil {
-		return ErrNotEncapped
-	}
-	b0 := binary.BigEndian.Uint32(frame[off:])
-	ttl := uint8(b0>>22) & 0x3F
-	if ttl == 0 {
-		return ErrTTLExpired
-	}
-	ttl--
-	b0 = b0&^(uint32(0x3F)<<22) | uint32(ttl)<<22
-	binary.BigEndian.PutUint32(frame[off:], b0)
-
-	sp := binary.BigEndian.Uint32(frame[off+4:])
-	si := uint8(sp)
-	if si < steps {
-		return ErrSIExhausted
-	}
-	binary.BigEndian.PutUint32(frame[off+4:], sp&^0xFF|uint32(si-steps))
-	return nil
 }
 
 // SetTag rewrites the SPI/SI of an already-encapsulated frame, used when a

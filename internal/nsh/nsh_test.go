@@ -33,9 +33,9 @@ func TestEncapDecapRoundTrip(t *testing.T) {
 	if !p.HasNSH || !p.HasIPv4 || !p.HasUDP {
 		t.Fatalf("inner layers lost: %+v", p)
 	}
-	dec, spi2, si2, err := Decap(enc)
+	dec, spi2, si2, err := DecapInPlace(enc)
 	if err != nil || spi2 != 0x1234 || si2 != 9 {
-		t.Fatalf("Decap = %#x/%d, %v", spi2, si2, err)
+		t.Fatalf("DecapInPlace = %#x/%d, %v", spi2, si2, err)
 	}
 	if len(dec) != len(orig) {
 		t.Fatalf("decap length %d, want %d", len(dec), len(orig))
@@ -59,36 +59,8 @@ func TestEncapErrors(t *testing.T) {
 	if _, err := Encap(make([]byte, 3), 1, 1); err == nil {
 		t.Error("want short-frame error")
 	}
-	if _, _, _, err := Decap(orig); !errors.Is(err, ErrNotEncapped) {
-		t.Errorf("Decap on plain frame: %v, want ErrNotEncapped", err)
-	}
-}
-
-func TestAdvance(t *testing.T) {
-	enc, _ := Encap(plainFrame(t), 5, 10)
-	if err := Advance(enc, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := Advance(enc, 3); err != nil {
-		t.Fatal(err)
-	}
-	_, si, _ := Tag(enc)
-	if si != 6 {
-		t.Errorf("si = %d, want 6", si)
-	}
-	if err := Advance(enc, 7); !errors.Is(err, ErrSIExhausted) {
-		t.Errorf("overrun: %v, want ErrSIExhausted", err)
-	}
-	// TTL expiry after InitialTTL decrements.
-	enc2, _ := Encap(plainFrame(t), 5, 255)
-	var err error
-	for i := 0; i < 255; i++ {
-		if err = Advance(enc2, 0); err != nil {
-			break
-		}
-	}
-	if !errors.Is(err, ErrTTLExpired) {
-		t.Errorf("ttl: %v, want ErrTTLExpired after %d hops", err, InitialTTL)
+	if _, _, _, err := DecapInPlace(orig); !errors.Is(err, ErrNotEncapped) {
+		t.Errorf("DecapInPlace on plain frame: %v, want ErrNotEncapped", err)
 	}
 }
 

@@ -169,7 +169,7 @@ func TestSwitchClassifyApplyForward(t *testing.T) {
 		Apply: []nf.NF{acl}, Encap: true,
 		Out: Forward{Kind: ToServer, Target: "nf-server-0"},
 	})
-	out, fwd, err := s.ProcessFrame(ingressFrame(t, 80), &nf.Env{})
+	out, fwd, err := s.ProcessFrameInPlace(ingressFrame(t, 80), &nf.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestSwitchNFDrop(t *testing.T) {
 	acl, _ := nf.New("ACL", "acl0", nf.Params{"allow_dst": "192.0.2.0/24"}) // nothing matches
 	s.AddClassifierRule(ClassifierRule{SPI: 1, SI: 1})
 	s.SetEntry(1, 1, &PathEntry{Apply: []nf.NF{acl}, Out: Forward{Kind: Egress}})
-	_, fwd, err := s.ProcessFrame(ingressFrame(t, 80), &nf.Env{})
+	_, fwd, err := s.ProcessFrameInPlace(ingressFrame(t, 80), &nf.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestSwitchReturnPathAdvanceAndDecap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, fwd, err := s.ProcessFrame(enc, &nf.Env{})
+	out, fwd, err := s.ProcessFrameInPlace(enc, &nf.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestSwitchAdvanceSI(t *testing.T) {
 	s := mkSwitch(t)
 	s.SetEntry(9, 8, &PathEntry{AdvanceSI: 3, Out: Forward{Kind: ToServer, Target: "srv"}})
 	enc, _ := nsh.Encap(ingressFrame(t, 1), 9, 8)
-	out, _, err := s.ProcessFrame(enc, &nf.Env{})
+	out, _, err := s.ProcessFrameInPlace(enc, &nf.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestSwitchBranchReTag(t *testing.T) {
 		Out: Forward{Kind: ToServer, Target: "srv"},
 	})
 	enc, _ := nsh.Encap(ingressFrame(t, 53), 2, 4)
-	out, _, err := s.ProcessFrame(enc, &nf.Env{})
+	out, _, err := s.ProcessFrameInPlace(enc, &nf.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestSwitchBranchReTag(t *testing.T) {
 		t.Errorf("branch tag = %d/%d, want 21/9", spi, si)
 	}
 	enc2, _ := nsh.Encap(ingressFrame(t, 80), 2, 4)
-	out2, _, _ := s.ProcessFrame(enc2, &nf.Env{})
+	out2, _, _ := s.ProcessFrameInPlace(enc2, &nf.Env{})
 	spi2, _, _ := nsh.Tag(out2)
 	if spi2 != 22 {
 		t.Errorf("default branch tag = %d, want 22", spi2)
@@ -269,14 +269,14 @@ func TestSwitchBranchReTag(t *testing.T) {
 
 func TestSwitchNoPath(t *testing.T) {
 	s := mkSwitch(t)
-	_, fwd, err := s.ProcessFrame(ingressFrame(t, 80), &nf.Env{})
+	_, fwd, err := s.ProcessFrameInPlace(ingressFrame(t, 80), &nf.Env{})
 	if !errors.Is(err, ErrNoPath) || fwd.Kind != Dropped {
 		t.Errorf("err = %v fwd = %v", err, fwd)
 	}
 	// Tagged frame with no entry.
 	s.AddClassifierRule(ClassifierRule{SPI: 1, SI: 1})
 	enc, _ := nsh.Encap(ingressFrame(t, 80), 99, 9)
-	if _, _, err := s.ProcessFrame(enc, &nf.Env{}); !errors.Is(err, ErrNoPath) {
+	if _, _, err := s.ProcessFrameInPlace(enc, &nf.Env{}); !errors.Is(err, ErrNoPath) {
 		t.Errorf("tagged miss: %v", err)
 	}
 }

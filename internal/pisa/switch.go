@@ -212,26 +212,17 @@ func (s *Switch) RemoveSPIRange(lo, hi uint32) (entries, rules int) {
 // entry.
 var ErrNoPath = errors.New("pisa: no service path for frame")
 
-// ProcessFrame runs one frame through the switch pipeline and returns the
-// possibly-rewritten frame plus the forwarding decision. env supplies
-// simulated time for any switch-resident NFs that need it. The input frame
-// buffer is reused for tag rewrites and for a switch-resident VLAN push or
-// pop (nf.Tunnel grows the frame into its spare capacity when it has any,
-// nf.Detunnel shrinks it where it lies), but NSH encap/decap return a fresh
-// buffer.
-func (s *Switch) ProcessFrame(frame []byte, env *nf.Env) ([]byte, Forward, error) {
-	var p packet.Packet
-	return s.process(frame, env, &p, false)
-}
-
-// ProcessFrameInPlace is ProcessFrame for the simulator's zero-allocation
-// fast path: NSH encap, like a VLAN push before it, grows the frame inside
-// its spare capacity (falling back to a copy only when there is none) and
-// decap shrinks it at the tail, so the returned frame keeps the input's
-// backing array and full capacity — exactly what a pooled-buffer caller
-// needs to recycle it. packet.TailRoom is what both growths take together.
+// ProcessFrameInPlace runs one frame through the switch pipeline and
+// returns the rewritten frame plus the forwarding decision. env supplies
+// simulated time for any switch-resident NFs that need it. The frame stays
+// in the caller's buffer: tag rewrites happen where it lies, NSH encap, like
+// a VLAN push before it, grows the frame inside its spare capacity (falling
+// back to a copy only when there is none) and decap shrinks it at the tail,
+// so the returned frame keeps the input's backing array and full capacity —
+// exactly what a pooled-buffer caller needs to recycle it. packet.TailRoom
+// is what both growths take together.
 func (s *Switch) ProcessFrameInPlace(frame []byte, env *nf.Env) ([]byte, Forward, error) {
-	return s.process(frame, env, &s.scratch, true)
+	return s.process(frame, env, &s.scratch)
 }
 
 // ProcessFrameInto is ProcessFrameInPlace with a caller-owned decode
@@ -241,10 +232,10 @@ func (s *Switch) ProcessFrameInPlace(frame []byte, env *nf.Env) ([]byte, Forward
 // counters are atomic, so concurrent callers only need distinct scratch
 // buffers and distinct frames.
 func (s *Switch) ProcessFrameInto(scratch *packet.Packet, frame []byte, env *nf.Env) ([]byte, Forward, error) {
-	return s.process(frame, env, scratch, true)
+	return s.process(frame, env, scratch)
 }
 
-func (s *Switch) process(frame []byte, env *nf.Env, p *packet.Packet, inPlace bool) (out []byte, fwd Forward, err error) {
+func (s *Switch) process(frame []byte, env *nf.Env, p *packet.Packet) (out []byte, fwd Forward, err error) {
 	atomic.AddUint64(&s.InFrames, 1)
 	mFrames.Inc()
 	defer func() {
@@ -310,24 +301,14 @@ func (s *Switch) process(frame []byte, env *nf.Env, p *packet.Packet, inPlace bo
 
 	switch {
 	case e.Encap && !tagged:
-		var enc []byte
-		if inPlace {
-			enc, err = nsh.EncapInPlace(frame, outSPI, outSI)
-		} else {
-			enc, err = nsh.Encap(frame, outSPI, outSI)
-		}
+		enc, err := nsh.EncapInPlace(frame, outSPI, outSI)
 		if err != nil {
 			atomic.AddUint64(&s.DroppedFrames, 1)
 			return nil, Forward{Kind: Dropped}, err
 		}
 		frame = enc
 	case tagged && e.Decap:
-		var dec []byte
-		if inPlace {
-			dec, _, _, err = nsh.DecapInPlace(frame)
-		} else {
-			dec, _, _, err = nsh.Decap(frame)
-		}
+		dec, _, _, err := nsh.DecapInPlace(frame)
 		if err != nil {
 			atomic.AddUint64(&s.DroppedFrames, 1)
 			return nil, Forward{Kind: Dropped}, err

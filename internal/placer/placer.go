@@ -64,9 +64,6 @@ type Input struct {
 	Topo   *hw.Topology
 	DB     *profile.DB
 
-	// FrameBits converts pps to bps; 0 means DefaultFrameBits.
-	FrameBits float64
-
 	// Restrict overrides the platform choices for an NF class (the
 	// evaluation's "IPv4Fwd is P4-only" restriction). nil entries fall back
 	// to the registry.
@@ -118,12 +115,8 @@ type Input struct {
 	prep *inputPrep
 }
 
-func (in *Input) frameBits() float64 {
-	if in.FrameBits > 0 {
-		return in.FrameBits
-	}
-	return DefaultFrameBits
-}
+// frameBits converts pps to bps.
+func (in *Input) frameBits() float64 { return DefaultFrameBits }
 
 // FrameBitsOrDefault exposes the pps→bps conversion factor to the runtime.
 func (in *Input) FrameBitsOrDefault() float64 { return in.frameBits() }

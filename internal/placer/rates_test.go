@@ -251,3 +251,43 @@ func TestRateLPMatchesFullWidth(t *testing.T) {
 		t.Fatalf("%d solved programs with a retired slot, %d refusals; property under-exercised", withRetired, refused)
 	}
 }
+
+// TestRateLaw pins the placer's one capacity law, the paper's k·f/c: a
+// subgroup of k cores at clock f whose packets cost c cycles forwards
+// k·f/c packets a second, which bounds the chain at that rate in bits over
+// the share of chain traffic the subgroup sees; a SmartNIC-resident NF
+// runs at speedup·f/c. A zero cost, core count or share bounds nothing (0),
+// never infinitely.
+func TestRateLaw(t *testing.T) {
+	topo := hw.NewPaperTestbed(hw.WithSmartNIC())
+	in := &Input{Topo: topo}
+	in.ensurePrep()
+	f := topo.Servers[0].ClockHz
+	nic := topo.SmartNICs[0]
+	for _, tc := range []struct {
+		sg   Subgroup
+		want float64
+	}{
+		{Subgroup{Cores: 2, Cycles: 1700, Weight: 1}, 2 * f / 1700 * DefaultFrameBits},
+		{Subgroup{Cores: 1, Cycles: 1700, Weight: 0.5}, f / 1700 * DefaultFrameBits / 0.5},
+		{Subgroup{Cores: 0, Cycles: 1700, Weight: 1}, 0},
+		{Subgroup{Cores: 2, Cycles: 0, Weight: 1}, 0},
+		{Subgroup{Cores: 2, Cycles: 1700, Weight: 0}, 0},
+	} {
+		if got := in.subRateBps(&tc.sg); math.Abs(got-tc.want) > 1e-6*tc.want {
+			t.Errorf("subRateBps(%+v) = %v, want %v", tc.sg, got, tc.want)
+		}
+	}
+	for _, tc := range []struct {
+		u    NICUse
+		want float64
+	}{
+		{NICUse{Device: nic.Name, Cycles: 3400, Weight: 1}, nic.SpeedupVsServerCore * f / 3400 * DefaultFrameBits},
+		{NICUse{Device: nic.Name, Cycles: 0, Weight: 1}, 0},
+		{NICUse{Device: "no-such-nic", Cycles: 3400, Weight: 1}, 0},
+	} {
+		if got := in.nicRateBps(&tc.u); math.Abs(got-tc.want) > 1e-6*tc.want {
+			t.Errorf("nicRateBps(%+v) = %v, want %v", tc.u, got, tc.want)
+		}
+	}
+}

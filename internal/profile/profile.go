@@ -18,6 +18,7 @@ import (
 	"math/rand"
 
 	"lemur/internal/nf"
+	"lemur/internal/packet"
 	"lemur/internal/trafficgen"
 )
 
@@ -126,8 +127,11 @@ func (pr *Profiler) Profile(class string, params nf.Params, numa NUMA) (Stats, e
 		env := &nf.Env{Rand: rng}
 		for i := 0; i < pr.PacketsPerRun; i++ {
 			env.NowSec = float64(i) * 1e-5
-			p := gen.Next(env.NowSec)
-			inst.Process(p, env)
+			var p packet.Packet
+			if err := p.Decode(gen.NextInto(nil, env.NowSec)); err != nil {
+				return Stats{}, fmt.Errorf("profile: %s: %w", class, err)
+			}
+			inst.Process(&p, env)
 		}
 		// Run-level observed mean: worst-case modulated by uniform
 		// microarchitectural noise and NUMA placement.

@@ -5,7 +5,6 @@ import (
 
 	"lemur/internal/nf"
 	"lemur/internal/nfspec"
-	"lemur/internal/packet"
 	"lemur/internal/trafficgen"
 )
 
@@ -16,18 +15,12 @@ import (
 // through Testbed.newChainGen, so the fast/reference and sharded/reference
 // identity properties hold at any scale.
 
-// frameSource is the per-chain packet source the sim engines draw from —
+// frameSource is the per-chain packet source the sim engine draws from —
 // satisfied by both trafficgen.Generator (incremental) and
-// trafficgen.ScheduleGen (arena replay).
+// trafficgen.ScheduleGen (arena replay). NextInto produces the next frame
+// into buf with NSH headroom.
 type frameSource interface {
-	// Next produces the next packet at simulated time nowSec, owning a
-	// fresh buffer (reference engine).
-	Next(nowSec float64) *packet.Packet
-	// NextInto produces the next frame into buf with NSH headroom (fast
-	// engine's pooled-buffer path).
 	NextInto(buf []byte, nowSec float64) []byte
-	// FlowCount reports the current live-flow population.
-	FlowCount() int
 }
 
 // schedSlot is the flow schedule a Testbed keeps for one chain slot: the

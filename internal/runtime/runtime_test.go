@@ -251,10 +251,11 @@ chain nic {
 	}
 }
 
-// allocatingVerify is the walk Verify used before it went in place: frames
-// from gen.Next, every hop through the allocating ProcessFrame of switch,
-// pipeline and NIC. It is the oracle TestVerifyInPlaceMatchesAllocating
-// holds the in-place walk to.
+// allocatingVerify is the walk Verify used before it went in place: a fresh
+// frame per packet, and every hop of switch, pipeline and NIC run on a
+// private copy of the frame (ownCopy), so no hop ever sees another's
+// buffer. It is the oracle TestVerifyInPlaceMatchesAllocating holds the
+// in-place walk to.
 func allocatingVerify(t *testing.T, tb *Testbed, n int) *WalkStats {
 	t.Helper()
 	stats := &WalkStats{ByChain: make([]ChainWalk, len(tb.D.Input.Chains))}
@@ -270,13 +271,13 @@ func allocatingVerify(t *testing.T, tb *Testbed, n int) *WalkStats {
 		}
 		for i := 0; i < n; i++ {
 			env.NowSec = float64(i) * 1e-5
-			frame := gen.Next(env.NowSec).Data
+			frame := gen.NextInto(nil, env.NowSec)
 			stats.Injected++
 			stats.ByChain[ci].Injected++
 			outcome, hops := pisa.Dropped, 0
 		walk:
 			for ; hops < maxWalkHops; hops++ {
-				out, fwd, err := tb.D.Switch.ProcessFrame(frame, env)
+				out, fwd, err := tb.D.Switch.ProcessFrameInPlace(ownCopy(frame), env)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -286,9 +287,9 @@ func allocatingVerify(t *testing.T, tb *Testbed, n int) *WalkStats {
 					outcome = fwd.Kind
 					break walk
 				case pisa.ToServer:
-					frame, err = tb.D.Pipelines[fwd.Target].ProcessFrame(frame, env)
+					frame, err = tb.D.Pipelines[fwd.Target].ProcessFrameInPlace(ownCopy(frame), env)
 				case pisa.ToNIC:
-					frame, err = tb.D.NICs[fwd.Target].ProcessFrame(frame, env)
+					frame, err = tb.D.NICs[fwd.Target].ProcessFrameInPlace(ownCopy(frame), env)
 				}
 				if err != nil {
 					t.Fatal(err)

@@ -16,12 +16,17 @@ import (
 	"lemur/internal/profile"
 )
 
+// ownCopy is the copying contract the oracles in this package walk under:
+// each device hop runs in place on a private copy of the frame, so the
+// caller's buffer is never touched and every hop's output owns its own.
+func ownCopy(frame []byte) []byte { return append([]byte(nil), frame...) }
+
 // simulateReference is the retained reference implementation of Simulate:
-// one packet at a time, map-keyed queues and budgets, allocating
-// encap/decap, and O(subgroups) pipelineOf/primaryOf scans per hop. It is
-// deliberately simple and slow; the in-package determinism property tests
-// hold the batched arena engine in sim.go byte-identical to it (SimResult
-// and the exported metrics snapshot) for any fixed seed.
+// one packet at a time, map-keyed queues and budgets, a private frame copy
+// per hop (ownCopy), and O(subgroups) pipelineOf/primaryOf scans per hop.
+// It is deliberately simple and slow; the in-package determinism property
+// tests hold the batched arena engine in sim.go byte-identical to it
+// (SimResult and the exported metrics snapshot) for any fixed seed.
 func (tb *Testbed) simulateReference(offered []float64, cfg SimConfig) (*SimResult, error) {
 	cfg.defaults()
 	in := tb.D.Input
@@ -150,7 +155,7 @@ func (tb *Testbed) simulateReference(offered []float64, cfg SimConfig) (*SimResu
 	advance := func(p *simPacket, now float64, credit map[*bess.Subgroup]float64) (parked bool, err error) {
 		frame := p.frame
 		for hop := 0; hop < maxWalkHops; hop++ {
-			out, fwd, perr := tb.D.Switch.ProcessFrame(frame, env)
+			out, fwd, perr := tb.D.Switch.ProcessFrameInPlace(ownCopy(frame), env)
 			if perr != nil {
 				return false, perr
 			}
@@ -198,7 +203,7 @@ func (tb *Testbed) simulateReference(offered []float64, cfg SimConfig) (*SimResu
 					return true, nil
 				}
 				credit[prim] -= cost
-				next, perr := pl.ProcessFrame(out, env)
+				next, perr := pl.ProcessFrameInPlace(ownCopy(out), env)
 				if perr != nil {
 					return false, perr
 				}
@@ -212,7 +217,7 @@ func (tb *Testbed) simulateReference(offered []float64, cfg SimConfig) (*SimResu
 				if nic == nil {
 					return false, fmt.Errorf("runtime: no NIC %q", fwd.Target)
 				}
-				next, perr := nic.ProcessFrame(out, env)
+				next, perr := nic.ProcessFrameInPlace(ownCopy(out), env)
 				if perr != nil {
 					return false, perr
 				}
@@ -231,7 +236,7 @@ func (tb *Testbed) simulateReference(offered []float64, cfg SimConfig) (*SimResu
 
 	// resume continues a parked packet from its subgroup.
 	resume := func(p *simPacket, pl *bess.Pipeline, now float64, credit map[*bess.Subgroup]float64) (bool, error) {
-		next, perr := pl.ProcessFrame(p.frame, env)
+		next, perr := pl.ProcessFrameInPlace(ownCopy(p.frame), env)
 		if perr != nil {
 			return false, perr
 		}
@@ -296,10 +301,10 @@ func (tb *Testbed) simulateReference(offered []float64, cfg SimConfig) (*SimResu
 			acc[ci] += offered[ci] / frameBits / cfg.Scale * cfg.StepSec
 			for acc[ci] >= 1 {
 				acc[ci]--
-				pkt := gens[ci].Next(now)
+				frame := gens[ci].NextInto(nil, now)
 				res.Injected[ci]++
 				injC[ci].Inc()
-				p := &simPacket{chain: ci, frame: pkt.Data, bornSec: now}
+				p := &simPacket{chain: ci, frame: frame, bornSec: now}
 				if _, err := advance(p, now, credit); err != nil {
 					return nil, err
 				}

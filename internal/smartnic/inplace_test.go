@@ -9,9 +9,10 @@ import (
 	"lemur/internal/nsh"
 )
 
-// TestNICProcessFrameInPlaceMatches: the in-place NIC path (header shifts
-// over the pooled buffer) must produce byte-identical frames to the
-// allocating ProcessFrame across a stream, including the stateful ChaCha NF.
+// TestNICProcessFrameInPlaceMatches: the in-place NIC hop (header shifts
+// over the pooled buffer) must produce byte-identical frames to the copying
+// processCopy across a stream, including the stateful ChaCha NF; the oracle
+// never touches its input.
 func TestNICProcessFrameInPlaceMatches(t *testing.T) {
 	mk := func() *NIC {
 		nic := NewNIC(nicSpec())
@@ -32,9 +33,13 @@ func TestNICProcessFrameInPlaceMatches(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := ref.ProcessFrame(append([]byte(nil), enc...), env)
+		orig := append([]byte(nil), enc...)
+		want, err := processCopy(ref, enc, env)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if !bytes.Equal(enc, orig) {
+			t.Fatalf("frame %d: processCopy mutated its input", i)
 		}
 		got, err := fast.ProcessFrameInPlace(append([]byte(nil), enc...), env)
 		if err != nil {
@@ -44,12 +49,13 @@ func TestNICProcessFrameInPlaceMatches(t *testing.T) {
 			t.Fatalf("frame %d: in-place NIC output diverges", i)
 		}
 	}
-	if ref.InFrames != fast.InFrames {
-		t.Fatalf("counter drift: ref %d fast %d", ref.InFrames, fast.InFrames)
+	if fast.InFrames != 30 {
+		t.Fatalf("InFrames = %d, want 30", fast.InFrames)
 	}
 }
 
-// TestNICProcessFrameInPlaceXDPDrop: XDP drops behave identically in place.
+// TestNICProcessFrameInPlaceXDPDrop: an XDP drop is a nil frame, no error,
+// and one count in DroppedFrames.
 func TestNICProcessFrameInPlaceXDPDrop(t *testing.T) {
 	nic := NewNIC(nicSpec())
 	prog, err := CompileFilter("none", bpf.MustCompile("false"))

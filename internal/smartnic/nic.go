@@ -105,36 +105,14 @@ func (n *NIC) UnloadSPIRange(lo, hi uint32) int {
 	return removed
 }
 
-// CapacityPPS converts the NF-server profile into NIC throughput using the
-// measured speedup (the paper reports >10x for ChaCha): the NIC runs the
-// path's bottleneck NF speedup× faster than one server core, capped by the
-// port rate elsewhere (the runtime applies the link cap).
-func (n *NIC) CapacityPPS(serverClockHz, worstCycles float64) float64 {
-	if worstCycles <= 0 {
-		return 0
-	}
-	return n.Spec.SpeedupVsServerCore * serverClockHz / worstCycles
-}
-
-// ProcessFrame runs one NSH-tagged frame through the NIC: XDP program, NF
-// bodies, SI advance. A nil frame with nil error is a drop. The input frame
-// is never mutated.
-func (n *NIC) ProcessFrame(frame []byte, env *nf.Env) ([]byte, error) {
-	var p packet.Packet
-	return n.process(frame, env, &p, false)
-}
-
-// ProcessFrameInPlace is ProcessFrame for the simulator's zero-allocation
-// fast path: NSH decap/re-encap shift the L2 header inside frame's own
-// backing array, so a NIC hop whose NFs rewrite the packet in place performs
-// no allocation and no payload copy. The buffer contract is the server
-// mux's (bess.Pipeline.ProcessFrameInPlace): same base pointer out as in,
-// at whatever length the NFs left the frame.
-func (n *NIC) ProcessFrameInPlace(frame []byte, env *nf.Env) ([]byte, error) {
-	return n.process(frame, env, &n.scratch, true)
-}
-
-func (n *NIC) process(frame []byte, env *nf.Env, p *packet.Packet, inPlace bool) (out []byte, rerr error) {
+// ProcessFrameInPlace runs one NSH-tagged frame through the NIC: XDP
+// program, NF bodies, SI advance. A nil frame with nil error is a drop. NSH
+// decap/re-encap shift the L2 header inside frame's own backing array, so a
+// NIC hop whose NFs rewrite the packet in place performs no allocation and
+// no payload copy. The buffer contract is the server mux's
+// (bess.Pipeline.ProcessFrameInPlace): same base pointer out as in, at
+// whatever length the NFs left the frame.
+func (n *NIC) ProcessFrameInPlace(frame []byte, env *nf.Env) (out []byte, rerr error) {
 	n.InFrames++
 	mFrames.Inc()
 	defer func() {
@@ -142,15 +120,7 @@ func (n *NIC) process(frame []byte, env *nf.Env, p *packet.Packet, inPlace bool)
 			mDrops.Inc()
 		}
 	}()
-	var inner []byte
-	var spi uint32
-	var si uint8
-	var err error
-	if inPlace {
-		inner, spi, si, err = nsh.DecapShift(frame)
-	} else {
-		inner, spi, si, err = nsh.Decap(frame)
-	}
+	inner, spi, si, err := nsh.DecapShift(frame)
 	if err != nil {
 		return nil, fmt.Errorf("smartnic: %w", err)
 	}
@@ -166,6 +136,7 @@ func (n *NIC) process(frame []byte, env *nf.Env, p *packet.Packet, inPlace bool)
 		n.DroppedFrames++
 		return nil, nil
 	}
+	p := &n.scratch
 	if err := p.Decode(inner); err != nil {
 		return nil, fmt.Errorf("smartnic: %w", err)
 	}
@@ -180,7 +151,7 @@ func (n *NIC) process(frame []byte, env *nf.Env, p *packet.Packet, inPlace bool)
 	if si < pp.AdvanceSI {
 		return nil, fmt.Errorf("smartnic: SI underflow (si=%d advance=%d)", si, pp.AdvanceSI)
 	}
-	if inPlace && &p.Data[0] == &inner[0] {
+	if &p.Data[0] == &inner[0] {
 		full := frame[:packet.NSHLen+len(p.Data)]
 		if err := nsh.EncapShift(full, spi, si-pp.AdvanceSI); err != nil {
 			return nil, err

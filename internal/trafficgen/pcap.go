@@ -40,8 +40,11 @@ func NewPcapWriter(w io.Writer) (*PcapWriter, error) {
 	return &PcapWriter{w: w}, nil
 }
 
-// WriteFrame appends one frame with the given capture timestamp.
+// WriteFrame appends one frame with the given capture timestamp. A frame
+// longer than the snap length is cut to it; the record's original length
+// stays the frame's.
 func (pw *PcapWriter) WriteFrame(tsSec float64, frame []byte) error {
+	origLen := len(frame)
 	if len(frame) > pcapSnapLen {
 		frame = frame[:pcapSnapLen]
 	}
@@ -51,7 +54,7 @@ func (pw *PcapWriter) WriteFrame(tsSec float64, frame []byte) error {
 	binary.LittleEndian.PutUint32(rec[0:], sec)
 	binary.LittleEndian.PutUint32(rec[4:], usec)
 	binary.LittleEndian.PutUint32(rec[8:], uint32(len(frame)))
-	binary.LittleEndian.PutUint32(rec[12:], uint32(len(frame)))
+	binary.LittleEndian.PutUint32(rec[12:], uint32(origLen))
 	if _, err := pw.w.Write(rec[:]); err != nil {
 		return fmt.Errorf("trafficgen: pcap record: %w", err)
 	}
@@ -75,10 +78,11 @@ func DumpPcap(w io.Writer, g *Generator, n int, pps float64) error {
 	if pps <= 0 {
 		pps = 1e6
 	}
+	var buf []byte
 	for i := 0; i < n; i++ {
 		ts := float64(i) / pps
-		p := g.Next(ts)
-		if err := pw.WriteFrame(ts, p.Data); err != nil {
+		buf = g.NextInto(buf, ts)
+		if err := pw.WriteFrame(ts, buf); err != nil {
 			return err
 		}
 	}

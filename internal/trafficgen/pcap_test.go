@@ -36,32 +36,44 @@ func TestPcapRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPcapHeaderFields: the global header and each record's timestamp,
+// captured length and original length. A frame longer than the snap length
+// is cut to it, but its record keeps the frame's original length.
 func TestPcapHeaderFields(t *testing.T) {
-	var buf bytes.Buffer
-	pw, err := NewPcapWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := pw.WriteFrame(1.5, []byte{1, 2, 3, 4}); err != nil {
-		t.Fatal(err)
-	}
-	if pw.Count() != 1 {
-		t.Errorf("count = %d", pw.Count())
-	}
-	b := buf.Bytes()
-	if got := binary.LittleEndian.Uint32(b[0:]); got != 0xa1b2c3d4 {
-		t.Errorf("magic = %#x", got)
-	}
-	if got := binary.LittleEndian.Uint32(b[20:]); got != 1 {
-		t.Errorf("linktype = %d, want 1 (Ethernet)", got)
-	}
-	// Record: ts 1.5s = sec 1 usec 500000, caplen 4.
-	rec := b[24:]
-	if binary.LittleEndian.Uint32(rec[0:]) != 1 || binary.LittleEndian.Uint32(rec[4:]) != 500000 {
-		t.Errorf("timestamp = %d.%06d", binary.LittleEndian.Uint32(rec[0:]), binary.LittleEndian.Uint32(rec[4:]))
-	}
-	if binary.LittleEndian.Uint32(rec[8:]) != 4 {
-		t.Errorf("caplen = %d", binary.LittleEndian.Uint32(rec[8:]))
+	for _, n := range []int{4, 70000} {
+		var buf bytes.Buffer
+		pw, err := NewPcapWriter(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := pw.WriteFrame(1.5, make([]byte, n)); err != nil {
+			t.Fatal(err)
+		}
+		if pw.Count() != 1 {
+			t.Errorf("count = %d", pw.Count())
+		}
+		b := buf.Bytes()
+		if got := binary.LittleEndian.Uint32(b[0:]); got != 0xa1b2c3d4 {
+			t.Errorf("magic = %#x", got)
+		}
+		if got := binary.LittleEndian.Uint32(b[20:]); got != 1 {
+			t.Errorf("linktype = %d, want 1 (Ethernet)", got)
+		}
+		// Record: ts 1.5s = sec 1 usec 500000, caplen, origlen.
+		rec := b[24:]
+		if binary.LittleEndian.Uint32(rec[0:]) != 1 || binary.LittleEndian.Uint32(rec[4:]) != 500000 {
+			t.Errorf("timestamp = %d.%06d", binary.LittleEndian.Uint32(rec[0:]), binary.LittleEndian.Uint32(rec[4:]))
+		}
+		wantCap := min(n, pcapSnapLen)
+		if got := binary.LittleEndian.Uint32(rec[8:]); got != uint32(wantCap) {
+			t.Errorf("%d-byte frame: caplen = %d, want %d", n, got, wantCap)
+		}
+		if got := binary.LittleEndian.Uint32(rec[12:]); got != uint32(n) {
+			t.Errorf("%d-byte frame: origlen = %d, want %d", n, got, n)
+		}
+		if got := len(rec) - 16; got != wantCap {
+			t.Errorf("%d-byte frame: %d bytes written, want %d", n, got, wantCap)
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package trafficgen
 
 import (
-	"fmt"
 	"math/rand"
 	"sort"
 
@@ -71,29 +70,21 @@ func ScheduleInto(dst *Schedule, cfg Config, horizonSec float64) (*Schedule, err
 	if err != nil {
 		return nil, err
 	}
-	// n flows, born gap apart from first. A negative count would leave an
-	// empty schedule to index; a negative rate, births that never reach the
-	// horizon.
+	if err := cfg.check(); err != nil {
+		return nil, err
+	}
+	// n flows, born gap apart from first.
 	var n int
 	var life, first, gap float64
-	switch cfg.Mode {
-	case LongLived:
-		if cfg.Flows < 0 {
-			return nil, fmt.Errorf("trafficgen: negative flow count %d", cfg.Flows)
-		}
+	if cfg.Mode == LongLived {
 		n = cfg.Flows
-	case ShortLived:
-		if cfg.NewFlowsSec < 0 {
-			return nil, fmt.Errorf("trafficgen: negative flow arrival rate %d/s", cfg.NewFlowsSec)
-		}
+	} else {
 		life, first, gap = cfg.LifeSec, -cfg.LifeSec, 1/float64(cfg.NewFlowsSec)
 		// Every birth up to the horizon, counted on the birth times the
 		// replay will compare against (BornAt's expression).
 		for first+float64(n)*gap <= horizonSec {
 			n++
 		}
-	default:
-		return nil, fmt.Errorf("trafficgen: unknown mode %d", cfg.Mode)
 	}
 	if dst == nil {
 		dst = &Schedule{}
@@ -114,7 +105,7 @@ func ScheduleInto(dst *Schedule, cfg Config, horizonSec float64) (*Schedule, err
 }
 
 // ScheduleGen replays a Schedule as a packet source, mirroring Generator's
-// API: each packet picks a uniformly random live flow and fills the same
+// NextInto: each packet picks a uniformly random live flow and fills the same
 // frame layout through the same payload machinery. The live-flow window
 // advances incrementally — O(1) amortized per packet, no retirement scan —
 // and retirement order equals birth order by construction.
@@ -165,17 +156,6 @@ func (sg *ScheduleGen) pick(nowSec float64) packet.FiveTuple {
 		return sg.s.Tuples[sg.tail-1]
 	}
 	return sg.s.Tuples[sg.head+sg.g.rng.Intn(live)]
-}
-
-// Next produces the next packet at simulated time nowSec, owning a fresh
-// buffer.
-func (sg *ScheduleGen) Next(nowSec float64) *packet.Packet {
-	frame := sg.NextInto(nil, nowSec)
-	p := &packet.Packet{}
-	if err := p.Decode(frame); err != nil {
-		panic("trafficgen: generated undecodable frame: " + err.Error())
-	}
-	return p
 }
 
 // NextInto produces the next frame at simulated time nowSec into buf,

@@ -75,7 +75,8 @@ func TestScheduleReuseAndDeterminism(t *testing.T) {
 
 // TestScheduleIntoRejects: configs that would leave a schedule nothing can
 // replay — no flow to pick, or births that never reach the horizon — are
-// errors, and a rejected config leaves the arena it was aimed at alone.
+// errors, and a rejected config leaves the arena it was aimed at alone. New
+// rejects each of them too.
 func TestScheduleIntoRejects(t *testing.T) {
 	good := Config{Mode: ShortLived, NewFlowsSec: 100, Seed: 2}
 	dst, err := ScheduleInto(nil, good, 0.5)
@@ -97,6 +98,11 @@ func TestScheduleIntoRejects(t *testing.T) {
 		}
 		if len(dst.Tuples) != len(want) || dst.Tuples[0] != want[0] || dst.BornAt(1) != -1+0.01 {
 			t.Fatalf("%s: the rejected config changed dst", tc.name)
+		}
+		// The incremental generator refuses the same config rather than
+		// panicking on its first frame.
+		if _, err := New(tc.cfg); err == nil {
+			t.Errorf("%s: New: no error", tc.name)
 		}
 	}
 }
@@ -194,9 +200,9 @@ func TestScheduledGenReplay(t *testing.T) {
 		now := float64(i) * 0.0002
 		fa := a.NextInto(buf, now)
 		buf = fa[:0]
-		pb := b.Next(now)
+		pb := next(b, now)
 		if !bytes.Equal(fa, pb.Data) {
-			t.Fatalf("packet %d: NextInto and Next diverged", i)
+			t.Fatalf("packet %d: recycled and fresh buffers diverged", i)
 		}
 		if len(fa) != DefaultFrameBytes-packet.NSHLen {
 			t.Fatalf("frame %d bytes, want %d", len(fa), DefaultFrameBytes-packet.NSHLen)

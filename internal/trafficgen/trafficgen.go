@@ -79,6 +79,26 @@ func (cfg Config) withDefaults() Config {
 	return cfg
 }
 
+// check rejects a config neither packet source can run: a negative flow
+// count would leave no flow to draw from, a negative arrival rate births
+// that never come, and an unknown mode neither. cfg must already have
+// defaults applied.
+func (cfg *Config) check() error {
+	switch cfg.Mode {
+	case LongLived:
+		if cfg.Flows < 0 {
+			return fmt.Errorf("trafficgen: negative flow count %d", cfg.Flows)
+		}
+	case ShortLived:
+		if cfg.NewFlowsSec < 0 {
+			return fmt.Errorf("trafficgen: negative flow arrival rate %d/s", cfg.NewFlowsSec)
+		}
+	default:
+		return fmt.Errorf("trafficgen: unknown mode %d", cfg.Mode)
+	}
+	return nil
+}
+
 // addrSpace is the parsed CIDR pair tuples are drawn from.
 type addrSpace struct {
 	srcBase uint32
@@ -150,10 +170,14 @@ func newBase(cfg Config) (*Generator, error) {
 	return g, nil
 }
 
-// New builds a generator, applying defaults.
+// New builds a generator, applying defaults. It rejects the configs
+// ScheduleInto rejects.
 func New(cfg Config) (*Generator, error) {
 	g, err := newBase(cfg.withDefaults())
 	if err != nil {
+		return nil, err
+	}
+	if err := g.cfg.check(); err != nil {
 		return nil, err
 	}
 	if g.cfg.Mode == LongLived {
@@ -169,21 +193,9 @@ func (g *Generator) newTuple() packet.FiveTuple {
 	return synthTuple(g.rng, g.sp, &g.cfg)
 }
 
-// Next produces the next packet at simulated time nowSec. The returned
-// packet owns a fresh buffer.
-func (g *Generator) Next(nowSec float64) *packet.Packet {
-	frame := g.NextInto(nil, nowSec)
-	p := &packet.Packet{}
-	if err := p.Decode(frame); err != nil {
-		panic("trafficgen: generated undecodable frame: " + err.Error())
-	}
-	return p
-}
-
 // NextInto produces the next frame at simulated time nowSec, serializing it
 // into buf (reused when capacity suffices, extended otherwise) and returning
-// the frame slice. The rng draw order is identical to Next, so interleaving
-// the two APIs on one generator keeps the packet stream byte-identical.
+// the frame slice. The frame's bytes and the rng draws do not depend on buf.
 // Freshly allocated buffers reserve packet.TailRoom spare capacity so an NSH
 // encap and a VLAN push later in the pipeline can grow the frame in place.
 func (g *Generator) NextInto(buf []byte, nowSec float64) []byte {

@@ -16,7 +16,7 @@ func TestLongLivedFlows(t *testing.T) {
 	}
 	seen := map[packet.FiveTuple]bool{}
 	for i := 0; i < 500; i++ {
-		p := g.Next(0)
+		p := next(g, 0)
 		tu, err := p.Tuple()
 		if err != nil {
 			t.Fatal(err)
@@ -42,13 +42,13 @@ func TestShortLivedChurn(t *testing.T) {
 	// Drive sim time forward; the pool should grow to ~NewFlowsSec and old
 	// flows must expire.
 	for i := 0; i < 2000; i++ {
-		g.Next(float64(i) * 0.001) // 2 seconds
+		next(g, float64(i)*0.001) // 2 seconds
 	}
 	if got := g.FlowCount(); got < 50 || got > 110 {
 		t.Errorf("steady-state pool = %d, want around 100", got)
 	}
 	for i := 0; i < 2000; i++ {
-		g.Next(2 + float64(i)*0.001)
+		next(g, 2+float64(i)*0.001)
 	}
 	// Every live flow (the [head:] window) must be younger than LifeSec at
 	// the last emission time.
@@ -62,14 +62,14 @@ func TestShortLivedChurn(t *testing.T) {
 
 func TestFrameSize(t *testing.T) {
 	g, _ := New(Config{Mode: LongLived, Seed: 1})
-	p := g.Next(0)
+	p := next(g, 0)
 	// Generator reserves NSH headroom: built frame is DefaultFrameBytes-NSHLen
 	// before encapsulation.
 	if got := len(p.Data); got != DefaultFrameBytes-packet.NSHLen {
 		t.Errorf("frame = %d bytes, want %d", got, DefaultFrameBytes-packet.NSHLen)
 	}
 	gt, _ := New(Config{Mode: LongLived, Proto: packet.IPProtoTCP, Seed: 1})
-	pt := gt.Next(0)
+	pt := next(gt, 0)
 	if got := len(pt.Data); got != DefaultFrameBytes-packet.NSHLen {
 		t.Errorf("tcp frame = %d bytes, want %d", got, DefaultFrameBytes-packet.NSHLen)
 	}
@@ -80,7 +80,7 @@ func TestFrameSize(t *testing.T) {
 
 func TestRedundantPayloads(t *testing.T) {
 	g, _ := New(Config{Mode: LongLived, Redundancy: 1.0, Seed: 5})
-	p := g.Next(0)
+	p := next(g, 0)
 	pay := p.Payload()
 	if len(pay) < 128 {
 		t.Fatal("payload too small")
@@ -91,7 +91,7 @@ func TestRedundantPayloads(t *testing.T) {
 		}
 	}
 	g2, _ := New(Config{Mode: LongLived, Redundancy: 0, Seed: 5})
-	p2 := g2.Next(0)
+	p2 := next(g2, 0)
 	pay2 := p2.Payload()
 	same := 0
 	for i := 0; i < 64; i++ {
@@ -106,7 +106,7 @@ func TestRedundantPayloads(t *testing.T) {
 
 func TestHTTPShare(t *testing.T) {
 	g, _ := New(Config{Mode: LongLived, HTTPShare: 1.0, Proto: packet.IPProtoTCP, Seed: 9})
-	p := g.Next(0)
+	p := next(g, 0)
 	if string(p.Payload()[:4]) != "GET " {
 		t.Errorf("payload does not start with HTTP head: %q", p.Payload()[:16])
 	}
@@ -125,7 +125,7 @@ func TestDeterminism(t *testing.T) {
 	a, _ := New(Config{Mode: LongLived, Seed: 42})
 	b, _ := New(Config{Mode: LongLived, Seed: 42})
 	for i := 0; i < 50; i++ {
-		pa, pb := a.Next(0), b.Next(0)
+		pa, pb := next(a, 0), next(b, 0)
 		ta, _ := pa.Tuple()
 		tb, _ := pb.Tuple()
 		if ta != tb {
