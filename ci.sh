@@ -170,10 +170,21 @@ run_guard 'TestForEach|TestFailoverSweepErrorDeterministic' -race -count=1 ./int
 # Sharded/reference table identity: the sharded arena tables against the
 # map-backed references that now live only in internal/nf's test files — NF
 # by NF, and through the whole simulator over 50+ random stateful topologies.
-# A table allocates what it holds: filling one to its cap costs at most 2.2x
-# its final arena and slot index, and evict-then-insert at the cap nothing.
+# A table allocates what it holds: filling one to its cap costs at most 1.35x
+# its final arena and slot index (the arena's segments are never copied),
+# and evict-then-insert at the cap nothing.
 echo "==> sharded/reference NF table identity, table allocation bound (race)"
 run_guard 'TestShardedMatchesReference|TestShardedTablesMatchReference|TestFlowTableAllocBound' -race -count=1 ./internal/nf
+
+# The ACL holds its synthetic /24 allows as a count: its verdicts and
+# NumRules must be the materialised rule list's (reference_test.go) at counts
+# around 1 024 and 65 536 and on every /24 up to past 2^24 rules (without the
+# race detector, which makes the list's scan take a minute). A Dedup chunk
+# shorter than its 8-byte shim is refused by both implementations and by
+# Compile, not spun on or sliced out of range.
+echo "==> ACL synthetic range, NF parameter rejects"
+run_guard 'TestACLMatchesMaterialised|TestDedupRejectsShortChunk' -count=1 ./internal/nf
+run_guard 'TestCompileRefusesShortDedupChunk|TestP4TablesMangled' -count=1 ./internal/metacompiler
 
 # Fuzz smoke: ten seconds of FuzzReplace exercises the incremental door's
 # invariants (pinning, no-failure identity, combined retire/admit/fail
@@ -192,7 +203,8 @@ fuzz_smoke FuzzFlowSchedule ./internal/trafficgen
 # The one-arena schedule: the frames ScheduleGen emits are held to a digest
 # taken before Schedule lost its hash and birth-time arenas, BornAt is bit
 # for bit the birth time it used to store, and a negative flow count or
-# arrival rate is an error, not a panic or a loop without end.
+# arrival rate, or a churn pool below one flow, is an error, not a panic or a
+# loop without end.
 echo "==> flow-schedule shape (emitted-frame digest, BornAt, rejected configs)"
 run_guard 'TestScheduleGenDigest|TestBornAtMatchesStored|TestScheduleIntoRejects' -count=1 ./internal/trafficgen
 # FuzzVLANInPlace: the in-place VLAN push/pop against the allocating
@@ -205,6 +217,9 @@ fuzz_smoke FuzzNSHInPlace ./internal/nsh
 # FuzzFlowTable: arbitrary insert/get/evict sequences on the insertion-order
 # arena against a map plus a queue, at caps 0-31 under a colliding hash.
 fuzz_smoke FuzzFlowTable ./internal/nf
+# FuzzACL: the ACL's synthetic range against the materialised rule list on
+# arbitrary rule counts, parameters, destinations and frames.
+fuzz_smoke FuzzACL ./internal/nf
 
 # Coverage gate: total statement coverage must not regress below the
 # recorded baseline (80.0% when this gate was added; the floor leaves a small
@@ -398,7 +413,12 @@ go test -run '^$' -bench 'BenchmarkEvaluateCandidate' -benchtime 1x -benchmem ./
 # bytes per op on ctl_reconcile are held below 150000 (77 K measured; a
 # chain prep copied and an evaluation scratch built per placer call is
 # 124 K, a whole-document parse and a full artifact render per op on top of
-# them 295 K, and a rate LP with a column per slot ever admitted 508 K).
+# them 295 K, and a rate LP with a column per slot ever admitted 508 K). Heap
+# bytes per cell on ctl_place_fleet are held below 400000 (376 K measured;
+# a flow-table arena that doubles and copies, an ACL that materialises its
+# 1 024 synthetic rules and a P4 render that clones each library program are
+# 474 K), and heap bytes per packet on sim_failover_steps below 68 (63.3
+# measured; the doubling arena is 79.7).
 # counted_below WORKLOAD METRIC LIMIT HINT LAST: the metric in a run's JSON
 # result line must be present and below LIMIT.
 counted_below() {
@@ -431,7 +451,11 @@ for w in $workloads; do
   case $w in
     sim_frame_path) counted_below "$w" allocs_per_work 0.02 'a per-packet allocation on the frame path?' "$last" ;;
     sim_stateful_hit) counted_below "$w" alloc_bytes_per_work 60 'a warm run rebuilding its flow schedules or frame buffers?' "$last" ;;
-    ctl_place_fleet) counted_below "$w" allocs_per_work 5500 'per-candidate dependency lists back on the heap?' "$last" ;;
+    sim_failover_steps) counted_below "$w" alloc_bytes_per_work 68 'a flow-table arena that copies itself to grow?' "$last" ;;
+    ctl_place_fleet)
+      counted_below "$w" allocs_per_work 5500 'per-candidate dependency lists back on the heap?' "$last"
+      counted_below "$w" alloc_bytes_per_work 400000 'a copying flow-table arena, materialised ACL rules or cloned P4 programs?' "$last"
+      ;;
     ctl_reconcile) counted_below "$w" alloc_bytes_per_work 150000 'a placer scratch per call, a whole-document parse or a full artifact render per op again?' "$last" ;;
   esac
 done

@@ -54,9 +54,16 @@ func (r *Rule) Matches(p *packet.Packet) bool {
 // ACL filters packets against an ordered rule list; the first matching rule
 // decides, and packets matching no rule are dropped (default-deny), per the
 // paper's §2 example where only 10.0.0.0/8 traffic passes.
+//
+// The list is the allow_dst rule, then the synthetic /24 allows, then the
+// match-all. The synthetic rules are held as their count: all of them allow,
+// so the first match among them is any match, and one arithmetic test
+// (inSynthetic) answers for the whole range.
 type ACL struct {
 	base
-	rules []Rule
+	head      []Rule // rules before the synthetic range
+	synthetic int    // synthetic allows 10.0.0.0/8 | i<<8 (/24), i < synthetic
+	tail      []Rule // rules after it
 }
 
 // defaultRuleCount matches the paper's Table 4 profile point.
@@ -74,40 +81,55 @@ func NewACL(name string, params Params) (NF, error) {
 	if n == 0 && cidr == "" {
 		n = defaultRuleCount
 	}
-	// Sized once: the allow_dst rule, the n synthetic ones, the match-all.
-	a.rules = make([]Rule, 0, max(n, 0)+2)
 	if cidr != "" {
 		addr, bits, err := bpf.ParseCIDR(cidr)
 		if err != nil {
 			return nil, fmt.Errorf("nf: ACL %s: %w", name, err)
 		}
-		a.rules = append(a.rules, Rule{DstAddr: addr, DstMask: bpf.MaskBits(bits)})
+		a.head = []Rule{{DstAddr: addr, DstMask: bpf.MaskBits(bits)}}
 	}
-	for i := 0; i < n; i++ {
-		// Synthetic disjoint /24 allow rules under 10.0.0.0/8, mirroring
-		// how the paper profiles ACL cost as a function of table size.
-		addr := uint32(10)<<24 | uint32(i)<<8
-		a.rules = append(a.rules, Rule{DstAddr: addr, DstMask: bpf.MaskBits(24)})
-	}
+	// Synthetic disjoint /24 allow rules under 10.0.0.0/8, mirroring how the
+	// paper profiles ACL cost as a function of table size.
+	a.synthetic = max(n, 0)
 	if params.Str("default", "deny") == "allow" {
-		a.rules = append(a.rules, Rule{}) // match-all allow
+		a.tail = []Rule{{}} // match-all allow
 	}
 	return a, nil
 }
 
-// AddRule appends a rule.
-func (a *ACL) AddRule(r Rule) { a.rules = append(a.rules, r) }
-
 // NumRules returns the table size (drives the cycle-cost model).
-func (a *ACL) NumRules() int { return len(a.rules) }
+func (a *ACL) NumRules() int { return len(a.head) + a.synthetic + len(a.tail) }
+
+// inSynthetic reports whether a synthetic rule matches destination dst.
+// Rule i is 10<<24 | uint32(i)<<8 under a /24 mask, so it covers the top
+// byte 10|(i>>16 & 0xff) and the middle 16 bits i & 0xffff; indices from
+// 2^24 on shift out of the word and repeat earlier rules. The smallest index
+// covering dst is therefore (top&^10)<<16 | mid, below 2^24, and some rule
+// below the count covers dst iff that one does.
+func (a *ACL) inSynthetic(dst uint32) bool {
+	top, mid := dst>>24, dst>>8&0xffff
+	return top&10 == 10 && int((top&^10)<<16|mid) < a.synthetic
+}
 
 // Process applies first-match semantics with default deny.
 func (a *ACL) Process(p *packet.Packet, _ *Env) {
-	for i := range a.rules {
-		if a.rules[i].Matches(p) {
-			p.Drop = a.rules[i].Drop
-			return
+	if r := firstMatch(a.head, p); r != nil {
+		p.Drop = r.Drop
+	} else if p.HasIPv4 && a.inSynthetic(p.IP.Dst.Uint32()) {
+		p.Drop = false
+	} else if r := firstMatch(a.tail, p); r != nil {
+		p.Drop = r.Drop
+	} else {
+		p.Drop = true
+	}
+}
+
+// firstMatch returns the first of rules that p hits, or nil.
+func firstMatch(rules []Rule, p *packet.Packet) *Rule {
+	for i := range rules {
+		if rules[i].Matches(p) {
+			return &rules[i]
 		}
 	}
-	p.Drop = true
+	return nil
 }

@@ -1,6 +1,10 @@
 package nf
 
-import "lemur/internal/obs"
+import (
+	"math/bits"
+
+	"lemur/internal/obs"
+)
 
 // Million-flow state tables. The stateful NFs (NAT, Monitor, Dedup, LB) keep
 // per-flow state that the original implementation held in flat Go maps; at
@@ -11,7 +15,7 @@ import "lemur/internal/obs"
 // flow hash.
 //
 //   - The arena is the FIFO: entries live in a ring in insertion order
-//     (ents[(head+i) % len(ents)] is the i-th oldest). insert writes at the
+//     (position (head+i) % size holds the i-th oldest). insert writes at the
 //     tail and evictOldest pops the head; the NFs never delete any other
 //     entry (NAT never deletes at all), so no freelist and no second copy of
 //     the keys is needed to know eviction order. Tables capped by an NF
@@ -22,22 +26,28 @@ import "lemur/internal/obs"
 //     array of arena positions probed linearly from the hash's low bits.
 //     Shards grow independently (bounded rehash pauses); eviction
 //     backward-shifts the probe cluster so no tombstones accumulate.
-//   - Explicit growth: the arena doubles 16, 32, … up to the cap and is
-//     never grown by append, so filling a table allocates at most twice its
-//     final arena, and steady-state evict/insert cycles allocate nothing.
-//     Growth unrolls a wrapped ring to head 0 and renumbers the slots once.
-//     The GC scans one arena per table, not one object per flow.
+//   - Segmented arena: segment 0 holds positions [0, 16) and segment k ≥ 1
+//     holds [16·2^(k-1), 16·2^k), the last one cut at the cap. A position
+//     finds its segment with one bits.Len. Growth allocates the next segment
+//     and copies no entry, so filling a table allocates its final arena once
+//     and steady-state evict/insert cycles allocate nothing. Only growing a
+//     wrapped ring (an evictOldest below the cap, which no NF does) moves
+//     entries: the ring is rotated in place to head 0 and the slots
+//     renumbered once. The GC scans a few segments per table, not one
+//     object per flow.
 //
 // The table is deliberately not goroutine-safe: NF Process is single-
 // threaded per instance (the paper's run-to-completion subgroups), and the
 // simulator compiles one deployment per concurrent cell.
 
 const (
-	flowShardCount = 16        // power of two
-	flowShardShift = 64 - 4    // hash top bits pick the shard
-	flowSlotEmpty  = int32(-1) // empty open-addressing slot
-	minShardSlots  = 16        // initial per-shard slot count
-	minArena       = 16        // initial arena length
+	flowShardCount = 16              // power of two
+	flowShardShift = 64 - 4          // hash top bits pick the shard
+	flowSlotEmpty  = int32(-1)       // empty open-addressing slot
+	minShardSlots  = 16              // initial per-shard slot count
+	arenaShift     = 4               // log2 of segment 0's length
+	minArena       = 1 << arenaShift // segment 0's length; segment k ≥ 1 holds [minArena<<(k-1), minArena<<k)
+	maxSegments    = 28              // positions are int32: segment 27 ends at 2^31
 )
 
 // mix64 finalizes a 64-bit key into a well-distributed hash (splitmix64
@@ -70,8 +80,9 @@ type tabShard struct {
 // count; evict selects the over-capacity policy (FIFO eviction vs caller-
 // handled rejection, which is what NAT does).
 type flowTable[K comparable, V any] struct {
-	ents   []tabEntry[K, V] // insertion-order ring of the n live entries
-	head   int              // arena position of the oldest live entry
+	segs   [maxSegments][]tabEntry[K, V] // the arena: an insertion-order ring of the n live entries
+	size   int                           // positions allocated, the ring's length
+	head   int                           // arena position of the oldest live entry
 	n      int
 	max    int
 	evict  bool
@@ -87,6 +98,16 @@ func newFlowTable[K comparable, V any](max int, evict bool) *flowTable[K, V] {
 
 func (t *flowTable[K, V]) count() int { return t.n }
 
+// segBase is the first arena position of segment k: minArena<<(k-1) for
+// k ≥ 1, and 0 for k = 0, whose minArena>>1 is the one bit cleared.
+func segBase(k int) int { return minArena << k >> 1 &^ (minArena >> 1) }
+
+// at returns the entry at arena position i.
+func (t *flowTable[K, V]) at(i int32) *tabEntry[K, V] {
+	k := bits.Len32(uint32(i) >> arenaShift)
+	return &t.segs[k][int(i)-segBase(k)]
+}
+
 // full reports whether the table is at its entry cap.
 func (t *flowTable[K, V]) full() bool { return t.max > 0 && t.n >= t.max }
 
@@ -100,7 +121,7 @@ func (t *flowTable[K, V]) get(h uint64, k K) *V {
 		if ei == flowSlotEmpty {
 			return nil
 		}
-		if e := &t.ents[ei]; e.hash == h && e.key == k {
+		if e := t.at(ei); e.hash == h && e.key == k {
 			return &e.val
 		}
 	}
@@ -109,15 +130,16 @@ func (t *flowTable[K, V]) get(h uint64, k K) *V {
 // insert adds an absent key at the ring's tail and returns its zero-valued
 // slot. The pointer is valid until the next insert/evict on the same table.
 func (t *flowTable[K, V]) insert(h uint64, k K) *V {
-	if t.n == len(t.ents) {
+	if t.n == t.size {
 		t.grow()
 	}
 	ei := t.head + t.n
-	if ei >= len(t.ents) {
-		ei -= len(t.ents)
+	if ei >= t.size {
+		ei -= t.size
 	}
 	t.n++
-	t.ents[ei] = tabEntry[K, V]{hash: h, key: k}
+	e := t.at(int32(ei))
+	*e = tabEntry[K, V]{hash: h, key: k}
 	s := &t.shards[h>>flowShardShift]
 	// Load factor 3/4: grow the index before the probe chains degrade.
 	if (s.n+1)*4 > len(s.slots)*3 {
@@ -125,7 +147,7 @@ func (t *flowTable[K, V]) insert(h uint64, k K) *V {
 	}
 	t.place(s, h, int32(ei))
 	s.n++
-	return &t.ents[ei].val
+	return &e.val
 }
 
 // place probes for the first vacant slot and installs the arena position.
@@ -146,37 +168,55 @@ func (t *flowTable[K, V]) growShard(s *tabShard) {
 	s.mask = uint64(len(s.slots) - 1)
 	for _, ei := range old {
 		if ei != flowSlotEmpty {
-			t.place(s, t.ents[ei].hash, ei)
+			t.place(s, t.at(ei).hash, ei)
 		}
 	}
 }
 
-// grow doubles the full arena, capped at max, copying the ring out oldest
-// first. If the ring had wrapped, every slot's position moves back by head.
+// grow allocates the segment that starts at the full ring's end, cut at
+// max. If the ring had wrapped, it is rotated to head 0 and every slot's
+// position moves back by head.
 func (t *flowTable[K, V]) grow() {
-	old := len(t.ents)
-	want := max(2*old, minArena)
+	old := t.size
+	k := bits.Len(uint(old) >> arenaShift)
+	end := minArena << k
 	if t.max > old {
-		want = min(want, t.max)
+		end = min(end, t.max)
 	}
-	ents := make([]tabEntry[K, V], want)
-	copy(ents[copy(ents, t.ents[t.head:]):], t.ents[:t.head])
-	if t.head != 0 {
-		head := int32(t.head)
-		for si := range t.shards {
-			slots := t.shards[si].slots
-			for i, ei := range slots {
-				if ei == flowSlotEmpty {
-					continue
-				}
-				if ei -= head; ei < 0 {
-					ei += int32(old)
-				}
-				slots[i] = ei
+	seg := make([]tabEntry[K, V], end-segBase(k))
+	// A segment cut at the cap has entries only when a caller inserts past
+	// the cap; it grows to its full length.
+	copy(seg, t.segs[k])
+	t.segs[k], t.size = seg, end
+	if t.head == 0 {
+		return
+	}
+	// Three reversals rotate [0, old) left by head, in place.
+	t.reverse(0, t.head)
+	t.reverse(t.head, old)
+	t.reverse(0, old)
+	head := int32(t.head)
+	for si := range t.shards {
+		slots := t.shards[si].slots
+		for i, ei := range slots {
+			if ei == flowSlotEmpty {
+				continue
 			}
+			if ei -= head; ei < 0 {
+				ei += int32(old)
+			}
+			slots[i] = ei
 		}
 	}
-	t.ents, t.head = ents, 0
+	t.head = 0
+}
+
+// reverse reverses the entries at arena positions [i, j).
+func (t *flowTable[K, V]) reverse(i, j int) {
+	for j--; i < j; i, j = i+1, j-1 {
+		a, b := t.at(int32(i)), t.at(int32(j))
+		*a, *b = *b, *a
+	}
 }
 
 // evictOldest removes the oldest live entry (the ring's head), returning its
@@ -186,7 +226,7 @@ func (t *flowTable[K, V]) evictOldest() (K, bool) {
 		var zero K
 		return zero, false
 	}
-	e := &t.ents[t.head]
+	e := t.at(int32(t.head))
 	k := e.key
 	s := &t.shards[e.hash>>flowShardShift]
 	i := e.hash & s.mask
@@ -197,7 +237,7 @@ func (t *flowTable[K, V]) evictOldest() (K, bool) {
 	// hole if its ideal slot lies at or before the hole (cyclically), so
 	// lookups never cross tombstones.
 	for j := (i + 1) & s.mask; s.slots[j] != flowSlotEmpty; j = (j + 1) & s.mask {
-		ideal := t.ents[s.slots[j]].hash & s.mask
+		ideal := t.at(s.slots[j]).hash & s.mask
 		if (j-ideal)&s.mask >= (j-i)&s.mask {
 			s.slots[i] = s.slots[j]
 			i = j
@@ -206,7 +246,7 @@ func (t *flowTable[K, V]) evictOldest() (K, bool) {
 	s.slots[i] = flowSlotEmpty
 	s.n--
 	*e = tabEntry[K, V]{} // release key/value references to the GC
-	if t.head++; t.head == len(t.ents) {
+	if t.head++; t.head == t.size {
 		t.head = 0
 	}
 	t.n--

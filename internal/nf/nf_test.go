@@ -2,6 +2,7 @@ package nf
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"lemur/internal/hw"
@@ -149,10 +150,10 @@ func TestACLRuleOrderAndFields(t *testing.T) {
 	acl := a.(*ACL)
 	// Prepend-equivalent: a drop rule for one host inside the allow prefix,
 	// matched first because Matches runs in order and we re-add.
-	acl.rules = append([]Rule{{
+	acl.head = append([]Rule{{
 		DstAddr: packet.IPv4Addr{10, 0, 0, 99}.Uint32(), DstMask: ^uint32(0),
 		Proto: packet.IPProtoUDP, DstPort: 53, Drop: true,
-	}}, acl.rules...)
+	}}, acl.head...)
 	blocked := udp(packet.IPv4Addr{1, 1, 1, 1}, packet.IPv4Addr{10, 0, 0, 99}, 9, 53, nil)
 	a.Process(blocked, env())
 	if !blocked.Drop {
@@ -283,6 +284,37 @@ func TestDedupUniquePayloadsPassThrough(t *testing.T) {
 	}
 	if dd.CompressionRatio() != 1 {
 		t.Errorf("ratio = %v, want 1", dd.CompressionRatio())
+	}
+}
+
+// TestDedupRejectsShortChunk: a chunk shorter than the 8-byte shim is
+// refused by both implementations with an error naming the NF. At 0 the
+// chunk loop used to spin forever, below 0 it sliced out of range, and at
+// 1-7 the shim overwrote the next chunk.
+func TestDedupRejectsShortChunk(t *testing.T) {
+	for _, tc := range []struct {
+		chunk int
+		ok    bool
+	}{
+		{0, false}, {-8, false}, {1, false}, {7, false}, {8, true}, {64, true},
+	} {
+		ctors := map[string]func(string, Params) (NF, error){"sharded": NewDedup, "reference": newDedupRef}
+		for impl, ctor := range ctors {
+			d, err := ctor("d7", Params{"chunk": tc.chunk})
+			if !tc.ok {
+				if err == nil || !strings.Contains(err.Error(), "Dedup d7") {
+					t.Errorf("%s chunk=%d: error %v, want one naming Dedup d7", impl, tc.chunk, err)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s chunk=%d: %v", impl, tc.chunk, err)
+			}
+			pay := make([]byte, 64)
+			for i := 0; i < 2; i++ {
+				d.Process(udp(packet.IPv4Addr{10, 0, 0, 1}, packet.IPv4Addr{8, 8, 8, 8}, 1, 2, pay), env())
+			}
+		}
 	}
 }
 

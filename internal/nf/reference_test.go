@@ -2,7 +2,9 @@ package nf
 
 import (
 	"encoding/binary"
+	"fmt"
 
+	"lemur/internal/bpf"
 	"lemur/internal/obs"
 	"lemur/internal/packet"
 )
@@ -178,9 +180,13 @@ type dedupRef struct {
 }
 
 func newDedupRef(name string, params Params) (NF, error) {
+	chunk, err := parseDedupChunk(name, params)
+	if err != nil {
+		return nil, err
+	}
 	return &dedupRef{
 		base:    base{name: name, class: "Dedup"},
-		chunk:   params.Int("chunk", 64),
+		chunk:   chunk,
 		cache:   make(map[uint64]uint32),
 		maxSize: params.Int("cache", 65536),
 		so:      newStateObs("Dedup", name),
@@ -287,6 +293,53 @@ func (l *lbRef) Process(p *packet.Packet, _ *Env) {
 	}
 	p.IP.Dst = l.backends[bi]
 	p.SyncHeaders()
+}
+
+// aclRef is the materialising ACL NewACL used to build: every synthetic /24
+// allow a Rule of its own, decided by a first-match scan of the whole list.
+// ACL holds the same list as a head, a count and a tail;
+// TestACLMatchesMaterialised and FuzzACL hold the two to the same verdicts
+// and NumRules.
+type aclRef struct {
+	base
+	rules []Rule
+}
+
+func newACLRef(name string, params Params) (*aclRef, error) {
+	a := &aclRef{base: base{name: name, class: "ACL"}}
+	cidr := params.Str("allow_dst", "")
+	n := params.Int("rules", 0)
+	if n == 0 && cidr == "" {
+		n = defaultRuleCount
+	}
+	a.rules = make([]Rule, 0, max(n, 0)+2)
+	if cidr != "" {
+		addr, bits, err := bpf.ParseCIDR(cidr)
+		if err != nil {
+			return nil, fmt.Errorf("nf: ACL %s: %w", name, err)
+		}
+		a.rules = append(a.rules, Rule{DstAddr: addr, DstMask: bpf.MaskBits(bits)})
+	}
+	for i := 0; i < n; i++ {
+		addr := uint32(10)<<24 | uint32(i)<<8
+		a.rules = append(a.rules, Rule{DstAddr: addr, DstMask: bpf.MaskBits(24)})
+	}
+	if params.Str("default", "deny") == "allow" {
+		a.rules = append(a.rules, Rule{}) // match-all allow
+	}
+	return a, nil
+}
+
+func (a *aclRef) NumRules() int { return len(a.rules) }
+
+func (a *aclRef) Process(p *packet.Packet, _ *Env) {
+	for i := range a.rules {
+		if a.rules[i].Matches(p) {
+			p.Drop = a.rules[i].Drop
+			return
+		}
+	}
+	p.Drop = true
 }
 
 // The references publish occupancy through the same hook as the sharded

@@ -82,17 +82,6 @@ func NewGraph() *Graph {
 	return &Graph{Start: "ethernet", States: make(map[string]*State)}
 }
 
-// Clone deep-copies the graph.
-func (g *Graph) Clone() *Graph {
-	out := &Graph{Start: g.Start, States: make(map[string]*State, len(g.States))}
-	for name, st := range g.States {
-		cp := &State{Header: st.Header, SelectField: st.SelectField}
-		cp.Transitions = append(cp.Transitions, st.Transitions...)
-		out.States[name] = cp
-	}
-	return out
-}
-
 // ErrParserConflict signals that two NFs' parse graphs disagree and cannot be
 // co-placed on the switch (§A.2.1).
 var ErrParserConflict = errors.New("p4: conflicting parser transitions")
@@ -218,25 +207,4 @@ func (p *Program) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Mangle returns a copy with tables renamed <instance>_<table>, the name
-// mangling the meta-compiler applies to keep NF instances unique in the
-// unified program.
-func (p *Program) Mangle(instance string) *Program {
-	out := &Program{Name: instance, Headers: append([]string{}, p.Headers...)}
-	if p.Parser != nil {
-		out.Parser = p.Parser.Clone()
-	}
-	for _, t := range p.Tables {
-		t2 := t
-		t2.Name = instance + "_" + t.Name
-		t2.Keys = append([]string{}, t.Keys...)
-		t2.Actions = append([]string{}, t.Actions...)
-		out.Tables = append(out.Tables, t2)
-	}
-	for _, c := range p.Control {
-		out.Control = append(out.Control, instance+"_"+c)
-	}
-	return out
 }

@@ -98,13 +98,11 @@ func TestLibraryMatchesRegistry(t *testing.T) {
 }
 
 func TestMergeUnion(t *testing.T) {
-	acl := Library["ACL"].Parser.Clone()
-	tun := Library["Tunnel"].Parser.Clone()
 	g := NewGraph()
-	if err := g.Merge(acl); err != nil {
+	if err := g.Merge(Library["ACL"].Parser); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.Merge(tun); err != nil {
+	if err := g.Merge(Library["Tunnel"].Parser); err != nil {
 		t.Fatal(err)
 	}
 	eth := g.States["ethernet"]
@@ -166,25 +164,6 @@ func TestMergeIdempotent(t *testing.T) {
 	}
 	if got := len(g.States["ethernet"].Transitions); got != before {
 		t.Errorf("re-merge duplicated transitions: %d -> %d", before, got)
-	}
-}
-
-func TestMangle(t *testing.T) {
-	m := Library["ACL"].Mangle("ACL0")
-	if m.Tables[0].Name != "ACL0_acl_tbl" {
-		t.Errorf("mangled table = %q", m.Tables[0].Name)
-	}
-	if m.Control[0] != "ACL0_acl_tbl" {
-		t.Errorf("mangled control = %q", m.Control[0])
-	}
-	// Original untouched.
-	if Library["ACL"].Tables[0].Name != "acl_tbl" {
-		t.Error("mangle mutated the library program")
-	}
-	// Mutating the clone's slices must not leak back.
-	m.Tables[0].Keys[0] = "zzz"
-	if Library["ACL"].Tables[0].Keys[0] == "zzz" {
-		t.Error("mangle shares key slices with the library")
 	}
 }
 

@@ -102,8 +102,9 @@ chain mf {
 // TestMillionFlowAllocBudget is the million-flow allocation guard: a
 // stateful chain driven by a one-million-flow schedule must run at under
 // 0.18 allocations per simulated packet, all of it per-run set-up. The
-// schedule arenas, the NF table arenas (grown to cap on the warm-up run,
-// then reused as insertion-order rings), and the engine's packet pools make
+// schedule arenas, the NF table arenas (grown to cap on the warm-up run one
+// segment at a time, no entry copied, then reused as insertion-order
+// rings), and the engine's packet pools make
 // the steady state allocation-free; this test pins that property so a
 // regression anywhere in the stack — per-packet tuple synthesis, map
 // fallback, arena churn — fails loudly.

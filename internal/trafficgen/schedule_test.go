@@ -92,6 +92,8 @@ func TestScheduleIntoRejects(t *testing.T) {
 		{"unknown mode", Config{Mode: Mode(7)}},
 		{"negative flow count", Config{Mode: LongLived, Flows: -1}},
 		{"negative arrival rate", Config{Mode: ShortLived, NewFlowsSec: -5}},
+		{"pool of half a flow", Config{Mode: ShortLived, NewFlowsSec: 1, LifeSec: 0.5}},
+		{"pool of 0.99 flows", Config{Mode: ShortLived, NewFlowsSec: 99, LifeSec: 0.01}},
 	} {
 		if _, err := ScheduleInto(dst, tc.cfg, 0.5); err == nil {
 			t.Errorf("%s: no error", tc.name)
@@ -104,6 +106,18 @@ func TestScheduleIntoRejects(t *testing.T) {
 		if _, err := New(tc.cfg); err == nil {
 			t.Errorf("%s: New: no error", tc.name)
 		}
+	}
+	// A pool of exactly one flow runs in both sources.
+	one := Config{Mode: ShortLived, NewFlowsSec: 2, LifeSec: 0.5}
+	if _, err := ScheduleInto(nil, one, 0.5); err != nil {
+		t.Errorf("one-flow pool: ScheduleInto: %v", err)
+	}
+	g, err := New(one)
+	if err != nil {
+		t.Fatalf("one-flow pool: New: %v", err)
+	}
+	for i := 0; i < 4; i++ {
+		g.NextInto(nil, float64(i)*0.3)
 	}
 }
 

@@ -81,8 +81,9 @@ func (cfg Config) withDefaults() Config {
 
 // check rejects a config neither packet source can run: a negative flow
 // count would leave no flow to draw from, a negative arrival rate births
-// that never come, and an unknown mode neither. cfg must already have
-// defaults applied.
+// that never come, a steady-state churn pool (NewFlowsSec × LifeSec,
+// truncated as the generator sizes it) below one flow no live flow to pick,
+// and an unknown mode none of these. cfg must already have defaults applied.
 func (cfg *Config) check() error {
 	switch cfg.Mode {
 	case LongLived:
@@ -92,6 +93,9 @@ func (cfg *Config) check() error {
 	case ShortLived:
 		if cfg.NewFlowsSec < 0 {
 			return fmt.Errorf("trafficgen: negative flow arrival rate %d/s", cfg.NewFlowsSec)
+		}
+		if int(float64(cfg.NewFlowsSec)*cfg.LifeSec) < 1 {
+			return fmt.Errorf("trafficgen: churn pool of %d/s × %gs is below one flow", cfg.NewFlowsSec, cfg.LifeSec)
 		}
 	default:
 		return fmt.Errorf("trafficgen: unknown mode %d", cfg.Mode)
