@@ -20,7 +20,7 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/placements.golde
 
 // The golden matrix: the placement-scale study's chain sets x the delta
 // points where placements go from roomy to tight x two fleet sizes, placed
-// by all six schemes. testdata/placements.golden holds the canonical
+// by the six evaluation schemes and the three ablations (goldenSchemes). testdata/placements.golden holds the canonical
 // rendering of every cell; it is the byte-identity licence for work on the
 // placer's internals — a change that moves a placement, a reason or a
 // search count shows up as a diff of that file.
@@ -31,6 +31,12 @@ var (
 )
 
 const goldenPath = "testdata/placements.golden"
+
+// goldenSchemes is Schemes() plus the Figure 2f ablations, which no
+// evaluation list names but the figure runs.
+func goldenSchemes() []placer.Scheme {
+	return append(placer.Schemes(), placer.SchemeNoProfiling, placer.SchemeNoCoreAlloc, placer.SchemeNoCoalesce)
+}
 
 // goldenCell is one (fleet, chain set, delta) input of the matrix.
 type goldenCell struct {
@@ -124,7 +130,7 @@ func renderMatrix(t testing.TB, parallel int) string {
 	t.Helper()
 	var b strings.Builder
 	for _, c := range goldenCells(t, parallel) {
-		for _, s := range placer.Schemes() {
+		for _, s := range goldenSchemes() {
 			res, err := placer.Place(s, c.in)
 			if err != nil {
 				t.Fatalf("%s %s: %v", c.desc, s, err)
