@@ -316,16 +316,18 @@ fuzz_smoke FuzzChainSpec ./internal/nfspec
 
 # Branch-and-bound soundness: the Optimal placer's pruning/symmetry property
 # tests (byte-identity vs the exhaustive reference, budget semantics,
-# prune-order-independent reasons) and the place-scale sweep get a named
+# prune-order-independent reasons, agreement with the raw search on the
+# place-scale grid's tractable sets) and the place-scale sweep get a named
 # race pass so the search invariants cannot be skipped by test caching.
 echo "==> branch-and-bound soundness (race)"
-run_guard 'TestBranchAndBoundMatchesExhaustiveProperty|TestBudgetCappedNeverBeatsExhaustive|TestOptimalSearchStatsDeterministic|TestSymmetryCollapseInvariant|TestFirstReasonPruneOrderIndependent|TestOptimalTruncationFlag' \
+run_guard 'TestBranchAndBoundMatchesExhaustiveProperty|TestBudgetCappedNeverBeatsExhaustive|TestOptimalSearchStatsDeterministic|TestSymmetryCollapseInvariant|TestFirstReasonPruneOrderIndependent|TestOptimalTruncationFlag|TestOptimalMatchesRawSearchOnPlaceScaleGrid' \
   -race -count=1 ./internal/placer
-run_guard 'TestPlaceScaleSweepDeterministic|TestPlaceScaleSweepExhaustiveReference|TestPlaceScaleSweepBudgetPropagates|TestPlaceScaleSweepRejectsBadPoint' \
+run_guard 'TestPlaceScaleSweepDeterministic|TestPlaceScaleSweepBudgetPropagates|TestPlaceScaleSweepRejectsBadPoint' \
   -race -count=1 ./internal/experiments
 
 # Placement byte-identity and ownership: the golden placement matrix (five
-# chain sets x three deltas x two fleets x six schemes, at Parallel 1/3/4/8)
+# chain sets x three deltas x two fleets x the six schemes and three
+# ablations, at Parallel 1/3/4/8)
 # must render to testdata/placements.golden byte for byte; a returned Result
 # must share no memory with the evaluation scratch, nor a Reconfigure Result
 # with the scratch its prep family keeps across calls; the core-overflow reason
@@ -333,9 +335,9 @@ run_guard 'TestPlaceScaleSweepDeterministic|TestPlaceScaleSweepExhaustiveReferen
 # Retire and their rewires over 32 racks) must render to
 # testdata/reconfig.golden; the incremental door must keep pinned chains'
 # *Subgroup pointers, kind by kind and for a combined retire/admit/fail
-# delta; the door, ReEvaluate and the MILP must enforce d_max_p99 and fill
-# the prediction like Place; the MILP must be deterministic and leave the
-# heuristic's Result alone; the arena lowering must give the allocating
+# delta; the door and ReEvaluate must enforce d_max_p99 and fill the
+# prediction like Place; Place and Reconfigure must refuse a negative
+# HeadroomCores; the arena lowering must give the allocating
 # reference's tables on random assignments over the canonical chains, a
 # chain template's slab the reference's subgroups, and the compile cache's
 # verdict-only probe Compile's verdicts; the rate LP over live slots must
@@ -350,7 +352,7 @@ run_guard 'TestPlaceScaleSweepDeterministic|TestPlaceScaleSweepExhaustiveReferen
 # admission at 261 slots no more objects than at 5 and at most 40 KB, and a
 # retirement at most 47 objects and 16 KB.
 echo "==> placement golden matrix + Result ownership (race)"
-run_guard 'TestGoldenPlacements|TestGoldenReconfigure|TestResultSharesNoScratchMemory|TestCoreOverflowReasonDeterministic|TestAdmitPinningInvariant|TestReplacePinningInvariant|TestRetirePinningInvariant|TestReconfigureCombinedDelta|TestPinHistogramCountsCarriedSubgroups|TestReconfigureEnforcesTailLatency|TestMILPDeterministic|TestMILPLeavesHeuristicIntact|TestSwitchTablesMatchReference|TestTemplateSubgroupsMatchReference|TestRateLPMatchesFullWidth|TestChainPrepExtensionMatchesFresh|TestReconfigureAfterInfeasibleMatchesFresh|TestConcurrentReconfigureInOneFamily' \
+run_guard 'TestGoldenPlacements|TestGoldenReconfigure|TestResultSharesNoScratchMemory|TestCoreOverflowReasonDeterministic|TestAdmitPinningInvariant|TestReplacePinningInvariant|TestRetirePinningInvariant|TestReconfigureCombinedDelta|TestPinHistogramCountsCarriedSubgroups|TestReconfigureEnforcesTailLatency|TestNegativeHeadroomRefused|TestSwitchTablesMatchReference|TestTemplateSubgroupsMatchReference|TestRateLPMatchesFullWidth|TestChainPrepExtensionMatchesFresh|TestReconfigureAfterInfeasibleMatchesFresh|TestConcurrentReconfigureInOneFamily' \
   -race -count=1 ./internal/placer
 run_guard 'TestCompileCacheProbeMatchesCompile' -race -count=1 ./internal/pisa
 run_guard 'TestEvaluateCandidateSteadyStateAllocs|TestStageCheckMissAllocs|TestReconfigureCostFlatInRetiredSlots' -count=1 ./internal/placer
@@ -360,11 +362,12 @@ run_guard 'TestEvaluateCandidateSteadyStateAllocs|TestStageCheckMissAllocs|TestR
 # SmartNIC rack, by every scheme, it must stand up what the separate install
 # sequence it replaced stood up (compile_reference_test.go), at no more
 # allocations than it (1 % slack); a result with a retired slot must compile
-# and verify; and every lemur Deploy must compile once, into fresh state.
+# and verify; and every lemur Deploy must compile once, into fresh state,
+# after refusing a negative admission headroom.
 echo "==> one install path (compile oracle, allocation guard, retired slot, one compile per Deploy)"
 run_guard 'TestCompileMatchesReference|TestCompileAllocsNoWorse' -count=1 ./internal/metacompiler
 run_guard 'TestCompileRetiredSlot' -count=1 ./internal/runtime
-run_guard 'TestDeployCompilesOncePerCall' -count=1 .
+run_guard 'TestDeployCompilesOncePerCall|TestNegativeHeadroomRefused' -count=1 .
 
 # An operator op costs what it changes. lemurd parses a desired-state
 # document chain block by chain block and keeps the previous document's

@@ -16,22 +16,13 @@ type placeScaleReport struct {
 	Cells     []experiments.PlaceScaleCell `json:"cells"`
 }
 
-// placeScaleExhaustiveCap bounds the exhaustive Optimal reference rerun: a
-// point whose unpruned combination space exceeds this many combos ships
-// branch-and-bound stats only. The pattern space depends on the chain set,
-// not the fleet size, so the shipped grid stays under the cap at every
-// server count and the 64-server acceptance point always carries its
-// reference.
-const placeScaleExhaustiveCap = 200_000
-
 // runPlaceScale is the -place-scale command: the interactive-placement
 // solve-time curve. Every scheme places every (fleet size × chain set) cell
 // placement-only; the Optimal scheme reports its branch-and-bound search
-// accounting, and tractable cells also run the unpruned symmetry-disabled
-// exhaustive reference so the table shows the combos-visited speedup
-// directly. Placement results are byte-identical at any -parallel value;
-// solve times are wall clock (generate with -parallel 1 for honest serial
-// timings).
+// accounting, and its speedup column is the unpruned cross-product over the
+// combos the search scored (Combinations / Visited). Placement results are
+// byte-identical at any -parallel value; solve times are wall clock
+// (generate with -parallel 1 for honest serial timings).
 func (b bench) runPlaceScale(outPath string) {
 	r := b.newRunner(hw.NewPaperTestbed())
 	r.SkipMeasure = true
@@ -39,7 +30,7 @@ func (b bench) runPlaceScale(outPath string) {
 	points := experiments.DefaultPlaceScalePoints()
 	schemes := placer.Schemes()
 
-	cells, err := r.PlaceScaleSweep(points, schemes, placeScaleExhaustiveCap)
+	cells, err := r.PlaceScaleSweep(points, schemes)
 	if err != nil {
 		fatal(err)
 	}
@@ -56,11 +47,12 @@ func (b bench) runPlaceScale(outPath string) {
 			search, visited, pruned, collapsed, speedup := "-", "-", "-", "-", "-"
 			if s.Scheme == string(placer.SchemeOptimal) {
 				search = fmt.Sprintf("%.0f", s.Combinations)
-				visited = fmt.Sprintf("%d", s.Evaluated+s.BindRejected)
+				v := s.Evaluated + s.BindRejected
+				visited = fmt.Sprintf("%d", v)
 				pruned = fmt.Sprintf("%d", s.PrunedSubtrees+s.DemandPruned)
 				collapsed = fmt.Sprintf("%d", s.CollapsedSubtrees)
-				if c.SpeedupCombos > 0 {
-					speedup = fmt.Sprintf("%.1fx", c.SpeedupCombos)
+				if v > 0 {
+					speedup = fmt.Sprintf("%.1fx", s.Combinations/float64(v))
 				}
 			}
 			fmt.Fprintf(w, "%d\t%v\t%s\t%s\t%.1fG\t%s\t%s\t%s\t%s\t%s\t%s\t\n",
@@ -77,11 +69,10 @@ func (b bench) runPlaceScale(outPath string) {
 		Benchmark: "lemur-bench -place-scale -place-scale-out (placement solve-time curve)",
 		Meta:      newRunMeta(b.parallel, 0),
 		Config: map[string]any{
-			"delta":          0.5,
-			"restrict":       "IPv4Fwd pinned to PISA (Table 3 footnote)",
-			"exhaustive_cap": placeScaleExhaustiveCap,
-			"schemes":        schemes,
-			"note":           "placement only (SkipMeasure); aggregate_gbps is the LP's predicted achieved throughput; solve times are wall clock — generate with -parallel 1 for honest serial timings",
+			"delta":    0.5,
+			"restrict": "IPv4Fwd pinned to PISA (Table 3 footnote)",
+			"schemes":  schemes,
+			"note":     "placement only (SkipMeasure); aggregate_gbps is the LP's predicted achieved throughput; solve times are wall clock — generate with -parallel 1 for honest serial timings",
 		},
 		Cells: cells,
 	}

@@ -79,9 +79,8 @@ func main() {
 	if *parallel > 1 {
 		opts = append(opts, lemur.WithParallel(*parallel))
 	}
-	if *headroom > 0 {
-		opts = append(opts, lemur.WithAdmissionHeadroom(*headroom))
-	}
+	// Passed through as given: the placer refuses a negative reserve.
+	opts = append(opts, lemur.WithAdmissionHeadroom(*headroom))
 	if *simWorkers > 1 {
 		opts = append(opts, lemur.WithSimWorkers(*simWorkers))
 	}

@@ -108,16 +108,6 @@ type chainBlock struct {
 	lets int
 }
 
-// knownSchemes are the placement schemes a Spec may name.
-var knownSchemes = map[placer.Scheme]bool{
-	placer.SchemeLemur:       true,
-	placer.SchemeOptimal:     true,
-	placer.SchemeHWPreferred: true,
-	placer.SchemeSWPreferred: true,
-	placer.SchemeMinBounce:   true,
-	placer.SchemeGreedy:      true,
-}
-
 // scheme returns the validated placer scheme of a spec.
 func (s *Spec) scheme() placer.Scheme {
 	if s.Placement.Scheme == "" {
@@ -203,7 +193,7 @@ func parseSpec(raw []byte, prev *validSpec) (*validSpec, error) {
 	if spec.Placement.Parallel < 0 {
 		return nil, fmt.Errorf("daemon: placement.parallel must be >= 0, got %d", spec.Placement.Parallel)
 	}
-	if !knownSchemes[spec.scheme()] {
+	if !slices.Contains(placer.Schemes(), spec.scheme()) {
 		return nil, fmt.Errorf("daemon: unknown placement scheme %q", spec.Placement.Scheme)
 	}
 	vs := &validSpec{raw: append([]byte(nil), raw...), spec: spec}

@@ -52,20 +52,10 @@ type PlaceSchemeStat struct {
 	VisitShare float64 `json:"visit_share,omitempty"`
 }
 
-// PlaceScaleCell is one finished sweep point: every scheme's outcome, plus —
-// when the combination space is within the exhaustive cap — the unpruned,
-// symmetry-disabled Optimal reference and the resulting work reduction.
+// PlaceScaleCell is one finished sweep point: every scheme's outcome.
 type PlaceScaleCell struct {
 	Point   PlaceScalePoint   `json:"point"`
 	Schemes []PlaceSchemeStat `json:"schemes"`
-	// Exhaustive is the Optimal scheme rerun with ExhaustiveSearch and
-	// DisableSymmetry: every non-canonical combination is scored. nil when
-	// the space exceeded the sweep's cap.
-	Exhaustive *PlaceSchemeStat `json:"exhaustive,omitempty"`
-	// SpeedupCombos is exhaustive-visited / branch-and-bound-visited — how
-	// many times fewer combos the pruned search scored for the same
-	// throughput. 0 when Exhaustive is nil.
-	SpeedupCombos float64 `json:"speedup_combos,omitempty"`
 }
 
 // placeSchemeStat flattens a placer Result for the sweep artifact.
@@ -107,12 +97,7 @@ func PlaceScaleTopology(p PlaceScalePoint) *hw.Topology {
 // recorded solve times are honest; inside each placement the Optimal search
 // still fans out across Runner.Parallel workers, with byte-identical
 // Results at any worker count.
-//
-// exhaustiveCap bounds the Optimal reference rerun (ExhaustiveSearch +
-// DisableSymmetry): when a point's combination space is at most the cap, the
-// cell carries the exhaustive stats and the combos-visited speedup. A cap
-// <= 0 disables the reference entirely.
-func (r *Runner) PlaceScaleSweep(points []PlaceScalePoint, schemes []placer.Scheme, exhaustiveCap float64) ([]PlaceScaleCell, error) {
+func (r *Runner) PlaceScaleSweep(points []PlaceScalePoint, schemes []placer.Scheme) ([]PlaceScaleCell, error) {
 	cells := make([]PlaceScaleCell, 0, len(points))
 	for _, p := range points {
 		if p.Servers < 1 {
@@ -123,32 +108,12 @@ func (r *Runner) PlaceScaleSweep(points []PlaceScalePoint, schemes []placer.Sche
 			return nil, err
 		}
 		cell := PlaceScaleCell{Point: p}
-		var optimal *placer.Result
 		for _, s := range schemes {
 			res, err := placer.Place(s, in)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: place-scale %dx%v %s: %w", p.Servers, p.Chains, s, err)
 			}
-			if s == placer.SchemeOptimal {
-				optimal = res
-			}
 			cell.Schemes = append(cell.Schemes, placeSchemeStat(res))
-		}
-		if optimal != nil && optimal.Search != nil && exhaustiveCap > 0 &&
-			optimal.Search.Combinations <= exhaustiveCap {
-			cp := *in
-			cp.ExhaustiveSearch = true
-			cp.DisableSymmetry = true
-			cp.BruteForceBudget = 0
-			ex, err := placer.Place(placer.SchemeOptimal, &cp)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: place-scale %dx%v exhaustive: %w", p.Servers, p.Chains, err)
-			}
-			st := placeSchemeStat(ex)
-			cell.Exhaustive = &st
-			if v := optimal.Search.Visited(); v > 0 && ex.Search != nil {
-				cell.SpeedupCombos = float64(ex.Search.Visited()) / float64(v)
-			}
 		}
 		cells = append(cells, cell)
 	}

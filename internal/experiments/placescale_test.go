@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"encoding/json"
-	"math"
 	"testing"
 
 	"lemur/internal/hw"
@@ -32,11 +31,6 @@ func canonPlaceCells(t *testing.T, cells []PlaceScaleCell) string {
 			schemes[j].PlaceNs = 0
 		}
 		cp[i].Schemes = schemes
-		if cp[i].Exhaustive != nil {
-			ex := *cp[i].Exhaustive
-			ex.PlaceNs = 0
-			cp[i].Exhaustive = &ex
-		}
 	}
 	b, err := json.MarshalIndent(cp, "", " ")
 	if err != nil {
@@ -53,19 +47,19 @@ func placeScaleRunner(parallel int) *Runner {
 	return r
 }
 
-// TestPlaceScaleSweepDeterministic: the sweep's cells (results, search
-// stats, exhaustive references — everything but wall-clock solve time) must
-// be byte-identical at any placer worker count.
+// TestPlaceScaleSweepDeterministic: the sweep's cells (results and search
+// stats — everything but wall-clock solve time) must be byte-identical at
+// any placer worker count.
 func TestPlaceScaleSweepDeterministic(t *testing.T) {
 	points := placeScaleTestPoints()
 	schemes := []placer.Scheme{placer.SchemeLemur, placer.SchemeOptimal, placer.SchemeGreedy}
-	ref, err := placeScaleRunner(1).PlaceScaleSweep(points, schemes, 1e6)
+	ref, err := placeScaleRunner(1).PlaceScaleSweep(points, schemes)
 	if err != nil {
 		t.Fatal(err)
 	}
 	refCanon := canonPlaceCells(t, ref)
 	for _, parallel := range []int{3, 8} {
-		cells, err := placeScaleRunner(parallel).PlaceScaleSweep(points, schemes, 1e6)
+		cells, err := placeScaleRunner(parallel).PlaceScaleSweep(points, schemes)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,60 +70,13 @@ func TestPlaceScaleSweepDeterministic(t *testing.T) {
 	}
 }
 
-// TestPlaceScaleSweepExhaustiveReference: tractable cells must carry the
-// exhaustive reference, the branch-and-bound search may never visit more
-// combos than it, and both must agree on feasibility and throughput (up to
-// LP tie noise from permuting interchangeable chains).
-func TestPlaceScaleSweepExhaustiveReference(t *testing.T) {
-	cells, err := placeScaleRunner(2).PlaceScaleSweep(placeScaleTestPoints(),
-		[]placer.Scheme{placer.SchemeOptimal}, 1e6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range cells {
-		opt := c.Schemes[0]
-		if c.Exhaustive == nil {
-			t.Fatalf("point %+v: no exhaustive reference despite tractable space (%.0f combos)",
-				c.Point, opt.Combinations)
-		}
-		if c.Exhaustive.Feasible != opt.Feasible {
-			t.Fatalf("point %+v: exhaustive feasibility %v != optimal %v",
-				c.Point, c.Exhaustive.Feasible, opt.Feasible)
-		}
-		if diff := math.Abs(c.Exhaustive.AggregateGbps - opt.AggregateGbps); diff > 1e-3*(1+opt.AggregateGbps) {
-			t.Fatalf("point %+v: exhaustive aggregate %.6g != optimal %.6g",
-				c.Point, c.Exhaustive.AggregateGbps, opt.AggregateGbps)
-		}
-		bbVisited := opt.Evaluated + opt.BindRejected
-		exVisited := c.Exhaustive.Evaluated + c.Exhaustive.BindRejected
-		if bbVisited > exVisited {
-			t.Fatalf("point %+v: b&b visited %d combos, exhaustive only %d", c.Point, bbVisited, exVisited)
-		}
-		if c.SpeedupCombos < 1 {
-			t.Fatalf("point %+v: speedup %.2f < 1", c.Point, c.SpeedupCombos)
-		}
-		if c.Exhaustive.Truncated || opt.Truncated {
-			t.Fatalf("point %+v: unbudgeted sweep reported truncation", c.Point)
-		}
-	}
-	// A cap of 0 must disable the reference.
-	noRef, err := placeScaleRunner(2).PlaceScaleSweep(placeScaleTestPoints()[:1],
-		[]placer.Scheme{placer.SchemeOptimal}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if noRef[0].Exhaustive != nil || noRef[0].SpeedupCombos != 0 {
-		t.Fatal("cap 0 still ran the exhaustive reference")
-	}
-}
-
 // TestPlaceScaleSweepBudgetPropagates: a tiny Runner budget must surface as
 // Truncated/SkippedCombos in the Optimal stat.
 func TestPlaceScaleSweepBudgetPropagates(t *testing.T) {
 	r := placeScaleRunner(1)
 	r.BruteForceBudget = 2
 	cells, err := r.PlaceScaleSweep([]PlaceScalePoint{{Servers: 2, Chains: []int{1, 2}, Delta: 0.5}},
-		[]placer.Scheme{placer.SchemeOptimal}, 0)
+		[]placer.Scheme{placer.SchemeOptimal})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +93,7 @@ func TestPlaceScaleSweepBudgetPropagates(t *testing.T) {
 // TestPlaceScaleSweepRejectsBadPoint: fleet sizes below one are refused.
 func TestPlaceScaleSweepRejectsBadPoint(t *testing.T) {
 	_, err := placeScaleRunner(1).PlaceScaleSweep([]PlaceScalePoint{{Servers: 0, Chains: []int{3}, Delta: 0.5}},
-		[]placer.Scheme{placer.SchemeOptimal}, 0)
+		[]placer.Scheme{placer.SchemeOptimal})
 	if err == nil {
 		t.Fatal("0-server point accepted")
 	}

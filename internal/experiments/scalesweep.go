@@ -128,7 +128,7 @@ func (fs *flowScale) config(cfg runtime.SimConfig, flows, targetPackets int) run
 	if targetPackets > 0 {
 		// The engines inject offered/frameBits/Scale packets per simulated
 		// second across the chain set; invert that for the duration.
-		pktsPerSimSec := fs.sumRate / fs.in.FrameBitsOrDefault() / cfg.Scale
+		pktsPerSimSec := fs.sumRate / placer.DefaultFrameBits / cfg.Scale
 		steps := math.Ceil(float64(targetPackets) / pktsPerSimSec / cfg.StepSec)
 		cfg.DurationSec = steps * cfg.StepSec
 	}

@@ -3,10 +3,8 @@
 //
 //	maximize  c·x   subject to  A·x <= b,  x >= 0
 //
-// plus a branch-and-bound wrapper for mixed-integer programs. The Placer
-// uses the LP to maximize aggregate marginal throughput under link-capacity
-// constraints (§3.2), and the MILP entry point reproduces the paper's
-// open-sourced MILP formulation of placement.
+// The Placer uses it to maximize aggregate marginal throughput under
+// link-capacity constraints (§3.2).
 package lp
 
 import (

@@ -196,63 +196,6 @@ func TestRandomLPsFeasibleBoundedProperty(t *testing.T) {
 	}
 }
 
-func TestMILPKnapsack(t *testing.T) {
-	// max 8a+11b+6c+4d, 5a+7b+4c+3d <= 14, vars in [0,1] integer.
-	n := 4
-	p := Problem{
-		C: []float64{8, 11, 6, 4},
-		A: [][]float64{{5, 7, 4, 3}},
-		B: []float64{14},
-	}
-	for j := 0; j < n; j++ {
-		row := make([]float64, n)
-		row[j] = 1
-		p.A = append(p.A, row)
-		p.B = append(p.B, 1)
-	}
-	sol, err := SolveMILP(p, []bool{true, true, true, true}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Optimal: b,c,d = 21 (7+4+3=14).
-	if !approx(sol.Value, 21) {
-		t.Errorf("value = %v, want 21 (x=%v)", sol.Value, sol.X)
-	}
-	for _, x := range sol.X {
-		if !approx(x, math.Round(x)) {
-			t.Errorf("non-integral solution %v", sol.X)
-		}
-	}
-}
-
-func TestMILPMixed(t *testing.T) {
-	// max x + 10y, x <= 2.5 (continuous), y <= 1.8 (integer) -> x=2.5, y=1.
-	p := Problem{
-		C: []float64{1, 10},
-		A: [][]float64{{1, 0}, {0, 1}},
-		B: []float64{2.5, 1.8},
-	}
-	sol, err := SolveMILP(p, []bool{false, true}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !approx(sol.X[0], 2.5) || !approx(sol.X[1], 1) {
-		t.Errorf("sol = %+v, want (2.5, 1)", sol)
-	}
-}
-
-func TestMILPInfeasible(t *testing.T) {
-	// 0.4 <= x <= 0.6, x integer: infeasible.
-	p := Problem{
-		C: []float64{1},
-		A: [][]float64{{1}, {-1}},
-		B: []float64{0.6, -0.4},
-	}
-	if _, err := SolveMILP(p, []bool{true}, 0); !errors.Is(err, ErrInfeasible) {
-		t.Errorf("err = %v, want ErrInfeasible", err)
-	}
-}
-
 func BenchmarkSolve20x30(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	n, m := 20, 30

@@ -31,8 +31,8 @@ import (
 //     hardware-uniform fleet) are canonicalized: within a class, pattern
 //     indices are forced non-decreasing with chain index, so the search
 //     visits one representative of every chain-permutation orbit. The
-//     exhaustive reference applies the same canonicalization, so results
-//     stay byte-identical by construction.
+//     exhaustive mode applies the same canonicalization, so its results
+//     are byte-identical by construction.
 //   - Mandatory t_min core demand prunes subtrees that provably overflow
 //     the rack, and a per-server capacity prefilter in bindComboServers
 //     rejects bindings before subgroup derivation (see serverBinder).
@@ -42,12 +42,16 @@ import (
 // Result — and the firstReason reported on full infeasibility, which is
 // tracked by enumeration sequence number — never depend on worker count,
 // schedule, or which subtrees the incumbent happened to cut.
-func placeBruteForce(in *Input) (*Result, error) {
+//
+// Place always passes searchPruned; the other modes are the references the
+// tests hold it to.
+func placeBruteForce(in *Input, mode searchMode) (*Result, error) {
 	in.ensurePrep()
 	budget := in.BruteForceBudget
 	if budget <= 0 {
 		budget = defaultBruteForceBudget
 	}
+	cut := mode == searchPruned
 
 	perChain := make([][]chainPattern, len(in.Chains))
 	st := &SearchStats{Combinations: 1}
@@ -73,7 +77,7 @@ func placeBruteForce(in *Input) (*Result, error) {
 		st.Combinations *= float64(len(pats))
 	}
 
-	classPrev := symmetryClasses(in, perChain)
+	classPrev := symmetryClasses(in, perChain, mode != searchRaw)
 
 	n := len(in.Chains)
 	totalCores := in.totalWorkerCores()
@@ -191,8 +195,8 @@ func placeBruteForce(in *Input) (*Result, error) {
 		// Incumbent cut: optimistic marginal of the best completion cannot
 		// beat the plain max already reduced. Only sound once a feasible
 		// incumbent exists (<= not <: equal optimism still cannot win the
-		// sticky ">best+1e-6" comparison). ExhaustiveSearch disables it.
-		if haveIncumbent && !in.ExhaustiveSearch && gain+sufGain[ci] <= incumbent {
+		// sticky ">best+1e-6" comparison). Only the pruned mode cuts.
+		if cut && haveIncumbent && gain+sufGain[ci] <= incumbent {
 			seq++
 			st.PrunedSubtrees++
 			if !counting {
@@ -214,8 +218,7 @@ func placeBruteForce(in *Input) (*Result, error) {
 			if queued++; queued == bruteForceChunk {
 				flush()
 			}
-			if !in.ExhaustiveSearch &&
-				st.Evaluated+st.BindRejected+queued >= budget {
+			if cut && st.Evaluated+st.BindRejected+queued >= budget {
 				counting = true
 			}
 			return
@@ -257,6 +260,24 @@ func placeBruteForce(in *Input) (*Result, error) {
 	res.Search = st
 	return res, nil
 }
+
+// searchMode is how much of the combination space placeBruteForce skips.
+// Every mode keeps the demand cut: a subtree whose t_min core demand
+// overflows the rack holds no combo that could bind.
+type searchMode int
+
+const (
+	// searchPruned is the Optimal scheme: symmetry collapse, incumbent
+	// cuts and the BruteForceBudget.
+	searchPruned searchMode = iota
+	// searchExhaustive collapses symmetric combos but scores every other
+	// one, with no incumbent cut and no budget: the reference the pruned
+	// search must match byte for byte. Exponential in the chain count.
+	searchExhaustive
+	// searchRaw is searchExhaustive without symmetry collapse: nothing
+	// but the demand cut is skipped.
+	searchRaw
+)
 
 // defaultBruteForceBudget caps scored combinations when BruteForceBudget is
 // unset.
@@ -446,7 +467,7 @@ func patternFeatures(in *Input, g *nfgraph.Graph, t *chainTemplate) chainPattern
 	}
 	if replCost > 0 {
 		cp.bound = minF(cp.bound,
-			float64(in.prep.maxCores)*in.clockHz()/replCost*in.frameBits())
+			float64(in.prep.maxCores)*in.clockHz()/replCost*DefaultFrameBits)
 	}
 	if totalWeight > 0 {
 		cp.bound = minF(cp.bound, in.prep.maxLink/totalWeight)
@@ -484,17 +505,17 @@ func patternFeatures(in *Input, g *nfgraph.Graph, t *chainTemplate) chainPattern
 
 // symmetryClasses groups chains into interchangeability classes and returns,
 // per chain, the index of its closest earlier classmate (-1 = first of its
-// class, or symmetry disabled). Two chains are interchangeable when swapping
+// class, or collapse off). Two chains are interchangeable when swapping
 // their full pattern assignments provably yields an equally good placement:
 // identical graph structure, per-node costs, weights, platform choices and
 // SLOs, on a fleet of hardware-identical servers (heterogeneous servers make
 // permuted bindings genuinely differ, so symmetry is gated off).
-func symmetryClasses(in *Input, perChain [][]chainPattern) []int {
+func symmetryClasses(in *Input, perChain [][]chainPattern, collapse bool) []int {
 	prev := make([]int, len(in.Chains))
 	for i := range prev {
 		prev[i] = -1
 	}
-	if in.DisableSymmetry || len(in.Chains) < 2 || !in.prep.uniform {
+	if !collapse || len(in.Chains) < 2 || !in.prep.uniform {
 		return prev
 	}
 	last := map[string]int{}

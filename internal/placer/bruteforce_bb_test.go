@@ -15,15 +15,14 @@ import (
 // is asked to sweep in the property tests below.
 const exhaustiveTractable = 5000
 
-// placeOptimal places with explicit knobs and fails the test on error.
-func placeOptimal(t *testing.T, in *Input, workers, budget int, exhaustive, nosym bool) *Result {
+// placeOptimal runs the Optimal search in the given mode with explicit
+// knobs and fails the test on error.
+func placeOptimal(t *testing.T, in *Input, workers, budget int, mode searchMode) *Result {
 	t.Helper()
 	cp := *in
 	cp.Parallel = workers
 	cp.BruteForceBudget = budget
-	cp.ExhaustiveSearch = exhaustive
-	cp.DisableSymmetry = nosym
-	res, err := Place(SchemeOptimal, &cp)
+	res, err := placeBruteForce(&cp, mode)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +33,7 @@ func placeOptimal(t *testing.T, in *Input, workers, budget int, exhaustive, nosy
 // chain sets whose canonical combination space is tractable, the pruned
 // branch-and-bound search (incumbent cuts + demand pruning + symmetry, at
 // worker counts 1/3/4) must be byte-identical to the exhaustive serial
-// sweep (ExhaustiveSearch, same canonicalization, no pruning, no budget).
+// sweep (searchExhaustive: same canonicalization, no pruning, no budget).
 // This is the admissibility proof-by-property: an inadmissible bound would
 // prune a combo the exhaustive sweep keeps, and the Results would diverge.
 func TestBranchAndBoundMatchesExhaustiveProperty(t *testing.T) {
@@ -49,18 +48,18 @@ func TestBranchAndBoundMatchesExhaustiveProperty(t *testing.T) {
 			t.Fatalf("only %d/%d tractable trials after %d attempts", compared, want, trial)
 		}
 		in := buildRandomInput(t, rng)
-		probe := placeOptimal(t, in, 1, 1<<30, false, false)
+		probe := placeOptimal(t, in, 1, 1<<30, searchPruned)
 		if probe.Search == nil || probe.Search.Combinations > exhaustiveTractable {
 			continue
 		}
 		compared++
-		ex := placeOptimal(t, in, 1, 0, true, false)
+		ex := placeOptimal(t, in, 1, 0, searchExhaustive)
 		if ex.Truncated || ex.SkippedCombos != 0 {
 			t.Fatalf("trial %d: exhaustive search reported truncation", trial)
 		}
 		wantCanon := canonResult(in, ex)
 		for _, workers := range []int{1, 3, 4} {
-			bb := placeOptimal(t, in, workers, 1<<30, false, false)
+			bb := placeOptimal(t, in, workers, 1<<30, searchPruned)
 			if bb.Truncated {
 				t.Fatalf("trial %d: unbudgeted branch-and-bound truncated", trial)
 			}
@@ -91,14 +90,14 @@ func TestBudgetCappedNeverBeatsExhaustive(t *testing.T) {
 			t.Fatalf("only %d/%d tractable trials after %d attempts", compared, want, trial)
 		}
 		in := buildRandomInput(t, rng)
-		probe := placeOptimal(t, in, 1, 1<<30, false, false)
+		probe := placeOptimal(t, in, 1, 1<<30, searchPruned)
 		if probe.Search == nil || probe.Search.Combinations > exhaustiveTractable {
 			continue
 		}
 		compared++
-		ex := placeOptimal(t, in, 1, 0, true, false)
+		ex := placeOptimal(t, in, 1, 0, searchExhaustive)
 		budget := 1 + rng.Intn(25)
-		capped := placeOptimal(t, in, 1+rng.Intn(4), budget, false, false)
+		capped := placeOptimal(t, in, 1+rng.Intn(4), budget, searchPruned)
 		if capped.Feasible && !ex.Feasible {
 			t.Fatalf("trial %d: capped search feasible, exhaustive infeasible", trial)
 		}
@@ -180,7 +179,7 @@ chain cb1 {
 // consistent with the budget.
 func TestOptimalSearchStatsDeterministic(t *testing.T) {
 	in := bbFixedInput(t, 4)
-	ref := placeOptimal(t, in, 1, 1<<30, false, false)
+	ref := placeOptimal(t, in, 1, 1<<30, searchPruned)
 	if ref.Search == nil {
 		t.Fatal("Optimal result carries no SearchStats")
 	}
@@ -189,7 +188,7 @@ func TestOptimalSearchStatsDeterministic(t *testing.T) {
 	}
 	refCanon := canonResult(in, ref)
 	for _, workers := range []int{2, 3, 8} {
-		res := placeOptimal(t, in, workers, 1<<30, false, false)
+		res := placeOptimal(t, in, workers, 1<<30, searchPruned)
 		if canonResult(in, res) != refCanon {
 			t.Fatalf("workers=%d: Result differs from serial", workers)
 		}
@@ -212,8 +211,8 @@ func TestOptimalSearchStatsDeterministic(t *testing.T) {
 // solver across equal-objective vertices).
 func TestSymmetryCollapseInvariant(t *testing.T) {
 	in := bbFixedInput(t, 4)
-	sym := placeOptimal(t, in, 1, 0, true, false)
-	nosym := placeOptimal(t, in, 1, 0, true, true)
+	sym := placeOptimal(t, in, 1, 0, searchExhaustive)
+	nosym := placeOptimal(t, in, 1, 0, searchRaw)
 	if sym.Feasible != nosym.Feasible {
 		t.Fatalf("symmetry changed feasibility: %v vs %v", sym.Feasible, nosym.Feasible)
 	}
@@ -228,13 +227,13 @@ func TestSymmetryCollapseInvariant(t *testing.T) {
 		t.Fatal("no subtrees collapsed despite interchangeable chains")
 	}
 	if nosym.Search.CollapsedSubtrees != 0 {
-		t.Fatal("DisableSymmetry still collapsed subtrees")
+		t.Fatal("searchRaw still collapsed subtrees")
 	}
 	// Heterogeneous fleet: symmetry must gate itself off even when chains
 	// are interchangeable.
 	het := bbFixedInput(t, 4)
 	het.Topo.Servers[2].CoresPerSocket++
-	hetRes := placeOptimal(t, het, 1, 0, true, false)
+	hetRes := placeOptimal(t, het, 1, 0, searchExhaustive)
 	if hetRes.Search.CollapsedSubtrees != 0 {
 		t.Fatal("symmetry collapsed subtrees on a heterogeneous fleet")
 	}
@@ -251,7 +250,7 @@ func TestFirstReasonPruneOrderIndependent(t *testing.T) {
 	for _, g := range in.Chains {
 		g.Chain.SLO.TMinBps = hw.Gbps(900)
 	}
-	ref := placeOptimal(t, in, 1, 0, true, false)
+	ref := placeOptimal(t, in, 1, 0, searchExhaustive)
 	if ref.Feasible {
 		t.Fatal("expected an infeasible input")
 	}
@@ -260,7 +259,7 @@ func TestFirstReasonPruneOrderIndependent(t *testing.T) {
 	}
 	for _, workers := range []int{1, 4, 8} {
 		for _, budget := range []int{5, 50, 1 << 30} {
-			res := placeOptimal(t, in, workers, budget, false, false)
+			res := placeOptimal(t, in, workers, budget, searchPruned)
 			if res.Feasible {
 				t.Fatalf("workers=%d budget=%d: feasible on infeasible input", workers, budget)
 			}
@@ -276,12 +275,12 @@ func TestFirstReasonPruneOrderIndependent(t *testing.T) {
 // whether the budget left canonical combos unscored.
 func TestOptimalTruncationFlag(t *testing.T) {
 	in := bbFixedInput(t, 4)
-	ex := placeOptimal(t, in, 1, 0, true, false)
+	ex := placeOptimal(t, in, 1, 0, searchExhaustive)
 	space := ex.Search.Visited()
 	if space < 4 {
 		t.Fatalf("fixture too small: %d canonical combos", space)
 	}
-	small := placeOptimal(t, in, 2, 3, false, false)
+	small := placeOptimal(t, in, 2, 3, searchPruned)
 	if !small.Truncated || small.SkippedCombos == 0 {
 		t.Fatalf("budget 3 of %d: Truncated=%v SkippedCombos=%d",
 			space, small.Truncated, small.SkippedCombos)
@@ -289,7 +288,7 @@ func TestOptimalTruncationFlag(t *testing.T) {
 	if got := small.Search.Visited(); got > 3 {
 		t.Fatalf("budget 3: visited %d combos", got)
 	}
-	big := placeOptimal(t, in, 2, 1<<30, false, false)
+	big := placeOptimal(t, in, 2, 1<<30, searchPruned)
 	if big.Truncated || big.SkippedCombos != 0 {
 		t.Fatalf("unbudgeted run reported truncation: Truncated=%v skipped=%d",
 			big.Truncated, big.SkippedCombos)

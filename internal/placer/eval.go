@@ -291,7 +291,7 @@ func (ev *evalScratch) adopt(res *Result) (string, bool) {
 
 // finishResult is finish for a heap Result the caller assembled: the way
 // through the back half for everything that is not a stamped candidate
-// (SW-Preferred's whole-chain groups, Reconfigure, ReEvaluate, the MILP).
+// (SW-Preferred's whole-chain groups, Reconfigure, ReEvaluate).
 // res ends up feasible or carrying the first infeasibility reason.
 func (ev *evalScratch) finishResult(res *Result, policy allocPolicy) {
 	if reason, ok := ev.adopt(res); !ok {

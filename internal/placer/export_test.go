@@ -19,3 +19,7 @@ func BuildSwitchTablesTight(in *Input, assigns []map[*nfgraph.Node]Assign, optim
 	b := &tableBuf{tables: make([]pisa.LogicalTable, 0, 1), arena: make([]int, 0, arenaCap)}
 	return b.lower(in, dense, base, optimize)
 }
+
+// PlaceRawOptimal is the Optimal search with nothing skipped but the demand
+// cut (searchRaw): no symmetry collapse, no incumbent cut, no budget.
+func PlaceRawOptimal(in *Input) (*Result, error) { return placeBruteForce(in, searchRaw) }

@@ -8,14 +8,12 @@ import (
 	"lemur/internal/profile"
 )
 
-// placeLemur is the paper's fast heuristic (§3.2): greedy switch placement
-// with stage-driven eviction, subgroup-coalescing variants, and LP-scored
-// core allocation.
-func placeLemur(in *Input) (*Result, error) {
-	return lemurHeuristic(in, policyMarginal)
-}
-
-func lemurHeuristic(in *Input, policy allocPolicy) (*Result, error) {
+// lemurHeuristic is the paper's fast heuristic (§3.2): greedy switch
+// placement with stage-driven eviction, subgroup-coalescing variants, and
+// LP-scored core allocation. Lemur runs it with policyMarginal and
+// coalescing; the Figure 2f ablations change one of the two (NoCoreAlloc
+// passes policyNone, NoCoalesce skips step 2).
+func lemurHeuristic(in *Input, policy allocPolicy, coalesce bool) (*Result, error) {
 	in.ensurePrep() // refresh for callers that copy the Input and swap the DB
 	workers := in.workers()
 
@@ -43,7 +41,7 @@ func lemurHeuristic(in *Input, policy allocPolicy) (*Result, error) {
 		}
 		variants := make([]map[*nfgraph.Node]Assign, 1, 4)
 		variants[0] = assign
-		if !in.disableCoalescing {
+		if coalesce {
 			variants = variants[:4]
 			modes := []coalesceMode{coalesceConservative, coalesceAggressive, coalesceAll}
 			runIndexed(len(modes), workers, func(i int) {
@@ -241,7 +239,7 @@ func applyCoalescing(in *Input, assign map[*nfgraph.Node]Assign, mode coalesceMo
 			cb := in.nodeCycles(b.chainIdx, b.node)
 			cc := b.s1.Cycles + b.s2.Cycles + cb - overhead // one shared overhead
 			w := b.s1.Weight
-			bits := in.frameBits()
+			bits := float64(DefaultFrameBits)
 			replicable := b.s1.Replicable && b.s2.Replicable && b.node.Meta.Replicable
 
 			coalCores := 2.0
@@ -303,28 +301,11 @@ func res1CoreCaps(in *Input, probe map[*nfgraph.Node]Assign, chainIdx int) []flo
 func placeNoProfiling(in *Input) (*Result, error) {
 	blind := *in
 	blind.DB = profile.Uniform(3000)
-	res, err := lemurHeuristic(&blind, policyMarginal)
+	res, err := lemurHeuristic(&blind, policyMarginal, true)
 	if err != nil || !res.Feasible {
 		return res, err
 	}
 	return reEvaluate(in, res), nil
-}
-
-// placeNoCoreAlloc is the other ablation: the Lemur pipeline with subgroup
-// scaling disabled (every subgroup gets exactly one core).
-func placeNoCoreAlloc(in *Input) (*Result, error) {
-	pinned := *in
-	pinned.disableCoreScaling = true
-	return lemurHeuristic(&pinned, policyMarginal)
-}
-
-// placeNoCoalesce ablates heuristic step 2: the baseline placement is used
-// as-is (with split variants), so bridge NFs never move off the switch to
-// merge subgroups and free cores.
-func placeNoCoalesce(in *Input) (*Result, error) {
-	flat := *in
-	flat.disableCoalescing = true
-	return lemurHeuristic(&flat, policyMarginal)
 }
 
 // reEvaluate rebuilds a decided placement's rates under the input's real

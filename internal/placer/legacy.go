@@ -6,9 +6,6 @@ import "errors"
 // Reconfigure and adds nothing; they stay only because the frozen bench/
 // module calls them, and go when it moves to Reconfigure.
 
-// AdmitReport is Report under the name Admit's callers know.
-type AdmitReport = Report
-
 // Replace is Reconfigure for a failure-only delta: the re-placement after
 // the devices in failed die, or an error wrapping ErrInfeasible. With an
 // empty failed set it is a pure re-validation of prev.
@@ -22,7 +19,7 @@ func Replace(prev *Result, in *Input, failed NodeSet) (*Result, error) {
 
 // Admit is Reconfigure for an admission-only delta: newChains is the
 // contiguous tail of the grown input.
-func Admit(prev *Result, in *Input, newChains []int) (*AdmitReport, error) {
+func Admit(prev *Result, in *Input, newChains []int) (*Report, error) {
 	if len(newChains) == 0 {
 		return nil, errors.New("placer: Admit needs at least one new chain")
 	}

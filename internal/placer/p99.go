@@ -63,7 +63,7 @@ func mm1P99WaitSec(in *Input, sg *Subgroup, rateBps float64) float64 {
 		return 0
 	}
 	mu := float64(sg.Cores) * in.clockHz() / sg.Cycles
-	lam := rateBps * sg.Weight / in.frameBits()
+	lam := rateBps * sg.Weight / DefaultFrameBits
 	if lam >= mu {
 		return math.Inf(1)
 	}

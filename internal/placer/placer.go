@@ -11,7 +11,7 @@
 //   - Optimal    — brute-force pattern/core enumeration, ranked by LP, with
 //     the PISA compiler consulted down the ranking
 //   - HWPreferred, SWPreferred, MinBounce, Greedy — the paper's baselines
-//   - NoProfiling, NoCoreAlloc — the Figure 2f ablations
+//   - NoProfiling, NoCoreAlloc, NoCoalesce — the Figure 2f ablations
 package placer
 
 import (
@@ -40,10 +40,6 @@ const (
 	SchemeGreedy      Scheme = "Greedy"
 	SchemeNoProfiling Scheme = "NoProfiling"
 	SchemeNoCoreAlloc Scheme = "NoCoreAlloc"
-	// SchemeMILP runs the Lemur pipeline with exact MILP core allocation
-	// (the paper's open-sourced MILP formulation, solved by branch and
-	// bound over our simplex).
-	SchemeMILP Scheme = "MILP"
 	// SchemeNoCoalesce ablates heuristic step 2: no subgroup coalescing.
 	SchemeNoCoalesce Scheme = "NoCoalesce"
 )
@@ -74,7 +70,7 @@ type Input struct {
 	// free for future admissions. Raising subgroups to t_min may still
 	// consume the reserve (feasibility comes first); only the
 	// throughput-maximizing extra cores honor it. 0 reserves nothing, which
-	// matches the paper's offline placement.
+	// matches the paper's offline placement; a negative value is refused.
 	HeadroomCores int
 
 	// BruteForceBudget caps the number of cross-chain pattern combinations
@@ -86,27 +82,6 @@ type Input struct {
 	// reduced in enumeration order with fixed tie-breaks).
 	Parallel int
 
-	// ExhaustiveSearch disables the Optimal scheme's incumbent pruning and
-	// search budget so every canonical pattern combination is scored — the
-	// reference the branch-and-bound search is property-tested against
-	// (byte-identical Results by construction). Exponential: use on inputs
-	// whose combination space is known to be small.
-	ExhaustiveSearch bool
-
-	// DisableSymmetry turns off the Optimal scheme's symmetry
-	// canonicalization over interchangeable chains, forcing the search to
-	// visit every chain-permutation-equivalent combo it would otherwise
-	// collapse. Benchmarks use it to measure collapse rates.
-	DisableSymmetry bool
-
-	// disableCoreScaling pins every subgroup to one core (the Figure 2f
-	// "No Core Allocation" ablation); only SchemeNoCoreAlloc sets it.
-	disableCoreScaling bool
-
-	// disableCoalescing ablates heuristic step 2 (subgroup coalescing); only
-	// SchemeNoCoalesce sets it.
-	disableCoalescing bool
-
 	// prep caches per-input derived state (worst-case node cycles, server
 	// indices, stage verdicts). Every entry point installs one that matches
 	// the input's current chains, DB and topology (ensurePrep), so copies
@@ -115,11 +90,10 @@ type Input struct {
 	prep *inputPrep
 }
 
-// frameBits converts pps to bps.
-func (in *Input) frameBits() float64 { return DefaultFrameBits }
-
-// FrameBitsOrDefault exposes the pps→bps conversion factor to the runtime.
-func (in *Input) FrameBitsOrDefault() float64 { return in.frameBits() }
+// FrameBitsOrDefault is DefaultFrameBits, the pps→bps conversion factor. It
+// stays a method only because bench/ still calls it; new code uses the
+// constant.
+func (in *Input) FrameBitsOrDefault() float64 { return DefaultFrameBits }
 
 // Assign records where one NF node runs.
 type Assign struct {
@@ -257,7 +231,7 @@ var ErrUnknownScheme = errors.New("placer: unknown scheme")
 
 // Place runs the named scheme.
 func Place(scheme Scheme, in *Input) (*Result, error) {
-	if err := in.Topo.Validate(); err != nil {
+	if err := in.validate(); err != nil {
 		return nil, err
 	}
 	in.ensurePrep()
@@ -271,9 +245,9 @@ func Place(scheme Scheme, in *Input) (*Result, error) {
 	)
 	switch scheme {
 	case SchemeLemur:
-		res, err = placeLemur(in)
+		res, err = lemurHeuristic(in, policyMarginal, true)
 	case SchemeOptimal:
-		res, err = placeBruteForce(in)
+		res, err = placeBruteForce(in, searchPruned)
 	case SchemeHWPreferred:
 		res, err = placeHWPreferred(in)
 	case SchemeSWPreferred:
@@ -285,11 +259,12 @@ func Place(scheme Scheme, in *Input) (*Result, error) {
 	case SchemeNoProfiling:
 		res, err = placeNoProfiling(in)
 	case SchemeNoCoreAlloc:
-		res, err = placeNoCoreAlloc(in)
-	case SchemeMILP:
-		res, err = placeMILP(in)
+		// Every subgroup keeps the one core it starts with.
+		res, err = lemurHeuristic(in, policyNone, true)
 	case SchemeNoCoalesce:
-		res, err = placeNoCoalesce(in)
+		// Step 2 skipped: bridge NFs never move off the switch to merge
+		// subgroups and free cores.
+		res, err = lemurHeuristic(in, policyMarginal, false)
 	default:
 		return nil, fmt.Errorf("%w: %q", ErrUnknownScheme, scheme)
 	}
@@ -311,6 +286,19 @@ func Place(scheme Scheme, in *Input) (*Result, error) {
 		SetAttrFloat("aggregate_bps", res.PredictedAggregate).
 		End()
 	return res, nil
+}
+
+// validate rejects what Place and Reconfigure treat as API misuse: an
+// invalid topology, and a negative HeadroomCores, which would let the
+// spare-core pour hand out cores past a server's budget.
+func (in *Input) validate() error {
+	if err := in.Topo.Validate(); err != nil {
+		return err
+	}
+	if in.HeadroomCores < 0 {
+		return fmt.Errorf("placer: HeadroomCores must be >= 0, got %d", in.HeadroomCores)
+	}
+	return nil
 }
 
 // allowedPlatforms returns the platforms node may run on under this input:

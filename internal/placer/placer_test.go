@@ -403,8 +403,8 @@ chain lat {
 	if !tightRes.Feasible {
 		t.Fatalf("26us infeasible: %s", tightRes.Reason)
 	}
-	looseBounces := bounceCount(in.Chains[0], loose.Assign)
-	tightBounces := bounceCount(tight.Chains[0], tightRes.Assign)
+	looseBounces := Bounces(in.Chains[0], loose.Assign)
+	tightBounces := Bounces(tight.Chains[0], tightRes.Assign)
 	if tightBounces > looseBounces {
 		t.Errorf("tight dmax produced more bounces (%d) than loose (%d)", tightBounces, looseBounces)
 	}

@@ -16,7 +16,7 @@ func (in *Input) subRateBps(sg *Subgroup) float64 {
 		return 0
 	}
 	pps := float64(sg.Cores) * in.clockHz() / sg.Cycles
-	return pps * in.frameBits() / sg.Weight
+	return pps * DefaultFrameBits / sg.Weight
 }
 
 // nicRateBps is the chain-rate ceiling imposed by one SmartNIC-resident NF.
@@ -29,7 +29,7 @@ func (in *Input) nicRateBps(u *NICUse) float64 {
 		return 0
 	}
 	pps := nic.SpeedupVsServerCore * in.clockHz() / u.Cycles
-	return pps * in.frameBits() / u.Weight
+	return pps * DefaultFrameBits / u.Weight
 }
 
 // chainCapBps is the estimated throughput of chain i under the placement:
@@ -57,7 +57,7 @@ func (in *Input) coresToMeet(sg *Subgroup, targetBps float64) int {
 	if targetBps <= 0 {
 		return 1
 	}
-	ppsNeeded := targetBps * sg.Weight / in.frameBits()
+	ppsNeeded := targetBps * sg.Weight / DefaultFrameBits
 	cores := int(math.Ceil(ppsNeeded * sg.Cycles / in.clockHz()))
 	if cores < 1 {
 		cores = 1
@@ -143,9 +143,7 @@ func (ev *evalScratch) addVisit(dev string, cap float64, chain int, w float64) {
 
 // linkRows builds ev.links, the per-device link constraints
 // Σ m_{i,d}·r_i ≤ C_d of the scratch's subgroups and NIC uses, in order of
-// first visit, against the given t_min vector (by column). The rate LP and
-// the MILP both take their link rows from here (after resetRows), so the two
-// programs cannot disagree on a link, or on row order.
+// first visit, against the given t_min vector (by column), after resetRows.
 func (ev *evalScratch) linkRows(tmin []float64) (string, bool) {
 	in, res, p := ev.in, ev.res, ev.p
 	for si, sg := range res.Subgroups {
@@ -266,19 +264,18 @@ func grown(s []float64, n int) []float64 {
 }
 
 // allocPolicy is how finish chooses cores — the one step of the back half
-// that legitimately differs between callers. The first four hand out spare
-// cores over a whole fresh placement; the last three serve Results that
-// arrive with some or all of their cores already decided.
+// that legitimately differs between callers. The first four hand out cores
+// over a whole fresh placement; the last two serve Results that arrive with
+// some or all of their cores already decided.
 type allocPolicy int
 
 const (
 	policyMarginal   allocPolicy = iota // Lemur/Optimal: best marginal gain first
 	policyEven                          // HWPreferred/MinBounce: round-robin chains
 	policySequential                    // Greedy: chain order, one chain at a time
-	policyNone                          // NoCoreAlloc ablation: minimum only
+	policyNone                          // NoCoreAlloc ablation: one core per subgroup
 	policyPinned                        // Reconfigure: only ev.fresh subgroups are written (allocateCoresReplace)
 	policyDecided                       // ReEvaluate: every subgroup keeps the Cores it came with
-	policyMILP                          // MILP: exact integer allocation on the given structure (allocateMILP)
 )
 
 // lpMarginal scores the current core allocation by solving the rate LP
@@ -299,7 +296,7 @@ func (ev *evalScratch) lpMarginal() float64 {
 func (ev *evalScratch) refineAllocation() {
 	in, subs := ev.in, ev.res.Subgroups
 	minCores := func(sg *Subgroup) int {
-		if in.disableCoreScaling || !sg.Replicable {
+		if !sg.Replicable {
 			return 1
 		}
 		return in.coresToMeet(sg, in.Chains[sg.ChainIdx].Chain.SLO.TMinBps)
@@ -398,7 +395,7 @@ func (ev *evalScratch) raiseToTMin(only []bool) bool {
 
 // allocateCores assigns cores to subgroups. For a fresh placement: one core
 // each, raised to meet t_min (SLO-aware policies only), then spare cores per
-// policy; the pinned, decided and MILP policies are dispatched first. It
+// policy; the pinned and decided policies are dispatched first. It
 // returns an infeasibility reason when minimums cannot be met.
 func (ev *evalScratch) allocateCores(policy allocPolicy) (string, bool) {
 	in, res, subs := ev.in, ev.res, ev.res.Subgroups
@@ -411,8 +408,6 @@ func (ev *evalScratch) allocateCores(policy allocPolicy) (string, bool) {
 		fallthrough
 	case policyPinned:
 		return ev.allocateCoresReplace()
-	case policyMILP:
-		return ev.allocateMILP()
 	}
 
 	// Mandatory single core per subgroup.
@@ -427,13 +422,13 @@ func (ev *evalScratch) allocateCores(policy allocPolicy) (string, bool) {
 
 	// Raise to meet t_min where the policy is SLO-aware. Even/none policies
 	// skip this (they are not SLO-driven), matching the baselines.
-	if sloAware := policy == policyMarginal || policy == policySequential; sloAware && !in.disableCoreScaling {
+	if policy == policyMarginal || policy == policySequential {
 		if !ev.raiseToTMin(nil) {
 			return "", false // the reason is ev.short
 		}
 	}
 
-	if policy == policyNone || in.disableCoreScaling {
+	if policy == policyNone {
 		return "", true
 	}
 

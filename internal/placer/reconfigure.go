@@ -217,7 +217,7 @@ func Reconfigure(prev *Result, in *Input, d Delta) (*Report, error) {
 	if prev == nil || in == nil || !prev.Feasible {
 		return nil, errors.New("placer: Reconfigure needs an input and a feasible previous result")
 	}
-	if err := in.Topo.Validate(); err != nil {
+	if err := in.validate(); err != nil {
 		return nil, err
 	}
 	nOld := len(in.Chains) - len(d.Admit)
@@ -586,10 +586,6 @@ func (ev *evalScratch) allocateCoresReplace() (string, bool) {
 			rin.Topo.Servers[o].Name, ev.used[o], budget[o]), false
 	}
 	used := ev.used
-	if rin.disableCoreScaling {
-		return "", true
-	}
-
 	if !ev.raiseToTMin(fresh) {
 		return "", false // the reason is ev.short
 	}

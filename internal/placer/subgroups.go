@@ -175,22 +175,15 @@ func computeNICUses(in *Input, chainIdx int, g *nfgraph.Graph, assign map[*nfgra
 	return uses
 }
 
-// Bounces counts platform transitions of a chain under an assignment — the
-// Minimum Bounce baseline's objective, also reported by the latency
-// experiments.
+// Bounces counts platform transitions along every linear path of a chain
+// under an assignment — the Minimum Bounce baseline's objective, also
+// reported by the latency experiments. The ToR is the implicit start and
+// end, so a path beginning or ending off-switch also pays a transition.
 func Bounces(g *nfgraph.Graph, assign map[*nfgraph.Node]Assign) int {
-	return bounceCount(g, assign)
-}
-
-// bounceCount counts platform transitions along every linear path of the
-// chain (the Minimum Bounce baseline's objective). The ToR is the implicit
-// start and end, so a path beginning or ending off-switch also pays a
-// transition.
-func bounceCount(g *nfgraph.Graph, assign map[*nfgraph.Node]Assign) int {
 	return bounceCountPaths(g.Paths(), assign)
 }
 
-// bounceCountPaths is bounceCount over pre-expanded paths.
+// bounceCountPaths is Bounces over pre-expanded paths.
 func bounceCountPaths(paths []nfgraph.Path, assign map[*nfgraph.Node]Assign) int {
 	total := 0
 	for _, path := range paths {

@@ -221,7 +221,7 @@ func (tb *Testbed) Measure(offered []float64) (*Measurement, error) {
 	for i := range capOf {
 		capOf[i] = in.Topo.Switch.PortCapacityBps
 	}
-	frameBits := in.FrameBitsOrDefault()
+	frameBits := float64(placer.DefaultFrameBits)
 	for _, psg := range res.Subgroups {
 		srv, err := in.Topo.ServerByName(psg.Server)
 		if err != nil {

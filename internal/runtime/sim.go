@@ -8,6 +8,7 @@ import (
 
 	"lemur/internal/chaos"
 	"lemur/internal/nfgraph"
+	"lemur/internal/placer"
 )
 
 // The analytic Measure covers steady-state rates; Simulate is the
@@ -219,7 +220,7 @@ func (tb *Testbed) newSimEngine(offered []float64, cfg SimConfig) (*simEngine, e
 	eng := &simEngine{
 		tb: tb, cfg: &cfg, ix: &simIndex{}, rc: rc, res: &SimResult{}, edf: edf,
 		rng:       rand.New(rand.NewSource(cfg.Seed*17 + 3)),
-		frameBits: in.FrameBitsOrDefault(),
+		frameBits: placer.DefaultFrameBits,
 		// Rounded, not truncated: 0.35 s of 1 ms steps is 350 steps, though
 		// 0.35/0.001 is 349.99999999999994 in floating point.
 		steps: int(math.Round(cfg.DurationSec / cfg.StepSec)),

@@ -166,7 +166,7 @@ func TestSimulateStepCount(t *testing.T) {
 		if eng.steps != tc.steps {
 			t.Errorf("DurationSec %g: %d steps, want %d", tc.dur, eng.steps, tc.steps)
 		}
-		want := offered[0] * tc.dur / tb.D.Input.FrameBitsOrDefault() / 100
+		want := offered[0] * tc.dur / placer.DefaultFrameBits / 100
 		if got := float64(sim.Injected[0]); math.Abs(got-want) > 1 {
 			t.Errorf("DurationSec %g: injected %v packets, offered x duration is %.1f", tc.dur, got, want)
 		}

@@ -144,7 +144,7 @@ func (tb *Testbed) simulateReference(offered []float64, cfg SimConfig) (*SimResu
 	}
 	queueDelay := make([]float64, len(offered))
 	delaySamples := make([][]float64, len(offered))
-	frameBits := in.FrameBitsOrDefault()
+	frameBits := float64(placer.DefaultFrameBits)
 
 	// Fractional arrival accumulators.
 	acc := make([]float64, len(offered))

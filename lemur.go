@@ -150,7 +150,7 @@ func WithSchedPolicy(policy string) Option {
 // budget free for chains admitted later (SimulateChurn, placer.Reconfigure). The
 // reserve is discretionary: raising a chain to its t_min SLO may still use
 // the cores. The default 0 matches the paper's offline placement, which
-// spends every core on marginal throughput.
+// spends every core on marginal throughput; Place refuses a negative reserve.
 func WithAdmissionHeadroom(cores int) Option {
 	return func(o *options) { o.headroom = cores }
 }

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"lemur/internal/obs"
-	"lemur/internal/placer"
 )
 
 const webSpec = `
@@ -155,6 +154,23 @@ func TestSchemeOption(t *testing.T) {
 	}
 }
 
+// TestNegativeHeadroomRefused: a negative admission reserve is API misuse.
+// Place and Deploy return the error instead of pouring cores the server
+// does not have (enc0 on 23 of a 15-core server, which the compiler then
+// refuses).
+func TestNegativeHeadroomRefused(t *testing.T) {
+	sys := New(WithAdmissionHeadroom(-8), WithP4Only("IPv4Fwd"))
+	if err := sys.LoadSpec(webSpec); err != nil {
+		t.Fatal(err)
+	}
+	if pl, err := sys.Place(); err == nil || !strings.Contains(err.Error(), "HeadroomCores") {
+		t.Fatalf("Place with headroom -8: err %v, placement %+v; want a HeadroomCores error", err, pl)
+	}
+	if _, err := sys.Deploy(); err == nil || !strings.Contains(err.Error(), "HeadroomCores") {
+		t.Fatalf("Deploy with headroom -8: err %v; want a HeadroomCores error", err)
+	}
+}
+
 func TestLoadSpecErrors(t *testing.T) {
 	sys := New()
 	if err := sys.LoadSpec("garbage"); err == nil {
@@ -202,18 +218,6 @@ func TestDeployImplicitlyPlaces(t *testing.T) {
 	}
 	if sys.res == nil || dep.tb.D.Result != sys.res {
 		t.Error("Deploy did not keep the placement it made")
-	}
-}
-
-// TestMILPScheme: the MILP core allocation is reachable through WithScheme.
-func TestMILPScheme(t *testing.T) {
-	sys := New(WithScheme(Scheme(placer.SchemeMILP)), WithP4Only("IPv4Fwd"))
-	if err := sys.LoadSpec(webSpec); err != nil {
-		t.Fatal(err)
-	}
-	pl, err := sys.Place()
-	if err != nil || !pl.Feasible() {
-		t.Fatalf("MILP: %v %+v", err, pl)
 	}
 }
 
