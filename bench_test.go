@@ -15,13 +15,8 @@ import (
 
 	"lemur/internal/experiments"
 	"lemur/internal/hw"
-	"lemur/internal/metacompiler"
-	"lemur/internal/nfgraph"
-	"lemur/internal/nfspec"
-	"lemur/internal/pisa"
 	"lemur/internal/placer"
 	"lemur/internal/profile"
-	"lemur/internal/runtime"
 )
 
 // benchDeltas is the δ grid used by the figure benchmarks (the full paper
@@ -263,39 +258,9 @@ func BenchmarkPlacerBruteForce(b *testing.B) {
 	}
 }
 
-// benchPlace is the placement-only micro-benchmark core: four-chain set,
-// δ=0.5, no testbed measurement, allocation accounting on, plus the shared
-// PISA compile-cache hit rate as a custom metric.
-func benchPlace(b *testing.B, scheme placer.Scheme, parallel int) {
-	b.Helper()
-	r := experiments.NewRunner(hw.NewPaperTestbed())
-	r.SkipMeasure = true
-	r.BruteForceBudget = 2000
-	r.Parallel = parallel
-	pisa.SharedCache().Reset()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sr, _, err := r.RunSet([]int{1, 2, 3, 4}, 0.5, scheme)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !sr.Feasible {
-			b.Fatalf("infeasible: %s", sr.Reason)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(pisa.SharedCache().Stats().HitRate()*100, "cache-hit-pct")
-}
-
-func BenchmarkPlaceLemur(b *testing.B)           { benchPlace(b, placer.SchemeLemur, 1) }
-func BenchmarkPlaceLemurParallel(b *testing.B)   { benchPlace(b, placer.SchemeLemur, 4) }
-func BenchmarkPlaceOptimal(b *testing.B)         { benchPlace(b, placer.SchemeOptimal, 1) }
-func BenchmarkPlaceOptimalParallel(b *testing.B) { benchPlace(b, placer.SchemeOptimal, 4) }
-
 // TestPlaceOptimalCostGuard pins the Optimal scheme's cost envelope on the
-// BenchmarkPlaceOptimal fixture (four-chain set, δ=0.5, budget 2000, built
-// and placed from scratch each time, as Runner.RunSet does): a pruning,
+// BenchmarkPlacerBruteForce fixture (four-chain set, δ=0.5, budget 2000,
+// built and placed from scratch each time, as Runner.RunSet does): a pruning,
 // binder, bound or evaluation-scratch regression that blows up search work
 // fails CI here instead of silently multiplying solve time. The allocation
 // ceilings are 1.5x the measured baseline (~23.4k allocs per solve, ~11.7
@@ -412,125 +377,4 @@ func BenchmarkCoalescingAblation(b *testing.B) {
 	} else {
 		b.ReportMetric(0, "nocoalesce-marginal-gbps")
 	}
-}
-
-// simBench deploys a chain set with Lemur and times Simulate at 1.2x the
-// placed rates (mild queueing, no drop storm), reporting simulated packets
-// per wall-clock second and (with -benchmem) allocations per packet.
-func simBench(b *testing.B, src string, seed int64) {
-	b.Helper()
-	chains, err := nfspec.Parse(src)
-	if err != nil {
-		b.Fatal(err)
-	}
-	in := &placer.Input{Topo: hw.NewPaperTestbed(), DB: profile.DefaultDB(),
-		Restrict: map[string][]hw.Platform{"IPv4Fwd": {hw.PISA}}}
-	for _, c := range chains {
-		g, err := nfgraph.Build(c)
-		if err != nil {
-			b.Fatal(err)
-		}
-		in.Chains = append(in.Chains, g)
-	}
-	res, err := placer.Place(placer.SchemeLemur, in)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if !res.Feasible {
-		b.Fatalf("infeasible: %s", res.Reason)
-	}
-	d, err := metacompiler.Compile(in, res)
-	if err != nil {
-		b.Fatal(err)
-	}
-	tb := runtime.New(d, seed)
-	offered := make([]float64, len(res.ChainRates))
-	for i, r := range res.ChainRates {
-		offered[i] = r * 1.2
-	}
-	cfg := runtime.SimConfig{Seed: seed, DurationSec: 0.3}
-	injected := 0
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sim, err := tb.Simulate(offered, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		injected = 0
-		for _, n := range sim.Injected {
-			injected += n
-		}
-	}
-	b.StopTimer()
-	if injected == 0 {
-		b.Fatal("no packets simulated")
-	}
-	b.ReportMetric(float64(injected)*float64(b.N)/b.Elapsed().Seconds(), "pkts/sec")
-	b.ReportMetric(float64(injected), "pkts/op")
-}
-
-// benchSimSmall is a single three-NF chain: one server subgroup.
-const benchSimSmall = `
-chain web {
-  slo { tmin = 2Gbps  tmax = 100Gbps }
-  aggregate { src = 10.0.0.0/8  dst = 172.16.0.0/12 }
-  acl0 = ACL(allow_dst = "172.16.0.0/12", rules = 1024)
-  enc0 = Encrypt()
-  fwd0 = IPv4Fwd()
-  acl0 -> enc0 -> fwd0
-}`
-
-// benchSimMedium adds two more chains so the simulator juggles several
-// subgroups, queues and traffic generators at once.
-const benchSimMedium = benchSimSmall + `
-chain mon {
-  slo { tmin = 1Gbps  tmax = 100Gbps }
-  aggregate { src = 11.0.0.0/8 }
-  mon0 = Monitor()
-  nat0 = NAT()
-  fwd1 = IPv4Fwd()
-  mon0 -> nat0 -> fwd1
-}
-chain filt {
-  slo { tmin = 1Gbps  tmax = 100Gbps }
-  aggregate { src = 12.0.0.0/8 }
-  mat0 = Match(dst_port = 443)
-  lim0 = Limiter(rate_mbps = 90000)
-  fwd2 = IPv4Fwd()
-  mat0 -> lim0 -> fwd2
-}`
-
-// BenchmarkSimulate: the discrete-time dataplane simulator hot path (ISSUE 3
-// tentpole). Small = one chain/subgroup, Medium = three chains.
-func BenchmarkSimulateSmall(b *testing.B)  { simBench(b, benchSimSmall, 7) }
-func BenchmarkSimulateMedium(b *testing.B) { simBench(b, benchSimMedium, 7) }
-
-// BenchmarkSimulateDynamics exercises the discrete-time simulator: the
-// four-chain deployment at its placed rates (no drops) and at 2x overload
-// (drop onset), reporting achieved goodput and loss.
-func BenchmarkSimulateDynamics(b *testing.B) {
-	sys := New(WithP4Only("IPv4Fwd"))
-	if err := sys.LoadSpec(webSpec); err != nil {
-		b.Fatal(err)
-	}
-	dep, err := sys.Deploy()
-	if err != nil {
-		b.Fatal(err)
-	}
-	var normal, overload *SimReport
-	for i := 0; i < b.N; i++ {
-		normal, err = dep.Simulate(1.0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		overload, err = dep.Simulate(2.0)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(normal.AchievedBps[0]/1e9, "goodput-gbps@1x")
-	b.ReportMetric(normal.DropRate[0]*100, "drop-pct@1x")
-	b.ReportMetric(overload.AchievedBps[0]/1e9, "goodput-gbps@2x")
-	b.ReportMetric(overload.DropRate[0]*100, "drop-pct@2x")
 }

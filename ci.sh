@@ -394,11 +394,16 @@ fuzz_smoke FuzzParseBlocks ./internal/nfspec
 echo "==> optimal placement cost guard"
 run_guard 'TestPlaceOptimalCostGuard' -count=1 .
 
-# Benchmark smoke: one iteration of the placement and simulator
-# micro-benchmarks proves the bench harness (and the -bench-out path it
-# shares) still compiles and runs.
+# The paper's evaluation: every §5 table and figure rendered to
+# internal/experiments/testdata/paper.golden, byte for byte, at Parallel 1
+# and 4; and profiling refuses a run count below one (profile and Table 4).
+echo "==> paper golden, profiling run count"
+run_guard 'TestPaperGolden|TestTable4RejectsNonPositiveRuns' -count=1 ./internal/experiments
+run_guard 'TestProfileRejectsNonPositiveRuns' -count=1 ./internal/profile
+
+# Benchmark smoke: one iteration of the candidate-evaluation
+# micro-benchmark proves it still compiles and runs.
 echo "==> benchmark smoke"
-go test -run '^$' -bench 'BenchmarkPlace(Lemur|Optimal)|BenchmarkSimulate(Small|Medium)' -benchtime 1x -benchmem .
 go test -run '^$' -bench 'BenchmarkEvaluateCandidate' -benchtime 1x -benchmem ./internal/placer
 
 # The repository benchmark (bench/, a module of its own that root ./... does

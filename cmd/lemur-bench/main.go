@@ -17,7 +17,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -39,7 +38,6 @@ func main() {
 		extreme     = flag.Bool("extreme", false, "11-NAT stage-constraint study")
 		sensitivity = flag.Bool("sensitivity", false, "profiling-error study")
 		latency     = flag.Bool("latency", false, "latency SLO study")
-		latencyOut  = flag.String("latency-out", "", "with -latency: also run the EDF-vs-round-robin deadline-compliance sweep and write it to this JSON path (BENCH_7.json)")
 		loc         = flag.Bool("loc", false, "meta-compiler LoC accounting")
 		scaling     = flag.Bool("scaling", false, "placer computation time")
 		feasibility = flag.Bool("feasibility", false, "feasibility summary across all sets")
@@ -47,21 +45,16 @@ func main() {
 		runs        = flag.Int("runs", 500, "profiling runs for -table 4")
 		metrics     = flag.String("metrics-out", "", "write a metrics snapshot to this JSON path (plus .prom alongside)")
 		parallel    = flag.Int("parallel", 0, "worker count for experiment cells and placer candidate evaluation (0 = GOMAXPROCS cells, serial placer)")
-		benchOut    = flag.String("bench-out", "", "run the placement micro-benchmark sweep and write ns/op + cache stats to this JSON path")
 		sim         = flag.Bool("sim", false, "parallel load-factor sweep with the discrete-time dataplane simulator")
 		scale       = flag.Bool("scale", false, "throughput-vs-flow-count curve: 1k to 1M concurrent flows through the stateful dataplane")
-		scaleOut    = flag.String("scale-out", "", "with -scale: also write the curve (wall-clock throughput included) to this JSON path")
 		failover    = flag.Bool("failover", false, "SLO compliance under k server failures (parallel fault-injection sweep)")
 		churnBench  = flag.Bool("churn", false, "admission-capacity sweep: chains admitted incrementally until first refusal (parallel)")
 		simWorkers  = flag.Int("sim-workers", 1, "worker shards per simulation run for -sim/-scale/-failover (results are byte-identical at any value)")
 		cores       = flag.Bool("cores", false, "cores-vs-throughput curve: the flow-scaled point rerun at 1/2/4/8 worker shards, sequentially")
-		coresOut    = flag.String("cores-out", "", "with -cores: also write the curve to this JSON path (BENCH_5.json)")
 		coresFlows  = flag.Int("cores-flows", 1_000_000, "with -cores: concurrent-flow population for the measured point")
 		coresPkts   = flag.Int("cores-pkts", 10_000_000, "with -cores: target packet count for the measured point")
 		placeScale  = flag.Bool("place-scale", false, "placement solve-time curve: 4..256 servers × chain counts, all schemes, with branch-and-bound search stats")
-		placeOut    = flag.String("place-scale-out", "", "with -place-scale: also write the curve to this JSON path (BENCH_6.json)")
 		reconcile   = flag.Bool("reconcile", false, "lemurd control-plane convergence sweep: scripted reconcile scenarios run to convergence on a fake clock")
-		reconOut    = flag.String("reconcile-out", "", "with -reconcile: also write the convergence table to this JSON path (BENCH_8.json)")
 		reconIvl    = flag.Duration("reconcile-interval", 100*time.Millisecond, "with -reconcile: the daemons' reconcile period; must be positive")
 	)
 	flag.Parse()
@@ -92,22 +85,20 @@ func main() {
 	}
 
 	switch {
-	case *benchOut != "":
-		b.runBenchOut(*benchOut)
 	case *sim:
 		b.runSimSweep()
 	case *scale:
-		b.runScale(*scaleOut)
+		b.runScale()
 	case *cores:
-		b.runCores(*coresFlows, *coresPkts, *coresOut)
+		b.runCores(*coresFlows, *coresPkts)
 	case *placeScale:
-		b.runPlaceScale(*placeOut)
+		b.runPlaceScale()
 	case *failover:
 		b.runFailover()
 	case *churnBench:
 		b.runChurnBench()
 	case *reconcile:
-		b.runReconcile(*reconIvl, *reconOut)
+		b.runReconcile(*reconIvl)
 	case *figure != "":
 		b.runFigure(*figure, deltas, *quick)
 	case *table == "3":
@@ -120,7 +111,7 @@ func main() {
 		b.runSensitivity()
 	case *latency:
 		b.runLatency()
-		b.runLatencySweep(*latencyOut)
+		b.runLatencySweep()
 	case *loc:
 		b.runLoC()
 	case *scaling:
@@ -177,18 +168,6 @@ func (b bench) newRunner(topo *hw.Topology) *experiments.Runner {
 	r.Parallel = b.parallel
 	r.VerifyPackets = b.verifyPackets
 	return r
-}
-
-// writeJSON writes a -*-out document: v as indented JSON plus a trailing
-// newline. The caller asked for the file, so a failure is fatal.
-func writeJSON(path string, v any) {
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		fatal(err)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		fatal(err)
-	}
 }
 
 func gbps(v float64) string { return fmt.Sprintf("%.2f", v/1e9) }
@@ -310,11 +289,11 @@ func printTable3() {
 }
 
 func printTable4(runs int) {
-	fmt.Printf("Table 4: profiled NF costs (CPU cycles/packet), %d runs\n", runs)
 	rows, err := experiments.Table4(runs)
 	if err != nil {
 		fatal(err)
 	}
+	fmt.Printf("Table 4: profiled NF costs (CPU cycles/packet), %d runs\n", runs)
 	w := tw()
 	fmt.Fprintln(w, "NF\tNUMA\tMean\tMin\tMax\t")
 	for _, row := range rows {

@@ -116,5 +116,5 @@ func (r *Runner) CoresSweep(chainIdxs []int, delta float64, flows, targetPackets
 	return cells, nil
 }
 
-// DefaultCoresCounts is the committed curve's worker axis.
+// DefaultCoresCounts is lemur-bench -cores's worker axis.
 func DefaultCoresCounts() []int { return []int{1, 2, 4, 8} }

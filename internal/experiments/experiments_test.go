@@ -5,6 +5,7 @@ import (
 
 	"lemur/internal/hw"
 	"lemur/internal/placer"
+	"lemur/internal/profile"
 )
 
 func TestCanonicalChainsBuild(t *testing.T) {
@@ -30,7 +31,7 @@ func TestCanonicalChainsBuild(t *testing.T) {
 
 func TestBaseRatesRegime(t *testing.T) {
 	topo := hw.NewPaperTestbed()
-	bases, err := BaseRates([]int{1, 2, 3, 4, 5}, topo, NewRunner(topo).DB)
+	bases, err := BaseRates([]int{1, 2, 3, 4, 5}, topo, profile.DefaultDB())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -297,13 +297,12 @@ type Table4Row struct {
 	Stats profile.Stats
 }
 
-// Table4 profiles the paper's four example NFs at both NUMA placements.
-// runs=500 matches the paper; tests use fewer.
+// Table4 profiles the paper's four example NFs at both NUMA placements,
+// runs times each. runs=500 matches the paper; tests use fewer; fewer than
+// one is an error.
 func Table4(runs int) ([]Table4Row, error) {
 	pr := profile.NewProfiler()
-	if runs > 0 {
-		pr.Runs = runs
-	}
+	pr.Runs = runs
 	type spec struct {
 		class  string
 		params nf.Params

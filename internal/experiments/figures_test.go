@@ -164,6 +164,16 @@ func TestTable4SmallRun(t *testing.T) {
 	}
 }
 
+// TestTable4RejectsNonPositiveRuns: a run count below one is an error, not
+// a silent switch to the paper's 500.
+func TestTable4RejectsNonPositiveRuns(t *testing.T) {
+	for _, runs := range []int{0, -3} {
+		if rows, err := Table4(runs); err == nil {
+			t.Errorf("Table4(%d) returned %d rows, want an error", runs, len(rows))
+		}
+	}
+}
+
 func TestPlacerScaling(t *testing.T) {
 	r := NewRunner(newPaperTopo())
 	sc, err := r.PlacerScaling(0.5, 500)

@@ -7,6 +7,7 @@ import (
 
 	"lemur/internal/hw"
 	"lemur/internal/placer"
+	"lemur/internal/profile"
 	"lemur/internal/runtime"
 )
 
@@ -93,11 +94,11 @@ chain lat1 {
 // LatencySpec parameterizes the sweep's chain: its guaranteed rate and its
 // scheduling deadline.
 type LatencySpec struct {
-	TMinBps float64 `json:"tmin_bps"`
-	DMaxSec float64 `json:"dmax_sec"`
+	TMinBps float64
+	DMaxSec float64
 }
 
-// DefaultLatencySpec is the committed BENCH_7 configuration. The t_min
+// DefaultLatencySpec is lemur-bench -latency's sweep configuration. The t_min
 // leaves NIC headroom for the nine server↔switch bounces; SW-Preferred's
 // whole-chain server placement caps out near 2 Gbps for this chain, so its
 // curve records an explicit infeasibility instead — the paper's
@@ -109,37 +110,35 @@ var DefaultLatencySpec = LatencySpec{TMinBps: 4e9, DMaxSec: 0.2}
 
 // LatencyPoint is one offered-load cell of the sweep.
 type LatencyPoint struct {
-	LoadFactor float64 `json:"load_factor"`
-	Seed       int64   `json:"seed"`
+	LoadFactor float64
+	Seed       int64
 }
 
 // LatencyRun is one (point, policy) simulation outcome; slices are indexed
 // by chain.
 type LatencyRun struct {
-	AchievedBps        []float64 `json:"achieved_bps"`
-	DropRate           []float64 `json:"drop_rate"`
-	AvgQueueDelaySec   []float64 `json:"avg_queue_delay_sec"`
-	P99QueueDelaySec   []float64 `json:"p99_queue_delay_sec"`
-	DeadlineCompliance []float64 `json:"deadline_compliance"`
+	AchievedBps        []float64
+	P99QueueDelaySec   []float64
+	DeadlineCompliance []float64
 }
 
 // LatencyCell pairs the EDF and round-robin arms of one load point.
 type LatencyCell struct {
-	Point LatencyPoint `json:"point"`
-	EDF   *LatencyRun  `json:"edf"`
-	RR    *LatencyRun  `json:"rr"`
+	Point LatencyPoint
+	EDF   *LatencyRun
+	RR    *LatencyRun
 }
 
 // LatencyCurve is one scheme's compliance-vs-load curve.
 type LatencyCurve struct {
-	Scheme   placer.Scheme `json:"scheme"`
-	Feasible bool          `json:"feasible"`
-	Reason   string        `json:"reason,omitempty"`
+	Scheme   placer.Scheme
+	Feasible bool
+	Reason   string
 	// PredictedP99Sec is the placer's per-chain M/M/1 tail estimate at the
 	// solved rates; -1 where the estimate diverges (utilization at 1, as
 	// the LP drives the bottleneck subgroup when t_max is not binding).
-	PredictedP99Sec []float64     `json:"predicted_p99_sec,omitempty"`
-	Cells           []LatencyCell `json:"cells,omitempty"`
+	PredictedP99Sec []float64
+	Cells           []LatencyCell
 }
 
 // DefaultLatencyPoints spans underload through the saturation knee, where
@@ -162,7 +161,7 @@ func (r *Runner) latencyInput(spec LatencySpec) (*placer.Input, error) {
 	}
 	return &placer.Input{
 		Topo:             r.Topo,
-		DB:               r.DB,
+		DB:               profile.DefaultDB(),
 		Chains:           gs,
 		Restrict:         LatencyRestrict,
 		BruteForceBudget: r.BruteForceBudget,
@@ -221,8 +220,6 @@ func (r *Runner) LatencySweep(spec LatencySpec, points []LatencyPoint,
 		}
 		run := &LatencyRun{
 			AchievedBps:        sim.AchievedBps,
-			DropRate:           sim.DropRate,
-			AvgQueueDelaySec:   sim.AvgQueueDelaySec,
 			P99QueueDelaySec:   sim.P99QueueDelaySec,
 			DeadlineCompliance: sim.DeadlineCompliance,
 		}
@@ -241,7 +238,7 @@ func (r *Runner) LatencySweep(spec LatencySpec, points []LatencyPoint,
 }
 
 // finiteOrNeg copies vs with non-finite entries (the diverged M/M/1
-// estimate) replaced by -1, keeping the report JSON-encodable.
+// estimate) replaced by -1, so a curve holds finite numbers only.
 func finiteOrNeg(vs []float64) []float64 {
 	if vs == nil {
 		return nil

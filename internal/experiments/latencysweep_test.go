@@ -52,7 +52,7 @@ func TestLatencySweepParallelIdentical(t *testing.T) {
 	}
 }
 
-// TestLatencySweepEDFComplianceGap pins the headline property of BENCH_7:
+// TestLatencySweepEDFComplianceGap pins the deadline sweep's headline property:
 // at the saturation knee the EDF arm achieves the same throughput as the
 // round-robin baseline — per-core capacity is identical, only drain order
 // differs — while keeping strictly more packets inside the deadline.

@@ -11,62 +11,51 @@ import (
 // crossed with a canonical chain set.
 type PlaceScalePoint struct {
 	// Servers is the NF-server fleet size (hw.WithServers).
-	Servers int `json:"servers"`
+	Servers int
 	// Chains are canonical chain indices; repeats are deliberate — identical
 	// copies are interchangeable, which is what symmetry canonicalization
 	// collapses.
-	Chains []int `json:"chains"`
+	Chains []int
 	// Delta scales each chain's t_min off its base rate (the δ of §5.1).
-	Delta float64 `json:"delta"`
+	Delta float64
 	// SwitchScale multiplies the ToR pipeline (hw.WithSwitchScale) so stage
 	// capacity does not artificially gate the large fleet points; 0 or 1
 	// keeps the paper switch.
-	SwitchScale int `json:"switch_scale,omitempty"`
+	SwitchScale int
 }
 
 // PlaceSchemeStat is one scheme's outcome at one sweep point. The search
 // fields are populated for the Optimal scheme only.
 type PlaceSchemeStat struct {
-	Scheme        string  `json:"scheme"`
-	Feasible      bool    `json:"feasible"`
-	Reason        string  `json:"reason,omitempty"`
-	AggregateGbps float64 `json:"aggregate_gbps"`
-	MarginalGbps  float64 `json:"marginal_gbps"`
-	Stages        int     `json:"stages"`
-	PlaceNs       int64   `json:"place_ns"`
+	Scheme        string
+	Feasible      bool
+	AggregateGbps float64
+	PlaceNs       int64
 
 	// Branch-and-bound search accounting (Optimal only; see
 	// placer.SearchStats for the counter semantics).
-	Combinations      float64 `json:"combinations,omitempty"`
-	Evaluated         int     `json:"evaluated,omitempty"`
-	BindRejected      int     `json:"bind_rejected,omitempty"`
-	PrunedSubtrees    int     `json:"pruned_subtrees,omitempty"`
-	DemandPruned      int     `json:"demand_pruned,omitempty"`
-	CollapsedSubtrees int     `json:"collapsed_subtrees,omitempty"`
-	IncumbentUpdates  int     `json:"incumbent_updates,omitempty"`
-	Truncated         bool    `json:"truncated,omitempty"`
-	SkippedCombos     int     `json:"skipped_combos,omitempty"`
-	// VisitShare is Visited/Combinations: the fraction of the unpruned
-	// cross-product the search actually scored (1 − VisitShare is the
-	// combined prune+collapse rate).
-	VisitShare float64 `json:"visit_share,omitempty"`
+	Combinations      float64
+	Evaluated         int
+	BindRejected      int
+	PrunedSubtrees    int
+	DemandPruned      int
+	CollapsedSubtrees int
+	Truncated         bool
+	SkippedCombos     int
 }
 
 // PlaceScaleCell is one finished sweep point: every scheme's outcome.
 type PlaceScaleCell struct {
-	Point   PlaceScalePoint   `json:"point"`
-	Schemes []PlaceSchemeStat `json:"schemes"`
+	Point   PlaceScalePoint
+	Schemes []PlaceSchemeStat
 }
 
-// placeSchemeStat flattens a placer Result for the sweep artifact.
+// placeSchemeStat flattens a placer Result for the sweep table.
 func placeSchemeStat(res *placer.Result) PlaceSchemeStat {
 	out := PlaceSchemeStat{
 		Scheme:        string(res.Scheme),
 		Feasible:      res.Feasible,
-		Reason:        res.Reason,
 		AggregateGbps: res.PredictedAggregate / 1e9,
-		MarginalGbps:  res.Marginal / 1e9,
-		Stages:        res.Stages,
 		PlaceNs:       res.PlaceTime.Nanoseconds(),
 		Truncated:     res.Truncated,
 		SkippedCombos: res.SkippedCombos,
@@ -78,10 +67,6 @@ func placeSchemeStat(res *placer.Result) PlaceSchemeStat {
 		out.PrunedSubtrees = st.PrunedSubtrees
 		out.DemandPruned = st.DemandPruned
 		out.CollapsedSubtrees = st.CollapsedSubtrees
-		out.IncumbentUpdates = st.IncumbentUpdates
-		if st.Combinations > 0 {
-			out.VisitShare = float64(st.Visited()) / st.Combinations
-		}
 	}
 	return out
 }

@@ -17,32 +17,32 @@ import (
 type ReconcilePoint struct {
 	// Scenario names the scripted operation; BaseChains is the applied
 	// chain count before it; Ops the desired-state operations issued.
-	Scenario   string `json:"scenario"`
-	BaseChains int    `json:"base_chains"`
-	Ops        int    `json:"ops"`
+	Scenario   string
+	BaseChains int
+	Ops        int
 
 	// Ticks counts reconcile passes from the operation to convergence;
 	// ConvergeSimSec is the fake-clock latency over those passes (the
 	// level-triggered loop's convergence time at the configured interval,
 	// including backoff pacing).
-	Ticks          int     `json:"ticks"`
-	ConvergeSimSec float64 `json:"converge_sim_sec"`
-	Converged      bool    `json:"converged"`
+	Ticks          int
+	ConvergeSimSec float64
+	Converged      bool
 
 	// PinnedSubgroups counts subgroups carried by pointer through the
 	// scenario's admissions (the zero-disruption measure).
-	PinnedSubgroups int `json:"pinned_subgroups"`
+	PinnedSubgroups int
 
 	// Reconciles/Applies/BackoffRetries/RejectedSpecs are the daemon's
 	// final per-instance counters.
-	Reconciles     uint64 `json:"reconciles"`
-	Applies        uint64 `json:"applies"`
-	BackoffRetries uint64 `json:"backoff_retries"`
-	RejectedSpecs  uint64 `json:"rejected_specs"`
+	Reconciles     uint64
+	Applies        uint64
+	BackoffRetries uint64
+	RejectedSpecs  uint64
 
 	// WallNs is the scenario's wall-clock time — the only nondeterministic
 	// field; byte-identity tests scrub it.
-	WallNs int64 `json:"wall_ns"`
+	WallNs int64
 }
 
 // ReconcileScenarios lists the sweep's scripted scenarios in table order.

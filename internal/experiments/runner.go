@@ -18,11 +18,7 @@ import (
 // scheme, compile, deploy on the simulated testbed, and measure.
 type Runner struct {
 	Topo *hw.Topology
-	DB   *profile.DB
-	Seed int64
 
-	// TMaxBps is each chain's burst cap (the paper uses 100 Gbps).
-	TMaxBps float64
 	// DMaxSec, when set, attaches a latency SLO to every chain.
 	DMaxSec float64
 
@@ -48,21 +44,23 @@ type Runner struct {
 	Headroom int
 }
 
+// Every experiment costs NFs by the registry's worst-case models
+// (profile.DefaultDB), caps each chain's burst at the paper's 100 Gbps, and
+// seeds its simulated testbeds with testbedSeed.
+const (
+	chainTMaxBps = 100e9
+	testbedSeed  = 1
+)
+
 // NewRunner returns a runner with the paper's defaults on the given
 // topology.
 func NewRunner(topo *hw.Topology) *Runner {
-	return &Runner{
-		Topo:             topo,
-		DB:               profile.DefaultDB(),
-		Seed:             1,
-		TMaxBps:          hw.Gbps(100),
-		BruteForceBudget: 2000,
-	}
+	return &Runner{Topo: topo, BruteForceBudget: 2000}
 }
 
 // on returns a copy of r bound to another topology. Experiments that compare
-// racks derive their sibling runners this way, so Seed, Parallel,
-// VerifyPackets and every other setting carry over by value.
+// racks derive their sibling runners this way, so Parallel, VerifyPackets and
+// every other setting carry over by value.
 func (r *Runner) on(topo *hw.Topology) *Runner {
 	r2 := *r
 	r2.Topo = topo
@@ -135,7 +133,8 @@ type Set struct {
 
 // input builds the placer input for a set.
 func (r *Runner) input(chainIdxs []int, delta float64) (*placer.Input, *Set, error) {
-	bases, err := BaseRates(chainIdxs, r.Topo, r.DB)
+	db := profile.DefaultDB()
+	bases, err := BaseRates(chainIdxs, r.Topo, db)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -145,14 +144,14 @@ func (r *Runner) input(chainIdxs []int, delta float64) (*placer.Input, *Set, err
 		tmins[i] = delta * b
 		agg += tmins[i]
 	}
-	graphs, err := BuildChains(chainIdxs, tmins, r.TMaxBps, r.DMaxSec)
+	graphs, err := BuildChains(chainIdxs, tmins, chainTMaxBps, r.DMaxSec)
 	if err != nil {
 		return nil, nil, err
 	}
 	in := &placer.Input{
 		Chains:           graphs,
 		Topo:             r.Topo,
-		DB:               r.DB,
+		DB:               db,
 		Restrict:         EvalRestrict,
 		BruteForceBudget: r.BruteForceBudget,
 		Parallel:         r.Parallel,
@@ -230,7 +229,7 @@ func placeFeasible(what string, scheme placer.Scheme, in *placer.Input) (*placer
 }
 
 // deploy compiles a placement and stands it up on a fresh simulated testbed
-// seeded with r.Seed. Verify and Simulate mutate NF and queue state (and a
+// seeded with testbedSeed. Verify and Simulate mutate NF and queue state (and a
 // failover run rewires the deployment in place), so every cell that runs
 // traffic deploys its own from the shared placement.
 func (r *Runner) deploy(in *placer.Input, res *placer.Result) (*runtime.Testbed, error) {
@@ -238,7 +237,7 @@ func (r *Runner) deploy(in *placer.Input, res *placer.Result) (*runtime.Testbed,
 	if err != nil {
 		return nil, err
 	}
-	return runtime.New(d, r.Seed), nil
+	return runtime.New(d, testbedSeed), nil
 }
 
 // simulate runs one simulation cell: a fresh deployment of res, offered load

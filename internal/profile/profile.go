@@ -100,8 +100,12 @@ func trafficFor(class string, seed int64) (*trafficgen.Generator, error) {
 }
 
 // Profile measures one NF class with the given constructor params at the
-// given NUMA placement, returning per-run cycle-cost statistics.
+// given NUMA placement, returning per-run cycle-cost statistics. It needs at
+// least one run: statistics over none are undefined.
 func (pr *Profiler) Profile(class string, params nf.Params, numa NUMA) (Stats, error) {
+	if pr.Runs < 1 {
+		return Stats{}, fmt.Errorf("profile: need at least one run, got %d", pr.Runs)
+	}
 	meta, ok := nf.Registry[class]
 	if !ok {
 		return Stats{}, fmt.Errorf("profile: unknown NF class %q", class)

@@ -62,6 +62,21 @@ func TestProfileUnknownClass(t *testing.T) {
 	}
 }
 
+// TestProfileRejectsNonPositiveRuns: statistics over no runs are undefined,
+// so Profile — and FitLinear through it — refuses them instead of reporting
+// a NaN mean and an inverted min/max.
+func TestProfileRejectsNonPositiveRuns(t *testing.T) {
+	for _, runs := range []int{0, -3} {
+		pr := &Profiler{Runs: runs, PacketsPerRun: 8, Seed: 1}
+		if st, err := pr.Profile("ACL", nil, SameNUMA); err == nil {
+			t.Errorf("runs=%d: Profile returned %+v, want an error", runs, st)
+		}
+		if m, err := pr.FitLinear("ACL", "rules", []int{128, 512}, SameNUMA); err == nil {
+			t.Errorf("runs=%d: FitLinear returned %+v, want an error", runs, m)
+		}
+	}
+}
+
 func TestFitLinearACL(t *testing.T) {
 	pr := &Profiler{Runs: 10, PacketsPerRun: 8, Seed: 3}
 	m, err := pr.FitLinear("ACL", "rules", []int{128, 512, 1024, 2048}, SameNUMA)
