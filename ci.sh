@@ -150,14 +150,15 @@ go test -race -count=1 ./internal/placer ./internal/experiments ./internal/runti
 
 # Control-plane guards: the daemon's reconcile properties (idempotence,
 # convergence over random op sequences, rejected-spec isolation, snapshot
-# round-trip, an op log torn at every byte of its last line or rolled back
+# round-trip, a replay that reconciles where the live daemon did, an op log
+# torn at every byte of its last line or rolled back
 # after a failed append, a corrupt line refused, the headroom gauge's
 # one-pass total equal to the status table's) and the end-to-end daemon
 # scenario (fake clock, unix-socket
 # API, chaos crash, Prometheus endpoint) get a named race pass so the
 # lemurd path cannot be skipped by test caching.
 echo "==> control-plane daemon guards (race)"
-run_guard 'TestReconcileIdempotent|TestConvergenceRandomSequences|TestRejectedSpecIsolation|TestSnapshotRoundTrip|TestSnapshotTornTail|TestSnapshotFailedAppendRollsBack|TestSnapshotCorruptionRejected|TestEndToEndDaemon|TestOneDeltaPerTick|TestAdmissionAfterFailureLandsOnce|TestStatusPredictedP99AfterAdmission|TestStatusFailsClosed|TestTailViolatingAdmissionRefused|TestFreeCoresMatchHeadroom' \
+run_guard 'TestReconcileIdempotent|TestConvergenceRandomSequences|TestRejectedSpecIsolation|TestSnapshotRoundTrip|TestReplayMatchesLiveReconcilePoints|TestSnapshotTornTail|TestSnapshotFailedAppendRollsBack|TestSnapshotCorruptionRejected|TestEndToEndDaemon|TestOneDeltaPerTick|TestAdmissionAfterFailureLandsOnce|TestStatusPredictedP99AfterAdmission|TestStatusFailsClosed|TestTailViolatingAdmissionRefused|TestFreeCoresMatchHeadroom' \
   -race -count=1 ./internal/daemon
 run_guard 'TestReconcileSweepDeterministic' -race -count=1 ./internal/experiments
 
@@ -344,15 +345,16 @@ run_guard 'TestPlaceScaleSweepDeterministic|TestPlaceScaleSweepBudgetPropagates|
 # give the full-width program's rates bit for bit with one pivot fewer per
 # retired slot, and a chain prep derived in its family (admissions, sibling
 # admissions, retries, compactions) must deep-equal a fresh build and place
-# like one; a call after a refused admission, and two goroutines
-# reconfiguring one family at once, must answer as on fresh inputs. Then,
+# like one; a call after a refused admission, two goroutines reconfiguring
+# one family at once, and every scheme placing on a family scratch carried
+# from the call before, must answer as on fresh inputs. Then,
 # without the race detector (it makes sync.Pool drop the LP tableau), a warm
 # candidate evaluation must allocate nothing, a stage-memo miss on a warm
 # compile cache nothing but the memo's own entry, an admission or a retried
 # admission at 261 slots no more objects than at 5 and at most 40 KB, and a
 # retirement at most 47 objects and 16 KB.
 echo "==> placement golden matrix + Result ownership (race)"
-run_guard 'TestGoldenPlacements|TestGoldenReconfigure|TestResultSharesNoScratchMemory|TestCoreOverflowReasonDeterministic|TestAdmitPinningInvariant|TestReplacePinningInvariant|TestRetirePinningInvariant|TestReconfigureCombinedDelta|TestPinHistogramCountsCarriedSubgroups|TestReconfigureEnforcesTailLatency|TestNegativeHeadroomRefused|TestSwitchTablesMatchReference|TestTemplateSubgroupsMatchReference|TestRateLPMatchesFullWidth|TestChainPrepExtensionMatchesFresh|TestReconfigureAfterInfeasibleMatchesFresh|TestConcurrentReconfigureInOneFamily' \
+run_guard 'TestGoldenPlacements|TestGoldenReconfigure|TestResultSharesNoScratchMemory|TestCoreOverflowReasonDeterministic|TestAdmitPinningInvariant|TestReplacePinningInvariant|TestRetirePinningInvariant|TestReconfigureCombinedDelta|TestPinHistogramCountsCarriedSubgroups|TestReconfigureEnforcesTailLatency|TestNegativeHeadroomRefused|TestSwitchTablesMatchReference|TestTemplateSubgroupsMatchReference|TestRateLPMatchesFullWidth|TestChainPrepExtensionMatchesFresh|TestReconfigureAfterInfeasibleMatchesFresh|TestConcurrentReconfigureInOneFamily|TestFamilyScratchAcrossSchemes' \
   -race -count=1 ./internal/placer
 run_guard 'TestCompileCacheProbeMatchesCompile' -race -count=1 ./internal/pisa
 run_guard 'TestEvaluateCandidateSteadyStateAllocs|TestStageCheckMissAllocs|TestReconfigureCostFlatInRetiredSlots' -count=1 ./internal/placer
@@ -416,17 +418,18 @@ go test -run '^$' -bench 'BenchmarkEvaluateCandidate' -benchtime 1x -benchmem ./
 # Heap bytes per packet on sim_stateful_hit repeat to four digits and are
 # held below 60 (15.3 measured; regenerating the warm deployment's flow
 # schedules on every run is 380). Heap objects per cell on ctl_place_fleet
-# repeat to five digits and are held below 5500 (2500 measured; a
-# candidate's dependency lists as heap slices of their own is 8458). Heap
-# bytes per op on ctl_reconcile are held below 150000 (77 K measured; a
-# chain prep copied and an evaluation scratch built per placer call is
-# 124 K, a whole-document parse and a full artifact render per op on top of
-# them 295 K, and a rate LP with a column per slot ever admitted 508 K). Heap
-# bytes per cell on ctl_place_fleet are held below 400000 (376 K measured;
-# a flow-table arena that doubles and copies, an ACL that materialises its
-# 1 024 synthetic rules and a P4 render that clones each library program are
-# 474 K), and heap bytes per packet on sim_failover_steps below 68 (63.3
-# measured; the doubling arena is 79.7).
+# repeat to five digits and are held below 1600 (1435 measured; a scratch
+# per candidate slot is 1729, a candidate's dependency lists as heap slices
+# of their own 8458). Heap bytes per op on ctl_reconcile are held below
+# 150000 (77 K measured; a chain prep copied and an evaluation scratch built
+# per placer call is 124 K, a whole-document parse and a full artifact render
+# per op on top of them 295 K, and a rate LP with a column per slot ever
+# admitted 508 K). Heap bytes per cell on ctl_place_fleet are held below 320000 (288 K measured;
+# an evaluation scratch per candidate slot, warmed per variant, is 376 K, and
+# on top of it a flow-table arena that doubles and copies, an ACL that
+# materialises its 1 024 synthetic rules and a P4 render that clones each
+# library program 474 K), and heap bytes per packet on sim_failover_steps
+# below 68 (63.3 measured; the doubling arena is 79.7).
 # counted_below WORKLOAD METRIC LIMIT HINT LAST: the metric in a run's JSON
 # result line must be present and below LIMIT.
 counted_below() {
@@ -461,8 +464,8 @@ for w in $workloads; do
     sim_stateful_hit) counted_below "$w" alloc_bytes_per_work 60 'a warm run rebuilding its flow schedules or frame buffers?' "$last" ;;
     sim_failover_steps) counted_below "$w" alloc_bytes_per_work 68 'a flow-table arena that copies itself to grow?' "$last" ;;
     ctl_place_fleet)
-      counted_below "$w" allocs_per_work 5500 'per-candidate dependency lists back on the heap?' "$last"
-      counted_below "$w" alloc_bytes_per_work 400000 'a copying flow-table arena, materialised ACL rules or cloned P4 programs?' "$last"
+      counted_below "$w" allocs_per_work 1600 'a scratch per candidate slot, or per-candidate dependency lists back on the heap?' "$last"
+      counted_below "$w" alloc_bytes_per_work 320000 'a scratch per candidate slot again?' "$last"
       ;;
     ctl_reconcile) counted_below "$w" alloc_bytes_per_work 150000 'a placer scratch per call, a whole-document parse or a full artifact render per op again?' "$last" ;;
   esac

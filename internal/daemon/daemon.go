@@ -19,9 +19,10 @@
 //   - Convergence: any sequence of valid, feasible spec files ends with
 //     desired == actual.
 //   - Crash-safety: every accepted spec and applied failure is appended to
-//     an atomically-rewritten snapshot log; a restarted daemon replays the
-//     log through the same code paths and resumes the identical placement
-//     (placement is deterministic, so replay is exact).
+//     an append-only, fsynced snapshot log; a restarted daemon replays the
+//     log through the same code paths, reconciling where the live daemon
+//     did, and resumes the identical placement (placement is deterministic,
+//     so replay is exact).
 //   - Determinism under a fake clock: with Config.Clock set to a FakeClock,
 //     every reconcile outcome, backoff deadline, and chaos fire time is a
 //     pure function of the inputs.
@@ -223,6 +224,10 @@ type Daemon struct {
 	counters   Counters
 	watchSeen  map[string]string
 	replaying  bool
+	// passed reports that a reconcile pass which attempted an apply has
+	// completed since the last appended snapshot entry (true before the
+	// first: there is nothing to batch with). See snapEntry.Batched.
+	passed bool
 }
 
 // New builds a daemon from a validated config and, when SnapshotPath names
@@ -247,6 +252,7 @@ func New(cfg Config) (*Daemon, error) {
 		clock:     clk,
 		start:     clk.Now(),
 		watchSeen: map[string]string{},
+		passed:    true,
 	}
 	if cfg.SnapshotPath != "" {
 		if err := d.loadSnapshot(); err != nil {

@@ -127,6 +127,7 @@ func (d *Daemon) reconcileLocked() *ReconcileResult {
 		rr.AppliedGen = d.appliedGen
 		rr.Converged = true
 	}
+	d.passed = true
 	d.setGaugesLocked()
 	return rr
 }

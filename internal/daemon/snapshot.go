@@ -23,6 +23,11 @@ const (
 // exact slot table, SPI layout, and placement the daemon had — restarts
 // resume instead of re-placing from scratch.
 //
+// Replay reconciles where the live daemon did: before an entry only when a
+// reconcile pass that attempted an apply completed since the previous
+// entry, and once after the last. Two inputs accepted within one reconcile
+// interval are so applied by one pass on restart too, as they were live.
+//
 // Failures are logged only once applied; a failure injected but not yet
 // reconciled when the daemon dies is lost and must be re-injected
 // (documented in OPERATIONS.md).
@@ -33,6 +38,13 @@ type snapEntry struct {
 	Spec json.RawMessage `json:"spec,omitempty"`
 	// Nodes are the applied failure names (Kind == snapFailures).
 	Nodes []string `json:"nodes,omitempty"`
+	// Batched marks an entry written before any pass that attempted an
+	// apply completed since the previous entry: the live daemon's next pass
+	// took both, so replay runs no pass between them. A failures entry is
+	// written inside the pass that applied it, which has not completed yet.
+	// Omitted otherwise, so a log written before the field replays as it
+	// always did.
+	Batched bool `json:"batched,omitempty"`
 }
 
 // appendSnapshotLocked makes one entry durable when SnapshotPath is
@@ -44,6 +56,7 @@ func (d *Daemon) appendSnapshotLocked(e snapEntry) {
 	if d.cfg.SnapshotPath == "" {
 		return
 	}
+	e.Batched, d.passed = !d.passed, false
 	if err := appendSnapshot(d.cfg.SnapshotPath, e); err != nil {
 		d.lastErr = fmt.Sprintf("snapshot write: %v", err)
 	}
@@ -104,8 +117,9 @@ func appendLine(f logFile, size int64, line []byte) error {
 // the file so the next append starts a line. A complete line that does not
 // decode is an error (operators decide whether to delete the file —
 // silently ignoring it would re-place from scratch and move every running
-// chain). Each entry is re-applied through the normal code paths with a
-// reconcile pass after it, reproducing the live daemon's exact mutation
+// chain). Each entry is re-applied through the normal code paths, with a
+// reconcile pass in front of every entry that is not Batched but the first
+// and one after the last, reproducing the live daemon's exact mutation
 // sequence; snapshot writes are suppressed while replaying.
 func (d *Daemon) loadSnapshot() error {
 	raw, err := os.ReadFile(d.cfg.SnapshotPath)
@@ -132,7 +146,21 @@ func (d *Daemon) loadSnapshot() error {
 	}
 	d.replaying = true
 	defer func() { d.replaying = false }()
+	// A pass between two entries reproduces the live daemon's interleaving
+	// (slot/SPI layout depends on the order of admits across generations).
+	// A transient apply failure here is not fatal — specs are logged at
+	// accept time, so the log may contain a generation whose apply backed
+	// off before a later generation superseded it; the replayed attempt
+	// fails the same deterministic way the live one did.
+	reconcile := func() {
+		d.mu.Lock()
+		d.reconcileLocked()
+		d.mu.Unlock()
+	}
 	for i, e := range entries {
+		if i > 0 && !e.Batched {
+			reconcile()
+		}
 		switch e.Kind {
 		case snapSpec:
 			if _, err := d.SetSpec(e.Spec, fmt.Sprintf("snapshot entry %d", i)); err != nil {
@@ -148,16 +176,9 @@ func (d *Daemon) loadSnapshot() error {
 		default:
 			return fmt.Errorf("daemon: snapshot replay entry %d: unknown kind %q", i, e.Kind)
 		}
-		// Reconcile after each entry so the replay reproduces the live
-		// daemon's exact mutation interleaving (slot/SPI layout depends on
-		// the order of admits across generations). A transient apply
-		// failure here is not fatal — specs are logged at accept time, so
-		// the log may contain a generation whose apply backed off before a
-		// later generation superseded it; the replayed attempt fails the
-		// same deterministic way the live one did.
-		d.mu.Lock()
-		d.reconcileLocked()
-		d.mu.Unlock()
+	}
+	if len(entries) > 0 {
+		reconcile()
 	}
 	return nil
 }

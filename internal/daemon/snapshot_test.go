@@ -171,3 +171,80 @@ func TestSnapshotFailedAppendRollsBack(t *testing.T) {
 		t.Fatalf("unwritable snapshot not surfaced: last_error = %q", e)
 	}
 }
+
+// rackDoc is specDoc for the named chains on a four-server rack with two
+// cores of admission headroom.
+func rackDoc(t *testing.T, names ...string) []byte {
+	t.Helper()
+	var b strings.Builder
+	for _, n := range names {
+		b.WriteString(chainText(n, 2))
+	}
+	raw, err := json.Marshal(&Spec{
+		Chains:    b.String(),
+		Hardware:  HardwareSpec{Servers: 4},
+		Placement: PlacementSpec{HeadroomCores: 2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// TestReplayMatchesLiveReconcilePoints: a restart reproduces the placement
+// when two inputs land within one reconcile interval — two specs, or a spec
+// and a failure. The live daemon reconciles them in one pass, and so must
+// the replay: reconciling between them would admit the second spec's new
+// chain into another slot (moving its SPI range), or repair the failure
+// around a placement the live daemon never ran.
+func TestReplayMatchesLiveReconcilePoints(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		batch func(t *testing.T, d *Daemon)
+	}{
+		{"two specs", func(t *testing.T, d *Daemon) {
+			for _, doc := range [][]byte{rackDoc(t, "alpha", "beta", "gamma"), rackDoc(t, "beta", "delta")} {
+				if _, err := d.SetSpec(doc, "test"); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}},
+		{"spec and failure", func(t *testing.T, d *Daemon) {
+			if _, err := d.SetSpec(rackDoc(t, "alpha", "beta", "gamma"), "test"); err != nil {
+				t.Fatal(err)
+			}
+			if err := d.InjectFailures([]string{"nf-server-0"}); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			snap := filepath.Join(t.TempDir(), "lemurd.snap")
+			mut := func(c *Config) { c.SnapshotPath = snap }
+			d, _ := newTestDaemon(t, mut)
+			if _, err := d.SetSpec(rackDoc(t, "alpha", "beta"), "test"); err != nil {
+				t.Fatal(err)
+			}
+			if rr := d.Tick(); !rr.Converged {
+				t.Fatalf("first apply: %+v", rr)
+			}
+			tc.batch(t, d)
+			if rr := d.Tick(); !rr.Converged {
+				t.Fatalf("batched apply: %+v", rr)
+			}
+			if e := d.StatusSnapshot().LastError; e != "" {
+				t.Fatalf("snapshot writes failed: %s", e)
+			}
+			for _, c := range d.StatusSnapshot().Chains {
+				if c.Name == "delta" && c.Slot != 2 {
+					t.Fatalf("live: delta runs in slot %d, want 2 (the slot after alpha's and beta's)", c.Slot)
+				}
+			}
+			want := stateFingerprint(t, d)
+			restarted, _ := newTestDaemon(t, mut)
+			if got := stateFingerprint(t, restarted); got != want {
+				t.Fatalf("restart did not reproduce the live placement:\n want %s\n got  %s", want, got)
+			}
+		})
+	}
+}

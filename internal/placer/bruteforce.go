@@ -102,11 +102,12 @@ func placeBruteForce(in *Input, mode searchMode) (*Result, error) {
 		sufGain[ci] = sufGain[ci+1] + maxG
 	}
 
-	workers := in.workers()
 	binder := newServerBinder(in)
+	evals := newEvaluator(in)
+	defer evals.close()
 
-	// One evaluation slot per chunk position, reused by every chunk: the
-	// combo's pattern indices, its binding verdict and its scratches.
+	// One slot per chunk position, reused by every chunk: the combo's
+	// pattern indices, its binding verdict and its evaluation verdicts.
 	slots := make([]comboSlot, bruteForceChunk)
 	comboIdx := make([]int, bruteForceChunk*n)
 	for k := range slots {
@@ -133,14 +134,17 @@ func placeBruteForce(in *Input, mode searchMode) (*Result, error) {
 	haveIncumbent := false
 
 	flush := func() {
-		runIndexed(queued, workers, func(k int) {
+		// firstSeq only falls during the reduce, so a slot at or past it
+		// while the round runs holds no reason the reduce could keep: none
+		// is rendered.
+		evals.round(queued, best, func(k int, w *evalWorker) {
 			s := &slots[k]
 			s.cand.tmpls = s.cand.tmpls[:0]
 			for ci, pi := range s.combo {
 				s.cand.tmpls = append(s.cand.tmpls, perChain[ci][pi].tmpl)
 			}
 			if s.bindReason = binder.bind(in, perChain, s); s.bindReason == "" {
-				evaluateCandidate(in, &s.candSlot, policyMarginal)
+				w.evaluate(&s.candSlot, policyMarginal, s.seq < firstSeq)
 			}
 		})
 		// Deterministic reduce in enumeration order with the serial sweep's
@@ -154,17 +158,21 @@ func placeBruteForce(in *Input, mode searchMode) (*Result, error) {
 				continue
 			}
 			st.Evaluated++
-			s.reduce(&best, func(ev *evalScratch) {
-				if s.seq < firstSeq {
-					noteAt(s.seq, ev.reason())
+			for i := range s.v[:s.n] {
+				v := &s.v[i]
+				if !v.feasible {
+					noteAt(s.seq, s.reason)
+					continue
 				}
-			}, func(marginal float64) {
-				if !haveIncumbent || marginal > incumbent {
-					incumbent, haveIncumbent = marginal, true
+				if v.wins(best) {
+					best = v.res
+				}
+				if !haveIncumbent || v.marginal > incumbent {
+					incumbent, haveIncumbent = v.marginal, true
 					st.IncumbentUpdates++
 					mBBIncumbent.Inc()
 				}
-			})
+			}
 		}
 		queued = 0
 	}
@@ -324,7 +332,7 @@ type SearchStats struct {
 // prefilter-rejected) — the denominator-side of prune-rate reporting.
 func (s *SearchStats) Visited() int { return s.Evaluated + s.BindRejected }
 
-// comboSlot is one queued pattern combination: an evaluation slot plus the
+// comboSlot is one queued pattern combination: a candidate slot plus the
 // combo's pattern index per chain, its enumeration sequence number, the
 // binder's rejection (empty when it bound) and the binder's buffers.
 type comboSlot struct {

@@ -12,9 +12,9 @@ import (
 // Candidate evaluation. Every scheme scores a placement by the same back
 // half — stage check, core allocation, latency check, rate LP, tail-latency
 // check — and the search schemes score thousands of candidates to keep one.
-// So a candidate is evaluated on an evalScratch, memory a Place call owns
-// and reuses, from per-chain templates computed once; a heap Result is
-// materialised only for a candidate that displaces the best so far.
+// So a candidate is evaluated on an evalScratch, memory an evaluation worker
+// owns and reuses, from per-chain templates computed once; a heap Result is
+// materialised only for a candidate that can still displace the best.
 
 // unassigned is the dense assignment's mark for a node without an
 // assignment (a retired chain's nodes).
@@ -131,12 +131,13 @@ func bindServers(in *Input, tmpls []*chainTemplate) []int {
 	return srv
 }
 
-// evalScratch is one evaluation slot's working memory: the candidate in
+// evalScratch is one evaluation worker's working memory: the candidate in
 // dense form, the Result under evaluation, the core ledger and the LP rows.
-// A Place call owns its scratches; Reconfigure takes its prep family's (see
-// takeScratch), which outlives the call but serves one call at a time.
-// Nothing here is shared by two calls at once, and a Result handed to the
-// caller never aliases it (see materialise).
+// Every call evaluates on its prep family's scratch (see takeScratch), which
+// outlives the call but serves one call at a time; a search's other workers
+// evaluate on scratches of the call's own (see evaluator). Nothing here is
+// shared by two calls at once, and a Result handed to the caller never
+// aliases it (see materialise).
 type evalScratch struct {
 	in *Input
 	p  *inputPrep
@@ -370,8 +371,9 @@ func (ev *evalScratch) reason() string {
 
 // materialise copies the evaluated candidate out of the scratch into a heap
 // Result that shares no memory with it: a fresh Assign map, fresh Subgroups
-// and NICUses, fresh rate slices. The reduce calls it only for a candidate
-// that displaces the best so far, so losers cost no heap at all.
+// and NICUses, fresh rate slices. A search's worker calls it only for a
+// variant that can still displace the best (see evalWorker.evaluate), so
+// losers cost next to no heap.
 func (ev *evalScratch) materialise() *Result {
 	src := ev.res
 	out := *src
@@ -413,50 +415,70 @@ func (ev *evalScratch) materialise() *Result {
 	return &out
 }
 
-// candSlot is one candidate's place in a parallel evaluation round: the
-// candidate, a scratch per variant (made on first use, reused by later
-// rounds), and how many variants the last evaluation ran.
+// candSlot is one candidate's place in an evaluation round: the candidate,
+// how many variants the last evaluation ran, a verdict per variant, and the
+// slot's first infeasibility reason, when it was rendered. A slot holds no
+// scratch: the round's workers own those (see evaluator).
 type candSlot struct {
-	cand candidate
-	ev   [2]*evalScratch
-	n    int
+	cand   candidate
+	n      int
+	v      [2]verdict
+	reason string
 }
 
-// evaluateCandidate evaluates the slot's candidate without split marks
-// and, when any chain has marks, with them (non-replicable NFs in subgroups
-// of their own, trading a bounce for core scalability, §5.3).
-func evaluateCandidate(in *Input, s *candSlot, policy allocPolicy) {
-	s.n = 1
+// verdict is what one evaluated variant leaves in its slot. res is the
+// materialised Result, set only for a feasible variant that can still win
+// the enumeration-order reduce (see evalWorker.evaluate).
+type verdict struct {
+	feasible bool
+	marginal float64
+	res      *Result
+}
+
+// wins reports whether the feasible verdict v displaces best under the
+// serial sweep's tie-break: a later candidate must win by more than 1e-6.
+// Every verdict that can was materialised (see evalWorker.evaluate).
+func (v *verdict) wins(best *Result) bool {
+	if best != nil && v.marginal <= best.Marginal+1e-6 {
+		return false
+	}
+	if v.res == nil {
+		panic("placer: a winning verdict was not materialised")
+	}
+	return true
+}
+
+// evaluate evaluates the slot's candidate on the worker's scratch without
+// split marks and, when any chain has marks, with them (non-replicable NFs
+// in subgroups of their own, trading a bounce for core scalability, §5.3).
+//
+// A feasible variant is materialised only when its marginal exceeds w.top:
+// the round's floor (the best going into the round, plus the reduce's 1e-6)
+// and every feasible marginal this worker evaluated before it. Nothing else
+// can win. The reduce replaces its best only for a marginal above
+// best+1e-6, and the best is never below an earlier feasible marginal less
+// 1e-6; a worker's earlier variants are earlier in enumeration order too.
+// An infeasible variant's reason is rendered only when want is set, and
+// only the slot's first non-empty one: the one either reduce can keep.
+func (w *evalWorker) evaluate(s *candSlot, policy allocPolicy, want bool) {
+	s.n, s.reason = 1, ""
 	for _, t := range s.cand.tmpls {
 		if len(t.breaks) > 0 {
 			s.n = 2
 		}
 	}
+	ev := w.ev
 	for v := 0; v < s.n; v++ {
-		if s.ev[v] == nil {
-			s.ev[v] = newEvalScratch(in)
-		}
-		s.ev[v].evaluate(&s.cand, v, policy)
-	}
-}
-
-// reduce folds the slot's evaluations into best with the serial sweep's
-// tie-break (a later candidate must win by more than 1e-6), reporting each
-// infeasible evaluation to note — which asks it for its reason only if it
-// means to keep it — and each feasible marginal to feasible (nil to ignore).
-// Callers reduce slots in enumeration order.
-func (s *candSlot) reduce(best **Result, note func(ev *evalScratch), feasible func(marginal float64)) {
-	for _, ev := range s.ev[:s.n] {
+		ev.evaluate(&s.cand, v, policy)
 		res := ev.res
-		if !res.Feasible {
-			note(ev)
-			continue
-		}
-		if *best == nil || res.Marginal > (*best).Marginal+1e-6 {
-			*best = ev.materialise()
-		}
-		if feasible != nil {
-			feasible(res.Marginal)
+		s.v[v] = verdict{feasible: res.Feasible, marginal: res.Marginal}
+		switch {
+		case res.Feasible && res.Marginal > w.top:
+			w.top = res.Marginal
+			s.v[v].res = ev.materialise()
+		case !res.Feasible && want && s.reason == "":
+			s.reason = ev.reason()
+			w.named = s.reason != ""
 		}
 	}
 }

@@ -2,6 +2,7 @@ package placer
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"strings"
@@ -195,8 +196,10 @@ chain ec {
 
 // warmCandidateSlot builds the heaviest pattern combination of the fixture
 // (most server subgroups per chain) on a four-server fleet, binds it and
-// evaluates it once, so the slot's scratches are sized.
-func warmCandidateSlot(tb testing.TB) (*Input, *candSlot) {
+// evaluates it once on a worker of its own, so the worker's scratch is sized
+// and the candidate's marginal is the worker's floor: a re-evaluation
+// materialises nothing.
+func warmCandidateSlot(tb testing.TB) (*Input, *evalWorker, *candSlot) {
 	chains, err := nfspec.Parse(evalFixtureSpec)
 	if err != nil {
 		tb.Fatal(err)
@@ -225,36 +228,40 @@ func warmCandidateSlot(tb testing.TB) (*Input, *candSlot) {
 		slot.cand.tmpls = append(slot.cand.tmpls, best.tmpl)
 	}
 	slot.cand.srv = bindServers(in, slot.cand.tmpls)
-	evaluateCandidate(in, slot, policyMarginal)
-	if !slot.ev[0].res.Feasible {
-		tb.Fatalf("fixture candidate infeasible: %s", slot.ev[0].res.Reason)
+	w := &evalWorker{ev: newEvalScratch(in), top: math.Inf(-1)}
+	w.evaluate(slot, policyMarginal, true)
+	if !slot.v[0].feasible {
+		tb.Fatalf("fixture candidate infeasible: %s", slot.reason)
 	}
-	return in, slot
+	if slot.v[0].res == nil {
+		tb.Fatal("the first feasible verdict of a round was not materialised")
+	}
+	return in, w, slot
 }
 
 // BenchmarkEvaluateCandidate measures the placer's inner loop: one pattern
-// combination stamped into a warm slot and taken through the whole back half
-// (stage check, core allocation with its LP hill-climb, latency checks, rate
-// LP). Steady state allocates nothing; -benchmem shows it.
+// combination stamped into a warm worker scratch and taken through the whole
+// back half (stage check, core allocation with its LP hill-climb, latency
+// checks, rate LP). Steady state allocates nothing; -benchmem shows it.
 func BenchmarkEvaluateCandidate(b *testing.B) {
-	in, slot := warmCandidateSlot(b)
+	_, w, slot := warmCandidateSlot(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		evaluateCandidate(in, slot, policyMarginal)
+		w.evaluate(slot, policyMarginal, true)
 	}
 }
 
-// TestEvaluateCandidateSteadyStateAllocs: re-evaluating a candidate in a
-// warm slot touches no heap — the property the Optimal search's cost rests
-// on.
+// TestEvaluateCandidateSteadyStateAllocs: re-evaluating a candidate on a
+// warm worker scratch touches no heap — the property the Optimal search's
+// cost rests on.
 func TestEvaluateCandidateSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops the LP tableau at random under the race detector")
 	}
-	in, slot := warmCandidateSlot(t)
-	if a := testing.AllocsPerRun(100, func() { evaluateCandidate(in, slot, policyMarginal) }); a != 0 {
-		t.Errorf("evaluateCandidate allocates %.1f objects per call in steady state, want 0", a)
+	_, w, slot := warmCandidateSlot(t)
+	if a := testing.AllocsPerRun(100, func() { w.evaluate(slot, policyMarginal, true) }); a != 0 {
+		t.Errorf("evaluate allocates %.1f objects per call in steady state, want 0", a)
 	}
 }
 
@@ -263,8 +270,8 @@ func TestEvaluateCandidateSteadyStateAllocs(t *testing.T) {
 // verdict without touching the heap; what is left is the memo's own entry —
 // the key's string and, for a program that does not fit, its reason.
 func TestStageCheckMissAllocs(t *testing.T) {
-	in, slot := warmCandidateSlot(t)
-	ev := slot.ev[0]
+	in, w, _ := warmCandidateSlot(t)
+	ev := w.ev
 	var capable []int // dense indices of the nodes with a P4 implementation
 	for i, n := range in.prep.nodes {
 		if n.Meta.PISA != nil {
@@ -320,7 +327,7 @@ func TestStageCheckMissAllocs(t *testing.T) {
 // the same order, same nodes, cost, weight and replicability — for every
 // pattern of the fixture; and no two lists of one template overlap.
 func TestTemplateSubgroupsMatchReference(t *testing.T) {
-	in, _ := warmCandidateSlot(t)
+	in, _, _ := warmCandidateSlot(t)
 	same := func(label string, got, want []*Subgroup) {
 		t.Helper()
 		if len(got) != len(want) {

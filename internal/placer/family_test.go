@@ -3,6 +3,7 @@ package placer
 import (
 	"fmt"
 	"maps"
+	"math/rand"
 	"reflect"
 	"slices"
 	"strings"
@@ -237,5 +238,105 @@ func TestConcurrentReconfigureInOneFamily(t *testing.T) {
 	close(errs)
 	for e := range errs {
 		t.Error(e)
+	}
+}
+
+// TestFamilyScratchAcrossSchemes: an Input placed under every scheme, in
+// enumeration order and then in reverse, at Parallel 1 and then 4, carries
+// its family's evaluation scratch from call to call. A carried scratch must
+// never change a Result or a reason: each call equals the placement of a
+// fresh copy of the Input, whose family starts without one; no later call
+// changes a Result handed out earlier; and two calls placing in the family
+// at once answer the same.
+func TestFamilyScratchAcrossSchemes(t *testing.T) {
+	rng := rand.New(rand.NewSource(2718))
+	inputs := []*Input{
+		mustInput(t, hw.NewPaperTestbed(hw.WithServers(4)), evalFixtureSpec),
+		mustInput(t, tinyServerTestbed(), evalFixtureSpec),
+	}
+	for len(inputs) < 8 {
+		inputs = append(inputs, buildRandomInput(t, rng))
+	}
+	schemes := Schemes()
+	reversed := slices.Clone(schemes)
+	slices.Reverse(reversed)
+	infeasible := 0
+	for i, base := range inputs {
+		base.BruteForceBudget = 200
+		want := map[string]string{}
+		for _, par := range []int{1, 4} {
+			for _, s := range schemes {
+				fresh := *base
+				fresh.Parallel = par
+				res, err := Place(s, &fresh)
+				if err != nil {
+					t.Fatalf("input %d %s fresh: %v", i, s, err)
+				}
+				if !res.Feasible {
+					infeasible++
+				}
+				want[fmt.Sprint(s, par)] = canonResult(base, res)
+			}
+		}
+		shared := *base
+		type kept struct {
+			label string
+			res   *Result
+		}
+		var out []kept
+		for _, par := range []int{1, 4} {
+			shared.Parallel = par
+			for _, order := range [][]Scheme{schemes, reversed} {
+				for _, s := range order {
+					res, err := Place(s, &shared)
+					if err != nil {
+						t.Fatalf("input %d %s parallel=%d: %v", i, s, par, err)
+					}
+					label := fmt.Sprint(s, par)
+					if got := canonResult(base, res); got != want[label] {
+						t.Fatalf("input %d %s parallel=%d on a carried family scratch differs from a fresh input\n--- fresh ---\n%s\n--- carried ---\n%s",
+							i, s, par, want[label], got)
+					}
+					if shared.prep.fam.scratch.Load() == nil {
+						t.Fatalf("input %d %s parallel=%d: the family scratch was not given back", i, s, par)
+					}
+					out = append(out, kept{label, res})
+				}
+			}
+		}
+		for _, k := range out {
+			if got := canonResult(base, k.res); got != want[k.label] {
+				t.Fatalf("input %d %s: a later call changed a Result handed out earlier\n--- then ---\n%s\n--- now ---\n%s",
+					i, k.label, want[k.label], got)
+			}
+		}
+		// Two goroutines placing copies of the Input, which share its
+		// family, at once: one of them finds the family scratch taken.
+		var wg sync.WaitGroup
+		errs := make(chan string, 2*len(schemes))
+		for g, order := range [][]Scheme{schemes, reversed} {
+			wg.Add(1)
+			go func(g int, order []Scheme) {
+				defer wg.Done()
+				cp := shared
+				cp.Parallel = 1 + 3*g
+				for _, s := range order {
+					res, err := Place(s, &cp)
+					if err != nil {
+						errs <- fmt.Sprintf("input %d %s goroutine %d: %v", i, s, g, err)
+					} else if got := canonResult(base, res); got != want[fmt.Sprint(s, cp.Parallel)] {
+						errs <- fmt.Sprintf("input %d %s goroutine %d differs from a fresh input", i, s, g)
+					}
+				}
+			}(g, order)
+		}
+		wg.Wait()
+		close(errs)
+		for e := range errs {
+			t.Error(e)
+		}
+	}
+	if infeasible == 0 {
+		t.Fatal("no placement was infeasible: the fixture does not exercise reasons")
 	}
 }

@@ -12,7 +12,8 @@ import (
 // returns its Result, feasible or carrying the first infeasibility reason.
 func finish(in *Input, assign map[*nfgraph.Node]Assign, policy allocPolicy) *Result {
 	c := newCandidate(in, assign)
-	ev := newEvalScratch(in)
+	ev := in.takeScratch()
+	defer in.putScratch(ev)
 	ev.evaluate(&c, 0, policy)
 	return ev.materialise()
 }
@@ -52,7 +53,9 @@ func finishWhole(in *Input, assign map[*nfgraph.Node]Assign, policy allocPolicy)
 		}
 		res.NICUses = append(res.NICUses, c.tmpls[ci].nics...)
 	}
-	newEvalScratch(in).finishResult(res, policy)
+	ev := in.takeScratch()
+	defer in.putScratch(ev)
+	ev.finishResult(res, policy)
 	return res
 }
 

@@ -15,16 +15,17 @@ import (
 // passes policyNone, NoCoalesce skips step 2).
 func lemurHeuristic(in *Input, policy allocPolicy, coalesce bool) (*Result, error) {
 	in.ensurePrep() // refresh for callers that copy the Input and swap the DB
-	workers := in.workers()
+	evals := newEvaluator(in)
+	defer evals.close()
 
 	// Step 1 (serial — each eviction loop consults the stage compiler, which
-	// the shared verdict cache makes cheap on reruns): greedy switch
-	// placement per base; evict the lowest-cycle-cost evictable NF until the
-	// stage compiler accepts. Step 2: coalescing variants per base —
-	// baseline, strict+conservative, strict+aggressive, plus a
-	// fully-coalesced low-bounce variant for latency-constrained inputs.
-	// Each mode is a pure function of the post-eviction assignment, so the
-	// three modes run concurrently.
+	// the shared verdict cache makes cheap on reruns, on worker 0's
+	// scratch): greedy switch placement per base; evict the
+	// lowest-cycle-cost evictable NF until the stage compiler accepts.
+	// Step 2: coalescing variants per base — baseline, strict+conservative,
+	// strict+aggressive, plus a fully-coalesced low-bounce variant for
+	// latency-constrained inputs. Each mode is a pure function of the
+	// post-eviction assignment, so the three modes run concurrently.
 	type baseCand struct {
 		evictReason string
 		variants    []map[*nfgraph.Node]Assign
@@ -35,7 +36,7 @@ func lemurHeuristic(in *Input, policy allocPolicy, coalesce bool) (*Result, erro
 		all[ci] = ci
 	}
 	for _, assign := range baselineAssigns(in, nil, all) {
-		if reason, ok := evictUntilFits(newEvalScratch(in), assign, nil); !ok {
+		if reason, ok := evictUntilFits(evals.workers[0].ev, assign, nil); !ok {
 			bases = append(bases, baseCand{evictReason: reason})
 			continue
 		}
@@ -44,7 +45,7 @@ func lemurHeuristic(in *Input, policy allocPolicy, coalesce bool) (*Result, erro
 		if coalesce {
 			variants = variants[:4]
 			modes := []coalesceMode{coalesceConservative, coalesceAggressive, coalesceAll}
-			runIndexed(len(modes), workers, func(i int) {
+			runIndexed(len(modes), in.workers(), func(i, _ int) {
 				variants[i+1] = applyCoalescing(in, assign, modes[i])
 			})
 		}
@@ -54,17 +55,19 @@ func lemurHeuristic(in *Input, policy allocPolicy, coalesce bool) (*Result, erro
 	// Step 3: allocate cores, run the LP, keep the best marginal. Each
 	// variant is also tried with non-replicable NFs split into their own
 	// subgroups (trading a bounce for core scalability, §5.3). Variants
-	// evaluate concurrently, each in a slot of its own; the reduce below
-	// walks them in base/variant order so serial and parallel runs pick the
-	// identical Result.
+	// evaluate concurrently in one round; the reduce below walks their
+	// verdicts in base/variant order so serial and parallel runs pick the
+	// identical Result. Only each worker's first infeasible variant renders
+	// its reason: the first in base/variant order is the first its worker
+	// saw.
 	var flat []map[*nfgraph.Node]Assign
 	for _, bc := range bases {
 		flat = append(flat, bc.variants...)
 	}
 	slots := make([]candSlot, len(flat))
-	runIndexed(len(flat), workers, func(i int) {
+	evals.round(len(flat), nil, func(i int, w *evalWorker) {
 		slots[i].cand = newCandidate(in, flat[i])
-		evaluateCandidate(in, &slots[i], policy)
+		w.evaluate(&slots[i], policy, !w.named)
 	})
 
 	var best *Result
@@ -75,11 +78,17 @@ func lemurHeuristic(in *Input, policy allocPolicy, coalesce bool) (*Result, erro
 			firstReason = bc.evictReason
 		}
 		for range bc.variants {
-			slots[vi].reduce(&best, func(ev *evalScratch) {
-				if firstReason == "" {
-					firstReason = ev.reason()
+			s := &slots[vi]
+			for i := range s.v[:s.n] {
+				switch v := &s.v[i]; {
+				case !v.feasible:
+					if firstReason == "" {
+						firstReason = s.reason
+					}
+				case v.wins(best):
+					best = v.res
 				}
-			}, nil)
+			}
 			vi++
 		}
 	}
@@ -327,7 +336,9 @@ func reEvaluate(in *Input, decided *Result) *Result {
 	for i, sg := range res.Subgroups {
 		sg.Cores = decided.Subgroups[i].Cores
 	}
-	newEvalScratch(in).finishResult(res, policyDecided)
+	ev := in.takeScratch()
+	defer in.putScratch(ev)
+	ev.finishResult(res, policyDecided)
 	return res
 }
 

@@ -67,7 +67,7 @@ func buildRandomInput(t *testing.T, rng *rand.Rand) *Input {
 }
 
 // TestParallelMatchesSerialProperty: for every scheme in Schemes(), placement
-// with Parallel=4 (and a deliberately odd Parallel=3) must be byte-identical
+// with Parallel=2, 4 and 8 (and a deliberately odd Parallel=3) must be byte-identical
 // to serial placement across ≥100 randomized topologies and chain sets —
 // the deterministic-reduce contract of the parallel engine.
 func TestParallelMatchesSerialProperty(t *testing.T) {
@@ -89,7 +89,7 @@ func TestParallelMatchesSerialProperty(t *testing.T) {
 		}
 		want := canonResult(in, serial)
 
-		for _, workers := range []int{3, 4} {
+		for _, workers := range []int{2, 3, 4, 8} {
 			parIn := *in
 			parIn.Parallel = workers
 			par, err := Place(scheme, &parIn)
