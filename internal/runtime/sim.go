@@ -148,24 +148,42 @@ type simPacket struct {
 	enqueuedSec float64 // time of the current park (valid while queued)
 }
 
-// packetRing is a fixed-capacity FIFO of parked packets. Its count includes
-// packets being served in the current drain until popServed removes them,
-// mirroring the reference engine's deferred prefix removal — overflow
-// decisions during a drain must see the in-service packets.
+// packetRing is a FIFO of parked packets. Its count includes packets being
+// served in the current drain until popServed removes them, mirroring the
+// reference engine's deferred prefix removal — overflow decisions during a
+// drain must see the in-service packets. It starts without a buffer and
+// grows to the occupancy its subgroup reaches: most subgroups never park a
+// packet, and a QueueCap-long ring for each would be most of a short run's
+// set-up.
 type packetRing struct {
 	buf  []*simPacket
 	head int
 	n    int
 }
 
+// minRing is the first buffer a ring allocates.
+const minRing = 16
+
 func (r *packetRing) at(i int) *simPacket { return r.buf[(r.head+i)%len(r.buf)] }
 
-func (r *packetRing) push(p *simPacket) {
+// push appends p, doubling the buffer when it is full (from minRing, never
+// past limit, the queue cap the caller has checked r.n against).
+func (r *packetRing) push(p *simPacket, limit int) {
+	if r.n == len(r.buf) {
+		buf := make([]*simPacket, min(max(2*len(r.buf), minRing), limit))
+		for i := 0; i < r.n; i++ {
+			buf[i] = r.at(i)
+		}
+		r.buf, r.head = buf, 0
+	}
 	r.buf[(r.head+r.n)%len(r.buf)] = p
 	r.n++
 }
 
 func (r *packetRing) popServed(served int) {
+	if served == 0 {
+		return
+	}
 	for i := 0; i < served; i++ {
 		r.buf[(r.head+i)%len(r.buf)] = nil
 	}
@@ -187,7 +205,7 @@ func (tb *Testbed) Simulate(offered []float64, cfg SimConfig) (*SimResult, error
 	if err := eng.run(); err != nil {
 		return nil, err
 	}
-	return eng.finish(), nil
+	return eng.finish()
 }
 
 // newSimEngine validates the config and builds a run's engine, ready to
@@ -208,6 +226,13 @@ func (tb *Testbed) newSimEngine(offered []float64, cfg SimConfig) (*simEngine, e
 	in := tb.D.Input
 	if len(offered) != len(in.Chains) {
 		return nil, fmt.Errorf("runtime: offered %d rates for %d chains", len(offered), len(in.Chains))
+	}
+	for ci, r := range offered {
+		// An infinite rate would inject forever; it also has no bound to
+		// size a delayTail by.
+		if math.IsNaN(r) || math.IsInf(r, 0) {
+			return nil, fmt.Errorf("runtime: offered rate %v of chain %d is not finite", r, ci)
+		}
 	}
 	ix, err := tb.simIndexLazy()
 	if err != nil {
@@ -235,7 +260,7 @@ func (tb *Testbed) newSimEngine(offered []float64, cfg SimConfig) (*simEngine, e
 }
 
 // finish folds the run's accumulators into its SimResult.
-func (eng *simEngine) finish() *SimResult {
+func (eng *simEngine) finish() (*SimResult, error) {
 	tb, cfg, res := eng.tb, eng.cfg, eng.res
 	eng.rc.finalize(eng)
 	tb.syncStateGauges()
@@ -247,13 +272,16 @@ func (eng *simEngine) finish() *SimResult {
 		res.AchievedBps[ci] = float64(res.Egressed[ci]) * eng.frameBits * cfg.Scale / cfg.DurationSec
 		if n := res.Egressed[ci]; n > 0 {
 			res.AvgQueueDelaySec[ci] = eng.queueDelay[ci] / float64(n)
-			s := eng.delaySamples[ci]
-			res.P99QueueDelaySec[ci] = quantileSelect(s, (len(s)*99)/100)
+			p99, err := eng.tails[ci].p99()
+			if err != nil {
+				return nil, fmt.Errorf("runtime: chain %d: %w", ci, err)
+			}
+			res.P99QueueDelaySec[ci] = p99
 		}
 	}
-	res.DeadlineCompliance = finalizeDeadlines(tb.D.Input.Chains, eng.delaySamples)
+	res.DeadlineCompliance = deadlineCompliance(eng.tails)
 	eng.handBack()
-	return res
+	return res, nil
 }
 
 // handBack returns every packet and frame buffer of the run to the Testbed,

@@ -20,7 +20,11 @@ func runEngine(t *testing.T, tb *Testbed, offered []float64, cfg SimConfig) (*si
 	if err := eng.run(); err != nil {
 		t.Fatal(err)
 	}
-	return eng, eng.finish()
+	sim, err := eng.finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng, sim
 }
 
 // TestSimulateEpochContract pins what bounds an epoch of the one run loop:

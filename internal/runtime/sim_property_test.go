@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
+	"lemur/internal/bess"
 	"lemur/internal/hw"
 	"lemur/internal/metacompiler"
 	"lemur/internal/nfgraph"
@@ -255,4 +258,215 @@ func TestQuantileSelectAdversarial(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestDelayTailMatchesSort holds a chain's delayTail to the raw samples it
+// replaced: its p99 to sort.Float64s(waits)[(n*99)/100] (quantileRef), and
+// its deadline compliance and counters to finalizeDeadlines over the waits.
+// The counts sit on both sides of a p99 index step and reach the bound
+// itself; the waits are continuous, all equal to the deadline, tied on a
+// grid that holds the deadline, and signed zeros.
+func TestDelayTailMatchesSort(t *testing.T) {
+	reg := obs.Default()
+	reg.Enable()
+	t.Cleanup(func() {
+		reg.Disable()
+		reg.Reset()
+	})
+	snapshot := func() []byte {
+		var b bytes.Buffer
+		if err := reg.WriteJSON(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+
+	const bound = 2345
+	chains := []*nfgraph.Graph{graphFor(t, deadlineSpec), graphFor(t, simpleSpec)}
+	deadline := metacompiler.EffectiveDeadlineSec(chains[0])
+	if deadline <= 0 || metacompiler.EffectiveDeadlineSec(chains[1]) != 0 {
+		t.Fatal("want one chain with a deadline and one without")
+	}
+	negZero := math.Copysign(0, -1)
+	rng := rand.New(rand.NewSource(31))
+	shapes := []struct {
+		name string
+		wait func(i int) float64
+	}{
+		{"continuous", func(int) float64 { return rng.ExpFloat64() * deadline }},
+		{"all-equal", func(int) float64 { return deadline }},
+		{"ties", func(int) float64 { return float64(rng.Intn(4)) * deadline / 2 }},
+		{"negative-zero", func(int) float64 { return negZero }},
+		{"signed-zeros", func(i int) float64 { return [2]float64{0, negZero}[i%2] }},
+	}
+	for _, n := range []int{1, 99, 100, 101, 1000, bound} {
+		for _, sh := range shapes {
+			waits := make([]float64, n)
+			tails := []delayTail{newDelayTail(bound, deadline), newDelayTail(bound, 0)}
+			for i := range waits {
+				waits[i] = sh.wait(i)
+				tails[0].add(waits[i])
+				tails[1].add(waits[i])
+			}
+			want := quantileRef(waits, (n*99)/100)
+			got, err := tails[0].p99()
+			if err != nil {
+				t.Fatalf("%s n=%d: %v", sh.name, n, err)
+			}
+			// Only a mix of both zeros leaves the sort free to pick either.
+			if got != want || sh.name != "signed-zeros" && math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s n=%d: p99 %v, want %v", sh.name, n, got, want)
+			}
+
+			reg.Reset()
+			wantComp := finalizeDeadlines(chains, [][]float64{waits, waits})
+			wantSnap := snapshot()
+			reg.Reset()
+			gotComp := deadlineCompliance(tails)
+			if fmt.Sprint(gotComp) != fmt.Sprint(wantComp) || !bytes.Equal(snapshot(), wantSnap) {
+				t.Fatalf("%s n=%d: compliance %v, want %v (or the counters differ)", sh.name, n, gotComp, wantComp)
+			}
+		}
+	}
+
+	t.Run("past the bound", func(t *testing.T) {
+		tail := newDelayTail(10, 0)
+		for i := 0; i < 11; i++ {
+			tail.add(float64(i))
+		}
+		if _, err := tail.p99(); err == nil {
+			t.Fatal("11 waits under a bound of 10 gave a p99")
+		}
+		_, res, tb := deploy(t, hw.NewPaperTestbed(), simpleSpec, placer.SchemeLemur)
+		eng, err := tb.newSimEngine([]float64{res.ChainRates[0]}, SimConfig{Seed: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bound := eng.tails[0].bound
+		eng.tails[0] = newDelayTail(100, 0)
+		if err := eng.run(); err != nil {
+			t.Fatal(err)
+		}
+		if n := eng.res.Injected[0]; n > bound || eng.res.Egressed[0] <= 100 {
+			t.Fatalf("%d packets injected under a bound of %d, %d egressed", n, bound, eng.res.Egressed[0])
+		}
+		if _, err := eng.finish(); err == nil || !strings.Contains(err.Error(), "bound of 100") {
+			t.Fatalf("a planted bound of 100 under %d egressed packets: got %v, want an error", eng.res.Egressed[0], err)
+		}
+	})
+}
+
+// TestSimIndexLookupMatchesDemux holds the dispatch index to the demux it
+// stands in for: for every pipeline, every SPI up to two past the largest
+// bound one and every SI, lookup resolves what pl.SubgroupFor and idxOf
+// resolve, and every binding resolves from the table, not the fallback. It
+// runs over random topologies, over the index a failover rewire rebuilt
+// mid-run, and over a deployment with a key bound by two pipelines and
+// unbound SIs inside a bound SPI's span.
+func TestSimIndexLookupMatchesDemux(t *testing.T) {
+	check := func(t *testing.T, d *metacompiler.Deployment, ix *simIndex) (shared, gaps int) {
+		t.Helper()
+		maxSPI := 0
+		for _, pl := range d.Pipelines {
+			for _, b := range pl.PathBindings() {
+				maxSPI = max(maxSPI, int(b.SPI))
+				sp := ix.spans[b.SPI]
+				d := int(b.SI) - int(sp.lo)
+				if d < 0 || d >= int(sp.n) {
+					t.Fatalf("spi=%d si=%d lies outside its span [%d, %d)", b.SPI, b.SI, sp.lo, int(sp.lo)+int(sp.n))
+				}
+				if s := ix.slots[int(sp.off)+d]; s.idx != -2 && (s.pl != pl || s.idx != ix.idxOf[b.Sub]) {
+					t.Fatalf("spi=%d si=%d: slot %+v, want entry %d on its pipeline", b.SPI, b.SI, s, ix.idxOf[b.Sub])
+				}
+			}
+		}
+		for name, pl := range d.Pipelines {
+			for spi := uint32(0); spi <= uint32(maxSPI)+2; spi++ {
+				for si := 0; si < 256; si++ {
+					want := int32(-1)
+					if sub := pl.SubgroupFor(spi, uint8(si)); sub != nil {
+						if idx, ok := ix.idxOf[sub]; ok {
+							want = idx
+						}
+					}
+					if got := ix.lookup(pl, spi, uint8(si)); got != want {
+						t.Fatalf("%s spi=%d si=%d: lookup %d, demux %d", name, spi, si, got, want)
+					}
+				}
+			}
+		}
+		for _, s := range ix.slots {
+			switch s.idx {
+			case -1:
+				gaps++
+			case -2:
+				shared++
+			}
+		}
+		return shared, gaps
+	}
+
+	t.Run("random topologies", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(808))
+		cases := 0
+		for trial := 0; cases < 20 && trial < 60; trial++ {
+			src := ""
+			for c, n := 0, 1+rng.Intn(3); c < n; c++ {
+				src += randomChainSpec(rng, c)
+			}
+			if d := compileRandom(t, src); d != nil {
+				ix, err := buildSimIndex(d)
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(t, d, ix)
+				cases++
+			}
+		}
+		if cases < 20 {
+			t.Fatalf("only %d feasible random cases", cases)
+		}
+	})
+
+	t.Run("after a failover rewire", func(t *testing.T) {
+		tb, offered, cfg := goldenFaults(4, goldenCrashPlan, 0.5)(t)
+		first, err := tb.simIndexLazy()
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, sim := runEngine(t, tb, offered, cfg)
+		if sim.Failover == nil || sim.Failover.RewireSummary == "" || eng.ix == first || tb.simIdx != eng.ix {
+			t.Fatal("the run did not rewire and install a fresh index")
+		}
+		check(t, tb.D, eng.ix)
+	})
+
+	t.Run("a key bound by two pipelines", func(t *testing.T) {
+		_, _, tb := deploy(t, hw.NewPaperTestbed(hw.WithServers(3)), goldenSpec, placer.SchemeLemur)
+		var names []string
+		for name := range tb.D.Pipelines {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		if len(names) < 2 {
+			t.Fatalf("%d pipeline(s), want two", len(names))
+		}
+		a, b := tb.D.Pipelines[names[0]], tb.D.Pipelines[names[1]]
+		key := a.PathBindings()[0]
+		for _, sg := range []*bess.Subgroup{
+			{Name: "shared", SPI: key.SPI, EntrySI: key.SI},
+			{Name: "far", SPI: key.SPI, EntrySI: key.SI - 9},
+		} {
+			if err := b.Add(sg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ix, err := buildSimIndex(tb.D)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if shared, gaps := check(t, tb.D, ix); shared == 0 || gaps == 0 {
+			t.Fatalf("%d shared key(s) and %d unbound SI(s) in a span, want both", shared, gaps)
+		}
+	})
 }

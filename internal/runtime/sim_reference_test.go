@@ -8,7 +8,9 @@ import (
 	"strconv"
 
 	"lemur/internal/bess"
+	"lemur/internal/metacompiler"
 	"lemur/internal/nf"
+	"lemur/internal/nfgraph"
 	"lemur/internal/nsh"
 	"lemur/internal/obs"
 	"lemur/internal/pisa"
@@ -371,4 +373,55 @@ func primaryOf(tb *Testbed, sub *bess.Subgroup) *bess.Subgroup {
 		}
 	}
 	return sub
+}
+
+// chainDeadlines extracts each chain's effective scheduling deadline; nil
+// when no chain carries one, which keeps SimResult and the metrics export
+// byte-identical to deadline-free runs.
+func chainDeadlines(chains []*nfgraph.Graph) []float64 {
+	var dls []float64
+	for ci, g := range chains {
+		if dl := metacompiler.EffectiveDeadlineSec(g); dl > 0 {
+			if dls == nil {
+				dls = make([]float64, len(chains))
+			}
+			dls[ci] = dl
+		}
+	}
+	return dls
+}
+
+// finalizeDeadlines is the reference engine's deadline compliance over the
+// raw wait samples: what deadlineCompliance computes from each chain's
+// delayTail counts, and the same met/missed counters on the default
+// registry.
+func finalizeDeadlines(chains []*nfgraph.Graph, samples [][]float64) []float64 {
+	dls := chainDeadlines(chains)
+	if dls == nil {
+		return nil
+	}
+	comp := make([]float64, len(samples))
+	for ci := range samples {
+		var dl float64
+		if ci < len(dls) {
+			dl = dls[ci]
+		}
+		if dl <= 0 {
+			comp[ci] = 1
+			continue
+		}
+		met := 0
+		for _, w := range samples[ci] {
+			if w <= dl {
+				met++
+			}
+		}
+		if n := len(samples[ci]); n > 0 {
+			comp[ci] = float64(met) / float64(n)
+		}
+		lbl := obs.L("chain", strconv.Itoa(ci))
+		obs.C("lemur_sim_deadline_met_total", lbl).Add(uint64(met))
+		obs.C("lemur_sim_deadline_missed_total", lbl).Add(uint64(len(samples[ci]) - met))
+	}
+	return comp
 }

@@ -2,6 +2,8 @@ package runtime
 
 import (
 	"math"
+	"math/rand"
+	"strings"
 	"testing"
 
 	"lemur/internal/hw"
@@ -117,5 +119,86 @@ func TestSimulateP99Ordering(t *testing.T) {
 	}
 	if sim.P99QueueDelaySec[0] <= 0 {
 		t.Error("no p99 delay under overload")
+	}
+}
+
+// TestPacketRingGrowsToOccupancy holds packetRing to a slice FIFO under
+// random parks and served-prefix pops that wrap it, so that it also grows
+// while wrapped. A ring holds no buffer until its first park, doubles from
+// minRing and never outgrows the queue cap; served slots are cleared. An
+// engine installs no ring buffer, and a crash at the first step drains
+// rings that never parked.
+func TestPacketRingGrowsToOccupancy(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for _, limit := range []int{1, 5, 16, 100, 256} {
+		var r packetRing
+		r.popServed(0)
+		var fifo []*simPacket
+		wrappedGrowths := 0
+		for op := 0; op < 4000; op++ {
+			if rng.Intn(3) > 0 && r.n < limit {
+				if r.n == len(r.buf) && r.head > 0 {
+					wrappedGrowths++
+				}
+				p := &simPacket{chain: op}
+				r.push(p, limit)
+				fifo = append(fifo, p)
+			} else {
+				k := rng.Intn(min(r.n, 3) + 1)
+				r.popServed(k)
+				fifo = fifo[k:]
+			}
+			if c := len(r.buf); c > limit || c != limit && c&(c-1) != 0 || c > 0 && c < min(minRing, limit) {
+				t.Fatalf("limit %d: a ring of %d slots", limit, c)
+			}
+			if r.n != len(fifo) {
+				t.Fatalf("limit %d op %d: ring holds %d, FIFO %d", limit, op, r.n, len(fifo))
+			}
+			held := 0
+			for _, p := range r.buf {
+				if p != nil {
+					held++
+				}
+			}
+			if held != r.n {
+				t.Fatalf("limit %d op %d: %d slots set for %d parked packets", limit, op, held, r.n)
+			}
+			for i, p := range fifo {
+				if r.at(i) != p {
+					t.Fatalf("limit %d op %d: at(%d) is packet %d, want %d", limit, op, i, r.at(i).chain, p.chain)
+				}
+			}
+		}
+		if limit > minRing && wrappedGrowths == 0 {
+			t.Errorf("limit %d: the ring never grew while wrapped", limit)
+		}
+	}
+
+	tb, offered, cfg := goldenFaults(3, "crash:%[1]s@0s;crash:%[2]s@0s", 0.1)(t)
+	eng, err := tb.newSimEngine(offered, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range eng.rings {
+		if eng.rings[i].buf != nil {
+			t.Fatalf("install allocated a %d-slot ring for entry %d", len(eng.rings[i].buf), i)
+		}
+	}
+	if err := eng.run(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.finish(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSimulateRejectsNonFiniteOffered: an infinite offered rate would
+// inject packets forever, so Simulate refuses it, and NaN, up front.
+func TestSimulateRejectsNonFiniteOffered(t *testing.T) {
+	_, _, tb := deploy(t, hw.NewPaperTestbed(), simpleSpec, placer.SchemeLemur)
+	for _, r := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
+		if _, err := tb.Simulate([]float64{r}, SimConfig{Seed: 1}); err == nil || !strings.Contains(err.Error(), "not finite") {
+			t.Errorf("offered %v: want a not-finite error, got %v", r, err)
+		}
 	}
 }

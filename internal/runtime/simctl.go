@@ -41,15 +41,12 @@ func (eng *simEngine) install(ix *simIndex) {
 	// Orphan entries have zero budget and are never drained; their rings
 	// only absorb parks until overflow.
 	rings := make([]packetRing, ne)
-	for i := range rings {
-		rings[i].buf = make([]*simPacket, cfg.QueueCap)
-	}
 	for i := range old.entries {
 		r := &eng.rings[i]
 		tgt, ok := ix.idxOf[old.entries[i].sub]
 		for k := 0; k < r.n; k++ {
 			if p := r.at(k); ok && rings[tgt].n < cfg.QueueCap {
-				rings[tgt].push(p)
+				rings[tgt].push(p, cfg.QueueCap)
 			} else {
 				rc.chains[p.chain].drops++
 				eng.die(eng.shards[0], p, p.frame)

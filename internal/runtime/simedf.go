@@ -2,11 +2,10 @@ package runtime
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 
-	"lemur/internal/metacompiler"
-	"lemur/internal/nfgraph"
 	"lemur/internal/obs"
 	"lemur/internal/placer"
 )
@@ -88,56 +87,30 @@ func (eng *simEngine) refreshDrainOrder() {
 	}
 }
 
-// chainDeadlines extracts each chain's effective scheduling deadline; nil
-// when no chain carries one, which keeps SimResult and the metrics export
-// byte-identical to deadline-free runs.
-func chainDeadlines(chains []*nfgraph.Graph) []float64 {
-	var dls []float64
-	for ci, g := range chains {
-		if dl := metacompiler.EffectiveDeadlineSec(g); dl > 0 {
-			if dls == nil {
-				dls = make([]float64, len(chains))
-			}
-			dls[ci] = dl
-		}
-	}
-	return dls
-}
-
-// finalizeDeadlines computes per-chain deadline-SLO compliance — the
+// deadlineCompliance computes per-chain deadline-SLO compliance — the
 // fraction of egressed packets whose accumulated queue wait fit inside the
 // chain's effective deadline (the fixed propagation and execution delays
 // are the placer's admission checks; the simulator owns the queueing share)
 // — and bumps the met/missed counters on the default registry. Chains
 // without a deadline report 1 (vacuously compliant); a nil return means no
 // chain carries a deadline and nothing was registered.
-func finalizeDeadlines(chains []*nfgraph.Graph, samples [][]float64) []float64 {
-	dls := chainDeadlines(chains)
-	if dls == nil {
+func deadlineCompliance(tails []delayTail) []float64 {
+	if !slices.ContainsFunc(tails, func(t delayTail) bool { return t.deadline > 0 }) {
 		return nil
 	}
-	comp := make([]float64, len(samples))
-	for ci := range samples {
-		var dl float64
-		if ci < len(dls) {
-			dl = dls[ci]
-		}
-		if dl <= 0 {
+	comp := make([]float64, len(tails))
+	for ci := range tails {
+		t := &tails[ci]
+		if t.deadline <= 0 {
 			comp[ci] = 1
 			continue
 		}
-		met := 0
-		for _, w := range samples[ci] {
-			if w <= dl {
-				met++
-			}
-		}
-		if n := len(samples[ci]); n > 0 {
-			comp[ci] = float64(met) / float64(n)
+		if t.n > 0 {
+			comp[ci] = float64(t.met) / float64(t.n)
 		}
 		lbl := obs.L("chain", strconv.Itoa(ci))
-		obs.C("lemur_sim_deadline_met_total", lbl).Add(uint64(met))
-		obs.C("lemur_sim_deadline_missed_total", lbl).Add(uint64(len(samples[ci]) - met))
+		obs.C("lemur_sim_deadline_met_total", lbl).Add(uint64(t.met))
+		obs.C("lemur_sim_deadline_missed_total", lbl).Add(uint64(t.n - t.met))
 	}
 	return comp
 }

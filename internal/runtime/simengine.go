@@ -2,11 +2,13 @@ package runtime
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strconv"
 	"sync"
 
 	"lemur/internal/bess"
+	"lemur/internal/metacompiler"
 	"lemur/internal/nf"
 	"lemur/internal/nsh"
 	"lemur/internal/obs"
@@ -103,15 +105,15 @@ type simEngine struct {
 	rings                []packetRing
 	stepCredit           []float64
 
-	res          *SimResult
-	dropped      []int
-	queueDelay   []float64
-	delaySamples [][]float64
-	acc          []float64
-	frameBits    float64
-	steps        int
-	epochs       int  // epochs run so far; read by the epoch-contract tests
-	edf          bool // deadline slacks order the drain sweep (see simedf.go)
+	res        *SimResult
+	dropped    []int
+	queueDelay []float64
+	tails      []delayTail
+	acc        []float64
+	frameBits  float64
+	steps      int
+	epochs     int  // epochs run so far; read by the epoch-contract tests
+	edf        bool // deadline slacks order the drain sweep (see simedf.go)
 
 	qDepthH, qDelayH []*obs.Histogram
 	coreUtilH        [][]*obs.Histogram
@@ -127,20 +129,23 @@ type simEngine struct {
 // new slots take the next indices of the deployment's chain list.
 func (eng *simEngine) addChains(rates []float64, reqSec, landSec float64) error {
 	cfg, res, n := eng.cfg, eng.res, len(rates)
-	horizon := cfg.DurationSec
-	if landSec > 0 {
-		horizon -= landSec
-	}
 	for i, rate := range rates {
 		ci := len(eng.offered) + i
-		gen, err := eng.tb.newChainGen(eng.tb.D.Input.Chains[ci].Chain.Aggregate, ci, cfg)
+		g := eng.tb.D.Input.Chains[ci]
+		gen, err := eng.tb.newChainGen(g.Chain.Aggregate, ci, cfg)
 		if err != nil {
 			return err
 		}
 		eng.gens = append(eng.gens, gen)
-		// Delay samples pre-sized from expected injections to kill append churn.
-		expect := int(rate/eng.frameBits/cfg.Scale*horizon) + 16
-		eng.delaySamples = append(eng.delaySamples, make([]float64, 0, expect))
+		// A chain injects at most its per-step arrival increment (the one
+		// stepShard adds) times the run's steps: its rate only ever drops,
+		// to 0 at a retirement. One packet of slack covers the rounding of
+		// the accumulated increments.
+		bound := 1
+		if most := rate / eng.frameBits / cfg.Scale * cfg.StepSec * float64(eng.steps); most > 0 {
+			bound += int(math.Ceil(most))
+		}
+		eng.tails = append(eng.tails, newDelayTail(bound, metacompiler.EffectiveDeadlineSec(g)))
 		eng.rc.addChain(reqSec, landSec)
 	}
 	eng.offered = append(eng.offered, rates...)
@@ -256,7 +261,7 @@ func (eng *simEngine) egress(sh *simShard, p *simPacket, frame []byte) {
 	eng.res.Egressed[p.chain]++
 	eng.egrC[p.chain].Inc()
 	eng.queueDelay[p.chain] += p.queuedSec
-	eng.delaySamples[p.chain] = append(eng.delaySamples[p.chain], p.queuedSec)
+	eng.tails[p.chain].add(p.queuedSec)
 	sh.putBuf(frame)
 	sh.putPkt(p)
 }
@@ -330,7 +335,7 @@ func (eng *simEngine) advance(sh *simShard, p *simPacket, now float64) (parked b
 				}
 				p.frame = frame
 				p.enqueuedSec = now
-				r.push(p)
+				r.push(p, cfg.QueueCap)
 				return true, nil
 			}
 			eng.credit[idx] -= c

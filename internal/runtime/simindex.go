@@ -42,22 +42,34 @@ type simIndex struct {
 	entries  []simEntry
 	nPrimary int // entries[:nPrimary] are the budgeted primaries, name-sorted
 
-	// byKey maps pathKey(spi,si) to an entry index: -1 = not installed,
-	// -2 = the key is bound by more than one pipeline (fall back per hop).
-	// keyPipe guards against a frame reaching a pipeline that does not own
-	// the binding. nil when the key space is too large for a dense table.
-	byKey   []int32
-	keyPipe []*bess.Pipeline
+	// spans is indexed by SPI: the keys of an SPI from its lowest bound
+	// service index to its highest, [lo, lo+n), resolve in
+	// slots[off : off+n]. A deployment binds a few SIs of each SPI, so
+	// this is 8 bytes an SPI and 16 a key inside a span, where a table over
+	// the whole SPI<<8|SI key space was 3 KB an SPI.
+	spans []keySpan
+	slots []keySlot
 
 	// idxOf resolves any installed or compiled subgroup (including merge
 	// aliases) to its accounting entry; the per-hop fallback path.
 	idxOf map[*bess.Subgroup]int32
 }
 
-// denseKeyLimit bounds the dense table: pathKey = spi<<8|si and the
-// metacompiler strides SPIs by 64 per chain, so real deployments sit far
-// below this; a synthetic one past it falls back to the map.
-const denseKeyLimit = 1 << 18
+// keySpan is one SPI's run of slots; n = 0 for an SPI no pipeline binds.
+type keySpan struct {
+	off int32
+	lo  uint8
+	n   uint16
+}
+
+// keySlot resolves one (SPI, SI) key: idx is the entry index, -1 for a key
+// inside its SPI's span that nothing binds, -2 for a key bound by more than
+// one pipeline (resolved per hop); pl is the pipeline that owns the binding,
+// guarding against a frame that reaches another one.
+type keySlot struct {
+	idx int32
+	pl  *bess.Pipeline
+}
 
 func buildSimIndex(d *metacompiler.Deployment) (*simIndex, error) {
 	in := d.Input
@@ -117,43 +129,59 @@ func buildSimIndex(d *metacompiler.Deployment) (*simIndex, error) {
 		}
 	}
 
-	// Installed bindings: key table plus orphan entries for any subgroup
-	// with no resolvable primary (zero budget — parked packets are only
-	// ever dropped on overflow, as in the reference engine).
-	type bind struct {
-		key uint64
-		sub *bess.Subgroup
-		pl  *bess.Pipeline
-	}
-	var binds []bind
-	maxKey := uint64(0)
-	for _, name := range plNames {
+	// Installed bindings: the key table, plus orphan entries for any
+	// subgroup with no resolvable primary (zero budget — parked packets are
+	// only ever dropped on overflow, as in the reference engine). Each
+	// pipeline's bindings come sorted; one pass over them finds the largest
+	// SPI, the next each SPI's span, then the spans are laid out end to end
+	// and a last pass fills their slots.
+	binds := make([][]bess.PathBinding, len(plNames))
+	maxSPI := -1
+	for i, name := range plNames {
 		pl := d.Pipelines[name]
-		for _, b := range pl.PathBindings() {
-			key := uint64(b.SPI)<<8 | uint64(b.SI)
-			if key > maxKey {
-				maxKey = key
-			}
-			binds = append(binds, bind{key, b.Sub, pl})
+		binds[i] = pl.PathBindings()
+		for _, b := range binds[i] {
+			maxSPI = max(maxSPI, int(b.SPI))
 			if _, ok := ix.idxOf[b.Sub]; !ok {
 				ix.idxOf[b.Sub] = int32(len(ix.entries))
 				ix.entries = append(ix.entries, simEntry{sub: b.Sub, pipe: pl})
 			}
 		}
 	}
-	if maxKey < denseKeyLimit {
-		ix.byKey = make([]int32, maxKey+1)
-		for i := range ix.byKey {
-			ix.byKey[i] = -1
+	ix.spans = make([]keySpan, maxSPI+1)
+	for _, bs := range binds {
+		for _, b := range bs {
+			sp := &ix.spans[b.SPI]
+			switch {
+			case sp.n == 0:
+				sp.lo, sp.n = b.SI, 1
+			case b.SI < sp.lo:
+				sp.n += uint16(sp.lo - b.SI)
+				sp.lo = b.SI
+			case int(b.SI) >= int(sp.lo)+int(sp.n):
+				sp.n = uint16(b.SI-sp.lo) + 1
+			}
 		}
-		ix.keyPipe = make([]*bess.Pipeline, maxKey+1)
-		for _, b := range binds {
-			if ix.keyPipe[b.key] != nil && ix.keyPipe[b.key] != b.pl {
-				ix.byKey[b.key] = -2 // bound by two pipelines: resolve per hop
+	}
+	total := 0
+	for i := range ix.spans {
+		ix.spans[i].off = int32(total)
+		total += int(ix.spans[i].n)
+	}
+	ix.slots = make([]keySlot, total)
+	for i := range ix.slots {
+		ix.slots[i].idx = -1
+	}
+	for i, bs := range binds {
+		pl := d.Pipelines[plNames[i]]
+		for _, b := range bs {
+			sp := ix.spans[b.SPI]
+			s := &ix.slots[int(sp.off)+int(b.SI-sp.lo)]
+			if s.pl != nil && s.pl != pl {
+				s.idx = -2 // bound by two pipelines: resolve per hop
 				continue
 			}
-			ix.keyPipe[b.key] = b.pl
-			ix.byKey[b.key] = ix.idxOf[b.sub]
+			s.idx, s.pl = ix.idxOf[b.Sub], pl
 		}
 	}
 	return ix, nil
@@ -162,10 +190,12 @@ func buildSimIndex(d *metacompiler.Deployment) (*simIndex, error) {
 // lookup resolves a (pipeline, SPI, SI) hop to its accounting entry index,
 // or -1 when the pipeline has no subgroup for the path.
 func (ix *simIndex) lookup(pl *bess.Pipeline, spi uint32, si uint8) int32 {
-	key := uint64(spi)<<8 | uint64(si)
-	if ix.byKey != nil && key < uint64(len(ix.byKey)) {
-		if idx := ix.byKey[key]; idx >= 0 && ix.keyPipe[key] == pl {
-			return idx
+	if spi < uint32(len(ix.spans)) {
+		sp := ix.spans[spi]
+		if d := int(si) - int(sp.lo); d >= 0 && d < int(sp.n) {
+			if s := ix.slots[int(sp.off)+d]; s.idx >= 0 && s.pl == pl {
+				return s.idx
+			}
 		}
 	}
 	sub := pl.SubgroupFor(spi, si)
