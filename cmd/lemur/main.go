@@ -12,8 +12,10 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 
@@ -122,24 +124,9 @@ func main() {
 		fatal(err)
 	}
 	if *emitDir != "" {
-		if err := os.MkdirAll(*emitDir, 0o755); err != nil {
+		if err := emit(os.Stdout, *emitDir, dep); err != nil {
 			fatal(err)
 		}
-		write := func(name, content string) {
-			path := filepath.Join(*emitDir, name)
-			if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("wrote %s\n", path)
-		}
-		write("unified.p4", dep.P4Source())
-		for server, script := range dep.BESSScripts() {
-			write("bess_"+server+".py", script)
-		}
-		for name, src := range dep.EBPFSources() {
-			write("xdp_"+name+".c", src)
-		}
-		fmt.Printf("auto-generated share of P4: %.0f%%\n", dep.AutoGeneratedShare()*100)
 	}
 	if *verify > 0 {
 		rep, err := dep.SendPackets(*verify)
@@ -362,4 +349,36 @@ func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "lemur:", err)
 	writeMetrics()
 	os.Exit(1)
+}
+
+// emit writes dep's generated code into dir — unified.p4, a bess_<server>.py
+// per server and an xdp_<program>.c per SmartNIC program — and reports each
+// file it wrote, then the auto-generated share of the P4 code, to w. Files
+// are written and reported in name order, so the report is the same on
+// every run.
+func emit(w io.Writer, dir string, dep *lemur.Deployment) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	files := map[string]string{"unified.p4": dep.P4Source()}
+	for server, script := range dep.BESSScripts() {
+		files["bess_"+server+".py"] = script
+	}
+	for name, src := range dep.EBPFSources() {
+		files["xdp_"+name+".c"] = src
+	}
+	names := make([]string, 0, len(files))
+	for name := range files {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(files[name]), 0o644); err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "wrote %s\n", path)
+	}
+	fmt.Fprintf(w, "auto-generated share of P4: %.0f%%\n", dep.AutoGeneratedShare()*100)
+	return nil
 }

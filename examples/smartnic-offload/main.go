@@ -8,6 +8,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"sort"
 
 	"lemur"
 )
@@ -66,7 +67,13 @@ func main() {
 	fmt.Printf("\ntraffic: %d/%d egressed; achieved %.2f Gbps (NIC line rate is 40)\n",
 		rep.Egressed, rep.Injected, m.AggregateBps/1e9)
 
-	for name, src := range dep.EBPFSources() {
-		fmt.Printf("\ngenerated XDP program %s:\n%s", name, src)
+	srcs := dep.EBPFSources()
+	names := make([]string, 0, len(srcs))
+	for name := range srcs {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		fmt.Printf("\ngenerated XDP program %s:\n%s", name, srcs[name])
 	}
 }

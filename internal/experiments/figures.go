@@ -384,7 +384,7 @@ func (r *Runner) MetaCompilerLoC(delta float64) (*LoCResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	a := d.Artifacts
+	a := d.Artifacts()
 	return &LoCResult{
 		P4Total:     a.P4TotalLines,
 		P4Steering:  a.P4SteeringLines,

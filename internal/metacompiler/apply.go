@@ -60,11 +60,8 @@ func chainSPIRange(ci int) (lo, hi uint32) {
 // that still run are re-emitted with fresh NF instances (their state
 // restarts, as on a real migration). Every other chain's rules, subgroups,
 // core shares and NF instances are untouched, by pointer identity; the Kept
-// counts in the report prove it. Artifacts are regenerated once, and only
-// for what the delta touched: the touched chains' P4 text and the scripts of
-// the servers whose pipeline lost or gained a subgroup; every other chain's
-// and server's text is the previous artifacts'. The install half is the one
-// Compile runs onto an empty deployment.
+// counts in the report prove it. The install half is the one Compile runs
+// onto an empty deployment, and like Compile, Apply renders no code.
 //
 // Apply is all-or-nothing on bad input: every check runs before the first
 // write. A full-repack verdict is not applied here — it needs a fresh
@@ -122,7 +119,6 @@ func (d *Deployment) Apply(in *placer.Input, next *placer.Result, dl placer.Delt
 	// slot's range has never held any.
 	prevEntries := d.Switch.EntryCount()
 	prevRules := d.Switch.ClassifierRuleCount()
-	var lost map[string]bool // servers whose pipeline lost a subgroup
 	for _, ci := range rep.AffectedChains {
 		if ci >= nOld {
 			break
@@ -131,14 +127,10 @@ func (d *Deployment) Apply(in *placer.Input, next *placer.Result, dl placer.Delt
 		e, r := d.Switch.RemoveSPIRange(lo, hi)
 		rep.RemovedSwitchEntries += e
 		rep.RemovedClassifierRules += r
-		for name, pl := range d.Pipelines {
+		for _, pl := range d.Pipelines {
 			for _, bsg := range pl.RemoveSPIRange(lo, hi) {
 				delete(d.SubgroupOf, bsg)
 				rep.RemovedSubgroups++
-				if lost == nil {
-					lost = map[string]bool{}
-				}
-				lost[name] = true
 			}
 		}
 		for _, nic := range d.NICs {
@@ -154,11 +146,6 @@ func (d *Deployment) Apply(in *placer.Input, next *placer.Result, dl placer.Delt
 	if err := d.install(next, rep.AffectedChains); err != nil {
 		return nil, err
 	}
-	a, err := d.generateArtifacts(d.Artifacts, touched, lost)
-	if err != nil {
-		return nil, err
-	}
-	d.Artifacts = a
 	rep.InstalledSwitchEntries = d.Switch.EntryCount() - rep.KeptSwitchEntries
 	rep.InstalledClassifierRules = d.Switch.ClassifierRuleCount() - rep.KeptClassifierRules
 	rep.InstalledSubgroups = d.subgroupCount() - keptSubs
@@ -183,9 +170,10 @@ func (d *Deployment) Apply(in *placer.Input, next *placer.Result, dl placer.Delt
 	return rep, nil
 }
 
-// checkApply runs every check Apply makes on its arguments, writing nothing,
-// and returns the admitted chains' service paths (their SPI identity is fixed
-// by the slot index).
+// checkApply runs every check Apply makes on its arguments, writing nothing
+// — Compile's refusals of what a render could not emit among them — and
+// returns the admitted chains' service paths (their SPI identity is fixed by
+// the slot index).
 func (d *Deployment) checkApply(in *placer.Input, next *placer.Result, dl placer.Delta) ([][]*ServicePath, error) {
 	if in == nil || next == nil {
 		return nil, fmt.Errorf("metacompiler: apply needs an input and a result")
@@ -217,7 +205,14 @@ func (d *Deployment) checkApply(in *placer.Input, next *placer.Result, dl placer
 				nOld, len(in.Chains), dl.Admit)
 		}
 	}
-	return admitPaths(in, nOld)
+	paths, err := admitPaths(in, nOld)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := mergeSwitchNFs(in.Chains, next.Assign); err != nil {
+		return nil, err
+	}
+	return paths, nil
 }
 
 func (d *Deployment) subgroupCount() int {

@@ -134,7 +134,7 @@ func TestAdmitChainsAdditive(t *testing.T) {
 	if d.Switch.Entry(sp.SPI, uint8(sp.Length())) == nil {
 		t.Error("admitted chain has no head switch entry")
 	}
-	if !strings.Contains(d.Artifacts.P4Source, "bronze") && !strings.Contains(d.Artifacts.P4Source, "spi") {
+	if !strings.Contains(d.Artifacts().P4Source, "bronze") && !strings.Contains(d.Artifacts().P4Source, "spi") {
 		t.Error("artifacts were not regenerated for the admitted chain")
 	}
 }

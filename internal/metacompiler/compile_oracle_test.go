@@ -185,7 +185,7 @@ func renderDeployment(d *metacompiler.Deployment) string {
 			fmt.Fprintf(&b, "nic %s %s advance=%d nfs=%s\n", name, pp.Prog.Name, pp.AdvanceSI, nfNames(pp.NFs))
 		}
 	}
-	a := d.Artifacts
+	a := d.Artifacts()
 	fmt.Fprintf(&b, "lines p4=%d steering=%d handwritten=%d bess=%d ebpf=%d\n%s",
 		a.P4TotalLines, a.P4SteeringLines, a.HandwrittenP4Lines, a.BESSLines, a.EBPFLines, a.P4Source)
 	for _, m := range []map[string]string{a.BESSScripts, a.EBPFSources} {

@@ -16,7 +16,8 @@ import (
 // of its own beside Apply: every chain's service paths built at once, every
 // NF instantiated up front, cores laid out by a per-server cursor, then
 // every chain installed. It fails on a result with a retired slot (the
-// retired nodes have no assignment). TestCompileMatchesReference holds
+// retired nodes have no assignment). Like Compile, it renders no code and
+// refuses what a render could not emit. TestCompileMatchesReference holds
 // Compile — an empty deployment plus Apply's install half — to it.
 func compileReference(in *placer.Input, res *placer.Result) (*Deployment, error) {
 	if !res.Feasible {
@@ -64,20 +65,11 @@ func compileReference(in *placer.Input, res *placer.Result) (*Deployment, error)
 		}
 	}
 
-	a, err := d.generateArtifacts(nil, nil, nil)
-	if err != nil {
+	if _, err := mergeSwitchNFs(in.Chains, res.Assign); err != nil {
 		return nil, err
 	}
-	d.Artifacts = a
 	obs.C("lemur_compiles_total").Inc()
-	obs.G("lemur_compile_lines", obs.L("kind", "p4")).Set(float64(a.P4TotalLines))
-	obs.G("lemur_compile_lines", obs.L("kind", "p4_handwritten")).Set(float64(a.HandwrittenP4Lines))
-	obs.G("lemur_compile_lines", obs.L("kind", "bess")).Set(float64(a.BESSLines))
-	obs.G("lemur_compile_lines", obs.L("kind", "ebpf")).Set(float64(a.EBPFLines))
-	sp.SetAttrInt("bess_scripts", len(a.BESSScripts)).
-		SetAttrInt("ebpf_sources", len(a.EBPFSources)).
-		SetAttrInt("p4_lines", a.P4TotalLines).
-		End()
+	sp.End()
 	return d, nil
 }
 

@@ -39,7 +39,7 @@ chain dl {
 	if len(named) == 0 {
 		t.Fatal("no named slacks for the hosting server")
 	}
-	script := d.Artifacts.BESSScripts["nf-server-0"]
+	script := d.Artifacts().BESSScripts["nf-server-0"]
 	if !strings.Contains(script, "deadline_edf") || !strings.Contains(script, "slack") {
 		t.Errorf("BESS script lacks the EDF scheduler:\n%s", script)
 	}
@@ -56,7 +56,7 @@ chain dl {
 	if d2.subgroupSlacks("nf-server-0", nil) != nil {
 		t.Error("subgroupSlacks(nil) must be nil")
 	}
-	script2 := d2.Artifacts.BESSScripts["nf-server-0"]
+	script2 := d2.Artifacts().BESSScripts["nf-server-0"]
 	if !strings.Contains(script2, "round_robin") || strings.Contains(script2, "deadline_edf") {
 		t.Errorf("deadline-free script not round-robin:\n%s", script2)
 	}

@@ -41,7 +41,7 @@ chain chain5 {
 // goldenArtifacts flattens a compile's generated code into (filename, text)
 // pairs in deterministic order.
 func goldenArtifacts(d *Deployment) map[string]string {
-	a := d.Artifacts
+	a := d.Artifacts()
 	out := map[string]string{"unified.p4": a.P4Source}
 	for server, script := range a.BESSScripts {
 		out["bess_"+server+".py"] = script
@@ -113,7 +113,7 @@ func TestGoldenArtifactsChain3(t *testing.T) {
 
 func TestGoldenArtifactsChain5SmartNIC(t *testing.T) {
 	_, d := compileSpec(t, hw.NewPaperTestbed(hw.WithSmartNIC()), goldenChain5)
-	if len(d.Artifacts.EBPFSources) == 0 {
+	if len(d.Artifacts().EBPFSources) == 0 {
 		t.Fatal("SmartNIC chain generated no eBPF sources")
 	}
 	checkGolden(t, "golden_chain5_smartnic", d)

@@ -4,8 +4,9 @@
 // assignment, encap/decap, branch retagging), the unified P4 program for the
 // ToR switch, BESS pipeline scripts and scheduler configuration for each
 // server, and verified eBPF programs for SmartNIC offloads. The output is a
-// Deployment that internal/runtime can execute, plus the generated code
-// artifacts with auto-generated-LoC accounting (§5.3).
+// Deployment that internal/runtime can execute; its generated code texts,
+// with auto-generated-LoC accounting (§5.3), render on request
+// (Deployment.Artifacts).
 package metacompiler
 
 import (
@@ -44,9 +45,6 @@ type Deployment struct {
 	Shares map[*placer.Subgroup][]bess.CoreShare
 
 	claimed map[*placer.Subgroup]bool // placer subgroups whose shares were installed
-
-	// Artifacts are the generated code texts and line counts.
-	Artifacts *Artifacts
 }
 
 // Compile builds a Deployment from a feasible placement. It is Apply onto an
@@ -54,6 +52,8 @@ type Deployment struct {
 // paths) and installed by the half Apply runs for the chains a delta
 // touches, so a chain compiled with the rack and one admitted later get the
 // same code. A retired slot keeps its service paths and installs nothing.
+// Compile renders no code; it refuses what a render could not emit (see
+// mergeSwitchNFs).
 func Compile(in *placer.Input, res *placer.Result) (*Deployment, error) {
 	if !res.Feasible {
 		return nil, fmt.Errorf("metacompiler: placement is infeasible: %s", res.Reason)
@@ -61,6 +61,9 @@ func Compile(in *placer.Input, res *placer.Result) (*Deployment, error) {
 	sp := obs.Span("metacompiler.compile").SetAttrInt("chains", len(in.Chains))
 	paths, err := admitPaths(in, 0)
 	if err != nil {
+		return nil, err
+	}
+	if _, err := mergeSwitchNFs(in.Chains, res.Assign); err != nil {
 		return nil, err
 	}
 	d := &Deployment{
@@ -86,20 +89,8 @@ func Compile(in *placer.Input, res *placer.Result) (*Deployment, error) {
 	if err := d.install(res, slots); err != nil {
 		return nil, err
 	}
-	a, err := d.generateArtifacts(nil, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	d.Artifacts = a
 	obs.C("lemur_compiles_total").Inc()
-	obs.G("lemur_compile_lines", obs.L("kind", "p4")).Set(float64(a.P4TotalLines))
-	obs.G("lemur_compile_lines", obs.L("kind", "p4_handwritten")).Set(float64(a.HandwrittenP4Lines))
-	obs.G("lemur_compile_lines", obs.L("kind", "bess")).Set(float64(a.BESSLines))
-	obs.G("lemur_compile_lines", obs.L("kind", "ebpf")).Set(float64(a.EBPFLines))
-	sp.SetAttrInt("bess_scripts", len(a.BESSScripts)).
-		SetAttrInt("ebpf_sources", len(a.EBPFSources)).
-		SetAttrInt("p4_lines", a.P4TotalLines).
-		End()
+	sp.End()
 	return d, nil
 }
 
@@ -121,7 +112,7 @@ func instantiate(insts map[*nfgraph.Node]nf.NF, g *nfgraph.Graph) error {
 // share: it takes next as the deployment's placement, gives cores to the
 // subgroups that hold none, and installs every listed chain that still runs
 // with fresh NF instances (a chain's state restarts, as on a real
-// migration). The caller renders the artifacts once after it.
+// migration).
 func (d *Deployment) install(next *placer.Result, chains []int) error {
 	d.Result = next
 	if err := d.assignFreeCores(); err != nil {

@@ -187,6 +187,46 @@ func TestSimulateGolden(t *testing.T) {
 	checkGolden(t, "sim.golden", got.Bytes())
 }
 
+// TestSimulateIgnoresArtifacts: rendering a deployment's code changes
+// nothing a run computes. The golden crash;overload;crash and churn cases,
+// whose Applies run mid-run, give the same SimResult and metrics record
+// with an Artifacts call before Simulate as without one.
+func TestSimulateIgnoresArtifacts(t *testing.T) {
+	reg := obs.Default()
+	reg.Enable()
+	t.Cleanup(func() {
+		reg.Disable()
+		reg.Reset()
+	})
+	ran := 0
+	for _, gc := range goldenCases {
+		if gc.name != "crash;overload;crash" && gc.name != "churn admit;retire" {
+			continue
+		}
+		ran++
+		var recs [2]string
+		for i := range recs {
+			pisa.SharedCache().Reset()
+			tb, offered, cfg := gc.build(t)
+			if i == 1 && len(tb.D.Artifacts().BESSScripts) == 0 {
+				t.Fatalf("%s: the deployment renders no BESS script", gc.name)
+			}
+			reg.Reset()
+			sim, err := tb.Simulate(offered, cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", gc.name, err)
+			}
+			recs[i] = goldenRecord(t, reg, gc.name, sim)
+		}
+		if recs[0] != recs[1] {
+			t.Errorf("%s: a render before the run changed it\nwithout: %s\nwith:    %s", gc.name, recs[0], recs[1])
+		}
+	}
+	if ran != 2 {
+		t.Fatalf("ran %d of the two golden cases", ran)
+	}
+}
+
 // goldenRecord renders one run as a golden record: the SimResult and the
 // registry's wall-clock-scrubbed snapshot with idle series dropped.
 func goldenRecord(t *testing.T, reg *obs.Registry, name string, sim *SimResult) string {

@@ -68,7 +68,7 @@ func TestDeadlineFreePolicyByteIdentity(t *testing.T) {
 		if slacks := dBase.DeadlineSlacks(); len(slacks) != 0 {
 			t.Fatalf("trial %d: deadline-free deployment reports %d slacks", trial, len(slacks))
 		}
-		for srv, script := range dBase.Artifacts.BESSScripts {
+		for srv, script := range dBase.Artifacts().BESSScripts {
 			if strings.Contains(script, "deadline_edf") {
 				t.Fatalf("trial %d: deadline-free scheduler tree for %s contains an EDF node:\n%s",
 					trial, srv, script)
@@ -143,7 +143,7 @@ func TestSimulateDeadlineMatchesReference(t *testing.T) {
 				t.Fatal("deadline chain produced no slacks")
 			}
 			edfTrees := false
-			for _, script := range tbRef.D.Artifacts.BESSScripts {
+			for _, script := range tbRef.D.Artifacts().BESSScripts {
 				if strings.Contains(script, "deadline_edf") {
 					edfTrees = true
 				}

@@ -390,31 +390,20 @@ func (d *Deployment) Measure() (*Measurement, error) {
 	return &Measurement{RatesBps: m.Rates, AggregateBps: m.Aggregate, WorstLatencySec: m.WorstLatencySec}, nil
 }
 
-// P4Source returns the generated unified switch program.
-func (d *Deployment) P4Source() string { return d.tb.D.Artifacts.P4Source }
+// P4Source returns the generated unified switch program. Each of the
+// generated-code accessors renders the deployment's code anew.
+func (d *Deployment) P4Source() string { return d.tb.D.Artifacts().P4Source }
 
 // BESSScripts returns the generated per-server pipeline scripts.
-func (d *Deployment) BESSScripts() map[string]string {
-	out := map[string]string{}
-	for k, v := range d.tb.D.Artifacts.BESSScripts {
-		out[k] = v
-	}
-	return out
-}
+func (d *Deployment) BESSScripts() map[string]string { return d.tb.D.Artifacts().BESSScripts }
 
 // EBPFSources returns the generated SmartNIC XDP programs.
-func (d *Deployment) EBPFSources() map[string]string {
-	out := map[string]string{}
-	for k, v := range d.tb.D.Artifacts.EBPFSources {
-		out[k] = v
-	}
-	return out
-}
+func (d *Deployment) EBPFSources() map[string]string { return d.tb.D.Artifacts().EBPFSources }
 
 // AutoGeneratedShare is the fraction of deployment P4 code the
 // meta-compiler generated (vs hand-written NF implementations).
 func (d *Deployment) AutoGeneratedShare() float64 {
-	return d.tb.D.Artifacts.AutoGeneratedShare()
+	return d.tb.D.Artifacts().AutoGeneratedShare()
 }
 
 // SimReport summarizes a discrete-time simulation run: per-chain goodput,
