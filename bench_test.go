@@ -1,15 +1,15 @@
-// Benchmark harness: one testing.B benchmark per table and figure of the
-// paper's evaluation (§5). Each benchmark regenerates its artifact and
-// reports the headline numbers as custom metrics, so
+// Benchmark harness: BenchmarkPaper regenerates each section of the paper's
+// evaluation (§5) through experiments.Runner.WritePaper, the renderer
+// behind cmd/lemur-bench -paper, whose numbers TestPaperGolden holds to
+// internal/experiments/testdata/paper.golden; the rest time the placer and
+// the deploy path. EXPERIMENTS.md records the paper-reported vs measured
+// values.
 //
-//	go test -bench=. -benchmem
-//
-// reproduces the full evaluation. EXPERIMENTS.md records the paper-reported
-// vs measured values; cmd/lemur-bench prints the same data as tables.
+//	go test -run '^$' -bench=. -benchmem
 package lemur
 
 import (
-	"fmt"
+	"io"
 	"testing"
 	"time"
 
@@ -19,214 +19,18 @@ import (
 	"lemur/internal/profile"
 )
 
-// benchDeltas is the δ grid used by the figure benchmarks (the full paper
-// grid is 0.5..4.0; the upper half is infeasible for every scheme on our
-// 15-worker-core rack, so benchmarks sweep the informative range).
-var benchDeltas = []float64{0.5, 1.0, 1.5, 2.0}
-
-// benchSchemes mirrors Figure 2's scheme set.
-var benchSchemes = []placer.Scheme{
-	placer.SchemeLemur, placer.SchemeOptimal, placer.SchemeHWPreferred,
-	placer.SchemeSWPreferred, placer.SchemeMinBounce, placer.SchemeGreedy,
-}
-
-func benchFigure2(b *testing.B, combo []int) {
-	b.Helper()
-	r := experiments.NewRunner(hw.NewPaperTestbed())
-	var rows []experiments.DeltaRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = r.Figure2Panel(combo, benchDeltas, benchSchemes)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	// Report the δ=0.5 aggregate per scheme plus Lemur's feasibility reach.
-	lemurFeasible := 0
-	for _, row := range rows {
-		for _, sr := range row.Schemes {
-			if sr.Scheme == placer.SchemeLemur && sr.Feasible {
-				lemurFeasible++
+// BenchmarkPaper renders each §5 section, by its -paper name.
+func BenchmarkPaper(b *testing.B) {
+	for _, section := range experiments.PaperSections() {
+		b.Run(section, func(b *testing.B) {
+			r := experiments.NewRunner(hw.NewPaperTestbed())
+			for i := 0; i < b.N; i++ {
+				if err := r.WritePaper(io.Discard, section); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
+		})
 	}
-	b.ReportMetric(float64(lemurFeasible), "lemur-feasible-deltas")
-	for _, sr := range rows[0].Schemes {
-		if sr.Feasible {
-			b.ReportMetric(sr.MeasuredAggregate/1e9, fmt.Sprintf("%s-gbps@0.5", sr.Scheme))
-		}
-	}
-}
-
-func BenchmarkFigure2a(b *testing.B) { benchFigure2(b, []int{1, 2, 3, 4}) }
-func BenchmarkFigure2b(b *testing.B) { benchFigure2(b, []int{1, 2, 3}) }
-func BenchmarkFigure2c(b *testing.B) { benchFigure2(b, []int{1, 2, 4}) }
-func BenchmarkFigure2d(b *testing.B) { benchFigure2(b, []int{1, 3, 4}) }
-func BenchmarkFigure2e(b *testing.B) { benchFigure2(b, []int{2, 3, 4}) }
-
-func BenchmarkFigure2fAblations(b *testing.B) {
-	r := experiments.NewRunner(hw.NewPaperTestbed())
-	var rows []experiments.DeltaRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = r.Figure2f(benchDeltas)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, sr := range rows[0].Schemes {
-		if sr.Feasible {
-			b.ReportMetric(sr.MeasuredAggregate/1e9, fmt.Sprintf("%s-gbps@0.5", sr.Scheme))
-		}
-	}
-	// Feasibility reach per variant across the sweep.
-	reach := map[placer.Scheme]int{}
-	for _, row := range rows {
-		for _, sr := range row.Schemes {
-			if sr.Feasible {
-				reach[sr.Scheme]++
-			}
-		}
-	}
-	b.ReportMetric(float64(reach[placer.SchemeNoProfiling]), "noprofiling-feasible-deltas")
-	b.ReportMetric(float64(reach[placer.SchemeNoCoreAlloc]), "nocorealloc-feasible-deltas")
-}
-
-func BenchmarkFigure3aMultiServer(b *testing.B) {
-	var rows []experiments.Figure3aResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.NewRunner(hw.NewPaperTestbed()).Figure3a([]float64{0.5, 1.5})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(rows[0].SingleAggregate/1e9, "1srv-gbps@0.5")
-	b.ReportMetric(rows[0].TwoServerAggregate/1e9, "2srv-gbps@0.5")
-	feas := 0.0
-	if rows[1].SingleFeasible {
-		feas = 1
-	}
-	b.ReportMetric(feas, "1srv-feasible@1.5")
-}
-
-func BenchmarkFigure3bSmartNIC(b *testing.B) {
-	var rows []experiments.Figure3bResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.NewRunner(hw.NewPaperTestbed()).Figure3b([]float64{0.5, 1.5})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(rows[0].ServerOnlyAgg/1e9, "server-gbps@0.5")
-	b.ReportMetric(rows[0].WithNICAgg/1e9, "nic-gbps@0.5")
-	feas := 0.0
-	if rows[1].ServerOnlyFeasible {
-		feas = 1
-	}
-	b.ReportMetric(feas, "server-feasible@1.5")
-}
-
-func BenchmarkFigure3cOpenFlow(b *testing.B) {
-	var r experiments.Figure3cResult
-	for i := 0; i < b.N; i++ {
-		r = experiments.Figure3c()
-	}
-	b.ReportMetric(r.OFRateBps/1e6, "of-mbps")
-	b.ReportMetric(r.ServerRateBps/1e6, "server-mbps")
-	b.ReportMetric(r.Speedup, "speedup-x")
-}
-
-func BenchmarkTable4Profiles(b *testing.B) {
-	var rows []experiments.Table4Row
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.Table4(500) // the paper's 500 runs
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, row := range rows {
-		if row.NUMA == 0 { // same-NUMA rows only, to bound metric count
-			b.ReportMetric(row.Stats.Mean, row.NF+"-mean-cycles")
-		}
-	}
-}
-
-func BenchmarkExtremeStageConstraint(b *testing.B) {
-	var rows []experiments.ExtremeConfigResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.ExtremeConfig([]placer.Scheme{
-			placer.SchemeLemur, placer.SchemeHWPreferred, placer.SchemeMinBounce})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(rows[0].Stages), "lemur-stages")
-	b.ReportMetric(float64(rows[0].NATsOnSwitch), "lemur-nats-on-switch")
-	infeasibleOthers := 0
-	for _, row := range rows[1:] {
-		if !row.Feasible {
-			infeasibleOthers++
-		}
-	}
-	b.ReportMetric(float64(infeasibleOthers), "others-infeasible")
-}
-
-func BenchmarkProfilingSensitivity(b *testing.B) {
-	r := experiments.NewRunner(hw.NewPaperTestbed())
-	errFracs := []float64{0.01, 0.02, 0.04, 0.06, 0.08, 0.10}
-	var rows []experiments.SensitivityResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, _, err = r.Sensitivity(1.5, errFracs)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	tolerated := 0.0
-	for _, row := range rows {
-		if row.SameAsBase {
-			tolerated = row.ErrorFraction
-		} else {
-			break
-		}
-	}
-	b.ReportMetric(tolerated*100, "tolerated-error-pct")
-}
-
-func BenchmarkLatencyConstraints(b *testing.B) {
-	var rows []experiments.LatencyResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.NewRunner(hw.NewPaperTestbed()).Latency([]float64{45e-6, 35e-6})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(rows[0].Aggregate/1e9, "gbps@45us")
-	if rows[1].Feasible {
-		b.ReportMetric(rows[1].Aggregate/1e9, "gbps@35us")
-		b.ReportMetric(float64(rows[1].Bounces), "bounces@35us")
-	}
-	b.ReportMetric(float64(rows[0].Bounces), "bounces@45us")
-}
-
-func BenchmarkMetaCompilerLoC(b *testing.B) {
-	r := experiments.NewRunner(hw.NewPaperTestbed())
-	var loc *experiments.LoCResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		loc, err = r.MetaCompilerLoC(0.5)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(loc.P4Total), "generated-p4-lines")
-	b.ReportMetric(float64(loc.P4Steering), "steering-lines")
-	b.ReportMetric(loc.AutoShare*100, "auto-share-pct")
 }
 
 func BenchmarkPlacerHeuristic(b *testing.B) {
@@ -315,23 +119,6 @@ func TestPlaceOptimalCostGuard(t *testing.T) {
 	}
 	if perSolve > 5*time.Second {
 		t.Errorf("solve took %s, over the 5s guard", perSolve)
-	}
-}
-
-func BenchmarkFeasibilitySummary(b *testing.B) {
-	r := experiments.NewRunner(hw.NewPaperTestbed())
-	schemes := []placer.Scheme{placer.SchemeLemur, placer.SchemeHWPreferred,
-		placer.SchemeSWPreferred, placer.SchemeMinBounce, placer.SchemeGreedy}
-	var solvShare map[placer.Scheme]float64
-	for i := 0; i < b.N; i++ {
-		var err error
-		_, _, solvShare, err = r.FeasibilitySummary(benchDeltas, schemes)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, s := range schemes {
-		b.ReportMetric(solvShare[s]*100, string(s)+"-feasible-pct")
 	}
 }
 

@@ -75,9 +75,10 @@ one_definition() {
 echo "==> go vet ./..."
 go vet ./...
 
-# Docs gates: README/ARCHITECTURE must not reference dead flags, symbols,
-# or tests; every exported symbol in the audited packages must carry a doc
-# comment (units + determinism policy, see ARCHITECTURE.md).
+# Docs gates: README, ARCHITECTURE, OPERATIONS, EXPERIMENTS and DESIGN must
+# not reference dead flags, symbols, or tests; every exported symbol in the
+# audited packages must carry a doc comment (units + determinism policy, see
+# ARCHITECTURE.md).
 echo "==> docs gate (scripts/check_docs.sh)"
 ./scripts/check_docs.sh
 
@@ -86,6 +87,16 @@ go run ./tools/doccheck ./internal/placer ./internal/metacompiler ./internal/run
 
 echo "==> go build ./..."
 go build ./...
+
+# The paper's §5 has one renderer: lemur-bench -paper all must print the
+# golden TestPaperGolden holds it to, byte for byte, and an unknown section
+# must fail.
+echo "==> lemur-bench -paper all against paper.golden"
+go run ./cmd/lemur-bench -paper all | cmp - internal/experiments/testdata/paper.golden
+if go run ./cmd/lemur-bench -paper nosuch 2>/dev/null; then
+  echo "ci: lemur-bench -paper nosuch exited 0" >&2
+  exit 1
+fi
 
 # Deletion guards. The evaluation harness lost its process-global defaults
 # and the NF package its table-backend switch; neither may come back outside
@@ -409,9 +420,10 @@ fuzz_smoke FuzzParseBlocks ./internal/nfspec
 echo "==> optimal placement cost guard"
 run_guard 'TestPlaceOptimalCostGuard' -count=1 .
 
-# The paper's evaluation: every §5 table and figure rendered to
-# internal/experiments/testdata/paper.golden, byte for byte, at Parallel 1
-# and 4; and profiling refuses a run count below one (profile and Table 4).
+# The paper's evaluation: every §5 table and figure rendered by
+# experiments.Runner.WritePaper to internal/experiments/testdata/paper.golden,
+# byte for byte, whole at Parallel 1 and section by section at 4; and
+# profiling refuses a run count below one (profile and Table 4).
 echo "==> paper golden, profiling run count"
 run_guard 'TestPaperGolden|TestTable4RejectsNonPositiveRuns' -count=1 ./internal/experiments
 run_guard 'TestProfileRejectsNonPositiveRuns' -count=1 ./internal/profile

@@ -262,7 +262,7 @@ func fmtNs(ns int64) string {
 	}
 }
 
-// runLatencySweep follows -latency's table: the EDF-vs-round-robin
+// runLatencySweep is the -deadline command: the EDF-vs-round-robin
 // deadline-compliance sweep over the nine-hop deadline chain (see
 // experiments.LatencyChainSpec for why that shape), byte-identical at any
 // -parallel and -sim-workers value.

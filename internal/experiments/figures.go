@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"lemur/internal/hw"
 	"lemur/internal/metacompiler"
@@ -326,17 +325,16 @@ func Table4(runs int) ([]Table4Row, error) {
 	return out, nil
 }
 
-// ScalingResult compares placement computation time (§5.3: brute force
+// ScalingResult compares the two placement algorithms (§5.3: brute force
 // 14901s vs heuristic 3.5s on hardware; the shape to reproduce is the
-// orders-of-magnitude gap).
+// orders-of-magnitude gap, in each Result's PlaceTime).
 type ScalingResult struct {
-	Heuristic  time.Duration
-	BruteForce time.Duration
-	SpeedupX   float64
+	Heuristic  *placer.Result
+	BruteForce *placer.Result
 	SameResult bool // heuristic matched brute force's marginal
 }
 
-// PlacerScaling times both placement algorithms on the four-chain set.
+// PlacerScaling places the four-chain set with both algorithms.
 func (r *Runner) PlacerScaling(delta float64, bruteBudget int) (*ScalingResult, error) {
 	in, _, err := r.input([]int{1, 2, 3, 4}, delta)
 	if err != nil {
@@ -351,13 +349,9 @@ func (r *Runner) PlacerScaling(delta float64, bruteBudget int) (*ScalingResult, 
 	if err != nil {
 		return nil, err
 	}
-	out := &ScalingResult{Heuristic: heur.PlaceTime, BruteForce: brute.PlaceTime}
-	if heur.PlaceTime > 0 {
-		out.SpeedupX = float64(brute.PlaceTime) / float64(heur.PlaceTime)
-	}
-	out.SameResult = heur.Feasible == brute.Feasible &&
-		(!heur.Feasible || heur.Marginal >= brute.Marginal*0.99)
-	return out, nil
+	return &ScalingResult{Heuristic: heur, BruteForce: brute,
+		SameResult: heur.Feasible == brute.Feasible &&
+			(!heur.Feasible || heur.Marginal >= brute.Marginal*0.99)}, nil
 }
 
 // LoCResult is the §5.3 meta-compiler accounting for the four-chain set.

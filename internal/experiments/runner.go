@@ -305,11 +305,6 @@ func (r *Runner) Figure2Panel(chainIdxs []int, deltas []float64, schemes []place
 	return rows, nil
 }
 
-// DefaultDeltas is the paper's sweep: 0.5 to 4.0 in steps of 0.5.
-func DefaultDeltas() []float64 {
-	return []float64{0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0}
-}
-
 // Figure2Combos are the chain sets of Figure 2a-e.
 func Figure2Combos() [][]int {
 	return [][]int{

@@ -7,8 +7,8 @@ import (
 	"lemur/internal/nf"
 )
 
-// fastProfiler keeps tests quick; the paper's 500-run setting is exercised
-// by BenchmarkTable4Profiles at the repo root.
+// fastProfiler keeps tests quick; the paper's 500-run setting is what
+// cmd/lemur-profile runs by default.
 func fastProfiler() *Profiler {
 	return &Profiler{Runs: 60, PacketsPerRun: 16, Seed: 42}
 }

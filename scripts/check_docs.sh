@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
-# Docs gate: fail if README.md, ARCHITECTURE.md, or OPERATIONS.md reference
-# a CLI flag, a package symbol, or a test name that no longer exists in the
-# tree. Grep-based on purpose — no build step, runs in ci.sh before the
+# Docs gate: fail if README.md, ARCHITECTURE.md, OPERATIONS.md, EXPERIMENTS.md
+# or DESIGN.md reference a CLI flag, a package symbol, or a test name that no
+# longer exists in the tree. Grep-based on purpose — no build step, runs in ci.sh before the
 # tests.
 set -u
 cd "$(dirname "$0")/.."
 
-docs="README.md ARCHITECTURE.md OPERATIONS.md"
+docs="README.md ARCHITECTURE.md OPERATIONS.md EXPERIMENTS.md DESIGN.md"
 fail=0
 
 # --- CLI flags -------------------------------------------------------------
@@ -64,8 +64,9 @@ for s in $syms; do
 done
 
 # --- Test names ------------------------------------------------------------
-# Backticked `TestXxx`/`FuzzXxx`/`BenchmarkXxx` references must exist.
-tests=$(grep -hoE '`(Test|Fuzz|Benchmark)[A-Za-z0-9_]+' $docs | tr -d '`' | sort -u)
+# Backticked `TestXxx`/`FuzzXxx`/`BenchmarkXxx` references must exist (the
+# capital after the prefix keeps `Testbed.Simulate` out).
+tests=$(grep -hoE '`(Test|Fuzz|Benchmark)[A-Z][A-Za-z0-9_]*' $docs | tr -d '`' | sort -u)
 for t in $tests; do
 	if ! grep -qr "func $t(" --include='*_test.go' .; then
 		echo "docs gate: test $t referenced in docs but no such function exists"
