@@ -202,7 +202,8 @@ func TestPlaceInfeasibleReasons(t *testing.T) {
 
 // TestPlaceInfeasiblePISAStages overflows the Tofino stage budget with a
 // long dependent chain of PISA-restricted NFs that has no server-capable
-// eviction victim, forcing the "pisa: ..." compile-reject path.
+// eviction victim, forcing the "pisa: ..." compile-reject path. The
+// compiler's error names its package once; the reason must not name it again.
 func TestPlaceInfeasiblePISAStages(t *testing.T) {
 	src := "chain ps {\n  slo { tmin = 100Mbps  tmax = 100Gbps }\n  aggregate { src = 10.9.0.0/16 }\n"
 	names := []string{}
@@ -217,6 +218,9 @@ func TestPlaceInfeasiblePISAStages(t *testing.T) {
 		t.Fatalf("Place returned a hard error: %v", err)
 	}
 	checkInfeasibleShape(t, in, res, "pisa:")
+	if n := strings.Count(res.Reason, "pisa:"); n != 1 {
+		t.Errorf("reason %q names pisa: %d times, want once", res.Reason, n)
+	}
 }
 
 // TestPlaceInfeasibleAcrossSchemes: every scheme must return the same

@@ -256,7 +256,7 @@ func (ev *evalScratch) stageCheck() (string, bool) {
 		stages, err := pisa.SharedCache().Stages(ev.in.Topo.Switch, tables, &ev.compileKey)
 		v = stageVerdict{stages: stages, ok: err == nil}
 		if err != nil {
-			v.reason = "pisa: " + err.Error()
+			v.reason = err.Error()
 		}
 		memo.mu.Lock()
 		memo.m[string(ev.key)] = v
