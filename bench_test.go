@@ -25,7 +25,7 @@ func BenchmarkPaper(b *testing.B) {
 		b.Run(section, func(b *testing.B) {
 			r := experiments.NewRunner(hw.NewPaperTestbed())
 			for i := 0; i < b.N; i++ {
-				if err := r.WritePaper(io.Discard, section); err != nil {
+				if err := r.WritePaper(io.Discard, io.Discard, section); err != nil {
 					b.Fatal(err)
 				}
 			}

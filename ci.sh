@@ -83,16 +83,19 @@ echo "==> docs gate (scripts/check_docs.sh)"
 ./scripts/check_docs.sh
 
 echo "==> godoc coverage (tools/doccheck)"
-go run ./tools/doccheck ./internal/placer ./internal/metacompiler ./internal/runtime ./internal/daemon .
+go run ./tools/doccheck ./internal/placer ./internal/metacompiler ./internal/runtime ./internal/daemon ./internal/experiments .
 
 echo "==> go build ./..."
 go build ./...
 
-# The paper's §5 has one renderer: lemur-bench -paper all must print the
-# golden TestPaperGolden holds it to, byte for byte, and an unknown section
-# must fail.
-echo "==> lemur-bench -paper all against paper.golden"
+# The evaluation has one renderer: lemur-bench -paper all must print the
+# golden TestPaperGolden holds it to, byte for byte, -paper beyond the one
+# TestBeyondGolden holds the sweeps beyond the paper to (serially too, with
+# three simulator shards), and an unknown section must fail.
+echo "==> lemur-bench -paper all/beyond against paper.golden/beyond.golden"
 go run ./cmd/lemur-bench -paper all | cmp - internal/experiments/testdata/paper.golden
+go run ./cmd/lemur-bench -paper beyond | cmp - internal/experiments/testdata/beyond.golden
+go run ./cmd/lemur-bench -paper beyond -parallel 1 -sim-workers 3 | cmp - internal/experiments/testdata/beyond.golden
 if go run ./cmd/lemur-bench -paper nosuch 2>/dev/null; then
   echo "ci: lemur-bench -paper nosuch exited 0" >&2
   exit 1
@@ -420,12 +423,14 @@ fuzz_smoke FuzzParseBlocks ./internal/nfspec
 echo "==> optimal placement cost guard"
 run_guard 'TestPlaceOptimalCostGuard' -count=1 .
 
-# The paper's evaluation: every §5 table and figure rendered by
+# The evaluation: every §5 table and figure rendered by
 # experiments.Runner.WritePaper to internal/experiments/testdata/paper.golden,
-# byte for byte, whole at Parallel 1 and section by section at 4; and
-# profiling refuses a run count below one (profile and Table 4).
-echo "==> paper golden, profiling run count"
-run_guard 'TestPaperGolden|TestTable4RejectsNonPositiveRuns' -count=1 ./internal/experiments
+# and the first six sweeps beyond the paper to beyond.golden, byte for byte,
+# whole at Parallel 1 and section by section at 4, with their wall-clock
+# lines apart from the golden; and profiling refuses a run count below one
+# (profile and Table 4).
+echo "==> paper and beyond goldens, profiling run count"
+run_guard 'TestPaperGolden|TestBeyondGolden|TestTable4RejectsNonPositiveRuns' -count=1 ./internal/experiments
 run_guard 'TestProfileRejectsNonPositiveRuns' -count=1 ./internal/profile
 
 # Benchmark smoke: one iteration of the candidate-evaluation

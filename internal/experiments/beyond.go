@@ -1,0 +1,227 @@
+package experiments
+
+import (
+	"fmt"
+	"math"
+	runtimepkg "runtime"
+	"strings"
+	"time"
+
+	"lemur/internal/hw"
+	"lemur/internal/placer"
+	"lemur/internal/runtime"
+)
+
+// The cores section's one measured point: a million concurrent flows and ten
+// million packets through chains {1,2,3,4}.
+const (
+	coresFlows   = 1_000_000
+	coresPackets = 10_000_000
+)
+
+// beyondSections lists WritePaper's sweeps beyond the paper in print order,
+// each at its shipped defaults. A line holds only what is the same at any
+// Parallel and SimWorkers; solve and scenario times, packet rates and
+// allocation counts go to the timing writer.
+func beyondSections() []paperSection {
+	return []paperSection{
+		{"deadline", "Deadline scheduling: EDF vs round-robin", func(r *Runner, d *paperDoc) error {
+			spec := DefaultLatencySpec
+			curves, err := r.LatencySweep(spec, DefaultLatencyPoints(1),
+				[]placer.Scheme{placer.SchemeLemur, placer.SchemeHWPreferred, placer.SchemeSWPreferred},
+				runtime.SimConfig{DurationSec: 1.0, Workers: r.SimWorkers})
+			if err != nil {
+				return err
+			}
+			d.line("tmin=%v dmax=%v", spec.TMinBps, spec.DMaxSec)
+			for _, cv := range curves {
+				if !cv.Feasible {
+					d.line("%s feasible=false reason=%q", cv.Scheme, cv.Reason)
+					continue
+				}
+				for _, c := range cv.Cells {
+					d.line("%s load=%v achieved_edf=%v achieved_rr=%v worst_p99_edf=%v worst_p99_rr=%v compliance_edf=%v compliance_rr=%v",
+						cv.Scheme, c.Point.LoadFactor, sum(c.EDF.AchievedBps), sum(c.RR.AchievedBps),
+						extreme(c.EDF.P99QueueDelaySec, 0, math.Max), extreme(c.RR.P99QueueDelaySec, 0, math.Max),
+						extreme(c.EDF.DeadlineCompliance, 1, math.Min), extreme(c.RR.DeadlineCompliance, 1, math.Min))
+				}
+			}
+			return nil
+		}},
+		{"sim", "Simulation sweep: chains [1 2 3], delta 0.5, load factor vs outcome", func(r *Runner, d *paperDoc) error {
+			cells, err := r.SimSweep([]int{1, 2, 3}, 0.5, DefaultSimPoints(1),
+				runtime.SimConfig{DurationSec: 0.5, Workers: r.SimWorkers})
+			if err != nil {
+				return err
+			}
+			for _, c := range cells {
+				var inj, egr int
+				for ci := range c.Sim.Injected {
+					inj += c.Sim.Injected[ci]
+					egr += c.Sim.Egressed[ci]
+				}
+				drop := 0.0
+				if inj > 0 {
+					drop = float64(inj-egr) / float64(inj)
+				}
+				d.line("load=%v offered=%v achieved=%v drop=%v worst_avg_delay=%v worst_p99_delay=%v",
+					c.Point.LoadFactor, sum(c.Sim.OfferedBps), sum(c.Sim.AchievedBps), drop,
+					extreme(c.Sim.AvgQueueDelaySec, 0, math.Max), extreme(c.Sim.P99QueueDelaySec, 0, math.Max))
+			}
+			return nil
+		}},
+		// Three servers, chains {1,2,3}; scale 50 keeps per-step cycle
+		// budgets above every chain's per-packet cost, so low-rate expensive
+		// chains make progress in the simulator.
+		{"failover", "Failover: chains [1 2 3], delta 0.5, k of 3 servers crashed", func(r *Runner, d *paperDoc) error {
+			topo := hw.NewPaperTestbed(hw.WithServers(3))
+			var servers []string
+			for _, s := range topo.Servers {
+				servers = append(servers, s.Name)
+			}
+			cells, err := r.on(topo).FailoverSweep([]int{1, 2, 3}, 0.5, DefaultFailoverPoints(servers, 1),
+				runtime.SimConfig{DurationSec: 0.25, Scale: 50, Workers: r.SimWorkers})
+			if err != nil {
+				return err
+			}
+			for _, c := range cells {
+				d.line("k=%d crashed=%v compliant=%d/%d", len(c.Point.Crash), c.Point.Crash, c.CompliantChains, c.TotalChains)
+				if fo := c.Sim.Failover; fo != nil {
+					drops := 0
+					for _, n := range fo.FaultDrops {
+						drops += n
+					}
+					d.line("  at=%v detection=%v reconfig=%v max_downtime=%v fault_drops=%d replace_error=%q rewire=%q",
+						c.Point.AtSec, fo.DetectionDelaySec, fo.ReconfigDelaySec, extreme(fo.DowntimeSec, 0, math.Max),
+						drops, fo.ReplaceError, fo.RewireSummary)
+				}
+			}
+			return nil
+		}},
+		{"churn", "Churn: admission capacity, incremental vs repack", func(r *Runner, d *paperDoc) error {
+			base, admits := []int{1, 2}, DefaultChurnAdmits(12)
+			steps, err := r.ChurnSweep(base, admits, 0.5, placer.SchemeLemur)
+			if err != nil {
+				return err
+			}
+			d.line("base=%v delta=0.5 headroom=%d admits=%v", base, churnHeadroom, admits)
+			for _, st := range steps {
+				d.line("step=%d base=%d admit=%s base_feasible=%v verdict=%s pinned=%d marginal=%v repack_ok=%v reason=%q",
+					st.Step, st.BaseChains, st.ChainName, st.BaseFeasible, st.Outcome, st.Pinned, st.MarginalBps,
+					st.FullFeasible, st.Reason)
+				d.wall("churn step=%d incremental=%v full_place=%v",
+					st.Step, time.Duration(st.IncrementalNs), time.Duration(st.FullPlaceNs))
+			}
+			d.line("capacity=%d", AdmittedCapacity(steps))
+			return nil
+		}},
+		{"reconcile", "lemurd reconcile convergence, fake clock", func(r *Runner, d *paperDoc) error {
+			pts, err := ReconcileSweep(r.Parallel)
+			if err != nil {
+				return err
+			}
+			d.line("interval=%v", reconcileInterval.Seconds())
+			for _, p := range pts {
+				d.line("%s base=%d ops=%d ticks=%d converged=%v converge=%v pinned=%d reconciles=%d applies=%d backoff=%d rejected=%d",
+					p.Scenario, p.BaseChains, p.Ops, p.Ticks, p.Converged, p.ConvergeSimSec, p.PinnedSubgroups,
+					p.Reconciles, p.Applies, p.BackoffRetries, p.RejectedSpecs)
+				d.wall("reconcile %s wall=%v", p.Scenario, time.Duration(p.WallNs))
+			}
+			return nil
+		}},
+		// Placement only, with a budget the search never reaches: the sweep
+		// measures pruning, not budgets.
+		{"place-scale", "Placement scale: fleet size x chain set, all schemes, delta 0.5", func(r *Runner, d *paperDoc) error {
+			rs := r.on(r.Topo)
+			rs.SkipMeasure = true
+			rs.BruteForceBudget = 1 << 30
+			cells, err := rs.PlaceScaleSweep(DefaultPlaceScalePoints(), placer.Schemes())
+			if err != nil {
+				return err
+			}
+			for _, c := range cells {
+				d.line("servers=%d chains=%v", c.Point.Servers, c.Point.Chains)
+				solve := make([]string, len(c.Schemes))
+				for i, s := range c.Schemes {
+					solve[i] = fmt.Sprintf("%s=%v", s.Scheme, time.Duration(s.PlaceNs))
+					if s.Scheme != string(placer.SchemeOptimal) {
+						d.line("  %s feasible=%v aggregate_gbps=%v", s.Scheme, s.Feasible, s.AggregateGbps)
+						continue
+					}
+					visited := s.Evaluated + s.BindRejected
+					d.line("  %s feasible=%v aggregate_gbps=%v combinations=%v visited=%d pruned=%d collapsed=%d speedup=%v",
+						s.Scheme, s.Feasible, s.AggregateGbps, s.Combinations, visited,
+						s.PrunedSubtrees+s.DemandPruned, s.CollapsedSubtrees, s.Combinations/float64(visited))
+				}
+				d.wall("place-scale servers=%d chains=%v solve %s", c.Point.Servers, c.Point.Chains, strings.Join(solve, " "))
+			}
+			return nil
+		}},
+		// Stateful NFs pinned to servers; 1k to 1M concurrent flows. The
+		// sweep's allocations per packet are measured only when its cells
+		// run serially.
+		{"scale", "Flow scale: chains [1 2 3 4], delta 0.5, flow count vs state pressure", func(r *Runner, d *paperDoc) error {
+			var before, after runtimepkg.MemStats
+			runtimepkg.ReadMemStats(&before)
+			cells, err := r.ScaleSweep([]int{1, 2, 3, 4}, 0.5, DefaultScalePoints(11), runtime.SimConfig{Workers: r.SimWorkers})
+			runtimepkg.ReadMemStats(&after)
+			if err != nil {
+				return err
+			}
+			packets := 0
+			for _, c := range cells {
+				nat, exhausted, evicted := 0, uint64(0), uint64(0)
+				for _, st := range c.NFState {
+					if st.Class == "NAT" {
+						nat += st.Entries
+					}
+					exhausted += st.Exhausted
+					evicted += st.Evicted
+				}
+				d.line("flows=%d packets=%d duration=%v drop=%v worst_avg_delay=%v worst_p99_delay=%v nat_entries=%d exhausted=%d evictions=%d",
+					c.Point.Flows, c.Packets, c.DurationSec, c.DropRate, c.AvgDelaySec, c.P99DelaySec, nat, exhausted, evicted)
+				d.wall("scale flows=%d pkts_per_s=%.0f", c.Point.Flows, float64(c.Packets)/time.Duration(c.WallNs).Seconds())
+				packets += c.Packets
+			}
+			if r.Parallel == 1 && packets > 0 {
+				d.wall("scale allocs_per_pkt=%.3f", float64(after.Mallocs-before.Mallocs)/float64(packets))
+			}
+			return nil
+		}},
+		// One point rerun at each worker count, sequentially, on an
+		// eight-server rack; CoresSweep fails unless every run's SimResult is
+		// the serial run's byte for byte.
+		{"cores", "Cores: chains [1 2 3 4], delta 0.5, one run per simulator worker count", func(r *Runner, d *paperDoc) error {
+			cells, err := r.on(hw.NewPaperTestbed(hw.WithServers(8))).CoresSweep([]int{1, 2, 3, 4}, 0.5,
+				coresFlows, coresPackets, DefaultCoresCounts(), runtime.SimConfig{})
+			if err != nil {
+				return err
+			}
+			d.line("flows=%d", coresFlows)
+			for _, c := range cells {
+				d.line("workers=%d packets=%d", c.Workers, c.Packets)
+				d.wall("cores workers=%d wall=%v pkts_per_s=%.0f speedup=%.2f allocs_per_pkt=%.3f",
+					c.Workers, time.Duration(c.WallNs), c.PktsPerSec, c.Speedup, c.AllocsPerPkt)
+			}
+			return nil
+		}},
+	}
+}
+
+// sum totals per-chain values.
+func sum(vs []float64) float64 {
+	s := 0.0
+	for _, v := range vs {
+		s += v
+	}
+	return s
+}
+
+// extreme is the worst of per-chain values by pick, starting from v0:
+// math.Max from 0 for delays, math.Min from 1 for deadline compliance.
+func extreme(vs []float64, v0 float64, pick func(a, b float64) float64) float64 {
+	for _, v := range vs {
+		v0 = pick(v0, v)
+	}
+	return v0
+}

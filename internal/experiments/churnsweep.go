@@ -48,6 +48,12 @@ type ChurnStep struct {
 	FullFeasible bool
 }
 
+// churnHeadroom is the per-server worker-core reserve the churn sweep places
+// its base systems with (placer.Input.HeadroomCores): an offline placement
+// spends every core on marginal throughput, which leaves nothing for
+// newcomers.
+const churnHeadroom = 4
+
 // ChurnSweep measures admission capacity: starting from the base canonical
 // chains at δ, it admits the given chains one at a time and reports each
 // step's verdict. Step k admits its chain onto a freshly placed system of
@@ -102,7 +108,7 @@ func (r *Runner) churnStep(full *placer.Input, nBase, chainIdx int, scheme place
 	prefix := func(n int) *placer.Input {
 		in := *full
 		in.Chains = full.Chains[:n:n]
-		in.HeadroomCores = r.Headroom
+		in.HeadroomCores = churnHeadroom
 		return &in
 	}
 	prev, err := placer.Place(scheme, prefix(nBase))

@@ -30,7 +30,6 @@ func TestChurnSweepParallelIdentical(t *testing.T) {
 	run := func(workers int) []byte {
 		r := NewRunner(hw.NewPaperTestbed(hw.WithServers(2)))
 		r.Parallel = workers
-		r.Headroom = 4
 		steps, err := r.ChurnSweep([]int{1, 4}, admits, 0.5, placer.SchemeLemur)
 		if err != nil {
 			t.Fatal(err)
@@ -55,7 +54,6 @@ func TestChurnSweepParallelIdentical(t *testing.T) {
 // carries a verdict, and AdmittedCapacity counts exactly that prefix.
 func TestChurnSweepCapacityArc(t *testing.T) {
 	r := NewRunner(hw.NewPaperTestbed())
-	r.Headroom = 4
 	steps, err := r.ChurnSweep([]int{1, 4}, DefaultChurnAdmits(8), 0.5, placer.SchemeLemur)
 	if err != nil {
 		t.Fatal(err)

@@ -116,5 +116,5 @@ func (r *Runner) CoresSweep(chainIdxs []int, delta float64, flows, targetPackets
 	return cells, nil
 }
 
-// DefaultCoresCounts is lemur-bench -cores's worker axis.
+// DefaultCoresCounts is the cores section's worker axis.
 func DefaultCoresCounts() []int { return []int{1, 2, 4, 8} }

@@ -9,13 +9,11 @@ import (
 )
 
 // FailoverPoint is one cell of a fault-injection sweep: crash the named
-// servers at AtSec under a fixed seed, offering LoadFactor × the placed
-// rates (0 means 1.0).
+// servers at AtSec under a fixed seed, offering the placed rates.
 type FailoverPoint struct {
-	Crash      []string
-	AtSec      float64
-	LoadFactor float64
-	Seed       int64
+	Crash []string
+	AtSec float64
+	Seed  int64
 }
 
 // FailoverCell is one point's outcome: the full simulation result plus the
@@ -65,30 +63,20 @@ func (r *Runner) FailoverSweep(chainIdxs []int, delta float64, points []Failover
 }
 
 func (r *Runner) failoverCell(in *placer.Input, res *placer.Result, pt FailoverPoint, cfg runtime.SimConfig) (FailoverCell, error) {
-	load := pt.LoadFactor
-	if load <= 0 {
-		load = 1
-	}
-
 	pcfg := cfg
 	pcfg.Seed = pt.Seed
+	pcfg.Faults = nil
 	if len(pt.Crash) > 0 {
-		// cfg.Faults acts as a delay template for the sweep: its events (if
-		// any) are replaced by the point's crash schedule.
+		// The plan's delays stay zero: the default detection and reconfig
+		// delays apply, and SimResult.Failover reports them.
 		plan := &chaos.Plan{}
-		if cfg.Faults != nil {
-			plan.DetectionDelaySec = cfg.Faults.DetectionDelaySec
-			plan.ReconfigDelaySec = cfg.Faults.ReconfigDelaySec
-		}
 		for _, target := range pt.Crash {
 			plan.Events = append(plan.Events, chaos.Event{Kind: chaos.Crash, Target: target, AtSec: pt.AtSec})
 		}
 		pcfg.Faults = plan
-	} else {
-		pcfg.Faults = nil
 	}
 
-	sim, err := r.simulate(in, res, load, pcfg)
+	sim, err := r.simulate(in, res, 1, pcfg)
 	if err != nil {
 		return FailoverCell{}, err
 	}

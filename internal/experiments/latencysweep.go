@@ -98,7 +98,7 @@ type LatencySpec struct {
 	DMaxSec float64
 }
 
-// DefaultLatencySpec is lemur-bench -deadline's sweep configuration. The t_min
+// DefaultLatencySpec is the deadline section's sweep configuration. The t_min
 // leaves NIC headroom for the nine server↔switch bounces; SW-Preferred's
 // whole-chain server placement caps out near 2 Gbps for this chain, so its
 // curve records an explicit infeasibility instead — the paper's

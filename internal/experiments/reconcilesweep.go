@@ -23,7 +23,7 @@ type ReconcilePoint struct {
 
 	// Ticks counts reconcile passes from the operation to convergence;
 	// ConvergeSimSec is the fake-clock latency over those passes (the
-	// level-triggered loop's convergence time at the configured interval,
+	// level-triggered loop's convergence time at reconcileInterval,
 	// including backoff pacing).
 	Ticks          int
 	ConvergeSimSec float64
@@ -53,21 +53,21 @@ func ReconcileScenarios() []string {
 	}
 }
 
+// reconcileInterval is the reconcile period of the sweep's daemons.
+const reconcileInterval = 100 * time.Millisecond
+
 // ReconcileSweep runs every reconcile scenario against its own in-process
-// daemon on a fake clock and reports the convergence table. Scenarios are
-// independent cells run concurrently bounded by parallel (<=0 =
-// GOMAXPROCS) with results stored by scenario index: the output is
-// byte-identical at any worker count except the WallNs fields. interval is
-// the daemons' reconcile period and must be positive.
-func ReconcileSweep(interval time.Duration, parallel int) ([]ReconcilePoint, error) {
-	if interval <= 0 {
-		return nil, fmt.Errorf("experiments: reconcile interval must be positive, got %v", interval)
-	}
+// daemon on a fake clock, reconciling every reconcileInterval, and reports
+// the convergence table. Scenarios are independent cells run concurrently
+// bounded by parallel (<=0 = GOMAXPROCS) with results stored by scenario
+// index: the output is byte-identical at any worker count except the WallNs
+// fields.
+func ReconcileSweep(parallel int) ([]ReconcilePoint, error) {
 	scenarios := ReconcileScenarios()
 	points := make([]ReconcilePoint, len(scenarios))
 	err := forEach(len(scenarios), parallel, func(i int) error {
 		start := time.Now()
-		pt, err := runReconcileScenario(scenarios[i], interval)
+		pt, err := runReconcileScenario(scenarios[i])
 		if err != nil {
 			return fmt.Errorf("experiments: reconcile scenario %s: %w", scenarios[i], err)
 		}
@@ -110,9 +110,9 @@ func reconcileSpec(chains ...string) []byte {
 }
 
 // runReconcileScenario drives one scripted scenario to convergence.
-func runReconcileScenario(name string, interval time.Duration) (ReconcilePoint, error) {
+func runReconcileScenario(name string) (ReconcilePoint, error) {
 	clk := daemon.NewFakeClock(time.Unix(0, 0))
-	d, err := daemon.New(daemon.Config{Interval: interval, Clock: clk})
+	d, err := daemon.New(daemon.Config{Interval: reconcileInterval, Clock: clk})
 	if err != nil {
 		return ReconcilePoint{Scenario: name}, err
 	}
@@ -164,7 +164,7 @@ func runReconcileScenario(name string, interval time.Duration) (ReconcilePoint, 
 		// Advance to the loop's next attempt: one interval, or the backoff
 		// deadline when it is later (the run loop keeps ticking during
 		// backoff; the gate just skips the apply).
-		next := clk.Now().Add(interval)
+		next := clk.Now().Add(reconcileInterval)
 		if last != nil && last.BackoffUntil.After(next) {
 			next = last.BackoffUntil.Add(time.Millisecond)
 		}

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"math"
 	"testing"
-	"time"
 )
 
 // TestReconcileSweepDeterministic: the convergence table is byte-identical
@@ -13,7 +12,7 @@ import (
 func TestReconcileSweepDeterministic(t *testing.T) {
 	render := func(parallel int) string {
 		t.Helper()
-		pts, err := ReconcileSweep(100*time.Millisecond, parallel)
+		pts, err := ReconcileSweep(parallel)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,8 +45,7 @@ func TestReconcileSweepDeterministic(t *testing.T) {
 // in the infeasible scenario, and convergence latency is a whole number of
 // intervals.
 func TestReconcileSweepSemantics(t *testing.T) {
-	interval := 100 * time.Millisecond
-	pts, err := ReconcileSweep(interval, 0)
+	pts, err := ReconcileSweep(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,21 +68,12 @@ func TestReconcileSweepSemantics(t *testing.T) {
 		if p.Ticks != 1 {
 			t.Fatalf("%s: steady-state op should converge in one tick, got %+v", name, p)
 		}
-		ivl := interval.Seconds()
+		ivl := reconcileInterval.Seconds()
 		if r := p.ConvergeSimSec / ivl; math.Abs(r-math.Round(r)) > 1e-9 {
 			t.Fatalf("%s: converge_sim_sec %v is not a whole number of intervals", name, p.ConvergeSimSec)
 		}
 	}
 	if p := byName["admit-1"]; p.PinnedSubgroups == 0 {
 		t.Fatalf("admit-1: incremental admission should pin existing subgroups, got %+v", p)
-	}
-}
-
-func TestReconcileSweepRejectsBadInterval(t *testing.T) {
-	if _, err := ReconcileSweep(0, 1); err == nil {
-		t.Fatal("interval 0 accepted")
-	}
-	if _, err := ReconcileSweep(-time.Second, 1); err == nil {
-		t.Fatal("negative interval accepted")
 	}
 }

@@ -38,10 +38,10 @@ type Runner struct {
 	// deterministically).
 	Parallel int
 
-	// Headroom is the per-server worker-core reserve the churn sweep places
-	// its base systems with (placer.Input.HeadroomCores), so incremental
-	// admissions have budget. Other experiments ignore it.
-	Headroom int
+	// SimWorkers is runtime.SimConfig.Workers for the simulations of
+	// WritePaper's deadline, sim, failover and scale sections. Their output
+	// is the same at any value; 0 and 1 run one shard.
+	SimWorkers int
 }
 
 // Every experiment costs NFs by the registry's worst-case models

@@ -60,7 +60,7 @@ type ScaleCell struct {
 	WallNs int64
 }
 
-// DefaultScalePoints is lemur-bench -scale's curve: 1k, 10k, 100k and 1M flows,
+// DefaultScalePoints is the scale section's curve: 1k, 10k, 100k and 1M flows,
 // with enough packets at the top point to churn every table past its cap.
 func DefaultScalePoints(base int64) []ScalePoint {
 	return []ScalePoint{

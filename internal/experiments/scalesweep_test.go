@@ -9,7 +9,7 @@ import (
 )
 
 // smallScalePoints keeps the unit-test sweep to tens of thousands of
-// packets; the multi-million-point curve is lemur-bench -scale's job.
+// packets; the multi-million-point curve is lemur-bench -paper scale's job.
 func smallScalePoints() []ScalePoint {
 	return []ScalePoint{
 		{Flows: 1_000, TargetPackets: 30_000, Seed: 9},
