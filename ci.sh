@@ -187,9 +187,12 @@ run_guard 'TestForEach|TestFailoverSweepErrorDeterministic' -race -count=1 ./int
 # by NF, and through the whole simulator over 50+ random stateful topologies.
 # A table allocates what it holds: filling one to its cap costs at most 1.35x
 # its final arena and slot index (the arena's segments are never copied),
-# and evict-then-insert at the cap nothing.
-echo "==> sharded/reference NF table identity, table allocation bound (race)"
-run_guard 'TestShardedMatchesReference|TestShardedTablesMatchReference|TestFlowTableAllocBound' -race -count=1 ./internal/nf
+# and evict-then-insert at the cap nothing. An entry is its value and key,
+# no stored hash (8, 20, 8 and 48 B for Dedup, LB, NAT and Monitor), and
+# Dedup's slot IDs, derived from a fingerprint's age in the ring, equal the
+# reference's across the uint32 wrap.
+echo "==> sharded/reference NF table identity, table allocation bound and entry layout (race)"
+run_guard 'TestShardedMatchesReference|TestShardedTablesMatchReference|TestFlowTableAllocBound|TestFlowTableEntryLayout|TestDedupCacheWraparound' -race -count=1 ./internal/nf
 
 # The ACL holds its synthetic /24 allows as a count: its verdicts and
 # NumRules must be the materialised rule list's (reference_test.go) at counts
@@ -219,9 +222,11 @@ fuzz_smoke FuzzFlowSchedule ./internal/trafficgen
 # taken before Schedule lost its hash and birth-time arenas, BornAt is bit
 # for bit the birth time it used to store, and a negative flow count or
 # arrival rate, or a churn pool below one flow, is an error, not a panic or a
-# loop without end.
-echo "==> flow-schedule shape (emitted-frame digest, BornAt, rejected configs)"
-run_guard 'TestScheduleGenDigest|TestBornAtMatchesStored|TestScheduleIntoRejects' -count=1 ./internal/trafficgen
+# loop without end. A generator rebuilt by NewInto (Verify's one per walk)
+# emits a fresh New's frames byte for byte, and a rejected config leaves it
+# as it was.
+echo "==> flow-schedule shape (emitted-frame digest, BornAt, rejected configs, reused generator)"
+run_guard 'TestScheduleGenDigest|TestBornAtMatchesStored|TestScheduleIntoRejects|TestNewIntoMatchesNew' -count=1 ./internal/trafficgen
 # FuzzVLANInPlace: the in-place VLAN push/pop against the allocating
 # reference kept in the test file, on arbitrary frames and capacities.
 fuzz_smoke FuzzVLANInPlace ./internal/nf
@@ -458,13 +463,16 @@ go test -run '^$' -bench 'BenchmarkEvaluateCandidate' -benchtime 1x -benchmem ./
 # chain prep copied and an evaluation scratch built per placer call 124 K,
 # a whole-document parse and a full artifact render per op on top of them
 # 295 K, and a rate LP with a column per slot ever admitted 508 K). Heap
-# bytes per cell on ctl_place_fleet are held below 265000 (239 K measured; a
-# text render per Compile is 288 K, an evaluation scratch per candidate
-# slot, warmed per variant, 376 K, and on top of it a flow-table arena that
-# doubles and copies, an ACL that materialises its 1 024 synthetic rules and
-# a P4 render that clones each library program 474 K), and heap bytes per
-# packet on sim_failover_steps below 50 (42.4 measured; the raw delay
-# samples are 63.2, with the doubling arena 79.7).
+# bytes per cell on ctl_place_fleet are held below 225000 (201 K measured; a
+# hash stored per flow-table entry and a generator built per verified chain
+# are 239 K, a text render per Compile 288 K, an evaluation scratch per
+# candidate slot, warmed per variant, 376 K, and on top of it a flow-table
+# arena that doubles and copies, an ACL that materialises its 1 024
+# synthetic rules and a P4 render that clones each library program 474 K),
+# heap bytes per packet on sim_failover_steps below 38 (33.8 measured; a
+# hash stored per flow-table entry is 42.4, the raw delay samples 63.2, with
+# the doubling arena 79.7), and on sim_stateful_churn below 290 (268.8
+# measured; a hash stored per flow-table entry is 304.8).
 # counted_below WORKLOAD METRIC LIMIT HINT LAST: the metric in a run's JSON
 # result line must be present and below LIMIT.
 counted_below() {
@@ -500,10 +508,11 @@ for w in $workloads; do
       counted_below "$w" alloc_bytes_per_work 2 'delay samples per packet, a key-space dispatch table or QueueCap rings up front again?' "$last"
       ;;
     sim_stateful_hit) counted_below "$w" alloc_bytes_per_work 6 'a warm run rebuilding its flow schedules or frame buffers, or raw delay samples again?' "$last" ;;
-    sim_failover_steps) counted_below "$w" alloc_bytes_per_work 50 'a flow-table arena that copies itself to grow, or raw delay samples again?' "$last" ;;
+    sim_stateful_churn) counted_below "$w" alloc_bytes_per_work 290 'a hash stored per table entry again?' "$last" ;;
+    sim_failover_steps) counted_below "$w" alloc_bytes_per_work 38 'a hash stored per table entry again, a flow-table arena that copies itself to grow, or raw delay samples?' "$last" ;;
     ctl_place_fleet)
       counted_below "$w" allocs_per_work 1600 'a scratch per candidate slot, or per-candidate dependency lists back on the heap?' "$last"
-      counted_below "$w" alloc_bytes_per_work 265000 'a text render per Compile/Apply again?' "$last"
+      counted_below "$w" alloc_bytes_per_work 225000 'a hash stored per table entry or a generator per verified chain again, or a text render per Compile/Apply?' "$last"
       ;;
     ctl_reconcile) counted_below "$w" alloc_bytes_per_work 65000 'a text render per Compile/Apply again?' "$last" ;;
   esac

@@ -13,11 +13,14 @@ import (
 // byte count is therefore smaller than its ingress count for redundant
 // traffic — the data-dependent behaviour §5.2 calls out.
 //
-// The fingerprint cache is a sharded flowTable keyed by the mix64-finalized
-// fingerprint. A full cache evicts its oldest fingerprint FIFO-style, so at
+// The fingerprint cache is a sharded flowTable of bare fingerprints, hashed
+// by mix64. A full cache evicts its oldest fingerprint FIFO-style, so at
 // high flow counts the cache keeps rotating (slot IDs wrap around the uint32
 // space) instead of freezing on whatever fingerprints arrived first — the
-// graceful-degradation behaviour the million-flow sweep measures.
+// graceful-degradation behaviour the million-flow sweep measures. Slot IDs
+// are handed out in insertion order and the table's ring holds its entries
+// in insertion order, so a cached fingerprint's ID is not stored: it is
+// nextID − count + its age in the ring.
 //
 // The simulated frame keeps its allocation; the compressed length is exposed
 // via CompressedLen metadata accounting so the runtime can model the reduced
@@ -25,8 +28,8 @@ import (
 type Dedup struct {
 	base
 	chunk   int
-	cache   *flowTable[uint64, uint32] // fingerprint -> cache slot
-	nextID  uint32
+	cache   *flowTable[uint64, struct{}] // fingerprints, oldest first
+	nextID  uint32                       // the next fingerprint's slot ID
 	maxSize int
 	so      stateObs
 
@@ -60,7 +63,7 @@ func NewDedup(name string, params Params) (NF, error) {
 	return &Dedup{
 		base:    base{name: name, class: "Dedup"},
 		chunk:   chunk,
-		cache:   newFlowTable[uint64, uint32](maxSize, true),
+		cache:   newFlowTable[uint64, struct{}](maxSize, true, mix64),
 		maxSize: maxSize,
 		so:      newStateObs("Dedup", name),
 	}, nil
@@ -73,12 +76,12 @@ func (d *Dedup) Process(p *packet.Packet, _ *Env) {
 	out := 0
 	for off := 0; off+d.chunk <= len(pay); off += d.chunk {
 		fp := fingerprint(pay[off : off+d.chunk])
-		h := mix64(fp)
-		if slot := d.cache.get(h, fp); slot != nil {
+		if pos := d.cache.lookup(fp); pos != flowSlotEmpty {
 			// Redundant chunk: emit an 8-byte shim in place. The remaining
 			// chunk bytes are zeroed to mirror removal.
+			slot := d.nextID - uint32(d.cache.count()) + uint32(d.cache.age(pos))
 			binary.BigEndian.PutUint32(pay[off:], 0xDED0DED0)
-			binary.BigEndian.PutUint32(pay[off+4:], *slot)
+			binary.BigEndian.PutUint32(pay[off+4:], slot)
 			for i := off + dedupShim; i < off+d.chunk; i++ {
 				pay[i] = 0
 			}
@@ -91,7 +94,7 @@ func (d *Dedup) Process(p *packet.Packet, _ *Env) {
 				d.Evicted++
 				d.so.evicted.Inc()
 			}
-			*d.cache.insert(h, fp) = d.nextID
+			d.cache.insert(fp)
 			d.nextID++
 		}
 		out += d.chunk

@@ -11,21 +11,27 @@ import (
 // millions of concurrent flows those maps collapse under GC pressure (every
 // entry is a separately scanned object) and rehash pauses. flowTable is the
 // replacement: one flat entry arena per table, indexed by a power-of-two
-// sharded open-addressing slot array, keyed by a caller-precomputed 64-bit
-// flow hash.
+// sharded open-addressing slot array. The table owns its hash function
+// (mix64, natHash or packet.FiveTuple.Hash), so an entry is only its value
+// and key: 8 B for Dedup (a bare fingerprint), 20 B for LB, 8 B for NAT and
+// 48 B for Monitor.
 //
 //   - The arena is the FIFO: entries live in a ring in insertion order
-//     (position (head+i) % size holds the i-th oldest). insert writes at the
-//     tail and evictOldest pops the head; the NFs never delete any other
-//     entry (NAT never deletes at all), so no freelist and no second copy of
-//     the keys is needed to know eviction order. Tables capped by an NF
-//     parameter (Monitor max_flows, Dedup cache, LB affinity) therefore evict
-//     the oldest live entry, as the map-backed references (reference_test.go)
-//     do — which is what keeps the two byte-identical under pressure.
+//     (position (head+i) % size holds the i-th oldest, its age i). insert
+//     writes at the tail and evictOldest pops the head; the NFs never delete
+//     any other entry (NAT never deletes at all), so no freelist and no
+//     second copy of the keys is needed to know eviction order. Tables
+//     capped by an NF parameter (Monitor max_flows, Dedup cache, LB
+//     affinity) therefore evict the oldest live entry, as the map-backed
+//     references (reference_test.go) do — which is what keeps the two
+//     byte-identical under pressure. Dedup stores no slot ID: it hands IDs
+//     out in insertion order, so an entry's ID follows from its age.
 //   - Sharded index: the hash's top bits pick one of 16 shards, each a slot
 //     array of arena positions probed linearly from the hash's low bits.
 //     Shards grow independently (bounded rehash pauses); eviction
-//     backward-shifts the probe cluster so no tombstones accumulate.
+//     backward-shifts the probe cluster so no tombstones accumulate. No
+//     entry stores its hash: a lookup compares keys, and growShard and the
+//     backward shift rehash the few keys they move.
 //   - Segmented arena: segment 0 holds positions [0, 16) and segment k ≥ 1
 //     holds [16·2^(k-1), 16·2^k), the last one cut at the cap. A position
 //     finds its segment with one bits.Len. Growth allocates the next segment
@@ -62,11 +68,11 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// tabEntry is one arena-resident key/value pair.
+// tabEntry is one arena-resident key/value pair, value first so that a
+// zero-size value (Dedup's) adds no trailing padding.
 type tabEntry[K comparable, V any] struct {
-	hash uint64
-	key  K
-	val  V
+	val V
+	key K
 }
 
 // tabShard is one shard's open-addressing index into the table's arena.
@@ -86,14 +92,15 @@ type flowTable[K comparable, V any] struct {
 	n      int
 	max    int
 	evict  bool
+	hash   func(K) uint64
 	shards [flowShardCount]tabShard
 }
 
-// newFlowTable builds a table capped at max entries (≤ 0 = unbounded). Only
-// a table built with evict set gives up entries to evictOldest; callers that
-// reject instead (NAT) never lose one.
-func newFlowTable[K comparable, V any](max int, evict bool) *flowTable[K, V] {
-	return &flowTable[K, V]{max: max, evict: evict}
+// newFlowTable builds a table capped at max entries (≤ 0 = unbounded) over
+// the given key hash. Only a table built with evict set gives up entries to
+// evictOldest; callers that reject instead (NAT) never lose one.
+func newFlowTable[K comparable, V any](max int, evict bool, hash func(K) uint64) *flowTable[K, V] {
+	return &flowTable[K, V]{max: max, evict: evict, hash: hash}
 }
 
 func (t *flowTable[K, V]) count() int { return t.n }
@@ -111,25 +118,42 @@ func (t *flowTable[K, V]) at(i int32) *tabEntry[K, V] {
 // full reports whether the table is at its entry cap.
 func (t *flowTable[K, V]) full() bool { return t.max > 0 && t.n >= t.max }
 
-func (t *flowTable[K, V]) get(h uint64, k K) *V {
+// lookup returns k's arena position, or flowSlotEmpty when k is absent.
+func (t *flowTable[K, V]) lookup(k K) int32 {
+	h := t.hash(k)
 	s := &t.shards[h>>flowShardShift]
 	if s.n == 0 {
-		return nil
+		return flowSlotEmpty
 	}
 	for i := h & s.mask; ; i = (i + 1) & s.mask {
-		ei := s.slots[i]
-		if ei == flowSlotEmpty {
-			return nil
-		}
-		if e := t.at(ei); e.hash == h && e.key == k {
-			return &e.val
+		if ei := s.slots[i]; ei == flowSlotEmpty || t.at(ei).key == k {
+			return ei
 		}
 	}
 }
 
+// get returns k's value slot, or nil when k is absent. The pointer is valid
+// until the next insert/evict on the same table.
+func (t *flowTable[K, V]) get(k K) *V {
+	if ei := t.lookup(k); ei != flowSlotEmpty {
+		return &t.at(ei).val
+	}
+	return nil
+}
+
+// age returns how many live entries are older than the one at arena
+// position i: its distance from the ring's head.
+func (t *flowTable[K, V]) age(i int32) int {
+	a := int(i) - t.head
+	if a < 0 {
+		a += t.size
+	}
+	return a
+}
+
 // insert adds an absent key at the ring's tail and returns its zero-valued
 // slot. The pointer is valid until the next insert/evict on the same table.
-func (t *flowTable[K, V]) insert(h uint64, k K) *V {
+func (t *flowTable[K, V]) insert(k K) *V {
 	if t.n == t.size {
 		t.grow()
 	}
@@ -139,7 +163,8 @@ func (t *flowTable[K, V]) insert(h uint64, k K) *V {
 	}
 	t.n++
 	e := t.at(int32(ei))
-	*e = tabEntry[K, V]{hash: h, key: k}
+	*e = tabEntry[K, V]{key: k}
+	h := t.hash(k)
 	s := &t.shards[h>>flowShardShift]
 	// Load factor 3/4: grow the index before the probe chains degrade.
 	if (s.n+1)*4 > len(s.slots)*3 {
@@ -168,7 +193,7 @@ func (t *flowTable[K, V]) growShard(s *tabShard) {
 	s.mask = uint64(len(s.slots) - 1)
 	for _, ei := range old {
 		if ei != flowSlotEmpty {
-			t.place(s, t.at(ei).hash, ei)
+			t.place(s, t.hash(t.at(ei).key), ei)
 		}
 	}
 }
@@ -228,8 +253,9 @@ func (t *flowTable[K, V]) evictOldest() (K, bool) {
 	}
 	e := t.at(int32(t.head))
 	k := e.key
-	s := &t.shards[e.hash>>flowShardShift]
-	i := e.hash & s.mask
+	h := t.hash(k)
+	s := &t.shards[h>>flowShardShift]
+	i := h & s.mask
 	for s.slots[i] != int32(t.head) {
 		i = (i + 1) & s.mask
 	}
@@ -237,7 +263,7 @@ func (t *flowTable[K, V]) evictOldest() (K, bool) {
 	// hole if its ideal slot lies at or before the hole (cyclically), so
 	// lookups never cross tombstones.
 	for j := (i + 1) & s.mask; s.slots[j] != flowSlotEmpty; j = (j + 1) & s.mask {
-		ideal := t.at(s.slots[j]).hash & s.mask
+		ideal := t.hash(t.at(s.slots[j]).key) & s.mask
 		if (j-ideal)&s.mask >= (j-i)&s.mask {
 			s.slots[i] = s.slots[j]
 			i = j

@@ -1,6 +1,7 @@
 package nf
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -11,7 +12,7 @@ import (
 
 // badHash maps keys onto 4 shards and 8 slot residues so probe chains get
 // deep and evictions exercise the backward-shift path. It is a valid (if
-// terrible) hash: deterministic per key.
+// terrible) hash: deterministic per key. The oracle hands it to the table.
 func badHash(k uint64) uint64 {
 	return (k%4)<<flowShardShift | (k % 8)
 }
@@ -30,7 +31,7 @@ type tableOracle struct {
 }
 
 func newTableOracle(t testing.TB, max int) *tableOracle {
-	return &tableOracle{t: t, tab: newFlowTable[uint64, uint64](max, true), vals: map[uint64]uint64{}}
+	return &tableOracle{t: t, tab: newFlowTable[uint64, uint64](max, true, badHash), vals: map[uint64]uint64{}}
 }
 
 // insert adds k (a no-op but a lookup when k is live).
@@ -45,14 +46,14 @@ func (o *tableOracle) insert(k, v uint64) {
 	if o.tab.n == o.tab.size && o.tab.head != 0 {
 		o.wrappedGrows++
 	}
-	*o.tab.insert(badHash(k), k) = v
+	*o.tab.insert(k) = v
 	o.vals[k] = v
 	o.queue = append(o.queue, k)
 	o.checkCount()
 }
 
 func (o *tableOracle) get(k uint64) {
-	got := o.tab.get(badHash(k), k)
+	got := o.tab.get(k)
 	want, live := o.vals[k]
 	if live != (got != nil) {
 		o.t.Fatalf("get(%d) present=%v, oracle=%v", k, got != nil, live)
@@ -173,19 +174,20 @@ func FuzzFlowTable(f *testing.F) {
 	})
 }
 
-// TestFlowTableAllocBound holds the arena to what it holds. Filling a
-// Dedup-shaped table to its cap allocates at most 1.35× its final arena plus
-// slot index: the arena's segments are allocated once each and never copied
-// (doubling and copying a flat arena was 2.0×), so only the shards' slot
-// arrays, which open addressing needs contiguous, still double. Steady-state
-// evict-then-insert cycles at the cap allocate nothing.
+// TestFlowTableAllocBound holds the arena to what it holds. Filling a table
+// of 16-B entries (a uint64 key, a uint32 value) to its cap allocates at
+// most 1.35× its final arena plus slot index: the arena's segments are
+// allocated once each and never copied (doubling and copying a flat arena
+// was 2.0×), so only the shards' slot arrays, which open addressing needs
+// contiguous, still double. Steady-state evict-then-insert cycles at the cap
+// allocate nothing.
 func TestFlowTableAllocBound(t *testing.T) {
 	const tableCap = 65536
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	tab := newFlowTable[uint64, uint32](tableCap, true)
+	tab := newFlowTable[uint64, uint32](tableCap, true, mix64)
 	for k := uint64(0); k < tableCap; k++ {
-		*tab.insert(mix64(k), k) = uint32(k)
+		*tab.insert(k) = uint32(k)
 	}
 	runtime.ReadMemStats(&after)
 	allocated := after.TotalAlloc - before.TotalAlloc
@@ -207,7 +209,7 @@ func TestFlowTableAllocBound(t *testing.T) {
 	next := uint64(tableCap)
 	allocs := testing.AllocsPerRun(10000, func() {
 		tab.evictOldest()
-		*tab.insert(mix64(next), next) = uint32(next)
+		*tab.insert(next) = uint32(next)
 		next++
 	})
 	if allocs != 0 {
@@ -215,15 +217,40 @@ func TestFlowTableAllocBound(t *testing.T) {
 	}
 }
 
+// TestFlowTableEntryLayout pins the arena entry of each stateful NF's table:
+// its value and key and nothing else, value first so that Dedup's zero-size
+// value adds no padding. A stored hash or a field reorder fails here.
+func TestFlowTableEntryLayout(t *testing.T) {
+	var (
+		d Dedup
+		l LB
+		n NAT
+		m Monitor
+	)
+	for _, c := range []struct {
+		nf        string
+		got, want uintptr
+	}{
+		{"Dedup", unsafe.Sizeof(d.cache.segs[0][0]), 8},
+		{"LB", unsafe.Sizeof(l.affinity.segs[0][0]), 20},
+		{"NAT", unsafe.Sizeof(n.out.segs[0][0]), 8},
+		{"Monitor", unsafe.Sizeof(m.flows.segs[0][0]), 48},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s table entry is %d B, want %d", c.nf, c.got, c.want)
+		}
+	}
+}
+
 // TestFlowTableFIFOEviction checks the capped table's eviction order is
 // exactly insertion order, interleaved with inserts, across ring growth and
 // wraparound.
 func TestFlowTableFIFOEviction(t *testing.T) {
-	tab := newFlowTable[uint64, int](0, true)
+	tab := newFlowTable[uint64, int](0, true, mix64)
 	next := uint64(0)
 	expect := []uint64{}
 	push := func() {
-		*tab.insert(mix64(next), next) = int(next)
+		*tab.insert(next) = int(next)
 		expect = append(expect, next)
 		next++
 	}
@@ -235,7 +262,7 @@ func TestFlowTableFIFOEviction(t *testing.T) {
 		if k != expect[0] {
 			t.Fatalf("evicted %d, want %d (FIFO)", k, expect[0])
 		}
-		if tab.get(mix64(k), k) != nil {
+		if tab.get(k) != nil {
 			t.Fatalf("evicted key %d still resolves", k)
 		}
 		expect = expect[1:]
@@ -266,12 +293,12 @@ func TestFlowTableFIFOEviction(t *testing.T) {
 
 // TestFlowTableFull checks the cap accounting NAT's rejection path relies on.
 func TestFlowTableFull(t *testing.T) {
-	tab := newFlowTable[uint64, int](3, false)
+	tab := newFlowTable[uint64, int](3, false, mix64)
 	for i := uint64(0); i < 3; i++ {
 		if tab.full() {
 			t.Fatalf("full at %d/3", i)
 		}
-		tab.insert(mix64(i), i)
+		tab.insert(i)
 	}
 	if !tab.full() {
 		t.Error("not full at cap")
@@ -279,16 +306,16 @@ func TestFlowTableFull(t *testing.T) {
 	// A caller inserting past the cap (no NF does) grows the segment cut at
 	// the cap to its full length and loses nothing.
 	for i := uint64(3); i < 40; i++ {
-		*tab.insert(mix64(i), i) = int(i)
+		*tab.insert(i) = int(i)
 	}
 	for i := uint64(0); i < 40; i++ {
-		if v := tab.get(mix64(i), i); v == nil || (i >= 3 && *v != int(i)) {
+		if v := tab.get(i); v == nil || (i >= 3 && *v != int(i)) {
 			t.Fatalf("key %d lost past the cap", i)
 		}
 	}
-	unbounded := newFlowTable[uint64, int](0, false)
+	unbounded := newFlowTable[uint64, int](0, false, mix64)
 	for i := uint64(0); i < 100; i++ {
-		unbounded.insert(mix64(i), i)
+		unbounded.insert(i)
 	}
 	if unbounded.full() {
 		t.Error("unbounded table reported full")
@@ -499,7 +526,10 @@ func TestNATRefClampsIdentically(t *testing.T) {
 // TestDedupCacheWraparound pushes a tiny cache through many generations of
 // unique fingerprints: occupancy must plateau at the cap while the oldest
 // fingerprints rotate out, and slot IDs must keep advancing — including
-// across the uint32 wrap — without panicking or corrupting shim tokens.
+// across the uint32 wrap — without panicking or corrupting shim tokens. The
+// slot ID a shim carries is derived from the fingerprint's age in the ring,
+// so it is also held to the map-backed reference, which stores each ID,
+// across the wrap at caches of 1, 4 and 17.
 func TestDedupCacheWraparound(t *testing.T) {
 	d, err := NewDedup("d0", Params{"chunk": 16, "cache": 4})
 	if err != nil {
@@ -547,5 +577,43 @@ func TestDedupCacheWraparound(t *testing.T) {
 	}
 	if dd.Evicted != before+1 {
 		t.Errorf("re-insert into full cache evicted %d, want 1", dd.Evicted-before)
+	}
+	for _, cache := range []int{1, 4, 17} {
+		s, r := mkPair(t, "Dedup", "d0", Params{"chunk": 16, "cache": cache})
+		s.(*Dedup).nextID = ^uint32(0) - 5
+		r.(*dedupRef).nextID = ^uint32(0) - 5
+		rng := rand.New(rand.NewSource(int64(cache)))
+		var preWrap, postWrap int // shims carrying an ID from before/after the wrap
+		for i := 0; i < 400; i++ {
+			pay := make([]byte, 64) // four chunks over an alphabet a little past the cap
+			for off := 0; off < len(pay); off += 16 {
+				pay[off] = byte(rng.Intn(cache + 3))
+			}
+			p := udp(packet.IPv4Addr{10, 0, 0, 1}, packet.IPv4Addr{8, 8, 8, 8}, 1000, 53, pay)
+			q := udp(packet.IPv4Addr{10, 0, 0, 1}, packet.IPv4Addr{8, 8, 8, 8}, 1000, 53, pay)
+			s.Process(p, env())
+			r.Process(q, env())
+			sp, rp := p.Payload(), q.Payload()
+			for off := 0; off < len(sp); off += 16 {
+				if binary.BigEndian.Uint32(sp[off:]) != 0xDED0DED0 {
+					continue
+				}
+				id, want := binary.BigEndian.Uint32(sp[off+4:]), binary.BigEndian.Uint32(rp[off+4:])
+				if id != want {
+					t.Fatalf("cache %d, packet %d, chunk %d: slot ID %d, reference %d", cache, i, off/16, id, want)
+				}
+				if id >= ^uint32(0)-5 {
+					preWrap++
+				} else {
+					postWrap++
+				}
+			}
+			if string(sp) != string(rp) {
+				t.Fatalf("cache %d, packet %d: payload diverged from the reference", cache, i)
+			}
+		}
+		if preWrap == 0 || postWrap == 0 {
+			t.Errorf("cache %d: %d shims before the wrap, %d after: want both", cache, preWrap, postWrap)
+		}
 	}
 }

@@ -71,7 +71,7 @@ func NewLB(name string, params Params) (NF, error) {
 		so:       newStateObs("LB", name),
 	}
 	if maxAff > 0 {
-		lb.affinity = newFlowTable[packet.FiveTuple, uint32](maxAff, true)
+		lb.affinity = newFlowTable[packet.FiveTuple, uint32](maxAff, true, packet.FiveTuple.Hash)
 	}
 	return lb, nil
 }
@@ -88,11 +88,10 @@ func (l *LB) Process(p *packet.Packet, _ *Env) {
 	if err != nil {
 		return
 	}
-	h := tu.Hash()
 	var bi uint32
 	if l.affinity == nil {
-		bi = uint32(h % uint64(len(l.backends)))
-	} else if pe := l.affinity.get(h, tu); pe != nil {
+		bi = uint32(tu.Hash() % uint64(len(l.backends)))
+	} else if pe := l.affinity.get(tu); pe != nil {
 		bi = *pe
 	} else {
 		if l.affinity.count() >= l.maxAff {
@@ -100,8 +99,8 @@ func (l *LB) Process(p *packet.Packet, _ *Env) {
 			l.Evicted++
 			l.so.evicted.Inc()
 		}
-		bi = uint32(h % uint64(len(l.backends)))
-		*l.affinity.insert(h, tu) = bi
+		bi = uint32(tu.Hash() % uint64(len(l.backends)))
+		*l.affinity.insert(tu) = bi
 	}
 	p.IP.Dst = l.backends[bi]
 	p.SyncHeaders()

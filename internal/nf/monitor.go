@@ -12,7 +12,7 @@ type FlowStats struct {
 
 // Monitor collects per-flow statistics (packets, bytes, first/last seen).
 //
-// The flow table is a sharded flowTable keyed by the five-tuple hash. When
+// The flow table is a sharded flowTable keyed by the five-tuple. When
 // the table reaches max_flows the oldest flow (by insertion order) is
 // evicted — deterministic FIFO, unlike the original map-backed version that
 // deleted whatever key map iteration happened to yield. Determinism matters
@@ -32,7 +32,7 @@ type Monitor struct {
 func NewMonitor(name string, params Params) (NF, error) {
 	return &Monitor{
 		base:  base{name: name, class: "Monitor"},
-		flows: newFlowTable[packet.FiveTuple, FlowStats](params.Int("max_flows", 100000), true),
+		flows: newFlowTable[packet.FiveTuple, FlowStats](params.Int("max_flows", 100000), true, packet.FiveTuple.Hash),
 		so:    newStateObs("Monitor", name),
 	}, nil
 }
@@ -43,15 +43,14 @@ func (m *Monitor) Process(p *packet.Packet, env *Env) {
 	if err != nil {
 		return
 	}
-	h := tu.Hash()
-	st := m.flows.get(h, tu)
+	st := m.flows.get(tu)
 	if st == nil {
 		if m.flows.full() {
 			m.flows.evictOldest()
 			m.Evicted++
 			m.so.evicted.Inc()
 		}
-		st = m.flows.insert(h, tu)
+		st = m.flows.insert(tu)
 		if env != nil {
 			st.FirstSec = env.NowSec
 		}
@@ -67,7 +66,7 @@ func (m *Monitor) Process(p *packet.Packet, env *Env) {
 // aliases the flow table's arena and is invalidated by the next Process call
 // that inserts or evicts a flow.
 func (m *Monitor) Stats(tu packet.FiveTuple) *FlowStats {
-	return m.flows.get(tu.Hash(), tu)
+	return m.flows.get(tu)
 }
 
 // NumFlows returns the number of tracked flows.

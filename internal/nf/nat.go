@@ -107,7 +107,7 @@ func NewNAT(name string, params Params) (NF, error) {
 	n := &NAT{
 		base:   base{name: name, class: "NAT"},
 		natCfg: cfg,
-		out:    newFlowTable[natKey, uint16](0, false),
+		out:    newFlowTable[natKey, uint16](0, false, natHash),
 		so:     newStateObs("NAT", name),
 		exhC:   natExhaustedCounter(name),
 	}
@@ -132,7 +132,7 @@ func (n *NAT) Process(p *packet.Packet, _ *Env) {
 	case p.IP.Src.Uint32()&n.inMask == n.inPrefix&n.inMask:
 		key := natKey{addr: p.IP.Src, port: srcPort}
 		var ext uint16
-		if pe := n.out.get(natHash(key), key); pe != nil {
+		if pe := n.out.get(key); pe != nil {
 			ext = *pe
 		} else {
 			var ok bool
@@ -186,7 +186,7 @@ func (n *NAT) allocate(key natKey) (uint16, bool) {
 			copy(grown, n.in)
 			n.in = grown
 		}
-		*n.out.insert(natHash(key), key) = cand
+		*n.out.insert(key) = cand
 		n.in[idx] = natSlot{key: key, used: true}
 		return cand, true
 	}

@@ -142,27 +142,26 @@ func (t FiveTuple) Reverse() FiveTuple {
 }
 
 // Hash returns a cheap non-cryptographic hash of the tuple, symmetric inputs
-// NOT folded (A->B and B->A hash differently), suitable for load balancing.
+// NOT folded (A->B and B->A hash differently), suitable for load balancing:
+// FNV-1a over the 13 tuple bytes (addresses, then ports big-endian, then the
+// protocol), unrolled, then a xorshift-multiply avalanche.
 func (t FiveTuple) Hash() uint64 {
 	const prime = 1099511628211
 	h := uint64(14695981039346656037)
-	mix := func(b byte) {
-		h ^= uint64(b)
-		h *= prime
-	}
-	for _, b := range t.Src {
-		mix(b)
-	}
-	for _, b := range t.Dst {
-		mix(b)
-	}
-	mix(byte(t.SrcPort >> 8))
-	mix(byte(t.SrcPort))
-	mix(byte(t.DstPort >> 8))
-	mix(byte(t.DstPort))
-	mix(t.Proto)
-	// Finalize (xorshift-multiply avalanche) so low bits are well mixed —
-	// consumers take h % nBackends.
+	h = (h ^ uint64(t.Src[0])) * prime
+	h = (h ^ uint64(t.Src[1])) * prime
+	h = (h ^ uint64(t.Src[2])) * prime
+	h = (h ^ uint64(t.Src[3])) * prime
+	h = (h ^ uint64(t.Dst[0])) * prime
+	h = (h ^ uint64(t.Dst[1])) * prime
+	h = (h ^ uint64(t.Dst[2])) * prime
+	h = (h ^ uint64(t.Dst[3])) * prime
+	h = (h ^ uint64(t.SrcPort>>8)) * prime
+	h = (h ^ uint64(t.SrcPort&0xff)) * prime
+	h = (h ^ uint64(t.DstPort>>8)) * prime
+	h = (h ^ uint64(t.DstPort&0xff)) * prime
+	h = (h ^ uint64(t.Proto)) * prime
+	// Finalize so low bits are well mixed — consumers take h % nBackends.
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd
 	h ^= h >> 33

@@ -213,3 +213,32 @@ func BenchmarkDecode(b *testing.B) {
 		}
 	}
 }
+
+// hashByteLoop is FiveTuple.Hash as a loop: FNV-1a over the tuple's 13
+// bytes, then the avalanche.
+func hashByteLoop(t FiveTuple) uint64 {
+	h := uint64(14695981039346656037)
+	b := append(append(t.Src[:0:0], t.Src[:]...), t.Dst[:]...)
+	b = append(b, byte(t.SrcPort>>8), byte(t.SrcPort), byte(t.DstPort>>8), byte(t.DstPort), t.Proto)
+	for _, c := range b {
+		h ^= uint64(c)
+		h *= 1099511628211
+	}
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	return h
+}
+
+// TestFiveTupleHashMatchesByteLoop holds the unrolled hash to the byte
+// loop: LB backends, switch and server splits and the state tables' probe
+// sequences all follow from it.
+func TestFiveTupleHashMatchesByteLoop(t *testing.T) {
+	f := func(src, dst [4]byte, sport, dport uint16, proto uint8) bool {
+		tu := FiveTuple{Src: src, Dst: dst, SrcPort: sport, DstPort: dport, Proto: proto}
+		return tu.Hash() == hashByteLoop(tu)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20000}); err != nil {
+		t.Error(err)
+	}
+}

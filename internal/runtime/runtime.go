@@ -94,11 +94,12 @@ func (tb *Testbed) Verify(n int) (*WalkStats, error) {
 			End()
 	}()
 	env := &nf.Env{Rand: rand.New(rand.NewSource(tb.Seed))}
-	// One frame buffer and one decode scratch serve the whole walk: frames
-	// are generated into the buffer and rewritten in place hop by hop, as
-	// the simulator does.
+	// One frame buffer, one decode scratch and one generator (rebuilt per
+	// chain) serve the whole walk: frames are generated into the buffer and
+	// rewritten in place hop by hop, as the simulator does.
 	var buf []byte
 	var scratch packet.Packet
+	var gen *trafficgen.Generator
 	for ci, g := range tb.D.Input.Chains {
 		if tb.D.Result.IsRetired(ci) {
 			continue
@@ -109,8 +110,8 @@ func (tb *Testbed) Verify(n int) (*WalkStats, error) {
 			SrcCIDR: agg.SrcCIDR, DstCIDR: agg.DstCIDR,
 			Proto: agg.Proto, DstPort: agg.DstPort,
 		}
-		gen, err := trafficgen.New(cfg)
-		if err != nil {
+		var err error
+		if gen, err = trafficgen.NewInto(gen, cfg); err != nil {
 			return nil, err
 		}
 		for i := 0; i < n; i++ {

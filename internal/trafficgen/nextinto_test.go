@@ -29,6 +29,59 @@ func nextIntoConfigs() []Config {
 	}
 }
 
+// TestNewIntoMatchesNew: one generator rebuilt by NewInto for config after
+// config — long-lived and churning flows, redundant chunks and HTTP heads,
+// a large flow pool followed by a small one — emits each config's frames
+// byte for byte as a fresh New does. A config NewInto rejects leaves the
+// generator emitting what it would have.
+func TestNewIntoMatchesNew(t *testing.T) {
+	cfgs := append(nextIntoConfigs(),
+		Config{Mode: ShortLived, Seed: 14, NewFlowsSec: 500, Redundancy: 0.9, HTTPShare: 0.5},
+		Config{Mode: LongLived, Seed: 15, Flows: 3, Redundancy: 0.2})
+	var reused *Generator
+	emit := func(ci int, a, b *Generator, from, to int) {
+		t.Helper()
+		var buf []byte
+		for i := from; i < to; i++ {
+			now := float64(i) * 1e-4
+			want := next(b, now).Data
+			buf = a.NextInto(buf, now)
+			if !bytes.Equal(buf, want) {
+				t.Fatalf("config %d: frame %d of the reused generator diverges from New's", ci, i)
+			}
+		}
+		if a.Emitted() != b.Emitted() || a.FlowCount() != b.FlowCount() {
+			t.Fatalf("config %d: emitted %d/%d, flows %d/%d", ci, a.Emitted(), b.Emitted(), a.FlowCount(), b.FlowCount())
+		}
+	}
+	for round := 0; round < 2; round++ {
+		for ci, cfg := range cfgs {
+			g, err := NewInto(reused, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if reused != nil && g != reused {
+				t.Fatalf("config %d: NewInto did not return dst", ci)
+			}
+			reused = g
+			fresh, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			emit(ci, reused, fresh, 0, 300)
+			for _, bad := range []Config{
+				{SrcCIDR: "bogus", Seed: 99},
+				{Mode: ShortLived, NewFlowsSec: 1, LifeSec: 0.5, Seed: 99},
+			} {
+				if g, err := NewInto(reused, bad); err == nil || g != nil {
+					t.Fatalf("config %d: NewInto(%+v) = %v, %v; want nil and an error", ci, bad, g, err)
+				}
+			}
+			emit(ci, reused, fresh, 300, 400)
+		}
+	}
+}
+
 // TestNextIntoMatchesNext: two generators with identical configs, one driven
 // through next (a fresh buffer per frame) and one through NextInto with a
 // recycled buffer, must emit byte-identical frame streams (same rng draw

@@ -119,10 +119,13 @@ type ScheduleGen struct {
 // the schedule was generated from (payload shape, frame size and seed come
 // from it). The live window is positioned at t=0.
 func NewScheduled(cfg Config, s *Schedule) (*ScheduleGen, error) {
-	g, err := newBase(cfg.withDefaults())
+	cfg = cfg.withDefaults()
+	sp, err := parseSpace(cfg)
 	if err != nil {
 		return nil, err
 	}
+	g := &Generator{}
+	g.reset(cfg, sp) // the emission engine, no flows drawn
 	sg := &ScheduleGen{g: g, s: s}
 	sg.advance(0)
 	return sg, nil

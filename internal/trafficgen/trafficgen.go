@@ -161,36 +161,51 @@ type Generator struct {
 	redund []byte // shared redundant chunk
 }
 
-// newBase builds the emission engine without pre-drawing any flows; cfg
-// must already have defaults applied.
-func newBase(cfg Config) (*Generator, error) {
-	g := &Generator{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed + 1))}
-	var err error
-	if g.sp, err = parseSpace(cfg); err != nil {
-		return nil, err
+// reset points g at cfg and sp with no flows drawn: its rng is seeded in
+// place (the stream a fresh rand.NewSource(cfg.Seed+1) yields), the
+// redundant chunk redrawn, and the flow arrays kept for their capacity.
+func (g *Generator) reset(cfg Config, sp addrSpace) {
+	g.cfg, g.sp = cfg, sp
+	if g.rng == nil {
+		g.rng = rand.New(rand.NewSource(cfg.Seed + 1))
+	} else {
+		g.rng.Seed(cfg.Seed + 1)
 	}
-	g.redund = make([]byte, 64)
+	if g.redund == nil {
+		g.redund = make([]byte, 64)
+	}
 	g.rng.Read(g.redund)
-	return g, nil
+	g.flows, g.born = g.flows[:0], g.born[:0]
+	g.head, g.seq = 0, 0
 }
 
 // New builds a generator, applying defaults. It rejects the configs
 // ScheduleInto rejects.
-func New(cfg Config) (*Generator, error) {
-	g, err := newBase(cfg.withDefaults())
+func New(cfg Config) (*Generator, error) { return NewInto(nil, cfg) }
+
+// NewInto builds the generator New(cfg) would into dst (its rng, redundant
+// chunk and flow arrays reused; a nil dst allocates a fresh Generator) and
+// returns it: the frames it emits equal New(cfg)'s byte for byte. A config
+// it rejects leaves dst as it was.
+func NewInto(dst *Generator, cfg Config) (*Generator, error) {
+	cfg = cfg.withDefaults()
+	sp, err := parseSpace(cfg)
 	if err != nil {
 		return nil, err
 	}
-	if err := g.cfg.check(); err != nil {
+	if err := cfg.check(); err != nil {
 		return nil, err
 	}
-	if g.cfg.Mode == LongLived {
-		n := g.cfg.Flows
-		for i := 0; i < n; i++ {
-			g.flows = append(g.flows, g.newTuple())
+	if dst == nil {
+		dst = &Generator{}
+	}
+	dst.reset(cfg, sp)
+	if cfg.Mode == LongLived {
+		for i := 0; i < cfg.Flows; i++ {
+			dst.flows = append(dst.flows, dst.newTuple())
 		}
 	}
-	return g, nil
+	return dst, nil
 }
 
 func (g *Generator) newTuple() packet.FiveTuple {
