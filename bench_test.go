@@ -1,8 +1,9 @@
 // Benchmark harness: BenchmarkPaper regenerates each section of the paper's
-// evaluation (§5) through experiments.Runner.WritePaper, the renderer
-// behind cmd/lemur-bench -paper, whose numbers TestPaperGolden holds to
-// internal/experiments/testdata/paper.golden; the rest time the placer and
-// the deploy path. EXPERIMENTS.md records the paper-reported vs measured
+// evaluation (§5) and of the sweeps beyond it through
+// experiments.Runner.WritePaper, the renderer behind cmd/lemur-bench -paper,
+// whose text TestPaperGolden and TestBeyondGolden hold to
+// internal/experiments/testdata/paper.golden and beyond.golden; the rest
+// time the placer and the deploy path. EXPERIMENTS.md records the paper-reported vs measured
 // values.
 //
 //	go test -run '^$' -bench=. -benchmem
@@ -19,13 +20,13 @@ import (
 	"lemur/internal/profile"
 )
 
-// BenchmarkPaper renders each §5 section, by its -paper name.
+// BenchmarkPaper renders each section, §5 and beyond, by its -paper name.
 func BenchmarkPaper(b *testing.B) {
-	for _, section := range experiments.PaperSections() {
+	for _, section := range append(experiments.PaperSections(), experiments.BeyondSections()...) {
 		b.Run(section, func(b *testing.B) {
 			r := experiments.NewRunner(hw.NewPaperTestbed())
 			for i := 0; i < b.N; i++ {
-				if err := r.WritePaper(io.Discard, io.Discard, section); err != nil {
+				if err := r.WritePaper(io.Discard, section); err != nil {
 					b.Fatal(err)
 				}
 			}

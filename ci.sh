@@ -88,10 +88,11 @@ go run ./tools/doccheck ./internal/placer ./internal/metacompiler ./internal/run
 echo "==> go build ./..."
 go build ./...
 
-# The evaluation has one renderer: lemur-bench -paper all must print the
-# golden TestPaperGolden holds it to, byte for byte, -paper beyond the one
-# TestBeyondGolden holds the sweeps beyond the paper to (serially too, with
-# three simulator shards), and an unknown section must fail.
+# The evaluation has one renderer and two goldens that hold every section it
+# prints: lemur-bench -paper all must print the golden TestPaperGolden holds
+# it to, byte for byte, -paper beyond the one TestBeyondGolden holds the
+# sweeps beyond the paper to (serially too, with three simulator shards),
+# and an unknown section must fail. It prints no wall-clock line.
 echo "==> lemur-bench -paper all/beyond against paper.golden/beyond.golden"
 go run ./cmd/lemur-bench -paper all | cmp - internal/experiments/testdata/paper.golden
 go run ./cmd/lemur-bench -paper beyond | cmp - internal/experiments/testdata/beyond.golden
@@ -283,6 +284,9 @@ run_guard 'TestProcessFrameInPlaceMatches|TestVLANInPlaceMatches|TestVLANHopAllo
 run_guard 'TestNICProcessFrameInPlaceMatches|TestNICVLANInPlaceMatches|TestRunAllocFree' -count=1 ./internal/smartnic
 run_guard 'TestSwitchProcessFrameInPlaceMatches|TestSwitchVLANInPlaceMatches' -count=1 ./internal/pisa
 run_guard 'TestVerifyInPlaceMatchesAllocating' -count=1 ./internal/runtime
+# Measure's link enforcement scales each chain by its worst device's factor,
+# whatever order the devices are met in.
+run_guard 'TestEnforceLinksOrderFree' -count=1 ./internal/runtime
 
 # Allocation-regression guard: what one more simulated packet allocates (a
 # run against one twice as long, so per-run set-up cancels) must be no heap
@@ -430,12 +434,12 @@ run_guard 'TestPlaceOptimalCostGuard' -count=1 .
 
 # The evaluation: every §5 table and figure rendered by
 # experiments.Runner.WritePaper to internal/experiments/testdata/paper.golden,
-# and the first six sweeps beyond the paper to beyond.golden, byte for byte,
-# whole at Parallel 1 and section by section at 4, with their wall-clock
-# lines apart from the golden; and profiling refuses a run count below one
+# and every sweep beyond the paper to beyond.golden, byte for byte, whole at
+# Parallel 1 and section by section at 4; every section WritePaper accepts
+# belongs to one of the two; and profiling refuses a run count below one
 # (profile and Table 4).
 echo "==> paper and beyond goldens, profiling run count"
-run_guard 'TestPaperGolden|TestBeyondGolden|TestTable4RejectsNonPositiveRuns' -count=1 ./internal/experiments
+run_guard 'TestPaperGolden|TestBeyondGolden|TestEverySectionPinned|TestTable4RejectsNonPositiveRuns' -count=1 ./internal/experiments
 run_guard 'TestProfileRejectsNonPositiveRuns' -count=1 ./internal/profile
 
 # Benchmark smoke: one iteration of the candidate-evaluation

@@ -1,16 +1,17 @@
 // Command lemur-bench regenerates the evaluation as text. -paper prints the
 // paper's §5 (Figures 2 and 3, Tables 3 and 4, §5.2 and §5.3) in the form of
 // internal/experiments/testdata/paper.golden, and the sweeps beyond the paper
-// in the form of testdata/beyond.golden, byte for byte; wall-clock
-// measurements go to stderr:
+// in the form of testdata/beyond.golden, byte for byte. Every section it
+// prints is in one of those two files, and none of it reads a clock; time
+// is bench/'s measurement:
 //
 //	lemur-bench -paper all          # every §5 section, in the golden's order
 //	lemur-bench -paper 2a           # one section: 2a..2f feasibility 3a 3b 3c
 //	                                # table3 table4 extreme sensitivity latency
 //	                                # loc scaling
 //	lemur-bench -paper beyond       # deadline sim failover churn reconcile
-//	                                # place-scale, as beyond.golden
-//	lemur-bench -paper scale        # one sweep: any of those, scale or cores
+//	                                # place-scale scale, as beyond.golden
+//	lemur-bench -paper scale        # one sweep: any of those
 package main
 
 import (
@@ -27,7 +28,7 @@ import (
 
 func main() {
 	var (
-		paper = flag.String("paper", "", "print a section of the evaluation: all (the paper's §5), beyond (the sweeps beyond it but scale and cores), or one of "+
+		paper = flag.String("paper", "", "print a section of the evaluation: all (the paper's §5), beyond (the sweeps beyond it), or one of "+
 			strings.Join(append(experiments.PaperSections(), experiments.BeyondSections()...), " "))
 		metrics    = flag.String("metrics-out", "", "write a metrics snapshot to this JSON path (plus .prom alongside)")
 		parallel   = flag.Int("parallel", 0, "worker count for experiment cells and placer candidate evaluation (0 = GOMAXPROCS cells, serial placer)")
@@ -51,7 +52,7 @@ func main() {
 		// packet counters in the snapshot are live, not zero.
 		r.VerifyPackets = 100
 	}
-	if err := r.WritePaper(os.Stdout, os.Stderr, *paper); err != nil {
+	if err := r.WritePaper(os.Stdout, *paper); err != nil {
 		fatal(err)
 	}
 	writeMetrics()

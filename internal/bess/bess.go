@@ -29,6 +29,18 @@ type CoreShare struct {
 	Fraction float64 // (0, 1]
 }
 
+// CrossSocket reports whether any of the shares runs off the socket of
+// srv's NIC.
+func CrossSocket(srv *hw.ServerSpec, shares []CoreShare) bool {
+	nicSocket := srv.NICs[0].Socket
+	for _, s := range shares {
+		if s.Core/srv.CoresPerSocket != nicSocket {
+			return true
+		}
+	}
+	return false
+}
+
 // Branch re-tags packets leaving a subgroup at a branch point. Filtered
 // branches match explicitly; filterless ones split remaining traffic per
 // flow hash in proportion to Weight.

@@ -1,28 +1,16 @@
 package experiments
 
 import (
-	"fmt"
 	"math"
-	runtimepkg "runtime"
-	"strings"
-	"time"
 
 	"lemur/internal/hw"
 	"lemur/internal/placer"
 	"lemur/internal/runtime"
 )
 
-// The cores section's one measured point: a million concurrent flows and ten
-// million packets through chains {1,2,3,4}.
-const (
-	coresFlows   = 1_000_000
-	coresPackets = 10_000_000
-)
-
 // beyondSections lists WritePaper's sweeps beyond the paper in print order,
 // each at its shipped defaults. A line holds only what is the same at any
-// Parallel and SimWorkers; solve and scenario times, packet rates and
-// allocation counts go to the timing writer.
+// Parallel and SimWorkers: outcomes and counts, never a clock reading.
 func beyondSections() []paperSection {
 	return []paperSection{
 		{"deadline", "Deadline scheduling: EDF vs round-robin", func(r *Runner, d *paperDoc) error {
@@ -109,8 +97,6 @@ func beyondSections() []paperSection {
 				d.line("step=%d base=%d admit=%s base_feasible=%v verdict=%s pinned=%d marginal=%v repack_ok=%v reason=%q",
 					st.Step, st.BaseChains, st.ChainName, st.BaseFeasible, st.Outcome, st.Pinned, st.MarginalBps,
 					st.FullFeasible, st.Reason)
-				d.wall("churn step=%d incremental=%v full_place=%v",
-					st.Step, time.Duration(st.IncrementalNs), time.Duration(st.FullPlaceNs))
 			}
 			d.line("capacity=%d", AdmittedCapacity(steps))
 			return nil
@@ -125,7 +111,6 @@ func beyondSections() []paperSection {
 				d.line("%s base=%d ops=%d ticks=%d converged=%v converge=%v pinned=%d reconciles=%d applies=%d backoff=%d rejected=%d",
 					p.Scenario, p.BaseChains, p.Ops, p.Ticks, p.Converged, p.ConvergeSimSec, p.PinnedSubgroups,
 					p.Reconciles, p.Applies, p.BackoffRetries, p.RejectedSpecs)
-				d.wall("reconcile %s wall=%v", p.Scenario, time.Duration(p.WallNs))
 			}
 			return nil
 		}},
@@ -141,9 +126,7 @@ func beyondSections() []paperSection {
 			}
 			for _, c := range cells {
 				d.line("servers=%d chains=%v", c.Point.Servers, c.Point.Chains)
-				solve := make([]string, len(c.Schemes))
-				for i, s := range c.Schemes {
-					solve[i] = fmt.Sprintf("%s=%v", s.Scheme, time.Duration(s.PlaceNs))
+				for _, s := range c.Schemes {
 					if s.Scheme != string(placer.SchemeOptimal) {
 						d.line("  %s feasible=%v aggregate_gbps=%v", s.Scheme, s.Feasible, s.AggregateGbps)
 						continue
@@ -153,22 +136,16 @@ func beyondSections() []paperSection {
 						s.Scheme, s.Feasible, s.AggregateGbps, s.Combinations, visited,
 						s.PrunedSubtrees+s.DemandPruned, s.CollapsedSubtrees, s.Combinations/float64(visited))
 				}
-				d.wall("place-scale servers=%d chains=%v solve %s", c.Point.Servers, c.Point.Chains, strings.Join(solve, " "))
 			}
 			return nil
 		}},
-		// Stateful NFs pinned to servers; 1k to 1M concurrent flows. The
-		// sweep's allocations per packet are measured only when its cells
-		// run serially.
-		{"scale", "Flow scale: chains [1 2 3 4], delta 0.5, flow count vs state pressure", func(r *Runner, d *paperDoc) error {
-			var before, after runtimepkg.MemStats
-			runtimepkg.ReadMemStats(&before)
-			cells, err := r.ScaleSweep([]int{1, 2, 3, 4}, 0.5, DefaultScalePoints(11), runtime.SimConfig{Workers: r.SimWorkers})
-			runtimepkg.ReadMemStats(&after)
+		// Stateful NFs pinned to servers; chains 2 and 3 carry NAT, LB and
+		// Dedup, whose tables the flow population pushes past their caps.
+		{"scale", "Flow scale: chains [2 3], delta 0.5, flow count vs state pressure", func(r *Runner, d *paperDoc) error {
+			cells, err := r.ScaleSweep([]int{2, 3}, 0.5, DefaultScalePoints(3), runtime.SimConfig{Workers: r.SimWorkers})
 			if err != nil {
 				return err
 			}
-			packets := 0
 			for _, c := range cells {
 				nat, exhausted, evicted := 0, uint64(0), uint64(0)
 				for _, st := range c.NFState {
@@ -180,28 +157,6 @@ func beyondSections() []paperSection {
 				}
 				d.line("flows=%d packets=%d duration=%v drop=%v worst_avg_delay=%v worst_p99_delay=%v nat_entries=%d exhausted=%d evictions=%d",
 					c.Point.Flows, c.Packets, c.DurationSec, c.DropRate, c.AvgDelaySec, c.P99DelaySec, nat, exhausted, evicted)
-				d.wall("scale flows=%d pkts_per_s=%.0f", c.Point.Flows, float64(c.Packets)/time.Duration(c.WallNs).Seconds())
-				packets += c.Packets
-			}
-			if r.Parallel == 1 && packets > 0 {
-				d.wall("scale allocs_per_pkt=%.3f", float64(after.Mallocs-before.Mallocs)/float64(packets))
-			}
-			return nil
-		}},
-		// One point rerun at each worker count, sequentially, on an
-		// eight-server rack; CoresSweep fails unless every run's SimResult is
-		// the serial run's byte for byte.
-		{"cores", "Cores: chains [1 2 3 4], delta 0.5, one run per simulator worker count", func(r *Runner, d *paperDoc) error {
-			cells, err := r.on(hw.NewPaperTestbed(hw.WithServers(8))).CoresSweep([]int{1, 2, 3, 4}, 0.5,
-				coresFlows, coresPackets, DefaultCoresCounts(), runtime.SimConfig{})
-			if err != nil {
-				return err
-			}
-			d.line("flows=%d", coresFlows)
-			for _, c := range cells {
-				d.line("workers=%d packets=%d", c.Workers, c.Packets)
-				d.wall("cores workers=%d wall=%v pkts_per_s=%.0f speedup=%.2f allocs_per_pkt=%.3f",
-					c.Workers, time.Duration(c.WallNs), c.PktsPerSec, c.Speedup, c.AllocsPerPkt)
 			}
 			return nil
 		}},

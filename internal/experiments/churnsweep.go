@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"lemur/internal/placer"
 )
@@ -36,12 +35,6 @@ type ChurnStep struct {
 	// in bits/sec (0 unless incremental).
 	MarginalBps float64
 
-	// IncrementalNs is the pin-preserving solve's wall-clock time;
-	// FullPlaceNs times a from-scratch placement of the same chain set for
-	// comparison. Wall-clock fields are the only nondeterministic ones —
-	// byte-identity tests scrub them.
-	IncrementalNs int64
-	FullPlaceNs   int64
 	// FullFeasible reports whether the from-scratch placement succeeded
 	// (when an incremental admission fails but this holds, the system has
 	// capacity only at the cost of a disruptive repack).
@@ -61,7 +54,7 @@ const churnHeadroom = 4
 // disturbing the k running ones" — which makes every cell independent, so
 // cells run concurrently bounded by Runner.Parallel with results stored by
 // step index: the output is byte-identical to a serial run at any worker
-// count (only the *Ns wall-clock fields vary).
+// count.
 //
 // The sweep keeps going past the first non-incremental verdict (capacity is
 // AdmittedCapacity over the result); a step whose base placement is itself
@@ -94,8 +87,8 @@ func (r *Runner) ChurnSweep(baseChainIdxs, admitChainIdxs []int, delta float64, 
 }
 
 // churnStep runs one admission cell: place the first nBase chains of the
-// full input, admit chain slot nBase incrementally, and time a from-scratch
-// placement of all nBase+1 chains for comparison. Each cell builds its own
+// full input, admit chain slot nBase incrementally, and place all nBase+1
+// chains from scratch for comparison. Each cell builds its own
 // Input values (sharing only the immutable graphs) so the placer's
 // per-input prep caches never race across cells.
 func (r *Runner) churnStep(full *placer.Input, nBase, chainIdx int, scheme placer.Scheme) (ChurnStep, error) {
@@ -123,7 +116,6 @@ func (r *Runner) churnStep(full *placer.Input, nBase, chainIdx int, scheme place
 		}
 		st.Outcome = rep.Outcome
 		st.Reason = rep.IncrementalReason
-		st.IncrementalNs = rep.IncrementalTime.Nanoseconds()
 		if rep.Outcome == placer.AdmitIncremental {
 			st.Pinned = rep.PinnedSubgroups
 			st.MarginalBps = rep.Result.Marginal
@@ -133,10 +125,7 @@ func (r *Runner) churnStep(full *placer.Input, nBase, chainIdx int, scheme place
 		st.Reason = "base placement infeasible: " + prev.Reason
 	}
 
-	fullIn := prefix(nBase + 1)
-	start := time.Now()
-	fres, err := placer.Place(scheme, fullIn)
-	st.FullPlaceNs = time.Since(start).Nanoseconds()
+	fres, err := placer.Place(scheme, prefix(nBase+1))
 	if err != nil {
 		return st, err
 	}

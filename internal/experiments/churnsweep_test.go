@@ -9,21 +9,10 @@ import (
 	"lemur/internal/placer"
 )
 
-// scrubChurnTimes zeroes the wall-clock fields, the only nondeterministic
-// part of a churn sweep cell.
-func scrubChurnTimes(steps []ChurnStep) []ChurnStep {
-	out := append([]ChurnStep(nil), steps...)
-	for i := range out {
-		out[i].IncrementalNs = 0
-		out[i].FullPlaceNs = 0
-	}
-	return out
-}
-
 // TestChurnSweepParallelIdentical: the admission-capacity sweep must be
-// byte-identical at any worker count once wall-clock solve times are
-// scrubbed — each cell places its own base system, so cells are independent
-// and order of completion must not leak into the output.
+// byte-identical at any worker count — each cell places its own base
+// system, so cells are independent and order of completion must not leak
+// into the output.
 func TestChurnSweepParallelIdentical(t *testing.T) {
 	admits := DefaultChurnAdmits(6)
 
@@ -34,7 +23,7 @@ func TestChurnSweepParallelIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := json.Marshal(scrubChurnTimes(steps))
+		b, err := json.Marshal(steps)
 		if err != nil {
 			t.Fatal(err)
 		}

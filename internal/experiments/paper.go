@@ -24,18 +24,10 @@ type paperSection struct {
 }
 
 // paperDoc accumulates one section. Floats print with %v, the shortest
-// round-trip form (strconv 'g', -1); wall-clock values go to timing, never
-// to the section itself.
-type paperDoc struct {
-	bytes.Buffer
-	timing bytes.Buffer
-}
+// round-trip form (strconv 'g', -1).
+type paperDoc struct{ bytes.Buffer }
 
 func (d *paperDoc) line(format string, args ...any) { fmt.Fprintf(d, format+"\n", args...) }
-
-// wall records one line of wall-clock measurement for timing; each line
-// starts with the name of the section that took it.
-func (d *paperDoc) wall(format string, args ...any) { fmt.Fprintf(&d.timing, format+"\n", args...) }
 
 // panel renders Figure 2 rows, each SchemeResult minus its PlaceTime.
 func (d *paperDoc) panel(rows []DeltaRow) {
@@ -210,9 +202,8 @@ func paperSections() []paperSection {
 // renders for "all", in print order.
 func PaperSections() []string { return sectionNames(paperSections()) }
 
-// BeyondSections names WritePaper's sweeps beyond the paper, in print order.
-// "beyond" renders all but the last two, scale and cores, which push
-// millions of packets each.
+// BeyondSections names WritePaper's sweeps beyond the paper that it renders
+// for "beyond", in print order.
 func BeyondSections() []string { return sectionNames(beyondSections()) }
 
 func sectionNames(secs []paperSection) []string {
@@ -225,23 +216,21 @@ func sectionNames(secs []paperSection) []string {
 
 // WritePaper renders the evaluation as deterministic text: "all" renders the
 // paper's §5 — Figures 2 and 3, Tables 3 and 4, the §5.2 and §5.3 studies —
-// "beyond" the first six sweeps beyond the paper, and any other name the one
-// section of that name. Each section renders whole before it is written, so
-// a failing section writes nothing. Sections that place chains run with r's
-// settings, on r's rack except Figure 3a and 3b and the failover,
-// place-scale and cores sweeps, which fix their racks; Figure 3c, Tables 3
-// and 4, the extreme config and the reconcile sweep take nothing from r but
-// its Parallel. What w gets is the same at any r.Parallel and r.SimWorkers;
-// wall-clock measurements (solve and scenario times, packet rates,
-// allocations per packet) go to timing, one line each, and §5 writes none.
-func (r *Runner) WritePaper(w, timing io.Writer, section string) error {
+// "beyond" the sweeps beyond the paper, and any other name the one section
+// of that name, so every section is part of a group. Each section renders
+// whole before it is written, so a failing section writes nothing. Sections
+// that place chains run with r's settings, on r's rack except Figure 3a and
+// 3b and the failover and place-scale sweeps, which fix their racks; Figure
+// 3c, Tables 3 and 4, the extreme config and the reconcile sweep take
+// nothing from r but its Parallel. What w gets is the same at any r.Parallel
+// and r.SimWorkers; nothing in it reads a clock.
+func (r *Runner) WritePaper(w io.Writer, section string) error {
 	var secs []paperSection
 	switch section {
 	case "all":
 		secs = paperSections()
 	case "beyond":
 		secs = beyondSections()
-		secs = secs[:len(secs)-2]
 	default:
 		for _, s := range append(paperSections(), beyondSections()...) {
 			if s.name == section {
@@ -260,9 +249,6 @@ func (r *Runner) WritePaper(w, timing io.Writer, section string) error {
 			return fmt.Errorf("paper section %s: %w", s.name, err)
 		}
 		if _, err := w.Write(d.Bytes()); err != nil {
-			return err
-		}
-		if _, err := timing.Write(d.timing.Bytes()); err != nil {
 			return err
 		}
 	}

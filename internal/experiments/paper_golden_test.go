@@ -1,10 +1,8 @@
 package experiments
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 	"testing"
@@ -21,14 +19,14 @@ const (
 
 // renderPaper renders the named sections (or groups) in one WritePaper call
 // each, with the runner's cells and placer fanned out over parallel workers
-// and its simulations over simWorkers shards, wall-clock lines to timing.
-func renderPaper(t *testing.T, parallel, simWorkers int, timing io.Writer, sections ...string) string {
+// and its simulations over simWorkers shards.
+func renderPaper(t *testing.T, parallel, simWorkers int, sections ...string) string {
 	r := NewRunner(hw.NewPaperTestbed())
 	r.Parallel = parallel
 	r.SimWorkers = simWorkers
 	var b strings.Builder
 	for _, s := range sections {
-		if err := r.WritePaper(&b, timing, s); err != nil {
+		if err := r.WritePaper(&b, s); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -67,68 +65,64 @@ func firstDiff(want, got string) string {
 
 // TestPaperGolden: every §5 table and figure renders to the committed golden
 // file, byte for byte — the whole document in one call with cells and
-// placements run serially, and section by section on four workers — and
-// writes no wall-clock line. An unknown section is an error. Regenerate with
-// -update only for an intended change of the paper's numbers, and read the
-// diff.
+// placements run serially, and section by section on four workers. An
+// unknown section is an error. Regenerate with -update only for an intended
+// change of the paper's numbers, and read the diff.
 func TestPaperGolden(t *testing.T) {
-	want := readGolden(t, paperGoldenPath, func() string { return renderPaper(t, 1, 1, io.Discard, "all") })
+	want := readGolden(t, paperGoldenPath, func() string { return renderPaper(t, 1, 1, "all") })
 	for _, c := range []struct {
 		parallel int
 		sections []string
 	}{{1, []string{"all"}}, {4, PaperSections()}} {
-		var timing bytes.Buffer
-		if got := renderPaper(t, c.parallel, 1, &timing, c.sections...); got != want {
+		if got := renderPaper(t, c.parallel, 1, c.sections...); got != want {
 			t.Fatalf("Parallel=%d sections %v differ from %s: %s", c.parallel, c.sections, paperGoldenPath, firstDiff(want, got))
 		}
-		if timing.Len() != 0 {
-			t.Fatalf("Parallel=%d: §5 wrote wall-clock lines:\n%s", c.parallel, timing.String())
-		}
 	}
-	if err := NewRunner(hw.NewPaperTestbed()).WritePaper(&strings.Builder{}, io.Discard, "nosuch"); err == nil {
+	if err := NewRunner(hw.NewPaperTestbed()).WritePaper(&strings.Builder{}, "nosuch"); err == nil {
 		t.Error(`WritePaper("nosuch") succeeded, want an unknown-section error`)
 	}
 }
 
-// TestBeyondGolden: the sweeps beyond the paper that the "beyond" group
-// renders give the committed golden file byte for byte — the group in one
-// call at Parallel 1 and one simulator shard, and section by section at
-// Parallel 4 and three shards — while their wall-clock measurements go to
-// the timing writer: one line per churn step, reconcile scenario and
-// place-scale cell, and nothing else. Same -update rule as TestPaperGolden.
+// TestBeyondGolden: the sweeps beyond the paper render to the committed
+// golden file byte for byte — the "beyond" group in one call at Parallel 1
+// and one simulator shard, and section by section at Parallel 4 and three
+// shards. Same -update rule as TestPaperGolden.
 func TestBeyondGolden(t *testing.T) {
-	group := BeyondSections()[:6]
-	want := readGolden(t, beyondGoldenPath, func() string { return renderPaper(t, 1, 1, io.Discard, "beyond") })
-	wantTiming := map[string]int{
-		"churn step=":  len(DefaultChurnAdmits(12)),
-		"reconcile ":   len(ReconcileScenarios()),
-		"place-scale ": len(DefaultPlaceScalePoints()),
-	}
+	want := readGolden(t, beyondGoldenPath, func() string { return renderPaper(t, 1, 1, "beyond") })
 	for _, c := range []struct {
 		parallel, simWorkers int
 		sections             []string
-	}{{1, 1, []string{"beyond"}}, {4, 3, group}} {
-		var timing bytes.Buffer
-		if got := renderPaper(t, c.parallel, c.simWorkers, &timing, c.sections...); got != want {
+	}{{1, 1, []string{"beyond"}}, {4, 3, BeyondSections()}} {
+		if got := renderPaper(t, c.parallel, c.simWorkers, c.sections...); got != want {
 			t.Fatalf("Parallel=%d SimWorkers=%d sections %v differ from %s: %s",
 				c.parallel, c.simWorkers, c.sections, beyondGoldenPath, firstDiff(want, got))
 		}
-		lines := strings.Split(strings.TrimSuffix(timing.String(), "\n"), "\n")
-		n := 0
-		for prefix, count := range wantTiming {
-			got := 0
-			for _, l := range lines {
-				if strings.HasPrefix(l, prefix) {
-					got++
-				}
+	}
+}
+
+// TestEverySectionPinned: WritePaper looks a section name up among the two
+// groups' sections, which share no name with each other or with "all" and
+// "beyond", and each golden holds one block per section of its group — so
+// with the golden tests rendering every named section, none renders
+// unpinned.
+func TestEverySectionPinned(t *testing.T) {
+	seen := map[string]bool{"all": true, "beyond": true}
+	for _, g := range []struct {
+		path  string
+		names []string
+	}{{paperGoldenPath, PaperSections()}, {beyondGoldenPath, BeyondSections()}} {
+		for _, name := range g.names {
+			if seen[name] {
+				t.Errorf("section name %q is used twice", name)
 			}
-			if got != count {
-				t.Errorf("Parallel=%d: %d timing lines start %q, want %d", c.parallel, got, prefix, count)
-			}
-			n += got
+			seen[name] = true
 		}
-		if n != len(lines) {
-			t.Errorf("Parallel=%d: timing holds %d lines, want %d:\n%s", c.parallel, len(lines), n, timing.String())
+		golden, err := os.ReadFile(g.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := strings.Count("\n"+string(golden), "\n== "); n != len(g.names) {
+			t.Errorf("%s holds %d sections, its group names %d: %v", g.path, n, len(g.names), g.names)
 		}
 	}
 }

@@ -30,7 +30,6 @@ type PlaceSchemeStat struct {
 	Scheme        string
 	Feasible      bool
 	AggregateGbps float64
-	PlaceNs       int64
 
 	// Branch-and-bound search accounting (Optimal only; see
 	// placer.SearchStats for the counter semantics).
@@ -56,7 +55,6 @@ func placeSchemeStat(res *placer.Result) PlaceSchemeStat {
 		Scheme:        string(res.Scheme),
 		Feasible:      res.Feasible,
 		AggregateGbps: res.PredictedAggregate / 1e9,
-		PlaceNs:       res.PlaceTime.Nanoseconds(),
 		Truncated:     res.Truncated,
 		SkippedCombos: res.SkippedCombos,
 	}
@@ -78,10 +76,9 @@ func PlaceScaleTopology(p PlaceScalePoint) *hw.Topology {
 
 // PlaceScaleSweep runs the placement-scale study: every scheme placed at
 // every point, placement only (no deployment or measurement — achieved
-// throughput is the LP's predicted aggregate). Points run serially so the
-// recorded solve times are honest; inside each placement the Optimal search
-// still fans out across Runner.Parallel workers, with byte-identical
-// Results at any worker count.
+// throughput is the LP's predicted aggregate). Points run serially; inside
+// each placement the Optimal search fans out across Runner.Parallel
+// workers, with byte-identical Results at any worker count.
 func (r *Runner) PlaceScaleSweep(points []PlaceScalePoint, schemes []placer.Scheme) ([]PlaceScaleCell, error) {
 	cells := make([]PlaceScaleCell, 0, len(points))
 	for _, p := range points {

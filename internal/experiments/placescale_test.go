@@ -18,21 +18,11 @@ func placeScaleTestPoints() []PlaceScalePoint {
 	}
 }
 
-// canonPlaceCells serializes cells with the wall-clock fields zeroed, so
-// determinism checks compare everything else byte-for-byte.
+// canonPlaceCells serializes cells, so determinism checks compare them
+// byte-for-byte.
 func canonPlaceCells(t *testing.T, cells []PlaceScaleCell) string {
 	t.Helper()
-	cp := make([]PlaceScaleCell, len(cells))
-	copy(cp, cells)
-	for i := range cp {
-		schemes := make([]PlaceSchemeStat, len(cp[i].Schemes))
-		copy(schemes, cp[i].Schemes)
-		for j := range schemes {
-			schemes[j].PlaceNs = 0
-		}
-		cp[i].Schemes = schemes
-	}
-	b, err := json.MarshalIndent(cp, "", " ")
+	b, err := json.MarshalIndent(cells, "", " ")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,8 +38,7 @@ func placeScaleRunner(parallel int) *Runner {
 }
 
 // TestPlaceScaleSweepDeterministic: the sweep's cells (results and search
-// stats — everything but wall-clock solve time) must be byte-identical at
-// any placer worker count.
+// stats) must be byte-identical at any placer worker count.
 func TestPlaceScaleSweepDeterministic(t *testing.T) {
 	points := placeScaleTestPoints()
 	schemes := []placer.Scheme{placer.SchemeLemur, placer.SchemeOptimal, placer.SchemeGreedy}

@@ -12,8 +12,8 @@ import (
 // ReconcilePoint is one scenario row of the control-plane convergence
 // table: a lemurd reconcile loop driven through a scripted operation under
 // a fake clock, reporting how many passes and how much simulated time the
-// loop needed to converge. Every field except WallNs is deterministic — the
-// fake clock makes convergence latency a pure function of the scenario.
+// loop needed to converge. Every field is deterministic — the fake clock
+// makes convergence latency a pure function of the scenario.
 type ReconcilePoint struct {
 	// Scenario names the scripted operation; BaseChains is the applied
 	// chain count before it; Ops the desired-state operations issued.
@@ -39,10 +39,6 @@ type ReconcilePoint struct {
 	Applies        uint64
 	BackoffRetries uint64
 	RejectedSpecs  uint64
-
-	// WallNs is the scenario's wall-clock time — the only nondeterministic
-	// field; byte-identity tests scrub it.
-	WallNs int64
 }
 
 // ReconcileScenarios lists the sweep's scripted scenarios in table order.
@@ -60,18 +56,15 @@ const reconcileInterval = 100 * time.Millisecond
 // daemon on a fake clock, reconciling every reconcileInterval, and reports
 // the convergence table. Scenarios are independent cells run concurrently
 // bounded by parallel (<=0 = GOMAXPROCS) with results stored by scenario
-// index: the output is byte-identical at any worker count except the WallNs
-// fields.
+// index: the output is byte-identical at any worker count.
 func ReconcileSweep(parallel int) ([]ReconcilePoint, error) {
 	scenarios := ReconcileScenarios()
 	points := make([]ReconcilePoint, len(scenarios))
 	err := forEach(len(scenarios), parallel, func(i int) error {
-		start := time.Now()
 		pt, err := runReconcileScenario(scenarios[i])
 		if err != nil {
 			return fmt.Errorf("experiments: reconcile scenario %s: %w", scenarios[i], err)
 		}
-		pt.WallNs = time.Since(start).Nanoseconds()
 		points[i] = pt
 		return nil
 	})

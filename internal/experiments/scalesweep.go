@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"time"
 
 	"lemur/internal/hw"
 	"lemur/internal/metacompiler"
@@ -14,13 +13,12 @@ import (
 )
 
 // The flow-scale sweep: the same placed chain set simulated at increasing
-// concurrent-flow populations (1k → 1M), measuring how the stateful
-// dataplane degrades as NF tables hit their caps — NAT port exhaustion,
-// Monitor/LB FIFO eviction, Dedup cache rotation. Throughput is packets
-// through the simulator per wall-clock second (the sharded-table engine's
-// whole point is holding that flat as flows grow three orders of
-// magnitude); drops and latency come from the SimResult; table pressure is
-// harvested from the deployed NF instances after the run.
+// concurrent-flow populations, measuring how the stateful dataplane degrades
+// as NF tables hit their caps — NAT port exhaustion, Monitor/LB FIFO
+// eviction, Dedup cache rotation. Drops and latency come from the
+// SimResult; table pressure is harvested from the deployed NF instances
+// after the run. Packet rates are bench/'s measurement (sim_stateful_hit,
+// sim_stateful_churn), not this sweep's.
 
 // ScalePoint is one flow-count cell: the chain set simulated with a
 // pre-generated population of Flows concurrent flows, sized to inject
@@ -42,8 +40,7 @@ type NFTableState struct {
 	Exhausted uint64 `json:"exhausted,omitempty"`
 }
 
-// ScaleCell is one point's outcome. Everything except WallNs (and the
-// PktsPerSec derived from it) is deterministic for a fixed seed.
+// ScaleCell is one point's outcome, deterministic for a fixed seed.
 type ScaleCell struct {
 	Point       ScalePoint
 	DurationSec float64
@@ -55,42 +52,42 @@ type ScaleCell struct {
 	P99DelaySec float64
 	Sim         *runtime.SimResult
 	NFState     []NFTableState
-	// WallNs is the cell's wall-clock simulation time (excluding placement
-	// and compilation). Only meaningful when cells run serially.
-	WallNs int64
 }
 
-// DefaultScalePoints is the scale section's curve: 1k, 10k, 100k and 1M flows,
-// with enough packets at the top point to churn every table past its cap.
+// DefaultScalePoints is the scale section's curve at 50k packets a point.
+// Chain 2's LB spreads flows over three NATs of 12k entries each: 500 flows
+// fill a sliver of them, and 200k overrun all three, so NAT allocations
+// exhaust and drop packets. At 40k packets that exhaustion depends on the
+// seed; at 50k every seed shows it.
 func DefaultScalePoints(base int64) []ScalePoint {
 	return []ScalePoint{
-		{Flows: 1_000, TargetPackets: 2_000_000, Seed: base},
-		{Flows: 10_000, TargetPackets: 2_000_000, Seed: base + 1},
-		{Flows: 100_000, TargetPackets: 2_000_000, Seed: base + 2},
-		{Flows: 1_000_000, TargetPackets: 10_000_000, Seed: base + 3},
+		{Flows: 500, TargetPackets: 50_000, Seed: base},
+		{Flows: 200_000, TargetPackets: 50_000, Seed: base + 1},
 	}
 }
 
-// flowScale is the placed chain set both flow-scale sweeps simulate: ScaleSweep
-// varies the flow population over it, CoresSweep the simulator's worker count.
-type flowScale struct {
-	in      *placer.Input
-	res     *placer.Result
-	sumRate float64 // Σ placed chain rates, bits/sec
-}
-
-// placeFlowScale builds the canonical chain set's input with the stateful
-// classes pinned to servers and places it with Lemur; what names the calling
-// sweep in errors.
-func (r *Runner) placeFlowScale(what string, chainIdxs []int, delta float64) (*flowScale, error) {
+// ScaleSweep places one chain set once with Lemur, the stateful classes
+// pinned to servers, then simulates every flow-count point on its own
+// freshly compiled deployment (a run mutates NF table state). The simulated
+// duration is derived per point so the injected packet count lands on
+// TargetPackets regardless of the chain set's aggregate rate; cfg's Scale
+// and StepSec default to 1 and 1 ms. Cells run concurrently, bounded by
+// Runner.Parallel, and results are reduced by point index — the cells are
+// byte-identical at any worker count.
+func (r *Runner) ScaleSweep(chainIdxs []int, delta float64, points []ScalePoint, cfg runtime.SimConfig) ([]ScaleCell, error) {
+	for pi, pt := range points {
+		if pt.Flows <= 0 {
+			return nil, fmt.Errorf("experiments: scalesweep point %d: non-positive flow count %d", pi, pt.Flows)
+		}
+	}
 	in, _, err := r.input(chainIdxs, delta)
 	if err != nil {
 		return nil, err
 	}
 	// Pin the stateful classes to servers. PISA and SmartNIC match tables
-	// top out at tens of thousands of entries — a million-flow population
+	// top out at tens of thousands of entries — a large flow population
 	// only fits in server memory, and only the server NFs carry the sharded
-	// state tables these sweeps measure.
+	// state tables this sweep measures.
 	restrict := map[string][]hw.Platform{}
 	for class, platforms := range in.Restrict {
 		restrict[class] = platforms
@@ -99,65 +96,38 @@ func (r *Runner) placeFlowScale(what string, chainIdxs []int, delta float64) (*f
 		restrict[class] = []hw.Platform{hw.Server}
 	}
 	in.Restrict = restrict
-	res, err := placeFeasible(what, placer.SchemeLemur, in)
+	res, err := placeFeasible("scalesweep", placer.SchemeLemur, in)
 	if err != nil {
 		return nil, err
 	}
-	fs := &flowScale{in: in, res: res}
+	sumRate := 0.0
 	for _, rate := range res.ChainRates {
-		fs.sumRate += rate
+		sumRate += rate
 	}
-	if fs.sumRate <= 0 {
-		return nil, fmt.Errorf("experiments: %s: zero aggregate rate", what)
+	if sumRate <= 0 {
+		return nil, fmt.Errorf("experiments: scalesweep: zero aggregate rate")
 	}
-	return fs, nil
-}
-
-// config completes cfg for a run over flows concurrent flows that injects
-// about targetPackets packets (0 keeps cfg's duration).
-func (fs *flowScale) config(cfg runtime.SimConfig, flows, targetPackets int) runtime.SimConfig {
-	cfg.FlowScale = flows
 	if cfg.Scale <= 0 {
-		// Scale 1: simulate the offered rates unscaled, so multi-million
-		// packet targets stay seconds of simulated time, not hours.
+		// Scale 1: simulate the offered rates unscaled.
 		cfg.Scale = 1
 	}
 	if cfg.StepSec <= 0 {
 		cfg.StepSec = 1e-3
 	}
-	if targetPackets > 0 {
-		// The engines inject offered/frameBits/Scale packets per simulated
-		// second across the chain set; invert that for the duration.
-		pktsPerSimSec := fs.sumRate / placer.DefaultFrameBits / cfg.Scale
-		steps := math.Ceil(float64(targetPackets) / pktsPerSimSec / cfg.StepSec)
-		cfg.DurationSec = steps * cfg.StepSec
-	}
-	return cfg
-}
-
-// ScaleSweep places one chain set once, then simulates every flow-count
-// point on its own freshly compiled deployment (a run mutates NF table
-// state). The simulated duration is derived per point so the injected
-// packet count lands on TargetPackets regardless of the chain set's
-// aggregate rate. Cells run concurrently, bounded by Runner.Parallel, and
-// results are reduced by point index — the deterministic fields are
-// byte-identical at any worker count.
-func (r *Runner) ScaleSweep(chainIdxs []int, delta float64, points []ScalePoint, cfg runtime.SimConfig) ([]ScaleCell, error) {
-	for pi, pt := range points {
-		if pt.Flows <= 0 {
-			return nil, fmt.Errorf("experiments: scalesweep point %d: non-positive flow count %d", pi, pt.Flows)
-		}
-	}
-	fs, err := r.placeFlowScale("scalesweep", chainIdxs, delta)
-	if err != nil {
-		return nil, err
-	}
+	// The engines inject offered/frameBits/Scale packets per simulated
+	// second across the chain set; invert that for each point's duration.
+	pktsPerSimSec := sumRate / placer.DefaultFrameBits / cfg.Scale
 
 	cells := make([]ScaleCell, len(points))
 	err = forEach(len(points), r.Parallel, func(pi int) error {
-		cell, err := r.scaleCell(fs, points[pi], cfg)
+		pt, pcfg := points[pi], cfg
+		pcfg.FlowScale, pcfg.Seed = pt.Flows, pt.Seed
+		if pt.TargetPackets > 0 {
+			pcfg.DurationSec = math.Ceil(float64(pt.TargetPackets)/pktsPerSimSec/pcfg.StepSec) * pcfg.StepSec
+		}
+		cell, err := r.scaleCell(in, res, pt, pcfg)
 		if err != nil {
-			return fmt.Errorf("experiments: scalesweep point %d (%d flows): %w", pi, points[pi].Flows, err)
+			return fmt.Errorf("experiments: scalesweep point %d (%d flows): %w", pi, pt.Flows, err)
 		}
 		cells[pi] = *cell
 		return nil
@@ -168,27 +138,21 @@ func (r *Runner) ScaleSweep(chainIdxs []int, delta float64, points []ScalePoint,
 	return cells, nil
 }
 
-// scaleCell compiles and simulates one flow-count point.
-func (r *Runner) scaleCell(fs *flowScale, pt ScalePoint, cfg runtime.SimConfig) (*ScaleCell, error) {
-	tb, err := r.deploy(fs.in, fs.res)
+// scaleCell compiles and simulates one flow-count point under cfg.
+func (r *Runner) scaleCell(in *placer.Input, res *placer.Result, pt ScalePoint, cfg runtime.SimConfig) (*ScaleCell, error) {
+	tb, err := r.deploy(in, res)
 	if err != nil {
 		return nil, err
 	}
-	pcfg := fs.config(cfg, pt.Flows, pt.TargetPackets)
-	pcfg.Seed = pt.Seed
-
-	t0 := time.Now()
-	sim, err := tb.Simulate(fs.res.ChainRates, pcfg)
-	wall := time.Since(t0)
+	sim, err := tb.Simulate(res.ChainRates, cfg)
 	if err != nil {
 		return nil, err
 	}
 	cell := &ScaleCell{
 		Point:       pt,
-		DurationSec: pcfg.DurationSec,
+		DurationSec: cfg.DurationSec,
 		Sim:         sim,
 		NFState:     HarvestNFState(tb.D),
-		WallNs:      wall.Nanoseconds(),
 	}
 	for ci := range sim.Injected {
 		cell.Packets += sim.Injected[ci]

@@ -1,44 +1,20 @@
 package experiments
 
 import (
-	"encoding/json"
+	"strings"
 	"testing"
 
 	"lemur/internal/hw"
 	"lemur/internal/runtime"
 )
 
-// smallScalePoints keeps the unit-test sweep to tens of thousands of
-// packets; the multi-million-point curve is lemur-bench -paper scale's job.
-func smallScalePoints() []ScalePoint {
-	return []ScalePoint{
-		{Flows: 1_000, TargetPackets: 30_000, Seed: 9},
-		{Flows: 50_000, TargetPackets: 30_000, Seed: 10},
-	}
-}
-
-// TestScaleSweepParallelMatchesSerial: the deterministic fields of the
-// flow-scale sweep must be byte-identical at any worker count. WallNs (and
-// nothing else) is wall clock, so it is zeroed before comparing.
-func TestScaleSweepParallelMatchesSerial(t *testing.T) {
-	run := func(parallel int) []ScaleCell {
-		r := NewRunner(hw.NewPaperTestbed())
-		r.Parallel = parallel
-		cells, err := r.ScaleSweep([]int{2, 3}, 0.5, smallScalePoints(), runtime.SimConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range cells {
-			cells[i].WallNs = 0
-		}
-		return cells
-	}
-	serial := run(1)
-	parallel := run(8)
-	sj, _ := json.Marshal(serial)
-	pj, _ := json.Marshal(parallel)
-	if string(sj) != string(pj) {
-		t.Fatalf("parallel scale sweep diverges from serial:\nserial:   %s\nparallel: %s", sj, pj)
+// TestScaleSweepRejectsBadFlows: the flow-scale sweep refuses non-positive
+// flow populations up front instead of failing deep in a cell.
+func TestScaleSweepRejectsBadFlows(t *testing.T) {
+	r := NewRunner(hw.NewPaperTestbed())
+	_, err := r.ScaleSweep([]int{2}, 0.5, []ScalePoint{{Flows: 0, TargetPackets: 100, Seed: 1}}, runtime.SimConfig{})
+	if err == nil || !strings.Contains(err.Error(), "non-positive flow count") {
+		t.Fatalf("err = %v, want non-positive flow count error", err)
 	}
 }
 

@@ -336,7 +336,7 @@ func (d *Deployment) installSegment(ci int, sp *ServicePath, seg segment, next *
 			if err != nil {
 				return err
 			}
-			sub.CrossSocket = anyCrossSocket(srv, sub.Shares)
+			sub.CrossSocket = bess.CrossSocket(srv, sub.Shares)
 			d.SubgroupOf[sub] = psg
 		}
 		if err := pl.Add(sub); err != nil {
@@ -383,16 +383,6 @@ func forwardTo(seg segment) pisa.Forward {
 	default:
 		return pisa.Forward{Kind: pisa.Continue}
 	}
-}
-
-func anyCrossSocket(srv *hw.ServerSpec, shares []bess.CoreShare) bool {
-	nicSocket := srv.NICs[0].Socket
-	for _, s := range shares {
-		if s.Core/srv.CoresPerSocket != nicSocket {
-			return true
-		}
-	}
-	return false
 }
 
 // aggregateFilter compiles a chain's traffic aggregate into a classifier

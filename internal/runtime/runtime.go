@@ -228,7 +228,7 @@ func (tb *Testbed) Measure(offered []float64) (*Measurement, error) {
 		if err != nil {
 			return nil, err
 		}
-		cross := crossSocket(srv, tb.D.Shares[psg])
+		cross := bess.CrossSocket(srv, tb.D.Shares[psg])
 		actual := tb.actualCycles(psg, cross, rng)
 		pps := float64(psg.Cores) * srv.ClockHz / actual
 		rate := pps * frameBits / psg.Weight
@@ -260,9 +260,9 @@ func (tb *Testbed) Measure(offered []float64) (*Measurement, error) {
 		m.Rates[i] = r
 	}
 
-	// Link enforcement: scale chains down proportionally on any
-	// oversubscribed device (the LP should prevent this; enforcement keeps
-	// the measurement honest for baseline schemes).
+	// Link enforcement: scale chains down on any oversubscribed device (the
+	// LP should prevent this; enforcement keeps the measurement honest for
+	// baseline schemes).
 	visits := map[string][]float64{}
 	caps := map[string]float64{}
 	for _, psg := range res.Subgroups {
@@ -281,26 +281,44 @@ func (tb *Testbed) Measure(offered []float64) (*Measurement, error) {
 		}
 		visits[u.Device][u.ChainIdx] += u.Weight
 	}
-	for dev, vs := range visits {
-		load := 0.0
-		for i, v := range vs {
-			load += v * m.Rates[i]
-		}
-		if load > caps[dev] {
-			scale := caps[dev] / load
-			for i, v := range vs {
-				if v > 0 {
-					m.Rates[i] *= scale
-				}
-			}
-		}
-	}
+	enforceLinks(m.Rates, visits, caps)
 
 	for i, r := range m.Rates {
 		m.Aggregate += r
 		m.WorstLatencySec[i] = tb.pathLatency(i)
 	}
 	return m, nil
+}
+
+// enforceLinks scales rates so that no device carries more than its
+// capacity: visits[dev][i] is chain i's weight on dev, caps[dev] its
+// capacity. Each device's factor, capacity over load, comes from the rates
+// as given, and each chain is scaled by the smallest factor among the
+// oversubscribed devices it visits. A device's load then falls at least by
+// its own factor, so every device fits, whatever order the map yields.
+func enforceLinks(rates []float64, visits map[string][]float64, caps map[string]float64) {
+	factor := make([]float64, len(rates))
+	for i := range factor {
+		factor[i] = 1
+	}
+	for dev, vs := range visits {
+		load := 0.0
+		for i, v := range vs {
+			load += v * rates[i]
+		}
+		if load <= caps[dev] {
+			continue
+		}
+		f := caps[dev] / load
+		for i, v := range vs {
+			if v > 0 && f < factor[i] {
+				factor[i] = f
+			}
+		}
+	}
+	for i := range rates {
+		rates[i] *= factor[i]
+	}
 }
 
 // actualCycles realizes a subgroup's true per-packet cost: each NF's worst
@@ -355,15 +373,4 @@ func (tb *Testbed) pathLatency(i int) float64 {
 		}
 	}
 	return worst
-}
-
-// crossSocket reports whether any of the shares run off the NIC's socket.
-func crossSocket(srv *hw.ServerSpec, shares []bess.CoreShare) bool {
-	nicSocket := srv.NICs[0].Socket
-	for _, s := range shares {
-		if s.Core/srv.CoresPerSocket != nicSocket {
-			return true
-		}
-	}
-	return false
 }

@@ -348,3 +348,39 @@ func TestVerifyInPlaceMatchesAllocating(t *testing.T) {
 		}
 	}
 }
+
+// TestEnforceLinksOrderFree: with two oversubscribed devices the enforced
+// rates do not depend on which device is met first, and every device fits.
+// Chain 0 visits devices A and B, chain 1 only A, chain 2 only B, each of
+// capacity 10, at rates (10, 10, 5): A's factor is 1/2 and B's 2/3, so
+// chain 0 takes the smaller, giving (5, 5, 10/3). Enforcing A before B in
+// place would give (5, 5, 5); B before A (4, 6, 10/3).
+func TestEnforceLinksOrderFree(t *testing.T) {
+	visits := map[string][]float64{"A": {1, 1, 0}, "B": {1, 0, 1}}
+	caps := map[string]float64{"A": 10, "B": 10}
+	bFactor := caps["B"] / 15 // B carries chain 0 at 10 and chain 2 at 5
+	want := []float64{5, 5, 5 * bFactor}
+	// Map iteration order is randomised per range; many runs meet both.
+	for run := 0; run < 50; run++ {
+		rates := []float64{10, 10, 5}
+		enforceLinks(rates, visits, caps)
+		if !reflect.DeepEqual(rates, want) {
+			t.Fatalf("run %d: enforced rates %v, want %v", run, rates, want)
+		}
+		for dev, vs := range visits {
+			load := 0.0
+			for i, v := range vs {
+				load += v * rates[i]
+			}
+			if load > caps[dev]+1e-9 {
+				t.Fatalf("run %d: device %s carries %v over its capacity %v", run, dev, load, caps[dev])
+			}
+		}
+	}
+	// A chain on no oversubscribed device keeps its rate bit for bit.
+	rates := []float64{4, 3, 5}
+	enforceLinks(rates, visits, caps)
+	if !reflect.DeepEqual(rates, []float64{4, 3, 5}) {
+		t.Fatalf("rates within capacity changed: %v", rates)
+	}
+}

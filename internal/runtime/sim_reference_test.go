@@ -82,7 +82,7 @@ func (tb *Testbed) simulateReference(offered []float64, cfg SimConfig) (*SimResu
 			floor := profile.NoiseFloor(n.Class())
 			cost += worst * (floor + rng.Float64()*(1-floor))
 		}
-		if crossSocket(srv, tb.D.Shares[psg]) {
+		if bess.CrossSocket(srv, tb.D.Shares[psg]) {
 			cost *= in.Topo.CrossSocketPenalty
 		}
 		costOf[sub] = cost

@@ -111,7 +111,7 @@ func buildSimIndex(d *metacompiler.Deployment) (*simIndex, error) {
 		}
 		ix.entries = append(ix.entries, simEntry{
 			sub: sub, psg: psg, pipe: pipeOf[sub], srv: srv,
-			cross: crossSocket(srv, d.Shares[psg]),
+			cross: bess.CrossSocket(srv, d.Shares[psg]),
 		})
 		ix.idxOf[sub] = int32(i)
 		if _, dup := primOfPsg[psg]; !dup {
