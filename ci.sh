@@ -179,9 +179,11 @@ run_guard 'TestReconcileSweepDeterministic' -race -count=1 ./internal/experiment
 
 # The evaluation harness's one cell runner: bounded workers, every index
 # once, inline at one worker, and errors reduced by index like results — so
-# a sweep with two failing points names the lower one on every schedule.
+# a sweep with two failing cells names the lower one on every schedule — and
+# the simulation fan-out on top of it, the same at any -parallel and
+# -sim-workers.
 echo "==> experiment cell runner (race)"
-run_guard 'TestForEach|TestFailoverSweepErrorDeterministic' -race -count=1 ./internal/experiments
+run_guard 'TestForEach|TestFailoverSweepErrorDeterministic|TestSimulateCellsIdenticalAcrossWorkers|TestSimSweepParallelMatchesSerial|TestFailoverSweepParallelIdentical|TestLatencySweepParallelIdentical' -race -count=1 ./internal/experiments
 
 # Sharded/reference table identity: the sharded arena tables against the
 # map-backed references that now live only in internal/nf's test files — NF
@@ -261,13 +263,14 @@ awk -v t="$total" 'BEGIN { exit (t+0 < 79.0) ? 1 : 0 }' || {
 coverage_floor reconfiguration \
   'internal/chaos/chaos\.go|internal/placer/(reconfigure|legacy)\.go|internal/metacompiler/(apply|legacy)\.go|internal/experiments/churnsweep\.go|internal/runtime/(churnctx|simctl|reconf)\.go' 75.0
 # The million-flow state layer: sharded NF tables, arena flow schedules,
-# FlowScale plumbing, scale sweep.
+# FlowScale plumbing, the scale section's grid and NF state harvest.
 coverage_floor scale \
-  'internal/nf/(flowtab|nat|monitor|dedup|lb)\.go|internal/trafficgen/|internal/runtime/flowscale\.go|internal/experiments/scalesweep\.go' 75.0
+  'internal/nf/(flowtab|nat|monitor|dedup|lb)\.go|internal/trafficgen/|internal/runtime/flowscale\.go|internal/experiments/flowscale\.go' 75.0
 # The deadline-scheduling path: EDF scheduler trees, metacompiler slacks,
-# p99 admission, simulator drain order + quantiles, latency sweep.
+# p99 admission, simulator drain order + quantiles, the deadline section's
+# chain.
 coverage_floor deadline \
-  'internal/bess/scheduler\.go|internal/metacompiler/deadline\.go|internal/placer/p99\.go|internal/runtime/(simedf|quantile)\.go|internal/experiments/latencysweep\.go' 75.0
+  'internal/bess/scheduler\.go|internal/metacompiler/deadline\.go|internal/placer/p99\.go|internal/runtime/(simedf|quantile)\.go|internal/experiments/deadline\.go' 75.0
 # The control-plane daemon: spec validation, reconcile loop, snapshot, watch
 # dir, status/API surface.
 coverage_floor daemon 'internal/daemon/' 75.0
@@ -321,9 +324,10 @@ run_guard 'TestMillionFlowAllocBudget' -count=1 ./internal/runtime
 # fresh one's result for every input of a kept flow schedule. Then the
 # sharded path holds its own allocs-per-packet budget (< 0.25 at workers=4
 # on a multi-shard deployment, < 0.13 at workers=2 under a fault plan, where
-# allocations must also not grow with the step count).
+# allocations must also not grow with the step count). A steering loop is an
+# error on one shard, on two and in the reference, as in Verify.
 echo "==> sharded simulation byte-identity, golden matrix, epoch contract (race, workers up to 8)"
-run_guard 'TestSimulateParallelMatchesReference|TestSimulateParallelFailoverByteIdentity|TestSimulateParallelChurnByteIdentity|TestSimulateWorkersValidation|TestBuildSimPartitionInvariants|TestSimulateGolden|TestFlowScaleGolden|TestWarmScheduleInvalidates|TestSimulateEpochContract|TestSimulateStepCount' \
+run_guard 'TestSimulateParallelMatchesReference|TestSimulateParallelFailoverByteIdentity|TestSimulateParallelChurnByteIdentity|TestSimulateWorkersValidation|TestBuildSimPartitionInvariants|TestSimulateGolden|TestFlowScaleGolden|TestWarmScheduleInvalidates|TestSimulateEpochContract|TestSimulateStepCount|TestSimulateSteeringLoopIsError' \
   -race -count=1 ./internal/runtime
 
 echo "==> sharded simulation allocation guard"

@@ -202,14 +202,13 @@ func (pl *Pipeline) Add(sg *Subgroup) error {
 	}
 	pl.entries[k] = sg
 	pl.groups = append(pl.groups, sg)
-	if load := pl.CoreLoad(); true {
-		for core, f := range load {
-			if f > 1+1e-9 {
-				// Roll back.
-				delete(pl.entries, k)
-				pl.groups = pl.groups[:len(pl.groups)-1]
-				return fmt.Errorf("%w: core %d at %.2f", ErrOversubscribe, core, f)
-			}
+	// Only sg's cores can have gone over; the first in share order is named.
+	for _, s := range sg.Shares {
+		if f := pl.coreLoad(s.Core); f > 1+1e-9 {
+			// Roll back.
+			delete(pl.entries, k)
+			pl.groups = pl.groups[:len(pl.groups)-1]
+			return fmt.Errorf("%w: core %d at %.2f", ErrOversubscribe, s.Core, f)
 		}
 	}
 	return nil
@@ -244,15 +243,17 @@ func (pl *Pipeline) SubgroupFor(spi uint32, si uint8) *Subgroup {
 	return pl.entries[pathKey(spi, si)]
 }
 
-// CoreLoad sums allocated fractions per core.
-func (pl *Pipeline) CoreLoad() map[int]float64 {
-	load := make(map[int]float64)
+// coreLoad sums the fractions allocated on one core, in install order.
+func (pl *Pipeline) coreLoad(core int) float64 {
+	f := 0.0
 	for _, sg := range pl.groups {
 		for _, s := range sg.Shares {
-			load[s.Core] += s.Fraction
+			if s.Core == core {
+				f += s.Fraction
+			}
 		}
 	}
-	return load
+	return f
 }
 
 // ProcessFrameInPlace is the full server path for one frame arriving from

@@ -132,8 +132,28 @@ func TestCoreOversubscription(t *testing.T) {
 	if err := pl.Add(b); err != nil {
 		t.Errorf("exactly-full core should fit: %v", err)
 	}
-	if load := pl.CoreLoad()[2]; math.Abs(load-1.0) > 1e-9 {
+	if load := pl.coreLoad(2); math.Abs(load-1.0) > 1e-9 {
 		t.Errorf("core 2 load = %v", load)
+	}
+}
+
+// TestOversubscribeErrorDeterministic: a subgroup that overfills two cores
+// is refused naming the first of them in its share order, on every run.
+func TestOversubscribeErrorDeterministic(t *testing.T) {
+	for run := 0; run < 50; run++ {
+		pl := NewPipeline(server())
+		a := mkSub(t, "a")
+		a.Shares = []CoreShare{{Core: 1, Fraction: 0.8}, {Core: 3, Fraction: 0.8}}
+		if err := pl.Add(a); err != nil {
+			t.Fatal(err)
+		}
+		b := mkSub(t, "b")
+		b.SPI = 2
+		b.Shares = []CoreShare{{Core: 3, Fraction: 0.5}, {Core: 1, Fraction: 0.5}}
+		err := pl.Add(b)
+		if !errors.Is(err, ErrOversubscribe) || !strings.Contains(err.Error(), "core 3 at 1.30") {
+			t.Fatalf("run %d: err = %v, want core 3 at 1.30", run, err)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
 
 	"lemur/internal/hw"
@@ -14,47 +15,66 @@ import (
 func beyondSections() []paperSection {
 	return []paperSection{
 		{"deadline", "Deadline scheduling: EDF vs round-robin", func(r *Runner, d *paperDoc) error {
-			spec := DefaultLatencySpec
-			curves, err := r.LatencySweep(spec, DefaultLatencyPoints(1),
-				[]placer.Scheme{placer.SchemeLemur, placer.SchemeHWPreferred, placer.SchemeSWPreferred},
-				runtime.SimConfig{DurationSec: 1.0, Workers: r.SimWorkers})
-			if err != nil {
-				return err
+			d.line("tmin=%v dmax=%v", deadlineTMinBps, deadlineDMaxSec)
+			// Each load point runs twice, EDF then round-robin: same seed,
+			// same per-core capacity, only the drain order differs.
+			var cells []simCell
+			for i, load := range deadlineLoads {
+				for _, pol := range []string{runtime.SchedEDF, runtime.SchedRR} {
+					cells = append(cells, simCell{load, runtime.SimConfig{DurationSec: 1.0, Seed: 1 + int64(i), SchedPolicy: pol}})
+				}
 			}
-			d.line("tmin=%v dmax=%v", spec.TMinBps, spec.DMaxSec)
-			for _, cv := range curves {
-				if !cv.Feasible {
-					d.line("%s feasible=false reason=%q", cv.Scheme, cv.Reason)
+			for _, scheme := range []placer.Scheme{placer.SchemeLemur, placer.SchemeHWPreferred, placer.SchemeSWPreferred} {
+				in, err := r.latencyInput()
+				if err != nil {
+					return err
+				}
+				res, err := placer.Place(scheme, in)
+				if err != nil {
+					return err
+				}
+				if !res.Feasible {
+					d.line("%s feasible=false reason=%q", scheme, res.Reason)
 					continue
 				}
-				for _, c := range cv.Cells {
+				sims, _, err := r.simulateCells(in, res, cells)
+				if err != nil {
+					return fmt.Errorf("%s: %w", scheme, err)
+				}
+				for i, load := range deadlineLoads {
+					edf, rr := sims[2*i], sims[2*i+1]
 					d.line("%s load=%v achieved_edf=%v achieved_rr=%v worst_p99_edf=%v worst_p99_rr=%v compliance_edf=%v compliance_rr=%v",
-						cv.Scheme, c.Point.LoadFactor, sum(c.EDF.AchievedBps), sum(c.RR.AchievedBps),
-						extreme(c.EDF.P99QueueDelaySec, 0, math.Max), extreme(c.RR.P99QueueDelaySec, 0, math.Max),
-						extreme(c.EDF.DeadlineCompliance, 1, math.Min), extreme(c.RR.DeadlineCompliance, 1, math.Min))
+						scheme, load, sum(edf.AchievedBps), sum(rr.AchievedBps),
+						extreme(edf.P99QueueDelaySec, 0, math.Max), extreme(rr.P99QueueDelaySec, 0, math.Max),
+						extreme(edf.DeadlineCompliance, 1, math.Min), extreme(rr.DeadlineCompliance, 1, math.Min))
 				}
 			}
 			return nil
 		}},
 		{"sim", "Simulation sweep: chains [1 2 3], delta 0.5, load factor vs outcome", func(r *Runner, d *paperDoc) error {
-			cells, err := r.SimSweep([]int{1, 2, 3}, 0.5, DefaultSimPoints(1),
-				runtime.SimConfig{DurationSec: 0.5, Workers: r.SimWorkers})
+			in, _, err := r.input([]int{1, 2, 3}, 0.5)
 			if err != nil {
 				return err
 			}
-			for _, c := range cells {
-				var inj, egr int
-				for ci := range c.Sim.Injected {
-					inj += c.Sim.Injected[ci]
-					egr += c.Sim.Egressed[ci]
-				}
-				drop := 0.0
-				if inj > 0 {
-					drop = float64(inj-egr) / float64(inj)
-				}
+			res, err := placeFeasible("sim", placer.SchemeLemur, in)
+			if err != nil {
+				return err
+			}
+			// Underload through drop onset.
+			loads := []float64{0.6, 0.8, 1.0, 1.2, 1.5, 1.8}
+			cells := make([]simCell, len(loads))
+			for i, load := range loads {
+				cells[i] = simCell{load, runtime.SimConfig{DurationSec: 0.5, Seed: 1 + int64(i)}}
+			}
+			sims, _, err := r.simulateCells(in, res, cells)
+			if err != nil {
+				return err
+			}
+			for i, sim := range sims {
+				_, drop := dropShare(sim)
 				d.line("load=%v offered=%v achieved=%v drop=%v worst_avg_delay=%v worst_p99_delay=%v",
-					c.Point.LoadFactor, sum(c.Sim.OfferedBps), sum(c.Sim.AchievedBps), drop,
-					extreme(c.Sim.AvgQueueDelaySec, 0, math.Max), extreme(c.Sim.P99QueueDelaySec, 0, math.Max))
+					loads[i], sum(sim.OfferedBps), sum(sim.AchievedBps), drop,
+					extreme(sim.AvgQueueDelaySec, 0, math.Max), extreme(sim.P99QueueDelaySec, 0, math.Max))
 			}
 			return nil
 		}},
@@ -62,25 +82,32 @@ func beyondSections() []paperSection {
 		// budgets above every chain's per-packet cost, so low-rate expensive
 		// chains make progress in the simulator.
 		{"failover", "Failover: chains [1 2 3], delta 0.5, k of 3 servers crashed", func(r *Runner, d *paperDoc) error {
-			topo := hw.NewPaperTestbed(hw.WithServers(3))
-			var servers []string
-			for _, s := range topo.Servers {
-				servers = append(servers, s.Name)
-			}
-			cells, err := r.on(topo).FailoverSweep([]int{1, 2, 3}, 0.5, DefaultFailoverPoints(servers, 1),
-				runtime.SimConfig{DurationSec: 0.25, Scale: 50, Workers: r.SimWorkers})
+			rf := r.on(hw.NewPaperTestbed(hw.WithServers(3)))
+			in, _, err := rf.input([]int{1, 2, 3}, 0.5)
 			if err != nil {
 				return err
 			}
-			for _, c := range cells {
-				d.line("k=%d crashed=%v compliant=%d/%d", len(c.Point.Crash), c.Point.Crash, c.CompliantChains, c.TotalChains)
-				if fo := c.Sim.Failover; fo != nil {
+			res, err := placeFeasible("failover", placer.SchemeLemur, in)
+			if err != nil {
+				return err
+			}
+			var servers []string
+			for _, s := range rf.Topo.Servers {
+				servers = append(servers, s.Name)
+			}
+			sims, _, err := rf.simulateCells(in, res, failoverCells(servers, runtime.SimConfig{DurationSec: 0.25, Scale: 50}))
+			if err != nil {
+				return err
+			}
+			for k, sim := range sims {
+				d.line("k=%d crashed=%v compliant=%d/%d", k, servers[:k], compliantChains(in, sim), len(in.Chains))
+				if fo := sim.Failover; fo != nil {
 					drops := 0
 					for _, n := range fo.FaultDrops {
 						drops += n
 					}
 					d.line("  at=%v detection=%v reconfig=%v max_downtime=%v fault_drops=%d replace_error=%q rewire=%q",
-						c.Point.AtSec, fo.DetectionDelaySec, fo.ReconfigDelaySec, extreme(fo.DowntimeSec, 0, math.Max),
+						failoverAtSec, fo.DetectionDelaySec, fo.ReconfigDelaySec, extreme(fo.DowntimeSec, 0, math.Max),
 						drops, fo.ReplaceError, fo.RewireSummary)
 				}
 			}
@@ -142,21 +169,27 @@ func beyondSections() []paperSection {
 		// Stateful NFs pinned to servers; chains 2 and 3 carry NAT, LB and
 		// Dedup, whose tables the flow population pushes past their caps.
 		{"scale", "Flow scale: chains [2 3], delta 0.5, flow count vs state pressure", func(r *Runner, d *paperDoc) error {
-			cells, err := r.ScaleSweep([]int{2, 3}, 0.5, DefaultScalePoints(3), runtime.SimConfig{Workers: r.SimWorkers})
+			in, res, cells, err := r.scaleCells()
 			if err != nil {
 				return err
 			}
-			for _, c := range cells {
+			sims, deps, err := r.simulateCells(in, res, cells)
+			if err != nil {
+				return err
+			}
+			for i, sim := range sims {
 				nat, exhausted, evicted := 0, uint64(0), uint64(0)
-				for _, st := range c.NFState {
+				for _, st := range HarvestNFState(deps[i]) {
 					if st.Class == "NAT" {
 						nat += st.Entries
 					}
 					exhausted += st.Exhausted
 					evicted += st.Evicted
 				}
+				packets, drop := dropShare(sim)
 				d.line("flows=%d packets=%d duration=%v drop=%v worst_avg_delay=%v worst_p99_delay=%v nat_entries=%d exhausted=%d evictions=%d",
-					c.Point.Flows, c.Packets, c.DurationSec, c.DropRate, c.AvgDelaySec, c.P99DelaySec, nat, exhausted, evicted)
+					cells[i].cfg.FlowScale, packets, cells[i].cfg.DurationSec, drop,
+					extreme(sim.AvgQueueDelaySec, 0, math.Max), extreme(sim.P99QueueDelaySec, 0, math.Max), nat, exhausted, evicted)
 			}
 			return nil
 		}},
@@ -170,6 +203,20 @@ func sum(vs []float64) float64 {
 		s += v
 	}
 	return s
+}
+
+// dropShare totals a run's injected packets and the share of them that did
+// not egress.
+func dropShare(sim *runtime.SimResult) (injected int, drop float64) {
+	egressed := 0
+	for ci := range sim.Injected {
+		injected += sim.Injected[ci]
+		egressed += sim.Egressed[ci]
+	}
+	if injected > 0 {
+		drop = float64(injected-egressed) / float64(injected)
+	}
+	return injected, drop
 }
 
 // extreme is the worst of per-chain values by pick, starting from v0:

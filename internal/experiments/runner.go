@@ -240,18 +240,43 @@ func (r *Runner) deploy(in *placer.Input, res *placer.Result) (*runtime.Testbed,
 	return runtime.New(d, testbedSeed), nil
 }
 
-// simulate runs one simulation cell: a fresh deployment of res, offered load
-// × the placed rates, under cfg. The offered rates are SimResult.OfferedBps.
-func (r *Runner) simulate(in *placer.Input, res *placer.Result, load float64, cfg runtime.SimConfig) (*runtime.SimResult, error) {
-	tb, err := r.deploy(in, res)
+// simCell is one simulation over a placement: the placed rates scaled by
+// load, run under cfg.
+type simCell struct {
+	load float64
+	cfg  runtime.SimConfig
+}
+
+// simulateCells runs every cell on its own fresh deployment of res (see
+// deploy), with cfg.Workers set to r.SimWorkers. Cells run concurrently,
+// bounded by Runner.Parallel, and results and errors reduce by cell index
+// through forEach, so the output is byte-identical at any Parallel and
+// SimWorkers. Each result comes back with the deployment it ran on; a run's
+// offered rates are its SimResult.OfferedBps.
+func (r *Runner) simulateCells(in *placer.Input, res *placer.Result, cells []simCell) ([]*runtime.SimResult, []*metacompiler.Deployment, error) {
+	sims := make([]*runtime.SimResult, len(cells))
+	deps := make([]*metacompiler.Deployment, len(cells))
+	err := forEach(len(cells), r.Parallel, func(i int) error {
+		tb, err := r.deploy(in, res)
+		if err == nil {
+			offered := make([]float64, len(res.ChainRates))
+			for ci, rate := range res.ChainRates {
+				offered[ci] = rate * cells[i].load
+			}
+			cfg := cells[i].cfg
+			cfg.Workers = r.SimWorkers
+			sims[i], err = tb.Simulate(offered, cfg)
+		}
+		if err != nil {
+			return fmt.Errorf("experiments: simulation cell %d: %w", i, err)
+		}
+		deps[i] = tb.D
+		return nil
+	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	offered := make([]float64, len(res.ChainRates))
-	for i, rate := range res.ChainRates {
-		offered[i] = rate * load
-	}
-	return tb.Simulate(offered, cfg)
+	return sims, deps, nil
 }
 
 // MeasureAchieved drives the testbed the way the paper does: each chain

@@ -11,6 +11,7 @@ package metacompiler
 
 import (
 	"fmt"
+	"sort"
 
 	"lemur/internal/bess"
 	"lemur/internal/bpf"
@@ -45,6 +46,38 @@ type Deployment struct {
 	Shares map[*placer.Subgroup][]bess.CoreShare
 
 	claimed map[*placer.Subgroup]bool // placer subgroups whose shares were installed
+}
+
+// EachNF calls fn on every deployed NF instance in a fixed order: servers
+// by name, each pipeline's subgroups in install order and their NFs in chain
+// order, then SmartNICs by name, their path programs in (SPI, SI) order and
+// their NFs. An instance reachable through several merge aliases is visited
+// once per alias.
+func (d *Deployment) EachNF(fn func(nf.NF)) {
+	for _, name := range sortedKeys(d.Pipelines) {
+		for _, sg := range d.Pipelines[name].Subgroups() {
+			for _, inst := range sg.NFs {
+				fn(inst)
+			}
+		}
+	}
+	for _, name := range sortedKeys(d.NICs) {
+		for _, pp := range d.NICs[name].PathPrograms() {
+			for _, inst := range pp.NFs {
+				fn(inst)
+			}
+		}
+	}
+}
+
+// sortedKeys returns a map's keys in ascending order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // Compile builds a Deployment from a feasible placement. It is Apply onto an

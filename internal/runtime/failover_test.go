@@ -163,7 +163,7 @@ func scrubWallClock(t *testing.T, snap []byte) []byte {
 // TestSimulateFailoverDeterministic: a crash-failover run is byte-identical
 // — SimResult JSON and metrics snapshot (modulo span wall-clock durations)
 // — across two fresh deployments with the same seed and fault plan, the
-// property FailoverSweep relies on.
+// property the failover section of experiments.Runner.WritePaper relies on.
 func TestSimulateFailoverDeterministic(t *testing.T) {
 	reg := obs.Default()
 	reg.Enable()

@@ -1,8 +1,6 @@
 package runtime
 
 import (
-	"sort"
-
 	"lemur/internal/nf"
 	"lemur/internal/nfspec"
 	"lemur/internal/trafficgen"
@@ -70,34 +68,10 @@ func (tb *Testbed) newChainGen(agg nfspec.Aggregate, ci int, cfg *SimConfig) (fr
 }
 
 // syncStateGauges publishes every deployed stateful NF's end-of-run table
-// occupancy to its lemur_nf_state_entries gauge, walking servers, their
-// pipelines' subgroups, and SmartNIC path programs in sorted (deterministic)
-// order. Called once per Simulate run so gauges track live NF state even
-// though the tables outlive obs registry resets between runs on a warm
-// testbed.
+// occupancy to its lemur_nf_state_entries gauge, in the deployment's fixed
+// NF order (metacompiler.Deployment.EachNF). Called once per Simulate run so
+// gauges track live NF state even though the tables outlive obs registry
+// resets between runs on a warm testbed.
 func (tb *Testbed) syncStateGauges() {
-	servers := make([]string, 0, len(tb.D.Pipelines))
-	for name := range tb.D.Pipelines {
-		servers = append(servers, name)
-	}
-	sort.Strings(servers)
-	for _, name := range servers {
-		for _, sg := range tb.D.Pipelines[name].Subgroups() {
-			for _, fn := range sg.NFs {
-				nf.SyncStateObs(fn)
-			}
-		}
-	}
-	nics := make([]string, 0, len(tb.D.NICs))
-	for name := range tb.D.NICs {
-		nics = append(nics, name)
-	}
-	sort.Strings(nics)
-	for _, name := range nics {
-		for _, pp := range tb.D.NICs[name].PathPrograms() {
-			for _, fn := range pp.NFs {
-				nf.SyncStateObs(fn)
-			}
-		}
-	}
+	tb.D.EachNF(nf.SyncStateObs)
 }

@@ -72,8 +72,12 @@ type ChainWalk struct {
 	Injected, Egressed, Dropped int
 }
 
-// maxWalkHops bounds a frame's platform transitions (loop guard).
+// maxWalkHops bounds a frame's platform transitions (loop guard). A frame
+// still in flight after that many is errHopBudget, in Verify and Simulate
+// alike.
 const maxWalkHops = 64
+
+var errHopBudget = errors.New("runtime: frame exceeded hop budget (steering loop?)")
 
 // Verify injects n generated frames per chain and walks each through the
 // full cross-platform path, checking that chains terminate (egress or
@@ -191,7 +195,7 @@ func (tb *Testbed) walk(frame []byte, scratch *packet.Packet, env *nf.Env) (last
 			return frame, hops, pisa.Dropped, fmt.Errorf("runtime: unsupported forward %v", fwd.Kind)
 		}
 	}
-	return frame, hops, pisa.Dropped, errors.New("runtime: frame exceeded hop budget (steering loop?)")
+	return frame, hops, pisa.Dropped, errHopBudget
 }
 
 // Measurement is the testbed's measured counterpart of a placement's

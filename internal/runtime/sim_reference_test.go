@@ -232,8 +232,7 @@ func (tb *Testbed) simulateReference(offered []float64, cfg SimConfig) (*SimResu
 				return false, fmt.Errorf("runtime: unsupported forward %v", fwd.Kind)
 			}
 		}
-		drop(p.chain)
-		return false, nil
+		return false, errHopBudget
 	}
 
 	// resume continues a parked packet from its subgroup.

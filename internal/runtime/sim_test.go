@@ -202,3 +202,48 @@ func TestSimulateRejectsNonFiniteOffered(t *testing.T) {
 		}
 	}
 }
+
+// TestSimulateSteeringLoopIsError: a frame that never leaves the rack means
+// the deployment is broken, so the simulator reports the hop budget, as
+// Verify's walk does, instead of counting a drop. Zeroing every server
+// subgroup's SI advance returns each frame to the switch tagged for the
+// subgroup it just left, and it bounces between switch and server. Checked
+// for the engine on one and two shards and for the per-packet reference.
+func TestSimulateSteeringLoopIsError(t *testing.T) {
+	looped := func() (*Testbed, []float64) {
+		_, res, tb := deployRestricted(t, hw.NewPaperTestbed(), simpleSpec, placer.SchemeLemur,
+			map[string][]hw.Platform{"ACL": {hw.Server}, "IPv4Fwd": {hw.PISA}})
+		for _, pl := range tb.D.Pipelines {
+			for _, sg := range pl.Subgroups() {
+				sg.AdvanceSI = 0
+			}
+		}
+		return tb, res.ChainRates
+	}
+	// Scale 1 gives a subgroup the credit for a whole loop in one step.
+	cfg := SimConfig{DurationSec: 0.002, Scale: 1}
+	runs := map[string]func(tb *Testbed, offered []float64) error{
+		"workers=1": func(tb *Testbed, offered []float64) error {
+			c := cfg
+			c.Workers = 1
+			_, err := tb.Simulate(offered, c)
+			return err
+		},
+		"workers=2": func(tb *Testbed, offered []float64) error {
+			c := cfg
+			c.Workers = 2
+			_, err := tb.Simulate(offered, c)
+			return err
+		},
+		"reference": func(tb *Testbed, offered []float64) error {
+			_, err := tb.simulateReference(offered, cfg)
+			return err
+		},
+	}
+	for name, run := range runs {
+		tb, offered := looped()
+		if err := run(tb, offered); err == nil || !strings.Contains(err.Error(), "hop budget") {
+			t.Errorf("%s: err = %v, want the hop budget", name, err)
+		}
+	}
+}

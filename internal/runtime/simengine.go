@@ -274,7 +274,7 @@ func (eng *simEngine) die(sh *simShard, p *simPacket, frame []byte) {
 }
 
 // advance walks a packet from the switch until it egresses, drops, or
-// parks in a subgroup queue. All hops run in place over the packet's
+// parks in a subgroup queue; a walk past maxWalkHops is errHopBudget. All hops run in place over the packet's
 // pooled buffer (see simShard.adopt). Every subgroup and NIC the walk
 // touches must belong to the executing shard — the partition guarantees it,
 // and the ownership assertions fail loudly if a steering update ever breaks
@@ -376,8 +376,7 @@ func (eng *simEngine) advance(sh *simShard, p *simPacket, now float64) (parked b
 			return false, fmt.Errorf("runtime: unsupported forward %v", fwd.Kind)
 		}
 	}
-	eng.die(sh, p, frame)
-	return false, nil
+	return false, errHopBudget
 }
 
 // resume continues a parked packet from its subgroup.
