@@ -85,6 +85,13 @@ echo "==> docs gate (scripts/check_docs.sh)"
 echo "==> godoc coverage (tools/doccheck)"
 go run ./tools/doccheck ./internal/placer ./internal/metacompiler ./internal/runtime ./internal/daemon ./internal/experiments .
 
+# No production code that only tests call: an exported identifier under
+# internal/ that no non-test file of the module or of bench/ uses must be
+# gone or listed, with its reason, in tools/doccheck/testonly.txt; a listed
+# identifier that is gone or now used fails too.
+echo "==> test-only exported identifiers (tools/doccheck -testonly)"
+go run ./tools/doccheck -testonly
+
 echo "==> go build ./..."
 go build ./...
 
@@ -389,7 +396,7 @@ run_guard 'TestPlaceScaleSweepDeterministic|TestPlaceScaleSweepBudgetPropagates|
 echo "==> placement golden matrix + Result ownership (race)"
 run_guard 'TestGoldenPlacements|TestGoldenReconfigure|TestResultSharesNoScratchMemory|TestCoreOverflowReasonDeterministic|TestAdmitPinningInvariant|TestReplacePinningInvariant|TestRetirePinningInvariant|TestReconfigureCombinedDelta|TestPinHistogramCountsCarriedSubgroups|TestReconfigureEnforcesTailLatency|TestNegativeHeadroomRefused|TestSwitchTablesMatchReference|TestTemplateSubgroupsMatchReference|TestRateLPMatchesFullWidth|TestChainPrepExtensionMatchesFresh|TestReconfigureAfterInfeasibleMatchesFresh|TestConcurrentReconfigureInOneFamily|TestFamilyScratchAcrossSchemes' \
   -race -count=1 ./internal/placer
-run_guard 'TestCompileCacheProbeMatchesCompile' -race -count=1 ./internal/pisa
+run_guard 'TestCompileCachedMatchesCold|TestCompileCacheProbeMatchesCompile' -race -count=1 ./internal/pisa
 run_guard 'TestEvaluateCandidateSteadyStateAllocs|TestStageCheckMissAllocs|TestReconfigureCostFlatInRetiredSlots' -count=1 ./internal/placer
 
 # One install path: Compile is Apply's install half run onto an empty

@@ -195,163 +195,128 @@ func TestBranchReTag(t *testing.T) {
 	}
 }
 
+// schedulers returns WriteSchedulers' text on its own.
+func schedulers(pl *Pipeline, rateCaps, slackSec map[string]float64) string {
+	var b strings.Builder
+	WriteSchedulers(&b, pl, rateCaps, slackSec)
+	return b.String()
+}
+
+// TestSchedulerTrees: each used core, in core order, gets a round-robin
+// root over its residents in pipeline order, a capped subgroup under a
+// rate_limit node on every core it shares; an empty pipeline writes nothing.
 func TestSchedulerTrees(t *testing.T) {
 	pl := NewPipeline(server())
-	a := mkSub(t, "a")
-	a.Shares = []CoreShare{{Core: 1, Fraction: 0.5}}
+	if got := schedulers(pl, nil, nil); got != "" {
+		t.Errorf("empty pipeline wrote %q", got)
+	}
 	b := mkSub(t, "b")
 	b.SPI = 2
-	b.Shares = []CoreShare{{Core: 1, Fraction: 0.5}, {Core: 2, Fraction: 1}}
-	if err := pl.Add(a); err != nil {
-		t.Fatal(err)
-	}
+	b.Shares = []CoreShare{{Core: 2, Fraction: 1}, {Core: 1, Fraction: 0.5}}
+	a := mkSub(t, "a")
+	a.Shares = []CoreShare{{Core: 1, Fraction: 0.5}}
 	if err := pl.Add(b); err != nil {
 		t.Fatal(err)
 	}
-	scheds := BuildSchedulersEDF(pl, map[string]float64{"b": 1e9}, nil)
-	if len(scheds) != 2 {
-		t.Fatalf("schedulers = %d, want 2 (cores 1,2)", len(scheds))
+	if err := pl.Add(a); err != nil {
+		t.Fatal(err)
 	}
-	if scheds[0].Core != 1 || scheds[1].Core != 2 {
-		t.Errorf("cores = %d,%d", scheds[0].Core, scheds[1].Core)
-	}
-	// Core 1 round-robins a and b; b is rate-limited.
-	root := scheds[0].Root
-	if root.Kind != RoundRobin || len(root.Children) != 2 {
-		t.Fatalf("core 1 root = %+v", root)
-	}
-	// RR alternation.
-	first := root.NextLeaf().Subgroup.Name
-	second := root.NextLeaf().Subgroup.Name
-	third := root.NextLeaf().Subgroup.Name
-	if first == second || first != third {
-		t.Errorf("rr order: %s %s %s", first, second, third)
-	}
-	// Rendering mentions the rate limit.
-	if s := scheds[0].String(); !strings.Contains(s, "rate_limit") || !strings.Contains(s, "subgroup a") {
-		t.Errorf("render:\n%s", s)
-	}
-	if (&SchedNode{Kind: RoundRobin}).NextLeaf() != nil {
-		t.Error("empty tree must return nil")
+	const want = "core 1:\n" +
+		"  round_robin\n" +
+		"    rate_limit 1000000000 bps\n" +
+		"      subgroup b\n" +
+		"    subgroup a\n" +
+		"core 2:\n" +
+		"  round_robin\n" +
+		"    rate_limit 1000000000 bps\n" +
+		"      subgroup b\n"
+	if got := schedulers(pl, map[string]float64{"b": 1e9, "a": 0}, nil); got != want {
+		t.Errorf("trees =\n%s\nwant\n%s", got, want)
 	}
 }
 
 // TestSchedulerTreesEDF: a core hosting a deadline-bearing subgroup gets a
-// Deadline root ordered by ascending slack (deadline-free residents last,
-// name-ordered); cores with no deadline resident keep round-robin verbatim;
-// and nil or empty slack input gives round-robin trees throughout.
+// deadline_edf root ordered by ascending slack (deadline-free residents
+// last, name-ordered); cores with no deadline resident keep round-robin
+// verbatim; and nil or empty slack input gives round-robin trees throughout.
 func TestSchedulerTreesEDF(t *testing.T) {
 	pl := NewPipeline(server())
+	c := mkSub(t, "c") // core 1, no deadline
+	c.SPI = 3
+	c.Shares = []CoreShare{{Core: 1, Fraction: 0.5}}
 	a := mkSub(t, "a") // core 1, slack 30us
 	a.Shares = []CoreShare{{Core: 1, Fraction: 0.25}}
 	b := mkSub(t, "b") // cores 1+2, slack 10us (most urgent)
 	b.SPI = 2
 	b.Shares = []CoreShare{{Core: 1, Fraction: 0.25}, {Core: 2, Fraction: 1}}
-	c := mkSub(t, "c") // core 1, no deadline
-	c.SPI = 3
-	c.Shares = []CoreShare{{Core: 1, Fraction: 0.5}}
 	d := mkSub(t, "d") // core 3 alone, no deadline: stays round-robin
 	d.SPI = 4
 	d.Shares = []CoreShare{{Core: 3, Fraction: 1}}
-	for _, sg := range []*Subgroup{a, b, c, d} {
+	for _, sg := range []*Subgroup{c, a, b, d} {
 		if err := pl.Add(sg); err != nil {
 			t.Fatal(err)
 		}
 	}
-	slack := map[string]float64{"a": 30e-6, "b": 10e-6}
-	scheds := BuildSchedulersEDF(pl, map[string]float64{"b": 1e9}, slack)
-	if len(scheds) != 3 {
-		t.Fatalf("schedulers = %d, want 3 (cores 1,2,3)", len(scheds))
-	}
-	// Core 1: Deadline root, b (slack 10us, rate-limited) before a (30us),
-	// deadline-free c last.
-	root := scheds[0].Root
-	if root.Kind != Deadline || len(root.Children) != 3 {
-		t.Fatalf("core 1 root = %+v", root)
-	}
-	if root.Children[0].Kind != RateLimit || !root.Children[0].HasSlack ||
-		root.Children[0].Children[0].Subgroup.Name != "b" {
-		t.Errorf("core 1 first child = %+v", root.Children[0])
-	}
-	if root.Children[1].Subgroup.Name != "a" || root.Children[2].Subgroup.Name != "c" {
-		t.Errorf("core 1 order = %s, %s (want a, c)",
-			root.Children[1].Subgroup.Name, root.Children[2].Subgroup.Name)
-	}
-	if root.Children[2].HasSlack {
-		t.Error("deadline-free subgroup c must not carry slack")
-	}
-	// Strict priority: NextLeaf always returns the most urgent child.
-	if got := root.NextLeaf().Subgroup.Name; got != "b" {
-		t.Errorf("NextLeaf = %s, want b", got)
-	}
-	if got := root.NextLeaf().Subgroup.Name; got != "b" {
-		t.Errorf("second NextLeaf = %s, want b (strict priority)", got)
-	}
-	// Core 2 hosts only b (deadline-bearing) -> Deadline root too.
-	if scheds[1].Root.Kind != Deadline {
-		t.Errorf("core 2 root kind = %v, want Deadline", scheds[1].Root.Kind)
-	}
-	// Core 3 hosts only deadline-free d -> round-robin verbatim.
-	if scheds[2].Root.Kind != RoundRobin {
-		t.Errorf("core 3 root kind = %v, want RoundRobin", scheds[2].Root.Kind)
-	}
-	// Rendering shows the policy and per-leaf slack.
-	s := scheds[0].String()
-	if !strings.Contains(s, "deadline_edf") || !strings.Contains(s, "subgroup b slack 10.0us") ||
-		!strings.Contains(s, "subgroup c\n") {
-		t.Errorf("render:\n%s", s)
-	}
-	if (&SchedNode{Kind: Deadline}).NextLeaf() != nil {
-		t.Error("empty deadline tree must return nil")
+	caps := map[string]float64{"b": 1e9}
+	const want = "core 1:\n" +
+		"  deadline_edf\n" +
+		"    rate_limit 1000000000 bps\n" +
+		"      subgroup b slack 10.0us\n" +
+		"    subgroup a slack 30.0us\n" +
+		"    subgroup c\n" +
+		"core 2:\n" +
+		"  deadline_edf\n" +
+		"    rate_limit 1000000000 bps\n" +
+		"      subgroup b slack 10.0us\n" +
+		"core 3:\n" +
+		"  round_robin\n" +
+		"    subgroup d\n"
+	if got := schedulers(pl, caps, map[string]float64{"a": 30e-6, "b": 10e-6}); got != want {
+		t.Errorf("trees =\n%s\nwant\n%s", got, want)
 	}
 
 	// Deadline-free: nil and empty slack give the same round-robin trees.
-	plain := BuildSchedulersEDF(pl, map[string]float64{"b": 1e9}, nil)
-	empty := BuildSchedulersEDF(pl, map[string]float64{"b": 1e9}, map[string]float64{})
-	if len(plain) != len(empty) {
-		t.Fatalf("tree count %d vs %d", len(plain), len(empty))
+	plain := schedulers(pl, caps, nil)
+	if empty := schedulers(pl, caps, map[string]float64{}); plain != empty {
+		t.Errorf("trees diverge between nil and empty slack:\n%s\nvs\n%s", plain, empty)
 	}
-	for i := range plain {
-		if plain[i].Root.Kind != RoundRobin {
-			t.Errorf("core %d root kind = %v without deadlines, want RoundRobin", plain[i].Core, plain[i].Root.Kind)
-		}
-		if plain[i].String() != empty[i].String() {
-			t.Errorf("core %d trees diverge between nil and empty slack:\n%s\nvs\n%s",
-				plain[i].Core, plain[i].String(), empty[i].String())
-		}
+	if strings.Contains(plain, "deadline_edf") || strings.Contains(plain, "slack") {
+		t.Errorf("deadline-free trees:\n%s", plain)
 	}
 }
 
-// TestSchedulerRendering pins CoreScheduler.String (and the Render under
-// it) character for character on a tree with every node kind, a rate wider
-// than the digit buffer's usual load and slacks that round both ways: the
-// rendering is appended piecewise, not formatted through fmt.
+// TestSchedulerRendering pins WriteSchedulers character for character on a
+// core number past one digit, a rate wider than the digit buffer's usual
+// load, a sub-1 bps cap, slacks that round both ways and a zero slack, all
+// appended after what the script builder already holds.
 func TestSchedulerRendering(t *testing.T) {
-	leaf := func(name string) *SchedNode { return &SchedNode{Kind: Leaf, Subgroup: &Subgroup{Name: name}} }
-	urgent := leaf("c0/a..b")
-	urgent.SlackSec, urgent.HasSlack = 12.34e-6, true
-	zero := leaf("c1/x")
-	zero.HasSlack = true
-	cs := CoreScheduler{Core: 117, Root: &SchedNode{Kind: Deadline, Children: []*SchedNode{
-		{Kind: RateLimit, RateBps: 2.5e11, Children: []*SchedNode{urgent}},
-		zero,
-		{Kind: RoundRobin, Children: []*SchedNode{leaf("c2/y"), {Kind: RateLimit, RateBps: 0.4}}},
-	}}}
-	const want = "core 117:\n" +
-		"  deadline_edf\n" +
-		"    rate_limit 250000000000 bps\n" +
-		"      subgroup c0/a..b slack 12.3us\n" +
-		"    subgroup c1/x slack 0.0us\n" +
-		"    round_robin\n" +
-		"      subgroup c2/y\n" +
-		"      rate_limit 0 bps\n"
-	if got := cs.String(); got != want {
-		t.Errorf("String() =\n%s\nwant\n%s", got, want)
+	pl := NewPipeline(server())
+	for i, name := range []string{"c2/y", "c1/x", "c0/a..b"} {
+		sg := mkSub(t, name)
+		sg.SPI = uint32(i + 1)
+		sg.Shares = []CoreShare{{Core: 11, Fraction: 0.3}}
+		if err := pl.Add(sg); err != nil {
+			t.Fatal(err)
+		}
 	}
 	var b strings.Builder
 	b.WriteString("# scheduler\n")
-	cs.Render(&b)
-	if got := b.String(); got != "# scheduler\n"+want {
-		t.Errorf("Render after a prefix =\n%s", got)
+	WriteSchedulers(&b, pl, map[string]float64{"c0/a..b": 2.5e11, "c2/y": 0.4},
+		map[string]float64{"c0/a..b": 12.34e-6, "c1/x": 12.36e-6})
+	const want = "# scheduler\n" +
+		"core 11:\n" +
+		"  deadline_edf\n" +
+		"    rate_limit 250000000000 bps\n" +
+		"      subgroup c0/a..b slack 12.3us\n" +
+		"    subgroup c1/x slack 12.4us\n" +
+		"    rate_limit 0 bps\n" +
+		"      subgroup c2/y\n"
+	if got := b.String(); got != want {
+		t.Errorf("rendering =\n%s\nwant\n%s", got, want)
+	}
+	b.Reset()
+	WriteSchedulers(&b, pl, nil, map[string]float64{"c1/x": 0})
+	if got := b.String(); !strings.Contains(got, "    subgroup c1/x slack 0.0us\n") {
+		t.Errorf("zero slack =\n%s", got)
 	}
 }

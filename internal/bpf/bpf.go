@@ -8,9 +8,7 @@
 //	ip.dst in 10.0.0.0/8 && (tcp.dport == 443 || tcp.dport == 80)
 //	vlan.vid == 7 && !(ip.proto == 17)
 //
-// A compiled Filter evaluates against *packet.Packet without allocating. The
-// instruction count of the compiled form feeds the SmartNIC verifier's
-// program-size accounting.
+// A compiled Filter evaluates against *packet.Packet without allocating.
 package bpf
 
 import (
@@ -87,15 +85,10 @@ const (
 type Filter struct {
 	root node
 	src  string
-	n    int // instruction count
 }
 
 // String returns the source expression.
 func (f *Filter) String() string { return f.src }
-
-// Instructions returns the number of primitive comparisons/boolean ops in the
-// compiled filter, used for eBPF program-size accounting.
-func (f *Filter) Instructions() int { return f.n }
 
 // Compile parses and compiles a match expression.
 func Compile(expr string) (*Filter, error) {
@@ -107,9 +100,7 @@ func Compile(expr string) (*Filter, error) {
 	if p.peek().kind != tokEOF {
 		return nil, fmt.Errorf("bpf: %q: trailing input at %q", expr, p.peek().text)
 	}
-	f := &Filter{root: root, src: expr}
-	f.n = countNodes(&root)
-	return f, nil
+	return &Filter{root: root, src: expr}, nil
 }
 
 // MustCompile is Compile, panicking on error; for static expressions.
@@ -119,14 +110,6 @@ func MustCompile(expr string) *Filter {
 		panic(err)
 	}
 	return f
-}
-
-func countNodes(n *node) int {
-	c := 1
-	for i := range n.kids {
-		c += countNodes(&n.kids[i])
-	}
-	return c
 }
 
 // Match evaluates the filter against a decoded packet.

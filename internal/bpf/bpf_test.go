@@ -96,17 +96,6 @@ func TestUDPPortAlias(t *testing.T) {
 	}
 }
 
-func TestInstructions(t *testing.T) {
-	f := MustCompile("ip.src in 10.0.0.0/8 && (tcp.dport == 443 || tcp.dport == 80)")
-	// and(cmp, or(cmp, cmp)) = 5 nodes
-	if f.Instructions() != 5 {
-		t.Errorf("Instructions = %d, want 5", f.Instructions())
-	}
-	if MustCompile("true").Instructions() != 1 {
-		t.Error("const should be 1 instruction")
-	}
-}
-
 func TestCIDRMatchProperty(t *testing.T) {
 	// For any address and prefix, an address always matches a CIDR built
 	// from its own prefix.

@@ -29,8 +29,6 @@ func TestCompileNeverPanics(t *testing.T) {
 					SrcPort: 99, DstPort: 443,
 				}.New()
 				_ = f.Match(p)
-				_ = f.View()
-				_ = f.Instructions()
 			}
 		}()
 	}

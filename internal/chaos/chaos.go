@@ -15,7 +15,6 @@ package chaos
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 	"strconv"
 	"strings"
@@ -290,28 +289,4 @@ func parseTime(s string) (float64, error) {
 		return 0, fmt.Errorf("bad time %q", s)
 	}
 	return v * mult, nil
-}
-
-// RandomPlan draws a seeded schedule of n single-target crash events over
-// the given candidate devices, uniformly placed in (0, durationSec). The
-// same seed always yields the same plan; targets are consumed in the order
-// given, so callers should pass a deterministically ordered slice.
-func RandomPlan(seed int64, targets []string, n int, durationSec float64) *Plan {
-	rng := rand.New(rand.NewSource(seed*2654435761 + 97))
-	p := &Plan{}
-	if len(targets) == 0 {
-		return p
-	}
-	perm := rng.Perm(len(targets))
-	if n > len(targets) {
-		n = len(targets)
-	}
-	for i := 0; i < n; i++ {
-		p.Events = append(p.Events, Event{
-			Kind:   Crash,
-			Target: targets[perm[i]],
-			AtSec:  durationSec * (0.1 + 0.8*rng.Float64()),
-		})
-	}
-	return p.Normalize()
 }

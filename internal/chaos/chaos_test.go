@@ -194,37 +194,6 @@ func TestDelaysDefaultsAndOverrides(t *testing.T) {
 	}
 }
 
-func TestRandomPlanDeterministic(t *testing.T) {
-	targets := []string{"nf-server-1", "nf-server-2", "nf-server-3"}
-	a := RandomPlan(42, targets, 2, 0.5)
-	b := RandomPlan(42, targets, 2, 0.5)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("same seed produced different plans:\n  %+v\n  %+v", a, b)
-	}
-	if len(a.Events) != 2 {
-		t.Fatalf("want 2 events, got %d", len(a.Events))
-	}
-	seen := map[string]bool{}
-	for _, e := range a.Events {
-		if e.Kind != Crash {
-			t.Fatalf("RandomPlan yields crashes only, got %v", e.Kind)
-		}
-		if e.AtSec <= 0 || e.AtSec >= 0.5 {
-			t.Fatalf("event time %g outside (0, 0.5)", e.AtSec)
-		}
-		if seen[e.Target] {
-			t.Fatalf("duplicate target %q", e.Target)
-		}
-		seen[e.Target] = true
-	}
-	if c := RandomPlan(7, targets, 99, 1.0); len(c.Events) != len(targets) {
-		t.Fatalf("n capped at len(targets): got %d", len(c.Events))
-	}
-	if e := RandomPlan(7, nil, 3, 1.0); !e.Empty() {
-		t.Fatalf("no targets must give empty plan")
-	}
-}
-
 // FuzzPlan: any string either fails Parse or yields a valid plan of finite
 // times and factors whose String re-parses to the identical schedule — the
 // grammar and its renderer are inverses on the accepted language.

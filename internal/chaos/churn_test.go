@@ -1,8 +1,7 @@
-// Package churn holds no code: chain admission and retirement are the admit
-// and retire kinds of chaos.Plan. These tests drive that half of the grammar
-// through the chaos package's exported API only, the way the facade and the
-// CLIs reach it.
-package churn
+// Chain admission and retirement are the admit and retire kinds of
+// chaos.Plan. These tests drive that half of the grammar through the
+// package's exported API only, the way the facade and the CLIs reach it.
+package chaos_test
 
 import (
 	"strings"
@@ -51,7 +50,7 @@ func TestParse(t *testing.T) {
 	}
 }
 
-func TestParseErrors(t *testing.T) {
+func TestParseChurnErrors(t *testing.T) {
 	for _, tc := range []struct{ in, want string }{
 		{"chain6@0.3s", "want kind:target@time"},
 		{"evict:chain6@0.3s", "unknown kind"},

@@ -88,18 +88,3 @@ func (c *FakeClock) Advance(d time.Duration) {
 		t.ch <- now
 	}
 }
-
-// BlockUntil waits until at least n timers are registered and pending. Tests
-// use it to rendezvous with the daemon's run loop before calling Advance, so
-// an Advance can never race past a not-yet-registered sleep.
-func (c *FakeClock) BlockUntil(n int) {
-	for {
-		c.mu.Lock()
-		waiting := len(c.timers)
-		c.mu.Unlock()
-		if waiting >= n {
-			return
-		}
-		time.Sleep(50 * time.Microsecond)
-	}
-}

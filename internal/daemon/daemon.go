@@ -270,14 +270,6 @@ func (d *Daemon) Generation() int64 {
 	return d.generation
 }
 
-// Converged reports whether the last reconcile pass left actual state equal
-// to desired state with no pending failures or backoff.
-func (d *Daemon) Converged() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.converged
-}
-
 // CountersSnapshot returns a copy of the per-instance reconcile counters.
 func (d *Daemon) CountersSnapshot() Counters {
 	d.mu.Lock()

@@ -556,3 +556,26 @@ func TestFakeClockOrdering(t *testing.T) {
 		t.Fatalf("Now: want 3s, got %v", got)
 	}
 }
+
+// Converged reports whether the last reconcile pass left actual state equal
+// to desired state with no pending failures or backoff.
+func (d *Daemon) Converged() bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.converged
+}
+
+// BlockUntil waits until at least n timers are registered and pending. Tests
+// use it to rendezvous with the daemon's run loop before calling Advance, so
+// an Advance can never race past a not-yet-registered sleep.
+func (c *FakeClock) BlockUntil(n int) {
+	for {
+		c.mu.Lock()
+		waiting := len(c.timers)
+		c.mu.Unlock()
+		if waiting >= n {
+			return
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+}

@@ -2,7 +2,9 @@ package experiments
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 
 	"lemur/internal/hw"
 	"lemur/internal/placer"
@@ -24,11 +26,18 @@ func beyondSections() []paperSection {
 					cells = append(cells, simCell{load, runtime.SimConfig{DurationSec: 1.0, Seed: 1 + int64(i), SchedPolicy: pol}})
 				}
 			}
+			// Every scheme places on one input, so a scheme that places the
+			// chain as an earlier one did reuses that scheme's runs.
+			in, err := r.latencyInput()
+			if err != nil {
+				return err
+			}
+			type simulated struct {
+				res  *placer.Result
+				sims []*runtime.SimResult
+			}
+			var done []simulated
 			for _, scheme := range []placer.Scheme{placer.SchemeLemur, placer.SchemeHWPreferred, placer.SchemeSWPreferred} {
-				in, err := r.latencyInput()
-				if err != nil {
-					return err
-				}
 				res, err := placer.Place(scheme, in)
 				if err != nil {
 					return err
@@ -37,9 +46,18 @@ func beyondSections() []paperSection {
 					d.line("%s feasible=false reason=%q", scheme, res.Reason)
 					continue
 				}
-				sims, _, err := r.simulateCells(in, res, cells)
-				if err != nil {
-					return fmt.Errorf("%s: %w", scheme, err)
+				var sims []*runtime.SimResult
+				for _, s := range done {
+					if samePlacement(s.res, res) {
+						sims = s.sims
+						break
+					}
+				}
+				if sims == nil {
+					if sims, _, err = r.simulateCells(in, res, cells); err != nil {
+						return fmt.Errorf("%s: %w", scheme, err)
+					}
+					done = append(done, simulated{res, sims})
 				}
 				for i, load := range deadlineLoads {
 					edf, rr := sims[2*i], sims[2*i+1]
@@ -56,7 +74,7 @@ func beyondSections() []paperSection {
 			if err != nil {
 				return err
 			}
-			res, err := placeFeasible("sim", placer.SchemeLemur, in)
+			res, err := placeFeasible("sim", in)
 			if err != nil {
 				return err
 			}
@@ -87,7 +105,7 @@ func beyondSections() []paperSection {
 			if err != nil {
 				return err
 			}
-			res, err := placeFeasible("failover", placer.SchemeLemur, in)
+			res, err := placeFeasible("failover", in)
 			if err != nil {
 				return err
 			}
@@ -194,6 +212,28 @@ func beyondSections() []paperSection {
 			return nil
 		}},
 	}
+}
+
+// samePlacement reports whether two feasible results, placed on one Input,
+// deploy the same dataplane: equal assignments, subgroup breaks, subgroup
+// servers and cores, NIC uses and chain rates.
+func samePlacement(a, b *placer.Result) bool {
+	if !maps.Equal(a.Assign, b.Assign) || !maps.Equal(a.Breaks, b.Breaks) ||
+		!slices.Equal(a.ChainRates, b.ChainRates) ||
+		len(a.Subgroups) != len(b.Subgroups) || len(a.NICUses) != len(b.NICUses) {
+		return false
+	}
+	for i, sg := range a.Subgroups {
+		if o := b.Subgroups[i]; sg.Server != o.Server || sg.Cores != o.Cores {
+			return false
+		}
+	}
+	for i, u := range a.NICUses {
+		if *u != *b.NICUses[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // sum totals per-chain values.

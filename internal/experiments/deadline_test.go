@@ -101,7 +101,7 @@ func TestLatencySweepParallelIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := placeFeasible("deadline", placer.SchemeLemur, in)
+		res, err := placeFeasible("deadline", in)
 		if err != nil {
 			t.Fatal(err)
 		}

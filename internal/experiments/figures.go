@@ -221,7 +221,7 @@ func (r *Runner) Sensitivity(delta float64, errs []float64) ([]SensitivityResult
 	if err != nil {
 		return nil, 0, err
 	}
-	baseRes, err := placeFeasible("sensitivity baseline", placer.SchemeLemur, in)
+	baseRes, err := placeFeasible("sensitivity baseline", in)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -370,7 +370,7 @@ func (r *Runner) MetaCompilerLoC(delta float64) (*LoCResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := placeFeasible(fmt.Sprintf("meta-compiler LoC at δ=%v", delta), placer.SchemeLemur, in)
+	res, err := placeFeasible(fmt.Sprintf("meta-compiler LoC at δ=%v", delta), in)
 	if err != nil {
 		return nil, err
 	}

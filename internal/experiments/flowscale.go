@@ -57,7 +57,7 @@ func (r *Runner) scaleCells() (*placer.Input, *placer.Result, []simCell, error) 
 	for _, class := range []string{"NAT", "Monitor", "Dedup", "LB"} {
 		in.Restrict[class] = []hw.Platform{hw.Server}
 	}
-	res, err := placeFeasible("scale", placer.SchemeLemur, in)
+	res, err := placeFeasible("scale", in)
 	if err != nil {
 		return nil, nil, nil, err
 	}

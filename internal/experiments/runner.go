@@ -214,11 +214,11 @@ func (r *Runner) runInput(in *placer.Input, scheme placer.Scheme) (*SchemeResult
 	return out, res, nil
 }
 
-// placeFeasible places in with scheme for a sweep that goes on to run traffic
-// over the placement: with nothing to run, an infeasible verdict is an error,
-// named after the sweep (what).
-func placeFeasible(what string, scheme placer.Scheme, in *placer.Input) (*placer.Result, error) {
-	res, err := placer.Place(scheme, in)
+// placeFeasible places in with Lemur's scheme for a sweep that goes on to
+// run traffic over the placement: with nothing to run, an infeasible verdict
+// is an error, named after the sweep (what).
+func placeFeasible(what string, in *placer.Input) (*placer.Result, error) {
+	res, err := placer.Place(placer.SchemeLemur, in)
 	if err != nil {
 		return nil, err
 	}

@@ -17,7 +17,7 @@ func placeLemur(t *testing.T, r *Runner, chainIdxs []int, delta float64) (*place
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := placeFeasible("test", placer.SchemeLemur, in)
+	res, err := placeFeasible("test", in)
 	if err != nil {
 		t.Fatal(err)
 	}

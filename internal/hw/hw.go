@@ -34,9 +34,6 @@ func (p Platform) String() string {
 // Gbps converts gigabits/second to the bits/second used throughout.
 func Gbps(v float64) float64 { return v * 1e9 }
 
-// Mbps converts megabits/second to bits/second.
-func Mbps(v float64) float64 { return v * 1e6 }
-
 // NIC is one physical NIC port on a server. Socket records NUMA affinity:
 // subgroups running on the other socket pay the cross-socket cycle penalty.
 type NIC struct {

@@ -123,7 +123,7 @@ func TestLookups(t *testing.T) {
 }
 
 func TestUnitHelpers(t *testing.T) {
-	if Gbps(1) != 1e9 || Mbps(1) != 1e6 {
+	if Gbps(1) != 1e9 {
 		t.Error("unit helpers wrong")
 	}
 	if Platform(0).String() != "server" || PISA.String() != "pisa" {

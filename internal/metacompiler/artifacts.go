@@ -302,11 +302,8 @@ func (d *Deployment) generateBESS(a *Artifacts) {
 			writeInt(&b, int(sg.AdvanceSI))
 			b.WriteString("\n")
 		}
-		caps := d.rateCaps(name)
 		b.WriteString("\n# scheduler\n")
-		for _, cs := range bess.BuildSchedulersEDF(pl, caps, d.subgroupSlacks(name, slacks)) {
-			cs.Render(&b)
-		}
+		bess.WriteSchedulers(&b, pl, d.rateCaps(name), d.subgroupSlacks(name, slacks))
 		a.BESSScripts[name] = b.String()
 		a.BESSLines += countLines(b.String())
 	}

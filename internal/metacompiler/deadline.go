@@ -76,7 +76,7 @@ func (d *Deployment) DeadlineSlacks() map[*placer.Subgroup]float64 {
 }
 
 // subgroupSlacks projects DeadlineSlacks onto one server's installed
-// subgroup names — the shape BuildSchedulersEDF consumes. Returns nil when
+// subgroup names — the shape bess.WriteSchedulers consumes. Returns nil when
 // no resident subgroup carries a deadline, which keeps the emitted trees
 // byte-identical to the round-robin-only output.
 func (d *Deployment) subgroupSlacks(server string, slacks map[*placer.Subgroup]float64) map[string]float64 {

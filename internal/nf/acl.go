@@ -97,9 +97,6 @@ func NewACL(name string, params Params) (NF, error) {
 	return a, nil
 }
 
-// NumRules returns the table size (drives the cycle-cost model).
-func (a *ACL) NumRules() int { return len(a.head) + a.synthetic + len(a.tail) }
-
 // inSynthetic reports whether a synthetic rule matches destination dst.
 // Rule i is 10<<24 | uint32(i)<<8 under a /24 mask, so it covers the top
 // byte 10|(i>>16 & 0xff) and the middle 16 bits i & 0xffff; indices from

@@ -106,14 +106,6 @@ func (d *Dedup) Process(p *packet.Packet, _ *Env) {
 // CacheLen returns the number of cached fingerprints.
 func (d *Dedup) CacheLen() int { return d.cache.count() }
 
-// CompressionRatio returns egress/ingress bytes so far (1.0 = no savings).
-func (d *Dedup) CompressionRatio() float64 {
-	if d.InBytes == 0 {
-		return 1
-	}
-	return float64(d.OutBytes) / float64(d.InBytes)
-}
-
 // fingerprint is a 64-bit FNV-1a over the chunk.
 func fingerprint(b []byte) uint64 {
 	h := uint64(14695981039346656037)

@@ -1,5 +1,12 @@
 package nf
 
+import (
+	"fmt"
+
+	"lemur/internal/bpf"
+	"lemur/internal/packet"
+)
+
 // WithReferenceTables runs f with the four stateful classes' registry
 // constructors swapped for the map-backed references (reference_test.go), so
 // whatever f builds through the registry — nf.New, a metacompiler.Compile —
@@ -15,4 +22,44 @@ func WithReferenceTables(f func()) {
 		defer func() { meta.New = prod }()
 	}
 	f()
+}
+
+// The accessors below read NF state only this package's tests inspect; no
+// production caller needs them, so they live here rather than in the NFs'
+// files.
+
+// NumRules returns the table size.
+func (a *ACL) NumRules() int { return len(a.head) + a.synthetic + len(a.tail) }
+
+// CompressionRatio returns egress/ingress bytes so far (1.0 = no savings).
+func (d *Dedup) CompressionRatio() float64 {
+	if d.InBytes == 0 {
+		return 1
+	}
+	return float64(d.OutBytes) / float64(d.InBytes)
+}
+
+// Backend returns the backend a flow maps to.
+func (l *LB) Backend(tu packet.FiveTuple) packet.IPv4Addr {
+	return l.backends[tu.Hash()%uint64(len(l.backends))]
+}
+
+// Stats returns the counters for a flow, or nil if unseen. The pointer
+// aliases the flow table's arena and is invalidated by the next Process call
+// that inserts or evicts a flow.
+func (m *Monitor) Stats(tu packet.FiveTuple) *FlowStats {
+	return m.flows.get(tu)
+}
+
+// AddRoute installs a route for cidr to the given port.
+func (f *IPv4Fwd) AddRoute(cidr string, port int, nextHop packet.MAC) error {
+	addr, bits, err := bpf.ParseCIDR(cidr)
+	if err != nil {
+		return fmt.Errorf("nf: IPv4Fwd %s: %w", f.name, err)
+	}
+	if f.tables[bits] == nil {
+		f.tables[bits] = make(map[uint32]fwdEntry)
+	}
+	f.tables[bits][addr&bpf.MaskBits(bits)] = fwdEntry{port: port, nextHop: nextHop}
+	return nil
 }

@@ -1,8 +1,6 @@
 package nf
 
 import (
-	"fmt"
-
 	"lemur/internal/bpf"
 	"lemur/internal/packet"
 )
@@ -31,19 +29,6 @@ func NewIPv4Fwd(name string, params Params) (NF, error) {
 		f.defalt = &fwdEntry{port: dp, nextHop: packet.MAC{0xff, 0, 0, 0, 0, byte(dp)}}
 	}
 	return f, nil
-}
-
-// AddRoute installs a route for cidr to the given port.
-func (f *IPv4Fwd) AddRoute(cidr string, port int, nextHop packet.MAC) error {
-	addr, bits, err := bpf.ParseCIDR(cidr)
-	if err != nil {
-		return fmt.Errorf("nf: IPv4Fwd %s: %w", f.name, err)
-	}
-	if f.tables[bits] == nil {
-		f.tables[bits] = make(map[uint32]fwdEntry)
-	}
-	f.tables[bits][addr&bpf.MaskBits(bits)] = fwdEntry{port: port, nextHop: nextHop}
-	return nil
 }
 
 // Process performs LPM lookup, longest prefix first.

@@ -76,11 +76,6 @@ func NewLB(name string, params Params) (NF, error) {
 	return lb, nil
 }
 
-// Backend returns the backend a flow maps to.
-func (l *LB) Backend(tu packet.FiveTuple) packet.IPv4Addr {
-	return l.backends[tu.Hash()%uint64(len(l.backends))]
-}
-
 // Process rewrites the destination to the selected backend, pinning the
 // flow's choice in the affinity table.
 func (l *LB) Process(p *packet.Packet, _ *Env) {

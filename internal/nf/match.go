@@ -34,10 +34,6 @@ func NewMatch(name string, params Params) (NF, error) {
 	}, nil
 }
 
-// Filter exposes the compiled expression (the meta-compiler reuses it for
-// branch rules).
-func (m *Match) Filter() *bpf.Filter { return m.filter }
-
 // Process tags or gates the packet.
 func (m *Match) Process(p *packet.Packet, _ *Env) {
 	if m.filter.Match(p) {

@@ -62,12 +62,5 @@ func (m *Monitor) Process(p *packet.Packet, env *Env) {
 	}
 }
 
-// Stats returns the counters for a flow, or nil if unseen. The pointer
-// aliases the flow table's arena and is invalidated by the next Process call
-// that inserts or evicts a flow.
-func (m *Monitor) Stats(tu packet.FiveTuple) *FlowStats {
-	return m.flows.get(tu)
-}
-
 // NumFlows returns the number of tracked flows.
 func (m *Monitor) NumFlows() int { return m.flows.count() }

@@ -58,7 +58,6 @@ var (
 	ErrCycle         = errors.New("nfgraph: chain graph has a cycle")
 	ErrMultipleRoots = errors.New("nfgraph: chain graph has multiple entry nodes")
 	ErrNoRoot        = errors.New("nfgraph: chain graph has no entry node")
-	ErrDisconnected  = errors.New("nfgraph: node unreachable from the entry")
 )
 
 // Build validates the chain spec into a Graph: single entry, acyclic, fully
@@ -171,15 +170,6 @@ type Path struct {
 	Weight float64
 }
 
-// Names returns the node names along the path.
-func (p Path) Names() []string {
-	out := make([]string, len(p.Nodes))
-	for i, n := range p.Nodes {
-		out[i] = n.Name()
-	}
-	return out
-}
-
 // Paths decomposes the DAG into weighted linear chains (§3.2's branch
 // handling): every root-to-leaf walk, weight = product of branch fractions.
 func (g *Graph) Paths() []Path {
@@ -199,15 +189,4 @@ func (g *Graph) Paths() []Path {
 	}
 	walk(g.Root, nil, 1)
 	return out
-}
-
-// HasPlatform reports whether every node of the graph could run somewhere on
-// a topology offering the given platform set — a quick sanity filter.
-func (g *Graph) HasPlatform(available func(*Node) bool) error {
-	for _, n := range g.Order {
-		if !available(n) {
-			return fmt.Errorf("nfgraph: %s (%s) has no available platform", n.Name(), n.Class())
-		}
-	}
-	return nil
 }

@@ -108,7 +108,7 @@ func TestPackVLANRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		p2, i2 := UnpackVLAN(vid)
+		p2, i2 := uint32(vid>>VLANIndexBits), uint8(vid&MaxVLANIndex)
 		return p2 == path && i2 == index && vid <= 0x0FFF
 	}
 	if err := quick.Check(f, nil); err != nil {

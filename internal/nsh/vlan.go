@@ -37,8 +37,3 @@ func PackVLAN(path uint32, index uint8) (uint16, error) {
 	}
 	return vid, nil
 }
-
-// UnpackVLAN decodes a vid produced by PackVLAN.
-func UnpackVLAN(vid uint16) (path uint32, index uint8) {
-	return uint32(vid >> VLANIndexBits), uint8(vid & MaxVLANIndex)
-}

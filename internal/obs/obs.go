@@ -96,9 +96,6 @@ func (r *Registry) Enable() { r.on.Store(true) }
 // updates become no-ops.
 func (r *Registry) Disable() { r.on.Store(false) }
 
-// Enabled reports whether collection is on.
-func (r *Registry) Enabled() bool { return r.on.Load() }
-
 // Reset zeroes all counters, gauges, histograms and drops recorded spans.
 // Registered handles stay valid.
 func (r *Registry) Reset() {
@@ -227,19 +224,6 @@ func (g *Gauge) Set(v float64) {
 		return
 	}
 	g.bits.Store(floatBits(v))
-}
-
-// Add moves the gauge by delta via a CAS loop.
-func (g *Gauge) Add(delta float64) {
-	if g == nil || !g.reg.on.Load() {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, floatBits(bitsFloat(old)+delta)) {
-			return
-		}
-	}
 }
 
 // Value returns the current gauge reading.

@@ -66,16 +66,6 @@ func TestDisabledIsNoOp(t *testing.T) {
 	s.End()
 }
 
-func TestGaugeAddCAS(t *testing.T) {
-	r := newEnabled()
-	g := r.Gauge("util")
-	g.Set(1.5)
-	g.Add(-0.5)
-	if got := g.Value(); got != 1.0 {
-		t.Fatalf("gauge = %v, want 1.0", got)
-	}
-}
-
 func TestHistogramStats(t *testing.T) {
 	r := newEnabled()
 	h := r.Histogram("lat")
@@ -237,7 +227,7 @@ func TestConcurrentUpdates(t *testing.T) {
 			for j := 0; j < per; j++ {
 				c.Inc()
 				h.Observe(float64(j%17) + 0.5)
-				g.Add(1)
+				g.Set(float64(j))
 				if j%100 == 0 {
 					r.StartSpan("par.span").End()
 					_ = r.Snapshot()
@@ -258,8 +248,8 @@ func TestConcurrentUpdates(t *testing.T) {
 	if n := r.Histogram("par_lat").Count(); n != goroutines*per {
 		t.Fatalf("histogram count = %d, want %d", n, goroutines*per)
 	}
-	if v := r.Gauge("par_gauge").Value(); v != goroutines*per {
-		t.Fatalf("gauge = %v, want %d", v, goroutines*per)
+	if v := r.Gauge("par_gauge").Value(); v != per-1 {
+		t.Fatalf("gauge = %v, want %d (every goroutine's last Set)", v, per-1)
 	}
 }
 

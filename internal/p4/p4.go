@@ -25,15 +25,6 @@ type Header struct {
 	Fields []Field
 }
 
-// Bits returns the total header width.
-func (h *Header) Bits() int {
-	n := 0
-	for _, f := range h.Fields {
-		n += f.Bits
-	}
-	return n
-}
-
 // HeaderLibrary is the predefined (extensible) set of headers NF developers
 // draw from, so independently-written NFs agree on layouts (§4.2).
 var HeaderLibrary = map[string]*Header{

@@ -177,7 +177,11 @@ func TestHeaderLibraryWidths(t *testing.T) {
 			t.Errorf("header %q missing", name)
 			continue
 		}
-		if got := h.Bits(); got != want {
+		got := 0
+		for _, f := range h.Fields {
+			got += f.Bits
+		}
+		if got != want {
 			t.Errorf("%s width = %d bits, want %d", name, got, want)
 		}
 	}

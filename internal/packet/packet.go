@@ -136,11 +136,6 @@ func (t FiveTuple) String() string {
 	return fmt.Sprintf("%s:%d->%s:%d/%d", t.Src, t.SrcPort, t.Dst, t.DstPort, t.Proto)
 }
 
-// Reverse returns the tuple with endpoints swapped, as for return traffic.
-func (t FiveTuple) Reverse() FiveTuple {
-	return FiveTuple{Src: t.Dst, Dst: t.Src, SrcPort: t.DstPort, DstPort: t.SrcPort, Proto: t.Proto}
-}
-
 // Hash returns a cheap non-cryptographic hash of the tuple, symmetric inputs
 // NOT folded (A->B and B->A hash differently), suitable for load balancing:
 // FNV-1a over the 13 tuple bytes (addresses, then ports big-endian, then the

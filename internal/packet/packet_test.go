@@ -242,3 +242,8 @@ func TestFiveTupleHashMatchesByteLoop(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Reverse returns the tuple with endpoints swapped, as for return traffic.
+func (t FiveTuple) Reverse() FiveTuple {
+	return FiveTuple{Src: t.Dst, Dst: t.Src, SrcPort: t.DstPort, DstPort: t.SrcPort, Proto: t.Proto}
+}

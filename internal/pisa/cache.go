@@ -37,28 +37,18 @@ func (s CacheStats) HitRate() float64 {
 	return float64(s.Hits) / float64(s.Hits+s.Misses)
 }
 
-// verdict is one memoized compile outcome: Compile's (*Binary, error)
-// return, kept so that neither has to be rebuilt to answer a hit.
+// verdict is one memoized compile outcome: the stage count Compile's Binary
+// reports and Compile's error.
 type verdict struct {
-	stageOf []int // nil when the compile failed before producing a layout
-	stages  int   // needed stages (valid whenever stageOf != nil)
-	err     error // Compile's error; immutable, so every hit returns this one
+	stages int   // needed stages; 0 when the compile failed before producing a layout
+	err    error // Compile's error; immutable, so every hit returns this one
 }
 
-// binary materializes a fresh Binary so callers can never corrupt the cached
-// layout.
-func (v *verdict) binary() *Binary {
-	if v.stageOf == nil {
-		return nil
-	}
-	return &Binary{StageOf: append([]int(nil), v.stageOf...), Stages: v.stages}
-}
-
-// CompileCache is a goroutine-safe, bounded memo table over Compile. The
-// zero value is not usable; call NewCompileCache.
+// CompileCache is a goroutine-safe, bounded memo table over Compile's
+// verdicts. The zero value is not usable; call NewCompileCache.
 type CompileCache struct {
 	mu sync.Mutex
-	m  map[string]*verdict
+	m  map[string]verdict
 	// capEntries bounds the map; on overflow the whole generation is flushed
 	// (deterministic and O(1) amortized, unlike LRU bookkeeping on the hot
 	// path). A δ sweep's working set is far below the default cap, so
@@ -79,7 +69,7 @@ func NewCompileCache(capEntries int) *CompileCache {
 	if capEntries <= 0 {
 		capEntries = DefaultCacheEntries
 	}
-	return &CompileCache{m: make(map[string]*verdict), capEntries: capEntries}
+	return &CompileCache{m: make(map[string]verdict), capEntries: capEntries}
 }
 
 // Hoisted metric handles (one atomic branch + add each; see internal/obs).
@@ -89,47 +79,32 @@ var (
 	mCacheEvict = obs.C("lemur_pisa_compile_cache_evictions_total")
 )
 
-// Compile returns the memoized verdict for (spec, tables), packing the
-// program on first sight. Concurrent misses on the same key may compile the
-// program more than once; verdicts are content-determined, so whichever
-// insert wins the race stores the identical outcome.
-func (c *CompileCache) Compile(spec *hw.PISASpec, tables []LogicalTable) (*Binary, error) {
-	v := c.verdictOf(appendCacheKey(make([]byte, 0, 32+len(tables)*24), spec, tables), spec, tables)
-	return v.binary(), v.err
-}
-
-// Stages is Compile for a caller that wants only the verdict — the Placer's
-// stage check, which asks once per candidate placement: the stage count (0
-// when the compile failed before producing a layout) and Compile's error. A
-// hit allocates nothing: no Binary is materialized, and the cache key is
+// Stages returns the memoized verdict for (spec, tables), packing the
+// program on first sight: the stage count (0 when the compile failed before
+// producing a layout) and Compile's error. The Placer's stage check asks
+// once per candidate placement. A hit allocates nothing: the cache key is
 // built in *key, the caller's buffer, which Stages reuses and may grow. The
 // cache keeps neither key nor tables past the call, so the caller may
-// overwrite both.
+// overwrite both. Concurrent misses on the same key may compile the program
+// more than once; verdicts are content-determined, so whichever insert wins
+// the race stores the identical outcome.
 func (c *CompileCache) Stages(spec *hw.PISASpec, tables []LogicalTable, key *[]byte) (int, error) {
 	*key = appendCacheKey((*key)[:0], spec, tables)
-	v := c.verdictOf(*key, spec, tables)
-	return v.stages, v.err
-}
-
-// verdictOf looks key up, counting the hit or miss, and on a miss compiles
-// the program and stores its verdict under a copy of key.
-func (c *CompileCache) verdictOf(key []byte, spec *hw.PISASpec, tables []LogicalTable) *verdict {
 	c.mu.Lock()
-	v := c.m[string(key)]
+	v, ok := c.m[string(*key)]
 	c.mu.Unlock()
-	if v != nil {
+	if ok {
 		c.hits.Add(1)
 		mCacheHit.Inc()
-		return v
+		return v.stages, v.err
 	}
 	c.misses.Add(1)
 	mCacheMiss.Inc()
 
 	bin, err := Compile(spec, tables)
-	v = &verdict{err: err}
+	v = verdict{err: err}
 	if bin != nil {
-		// Compile's Binary is this call's alone; callers get copies.
-		v.stageOf, v.stages = bin.StageOf, bin.Stages
+		v.stages = bin.Stages
 	}
 
 	c.mu.Lock()
@@ -137,11 +112,11 @@ func (c *CompileCache) verdictOf(key []byte, spec *hw.PISASpec, tables []Logical
 		n := uint64(len(c.m))
 		c.evictions.Add(n)
 		mCacheEvict.Add(n)
-		c.m = make(map[string]*verdict)
+		c.m = make(map[string]verdict)
 	}
-	c.m[string(key)] = v
+	c.m[string(*key)] = v
 	c.mu.Unlock()
-	return v
+	return v.stages, v.err
 }
 
 // Compile-cache effectiveness gauges. Counters already track hit/miss flow
@@ -188,7 +163,7 @@ func (c *CompileCache) Stats() CacheStats {
 // benchmarking).
 func (c *CompileCache) Reset() {
 	c.mu.Lock()
-	c.m = make(map[string]*verdict)
+	c.m = make(map[string]verdict)
 	c.mu.Unlock()
 	c.hits.Store(0)
 	c.misses.Store(0)

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"sync"
 	"testing"
 
@@ -43,77 +42,14 @@ func randomSpec(rng *rand.Rand) *hw.PISASpec {
 	return hw.NewPaperTestbed().Switch
 }
 
-// TestCompileCachedMatchesCold: over ≥100 randomized (spec, tables) inputs,
-// the cached path must return the exact verdict of a cold Compile — on first
-// sight (miss) and on repeat (hit): same layout, same error text, and the
-// same errors.Is(ErrStageOverflow) classification.
-func TestCompileCachedMatchesCold(t *testing.T) {
-	rng := rand.New(rand.NewSource(991))
-	cache := NewCompileCache(0)
-	for trial := 0; trial < 150; trial++ {
-		spec := randomSpec(rng)
-		tables := randomTables(rng)
-		cold, coldErr := Compile(spec, tables)
-
-		for pass, want := range []string{"miss", "hit"} {
-			got, gotErr := cache.Compile(spec, tables)
-			label := fmt.Sprintf("trial %d %s", trial, want)
-			if (cold == nil) != (got == nil) {
-				t.Fatalf("%s: binary presence differs: cold=%v cached=%v", label, cold, got)
-			}
-			if cold != nil {
-				if !reflect.DeepEqual(cold.StageOf, got.StageOf) || cold.Stages != got.Stages {
-					t.Errorf("%s: layout differs: cold=%+v cached=%+v", label, cold, got)
-				}
-			}
-			if (coldErr == nil) != (gotErr == nil) {
-				t.Fatalf("%s: error presence differs: cold=%v cached=%v", label, coldErr, gotErr)
-			}
-			if coldErr != nil {
-				if coldErr.Error() != gotErr.Error() {
-					t.Errorf("%s: error text differs:\n cold:   %v\n cached: %v", label, coldErr, gotErr)
-				}
-				if errors.Is(coldErr, ErrStageOverflow) != errors.Is(gotErr, ErrStageOverflow) {
-					t.Errorf("%s: overflow classification differs", label)
-				}
-			}
-			_ = pass
-		}
-	}
-	st := cache.Stats()
-	if st.Misses != 150 || st.Hits != 150 {
-		t.Errorf("stats = %+v, want 150 misses and 150 hits", st)
-	}
-}
-
-// TestCacheHitReturnsFreshBinary: mutating a returned layout must not poison
-// later hits.
-func TestCacheHitReturnsFreshBinary(t *testing.T) {
-	cache := NewCompileCache(0)
-	spec := hw.NewPaperTestbed().Switch
-	tables := []LogicalTable{{Name: "a", SRAM: 1}, {Name: "b", SRAM: 1, Deps: []int{0}}}
-	first, err := cache.Compile(spec, tables)
-	if err != nil {
-		t.Fatal(err)
-	}
-	first.StageOf[0] = 99
-	first.Stages = -1
-	second, err := cache.Compile(spec, tables)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if second.StageOf[0] == 99 || second.Stages == -1 {
-		t.Errorf("cached binary was aliased to the caller's copy: %+v", second)
-	}
-}
-
 // TestCacheEviction: a tiny cap flushes the generation but stays correct.
 func TestCacheEviction(t *testing.T) {
 	cache := NewCompileCache(4)
 	spec := hw.NewPaperTestbed().Switch
+	var key []byte
 	for i := 0; i < 20; i++ {
 		tables := []LogicalTable{{Name: fmt.Sprintf("u%d", i), SRAM: 1}}
-		if _, err := cache.Compile(spec, tables); err != nil {
+		if _, err := cache.Stages(spec, tables, &key); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -126,7 +62,7 @@ func TestCacheEviction(t *testing.T) {
 	}
 	// Entries survive until flushed; re-inserting a resident key must hit.
 	tables := []LogicalTable{{Name: "u19", SRAM: 1}}
-	if _, err := cache.Compile(spec, tables); err != nil {
+	if _, err := cache.Stages(spec, tables, &key); err != nil {
 		t.Fatal(err)
 	}
 	if got := cache.Stats(); got.Hits != st.Hits+1 {
@@ -142,10 +78,12 @@ func TestCacheConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	spec := hw.NewPaperTestbed().Switch
 	inputs := make([][]LogicalTable, 8)
-	want := make([]*Binary, 8)
+	want := make([]int, 8)
 	for i := range inputs {
 		inputs[i] = randomTables(rng)
-		want[i], _ = Compile(spec, inputs[i])
+		if bin, _ := Compile(spec, inputs[i]); bin != nil {
+			want[i] = bin.Stages
+		}
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -153,11 +91,10 @@ func TestCacheConcurrent(t *testing.T) {
 		go func(seed int64) {
 			defer wg.Done()
 			r := rand.New(rand.NewSource(seed))
+			var key []byte
 			for k := 0; k < 200; k++ {
 				i := r.Intn(len(inputs))
-				got, _ := cache.Compile(spec, inputs[i])
-				if (got == nil) != (want[i] == nil) ||
-					(got != nil && !reflect.DeepEqual(got.StageOf, want[i].StageOf)) {
+				if got, _ := cache.Stages(spec, inputs[i], &key); got != want[i] {
 					t.Errorf("concurrent verdict diverged for input %d", i)
 					return
 				}
@@ -179,11 +116,12 @@ func TestCacheSyncObs(t *testing.T) {
 	cache := NewCompileCache(0)
 	spec := hw.NewPaperTestbed().Switch
 	tables := randomTables(rand.New(rand.NewSource(77)))
-	if _, err := cache.Compile(spec, tables); err != nil { // miss
+	var key []byte
+	if _, err := cache.Stages(spec, tables, &key); err != nil { // miss
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ { // hits
-		if _, err := cache.Compile(spec, tables); err != nil {
+		if _, err := cache.Stages(spec, tables, &key); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -210,12 +148,12 @@ func TestCacheSyncObs(t *testing.T) {
 	}
 }
 
-// TestCompileCacheProbeMatchesCompile: Stages, the verdict-only probe, gives
-// Compile's stage count and Compile's error — fit, stage overflow and
-// per-stage budget failure alike — on first sight (miss) and on repeat (hit),
-// counts hits and misses as Compile does, shares entries with it, reuses the
-// caller's key buffer, and a hit allocates nothing.
-func TestCompileCacheProbeMatchesCompile(t *testing.T) {
+// TestCompileCachedMatchesCold: over 150 randomized (spec, tables) inputs,
+// the cache's Stages gives the uncached Compile's stage count and error —
+// fit, stage overflow and per-stage budget failure alike, same text and same
+// errors.Is(ErrStageOverflow) classification — on first sight (miss) and on
+// repeat (hit).
+func TestCompileCachedMatchesCold(t *testing.T) {
 	rng := rand.New(rand.NewSource(2024))
 	cache := NewCompileCache(0)
 	var key []byte
@@ -248,27 +186,40 @@ func TestCompileCacheProbeMatchesCompile(t *testing.T) {
 				t.Errorf("%s: error %v, Compile says %v", label, err, coldErr)
 			}
 		}
-		// The probe's entry serves Compile, under the same key.
-		bin, err := cache.Compile(spec, tables)
-		if (bin == nil) != (cold == nil) || (bin != nil && !reflect.DeepEqual(bin.StageOf, cold.StageOf)) ||
-			(err == nil) != (coldErr == nil) {
-			t.Errorf("trial %d: Compile after Stages = (%+v, %v), cold = (%+v, %v)", trial, bin, err, cold, coldErr)
-		}
 	}
 	if fits == 0 || overflows == 0 || others == 0 {
 		t.Fatalf("fixture must cover every verdict: %d fits, %d overflows, %d other errors", fits, overflows, others)
 	}
-	if st := cache.Stats(); st.Misses != 150 || st.Hits != 300 {
-		t.Errorf("stats = %+v, want 150 misses and 300 hits", st)
+	if st := cache.Stats(); st.Misses != 150 || st.Hits != 150 {
+		t.Errorf("stats = %+v, want 150 misses and 150 hits", st)
 	}
+}
 
-	spec, tables := randomSpec(rng), randomTables(rng)
-	cache.Stages(spec, tables, &key)
-	at := &key[0]
-	if a := testing.AllocsPerRun(100, func() { cache.Stages(spec, tables, &key) }); a != 0 {
-		t.Errorf("a probe hit allocates %.0f objects, want 0", a)
-	}
-	if &key[0] != at {
-		t.Error("the probe did not reuse the caller's key buffer")
+// TestCompileCacheProbeMatchesCompile: on 20 randomized inputs a probe hit
+// gives Compile's stage count and error, reuses the caller's key buffer, and
+// allocates nothing.
+func TestCompileCacheProbeMatchesCompile(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	cache := NewCompileCache(0)
+	var key []byte
+	for trial := 0; trial < 20; trial++ {
+		spec, tables := randomSpec(rng), randomTables(rng)
+		cold, coldErr := Compile(spec, tables)
+		want := 0
+		if cold != nil {
+			want = cold.Stages
+		}
+		cache.Stages(spec, tables, &key)
+		at := &key[0]
+		if stages, err := cache.Stages(spec, tables, &key); stages != want ||
+			(err == nil) != (coldErr == nil) || (err != nil && err.Error() != coldErr.Error()) {
+			t.Errorf("trial %d: probe hit = (%d, %v), Compile says (%d, %v)", trial, stages, err, want, coldErr)
+		}
+		if a := testing.AllocsPerRun(10, func() { cache.Stages(spec, tables, &key) }); a != 0 {
+			t.Errorf("trial %d: a probe hit allocates %.0f objects, want 0", trial, a)
+		}
+		if &key[0] != at {
+			t.Errorf("trial %d: the probe did not reuse the caller's key buffer", trial)
+		}
 	}
 }

@@ -382,3 +382,8 @@ func TestTemplateSubgroupsMatchReference(t *testing.T) {
 		t.Fatal("fixture has no pattern with split marks")
 	}
 }
+
+// StageMemoStats reports process-wide stage-memo hits and misses.
+func StageMemoStats() (hits, misses uint64) {
+	return stageMemoHits.Load(), stageMemoMisses.Load()
+}

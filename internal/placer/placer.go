@@ -210,17 +210,6 @@ func (res *Result) IsRetired(ci int) bool {
 	return res.Retired != nil && ci < len(res.Retired) && res.Retired[ci]
 }
 
-// ActiveChains counts chain slots that are not retired.
-func (res *Result) ActiveChains() int {
-	active := 0
-	for ci := 0; ci < len(res.ChainRates); ci++ {
-		if !res.IsRetired(ci) {
-			active++
-		}
-	}
-	return active
-}
-
 // Infeasible constructs a failed result.
 func infeasible(scheme Scheme, reason string) *Result {
 	return &Result{Scheme: scheme, Feasible: false, Reason: reason}

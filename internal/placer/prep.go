@@ -164,11 +164,6 @@ var (
 	stageMemoMisses atomic.Uint64
 )
 
-// StageMemoStats reports process-wide stage-memo hits and misses.
-func StageMemoStats() (hits, misses uint64) {
-	return stageMemoHits.Load(), stageMemoMisses.Load()
-}
-
 // ensurePrep installs (or refreshes) the prep for the input's current DB,
 // topology and chain set. Called at every entry point, before workers fan
 // out. A new database starts a family; a new chain set is derived within the

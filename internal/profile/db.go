@@ -24,22 +24,6 @@ func DefaultDB() *DB {
 	return &DB{worst: make(map[string]float64), scale: 1}
 }
 
-// Measure builds a DB by actually profiling every registered class with
-// default parameters. Classes with parameterized costs are profiled at their
-// default operating point; WorstCycles falls back to the model for other
-// parameter values.
-func Measure(pr *Profiler) (*DB, error) {
-	db := DefaultDB()
-	for _, class := range nf.Classes() {
-		st, err := pr.Profile(class, nil, SameNUMA)
-		if err != nil {
-			return nil, err
-		}
-		db.worst[key(class, nil)] = st.Max
-	}
-	return db, nil
-}
-
 func key(class string, params nf.Params) string {
 	if len(params) == 0 {
 		return class

@@ -82,7 +82,9 @@ var errHopBudget = errors.New("runtime: frame exceeded hop budget (steering loop
 // Verify injects n generated frames per chain and walks each through the
 // full cross-platform path, checking that chains terminate (egress or
 // explicit drop) and that steering never wedges. A retired slot carries no
-// traffic: it gets no frames.
+// traffic: it gets no frames. When frames hit steering errors, the error
+// counts them and wraps the first, naming its chain and frame index, so
+// errors.Is sees the cause (a steering loop's hop budget, say).
 func (tb *Testbed) Verify(n int) (*WalkStats, error) {
 	sp := obs.Span("runtime.verify").SetAttrInt("frames_per_chain", n)
 	stats := &WalkStats{ByChain: make([]ChainWalk, len(tb.D.Input.Chains))}
@@ -97,13 +99,14 @@ func (tb *Testbed) Verify(n int) (*WalkStats, error) {
 			SetAttrInt("errors", stats.Errors).
 			End()
 	}()
-	env := &nf.Env{Rand: rand.New(rand.NewSource(tb.Seed))}
+	env := &nf.Env{}
 	// One frame buffer, one decode scratch and one generator (rebuilt per
 	// chain) serve the whole walk: frames are generated into the buffer and
 	// rewritten in place hop by hop, as the simulator does.
 	var buf []byte
 	var scratch packet.Packet
 	var gen *trafficgen.Generator
+	var first error
 	for ci, g := range tb.D.Input.Chains {
 		if tb.D.Result.IsRetired(ci) {
 			continue
@@ -132,6 +135,9 @@ func (tb *Testbed) Verify(n int) (*WalkStats, error) {
 			}
 			switch {
 			case err != nil:
+				if stats.Errors == 0 {
+					first = fmt.Errorf("chain %s frame %d: %w", g.Chain.Name, i, err)
+				}
 				stats.Errors++
 			case outcome == pisa.Egress:
 				stats.Egressed++
@@ -143,7 +149,7 @@ func (tb *Testbed) Verify(n int) (*WalkStats, error) {
 		}
 	}
 	if stats.Errors > 0 {
-		return stats, fmt.Errorf("runtime: %d frames hit steering errors", stats.Errors)
+		return stats, fmt.Errorf("runtime: %d frames hit steering errors; first: %w", stats.Errors, first)
 	}
 	return stats, nil
 }

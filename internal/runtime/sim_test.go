@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"strings"
@@ -245,5 +246,29 @@ func TestSimulateSteeringLoopIsError(t *testing.T) {
 		if err := run(tb, offered); err == nil || !strings.Contains(err.Error(), "hop budget") {
 			t.Errorf("%s: err = %v, want the hop budget", name, err)
 		}
+	}
+}
+
+// TestVerifySteeringLoopWrapsFirstError: with every server subgroup's SI
+// advance zeroed, every frame loops until the hop budget; Verify counts
+// them all and wraps the first error, naming its chain and frame, so
+// errors.Is finds errHopBudget.
+func TestVerifySteeringLoopWrapsFirstError(t *testing.T) {
+	_, _, tb := deployRestricted(t, hw.NewPaperTestbed(), simpleSpec, placer.SchemeLemur,
+		map[string][]hw.Platform{"ACL": {hw.Server}, "IPv4Fwd": {hw.PISA}})
+	for _, pl := range tb.D.Pipelines {
+		for _, sg := range pl.Subgroups() {
+			sg.AdvanceSI = 0
+		}
+	}
+	stats, err := tb.Verify(3)
+	if !errors.Is(err, errHopBudget) {
+		t.Fatalf("err = %v, want one wrapping errHopBudget", err)
+	}
+	if !strings.Contains(err.Error(), "chain web frame 0:") {
+		t.Errorf("err = %v, want the first failing chain and frame named", err)
+	}
+	if stats == nil || stats.Errors != 3 {
+		t.Errorf("stats = %+v, want 3 errors", stats)
 	}
 }

@@ -209,11 +209,9 @@ func (eng *simEngine) newShards(n int) {
 			// the engine before sharding did.
 			sh.env = &nf.Env{Rand: eng.rng}
 		} else {
-			// Every other shard gets its own deterministic stream. No NF
-			// draws from the env today, so the one-shard draw order is
-			// untouched either way; the streams exist so one that does
-			// cannot race its siblings.
-			sh.env = &nf.Env{Rand: rand.New(rand.NewSource(eng.cfg.Seed*31 + 1_000_003*int64(i)))}
+			// No NF reads Env.Rand, so the other shards get none rather
+			// than a seeded source apiece that nothing draws from.
+			sh.env = &nf.Env{}
 		}
 		eng.shards[i] = sh
 	}

@@ -1,185 +1,6 @@
 package smartnic
 
-import (
-	"fmt"
-
-	"lemur/internal/bpf"
-	"lemur/internal/packet"
-)
-
-// CompileFilter translates a Lemur match expression into an eBPF program
-// that returns XDPPass for matching packets and XDPDrop otherwise — the real
-// codegen path the meta-compiler uses for Match NFs offloaded to the NIC.
-// The generated code assumes untagged Ethernet+IPv4 frames (the layout NIC
-// programs see after the switch strips NSH in our deployment); VLAN-field
-// matches are not offloadable and return an error.
-func CompileFilter(name string, f *bpf.Filter) (*Program, error) {
-	e := &emitter{}
-	lTrue, lFalse := e.newLabel(), e.newLabel()
-	if err := e.compile(f.View(), lTrue, lFalse); err != nil {
-		return nil, fmt.Errorf("smartnic: compile %s: %w", name, err)
-	}
-	e.bind(lTrue)
-	e.emit(Insn{Op: OpMovImm, Dst: 0, Imm: XDPPass})
-	e.emit(Insn{Op: OpExit})
-	e.bind(lFalse)
-	e.emit(Insn{Op: OpMovImm, Dst: 0, Imm: XDPDrop})
-	e.emit(Insn{Op: OpExit})
-	if err := e.patch(); err != nil {
-		return nil, fmt.Errorf("smartnic: compile %s: %w", name, err)
-	}
-	return &Program{Name: name, Insns: e.insns, StackBytes: 0}, nil
-}
-
-// Field byte offsets for Ethernet+IPv4(+L4) frames.
-const (
-	offIPTOS   = packet.EthernetLen + 1
-	offIPProto = packet.EthernetLen + 9
-	offIPSrc   = packet.EthernetLen + 12
-	offIPDst   = packet.EthernetLen + 16
-	offL4      = packet.EthernetLen + packet.IPv4Len
-)
-
-type fixup struct {
-	insn  int // index of the jump instruction
-	label int
-}
-
-type emitter struct {
-	insns   []Insn
-	nlabels int
-	bound   map[int]int // label -> insn index
-	fixups  []fixup
-}
-
-func (e *emitter) newLabel() int {
-	e.nlabels++
-	return e.nlabels - 1
-}
-
-func (e *emitter) bind(label int) {
-	if e.bound == nil {
-		e.bound = make(map[int]int)
-	}
-	e.bound[label] = len(e.insns)
-}
-
-func (e *emitter) emit(in Insn) { e.insns = append(e.insns, in) }
-
-func (e *emitter) jump(op Op, dst, src uint8, imm int64, label int) {
-	e.fixups = append(e.fixups, fixup{insn: len(e.insns), label: label})
-	e.emit(Insn{Op: op, Dst: dst, Src: src, Imm: imm})
-}
-
-func (e *emitter) patch() error {
-	for _, f := range e.fixups {
-		target, ok := e.bound[f.label]
-		if !ok {
-			return fmt.Errorf("unbound label %d", f.label)
-		}
-		off := target - f.insn - 1
-		if off < 0 {
-			return fmt.Errorf("label %d would need a back-edge (off=%d)", f.label, off)
-		}
-		e.insns[f.insn].Off = int32(off)
-	}
-	return nil
-}
-
-// compile emits code that jumps to lTrue when v holds and lFalse otherwise.
-// Generation is strictly linear, so every label target is forward.
-func (e *emitter) compile(v bpf.ExprView, lTrue, lFalse int) error {
-	switch v.Kind {
-	case "const":
-		if v.Bool {
-			e.jump(OpJA, 0, 0, 0, lTrue)
-		} else {
-			e.jump(OpJA, 0, 0, 0, lFalse)
-		}
-		return nil
-	case "not":
-		return e.compile(v.Kids[0], lFalse, lTrue)
-	case "and":
-		for i, kid := range v.Kids {
-			if i == len(v.Kids)-1 {
-				return e.compile(kid, lTrue, lFalse)
-			}
-			next := e.newLabel()
-			if err := e.compile(kid, next, lFalse); err != nil {
-				return err
-			}
-			e.bind(next)
-		}
-		return nil
-	case "or":
-		for i, kid := range v.Kids {
-			if i == len(v.Kids)-1 {
-				return e.compile(kid, lTrue, lFalse)
-			}
-			next := e.newLabel()
-			if err := e.compile(kid, lTrue, next); err != nil {
-				return err
-			}
-			e.bind(next)
-		}
-		return nil
-	case "cmp":
-		return e.compileCmp(v, lTrue, lFalse)
-	}
-	return fmt.Errorf("unknown expr kind %q", v.Kind)
-}
-
-func (e *emitter) compileCmp(v bpf.ExprView, lTrue, lFalse int) error {
-	const r = 1 // scratch register
-	switch v.Field {
-	case bpf.FieldIPSrc:
-		e.emit(Insn{Op: OpLdW, Dst: r, Off: offIPSrc})
-	case bpf.FieldIPDst:
-		e.emit(Insn{Op: OpLdW, Dst: r, Off: offIPDst})
-	case bpf.FieldIPProto:
-		e.emit(Insn{Op: OpLdB, Dst: r, Off: offIPProto})
-	case bpf.FieldIPTOS:
-		e.emit(Insn{Op: OpLdB, Dst: r, Off: offIPTOS})
-	case bpf.FieldSrcPort, bpf.FieldDstPort:
-		// Ports exist only for TCP/UDP: gate on the protocol first.
-		e.emit(Insn{Op: OpLdB, Dst: 2, Off: offIPProto})
-		ok := e.newLabel()
-		e.jump(OpJEq, 2, 0, int64(packet.IPProtoTCP), ok)
-		e.jump(OpJNe, 2, 0, int64(packet.IPProtoUDP), lFalse)
-		e.bind(ok)
-		off := int32(offL4)
-		if v.Field == bpf.FieldDstPort {
-			off += 2
-		}
-		e.emit(Insn{Op: OpLdH, Dst: r, Off: off})
-	case bpf.FieldVLANVID:
-		return fmt.Errorf("vlan fields are not offloadable to the NIC")
-	default:
-		return fmt.Errorf("field %d not offloadable", v.Field)
-	}
-
-	switch v.Op {
-	case bpf.OpEq:
-		e.jump(OpJEq, r, 0, int64(v.Val), lTrue)
-	case bpf.OpNe:
-		e.jump(OpJNe, r, 0, int64(v.Val), lTrue)
-	case bpf.OpGt:
-		e.jump(OpJGt, r, 0, int64(v.Val), lTrue)
-	case bpf.OpGe:
-		e.jump(OpJGe, r, 0, int64(v.Val), lTrue)
-	case bpf.OpLt:
-		e.jump(OpJLt, r, 0, int64(v.Val), lTrue)
-	case bpf.OpLe:
-		e.jump(OpJLe, r, 0, int64(v.Val), lTrue)
-	case bpf.OpIn:
-		e.emit(Insn{Op: OpAndImm, Dst: r, Imm: int64(v.Mask)})
-		e.jump(OpJEq, r, 0, int64(v.Val&v.Mask), lTrue)
-	default:
-		return fmt.Errorf("operator %d not offloadable", v.Op)
-	}
-	e.jump(OpJA, 0, 0, 0, lFalse)
-	return nil
-}
+import "lemur/internal/packet"
 
 // SynthesizeNF emits a loop-unrolled, fully-inlined program standing in for
 // the C-compiled eBPF body of an NF class (§A.3): insnCount arithmetic and

@@ -2,8 +2,8 @@
 // Agilio CX): a small eBPF-style instruction set, the verifier whose limits
 // shaped the paper's implementation (§A.3: 4096 instructions, 512-byte
 // stack, no function calls, no back-edge jumps), a VM executing programs
-// over packet buffers via an XDP-style hook, and a code generator that
-// compiles Lemur match filters to eBPF.
+// over packet buffers via an XDP-style hook, and SynthesizeNF, which stands
+// in for the C-compiled eBPF body of each offloaded NF.
 package smartnic
 
 import (

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"lemur/internal/bpf"
 	"lemur/internal/nf"
 	"lemur/internal/nsh"
 )
@@ -58,10 +57,7 @@ func TestNICProcessFrameInPlaceMatches(t *testing.T) {
 // and one count in DroppedFrames.
 func TestNICProcessFrameInPlaceXDPDrop(t *testing.T) {
 	nic := NewNIC(nicSpec())
-	prog, err := CompileFilter("none", bpf.MustCompile("false"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := &Program{Name: "drop", Insns: []Insn{{Op: OpMovImm, Dst: 0, Imm: XDPDrop}, {Op: OpExit}}}
 	if err := nic.Load(2, 2, &PathProgram{Prog: prog}); err != nil {
 		t.Fatal(err)
 	}

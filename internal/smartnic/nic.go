@@ -62,16 +62,6 @@ func (n *NIC) Load(spi uint32, si uint8, pp *PathProgram) error {
 	return nil
 }
 
-// Unload removes the program for (spi, si), reporting whether one was loaded.
-func (n *NIC) Unload(spi uint32, si uint8) bool {
-	k := uint64(spi)<<8 | uint64(si)
-	if _, ok := n.entries[k]; !ok {
-		return false
-	}
-	delete(n.entries, k)
-	return true
-}
-
 // ProgramCount returns the number of loaded path programs.
 func (n *NIC) ProgramCount() int { return len(n.entries) }
 

@@ -2,11 +2,8 @@ package smartnic
 
 import (
 	"errors"
-	"math/rand"
 	"testing"
-	"testing/quick"
 
-	"lemur/internal/bpf"
 	"lemur/internal/hw"
 	"lemur/internal/nf"
 	"lemur/internal/nsh"
@@ -85,92 +82,6 @@ func testFrame(dport uint16) []byte {
 	}.Build()
 }
 
-func TestCompileFilterMatchesInterpreter(t *testing.T) {
-	exprs := []string{
-		"ip.src in 10.0.0.0/8",
-		"ip.dst == 172.16.5.6",
-		"tcp.dport == 443 || tcp.dport == 80",
-		"ip.proto == 6 && port.src >= 1024",
-		"!(ip.tos == 0) || udp.dport < 100",
-		"true",
-		"false",
-		"ip.src in 10.1.0.0/16 && !(tcp.dport == 22)",
-	}
-	spec := nicSpec()
-	for _, expr := range exprs {
-		f := bpf.MustCompile(expr)
-		prog, err := CompileFilter(expr, f)
-		if err != nil {
-			t.Errorf("compile %q: %v", expr, err)
-			continue
-		}
-		if err := Verify(prog, spec); err != nil {
-			t.Errorf("verify %q: %v", expr, err)
-			continue
-		}
-		for _, dport := range []uint16{22, 80, 443, 8080} {
-			frame := testFrame(dport)
-			var p packet.Packet
-			if err := p.Decode(frame); err != nil {
-				t.Fatal(err)
-			}
-			want := XDPDrop
-			if f.Match(&p) {
-				want = XDPPass
-			}
-			got, err := Run(prog, frame)
-			if err != nil {
-				t.Errorf("%q dport=%d: %v", expr, dport, err)
-				continue
-			}
-			if got != want {
-				t.Errorf("%q dport=%d: ebpf=%d interpreter=%d", expr, dport, got, want)
-			}
-		}
-	}
-}
-
-func TestCompileFilterRandomProperty(t *testing.T) {
-	// Random packets through a fixed nontrivial filter: eBPF and interpreter
-	// must always agree.
-	f := bpf.MustCompile("ip.src in 10.0.0.0/8 && (tcp.dport == 443 || port.src > 2000)")
-	prog, err := CompileFilter("prop", f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(8))
-	check := func(srcHi uint8, sport, dport uint16, isTCP bool) bool {
-		proto := packet.IPProtoUDP
-		if isTCP {
-			proto = packet.IPProtoTCP
-		}
-		frame := packet.Builder{
-			Src:   packet.IPv4Addr{srcHi, byte(rng.Intn(256)), 1, 2},
-			Dst:   packet.IPv4Addr{1, 2, 3, 4},
-			Proto: proto, SrcPort: sport, DstPort: dport,
-		}.Build()
-		var p packet.Packet
-		if p.Decode(frame) != nil {
-			return false
-		}
-		want := XDPDrop
-		if f.Match(&p) {
-			want = XDPPass
-		}
-		got, err := Run(prog, frame)
-		return err == nil && got == want
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestCompileFilterVLANRejected(t *testing.T) {
-	if _, err := CompileFilter("v", bpf.MustCompile("vlan.vid == 5")); err == nil {
-		t.Error("vlan matches must not be offloadable")
-	}
-}
-
 func TestNICProcessFrame(t *testing.T) {
 	nic := NewNIC(nicSpec())
 	chacha, err := nf.New("FastEncrypt", "cc0", nil)
@@ -224,23 +135,35 @@ func TestNICLoadRejectsUnverifiable(t *testing.T) {
 	}
 }
 
+// TestNICXDPDropPath: a hand-assembled XDP filter that drops TCP port 22
+// decides per frame at the hook: a port-22 frame is a nil drop counted in
+// DroppedFrames, a port-80 frame passes on with its SI advanced.
 func TestNICXDPDropPath(t *testing.T) {
 	nic := NewNIC(nicSpec())
-	// A filter that drops everything at the XDP hook.
-	prog, err := CompileFilter("none", bpf.MustCompile("false"))
+	prog := &Program{Name: "no-ssh", Insns: []Insn{
+		{Op: OpLdH, Dst: 1, Off: packet.EthernetLen + packet.IPv4Len + 2},
+		{Op: OpMovImm, Dst: 0, Imm: XDPPass},
+		{Op: OpJNe, Dst: 1, Imm: 22, Off: 1},
+		{Op: OpMovImm, Dst: 0, Imm: XDPDrop},
+		{Op: OpExit},
+	}}
+	if err := nic.Load(2, 2, &PathProgram{Prog: prog, AdvanceSI: 1}); err != nil {
+		t.Fatal(err)
+	}
+	ssh, _ := nsh.Encap(testFrame(22), 2, 2)
+	if out, err := nic.ProcessFrameInPlace(ssh, &nf.Env{}); err != nil || out != nil {
+		t.Errorf("port 22: out=%v err=%v, want nil drop", out, err)
+	}
+	web, _ := nsh.Encap(testFrame(80), 2, 2)
+	out, err := nic.ProcessFrameInPlace(web, &nf.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := nic.Load(2, 2, &PathProgram{Prog: prog}); err != nil {
-		t.Fatal(err)
-	}
-	enc, _ := nsh.Encap(testFrame(1), 2, 2)
-	out, err := nic.ProcessFrameInPlace(enc, &nf.Env{})
-	if err != nil || out != nil {
-		t.Errorf("out=%v err=%v, want nil drop", out, err)
+	if spi, si, err := nsh.Tag(out); err != nil || spi != 2 || si != 1 {
+		t.Errorf("port 80: tag = %d/%d, %v; want 2/1", spi, si, err)
 	}
 	if nic.DroppedFrames != 1 {
-		t.Errorf("DroppedFrames = %d", nic.DroppedFrames)
+		t.Errorf("DroppedFrames = %d, want 1", nic.DroppedFrames)
 	}
 }
 
@@ -254,5 +177,95 @@ func TestRunPacketBounds(t *testing.T) {
 	got, err := Run(p, testFrame(1))
 	if err != nil || got != XDPDrop {
 		t.Errorf("oob load: %d, %v", got, err)
+	}
+}
+
+// branch assembles a program that sets r1 = 5 and r2 = imm, runs jump op
+// (against imm, or against r2 for OpJEqReg) over two instructions, and
+// returns 1 when the jump is taken and 0 when it falls through.
+func branch(op Op, imm int64) *Program {
+	return &Program{Insns: []Insn{
+		{Op: OpMovImm, Dst: 1, Imm: 5},
+		{Op: OpMovImm, Dst: 2, Imm: imm},
+		{Op: op, Dst: 1, Src: 2, Imm: imm, Off: 2},
+		{Op: OpMovImm, Dst: 0, Imm: 0},
+		{Op: OpExit},
+		{Op: OpMovImm, Dst: 0, Imm: 1},
+		{Op: OpExit},
+	}}
+}
+
+// TestRunOpcodes: one hand-assembled program per behaviour, together
+// executing every opcode Run implements, each against a fresh TCP frame
+// from 10.1.2.3 to port 443.
+func TestRunOpcodes(t *testing.T) {
+	const word = 0x0102030405060708
+	cases := []struct {
+		name string
+		prog *Program
+		want int64
+	}{
+		{"mov imm", &Program{Insns: []Insn{{Op: OpMovImm, Dst: 0, Imm: 7}, {Op: OpExit}}}, 7},
+		{"mov reg", &Program{Insns: []Insn{{Op: OpMovImm, Dst: 1, Imm: 9}, {Op: OpMovReg, Dst: 0, Src: 1}, {Op: OpExit}}}, 9},
+		{"load byte ip.proto", &Program{Insns: []Insn{{Op: OpLdB, Dst: 0, Off: packet.EthernetLen + 9}, {Op: OpExit}}}, int64(packet.IPProtoTCP)},
+		{"load half tcp.dport", &Program{Insns: []Insn{{Op: OpLdH, Dst: 0, Off: packet.EthernetLen + packet.IPv4Len + 2}, {Op: OpExit}}}, 443},
+		{"load word ip.src", &Program{Insns: []Insn{{Op: OpLdW, Dst: 0, Off: packet.EthernetLen + 12}, {Op: OpExit}}}, 0x0a010203},
+		{"store byte", &Program{Insns: []Insn{
+			{Op: OpMovImm, Dst: 1, Imm: 0x111},
+			{Op: OpStB, Dst: 1, Off: packet.EthernetLen + 9},
+			{Op: OpLdB, Dst: 0, Off: packet.EthernetLen + 9},
+			{Op: OpExit},
+		}}, 0x11},
+		{"alu", &Program{Insns: []Insn{
+			{Op: OpMovImm, Dst: 0, Imm: 0xf0},
+			{Op: OpAddImm, Dst: 0, Imm: 0x0f},
+			{Op: OpAndImm, Dst: 0, Imm: 0x3c},
+			{Op: OpMovImm, Dst: 1, Imm: 0x01},
+			{Op: OpXorReg, Dst: 0, Src: 1},
+			{Op: OpShrImm, Dst: 0, Imm: 2},
+			{Op: OpExit},
+		}}, 0x0f},
+		{"stack word", &Program{StackBytes: 16, Insns: []Insn{
+			{Op: OpMovImm, Dst: 1, Imm: word},
+			{Op: OpStackW, Dst: 1, Off: 8},
+			{Op: OpLdStkW, Dst: 0, Off: 8},
+			{Op: OpExit},
+		}}, word},
+		{"jeq taken", branch(OpJEq, 5), 1},
+		{"jeq not taken", branch(OpJEq, 6), 0},
+		{"jne taken", branch(OpJNe, 6), 1},
+		{"jne not taken", branch(OpJNe, 5), 0},
+		{"jgt taken", branch(OpJGt, 4), 1},
+		{"jgt not taken", branch(OpJGt, 5), 0},
+		{"jge taken", branch(OpJGe, 5), 1},
+		{"jge not taken", branch(OpJGe, 6), 0},
+		{"jlt taken", branch(OpJLt, 6), 1},
+		{"jlt not taken", branch(OpJLt, 5), 0},
+		{"jle taken", branch(OpJLe, 5), 1},
+		{"jle not taken", branch(OpJLe, 4), 0},
+		{"jeq reg taken", branch(OpJEqReg, 5), 1},
+		{"jeq reg not taken", branch(OpJEqReg, 6), 0},
+		{"ja", branch(OpJA, 0), 1},
+	}
+	ran := map[Op]bool{}
+	for _, c := range cases {
+		got, err := Run(c.prog, testFrame(443))
+		if err != nil || got != c.want {
+			t.Errorf("%s: Run = %#x, %v; want %#x", c.name, got, err, c.want)
+		}
+		for _, in := range c.prog.Insns {
+			ran[in.Op] = true
+		}
+	}
+	for op := OpMovImm; op <= OpExit; op++ {
+		if op != OpCall && !ran[op] {
+			t.Errorf("opcode %d is in no case", op)
+		}
+	}
+	if _, err := Run(&Program{Insns: []Insn{{Op: OpCall}, {Op: OpExit}}}, testFrame(443)); err == nil {
+		t.Error("OpCall must be a run error")
+	}
+	if _, err := Run(&Program{Insns: []Insn{{Op: OpMovImm}}}, testFrame(443)); !errors.Is(err, ErrNoExit) {
+		t.Errorf("falling off the end: %v, want ErrNoExit", err)
 	}
 }

@@ -21,8 +21,7 @@ const (
 
 // PcapWriter streams frames into a pcap file.
 type PcapWriter struct {
-	w     io.Writer
-	count int
+	w io.Writer
 }
 
 // NewPcapWriter writes the global header and returns a writer.
@@ -61,60 +60,5 @@ func (pw *PcapWriter) WriteFrame(tsSec float64, frame []byte) error {
 	if _, err := pw.w.Write(frame); err != nil {
 		return fmt.Errorf("trafficgen: pcap frame: %w", err)
 	}
-	pw.count++
 	return nil
-}
-
-// Count returns the number of frames written.
-func (pw *PcapWriter) Count() int { return pw.count }
-
-// DumpPcap generates n frames from the generator at the given packet rate
-// and writes them as a capture.
-func DumpPcap(w io.Writer, g *Generator, n int, pps float64) error {
-	pw, err := NewPcapWriter(w)
-	if err != nil {
-		return err
-	}
-	if pps <= 0 {
-		pps = 1e6
-	}
-	var buf []byte
-	for i := 0; i < n; i++ {
-		ts := float64(i) / pps
-		buf = g.NextInto(buf, ts)
-		if err := pw.WriteFrame(ts, buf); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ReadPcap parses a capture produced by PcapWriter back into frames —
-// primarily for tests and round-trip verification.
-func ReadPcap(r io.Reader) ([][]byte, error) {
-	var hdr [24]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("trafficgen: pcap header: %w", err)
-	}
-	if binary.LittleEndian.Uint32(hdr[0:]) != pcapMagic {
-		return nil, fmt.Errorf("trafficgen: bad pcap magic %#x", binary.LittleEndian.Uint32(hdr[0:]))
-	}
-	var frames [][]byte
-	for {
-		var rec [16]byte
-		if _, err := io.ReadFull(r, rec[:]); err == io.EOF {
-			return frames, nil
-		} else if err != nil {
-			return nil, fmt.Errorf("trafficgen: pcap record: %w", err)
-		}
-		n := binary.LittleEndian.Uint32(rec[8:])
-		if n > pcapSnapLen {
-			return nil, fmt.Errorf("trafficgen: pcap record of %d bytes", n)
-		}
-		frame := make([]byte, n)
-		if _, err := io.ReadFull(r, frame); err != nil {
-			return nil, fmt.Errorf("trafficgen: pcap frame: %w", err)
-		}
-		frames = append(frames, frame)
-	}
 }

@@ -2,7 +2,6 @@ package trafficgen
 
 import (
 	"math/rand"
-	"sort"
 
 	"lemur/internal/packet"
 )
@@ -36,21 +35,6 @@ type Schedule struct {
 // BornAt returns flow i's birth time in seconds, nondecreasing in i. It is
 // indexed arithmetic, not a running sum, so it is exact for every i alike.
 func (s *Schedule) BornAt(i int) float64 { return s.firstSec + float64(i)*s.gapSec }
-
-// FlowsAt returns the indices [head, tail) of flows live at nowSec: born no
-// later than nowSec and not yet expired. O(log n); the replay generator
-// tracks the same window incrementally.
-func (s *Schedule) FlowsAt(nowSec float64) (head, tail int) {
-	tail = sort.Search(len(s.Tuples), func(i int) bool { return s.BornAt(i) > nowSec })
-	if s.LifeSec <= 0 {
-		return 0, tail
-	}
-	// Expiry predicate is born+life <= now everywhere (here, the replay
-	// window, and the tests' brute-force scans) — mixing algebraically
-	// equivalent forms like born <= now-life is not float-safe.
-	head = sort.Search(tail, func(i int) bool { return s.BornAt(i)+s.LifeSec > nowSec })
-	return head, tail
-}
 
 // ScheduleInto pre-generates the flow schedule for cfg covering simulated
 // time [0, horizonSec] into dst's arena (reused when capacity suffices; a
@@ -166,14 +150,3 @@ func (sg *ScheduleGen) pick(nowSec float64) packet.FiveTuple {
 func (sg *ScheduleGen) NextInto(buf []byte, nowSec float64) []byte {
 	return sg.g.emitInto(buf, sg.pick(nowSec))
 }
-
-// FlowCount returns the live-flow population as of the last emission.
-func (sg *ScheduleGen) FlowCount() int {
-	if n := sg.tail - sg.head; n > 0 {
-		return n
-	}
-	return 0
-}
-
-// Emitted returns how many packets have been generated.
-func (sg *ScheduleGen) Emitted() uint64 { return sg.g.seq }

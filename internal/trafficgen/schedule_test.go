@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
 
 	"lemur/internal/packet"
@@ -420,3 +421,35 @@ func TestScheduleGenDigest(t *testing.T) {
 		t.Fatalf("schedulegen.golden differs\nwant:\n%sgot:\n%s", want, got.Bytes())
 	}
 }
+
+// FlowsAt returns the indices [head, tail) of flows live at nowSec: born no
+// later than nowSec and not yet expired. O(log n); the replay generator
+// tracks the same window incrementally.
+func (s *Schedule) FlowsAt(nowSec float64) (head, tail int) {
+	tail = sort.Search(len(s.Tuples), func(i int) bool { return s.BornAt(i) > nowSec })
+	if s.LifeSec <= 0 {
+		return 0, tail
+	}
+	// Expiry predicate is born+life <= now everywhere (here, the replay
+	// window, and the tests' brute-force scans) — mixing algebraically
+	// equivalent forms like born <= now-life is not float-safe.
+	head = sort.Search(tail, func(i int) bool { return s.BornAt(i)+s.LifeSec > nowSec })
+	return head, tail
+}
+
+// FlowCount returns the live-flow population as of the last emission.
+func (sg *ScheduleGen) FlowCount() int {
+	if n := sg.tail - sg.head; n > 0 {
+		return n
+	}
+	return 0
+}
+
+// Emitted returns how many packets have been generated.
+func (sg *ScheduleGen) Emitted() uint64 { return sg.g.seq }
+
+// FlowCount returns the current live-flow population.
+func (g *Generator) FlowCount() int { return len(g.flows) - g.head }
+
+// Emitted returns how many packets have been generated.
+func (g *Generator) Emitted() uint64 { return g.seq }

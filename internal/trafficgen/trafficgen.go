@@ -334,12 +334,6 @@ func fillRandom(p []byte, seed uint64) {
 	}
 }
 
-// FlowCount returns the current live-flow population.
-func (g *Generator) FlowCount() int { return len(g.flows) - g.head }
-
-// Emitted returns how many packets have been generated.
-func (g *Generator) Emitted() uint64 { return g.seq }
-
 func min(a, b int) int {
 	if a < b {
 		return a

@@ -6,10 +6,17 @@
 //
 // Usage: go run ./tools/doccheck <pkg-dir> [<pkg-dir>...]
 //
+//	go run ./tools/doccheck -testonly
+//
 // Checks exported funcs, methods, types, and the first name of exported
 // const/var specs. Grouped specs inherit the block comment; struct fields
 // are exempt (the struct's own comment may cover them) except when the
 // struct itself is undocumented.
+//
+// With -testonly, run from the module root, it instead fails if an exported
+// identifier under internal/ is used only by _test.go files and is not
+// listed in tools/doccheck/testonly.txt, or if a line there names an
+// identifier that is gone or used outside tests (see testonly.go).
 package main
 
 import (
@@ -23,8 +30,20 @@ import (
 )
 
 func main() {
+	if len(os.Args) == 2 && os.Args[1] == "-testonly" {
+		bad, err := testOnly(".", filepath.Join("tools", "doccheck", "testonly.txt"), os.Stdout)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "doccheck:", err)
+			os.Exit(2)
+		}
+		if bad > 0 {
+			fmt.Fprintf(os.Stderr, "doccheck: %d test-only identifier(s) outside the allow-list\n", bad)
+			os.Exit(1)
+		}
+		return
+	}
 	if len(os.Args) < 2 {
-		fmt.Fprintln(os.Stderr, "usage: doccheck <pkg-dir> [<pkg-dir>...]")
+		fmt.Fprintln(os.Stderr, "usage: doccheck <pkg-dir> [<pkg-dir>...] | doccheck -testonly")
 		os.Exit(2)
 	}
 	bad := 0

@@ -1,0 +1,326 @@
+package main
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"go/ast"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"io"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"sort"
+	"strings"
+)
+
+// testOnly is the -testonly mode: it loads every package of the module in
+// root and of the benchmark module in root/bench, type-checks their non-test
+// files, and fails when an exported func, method, type, const or var
+// declared under internal/ is used by no non-test file and is not on the
+// allow-list, or when an allow-list line names an identifier that is gone
+// or now used. Test files are never parsed, so a use from a test does not
+// count. It returns the number of findings and writes them to w.
+func testOnly(root, allowPath string, w io.Writer) (int, error) {
+	allow, err := readAllowList(allowPath)
+	if err != nil {
+		return 0, err
+	}
+	l := &loader{fset: token.NewFileSet(), checked: map[string]*types.Package{}, uses: map[types.Object]bool{}}
+	l.std = importer.ForCompiler(l.fset, "source", nil)
+	module := ""
+	for _, dir := range []string{root, filepath.Join(root, "bench")} {
+		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err != nil {
+			continue // a tree without the benchmark module
+		}
+		pkgs, err := goList(dir)
+		if err != nil {
+			return 0, err
+		}
+		for _, p := range pkgs {
+			if module == "" {
+				module = p.Module.Path
+			}
+			if err := l.check(p); err != nil {
+				return 0, err
+			}
+		}
+	}
+	unused := l.unused(module + "/internal/")
+	bad := 0
+	for _, name := range sortedKeys(unused) {
+		if _, ok := allow[name]; ok {
+			delete(allow, name)
+			continue
+		}
+		fmt.Fprintf(w, "%s: %s is used only by tests (delete it, or list it in %s)\n", unused[name], name, allowPath)
+		bad++
+	}
+	for _, name := range sortedKeys(allow) {
+		fmt.Fprintf(w, "%s:%d: %s is gone or used outside tests; delete the line\n", allowPath, allow[name], name)
+		bad++
+	}
+	return bad, nil
+}
+
+// listedPkg is the part of `go list -json` output the check reads.
+type listedPkg struct {
+	ImportPath string
+	Dir        string
+	Standard   bool
+	GoFiles    []string
+	Module     *struct{ Path string }
+}
+
+// goList lists the packages of the module in dir, dependencies first,
+// leaving out the standard library.
+func goList(dir string) ([]*listedPkg, error) {
+	cmd := exec.Command("go", "list", "-deps", "-json", "./...")
+	cmd.Dir = dir
+	cmd.Stderr = os.Stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("go list in %s: %w", dir, err)
+	}
+	var pkgs []*listedPkg
+	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+		p := new(listedPkg)
+		if err := dec.Decode(p); err != nil {
+			return nil, err
+		}
+		if !p.Standard {
+			pkgs = append(pkgs, p)
+		}
+	}
+	return pkgs, nil
+}
+
+// readAllowList reads `pkg.Name  # reason` lines into a map from identifier
+// to line number. Blank lines and lines starting with # are skipped; a line
+// without a reason, or naming an identifier twice, is an error.
+func readAllowList(path string) (map[string]int, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	allow := map[string]int{}
+	sc := bufio.NewScanner(f)
+	for n := 1; sc.Scan(); n++ {
+		line := strings.TrimSpace(sc.Text())
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		name, reason, ok := strings.Cut(line, "#")
+		name = strings.TrimSpace(name)
+		if _, dup := allow[name]; dup || !ok || strings.TrimSpace(reason) == "" || strings.ContainsAny(name, " \t") {
+			return nil, fmt.Errorf("%s:%d: want one `pkg.Name  # reason` per identifier", path, n)
+		}
+		allow[name] = n
+	}
+	return allow, sc.Err()
+}
+
+// loader type-checks module packages from source in dependency order, so
+// that every package sees the same objects for what it imports.
+type loader struct {
+	fset    *token.FileSet
+	std     types.Importer
+	checked map[string]*types.Package
+	// decls are the exported objects declared in non-test files and uses
+	// the objects some non-test file refers to outside their own
+	// declaration. named are the module's package-level named types.
+	decls []types.Object
+	uses  map[types.Object]bool
+	named []*types.Named
+}
+
+// Import resolves a module package to its already-checked form and
+// everything else through the source importer.
+func (l *loader) Import(path string) (*types.Package, error) {
+	if p, ok := l.checked[path]; ok {
+		return p, nil
+	}
+	return l.std.Import(path)
+}
+
+func (l *loader) check(p *listedPkg) error {
+	if _, done := l.checked[p.ImportPath]; done {
+		return nil
+	}
+	var files []*ast.File
+	for _, name := range p.GoFiles {
+		f, err := parser.ParseFile(l.fset, filepath.Join(p.Dir, name), nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		files = append(files, f)
+	}
+	info := &types.Info{Uses: map[*ast.Ident]types.Object{}, Defs: map[*ast.Ident]types.Object{}}
+	pkg, err := (&types.Config{Importer: l}).Check(p.ImportPath, l.fset, files, info)
+	if err != nil {
+		return fmt.Errorf("type-check %s: %w", p.ImportPath, err)
+	}
+	l.checked[p.ImportPath] = pkg
+	for _, f := range files {
+		l.recordFile(f, info)
+	}
+	for _, n := range pkg.Scope().Names() {
+		if tn, ok := pkg.Scope().Lookup(n).(*types.TypeName); ok && !tn.IsAlias() {
+			if named, ok := tn.Type().(*types.Named); ok {
+				l.named = append(l.named, named)
+			}
+		}
+	}
+	return nil
+}
+
+// recordFile notes the file's exported declarations and its uses. A use
+// inside the used object's own declaration (recursion, a self-referencing
+// type) or in a method receiver does not count.
+func (l *loader) recordFile(f *ast.File, info *types.Info) {
+	type span struct{ from, to token.Pos }
+	own := map[types.Object]span{}
+	receivers := map[*ast.Ident]bool{}
+	declare := func(id *ast.Ident, decl ast.Node) {
+		if obj := info.Defs[id]; obj != nil { // nil for the blank identifier
+			own[obj] = span{decl.Pos(), decl.End()}
+			if id.IsExported() {
+				l.decls = append(l.decls, obj)
+			}
+		}
+	}
+	for _, decl := range f.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			declare(d.Name, d)
+			if d.Recv != nil {
+				ast.Inspect(d.Recv, func(n ast.Node) bool {
+					if id, ok := n.(*ast.Ident); ok {
+						receivers[id] = true
+					}
+					return true
+				})
+			}
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch s := spec.(type) {
+				case *ast.TypeSpec:
+					declare(s.Name, s)
+				case *ast.ValueSpec:
+					for _, n := range s.Names {
+						declare(n, s)
+					}
+				}
+			}
+		}
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok && !receivers[id] {
+			if obj := origin(info.Uses[id]); obj != nil {
+				if s, ok := own[obj]; !ok || id.Pos() < s.from || id.Pos() >= s.to {
+					l.uses[obj] = true
+				}
+			}
+		}
+		return true
+	})
+}
+
+// origin maps an instantiated generic func or field to its declaration.
+func origin(obj types.Object) types.Object {
+	switch o := obj.(type) {
+	case *types.Func:
+		return o.Origin()
+	case *types.Var:
+		return o.Origin()
+	}
+	return obj
+}
+
+// unused returns the exported objects declared in packages under prefix
+// that no non-test file uses, keyed `pkg.Name` or `pkg.Type.Method` with
+// pkg the path below prefix. A method that makes a module type, its own or
+// one that embeds it, satisfy a package-level interface of the module or of
+// the standard library it imports counts as used.
+func (l *loader) unused(prefix string) map[string]token.Position {
+	ifaces := l.interfaces()
+	out := map[string]token.Position{}
+	for _, obj := range l.decls {
+		path, name := obj.Pkg().Path(), obj.Name()
+		if !strings.HasPrefix(path, prefix) || l.uses[obj] {
+			continue
+		}
+		if fn, ok := obj.(*types.Func); ok && fn.Type().(*types.Signature).Recv() != nil {
+			if l.satisfies(fn, ifaces) {
+				continue
+			}
+			recv := fn.Type().(*types.Signature).Recv().Type()
+			if ptr, ok := recv.(*types.Pointer); ok {
+				recv = ptr.Elem()
+			}
+			name = recv.(*types.Named).Obj().Name() + "." + name
+		}
+		out[strings.TrimPrefix(path, prefix)+"."+name] = l.fset.Position(obj.Pos())
+	}
+	return out
+}
+
+// interfaces returns the package-level interfaces with methods of every
+// checked package and of everything they import.
+func (l *loader) interfaces() []*types.Interface {
+	var out []*types.Interface
+	seen := map[*types.Package]bool{}
+	var walk func(p *types.Package)
+	walk = func(p *types.Package) {
+		if seen[p] {
+			return
+		}
+		seen[p] = true
+		for _, n := range p.Scope().Names() {
+			if tn, ok := p.Scope().Lookup(n).(*types.TypeName); ok {
+				if it, ok := tn.Type().Underlying().(*types.Interface); ok && it.IsMethodSet() && it.NumMethods() > 0 {
+					out = append(out, it)
+				}
+			}
+		}
+		for _, imp := range p.Imports() {
+			walk(imp)
+		}
+	}
+	for _, p := range l.checked {
+		walk(p)
+	}
+	return out
+}
+
+// satisfies reports whether method m is what makes some module type, or a
+// pointer to it, satisfy one of ifaces that has a method of m's name.
+func (l *loader) satisfies(m *types.Func, ifaces []*types.Interface) bool {
+	for _, t := range l.named {
+		ptr := types.NewPointer(t)
+		if obj, _, _ := types.LookupFieldOrMethod(ptr, false, m.Pkg(), m.Name()); obj != m {
+			continue
+		}
+		for _, it := range ifaces {
+			if obj, _, _ := types.LookupFieldOrMethod(it, false, m.Pkg(), m.Name()); obj != nil &&
+				(types.Implements(t, it) || types.Implements(ptr, it)) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
