@@ -175,13 +175,19 @@ go test -race -count=1 ./internal/placer ./internal/experiments ./internal/runti
 # round-trip, a replay that reconciles where the live daemon did, an op log
 # torn at every byte of its last line or rolled back
 # after a failed append, a corrupt line refused, the headroom gauge's
-# one-pass total equal to the status table's) and the end-to-end daemon
+# one-pass total equal to the status table's; a restart from the log's
+# checkpoint equal to the daemon that never stopped after every prefix of
+# seeded scripts, a fault at each compaction step, replay bounded by live
+# state over 1 200 ops, byte-identical logs from identical ops, a log from
+# before checkpoints replayed) and the end-to-end daemon
 # scenario (fake clock, unix-socket
 # API, chaos crash, Prometheus endpoint) get a named race pass so the
 # lemurd path cannot be skipped by test caching.
 echo "==> control-plane daemon guards (race)"
-run_guard 'TestReconcileIdempotent|TestConvergenceRandomSequences|TestRejectedSpecIsolation|TestSnapshotRoundTrip|TestReplayMatchesLiveReconcilePoints|TestSnapshotTornTail|TestSnapshotFailedAppendRollsBack|TestSnapshotCorruptionRejected|TestEndToEndDaemon|TestOneDeltaPerTick|TestAdmissionAfterFailureLandsOnce|TestStatusPredictedP99AfterAdmission|TestStatusFailsClosed|TestTailViolatingAdmissionRefused|TestFreeCoresMatchHeadroom' \
+run_guard 'TestReconcileIdempotent|TestConvergenceRandomSequences|TestRejectedSpecIsolation|TestSnapshotRoundTrip|TestReplayMatchesLiveReconcilePoints|TestSnapshotTornTail|TestSnapshotFailedAppendRollsBack|TestSnapshotCorruptionRejected|TestEndToEndDaemon|TestOneDeltaPerTick|TestAdmissionAfterFailureLandsOnce|TestStatusPredictedP99AfterAdmission|TestStatusFailsClosed|TestTailViolatingAdmissionRefused|TestFreeCoresMatchHeadroom|TestRestartEquivalence|TestRestartKeepsBackoff|TestCompactionCrashPoints|TestReplayBounded|TestSnapshotDeterministic|TestLegacyLogReplays' \
   -race -count=1 ./internal/daemon
+run_guard 'TestRestoreMatchesApplied|TestRestoreRefusesBadOrder' -race -count=1 ./internal/metacompiler
+run_guard 'TestRecordRoundTrip|TestRecordRefuses' -race -count=1 ./internal/placer
 run_guard 'TestReconcileSweepDeterministic' -race -count=1 ./internal/experiments
 
 # The evaluation harness's one cell runner: bounded workers, every index

@@ -19,10 +19,13 @@
 //   - Convergence: any sequence of valid, feasible spec files ends with
 //     desired == actual.
 //   - Crash-safety: every accepted spec and applied failure is appended to
-//     an append-only, fsynced snapshot log; a restarted daemon replays the
-//     log through the same code paths, reconciling where the live daemon
-//     did, and resumes the identical placement (placement is deterministic,
-//     so replay is exact).
+//     an fsynced snapshot log; a restarted daemon restores the log's
+//     checkpoint and replays the entries after it through the same code
+//     paths, reconciling where the live daemon did, and resumes the
+//     identical placement (placement is deterministic, so replay is exact).
+//     The daemon compacts the log into one checkpoint of its applied state
+//     whenever the entries after the last checkpoint outgrow it, so a
+//     restart replays a bounded tail, not the daemon's history.
 //   - Determinism under a fake clock: with Config.Clock set to a FakeClock,
 //     every reconcile outcome, backoff deadline, and chaos fire time is a
 //     pure function of the inputs.
@@ -83,7 +86,10 @@ type Config struct {
 	// SnapshotPath, when set, is the crash-safe apply-log file: every
 	// accepted spec and applied failure set is appended as one line and
 	// fsynced, and a restarting daemon replays it through the reconcile
-	// path to resume the identical placement.
+	// path to resume the identical placement. The daemon rewrites it as one
+	// checkpoint of its applied state whenever the lines after the last
+	// checkpoint outgrow it, so the file and the replay stay bounded by
+	// live state.
 	SnapshotPath string
 	// Interval is the reconcile period (and the WatchDir poll period).
 	// Must be positive.
@@ -228,6 +234,10 @@ type Daemon struct {
 	// completed since the last appended snapshot entry (true before the
 	// first: there is nothing to batch with). See snapEntry.Batched.
 	passed bool
+	// log tracks the snapshot file against the compaction rule; fs is the
+	// file system compactions write through.
+	log snapLog
+	fs  logFS
 }
 
 // New builds a daemon from a validated config and, when SnapshotPath names
@@ -253,6 +263,7 @@ func New(cfg Config) (*Daemon, error) {
 		start:     clk.Now(),
 		watchSeen: map[string]string{},
 		passed:    true,
+		fs:        osFS{},
 	}
 	if cfg.SnapshotPath != "" {
 		if err := d.loadSnapshot(); err != nil {
@@ -315,6 +326,7 @@ func (d *Daemon) SetSpec(raw []byte, source string) (int64, error) {
 	d.backoff = backoffState{}
 	if !d.replaying {
 		d.appendSnapshotLocked(snapEntry{Kind: snapSpec, Spec: vs.raw})
+		d.compactLocked()
 	}
 	return d.generation, nil
 }

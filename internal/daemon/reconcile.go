@@ -129,6 +129,7 @@ func (d *Daemon) reconcileLocked() *ReconcileResult {
 	}
 	d.passed = true
 	d.setGaugesLocked()
+	d.compactLocked()
 	return rr
 }
 

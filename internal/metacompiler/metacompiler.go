@@ -92,6 +92,64 @@ func Compile(in *placer.Input, res *placer.Result) (*Deployment, error) {
 		return nil, fmt.Errorf("metacompiler: placement is infeasible: %s", res.Reason)
 	}
 	sp := obs.Span("metacompiler.compile").SetAttrInt("chains", len(in.Chains))
+	d, err := emptyDeployment(in, res)
+	if err != nil {
+		return nil, err
+	}
+	slots := make([]int, len(in.Chains))
+	for ci := range slots {
+		slots[ci] = ci
+	}
+	if err := d.install(res, slots); err != nil {
+		return nil, err
+	}
+	obs.C("lemur_compiles_total").Inc()
+	sp.End()
+	return d, nil
+}
+
+// Restore rebuilds a deployment that Compile and a sequence of Applies
+// stood up, from what that sequence leaves behind: its input and placement,
+// the concrete core shares of every subgroup of res (see Shares), and the
+// live chain slots in the order they were last installed (InstallOrder).
+// The chains are installed in that order onto cores their shares name, so
+// the switch's classifier rules and every pipeline's subgroups come back in
+// the order the applies left them, and Artifacts renders the same text.
+// NF instances are fresh, as after any install.
+func Restore(in *placer.Input, res *placer.Result, shares map[*placer.Subgroup][]bess.CoreShare, order []int) (*Deployment, error) {
+	if !res.Feasible {
+		return nil, fmt.Errorf("metacompiler: placement is infeasible: %s", res.Reason)
+	}
+	seen := make([]bool, len(in.Chains))
+	for _, ci := range order {
+		if ci < 0 || ci >= len(in.Chains) || seen[ci] || res.IsRetired(ci) {
+			return nil, fmt.Errorf("metacompiler: restore: install order %v is not a list of live chain slots", order)
+		}
+		seen[ci] = true
+	}
+	for ci, ok := range seen {
+		if !ok && !res.IsRetired(ci) {
+			return nil, fmt.Errorf("metacompiler: restore: live chain slot %d missing from the install order", ci)
+		}
+	}
+	d, err := emptyDeployment(in, res)
+	if err != nil {
+		return nil, err
+	}
+	for _, psg := range res.Subgroups {
+		if s, ok := shares[psg]; ok {
+			d.Shares[psg] = s
+		}
+	}
+	if err := d.install(res, order); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// emptyDeployment is a deployment of in's service paths with nothing
+// installed, after the checks Compile makes of a feasible placement.
+func emptyDeployment(in *placer.Input, res *placer.Result) (*Deployment, error) {
 	paths, err := admitPaths(in, 0)
 	if err != nil {
 		return nil, err
@@ -115,16 +173,19 @@ func Compile(in *placer.Input, res *placer.Result) (*Deployment, error) {
 	for _, n := range in.Topo.SmartNICs {
 		d.NICs[n.Name] = smartnic.NewNIC(n)
 	}
-	slots := make([]int, len(in.Chains))
-	for ci := range slots {
-		slots[ci] = ci
-	}
-	if err := d.install(res, slots); err != nil {
-		return nil, err
-	}
-	obs.C("lemur_compiles_total").Inc()
-	sp.End()
 	return d, nil
+}
+
+// InstallOrder returns the live chain slots in the order they were last
+// installed: each install adds the chain's one classifier rule, and a
+// retraction removes it, so the rules list them.
+func (d *Deployment) InstallOrder() []int {
+	rules := d.Switch.ClassifierRules()
+	order := make([]int, len(rules))
+	for i, r := range rules {
+		order[i] = int(r.SPI-1) / spiStride
+	}
+	return order
 }
 
 // instantiate adds one fresh NF instance per node of chain g to insts (an

@@ -22,9 +22,8 @@ import (
 // in insertion order, so a cached fingerprint's ID is not stored: it is
 // nextID − count + its age in the ring.
 //
-// The simulated frame keeps its allocation; the compressed length is exposed
-// via CompressedLen metadata accounting so the runtime can model the reduced
-// egress rate.
+// The simulated frame keeps its allocation and its length: a shim and the
+// zeroed rest of its chunk stand for the bytes a real deployment removes.
 type Dedup struct {
 	base
 	chunk   int
@@ -33,8 +32,6 @@ type Dedup struct {
 	maxSize int
 	so      stateObs
 
-	// Stats for tests and the runtime's egress-rate model.
-	InBytes, OutBytes uint64
 	// Evicted counts fingerprints rotated out of a full cache.
 	Evicted uint64
 }
@@ -72,8 +69,6 @@ func NewDedup(name string, params Params) (NF, error) {
 // Process fingerprints payload chunks and rewrites redundant ones as shims.
 func (d *Dedup) Process(p *packet.Packet, _ *Env) {
 	pay := p.Payload()
-	d.InBytes += uint64(len(pay))
-	out := 0
 	for off := 0; off+d.chunk <= len(pay); off += d.chunk {
 		fp := fingerprint(pay[off : off+d.chunk])
 		if pos := d.cache.lookup(fp); pos != flowSlotEmpty {
@@ -85,7 +80,6 @@ func (d *Dedup) Process(p *packet.Packet, _ *Env) {
 			for i := off + dedupShim; i < off+d.chunk; i++ {
 				pay[i] = 0
 			}
-			out += dedupShim
 			continue
 		}
 		if d.maxSize > 0 {
@@ -97,10 +91,7 @@ func (d *Dedup) Process(p *packet.Packet, _ *Env) {
 			d.cache.insert(fp)
 			d.nextID++
 		}
-		out += d.chunk
 	}
-	out += len(pay) % d.chunk // trailing partial chunk passes through
-	d.OutBytes += uint64(out)
 }
 
 // CacheLen returns the number of cached fingerprints.

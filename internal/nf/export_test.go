@@ -2,6 +2,7 @@ package nf
 
 import (
 	"fmt"
+	"slices"
 
 	"lemur/internal/bpf"
 	"lemur/internal/packet"
@@ -31,14 +32,6 @@ func WithReferenceTables(f func()) {
 // NumRules returns the table size.
 func (a *ACL) NumRules() int { return len(a.head) + a.synthetic + len(a.tail) }
 
-// CompressionRatio returns egress/ingress bytes so far (1.0 = no savings).
-func (d *Dedup) CompressionRatio() float64 {
-	if d.InBytes == 0 {
-		return 1
-	}
-	return float64(d.OutBytes) / float64(d.InBytes)
-}
-
 // Backend returns the backend a flow maps to.
 func (l *LB) Backend(tu packet.FiveTuple) packet.IPv4Addr {
 	return l.backends[tu.Hash()%uint64(len(l.backends))]
@@ -59,6 +52,11 @@ func (f *IPv4Fwd) AddRoute(cidr string, port int, nextHop packet.MAC) error {
 	}
 	if f.tables[bits] == nil {
 		f.tables[bits] = make(map[uint32]fwdEntry)
+		at := 0
+		for at < len(f.lens) && f.lens[at] > bits {
+			at++
+		}
+		f.lens = slices.Insert(f.lens, at, bits)
 	}
 	f.tables[bits][addr&bpf.MaskBits(bits)] = fwdEntry{port: port, nextHop: nextHop}
 	return nil

@@ -11,8 +11,11 @@ import (
 // and the experiments package applies the evaluation restriction.
 type IPv4Fwd struct {
 	base
-	// tables[b] maps network-address -> entry for prefix length b.
+	// tables[b] maps network-address -> entry for prefix length b; lens
+	// lists the lengths that hold a route, longest first, so a lookup
+	// visits only those.
 	tables [33]map[uint32]fwdEntry
+	lens   []int
 	defalt *fwdEntry
 }
 
@@ -38,12 +41,8 @@ func (f *IPv4Fwd) Process(p *packet.Packet, _ *Env) {
 		return
 	}
 	dst := p.IP.Dst.Uint32()
-	for bits := 32; bits >= 0; bits-- {
-		t := f.tables[bits]
-		if t == nil {
-			continue
-		}
-		if e, ok := t[dst&bpf.MaskBits(bits)]; ok {
+	for _, bits := range f.lens {
+		if e, ok := f.tables[bits][dst&bpf.MaskBits(bits)]; ok {
 			f.apply(p, e)
 			return
 		}

@@ -1,7 +1,9 @@
 package nf
 
 import (
+	"encoding/binary"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -246,44 +248,69 @@ func TestChaChaRFC8439Vector(t *testing.T) {
 	}
 }
 
+// dedupShims reports, chunk by chunk, whether Dedup rewrote pay's chunk as a
+// shim — the 0xDED0DED0 token then the cached chunk's slot ID — and fails
+// unless a shim's chunk is zero past its 8 bytes.
+func dedupShims(t *testing.T, pay []byte, chunk int) (shims []bool, slots []uint32) {
+	t.Helper()
+	for off := 0; off+chunk <= len(pay); off += chunk {
+		c := pay[off : off+chunk]
+		shim := binary.BigEndian.Uint32(c) == 0xDED0DED0
+		shims = append(shims, shim)
+		if !shim {
+			continue
+		}
+		slots = append(slots, binary.BigEndian.Uint32(c[4:]))
+		for i, b := range c[dedupShim:] {
+			if b != 0 {
+				t.Errorf("chunk at %d: byte %d of a shim's chunk is %#x, want 0", off, dedupShim+i, b)
+			}
+		}
+	}
+	return shims, slots
+}
+
 func TestDedupRedundancy(t *testing.T) {
 	d, _ := NewDedup("d0", Params{"chunk": 64})
-	dd := d.(*Dedup)
 	payload := make([]byte, 256)
 	for i := range payload {
 		payload[i] = byte(i % 64) // four identical 64-byte chunks
 	}
 	p1 := udp(packet.IPv4Addr{1, 1, 1, 1}, packet.IPv4Addr{2, 2, 2, 2}, 1, 2, payload)
 	d.Process(p1, env())
-	// First packet: chunk 1 is new, chunks 2-4 are duplicates of it.
-	if dd.OutBytes >= dd.InBytes {
-		t.Errorf("no compression: in=%d out=%d", dd.InBytes, dd.OutBytes)
+	// First packet: chunk 1 is new and passes untouched; chunks 2-4
+	// duplicate it and become shims naming its slot, 0.
+	shims, slots := dedupShims(t, p1.Payload(), 64)
+	if want := []bool{false, true, true, true}; !slices.Equal(shims, want) {
+		t.Errorf("first packet: shims %v, want %v", shims, want)
 	}
+	if !slices.Equal(slots, []uint32{0, 0, 0}) {
+		t.Errorf("first packet: shim slots %v, want the first chunk's, 0", slots)
+	}
+	if string(p1.Payload()[:64]) != string(payload[:64]) {
+		t.Error("first packet: the new chunk was rewritten")
+	}
+	// Second packet: every chunk cached; all four are shims.
 	p2 := udp(packet.IPv4Addr{1, 1, 1, 1}, packet.IPv4Addr{2, 2, 2, 2}, 1, 2, payload)
-	before := dd.OutBytes
 	d.Process(p2, env())
-	// Second packet: every chunk cached; output is 4 shims.
-	if got := dd.OutBytes - before; got != 4*8 {
-		t.Errorf("second packet emitted %d bytes, want 32", got)
-	}
-	if r := dd.CompressionRatio(); r <= 0 || r >= 1 {
-		t.Errorf("ratio = %v, want in (0,1)", r)
+	if shims, _ := dedupShims(t, p2.Payload(), 64); !slices.Equal(shims, []bool{true, true, true, true}) {
+		t.Errorf("second packet: shims %v, want every chunk", shims)
 	}
 }
 
 func TestDedupUniquePayloadsPassThrough(t *testing.T) {
 	d, _ := NewDedup("d0", nil)
-	dd := d.(*Dedup)
 	payload := make([]byte, 128)
 	for i := range payload {
 		payload[i] = byte(i)
 	}
-	d.Process(udp(packet.IPv4Addr{1, 1, 1, 1}, packet.IPv4Addr{2, 2, 2, 2}, 1, 2, payload), env())
-	if dd.OutBytes != dd.InBytes {
-		t.Errorf("unique payload compressed: in=%d out=%d", dd.InBytes, dd.OutBytes)
+	p := udp(packet.IPv4Addr{1, 1, 1, 1}, packet.IPv4Addr{2, 2, 2, 2}, 1, 2, payload)
+	d.Process(p, env())
+	if shims, _ := dedupShims(t, p.Payload(), 64); slices.Contains(shims, true) {
+		t.Errorf("unique payload got shims: %v", shims)
 	}
-	if dd.CompressionRatio() != 1 {
-		t.Errorf("ratio = %v, want 1", dd.CompressionRatio())
+	if string(p.Payload()) != string(payload) {
+		t.Error("unique payload was rewritten")
 	}
 }
 
@@ -377,6 +404,41 @@ func TestIPv4FwdLPM(t *testing.T) {
 		}
 		if p.IP.TTL != ttl-1 {
 			t.Errorf("dst %v: TTL not decremented", tc.dst)
+		}
+	}
+}
+
+// TestIPv4FwdShorterRouteAddedLater: a lookup visits only the prefix
+// lengths that hold a route, longest first, whatever order the routes came
+// in: a /8 and a /0 added after a /24 still lose to it, and a /16 added last
+// sits between them.
+func TestIPv4FwdShorterRouteAddedLater(t *testing.T) {
+	f, _ := NewIPv4Fwd("f0", Params{"default_port": -1})
+	fw := f.(*IPv4Fwd)
+	for _, r := range []struct {
+		cidr string
+		port int
+	}{{"10.1.2.0/24", 1}, {"10.0.0.0/8", 2}, {"0.0.0.0/0", 3}, {"10.1.0.0/16", 4}} {
+		if err := fw.AddRoute(r.cidr, r.port, packet.MAC{byte(r.port)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if want := []int{24, 16, 8, 0}; !slices.Equal(fw.lens, want) {
+		t.Fatalf("prefix lengths %v, want %v", fw.lens, want)
+	}
+	for _, tc := range []struct {
+		dst  packet.IPv4Addr
+		port int
+	}{
+		{packet.IPv4Addr{10, 1, 2, 3}, 1},
+		{packet.IPv4Addr{10, 1, 9, 9}, 4},
+		{packet.IPv4Addr{10, 9, 9, 9}, 2},
+		{packet.IPv4Addr{8, 8, 8, 8}, 3},
+	} {
+		p := udp(packet.IPv4Addr{1, 1, 1, 1}, tc.dst, 1, 2, nil)
+		f.Process(p, env())
+		if p.Drop || p.OutPort != tc.port {
+			t.Errorf("dst %v: port = %d (drop %v), want %d", tc.dst, p.OutPort, p.Drop, tc.port)
 		}
 	}
 }

@@ -175,8 +175,7 @@ type dedupRef struct {
 	maxSize int
 	so      stateObs
 
-	inBytes, outBytes uint64
-	evicted           uint64
+	evicted uint64
 }
 
 func newDedupRef(name string, params Params) (NF, error) {
@@ -196,8 +195,6 @@ func newDedupRef(name string, params Params) (NF, error) {
 // Process mirrors Dedup.Process with FIFO fingerprint rotation.
 func (d *dedupRef) Process(p *packet.Packet, _ *Env) {
 	pay := p.Payload()
-	d.inBytes += uint64(len(pay))
-	out := 0
 	for off := 0; off+d.chunk <= len(pay); off += d.chunk {
 		fp := fingerprint(pay[off : off+d.chunk])
 		if slot, ok := d.cache[fp]; ok {
@@ -206,7 +203,6 @@ func (d *dedupRef) Process(p *packet.Packet, _ *Env) {
 			for i := off + dedupShim; i < off+d.chunk; i++ {
 				pay[i] = 0
 			}
-			out += dedupShim
 			continue
 		}
 		if d.maxSize > 0 {
@@ -224,10 +220,7 @@ func (d *dedupRef) Process(p *packet.Packet, _ *Env) {
 			d.nextID++
 			d.order = append(d.order, fp)
 		}
-		out += d.chunk
 	}
-	out += len(pay) % d.chunk
-	d.outBytes += uint64(out)
 }
 
 // lbRef is the map-backed LB reference.

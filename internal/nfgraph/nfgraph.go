@@ -172,8 +172,12 @@ type Path struct {
 
 // Paths decomposes the DAG into weighted linear chains (§3.2's branch
 // handling): every root-to-leaf walk, weight = product of branch fractions.
+// A graph without nodes has none.
 func (g *Graph) Paths() []Path {
 	var out []Path
+	if g.Root == nil {
+		return nil
+	}
 	var walk func(n *Node, prefix []*Node, w float64)
 	walk = func(n *Node, prefix []*Node, w float64) {
 		prefix = append(prefix, n)

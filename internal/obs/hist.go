@@ -69,20 +69,20 @@ type Histogram struct {
 // Histogram returns the histogram for (name, labels), creating it on first
 // use.
 func (r *Registry) Histogram(name string, labels ...Label) *Histogram {
-	ls := sortLabels(labels)
-	id := metricID(name, ls)
+	var l lookup
+	id, ls := l.resolve(name, labels)
 	r.mu.RLock()
-	h := r.hists[id]
+	h := r.hists[string(id)]
 	r.mu.RUnlock()
 	if h != nil {
 		return h
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if h = r.hists[id]; h == nil {
-		h = &Histogram{reg: r, name: name, labels: ls}
+	if h = r.hists[string(id)]; h == nil {
+		h = &Histogram{reg: r, name: name, labels: append([]Label(nil), ls...)}
 		h.resetExtrema()
-		r.hists[id] = h
+		r.hists[string(id)] = h
 	}
 	return h
 }

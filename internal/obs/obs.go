@@ -26,8 +26,6 @@
 package obs
 
 import (
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -116,33 +114,53 @@ func (r *Registry) Reset() {
 // metricID renders the canonical identity of a metric: name plus its sorted
 // label pairs. Two handles with the same id share one time series.
 func metricID(name string, labels []Label) string {
-	if len(labels) == 0 {
-		return name
-	}
-	var b strings.Builder
-	b.WriteString(name)
-	b.WriteByte('{')
-	for i, l := range labels {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(l.Key)
-		b.WriteByte('=')
-		b.WriteString(l.Value)
-	}
-	b.WriteByte('}')
-	return b.String()
+	return string(appendID(nil, name, labels))
 }
 
-// sortLabels returns a sorted copy so differently-ordered label lists
-// resolve to the same series.
-func sortLabels(labels []Label) []Label {
-	if len(labels) <= 1 {
-		return append([]Label(nil), labels...)
+// appendID appends metricID(name, labels) to buf.
+func appendID(buf []byte, name string, labels []Label) []byte {
+	buf = append(buf, name...)
+	if len(labels) == 0 {
+		return buf
 	}
-	out := append([]Label(nil), labels...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
+	buf = append(buf, '{')
+	for i, l := range labels {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = append(buf, l.Key...)
+		buf = append(buf, '=')
+		buf = append(buf, l.Value...)
+	}
+	return append(buf, '}')
+}
+
+// stackLabels is how many labels a lookup sorts without allocating; a
+// series with more takes a heap copy.
+const stackLabels = 8
+
+// lookup is the stack space one handle lookup renders its id in: the
+// labels sorted by key and the id. A lookup that hits the registry
+// allocates nothing; a miss copies what the new series keeps.
+type lookup struct {
+	labels [stackLabels]Label
+	id     [128]byte
+}
+
+// resolve sorts labels into l (stably, by key, so differently-ordered
+// label lists resolve to the same series) and renders their series id.
+func (l *lookup) resolve(name string, labels []Label) (id []byte, sorted []Label) {
+	if len(labels) > stackLabels {
+		sorted = append([]Label(nil), labels...)
+	} else {
+		sorted = l.labels[:copy(l.labels[:], labels)]
+	}
+	for i := 1; i < len(sorted); i++ {
+		for j := i; j > 0 && sorted[j].Key < sorted[j-1].Key; j-- {
+			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
+		}
+	}
+	return appendID(l.id[:0], name, sorted), sorted
 }
 
 // Counter is a monotonically increasing integer metric.
@@ -155,19 +173,19 @@ type Counter struct {
 
 // Counter returns the counter for (name, labels), creating it on first use.
 func (r *Registry) Counter(name string, labels ...Label) *Counter {
-	ls := sortLabels(labels)
-	id := metricID(name, ls)
+	var l lookup
+	id, ls := l.resolve(name, labels)
 	r.mu.RLock()
-	c := r.counters[id]
+	c := r.counters[string(id)]
 	r.mu.RUnlock()
 	if c != nil {
 		return c
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if c = r.counters[id]; c == nil {
-		c = &Counter{reg: r, name: name, labels: ls}
-		r.counters[id] = c
+	if c = r.counters[string(id)]; c == nil {
+		c = &Counter{reg: r, name: name, labels: append([]Label(nil), ls...)}
+		r.counters[string(id)] = c
 	}
 	return c
 }
@@ -201,19 +219,19 @@ type Gauge struct {
 
 // Gauge returns the gauge for (name, labels), creating it on first use.
 func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
-	ls := sortLabels(labels)
-	id := metricID(name, ls)
+	var l lookup
+	id, ls := l.resolve(name, labels)
 	r.mu.RLock()
-	g := r.gauges[id]
+	g := r.gauges[string(id)]
 	r.mu.RUnlock()
 	if g != nil {
 		return g
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if g = r.gauges[id]; g == nil {
-		g = &Gauge{reg: r, name: name, labels: ls}
-		r.gauges[id] = g
+	if g = r.gauges[string(id)]; g == nil {
+		g = &Gauge{reg: r, name: name, labels: append([]Label(nil), ls...)}
+		r.gauges[string(id)] = g
 	}
 	return g
 }

@@ -408,3 +408,43 @@ func TestBucketIndexMatchesDefinition(t *testing.T) {
 		check(math.Nextafter(b, math.Inf(1)))
 	}
 }
+
+// TestHandleHitAllocsNothing: resolving an existing series — counter, gauge
+// or histogram, with labels in any order — allocates nothing; only a miss
+// copies what the new series keeps.
+func TestHandleHitAllocsNothing(t *testing.T) {
+	r := newEnabled()
+	labels := []Label{L("scheme", "Lemur"), L("outcome", "feasible"), L("platform", "pisa")}
+	swapped := []Label{labels[2], labels[0], labels[1]}
+	c := r.Counter("lemur_placer_placements_total", labels...)
+	g := r.Gauge("lemurd_desired_chains", labels...)
+	h := r.Histogram("lemurd_apply_latency_seconds", labels...)
+	for name, hit := range map[string]func(){
+		"counter":   func() { c.Inc(); _ = r.Counter("lemur_placer_placements_total", swapped...) },
+		"gauge":     func() { _ = r.Gauge("lemurd_desired_chains", swapped...) },
+		"histogram": func() { _ = r.Histogram("lemurd_apply_latency_seconds", swapped...) },
+		"bare":      func() { _ = r.Counter("lemur_compiles_total") },
+	} {
+		if n := testing.AllocsPerRun(100, hit); n != 0 {
+			t.Errorf("%s hit: %v allocations, want 0", name, n)
+		}
+	}
+	if r.Counter("lemur_placer_placements_total", swapped...) != c || r.Gauge("lemurd_desired_chains", swapped...) != g ||
+		r.Histogram("lemurd_apply_latency_seconds", swapped...) != h {
+		t.Fatal("a reordered label list resolved to another series")
+	}
+	// A handle keeps its own copy of the labels it was created with.
+	labels[0].Value = "Optimal"
+	if got := c.labels[2]; got.Key != "scheme" || got.Value != "Lemur" {
+		t.Fatalf("the series' labels alias the caller's slice: %+v", c.labels)
+	}
+	// More labels than a lookup sorts on the stack still resolve.
+	var down, up []Label
+	for i := 0; i < 10; i++ {
+		down = append(down, L(fmt.Sprintf("k%d", 9-i), "v"))
+		up = append(up, L(fmt.Sprintf("k%d", i), "v"))
+	}
+	if w := r.Counter("wide", down...); w != r.Counter("wide", up...) || w.labels[0].Key != "k0" || down[0].Key != "k9" {
+		t.Fatal("a wide series did not resolve to one sorted series, or sorted its caller's labels")
+	}
+}

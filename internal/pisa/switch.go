@@ -184,6 +184,11 @@ func (s *Switch) EntryCount() int {
 // ClassifierRuleCount returns the number of ingress classification rules.
 func (s *Switch) ClassifierRuleCount() int { return len(s.rules) }
 
+// ClassifierRules returns the ingress classification rules in the order
+// they were added, which is the order they match in. Callers must not
+// modify the slice.
+func (s *Switch) ClassifierRules() []ClassifierRule { return s.rules }
+
 // RemoveSPIRange deletes every path entry and classifier rule whose SPI lies
 // in [lo, hi] and reports how many of each were removed. Chains own disjoint
 // SPI ranges (the metacompiler strides them), so this is the primitive a

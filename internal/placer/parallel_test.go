@@ -9,6 +9,7 @@ import (
 
 	"lemur/internal/nfgraph"
 	"lemur/internal/nfspec"
+	"lemur/internal/obs"
 	"lemur/internal/pisa"
 	"lemur/internal/profile"
 )
@@ -113,7 +114,9 @@ func TestWarmCacheMatchesColdProperty(t *testing.T) {
 	if testing.Short() {
 		trials = 10
 	}
-	memoHits, _ := StageMemoStats()
+	obs.Enable()
+	defer obs.Disable()
+	memoHits := mStageMemoHit.Value()
 	for trial := 0; trial < trials; trial++ {
 		in := buildRandomInput(t, rng)
 		scheme := Schemes()[trial%len(Schemes())]
@@ -135,8 +138,7 @@ func TestWarmCacheMatchesColdProperty(t *testing.T) {
 	// The verdict caches must actually have been exercised: the per-input
 	// stage memo absorbs most repeats, the shared compile cache catches
 	// identical programs across distinct inputs.
-	hitsNow, _ := StageMemoStats()
-	if st, mh := pisa.SharedCache().Stats(), hitsNow-memoHits; st.Hits == 0 && mh == 0 {
+	if st, mh := pisa.SharedCache().Stats(), mStageMemoHit.Value()-memoHits; st.Hits == 0 && mh == 0 {
 		t.Errorf("warm passes produced no cache hits: pisa=%+v stage-memo=%d", st, mh)
 	}
 }

@@ -156,12 +156,6 @@ type stageVerdict struct {
 var (
 	mStageMemoHit  = obs.C("lemur_placer_stage_memo_total", obs.L("result", "hit"))
 	mStageMemoMiss = obs.C("lemur_placer_stage_memo_total", obs.L("result", "miss"))
-
-	// Unconditional counterparts of the obs counters (which are no-ops
-	// until obs.Enable): always-on totals across all preps, for tests and
-	// the benchmark reporter.
-	stageMemoHits   atomic.Uint64
-	stageMemoMisses atomic.Uint64
 )
 
 // ensurePrep installs (or refreshes) the prep for the input's current DB,

@@ -245,12 +245,10 @@ func (ev *evalScratch) stageCheck() (string, bool) {
 	v, ok := memo.m[string(ev.key)]
 	memo.mu.Unlock()
 	if ok {
-		stageMemoHits.Add(1)
 		mStageMemoHit.Inc()
 	} else {
 		// Compute outside the lock: verdicts are content-determined, so a
 		// concurrent duplicate insert stores the same value.
-		stageMemoMisses.Add(1)
 		mStageMemoMiss.Inc()
 		tables := ev.tables.lower(ev.in, ev.assign, ev.p.base, true)
 		stages, err := pisa.SharedCache().Stages(ev.in.Topo.Switch, tables, &ev.compileKey)
