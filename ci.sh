@@ -184,7 +184,7 @@ go test -race -count=1 ./internal/placer ./internal/experiments ./internal/runti
 # API, chaos crash, Prometheus endpoint) get a named race pass so the
 # lemurd path cannot be skipped by test caching.
 echo "==> control-plane daemon guards (race)"
-run_guard 'TestReconcileIdempotent|TestConvergenceRandomSequences|TestRejectedSpecIsolation|TestSnapshotRoundTrip|TestReplayMatchesLiveReconcilePoints|TestSnapshotTornTail|TestSnapshotFailedAppendRollsBack|TestSnapshotCorruptionRejected|TestEndToEndDaemon|TestOneDeltaPerTick|TestAdmissionAfterFailureLandsOnce|TestStatusPredictedP99AfterAdmission|TestStatusFailsClosed|TestTailViolatingAdmissionRefused|TestFreeCoresMatchHeadroom|TestRestartEquivalence|TestRestartKeepsBackoff|TestCompactionCrashPoints|TestReplayBounded|TestSnapshotDeterministic|TestLegacyLogReplays' \
+run_guard 'TestReconcileIdempotent|TestConvergenceRandomSequences|TestRejectedSpecIsolation|TestSnapshotRoundTrip|TestReplayMatchesLiveReconcilePoints|TestSnapshotTornTail|TestSnapshotFailedAppendRollsBack|TestSnapshotCorruptionRejected|TestEndToEndDaemon|TestOneDeltaPerTick|TestAdmissionAfterFailureLandsOnce|TestStatusPredictedP99AfterAdmission|TestStatusFailsClosed|TestTailViolatingAdmissionRefused|TestFreeCoresMatchHeadroom|TestRestartEquivalence|TestRestartKeepsBackoff|TestCompactionCrashPoints|TestReplayBounded|TestSnapshotDeterministic|TestLegacyLogReplays|TestSnapshotErrorOutlivesReconcile' \
   -race -count=1 ./internal/daemon
 run_guard 'TestRestoreMatchesApplied|TestRestoreRefusesBadOrder' -race -count=1 ./internal/metacompiler
 run_guard 'TestRecordRoundTrip|TestRecordRefuses' -race -count=1 ./internal/placer
@@ -209,6 +209,12 @@ run_guard 'TestForEach|TestFailoverSweepErrorDeterministic|TestSimulateCellsIden
 # reference's across the uint32 wrap.
 echo "==> sharded/reference NF table identity, table allocation bound and entry layout (race)"
 run_guard 'TestShardedMatchesReference|TestShardedTablesMatchReference|TestFlowTableAllocBound|TestFlowTableEntryLayout|TestDedupCacheWraparound' -race -count=1 ./internal/nf
+# nf.Meta.ReadsPayload: every class without it gives the same verdicts,
+# headers and table counts for frames that differ only in payload (what lets
+# the simulator leave its chains' payloads unwritten), and every class with
+# it has a frame pair whose outputs show the payload read.
+echo "==> payload-blind NF classes (race)"
+run_guard 'TestPayloadBlindClasses|TestPayloadReadingClasses' -race -count=1 ./internal/nf
 
 # The ACL holds its synthetic /24 allows as a count: its verdicts and
 # NumRules must be the materialised rule list's (reference_test.go) at counts
@@ -240,9 +246,12 @@ fuzz_smoke FuzzFlowSchedule ./internal/trafficgen
 # arrival rate, or a churn pool below one flow, is an error, not a panic or a
 # loop without end. A generator rebuilt by NewInto (Verify's one per walk)
 # emits a fresh New's frames byte for byte, and a rejected config leaves it
-# as it was.
-echo "==> flow-schedule shape (emitted-frame digest, BornAt, rejected configs, reused generator)"
-run_guard 'TestScheduleGenDigest|TestBornAtMatchesStored|TestScheduleIntoRejects|TestNewIntoMatchesNew' -count=1 ./internal/trafficgen
+# as it was. The unrolled payload kernel writes the word loop's bytes; a
+# headers-only frame has NextInto's length, headers and rng draws, so the
+# frames after it are NextInto's whatever the interleaving; and a
+# payload-writing frame overwrites a recycled buffer's every byte.
+echo "==> flow-schedule shape (emitted-frame digest, BornAt, rejected configs, reused generator, headers-only frames)"
+run_guard 'TestScheduleGenDigest|TestBornAtMatchesStored|TestScheduleIntoRejects|TestNewIntoMatchesNew|TestFillRandomMatchesByteLoop|TestHeadersIntoMatchesNextInto|TestHeadersIntoKeepsDrawOrder|TestNextIntoOverwritesGarbage' -count=1 ./internal/trafficgen
 # FuzzVLANInPlace: the in-place VLAN push/pop against the allocating
 # reference kept in the test file, on arbitrary frames and capacities.
 fuzz_smoke FuzzVLANInPlace ./internal/nf
@@ -298,8 +307,16 @@ coverage_floor daemon 'internal/daemon/' 75.0
 echo "==> frame-buffer contract: device equivalence across VLAN push/pop"
 run_guard 'TestProcessFrameInPlaceMatches|TestVLANInPlaceMatches|TestVLANHopAllocFree' -count=1 ./internal/bess
 run_guard 'TestNICProcessFrameInPlaceMatches|TestNICVLANInPlaceMatches|TestRunAllocFree' -count=1 ./internal/smartnic
-run_guard 'TestSwitchProcessFrameInPlaceMatches|TestSwitchVLANInPlaceMatches' -count=1 ./internal/pisa
+run_guard 'TestSwitchProcessFrameInPlaceMatches|TestSwitchVLANInPlaceMatches|TestRemoveSPIRangeClearsEntries' -count=1 ./internal/pisa
+# The switch rewrites headers only after an NF ran: without one, Decode then
+# SyncHeaders must be the identity, on generator frames, after NSH encap and
+# decap, and after each NF class.
+run_guard 'TestDecodeSyncIdentity' -count=1 ./internal/packet
 run_guard 'TestVerifyInPlaceMatchesAllocating' -count=1 ./internal/runtime
+# The fast engine against the reference, which writes every payload: each
+# property test must have run payload-blind chains, which the fast engine
+# emits headers only.
+run_guard 'TestSimulateMatchesReference|TestFlowScaleEnginesAgree' -count=1 ./internal/runtime
 # Measure's link enforcement scales each chain by its worst device's factor,
 # whatever order the devices are met in.
 run_guard 'TestEnforceLinksOrderFree' -count=1 ./internal/runtime

@@ -52,6 +52,9 @@ func runStatus(args []string) {
 	if st.LastError != "" {
 		fmt.Printf("last error: %s\n", st.LastError)
 	}
+	if st.SnapshotError != "" {
+		fmt.Printf("snapshot error: %s\n", st.SnapshotError)
+	}
 	if st.BackingOff {
 		fmt.Println("backing off: a transient apply failure is being retried")
 	}

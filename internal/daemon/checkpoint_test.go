@@ -414,10 +414,11 @@ func TestCompactionCrashPoints(t *testing.T) {
 				o.d.log.never, o.d.log.every, o.d.fs = false, true, faultFS{fail: step}
 				o.apply(t, crash)
 				// A failure past the rename leaves nothing to retry, and the
-				// next successful pass clears it from the status.
+				// next successful append or compaction clears it from the
+				// status.
 				renamed := step == "syncdir"
-				if e := o.d.StatusSnapshot().LastError; !renamed && !strings.Contains(e, "snapshot compaction") {
-					t.Fatalf("failed compaction not surfaced: last_error = %q", e)
+				if e := o.d.StatusSnapshot().SnapshotError; !renamed && !strings.Contains(e, "snapshot compaction") {
+					t.Fatalf("failed compaction not surfaced: snapshot_error = %q", e)
 				}
 				onDisk := readLog(t, path)
 				if ckpt := bytes.HasPrefix(onDisk, []byte(`{"kind":"checkpoint"`)); ckpt != renamed ||

@@ -230,6 +230,12 @@ type Daemon struct {
 	counters   Counters
 	watchSeen  map[string]string
 	replaying  bool
+
+	// snapErr is the last failed snapshot append, checkpoint or compaction.
+	// It is kept apart from lastErr, which every successful reconcile pass
+	// clears; only a later successful append or compaction clears it.
+	snapErr string
+
 	// passed reports that a reconcile pass which attempted an apply has
 	// completed since the last appended snapshot entry (true before the
 	// first: there is nothing to batch with). See snapEntry.Batched.

@@ -132,7 +132,8 @@ type snapLog struct {
 // configured: it is appended to the file and fsynced before the call
 // returns, so whatever the daemon then acknowledges survives a crash. Write
 // errors are returned to no one by design — the daemon keeps serving; the
-// error is surfaced via lastErr on the status endpoint.
+// error is surfaced via snapErr on the status endpoint until an append
+// succeeds.
 func (d *Daemon) appendSnapshotLocked(e snapEntry) {
 	if d.cfg.SnapshotPath == "" {
 		return
@@ -140,9 +141,10 @@ func (d *Daemon) appendSnapshotLocked(e snapEntry) {
 	e.Batched, d.passed = !d.passed, false
 	n, err := appendSnapshot(d.cfg.SnapshotPath, e)
 	if err != nil {
-		d.lastErr = fmt.Sprintf("snapshot write: %v", err)
+		d.snapErr = fmt.Sprintf("snapshot write: %v", err)
 		return
 	}
+	d.snapErr = ""
 	d.log.tail += n
 }
 
@@ -214,7 +216,7 @@ func (d *Daemon) compactLocked() {
 	}
 	line, err := d.checkpointLocked()
 	if err != nil {
-		d.lastErr = fmt.Sprintf("snapshot checkpoint: %v", err)
+		d.snapErr = fmt.Sprintf("snapshot checkpoint: %v", err)
 		return
 	}
 	if !l.ckpt && !l.every && int64(len(line)) >= l.tail {
@@ -226,7 +228,9 @@ func (d *Daemon) compactLocked() {
 		l.tail, l.limit, l.ckpt = 0, int64(len(line)), true
 	}
 	if err != nil {
-		d.lastErr = fmt.Sprintf("snapshot compaction: %v", err)
+		d.snapErr = fmt.Sprintf("snapshot compaction: %v", err)
+	} else {
+		d.snapErr = ""
 	}
 }
 

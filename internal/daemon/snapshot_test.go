@@ -30,7 +30,7 @@ func writeTestLog(t *testing.T, snap string) (log []byte, before, after string) 
 	if rr := d.Tick(); !rr.Converged {
 		t.Fatalf("not converged: %+v", rr)
 	}
-	if e := d.StatusSnapshot().LastError; e != "" {
+	if e := d.StatusSnapshot().SnapshotError; e != "" {
 		t.Fatalf("snapshot writes failed: %s", e)
 	}
 	log, err := os.ReadFile(snap)
@@ -167,8 +167,48 @@ func TestSnapshotFailedAppendRollsBack(t *testing.T) {
 	if _, err := d2.SetSpec(specDoc(t, []string{"alpha"}), "test"); err != nil {
 		t.Fatal(err)
 	}
-	if e := d2.StatusSnapshot().LastError; !strings.Contains(e, "snapshot write") {
-		t.Fatalf("unwritable snapshot not surfaced: last_error = %q", e)
+	if e := d2.StatusSnapshot().SnapshotError; !strings.Contains(e, "snapshot write") {
+		t.Fatalf("unwritable snapshot not surfaced: snapshot_error = %q", e)
+	}
+}
+
+// TestSnapshotErrorOutlivesReconcile: a failed append stays in the status
+// through the reconcile passes after it, which clear only their own error,
+// and the next append that succeeds clears it.
+func TestSnapshotErrorOutlivesReconcile(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "log")
+	if err := os.Mkdir(dir, 0o700); err != nil {
+		t.Fatal(err)
+	}
+	d, _ := newTestDaemon(t, func(c *Config) { c.SnapshotPath = filepath.Join(dir, "lemurd.snap") })
+	if _, err := d.SetSpec(specDoc(t, []string{"alpha"}), "test"); err != nil {
+		t.Fatal(err)
+	}
+	if rr := d.Tick(); !rr.Converged {
+		t.Fatalf("first apply: %+v", rr)
+	}
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.SetSpec(specDoc(t, []string{"alpha", "beta"}), "test"); err != nil {
+		t.Fatal(err)
+	}
+	if rr := d.Tick(); !rr.Converged {
+		t.Fatalf("apply with the log gone: %+v", rr)
+	}
+	st := d.StatusSnapshot()
+	if !strings.HasPrefix(st.SnapshotError, "snapshot write") || st.LastError != "" {
+		t.Fatalf("after a converged pass: snapshot_error = %q, last_error = %q; want the write error and no reconcile error",
+			st.SnapshotError, st.LastError)
+	}
+	if err := os.Mkdir(dir, 0o700); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.SetSpec(specDoc(t, []string{"beta"}), "test"); err != nil {
+		t.Fatal(err)
+	}
+	if e := d.StatusSnapshot().SnapshotError; e != "" {
+		t.Fatalf("a successful append left snapshot_error = %q", e)
 	}
 }
 
@@ -232,7 +272,7 @@ func TestReplayMatchesLiveReconcilePoints(t *testing.T) {
 			if rr := d.Tick(); !rr.Converged {
 				t.Fatalf("batched apply: %+v", rr)
 			}
-			if e := d.StatusSnapshot().LastError; e != "" {
+			if e := d.StatusSnapshot().SnapshotError; e != "" {
 				t.Fatalf("snapshot writes failed: %s", e)
 			}
 			for _, c := range d.StatusSnapshot().Chains {

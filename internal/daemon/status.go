@@ -32,6 +32,10 @@ type Status struct {
 	LastError        string `json:"last_error,omitempty"`
 	LastRejectedSpec string `json:"last_rejected_spec,omitempty"`
 	BackingOff       bool   `json:"backing_off,omitempty"`
+	// SnapshotError is the last failed snapshot write, checkpoint or
+	// compaction: entries since then may not be durable. It stays until a
+	// later append or compaction succeeds, whatever the reconcile passes do.
+	SnapshotError string `json:"snapshot_error,omitempty"`
 }
 
 // ChainStatus is one chain's placement and SLO verdict.
@@ -86,6 +90,7 @@ func (d *Daemon) StatusSnapshot() *Status {
 		Converged:         d.converged,
 		Counters:          d.counters,
 		LastError:         d.lastErr,
+		SnapshotError:     d.snapErr,
 		LastRejectedSpec:  d.lastReject,
 		BackingOff:        d.backoff.active,
 	}

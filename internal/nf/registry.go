@@ -39,6 +39,14 @@ type Meta struct {
 	Stateful   bool
 	Replicable bool
 
+	// ReadsPayload marks the NFs whose Process reads a byte past the L4
+	// header (p.Payload()). An NF without it must give the same verdict,
+	// headers, metadata and state for frames that differ only in payload:
+	// the simulator then emits its chains' frames without payload bytes
+	// (trafficgen's HeadersInto). A new NF that reads the payload must set
+	// it, or it reads bytes the simulator never wrote.
+	ReadsPayload bool
+
 	// Cycles is the worst-case server cycle cost (drives throughput
 	// estimation: rate = k*f/Cycles).
 	Cycles CostModel
@@ -72,29 +80,33 @@ func (m *Meta) SupportsPlatform(p hw.Platform) bool {
 var Registry = map[string]*Meta{
 	"Encrypt": {
 		Class: "Encrypt", Spec: "128-bit AES-CBC", New: NewEncrypt,
-		Platforms:  []hw.Platform{hw.Server},
-		Replicable: true,
-		Cycles:     constCost(8777),
+		Platforms:    []hw.Platform{hw.Server},
+		ReadsPayload: true,
+		Replicable:   true,
+		Cycles:       constCost(8777),
 	},
 	"Decrypt": {
 		Class: "Decrypt", Spec: "128-bit AES-CBC", New: NewDecrypt,
-		Platforms:  []hw.Platform{hw.Server},
-		Replicable: true,
-		Cycles:     constCost(8800),
+		Platforms:    []hw.Platform{hw.Server},
+		ReadsPayload: true,
+		Replicable:   true,
+		Cycles:       constCost(8800),
 	},
 	"FastEncrypt": {
 		Class: "FastEncrypt", Spec: "128-bit Chacha", New: NewFastEncrypt,
 		Platforms:        []hw.Platform{hw.Server, hw.SmartNIC},
+		ReadsPayload:     true,
 		Replicable:       false, // Table 3 bold
 		Cycles:           constCost(3400),
 		EBPFInstructions: 3600, // unrolled ChaCha rounds, near the 4k limit
 	},
 	"Dedup": {
 		Class: "Dedup", Spec: "Network RE", New: NewDedup,
-		Platforms:  []hw.Platform{hw.Server},
-		Stateful:   true,
-		Replicable: true, // per-core fingerprint caches are acceptable (§5.3 Fig 3a)
-		Cycles:     constCost(30867),
+		Platforms:    []hw.Platform{hw.Server},
+		Stateful:     true,
+		ReadsPayload: true,
+		Replicable:   true, // per-core fingerprint caches are acceptable (§5.3 Fig 3a)
+		Cycles:       constCost(30867),
 	},
 	"Tunnel": {
 		Class: "Tunnel", Spec: "Push VLAN tag", New: NewTunnel,
@@ -132,9 +144,10 @@ var Registry = map[string]*Meta{
 	},
 	"UrlFilter": {
 		Class: "UrlFilter", Spec: "HTML Filter", New: NewUrlFilter,
-		Platforms:  []hw.Platform{hw.Server},
-		Replicable: true,
-		Cycles:     constCost(610),
+		Platforms:    []hw.Platform{hw.Server},
+		ReadsPayload: true,
+		Replicable:   true,
+		Cycles:       constCost(610),
 	},
 	"Monitor": {
 		Class: "Monitor", Spec: "Per-flow statistics", New: NewMonitor,

@@ -19,6 +19,9 @@ type Builder struct {
 	// Only consulted when Payload is nil; AppendTo zero-fills the region so
 	// recycled buffers never leak stale bytes into unfilled payloads.
 	PayloadLen int
+	// KeepPayload skips that zero fill: the reserved region keeps whatever
+	// dst held there. Only for frames whose payload nothing reads.
+	KeepPayload bool
 }
 
 // Build serializes the described frame into a fresh buffer.
@@ -122,7 +125,7 @@ func (b Builder) AppendTo(dst []byte) []byte {
 	}
 	if b.Payload != nil {
 		copy(buf[off:], b.Payload)
-	} else {
+	} else if !b.KeepPayload {
 		clear(buf[off:])
 	}
 	return dst

@@ -280,3 +280,40 @@ func TestSwitchNoPath(t *testing.T) {
 		t.Errorf("tagged miss: %v", err)
 	}
 }
+
+// TestRemoveSPIRangeClearsEntries: after RemoveSPIRange, Entry finds no
+// removed (SPI, SI) point and every other one still, at the SI extremes
+// and at SPIs up to NSH's 24 bits, and the counts it returns are the
+// points it removed.
+func TestRemoveSPIRangeClearsEntries(t *testing.T) {
+	s := NewSwitch(spec())
+	spis := []uint32{0, 1, 9, 10, 15, 20, 21, 255, 256, 1 << 16, 1<<24 - 1}
+	sis := []uint8{0, 1, 127, 128, 255}
+	for _, spi := range spis {
+		for _, si := range sis {
+			s.SetEntry(spi, si, &PathEntry{Out: Forward{Kind: Egress}})
+		}
+		s.AddClassifierRule(ClassifierRule{SPI: spi, SI: 255})
+	}
+	inRange := func(spi uint32) bool { return spi >= 10 && spi <= 256 }
+	removed := 0
+	for _, spi := range spis {
+		if inRange(spi) {
+			removed++
+		}
+	}
+	entries, rules := s.RemoveSPIRange(10, 256)
+	if entries != removed*len(sis) || rules != removed {
+		t.Fatalf("removed %d entries and %d rules, want %d and %d", entries, rules, removed*len(sis), removed)
+	}
+	if got, want := s.EntryCount(), (len(spis)-removed)*len(sis); got != want {
+		t.Fatalf("EntryCount = %d, want %d", got, want)
+	}
+	for _, spi := range spis {
+		for _, si := range sis {
+			if e := s.Entry(spi, si); (e == nil) != inRange(spi) {
+				t.Fatalf("Entry(%d, %d) = %v after removing SPIs 10..256", spi, si, e)
+			}
+		}
+	}
+}

@@ -136,7 +136,7 @@ type Switch struct {
 	Spec    *hw.PISASpec
 	Binary  *Binary
 	rules   []ClassifierRule
-	entries map[uint32]map[uint8]*PathEntry
+	entries map[uint64]*PathEntry // keyed by pathKey(spi, si)
 
 	// Counters for tests and the runtime, incremented atomically: the ToR
 	// is the one dataplane object every simulator shard shares, so its
@@ -151,35 +151,27 @@ type Switch struct {
 
 // NewSwitch builds an empty switch runtime.
 func NewSwitch(spec *hw.PISASpec) *Switch {
-	return &Switch{Spec: spec, entries: make(map[uint32]map[uint8]*PathEntry)}
+	return &Switch{Spec: spec, entries: make(map[uint64]*PathEntry)}
 }
+
+// pathKey packs an (SPI, SI) point into one map key, SPI above SI.
+func pathKey(spi uint32, si uint8) uint64 { return uint64(spi)<<8 | uint64(si) }
 
 // AddClassifierRule appends an ingress classification rule.
 func (s *Switch) AddClassifierRule(r ClassifierRule) { s.rules = append(s.rules, r) }
 
 // SetEntry installs the program point for (spi, si).
 func (s *Switch) SetEntry(spi uint32, si uint8, e *PathEntry) {
-	m := s.entries[spi]
-	if m == nil {
-		m = make(map[uint8]*PathEntry)
-		s.entries[spi] = m
-	}
-	m[si] = e
+	s.entries[pathKey(spi, si)] = e
 }
 
 // Entry returns the program point for (spi, si), or nil.
 func (s *Switch) Entry(spi uint32, si uint8) *PathEntry {
-	return s.entries[spi][si]
+	return s.entries[pathKey(spi, si)]
 }
 
 // EntryCount returns the number of installed (SPI, SI) program points.
-func (s *Switch) EntryCount() int {
-	n := 0
-	for _, m := range s.entries {
-		n += len(m)
-	}
-	return n
-}
+func (s *Switch) EntryCount() int { return len(s.entries) }
 
 // ClassifierRuleCount returns the number of ingress classification rules.
 func (s *Switch) ClassifierRuleCount() int { return len(s.rules) }
@@ -195,10 +187,10 @@ func (s *Switch) ClassifierRules() []ClassifierRule { return s.rules }
 // failover rewire uses to retract exactly one chain's steering state while
 // leaving every other chain's rules untouched.
 func (s *Switch) RemoveSPIRange(lo, hi uint32) (entries, rules int) {
-	for spi, m := range s.entries {
-		if spi >= lo && spi <= hi {
-			entries += len(m)
-			delete(s.entries, spi)
+	for k := range s.entries {
+		if spi := uint32(k >> 8); spi >= lo && spi <= hi {
+			entries++
+			delete(s.entries, k)
 		}
 	}
 	kept := s.rules[:0]
@@ -281,15 +273,20 @@ func (s *Switch) process(frame []byte, env *nf.Env, p *packet.Packet) (out []byt
 		return nil, Forward{Kind: Dropped}, fmt.Errorf("%w: spi=%d si=%d", ErrNoPath, spi, si)
 	}
 
-	for _, fn := range e.Apply {
-		fn.Process(p, env)
-		if p.Drop {
-			atomic.AddUint64(&s.DroppedFrames, 1)
-			return nil, Forward{Kind: Dropped}, nil
+	if len(e.Apply) > 0 {
+		for _, fn := range e.Apply {
+			fn.Process(p, env)
+			if p.Drop {
+				atomic.AddUint64(&s.DroppedFrames, 1)
+				return nil, Forward{Kind: Dropped}, nil
+			}
 		}
+		// Only an NF can have changed the header views; without one they
+		// are what Decode read from the frame, and rewriting them would
+		// write the bytes already there.
+		p.SyncHeaders()
+		frame = p.Data
 	}
-	p.SyncHeaders()
-	frame = p.Data
 
 	// Compute the outgoing tag: advance past the NFs applied here, or jump
 	// to a branch target (filters first, then per-flow weighted choice).

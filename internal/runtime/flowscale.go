@@ -16,9 +16,11 @@ import (
 // frameSource is the per-chain packet source the sim engine draws from —
 // satisfied by both trafficgen.Generator (incremental) and
 // trafficgen.ScheduleGen (arena replay). NextInto produces the next frame
-// into buf with NSH headroom.
+// into buf with NSH headroom; HeadersInto the same frame without writing
+// its payload bytes, for a chain no NF of which reads them.
 type frameSource interface {
 	NextInto(buf []byte, nowSec float64) []byte
+	HeadersInto(buf []byte, nowSec float64) []byte
 }
 
 // schedSlot is the flow schedule a Testbed keeps for one chain slot: the

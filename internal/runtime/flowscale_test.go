@@ -63,6 +63,7 @@ func TestFlowScaleEnginesAgree(t *testing.T) {
 	})
 
 	rng := rand.New(rand.NewSource(77))
+	blind := 0
 	for trial := 0; trial < 6; trial++ {
 		src := randomStatefulSpec(rng, 0)
 		dRef := compileRandom(t, src)
@@ -70,6 +71,7 @@ func TestFlowScaleEnginesAgree(t *testing.T) {
 			continue
 		}
 		dFast := compileRandom(t, src)
+		blind += blindChains(dFast)
 		offered := make([]float64, len(dRef.Result.ChainRates))
 		for i, r := range dRef.Result.ChainRates {
 			offered[i] = r * 1.2
@@ -85,6 +87,9 @@ func TestFlowScaleEnginesAgree(t *testing.T) {
 		if !bytes.Equal(refMetrics, fastMetrics) {
 			t.Fatalf("trial %d: engine metrics diverged under FlowScale\nspec:\n%s", trial, src)
 		}
+	}
+	if blind == 0 {
+		t.Fatal("no payload-blind chain ran: the headers-only frame source went unchecked")
 	}
 }
 

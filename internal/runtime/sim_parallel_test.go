@@ -90,7 +90,7 @@ func TestSimulateParallelMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(909))
 	factors := []float64{0.7, 1.0, 1.3, 1.8}
 	workerCounts := []int{2, 3, 8}
-	cases, skipped, multiShard := 0, 0, 0
+	cases, skipped, multiShard, blind := 0, 0, 0, 0
 	for trial := 0; cases < 52 && trial < 130; trial++ {
 		nChains := 1 + rng.Intn(3)
 		src := ""
@@ -105,6 +105,7 @@ func TestSimulateParallelMatchesReference(t *testing.T) {
 		}
 		dPar := compileRandomOn(t, hw.NewPaperTestbed(topoOpts...), src)
 		cases++
+		blind += blindChains(dPar)
 		workers := workerCounts[trial%len(workerCounts)]
 		if partitionWorkers(t, dPar, workers) > 1 {
 			multiShard++
@@ -131,6 +132,9 @@ func TestSimulateParallelMatchesReference(t *testing.T) {
 	}
 	if cases < 50 {
 		t.Fatalf("only %d feasible random cases (%d skipped); loosen the generator", cases, skipped)
+	}
+	if blind == 0 {
+		t.Fatal("no payload-blind chain ran: the headers-only frame source went unchecked")
 	}
 	if multiShard < cases/3 {
 		t.Fatalf("only %d/%d cases produced a multi-shard partition; widen the testbed", multiShard, cases)

@@ -44,6 +44,19 @@ func randomChainSpec(rng *rand.Rand, idx int) string {
 	return spec + "\n}\n"
 }
 
+// blindChains counts d's chains the fast engine emits headers only
+// (readsPayload false). An engine identity test over such a chain holds
+// the fast engine's unwritten payloads to the reference's written ones.
+func blindChains(d *metacompiler.Deployment) int {
+	n := 0
+	for _, g := range d.Input.Chains {
+		if !readsPayload(g) {
+			n++
+		}
+	}
+	return n
+}
+
 // compileRandom places and compiles one random chain set, returning a fresh
 // deployment (or nil when the placement is infeasible for the drawn set).
 func compileRandom(t *testing.T, src string) *metacompiler.Deployment {
@@ -111,7 +124,7 @@ func TestSimulateMatchesReference(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(404))
 	factors := []float64{0.7, 1.0, 1.3, 1.8}
-	cases, skipped := 0, 0
+	cases, skipped, blind := 0, 0, 0
 	for trial := 0; cases < 52 && trial < 120; trial++ {
 		nChains := 1 + rng.Intn(3)
 		src := ""
@@ -126,6 +139,7 @@ func TestSimulateMatchesReference(t *testing.T) {
 		}
 		dFast := compileRandom(t, src)
 		cases++
+		blind += blindChains(dFast)
 
 		offered := make([]float64, len(dRef.Result.ChainRates))
 		for i, r := range dRef.Result.ChainRates {
@@ -147,6 +161,9 @@ func TestSimulateMatchesReference(t *testing.T) {
 	}
 	if cases < 50 {
 		t.Fatalf("only %d feasible random cases (%d skipped); loosen the generator", cases, skipped)
+	}
+	if blind == 0 {
+		t.Fatal("no payload-blind chain ran: the headers-only frame source went unchecked")
 	}
 }
 

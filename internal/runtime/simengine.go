@@ -10,6 +10,7 @@ import (
 	"lemur/internal/bess"
 	"lemur/internal/metacompiler"
 	"lemur/internal/nf"
+	"lemur/internal/nfgraph"
 	"lemur/internal/nsh"
 	"lemur/internal/obs"
 	"lemur/internal/packet"
@@ -100,6 +101,9 @@ type simEngine struct {
 
 	offered []float64
 	gens    []frameSource
+	// blind marks the chains no NF of which reads the payload: their
+	// frames are emitted headers only (see readsPayload).
+	blind []bool
 
 	cost, budget, credit []float64
 	rings                []packetRing
@@ -137,6 +141,7 @@ func (eng *simEngine) addChains(rates []float64, reqSec, landSec float64) error 
 			return err
 		}
 		eng.gens = append(eng.gens, gen)
+		eng.blind = append(eng.blind, !readsPayload(g))
 		// A chain injects at most its per-step arrival increment (the one
 		// stepShard adds) times the run's steps: its rate only ever drops,
 		// to 0 at a retirement. One packet of slack covers the rounding of
@@ -159,6 +164,19 @@ func (eng *simEngine) addChains(rates []float64, reqSec, landSec float64) error 
 	eng.queueDelay = grown(eng.queueDelay, n)
 	eng.acc = grown(eng.acc, n) // fractional arrival accumulators
 	return nil
+}
+
+// readsPayload reports whether any NF of g reads a payload byte
+// (nf.Meta.ReadsPayload). A chain without one gets its frames from
+// frameSource.HeadersInto: its payload bytes are unspecified, while its
+// headers, lengths and the generator's rng draws are NextInto's.
+func readsPayload(g *nfgraph.Graph) bool {
+	for _, n := range g.Order {
+		if n.Meta.ReadsPayload {
+			return true
+		}
+	}
+	return false
 }
 
 // grown returns s extended by n zero slots. Never nil, so an empty chain
@@ -449,7 +467,12 @@ func (eng *simEngine) stepShard(sh *simShard, now float64) error {
 		eng.acc[ci] += eng.offered[ci] / eng.frameBits / cfg.Scale * cfg.StepSec
 		for eng.acc[ci] >= 1 {
 			eng.acc[ci]--
-			frame := eng.gens[ci].NextInto(sh.getBuf(), now)
+			var frame []byte
+			if eng.blind[ci] {
+				frame = eng.gens[ci].HeadersInto(sh.getBuf(), now)
+			} else {
+				frame = eng.gens[ci].NextInto(sh.getBuf(), now)
+			}
 			eng.res.Injected[ci]++
 			eng.injC[ci].Inc()
 			p := sh.getPkt()

@@ -148,5 +148,11 @@ func (sg *ScheduleGen) pick(nowSec float64) packet.FiveTuple {
 // NextInto produces the next frame at simulated time nowSec into buf,
 // with the same reuse and NSH-headroom contract as Generator.NextInto.
 func (sg *ScheduleGen) NextInto(buf []byte, nowSec float64) []byte {
-	return sg.g.emitInto(buf, sg.pick(nowSec))
+	return sg.g.emitInto(buf, sg.pick(nowSec), true)
+}
+
+// HeadersInto is NextInto without writing the payload bytes, under
+// Generator.HeadersInto's contract.
+func (sg *ScheduleGen) HeadersInto(buf []byte, nowSec float64) []byte {
+	return sg.g.emitInto(buf, sg.pick(nowSec), false)
 }

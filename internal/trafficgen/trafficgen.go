@@ -13,6 +13,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"strconv"
 
 	"lemur/internal/bpf"
 	"lemur/internal/packet"
@@ -218,12 +219,21 @@ func (g *Generator) newTuple() packet.FiveTuple {
 // Freshly allocated buffers reserve packet.TailRoom spare capacity so an NSH
 // encap and a VLAN push later in the pipeline can grow the frame in place.
 func (g *Generator) NextInto(buf []byte, nowSec float64) []byte {
-	return g.emitInto(buf, g.nextTuple(nowSec))
+	return g.emitInto(buf, g.nextTuple(nowSec), true)
+}
+
+// HeadersInto is NextInto for a frame whose payload no NF reads: the same
+// length, the same header bytes and the same rng draws, so every later
+// frame of g is NextInto's; but the payload bytes are left as buf held them
+// (zero in a fresh buffer). Calls to the two may interleave freely.
+func (g *Generator) HeadersInto(buf []byte, nowSec float64) []byte {
+	return g.emitInto(buf, g.nextTuple(nowSec), false)
 }
 
 // emitInto serializes one frame for tu into buf — the emission engine both
-// packet sources share.
-func (g *Generator) emitInto(buf []byte, tu packet.FiveTuple) []byte {
+// packet sources share. With payload false it writes the headers only and
+// makes the payload's rng draws without writing their bytes.
+func (g *Generator) emitInto(buf []byte, tu packet.FiveTuple, payload bool) []byte {
 	g.seq++
 
 	payLen := g.cfg.FrameBytes - packet.EthernetLen - packet.NSHLen - packet.IPv4Len - packet.UDPLen
@@ -240,7 +250,8 @@ func (g *Generator) emitInto(buf []byte, tu packet.FiveTuple) []byte {
 		Src:    tu.Src, Dst: tu.Dst,
 		Proto:   tu.Proto,
 		SrcPort: tu.SrcPort, DstPort: tu.DstPort,
-		PayloadLen: payLen,
+		PayloadLen:  payLen,
+		KeepPayload: !payload,
 	}
 	if buf == nil {
 		// One allocation sized for the un-encapped frame plus tail room.
@@ -251,7 +262,7 @@ func (g *Generator) emitInto(buf []byte, tu packet.FiveTuple) []byte {
 		buf = make([]byte, 0, total+packet.TailRoom)
 	}
 	frame := b.AppendTo(buf[:0])
-	g.fillPayload(frame[len(frame)-payLen:])
+	g.fillPayload(frame[len(frame)-payLen:], payload)
 	return frame
 }
 
@@ -286,57 +297,72 @@ func (g *Generator) nextTuple(nowSec float64) packet.FiveTuple {
 	return live[g.rng.Intn(len(live))]
 }
 
-func (g *Generator) fillPayload(p []byte) {
+// fillPayload writes p: an HTTP head with probability HTTPShare, then per
+// 64-B chunk the redundant chunk (probability Redundancy) or a fresh random
+// one. With write false it makes exactly the same rng draws and writes
+// nothing, which keeps every later draw of the stream where it was.
+func (g *Generator) fillPayload(p []byte, write bool) {
 	if g.cfg.HTTPShare > 0 && g.rng.Float64() < g.cfg.HTTPShare {
-		head := "GET /path/item HTTP/1.1\r\nHost: site-"
-		head += fmt.Sprintf("%d.example\r\n\r\n", g.rng.Intn(1000))
-		copy(p, head)
+		var hb [64]byte
+		head := append(hb[:0], "GET /path/item HTTP/1.1\r\nHost: site-"...)
+		head = strconv.AppendInt(head, int64(g.rng.Intn(1000)), 10)
+		head = append(head, ".example\r\n\r\n"...)
+		if write {
+			copy(p, head)
+		}
 		p = p[min(len(head), len(p)):]
 	}
 	for off := 0; off < len(p); off += 64 {
-		end := off + 64
-		if end > len(p) {
-			end = len(p)
-		}
+		end := min(off+64, len(p))
 		if g.cfg.Redundancy > 0 && g.rng.Float64() < g.cfg.Redundancy {
-			copy(p[off:end], g.redund)
-		} else {
-			fillRandom(p[off:end], g.rng.Uint64())
+			if write {
+				copy(p[off:end], g.redund)
+			}
+		} else if seed := g.rng.Uint64(); write {
+			fillRandom(p[off:end], seed)
 		}
 	}
+}
+
+// splitmixGamma is the splitmix64 stream increment.
+const splitmixGamma = 0x9e3779b97f4a7c15
+
+// splitmix is the splitmix64 output function of state s.
+func splitmix(s uint64) uint64 {
+	s = (s ^ (s >> 30)) * 0xbf58476d1ce4e5b9
+	s = (s ^ (s >> 27)) * 0x94d049bb133111eb
+	return s ^ (s >> 31)
 }
 
 // fillRandom expands one rng draw into a chunk of pseudo-random bytes via a
 // splitmix64 stream. One generator draw per chunk instead of rng.Read's one
 // per 8 bytes keeps payload synthesis off the simulator's profile while the
 // bytes stay unique per chunk (Dedup fingerprints behave like random data).
+// The main loop writes four words per pass over a sliced-down p, so the
+// compiler proves every store in bounds once per pass.
 func fillRandom(p []byte, seed uint64) {
 	s := seed
-	i := 0
-	for ; i+8 <= len(p); i += 8 {
-		s += 0x9e3779b97f4a7c15
-		z := s
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		z ^= z >> 31
-		binary.LittleEndian.PutUint64(p[i:], z)
+	for len(p) >= 32 {
+		s1 := s + splitmixGamma
+		s2 := s1 + splitmixGamma
+		s3 := s2 + splitmixGamma
+		s = s3 + splitmixGamma
+		binary.LittleEndian.PutUint64(p[0:8], splitmix(s1))
+		binary.LittleEndian.PutUint64(p[8:16], splitmix(s2))
+		binary.LittleEndian.PutUint64(p[16:24], splitmix(s3))
+		binary.LittleEndian.PutUint64(p[24:32], splitmix(s))
+		p = p[32:]
 	}
-	if i < len(p) {
-		s += 0x9e3779b97f4a7c15
-		z := s
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		z ^= z >> 31
-		for ; i < len(p); i++ {
+	for len(p) >= 8 {
+		s += splitmixGamma
+		binary.LittleEndian.PutUint64(p, splitmix(s))
+		p = p[8:]
+	}
+	if len(p) > 0 {
+		z := splitmix(s + splitmixGamma)
+		for i := range p {
 			p[i] = byte(z)
 			z >>= 8
 		}
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
