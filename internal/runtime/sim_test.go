@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -270,5 +271,77 @@ func TestVerifySteeringLoopWrapsFirstError(t *testing.T) {
 	}
 	if stats == nil || stats.Errors != 3 {
 		t.Errorf("stats = %+v, want 3 errors", stats)
+	}
+}
+
+// TestWalksNameMissingDevice: a deployment whose steering points at a
+// server pipeline or SmartNIC it no longer holds is broken, and every walk
+// says which device is missing: Verify, Simulate on one and two shards, and
+// the per-packet reference.
+func TestWalksNameMissingDevice(t *testing.T) {
+	nicSpec := `
+chain nic {
+  slo { tmin = 8Gbps  tmax = 100Gbps }
+  aggregate { src = 10.0.0.0/8 }
+  url0 = UrlFilter()
+  fe0  = FastEncrypt()
+  fwd0 = IPv4Fwd()
+  url0 -> fe0 -> fwd0
+}`
+	cases := []struct {
+		name string
+		// broken deploys afresh, deletes one device the placement uses, and
+		// returns the testbed, its offered rates and the error text naming it.
+		broken func() (*Testbed, []float64, string)
+	}{
+		{"pipeline", func() (*Testbed, []float64, string) {
+			_, res, tb := deploy(t, hw.NewPaperTestbed(), simpleSpec, placer.SchemeLemur)
+			if len(res.Subgroups) == 0 {
+				t.Fatal("placement uses no server")
+			}
+			srv := res.Subgroups[0].Server
+			delete(tb.D.Pipelines, srv)
+			return tb, res.ChainRates, fmt.Sprintf("no pipeline %q", srv)
+		}},
+		{"nic", func() (*Testbed, []float64, string) {
+			_, res, tb := deploy(t, hw.NewPaperTestbed(hw.WithSmartNIC()), nicSpec, placer.SchemeLemur)
+			if len(res.NICUses) == 0 {
+				t.Fatal("placement uses no SmartNIC")
+			}
+			dev := res.NICUses[0].Device
+			delete(tb.D.NICs, dev)
+			return tb, res.ChainRates, fmt.Sprintf("no NIC %q", dev)
+		}},
+	}
+	cfg := SimConfig{DurationSec: 0.002, Scale: 200}
+	runs := map[string]func(tb *Testbed, offered []float64) error{
+		"verify": func(tb *Testbed, _ []float64) error {
+			_, err := tb.Verify(3)
+			return err
+		},
+		"workers=1": func(tb *Testbed, offered []float64) error {
+			c := cfg
+			c.Workers = 1
+			_, err := tb.Simulate(offered, c)
+			return err
+		},
+		"workers=2": func(tb *Testbed, offered []float64) error {
+			c := cfg
+			c.Workers = 2
+			_, err := tb.Simulate(offered, c)
+			return err
+		},
+		"reference": func(tb *Testbed, offered []float64) error {
+			_, err := tb.simulateReference(offered, cfg)
+			return err
+		},
+	}
+	for _, tc := range cases {
+		for name, run := range runs {
+			tb, offered, want := tc.broken()
+			if err := run(tb, offered); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s/%s: err = %v, want one naming %s", tc.name, name, err, want)
+			}
+		}
 	}
 }
