@@ -44,8 +44,6 @@ type Switch struct {
 	Spec     *hw.OpenFlowSpec
 	bindings map[uint16]*Binding
 	used     int // flow rules installed
-
-	InFrames, DroppedFrames uint64
 }
 
 // NewSwitch builds an empty OpenFlow switch.
@@ -113,7 +111,6 @@ func (s *Switch) RulesUsed() int { return s.used }
 // ProcessFrame runs one VLAN-tagged frame through the pipeline. A nil frame
 // with nil error is a drop.
 func (s *Switch) ProcessFrame(frame []byte, env *nf.Env) (out []byte, rerr error) {
-	s.InFrames++
 	mFrames.Inc()
 	defer func() {
 		if out == nil {
@@ -125,18 +122,15 @@ func (s *Switch) ProcessFrame(frame []byte, env *nf.Env) (out []byte, rerr error
 		return nil, fmt.Errorf("openflow: %w", err)
 	}
 	if !p.HasVLAN {
-		s.DroppedFrames++
 		return nil, fmt.Errorf("%w: untagged frame", ErrNoBinding)
 	}
 	b, ok := s.bindings[p.VLAN.VID]
 	if !ok {
-		s.DroppedFrames++
 		return nil, fmt.Errorf("%w: vid=%d", ErrNoBinding, p.VLAN.VID)
 	}
 	for _, fn := range b.NFs {
 		fn.Process(&p, env)
 		if p.Drop {
-			s.DroppedFrames++
 			return nil, nil
 		}
 	}

@@ -84,7 +84,4 @@ func TestSwitchProcessFrameInPlaceMatches(t *testing.T) {
 			t.Fatalf("frame %d: return-path in-place output diverges", i)
 		}
 	}
-	if fast.InFrames != 40 {
-		t.Fatalf("InFrames = %d, want 40", fast.InFrames)
-	}
 }

@@ -187,15 +187,12 @@ func TestSwitchNFDrop(t *testing.T) {
 	acl, _ := nf.New("ACL", "acl0", nf.Params{"allow_dst": "192.0.2.0/24"}) // nothing matches
 	s.AddClassifierRule(ClassifierRule{SPI: 1, SI: 1})
 	s.SetEntry(1, 1, &PathEntry{Apply: []nf.NF{acl}, Out: Forward{Kind: Egress}})
-	_, fwd, err := s.ProcessFrameInPlace(ingressFrame(t, 80), &nf.Env{})
+	out, fwd, err := s.ProcessFrameInPlace(ingressFrame(t, 80), &nf.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fwd.Kind != Dropped {
-		t.Errorf("fwd = %v, want drop", fwd.Kind)
-	}
-	if s.DroppedFrames != 1 {
-		t.Errorf("DroppedFrames = %d", s.DroppedFrames)
+	if fwd.Kind != Dropped || out != nil {
+		t.Errorf("fwd = %v with a %d-byte frame, want a drop and no frame", fwd.Kind, len(out))
 	}
 }
 

@@ -3,7 +3,6 @@ package pisa
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"lemur/internal/bpf"
 	"lemur/internal/hw"
@@ -138,11 +137,6 @@ type Switch struct {
 	rules   []ClassifierRule
 	entries map[uint64]*PathEntry // keyed by pathKey(spi, si)
 
-	// Counters for tests and the runtime, incremented atomically: the ToR
-	// is the one dataplane object every simulator shard shares, so its
-	// counters must tolerate concurrent ProcessFrameInto callers.
-	InFrames, DroppedFrames uint64
-
 	// scratch is the decode buffer for ProcessFrameInPlace; that entry
 	// point is single-goroutine like the serial simulator driving it.
 	// Concurrent callers use ProcessFrameInto with their own scratch.
@@ -225,15 +219,14 @@ func (s *Switch) ProcessFrameInPlace(frame []byte, env *nf.Env) ([]byte, Forward
 // ProcessFrameInto is ProcessFrameInPlace with a caller-owned decode
 // scratch: the entry point for drivers that run one switch from several
 // goroutines (the parallel simulator gives each worker shard its own
-// scratch). Steering state is read-only during processing and the frame
-// counters are atomic, so concurrent callers only need distinct scratch
-// buffers and distinct frames.
+// scratch). Steering state is read-only during processing and the metric
+// counters are the registry's atomic ones, so concurrent callers only need
+// distinct scratch buffers and distinct frames.
 func (s *Switch) ProcessFrameInto(scratch *packet.Packet, frame []byte, env *nf.Env) ([]byte, Forward, error) {
 	return s.process(frame, env, scratch)
 }
 
 func (s *Switch) process(frame []byte, env *nf.Env, p *packet.Packet) (out []byte, fwd Forward, err error) {
-	atomic.AddUint64(&s.InFrames, 1)
 	mFrames.Inc()
 	defer func() {
 		if fwd.Kind == Dropped {
@@ -248,7 +241,6 @@ func (s *Switch) process(frame []byte, env *nf.Env, p *packet.Packet) (out []byt
 	}
 
 	if err := p.Decode(frame); err != nil {
-		atomic.AddUint64(&s.DroppedFrames, 1)
 		return nil, Forward{Kind: Dropped}, fmt.Errorf("pisa: undecodable frame: %w", err)
 	}
 
@@ -262,14 +254,12 @@ func (s *Switch) process(frame []byte, env *nf.Env, p *packet.Packet) (out []byt
 			}
 		}
 		if !matched {
-			atomic.AddUint64(&s.DroppedFrames, 1)
 			return nil, Forward{Kind: Dropped}, ErrNoPath
 		}
 	}
 
 	e := s.Entry(spi, si)
 	if e == nil {
-		atomic.AddUint64(&s.DroppedFrames, 1)
 		return nil, Forward{Kind: Dropped}, fmt.Errorf("%w: spi=%d si=%d", ErrNoPath, spi, si)
 	}
 
@@ -277,7 +267,6 @@ func (s *Switch) process(frame []byte, env *nf.Env, p *packet.Packet) (out []byt
 		for _, fn := range e.Apply {
 			fn.Process(p, env)
 			if p.Drop {
-				atomic.AddUint64(&s.DroppedFrames, 1)
 				return nil, Forward{Kind: Dropped}, nil
 			}
 		}
@@ -295,7 +284,6 @@ func (s *Switch) process(frame []byte, env *nf.Env, p *packet.Packet) (out []byt
 		outSPI, outSI = b.SPI, b.SI
 	} else if e.AdvanceSI > 0 {
 		if si < e.AdvanceSI {
-			atomic.AddUint64(&s.DroppedFrames, 1)
 			return nil, Forward{Kind: Dropped}, fmt.Errorf("pisa: SI underflow (si=%d advance=%d)", si, e.AdvanceSI)
 		}
 		outSI = si - e.AdvanceSI
@@ -305,20 +293,17 @@ func (s *Switch) process(frame []byte, env *nf.Env, p *packet.Packet) (out []byt
 	case e.Encap && !tagged:
 		enc, err := nsh.EncapInPlace(frame, outSPI, outSI)
 		if err != nil {
-			atomic.AddUint64(&s.DroppedFrames, 1)
 			return nil, Forward{Kind: Dropped}, err
 		}
 		frame = enc
 	case tagged && e.Decap:
 		dec, _, _, err := nsh.DecapInPlace(frame)
 		if err != nil {
-			atomic.AddUint64(&s.DroppedFrames, 1)
 			return nil, Forward{Kind: Dropped}, err
 		}
 		frame = dec
 	case tagged && (outSPI != spi || outSI != si):
 		if err := nsh.SetTag(frame, outSPI, outSI); err != nil {
-			atomic.AddUint64(&s.DroppedFrames, 1)
 			return nil, Forward{Kind: Dropped}, err
 		}
 	}

@@ -23,8 +23,8 @@ import (
 	"lemur/internal/hw"
 	"lemur/internal/metacompiler"
 	"lemur/internal/nf"
+	"lemur/internal/nsh"
 	"lemur/internal/obs"
-	"lemur/internal/packet"
 	"lemur/internal/pisa"
 	"lemur/internal/placer"
 	"lemur/internal/profile"
@@ -50,6 +50,12 @@ type Testbed struct {
 	// with.
 	scheds []schedSlot
 	spares []simSpares
+
+	// visit, when set, sees every switch decision a walk makes (see hop):
+	// the chain, the forward and the frame the switch handed back, nil on a
+	// drop. A parallel run calls it from every shard at once. Only tests set
+	// it (export_test.go).
+	visit func(ci int, fwd pisa.Forward, frame []byte)
 }
 
 // New builds a testbed.
@@ -99,12 +105,10 @@ func (tb *Testbed) Verify(n int) (*WalkStats, error) {
 			SetAttrInt("errors", stats.Errors).
 			End()
 	}()
-	env := &nf.Env{}
-	// One frame buffer, one decode scratch and one generator (rebuilt per
-	// chain) serve the whole walk: frames are generated into the buffer and
-	// rewritten in place hop by hop, as the simulator does.
-	var buf []byte
-	var scratch packet.Packet
+	// Verify walks on a shard of its own: one NF environment, decode scratch
+	// and buffer pool serve every frame, rewritten in place hop by hop as the
+	// simulator's are, and one generator is rebuilt per chain.
+	sh := &simShard{env: &nf.Env{}}
 	var gen *trafficgen.Generator
 	var first error
 	for ci, g := range tb.D.Input.Chains {
@@ -122,14 +126,12 @@ func (tb *Testbed) Verify(n int) (*WalkStats, error) {
 			return nil, err
 		}
 		for i := 0; i < n; i++ {
-			env.NowSec = float64(i) * 1e-5
-			frame := gen.NextInto(buf, env.NowSec)
+			sh.env.NowSec = float64(i) * 1e-5
+			frame := gen.NextInto(sh.getBuf(), sh.env.NowSec)
 			stats.Injected++
 			stats.ByChain[ci].Injected++
-			frame, hops, outcome, err := tb.walk(frame, &scratch, env)
-			if cap(frame) > 0 {
-				buf = frame // may have outgrown the buffer it was generated into
-			}
+			last, end, _, hops, err := tb.hop(nil, sh, ci, nil, frame)
+			sh.putBuf(last)
 			if hops > stats.MaxHops {
 				stats.MaxHops = hops
 			}
@@ -139,7 +141,7 @@ func (tb *Testbed) Verify(n int) (*WalkStats, error) {
 					first = fmt.Errorf("chain %s frame %d: %w", g.Chain.Name, i, err)
 				}
 				stats.Errors++
-			case outcome == pisa.Egress:
+			case end == hopEgress:
 				stats.Egressed++
 				stats.ByChain[ci].Egressed++
 			default:
@@ -154,54 +156,109 @@ func (tb *Testbed) Verify(n int) (*WalkStats, error) {
 	return stats, nil
 }
 
-// walk pushes one frame through the deployment until egress or drop,
-// rewriting it in place, and hands back the frame's final buffer (nil when an
-// NF dropped it) for reuse. scratch is the switch's decode buffer.
-func (tb *Testbed) walk(frame []byte, scratch *packet.Packet, env *nf.Env) (last []byte, hops int, outcome pisa.PortKind, err error) {
-	for hops = 0; hops < maxWalkHops; hops++ {
-		out, fwd, perr := tb.D.Switch.ProcessFrameInto(scratch, frame, env)
-		if perr != nil {
-			return frame, hops, pisa.Dropped, perr
+// A hop ends in one of these, or in an error.
+type hopEnd uint8
+
+const (
+	hopEgress    hopEnd = iota // the switch sent the frame out of the rack
+	hopDrop                    // the switch or a device's NF dropped it
+	hopBlackhole               // steered at a crashed device before the rewire landed (simulator only)
+	hopPark                    // out of credit at its subgroup entry this step (simulator only)
+)
+
+// hop walks a frame from the ToR switch through the devices it steers to,
+// until the frame's next decision: egress, a drop, or, in the simulator, a
+// blackhole or a park. Verify calls it with eng nil; the simulator passes
+// its engine, which adds the steps only a run has: crashed devices,
+// subgroup credits and the shard-ownership asserts. at, when not nil, is
+// the pipeline a parked frame resumes on: its subgroup runs first, its
+// credit already charged.
+//
+// Every hop runs in place on sh's buffers (simShard.adopt). hop hands back
+// the frame's buffer, the one a dropping hop was given, for the caller to
+// recycle or queue; idx is the entry a parked frame waits on, and hops
+// counts the switch→device round trips completed. A frame still in flight
+// after maxWalkHops switch passes is errHopBudget.
+func (tb *Testbed) hop(eng *simEngine, sh *simShard, ci int, at *bess.Pipeline, frame []byte) (last []byte, end hopEnd, idx int32, hops int, err error) {
+	if at != nil {
+		next, err := at.ProcessFrameInPlace(frame, sh.env)
+		if err != nil || next == nil {
+			return frame, hopDrop, -1, 0, err
 		}
-		frame = out
+		frame = sh.adopt(frame, next)
+	}
+	for ; hops < maxWalkHops; hops++ {
+		out, fwd, err := tb.D.Switch.ProcessFrameInto(&sh.scratch, frame, sh.env)
+		if err != nil {
+			return frame, hopDrop, -1, hops, err
+		}
+		if tb.visit != nil {
+			tb.visit(ci, fwd, out)
+		}
+		if fwd.Kind == pisa.Dropped {
+			return frame, hopDrop, -1, hops, nil
+		}
+		frame = sh.adopt(frame, out)
+		var next []byte
 		switch fwd.Kind {
 		case pisa.Egress:
-			return frame, hops, pisa.Egress, nil
-		case pisa.Dropped:
-			return frame, hops, pisa.Dropped, nil
+			return frame, hopEgress, -1, hops, nil
 		case pisa.Continue:
 			continue
 		case pisa.ToServer:
+			if eng != nil && eng.rc.dead[fwd.Target] {
+				return frame, hopBlackhole, -1, hops, nil
+			}
 			pl := tb.D.Pipelines[fwd.Target]
 			if pl == nil {
-				return frame, hops, pisa.Dropped, fmt.Errorf("runtime: no pipeline %q", fwd.Target)
+				return frame, hopDrop, -1, hops, fmt.Errorf("runtime: no pipeline %q", fwd.Target)
 			}
-			next, perr := pl.ProcessFrameInPlace(frame, env)
-			if perr != nil {
-				return frame, hops, pisa.Dropped, perr
+			if eng != nil {
+				spi, si, err := nsh.Tag(frame)
+				if err != nil {
+					return frame, hopDrop, -1, hops, err
+				}
+				if idx = eng.ix.lookup(pl, spi, si); idx < 0 {
+					return frame, hopDrop, -1, hops, fmt.Errorf("runtime: no subgroup for spi=%d si=%d", spi, si)
+				}
+				if ow := eng.part.ownerOfEntry[idx]; ow != int32(sh.id) {
+					return frame, hopDrop, -1, hops, fmt.Errorf("runtime: shard %d touched subgroup entry %d owned by shard %d (partition bug)",
+						sh.id, idx, ow)
+				}
+				c := eng.cost[idx]
+				if c == 0 {
+					c = eng.ix.entries[idx].sub.CyclesPerPkt
+				}
+				if eng.credit[idx] < c {
+					return frame, hopPark, idx, hops, nil
+				}
+				eng.credit[idx] -= c
 			}
-			if next == nil {
-				return frame, hops, pisa.Dropped, nil // NF drop on the server
-			}
-			frame = next
+			next, err = pl.ProcessFrameInPlace(frame, sh.env)
 		case pisa.ToNIC:
+			if eng != nil && eng.rc.dead[fwd.Target] {
+				return frame, hopBlackhole, -1, hops, nil
+			}
 			nic := tb.D.NICs[fwd.Target]
 			if nic == nil {
-				return frame, hops, pisa.Dropped, fmt.Errorf("runtime: no NIC %q", fwd.Target)
+				return frame, hopDrop, -1, hops, fmt.Errorf("runtime: no NIC %q", fwd.Target)
 			}
-			next, perr := nic.ProcessFrameInPlace(frame, env)
-			if perr != nil {
-				return frame, hops, pisa.Dropped, perr
+			if eng != nil {
+				if ow, ok := eng.part.nicOwner[fwd.Target]; !ok || ow != int32(sh.id) {
+					return frame, hopDrop, -1, hops, fmt.Errorf("runtime: shard %d processed NIC %q owned by shard %d (partition bug)",
+						sh.id, fwd.Target, ow)
+				}
 			}
-			if next == nil {
-				return frame, hops, pisa.Dropped, nil
-			}
-			frame = next
+			next, err = nic.ProcessFrameInPlace(frame, sh.env)
 		default:
-			return frame, hops, pisa.Dropped, fmt.Errorf("runtime: unsupported forward %v", fwd.Kind)
+			return frame, hopDrop, -1, hops, fmt.Errorf("runtime: unsupported forward %v", fwd.Kind)
 		}
+		if err != nil || next == nil {
+			return frame, hopDrop, -1, hops, err
+		}
+		frame = sh.adopt(frame, next)
 	}
-	return frame, hops, pisa.Dropped, errHopBudget
+	return frame, hopDrop, -1, hops, errHopBudget
 }
 
 // Measurement is the testbed's measured counterpart of a placement's

@@ -12,7 +12,7 @@ import (
 // and the SmartNICs on their paths). Inside a component, packets hop
 // between devices exactly as a one-shard run walks them; across components
 // nothing is shared but the ToR switch, whose steering state is read-only
-// during an epoch and whose frame counters are atomic.
+// during an epoch.
 // Restricting the serial per-step schedule to one shard's components —
 // primaries in ascending index order, chains in ascending slot order — is
 // therefore exactly the serial execution on disjoint state, which is what

@@ -11,10 +11,8 @@ import (
 	"lemur/internal/metacompiler"
 	"lemur/internal/nf"
 	"lemur/internal/nfgraph"
-	"lemur/internal/nsh"
 	"lemur/internal/obs"
 	"lemur/internal/packet"
-	"lemur/internal/pisa"
 )
 
 // simShard is one worker's private slice of a simulation run: its own NF
@@ -289,125 +287,32 @@ func (eng *simEngine) die(sh *simShard, p *simPacket, frame []byte) {
 	sh.putPkt(p)
 }
 
-// advance walks a packet from the switch until it egresses, drops, or
-// parks in a subgroup queue; a walk past maxWalkHops is errHopBudget. All hops run in place over the packet's
-// pooled buffer (see simShard.adopt). Every subgroup and NIC the walk
-// touches must belong to the executing shard — the partition guarantees it,
-// and the ownership assertions fail loudly if a steering update ever breaks
-// that.
-func (eng *simEngine) advance(sh *simShard, p *simPacket, now float64) (parked bool, err error) {
-	cfg := eng.cfg
-	frame := p.frame
-	for hop := 0; hop < maxWalkHops; hop++ {
-		out, fwd, perr := eng.tb.D.Switch.ProcessFrameInto(&sh.scratch, frame, sh.env)
-		if perr != nil {
-			return false, perr
+// advance walks a packet to its next decision (see Testbed.hop) — from the
+// switch, or from the subgroup of pipeline at it was parked on — and books
+// the outcome. A park with its subgroup's queue full is a drop, and so is a
+// blackhole, which the reconfiguration report counts too.
+func (eng *simEngine) advance(sh *simShard, p *simPacket, at *bess.Pipeline, now float64) error {
+	frame, end, idx, _, err := eng.tb.hop(eng, sh, p.chain, at, p.frame)
+	if err != nil {
+		return err
+	}
+	switch end {
+	case hopEgress:
+		eng.egress(sh, p, frame)
+	case hopPark:
+		if r := &eng.rings[idx]; r.n < eng.cfg.QueueCap {
+			p.frame, p.enqueuedSec = frame, now
+			r.push(p, eng.cfg.QueueCap)
+			return nil
 		}
-		switch fwd.Kind {
-		case pisa.Egress:
-			eng.egress(sh, p, out)
-			return false, nil
-		case pisa.Dropped:
-			eng.die(sh, p, frame)
-			return false, nil
-		case pisa.Continue:
-			frame = sh.adopt(frame, out)
-			continue
-		case pisa.ToServer:
-			if eng.rc.dead[fwd.Target] {
-				// Blackhole: steered into a crashed server before the
-				// reconfigured rules landed.
-				eng.rc.chains[p.chain].drops++
-				eng.die(sh, p, frame)
-				return false, nil
-			}
-			pl := eng.tb.D.Pipelines[fwd.Target]
-			if pl == nil {
-				return false, fmt.Errorf("runtime: no pipeline %q", fwd.Target)
-			}
-			frame = sh.adopt(frame, out)
-			spi, si, terr := nsh.Tag(frame)
-			if terr != nil {
-				return false, terr
-			}
-			idx := eng.ix.lookup(pl, spi, si)
-			if idx < 0 {
-				return false, fmt.Errorf("runtime: no subgroup for spi=%d si=%d", spi, si)
-			}
-			if eng.part.ownerOfEntry[idx] != int32(sh.id) {
-				return false, fmt.Errorf("runtime: shard %d touched subgroup entry %d owned by shard %d (partition bug)",
-					sh.id, idx, eng.part.ownerOfEntry[idx])
-			}
-			c := eng.cost[idx]
-			if c == 0 {
-				c = eng.ix.entries[idx].sub.CyclesPerPkt
-			}
-			if eng.credit[idx] < c {
-				// Out of budget this step: park the packet.
-				r := &eng.rings[idx]
-				if r.n >= cfg.QueueCap {
-					eng.die(sh, p, frame)
-					return false, nil
-				}
-				p.frame = frame
-				p.enqueuedSec = now
-				r.push(p, cfg.QueueCap)
-				return true, nil
-			}
-			eng.credit[idx] -= c
-			next, perr := pl.ProcessFrameInPlace(frame, sh.env)
-			if perr != nil {
-				return false, perr
-			}
-			if next == nil {
-				eng.die(sh, p, frame)
-				return false, nil
-			}
-			frame = sh.adopt(frame, next)
-		case pisa.ToNIC:
-			if eng.rc.dead[fwd.Target] {
-				eng.rc.chains[p.chain].drops++
-				eng.die(sh, p, frame)
-				return false, nil
-			}
-			nic := eng.tb.D.NICs[fwd.Target]
-			if nic == nil {
-				return false, fmt.Errorf("runtime: no NIC %q", fwd.Target)
-			}
-			if ow, ok := eng.part.nicOwner[fwd.Target]; !ok || ow != int32(sh.id) {
-				return false, fmt.Errorf("runtime: shard %d processed NIC %q owned by shard %d (partition bug)",
-					sh.id, fwd.Target, ow)
-			}
-			frame = sh.adopt(frame, out)
-			next, perr := nic.ProcessFrameInPlace(frame, sh.env)
-			if perr != nil {
-				return false, perr
-			}
-			if next == nil {
-				eng.die(sh, p, frame)
-				return false, nil
-			}
-			frame = sh.adopt(frame, next)
-		default:
-			return false, fmt.Errorf("runtime: unsupported forward %v", fwd.Kind)
-		}
+		eng.die(sh, p, frame)
+	case hopBlackhole:
+		eng.rc.chains[p.chain].drops++
+		eng.die(sh, p, frame)
+	default:
+		eng.die(sh, p, frame)
 	}
-	return false, errHopBudget
-}
-
-// resume continues a parked packet from its subgroup.
-func (eng *simEngine) resume(sh *simShard, p *simPacket, pl *bess.Pipeline, now float64) (bool, error) {
-	old := p.frame
-	next, perr := pl.ProcessFrameInPlace(old, sh.env)
-	if perr != nil {
-		return false, perr
-	}
-	if next == nil {
-		eng.die(sh, p, old)
-		return false, nil
-	}
-	p.frame = sh.adopt(old, next)
-	return eng.advance(sh, p, now)
+	return nil
 }
 
 // stepShard runs one simulated step restricted to the shard's owned
@@ -457,7 +362,7 @@ func (eng *simEngine) stepShard(sh *simShard, now float64) error {
 			}
 			eng.qDelayH[pi].Observe(p.queuedSec)
 			served++
-			if _, err := eng.resume(sh, p, pl, now); err != nil {
+			if err := eng.advance(sh, p, pl, now); err != nil {
 				return err
 			}
 		}
@@ -477,7 +382,7 @@ func (eng *simEngine) stepShard(sh *simShard, now float64) error {
 			eng.injC[ci].Inc()
 			p := sh.getPkt()
 			p.chain, p.frame, p.bornSec, p.queuedSec = int(ci), frame, now, 0
-			if _, err := eng.advance(sh, p, now); err != nil {
+			if err := eng.advance(sh, p, nil, now); err != nil {
 				return err
 			}
 		}

@@ -32,9 +32,6 @@ type NIC struct {
 	Spec    *hw.SmartNICSpec
 	entries map[uint64]*PathProgram
 
-	// Counters.
-	InFrames, DroppedFrames uint64
-
 	// scratch is the decode buffer for ProcessFrameInPlace; a NIC is a
 	// single-goroutine object like the per-deployment simulator driving it.
 	scratch packet.Packet
@@ -103,7 +100,6 @@ func (n *NIC) UnloadSPIRange(lo, hi uint32) int {
 // (bess.Pipeline.ProcessFrameInPlace): same base pointer out as in, at
 // whatever length the NFs left the frame.
 func (n *NIC) ProcessFrameInPlace(frame []byte, env *nf.Env) (out []byte, rerr error) {
-	n.InFrames++
 	mFrames.Inc()
 	defer func() {
 		if out == nil {
@@ -123,7 +119,6 @@ func (n *NIC) ProcessFrameInPlace(frame []byte, env *nf.Env) (out []byte, rerr e
 		return nil, err
 	}
 	if action == XDPDrop {
-		n.DroppedFrames++
 		return nil, nil
 	}
 	p := &n.scratch
@@ -133,7 +128,6 @@ func (n *NIC) ProcessFrameInPlace(frame []byte, env *nf.Env) (out []byte, rerr e
 	for _, fn := range pp.NFs {
 		fn.Process(p, env)
 		if p.Drop {
-			n.DroppedFrames++
 			return nil, nil
 		}
 	}
