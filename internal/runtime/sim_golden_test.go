@@ -2,17 +2,23 @@ package runtime
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"hash"
+	"hash/fnv"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 
 	"lemur/internal/chaos"
 	"lemur/internal/hw"
 	"lemur/internal/nfgraph"
 	"lemur/internal/obs"
+	"lemur/internal/packet"
 	"lemur/internal/pisa"
 	"lemur/internal/placer"
 )
@@ -144,9 +150,10 @@ func dropIdleSeries(t *testing.T, snap []byte) []byte {
 	return out
 }
 
-// TestSimulateGolden pins SimResult and the wall-clock-scrubbed metrics
-// snapshot (idle series dropped) of the matrix above to testdata/sim.golden, at Workers 1, 2, 4
-// and 8. The file holds one record per case — the contract is that the
+// TestSimulateGolden pins SimResult, the wall-clock-scrubbed metrics
+// snapshot (idle series dropped) and the per-chain egress digest
+// (egressDigest) of the matrix above to testdata/sim.golden, at Workers 1,
+// 2, 4 and 8. The file holds one record per case — the contract is that the
 // worker count never shows in the output — and was generated on the commit
 // before the three drivers became one run loop, so it spans that rewrite
 // where the serial-vs-parallel identity tests (both sides the same loop
@@ -170,11 +177,16 @@ func TestSimulateGolden(t *testing.T) {
 			tb, offered, cfg := gc.build(t)
 			cfg.Workers = w
 			reg.Reset()
+			dig := &egressDigest{}
+			tb.onVisit(dig.visit)
 			sim, err := tb.Simulate(offered, cfg)
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", gc.name, w, err)
 			}
-			rec := goldenRecord(t, reg, gc.name, sim)
+			if dig.err != nil {
+				t.Fatalf("%s workers=%d: %v", gc.name, w, dig.err)
+			}
+			rec := goldenRecord(t, reg, gc.name, sim) + dig.String()
 			if first == nil {
 				first = []byte(rec)
 				got.Write(first)
@@ -225,6 +237,63 @@ func TestSimulateIgnoresArtifacts(t *testing.T) {
 	if ran != 2 {
 		t.Fatalf("ran %d of the two golden cases", ran)
 	}
+}
+
+// egressDigest folds, per chain and in egress order, each egressed frame's
+// five-tuple and length into an FNV-64a hash, through the testbed's visit
+// hook. It reads headers only: the payload bytes of a payload-blind chain
+// are unspecified. It shows which flow each packet picked where the counts
+// in the rest of a golden record cannot. Shards that own different chains
+// call it at once; each chain's frames come from one shard.
+type egressDigest struct {
+	mu     sync.Mutex
+	p      packet.Packet
+	chains []hash.Hash64 // by chain slot; nil for a chain that egressed nothing
+	err    error
+}
+
+func (d *egressDigest) visit(ci int, fwd pisa.Forward, frame []byte) {
+	if fwd.Kind != pisa.Egress {
+		return
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if err := d.p.Decode(frame); err != nil {
+		d.err = fmt.Errorf("chain %d egressed an undecodable frame: %w", ci, err)
+		return
+	}
+	tu, err := d.p.Tuple()
+	if err != nil {
+		d.err = fmt.Errorf("chain %d egressed a frame without a five-tuple: %w", ci, err)
+		return
+	}
+	var b [17]byte
+	copy(b[0:4], tu.Src[:])
+	copy(b[4:8], tu.Dst[:])
+	binary.BigEndian.PutUint16(b[8:], tu.SrcPort)
+	binary.BigEndian.PutUint16(b[10:], tu.DstPort)
+	b[12] = tu.Proto
+	binary.BigEndian.PutUint32(b[13:], uint32(len(frame)))
+	for len(d.chains) <= ci {
+		d.chains = append(d.chains, nil)
+	}
+	if d.chains[ci] == nil {
+		d.chains[ci] = fnv.New64a()
+	}
+	d.chains[ci].Write(b[:])
+}
+
+// String renders the digests as one golden line, chains in slot order.
+func (d *egressDigest) String() string {
+	var b strings.Builder
+	b.WriteString("egress fnv64a")
+	for ci, h := range d.chains {
+		if h != nil {
+			fmt.Fprintf(&b, " %d=%016x", ci, h.Sum64())
+		}
+	}
+	b.WriteString("\n")
+	return b.String()
 }
 
 // goldenRecord renders one run as a golden record: the SimResult and the
