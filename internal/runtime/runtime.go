@@ -199,6 +199,9 @@ func (tb *Testbed) hop(eng *simEngine, sh *simShard, ci int, at *bess.Pipeline, 
 			return frame, hopDrop, -1, hops, nil
 		}
 		frame = sh.adopt(frame, out)
+		if eng != nil && eng.rc.dead[fwd.Target] {
+			return frame, hopBlackhole, -1, hops, nil
+		}
 		var next []byte
 		switch fwd.Kind {
 		case pisa.Egress:
@@ -206,9 +209,6 @@ func (tb *Testbed) hop(eng *simEngine, sh *simShard, ci int, at *bess.Pipeline, 
 		case pisa.Continue:
 			continue
 		case pisa.ToServer:
-			if eng != nil && eng.rc.dead[fwd.Target] {
-				return frame, hopBlackhole, -1, hops, nil
-			}
 			pl := tb.D.Pipelines[fwd.Target]
 			if pl == nil {
 				return frame, hopDrop, -1, hops, fmt.Errorf("runtime: no pipeline %q", fwd.Target)
@@ -236,9 +236,6 @@ func (tb *Testbed) hop(eng *simEngine, sh *simShard, ci int, at *bess.Pipeline, 
 			}
 			next, err = pl.ProcessFrameInPlace(frame, sh.env)
 		case pisa.ToNIC:
-			if eng != nil && eng.rc.dead[fwd.Target] {
-				return frame, hopBlackhole, -1, hops, nil
-			}
 			nic := tb.D.NICs[fwd.Target]
 			if nic == nil {
 				return frame, hopDrop, -1, hops, fmt.Errorf("runtime: no NIC %q", fwd.Target)
