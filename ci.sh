@@ -109,13 +109,15 @@ if go run ./cmd/lemur-bench -paper nosuch 2>/dev/null; then
   exit 1
 fi
 
-# Deletion guards. The evaluation harness lost its process-global defaults
-# and the NF package its table-backend switch; neither may come back outside
-# a test file, and the map-backed reference tables (nf.*Ref, test-only since
-# they moved to reference_test.go) must not be linked into any command.
+# Deletion guards. The evaluation harness lost its process-global defaults,
+# the NF package its table-backend switch and the devices their frame
+# counters (InFrames/DroppedFrames, which nothing but tests read); none may
+# come back outside a test file, and the map-backed reference tables (nf.*Ref,
+# test-only since they moved to reference_test.go) must not be linked into
+# any command.
 echo "==> deleted-globals guard"
-if grep -rn 'DefaultParallel\|DefaultVerifyPackets\|nf\.Impl\|TableReference' --include='*.go' internal cmd *.go | grep -v '_test\.go:'; then
-  echo "ci: a deleted process-global switch is back in non-test code" >&2
+if grep -rn 'DefaultParallel\|DefaultVerifyPackets\|nf\.Impl\|TableReference\|InFrames\|DroppedFrames' --include='*.go' internal cmd *.go | grep -v '_test\.go:'; then
+  echo "ci: a deleted process-global switch or device frame counter is back in non-test code" >&2
   exit 1
 fi
 echo "==> NF-table oracle stays out of the binaries (go tool nm)"
@@ -138,7 +140,9 @@ done
 # site — finish — and stageCheck two (finish and evictUntilFits' probe). The
 # switch-pipeline latency and the hop predicate are declared once, in
 # internal/placer, for the placer, the runtime and the metacompiler. The
-# simulator records into the default registry only.
+# simulator records into the default registry only. Verify and the simulator
+# walk a frame through one hop function (Testbed.hop), the one place the
+# runtime switches over the switch's forward to a device.
 echo "==> one-exit, one-path-model and one-registry guards"
 if grep -rn --include='*.go' -e 'ev\.check(' -e ') check(' internal/placer | grep -v '_test\.go:'; then
   echo "ci: the caller-chosen check list (evalScratch.check) is back in internal/placer" >&2
@@ -153,6 +157,7 @@ one_definition 'switch-pipeline latency constant' 1 'pipeline[a-z]* *= *1e-6' \
 one_definition 'spelled-out hop predicate' 1 'platform != prev' \
   internal/placer internal/runtime internal/metacompiler
 one_definition 'simulator handles on the default registry' 1 'obs\.H\("lemur_sim_queue_depth"' internal/runtime
+one_definition 'device switch in the runtime' 1 'case pisa\.ToNIC' internal/runtime
 if [ -e internal/obs/merge.go ] || grep -rn --include='*.go' -e 'regForOwner' -e 'sh\.reg\b' internal; then
   echo "ci: the simulator's private-registry path (obs merge, regForOwner, simShard.reg) is back" >&2
   exit 1
@@ -355,9 +360,11 @@ run_guard 'TestMillionFlowAllocBudget' -count=1 ./internal/runtime
 # sharded path holds its own allocs-per-packet budget (< 0.25 at workers=4
 # on a multi-shard deployment, < 0.13 at workers=2 under a fault plan, where
 # allocations must also not grow with the step count). A steering loop is an
-# error on one shard, on two and in the reference, as in Verify.
+# error on one shard, on two and in the reference, as in Verify, and so is
+# steering at a server pipeline or SmartNIC the deployment does not hold,
+# named in each walk's error.
 echo "==> sharded simulation byte-identity, golden matrix, epoch contract (race, workers up to 8)"
-run_guard 'TestSimulateParallelMatchesReference|TestSimulateParallelFailoverByteIdentity|TestSimulateParallelChurnByteIdentity|TestSimulateWorkersValidation|TestBuildSimPartitionInvariants|TestSimulateGolden|TestFlowScaleGolden|TestWarmScheduleInvalidates|TestSimulateEpochContract|TestSimulateStepCount|TestSimulateSteeringLoopIsError' \
+run_guard 'TestSimulateParallelMatchesReference|TestSimulateParallelFailoverByteIdentity|TestSimulateParallelChurnByteIdentity|TestSimulateWorkersValidation|TestBuildSimPartitionInvariants|TestSimulateGolden|TestFlowScaleGolden|TestWarmScheduleInvalidates|TestSimulateEpochContract|TestSimulateStepCount|TestSimulateSteeringLoopIsError|TestWalksNameMissingDevice' \
   -race -count=1 ./internal/runtime
 
 echo "==> sharded simulation allocation guard"

@@ -155,7 +155,8 @@ func dropIdleSeries(t *testing.T, snap []byte) []byte {
 // (egressDigest) of the matrix above to testdata/sim.golden, at Workers 1,
 // 2, 4 and 8. The file holds one record per case — the contract is that the
 // worker count never shows in the output — and was generated on the commit
-// before the three drivers became one run loop, so it spans that rewrite
+// before the three drivers became one run loop (the digest lines were added
+// later, with nothing else moving), so it spans that rewrite
 // where the serial-vs-parallel identity tests (both sides the same loop
 // now) no longer can. `go test ./internal/runtime -run TestSimulateGolden
 // -update` regenerates it; read the diff before committing one.
