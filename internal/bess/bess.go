@@ -124,9 +124,6 @@ type Subgroup struct {
 	CrossSocket bool
 
 	Shares []CoreShare
-
-	// Processed counts packets run through the subgroup.
-	Processed uint64
 }
 
 var (
@@ -291,12 +288,10 @@ func (pl *Pipeline) ProcessFrameInPlace(frame []byte, env *nf.Env) (out []byte, 
 	for _, fn := range sg.NFs {
 		fn.Process(p, env)
 		if p.Drop {
-			sg.Processed++
 			return nil, nil
 		}
 	}
 	p.SyncHeaders()
-	sg.Processed++
 
 	outSPI, outSI := spi, si-sg.AdvanceSI
 	if si < sg.AdvanceSI {

@@ -59,9 +59,6 @@ func TestPipelineProcessFrame(t *testing.T) {
 	if err != nil || spi != 1 || si != 8 {
 		t.Fatalf("out tag = %d/%d, %v (want 1/8)", spi, si, err)
 	}
-	if sg.Processed != 1 {
-		t.Errorf("Processed = %d", sg.Processed)
-	}
 	mon := sg.NFs[0].(*nf.Monitor)
 	if mon.NumFlows() != 1 {
 		t.Errorf("monitor saw %d flows, want 1", mon.NumFlows())

@@ -13,9 +13,6 @@ type Limiter struct {
 	tokens    float64
 	lastSec   float64
 	primed    bool
-
-	// Dropped counts rate-exceeded packets, for tests and the runtime.
-	Dropped uint64
 }
 
 // NewLimiter builds the token bucket. Params: "rate_mbps" (default 10000)
@@ -52,7 +49,6 @@ func (l *Limiter) Process(p *packet.Packet, env *Env) {
 	need := float64(len(p.Data) * 8)
 	if l.tokens < need {
 		p.Drop = true
-		l.Dropped++
 		return
 	}
 	l.tokens -= need

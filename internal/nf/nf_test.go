@@ -445,7 +445,6 @@ func TestIPv4FwdShorterRouteAddedLater(t *testing.T) {
 
 func TestLimiterTokenBucket(t *testing.T) {
 	l, _ := NewLimiter("l0", Params{"rate_mbps": 1.0, "burst_kbits": 24.0})
-	lm := l.(*Limiter)
 	mk := func() *packet.Packet {
 		return udp(packet.IPv4Addr{1, 1, 1, 1}, packet.IPv4Addr{2, 2, 2, 2}, 1, 2, make([]byte, 1000-packet.EthernetLen-packet.IPv4Len-packet.UDPLen))
 	}
@@ -461,9 +460,6 @@ func TestLimiterTokenBucket(t *testing.T) {
 	}
 	if passed != 3 {
 		t.Errorf("burst passed %d packets, want 3", passed)
-	}
-	if lm.Dropped != 2 {
-		t.Errorf("Dropped = %d, want 2", lm.Dropped)
 	}
 	// After 8 ms at 1 Mbps, 8000 bits refill: one more packet.
 	e.NowSec = 0.008
@@ -481,7 +477,6 @@ func TestLimiterTokenBucket(t *testing.T) {
 
 func TestUrlFilter(t *testing.T) {
 	u, _ := NewUrlFilter("u0", Params{"block": []string{"evil.test"}})
-	uf := u.(*UrlFilter)
 	mk := func(payload string) *packet.Packet {
 		return packet.Builder{
 			Src: packet.IPv4Addr{1, 1, 1, 1}, Dst: packet.IPv4Addr{2, 2, 2, 2},
@@ -503,9 +498,6 @@ func TestUrlFilter(t *testing.T) {
 	u.Process(nonHTTP, env())
 	if nonHTTP.Drop {
 		t.Error("non-HTTP traffic should pass even containing the blocked string")
-	}
-	if uf.Filtered != 1 {
-		t.Errorf("Filtered = %d, want 1", uf.Filtered)
 	}
 }
 

@@ -11,9 +11,6 @@ import (
 type UrlFilter struct {
 	base
 	blocked [][]byte
-
-	// Filtered counts dropped requests.
-	Filtered uint64
 }
 
 // NewUrlFilter builds the filter. Param "block" is the blocklist (list of
@@ -59,7 +56,6 @@ func (u *UrlFilter) Process(p *packet.Packet, _ *Env) {
 	for _, b := range u.blocked {
 		if bytes.Contains(head, b) {
 			p.Drop = true
-			u.Filtered++
 			return
 		}
 	}

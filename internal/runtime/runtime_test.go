@@ -10,6 +10,7 @@ import (
 	"lemur/internal/nf"
 	"lemur/internal/nfgraph"
 	"lemur/internal/nfspec"
+	"lemur/internal/nsh"
 	"lemur/internal/pisa"
 	"lemur/internal/placer"
 	"lemur/internal/profile"
@@ -91,6 +92,26 @@ chain split {
   dec0 -> fwd0
 }`
 	_, _, tb := deploy(t, hw.NewPaperTestbed(), src, placer.SchemeLemur)
+	// Both branches must actually carry traffic: the server pipeline hosts
+	// enc0 and dec0 in separate subgroups, so the switch steers frames to
+	// at least two (server, SPI, SI) entries.
+	type entry struct {
+		server string
+		spi    uint32
+		si     uint8
+	}
+	used := map[entry]bool{}
+	tb.onVisit(func(_ int, fwd pisa.Forward, frame []byte) {
+		if fwd.Kind != pisa.ToServer {
+			return
+		}
+		spi, si, err := nsh.Tag(frame)
+		if err != nil {
+			t.Errorf("frame steered to %s carries no NSH tag: %v", fwd.Target, err)
+			return
+		}
+		used[entry{fwd.Target, spi, si}] = true
+	})
 	stats, err := tb.Verify(300)
 	if err != nil {
 		t.Fatalf("verify: %v", err)
@@ -98,18 +119,8 @@ chain split {
 	if stats.Egressed != 300 {
 		t.Errorf("egressed %d/300 (dropped %d)", stats.Egressed, stats.Dropped)
 	}
-	// Both branches must actually carry traffic: the server pipeline hosts
-	// enc0 and dec0 in separate subgroups.
-	var used int
-	for _, pl := range tb.D.Pipelines {
-		for _, sg := range pl.Subgroups() {
-			if sg.Processed > 0 {
-				used++
-			}
-		}
-	}
-	if used < 2 {
-		t.Errorf("only %d subgroups saw traffic; weighted split broken", used)
+	if len(used) < 2 {
+		t.Errorf("only %d subgroup entries saw traffic; weighted split broken", len(used))
 	}
 }
 
