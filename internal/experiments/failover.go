@@ -34,22 +34,18 @@ func failoverCells(servers []string, cfg runtime.SimConfig) []simCell {
 
 // compliantChains counts the chains of in that met their SLO in sim: after a
 // failover, the simulator's post-failover verdict; in a fault-free run,
-// achieving 90 % of the smaller of t_min and the offered rate. Crashes that
+// runtime.MeetsRateSLO on the whole run's rate. Crashes that
 // leave no feasible re-placement still make a valid run — the severed
 // chains count as non-compliant.
 func compliantChains(in *placer.Input, sim *runtime.SimResult) int {
 	n := 0
 	for ci := range in.Chains {
-		want := sim.OfferedBps[ci]
-		if tmin := in.Chains[ci].Chain.SLO.TMinBps; tmin > 0 && tmin < want {
-			want = tmin
-		}
 		switch {
 		case sim.Failover != nil:
 			if sim.Failover.PostSLOCompliant[ci] {
 				n++
 			}
-		case sim.AchievedBps[ci] >= want*0.9:
+		case runtime.MeetsRateSLO(sim.AchievedBps[ci], sim.OfferedBps[ci], in.Chains[ci].Chain.SLO.TMinBps):
 			n++
 		}
 	}

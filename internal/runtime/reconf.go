@@ -180,13 +180,37 @@ func (rc *reconfCtx) noteFirstEgress(now float64, egressed []int) {
 	}
 }
 
+// rateSLOShare is the share of its wanted rate a simulated chain must
+// achieve for the rate half of its SLO to hold. It is a margin for
+// discretization, not a derived bound: an achieved rate counts whole
+// frames, each standing for SimConfig.Scale of them, that egressed inside a
+// finite window served in StepSec quanta, so the frames still queued or in
+// flight at the window's edges make a chain served at exactly its wanted
+// rate read somewhat below it.
+const rateSLOShare = 0.9
+
+// MeetsRateSLO reports whether a chain that achieved achievedBps met the
+// rate half of its SLO (its t_min, tminBps; 0 means none) when it was
+// offered offeredBps: it must reach rateSLOShare of the smaller of the two,
+// since a chain offered less than its t_min cannot carry more than it is
+// offered. Deterministic. It is the simulator's post-window verdict
+// (FailoverReport.PostSLOCompliant, ChurnReport.PostSLOCompliant) and the
+// evaluation's fault-free one.
+func MeetsRateSLO(achievedBps, offeredBps, tminBps float64) bool {
+	want := offeredBps
+	if tminBps > 0 && tminBps < want {
+		want = tminBps
+	}
+	return achievedBps >= want*rateSLOShare
+}
+
 // finalize closes whichever report the run carries. Chains still down
 // accrue downtime to the end of the run. The post window runs from the last
 // reconfiguration effect (rewire or churn landing, degrade/overload onset)
-// to the end; each chain's achieved rate over it is compared against
-// min(t_min, offered) with a 10% tolerance for discretization, and retired
-// chains demand nothing and pass trivially. eng.offered is by now the final
-// per-slot vector: admitted chains appended, retired chains zeroed.
+// to the end; each chain's achieved rate over it is judged by MeetsRateSLO,
+// and retired chains demand nothing and pass trivially. eng.offered is by
+// now the final per-slot vector: admitted chains appended, retired chains
+// zeroed.
 func (rc *reconfCtx) finalize(eng *simEngine) {
 	if rc.static() {
 		return
@@ -208,11 +232,8 @@ func (rc *reconfCtx) finalize(eng *simEngine) {
 			continue
 		}
 		postBps[ci] = float64(res.Egressed[ci]-c.egressAtPost) * eng.frameBits * cfg.Scale / window
-		want := eng.offered[ci]
-		if tmin := tb.D.Input.Chains[ci].Chain.SLO.TMinBps; tmin > 0 && tmin < want {
-			want = tmin
-		}
-		postOK[ci] = tb.D.Result.IsRetired(ci) || postBps[ci] >= want*0.9
+		postOK[ci] = tb.D.Result.IsRetired(ci) ||
+			MeetsRateSLO(postBps[ci], eng.offered[ci], tb.D.Input.Chains[ci].Chain.SLO.TMinBps)
 	}
 	if fo := rc.fo; fo != nil {
 		res.Failover = fo
