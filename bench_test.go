@@ -109,7 +109,7 @@ func TestPlaceOptimalCostGuard(t *testing.T) {
 	perCombo := allocs / float64(evaluated)
 	t.Logf("optimal solve: %.0f allocs, %d combos evaluated (%.1f allocs each), %s wall clock",
 		allocs, evaluated, perCombo, perSolve)
-	// Without the race detector only (ci.sh runs this guard a second time
+	// Without the race detector only (ci.sh's cover pass runs this guard
 	// without it): under it the LP tableau is reallocated for most solves,
 	// ~65k objects on this fixture.
 	if allocs > 20e3 && !raceEnabled {

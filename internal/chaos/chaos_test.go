@@ -77,6 +77,9 @@ func TestParseMultiSortedByTime(t *testing.T) {
 	}
 }
 
+// TestParseErrors: each malformed event is refused with its reason, a NaN
+// or infinite time or factor among them (Simulate refuses a hand-built one
+// too: TestSimulateRejectsNonFinitePlan).
 func TestParseErrors(t *testing.T) {
 	for _, tc := range []struct{ in, want string }{
 		{"boom:s1@0.1s", "unknown kind"},

@@ -55,6 +55,10 @@ chain c { u = UrlFilter(block = LIST)  f = IPv4Fwd()
 b"] f }   # trailing comment
 `
 
+// TestBlocksSplit: a document splits into its let and chain blocks, each
+// with its text and first line, across comments and strings that hold
+// braces, keywords and newlines, and the blocks parse to what the whole
+// document parses to — the split lemurd's per-chain parse cache rests on.
 func TestBlocksSplit(t *testing.T) {
 	blocks, ok := Blocks(nil, blockDoc)
 	if !ok {

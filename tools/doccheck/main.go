@@ -7,6 +7,7 @@
 // Usage: go run ./tools/doccheck <pkg-dir> [<pkg-dir>...]
 //
 //	go run ./tools/doccheck -testonly
+//	go run ./tools/doccheck -guards <manifest> <race.json> <cover.json>
 //
 // Checks exported funcs, methods, types, and the first name of exported
 // const/var specs. Grouped specs inherit the block comment; struct fields
@@ -17,6 +18,11 @@
 // identifier under internal/ is used only by _test.go files and is not
 // listed in tools/doccheck/testonly.txt, or if a line there names an
 // identifier that is gone or used outside tests (see testonly.go).
+//
+// With -guards it instead reads the `go test -json` streams of ci.sh's two
+// whole-suite passes (one under -race, one with -coverprofile) and fails
+// unless every test tools/doccheck/guards.txt names passed in its pass,
+// printing the output of every test that failed (see guards.go).
 package main
 
 import (
@@ -30,28 +36,35 @@ import (
 )
 
 func main() {
-	if len(os.Args) == 2 && os.Args[1] == "-testonly" {
+	switch {
+	case len(os.Args) == 2 && os.Args[1] == "-testonly":
 		bad, err := testOnly(".", filepath.Join("tools", "doccheck", "testonly.txt"), os.Stdout)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "doccheck:", err)
-			os.Exit(2)
-		}
-		if bad > 0 {
-			fmt.Fprintf(os.Stderr, "doccheck: %d test-only identifier(s) outside the allow-list\n", bad)
-			os.Exit(1)
-		}
+		exit(bad, err, "test-only identifier(s) outside the allow-list")
 		return
-	}
-	if len(os.Args) < 2 {
-		fmt.Fprintln(os.Stderr, "usage: doccheck <pkg-dir> [<pkg-dir>...] | doccheck -testonly")
+	case len(os.Args) == 5 && os.Args[1] == "-guards":
+		bad, err := guards(os.Args[2], os.Args[3], os.Args[4], os.Stdout)
+		exit(bad, err, "guard finding(s)")
+		return
+	case len(os.Args) < 2 || strings.HasPrefix(os.Args[1], "-"):
+		fmt.Fprintln(os.Stderr, "usage: doccheck <pkg-dir> [<pkg-dir>...] | doccheck -testonly | doccheck -guards <manifest> <race.json> <cover.json>")
 		os.Exit(2)
 	}
 	bad := 0
 	for _, dir := range os.Args[1:] {
 		bad += checkDir(dir)
 	}
+	exit(bad, nil, "exported symbol(s) without doc comments")
+}
+
+// exit ends a mode that returned bad findings or err: status 2 on an error,
+// 1 on findings (what names them), and it returns when there are neither.
+func exit(bad int, err error, what string) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "doccheck:", err)
+		os.Exit(2)
+	}
 	if bad > 0 {
-		fmt.Fprintf(os.Stderr, "doccheck: %d exported symbol(s) without doc comments\n", bad)
+		fmt.Fprintf(os.Stderr, "doccheck: %d %s\n", bad, what)
 		os.Exit(1)
 	}
 }
