@@ -67,11 +67,13 @@ echo "==> docs gate (scripts/check_docs.sh)"
 echo "==> godoc coverage (tools/doccheck)"
 go run ./tools/doccheck ./internal/placer ./internal/metacompiler ./internal/runtime ./internal/daemon ./internal/experiments .
 
-# No production code that only tests call: an exported identifier under
-# internal/ that no non-test file of the module or of bench/ uses must be
-# gone or listed, with its reason, in tools/doccheck/testonly.txt; a listed
-# identifier that is gone or now used fails too.
-echo "==> test-only exported identifiers (tools/doccheck -testonly)"
+# No production code that only tests call, and no state that nothing reads:
+# an exported identifier under internal/ or in the root package that no
+# non-test file of the module or of bench/ uses, and a struct field under
+# internal/ that none of them reads, must be gone or listed, with its
+# reason, in tools/doccheck/testonly.txt; a listed name that is gone or now
+# used fails too.
+echo "==> test-only identifiers and unread fields (tools/doccheck -testonly)"
 go run ./tools/doccheck -testonly
 
 echo "==> go build ./..."
@@ -91,15 +93,14 @@ if go run ./cmd/lemur-bench -paper nosuch 2>/dev/null; then
   exit 1
 fi
 
-# Deletion guards. The evaluation harness lost its process-global defaults,
-# the NF package its table-backend switch and the devices their frame
-# counters (InFrames/DroppedFrames, which nothing but tests read); none may
-# come back outside a test file, and the map-backed reference tables (nf.*Ref,
-# test-only since they moved to reference_test.go) must not be linked into
-# any command.
+# Deletion guards. The evaluation harness lost its process-global defaults
+# and the NF package its table-backend switch; none may come back outside a
+# test file (a re-added frame counter that nothing reads is -testonly's to
+# catch), and the map-backed reference tables (nf.*Ref, test-only since
+# they moved to reference_test.go) must not be linked into any command.
 echo "==> deleted-globals guard"
-if grep -rn 'DefaultParallel\|DefaultVerifyPackets\|nf\.Impl\|TableReference\|InFrames\|DroppedFrames' --include='*.go' internal cmd *.go | grep -v '_test\.go:'; then
-  echo "ci: a deleted process-global switch or device frame counter is back in non-test code" >&2
+if grep -rn 'DefaultParallel\|DefaultVerifyPackets\|nf\.Impl\|TableReference' --include='*.go' internal cmd *.go | grep -v '_test\.go:'; then
+  echo "ci: a deleted process-global switch is back in non-test code" >&2
   exit 1
 fi
 echo "==> NF-table oracle stays out of the binaries (go tool nm)"

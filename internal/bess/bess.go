@@ -119,10 +119,6 @@ type Subgroup struct {
 	// including coordination overheads (NSH decap/encap, demux steering).
 	CyclesPerPkt float64
 
-	// CrossSocket marks subgroups scheduled off the NIC's socket; their
-	// effective cost carries the NUMA penalty.
-	CrossSocket bool
-
 	Shares []CoreShare
 }
 

@@ -14,9 +14,7 @@ type ChurnStep struct {
 	// set); BaseChains is how many chains were already placed when it ran.
 	Step       int
 	BaseChains int
-	// Chain is the canonical chain index admitted (Table 2 numbering);
-	// ChainName its spec name.
-	Chain     int
+	// ChainName is the admitted chain's spec name.
 	ChainName string
 
 	// BaseFeasible reports whether the base system of BaseChains chains could
@@ -72,7 +70,7 @@ func (r *Runner) ChurnSweep(baseChainIdxs, admitChainIdxs []int, delta float64, 
 
 	steps := make([]ChurnStep, len(admitChainIdxs))
 	err = forEach(len(steps), r.Parallel, func(k int) error {
-		st, err := r.churnStep(full, len(baseChainIdxs)+k, admitChainIdxs[k], scheme)
+		st, err := r.churnStep(full, len(baseChainIdxs)+k, scheme)
 		if err != nil {
 			return fmt.Errorf("experiments: churn step %d: %w", k, err)
 		}
@@ -91,10 +89,9 @@ func (r *Runner) ChurnSweep(baseChainIdxs, admitChainIdxs []int, delta float64, 
 // chains from scratch for comparison. Each cell builds its own
 // Input values (sharing only the immutable graphs) so the placer's
 // per-input prep caches never race across cells.
-func (r *Runner) churnStep(full *placer.Input, nBase, chainIdx int, scheme placer.Scheme) (ChurnStep, error) {
+func (r *Runner) churnStep(full *placer.Input, nBase int, scheme placer.Scheme) (ChurnStep, error) {
 	st := ChurnStep{
 		BaseChains: nBase,
-		Chain:      chainIdx,
 		ChainName:  full.Chains[nBase].Chain.Name,
 	}
 	// prefix is a fresh Input over the first n chains, headroom reserved.

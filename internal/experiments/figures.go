@@ -327,7 +327,8 @@ func Table4(runs int) ([]Table4Row, error) {
 
 // ScalingResult compares the two placement algorithms (§5.3: brute force
 // 14901s vs heuristic 3.5s on hardware; the shape to reproduce is the
-// orders-of-magnitude gap, in each Result's PlaceTime).
+// orders-of-magnitude gap, counted here as brute force's scored
+// combinations in its Result's Search against the heuristic's none).
 type ScalingResult struct {
 	Heuristic  *placer.Result
 	BruteForce *placer.Result

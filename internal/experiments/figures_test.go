@@ -174,14 +174,21 @@ func TestTable4RejectsNonPositiveRuns(t *testing.T) {
 	}
 }
 
+// TestPlacerScaling holds §5.3's gap as counted work, not time: the
+// heuristic runs no combinatorial search, and brute force spends its whole
+// budget of scored combinations.
 func TestPlacerScaling(t *testing.T) {
 	r := NewRunner(newPaperTopo())
 	sc, err := r.PlacerScaling(0.5, 500)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sc.BruteForce.PlaceTime <= sc.Heuristic.PlaceTime {
-		t.Errorf("brute force (%v) not slower than heuristic (%v)", sc.BruteForce.PlaceTime, sc.Heuristic.PlaceTime)
+	if sc.Heuristic.Search != nil {
+		t.Errorf("heuristic ran a search: %+v", *sc.Heuristic.Search)
+	}
+	if s := sc.BruteForce.Search; s == nil || s.Evaluated != 500 || !sc.BruteForce.Truncated {
+		t.Errorf("brute force search = %+v (truncated=%v), want 500 combinations evaluated and the budget hit",
+			s, sc.BruteForce.Truncated)
 	}
 	if !sc.SameResult {
 		t.Log("note: heuristic did not match budgeted brute force (acceptable under tight budgets)")

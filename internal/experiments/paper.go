@@ -29,7 +29,7 @@ type paperDoc struct{ bytes.Buffer }
 
 func (d *paperDoc) line(format string, args ...any) { fmt.Fprintf(d, format+"\n", args...) }
 
-// panel renders Figure 2 rows, each SchemeResult minus its PlaceTime.
+// panel renders Figure 2 rows.
 func (d *paperDoc) panel(rows []DeltaRow) {
 	for _, row := range rows {
 		d.line("delta=%v chains=%v agg_tmin=%v", row.Set.Delta, row.Set.ChainIdxs, row.Set.AggTmin)

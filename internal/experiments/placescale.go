@@ -39,8 +39,6 @@ type PlaceSchemeStat struct {
 	PrunedSubtrees    int
 	DemandPruned      int
 	CollapsedSubtrees int
-	Truncated         bool
-	SkippedCombos     int
 }
 
 // PlaceScaleCell is one finished sweep point: every scheme's outcome.
@@ -55,8 +53,6 @@ func placeSchemeStat(res *placer.Result) PlaceSchemeStat {
 		Scheme:        string(res.Scheme),
 		Feasible:      res.Feasible,
 		AggregateGbps: res.PredictedAggregate / 1e9,
-		Truncated:     res.Truncated,
-		SkippedCombos: res.SkippedCombos,
 	}
 	if st := res.Search; st != nil {
 		out.Combinations = st.Combinations

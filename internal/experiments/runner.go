@@ -5,7 +5,6 @@ import (
 	runtimepkg "runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"lemur/internal/hw"
 	"lemur/internal/metacompiler"
@@ -121,7 +120,6 @@ type SchemeResult struct {
 	MeasuredAggregate  float64 // bar height
 	Marginal           float64
 	Stages             int
-	PlaceTime          time.Duration
 }
 
 // Set identifies one experiment input: canonical chains at a δ.
@@ -182,11 +180,10 @@ func (r *Runner) runInput(in *placer.Input, scheme placer.Scheme) (*SchemeResult
 		return nil, nil, err
 	}
 	out := &SchemeResult{
-		Scheme:    scheme,
-		Feasible:  res.Feasible,
-		Reason:    res.Reason,
-		Stages:    res.Stages,
-		PlaceTime: res.PlaceTime,
+		Scheme:   scheme,
+		Feasible: res.Feasible,
+		Reason:   res.Reason,
+		Stages:   res.Stages,
 	}
 	if !res.Feasible {
 		return out, res, nil

@@ -86,7 +86,6 @@ type SmartNICSpec struct {
 // PISASpec describes the programmable ToR switch.
 type PISASpec struct {
 	Name            string
-	Ports           int
 	PortCapacityBps float64
 	Stages          int // match-action pipeline depth (the binding constraint)
 	SRAMPerStage    int // memory blocks per stage
@@ -289,7 +288,6 @@ func NewPaperTestbed(opts ...TestbedOption) *Topology {
 	t := &Topology{
 		Switch: &PISASpec{
 			Name:            "tofino-100bf-32x",
-			Ports:           32,
 			PortCapacityBps: Gbps(100),
 			Stages:          12,
 			SRAMPerStage:    16,

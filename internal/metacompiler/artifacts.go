@@ -35,7 +35,6 @@ type Artifacts struct {
 
 	// EBPFSources maps NIC program name to generated C.
 	EBPFSources map[string]string
-	EBPFLines   int
 }
 
 // AutoGeneratedShare returns generated/(generated+handwritten) over the P4
@@ -48,12 +47,8 @@ func (a *Artifacts) AutoGeneratedShare() float64 {
 	return float64(a.P4TotalLines) / float64(total)
 }
 
-func countLines(s string) int {
-	if s == "" {
-		return 0
-	}
-	return strings.Count(s, "\n")
-}
+// countLines is the number of lines of generated or library code s.
+func countLines(s string) int { return strings.Count(s, "\n") }
 
 // Artifacts renders the deployment's code whole: the unified P4 program,
 // every server's BESS script and every SmartNIC program's C. Compile and
@@ -350,7 +345,6 @@ func (d *Deployment) generateEBPF(a *Artifacts) {
 				n.Class(), n.Meta.EBPFInstructions)
 			fmt.Fprintf(&b, "    return XDP_PASS;\n}\n")
 			a.EBPFSources[name] = b.String()
-			a.EBPFLines += countLines(b.String())
 		}
 	}
 }

@@ -133,7 +133,7 @@ func renderDeployment(d *metacompiler.Deployment) string {
 	var b strings.Builder
 	for ci, sps := range d.ChainPaths {
 		for _, sp := range sps {
-			fmt.Fprintf(&b, "path c%d spi=%d weight=%v owned=%d nodes=", sp.ChainIdx, sp.SPI, sp.Weight, sp.OwnedFrom)
+			fmt.Fprintf(&b, "path spi=%d owned=%d nodes=", sp.SPI, sp.OwnedFrom)
 			for _, n := range sp.Nodes {
 				b.WriteString(n.Name() + " ")
 			}
@@ -170,9 +170,9 @@ func renderDeployment(d *metacompiler.Deployment) string {
 			if p := d.SubgroupOf[sg]; p != nil {
 				psg = p.Name()
 			}
-			fmt.Fprintf(&b, "subgroup %s %s spi=%d si=%d advance=%d nfs=%s branches=%d cycles=%v shares=%v cross=%v of=%s\n",
+			fmt.Fprintf(&b, "subgroup %s %s spi=%d si=%d advance=%d nfs=%s branches=%d cycles=%v shares=%v of=%s\n",
 				name, sg.Name, sg.SPI, sg.EntrySI, sg.AdvanceSI, nfNames(sg.NFs), len(sg.Branches),
-				sg.CyclesPerPkt, sg.Shares, sg.CrossSocket, psg)
+				sg.CyclesPerPkt, sg.Shares, psg)
 		}
 	}
 	nics := make([]string, 0, len(d.NICs))
@@ -186,8 +186,12 @@ func renderDeployment(d *metacompiler.Deployment) string {
 		}
 	}
 	a := d.Artifacts()
+	ebpf := 0
+	for _, src := range a.EBPFSources {
+		ebpf += strings.Count(src, "\n")
+	}
 	fmt.Fprintf(&b, "lines p4=%d steering=%d handwritten=%d bess=%d ebpf=%d\n%s",
-		a.P4TotalLines, a.P4SteeringLines, a.HandwrittenP4Lines, a.BESSLines, a.EBPFLines, a.P4Source)
+		a.P4TotalLines, a.P4SteeringLines, a.HandwrittenP4Lines, a.BESSLines, ebpf, a.P4Source)
 	for _, m := range []map[string]string{a.BESSScripts, a.EBPFSources} {
 		names := make([]string, 0, len(m))
 		for name := range m {

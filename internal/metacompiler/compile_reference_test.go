@@ -27,7 +27,7 @@ func compileReference(in *placer.Input, res *placer.Result) (*Deployment, error)
 	d := &Deployment{
 		Input:      in,
 		Result:     res,
-		Switch:     pisa.NewSwitch(in.Topo.Switch),
+		Switch:     pisa.NewSwitch(),
 		Pipelines:  make(map[string]*bess.Pipeline),
 		NICs:       make(map[string]*smartnic.NIC),
 		SubgroupOf: make(map[*bess.Subgroup]*placer.Subgroup),

@@ -148,9 +148,13 @@ func TestApplyArtifactsGolden(t *testing.T) {
 	var b strings.Builder
 	applyTrials(t, func(trial, step int, dl placer.Delta, d *Deployment) {
 		a := d.Artifacts()
+		ebpf := 0
+		for _, src := range a.EBPFSources {
+			ebpf += countLines(src)
+		}
 		fmt.Fprintf(&b, "trial %d step %d admit=%v retire=%v failed=%v\n", trial, step, dl.Admit, dl.Retire, dl.Failed.Names())
 		fmt.Fprintf(&b, "  lines p4=%d steering=%d handwritten=%d bess=%d ebpf=%d\n",
-			a.P4TotalLines, a.P4SteeringLines, a.HandwrittenP4Lines, a.BESSLines, a.EBPFLines)
+			a.P4TotalLines, a.P4SteeringLines, a.HandwrittenP4Lines, a.BESSLines, ebpf)
 		fmt.Fprintf(&b, "  p4 %x\n", sha256.Sum256([]byte(a.P4Source)))
 		for _, kind := range []struct {
 			name string

@@ -159,7 +159,7 @@ func emptyDeployment(in *placer.Input, res *placer.Result) (*Deployment, error) 
 	}
 	d := &Deployment{
 		Input:      in,
-		Switch:     pisa.NewSwitch(in.Topo.Switch),
+		Switch:     pisa.NewSwitch(),
 		Pipelines:  make(map[string]*bess.Pipeline, len(in.Topo.Servers)),
 		NICs:       make(map[string]*smartnic.NIC, len(in.Topo.SmartNICs)),
 		ChainPaths: paths,
@@ -426,11 +426,6 @@ func (d *Deployment) installSegment(ci int, sp *ServicePath, seg segment, next *
 				sub.Shares = shares
 				d.claimed[psg] = true
 			}
-			srv, err := d.Input.Topo.ServerByName(seg.device)
-			if err != nil {
-				return err
-			}
-			sub.CrossSocket = bess.CrossSocket(srv, sub.Shares)
 			d.SubgroupOf[sub] = psg
 		}
 		if err := pl.Add(sub); err != nil {

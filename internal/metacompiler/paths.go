@@ -12,10 +12,8 @@ import (
 // service path index plus a service index that counts down from Length as
 // the packet traverses NFs.
 type ServicePath struct {
-	SPI      uint32
-	ChainIdx int
-	Weight   float64
-	Nodes    []*nfgraph.Node
+	SPI   uint32
+	Nodes []*nfgraph.Node
 	// OwnedFrom is the position from which this path installs its own
 	// entries; earlier positions are shared with (and installed by) an
 	// earlier path that has the same prefix.
@@ -68,12 +66,7 @@ func chainServicePaths(g *nfgraph.Graph, ci int) ([]*ServicePath, error) {
 	}
 	sps := make([]*ServicePath, len(paths))
 	for pi, p := range paths {
-		sp := &ServicePath{
-			SPI:      uint32(ci*spiStride + pi + 1),
-			ChainIdx: ci,
-			Weight:   p.Weight,
-			Nodes:    p.Nodes,
-		}
+		sp := &ServicePath{SPI: uint32(ci*spiStride + pi + 1), Nodes: p.Nodes}
 		// Longest common prefix with any earlier path of the chain.
 		for qi := 0; qi < pi; qi++ {
 			lcp := commonPrefix(sps[qi].Nodes, p.Nodes)

@@ -15,8 +15,8 @@ import (
 // Env is the per-invocation execution environment handed to NFs. Time is
 // simulated seconds (token buckets, flow timeouts). Rand is a seeded source
 // for randomized NF behaviour; no NF reads it today, so Verify and the
-// simulator's shards past the first leave it nil. The field stays because
-// the benchmark's replica harness (bench/replica.go) sets it.
+// simulator leave it nil. The field stays because the benchmark's replica
+// harness (bench/replica.go) sets it.
 type Env struct {
 	NowSec float64
 	Rand   *rand.Rand

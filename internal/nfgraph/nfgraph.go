@@ -164,33 +164,31 @@ func instanceOrder(chain *nfspec.Chain) []string {
 	return names
 }
 
-// Path is one linearized root-to-leaf walk with its traffic fraction.
+// Path is one linearized root-to-leaf walk.
 type Path struct {
-	Nodes  []*Node
-	Weight float64
+	Nodes []*Node
 }
 
-// Paths decomposes the DAG into weighted linear chains (§3.2's branch
-// handling): every root-to-leaf walk, weight = product of branch fractions.
-// A graph without nodes has none.
+// Paths decomposes the DAG into linear chains (§3.2's branch handling):
+// every root-to-leaf walk. A graph without nodes has none.
 func (g *Graph) Paths() []Path {
 	var out []Path
 	if g.Root == nil {
 		return nil
 	}
-	var walk func(n *Node, prefix []*Node, w float64)
-	walk = func(n *Node, prefix []*Node, w float64) {
+	var walk func(n *Node, prefix []*Node)
+	walk = func(n *Node, prefix []*Node) {
 		prefix = append(prefix, n)
 		if len(n.Outs) == 0 {
 			cp := make([]*Node, len(prefix))
 			copy(cp, prefix)
-			out = append(out, Path{Nodes: cp, Weight: w})
+			out = append(out, Path{Nodes: cp})
 			return
 		}
 		for _, e := range n.Outs {
-			walk(e.Node, prefix, w*e.Weight)
+			walk(e.Node, prefix)
 		}
 	}
-	walk(g.Root, nil, 1)
+	walk(g.Root, nil)
 	return out
 }

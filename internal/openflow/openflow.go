@@ -33,7 +33,6 @@ var (
 // Binding is the switch program for one service-path VLAN vid.
 type Binding struct {
 	NFs     []nf.NF
-	Rules   int    // flow rules consumed
 	PopVLAN bool   // strip the vid before forwarding (path ends here)
 	NextVID uint16 // rewrite vid on exit (0 = keep); advances the path
 	OutPort int
@@ -99,7 +98,6 @@ func (s *Switch) Deploy(vid uint16, nfs []nf.NF, rules int, b Binding) error {
 		return fmt.Errorf("%w: %d + %d > %d", ErrRuleCapacity, s.used, rules, s.Spec.MaxRules)
 	}
 	b.NFs = nfs
-	b.Rules = rules
 	s.bindings[vid] = &b
 	s.used += rules
 	return nil

@@ -235,18 +235,13 @@ func (p *progParser) parseTable(prog *Program) error {
 				return err
 			}
 			t.Actions = list
-		case "size", "sram", "tcam":
+		case "size", "sram", "tcam": // memory blocks are checked, not kept
 			v, err := strconv.Atoi(p.next())
 			if err != nil {
 				return fmt.Errorf("p4: table %s: bad %s: %w", t.Name, kw, err)
 			}
-			switch kw {
-			case "size":
+			if kw == "size" {
 				t.Size = v
-			case "sram":
-				t.SRAM = v
-			case "tcam":
-				t.TCAM = v
 			}
 		default:
 			return fmt.Errorf("p4: table %s: unknown attribute %q", t.Name, kw)

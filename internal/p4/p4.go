@@ -21,27 +21,27 @@ type Field struct {
 
 // Header is a packet header layout.
 type Header struct {
-	Name   string
 	Fields []Field
 }
 
 // HeaderLibrary is the predefined (extensible) set of headers NF developers
-// draw from, so independently-written NFs agree on layouts (§4.2).
+// draw from, so independently-written NFs agree on layouts (§4.2), keyed by
+// header name.
 var HeaderLibrary = map[string]*Header{
-	"ethernet": {Name: "ethernet", Fields: []Field{
+	"ethernet": {Fields: []Field{
 		{"dst", 48}, {"src", 48}, {"ethertype", 16}}},
-	"vlan": {Name: "vlan", Fields: []Field{
+	"vlan": {Fields: []Field{
 		{"pcp", 3}, {"dei", 1}, {"vid", 12}, {"ethertype", 16}}},
-	"nsh": {Name: "nsh", Fields: []Field{
+	"nsh": {Fields: []Field{
 		{"flags", 16}, {"mdtype", 8}, {"nextproto", 8}, {"spi", 24}, {"si", 8}}},
-	"ipv4": {Name: "ipv4", Fields: []Field{
+	"ipv4": {Fields: []Field{
 		{"version", 4}, {"ihl", 4}, {"tos", 8}, {"len", 16}, {"id", 16},
 		{"frag", 16}, {"ttl", 8}, {"proto", 8}, {"csum", 16},
 		{"src", 32}, {"dst", 32}}},
-	"tcp": {Name: "tcp", Fields: []Field{
+	"tcp": {Fields: []Field{
 		{"sport", 16}, {"dport", 16}, {"seq", 32}, {"ack", 32},
 		{"off", 4}, {"rsvd", 4}, {"flags", 8}, {"win", 16}, {"csum", 16}, {"urg", 16}}},
-	"udp": {Name: "udp", Fields: []Field{
+	"udp": {Fields: []Field{
 		{"sport", 16}, {"dport", 16}, {"len", 16}, {"csum", 16}}},
 }
 
@@ -145,8 +145,6 @@ type Table struct {
 	Keys    []string // "header.field" match keys
 	Actions []string
 	Size    int // entries
-	SRAM    int // memory blocks
-	TCAM    int
 }
 
 // Program is a standalone P4 NF: headers, NF-local parser, tables, and the

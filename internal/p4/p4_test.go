@@ -34,7 +34,7 @@ nf demo {
 	if prog.Name != "demo" || len(prog.Headers) != 3 {
 		t.Errorf("prog = %+v", prog)
 	}
-	if len(prog.Tables) != 1 || prog.Tables[0].SRAM != 3 || prog.Tables[0].TCAM != 1 || prog.Tables[0].Size != 100 {
+	if len(prog.Tables) != 1 || prog.Tables[0].Size != 100 {
 		t.Errorf("table = %+v", prog.Tables[0])
 	}
 	st := prog.Parser.States["ipv4"]
@@ -84,15 +84,8 @@ func TestLibraryMatchesRegistry(t *testing.T) {
 		if err := prog.Validate(); err != nil {
 			t.Errorf("%s: invalid library program: %v", class, err)
 		}
-		var sram, tcam, tables int
-		for _, tb := range prog.Tables {
-			sram += tb.SRAM
-			tcam += tb.TCAM
-			tables++
-		}
-		if tables != meta.PISA.Tables || sram != meta.PISA.SRAM*meta.PISA.Tables || tcam != meta.PISA.TCAM*meta.PISA.Tables {
-			t.Errorf("%s: library tables=%d sram=%d tcam=%d, registry profile %+v",
-				class, tables, sram, tcam, *meta.PISA)
+		if len(prog.Tables) != meta.PISA.Tables {
+			t.Errorf("%s: library tables=%d, registry profile %+v", class, len(prog.Tables), *meta.PISA)
 		}
 	}
 }

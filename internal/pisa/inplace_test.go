@@ -14,7 +14,7 @@ import (
 func mkPair(t *testing.T) (*Switch, *Switch) {
 	t.Helper()
 	mk := func() *Switch {
-		s := NewSwitch(spec())
+		s := NewSwitch()
 		acl, err := nf.New("ACL", "acl0", nf.Params{"allow_dst": "172.16.0.0/12"})
 		if err != nil {
 			t.Fatal(err)

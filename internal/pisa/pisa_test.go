@@ -150,7 +150,7 @@ func TestConservativeEstimate(t *testing.T) {
 
 func mkSwitch(t *testing.T) *Switch {
 	t.Helper()
-	return NewSwitch(spec())
+	return NewSwitch()
 }
 
 func ingressFrame(t *testing.T, dport uint16) []byte {
@@ -283,7 +283,7 @@ func TestSwitchNoPath(t *testing.T) {
 // and at SPIs up to NSH's 24 bits, and the counts it returns are the
 // points it removed.
 func TestRemoveSPIRangeClearsEntries(t *testing.T) {
-	s := NewSwitch(spec())
+	s := NewSwitch()
 	spis := []uint32{0, 1, 9, 10, 15, 20, 21, 255, 256, 1 << 16, 1<<24 - 1}
 	sis := []uint8{0, 1, 127, 128, 255}
 	for _, spi := range spis {

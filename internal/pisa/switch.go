@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"lemur/internal/bpf"
-	"lemur/internal/hw"
 	"lemur/internal/nf"
 	"lemur/internal/nsh"
 	"lemur/internal/obs"
@@ -132,8 +131,6 @@ type ClassifierRule struct {
 // line rate, so it imposes no throughput constraint in the simulation — its
 // binding resource is pipeline stages, enforced at Compile time.
 type Switch struct {
-	Spec    *hw.PISASpec
-	Binary  *Binary
 	rules   []ClassifierRule
 	entries map[uint64]*PathEntry // keyed by pathKey(spi, si)
 
@@ -144,8 +141,8 @@ type Switch struct {
 }
 
 // NewSwitch builds an empty switch runtime.
-func NewSwitch(spec *hw.PISASpec) *Switch {
-	return &Switch{Spec: spec, entries: make(map[uint64]*PathEntry)}
+func NewSwitch() *Switch {
+	return &Switch{entries: make(map[uint64]*PathEntry)}
 }
 
 // pathKey packs an (SPI, SI) point into one map key, SPI above SI.

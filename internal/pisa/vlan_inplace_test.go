@@ -44,7 +44,7 @@ func TestSwitchVLANInPlaceMatches(t *testing.T) {
 		for _, room := range []int{0, packet.NSHLen, packet.TailRoom} {
 			t.Run(fmt.Sprintf("%s/room=%d", tc.name, room), func(t *testing.T) {
 				mk := func() *Switch {
-					s := NewSwitch(spec())
+					s := NewSwitch()
 					s.AddClassifierRule(ClassifierRule{Filter: bpf.MustCompile("ip.src in 10.0.0.0/8"), SPI: 7, SI: 10})
 					s.SetEntry(7, 10, &PathEntry{Apply: insts(t, tc.ingress), Encap: true, AdvanceSI: 1,
 						Out: Forward{Kind: ToServer, Target: "nf-server-0"}})

@@ -143,7 +143,6 @@ func TestResultSharesNoScratchMemory(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			second.PlaceTime, third.PlaceTime = 0, 0
 			if !reflect.DeepEqual(second, third) {
 				t.Fatalf("%s parallel=%d: second and third placements are not deep-equal", scheme, parallel)
 			}

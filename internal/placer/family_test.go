@@ -88,10 +88,9 @@ func (c familyCall) reconfigure(t *testing.T, label string, prev *Result, in, al
 	return rep, grown
 }
 
-// reportDiff names how got differs from want, "" when only the timings do.
+// reportDiff names how got differs from want, "" when it does not.
 func reportDiff(got, want *Report) string {
 	g, w := *got, *want
-	g.IncrementalTime, w.IncrementalTime = 0, 0
 	g.Result, w.Result = nil, nil
 	g.Repack, w.Repack, g.RepackInput, w.RepackInput = nil, nil, nil, nil
 	switch {
@@ -99,26 +98,19 @@ func reportDiff(got, want *Report) string {
 		return fmt.Sprintf("report %+v, want %+v", g, w)
 	case (got.Result == nil) != (want.Result == nil):
 		return "one Result is nil"
-	case got.Result != nil && !reflect.DeepEqual(timeless(got.Result), timeless(want.Result)):
+	case !reflect.DeepEqual(got.Result, want.Result):
 		return "Result"
 	case (got.Repack == nil) != (want.Repack == nil):
 		return "one Repack is nil"
-	case got.Repack != nil && !reflect.DeepEqual(timeless(got.Repack), timeless(want.Repack)):
+	case !reflect.DeepEqual(got.Repack, want.Repack):
 		return "Repack"
 	}
 	return ""
 }
 
-// timeless is a copy of res without its wall-clock time.
-func timeless(res *Result) Result {
-	c := *res
-	c.PlaceTime = 0
-	return c
-}
-
 // deepCopy is a Result that shares no memory with res.
 func deepCopy(res *Result) *Result {
-	c := timeless(res)
+	c := *res
 	c.Assign, c.Breaks = maps.Clone(res.Assign), maps.Clone(res.Breaks)
 	c.Subgroups, c.NICUses = nil, nil
 	for _, sg := range res.Subgroups {
@@ -163,7 +155,7 @@ func reconfigureKeepsResults(t *testing.T) {
 		cur, in = rep.Result, grown
 	}
 	for i, r := range results {
-		if got := timeless(r.res); !reflect.DeepEqual(&got, r.copy) {
+		if !reflect.DeepEqual(r.res, r.copy) {
 			t.Fatalf("call %d's Result changed after later calls in its family", i)
 		}
 	}

@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"time"
 
 	"lemur/internal/hw"
 	"lemur/internal/nfgraph"
@@ -189,9 +188,6 @@ type Result struct {
 	// slot is retired; churn-free placements never allocate it.
 	Retired []bool
 
-	// PlaceTime is how long placement took.
-	PlaceTime time.Duration
-
 	// Truncated reports that the Optimal search hit BruteForceBudget before
 	// exhausting the canonical combination space, so the Result may be
 	// sub-optimal; SkippedCombos counts the canonical combos the budget
@@ -224,7 +220,6 @@ func Place(scheme Scheme, in *Input) (*Result, error) {
 		return nil, err
 	}
 	in.ensurePrep()
-	start := time.Now()
 	sp := obs.Span("placer.place").
 		SetAttr("scheme", string(scheme)).
 		SetAttrInt("chains", len(in.Chains))
@@ -262,7 +257,6 @@ func Place(scheme Scheme, in *Input) (*Result, error) {
 		return nil, err
 	}
 	res.Scheme = scheme
-	res.PlaceTime = time.Since(start)
 	outcome := "feasible"
 	if !res.Feasible {
 		outcome = "infeasible"

@@ -54,7 +54,6 @@ func asFresh(t *testing.T, label string, in *Input) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got.PlaceTime, want.PlaceTime = 0, 0
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: placing on the derived prep differs from placing on a fresh one:\n%s\nwant:\n%s",
 			label, canonResult(in, got), canonResult(&fresh, want))

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"time"
 
 	"lemur/internal/hw"
 	"lemur/internal/nfgraph"
@@ -160,10 +159,6 @@ type Report struct {
 	// IncrementalReason is why the pin-preserving attempt failed, when it
 	// did (empty for AdmitIncremental).
 	IncrementalReason string
-
-	// IncrementalTime is the wall-clock solve time of the pin-preserving
-	// attempt.
-	IncrementalTime time.Duration
 }
 
 // Err is nil for an incremental verdict and otherwise wraps ErrInfeasible
@@ -250,17 +245,15 @@ func Reconfigure(prev *Result, in *Input, d Delta) (*Report, error) {
 		SetAttrInt("retire", len(d.Retire)).SetAttrInt("failed", len(d.Failed))
 
 	rep := &Report{}
-	start := time.Now()
 	base := retiring(prev, in, d.Retire)
 	rin, dead, reason := surviving(in, d.Failed)
 	if reason == "" {
 		rep.Result, rep.Affected, reason = solveIncremental(base, rin, dead, d.Retire, d.Admit)
 	}
-	rep.IncrementalTime = time.Since(start)
 
 	switch {
 	case rep.Result != nil:
-		rep.Result.Scheme, rep.Result.PlaceTime = prev.Scheme, rep.IncrementalTime
+		rep.Result.Scheme = prev.Scheme
 		kept := make(map[*Subgroup]bool, len(rep.Result.Subgroups))
 		for _, sg := range rep.Result.Subgroups {
 			kept[sg] = true

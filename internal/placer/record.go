@@ -14,7 +14,7 @@ import (
 // Result's Input. Only live slots carry values. A retired slot has no
 // assignment, subgroup or NIC use, and its rate and p99 are zero, so a
 // Record is sized by what runs rather than by how many slots have retired.
-// How the placement was found (PlaceTime, Search) is not kept. JSON
+// How the placement was found (Search) is not kept. JSON
 // encodes a Record deterministically; lemurd checkpoints its placement as
 // one.
 type Record struct {

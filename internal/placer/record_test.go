@@ -43,7 +43,7 @@ func roundTrip(t *testing.T, in *Input, res *Result) *Result {
 func sameResult(t *testing.T, what string, want, got *Result) {
 	t.Helper()
 	w, g := *want, *got
-	w.PlaceTime, w.Search, w.Reason = 0, nil, ""
+	w.Search, w.Reason = nil, ""
 	if !reflect.DeepEqual(&w, &g) {
 		t.Fatalf("%s: decoded result differs:\n want %+v\n got  %+v", what, &w, &g)
 	}

@@ -13,9 +13,9 @@ import (
 	"lemur/internal/profile"
 )
 
-// canonicalResult renders every placement-relevant field of a Result —
-// everything except PlaceTime — deterministically, so byte-equality of the
-// strings is byte-equality of the placements.
+// canonicalResult renders every placement-relevant field of a Result
+// deterministically, so byte-equality of the strings is byte-equality of
+// the placements.
 func canonicalResult(in *Input, res *Result) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "scheme=%s feasible=%v reason=%q stages=%d\n",

@@ -70,12 +70,6 @@ type WalkStats struct {
 	Dropped  int
 	Errors   int
 	MaxHops  int
-	ByChain  []ChainWalk
-}
-
-// ChainWalk is the per-chain share of a walk.
-type ChainWalk struct {
-	Injected, Egressed, Dropped int
 }
 
 // maxWalkHops bounds a frame's platform transitions (loop guard). A frame
@@ -93,7 +87,7 @@ var errHopBudget = errors.New("runtime: frame exceeded hop budget (steering loop
 // errors.Is sees the cause (a steering loop's hop budget, say).
 func (tb *Testbed) Verify(n int) (*WalkStats, error) {
 	sp := obs.Span("runtime.verify").SetAttrInt("frames_per_chain", n)
-	stats := &WalkStats{ByChain: make([]ChainWalk, len(tb.D.Input.Chains))}
+	stats := &WalkStats{}
 	defer func() {
 		obs.C("lemur_verify_injected_total").Add(uint64(stats.Injected))
 		obs.C("lemur_verify_egressed_total").Add(uint64(stats.Egressed))
@@ -129,7 +123,6 @@ func (tb *Testbed) Verify(n int) (*WalkStats, error) {
 			sh.env.NowSec = float64(i) * 1e-5
 			frame := gen.NextInto(sh.getBuf(), sh.env.NowSec)
 			stats.Injected++
-			stats.ByChain[ci].Injected++
 			last, end, _, hops, err := tb.hop(nil, sh, ci, nil, frame)
 			sh.putBuf(last)
 			if hops > stats.MaxHops {
@@ -143,10 +136,8 @@ func (tb *Testbed) Verify(n int) (*WalkStats, error) {
 				stats.Errors++
 			case end == hopEgress:
 				stats.Egressed++
-				stats.ByChain[ci].Egressed++
 			default:
 				stats.Dropped++
-				stats.ByChain[ci].Dropped++
 			}
 		}
 	}

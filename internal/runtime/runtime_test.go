@@ -271,7 +271,7 @@ chain nic {
 // in-place walk to.
 func allocatingVerify(t *testing.T, tb *Testbed, n int) *WalkStats {
 	t.Helper()
-	stats := &WalkStats{ByChain: make([]ChainWalk, len(tb.D.Input.Chains))}
+	stats := &WalkStats{}
 	env := &nf.Env{Rand: rand.New(rand.NewSource(tb.Seed))}
 	for ci, g := range tb.D.Input.Chains {
 		agg := g.Chain.Aggregate
@@ -286,7 +286,6 @@ func allocatingVerify(t *testing.T, tb *Testbed, n int) *WalkStats {
 			env.NowSec = float64(i) * 1e-5
 			frame := gen.NextInto(nil, env.NowSec)
 			stats.Injected++
-			stats.ByChain[ci].Injected++
 			outcome, hops := pisa.Dropped, 0
 		walk:
 			for ; hops < maxWalkHops; hops++ {
@@ -316,10 +315,8 @@ func allocatingVerify(t *testing.T, tb *Testbed, n int) *WalkStats {
 			}
 			if outcome == pisa.Egress {
 				stats.Egressed++
-				stats.ByChain[ci].Egressed++
 			} else {
 				stats.Dropped++
-				stats.ByChain[ci].Dropped++
 			}
 		}
 	}

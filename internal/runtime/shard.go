@@ -24,9 +24,6 @@ import (
 type simPartition struct {
 	// workers is the effective shard count: min(requested, components).
 	workers int
-	// components is the number of connected components found (1, without
-	// looking, when one worker was requested).
-	components int
 
 	ownerOfEntry []int32          // per ix.entries index
 	nicOwner     map[string]int32 // per SmartNIC name
@@ -47,7 +44,7 @@ type simPartition struct {
 func buildSimPartition(d *metacompiler.Deployment, ix *simIndex, nChains, workers int) *simPartition {
 	if workers <= 1 {
 		part := &simPartition{
-			workers: 1, components: 1,
+			workers:      1,
 			ownerOfEntry: make([]int32, len(ix.entries)),
 			nicOwner:     make(map[string]int32, len(d.NICs)),
 			prims:        [][]int32{make([]int32, ix.nPrimary)},
@@ -183,7 +180,6 @@ func buildSimPartition(d *metacompiler.Deployment, ix *simIndex, nChains, worker
 
 	part := &simPartition{
 		workers:      w,
-		components:   nc,
 		ownerOfEntry: make([]int32, len(ix.entries)),
 		nicOwner:     make(map[string]int32, len(d.NICs)),
 		prims:        make([][]int32, w),

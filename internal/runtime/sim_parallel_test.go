@@ -288,8 +288,8 @@ func TestBuildSimPartitionInvariants(t *testing.T) {
 	nChains := len(tb.D.Input.Chains)
 	for _, req := range []int{1, 2, 3, 8} {
 		part := buildSimPartition(tb.D, ix, nChains, req)
-		if part.workers < 1 || part.workers > req || part.workers > part.components {
-			t.Fatalf("req=%d: workers=%d components=%d", req, part.workers, part.components)
+		if part.workers < 1 || part.workers > req {
+			t.Fatalf("req=%d: workers=%d", req, part.workers)
 		}
 		seenP := map[int32]bool{}
 		for w, prims := range part.prims {

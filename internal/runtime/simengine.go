@@ -218,18 +218,9 @@ func (eng *simEngine) newShards(n int) {
 	}
 	eng.shards = make([]*simShard, n)
 	for i := range eng.shards {
-		sh := &simShard{id: i, simSpares: tb.spares[i]}
+		// No NF reads Env.Rand, so no shard gets a source.
+		eng.shards[i] = &simShard{id: i, simSpares: tb.spares[i], env: &nf.Env{}}
 		tb.spares[i] = simSpares{}
-		if i == 0 {
-			// Shard 0 shares the engine rng, exactly like the one NF env of
-			// the engine before sharding did.
-			sh.env = &nf.Env{Rand: eng.rng}
-		} else {
-			// No NF reads Env.Rand, so the other shards get none rather
-			// than a seeded source apiece that nothing draws from.
-			sh.env = &nf.Env{}
-		}
-		eng.shards[i] = sh
 	}
 }
 

@@ -50,8 +50,8 @@ func TestNewIntoMatchesNew(t *testing.T) {
 				t.Fatalf("config %d: frame %d of the reused generator diverges from New's", ci, i)
 			}
 		}
-		if a.Emitted() != b.Emitted() || a.FlowCount() != b.FlowCount() {
-			t.Fatalf("config %d: emitted %d/%d, flows %d/%d", ci, a.Emitted(), b.Emitted(), a.FlowCount(), b.FlowCount())
+		if a.FlowCount() != b.FlowCount() {
+			t.Fatalf("config %d: flows %d/%d", ci, a.FlowCount(), b.FlowCount())
 		}
 	}
 	for round := 0; round < 2; round++ {
@@ -105,9 +105,6 @@ func TestNextIntoMatchesNext(t *testing.T) {
 				t.Fatalf("config %d: frame %d diverges (recycled %d bytes, fresh %d bytes)",
 					ci, i, len(buf), len(want))
 			}
-		}
-		if gRef.Emitted() != gFast.Emitted() {
-			t.Fatalf("config %d: emitted counts diverge", ci)
 		}
 	}
 }

@@ -228,9 +228,6 @@ func TestScheduledGenReplay(t *testing.T) {
 				a.head, a.tail, head, tail, now)
 		}
 	}
-	if a.Emitted() != 2000 {
-		t.Errorf("Emitted = %d", a.Emitted())
-	}
 }
 
 // legacyChurnGen replicates the pre-fix ShortLived retirement algorithm —
@@ -445,11 +442,5 @@ func (sg *ScheduleGen) FlowCount() int {
 	return 0
 }
 
-// Emitted returns how many packets have been generated.
-func (sg *ScheduleGen) Emitted() uint64 { return sg.g.seq }
-
 // FlowCount returns the current live-flow population.
 func (g *Generator) FlowCount() int { return len(g.flows) - g.head }
-
-// Emitted returns how many packets have been generated.
-func (g *Generator) Emitted() uint64 { return g.seq }

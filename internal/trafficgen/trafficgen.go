@@ -158,8 +158,7 @@ type Generator struct {
 	flows  []packet.FiveTuple
 	born   []float64 // ShortLived: flow birth time
 	head   int       // ShortLived: index of the oldest live flow
-	seq    uint64
-	redund []byte // shared redundant chunk
+	redund []byte    // shared redundant chunk
 }
 
 // reset points g at cfg and sp with no flows drawn: its rng is seeded in
@@ -177,7 +176,7 @@ func (g *Generator) reset(cfg Config, sp addrSpace) {
 	}
 	g.rng.Read(g.redund)
 	g.flows, g.born = g.flows[:0], g.born[:0]
-	g.head, g.seq = 0, 0
+	g.head = 0
 }
 
 // New builds a generator, applying defaults. It rejects the configs
@@ -234,8 +233,6 @@ func (g *Generator) HeadersInto(buf []byte, nowSec float64) []byte {
 // packet sources share. With payload false it writes the headers only and
 // makes the payload's rng draws without writing their bytes.
 func (g *Generator) emitInto(buf []byte, tu packet.FiveTuple, payload bool) []byte {
-	g.seq++
-
 	payLen := g.cfg.FrameBytes - packet.EthernetLen - packet.NSHLen - packet.IPv4Len - packet.UDPLen
 	if g.cfg.Proto == packet.IPProtoTCP {
 		payLen -= packet.TCPLen - packet.UDPLen

@@ -29,9 +29,6 @@ func TestLongLivedFlows(t *testing.T) {
 	if len(seen) != 35 {
 		t.Errorf("500 packets covered %d flows, want all 35", len(seen))
 	}
-	if g.Emitted() != 500 {
-		t.Errorf("Emitted = %d", g.Emitted())
-	}
 }
 
 func TestShortLivedChurn(t *testing.T) {

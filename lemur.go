@@ -72,7 +72,6 @@ type options struct {
 	topoOpts    []hw.TestbedOption
 	scheme      placer.Scheme
 	restrict    map[string][]hw.Platform
-	seed        int64
 	parallel    int
 	headroom    int
 	simWorkers  int
@@ -94,11 +93,6 @@ func WithOpenFlowSwitch() Option {
 	return func(o *options) { o.topoOpts = append(o.topoOpts, hw.WithOpenFlowSwitch()) }
 }
 
-// WithSingleSocket restricts servers to one 8-core socket.
-func WithSingleSocket() Option {
-	return func(o *options) { o.topoOpts = append(o.topoOpts, hw.WithSingleSocket()) }
-}
-
 // WithScheme selects the placement algorithm (default SchemeLemur).
 func WithScheme(s Scheme) Option {
 	return func(o *options) { o.scheme = placer.Scheme(s) }
@@ -113,11 +107,6 @@ func WithP4Only(class string) Option {
 		}
 		o.restrict[class] = []hw.Platform{hw.PISA}
 	}
-}
-
-// WithSeed fixes the testbed's measurement seed.
-func WithSeed(seed int64) Option {
-	return func(o *options) { o.seed = seed }
 }
 
 // WithParallel sets the placer's candidate-evaluation worker count. Values
@@ -168,9 +157,12 @@ type System struct {
 	res    *placer.Result // the last placement, kept for Deploy
 }
 
+// testbedSeed seeds every deployment's traffic and measurement.
+const testbedSeed = 1
+
 // New builds a System over the paper's testbed, customized by options.
 func New(opts ...Option) *System {
-	o := options{scheme: placer.SchemeLemur, seed: 1}
+	o := options{scheme: placer.SchemeLemur}
 	for _, opt := range opts {
 		opt(&o)
 	}
@@ -236,7 +228,7 @@ func (s *System) Deploy() (*Deployment, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Deployment{tb: runtime.New(d, s.opts.seed), opts: &s.opts}, nil
+	return &Deployment{tb: runtime.New(d, testbedSeed), opts: &s.opts}, nil
 }
 
 // Placement reports where every NF landed and what the chains will get.
@@ -251,9 +243,6 @@ func (p *Placement) Feasible() bool { return p.res.Feasible }
 // Reason explains an infeasible placement.
 func (p *Placement) Reason() string { return p.res.Reason }
 
-// Stages is the PISA pipeline depth the placement compiled to.
-func (p *Placement) Stages() int { return p.res.Stages }
-
 // MarginalBps is the aggregate marginal throughput (Σ rate−t_min).
 func (p *Placement) MarginalBps() float64 { return p.res.Marginal }
 
@@ -265,11 +254,6 @@ func (p *Placement) Truncated() bool { return p.res.Truncated }
 // SkippedCombos counts the pattern combinations a truncated Optimal search
 // left unscored (see Truncated).
 func (p *Placement) SkippedCombos() int { return p.res.SkippedCombos }
-
-// ChainRatesBps returns the LP-assigned per-chain rates.
-func (p *Placement) ChainRatesBps() []float64 {
-	return append([]float64(nil), p.res.ChainRates...)
-}
 
 // NFPlacement is one row of the placement report.
 type NFPlacement struct {
@@ -495,8 +479,8 @@ func (s *System) SimulateChurn(loadFactor float64, schedule string) (*SimReport,
 	for i, r := range res.ChainRates {
 		offered[i] = r * loadFactor
 	}
-	sim, err := runtime.New(d, s.opts.seed).Simulate(offered, runtime.SimConfig{
-		Seed: s.opts.seed, DurationSec: 0.5, Faults: plan, ChurnCatalog: catalog,
+	sim, err := runtime.New(d, testbedSeed).Simulate(offered, runtime.SimConfig{
+		Seed: testbedSeed, DurationSec: 0.5, Faults: plan, ChurnCatalog: catalog,
 		Workers: s.opts.simWorkers, SchedPolicy: s.opts.schedPolicy,
 	})
 	if err != nil {

@@ -22,7 +22,7 @@ chain web {
 }`
 
 func TestEndToEndPublicAPI(t *testing.T) {
-	sys := New(WithP4Only("IPv4Fwd"), WithSeed(7))
+	sys := New(WithP4Only("IPv4Fwd"))
 	if err := sys.LoadSpec(webSpec); err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestDeployCompilesOncePerCall(t *testing.T) {
 		reg.Reset()
 	})
 	newSys := func() *System {
-		sys := New(WithP4Only("IPv4Fwd"), WithServers(2), WithSeed(7))
+		sys := New(WithP4Only("IPv4Fwd"), WithServers(2))
 		if err := sys.LoadSpec(failoverPairSpec); err != nil {
 			t.Fatal(err)
 		}
@@ -348,7 +348,7 @@ chain beta {
 }`
 
 func TestSimulateWithFaultsPublicAPI(t *testing.T) {
-	sys := New(WithP4Only("IPv4Fwd"), WithServers(2), WithSeed(7))
+	sys := New(WithP4Only("IPv4Fwd"), WithServers(2))
 	if err := sys.LoadSpec(failoverPairSpec); err != nil {
 		t.Fatal(err)
 	}

@@ -15,9 +15,11 @@
 // struct itself is undocumented.
 //
 // With -testonly, run from the module root, it instead fails if an exported
-// identifier under internal/ is used only by _test.go files and is not
-// listed in tools/doccheck/testonly.txt, or if a line there names an
-// identifier that is gone or used outside tests (see testonly.go).
+// identifier under internal/ or in the root package is used only by
+// _test.go files, or a struct field under internal/ is read by no non-test
+// file (only written, or not used at all), and it is not listed in
+// tools/doccheck/testonly.txt; or if a line there names something gone or
+// no longer test-only (see testonly.go).
 //
 // With -guards it instead reads the `go test -json` streams of ci.sh's two
 // whole-suite passes (one under -race, one with -coverprofile) and fails
@@ -39,7 +41,7 @@ func main() {
 	switch {
 	case len(os.Args) == 2 && os.Args[1] == "-testonly":
 		bad, err := testOnly(".", filepath.Join("tools", "doccheck", "testonly.txt"), os.Stdout)
-		exit(bad, err, "test-only identifier(s) outside the allow-list")
+		exit(bad, err, "test-only identifier(s), unread field(s) or stale allow-list line(s)")
 		return
 	case len(os.Args) == 5 && os.Args[1] == "-guards":
 		bad, err := guards(os.Args[2], os.Args[3], os.Args[4], os.Stdout)

@@ -19,18 +19,24 @@ import (
 )
 
 // testOnly is the -testonly mode: it loads every package of the module in
-// root and of the benchmark module in root/bench, type-checks their non-test
-// files, and fails when an exported func, method, type, const or var
-// declared under internal/ is used by no non-test file and is not on the
-// allow-list, or when an allow-list line names an identifier that is gone
-// or now used. Test files are never parsed, so a use from a test does not
-// count. It returns the number of findings and writes them to w.
+// root and of the benchmark module in root/bench and type-checks their
+// non-test files. It fails on:
+//   - an exported func, method, type, const or var declared under internal/
+//     or in the module's root package that no non-test file uses;
+//   - a field of a package-level struct type declared under internal/,
+//     exported or not, that no non-test file reads (see unreadFields);
+//
+// unless the allow-list names it, and on an allow-list line that names
+// something gone or no longer test-only. Test files are never parsed, so a
+// use from a test does not count. It returns the number of findings and
+// writes them to w.
 func testOnly(root, allowPath string, w io.Writer) (int, error) {
 	allow, err := readAllowList(allowPath)
 	if err != nil {
 		return 0, err
 	}
-	l := &loader{fset: token.NewFileSet(), checked: map[string]*types.Package{}, uses: map[types.Object]bool{}}
+	l := &loader{fset: token.NewFileSet(), checked: map[string]*types.Package{},
+		uses: map[types.Object]bool{}, reads: map[types.Object]bool{}, compared: map[*types.Struct]bool{}}
 	l.std = importer.ForCompiler(l.fset, "source", nil)
 	module := ""
 	for _, dir := range []string{root, filepath.Join(root, "bench")} {
@@ -50,14 +56,18 @@ func testOnly(root, allowPath string, w io.Writer) (int, error) {
 			}
 		}
 	}
-	unused := l.unused(module + "/internal/")
+	findings := l.unused(module)
+	for name, f := range l.unreadFields(module + "/internal/") {
+		findings[name] = f
+	}
 	bad := 0
-	for _, name := range sortedKeys(unused) {
+	for _, name := range sortedKeys(findings) {
 		if _, ok := allow[name]; ok {
 			delete(allow, name)
 			continue
 		}
-		fmt.Fprintf(w, "%s: %s is used only by tests (delete it, or list it in %s)\n", unused[name], name, allowPath)
+		f := findings[name]
+		fmt.Fprintf(w, "%s: %s %s (delete it, or list it in %s)\n", f.pos, name, f.what, allowPath)
 		bad++
 	}
 	for _, name := range sortedKeys(allow) {
@@ -99,9 +109,10 @@ func goList(dir string) ([]*listedPkg, error) {
 	return pkgs, nil
 }
 
-// readAllowList reads `pkg.Name  # reason` lines into a map from identifier
-// to line number. Blank lines and lines starting with # are skipped; a line
-// without a reason, or naming an identifier twice, is an error.
+// readAllowList reads `pkg.Name  # reason` lines (or `pkg.Type.Method`,
+// `pkg.Type.Field`) into a map from name to line number. Blank lines and
+// lines starting with # are skipped; a line without a reason, or naming a
+// name twice, is an error.
 func readAllowList(path string) (map[string]int, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -137,6 +148,11 @@ type loader struct {
 	decls []types.Object
 	uses  map[types.Object]bool
 	named []*types.Named
+	// reads are the fields some non-test file reads, and compared the
+	// struct types that some non-test file compares with == or != or uses
+	// as a map key, which reads every field they hold.
+	reads    map[types.Object]bool
+	compared map[*types.Struct]bool
 }
 
 // Import resolves a module package to its already-checked form and
@@ -160,7 +176,8 @@ func (l *loader) check(p *listedPkg) error {
 		}
 		files = append(files, f)
 	}
-	info := &types.Info{Uses: map[*ast.Ident]types.Object{}, Defs: map[*ast.Ident]types.Object{}}
+	info := &types.Info{Uses: map[*ast.Ident]types.Object{}, Defs: map[*ast.Ident]types.Object{},
+		Types: map[ast.Expr]types.TypeAndValue{}}
 	pkg, err := (&types.Config{Importer: l}).Check(p.ImportPath, l.fset, files, info)
 	if err != nil {
 		return fmt.Errorf("type-check %s: %w", p.ImportPath, err)
@@ -168,6 +185,7 @@ func (l *loader) check(p *listedPkg) error {
 	l.checked[p.ImportPath] = pkg
 	for _, f := range files {
 		l.recordFile(f, info)
+		l.recordReads(f, info)
 	}
 	for _, n := range pkg.Scope().Names() {
 		if tn, ok := pkg.Scope().Lookup(n).(*types.TypeName); ok && !tn.IsAlias() {
@@ -231,6 +249,81 @@ func (l *loader) recordFile(f *ast.File, info *types.Info) {
 	})
 }
 
+// recordReads notes the fields the file reads and the struct types it
+// compares. A field named as the target of `=`, `op=`, `++` or `--`, as a
+// composite-literal key, or in `&x.f` passed to a sync/atomic Add* or
+// Store* is written there, not read; every other use of it reads it.
+func (l *loader) recordReads(f *ast.File, info *types.Info) {
+	writes := map[*ast.Ident]bool{}
+	written := func(e ast.Expr) {
+		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			writes[sel.Sel] = true
+		}
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				written(lhs)
+			}
+		case *ast.IncDecStmt:
+			written(n.X)
+		case *ast.KeyValueExpr:
+			if id, ok := n.Key.(*ast.Ident); ok {
+				writes[id] = true
+			}
+		case *ast.CallExpr:
+			if sel, ok := n.Fun.(*ast.SelectorExpr); ok && len(n.Args) > 0 && atomicWrite(sel, info) {
+				if addr, ok := ast.Unparen(n.Args[0]).(*ast.UnaryExpr); ok && addr.Op == token.AND {
+					written(addr.X)
+				}
+			}
+		case *ast.BinaryExpr:
+			if n.Op == token.EQL || n.Op == token.NEQ {
+				l.compare(info.TypeOf(n.X))
+			}
+		case *ast.SwitchStmt:
+			if n.Tag != nil {
+				l.compare(info.TypeOf(n.Tag))
+			}
+		case *ast.MapType:
+			l.compare(info.TypeOf(n.Key))
+		case *ast.Ident: // after the node that makes it a write, if any
+			if v, ok := info.Uses[n].(*types.Var); ok && v.IsField() && !writes[n] {
+				l.reads[v.Origin()] = true
+			}
+		}
+		return true
+	})
+}
+
+// atomicWrite reports whether sel names a sync/atomic Add* or Store* func.
+func atomicWrite(sel *ast.SelectorExpr, info *types.Info) bool {
+	fn, ok := info.Uses[sel.Sel].(*types.Func)
+	return ok && fn.Pkg() != nil && fn.Pkg().Path() == "sync/atomic" && fn.Type().(*types.Signature).Recv() == nil &&
+		(strings.HasPrefix(fn.Name(), "Add") || strings.HasPrefix(fn.Name(), "Store"))
+}
+
+// compare marks the struct type under t, and the struct types its fields
+// and array elements hold, as compared.
+func (l *loader) compare(t types.Type) {
+	if t == nil {
+		return
+	}
+	switch u := t.Underlying().(type) {
+	case *types.Array:
+		l.compare(u.Elem())
+	case *types.Struct:
+		if l.compared[u] {
+			return
+		}
+		l.compared[u] = true
+		for i := 0; i < u.NumFields(); i++ {
+			l.compare(u.Field(i).Type())
+		}
+	}
+}
+
 // origin maps an instantiated generic func or field to its declaration.
 func origin(obj types.Object) types.Object {
 	switch o := obj.(type) {
@@ -242,17 +335,31 @@ func origin(obj types.Object) types.Object {
 	return obj
 }
 
-// unused returns the exported objects declared in packages under prefix
-// that no non-test file uses, keyed `pkg.Name` or `pkg.Type.Method` with
-// pkg the path below prefix. A method that makes a module type, its own or
-// one that embeds it, satisfy a package-level interface of the module or of
-// the standard library it imports counts as used.
-func (l *loader) unused(prefix string) map[string]token.Position {
+// finding is where a finding's object is declared and what is wrong with it.
+type finding struct {
+	pos  token.Position
+	what string
+}
+
+// unused returns the exported objects declared in the module's root package
+// or in packages under its internal/ that no non-test file uses, keyed
+// `pkg.Name` or `pkg.Type.Method`, with pkg the root package's name or the
+// path below internal/. A method that makes a module type, its own or one
+// that embeds it, satisfy a package-level interface of the module or of the
+// standard library it imports counts as used.
+func (l *loader) unused(module string) map[string]finding {
 	ifaces := l.interfaces()
-	out := map[string]token.Position{}
+	out := map[string]finding{}
 	for _, obj := range l.decls {
-		path, name := obj.Pkg().Path(), obj.Name()
-		if !strings.HasPrefix(path, prefix) || l.uses[obj] {
+		pkg, name := obj.Pkg().Path(), obj.Name()
+		if pkg == module {
+			pkg = obj.Pkg().Name()
+		} else if rest, ok := strings.CutPrefix(pkg, module+"/internal/"); ok {
+			pkg = rest
+		} else {
+			continue
+		}
+		if l.uses[obj] {
 			continue
 		}
 		if fn, ok := obj.(*types.Func); ok && fn.Type().(*types.Signature).Recv() != nil {
@@ -265,7 +372,31 @@ func (l *loader) unused(prefix string) map[string]token.Position {
 			}
 			name = recv.(*types.Named).Obj().Name() + "." + name
 		}
-		out[strings.TrimPrefix(path, prefix)+"."+name] = l.fset.Position(obj.Pos())
+		out[pkg+"."+name] = finding{l.fset.Position(obj.Pos()), "is used only by tests"}
+	}
+	return out
+}
+
+// unreadFields returns the fields of the package-level struct types under
+// prefix that no non-test file reads, keyed `pkg.Type.Field` with pkg the
+// path below prefix. An embedded field, a field with a struct tag (an
+// encoder reads it) and a field of a struct type some non-test file
+// compares or uses as a map key count as read.
+func (l *loader) unreadFields(prefix string) map[string]finding {
+	out := map[string]finding{}
+	for _, named := range l.named {
+		pkg, ok := strings.CutPrefix(named.Obj().Pkg().Path(), prefix)
+		st, isStruct := named.Underlying().(*types.Struct)
+		if !ok || !isStruct || l.compared[st] {
+			continue
+		}
+		for i := 0; i < st.NumFields(); i++ {
+			f := st.Field(i)
+			if f.Embedded() || st.Tag(i) != "" || f.Name() == "_" || l.reads[f] {
+				continue
+			}
+			out[pkg+"."+named.Obj().Name()+"."+f.Name()] = finding{l.fset.Position(f.Pos()), "is read by no non-test file"}
+		}
 	}
 	return out
 }

@@ -97,3 +97,93 @@ func main() { a.FromBench() }
 		t.Error("a line without a reason must be refused")
 	}
 }
+
+// TestTestOnlyFields runs the field half of the check on a planted tree:
+// a field that only writes reach fails, whatever the write (=, op=, ++, a
+// composite-literal key, an atomic add on its address), and so does one
+// only a test reads; a field some non-test file reads passes, as do a
+// tagged field, an embedded one and the fields of a struct compared with
+// ==; and an allow-list line naming a field that is read or gone fails.
+func TestTestOnlyFields(t *testing.T) {
+	root := t.TempDir()
+	writeTree(t, root, map[string]string{
+		"go.mod": "module m\n\ngo 1.22\n",
+		"main.go": `package main
+
+import "m/internal/f"
+
+func main() { f.Touch(&f.W{}, f.Key{}) }
+`,
+		"internal/f/f.go": `package f
+
+import (
+	"sync"
+	"sync/atomic"
+)
+
+type W struct {
+	sync.Mutex
+	Assigned int
+	Added    int
+	Incr     int
+	Keyed    int
+	Atomic   uint64
+	Read     int
+	Tagged   int ` + "`json:\"tagged\"`" + `
+	TestRead int
+	Listed   int
+}
+
+type Key struct{ A, B int }
+
+func Touch(w *W, k Key) int {
+	w.Assigned = 1
+	w.Added += 2
+	w.Incr++
+	atomic.AddUint64(&w.Atomic, 1)
+	w.Listed = 3
+	if k == (Key{}) {
+		return (&W{Keyed: 1}).Read
+	}
+	return w.Read
+}
+`,
+		"internal/f/f_test.go": `package f
+
+import "testing"
+
+func TestF(t *testing.T) { _ = (&W{}).TestRead }
+`,
+	})
+	allow := filepath.Join(root, "testonly.txt")
+	writes := []string{"f.W.Added is read by no non-test file", "f.W.Assigned is read", "f.W.Atomic is read",
+		"f.W.Incr is read", "f.W.Keyed is read"}
+	for _, tc := range []struct {
+		name, list string
+		want       []string
+	}{
+		{"listed", "f.W.Listed  # modelled state\n", append(writes, "f.W.TestRead is read")},
+		{"unlisted", "", append(writes, "f.W.Listed is read", "f.W.TestRead is read")},
+		{"stale", "f.W.Listed # modelled state\nf.W.Read # now read\nf.W.Gone # deleted\n",
+			append(writes, "f.W.TestRead is read", "f.W.Gone is gone or used outside tests",
+				"f.W.Read is gone or used outside tests")},
+	} {
+		if err := os.WriteFile(allow, []byte(tc.list), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var out strings.Builder
+		bad, err := testOnly(root, allow, &out)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+		if bad != len(tc.want) || len(lines) != bad {
+			t.Fatalf("%s: %d findings, want %d:\n%s", tc.name, bad, len(tc.want), out.String())
+		}
+		for i, w := range tc.want {
+			if !strings.Contains(lines[i], w) {
+				t.Errorf("%s: finding %d = %q, want %q", tc.name, i, lines[i], w)
+			}
+		}
+	}
+}
