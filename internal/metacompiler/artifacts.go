@@ -134,7 +134,7 @@ func (d *Deployment) generateP4(a *Artifacts) {
 		seenHdr[h] = true
 		lib := p4.HeaderLibrary[h]
 		write(&b, "header ", h, "_t {\n")
-		for _, f := range lib.Fields {
+		for _, f := range lib {
 			b.WriteString("    bit<")
 			writeInt(&b, f.Bits)
 			write(&b, "> ", f.Name, ";\n")

@@ -66,10 +66,10 @@ func chainServicePaths(g *nfgraph.Graph, ci int) ([]*ServicePath, error) {
 	}
 	sps := make([]*ServicePath, len(paths))
 	for pi, p := range paths {
-		sp := &ServicePath{SPI: uint32(ci*spiStride + pi + 1), Nodes: p.Nodes}
+		sp := &ServicePath{SPI: uint32(ci*spiStride + pi + 1), Nodes: p}
 		// Longest common prefix with any earlier path of the chain.
 		for qi := 0; qi < pi; qi++ {
-			lcp := commonPrefix(sps[qi].Nodes, p.Nodes)
+			lcp := commonPrefix(sps[qi].Nodes, p)
 			if lcp > sp.OwnedFrom {
 				sp.OwnedFrom = lcp
 			}

@@ -165,9 +165,7 @@ func instanceOrder(chain *nfspec.Chain) []string {
 }
 
 // Path is one linearized root-to-leaf walk.
-type Path struct {
-	Nodes []*Node
-}
+type Path []*Node
 
 // Paths decomposes the DAG into linear chains (§3.2's branch handling):
 // every root-to-leaf walk. A graph without nodes has none.
@@ -180,9 +178,9 @@ func (g *Graph) Paths() []Path {
 	walk = func(n *Node, prefix []*Node) {
 		prefix = append(prefix, n)
 		if len(n.Outs) == 0 {
-			cp := make([]*Node, len(prefix))
+			cp := make(Path, len(prefix))
 			copy(cp, prefix)
-			out = append(out, Path{Nodes: cp})
+			out = append(out, cp)
 			return
 		}
 		for _, e := range n.Outs {

@@ -43,7 +43,7 @@ chain lin {
 		}
 	}
 	paths := g.Paths()
-	if len(paths) != 1 || len(paths[0].Nodes) != 3 {
+	if len(paths) != 1 || len(paths[0]) != 3 {
 		t.Errorf("paths = %+v", paths)
 	}
 }
@@ -92,8 +92,8 @@ chain bm {
 		t.Fatalf("paths = %d, want 3", len(paths))
 	}
 	for i, p := range paths {
-		if len(p.Nodes) != 3 {
-			t.Errorf("path %d has %d nodes", i, len(p.Nodes))
+		if len(p) != 3 {
+			t.Errorf("path %d has %d nodes", i, len(p))
 		}
 	}
 }

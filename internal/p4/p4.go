@@ -19,30 +19,25 @@ type Field struct {
 	Bits int
 }
 
-// Header is a packet header layout.
-type Header struct {
-	Fields []Field
-}
-
-// HeaderLibrary is the predefined (extensible) set of headers NF developers
-// draw from, so independently-written NFs agree on layouts (§4.2), keyed by
-// header name.
-var HeaderLibrary = map[string]*Header{
-	"ethernet": {Fields: []Field{
-		{"dst", 48}, {"src", 48}, {"ethertype", 16}}},
-	"vlan": {Fields: []Field{
-		{"pcp", 3}, {"dei", 1}, {"vid", 12}, {"ethertype", 16}}},
-	"nsh": {Fields: []Field{
-		{"flags", 16}, {"mdtype", 8}, {"nextproto", 8}, {"spi", 24}, {"si", 8}}},
-	"ipv4": {Fields: []Field{
+// HeaderLibrary is the predefined (extensible) set of header layouts NF
+// developers draw from, so independently-written NFs agree on layouts
+// (§4.2), keyed by header name.
+var HeaderLibrary = map[string][]Field{
+	"ethernet": {
+		{"dst", 48}, {"src", 48}, {"ethertype", 16}},
+	"vlan": {
+		{"pcp", 3}, {"dei", 1}, {"vid", 12}, {"ethertype", 16}},
+	"nsh": {
+		{"flags", 16}, {"mdtype", 8}, {"nextproto", 8}, {"spi", 24}, {"si", 8}},
+	"ipv4": {
 		{"version", 4}, {"ihl", 4}, {"tos", 8}, {"len", 16}, {"id", 16},
 		{"frag", 16}, {"ttl", 8}, {"proto", 8}, {"csum", 16},
-		{"src", 32}, {"dst", 32}}},
-	"tcp": {Fields: []Field{
+		{"src", 32}, {"dst", 32}},
+	"tcp": {
 		{"sport", 16}, {"dport", 16}, {"seq", 32}, {"ack", 32},
-		{"off", 4}, {"rsvd", 4}, {"flags", 8}, {"win", 16}, {"csum", 16}, {"urg", 16}}},
-	"udp": {Fields: []Field{
-		{"sport", 16}, {"dport", 16}, {"len", 16}, {"csum", 16}}},
+		{"off", 4}, {"rsvd", 4}, {"flags", 8}, {"win", 16}, {"csum", 16}, {"urg", 16}},
+	"udp": {
+		{"sport", 16}, {"dport", 16}, {"len", 16}, {"csum", 16}},
 }
 
 // Accept is the terminal parse state.

@@ -2,6 +2,7 @@ package p4
 
 import (
 	"errors"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -84,8 +85,26 @@ func TestLibraryMatchesRegistry(t *testing.T) {
 		if err := prog.Validate(); err != nil {
 			t.Errorf("%s: invalid library program: %v", class, err)
 		}
-		if len(prog.Tables) != meta.PISA.Tables {
-			t.Errorf("%s: library tables=%d, registry profile %+v", class, len(prog.Tables), *meta.PISA)
+		// The parser checks and drops the memory figures, so read them
+		// from the source.
+		var sram, tcam int
+		for _, line := range strings.Split(LibrarySource(class), "\n") {
+			if f := strings.Fields(line); len(f) == 2 && (f[0] == "sram" || f[0] == "tcam") {
+				n, err := strconv.Atoi(f[1])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if f[0] == "sram" {
+					sram += n
+				} else {
+					tcam += n
+				}
+			}
+		}
+		tables := len(prog.Tables)
+		if tables != meta.PISA.Tables || sram != meta.PISA.SRAM*meta.PISA.Tables || tcam != meta.PISA.TCAM*meta.PISA.Tables {
+			t.Errorf("%s: library tables=%d sram=%d tcam=%d, registry profile %+v",
+				class, tables, sram, tcam, *meta.PISA)
 		}
 	}
 }
@@ -171,7 +190,7 @@ func TestHeaderLibraryWidths(t *testing.T) {
 			continue
 		}
 		got := 0
-		for _, f := range h.Fields {
+		for _, f := range h {
 			got += f.Bits
 		}
 		if got != want {

@@ -109,7 +109,7 @@ func (ev *evalScratch) worstPathSec(ci int, tail bool) float64 {
 		d := SwitchPipelineSec
 		prev := Assign{Platform: hw.PISA}
 		hops := 0
-		for _, n := range path.Nodes {
+		for _, n := range path {
 			i := p.base[ci] + n.Seq
 			a := ev.assign[i]
 			if a.HopFrom(prev) {

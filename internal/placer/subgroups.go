@@ -188,7 +188,7 @@ func bounceCountPaths(paths []nfgraph.Path, assign map[*nfgraph.Node]Assign) int
 	total := 0
 	for _, path := range paths {
 		prev := Assign{Platform: hw.PISA} // traffic enters via the ToR
-		for _, n := range path.Nodes {
+		for _, n := range path {
 			if a := assign[n]; a.HopFrom(prev) {
 				total++
 				prev = a

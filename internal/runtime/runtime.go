@@ -404,7 +404,7 @@ func (tb *Testbed) pathLatency(i int) float64 {
 		d := placer.SwitchPipelineSec
 		prev := placer.Assign{Platform: hw.PISA}
 		hops := 0
-		for _, n := range path.Nodes {
+		for _, n := range path {
 			a := tb.D.Result.Assign[n]
 			if a.HopFrom(prev) {
 				hops++
