@@ -3,8 +3,9 @@
 // experiments.Runner.WritePaper, the renderer behind cmd/lemur-bench -paper,
 // whose text TestPaperGolden and TestBeyondGolden hold to
 // internal/experiments/testdata/paper.golden and beyond.golden; the rest
-// time the placer and the deploy path. EXPERIMENTS.md records the paper-reported vs measured
-// values.
+// guard the Optimal search's cost and time the deploy path (the placer
+// benchmarks live in internal/experiments). EXPERIMENTS.md records the
+// paper-reported vs measured values.
 //
 //	go test -run '^$' -bench=. -benchmem
 package lemur
@@ -34,38 +35,9 @@ func BenchmarkPaper(b *testing.B) {
 	}
 }
 
-func BenchmarkPlacerHeuristic(b *testing.B) {
-	r := experiments.NewRunner(hw.NewPaperTestbed())
-	r.SkipMeasure = true
-	for i := 0; i < b.N; i++ {
-		sr, _, err := r.RunSet([]int{1, 2, 3, 4}, 0.5, placer.SchemeLemur)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !sr.Feasible {
-			b.Fatalf("infeasible: %s", sr.Reason)
-		}
-	}
-}
-
-func BenchmarkPlacerBruteForce(b *testing.B) {
-	r := experiments.NewRunner(hw.NewPaperTestbed())
-	r.SkipMeasure = true
-	r.BruteForceBudget = 2000
-	for i := 0; i < b.N; i++ {
-		sr, _, err := r.RunSet([]int{1, 2, 3, 4}, 0.5, placer.SchemeOptimal)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !sr.Feasible {
-			b.Fatalf("infeasible: %s", sr.Reason)
-		}
-	}
-}
-
 // TestPlaceOptimalCostGuard pins the Optimal scheme's cost envelope on the
-// BenchmarkPlacerBruteForce fixture (four-chain set, δ=0.5, budget 2000,
-// built and placed from scratch each time, as Runner.RunSet does): a pruning,
+// experiments.BenchmarkPlacerBruteForce fixture (four-chain set, δ=0.5, budget 2000,
+// built and placed from scratch each time, as Runner.runSet does): a pruning,
 // binder, bound or evaluation-scratch regression that blows up search work
 // fails CI here instead of silently multiplying solve time. The allocation
 // ceilings hold the measured baseline (~18.1k allocs per solve, ~9.0 per
@@ -138,33 +110,5 @@ func BenchmarkEndToEndDeploy(b *testing.B) {
 		if _, err := dep.SendPackets(10); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkCoalescingAblation quantifies heuristic step 2 (DESIGN.md's
-// coalescing design choice): Lemur with and without subgroup coalescing on
-// the four-chain set.
-func BenchmarkCoalescingAblation(b *testing.B) {
-	r := experiments.NewRunner(hw.NewPaperTestbed())
-	r.SkipMeasure = true
-	var full, flat *experiments.SchemeResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		full, _, err = r.RunSet([]int{1, 2, 3, 4}, 1.5, placer.SchemeLemur)
-		if err != nil {
-			b.Fatal(err)
-		}
-		flat, _, err = r.RunSet([]int{1, 2, 3, 4}, 1.5, placer.SchemeNoCoalesce)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	if full.Feasible {
-		b.ReportMetric(full.Marginal/1e9, "lemur-marginal-gbps")
-	}
-	if flat.Feasible {
-		b.ReportMetric(flat.Marginal/1e9, "nocoalesce-marginal-gbps")
-	} else {
-		b.ReportMetric(0, "nocoalesce-marginal-gbps")
 	}
 }

@@ -67,12 +67,15 @@ echo "==> docs gate (scripts/check_docs.sh)"
 echo "==> godoc coverage (tools/doccheck)"
 go run ./tools/doccheck ./internal/placer ./internal/metacompiler ./internal/runtime ./internal/daemon ./internal/experiments .
 
-# No production code that only tests call, and no state that nothing reads:
-# an exported identifier under internal/ or in the root package that no
-# non-test file of the module or of bench/ uses, and a struct field under
-# internal/ that none of them reads, must be gone or listed, with its
-# reason, in tools/doccheck/testonly.txt; a listed name that is gone or now
-# used fails too.
+# No production code that only tests call, no surface that no other package
+# uses, and no state that nothing reads: a package-level name under
+# internal/ or in the root package, exported or not, that no non-test file
+# of the module or of bench/ uses; an exported one under internal/ that no
+# non-test file of another package uses (an interface method, and a type
+# named in the type of something another package uses, are exempt); and a
+# struct field under internal/ that no non-test file reads must be gone,
+# unexported or listed, with its reason, in tools/doccheck/testonly.txt. A
+# listed name that is gone or no longer a finding fails too.
 echo "==> test-only identifiers and unread fields (tools/doccheck -testonly)"
 go run ./tools/doccheck -testonly
 

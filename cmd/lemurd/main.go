@@ -116,7 +116,7 @@ func runDaemon(args []string) {
 }
 
 // validateDaemonFlags rejects malformed daemon flags before any state is
-// touched, mirroring the Config.Validate checks that matter at the CLI
+// touched, mirroring the Config.validate checks that matter at the CLI
 // surface (table-driven-tested in main_test.go).
 func validateDaemonFlags(socket, watch string, interval, maxBackoff time.Duration) error {
 	if socket == "" {

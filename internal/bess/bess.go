@@ -173,16 +173,16 @@ func pathKey(spi uint32, si uint8) uint64 { return uint64(spi)<<8 | uint64(si) }
 
 // Pipeline errors.
 var (
-	ErrDuplicatePath = errors.New("bess: duplicate (SPI, SI) subgroup")
-	ErrNoSubgroup    = errors.New("bess: no subgroup for service path")
-	ErrOversubscribe = errors.New("bess: core oversubscribed")
+	errDuplicatePath = errors.New("bess: duplicate (SPI, SI) subgroup")
+	errNoSubgroup    = errors.New("bess: no subgroup for service path")
+	errOversubscribe = errors.New("bess: core oversubscribed")
 )
 
 // Add installs a subgroup, validating core indices and share budgets.
 func (pl *Pipeline) Add(sg *Subgroup) error {
 	k := pathKey(sg.SPI, sg.EntrySI)
 	if _, dup := pl.entries[k]; dup {
-		return fmt.Errorf("%w: spi=%d si=%d", ErrDuplicatePath, sg.SPI, sg.EntrySI)
+		return fmt.Errorf("%w: spi=%d si=%d", errDuplicatePath, sg.SPI, sg.EntrySI)
 	}
 	for _, s := range sg.Shares {
 		if s.Core < 0 || s.Core >= pl.Server.TotalCores() {
@@ -201,7 +201,7 @@ func (pl *Pipeline) Add(sg *Subgroup) error {
 			// Roll back.
 			delete(pl.entries, k)
 			pl.groups = pl.groups[:len(pl.groups)-1]
-			return fmt.Errorf("%w: core %d at %.2f", ErrOversubscribe, s.Core, f)
+			return fmt.Errorf("%w: core %d at %.2f", errOversubscribe, s.Core, f)
 		}
 	}
 	return nil
@@ -258,7 +258,7 @@ func (pl *Pipeline) coreLoad(core int) float64 {
 // The demux and mux shift the L2 header over the NSH slot inside frame's own
 // backing array (nsh.DecapShift/EncapShift), so a hop whose NFs rewrite the
 // packet in place performs no allocation and no payload copy. NFs may change
-// the frame's length (nf.Tunnel, nf.Detunnel): the returned frame is a slice
+// the frame's length (nf.tunnel, nf.detunnel): the returned frame is a slice
 // of the input with the same base pointer unless an NF had to replace the
 // packet buffer (a VLAN push with no tail room), in which case the mux falls
 // back to the allocating nsh.Encap.
@@ -275,7 +275,7 @@ func (pl *Pipeline) ProcessFrameInPlace(frame []byte, env *nf.Env) (out []byte, 
 	}
 	sg, ok := pl.entries[pathKey(spi, si)]
 	if !ok {
-		return nil, fmt.Errorf("%w: spi=%d si=%d", ErrNoSubgroup, spi, si)
+		return nil, fmt.Errorf("%w: spi=%d si=%d", errNoSubgroup, spi, si)
 	}
 	p := &pl.scratch
 	if err := p.Decode(inner); err != nil {

@@ -85,7 +85,7 @@ func TestPipelineErrors(t *testing.T) {
 	if _, err := pl.ProcessFrameInPlace(frame(80), &nf.Env{}); err == nil {
 		t.Error("untagged frame must fail demux")
 	}
-	if _, err := pl.ProcessFrameInPlace(encFrame(t, 5, 5, 80), &nf.Env{}); !errors.Is(err, ErrNoSubgroup) {
+	if _, err := pl.ProcessFrameInPlace(encFrame(t, 5, 5, 80), &nf.Env{}); !errors.Is(err, errNoSubgroup) {
 		t.Errorf("unknown path: %v", err)
 	}
 	sg := mkSub(t, "sg0")
@@ -93,7 +93,7 @@ func TestPipelineErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	dup := mkSub(t, "sg1")
-	if err := pl.Add(dup); !errors.Is(err, ErrDuplicatePath) {
+	if err := pl.Add(dup); !errors.Is(err, errDuplicatePath) {
 		t.Errorf("dup path: %v", err)
 	}
 	bad := mkSub(t, "sg2")
@@ -118,8 +118,8 @@ func TestCoreOversubscription(t *testing.T) {
 	b := mkSub(t, "b")
 	b.SPI = 2
 	b.Shares = []CoreShare{{Core: 2, Fraction: 0.5}}
-	if err := pl.Add(b); !errors.Is(err, ErrOversubscribe) {
-		t.Errorf("err = %v, want ErrOversubscribe", err)
+	if err := pl.Add(b); !errors.Is(err, errOversubscribe) {
+		t.Errorf("err = %v, want errOversubscribe", err)
 	}
 	// Rollback: pipeline still has only subgroup a and path 2/10 is free.
 	if len(pl.Subgroups()) != 1 {
@@ -148,7 +148,7 @@ func TestOversubscribeErrorDeterministic(t *testing.T) {
 		b.SPI = 2
 		b.Shares = []CoreShare{{Core: 3, Fraction: 0.5}, {Core: 1, Fraction: 0.5}}
 		err := pl.Add(b)
-		if !errors.Is(err, ErrOversubscribe) || !strings.Contains(err.Error(), "core 3 at 1.30") {
+		if !errors.Is(err, errOversubscribe) || !strings.Contains(err.Error(), "core 3 at 1.30") {
 			t.Fatalf("run %d: err = %v, want core 3 at 1.30", run, err)
 		}
 	}

@@ -20,7 +20,7 @@ func processCopy(pl *Pipeline, frame []byte, env *nf.Env) ([]byte, error) {
 	}
 	sg := pl.SubgroupFor(spi, si)
 	if sg == nil {
-		return nil, ErrNoSubgroup
+		return nil, errNoSubgroup
 	}
 	var p packet.Packet
 	if err := p.Decode(inner); err != nil {

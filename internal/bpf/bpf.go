@@ -19,55 +19,55 @@ import (
 	"lemur/internal/packet"
 )
 
-// Field identifies a packet field usable in expressions.
-type Field int
+// field identifies a packet field usable in expressions.
+type field int
 
 // Supported match fields.
 const (
-	FieldIPSrc Field = iota
-	FieldIPDst
-	FieldIPProto
-	FieldIPTOS
-	FieldSrcPort // TCP or UDP source port
-	FieldDstPort // TCP or UDP destination port
-	FieldVLANVID
+	fieldIPSrc field = iota
+	fieldIPDst
+	fieldIPProto
+	fieldIPTOS
+	fieldSrcPort // TCP or UDP source port
+	fieldDstPort // TCP or UDP destination port
+	fieldVLANVID
 )
 
-var fieldNames = map[string]Field{
-	"ip.src":    FieldIPSrc,
-	"ip.dst":    FieldIPDst,
-	"ip.proto":  FieldIPProto,
-	"ip.tos":    FieldIPTOS,
-	"port.src":  FieldSrcPort,
-	"port.dst":  FieldDstPort,
-	"tcp.sport": FieldSrcPort,
-	"tcp.dport": FieldDstPort,
-	"udp.sport": FieldSrcPort,
-	"udp.dport": FieldDstPort,
-	"vlan.vid":  FieldVLANVID,
+var fieldNames = map[string]field{
+	"ip.src":    fieldIPSrc,
+	"ip.dst":    fieldIPDst,
+	"ip.proto":  fieldIPProto,
+	"ip.tos":    fieldIPTOS,
+	"port.src":  fieldSrcPort,
+	"port.dst":  fieldDstPort,
+	"tcp.sport": fieldSrcPort,
+	"tcp.dport": fieldDstPort,
+	"udp.sport": fieldSrcPort,
+	"udp.dport": fieldDstPort,
+	"vlan.vid":  fieldVLANVID,
 }
 
-// Op is a comparison operator.
-type Op int
+// op is a comparison operator.
+type op int
 
 // Comparison operators.
 const (
-	OpEq Op = iota
-	OpNe
-	OpLt
-	OpLe
-	OpGt
-	OpGe
-	OpIn // CIDR membership, IP fields only
+	opEq op = iota
+	opNe
+	opLt
+	opLe
+	opGt
+	opGe
+	opIn // CIDR membership, IP fields only
 )
 
 // node is one compiled expression node.
 type node struct {
 	kind  nodeKind
-	field Field
-	op    Op
+	field field
+	op    op
 	val   uint32
-	mask  uint32 // for OpIn: network mask
+	mask  uint32 // for opIn: network mask
 	kids  []node
 }
 
@@ -143,48 +143,48 @@ func evalNode(n *node, p *packet.Packet) bool {
 			return false
 		}
 		switch n.op {
-		case OpEq:
+		case opEq:
 			return v == n.val
-		case OpNe:
+		case opNe:
 			return v != n.val
-		case OpLt:
+		case opLt:
 			return v < n.val
-		case OpLe:
+		case opLe:
 			return v <= n.val
-		case OpGt:
+		case opGt:
 			return v > n.val
-		case OpGe:
+		case opGe:
 			return v >= n.val
-		case OpIn:
+		case opIn:
 			return v&n.mask == n.val&n.mask
 		}
 	}
 	return false
 }
 
-func fieldValue(f Field, p *packet.Packet) (uint32, bool) {
+func fieldValue(f field, p *packet.Packet) (uint32, bool) {
 	switch f {
-	case FieldIPSrc:
+	case fieldIPSrc:
 		if !p.HasIPv4 {
 			return 0, false
 		}
 		return p.IP.Src.Uint32(), true
-	case FieldIPDst:
+	case fieldIPDst:
 		if !p.HasIPv4 {
 			return 0, false
 		}
 		return p.IP.Dst.Uint32(), true
-	case FieldIPProto:
+	case fieldIPProto:
 		if !p.HasIPv4 {
 			return 0, false
 		}
 		return uint32(p.IP.Protocol), true
-	case FieldIPTOS:
+	case fieldIPTOS:
 		if !p.HasIPv4 {
 			return 0, false
 		}
 		return uint32(p.IP.TOS), true
-	case FieldSrcPort:
+	case fieldSrcPort:
 		switch {
 		case p.HasTCP:
 			return uint32(p.TCP.SrcPort), true
@@ -192,7 +192,7 @@ func fieldValue(f Field, p *packet.Packet) (uint32, bool) {
 			return uint32(p.UDP.SrcPort), true
 		}
 		return 0, false
-	case FieldDstPort:
+	case fieldDstPort:
 		switch {
 		case p.HasTCP:
 			return uint32(p.TCP.DstPort), true
@@ -200,7 +200,7 @@ func fieldValue(f Field, p *packet.Packet) (uint32, bool) {
 			return uint32(p.UDP.DstPort), true
 		}
 		return 0, false
-	case FieldVLANVID:
+	case fieldVLANVID:
 		if !p.HasVLAN {
 			return 0, false
 		}
@@ -416,25 +416,25 @@ func (p *parser) parseCmp() (node, error) {
 		return node{}, fmt.Errorf("unknown field %q", ft.text)
 	}
 	opt := p.next()
-	var op Op
+	var op op
 	switch {
 	case opt.kind == tokOp:
 		switch opt.text {
 		case "==":
-			op = OpEq
+			op = opEq
 		case "!=":
-			op = OpNe
+			op = opNe
 		case "<":
-			op = OpLt
+			op = opLt
 		case "<=":
-			op = OpLe
+			op = opLe
 		case ">":
-			op = OpGt
+			op = opGt
 		case ">=":
-			op = OpGe
+			op = opGe
 		}
 	case opt.kind == tokIdent && opt.text == "in":
-		op = OpIn
+		op = opIn
 	default:
 		return node{}, fmt.Errorf("expected operator after field, got %q", opt.text)
 	}
@@ -442,11 +442,11 @@ func (p *parser) parseCmp() (node, error) {
 	vt := p.next()
 	n := node{kind: kindCmp, field: field, op: op}
 	switch {
-	case op == OpIn:
+	case op == opIn:
 		if vt.kind != tokCIDR {
 			return node{}, fmt.Errorf("'in' requires a CIDR, got %q", vt.text)
 		}
-		if field != FieldIPSrc && field != FieldIPDst {
+		if field != fieldIPSrc && field != fieldIPDst {
 			return node{}, fmt.Errorf("'in' only applies to IP fields")
 		}
 		addr, bits, err := ParseCIDR(vt.text)

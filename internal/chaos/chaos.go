@@ -84,8 +84,8 @@ func (k Kind) defaultFactor() float64 {
 // covers Reconfigure + Apply (rule re-install timescale). Both are
 // simulated-time delays.
 const (
-	DefaultDetectionDelaySec = 0.010
-	DefaultReconfigDelaySec  = 0.020
+	defaultDetectionDelaySec = 0.010
+	defaultReconfigDelaySec  = 0.020
 )
 
 // Event is one scheduled fault, admission or retirement.
@@ -137,7 +137,7 @@ func (p *Plan) Normalize() *Plan {
 // applied (negative values mean "explicitly zero" is allowed: only
 // unset/zero fields default).
 func (p *Plan) Delays() (detection, reconfig float64) {
-	detection, reconfig = DefaultDetectionDelaySec, DefaultReconfigDelaySec
+	detection, reconfig = defaultDetectionDelaySec, defaultReconfigDelaySec
 	if p == nil {
 		return
 	}

@@ -181,7 +181,7 @@ func TestStringRoundTrip(t *testing.T) {
 func TestDelaysDefaultsAndOverrides(t *testing.T) {
 	var nilPlan *Plan
 	d, r := nilPlan.Delays()
-	if d != DefaultDetectionDelaySec || r != DefaultReconfigDelaySec {
+	if d != defaultDetectionDelaySec || r != defaultReconfigDelaySec {
 		t.Fatalf("nil plan delays: got %g,%g", d, r)
 	}
 	p := &Plan{DetectionDelaySec: 0.001, ReconfigDelaySec: 0.002}

@@ -7,7 +7,7 @@ import (
 )
 
 // Clock abstracts time for the reconcile loop so the daemon is
-// property-testable: production wires RealClock, tests wire a FakeClock and
+// property-testable: production wires realClock, tests wire a FakeClock and
 // advance it explicitly, making every backoff deadline and chaos-plan fire
 // time deterministic.
 type Clock interface {
@@ -18,20 +18,20 @@ type Clock interface {
 	After(d time.Duration) <-chan time.Time
 }
 
-// RealClock is the production Clock backed by the wall clock.
-type RealClock struct{}
+// realClock is the production Clock backed by the wall clock.
+type realClock struct{}
 
 // Now returns time.Now.
-func (RealClock) Now() time.Time { return time.Now() }
+func (realClock) Now() time.Time { return time.Now() }
 
 // After returns time.After(d).
-func (RealClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
+func (realClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
 
 // FakeClock is a manually advanced Clock. Time moves only through Advance,
 // which fires pending After timers in deadline order — two daemons driven by
 // the same FakeClock schedule see the identical sequence of instants, which
 // is what makes the reconcile loop's convergence latency a deterministic,
-// benchmarkable quantity (experiments.ReconcileSweep relies on it).
+// benchmarkable quantity (experiments.reconcileSweep relies on it).
 type FakeClock struct {
 	mu     sync.Mutex
 	now    time.Time

@@ -110,7 +110,7 @@ type Config struct {
 	// while any node failure has been applied (a repack would re-place
 	// onto hardware the daemon knows is dead).
 	AllowRepack bool
-	// Clock abstracts time; nil means RealClock. Tests and the
+	// Clock abstracts time; nil means realClock. Tests and the
 	// reconcile-latency benchmark wire a FakeClock for determinism.
 	Clock Clock
 	// TickNotify, when non-nil, receives every Tick's result; Run blocks on
@@ -119,9 +119,9 @@ type Config struct {
 	TickNotify chan<- *ReconcileResult
 }
 
-// Validate rejects malformed configurations. It is the table-driven-tested
+// validate rejects malformed configurations. It is the table-driven-tested
 // counterpart of cmd/lemurd's flag validation.
-func (c *Config) Validate() error {
+func (c *Config) validate() error {
 	if c.Interval <= 0 {
 		return fmt.Errorf("daemon: reconcile interval must be positive, got %v", c.Interval)
 	}
@@ -250,7 +250,7 @@ type Daemon struct {
 // an existing snapshot, replays it so the daemon resumes its previous
 // placement instead of starting empty.
 func New(cfg Config) (*Daemon, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	if cfg.MaxBackoff == 0 {
@@ -258,7 +258,7 @@ func New(cfg Config) (*Daemon, error) {
 	}
 	clk := cfg.Clock
 	if clk == nil {
-		clk = RealClock{}
+		clk = realClock{}
 	}
 	if cfg.ChaosPlan != nil {
 		cfg.ChaosPlan.Normalize()

@@ -106,7 +106,7 @@ func TestConfigValidate(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := tc.cfg.Validate()
+			err := tc.cfg.validate()
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)
@@ -123,7 +123,7 @@ func TestConfigValidate(t *testing.T) {
 func TestConfigRejectsNonCrashChaos(t *testing.T) {
 	plan := parseChaos(t, "overload:nf-server-0@0.1sx4")
 	cfg := Config{Interval: time.Second, ChaosPlan: plan}
-	if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "only crash events") {
+	if err := cfg.validate(); err == nil || !strings.Contains(err.Error(), "only crash events") {
 		t.Fatalf("want crash-only rejection, got %v", err)
 	}
 }

@@ -13,7 +13,7 @@ import (
 
 // ReconcileResult reports what one level-triggered pass did. Every field is
 // a pure function of the daemon's inputs when driven by a FakeClock, which
-// is what makes the reconcile loop benchmarkable (experiments.ReconcileSweep
+// is what makes the reconcile loop benchmarkable (experiments.reconcileSweep
 // asserts byte-identical result sequences at any placer parallelism).
 type ReconcileResult struct {
 	// Generation is the desired-state generation the pass reconciled

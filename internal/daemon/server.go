@@ -13,8 +13,8 @@ import (
 // kilobytes, so anything near this is a client error, not a workload.
 const maxSpecBytes = 8 << 20
 
-// FailRequest is the POST /v1/fail body: device names to declare dead.
-type FailRequest struct {
+// failRequest is the POST /v1/fail body: device names to declare dead.
+type failRequest struct {
 	// Nodes are topology device names (servers or SmartNICs).
 	Nodes []string `json:"nodes"`
 }
@@ -35,7 +35,7 @@ type errorReply struct {
 //	GET  /v1/status  — Status JSON (placement, SLO verdicts, headroom)
 //	GET  /v1/spec    — the current desired-state document
 //	PUT  /v1/spec    — validate-and-apply a desired-state document
-//	POST /v1/fail    — declare devices dead (FailRequest)
+//	POST /v1/fail    — declare devices dead (failRequest)
 //	GET  /metrics    — Prometheus text exposition of the obs registry
 //	GET  /healthz    — liveness ("ok")
 //
@@ -93,7 +93,7 @@ func (d *Daemon) Handler() http.Handler {
 			writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use POST"))
 			return
 		}
-		var req FailRequest
+		var req failRequest
 		if err := json.NewDecoder(io.LimitReader(r.Body, maxSpecBytes)).Decode(&req); err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return

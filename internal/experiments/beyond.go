@@ -132,8 +132,8 @@ func beyondSections() []paperSection {
 			return nil
 		}},
 		{"churn", "Churn: admission capacity, incremental vs repack", func(r *Runner, d *paperDoc) error {
-			base, admits := []int{1, 2}, DefaultChurnAdmits(12)
-			steps, err := r.ChurnSweep(base, admits, 0.5, placer.SchemeLemur)
+			base, admits := []int{1, 2}, defaultChurnAdmits(12)
+			steps, err := r.churnSweep(base, admits, 0.5, placer.SchemeLemur)
 			if err != nil {
 				return err
 			}
@@ -143,11 +143,11 @@ func beyondSections() []paperSection {
 					st.Step, st.BaseChains, st.ChainName, st.BaseFeasible, st.Outcome, st.Pinned, st.MarginalBps,
 					st.FullFeasible, st.Reason)
 			}
-			d.line("capacity=%d", AdmittedCapacity(steps))
+			d.line("capacity=%d", admittedCapacity(steps))
 			return nil
 		}},
 		{"reconcile", "lemurd reconcile convergence, fake clock", func(r *Runner, d *paperDoc) error {
-			pts, err := ReconcileSweep(r.Parallel)
+			pts, err := reconcileSweep(r.Parallel)
 			if err != nil {
 				return err
 			}
@@ -165,7 +165,7 @@ func beyondSections() []paperSection {
 			rs := r.on(r.Topo)
 			rs.SkipMeasure = true
 			rs.BruteForceBudget = 1 << 30
-			cells, err := rs.PlaceScaleSweep(DefaultPlaceScalePoints(), placer.Schemes())
+			cells, err := rs.placeScaleSweep(DefaultPlaceScalePoints(), placer.Schemes())
 			if err != nil {
 				return err
 			}

@@ -180,9 +180,9 @@ func BuildChainsFromSpec(src string) ([]*nfgraph.Graph, error) {
 	return out, nil
 }
 
-// BaseRate computes a chain's base rate (§5.1): the chain throughput with a
+// baseRate computes a chain's base rate (§5.1): the chain throughput with a
 // single core on its slowest software NF — the δ-sweep's unit.
-func BaseRate(g *nfgraph.Graph, topo *hw.Topology, db *profile.DB, frameBits float64) float64 {
+func baseRate(g *nfgraph.Graph, topo *hw.Topology, db *profile.DB, frameBits float64) float64 {
 	base := math.Inf(1)
 	f := topo.Servers[0].ClockHz
 	for _, n := range g.Order {
@@ -212,7 +212,7 @@ func BaseRates(chainIdxs []int, topo *hw.Topology, db *profile.DB) ([]float64, e
 	}
 	out := make([]float64, len(graphs))
 	for i, g := range graphs {
-		out[i] = BaseRate(g, topo, db, placer.DefaultFrameBits)
+		out[i] = baseRate(g, topo, db, placer.DefaultFrameBits)
 	}
 	return out, nil
 }

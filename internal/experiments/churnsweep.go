@@ -6,10 +6,10 @@ import (
 	"lemur/internal/placer"
 )
 
-// ChurnStep is one cell of an admission-capacity sweep: the outcome of
+// churnStep is one cell of an admission-capacity sweep: the outcome of
 // incrementally admitting one more chain onto a placed system, side by side
 // with the full re-solve it avoids.
-type ChurnStep struct {
+type churnStep struct {
 	// Step numbers the admission (0 = first chain admitted beyond the base
 	// set); BaseChains is how many chains were already placed when it ran.
 	Step       int
@@ -45,7 +45,7 @@ type ChurnStep struct {
 // newcomers.
 const churnHeadroom = 4
 
-// ChurnSweep measures admission capacity: starting from the base canonical
+// churnSweep measures admission capacity: starting from the base canonical
 // chains at δ, it admits the given chains one at a time and reports each
 // step's verdict. Step k admits its chain onto a freshly placed system of
 // base+k chains — the capacity question "can one more tenant join without
@@ -55,10 +55,10 @@ const churnHeadroom = 4
 // count.
 //
 // The sweep keeps going past the first non-incremental verdict (capacity is
-// AdmittedCapacity over the result); a step whose base placement is itself
+// admittedCapacity over the result); a step whose base placement is itself
 // infeasible reports that in BaseFeasible/Reason rather than failing, so the
 // sweep can run past the rack's capacity point.
-func (r *Runner) ChurnSweep(baseChainIdxs, admitChainIdxs []int, delta float64, scheme placer.Scheme) ([]ChurnStep, error) {
+func (r *Runner) churnSweep(baseChainIdxs, admitChainIdxs []int, delta float64, scheme placer.Scheme) ([]churnStep, error) {
 	if len(admitChainIdxs) == 0 {
 		return nil, fmt.Errorf("experiments: churn sweep needs at least one chain to admit")
 	}
@@ -68,7 +68,7 @@ func (r *Runner) ChurnSweep(baseChainIdxs, admitChainIdxs []int, delta float64, 
 		return nil, err
 	}
 
-	steps := make([]ChurnStep, len(admitChainIdxs))
+	steps := make([]churnStep, len(admitChainIdxs))
 	err = forEach(len(steps), r.Parallel, func(k int) error {
 		st, err := r.churnStep(full, len(baseChainIdxs)+k, scheme)
 		if err != nil {
@@ -89,8 +89,8 @@ func (r *Runner) ChurnSweep(baseChainIdxs, admitChainIdxs []int, delta float64, 
 // chains from scratch for comparison. Each cell builds its own
 // Input values (sharing only the immutable graphs) so the placer's
 // per-input prep caches never race across cells.
-func (r *Runner) churnStep(full *placer.Input, nBase int, scheme placer.Scheme) (ChurnStep, error) {
-	st := ChurnStep{
+func (r *Runner) churnStep(full *placer.Input, nBase int, scheme placer.Scheme) (churnStep, error) {
+	st := churnStep{
 		BaseChains: nBase,
 		ChainName:  full.Chains[nBase].Chain.Name,
 	}
@@ -130,10 +130,10 @@ func (r *Runner) churnStep(full *placer.Input, nBase int, scheme placer.Scheme) 
 	return st, nil
 }
 
-// AdmittedCapacity is the number of consecutive leading steps a churn sweep
+// admittedCapacity is the number of consecutive leading steps a churn sweep
 // admitted incrementally — the paper-style capacity headline "chains
 // admitted until first infeasibility".
-func AdmittedCapacity(steps []ChurnStep) int {
+func admittedCapacity(steps []churnStep) int {
 	n := 0
 	for _, st := range steps {
 		if st.Outcome != placer.AdmitIncremental {
@@ -144,11 +144,11 @@ func AdmittedCapacity(steps []ChurnStep) int {
 	return n
 }
 
-// DefaultChurnAdmits builds the default admission sequence for the capacity
+// defaultChurnAdmits builds the default admission sequence for the capacity
 // sweep: n canonical chains cycling over the light-to-medium chains
 // {3, 5, 2}, so capacity is exhausted gradually rather than by one giant
 // chain.
-func DefaultChurnAdmits(n int) []int {
+func defaultChurnAdmits(n int) []int {
 	cycle := []int{3, 5, 2}
 	out := make([]int, 0, n)
 	for i := 0; i < n; i++ {

@@ -20,31 +20,31 @@ import (
 // at ~31k worst-case cycles, Encrypt at ~8.8k) cost more than the two
 // scheduling quanta of credit a subgroup can bank per step at testbed core
 // counts, so their queues never drain and every load point degenerates to
-// zero egress. Instead it builds LatencyChainSpec below, shaped so the
+// zero egress. Instead it builds latencyChainSpec below, shaped so the
 // round-robin order is genuinely different from the EDF order (see the
 // comment there) and the bottleneck subgroups stay within their credit.
 
-// Deadline chain geometry: LatencyHops server hops, each split into
+// Deadline chain geometry: latencyHops server hops, each split into
 // its own subgroup by a PISA-pinned IPv4Fwd between consecutive hops. The
-// two ACL hops at positions LatencyHeavyLo/Hi are the near-capacity pair;
+// two ACL hops at positions latencyHeavyLo/Hi are the near-capacity pair;
 // the Limiter hops elsewhere are overprovisioned pass-throughs.
 const (
-	LatencyHops    = 9
-	LatencyHeavyLo = 4
-	LatencyHeavyHi = 5
+	latencyHops    = 9
+	latencyHeavyLo = 4
+	latencyHeavyHi = 5
 )
 
-// LatencyRestrict pins the deadline chain's NF types: ACL and Limiter must
+// latencyRestrict pins the deadline chain's NF types: ACL and Limiter must
 // stay on the server (they are the queues being scheduled), IPv4Fwd on the
 // switch (it is the subgroup separator).
-var LatencyRestrict = map[string][]hw.Platform{
+var latencyRestrict = map[string][]hw.Platform{
 	"ACL":     {hw.Server},
 	"Limiter": {hw.Server},
 	"IPv4Fwd": {hw.PISA},
 }
 
-// LatencyChainSpec emits the deadline-bearing chain: a linear run of
-// LatencyHops server NFs, every consecutive pair separated by a PISA-pinned
+// latencyChainSpec emits the deadline-bearing chain: a linear run of
+// latencyHops server NFs, every consecutive pair separated by a PISA-pinned
 // IPv4Fwd so each server NF lands in its own scheduler subgroup.
 //
 // The shape is chosen so the legacy round-robin drain order differs from
@@ -58,7 +58,7 @@ var LatencyRestrict = map[string][]hw.Platform{
 // round-robin, packets drained from hop 4 consume hop 5's credit before
 // hop 5's own backlog is served — the queue-jump EDF eliminates by
 // draining least-slack (most-downstream) subgroups first.
-func LatencyChainSpec(tminBps, dmaxSec float64) string {
+func latencyChainSpec(tminBps, dmaxSec float64) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, `
 chain lat1 {
@@ -66,9 +66,9 @@ chain lat1 {
   aggregate { src = 10.50.0.0/16  dst = 172.16.0.0/12 }
 `, tminBps, dmaxSec)
 	var names []string
-	for h := 1; h <= LatencyHops; h++ {
+	for h := 1; h <= latencyHops; h++ {
 		var n string
-		if h == LatencyHeavyLo || h == LatencyHeavyHi {
+		if h == latencyHeavyLo || h == latencyHeavyHi {
 			n = fmt.Sprintf("a%d", h)
 			fmt.Fprintf(&b, "  %s = ACL(allow_dst = \"172.16.0.0/12\", rules = 1024)\n", n)
 		} else {
@@ -76,7 +76,7 @@ chain lat1 {
 			fmt.Fprintf(&b, "  %s = Limiter()\n", n)
 		}
 		names = append(names, n)
-		if h < LatencyHops {
+		if h < latencyHops {
 			f := fmt.Sprintf("f%d", h)
 			fmt.Fprintf(&b, "  %s = IPv4Fwd()\n", f)
 			names = append(names, f)
@@ -109,7 +109,7 @@ var deadlineLoads = []float64{1.0, 2.0, 3.0, 4.0, 4.3, 4.6, 5.0}
 
 // latencyInput builds the placer input for the deadline section's chain.
 func (r *Runner) latencyInput() (*placer.Input, error) {
-	gs, err := BuildChainsFromSpec(LatencyChainSpec(deadlineTMinBps, deadlineDMaxSec))
+	gs, err := BuildChainsFromSpec(latencyChainSpec(deadlineTMinBps, deadlineDMaxSec))
 	if err != nil {
 		return nil, fmt.Errorf("experiments: latency chain: %w", err)
 	}
@@ -117,7 +117,7 @@ func (r *Runner) latencyInput() (*placer.Input, error) {
 		Topo:             r.Topo,
 		DB:               profile.DefaultDB(),
 		Chains:           gs,
-		Restrict:         LatencyRestrict,
+		Restrict:         latencyRestrict,
 		BruteForceBudget: r.BruteForceBudget,
 		Parallel:         r.Parallel,
 	}, nil

@@ -62,7 +62,7 @@ func TestBaseRatesRegime(t *testing.T) {
 func TestRunSetLemurFourChains(t *testing.T) {
 	r := NewRunner(hw.NewPaperTestbed())
 	r.VerifyPackets = 20
-	sr, set, err := r.RunSet([]int{1, 2, 3, 4}, 0.5, placer.SchemeLemur)
+	sr, set, err := r.runSet([]int{1, 2, 3, 4}, 0.5, placer.SchemeLemur)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,11 +86,11 @@ func TestFigure2ShapeAtModerateDelta(t *testing.T) {
 	r := NewRunner(hw.NewPaperTestbed())
 	schemes := []placer.Scheme{placer.SchemeLemur, placer.SchemeHWPreferred,
 		placer.SchemeSWPreferred, placer.SchemeGreedy}
-	rows, err := r.Figure2Panel([]int{1, 2, 3}, []float64{0.5, 1.5}, schemes)
+	rows, err := r.figure2Panel([]int{1, 2, 3}, []float64{0.5, 1.5}, schemes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	get := func(row DeltaRow, s placer.Scheme) *SchemeResult {
+	get := func(row deltaRow, s placer.Scheme) *schemeResult {
 		for _, sr := range row.Schemes {
 			if sr.Scheme == s {
 				return sr

@@ -10,15 +10,8 @@ import (
 	"lemur/internal/profile"
 )
 
-// Figure2f runs the component ablations on the four-chain set: full Lemur
-// vs No-Profiling vs No-Core-Allocation.
-func (r *Runner) Figure2f(deltas []float64) ([]DeltaRow, error) {
-	schemes := []placer.Scheme{placer.SchemeLemur, placer.SchemeNoProfiling, placer.SchemeNoCoreAlloc}
-	return r.Figure2Panel([]int{1, 2, 3, 4}, deltas, schemes)
-}
-
-// Figure3aResult compares chains {1,2,3} on one vs two 8-core servers.
-type Figure3aResult struct {
+// figure3aResult compares chains {1,2,3} on one vs two 8-core servers.
+type figure3aResult struct {
 	Delta              float64
 	SingleFeasible     bool
 	SingleReason       string
@@ -27,25 +20,25 @@ type Figure3aResult struct {
 	TwoServerAggregate float64
 }
 
-// Figure3a reproduces the multi-server experiment (§5.3): at δ=0.5 a single
+// figure3a reproduces the multi-server experiment (§5.3): at δ=0.5 a single
 // 8-core server yields less than half the two-server aggregate; at δ=1.5
 // the single-server case is infeasible (the Dedup→ACL→Limiter subgroup can
 // no longer share one core, and splitting it exhausts the cores). The two
 // racks are fixed by the experiment; everything else is the receiver's.
-func (r *Runner) Figure3a(deltas []float64) ([]Figure3aResult, error) {
+func (r *Runner) figure3a(deltas []float64) ([]figure3aResult, error) {
 	single := r.on(hw.NewPaperTestbed(hw.WithSingleSocket()))
 	double := r.on(hw.NewPaperTestbed(hw.WithServers(2), hw.WithSingleSocket()))
-	var out []Figure3aResult
+	var out []figure3aResult
 	for _, d := range deltas {
-		sr, _, err := single.RunSet([]int{1, 2, 3}, d, placer.SchemeLemur)
+		sr, _, err := single.runSet([]int{1, 2, 3}, d, placer.SchemeLemur)
 		if err != nil {
 			return nil, err
 		}
-		dr, _, err := double.RunSet([]int{1, 2, 3}, d, placer.SchemeLemur)
+		dr, _, err := double.runSet([]int{1, 2, 3}, d, placer.SchemeLemur)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, Figure3aResult{
+		out = append(out, figure3aResult{
 			Delta:              d,
 			SingleFeasible:     sr.Feasible,
 			SingleReason:       sr.Reason,
@@ -57,8 +50,8 @@ func (r *Runner) Figure3a(deltas []float64) ([]Figure3aResult, error) {
 	return out, nil
 }
 
-// Figure3bResult compares chain 5 with and without the SmartNIC.
-type Figure3bResult struct {
+// figure3bResult compares chain 5 with and without the SmartNIC.
+type figure3bResult struct {
 	Delta              float64
 	ServerOnlyFeasible bool
 	ServerOnlyAgg      float64
@@ -67,17 +60,17 @@ type Figure3bResult struct {
 	NICUsed            bool
 }
 
-// Figure3b reproduces the SmartNIC experiment (§5.3): offloading ChaCha to
+// figure3b reproduces the SmartNIC experiment (§5.3): offloading ChaCha to
 // the eBPF NIC lifts chain 5 toward the 40G line rate, and at δ=1.5 no
 // server-only solution exists because t_min exceeds what one (non-
 // replicable) ChaCha core can do. As in Figure3a, only the two racks are
 // fixed.
-func (r *Runner) Figure3b(deltas []float64) ([]Figure3bResult, error) {
+func (r *Runner) figure3b(deltas []float64) ([]figure3bResult, error) {
 	serverOnly := r.on(hw.NewPaperTestbed())
 	withNIC := r.on(hw.NewPaperTestbed(hw.WithSmartNIC()))
-	var out []Figure3bResult
+	var out []figure3bResult
 	for _, d := range deltas {
-		sr, _, err := serverOnly.RunSet([]int{5}, d, placer.SchemeLemur)
+		sr, _, err := serverOnly.runSet([]int{5}, d, placer.SchemeLemur)
 		if err != nil {
 			return nil, err
 		}
@@ -89,7 +82,7 @@ func (r *Runner) Figure3b(deltas []float64) ([]Figure3bResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, Figure3bResult{
+		out = append(out, figure3bResult{
 			Delta:              d,
 			ServerOnlyFeasible: sr.Feasible,
 			ServerOnlyAgg:      sr.MeasuredAggregate,
@@ -134,8 +127,8 @@ func Figure3c() Figure3cResult {
 	}
 }
 
-// ExtremeConfigResult captures the §5.2 stage-constraint study.
-type ExtremeConfigResult struct {
+// extremeConfigResult captures the §5.2 stage-constraint study.
+type extremeConfigResult struct {
 	Scheme       placer.Scheme
 	Feasible     bool
 	Reason       string
@@ -144,9 +137,9 @@ type ExtremeConfigResult struct {
 	NATsOnServer int
 }
 
-// ExtremeChainSpec is the §5.2 variant of chain 2 without encryption:
+// extremeChainSpec is the §5.2 variant of chain 2 without encryption:
 // BPF -> 11x NAT (branched) -> IPv4Fwd.
-func ExtremeChainSpec(tminBps float64) string {
+func extremeChainSpec(tminBps float64) string {
 	s := fmt.Sprintf(`
 chain extreme {
   slo { tmin = %.0f  tmax = 100000000000 }
@@ -163,11 +156,11 @@ chain extreme {
 	return s + "}\n"
 }
 
-// ExtremeConfig runs the 11-NAT chain across schemes. Expected shape:
+// extremeConfig runs the 11-NAT chain across schemes. Expected shape:
 // Lemur fits by moving exactly one NAT to the server (10 on-switch, 12
 // stages); HW-Preferred and Minimum-Bounce overflow the pipeline; SW-
 // Preferred cannot meet the SLO in software.
-func ExtremeConfig(schemes []placer.Scheme) ([]ExtremeConfigResult, error) {
+func extremeConfig(schemes []placer.Scheme) ([]extremeConfigResult, error) {
 	topo := hw.NewPaperTestbed()
 	db := profile.DefaultDB()
 	// δ=0.5 of the chain's ~44.9 Gbps NAT base rate.
@@ -177,18 +170,18 @@ func ExtremeConfig(schemes []placer.Scheme) ([]ExtremeConfigResult, error) {
 	// δ-scaled arithmetic on the unweighted NAT rate.
 	tmin := 0.5 * topo.Servers[0].ClockHz / natCycles * placer.DefaultFrameBits
 
-	chains, err := BuildChainsFromSpec(ExtremeChainSpec(tmin))
+	chains, err := BuildChainsFromSpec(extremeChainSpec(tmin))
 	if err != nil {
 		return nil, err
 	}
-	var out []ExtremeConfigResult
+	var out []extremeConfigResult
 	for _, scheme := range schemes {
 		in := &placer.Input{Chains: chains, Topo: topo, DB: db, Restrict: EvalRestrict}
 		res, err := placer.Place(scheme, in)
 		if err != nil {
 			return nil, err
 		}
-		row := ExtremeConfigResult{Scheme: scheme, Feasible: res.Feasible, Reason: res.Reason, Stages: res.Stages}
+		row := extremeConfigResult{Scheme: scheme, Feasible: res.Feasible, Reason: res.Reason, Stages: res.Stages}
 		for n, a := range res.Assign {
 			if n.Class() != "NAT" {
 				continue
@@ -205,18 +198,18 @@ func ExtremeConfig(schemes []placer.Scheme) ([]ExtremeConfigResult, error) {
 	return out, nil
 }
 
-// SensitivityResult is one profiling-error point of the §5.2 study.
-type SensitivityResult struct {
+// sensitivityResult is one profiling-error point of the §5.2 study.
+type sensitivityResult struct {
 	ErrorFraction float64 // profiled costs scaled by (1 - this)
 	Feasible      bool
 	Marginal      float64
 	SameAsBase    bool
 }
 
-// Sensitivity re-runs the four-chain placement with under-estimated
+// sensitivity re-runs the four-chain placement with under-estimated
 // profiles (1%..10%) and re-evaluates the decisions against true costs. The
 // paper finds marginal throughput unchanged up to 8% error.
-func (r *Runner) Sensitivity(delta float64, errs []float64) ([]SensitivityResult, float64, error) {
+func (r *Runner) sensitivity(delta float64, errs []float64) ([]sensitivityResult, float64, error) {
 	in, _, err := r.input([]int{1, 2, 3, 4}, delta)
 	if err != nil {
 		return nil, 0, err
@@ -225,7 +218,7 @@ func (r *Runner) Sensitivity(delta float64, errs []float64) ([]SensitivityResult
 	if err != nil {
 		return nil, 0, err
 	}
-	var out []SensitivityResult
+	var out []sensitivityResult
 	for _, e := range errs {
 		blind := *in
 		blind.DB = in.DB.Scaled(1 - e)
@@ -233,7 +226,7 @@ func (r *Runner) Sensitivity(delta float64, errs []float64) ([]SensitivityResult
 		if err != nil {
 			return nil, 0, err
 		}
-		row := SensitivityResult{ErrorFraction: e}
+		row := sensitivityResult{ErrorFraction: e}
 		if decided.Feasible {
 			evaluated := placer.ReEvaluate(in, decided)
 			row.Feasible = evaluated.Feasible
@@ -246,27 +239,22 @@ func (r *Runner) Sensitivity(delta float64, errs []float64) ([]SensitivityResult
 	return out, baseRes.Marginal, nil
 }
 
-// LatencyResult is one d_max point of the §5.3 latency study on chains
+// latencyResult is one d_max point of the §5.3 latency study on chains
 // {1, 4}.
-type LatencyResult struct {
+type latencyResult struct {
 	DMaxSec   float64
 	Feasible  bool
 	Aggregate float64
 	Bounces   int
 }
 
-// Latency reproduces the latency-SLO experiment: a 45µs budget admits the
-// bouncy high-throughput placement; a tighter budget forces fewer bounces
-// and lower throughput.
-func (r *Runner) Latency(dmaxes []float64) ([]LatencyResult, error) {
-	return r.LatencyAt(dmaxes, 1.0)
-}
-
-// LatencyAt runs the latency study at a chosen δ (core scarcity makes the
-// bounce/throughput tradeoff bind). Each d_max replaces the receiver's
-// DMaxSec for its row.
-func (r *Runner) LatencyAt(dmaxes []float64, delta float64) ([]LatencyResult, error) {
-	var out []LatencyResult
+// latencyAt reproduces the latency-SLO experiment at a chosen δ (core
+// scarcity makes the bounce/throughput tradeoff bind): at δ=1 a 45µs
+// budget admits the bouncy high-throughput placement; a tighter budget
+// forces fewer bounces and lower throughput. Each d_max replaces the
+// receiver's DMaxSec for its row.
+func (r *Runner) latencyAt(dmaxes []float64, delta float64) ([]latencyResult, error) {
+	var out []latencyResult
 	for _, dmax := range dmaxes {
 		lr := *r
 		lr.DMaxSec = dmax
@@ -278,7 +266,7 @@ func (r *Runner) LatencyAt(dmaxes []float64, delta float64) ([]LatencyResult, er
 		if err != nil {
 			return nil, err
 		}
-		row := LatencyResult{DMaxSec: dmax, Feasible: sr.Feasible, Aggregate: sr.MeasuredAggregate}
+		row := latencyResult{DMaxSec: dmax, Feasible: sr.Feasible, Aggregate: sr.MeasuredAggregate}
 		if sr.Feasible {
 			for _, g := range in.Chains {
 				row.Bounces += placer.Bounces(g, res.Assign)
@@ -325,18 +313,18 @@ func Table4(runs int) ([]Table4Row, error) {
 	return out, nil
 }
 
-// ScalingResult compares the two placement algorithms (§5.3: brute force
+// scalingResult compares the two placement algorithms (§5.3: brute force
 // 14901s vs heuristic 3.5s on hardware; the shape to reproduce is the
 // orders-of-magnitude gap, counted here as brute force's scored
 // combinations in its Result's Search against the heuristic's none).
-type ScalingResult struct {
+type scalingResult struct {
 	Heuristic  *placer.Result
 	BruteForce *placer.Result
 	SameResult bool // heuristic matched brute force's marginal
 }
 
-// PlacerScaling places the four-chain set with both algorithms.
-func (r *Runner) PlacerScaling(delta float64, bruteBudget int) (*ScalingResult, error) {
+// placerScaling places the four-chain set with both algorithms.
+func (r *Runner) placerScaling(delta float64, bruteBudget int) (*scalingResult, error) {
 	in, _, err := r.input([]int{1, 2, 3, 4}, delta)
 	if err != nil {
 		return nil, err
@@ -350,13 +338,13 @@ func (r *Runner) PlacerScaling(delta float64, bruteBudget int) (*ScalingResult, 
 	if err != nil {
 		return nil, err
 	}
-	return &ScalingResult{Heuristic: heur, BruteForce: brute,
+	return &scalingResult{Heuristic: heur, BruteForce: brute,
 		SameResult: heur.Feasible == brute.Feasible &&
 			(!heur.Feasible || heur.Marginal >= brute.Marginal*0.99)}, nil
 }
 
-// LoCResult is the §5.3 meta-compiler accounting for the four-chain set.
-type LoCResult struct {
+// locResult is the §5.3 meta-compiler accounting for the four-chain set.
+type locResult struct {
 	P4Total     int
 	P4Steering  int
 	Handwritten int
@@ -364,9 +352,9 @@ type LoCResult struct {
 	AutoShare   float64
 }
 
-// MetaCompilerLoC compiles the four-chain Lemur placement and reports the
+// metaCompilerLoC compiles the four-chain Lemur placement and reports the
 // auto-generated code share (paper: >1/3 of the P4, ~600 steering lines).
-func (r *Runner) MetaCompilerLoC(delta float64) (*LoCResult, error) {
+func (r *Runner) metaCompilerLoC(delta float64) (*locResult, error) {
 	in, _, err := r.input([]int{1, 2, 3, 4}, delta)
 	if err != nil {
 		return nil, err
@@ -380,7 +368,7 @@ func (r *Runner) MetaCompilerLoC(delta float64) (*LoCResult, error) {
 		return nil, err
 	}
 	a := d.Artifacts()
-	return &LoCResult{
+	return &locResult{
 		P4Total:     a.P4TotalLines,
 		P4Steering:  a.P4SteeringLines,
 		Handwritten: a.HandwrittenP4Lines,
@@ -389,21 +377,21 @@ func (r *Runner) MetaCompilerLoC(delta float64) (*LoCResult, error) {
 	}, nil
 }
 
-// FeasibilityCell is one (combo, δ, scheme) feasibility record.
-type FeasibilityCell struct {
+// feasibilityCell is one (combo, δ, scheme) feasibility record.
+type feasibilityCell struct {
 	Combo    []int
 	Delta    float64
 	Scheme   placer.Scheme
 	Feasible bool
 }
 
-// FeasibilitySummary sweeps all Figure 2 sets across schemes
+// feasibilitySummary sweeps all Figure 2 sets across schemes
 // (placement-only, no measurement) and reports two shares per scheme: over
 // all sets, and over *solvable* sets (those where at least one scheme found
 // a solution) — the paper's "Lemur 100%, others 17-76%" is over sets that
 // admit solutions; at high δ the rack genuinely cannot carry Σt_min and
 // every scheme fails.
-func (r *Runner) FeasibilitySummary(deltas []float64, schemes []placer.Scheme) ([]FeasibilityCell, map[placer.Scheme]float64, map[placer.Scheme]float64, error) {
+func (r *Runner) feasibilitySummary(deltas []float64, schemes []placer.Scheme) ([]feasibilityCell, map[placer.Scheme]float64, map[placer.Scheme]float64, error) {
 	r2 := *r
 	r2.SkipMeasure = true
 
@@ -416,7 +404,7 @@ func (r *Runner) FeasibilitySummary(deltas []float64, schemes []placer.Scheme) (
 		scheme placer.Scheme
 	}
 	var jobs []job
-	for _, combo := range Figure2Combos() {
+	for _, combo := range figure2Combos() {
 		for _, d := range deltas {
 			for _, s := range schemes {
 				jobs = append(jobs, job{combo, d, s})
@@ -425,7 +413,7 @@ func (r *Runner) FeasibilitySummary(deltas []float64, schemes []placer.Scheme) (
 	}
 	feasible := make([]bool, len(jobs))
 	err := forEach(len(jobs), r.Parallel, func(i int) error {
-		sr, _, err := r2.RunSet(jobs[i].combo, jobs[i].delta, jobs[i].scheme)
+		sr, _, err := r2.runSet(jobs[i].combo, jobs[i].delta, jobs[i].scheme)
 		if err != nil {
 			return err
 		}
@@ -436,7 +424,7 @@ func (r *Runner) FeasibilitySummary(deltas []float64, schemes []placer.Scheme) (
 		return nil, nil, nil, err
 	}
 
-	var cells []FeasibilityCell
+	var cells []feasibilityCell
 	count := map[placer.Scheme]int{}
 	total, solvable := 0, 0
 	for i := 0; i < len(jobs); i += len(schemes) {
@@ -444,7 +432,7 @@ func (r *Runner) FeasibilitySummary(deltas []float64, schemes []placer.Scheme) (
 		any := false
 		for si, s := range schemes {
 			ok := feasible[i+si]
-			cells = append(cells, FeasibilityCell{
+			cells = append(cells, feasibilityCell{
 				Combo: jobs[i+si].combo, Delta: jobs[i+si].delta, Scheme: s, Feasible: ok})
 			if ok {
 				count[s]++

@@ -8,7 +8,7 @@ import (
 )
 
 func TestFigure3aShape(t *testing.T) {
-	rows, err := NewRunner(newPaperTopo()).Figure3a([]float64{0.5, 1.5})
+	rows, err := NewRunner(newPaperTopo()).figure3a([]float64{0.5, 1.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func TestFigure3aShape(t *testing.T) {
 }
 
 func TestFigure3bShape(t *testing.T) {
-	rows, err := NewRunner(newPaperTopo()).Figure3b([]float64{0.5, 1.5})
+	rows, err := NewRunner(newPaperTopo()).figure3b([]float64{0.5, 1.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,12 +71,12 @@ func TestFigure3cShape(t *testing.T) {
 }
 
 func TestExtremeConfigAllSchemes(t *testing.T) {
-	rows, err := ExtremeConfig([]placer.Scheme{
+	rows, err := extremeConfig([]placer.Scheme{
 		placer.SchemeLemur, placer.SchemeHWPreferred, placer.SchemeMinBounce, placer.SchemeSWPreferred})
 	if err != nil {
 		t.Fatal(err)
 	}
-	byScheme := map[placer.Scheme]ExtremeConfigResult{}
+	byScheme := map[placer.Scheme]extremeConfigResult{}
 	for _, row := range rows {
 		byScheme[row.Scheme] = row
 	}
@@ -100,7 +100,7 @@ func TestExtremeConfigAllSchemes(t *testing.T) {
 
 func TestSensitivityTolerant(t *testing.T) {
 	r := NewRunner(newPaperTopo())
-	rows, baseMarginal, err := r.Sensitivity(0.5, []float64{0.01, 0.02, 0.04, 0.08, 0.10})
+	rows, baseMarginal, err := r.sensitivity(0.5, []float64{0.01, 0.02, 0.04, 0.08, 0.10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestSensitivityTolerant(t *testing.T) {
 }
 
 func TestLatencyTradeoff(t *testing.T) {
-	rows, err := NewRunner(newPaperTopo()).Latency([]float64{45e-6, 35e-6})
+	rows, err := NewRunner(newPaperTopo()).latencyAt([]float64{45e-6, 35e-6}, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestTable4RejectsNonPositiveRuns(t *testing.T) {
 // budget of scored combinations.
 func TestPlacerScaling(t *testing.T) {
 	r := NewRunner(newPaperTopo())
-	sc, err := r.PlacerScaling(0.5, 500)
+	sc, err := r.placerScaling(0.5, 500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestPlacerScaling(t *testing.T) {
 
 func TestMetaCompilerLoCShare(t *testing.T) {
 	r := NewRunner(newPaperTopo())
-	loc, err := r.MetaCompilerLoC(0.5)
+	loc, err := r.metaCompilerLoC(0.5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,7 @@ type paperDoc struct{ bytes.Buffer }
 func (d *paperDoc) line(format string, args ...any) { fmt.Fprintf(d, format+"\n", args...) }
 
 // panel renders Figure 2 rows.
-func (d *paperDoc) panel(rows []DeltaRow) {
+func (d *paperDoc) panel(rows []deltaRow) {
 	for _, row := range rows {
 		d.line("delta=%v chains=%v agg_tmin=%v", row.Set.Delta, row.Set.ChainIdxs, row.Set.AggTmin)
 		for _, sr := range row.Schemes {
@@ -55,10 +55,10 @@ func (d *paperDoc) shares(label string, m map[placer.Scheme]float64) {
 // paperSections lists the document's sections in print order.
 func paperSections() []paperSection {
 	var secs []paperSection
-	for i, combo := range Figure2Combos() {
+	for i, combo := range figure2Combos() {
 		secs = append(secs, paperSection{fmt.Sprintf("2%c", 'a'+i), fmt.Sprintf("Figure 2%c: chains %v", 'a'+i, combo),
 			func(r *Runner, d *paperDoc) error {
-				rows, err := r.Figure2Panel(combo, paperDeltas, placer.Schemes())
+				rows, err := r.figure2Panel(combo, paperDeltas, placer.Schemes())
 				if err != nil {
 					return err
 				}
@@ -68,7 +68,10 @@ func paperSections() []paperSection {
 	}
 	return append(secs, []paperSection{
 		{"2f", "Figure 2f: component ablations", func(r *Runner, d *paperDoc) error {
-			rows, err := r.Figure2f(paperDeltas)
+			// Full Lemur vs No-Profiling vs No-Core-Allocation on the
+			// four-chain set.
+			rows, err := r.figure2Panel([]int{1, 2, 3, 4}, paperDeltas,
+				[]placer.Scheme{placer.SchemeLemur, placer.SchemeNoProfiling, placer.SchemeNoCoreAlloc})
 			if err != nil {
 				return err
 			}
@@ -76,7 +79,7 @@ func paperSections() []paperSection {
 			return nil
 		}},
 		{"feasibility", "Feasibility summary", func(r *Runner, d *paperDoc) error {
-			cells, share, solvShare, err := r.FeasibilitySummary(paperDeltas, placer.Schemes())
+			cells, share, solvShare, err := r.feasibilitySummary(paperDeltas, placer.Schemes())
 			if err != nil {
 				return err
 			}
@@ -88,7 +91,7 @@ func paperSections() []paperSection {
 			return nil
 		}},
 		{"3a", "Figure 3a: one vs two servers", func(r *Runner, d *paperDoc) error {
-			rows, err := r.Figure3a([]float64{0.5, 1.0, 1.5})
+			rows, err := r.figure3a([]float64{0.5, 1.0, 1.5})
 			if err != nil {
 				return err
 			}
@@ -100,7 +103,7 @@ func paperSections() []paperSection {
 			return nil
 		}},
 		{"3b", "Figure 3b: SmartNIC", func(r *Runner, d *paperDoc) error {
-			rows, err := r.Figure3b([]float64{0.5, 1.0, 1.5})
+			rows, err := r.figure3b([]float64{0.5, 1.0, 1.5})
 			if err != nil {
 				return err
 			}
@@ -136,7 +139,7 @@ func paperSections() []paperSection {
 			return nil
 		}},
 		{"extreme", "Extreme config", func(_ *Runner, d *paperDoc) error {
-			rows, err := ExtremeConfig([]placer.Scheme{placer.SchemeLemur, placer.SchemeHWPreferred,
+			rows, err := extremeConfig([]placer.Scheme{placer.SchemeLemur, placer.SchemeHWPreferred,
 				placer.SchemeMinBounce, placer.SchemeSWPreferred, placer.SchemeGreedy})
 			if err != nil {
 				return err
@@ -148,7 +151,7 @@ func paperSections() []paperSection {
 			return nil
 		}},
 		{"sensitivity", "Sensitivity", func(r *Runner, d *paperDoc) error {
-			rows, base, err := r.Sensitivity(0.5, []float64{0.01, 0.02, 0.03, 0.04, 0.05, 0.06, 0.07, 0.08, 0.09, 0.10})
+			rows, base, err := r.sensitivity(0.5, []float64{0.01, 0.02, 0.03, 0.04, 0.05, 0.06, 0.07, 0.08, 0.09, 0.10})
 			if err != nil {
 				return err
 			}
@@ -159,7 +162,7 @@ func paperSections() []paperSection {
 			return nil
 		}},
 		{"latency", "Latency SLOs", func(r *Runner, d *paperDoc) error {
-			rows, err := r.Latency([]float64{45e-6, 35e-6, 25e-6})
+			rows, err := r.latencyAt([]float64{45e-6, 35e-6, 25e-6}, 1.0)
 			if err != nil {
 				return err
 			}
@@ -169,7 +172,7 @@ func paperSections() []paperSection {
 			return nil
 		}},
 		{"loc", "Meta-compiler LoC", func(r *Runner, d *paperDoc) error {
-			loc, err := r.MetaCompilerLoC(0.5)
+			loc, err := r.metaCompilerLoC(0.5)
 			if err != nil {
 				return err
 			}
@@ -180,7 +183,7 @@ func paperSections() []paperSection {
 		// The two placements render by outcome and the Optimal search's
 		// counts, never by their solve times.
 		{"scaling", "Placer scaling, budget 2000", func(r *Runner, d *paperDoc) error {
-			sc, err := r.PlacerScaling(0.5, 2000)
+			sc, err := r.placerScaling(0.5, 2000)
 			if err != nil {
 				return err
 			}

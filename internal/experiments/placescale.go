@@ -7,9 +7,9 @@ import (
 	"lemur/internal/placer"
 )
 
-// PlaceScalePoint is one cell of the placement-scale sweep: a fleet size
+// placeScalePoint is one cell of the placement-scale sweep: a fleet size
 // crossed with a canonical chain set.
-type PlaceScalePoint struct {
+type placeScalePoint struct {
 	// Servers is the NF-server fleet size (hw.WithServers).
 	Servers int
 	// Chains are canonical chain indices; repeats are deliberate — identical
@@ -24,9 +24,9 @@ type PlaceScalePoint struct {
 	SwitchScale int
 }
 
-// PlaceSchemeStat is one scheme's outcome at one sweep point. The search
+// schemeStat is one scheme's outcome at one sweep point. The search
 // fields are populated for the Optimal scheme only.
-type PlaceSchemeStat struct {
+type schemeStat struct {
 	Scheme        string
 	Feasible      bool
 	AggregateGbps float64
@@ -41,15 +41,15 @@ type PlaceSchemeStat struct {
 	CollapsedSubtrees int
 }
 
-// PlaceScaleCell is one finished sweep point: every scheme's outcome.
-type PlaceScaleCell struct {
-	Point   PlaceScalePoint
-	Schemes []PlaceSchemeStat
+// placeScaleCell is one finished sweep point: every scheme's outcome.
+type placeScaleCell struct {
+	Point   placeScalePoint
+	Schemes []schemeStat
 }
 
 // placeSchemeStat flattens a placer Result for the sweep table.
-func placeSchemeStat(res *placer.Result) PlaceSchemeStat {
-	out := PlaceSchemeStat{
+func placeSchemeStat(res *placer.Result) schemeStat {
+	out := schemeStat{
 		Scheme:        string(res.Scheme),
 		Feasible:      res.Feasible,
 		AggregateGbps: res.PredictedAggregate / 1e9,
@@ -65,27 +65,22 @@ func placeSchemeStat(res *placer.Result) PlaceSchemeStat {
 	return out
 }
 
-// PlaceScaleTopology builds the fleet a sweep point places onto.
-func PlaceScaleTopology(p PlaceScalePoint) *hw.Topology {
-	return hw.NewPaperTestbed(hw.WithServers(p.Servers), hw.WithSwitchScale(p.SwitchScale))
-}
-
-// PlaceScaleSweep runs the placement-scale study: every scheme placed at
+// placeScaleSweep runs the placement-scale study: every scheme placed at
 // every point, placement only (no deployment or measurement — achieved
 // throughput is the LP's predicted aggregate). Points run serially; inside
 // each placement the Optimal search fans out across Runner.Parallel
 // workers, with byte-identical Results at any worker count.
-func (r *Runner) PlaceScaleSweep(points []PlaceScalePoint, schemes []placer.Scheme) ([]PlaceScaleCell, error) {
-	cells := make([]PlaceScaleCell, 0, len(points))
+func (r *Runner) placeScaleSweep(points []placeScalePoint, schemes []placer.Scheme) ([]placeScaleCell, error) {
+	cells := make([]placeScaleCell, 0, len(points))
 	for _, p := range points {
 		if p.Servers < 1 {
 			return nil, fmt.Errorf("experiments: place-scale point with %d servers", p.Servers)
 		}
-		in, _, err := r.on(PlaceScaleTopology(p)).input(p.Chains, p.Delta)
+		in, _, err := r.on(hw.NewPaperTestbed(hw.WithServers(p.Servers), hw.WithSwitchScale(p.SwitchScale))).input(p.Chains, p.Delta)
 		if err != nil {
 			return nil, err
 		}
-		cell := PlaceScaleCell{Point: p}
+		cell := placeScaleCell{Point: p}
 		for _, s := range schemes {
 			res, err := placer.Place(s, in)
 			if err != nil {
@@ -106,16 +101,16 @@ func (r *Runner) PlaceScaleSweep(points []PlaceScalePoint, schemes []placer.Sche
 // sets (symmetry collapse dominates — {1,1,2,2} spans a million-combo raw
 // space). The large fleets scale the ToR pipeline so switch stages track
 // the fabric instead of gating it.
-func DefaultPlaceScalePoints() []PlaceScalePoint {
+func DefaultPlaceScalePoints() []placeScalePoint {
 	sets := [][]int{{3}, {1, 2}, {1, 2, 3}, {2, 2, 3, 3}, {1, 1, 2, 2}}
-	var points []PlaceScalePoint
+	var points []placeScalePoint
 	for _, servers := range []int{4, 16, 64, 256} {
 		scale := 1
 		if servers >= 64 {
 			scale = servers / 32
 		}
 		for _, set := range sets {
-			points = append(points, PlaceScalePoint{
+			points = append(points, placeScalePoint{
 				Servers: servers, Chains: set, Delta: 0.5, SwitchScale: scale,
 			})
 		}

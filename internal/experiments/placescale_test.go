@@ -10,8 +10,8 @@ import (
 
 // placeScaleTestPoints is a fast grid covering both search mechanisms: a
 // rich-pattern single chain and an interchangeable repeated pair.
-func placeScaleTestPoints() []PlaceScalePoint {
-	return []PlaceScalePoint{
+func placeScaleTestPoints() []placeScalePoint {
+	return []placeScalePoint{
 		{Servers: 2, Chains: []int{3}, Delta: 0.5},
 		{Servers: 3, Chains: []int{3, 3}, Delta: 0.5},
 		{Servers: 2, Chains: []int{1, 2}, Delta: 0.5},
@@ -20,7 +20,7 @@ func placeScaleTestPoints() []PlaceScalePoint {
 
 // canonPlaceCells serializes cells, so determinism checks compare them
 // byte-for-byte.
-func canonPlaceCells(t *testing.T, cells []PlaceScaleCell) string {
+func canonPlaceCells(t *testing.T, cells []placeScaleCell) string {
 	t.Helper()
 	b, err := json.MarshalIndent(cells, "", " ")
 	if err != nil {
@@ -42,13 +42,13 @@ func placeScaleRunner(parallel int) *Runner {
 func TestPlaceScaleSweepDeterministic(t *testing.T) {
 	points := placeScaleTestPoints()
 	schemes := []placer.Scheme{placer.SchemeLemur, placer.SchemeOptimal, placer.SchemeGreedy}
-	ref, err := placeScaleRunner(1).PlaceScaleSweep(points, schemes)
+	ref, err := placeScaleRunner(1).placeScaleSweep(points, schemes)
 	if err != nil {
 		t.Fatal(err)
 	}
 	refCanon := canonPlaceCells(t, ref)
 	for _, parallel := range []int{3, 8} {
-		cells, err := placeScaleRunner(parallel).PlaceScaleSweep(points, schemes)
+		cells, err := placeScaleRunner(parallel).placeScaleSweep(points, schemes)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,7 +64,7 @@ func TestPlaceScaleSweepDeterministic(t *testing.T) {
 func TestPlaceScaleSweepBudgetPropagates(t *testing.T) {
 	r := placeScaleRunner(1)
 	r.BruteForceBudget = 2
-	cells, err := r.PlaceScaleSweep([]PlaceScalePoint{{Servers: 2, Chains: []int{1, 2}, Delta: 0.5}},
+	cells, err := r.placeScaleSweep([]placeScalePoint{{Servers: 2, Chains: []int{1, 2}, Delta: 0.5}},
 		[]placer.Scheme{placer.SchemeOptimal})
 	if err != nil {
 		t.Fatal(err)
@@ -77,7 +77,7 @@ func TestPlaceScaleSweepBudgetPropagates(t *testing.T) {
 
 // TestPlaceScaleSweepRejectsBadPoint: fleet sizes below one are refused.
 func TestPlaceScaleSweepRejectsBadPoint(t *testing.T) {
-	_, err := placeScaleRunner(1).PlaceScaleSweep([]PlaceScalePoint{{Servers: 0, Chains: []int{3}, Delta: 0.5}},
+	_, err := placeScaleRunner(1).placeScaleSweep([]placeScalePoint{{Servers: 0, Chains: []int{3}, Delta: 0.5}},
 		[]placer.Scheme{placer.SchemeOptimal})
 	if err == nil {
 		t.Fatal("0-server point accepted")

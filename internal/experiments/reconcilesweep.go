@@ -9,12 +9,12 @@ import (
 	"lemur/internal/daemon"
 )
 
-// ReconcilePoint is one scenario row of the control-plane convergence
+// reconcilePoint is one scenario row of the control-plane convergence
 // table: a lemurd reconcile loop driven through a scripted operation under
 // a fake clock, reporting how many passes and how much simulated time the
 // loop needed to converge. Every field is deterministic — the fake clock
 // makes convergence latency a pure function of the scenario.
-type ReconcilePoint struct {
+type reconcilePoint struct {
 	// Scenario names the scripted operation; BaseChains is the applied
 	// chain count before it; Ops the desired-state operations issued.
 	Scenario   string
@@ -41,8 +41,8 @@ type ReconcilePoint struct {
 	RejectedSpecs  uint64
 }
 
-// ReconcileScenarios lists the sweep's scripted scenarios in table order.
-func ReconcileScenarios() []string {
+// reconcileScenarios lists the sweep's scripted scenarios in table order.
+func reconcileScenarios() []string {
 	return []string{
 		"admit-1", "admit-2", "retire-1", "redefine-1",
 		"crash-node", "reject-bad-spec", "infeasible-backoff",
@@ -52,14 +52,14 @@ func ReconcileScenarios() []string {
 // reconcileInterval is the reconcile period of the sweep's daemons.
 const reconcileInterval = 100 * time.Millisecond
 
-// ReconcileSweep runs every reconcile scenario against its own in-process
+// reconcileSweep runs every reconcile scenario against its own in-process
 // daemon on a fake clock, reconciling every reconcileInterval, and reports
 // the convergence table. Scenarios are independent cells run concurrently
 // bounded by parallel (<=0 = GOMAXPROCS) with results stored by scenario
 // index: the output is byte-identical at any worker count.
-func ReconcileSweep(parallel int) ([]ReconcilePoint, error) {
-	scenarios := ReconcileScenarios()
-	points := make([]ReconcilePoint, len(scenarios))
+func reconcileSweep(parallel int) ([]reconcilePoint, error) {
+	scenarios := reconcileScenarios()
+	points := make([]reconcilePoint, len(scenarios))
 	err := forEach(len(scenarios), parallel, func(i int) error {
 		pt, err := runReconcileScenario(scenarios[i])
 		if err != nil {
@@ -103,11 +103,11 @@ func reconcileSpec(chains ...string) []byte {
 }
 
 // runReconcileScenario drives one scripted scenario to convergence.
-func runReconcileScenario(name string) (ReconcilePoint, error) {
+func runReconcileScenario(name string) (reconcilePoint, error) {
 	clk := daemon.NewFakeClock(time.Unix(0, 0))
 	d, err := daemon.New(daemon.Config{Interval: reconcileInterval, Clock: clk})
 	if err != nil {
-		return ReconcilePoint{Scenario: name}, err
+		return reconcilePoint{Scenario: name}, err
 	}
 
 	base := []string{reconcileChain(0, 2), reconcileChain(1, 2)}
@@ -115,12 +115,12 @@ func runReconcileScenario(name string) (ReconcilePoint, error) {
 		base = append(base, reconcileChain(2, 2))
 	}
 	if _, err := d.SetSpec(reconcileSpec(base...), "bench:base"); err != nil {
-		return ReconcilePoint{Scenario: name}, err
+		return reconcilePoint{Scenario: name}, err
 	}
 	if rr := d.Tick(); !rr.Converged {
-		return ReconcilePoint{Scenario: name}, fmt.Errorf("base apply did not converge: %s", rr.Err)
+		return reconcilePoint{Scenario: name}, fmt.Errorf("base apply did not converge: %s", rr.Err)
 	}
-	pt := ReconcilePoint{Scenario: name, BaseChains: len(base), Ops: 1}
+	pt := reconcilePoint{Scenario: name, BaseChains: len(base), Ops: 1}
 
 	// The scripted operation. infeasible-backoff issues a second, feasible
 	// spec once three backoff retries have been observed (below).

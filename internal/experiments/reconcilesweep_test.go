@@ -11,12 +11,12 @@ import (
 func TestReconcileSweepDeterministic(t *testing.T) {
 	render := func(parallel int) string {
 		t.Helper()
-		pts, err := ReconcileSweep(parallel)
+		pts, err := reconcileSweep(parallel)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(pts) != len(ReconcileScenarios()) {
-			t.Fatalf("want %d rows, got %d", len(ReconcileScenarios()), len(pts))
+		if len(pts) != len(reconcileScenarios()) {
+			t.Fatalf("want %d rows, got %d", len(reconcileScenarios()), len(pts))
 		}
 		for i := range pts {
 			if !pts[i].Converged {
@@ -40,11 +40,11 @@ func TestReconcileSweepDeterministic(t *testing.T) {
 // in the infeasible scenario, and convergence latency is a whole number of
 // intervals.
 func TestReconcileSweepSemantics(t *testing.T) {
-	pts, err := ReconcileSweep(0)
+	pts, err := reconcileSweep(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	byName := map[string]ReconcilePoint{}
+	byName := map[string]reconcilePoint{}
 	for _, p := range pts {
 		byName[p.Scenario] = p
 	}

@@ -111,8 +111,8 @@ func forEach(n, workers int, cell func(i int) error) error {
 	return nil
 }
 
-// SchemeResult is one scheme's outcome on one experiment set.
-type SchemeResult struct {
+// schemeResult is one scheme's outcome on one experiment set.
+type schemeResult struct {
 	Scheme             placer.Scheme
 	Feasible           bool
 	Reason             string
@@ -122,15 +122,15 @@ type SchemeResult struct {
 	Stages             int
 }
 
-// Set identifies one experiment input: canonical chains at a δ.
-type Set struct {
+// set identifies one experiment input: canonical chains at a δ.
+type set struct {
 	ChainIdxs []int
 	Delta     float64
 	AggTmin   float64
 }
 
 // input builds the placer input for a set.
-func (r *Runner) input(chainIdxs []int, delta float64) (*placer.Input, *Set, error) {
+func (r *Runner) input(chainIdxs []int, delta float64) (*placer.Input, *set, error) {
 	db := profile.DefaultDB()
 	bases, err := BaseRates(chainIdxs, r.Topo, db)
 	if err != nil {
@@ -154,11 +154,11 @@ func (r *Runner) input(chainIdxs []int, delta float64) (*placer.Input, *Set, err
 		BruteForceBudget: r.BruteForceBudget,
 		Parallel:         r.Parallel,
 	}
-	return in, &Set{ChainIdxs: chainIdxs, Delta: delta, AggTmin: agg}, nil
+	return in, &set{ChainIdxs: chainIdxs, Delta: delta, AggTmin: agg}, nil
 }
 
-// RunSet places one set with one scheme and measures the result.
-func (r *Runner) RunSet(chainIdxs []int, delta float64, scheme placer.Scheme) (*SchemeResult, *Set, error) {
+// runSet places one set with one scheme and measures the result.
+func (r *Runner) runSet(chainIdxs []int, delta float64, scheme placer.Scheme) (*schemeResult, *set, error) {
 	in, set, err := r.input(chainIdxs, delta)
 	if err != nil {
 		return nil, nil, err
@@ -170,16 +170,16 @@ func (r *Runner) RunSet(chainIdxs []int, delta float64, scheme placer.Scheme) (*
 	return out, set, nil
 }
 
-// runInput is RunSet past the input: place it, and — unless the placement is
+// runInput is runSet past the input: place it, and — unless the placement is
 // infeasible or SkipMeasure is set — deploy, verify and measure. The placer's
 // Result comes back too, for experiments that also report on the placement
 // itself (NIC use, bounces).
-func (r *Runner) runInput(in *placer.Input, scheme placer.Scheme) (*SchemeResult, *placer.Result, error) {
+func (r *Runner) runInput(in *placer.Input, scheme placer.Scheme) (*schemeResult, *placer.Result, error) {
 	res, err := placer.Place(scheme, in)
 	if err != nil {
 		return nil, nil, err
 	}
-	out := &SchemeResult{
+	out := &schemeResult{
 		Scheme:   scheme,
 		Feasible: res.Feasible,
 		Reason:   res.Reason,
@@ -203,7 +203,7 @@ func (r *Runner) runInput(in *placer.Input, scheme placer.Scheme) (*SchemeResult
 			return nil, nil, fmt.Errorf("experiments: %s verification: %w", scheme, err)
 		}
 	}
-	m, err := MeasureAchieved(tb, in, res)
+	m, err := measureAchieved(tb, in, res)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -276,12 +276,12 @@ func (r *Runner) simulateCells(in *placer.Input, res *placer.Result, cells []sim
 	return sims, deps, nil
 }
 
-// MeasureAchieved drives the testbed the way the paper does: each chain
+// measureAchieved drives the testbed the way the paper does: each chain
 // offers slightly more than its planned rate (bounded by t_max), so
 // measured throughput can exceed the conservative prediction when the
 // hardware realizes sub-worst-case cycle costs or same-NUMA placement
 // (§5.2 "predictions are conservative").
-func MeasureAchieved(tb *runtime.Testbed, in *placer.Input, res *placer.Result) (*runtime.Measurement, error) {
+func measureAchieved(tb *runtime.Testbed, in *placer.Input, res *placer.Result) (*runtime.Measurement, error) {
 	offered := make([]float64, len(res.ChainRates))
 	for i, rate := range res.ChainRates {
 		burst := rate * 1.25
@@ -293,24 +293,24 @@ func MeasureAchieved(tb *runtime.Testbed, in *placer.Input, res *placer.Result) 
 	return tb.Measure(offered)
 }
 
-// DeltaRow is one δ step of a Figure 2 panel.
-type DeltaRow struct {
-	Set     *Set
-	Schemes []*SchemeResult
+// deltaRow is one δ step of a Figure 2 panel.
+type deltaRow struct {
+	Set     *set
+	Schemes []*schemeResult
 }
 
-// Figure2Panel reproduces one panel of Figure 2: the δ sweep over one chain
-// combination across schemes. Cells are independent (each RunSet builds its
+// figure2Panel reproduces one panel of Figure 2: the δ sweep over one chain
+// combination across schemes. Cells are independent (each runSet builds its
 // own chains, placement and deployment), so they run concurrently, bounded
 // by Runner.Parallel (GOMAXPROCS when unset).
-func (r *Runner) Figure2Panel(chainIdxs []int, deltas []float64, schemes []placer.Scheme) ([]DeltaRow, error) {
-	rows := make([]DeltaRow, len(deltas))
+func (r *Runner) figure2Panel(chainIdxs []int, deltas []float64, schemes []placer.Scheme) ([]deltaRow, error) {
+	rows := make([]deltaRow, len(deltas))
 	for di := range rows {
-		rows[di].Schemes = make([]*SchemeResult, len(schemes))
+		rows[di].Schemes = make([]*schemeResult, len(schemes))
 	}
 	err := forEach(len(deltas)*len(schemes), r.Parallel, func(i int) error {
 		di, si := i/len(schemes), i%len(schemes)
-		sr, set, err := r.RunSet(chainIdxs, deltas[di], schemes[si])
+		sr, set, err := r.runSet(chainIdxs, deltas[di], schemes[si])
 		if err != nil {
 			return err
 		}
@@ -327,8 +327,8 @@ func (r *Runner) Figure2Panel(chainIdxs []int, deltas []float64, schemes []place
 	return rows, nil
 }
 
-// Figure2Combos are the chain sets of Figure 2a-e.
-func Figure2Combos() [][]int {
+// figure2Combos are the chain sets of Figure 2a-e.
+func figure2Combos() [][]int {
 	return [][]int{
 		{1, 2, 3, 4}, // 2a
 		{1, 2, 3},    // 2b

@@ -16,9 +16,9 @@ import (
 
 // Solver failure modes.
 var (
-	ErrInfeasible = errors.New("lp: infeasible")
-	ErrUnbounded  = errors.New("lp: unbounded")
-	ErrIterations = errors.New("lp: iteration limit exceeded")
+	errInfeasible = errors.New("lp: infeasible")
+	errUnbounded  = errors.New("lp: unbounded")
+	errIterations = errors.New("lp: iteration limit exceeded")
 )
 
 // Problem is an LP in canonical inequality form.
@@ -41,8 +41,8 @@ const (
 	maxIter = 20000
 )
 
-// Validate checks dimensions.
-func (p *Problem) Validate() error {
+// validate checks dimensions.
+func (p *Problem) validate() error {
 	n := len(p.C)
 	if len(p.A) != len(p.B) {
 		return fmt.Errorf("lp: %d constraint rows but %d RHS entries", len(p.A), len(p.B))
@@ -123,7 +123,7 @@ func Solve(p Problem) (Solution, error) { return SolveInto(p, nil) }
 // of one shape and reads each solution before the next solve allocates
 // nothing per solve.
 func SolveInto(p Problem, x []float64) (Solution, error) {
-	if err := p.Validate(); err != nil {
+	if err := p.validate(); err != nil {
 		return Solution{}, err
 	}
 	n, m := len(p.C), len(p.B)
@@ -131,7 +131,7 @@ func SolveInto(p Problem, x []float64) (Solution, error) {
 		// No constraints: bounded only if c <= 0.
 		for _, c := range p.C {
 			if c > eps {
-				return Solution{}, ErrUnbounded
+				return Solution{}, errUnbounded
 			}
 		}
 		return Solution{X: grownFloats(x, n)}, nil
@@ -203,7 +203,7 @@ func SolveInto(p Problem, x []float64) (Solution, error) {
 			return Solution{}, err
 		}
 		if v < -eps {
-			return Solution{}, ErrInfeasible
+			return Solution{}, errInfeasible
 		}
 		// Drive any artificial still basic (at zero) out of the basis.
 		sc.banned = grownBools(sc.banned, ncols)
@@ -308,7 +308,7 @@ func (t *tableau) optimize(obj []float64, banned []bool) (float64, error) {
 			}
 		}
 		if leave == -1 {
-			return 0, ErrUnbounded
+			return 0, errUnbounded
 		}
 		t.pivot(leave, enter)
 		// Update the objective row incrementally.
@@ -319,7 +319,7 @@ func (t *tableau) optimize(obj []float64, banned []bool) (float64, error) {
 			}
 		}
 	}
-	return 0, ErrIterations
+	return 0, errIterations
 }
 
 // pivot makes column enter basic in row r.

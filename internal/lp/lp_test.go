@@ -42,13 +42,13 @@ func TestInteriorOptimum(t *testing.T) {
 
 func TestUnbounded(t *testing.T) {
 	_, err := Solve(Problem{C: []float64{1}, A: [][]float64{{-1}}, B: []float64{1}})
-	if !errors.Is(err, ErrUnbounded) {
-		t.Errorf("err = %v, want ErrUnbounded", err)
+	if !errors.Is(err, errUnbounded) {
+		t.Errorf("err = %v, want errUnbounded", err)
 	}
 	// No constraints, positive objective.
 	_, err = Solve(Problem{C: []float64{1}})
-	if !errors.Is(err, ErrUnbounded) {
-		t.Errorf("err = %v, want ErrUnbounded", err)
+	if !errors.Is(err, errUnbounded) {
+		t.Errorf("err = %v, want errUnbounded", err)
 	}
 }
 
@@ -59,8 +59,8 @@ func TestInfeasible(t *testing.T) {
 		A: [][]float64{{1}, {-1}},
 		B: []float64{1, -3},
 	})
-	if !errors.Is(err, ErrInfeasible) {
-		t.Errorf("err = %v, want ErrInfeasible", err)
+	if !errors.Is(err, errInfeasible) {
+		t.Errorf("err = %v, want errInfeasible", err)
 	}
 }
 
@@ -114,10 +114,10 @@ func TestDegenerateNoCycle(t *testing.T) {
 }
 
 func TestValidate(t *testing.T) {
-	if err := (&Problem{C: []float64{1}, A: [][]float64{{1, 2}}, B: []float64{1}}).Validate(); err == nil {
+	if err := (&Problem{C: []float64{1}, A: [][]float64{{1, 2}}, B: []float64{1}}).validate(); err == nil {
 		t.Error("want dimension error")
 	}
-	if err := (&Problem{C: []float64{1}, A: [][]float64{{1}}, B: []float64{1, 2}}).Validate(); err == nil {
+	if err := (&Problem{C: []float64{1}, A: [][]float64{{1}}, B: []float64{1, 2}}).validate(); err == nil {
 		t.Error("want row-count error")
 	}
 	if _, err := Solve(Problem{C: []float64{1}, A: [][]float64{{1, 2}}, B: []float64{1}}); err == nil {

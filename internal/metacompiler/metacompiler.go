@@ -321,7 +321,7 @@ func (d *Deployment) installChain(ci int, insts map[*nfgraph.Node]nf.NF) error {
 			// off-switch device, or a branch retag (whose target platform
 			// the branching entry cannot know).
 			if seg.platform != hw.PISA {
-				entrySI := sp.SIAt(seg.start)
+				entrySI := sp.siAt(seg.start)
 				if d.Switch.Entry(sp.SPI, entrySI) == nil {
 					d.Switch.SetEntry(sp.SPI, entrySI, &pisa.PathEntry{
 						Encap: true, // first hop arrives untagged
@@ -352,7 +352,7 @@ func (d *Deployment) installSegment(ci int, sp *ServicePath, seg segment, next *
 	for i, n := range nodes {
 		nfs[i] = insts[n]
 	}
-	entrySI := sp.SIAt(seg.start)
+	entrySI := sp.siAt(seg.start)
 	advance := uint8(seg.end - seg.start)
 	lastNode := nodes[len(nodes)-1]
 

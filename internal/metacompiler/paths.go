@@ -23,9 +23,9 @@ type ServicePath struct {
 // Length is the number of NFs on the path (initial SI value).
 func (sp *ServicePath) Length() int { return len(sp.Nodes) }
 
-// SIAt returns the service index a packet carries when it reaches position
+// siAt returns the service index a packet carries when it reaches position
 // k of the path.
-func (sp *ServicePath) SIAt(k int) uint8 { return uint8(sp.Length() - k) }
+func (sp *ServicePath) siAt(k int) uint8 { return uint8(sp.Length() - k) }
 
 // segment is a maximal run of path positions on one device, additionally
 // split after branch nodes and before merge nodes so segments align with
@@ -142,7 +142,7 @@ func branchTargetsAt(sp *ServicePath, k int, chainPaths []*ServicePath) []branch
 				filter: e.Filter,
 				weight: e.Weight,
 				spi:    cand.SPI,
-				si:     cand.SIAt(k + 1),
+				si:     cand.siAt(k + 1),
 			})
 			break
 		}

@@ -7,9 +7,9 @@ import (
 	"lemur/internal/packet"
 )
 
-// Rule is one ACL entry: prefix matches on src/dst plus optional exact port
+// rule is one ACL entry: prefix matches on src/dst plus optional exact port
 // and protocol matches. A zero mask field matches anything.
-type Rule struct {
+type rule struct {
 	SrcAddr, SrcMask uint32
 	DstAddr, DstMask uint32
 	SrcPort, DstPort uint16 // 0 = wildcard
@@ -17,8 +17,8 @@ type Rule struct {
 	Drop             bool
 }
 
-// Matches reports whether the packet hits this rule.
-func (r *Rule) Matches(p *packet.Packet) bool {
+// matches reports whether the packet hits this rule.
+func (r *rule) matches(p *packet.Packet) bool {
 	if !p.HasIPv4 {
 		return false
 	}
@@ -51,7 +51,7 @@ func (r *Rule) Matches(p *packet.Packet) bool {
 	return true
 }
 
-// ACL filters packets against an ordered rule list; the first matching rule
+// acl filters packets against an ordered rule list; the first matching rule
 // decides, and packets matching no rule are dropped (default-deny), per the
 // paper's §2 example where only 10.0.0.0/8 traffic passes.
 //
@@ -59,25 +59,25 @@ func (r *Rule) Matches(p *packet.Packet) bool {
 // match-all. The synthetic rules are held as their count: all of them allow,
 // so the first match among them is any match, and one arithmetic test
 // (inSynthetic) answers for the whole range.
-type ACL struct {
+type acl struct {
 	base
-	head      []Rule // rules before the synthetic range
+	head      []rule // rules before the synthetic range
 	synthetic int    // synthetic allows 10.0.0.0/8 | i<<8 (/24), i < synthetic
-	tail      []Rule // rules after it
+	tail      []rule // rules after it
 }
 
 // defaultRuleCount matches the paper's Table 4 profile point.
 const defaultRuleCount = 1024
 
-// NewACL builds an ACL. Params:
+// newACL builds an ACL. Params:
 //
 //	rules      int    — generate this many synthetic allow rules (profiling)
 //	allow_dst  string — CIDR; a single rule permitting traffic to that prefix
 //	default    string — "allow" flips the default action to permit
-func NewACL(name string, params Params) (NF, error) {
-	a := &ACL{base: base{name: name, class: "ACL"}}
-	cidr := params.Str("allow_dst", "")
-	n := params.Int("rules", 0)
+func newACL(name string, params Params) (NF, error) {
+	a := &acl{base: base{name: name, class: "ACL"}}
+	cidr := params.str("allow_dst", "")
+	n := params.int("rules", 0)
 	if n == 0 && cidr == "" {
 		n = defaultRuleCount
 	}
@@ -86,30 +86,30 @@ func NewACL(name string, params Params) (NF, error) {
 		if err != nil {
 			return nil, fmt.Errorf("nf: ACL %s: %w", name, err)
 		}
-		a.head = []Rule{{DstAddr: addr, DstMask: bpf.MaskBits(bits)}}
+		a.head = []rule{{DstAddr: addr, DstMask: bpf.MaskBits(bits)}}
 	}
 	// Synthetic disjoint /24 allow rules under 10.0.0.0/8, mirroring how the
 	// paper profiles ACL cost as a function of table size.
 	a.synthetic = max(n, 0)
-	if params.Str("default", "deny") == "allow" {
-		a.tail = []Rule{{}} // match-all allow
+	if params.str("default", "deny") == "allow" {
+		a.tail = []rule{{}} // match-all allow
 	}
 	return a, nil
 }
 
 // inSynthetic reports whether a synthetic rule matches destination dst.
-// Rule i is 10<<24 | uint32(i)<<8 under a /24 mask, so it covers the top
+// rule i is 10<<24 | uint32(i)<<8 under a /24 mask, so it covers the top
 // byte 10|(i>>16 & 0xff) and the middle 16 bits i & 0xffff; indices from
 // 2^24 on shift out of the word and repeat earlier rules. The smallest index
 // covering dst is therefore (top&^10)<<16 | mid, below 2^24, and some rule
 // below the count covers dst iff that one does.
-func (a *ACL) inSynthetic(dst uint32) bool {
+func (a *acl) inSynthetic(dst uint32) bool {
 	top, mid := dst>>24, dst>>8&0xffff
 	return top&10 == 10 && int((top&^10)<<16|mid) < a.synthetic
 }
 
 // Process applies first-match semantics with default deny.
-func (a *ACL) Process(p *packet.Packet, _ *Env) {
+func (a *acl) Process(p *packet.Packet, _ *Env) {
 	if r := firstMatch(a.head, p); r != nil {
 		p.Drop = r.Drop
 	} else if p.HasIPv4 && a.inSynthetic(p.IP.Dst.Uint32()) {
@@ -122,9 +122,9 @@ func (a *ACL) Process(p *packet.Packet, _ *Env) {
 }
 
 // firstMatch returns the first of rules that p hits, or nil.
-func firstMatch(rules []Rule, p *packet.Packet) *Rule {
+func firstMatch(rules []rule, p *packet.Packet) *rule {
 	for i := range rules {
-		if rules[i].Matches(p) {
+		if rules[i].matches(p) {
 			return &rules[i]
 		}
 	}

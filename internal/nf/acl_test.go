@@ -12,19 +12,19 @@ import (
 // outside the synthetic space, ones on it and across it, and a bad one.
 var aclCIDRs = []string{"172.16.0.0/12", "10.0.0.0/8", "11.0.0.0/8", "10.1.2.0/24", "26.0.0.0/7", "0.0.0.0/0", "bogus"}
 
-// aclPair builds the same ACL twice: as NewACL's range and as the
+// aclPair builds the same ACL twice: as newACL's range and as the
 // materialised rule list (reference_test.go). Both refuse or neither does.
-func aclPair(t testing.TB, params Params) (*ACL, *aclRef) {
+func aclPair(t testing.TB, params Params) (*acl, *aclRef) {
 	t.Helper()
-	got, err := NewACL("acl0", params)
+	got, err := newACL("acl0", params)
 	want, werr := newACLRef("acl0", params)
 	if (err == nil) != (werr == nil) {
-		t.Fatalf("%v: NewACL error %v, materialised %v", params, err, werr)
+		t.Fatalf("%v: newACL error %v, materialised %v", params, err, werr)
 	}
 	if err != nil {
 		return nil, nil
 	}
-	a := got.(*ACL)
+	a := got.(*acl)
 	if a.NumRules() != want.NumRules() {
 		t.Fatalf("%v: NumRules %d, materialised %d", params, a.NumRules(), want.NumRules())
 	}
@@ -32,7 +32,7 @@ func aclPair(t testing.TB, params Params) (*ACL, *aclRef) {
 }
 
 // aclSame runs p through both ACLs and fails if their verdicts differ.
-func aclSame(t testing.TB, got *ACL, want *aclRef, p *packet.Packet, what string) {
+func aclSame(t testing.TB, got *acl, want *aclRef, p *packet.Packet, what string) {
 	t.Helper()
 	p.Drop = false
 	got.Process(p, nil)
@@ -67,7 +67,7 @@ func aclNonIPv4() []*packet.Packet {
 func synthDst(i int, lo byte) uint32 { return uint32(10)<<24 | uint32(i)<<8 | uint32(lo) }
 
 // TestACLMatchesMaterialised holds the ACL's synthetic range to the rule
-// list NewACL used to materialise — verdicts and NumRules — at rule counts
+// list newACL used to materialise — verdicts and NumRules — at rule counts
 // around 1 024 and around 65 536, where uint32(i)<<8 starts to carry into
 // the top byte, with and without allow_dst and a default allow, over
 // destinations in 10/8, 11/8, 14/8, 15/8 and 26/8 (which the carry reaches
@@ -128,7 +128,7 @@ func TestACLMatchesMaterialised(t *testing.T) {
 			k := synthDst(i, 0) >> 8
 			covered[k/64] |= 1 << (k % 64)
 		}
-		a := &ACL{synthetic: n}
+		a := &acl{synthetic: n}
 		for k := uint32(0); k < 1<<24; k++ {
 			if want := covered[k/64]>>(k%64)&1 == 1; a.inSynthetic(k<<8) != want {
 				t.Fatalf("rules=%d: %d.%d.%d.0/24 in range %v, materialised %v",

@@ -9,30 +9,30 @@ import (
 	"lemur/internal/packet"
 )
 
-// Encrypt is the paper's 128-bit AES-CBC payload encryption NF (server-only:
+// encrypt is the paper's 128-bit AES-CBC payload encryption NF (server-only:
 // PISA switches cannot do payload crypto). It encrypts the L4 payload in
 // place; payloads are processed in whole 16-byte blocks, with a trailing
 // partial block left clear (the simulated dataplane keeps frame sizes fixed,
 // so we cannot pad).
-type Encrypt struct {
+type encrypt struct {
 	base
 	block cipher.Block
 	iv    [16]byte
 }
 
-// NewEncrypt builds the AES-CBC encryptor. Param "key" (string, 16 bytes)
+// newEncrypt builds the AES-CBC encryptor. Param "key" (string, 16 bytes)
 // overrides the default key.
-func NewEncrypt(name string, params Params) (NF, error) {
+func newEncrypt(name string, params Params) (NF, error) {
 	return newCBC(name, "Encrypt", params)
 }
 
 // Decrypt is the inverse NF.
-func NewDecrypt(name string, params Params) (NF, error) {
+func newDecrypt(name string, params Params) (NF, error) {
 	return newCBC(name, "Decrypt", params)
 }
 
 func newCBC(name, class string, params Params) (NF, error) {
-	key := []byte(params.Str("key", "lemur-aes-cbc-16"))
+	key := []byte(params.str("key", "lemur-aes-cbc-16"))
 	if len(key) != 16 {
 		return nil, fmt.Errorf("nf: %s %s: key must be 16 bytes, got %d", class, name, len(key))
 	}
@@ -40,7 +40,7 @@ func newCBC(name, class string, params Params) (NF, error) {
 	if err != nil {
 		return nil, fmt.Errorf("nf: %s %s: %w", class, name, err)
 	}
-	e := &Encrypt{base: base{name: name, class: class}, block: blk}
+	e := &encrypt{base: base{name: name, class: class}, block: blk}
 	copy(e.iv[:], "lemur-static-iv!")
 	return e, nil
 }
@@ -49,7 +49,7 @@ func newCBC(name, class string, params Params) (NF, error) {
 // CBC chaining runs inline over e.block rather than through
 // cipher.NewCBCEncrypter, whose per-packet construction is a heap allocation
 // on the simulator's hot path; the output is bit-identical.
-func (e *Encrypt) Process(p *packet.Packet, _ *Env) {
+func (e *encrypt) Process(p *packet.Packet, _ *Env) {
 	pay := p.Payload()
 	n := len(pay) &^ 15 // whole AES blocks
 	if n == 0 {
@@ -80,23 +80,23 @@ func (e *Encrypt) Process(p *packet.Packet, _ *Env) {
 	}
 }
 
-// FastEncrypt is the ChaCha20 NF ("Fast Enc." in Table 3). ChaCha has no
+// fastEncrypt is the ChaCha20 NF ("Fast Enc." in Table 3). ChaCha has no
 // stdlib cipher, so the block function is implemented here from RFC 8439.
 // Because ChaCha is a stream cipher, applying the NF twice restores the
 // plaintext. It is offloadable to the eBPF SmartNIC.
-type FastEncrypt struct {
+type fastEncrypt struct {
 	base
 	key [8]uint32
 }
 
-// NewFastEncrypt builds the ChaCha20 NF. Param "key" (string, 32 bytes)
+// newFastEncrypt builds the ChaCha20 NF. Param "key" (string, 32 bytes)
 // overrides the default key.
-func NewFastEncrypt(name string, params Params) (NF, error) {
-	key := []byte(params.Str("key", "lemur-chacha20-key-32-bytes-long"))
+func newFastEncrypt(name string, params Params) (NF, error) {
+	key := []byte(params.str("key", "lemur-chacha20-key-32-bytes-long"))
 	if len(key) != 32 {
 		return nil, fmt.Errorf("nf: FastEncrypt %s: key must be 32 bytes, got %d", name, len(key))
 	}
-	f := &FastEncrypt{base: base{name: name, class: "FastEncrypt"}}
+	f := &fastEncrypt{base: base{name: name, class: "FastEncrypt"}}
 	for i := range f.key {
 		f.key[i] = binary.LittleEndian.Uint32(key[i*4:])
 	}
@@ -105,7 +105,7 @@ func NewFastEncrypt(name string, params Params) (NF, error) {
 
 // Process XORs the payload with the ChaCha20 keystream. The nonce derives
 // from the flow 5-tuple hash so both directions of processing agree.
-func (f *FastEncrypt) Process(p *packet.Packet, _ *Env) {
+func (f *fastEncrypt) Process(p *packet.Packet, _ *Env) {
 	pay := p.Payload()
 	if len(pay) == 0 {
 		return

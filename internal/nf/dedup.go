@@ -42,21 +42,21 @@ const dedupShim = 8 // bytes emitted per deduplicated chunk
 // chunk shorter than the shim that replaces it has no room for the token: at
 // 0 the chunk loop never advances, and below 0 it slices backwards.
 func parseDedupChunk(name string, params Params) (int, error) {
-	chunk := params.Int("chunk", 64)
+	chunk := params.int("chunk", 64)
 	if chunk < dedupShim {
 		return 0, fmt.Errorf("nf: Dedup %s: chunk %d is shorter than its %d-byte shim", name, chunk, dedupShim)
 	}
 	return chunk, nil
 }
 
-// NewDedup builds the redundancy eliminator. Params: "chunk" (bytes, at
+// newDedup builds the redundancy eliminator. Params: "chunk" (bytes, at
 // least 8, default 64) and "cache" (max fingerprints, default 65536).
-func NewDedup(name string, params Params) (NF, error) {
+func newDedup(name string, params Params) (NF, error) {
 	chunk, err := parseDedupChunk(name, params)
 	if err != nil {
 		return nil, err
 	}
-	maxSize := params.Int("cache", 65536)
+	maxSize := params.int("cache", 65536)
 	return &Dedup{
 		base:    base{name: name, class: "Dedup"},
 		chunk:   chunk,

@@ -30,7 +30,7 @@ func WithReferenceTables(f func()) {
 // files.
 
 // NumRules returns the table size.
-func (a *ACL) NumRules() int { return len(a.head) + a.synthetic + len(a.tail) }
+func (a *acl) NumRules() int { return len(a.head) + a.synthetic + len(a.tail) }
 
 // Backend returns the backend a flow maps to.
 func (l *LB) Backend(tu packet.FiveTuple) packet.IPv4Addr {
@@ -40,12 +40,12 @@ func (l *LB) Backend(tu packet.FiveTuple) packet.IPv4Addr {
 // Stats returns the counters for a flow, or nil if unseen. The pointer
 // aliases the flow table's arena and is invalidated by the next Process call
 // that inserts or evicts a flow.
-func (m *Monitor) Stats(tu packet.FiveTuple) *FlowStats {
+func (m *Monitor) Stats(tu packet.FiveTuple) *flowStats {
 	return m.flows.get(tu)
 }
 
 // AddRoute installs a route for cidr to the given port.
-func (f *IPv4Fwd) AddRoute(cidr string, port int, nextHop packet.MAC) error {
+func (f *ipv4Fwd) AddRoute(cidr string, port int, nextHop packet.MAC) error {
 	addr, bits, err := bpf.ParseCIDR(cidr)
 	if err != nil {
 		return fmt.Errorf("nf: IPv4Fwd %s: %w", f.name, err)

@@ -462,7 +462,7 @@ func TestMonitorUnboundedMaxFlows(t *testing.T) {
 // collapsed onto a single port.
 func TestNATPortWindowExhaustion(t *testing.T) {
 	const window = 65536 - 20000 // 45536 usable ports
-	n, err := NewNAT("big", Params{"entries": 100000})
+	n, err := newNAT("big", Params{"entries": 100000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -529,7 +529,7 @@ func TestNATRefClampsIdentically(t *testing.T) {
 // so it is also held to the map-backed reference, which stores each ID,
 // across the wrap at caches of 1, 4 and 17.
 func TestDedupCacheWraparound(t *testing.T) {
-	d, err := NewDedup("d0", Params{"chunk": 16, "cache": 4})
+	d, err := newDedup("d0", Params{"chunk": 16, "cache": 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,7 +32,7 @@ type LB struct {
 // parseLBBackends resolves the backend list both implementations share.
 func parseLBBackends(name string, params Params) ([]packet.IPv4Addr, error) {
 	var backends []packet.IPv4Addr
-	for _, s := range params.StrSlice("backends") {
+	for _, s := range params.strSlice("backends") {
 		addr, bits, err := bpf.ParseCIDR(s + "/32")
 		if err != nil || bits != 32 {
 			return nil, fmt.Errorf("nf: LB %s: bad backend %q", name, s)
@@ -40,7 +40,7 @@ func parseLBBackends(name string, params Params) ([]packet.IPv4Addr, error) {
 		backends = append(backends, packet.AddrFromUint32(addr))
 	}
 	if len(backends) == 0 {
-		n := params.Int("n_backends", 4)
+		n := params.int("n_backends", 4)
 		if n <= 0 {
 			return nil, fmt.Errorf("nf: LB %s: needs at least one backend", name)
 		}
@@ -51,16 +51,16 @@ func parseLBBackends(name string, params Params) ([]packet.IPv4Addr, error) {
 	return backends, nil
 }
 
-// NewLB builds the load balancer. Params: "backends" (list of IPs) or
+// newLB builds the load balancer. Params: "backends" (list of IPs) or
 // "n_backends" (generate that many under 192.168.100.0/24, default 4), and
 // "affinity" (per-flow affinity table cap, default 65536; 0 disables the
 // table and falls back to pure hashing).
-func NewLB(name string, params Params) (NF, error) {
+func newLB(name string, params Params) (NF, error) {
 	backends, err := parseLBBackends(name, params)
 	if err != nil {
 		return nil, err
 	}
-	maxAff := params.Int("affinity", 65536)
+	maxAff := params.int("affinity", 65536)
 	if maxAff < 0 {
 		maxAff = 0
 	}

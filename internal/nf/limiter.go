@@ -2,11 +2,11 @@ package nf
 
 import "lemur/internal/packet"
 
-// Limiter is a token-bucket rate limiter (bits granularity). It is one of
+// limiter is a token-bucket rate limiter (bits granularity). It is one of
 // the paper's two non-replicable NFs: the bucket is shared mutable state
 // that cannot be split across cores without breaking the rate contract, so
 // the Placer never replicates a subgroup containing it.
-type Limiter struct {
+type limiter struct {
 	base
 	rateBps   float64 // token refill rate
 	burstBits float64 // bucket depth
@@ -15,12 +15,12 @@ type Limiter struct {
 	primed    bool
 }
 
-// NewLimiter builds the token bucket. Params: "rate_mbps" (default 10000)
+// newLimiter builds the token bucket. Params: "rate_mbps" (default 10000)
 // and "burst_kbits" (default 1500).
-func NewLimiter(name string, params Params) (NF, error) {
-	rate := params.Float("rate_mbps", 10000) * 1e6
-	burst := params.Float("burst_kbits", 1500) * 1e3
-	return &Limiter{
+func newLimiter(name string, params Params) (NF, error) {
+	rate := params.float("rate_mbps", 10000) * 1e6
+	burst := params.float("burst_kbits", 1500) * 1e3
+	return &limiter{
 		base:      base{name: name, class: "Limiter"},
 		rateBps:   rate,
 		burstBits: burst,
@@ -30,7 +30,7 @@ func NewLimiter(name string, params Params) (NF, error) {
 
 // Process consumes frame-size tokens; if the bucket is empty the packet is
 // dropped.
-func (l *Limiter) Process(p *packet.Packet, env *Env) {
+func (l *limiter) Process(p *packet.Packet, env *Env) {
 	now := 0.0
 	if env != nil {
 		now = env.NowSec

@@ -7,35 +7,35 @@ import (
 	"lemur/internal/packet"
 )
 
-// Match is the flexible BPF classifier ("BPF" in the canonical chains): it
+// match is the flexible BPF classifier ("BPF" in the canonical chains): it
 // evaluates a match expression and either tags the packet with a traffic
 // class or drops non-matching traffic, depending on mode.
-type Match struct {
+type match struct {
 	base
 	filter *bpf.Filter
 	class  uint32
 	gate   bool // true: drop non-matching packets; false: tag only
 }
 
-// NewMatch builds the classifier. Params: "filter" (bpf expression, default
+// newMatch builds the classifier. Params: "filter" (bpf expression, default
 // matches everything), "class" (traffic class to set on match, default 1),
 // "gate" (bool-ish int: nonzero means drop non-matching packets).
-func NewMatch(name string, params Params) (NF, error) {
-	expr := params.Str("filter", "true")
+func newMatch(name string, params Params) (NF, error) {
+	expr := params.str("filter", "true")
 	f, err := bpf.Compile(expr)
 	if err != nil {
 		return nil, fmt.Errorf("nf: Match %s: %w", name, err)
 	}
-	return &Match{
+	return &match{
 		base:   base{name: name, class: "Match"},
 		filter: f,
-		class:  uint32(params.Int("class", 1)),
-		gate:   params.Int("gate", 0) != 0,
+		class:  uint32(params.int("class", 1)),
+		gate:   params.int("gate", 0) != 0,
 	}, nil
 }
 
 // Process tags or gates the packet.
-func (m *Match) Process(p *packet.Packet, _ *Env) {
+func (m *match) Process(p *packet.Packet, _ *Env) {
 	if m.filter.Match(p) {
 		p.TrafficClass = m.class
 		return

@@ -2,8 +2,8 @@ package nf
 
 import "lemur/internal/packet"
 
-// FlowStats are the per-flow counters Monitor maintains.
-type FlowStats struct {
+// flowStats are the per-flow counters Monitor maintains.
+type flowStats struct {
 	Packets  uint64
 	Bytes    uint64
 	FirstSec float64
@@ -20,19 +20,19 @@ type FlowStats struct {
 // sharded/reference identity property tests.
 type Monitor struct {
 	base
-	flows *flowTable[packet.FiveTuple, FlowStats]
+	flows *flowTable[packet.FiveTuple, flowStats]
 	so    stateObs
 
 	// Evicted counts flows dropped from the table when full.
 	Evicted uint64
 }
 
-// NewMonitor builds the statistics collector. Param "max_flows" caps the
+// newMonitor builds the statistics collector. Param "max_flows" caps the
 // table (default 100000); a cap ≤ 0 leaves it unbounded, so it never evicts.
-func NewMonitor(name string, params Params) (NF, error) {
+func newMonitor(name string, params Params) (NF, error) {
 	return &Monitor{
 		base:  base{name: name, class: "Monitor"},
-		flows: newFlowTable[packet.FiveTuple, FlowStats](params.Int("max_flows", 100000), true, packet.FiveTuple.Hash),
+		flows: newFlowTable[packet.FiveTuple, flowStats](params.int("max_flows", 100000), true, packet.FiveTuple.Hash),
 		so:    newStateObs("Monitor", name),
 	}, nil
 }

@@ -71,16 +71,16 @@ func parseNATCfg(name string, params Params) (natCfg, error) {
 	c := natCfg{
 		external: packet.IPv4Addr{203, 0, 113, 1},
 		portBase: 20000,
-		maxEntry: params.Int("entries", 12000),
+		maxEntry: params.int("entries", 12000),
 	}
-	if s := params.Str("external", ""); s != "" {
+	if s := params.str("external", ""); s != "" {
 		addr, bits, err := bpf.ParseCIDR(s + "/32")
 		if err != nil || bits != 32 {
 			return c, fmt.Errorf("nf: NAT %s: bad external %q", name, s)
 		}
 		c.external = packet.AddrFromUint32(addr)
 	}
-	cidr := params.Str("internal", "10.0.0.0/8")
+	cidr := params.str("internal", "10.0.0.0/8")
 	addr, bits, err := bpf.ParseCIDR(cidr)
 	if err != nil {
 		return c, fmt.Errorf("nf: NAT %s: %w", name, err)
@@ -95,11 +95,11 @@ func parseNATCfg(name string, params Params) (natCfg, error) {
 	return c, nil
 }
 
-// NewNAT builds the translator. Params: "external" (IP string, default
+// newNAT builds the translator. Params: "external" (IP string, default
 // 203.0.113.1), "internal" (CIDR treated as inside, default 10.0.0.0/8),
 // "entries" (mapping capacity, default 12000 — the Table 4 profile point;
 // clamped to the 45536-port window above portBase 20000).
-func NewNAT(name string, params Params) (NF, error) {
+func newNAT(name string, params Params) (NF, error) {
 	cfg, err := parseNATCfg(name, params)
 	if err != nil {
 		return nil, err

@@ -38,9 +38,9 @@ type NF interface {
 // ACL(rules=1024).
 type Params map[string]any
 
-// Int fetches an integer parameter with a default. Spec literals may arrive
+// int fetches an integer parameter with a default. Spec literals may arrive
 // as int or float64.
-func (p Params) Int(key string, def int) int {
+func (p Params) int(key string, def int) int {
 	v, ok := p[key]
 	if !ok {
 		return def
@@ -54,8 +54,8 @@ func (p Params) Int(key string, def int) int {
 	return def
 }
 
-// Float fetches a float parameter with a default.
-func (p Params) Float(key string, def float64) float64 {
+// float fetches a float parameter with a default.
+func (p Params) float(key string, def float64) float64 {
 	v, ok := p[key]
 	if !ok {
 		return def
@@ -69,16 +69,16 @@ func (p Params) Float(key string, def float64) float64 {
 	return def
 }
 
-// Str fetches a string parameter with a default.
-func (p Params) Str(key, def string) string {
+// str fetches a string parameter with a default.
+func (p Params) str(key, def string) string {
 	if v, ok := p[key].(string); ok {
 		return v
 	}
 	return def
 }
 
-// StrSlice fetches a string-list parameter.
-func (p Params) StrSlice(key string) []string {
+// strSlice fetches a string-list parameter.
+func (p Params) strSlice(key string) []string {
 	switch v := p[key].(type) {
 	case []string:
 		return v

@@ -131,7 +131,7 @@ func TestNewUnknownClass(t *testing.T) {
 }
 
 func TestACLDefaultDeny(t *testing.T) {
-	a, err := NewACL("acl0", Params{"allow_dst": "10.0.0.0/8"})
+	a, err := newACL("acl0", Params{"allow_dst": "10.0.0.0/8"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,11 +148,11 @@ func TestACLDefaultDeny(t *testing.T) {
 }
 
 func TestACLRuleOrderAndFields(t *testing.T) {
-	a, _ := NewACL("acl0", Params{"rules": 0, "allow_dst": "10.0.0.0/8"})
-	acl := a.(*ACL)
+	a, _ := newACL("acl0", Params{"rules": 0, "allow_dst": "10.0.0.0/8"})
+	acl := a.(*acl)
 	// Prepend-equivalent: a drop rule for one host inside the allow prefix,
 	// matched first because Matches runs in order and we re-add.
-	acl.head = append([]Rule{{
+	acl.head = append([]rule{{
 		DstAddr: packet.IPv4Addr{10, 0, 0, 99}.Uint32(), DstMask: ^uint32(0),
 		Proto: packet.IPProtoUDP, DstPort: 53, Drop: true,
 	}}, acl.head...)
@@ -169,8 +169,8 @@ func TestACLRuleOrderAndFields(t *testing.T) {
 }
 
 func TestACLSyntheticRules(t *testing.T) {
-	a, _ := NewACL("acl0", Params{"rules": 256})
-	if got := a.(*ACL).NumRules(); got != 256 {
+	a, _ := newACL("acl0", Params{"rules": 256})
+	if got := a.(*acl).NumRules(); got != 256 {
 		t.Errorf("NumRules = %d", got)
 	}
 	// 10.3.x.x is inside synthetic rule space (10.0.0.0..10.0.255.0 /24s
@@ -184,8 +184,8 @@ func TestACLSyntheticRules(t *testing.T) {
 }
 
 func TestEncryptDecryptRoundTrip(t *testing.T) {
-	e, _ := NewEncrypt("e0", nil)
-	d, _ := NewDecrypt("d0", nil)
+	e, _ := newEncrypt("e0", nil)
+	d, _ := newDecrypt("d0", nil)
 	payload := []byte("0123456789abcdef0123456789abcdeftail")
 	p := udp(packet.IPv4Addr{1, 1, 1, 1}, packet.IPv4Addr{2, 2, 2, 2}, 1, 2, payload)
 	orig := append([]byte(nil), p.Payload()...)
@@ -205,16 +205,16 @@ func TestEncryptDecryptRoundTrip(t *testing.T) {
 }
 
 func TestEncryptBadKey(t *testing.T) {
-	if _, err := NewEncrypt("e0", Params{"key": "short"}); err == nil {
+	if _, err := newEncrypt("e0", Params{"key": "short"}); err == nil {
 		t.Error("want error for bad key length")
 	}
-	if _, err := NewFastEncrypt("f0", Params{"key": "short"}); err == nil {
+	if _, err := newFastEncrypt("f0", Params{"key": "short"}); err == nil {
 		t.Error("want error for bad chacha key length")
 	}
 }
 
 func TestFastEncryptInvolution(t *testing.T) {
-	f, _ := NewFastEncrypt("f0", nil)
+	f, _ := newFastEncrypt("f0", nil)
 	payload := make([]byte, 200)
 	for i := range payload {
 		payload[i] = byte(i)
@@ -271,7 +271,7 @@ func dedupShims(t *testing.T, pay []byte, chunk int) (shims []bool, slots []uint
 }
 
 func TestDedupRedundancy(t *testing.T) {
-	d, _ := NewDedup("d0", Params{"chunk": 64})
+	d, _ := newDedup("d0", Params{"chunk": 64})
 	payload := make([]byte, 256)
 	for i := range payload {
 		payload[i] = byte(i % 64) // four identical 64-byte chunks
@@ -299,7 +299,7 @@ func TestDedupRedundancy(t *testing.T) {
 }
 
 func TestDedupUniquePayloadsPassThrough(t *testing.T) {
-	d, _ := NewDedup("d0", nil)
+	d, _ := newDedup("d0", nil)
 	payload := make([]byte, 128)
 	for i := range payload {
 		payload[i] = byte(i)
@@ -325,7 +325,7 @@ func TestDedupRejectsShortChunk(t *testing.T) {
 	}{
 		{0, false}, {-8, false}, {1, false}, {7, false}, {8, true}, {64, true},
 	} {
-		ctors := map[string]func(string, Params) (NF, error){"sharded": NewDedup, "reference": newDedupRef}
+		ctors := map[string]func(string, Params) (NF, error){"sharded": newDedup, "reference": newDedupRef}
 		for impl, ctor := range ctors {
 			d, err := ctor("d7", Params{"chunk": tc.chunk})
 			if !tc.ok {
@@ -346,8 +346,8 @@ func TestDedupRejectsShortChunk(t *testing.T) {
 }
 
 func TestTunnelDetunnelRoundTrip(t *testing.T) {
-	tn, _ := NewTunnel("t0", Params{"vid": 42})
-	dt, _ := NewDetunnel("dt0", nil)
+	tn, _ := newTunnel("t0", Params{"vid": 42})
+	dt, _ := newDetunnel("dt0", nil)
 	p := udp(packet.IPv4Addr{1, 1, 1, 1}, packet.IPv4Addr{2, 2, 2, 2}, 1, 2, []byte("x"))
 	origLen := len(p.Data)
 	tn.Process(p, env())
@@ -376,8 +376,8 @@ func TestTunnelDetunnelRoundTrip(t *testing.T) {
 }
 
 func TestIPv4FwdLPM(t *testing.T) {
-	f, _ := NewIPv4Fwd("f0", Params{"default_port": 9})
-	fw := f.(*IPv4Fwd)
+	f, _ := newIPv4Fwd("f0", Params{"default_port": 9})
+	fw := f.(*ipv4Fwd)
 	if err := fw.AddRoute("10.0.0.0/8", 1, packet.MAC{1}); err != nil {
 		t.Fatal(err)
 	}
@@ -413,8 +413,8 @@ func TestIPv4FwdLPM(t *testing.T) {
 // in: a /8 and a /0 added after a /24 still lose to it, and a /16 added last
 // sits between them.
 func TestIPv4FwdShorterRouteAddedLater(t *testing.T) {
-	f, _ := NewIPv4Fwd("f0", Params{"default_port": -1})
-	fw := f.(*IPv4Fwd)
+	f, _ := newIPv4Fwd("f0", Params{"default_port": -1})
+	fw := f.(*ipv4Fwd)
 	for _, r := range []struct {
 		cidr string
 		port int
@@ -444,7 +444,7 @@ func TestIPv4FwdShorterRouteAddedLater(t *testing.T) {
 }
 
 func TestLimiterTokenBucket(t *testing.T) {
-	l, _ := NewLimiter("l0", Params{"rate_mbps": 1.0, "burst_kbits": 24.0})
+	l, _ := newLimiter("l0", Params{"rate_mbps": 1.0, "burst_kbits": 24.0})
 	mk := func() *packet.Packet {
 		return udp(packet.IPv4Addr{1, 1, 1, 1}, packet.IPv4Addr{2, 2, 2, 2}, 1, 2, make([]byte, 1000-packet.EthernetLen-packet.IPv4Len-packet.UDPLen))
 	}
@@ -476,7 +476,7 @@ func TestLimiterTokenBucket(t *testing.T) {
 }
 
 func TestUrlFilter(t *testing.T) {
-	u, _ := NewUrlFilter("u0", Params{"block": []string{"evil.test"}})
+	u, _ := newUrlFilter("u0", Params{"block": []string{"evil.test"}})
 	mk := func(payload string) *packet.Packet {
 		return packet.Builder{
 			Src: packet.IPv4Addr{1, 1, 1, 1}, Dst: packet.IPv4Addr{2, 2, 2, 2},
@@ -502,7 +502,7 @@ func TestUrlFilter(t *testing.T) {
 }
 
 func TestMonitorCounters(t *testing.T) {
-	m, _ := NewMonitor("m0", nil)
+	m, _ := newMonitor("m0", nil)
 	mon := m.(*Monitor)
 	p := udp(packet.IPv4Addr{1, 1, 1, 1}, packet.IPv4Addr{2, 2, 2, 2}, 5, 6, []byte("abc"))
 	e := &Env{NowSec: 1.5}
@@ -526,7 +526,7 @@ func TestMonitorCounters(t *testing.T) {
 }
 
 func TestMonitorEviction(t *testing.T) {
-	m, _ := NewMonitor("m0", Params{"max_flows": 2})
+	m, _ := newMonitor("m0", Params{"max_flows": 2})
 	mon := m.(*Monitor)
 	for i := 0; i < 4; i++ {
 		p := udp(packet.IPv4Addr{1, 1, 1, byte(i)}, packet.IPv4Addr{2, 2, 2, 2}, uint16(i), 6, nil)
@@ -541,7 +541,7 @@ func TestMonitorEviction(t *testing.T) {
 }
 
 func TestNATTranslation(t *testing.T) {
-	n, _ := NewNAT("n0", Params{"entries": 100})
+	n, _ := newNAT("n0", Params{"entries": 100})
 	nat := n.(*NAT)
 	// Outbound: internal 10.0.0.5:1234 -> 8.8.8.8:53
 	p := udp(packet.IPv4Addr{10, 0, 0, 5}, packet.IPv4Addr{8, 8, 8, 8}, 1234, 53, nil)
@@ -588,7 +588,7 @@ func TestNATTranslation(t *testing.T) {
 }
 
 func TestNATExhaustion(t *testing.T) {
-	n, _ := NewNAT("n0", Params{"entries": 3})
+	n, _ := newNAT("n0", Params{"entries": 3})
 	nat := n.(*NAT)
 	for i := 0; i < 5; i++ {
 		p := udp(packet.IPv4Addr{10, 0, 0, byte(i + 1)}, packet.IPv4Addr{8, 8, 8, 8}, 1000, 53, nil)
@@ -606,7 +606,7 @@ func TestNATExhaustion(t *testing.T) {
 }
 
 func TestLBAffinity(t *testing.T) {
-	l, _ := NewLB("lb0", Params{"n_backends": 4})
+	l, _ := newLB("lb0", Params{"n_backends": 4})
 	lb := l.(*LB)
 	p := udp(packet.IPv4Addr{1, 1, 1, 1}, packet.IPv4Addr{9, 9, 9, 9}, 333, 80, nil)
 	tu, _ := p.Tuple()
@@ -628,7 +628,7 @@ func TestLBAffinity(t *testing.T) {
 }
 
 func TestLBExplicitBackends(t *testing.T) {
-	l, err := NewLB("lb0", Params{"backends": []string{"10.0.0.1", "10.0.0.2"}})
+	l, err := newLB("lb0", Params{"backends": []string{"10.0.0.1", "10.0.0.2"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -637,16 +637,16 @@ func TestLBExplicitBackends(t *testing.T) {
 	if p.IP.Dst != (packet.IPv4Addr{10, 0, 0, 1}) && p.IP.Dst != (packet.IPv4Addr{10, 0, 0, 2}) {
 		t.Errorf("dst = %v", p.IP.Dst)
 	}
-	if _, err := NewLB("lb1", Params{"backends": []string{"zzz"}}); err == nil {
+	if _, err := newLB("lb1", Params{"backends": []string{"zzz"}}); err == nil {
 		t.Error("want error for bad backend")
 	}
-	if _, err := NewLB("lb2", Params{"n_backends": 0}); err == nil {
+	if _, err := newLB("lb2", Params{"n_backends": 0}); err == nil {
 		t.Error("want error for zero backends")
 	}
 }
 
 func TestMatchTagAndGate(t *testing.T) {
-	m, _ := NewMatch("m0", Params{"filter": "udp.dport == 53", "class": 7})
+	m, _ := newMatch("m0", Params{"filter": "udp.dport == 53", "class": 7})
 	p := udp(packet.IPv4Addr{1, 1, 1, 1}, packet.IPv4Addr{2, 2, 2, 2}, 1, 53, nil)
 	m.Process(p, env())
 	if p.TrafficClass != 7 || p.Drop {
@@ -657,13 +657,13 @@ func TestMatchTagAndGate(t *testing.T) {
 	if miss.Drop || miss.TrafficClass != 0 {
 		t.Error("tag mode should not drop misses")
 	}
-	g, _ := NewMatch("g0", Params{"filter": "udp.dport == 53", "gate": 1})
+	g, _ := newMatch("g0", Params{"filter": "udp.dport == 53", "gate": 1})
 	m2 := udp(packet.IPv4Addr{1, 1, 1, 1}, packet.IPv4Addr{2, 2, 2, 2}, 1, 80, nil)
 	g.Process(m2, env())
 	if !m2.Drop {
 		t.Error("gate mode should drop misses")
 	}
-	if _, err := NewMatch("bad", Params{"filter": "garbage ==="}); err == nil {
+	if _, err := newMatch("bad", Params{"filter": "garbage ==="}); err == nil {
 		t.Error("want error for bad filter")
 	}
 }

@@ -2,7 +2,7 @@
 
 package nf
 
-// raceEnabled: under the race detector every Rule.Matches costs about half a
+// raceEnabled: under the race detector every rule.matches costs about half a
 // microsecond, so scanning materialised rule lists of 65 536 and more rules
 // per destination takes a minute while checking no concurrency.
 const raceEnabled = true

@@ -114,7 +114,7 @@ func (n *natRef) allocate(key natKey) (uint16, bool) {
 // monitorRef is the map-backed Monitor reference.
 type monitorRef struct {
 	base
-	flows map[packet.FiveTuple]*FlowStats
+	flows map[packet.FiveTuple]*flowStats
 	order []packet.FiveTuple // insertion order, head = oldest live flow
 	head  int
 	max   int
@@ -126,8 +126,8 @@ type monitorRef struct {
 func newMonitorRef(name string, params Params) (NF, error) {
 	return &monitorRef{
 		base:  base{name: name, class: "Monitor"},
-		flows: make(map[packet.FiveTuple]*FlowStats),
-		max:   params.Int("max_flows", 100000),
+		flows: make(map[packet.FiveTuple]*flowStats),
+		max:   params.int("max_flows", 100000),
 		so:    newStateObs("Monitor", name),
 	}, nil
 }
@@ -150,7 +150,7 @@ func (m *monitorRef) Process(p *packet.Packet, env *Env) {
 				m.head = 0
 			}
 		}
-		st = &FlowStats{}
+		st = &flowStats{}
 		if env != nil {
 			st.FirstSec = env.NowSec
 		}
@@ -187,7 +187,7 @@ func newDedupRef(name string, params Params) (NF, error) {
 		base:    base{name: name, class: "Dedup"},
 		chunk:   chunk,
 		cache:   make(map[uint64]uint32),
-		maxSize: params.Int("cache", 65536),
+		maxSize: params.int("cache", 65536),
 		so:      newStateObs("Dedup", name),
 	}, nil
 }
@@ -241,7 +241,7 @@ func newLBRef(name string, params Params) (NF, error) {
 	if err != nil {
 		return nil, err
 	}
-	maxAff := params.Int("affinity", 65536)
+	maxAff := params.int("affinity", 65536)
 	if maxAff < 0 {
 		maxAff = 0
 	}
@@ -288,37 +288,37 @@ func (l *lbRef) Process(p *packet.Packet, _ *Env) {
 	p.SyncHeaders()
 }
 
-// aclRef is the materialising ACL NewACL used to build: every synthetic /24
-// allow a Rule of its own, decided by a first-match scan of the whole list.
-// ACL holds the same list as a head, a count and a tail;
+// aclRef is the materialising ACL newACL used to build: every synthetic /24
+// allow a rule of its own, decided by a first-match scan of the whole list.
+// acl holds the same list as a head, a count and a tail;
 // TestACLMatchesMaterialised and FuzzACL hold the two to the same verdicts
 // and NumRules.
 type aclRef struct {
 	base
-	rules []Rule
+	rules []rule
 }
 
 func newACLRef(name string, params Params) (*aclRef, error) {
 	a := &aclRef{base: base{name: name, class: "ACL"}}
-	cidr := params.Str("allow_dst", "")
-	n := params.Int("rules", 0)
+	cidr := params.str("allow_dst", "")
+	n := params.int("rules", 0)
 	if n == 0 && cidr == "" {
 		n = defaultRuleCount
 	}
-	a.rules = make([]Rule, 0, max(n, 0)+2)
+	a.rules = make([]rule, 0, max(n, 0)+2)
 	if cidr != "" {
 		addr, bits, err := bpf.ParseCIDR(cidr)
 		if err != nil {
 			return nil, fmt.Errorf("nf: ACL %s: %w", name, err)
 		}
-		a.rules = append(a.rules, Rule{DstAddr: addr, DstMask: bpf.MaskBits(bits)})
+		a.rules = append(a.rules, rule{DstAddr: addr, DstMask: bpf.MaskBits(bits)})
 	}
 	for i := 0; i < n; i++ {
 		addr := uint32(10)<<24 | uint32(i)<<8
-		a.rules = append(a.rules, Rule{DstAddr: addr, DstMask: bpf.MaskBits(24)})
+		a.rules = append(a.rules, rule{DstAddr: addr, DstMask: bpf.MaskBits(24)})
 	}
-	if params.Str("default", "deny") == "allow" {
-		a.rules = append(a.rules, Rule{}) // match-all allow
+	if params.str("default", "deny") == "allow" {
+		a.rules = append(a.rules, rule{}) // match-all allow
 	}
 	return a, nil
 }
@@ -327,7 +327,7 @@ func (a *aclRef) NumRules() int { return len(a.rules) }
 
 func (a *aclRef) Process(p *packet.Packet, _ *Env) {
 	for i := range a.rules {
-		if a.rules[i].Matches(p) {
+		if a.rules[i].matches(p) {
 			p.Drop = a.rules[i].Drop
 			return
 		}

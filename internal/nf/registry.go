@@ -79,21 +79,21 @@ func (m *Meta) SupportsPlatform(p hw.Platform) bool {
 // records the real implementation set).
 var Registry = map[string]*Meta{
 	"Encrypt": {
-		Class: "Encrypt", Spec: "128-bit AES-CBC", New: NewEncrypt,
+		Class: "Encrypt", Spec: "128-bit AES-CBC", New: newEncrypt,
 		Platforms:    []hw.Platform{hw.Server},
 		ReadsPayload: true,
 		Replicable:   true,
 		Cycles:       constCost(8777),
 	},
 	"Decrypt": {
-		Class: "Decrypt", Spec: "128-bit AES-CBC", New: NewDecrypt,
+		Class: "Decrypt", Spec: "128-bit AES-CBC", New: newDecrypt,
 		Platforms:    []hw.Platform{hw.Server},
 		ReadsPayload: true,
 		Replicable:   true,
 		Cycles:       constCost(8800),
 	},
 	"FastEncrypt": {
-		Class: "FastEncrypt", Spec: "128-bit Chacha", New: NewFastEncrypt,
+		Class: "FastEncrypt", Spec: "128-bit Chacha", New: newFastEncrypt,
 		Platforms:        []hw.Platform{hw.Server, hw.SmartNIC},
 		ReadsPayload:     true,
 		Replicable:       false, // Table 3 bold
@@ -101,7 +101,7 @@ var Registry = map[string]*Meta{
 		EBPFInstructions: 3600, // unrolled ChaCha rounds, near the 4k limit
 	},
 	"Dedup": {
-		Class: "Dedup", Spec: "Network RE", New: NewDedup,
+		Class: "Dedup", Spec: "Network RE", New: newDedup,
 		Platforms:    []hw.Platform{hw.Server},
 		Stateful:     true,
 		ReadsPayload: true,
@@ -109,7 +109,7 @@ var Registry = map[string]*Meta{
 		Cycles:       constCost(30867),
 	},
 	"Tunnel": {
-		Class: "Tunnel", Spec: "Push VLAN tag", New: NewTunnel,
+		Class: "Tunnel", Spec: "Push VLAN tag", New: newTunnel,
 		Platforms:        []hw.Platform{hw.Server, hw.PISA, hw.SmartNIC, hw.OpenFlow},
 		Replicable:       true,
 		Cycles:           constCost(130),
@@ -118,7 +118,7 @@ var Registry = map[string]*Meta{
 		OFTable:          "vlan",
 	},
 	"Detunnel": {
-		Class: "Detunnel", Spec: "Pop VLAN tag", New: NewDetunnel,
+		Class: "Detunnel", Spec: "Pop VLAN tag", New: newDetunnel,
 		Platforms:        []hw.Platform{hw.Server, hw.PISA, hw.SmartNIC, hw.OpenFlow},
 		Replicable:       true,
 		Cycles:           constCost(120),
@@ -127,7 +127,7 @@ var Registry = map[string]*Meta{
 		OFTable:          "vlan",
 	},
 	"IPv4Fwd": {
-		Class: "IPv4Fwd", Spec: "IP Address match", New: NewIPv4Fwd,
+		Class: "IPv4Fwd", Spec: "IP Address match", New: newIPv4Fwd,
 		Platforms:        []hw.Platform{hw.Server, hw.PISA, hw.SmartNIC, hw.OpenFlow},
 		Replicable:       true,
 		Cycles:           constCost(230),
@@ -136,21 +136,21 @@ var Registry = map[string]*Meta{
 		OFTable:          "forward",
 	},
 	"Limiter": {
-		Class: "Limiter", Spec: "Token bucket", New: NewLimiter,
+		Class: "Limiter", Spec: "Token bucket", New: newLimiter,
 		Platforms:  []hw.Platform{hw.Server},
 		Stateful:   true,
 		Replicable: false, // Table 3 bold: shared bucket state (§5.3 Fig 3a)
 		Cycles:     constCost(190),
 	},
 	"UrlFilter": {
-		Class: "UrlFilter", Spec: "HTML Filter", New: NewUrlFilter,
+		Class: "UrlFilter", Spec: "HTML Filter", New: newUrlFilter,
 		Platforms:    []hw.Platform{hw.Server},
 		ReadsPayload: true,
 		Replicable:   true,
 		Cycles:       constCost(610),
 	},
 	"Monitor": {
-		Class: "Monitor", Spec: "Per-flow statistics", New: NewMonitor,
+		Class: "Monitor", Spec: "Per-flow statistics", New: newMonitor,
 		Platforms:  []hw.Platform{hw.Server, hw.OpenFlow},
 		Stateful:   true,
 		Replicable: true, // flows shard cleanly by hash
@@ -158,19 +158,19 @@ var Registry = map[string]*Meta{
 		OFTable:    "monitor",
 	},
 	"NAT": {
-		Class: "NAT", Spec: "Carrier-grade NAT", New: NewNAT,
+		Class: "NAT", Spec: "Carrier-grade NAT", New: newNAT,
 		Platforms:  []hw.Platform{hw.Server, hw.PISA},
 		Stateful:   true,
 		Replicable: false, // §3.2: port-space partitioning is future work
 		Cycles: func(p Params) float64 {
 			// Linear in table size, calibrated to Table 4's 477 cycles at
 			// 12000 entries.
-			return 297 + 0.015*float64(p.Int("entries", 12000))
+			return 297 + 0.015*float64(p.int("entries", 12000))
 		},
 		PISA: &PISAProfile{Tables: 1, SRAM: 12}, // 12k entries: SRAM-heavy
 	},
 	"LB": {
-		Class: "LB", Spec: "Layer-4 load balance", New: NewLB,
+		Class: "LB", Spec: "Layer-4 load balance", New: newLB,
 		Platforms:        []hw.Platform{hw.Server, hw.PISA, hw.SmartNIC},
 		Replicable:       true, // deterministic hash needs no shared state
 		Cycles:           constCost(420),
@@ -178,7 +178,7 @@ var Registry = map[string]*Meta{
 		EBPFInstructions: 90,
 	},
 	"Match": {
-		Class: "Match", Spec: "Flexible BPF Match", New: NewMatch,
+		Class: "Match", Spec: "Flexible BPF Match", New: newMatch,
 		Platforms:        []hw.Platform{hw.Server, hw.PISA, hw.SmartNIC},
 		Replicable:       true,
 		Cycles:           constCost(520),
@@ -186,13 +186,13 @@ var Registry = map[string]*Meta{
 		EBPFInstructions: 64,
 	},
 	"ACL": {
-		Class: "ACL", Spec: "ACL on src/dst fields", New: NewACL,
+		Class: "ACL", Spec: "ACL on src/dst fields", New: newACL,
 		Platforms:  []hw.Platform{hw.Server, hw.PISA, hw.SmartNIC, hw.OpenFlow},
 		Replicable: true,
 		Cycles: func(p Params) float64 {
 			// Linear in rule count, calibrated to Table 4's 4008 cycles at
 			// 1024 rules.
-			n := p.Int("rules", 0)
+			n := p.int("rules", 0)
 			if n == 0 {
 				n = defaultRuleCount
 			}

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"lemur/internal/hw"
@@ -98,8 +100,7 @@ func compileRandom(t *testing.T, src string) *metacompiler.Deployment {
 // bytes.
 func runSim(t *testing.T, d *metacompiler.Deployment, offered []float64, cfg runtime.SimConfig) ([]byte, []byte) {
 	t.Helper()
-	reg := obs.Default()
-	reg.Reset()
+	obs.Reset()
 	sim, err := runtime.New(d, 42).Simulate(offered, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -108,11 +109,7 @@ func runSim(t *testing.T, d *metacompiler.Deployment, offered []float64, cfg run
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := reg.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return stats, buf.Bytes()
+	return stats, metricsJSON(t)
 }
 
 // addPressure sums a metrics snapshot's table-pressure counters into sums:
@@ -152,11 +149,10 @@ func addPressure(t *testing.T, sums map[string]uint64, snapshot []byte) {
 // and per-second churn), with table caps small enough that FIFO eviction,
 // Dedup rotation, and NAT port exhaustion all run hot.
 func TestShardedTablesMatchReference(t *testing.T) {
-	reg := obs.Default()
-	reg.Enable()
+	obs.Enable()
 	t.Cleanup(func() {
-		reg.Disable()
-		reg.Reset()
+		obs.Disable()
+		obs.Reset()
 	})
 
 	rng := rand.New(rand.NewSource(606))
@@ -214,4 +210,19 @@ func TestShardedTablesMatchReference(t *testing.T) {
 		}
 	}
 	t.Logf("%d cases (%d skipped); evictions+exhaustions by class: %v", cases, skipped, pressure)
+}
+
+// metricsJSON is the default registry's JSON snapshot, as WriteFiles writes
+// it for -metrics-out.
+func metricsJSON(t *testing.T) []byte {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "metrics.json")
+	if err := obs.Default().WriteFiles(path); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }

@@ -12,23 +12,23 @@ import (
 // bytes stay where they are and everything after them moves by VLANLen, so
 // device muxes and buffer pools that key on &p.Data[0] keep working.
 
-// Tunnel pushes an 802.1Q VLAN tag (the paper's "Push VLAN tag" NF). It is
+// tunnel pushes an 802.1Q VLAN tag (the paper's "Push VLAN tag" NF). It is
 // implementable on every platform.
-type Tunnel struct {
+type tunnel struct {
 	base
 	vid uint16
 }
 
-// NewTunnel builds the VLAN push NF. Param "vid" (default 100).
-func NewTunnel(name string, params Params) (NF, error) {
-	return &Tunnel{base: base{name: name, class: "Tunnel"}, vid: uint16(params.Int("vid", 100))}, nil
+// newTunnel builds the VLAN push NF. Param "vid" (default 100).
+func newTunnel(name string, params Params) (NF, error) {
+	return &tunnel{base: base{name: name, class: "Tunnel"}, vid: uint16(params.int("vid", 100))}, nil
 }
 
 // Process inserts the VLAN tag after the Ethernet addresses, growing the
 // frame at its tail inside p.Data's spare capacity; only a buffer with less
 // than VLANLen of tail room is replaced by a copy. Frames that are already
 // tagged pass through unchanged (no QinQ in this reproduction).
-func (t *Tunnel) Process(p *packet.Packet, _ *Env) {
+func (t *tunnel) Process(p *packet.Packet, _ *Env) {
 	if p.HasVLAN || len(p.Data) < packet.EthernetLen {
 		return
 	}
@@ -47,19 +47,19 @@ func (t *Tunnel) Process(p *packet.Packet, _ *Env) {
 	reDecode(p, out)
 }
 
-// Detunnel pops the VLAN tag ("Pop VLAN tag").
-type Detunnel struct {
+// detunnel pops the VLAN tag ("Pop VLAN tag").
+type detunnel struct {
 	base
 }
 
-// NewDetunnel builds the VLAN pop NF.
-func NewDetunnel(name string, _ Params) (NF, error) {
-	return &Detunnel{base: base{name: name, class: "Detunnel"}}, nil
+// newDetunnel builds the VLAN pop NF.
+func newDetunnel(name string, _ Params) (NF, error) {
+	return &detunnel{base: base{name: name, class: "Detunnel"}}, nil
 }
 
 // Process removes the VLAN tag by shifting the rest of the frame left over
 // it; untagged frames pass through.
-func (d *Detunnel) Process(p *packet.Packet, _ *Env) {
+func (d *detunnel) Process(p *packet.Packet, _ *Env) {
 	if !p.HasVLAN {
 		return
 	}

@@ -55,8 +55,8 @@ func FuzzVLANInPlace(f *testing.F) {
 	f.Add([]byte{}, uint8(9), uint16(1))
 
 	f.Fuzz(func(t *testing.T, frame []byte, room uint8, vid uint16) {
-		tn, _ := NewTunnel("t0", Params{"vid": int(vid)})
-		dt, _ := NewDetunnel("d0", nil)
+		tn, _ := newTunnel("t0", Params{"vid": int(vid)})
+		dt, _ := newDetunnel("d0", nil)
 
 		// same compares a packet processed in place with the reference's.
 		same := func(step string, got, want *packet.Packet) {

@@ -6,21 +6,21 @@ import (
 	"lemur/internal/packet"
 )
 
-// UrlFilter drops HTTP requests whose Host header or request path matches a
+// urlFilter drops HTTP requests whose Host header or request path matches a
 // blocklist entry ("HTML Filter" in Table 3). Non-HTTP traffic passes.
-type UrlFilter struct {
+type urlFilter struct {
 	base
 	blocked [][]byte
 }
 
-// NewUrlFilter builds the filter. Param "block" is the blocklist (list of
+// newUrlFilter builds the filter. Param "block" is the blocklist (list of
 // substrings); the default blocks "blocked.example".
-func NewUrlFilter(name string, params Params) (NF, error) {
-	list := params.StrSlice("block")
+func newUrlFilter(name string, params Params) (NF, error) {
+	list := params.strSlice("block")
 	if len(list) == 0 {
 		list = []string{"blocked.example"}
 	}
-	u := &UrlFilter{base: base{name: name, class: "UrlFilter"}}
+	u := &urlFilter{base: base{name: name, class: "UrlFilter"}}
 	for _, s := range list {
 		u.blocked = append(u.blocked, []byte(s))
 	}
@@ -30,7 +30,7 @@ func NewUrlFilter(name string, params Params) (NF, error) {
 var httpMethods = [][]byte{[]byte("GET "), []byte("POST "), []byte("PUT "), []byte("HEAD ")}
 
 // Process scans TCP payloads that look like HTTP request heads.
-func (u *UrlFilter) Process(p *packet.Packet, _ *Env) {
+func (u *urlFilter) Process(p *packet.Packet, _ *Env) {
 	if !p.HasTCP {
 		return
 	}

@@ -55,9 +55,9 @@ type Graph struct {
 
 // Graph construction errors.
 var (
-	ErrCycle         = errors.New("nfgraph: chain graph has a cycle")
-	ErrMultipleRoots = errors.New("nfgraph: chain graph has multiple entry nodes")
-	ErrNoRoot        = errors.New("nfgraph: chain graph has no entry node")
+	errCycle         = errors.New("nfgraph: chain graph has a cycle")
+	errMultipleRoots = errors.New("nfgraph: chain graph has multiple entry nodes")
+	errNoRoot        = errors.New("nfgraph: chain graph has no entry node")
 )
 
 // Build validates the chain spec into a Graph: single entry, acyclic, fully
@@ -80,13 +80,13 @@ func Build(chain *nfspec.Chain) (*Graph, error) {
 		n := g.Nodes[name]
 		if len(n.Ins) == 0 {
 			if g.Root != nil {
-				return nil, fmt.Errorf("%w: %q and %q", ErrMultipleRoots, g.Root.Name(), n.Name())
+				return nil, fmt.Errorf("%w: %q and %q", errMultipleRoots, g.Root.Name(), n.Name())
 			}
 			g.Root = n
 		}
 	}
 	if g.Root == nil {
-		return nil, ErrNoRoot
+		return nil, errNoRoot
 	}
 
 	// Normalize branch weights.
@@ -141,7 +141,7 @@ func Build(chain *nfspec.Chain) (*Graph, error) {
 		// Distinguish cycle from disconnection: disconnected nodes have
 		// in-degree zero but are not the root — those were caught as
 		// multiple roots above, so remaining misses mean a cycle.
-		return nil, ErrCycle
+		return nil, errCycle
 	}
 
 	// Node traffic fractions by forward propagation.

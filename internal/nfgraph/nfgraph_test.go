@@ -153,10 +153,10 @@ chain cyc {
   b = NAT()
   a -> b
   b -> a
-}`)); !errors.Is(err, ErrCycle) {
-		// A->B->A has no entry node, so ErrNoRoot is also acceptable
+}`)); !errors.Is(err, errCycle) {
+		// A->B->A has no entry node, so errNoRoot is also acceptable
 		// evidence of rejection; require any error mentioning structure.
-		if !errors.Is(err, ErrNoRoot) {
+		if !errors.Is(err, errNoRoot) {
 			t.Errorf("cycle: %v", err)
 		}
 	}
@@ -167,7 +167,7 @@ chain multi {
   c = IPv4Fwd()
   a -> c
   b -> c
-}`)); !errors.Is(err, ErrMultipleRoots) {
+}`)); !errors.Is(err, errMultipleRoots) {
 		t.Errorf("multi-root: %v", err)
 	}
 	if _, err := Build(mustChain(t, `
@@ -199,7 +199,7 @@ chain innercyc {
   r -> a
   a -> b
   b -> a
-}`)); !errors.Is(err, ErrCycle) {
+}`)); !errors.Is(err, errCycle) {
 		t.Errorf("inner cycle: %v", err)
 	}
 }

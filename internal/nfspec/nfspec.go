@@ -75,8 +75,8 @@ type Chain struct {
 	Edges     []Edge
 }
 
-// Instance returns the named instance, or nil.
-func (c *Chain) Instance(name string) *Instance {
+// instance returns the named instance, or nil.
+func (c *Chain) instance(name string) *Instance {
 	for i := range c.NFs {
 		if c.NFs[i].Name == name {
 			return &c.NFs[i]
@@ -588,7 +588,7 @@ func (p *parser) parseStatement(c *Chain) error {
 			}
 			p.next() // )
 		}
-		if c.Instance(first.text) != nil {
+		if c.instance(first.text) != nil {
 			return fmt.Errorf("nfspec: chain %s: duplicate instance %q", c.Name, first.text)
 		}
 		c.NFs = append(c.NFs, Instance{Name: first.text, Class: class.text, Params: params})
@@ -662,10 +662,10 @@ func (p *parser) validate(c *Chain) error {
 		}
 	}
 	for _, e := range c.Edges {
-		if c.Instance(e.From) == nil {
+		if c.instance(e.From) == nil {
 			return fmt.Errorf("nfspec: chain %s: edge from undeclared %q", c.Name, e.From)
 		}
-		if c.Instance(e.To) == nil {
+		if c.instance(e.To) == nil {
 			return fmt.Errorf("nfspec: chain %s: edge to undeclared %q", c.Name, e.To)
 		}
 		if e.Weight < 0 || e.Weight > 1 {

@@ -36,7 +36,7 @@ chain enterprise {
 	if c.Aggregate.SrcCIDR != "10.0.0.0/8" || c.Aggregate.Proto != 17 || c.Aggregate.DstPort != 53 {
 		t.Errorf("aggregate = %+v", c.Aggregate)
 	}
-	if got := c.Instance("acl0"); got == nil || got.Class != "ACL" || got.Params.Int("rules", 0) != 1024 {
+	if got := c.instance("acl0"); got == nil || got.Class != "ACL" || got.Params["rules"] != 1024 {
 		t.Errorf("acl0 = %+v", got)
 	}
 	if c.Edges[0].From != "acl0" || c.Edges[0].To != "enc0" {
@@ -72,10 +72,10 @@ chain branched {
 	if c.Edges[1].Weight != 0.75 {
 		t.Errorf("edge 1 = %+v", c.Edges[1])
 	}
-	if got := c.Instance("acl0").Params.Int("rules", 0); got != 512 {
-		t.Errorf("macro expansion: rules = %d", got)
+	if got := c.instance("acl0").Params["rules"]; got != 512 {
+		t.Errorf("macro expansion: rules = %v", got)
 	}
-	if got := c.Instance("url0").Params.StrSlice("block"); len(got) != 2 || got[0] != "evil.test" {
+	if got, _ := c.instance("url0").Params["block"].([]string); len(got) != 2 || got[0] != "evil.test" {
 		t.Errorf("list macro: %v", got)
 	}
 }
@@ -154,7 +154,7 @@ chain q {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := chains[0].NFs[0].Params.Str("filter", ""); got != "ip.src in 10.0.0.0/8" {
+	if got := chains[0].NFs[0].Params["filter"]; got != "ip.src in 10.0.0.0/8" {
 		t.Errorf("filter = %q", got)
 	}
 }

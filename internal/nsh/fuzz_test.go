@@ -32,7 +32,7 @@ func TestEncapDecapRoundTripFuzz(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 500; trial++ {
 		frame := randomFrame(rng)
-		spi := uint32(rng.Intn(MaxSPI + 1))
+		spi := uint32(rng.Intn(maxSPI + 1))
 		si := uint8(rng.Intn(256))
 
 		enc, err := Encap(frame, spi, si)
@@ -48,7 +48,7 @@ func TestEncapDecapRoundTripFuzz(t *testing.T) {
 		}
 
 		// Retag to a fresh random point, then check the decap returns it.
-		spi2 := uint32(rng.Intn(MaxSPI + 1))
+		spi2 := uint32(rng.Intn(maxSPI + 1))
 		si2 := uint8(rng.Intn(256))
 		if err := SetTag(enc, spi2, si2); err != nil {
 			t.Fatalf("trial %d: SetTag: %v", trial, err)
@@ -77,7 +77,7 @@ func TestDecodeGarbageNeverPanics(t *testing.T) {
 		// Bias some trials toward almost-valid frames: real frame, truncated.
 		if rng.Intn(3) == 0 {
 			full := randomFrame(rng)
-			if enc, err := Encap(full, uint32(rng.Intn(MaxSPI+1)), uint8(rng.Intn(256))); err == nil {
+			if enc, err := Encap(full, uint32(rng.Intn(maxSPI+1)), uint8(rng.Intn(256))); err == nil {
 				full = enc
 			}
 			buf = full[:rng.Intn(len(full)+1)]
@@ -91,8 +91,8 @@ func TestDecodeGarbageNeverPanics(t *testing.T) {
 			_, _, _ = Tag(buf)
 			_, _, _, _ = DecapInPlace(append([]byte(nil), buf...))
 			_, _, _, _ = DecapShift(append([]byte(nil), buf...))
-			_ = SetTag(buf, uint32(rng.Intn(MaxSPI+1)), uint8(rng.Intn(256)))
-			_, _ = Encap(buf, uint32(rng.Intn(MaxSPI+1)), uint8(rng.Intn(256)))
+			_ = SetTag(buf, uint32(rng.Intn(maxSPI+1)), uint8(rng.Intn(256)))
+			_, _ = Encap(buf, uint32(rng.Intn(maxSPI+1)), uint8(rng.Intn(256)))
 		}()
 	}
 }

@@ -24,7 +24,7 @@ import (
 // array when its capacity allows, shifting the L3 payload right by NSHLen.
 // The returned slice shares frame's base pointer unless a grow was needed.
 func EncapInPlace(frame []byte, spi uint32, si uint8) ([]byte, error) {
-	if spi > MaxSPI {
+	if spi > maxSPI {
 		return nil, fmt.Errorf("nsh: encap: SPI %#x exceeds 24 bits", spi)
 	}
 	etOff, hdrOff, err := tagOffset(frame)
@@ -99,7 +99,7 @@ func DecapShift(frame []byte) (inner []byte, spi uint32, si uint8, err error) {
 // of full before writing a fresh NSH header, exactly as Encap would. The
 // whole of full is a valid encapsulated frame on return.
 func EncapShift(full []byte, spi uint32, si uint8) error {
-	if spi > MaxSPI {
+	if spi > maxSPI {
 		return fmt.Errorf("nsh: encap: SPI %#x exceeds 24 bits", spi)
 	}
 	if len(full) < packet.NSHLen {
@@ -124,9 +124,9 @@ func EncapShift(full []byte, spi uint32, si uint8) error {
 }
 
 // putBaseHeader writes the 8-byte NSH header Encap produces: ver=0,
-// ttl=InitialTTL, len=2, mdtype=2, nextproto=IPv4, then the service path.
+// ttl=initialTTL, len=2, mdtype=2, nextproto=IPv4, then the service path.
 func putBaseHeader(b []byte, spi uint32, si uint8) {
-	b0 := uint32(InitialTTL)<<22 | uint32(2)<<16 | uint32(2)<<12 | uint32(0x01)
+	b0 := uint32(initialTTL)<<22 | uint32(2)<<16 | uint32(2)<<12 | uint32(0x01)
 	binary.BigEndian.PutUint32(b, b0)
 	binary.BigEndian.PutUint32(b[4:], spi<<8|uint32(si))
 }

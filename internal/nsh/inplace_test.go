@@ -128,14 +128,14 @@ func TestShiftErrors(t *testing.T) {
 	if _, _, _, err := DecapInPlace(plainFrame(t)); err == nil {
 		t.Error("DecapInPlace on plain frame must fail")
 	}
-	if _, err := EncapInPlace(plainFrame(t), MaxSPI+1, 1); err == nil {
+	if _, err := EncapInPlace(plainFrame(t), maxSPI+1, 1); err == nil {
 		t.Error("EncapInPlace SPI overflow must fail")
 	}
 	enc, _ := Encap(plainFrame(t), 1, 1)
 	if _, err := EncapInPlace(enc, 2, 2); err == nil {
 		t.Error("double EncapInPlace must fail")
 	}
-	if err := EncapShift(append([]byte(nil), enc...), MaxSPI+1, 1); err == nil {
+	if err := EncapShift(append([]byte(nil), enc...), maxSPI+1, 1); err == nil {
 		t.Error("EncapShift SPI overflow must fail")
 	}
 }

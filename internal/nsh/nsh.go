@@ -18,11 +18,11 @@ import (
 	"lemur/internal/packet"
 )
 
-// MaxSPI is the largest service path identifier (24-bit field).
-const MaxSPI = 1<<24 - 1
+// maxSPI is the largest service path identifier (24-bit field).
+const maxSPI = 1<<24 - 1
 
-// InitialTTL is the TTL set on freshly encapsulated packets.
-const InitialTTL = 63
+// initialTTL is the TTL set on freshly encapsulated packets.
+const initialTTL = 63
 
 // ErrNotEncapped is returned when a decap or tag operation is applied to a
 // frame with no NSH header.
@@ -65,7 +65,7 @@ func nshOffset(frame []byte) (int, error) {
 // headers (Ethernet plus an optional outer VLAN tag) and the IPv4 payload,
 // returning a new frame.
 func Encap(frame []byte, spi uint32, si uint8) ([]byte, error) {
-	if spi > MaxSPI {
+	if spi > maxSPI {
 		return nil, fmt.Errorf("nsh: encap: SPI %#x exceeds 24 bits", spi)
 	}
 	etOff, hdrOff, err := tagOffset(frame)
@@ -104,7 +104,7 @@ func SetTag(frame []byte, spi uint32, si uint8) error {
 	if err != nil {
 		return ErrNotEncapped
 	}
-	if spi > MaxSPI {
+	if spi > maxSPI {
 		return fmt.Errorf("nsh: SPI %#x exceeds 24 bits", spi)
 	}
 	binary.BigEndian.PutUint32(frame[off+4:], spi<<8|uint32(si))

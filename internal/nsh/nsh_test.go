@@ -49,7 +49,7 @@ func TestEncapDecapRoundTrip(t *testing.T) {
 
 func TestEncapErrors(t *testing.T) {
 	orig := plainFrame(t)
-	if _, err := Encap(orig, MaxSPI+1, 1); err == nil {
+	if _, err := Encap(orig, maxSPI+1, 1); err == nil {
 		t.Error("want SPI overflow error")
 	}
 	enc, _ := Encap(orig, 1, 1)
@@ -73,7 +73,7 @@ func TestSetTag(t *testing.T) {
 	if spi != 77 || si != 33 {
 		t.Errorf("tag = %d/%d", spi, si)
 	}
-	if err := SetTag(enc, MaxSPI+1, 0); err == nil {
+	if err := SetTag(enc, maxSPI+1, 0); err == nil {
 		t.Error("want overflow error")
 	}
 	if err := SetTag(plainFrame(t), 1, 1); !errors.Is(err, ErrNotEncapped) {
@@ -84,7 +84,7 @@ func TestSetTag(t *testing.T) {
 func TestEncapTagProperty(t *testing.T) {
 	orig := plainFrame(t)
 	f := func(spi uint32, si uint8) bool {
-		spi &= MaxSPI
+		spi &= maxSPI
 		enc, err := Encap(orig, spi, si)
 		if err != nil {
 			return false
@@ -99,8 +99,8 @@ func TestEncapTagProperty(t *testing.T) {
 
 func TestPackVLANRoundTripProperty(t *testing.T) {
 	f := func(path uint32, index uint8) bool {
-		path %= MaxVLANPath + 1
-		index %= MaxVLANIndex + 1
+		path %= maxVLANPath + 1
+		index %= maxVLANIndex + 1
 		vid, err := PackVLAN(path, index)
 		if path == 0 && index == 0 {
 			return err != nil // reserved
@@ -108,7 +108,7 @@ func TestPackVLANRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		p2, i2 := uint32(vid>>VLANIndexBits), uint8(vid&MaxVLANIndex)
+		p2, i2 := uint32(vid>>vlanIndexBits), uint8(vid&maxVLANIndex)
 		return p2 == path && i2 == index && vid <= 0x0FFF
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -117,10 +117,10 @@ func TestPackVLANRoundTripProperty(t *testing.T) {
 }
 
 func TestPackVLANOverflow(t *testing.T) {
-	if _, err := PackVLAN(MaxVLANPath+1, 0); !errors.Is(err, ErrVLANOverflow) {
+	if _, err := PackVLAN(maxVLANPath+1, 0); !errors.Is(err, errVLANOverflow) {
 		t.Errorf("path overflow: %v", err)
 	}
-	if _, err := PackVLAN(0, MaxVLANIndex+1); !errors.Is(err, ErrVLANOverflow) {
+	if _, err := PackVLAN(0, maxVLANIndex+1); !errors.Is(err, errVLANOverflow) {
 		t.Errorf("index overflow: %v", err)
 	}
 }

@@ -47,9 +47,9 @@ func FuzzNSHInPlace(f *testing.F) {
 	tagged.VLANID = 42
 	enc, _ := Encap(plain.Build(), 7, 3)
 	f.Add(plain.Build(), uint8(packet.NSHLen), uint32(7), uint8(3))
-	f.Add(tagged.Build(), uint8(0), uint32(MaxSPI), uint8(255))
+	f.Add(tagged.Build(), uint8(0), uint32(maxSPI), uint8(255))
 	f.Add(enc, uint8(packet.TailRoom), uint32(1), uint8(0))
-	f.Add(tagged.Build()[:17], uint8(3), uint32(MaxSPI+1), uint8(1))
+	f.Add(tagged.Build()[:17], uint8(3), uint32(maxSPI+1), uint8(1))
 	f.Add([]byte{}, uint8(9), uint32(0), uint8(0))
 
 	f.Fuzz(func(t *testing.T, frame []byte, room uint8, spi uint32, si uint8) {

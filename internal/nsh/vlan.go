@@ -12,28 +12,28 @@ import (
 
 // VLAN vid split: high bits select the path, low bits the service index.
 const (
-	VLANPathBits  = 7 // up to 128 service paths
-	VLANIndexBits = 5 // up to 31 service indices per path
-	MaxVLANPath   = 1<<VLANPathBits - 1
-	MaxVLANIndex  = 1<<VLANIndexBits - 1
+	vlanPathBits  = 7 // up to 128 service paths
+	vlanIndexBits = 5 // up to 31 service indices per path
+	maxVLANPath   = 1<<vlanPathBits - 1
+	maxVLANIndex  = 1<<vlanIndexBits - 1
 )
 
-// ErrVLANOverflow is returned when a service path does not fit the vid split.
-var ErrVLANOverflow = errors.New("nsh: service path does not fit in VLAN vid encoding")
+// errVLANOverflow is returned when a service path does not fit the vid split.
+var errVLANOverflow = errors.New("nsh: service path does not fit in VLAN vid encoding")
 
 // PackVLAN encodes (path, index) into a VLAN vid. Vid 0 is reserved
 // (untagged), so path 0/index 0 maps to vid with index offset handled by the
 // caller keeping index >= 1 for live paths.
 func PackVLAN(path uint32, index uint8) (uint16, error) {
-	if path > MaxVLANPath {
-		return 0, fmt.Errorf("%w: path %d > %d", ErrVLANOverflow, path, MaxVLANPath)
+	if path > maxVLANPath {
+		return 0, fmt.Errorf("%w: path %d > %d", errVLANOverflow, path, maxVLANPath)
 	}
-	if index > MaxVLANIndex {
-		return 0, fmt.Errorf("%w: index %d > %d", ErrVLANOverflow, index, MaxVLANIndex)
+	if index > maxVLANIndex {
+		return 0, fmt.Errorf("%w: index %d > %d", errVLANOverflow, index, maxVLANIndex)
 	}
-	vid := uint16(path)<<VLANIndexBits | uint16(index)
+	vid := uint16(path)<<vlanIndexBits | uint16(index)
 	if vid == 0 {
-		return 0, fmt.Errorf("%w: (0,0) maps to reserved vid 0", ErrVLANOverflow)
+		return 0, fmt.Errorf("%w: (0,0) maps to reserved vid 0", errVLANOverflow)
 	}
 	return vid, nil
 }

@@ -10,22 +10,22 @@ import (
 	"strings"
 )
 
-// CounterSnap is one counter in a snapshot.
-type CounterSnap struct {
+// counterSnap is one counter in a snapshot.
+type counterSnap struct {
 	Name   string  `json:"name"`
 	Labels []Label `json:"labels,omitempty"`
 	Value  uint64  `json:"value"`
 }
 
-// GaugeSnap is one gauge in a snapshot.
-type GaugeSnap struct {
+// gaugeSnap is one gauge in a snapshot.
+type gaugeSnap struct {
 	Name   string  `json:"name"`
 	Labels []Label `json:"labels,omitempty"`
 	Value  float64 `json:"value"`
 }
 
-// HistogramSnap is one histogram in a snapshot, summarized.
-type HistogramSnap struct {
+// histogramSnap is one histogram in a snapshot, summarized.
+type histogramSnap struct {
 	Name   string  `json:"name"`
 	Labels []Label `json:"labels,omitempty"`
 	Count  uint64  `json:"count"`
@@ -37,17 +37,17 @@ type HistogramSnap struct {
 	P99    float64 `json:"p99"`
 }
 
-// Snapshot is a point-in-time copy of every metric, ordered by metric
+// snapshot is a point-in-time copy of every metric, ordered by metric
 // identity so identical registry states serialize byte-identically.
-type Snapshot struct {
-	Counters   []CounterSnap   `json:"counters"`
-	Gauges     []GaugeSnap     `json:"gauges"`
-	Histograms []HistogramSnap `json:"histograms"`
-	Spans      []SpanRecord    `json:"spans,omitempty"`
+type snapshot struct {
+	Counters   []counterSnap   `json:"counters"`
+	Gauges     []gaugeSnap     `json:"gauges"`
+	Histograms []histogramSnap `json:"histograms"`
+	Spans      []spanRecord    `json:"spans,omitempty"`
 }
 
-// Snapshot captures the registry's current state.
-func (r *Registry) Snapshot() *Snapshot {
+// snapshot captures the registry's current state.
+func (r *Registry) snapshot() *snapshot {
 	r.mu.RLock()
 	counters := make([]*Counter, 0, len(r.counters))
 	for _, c := range r.counters {
@@ -73,34 +73,34 @@ func (r *Registry) Snapshot() *Snapshot {
 		return metricID(hists[i].name, hists[i].labels) < metricID(hists[j].name, hists[j].labels)
 	})
 
-	snap := &Snapshot{
-		Counters:   make([]CounterSnap, 0, len(counters)),
-		Gauges:     make([]GaugeSnap, 0, len(gauges)),
-		Histograms: make([]HistogramSnap, 0, len(hists)),
+	snap := &snapshot{
+		Counters:   make([]counterSnap, 0, len(counters)),
+		Gauges:     make([]gaugeSnap, 0, len(gauges)),
+		Histograms: make([]histogramSnap, 0, len(hists)),
 		Spans:      r.spans.records(),
 	}
 	for _, c := range counters {
-		snap.Counters = append(snap.Counters, CounterSnap{Name: c.name, Labels: c.labels, Value: c.Value()})
+		snap.Counters = append(snap.Counters, counterSnap{Name: c.name, Labels: c.labels, Value: c.Value()})
 	}
 	for _, g := range gauges {
-		snap.Gauges = append(snap.Gauges, GaugeSnap{Name: g.name, Labels: g.labels, Value: g.Value()})
+		snap.Gauges = append(snap.Gauges, gaugeSnap{Name: g.name, Labels: g.labels, Value: g.Value()})
 	}
 	for _, h := range hists {
-		snap.Histograms = append(snap.Histograms, HistogramSnap{
+		snap.Histograms = append(snap.Histograms, histogramSnap{
 			Name: h.name, Labels: h.labels,
-			Count: h.Count(), Sum: h.Sum(),
-			Min: h.Min(), Max: h.Max(), Mean: h.Mean(),
-			P50: h.P50(), P99: h.P99(),
+			Count: h.samples(), Sum: h.Sum(),
+			Min: h.min(), Max: h.max(), Mean: h.mean(),
+			P50: h.quantile(0.50), P99: h.quantile(0.99),
 		})
 	}
 	return snap
 }
 
-// WriteJSON serializes a snapshot as indented JSON.
-func (r *Registry) WriteJSON(w io.Writer) error {
+// writeJSON serializes a snapshot as indented JSON.
+func (r *Registry) writeJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(r.Snapshot())
+	return enc.Encode(r.snapshot())
 }
 
 // WriteFiles dumps the registry to jsonPath (JSON snapshot) and to the same
@@ -108,7 +108,7 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 // contract of cmd/lemur and cmd/lemur-bench.
 func (r *Registry) WriteFiles(jsonPath string) error {
 	var jb strings.Builder
-	if err := r.WriteJSON(&jb); err != nil {
+	if err := r.writeJSON(&jb); err != nil {
 		return err
 	}
 	if err := os.WriteFile(jsonPath, []byte(jb.String()), 0o644); err != nil {
@@ -152,7 +152,7 @@ func promFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 // format (version 0.0.4): counters and gauges as single samples, histograms
 // as cumulative le-bucketed series with _sum and _count.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	snap := r.Snapshot()
+	snap := r.snapshot()
 
 	// Group series by metric name so each family gets one TYPE header.
 	wroteType := map[string]bool{}
@@ -199,9 +199,9 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			fmt.Fprintf(&b, "%s_bucket%s %d\n",
 				h.name, promLabels(h.labels, L("le", promFloat(histBounds[i]))), cum)
 		}
-		fmt.Fprintf(&b, "%s_bucket%s %d\n", h.name, promLabels(h.labels, L("le", "+Inf")), h.Count())
+		fmt.Fprintf(&b, "%s_bucket%s %d\n", h.name, promLabels(h.labels, L("le", "+Inf")), h.samples())
 		fmt.Fprintf(&b, "%s_sum%s %s\n", h.name, promLabels(h.labels), promFloat(h.Sum()))
-		fmt.Fprintf(&b, "%s_count%s %d\n", h.name, promLabels(h.labels), h.Count())
+		fmt.Fprintf(&b, "%s_count%s %d\n", h.name, promLabels(h.labels), h.samples())
 	}
 	_, err := io.WriteString(w, b.String())
 	return err

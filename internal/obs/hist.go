@@ -66,9 +66,9 @@ type Histogram struct {
 	buckets [histBuckets]atomic.Uint64
 }
 
-// Histogram returns the histogram for (name, labels), creating it on first
+// histogram returns the histogram for (name, labels), creating it on first
 // use.
-func (r *Registry) Histogram(name string, labels ...Label) *Histogram {
+func (r *Registry) histogram(name string, labels ...Label) *Histogram {
 	var l lookup
 	id, ls := l.resolve(name, labels)
 	r.mu.RLock()
@@ -129,7 +129,7 @@ func (h *Histogram) Observe(v float64) {
 }
 
 // Count returns the number of samples recorded.
-func (h *Histogram) Count() uint64 {
+func (h *Histogram) samples() uint64 {
 	if h == nil {
 		return 0
 	}
@@ -144,35 +144,35 @@ func (h *Histogram) Sum() float64 {
 	return bitsFloat(h.sumBits.Load())
 }
 
-// Mean returns the average sample, or 0 with no samples.
-func (h *Histogram) Mean() float64 {
-	n := h.Count()
+// mean returns the average sample, or 0 with no samples.
+func (h *Histogram) mean() float64 {
+	n := h.samples()
 	if n == 0 {
 		return 0
 	}
 	return h.Sum() / float64(n)
 }
 
-// Min returns the smallest observed sample, or 0 with no samples.
-func (h *Histogram) Min() float64 {
+// min returns the smallest observed sample, or 0 with no samples.
+func (h *Histogram) min() float64 {
 	if h == nil || h.count.Load() == 0 {
 		return 0
 	}
 	return bitsFloat(h.minBits.Load())
 }
 
-// Max returns the largest observed sample, or 0 with no samples.
-func (h *Histogram) Max() float64 {
+// max returns the largest observed sample, or 0 with no samples.
+func (h *Histogram) max() float64 {
 	if h == nil || h.count.Load() == 0 {
 		return 0
 	}
 	return bitsFloat(h.maxBits.Load())
 }
 
-// Quantile estimates the q-th quantile (q in [0,1]) by linear interpolation
+// quantile estimates the q-th quantile (q in [0,1]) by linear interpolation
 // inside the covering bucket, clamped to the observed min/max. Accuracy is
 // bounded by the bucket width (one power of two).
-func (h *Histogram) Quantile(q float64) float64 {
+func (h *Histogram) quantile(q float64) float64 {
 	if h == nil {
 		return 0
 	}
@@ -205,24 +205,18 @@ func (h *Histogram) Quantile(q float64) float64 {
 			frac := float64(target-cum) / float64(n)
 			v := lo + (hi-lo)*frac
 			// Clamp to observed extrema: buckets are coarse, min/max exact.
-			if mn := h.Min(); v < mn {
+			if mn := h.min(); v < mn {
 				v = mn
 			}
-			if mx := h.Max(); v > mx {
+			if mx := h.max(); v > mx {
 				v = mx
 			}
 			return v
 		}
 		cum += n
 	}
-	return h.Max()
+	return h.max()
 }
-
-// P50 estimates the median.
-func (h *Histogram) P50() float64 { return h.Quantile(0.50) }
-
-// P99 estimates the 99th percentile.
-func (h *Histogram) P99() float64 { return h.Quantile(0.99) }
 
 func floatBits(v float64) uint64 { return math.Float64bits(v) }
 func bitsFloat(b uint64) float64 { return math.Float64frombits(b) }

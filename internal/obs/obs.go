@@ -11,7 +11,7 @@
 //     smartnic runtimes, per-step histograms in the simulator) can stay wired
 //     unconditionally without moving the benchmarks.
 //   - Goroutine-safe. Experiment runners place and measure concurrently
-//     (experiments.Figure2Panel); all value updates are sync/atomic and
+//     (experiments.Runner.figure2Panel); all value updates are sync/atomic and
 //     handle lookup takes a short RWMutex.
 //   - Deterministic export. Snapshots order metrics by identity and carry no
 //     timestamps, so two identical (seeded) runs serialize byte-identically —
@@ -50,8 +50,8 @@ type Registry struct {
 	spans    *spanRing
 }
 
-// New builds an empty, disabled registry.
-func New() *Registry {
+// newRegistry builds an empty, disabled registry.
+func newRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
@@ -60,43 +60,37 @@ func New() *Registry {
 	}
 }
 
-var defaultRegistry = New()
+var defaultRegistry = newRegistry()
 
 // Default returns the process-wide registry the instrumented packages use.
 func Default() *Registry { return defaultRegistry }
 
 // Enable turns metric collection on for the default registry.
-func Enable() { defaultRegistry.Enable() }
+func Enable() { defaultRegistry.on.Store(true) }
 
-// Disable turns metric collection off for the default registry.
-func Disable() { defaultRegistry.Disable() }
+// Disable turns metric collection off for the default registry. Existing
+// handles stay valid; their updates become no-ops.
+func Disable() { defaultRegistry.on.Store(false) }
 
 // Reset zeroes every metric in the default registry.
-func Reset() { defaultRegistry.Reset() }
+func Reset() { defaultRegistry.reset() }
 
 // C returns (creating if needed) a counter in the default registry.
-func C(name string, labels ...Label) *Counter { return defaultRegistry.Counter(name, labels...) }
+func C(name string, labels ...Label) *Counter { return defaultRegistry.counter(name, labels...) }
 
 // G returns (creating if needed) a gauge in the default registry.
-func G(name string, labels ...Label) *Gauge { return defaultRegistry.Gauge(name, labels...) }
+func G(name string, labels ...Label) *Gauge { return defaultRegistry.gauge(name, labels...) }
 
 // H returns (creating if needed) a histogram in the default registry.
-func H(name string, labels ...Label) *Histogram { return defaultRegistry.Histogram(name, labels...) }
+func H(name string, labels ...Label) *Histogram { return defaultRegistry.histogram(name, labels...) }
 
 // Span starts a span on the default registry (nil — and free — when
 // collection is disabled; all Span methods are nil-safe).
-func Span(name string) *ActiveSpan { return defaultRegistry.StartSpan(name) }
+func Span(name string) *ActiveSpan { return defaultRegistry.startSpan(name) }
 
-// Enable turns metric collection on.
-func (r *Registry) Enable() { r.on.Store(true) }
-
-// Disable turns metric collection off. Existing handles stay valid; their
-// updates become no-ops.
-func (r *Registry) Disable() { r.on.Store(false) }
-
-// Reset zeroes all counters, gauges, histograms and drops recorded spans.
+// reset zeroes all counters, gauges, histograms and drops recorded spans.
 // Registered handles stay valid.
-func (r *Registry) Reset() {
+func (r *Registry) reset() {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	for _, c := range r.counters {
@@ -171,8 +165,8 @@ type Counter struct {
 	v      atomic.Uint64
 }
 
-// Counter returns the counter for (name, labels), creating it on first use.
-func (r *Registry) Counter(name string, labels ...Label) *Counter {
+// counter returns the counter for (name, labels), creating it on first use.
+func (r *Registry) counter(name string, labels ...Label) *Counter {
 	var l lookup
 	id, ls := l.resolve(name, labels)
 	r.mu.RLock()
@@ -217,8 +211,8 @@ type Gauge struct {
 	bits   atomic.Uint64 // math.Float64bits
 }
 
-// Gauge returns the gauge for (name, labels), creating it on first use.
-func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
+// gauge returns the gauge for (name, labels), creating it on first use.
+func (r *Registry) gauge(name string, labels ...Label) *Gauge {
 	var l lookup
 	id, ls := l.resolve(name, labels)
 	r.mu.RLock()

@@ -13,25 +13,25 @@ import (
 )
 
 func newEnabled() *Registry {
-	r := New()
-	r.Enable()
+	r := newRegistry()
+	r.on.Store(true)
 	return r
 }
 
 func TestCounterBasics(t *testing.T) {
 	r := newEnabled()
-	c := r.Counter("lemur_frames_total", L("platform", "pisa"))
+	c := r.counter("lemur_frames_total", L("platform", "pisa"))
 	c.Inc()
 	c.Add(4)
 	if got := c.Value(); got != 5 {
 		t.Fatalf("counter = %d, want 5", got)
 	}
 	// Same (name, labels) in any order resolves to the same series.
-	c2 := r.Counter("lemur_frames_total", L("platform", "pisa"))
+	c2 := r.counter("lemur_frames_total", L("platform", "pisa"))
 	if c2 != c {
 		t.Fatalf("expected identical handle for identical identity")
 	}
-	other := r.Counter("lemur_frames_total", L("platform", "bess"))
+	other := r.counter("lemur_frames_total", L("platform", "bess"))
 	if other == c {
 		t.Fatalf("different labels must be a different series")
 	}
@@ -39,25 +39,25 @@ func TestCounterBasics(t *testing.T) {
 
 func TestLabelOrderCanonical(t *testing.T) {
 	r := newEnabled()
-	a := r.Counter("m", L("a", "1"), L("b", "2"))
-	b := r.Counter("m", L("b", "2"), L("a", "1"))
+	a := r.counter("m", L("a", "1"), L("b", "2"))
+	b := r.counter("m", L("b", "2"), L("a", "1"))
 	if a != b {
 		t.Fatalf("label order must not create distinct series")
 	}
 }
 
 func TestDisabledIsNoOp(t *testing.T) {
-	r := New() // disabled
-	c := r.Counter("c")
-	g := r.Gauge("g")
-	h := r.Histogram("h")
+	r := newRegistry() // disabled
+	c := r.counter("c")
+	g := r.gauge("g")
+	h := r.histogram("h")
 	c.Inc()
 	g.Set(3)
 	h.Observe(1)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
+	if c.Value() != 0 || g.Value() != 0 || h.samples() != 0 {
 		t.Fatalf("disabled registry recorded values")
 	}
-	if s := r.StartSpan("x"); s != nil {
+	if s := r.startSpan("x"); s != nil {
 		t.Fatalf("disabled registry returned non-nil span")
 	}
 	// Nil-span methods must be safe.
@@ -68,28 +68,28 @@ func TestDisabledIsNoOp(t *testing.T) {
 
 func TestHistogramStats(t *testing.T) {
 	r := newEnabled()
-	h := r.Histogram("lat")
+	h := r.histogram("lat")
 	for i := 1; i <= 100; i++ {
 		h.Observe(float64(i))
 	}
-	if h.Count() != 100 {
-		t.Fatalf("count = %d", h.Count())
+	if h.samples() != 100 {
+		t.Fatalf("count = %d", h.samples())
 	}
 	if h.Sum() != 5050 {
 		t.Fatalf("sum = %v", h.Sum())
 	}
-	if h.Min() != 1 || h.Max() != 100 {
-		t.Fatalf("min/max = %v/%v", h.Min(), h.Max())
+	if h.min() != 1 || h.max() != 100 {
+		t.Fatalf("min/max = %v/%v", h.min(), h.max())
 	}
-	if h.Mean() != 50.5 {
-		t.Fatalf("mean = %v", h.Mean())
+	if h.mean() != 50.5 {
+		t.Fatalf("mean = %v", h.mean())
 	}
 	// Exponential buckets give at most a factor-of-2 quantile error.
-	p50 := h.P50()
+	p50 := h.quantile(0.50)
 	if p50 < 25 || p50 > 100 {
 		t.Fatalf("p50 = %v outside [25,100]", p50)
 	}
-	p99 := h.P99()
+	p99 := h.quantile(0.99)
 	if p99 < 50 || p99 > 100 {
 		t.Fatalf("p99 = %v outside [50,100]", p99)
 	}
@@ -100,11 +100,11 @@ func TestHistogramStats(t *testing.T) {
 
 func TestHistogramSingleSampleQuantiles(t *testing.T) {
 	r := newEnabled()
-	h := r.Histogram("one")
+	h := r.histogram("one")
 	h.Observe(42)
 	// Clamping to observed extrema makes every quantile exact here.
 	for _, q := range []float64{0, 0.5, 0.99, 1} {
-		if got := h.Quantile(q); got != 42 {
+		if got := h.quantile(q); got != 42 {
 			t.Fatalf("Quantile(%v) = %v, want 42", q, got)
 		}
 	}
@@ -112,15 +112,15 @@ func TestHistogramSingleSampleQuantiles(t *testing.T) {
 
 func TestHistogramEmptyAndTinyValues(t *testing.T) {
 	r := newEnabled()
-	h := r.Histogram("empty")
-	if h.P50() != 0 || h.Min() != 0 || h.Max() != 0 || h.Mean() != 0 {
+	h := r.histogram("empty")
+	if h.quantile(0.50) != 0 || h.min() != 0 || h.max() != 0 || h.mean() != 0 {
 		t.Fatalf("empty histogram stats must be zero")
 	}
 	h.Observe(0)           // below first bound
 	h.Observe(1e-12)       // below first bound
 	h.Observe(math.Inf(1)) // overflow bucket
-	if h.Count() != 3 {
-		t.Fatalf("count = %d", h.Count())
+	if h.samples() != 3 {
+		t.Fatalf("count = %d", h.samples())
 	}
 }
 
@@ -146,10 +146,10 @@ func TestBucketIndexMonotone(t *testing.T) {
 
 func TestSpansRecord(t *testing.T) {
 	r := newEnabled()
-	sp := r.StartSpan("placer.place")
+	sp := r.startSpan("placer.place")
 	sp.SetAttr("scheme", "Lemur").SetAttrBool("feasible", true)
 	sp.End()
-	snap := r.Snapshot()
+	snap := r.snapshot()
 	if len(snap.Spans) != 1 {
 		t.Fatalf("spans = %d, want 1", len(snap.Spans))
 	}
@@ -161,15 +161,15 @@ func TestSpansRecord(t *testing.T) {
 		t.Fatalf("negative duration")
 	}
 	// Span durations also land in the span histogram.
-	if h := r.Histogram("lemur_span_seconds", L("span", "placer.place")); h.Count() != 1 {
-		t.Fatalf("span histogram count = %d", h.Count())
+	if h := r.histogram("lemur_span_seconds", L("span", "placer.place")); h.samples() != 1 {
+		t.Fatalf("span histogram count = %d", h.samples())
 	}
 }
 
 func TestSpanRingBounded(t *testing.T) {
 	r := newEnabled()
 	for i := 0; i < defaultSpanRingCap+10; i++ {
-		r.StartSpan(fmt.Sprintf("s%d", i)).End()
+		r.startSpan(fmt.Sprintf("s%d", i)).End()
 	}
 	recs := r.spans.records()
 	if len(recs) != defaultSpanRingCap {
@@ -186,15 +186,15 @@ func TestSpanRingBounded(t *testing.T) {
 
 func TestReset(t *testing.T) {
 	r := newEnabled()
-	c := r.Counter("c")
-	g := r.Gauge("g")
-	h := r.Histogram("h")
+	c := r.counter("c")
+	g := r.gauge("g")
+	h := r.histogram("h")
 	c.Inc()
 	g.Set(7)
 	h.Observe(3)
-	r.StartSpan("s").End()
-	r.Reset()
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
+	r.startSpan("s").End()
+	r.reset()
+	if c.Value() != 0 || g.Value() != 0 || h.samples() != 0 || h.Sum() != 0 {
 		t.Fatalf("reset did not zero values")
 	}
 	if len(r.spans.records()) != 0 {
@@ -207,8 +207,8 @@ func TestReset(t *testing.T) {
 	}
 	// Extrema must re-initialize, not stick at old min/max.
 	h.Observe(10)
-	if h.Min() != 10 || h.Max() != 10 {
-		t.Fatalf("extrema not reset: min=%v max=%v", h.Min(), h.Max())
+	if h.min() != 10 || h.max() != 10 {
+		t.Fatalf("extrema not reset: min=%v max=%v", h.min(), h.max())
 	}
 }
 
@@ -221,23 +221,23 @@ func TestConcurrentUpdates(t *testing.T) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			c := r.Counter("par_total", L("g", fmt.Sprintf("%d", id%2)))
-			h := r.Histogram("par_lat")
-			g := r.Gauge("par_gauge")
+			c := r.counter("par_total", L("g", fmt.Sprintf("%d", id%2)))
+			h := r.histogram("par_lat")
+			g := r.gauge("par_gauge")
 			for j := 0; j < per; j++ {
 				c.Inc()
 				h.Observe(float64(j%17) + 0.5)
 				g.Set(float64(j))
 				if j%100 == 0 {
-					r.StartSpan("par.span").End()
-					_ = r.Snapshot()
+					r.startSpan("par.span").End()
+					_ = r.snapshot()
 				}
 			}
 		}(i)
 	}
 	wg.Wait()
 	var total uint64
-	for _, cs := range r.Snapshot().Counters {
+	for _, cs := range r.snapshot().Counters {
 		if cs.Name == "par_total" {
 			total += cs.Value
 		}
@@ -245,10 +245,10 @@ func TestConcurrentUpdates(t *testing.T) {
 	if total != goroutines*per {
 		t.Fatalf("counter total = %d, want %d", total, goroutines*per)
 	}
-	if n := r.Histogram("par_lat").Count(); n != goroutines*per {
+	if n := r.histogram("par_lat").samples(); n != goroutines*per {
 		t.Fatalf("histogram count = %d, want %d", n, goroutines*per)
 	}
-	if v := r.Gauge("par_gauge").Value(); v != per-1 {
+	if v := r.gauge("par_gauge").Value(); v != per-1 {
 		t.Fatalf("gauge = %v, want %d (every goroutine's last Set)", v, per-1)
 	}
 }
@@ -257,15 +257,15 @@ func TestSnapshotJSONDeterministic(t *testing.T) {
 	run := func() []byte {
 		r := newEnabled()
 		// Create in scrambled order; snapshot must sort.
-		r.Counter("z_total").Add(1)
-		r.Counter("a_total", L("p", "x")).Add(2)
-		r.Counter("a_total", L("p", "b")).Add(3)
-		r.Gauge("g2").Set(1.25)
-		r.Gauge("g1").Set(-4)
-		r.Histogram("h", L("k", "v")).Observe(2)
+		r.counter("z_total").Add(1)
+		r.counter("a_total", L("p", "x")).Add(2)
+		r.counter("a_total", L("p", "b")).Add(3)
+		r.gauge("g2").Set(1.25)
+		r.gauge("g1").Set(-4)
+		r.histogram("h", L("k", "v")).Observe(2)
 		var buf bytes.Buffer
-		if err := r.WriteJSON(&buf); err != nil {
-			t.Fatalf("WriteJSON: %v", err)
+		if err := r.writeJSON(&buf); err != nil {
+			t.Fatalf("writeJSON: %v", err)
 		}
 		return buf.Bytes()
 	}
@@ -273,7 +273,7 @@ func TestSnapshotJSONDeterministic(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Fatalf("snapshots differ:\n%s\n---\n%s", a, b)
 	}
-	var snap Snapshot
+	var snap snapshot
 	if err := json.Unmarshal(a, &snap); err != nil {
 		t.Fatalf("invalid JSON: %v", err)
 	}
@@ -291,10 +291,10 @@ var promLine = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^{}]*\})? [^ ]+$
 
 func TestWritePrometheusFormat(t *testing.T) {
 	r := newEnabled()
-	r.Counter("lemur_frames_total", L("platform", "pisa")).Add(10)
-	r.Counter("lemur_frames_total", L("platform", "bess")).Add(20)
-	r.Gauge("lemur_compile_lines", L("kind", "p4")).Set(123)
-	h := r.Histogram("lemur_queue_delay_seconds", L("subgroup", "sg0"))
+	r.counter("lemur_frames_total", L("platform", "pisa")).Add(10)
+	r.counter("lemur_frames_total", L("platform", "bess")).Add(20)
+	r.gauge("lemur_compile_lines", L("kind", "p4")).Set(123)
+	h := r.histogram("lemur_queue_delay_seconds", L("subgroup", "sg0"))
 	for i := 0; i < 50; i++ {
 		h.Observe(float64(i) * 1e-6)
 	}
@@ -373,7 +373,7 @@ func TestDefaultRegistryHelpers(t *testing.T) {
 		t.Fatalf("Span returned nil while enabled")
 	}
 	sp.End()
-	if Default().Counter("default_c").Value() != 1 {
+	if Default().counter("default_c").Value() != 1 {
 		t.Fatalf("package-level helpers not wired to default registry")
 	}
 }
@@ -416,21 +416,21 @@ func TestHandleHitAllocsNothing(t *testing.T) {
 	r := newEnabled()
 	labels := []Label{L("scheme", "Lemur"), L("outcome", "feasible"), L("platform", "pisa")}
 	swapped := []Label{labels[2], labels[0], labels[1]}
-	c := r.Counter("lemur_placer_placements_total", labels...)
-	g := r.Gauge("lemurd_desired_chains", labels...)
-	h := r.Histogram("lemurd_apply_latency_seconds", labels...)
+	c := r.counter("lemur_placer_placements_total", labels...)
+	g := r.gauge("lemurd_desired_chains", labels...)
+	h := r.histogram("lemurd_apply_latency_seconds", labels...)
 	for name, hit := range map[string]func(){
-		"counter":   func() { c.Inc(); _ = r.Counter("lemur_placer_placements_total", swapped...) },
-		"gauge":     func() { _ = r.Gauge("lemurd_desired_chains", swapped...) },
-		"histogram": func() { _ = r.Histogram("lemurd_apply_latency_seconds", swapped...) },
-		"bare":      func() { _ = r.Counter("lemur_compiles_total") },
+		"counter":   func() { c.Inc(); _ = r.counter("lemur_placer_placements_total", swapped...) },
+		"gauge":     func() { _ = r.gauge("lemurd_desired_chains", swapped...) },
+		"histogram": func() { _ = r.histogram("lemurd_apply_latency_seconds", swapped...) },
+		"bare":      func() { _ = r.counter("lemur_compiles_total") },
 	} {
 		if n := testing.AllocsPerRun(100, hit); n != 0 {
 			t.Errorf("%s hit: %v allocations, want 0", name, n)
 		}
 	}
-	if r.Counter("lemur_placer_placements_total", swapped...) != c || r.Gauge("lemurd_desired_chains", swapped...) != g ||
-		r.Histogram("lemurd_apply_latency_seconds", swapped...) != h {
+	if r.counter("lemur_placer_placements_total", swapped...) != c || r.gauge("lemurd_desired_chains", swapped...) != g ||
+		r.histogram("lemurd_apply_latency_seconds", swapped...) != h {
 		t.Fatal("a reordered label list resolved to another series")
 	}
 	// A handle keeps its own copy of the labels it was created with.
@@ -444,7 +444,7 @@ func TestHandleHitAllocsNothing(t *testing.T) {
 		down = append(down, L(fmt.Sprintf("k%d", 9-i), "v"))
 		up = append(up, L(fmt.Sprintf("k%d", i), "v"))
 	}
-	if w := r.Counter("wide", down...); w != r.Counter("wide", up...) || w.labels[0].Key != "k0" || down[0].Key != "k9" {
+	if w := r.counter("wide", down...); w != r.counter("wide", up...) || w.labels[0].Key != "k0" || down[0].Key != "k9" {
 		t.Fatal("a wide series did not resolve to one sorted series, or sorted its caller's labels")
 	}
 }

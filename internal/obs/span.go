@@ -16,8 +16,8 @@ import (
 // defaultSpanRingCap bounds the recent-span ring.
 const defaultSpanRingCap = 256
 
-// SpanRecord is one finished span as it appears in a snapshot.
-type SpanRecord struct {
+// spanRecord is one finished span as it appears in a snapshot.
+type spanRecord struct {
 	Name        string  `json:"name"`
 	Attrs       []Label `json:"attrs,omitempty"`
 	DurationSec float64 `json:"duration_sec"`
@@ -25,16 +25,16 @@ type SpanRecord struct {
 
 type spanRing struct {
 	mu    sync.Mutex
-	buf   []SpanRecord
+	buf   []spanRecord
 	next  int
 	count int
 }
 
 func newSpanRing(capacity int) *spanRing {
-	return &spanRing{buf: make([]SpanRecord, capacity)}
+	return &spanRing{buf: make([]spanRecord, capacity)}
 }
 
-func (sr *spanRing) add(rec SpanRecord) {
+func (sr *spanRing) add(rec spanRecord) {
 	sr.mu.Lock()
 	defer sr.mu.Unlock()
 	sr.buf[sr.next] = rec
@@ -51,10 +51,10 @@ func (sr *spanRing) reset() {
 }
 
 // records returns the ring contents oldest-first.
-func (sr *spanRing) records() []SpanRecord {
+func (sr *spanRing) records() []spanRecord {
 	sr.mu.Lock()
 	defer sr.mu.Unlock()
-	out := make([]SpanRecord, 0, sr.count)
+	out := make([]spanRecord, 0, sr.count)
 	start := sr.next - sr.count
 	if start < 0 {
 		start += len(sr.buf)
@@ -75,8 +75,8 @@ type ActiveSpan struct {
 	attrs []Label
 }
 
-// StartSpan begins a span, or returns nil when collection is disabled.
-func (r *Registry) StartSpan(name string) *ActiveSpan {
+// startSpan begins a span, or returns nil when collection is disabled.
+func (r *Registry) startSpan(name string) *ActiveSpan {
 	if r == nil || !r.on.Load() {
 		return nil
 	}
@@ -114,6 +114,6 @@ func (s *ActiveSpan) End() {
 		return
 	}
 	d := time.Since(s.start).Seconds()
-	s.reg.Histogram("lemur_span_seconds", L("span", s.name)).Observe(d)
-	s.reg.spans.add(SpanRecord{Name: s.name, Attrs: s.attrs, DurationSec: d})
+	s.reg.histogram("lemur_span_seconds", L("span", s.name)).Observe(d)
+	s.reg.spans.add(spanRecord{Name: s.name, Attrs: s.attrs, DurationSec: d})
 }

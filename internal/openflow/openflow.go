@@ -24,10 +24,10 @@ var (
 
 // Deployment errors.
 var (
-	ErrTableOrder   = errors.New("openflow: NF sequence violates fixed table order")
-	ErrNoOFImpl     = errors.New("openflow: NF has no OpenFlow implementation")
-	ErrRuleCapacity = errors.New("openflow: rule capacity exceeded")
-	ErrNoBinding    = errors.New("openflow: no binding for VLAN vid")
+	errTableOrder   = errors.New("openflow: NF sequence violates fixed table order")
+	errNoOFImpl     = errors.New("openflow: NF has no OpenFlow implementation")
+	errRuleCapacity = errors.New("openflow: rule capacity exceeded")
+	errNoBinding    = errors.New("openflow: no binding for VLAN vid")
 )
 
 // Binding is the switch program for one service-path VLAN vid.
@@ -68,16 +68,16 @@ func (s *Switch) CheckOrder(classes []string) error {
 	for _, class := range classes {
 		meta, ok := nf.Registry[class]
 		if !ok || meta.OFTable == "" {
-			return fmt.Errorf("%w: %s", ErrNoOFImpl, class)
+			return fmt.Errorf("%w: %s", errNoOFImpl, class)
 		}
 		idx := s.tableIndex(meta.OFTable)
 		if idx < 0 {
 			return fmt.Errorf("%w: %s (table %q not in pipeline %v)",
-				ErrNoOFImpl, class, meta.OFTable, s.Spec.TableOrder)
+				errNoOFImpl, class, meta.OFTable, s.Spec.TableOrder)
 		}
 		if idx < last {
 			return fmt.Errorf("%w: %s's table %q comes before the previous NF's table",
-				ErrTableOrder, class, meta.OFTable)
+				errTableOrder, class, meta.OFTable)
 		}
 		last = idx
 	}
@@ -95,7 +95,7 @@ func (s *Switch) Deploy(vid uint16, nfs []nf.NF, rules int, b Binding) error {
 		return err
 	}
 	if s.used+rules > s.Spec.MaxRules {
-		return fmt.Errorf("%w: %d + %d > %d", ErrRuleCapacity, s.used, rules, s.Spec.MaxRules)
+		return fmt.Errorf("%w: %d + %d > %d", errRuleCapacity, s.used, rules, s.Spec.MaxRules)
 	}
 	b.NFs = nfs
 	s.bindings[vid] = &b
@@ -120,11 +120,11 @@ func (s *Switch) ProcessFrame(frame []byte, env *nf.Env) (out []byte, rerr error
 		return nil, fmt.Errorf("openflow: %w", err)
 	}
 	if !p.HasVLAN {
-		return nil, fmt.Errorf("%w: untagged frame", ErrNoBinding)
+		return nil, fmt.Errorf("%w: untagged frame", errNoBinding)
 	}
 	b, ok := s.bindings[p.VLAN.VID]
 	if !ok {
-		return nil, fmt.Errorf("%w: vid=%d", ErrNoBinding, p.VLAN.VID)
+		return nil, fmt.Errorf("%w: vid=%d", errNoBinding, p.VLAN.VID)
 	}
 	for _, fn := range b.NFs {
 		fn.Process(&p, env)

@@ -34,16 +34,16 @@ func TestCheckOrder(t *testing.T) {
 	if err := s.CheckOrder([]string{"ACL", "ACL"}); err != nil {
 		t.Errorf("repeat rejected: %v", err)
 	}
-	if err := s.CheckOrder([]string{"Monitor", "ACL"}); !errors.Is(err, ErrTableOrder) {
+	if err := s.CheckOrder([]string{"Monitor", "ACL"}); !errors.Is(err, errTableOrder) {
 		t.Errorf("out-of-order: %v", err)
 	}
-	if err := s.CheckOrder([]string{"IPv4Fwd", "Tunnel"}); !errors.Is(err, ErrTableOrder) {
+	if err := s.CheckOrder([]string{"IPv4Fwd", "Tunnel"}); !errors.Is(err, errTableOrder) {
 		t.Errorf("forward-then-vlan: %v", err)
 	}
-	if err := s.CheckOrder([]string{"Encrypt"}); !errors.Is(err, ErrNoOFImpl) {
+	if err := s.CheckOrder([]string{"Encrypt"}); !errors.Is(err, errNoOFImpl) {
 		t.Errorf("no OF impl: %v", err)
 	}
-	if err := s.CheckOrder([]string{"Quantum"}); !errors.Is(err, ErrNoOFImpl) {
+	if err := s.CheckOrder([]string{"Quantum"}); !errors.Is(err, errNoOFImpl) {
 		t.Errorf("unknown class: %v", err)
 	}
 }
@@ -87,7 +87,7 @@ func TestDeployRejectsBadOrder(t *testing.T) {
 	s := ofSwitch()
 	mon, _ := nf.New("Monitor", "m", nil)
 	acl, _ := nf.New("ACL", "a", nil)
-	if err := s.Deploy(5, []nf.NF{mon, acl}, 10, Binding{}); !errors.Is(err, ErrTableOrder) {
+	if err := s.Deploy(5, []nf.NF{mon, acl}, 10, Binding{}); !errors.Is(err, errTableOrder) {
 		t.Errorf("err = %v", err)
 	}
 }
@@ -102,7 +102,7 @@ func TestRuleCapacity(t *testing.T) {
 		t.Errorf("RulesUsed = %d", got)
 	}
 	acl2, _ := nf.New("ACL", "b", nil)
-	if err := s.Deploy(2, []nf.NF{acl2}, 200, Binding{}); !errors.Is(err, ErrRuleCapacity) {
+	if err := s.Deploy(2, []nf.NF{acl2}, 200, Binding{}); !errors.Is(err, errRuleCapacity) {
 		t.Errorf("err = %v", err)
 	}
 }
@@ -143,11 +143,11 @@ func TestVIDRewriteAndPop(t *testing.T) {
 
 func TestProcessMisses(t *testing.T) {
 	s := ofSwitch()
-	if _, err := s.ProcessFrame(taggedFrame(99, packet.IPv4Addr{1, 1, 1, 1}), &nf.Env{}); !errors.Is(err, ErrNoBinding) {
+	if _, err := s.ProcessFrame(taggedFrame(99, packet.IPv4Addr{1, 1, 1, 1}), &nf.Env{}); !errors.Is(err, errNoBinding) {
 		t.Errorf("unknown vid: %v", err)
 	}
 	untagged := packet.Builder{Src: packet.IPv4Addr{1, 1, 1, 1}, Dst: packet.IPv4Addr{2, 2, 2, 2}}.Build()
-	if _, err := s.ProcessFrame(untagged, &nf.Env{}); !errors.Is(err, ErrNoBinding) {
+	if _, err := s.ProcessFrame(untagged, &nf.Env{}); !errors.Is(err, errNoBinding) {
 		t.Errorf("untagged: %v", err)
 	}
 }

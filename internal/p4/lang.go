@@ -7,7 +7,7 @@ import (
 	"unicode"
 )
 
-// ParseProgram parses Lemur's minimally-extended P4 dialect for standalone
+// parseProgram parses Lemur's minimally-extended P4 dialect for standalone
 // NFs. The grammar (whitespace-insensitive, comments start with '#'):
 //
 //	nf <name> {
@@ -21,15 +21,13 @@ import (
 //	    keys { ipv4.src, ipv4.dst }
 //	    actions { permit, deny }
 //	    size 1024
-//	    sram 1
-//	    tcam 2
 //	  }
 //	  control { <tname>, ... }
 //	}
 //
 // Parse states are named by the header they extract; the start state is
 // ethernet.
-func ParseProgram(src string) (*Program, error) {
+func parseProgram(src string) (*Program, error) {
 	lx := &lexer{src: src}
 	toks, err := lx.run()
 	if err != nil {
@@ -40,15 +38,15 @@ func ParseProgram(src string) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := prog.Validate(); err != nil {
+	if err := prog.validate(); err != nil {
 		return nil, err
 	}
 	return prog, nil
 }
 
-// MustParseProgram panics on parse failure (for built-in library sources).
-func MustParseProgram(src string) *Program {
-	p, err := ParseProgram(src)
+// mustParseProgram panics on parse failure (for built-in library sources).
+func mustParseProgram(src string) *Program {
+	p, err := parseProgram(src)
 	if err != nil {
 		panic(err)
 	}
@@ -235,14 +233,12 @@ func (p *progParser) parseTable(prog *Program) error {
 				return err
 			}
 			t.Actions = list
-		case "size", "sram", "tcam": // memory blocks are checked, not kept
+		case "size":
 			v, err := strconv.Atoi(p.next())
 			if err != nil {
-				return fmt.Errorf("p4: table %s: bad %s: %w", t.Name, kw, err)
+				return fmt.Errorf("p4: table %s: bad size: %w", t.Name, err)
 			}
-			if kw == "size" {
-				t.Size = v
-			}
+			t.Size = v
 		default:
 			return fmt.Errorf("p4: table %s: unknown attribute %q", t.Name, kw)
 		}

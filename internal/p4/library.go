@@ -2,8 +2,9 @@ package p4
 
 // Library holds the standalone P4 NF sources for every NF with a PISA
 // implementation (Table 3's P4 column), written in Lemur's extended-P4
-// dialect and parsed at init. The per-table sram/tcam figures match the
-// registry's PISAProfile entries; TestLibraryMatchesRegistry enforces this.
+// dialect and parsed at init. Each program has as many tables as the
+// registry's PISAProfile entry for its class (TestLibraryMatchesRegistry
+// enforces this); the per-table memory figures are the registry's alone.
 var Library = map[string]*Program{}
 
 var librarySources = map[string]string{
@@ -20,8 +21,6 @@ nf acl {
     keys { ipv4.src, ipv4.dst }
     actions { permit, deny }
     size 1024
-    sram 1
-    tcam 2
   }
   control { acl_tbl }
 }`,
@@ -38,7 +37,6 @@ nf nat {
     keys { ipv4.src, tcp.sport }
     actions { rewrite_src, rewrite_dst, drop }
     size 12000
-    sram 12
   }
   control { nat_tbl }
 }`,
@@ -55,7 +53,6 @@ nf lb {
     keys { ipv4.src, ipv4.dst, tcp.sport, tcp.dport }
     actions { set_backend }
     size 2048
-    sram 2
   }
   control { lb_tbl }
 }`,
@@ -72,8 +69,6 @@ nf match {
     keys { ipv4.src, ipv4.dst, ipv4.proto }
     actions { set_class, drop }
     size 512
-    sram 1
-    tcam 1
   }
   control { match_tbl }
 }`,
@@ -89,7 +84,6 @@ nf tunnel {
     keys { ethernet.ethertype }
     actions { push_vlan }
     size 16
-    sram 1
   }
   control { tunnel_tbl }
 }`,
@@ -105,7 +99,6 @@ nf detunnel {
     keys { vlan.vid }
     actions { pop_vlan }
     size 16
-    sram 1
   }
   control { detunnel_tbl }
 }`,
@@ -120,8 +113,6 @@ nf ipv4fwd {
     keys { ipv4.dst }
     actions { set_egress, drop }
     size 4096
-    sram 2
-    tcam 1
   }
   control { fwd_tbl }
 }`,
@@ -129,7 +120,7 @@ nf ipv4fwd {
 
 func init() {
 	for class, src := range librarySources {
-		Library[class] = MustParseProgram(src)
+		Library[class] = mustParseProgram(src)
 	}
 }
 

@@ -40,8 +40,8 @@ var HeaderLibrary = map[string][]Field{
 		{"sport", 16}, {"dport", 16}, {"len", 16}, {"csum", 16}},
 }
 
-// Accept is the terminal parse state.
-const Accept = "accept"
+// accept is the terminal parse state.
+const accept = "accept"
 
 // Transition is one edge of a parse graph: if the select field equals Value,
 // parse Next next. Value "default" is the fallthrough.
@@ -152,9 +152,9 @@ type Program struct {
 	Control []string // table names in application order
 }
 
-// Validate checks internal consistency: headers exist in the library, parser
+// validate checks internal consistency: headers exist in the library, parser
 // states reference declared headers, control references declared tables.
-func (p *Program) Validate() error {
+func (p *Program) validate() error {
 	declared := map[string]bool{}
 	for _, h := range p.Headers {
 		if _, ok := HeaderLibrary[h]; !ok {
@@ -169,7 +169,7 @@ func (p *Program) Validate() error {
 					p.Name, name, st.Header)
 			}
 			for _, tr := range st.Transitions {
-				if tr.Next != Accept {
+				if tr.Next != accept {
 					if _, ok := p.Parser.States[tr.Next]; !ok {
 						return fmt.Errorf("p4: %s: state %q transitions to missing state %q",
 							p.Name, name, tr.Next)

@@ -2,7 +2,6 @@ package p4
 
 import (
 	"errors"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -11,7 +10,7 @@ import (
 )
 
 func TestParseProgram(t *testing.T) {
-	prog, err := ParseProgram(`
+	prog, err := parseProgram(`
 # a comment
 nf demo {
   headers { ethernet, ipv4, tcp }
@@ -24,8 +23,6 @@ nf demo {
     keys { ipv4.src }
     actions { a, b }
     size 100
-    sram 3
-    tcam 1
   }
   control { t1 }
 }`)
@@ -42,7 +39,7 @@ nf demo {
 	if st == nil || st.SelectField != "proto" || len(st.Transitions) != 2 {
 		t.Fatalf("ipv4 state = %+v", st)
 	}
-	if st.Transitions[1].Value != "default" || st.Transitions[1].Next != Accept {
+	if st.Transitions[1].Value != "default" || st.Transitions[1].Next != accept {
 		t.Errorf("default transition = %+v", st.Transitions[1])
 	}
 }
@@ -55,22 +52,23 @@ func TestParseProgramErrors(t *testing.T) {
 		"nf x { bogussection { } }",
 		"nf x { headers { ipv4 } parser { ethernet { -> accept } } }",      // undeclared header in parser
 		"nf x { headers { ethernet } control { ghost } }",                  // unknown table in control
-		"nf x { headers { ethernet } table t { sram abc } }",               // bad number
+		"nf x { headers { ethernet } table t { size abc } }",               // bad number
 		"nf x { headers { ethernet } table t { wat 1 } }",                  // unknown attr
+		"nf x { headers { ethernet } table t { sram 1 } }",                 // memory figures are the registry's
 		"nf x { headers { ethernet } parser { ethernet { -> missing } } }", // dangling transition
 		"nf x { headers { ethernet } table t { } table t { } }",            // duplicate table
 		"nf x @",
 	}
 	for _, src := range bad {
-		if _, err := ParseProgram(src); err == nil {
-			t.Errorf("ParseProgram(%.40q) succeeded, want error", src)
+		if _, err := parseProgram(src); err == nil {
+			t.Errorf("parseProgram(%.40q) succeeded, want error", src)
 		}
 	}
 }
 
 func TestLibraryMatchesRegistry(t *testing.T) {
 	// Every NF with a PISA implementation in the registry must have a P4
-	// source in the library, with matching memory footprints.
+	// source in the library, with as many tables as its profile.
 	for _, class := range nf.Classes() {
 		meta := nf.Registry[class]
 		hasP4 := meta.SupportsPlatform(hw.PISA)
@@ -82,29 +80,11 @@ func TestLibraryMatchesRegistry(t *testing.T) {
 		if !hasP4 {
 			continue
 		}
-		if err := prog.Validate(); err != nil {
+		if err := prog.validate(); err != nil {
 			t.Errorf("%s: invalid library program: %v", class, err)
 		}
-		// The parser checks and drops the memory figures, so read them
-		// from the source.
-		var sram, tcam int
-		for _, line := range strings.Split(LibrarySource(class), "\n") {
-			if f := strings.Fields(line); len(f) == 2 && (f[0] == "sram" || f[0] == "tcam") {
-				n, err := strconv.Atoi(f[1])
-				if err != nil {
-					t.Fatal(err)
-				}
-				if f[0] == "sram" {
-					sram += n
-				} else {
-					tcam += n
-				}
-			}
-		}
-		tables := len(prog.Tables)
-		if tables != meta.PISA.Tables || sram != meta.PISA.SRAM*meta.PISA.Tables || tcam != meta.PISA.TCAM*meta.PISA.Tables {
-			t.Errorf("%s: library tables=%d sram=%d tcam=%d, registry profile %+v",
-				class, tables, sram, tcam, *meta.PISA)
+		if tables := len(prog.Tables); tables != meta.PISA.Tables {
+			t.Errorf("%s: library tables=%d, registry profile %+v", class, tables, *meta.PISA)
 		}
 	}
 }
@@ -157,7 +137,7 @@ func TestMergeConflict(t *testing.T) {
 	// Select-field disagreement is also a conflict.
 	c := NewGraph()
 	c.States["ethernet"] = &State{Header: "ethernet", SelectField: "src",
-		Transitions: []Transition{{Value: "1", Next: Accept}}}
+		Transitions: []Transition{{Value: "1", Next: accept}}}
 	d := NewGraph()
 	d.States["ethernet"] = &State{Header: "ethernet", SelectField: "ethertype"}
 	if err := c.Merge(d); !errors.Is(err, ErrParserConflict) {
@@ -201,7 +181,7 @@ func TestHeaderLibraryWidths(t *testing.T) {
 
 func TestValidateCatchesBadControl(t *testing.T) {
 	p := &Program{Name: "x", Headers: []string{"ethernet"}, Control: []string{"ghost"}}
-	if err := p.Validate(); err == nil || !strings.Contains(err.Error(), "ghost") {
+	if err := p.validate(); err == nil || !strings.Contains(err.Error(), "ghost") {
 		t.Errorf("err = %v", err)
 	}
 }

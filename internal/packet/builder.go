@@ -8,7 +8,7 @@ import "encoding/binary"
 type Builder struct {
 	EthSrc, EthDst MAC
 	VLANID         uint16 // 0 = no VLAN tag
-	NSH            *NSH   // nil = no NSH header
+	NSH            *nsh   // nil = no NSH header
 	Src, Dst       IPv4Addr
 	Proto          uint8 // IPProtoTCP or IPProtoUDP; 0 defaults to UDP
 	SrcPort        uint16

@@ -40,15 +40,15 @@ const (
 // TailRoom is the spare capacity a frame buffer needs behind the frame for
 // every hop to stay inside it: the two headers the dataplane can push onto
 // a frame, each at most once (an NSH header by the switch, a VLAN tag by
-// nf.Tunnel). trafficgen reserves it; nsh.EncapInPlace and nf.Tunnel copy
+// nf.tunnel). trafficgen reserves it; nsh.EncapInPlace and nf.tunnel copy
 // into a fresh buffer only when it is missing.
 const TailRoom = NSHLen + VLANLen
 
 // Common decode errors.
 var (
 	ErrTooShort    = errors.New("packet: buffer too short")
-	ErrBadVersion  = errors.New("packet: unsupported header version")
-	ErrNoSuchLayer = errors.New("packet: layer not present")
+	errBadVersion  = errors.New("packet: unsupported header version")
+	errNoSuchLayer = errors.New("packet: layer not present")
 )
 
 // MAC is a 6-byte Ethernet address.
@@ -89,9 +89,9 @@ type VLAN struct {
 	EtherType uint16 // encapsulated ethertype
 }
 
-// NSH is a decoded Network Service Header (RFC 8300), MD type 2 with no
+// nsh is a decoded Network Service Header (RFC 8300), MD type 2 with no
 // metadata: a 4-byte base header followed by a 4-byte service path header.
-type NSH struct {
+type nsh struct {
 	TTL       uint8
 	MDType    uint8
 	NextProto uint8
@@ -174,7 +174,7 @@ type Packet struct {
 
 	Eth  Ethernet
 	VLAN VLAN
-	NSH  NSH
+	NSH  nsh
 	IP   IPv4
 	TCP  TCP
 	UDP  UDP
@@ -202,7 +202,7 @@ func (p *Packet) Payload() []byte {
 // IPv4 layer.
 func (p *Packet) Tuple() (FiveTuple, error) {
 	if !p.HasIPv4 {
-		return FiveTuple{}, ErrNoSuchLayer
+		return FiveTuple{}, errNoSuchLayer
 	}
 	t := FiveTuple{Src: p.IP.Src, Dst: p.IP.Dst, Proto: p.IP.Protocol}
 	switch {
@@ -214,9 +214,9 @@ func (p *Packet) Tuple() (FiveTuple, error) {
 	return t, nil
 }
 
-// Reset clears decoded state and metadata but keeps the backing buffer so a
+// reset clears decoded state and metadata but keeps the backing buffer so a
 // Packet can be reused across decodes without allocation.
-func (p *Packet) Reset() {
+func (p *Packet) reset() {
 	data := p.Data[:0]
 	*p = Packet{Data: data, OutPort: -1}
 }
@@ -225,7 +225,7 @@ func (p *Packet) Reset() {
 // The buffer is referenced, not copied (gopacket's NoCopy convention): the
 // caller must not mutate data while p is in use.
 func (p *Packet) Decode(data []byte) error {
-	p.Reset()
+	p.reset()
 	p.Data = data
 	off := 0
 
@@ -259,7 +259,7 @@ func (p *Packet) Decode(data []byte) error {
 		b0 := binary.BigEndian.Uint32(data[off : off+4])
 		ver := uint8(b0 >> 30)
 		if ver != 0 {
-			return fmt.Errorf("nsh: version %d: %w", ver, ErrBadVersion)
+			return fmt.Errorf("nsh: version %d: %w", ver, errBadVersion)
 		}
 		p.NSH.TTL = uint8((b0 >> 22) & 0x3F)
 		p.NSH.MDType = uint8((b0 >> 12) & 0x0F)
@@ -287,10 +287,10 @@ func (p *Packet) Decode(data []byte) error {
 	}
 	vihl := data[off]
 	if vihl>>4 != 4 {
-		return fmt.Errorf("ipv4: version %d: %w", vihl>>4, ErrBadVersion)
+		return fmt.Errorf("ipv4: version %d: %w", vihl>>4, errBadVersion)
 	}
 	if vihl&0x0F != 5 {
-		return fmt.Errorf("ipv4: options unsupported (ihl=%d): %w", vihl&0x0F, ErrBadVersion)
+		return fmt.Errorf("ipv4: options unsupported (ihl=%d): %w", vihl&0x0F, errBadVersion)
 	}
 	p.IP.TOS = data[off+1]
 	p.IP.TotalLen = binary.BigEndian.Uint16(data[off+2 : off+4])
@@ -381,7 +381,7 @@ func (p *Packet) SyncHeaders() {
 	}
 }
 
-func putNSH(b []byte, h NSH) {
+func putNSH(b []byte, h nsh) {
 	// length field = header size in 4-byte words (2 for MD type 2, no metadata)
 	b0 := uint32(h.TTL&0x3F)<<22 | uint32(2)<<16 | uint32(h.MDType&0x0F)<<12 | uint32(h.NextProto)
 	binary.BigEndian.PutUint32(b[0:4], b0)

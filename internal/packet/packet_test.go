@@ -40,7 +40,7 @@ func TestDecodeUDP(t *testing.T) {
 func TestDecodeTCPWithVLANAndNSH(t *testing.T) {
 	b := Builder{
 		VLANID:  42,
-		NSH:     &NSH{SPI: 0xABCDE, SI: 7, MDType: 2},
+		NSH:     &nsh{SPI: 0xABCDE, SI: 7, MDType: 2},
 		Src:     IPv4Addr{1, 2, 3, 4},
 		Dst:     IPv4Addr{5, 6, 7, 8},
 		Proto:   IPProtoTCP,
@@ -119,7 +119,7 @@ func TestNSHRoundTripProperty(t *testing.T) {
 			ttl = 1
 		}
 		p := Builder{
-			NSH: &NSH{SPI: spi, SI: si, TTL: ttl, MDType: 2},
+			NSH: &nsh{SPI: spi, SI: si, TTL: ttl, MDType: 2},
 			Src: IPv4Addr{9, 9, 9, 9}, Dst: IPv4Addr{8, 8, 8, 8},
 		}.New()
 		return p.NSH.SPI == spi && p.NSH.SI == si && p.NSH.TTL == ttl
@@ -190,7 +190,7 @@ func TestResetKeepsCapacity(t *testing.T) {
 	p := Builder{Src: IPv4Addr{1, 1, 1, 1}, Dst: IPv4Addr{2, 2, 2, 2}}.New()
 	p.Drop = true
 	p.TrafficClass = 5
-	p.Reset()
+	p.reset()
 	if p.Drop || p.TrafficClass != 0 || p.HasIPv4 {
 		t.Errorf("reset incomplete: %+v", p)
 	}

@@ -45,7 +45,7 @@ type verdict struct {
 }
 
 // CompileCache is a goroutine-safe, bounded memo table over Compile's
-// verdicts. The zero value is not usable; call NewCompileCache.
+// verdicts. The zero value is not usable; call newCompileCache.
 type CompileCache struct {
 	mu sync.Mutex
 	m  map[string]verdict
@@ -58,16 +58,16 @@ type CompileCache struct {
 	hits, misses, evictions atomic.Uint64
 }
 
-// DefaultCacheEntries bounds the shared cache. Verdict entries are small
+// defaultCacheEntries bounds the shared cache. Verdict entries are small
 // (key bytes dominate at a few hundred bytes each), so 64k entries stay in
 // the tens of MB even for adversarial workloads.
-const DefaultCacheEntries = 65536
+const defaultCacheEntries = 65536
 
-// NewCompileCache builds an empty cache bounded to capEntries (<=0 means
-// DefaultCacheEntries).
-func NewCompileCache(capEntries int) *CompileCache {
+// newCompileCache builds an empty cache bounded to capEntries (<=0 means
+// defaultCacheEntries).
+func newCompileCache(capEntries int) *CompileCache {
 	if capEntries <= 0 {
-		capEntries = DefaultCacheEntries
+		capEntries = defaultCacheEntries
 	}
 	return &CompileCache{m: make(map[string]verdict), capEntries: capEntries}
 }
@@ -199,7 +199,7 @@ func appendCacheKey(b []byte, spec *hw.PISASpec, tables []LogicalTable) []byte {
 
 // sharedCache memoizes compile verdicts process-wide — the Placer's stage
 // checks all route through it.
-var sharedCache = NewCompileCache(DefaultCacheEntries)
+var sharedCache = newCompileCache(defaultCacheEntries)
 
 // SharedCache returns the process-wide compile cache.
 func SharedCache() *CompileCache { return sharedCache }

@@ -44,7 +44,7 @@ func randomSpec(rng *rand.Rand) *hw.PISASpec {
 
 // TestCacheEviction: a tiny cap flushes the generation but stays correct.
 func TestCacheEviction(t *testing.T) {
-	cache := NewCompileCache(4)
+	cache := newCompileCache(4)
 	spec := hw.NewPaperTestbed().Switch
 	var key []byte
 	for i := 0; i < 20; i++ {
@@ -74,7 +74,7 @@ func TestCacheEviction(t *testing.T) {
 // space; the race detector validates the locking and every result must match
 // the cold compile.
 func TestCacheConcurrent(t *testing.T) {
-	cache := NewCompileCache(0)
+	cache := newCompileCache(0)
 	rng := rand.New(rand.NewSource(5))
 	spec := hw.NewPaperTestbed().Switch
 	inputs := make([][]LogicalTable, 8)
@@ -113,7 +113,7 @@ func TestCacheSyncObs(t *testing.T) {
 		obs.Disable()
 		obs.Reset()
 	})
-	cache := NewCompileCache(0)
+	cache := newCompileCache(0)
 	spec := hw.NewPaperTestbed().Switch
 	tables := randomTables(rand.New(rand.NewSource(77)))
 	var key []byte
@@ -155,7 +155,7 @@ func TestCacheSyncObs(t *testing.T) {
 // repeat (hit).
 func TestCompileCachedMatchesCold(t *testing.T) {
 	rng := rand.New(rand.NewSource(2024))
-	cache := NewCompileCache(0)
+	cache := newCompileCache(0)
 	var key []byte
 	fits, overflows, others := 0, 0, 0
 	for trial := 0; trial < 150; trial++ {
@@ -200,7 +200,7 @@ func TestCompileCachedMatchesCold(t *testing.T) {
 // allocates nothing.
 func TestCompileCacheProbeMatchesCompile(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	cache := NewCompileCache(0)
+	cache := newCompileCache(0)
 	var key []byte
 	for trial := 0; trial < 20; trial++ {
 		spec, tables := randomSpec(rng), randomTables(rng)

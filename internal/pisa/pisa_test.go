@@ -267,13 +267,13 @@ func TestSwitchBranchReTag(t *testing.T) {
 func TestSwitchNoPath(t *testing.T) {
 	s := mkSwitch(t)
 	_, fwd, err := s.ProcessFrameInPlace(ingressFrame(t, 80), &nf.Env{})
-	if !errors.Is(err, ErrNoPath) || fwd.Kind != Dropped {
+	if !errors.Is(err, errNoPath) || fwd.Kind != Dropped {
 		t.Errorf("err = %v fwd = %v", err, fwd)
 	}
 	// Tagged frame with no entry.
 	s.AddClassifierRule(ClassifierRule{SPI: 1, SI: 1})
 	enc, _ := nsh.Encap(ingressFrame(t, 80), 99, 9)
-	if _, _, err := s.ProcessFrameInPlace(enc, &nf.Env{}); !errors.Is(err, ErrNoPath) {
+	if _, _, err := s.ProcessFrameInPlace(enc, &nf.Env{}); !errors.Is(err, errNoPath) {
 		t.Errorf("tagged miss: %v", err)
 	}
 }

@@ -31,12 +31,12 @@ func processCopy(s *Switch, frame []byte, env *nf.Env) ([]byte, Forward, error) 
 			}
 		}
 		if !matched {
-			return nil, drop, ErrNoPath
+			return nil, drop, errNoPath
 		}
 	}
 	e := s.Entry(spi, si)
 	if e == nil {
-		return nil, drop, ErrNoPath
+		return nil, drop, errNoPath
 	}
 	for _, fn := range e.Apply {
 		if fn.Process(&p, env); p.Drop {

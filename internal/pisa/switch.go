@@ -196,9 +196,9 @@ func (s *Switch) RemoveSPIRange(lo, hi uint32) (entries, rules int) {
 	return entries, rules
 }
 
-// ErrNoPath is returned for frames that match no classifier rule or (SPI,SI)
+// errNoPath is returned for frames that match no classifier rule or (SPI,SI)
 // entry.
-var ErrNoPath = errors.New("pisa: no service path for frame")
+var errNoPath = errors.New("pisa: no service path for frame")
 
 // ProcessFrameInPlace runs one frame through the switch pipeline and
 // returns the rewritten frame plus the forwarding decision. env supplies
@@ -251,13 +251,13 @@ func (s *Switch) process(frame []byte, env *nf.Env, p *packet.Packet) (out []byt
 			}
 		}
 		if !matched {
-			return nil, Forward{Kind: Dropped}, ErrNoPath
+			return nil, Forward{Kind: Dropped}, errNoPath
 		}
 	}
 
 	e := s.Entry(spi, si)
 	if e == nil {
-		return nil, Forward{Kind: Dropped}, fmt.Errorf("%w: spi=%d si=%d", ErrNoPath, spi, si)
+		return nil, Forward{Kind: Dropped}, fmt.Errorf("%w: spi=%d si=%d", errNoPath, spi, si)
 	}
 
 	if len(e.Apply) > 0 {

@@ -15,7 +15,7 @@ import (
 // (followed by the decap), give on the in-place path the copying
 // processCopy's frames. With packet.TailRoom behind the frame — what
 // trafficgen reserves — the frame never leaves its buffer; with less, the
-// copying fallbacks of nf.Tunnel and nsh.EncapInPlace take over.
+// copying fallbacks of nf.tunnel and nsh.EncapInPlace take over.
 func TestSwitchVLANInPlaceMatches(t *testing.T) {
 	cases := []struct {
 		name          string

@@ -52,7 +52,7 @@ func TestOptimalMatchesRawSearchOnPlaceScaleGrid(t *testing.T) {
 			continue
 		}
 		compared++
-		in := paperInput(t, experiments.PlaceScaleTopology(p), p.Chains, p.Delta)
+		in := paperInput(t, hw.NewPaperTestbed(hw.WithServers(p.Servers), hw.WithSwitchScale(p.SwitchScale)), p.Chains, p.Delta)
 		opt, err := placer.Place(placer.SchemeOptimal, in)
 		if err != nil {
 			t.Fatal(err)

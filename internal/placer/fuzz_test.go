@@ -19,7 +19,7 @@ import (
 // holds the last chain back from the base placement and admits it. With the
 // selector zero the call is the failure-only delta Replace forwards. The
 // contract under test: no panic, and either a feasible placement or a typed
-// verdict — through Replace, every placement failure typed ErrInfeasible.
+// verdict — through Replace, every placement failure typed errInfeasible.
 func FuzzReplace(f *testing.F) {
 	f.Add(int64(1), uint8(2), "nf-server-1", uint8(0))
 	f.Add(int64(2), uint8(3), "nf-server-2,nf-server-3", uint8(0))
@@ -63,8 +63,8 @@ func FuzzReplace(f *testing.F) {
 		if len(d.Admit)+len(d.Retire) == 0 {
 			next, err = Replace(prev, in, d.Failed)
 			if err != nil {
-				if !errors.Is(err, ErrInfeasible) {
-					t.Fatalf("Replace error not typed ErrInfeasible: %v", err)
+				if !errors.Is(err, errInfeasible) {
+					t.Fatalf("Replace error not typed errInfeasible: %v", err)
 				}
 				if next != nil {
 					t.Fatalf("Replace returned both a result and an error")
@@ -77,7 +77,7 @@ func FuzzReplace(f *testing.F) {
 				t.Fatalf("well-formed delta %+v rejected: %v", d, err)
 			}
 			if rep.Outcome != AdmitIncremental {
-				if rep.Result != nil || rep.IncrementalReason == "" || !errors.Is(rep.Err(), ErrInfeasible) {
+				if rep.Result != nil || rep.IncrementalReason == "" || !errors.Is(rep.Err(), errInfeasible) {
 					t.Fatalf("%s verdict malformed: %+v", rep.Outcome, rep)
 				}
 				return

@@ -7,7 +7,7 @@ import "errors"
 // module calls them, and go when it moves to Reconfigure.
 
 // Replace is Reconfigure for a failure-only delta: the re-placement after
-// the devices in failed die, or an error wrapping ErrInfeasible. With an
+// the devices in failed die, or an error wrapping errInfeasible. With an
 // empty failed set it is a pure re-validation of prev.
 func Replace(prev *Result, in *Input, failed NodeSet) (*Result, error) {
 	rep, err := Reconfigure(prev, in, Delta{Failed: failed})
@@ -27,7 +27,7 @@ func Admit(prev *Result, in *Input, newChains []int) (*Report, error) {
 }
 
 // Retire is Reconfigure for a retirement-only delta: prev without the
-// goneChains, their slots marked Retired, or an error wrapping ErrInfeasible.
+// goneChains, their slots marked Retired, or an error wrapping errInfeasible.
 // For chains without a tail bound that cannot happen when prev was feasible
 // (removing chains only relaxes constraints — the property tests pin this);
 // a chain with a d_max_p99 can be lifted to saturation by the capacity a

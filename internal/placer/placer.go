@@ -206,13 +206,13 @@ func (res *Result) IsRetired(ci int) bool {
 	return res.Retired != nil && ci < len(res.Retired) && res.Retired[ci]
 }
 
-// Infeasible constructs a failed result.
+// infeasible constructs a failed result.
 func infeasible(scheme Scheme, reason string) *Result {
 	return &Result{Scheme: scheme, Feasible: false, Reason: reason}
 }
 
-// ErrUnknownScheme is returned by Place for unrecognized scheme names.
-var ErrUnknownScheme = errors.New("placer: unknown scheme")
+// errUnknownScheme is returned by Place for unrecognized scheme names.
+var errUnknownScheme = errors.New("placer: unknown scheme")
 
 // Place runs the named scheme.
 func Place(scheme Scheme, in *Input) (*Result, error) {
@@ -250,7 +250,7 @@ func Place(scheme Scheme, in *Input) (*Result, error) {
 		// subgroups and free cores.
 		res, err = lemurHeuristic(in, policyMarginal, false)
 	default:
-		return nil, fmt.Errorf("%w: %q", ErrUnknownScheme, scheme)
+		return nil, fmt.Errorf("%w: %q", errUnknownScheme, scheme)
 	}
 	if err != nil {
 		sp.SetAttr("error", err.Error()).End()

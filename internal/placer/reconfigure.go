@@ -52,10 +52,10 @@ func (s NodeSet) Expand(topo *hw.Topology) NodeSet {
 	return out
 }
 
-// ErrInfeasible is what Report.Err wraps, with the concrete reason, when no
+// errInfeasible is what Report.Err wraps, with the concrete reason, when no
 // pin-preserving placement exists for a delta. Callers distinguish "the rack
 // cannot absorb this change" from API misuse with errors.Is.
-var ErrInfeasible = errors.New("placer: no feasible re-placement")
+var errInfeasible = errors.New("placer: no feasible re-placement")
 
 // AffectedChains returns, in chain order, the indices of chains whose
 // previous placement traverses any failed device (every subgroup and NIC use
@@ -161,13 +161,13 @@ type Report struct {
 	IncrementalReason string
 }
 
-// Err is nil for an incremental verdict and otherwise wraps ErrInfeasible
+// Err is nil for an incremental verdict and otherwise wraps errInfeasible
 // with the reason the pin-preserving attempt failed.
 func (r *Report) Err() error {
 	if r.Outcome == AdmitIncremental {
 		return nil
 	}
-	return fmt.Errorf("%w: %s", ErrInfeasible, r.IncrementalReason)
+	return fmt.Errorf("%w: %s", errInfeasible, r.IncrementalReason)
 }
 
 var (

@@ -29,7 +29,7 @@ type Record struct {
 	Chains []ChainRecord `json:"chains"`
 	// Subgroups and NICUses are the Result's, in its order.
 	Subgroups []SubgroupRecord `json:"subgroups,omitempty"`
-	NICUses   []NICUseRecord   `json:"nic_uses,omitempty"`
+	NICUses   []nicUseRecord   `json:"nic_uses,omitempty"`
 	// Marginal, Aggregate (PredictedAggregate) and Stages are the Result's.
 	Marginal  float64 `json:"marginal"`
 	Aggregate float64 `json:"aggregate"`
@@ -48,14 +48,14 @@ type ChainRecord struct {
 	Rate float64  `json:"rate"`
 	P99  infFloat `json:"p99"`
 	// Assign lists the assigned nodes in the chain's topological order.
-	Assign []AssignRecord `json:"assign,omitempty"`
+	Assign []assignRecord `json:"assign,omitempty"`
 	// Breaks names the chain's nodes marked in Result.Breaks, in the same
 	// order.
 	Breaks []string `json:"breaks,omitempty"`
 }
 
-// AssignRecord is one node's Assign.
-type AssignRecord struct {
+// assignRecord is one node's Assign.
+type assignRecord struct {
 	Node     string      `json:"node"`
 	Platform hw.Platform `json:"platform"`
 	Device   string      `json:"device,omitempty"`
@@ -72,8 +72,8 @@ type SubgroupRecord struct {
 	Cores      int      `json:"cores"`
 }
 
-// NICUseRecord is one NICUse; Node is a node name of chain slot Chain.
-type NICUseRecord struct {
+// nicUseRecord is one NICUse; Node is a node name of chain slot Chain.
+type nicUseRecord struct {
 	Chain  int     `json:"chain"`
 	Node   string  `json:"node"`
 	Device string  `json:"device"`
@@ -128,7 +128,7 @@ func RecordOf(in *Input, res *Result) (*Record, error) {
 		cr := ChainRecord{Slot: ci, Rate: res.ChainRates[ci], P99: infFloat(res.PredictedP99Sec[ci])}
 		for _, nd := range g.Order {
 			if a, ok := res.Assign[nd]; ok {
-				cr.Assign = append(cr.Assign, AssignRecord{Node: nd.Name(), Platform: a.Platform, Device: a.Device})
+				cr.Assign = append(cr.Assign, assignRecord{Node: nd.Name(), Platform: a.Platform, Device: a.Device})
 				assigned++
 			}
 			if res.Breaks[nd] {
@@ -162,7 +162,7 @@ func RecordOf(in *Input, res *Result) (*Record, error) {
 		if err := live(u.ChainIdx, u.Node); err != nil {
 			return nil, err
 		}
-		rec.NICUses = append(rec.NICUses, NICUseRecord{Chain: u.ChainIdx, Node: u.Node.Name(),
+		rec.NICUses = append(rec.NICUses, nicUseRecord{Chain: u.ChainIdx, Node: u.Node.Name(),
 			Device: u.Device, Weight: u.Weight, Cycles: u.Cycles})
 	}
 	return rec, nil

@@ -119,7 +119,7 @@ func TestRecordRefuses(t *testing.T) {
 	}
 	renamed := *rec
 	renamed.Chains = append([]ChainRecord(nil), rec.Chains...)
-	renamed.Chains[0].Assign = append([]AssignRecord{{Node: "nosuch"}}, rec.Chains[0].Assign...)
+	renamed.Chains[0].Assign = append([]assignRecord{{Node: "nosuch"}}, rec.Chains[0].Assign...)
 	if _, err := renamed.Decode(in); err == nil || !strings.Contains(err.Error(), "nosuch") {
 		t.Fatalf("unknown node: %v", err)
 	}

@@ -180,8 +180,8 @@ func TestReplacePinningInvariant(t *testing.T) {
 			}
 		}
 		if err != nil {
-			if !errors.Is(err, ErrInfeasible) {
-				t.Fatalf("trial %d: error not typed ErrInfeasible: %v", trial, err)
+			if !errors.Is(err, errInfeasible) {
+				t.Fatalf("trial %d: error not typed errInfeasible: %v", trial, err)
 			}
 			infeasible++
 			continue
@@ -261,7 +261,7 @@ func TestReplacePinningInvariant(t *testing.T) {
 }
 
 // TestReplaceAllServersFail: killing every server must yield a typed
-// ErrInfeasible, never a panic or partial result.
+// errInfeasible, never a panic or partial result.
 func TestReplaceAllServersFail(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	in := buildFailoverInput(t, rng)
@@ -273,11 +273,11 @@ func TestReplaceAllServersFail(t *testing.T) {
 	for _, s := range in.Topo.Servers {
 		all = append(all, s.Name)
 	}
-	if _, err := Replace(prev, in, NewNodeSet(all...)); !errors.Is(err, ErrInfeasible) {
-		t.Fatalf("want ErrInfeasible, got %v", err)
+	if _, err := Replace(prev, in, NewNodeSet(all...)); !errors.Is(err, errInfeasible) {
+		t.Fatalf("want errInfeasible, got %v", err)
 	}
 	// The ToR failing is also typed infeasible (all traffic enters there).
-	if _, err := Replace(prev, in, NewNodeSet(in.Topo.Switch.Name)); !errors.Is(err, ErrInfeasible) {
-		t.Fatalf("ToR death: want ErrInfeasible, got %v", err)
+	if _, err := Replace(prev, in, NewNodeSet(in.Topo.Switch.Name)); !errors.Is(err, errInfeasible) {
+		t.Fatalf("ToR death: want errInfeasible, got %v", err)
 	}
 }

@@ -215,15 +215,14 @@ func TestSimulateChurnFreeByteIdentity(t *testing.T) {
 	offered := []float64{res.ChainRates[0] * 1.2, res.ChainRates[1] * 0.8}
 	catalog := map[string]*nfgraph.Graph{"gamma": graphFor(t, gammaSpec)}
 
-	reg := obs.Default()
-	reg.Enable()
+	obs.Enable()
 	t.Cleanup(func() {
-		reg.Disable()
-		reg.Reset()
+		obs.Disable()
+		obs.Reset()
 	})
 
 	run := func(plan *chaos.Plan) (*SimResult, []byte, []byte) {
-		reg.Reset()
+		obs.Reset()
 		sim, err := tb.Simulate(offered, SimConfig{Seed: 99, DurationSec: 0.2, Faults: plan, ChurnCatalog: catalog})
 		if err != nil {
 			t.Fatal(err)
@@ -232,11 +231,7 @@ func TestSimulateChurnFreeByteIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if err := reg.WriteJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return sim, stats, buf.Bytes()
+		return sim, stats, metricsJSON(t)
 	}
 
 	_, statsNil, metricsNil := run(nil)
@@ -277,11 +272,10 @@ func TestSimulateChurnFreeByteIdentity(t *testing.T) {
 // JSON and metrics snapshot (modulo span wall-clock durations) — across two
 // fresh deployments with the same seed and schedule.
 func TestSimulateChurnDeterministic(t *testing.T) {
-	reg := obs.Default()
-	reg.Enable()
+	obs.Enable()
 	t.Cleanup(func() {
-		reg.Disable()
-		reg.Reset()
+		obs.Disable()
+		obs.Reset()
 	})
 
 	run := func() ([]byte, []byte) {
@@ -295,7 +289,7 @@ func TestSimulateChurnDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		reg.Reset()
+		obs.Reset()
 		sim, err := tb.Simulate([]float64{4e9, 4e9}, SimConfig{
 			Seed: 13, DurationSec: 0.25, Faults: plan,
 			ChurnCatalog: map[string]*nfgraph.Graph{"gamma": graphFor(t, gammaSpec)},
@@ -307,11 +301,7 @@ func TestSimulateChurnDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if err := reg.WriteJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return stats, scrubWallClock(t, buf.Bytes())
+		return stats, scrubWallClock(t, metricsJSON(t))
 	}
 
 	statsA, metricsA := run()

@@ -165,11 +165,10 @@ func scrubWallClock(t *testing.T, snap []byte) []byte {
 // — across two fresh deployments with the same seed and fault plan, the
 // property the failover section of experiments.Runner.WritePaper relies on.
 func TestSimulateFailoverDeterministic(t *testing.T) {
-	reg := obs.Default()
-	reg.Enable()
+	obs.Enable()
 	t.Cleanup(func() {
-		reg.Disable()
-		reg.Reset()
+		obs.Disable()
+		obs.Reset()
 	})
 
 	run := func() ([]byte, []byte) {
@@ -178,7 +177,7 @@ func TestSimulateFailoverDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		reg.Reset()
+		obs.Reset()
 		sim, err := tb.Simulate([]float64{8e9, 8e9}, SimConfig{Seed: 13, DurationSec: 0.25, Faults: plan})
 		if err != nil {
 			t.Fatal(err)
@@ -187,11 +186,7 @@ func TestSimulateFailoverDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if err := reg.WriteJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return stats, scrubWallClock(t, buf.Bytes())
+		return stats, scrubWallClock(t, metricsJSON(t))
 	}
 
 	statsA, metricsA := run()
@@ -216,15 +211,14 @@ func TestSimulateNoOpFaultPlanByteIdentical(t *testing.T) {
 	_, res, tb := deploy(t, hw.NewPaperTestbed(), multiSpec, placer.SchemeLemur)
 	offered := []float64{res.ChainRates[0] * 1.2, res.ChainRates[1] * 0.8}
 
-	reg := obs.Default()
-	reg.Enable()
+	obs.Enable()
 	t.Cleanup(func() {
-		reg.Disable()
-		reg.Reset()
+		obs.Disable()
+		obs.Reset()
 	})
 
 	run := func(plan *chaos.Plan) (*SimResult, []byte, []byte) {
-		reg.Reset()
+		obs.Reset()
 		sim, err := tb.Simulate(offered, SimConfig{Seed: 99, DurationSec: 0.2, Faults: plan})
 		if err != nil {
 			t.Fatal(err)
@@ -233,11 +227,7 @@ func TestSimulateNoOpFaultPlanByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if err := reg.WriteJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return sim, stats, buf.Bytes()
+		return sim, stats, metricsJSON(t)
 	}
 
 	_, statsNil, metricsNil := run(nil)

@@ -70,11 +70,10 @@ func flowScaleRuns(churn bool) [3]SimConfig {
 // before the Testbed began keeping schedules and pools between runs, so it
 // holds that change to the bytes of a Testbed that kept nothing.
 func TestFlowScaleGolden(t *testing.T) {
-	reg := obs.Default()
-	reg.Enable()
+	obs.Enable()
 	t.Cleanup(func() {
-		reg.Disable()
-		reg.Reset()
+		obs.Disable()
+		obs.Reset()
 	})
 
 	var got bytes.Buffer
@@ -89,12 +88,12 @@ func TestFlowScaleGolden(t *testing.T) {
 			tb, offered := deployStateless(t)
 			for i, cfg := range flowScaleRuns(churn) {
 				cfg.Workers = w
-				reg.Reset()
+				obs.Reset()
 				sim, err := tb.Simulate(offered, cfg)
 				if err != nil {
 					t.Fatalf("%s run %d workers=%d: %v", name, i+1, w, err)
 				}
-				rec := goldenRecord(t, reg, fmt.Sprintf("%s run %d", name, i+1), sim)
+				rec := goldenRecord(t, fmt.Sprintf("%s run %d", name, i+1), sim)
 				if w == 1 {
 					first[i] = rec
 					got.WriteString(rec)

@@ -55,11 +55,10 @@ func randomStatefulSpec(rng *rand.Rand, idx int) string {
 // reference engine must stay byte-identical when chains draw from arena
 // flow schedules instead of the legacy 40-flow generator.
 func TestFlowScaleEnginesAgree(t *testing.T) {
-	reg := obs.Default()
-	reg.Enable()
+	obs.Enable()
 	t.Cleanup(func() {
-		reg.Disable()
-		reg.Reset()
+		obs.Disable()
+		obs.Reset()
 	})
 
 	rng := rand.New(rand.NewSource(77))

@@ -229,9 +229,13 @@ func (tb *Testbed) newSimEngine(offered []float64, cfg SimConfig) (*simEngine, e
 	}
 	for ci, r := range offered {
 		// An infinite rate would inject forever; it also has no bound to
-		// size a delayTail by.
+		// size a delayTail by. A negative one would inject nothing and
+		// report a run.
 		if math.IsNaN(r) || math.IsInf(r, 0) {
 			return nil, fmt.Errorf("runtime: offered rate %v of chain %d is not finite", r, ci)
+		}
+		if r < 0 {
+			return nil, fmt.Errorf("runtime: offered rate %v of chain %d is negative", r, ci)
 		}
 	}
 	ix, err := tb.simIndexLazy()

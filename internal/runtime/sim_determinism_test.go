@@ -34,24 +34,19 @@ func TestSimulateDeterministicRegression(t *testing.T) {
 	offered := []float64{res.ChainRates[0] * 1.5, res.ChainRates[1] * 0.8}
 	cfg := SimConfig{Seed: 77, DurationSec: 0.25}
 
-	reg := obs.Default()
-	reg.Enable()
+	obs.Enable()
 	t.Cleanup(func() {
-		reg.Disable()
-		reg.Reset()
+		obs.Disable()
+		obs.Reset()
 	})
 
 	run := func() (*SimResult, []byte) {
-		reg.Reset()
+		obs.Reset()
 		sim, err := tb.Simulate(offered, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if err := reg.WriteJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return sim, buf.Bytes()
+		return sim, metricsJSON(t)
 	}
 
 	simA, metricsA := run()

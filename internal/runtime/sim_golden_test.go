@@ -113,7 +113,7 @@ var goldenCases = []goldenCase{
 }
 
 // dropIdleSeries removes zero-valued counters and gauges and empty
-// histograms from a scrubbed snapshot. Registry.Reset zeroes series but
+// histograms from a scrubbed snapshot. Registry.reset zeroes series but
 // keeps them registered, so which idle series a snapshot lists depends on
 // what ran earlier in the process; the golden must not.
 func dropIdleSeries(t *testing.T, snap []byte) []byte {
@@ -161,11 +161,10 @@ func dropIdleSeries(t *testing.T, snap []byte) []byte {
 // now) no longer can. `go test ./internal/runtime -run TestSimulateGolden
 // -update` regenerates it; read the diff before committing one.
 func TestSimulateGolden(t *testing.T) {
-	reg := obs.Default()
-	reg.Enable()
+	obs.Enable()
 	t.Cleanup(func() {
-		reg.Disable()
-		reg.Reset()
+		obs.Disable()
+		obs.Reset()
 	})
 
 	var got bytes.Buffer
@@ -177,7 +176,7 @@ func TestSimulateGolden(t *testing.T) {
 			pisa.SharedCache().Reset()
 			tb, offered, cfg := gc.build(t)
 			cfg.Workers = w
-			reg.Reset()
+			obs.Reset()
 			dig := &egressDigest{}
 			tb.onVisit(dig.visit)
 			sim, err := tb.Simulate(offered, cfg)
@@ -187,7 +186,7 @@ func TestSimulateGolden(t *testing.T) {
 			if dig.err != nil {
 				t.Fatalf("%s workers=%d: %v", gc.name, w, dig.err)
 			}
-			rec := goldenRecord(t, reg, gc.name, sim) + dig.String()
+			rec := goldenRecord(t, gc.name, sim) + dig.String()
 			if first == nil {
 				first = []byte(rec)
 				got.Write(first)
@@ -205,11 +204,10 @@ func TestSimulateGolden(t *testing.T) {
 // whose Applies run mid-run, give the same SimResult and metrics record
 // with an Artifacts call before Simulate as without one.
 func TestSimulateIgnoresArtifacts(t *testing.T) {
-	reg := obs.Default()
-	reg.Enable()
+	obs.Enable()
 	t.Cleanup(func() {
-		reg.Disable()
-		reg.Reset()
+		obs.Disable()
+		obs.Reset()
 	})
 	ran := 0
 	for _, gc := range goldenCases {
@@ -224,12 +222,12 @@ func TestSimulateIgnoresArtifacts(t *testing.T) {
 			if i == 1 && len(tb.D.Artifacts().BESSScripts) == 0 {
 				t.Fatalf("%s: the deployment renders no BESS script", gc.name)
 			}
-			reg.Reset()
+			obs.Reset()
 			sim, err := tb.Simulate(offered, cfg)
 			if err != nil {
 				t.Fatalf("%s: %v", gc.name, err)
 			}
-			recs[i] = goldenRecord(t, reg, gc.name, sim)
+			recs[i] = goldenRecord(t, gc.name, sim)
 		}
 		if recs[0] != recs[1] {
 			t.Errorf("%s: a render before the run changed it\nwithout: %s\nwith:    %s", gc.name, recs[0], recs[1])
@@ -299,13 +297,9 @@ func (d *egressDigest) String() string {
 
 // goldenRecord renders one run as a golden record: the SimResult and the
 // registry's wall-clock-scrubbed snapshot with idle series dropped.
-func goldenRecord(t *testing.T, reg *obs.Registry, name string, sim *SimResult) string {
+func goldenRecord(t *testing.T, name string, sim *SimResult) string {
 	t.Helper()
-	var snap bytes.Buffer
-	if err := reg.WriteJSON(&snap); err != nil {
-		t.Fatal(err)
-	}
-	return fmt.Sprintf("== %s\n%s\n%s\n", name, marshalSim(t, sim), dropIdleSeries(t, scrubWallClock(t, snap.Bytes())))
+	return fmt.Sprintf("== %s\n%s\n%s\n", name, marshalSim(t, sim), dropIdleSeries(t, scrubWallClock(t, metricsJSON(t))))
 }
 
 // checkGolden holds got to testdata/<name> byte for byte, or rewrites the
@@ -335,4 +329,19 @@ func checkGolden(t *testing.T, name string, got []byte) {
 		}
 		t.Fatalf("%s has %d lines, this run produced %d", name, len(wl), len(gl))
 	}
+}
+
+// metricsJSON is the default registry's JSON snapshot, as WriteFiles writes
+// it for -metrics-out.
+func metricsJSON(t *testing.T) []byte {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "metrics.json")
+	if err := obs.Default().WriteFiles(path); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }

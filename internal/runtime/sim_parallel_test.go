@@ -79,11 +79,10 @@ func partitionWorkers(t *testing.T, d *metacompiler.Deployment, workers int) int
 // into multiple shards, so the sweep cannot silently degrade into testing
 // the serial fallback.
 func TestSimulateParallelMatchesReference(t *testing.T) {
-	reg := obs.Default()
-	reg.Enable()
+	obs.Enable()
 	t.Cleanup(func() {
-		reg.Disable()
-		reg.Reset()
+		obs.Disable()
+		obs.Reset()
 	})
 
 	topoOpts := []hw.TestbedOption{hw.WithServers(4)}
@@ -147,11 +146,10 @@ func TestSimulateParallelMatchesReference(t *testing.T) {
 // crash (with its Replace→Rewire and shard re-partition) plus degrade and
 // overload events — at several worker counts.
 func TestSimulateParallelFailoverByteIdentity(t *testing.T) {
-	reg := obs.Default()
-	reg.Enable()
+	obs.Enable()
 	t.Cleanup(func() {
-		reg.Disable()
-		reg.Reset()
+		obs.Disable()
+		obs.Reset()
 	})
 
 	run := func(workers int, planText string) ([]byte, []byte) {
@@ -168,18 +166,14 @@ func TestSimulateParallelFailoverByteIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		reg.Reset()
+		obs.Reset()
 		cfg := SimConfig{Seed: 21, DurationSec: 0.3, Faults: plan, Workers: workers}
 		sim, err := tb.Simulate([]float64{6e9, 6e9}, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		stats := marshalSim(t, sim)
-		var buf bytes.Buffer
-		if err := reg.WriteJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return stats, scrubWallClock(t, buf.Bytes())
+		return stats, scrubWallClock(t, metricsJSON(t))
 	}
 
 	for _, planText := range []string{
@@ -205,11 +199,10 @@ func TestSimulateParallelFailoverByteIdentity(t *testing.T) {
 // chain mid-run (growing the chain set and re-partitioning the shards) and
 // then retires another.
 func TestSimulateParallelChurnByteIdentity(t *testing.T) {
-	reg := obs.Default()
-	reg.Enable()
+	obs.Enable()
 	t.Cleanup(func() {
-		reg.Disable()
-		reg.Reset()
+		obs.Disable()
+		obs.Reset()
 	})
 
 	run := func(workers int) ([]byte, []byte) {
@@ -220,7 +213,7 @@ func TestSimulateParallelChurnByteIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		reg.Reset()
+		obs.Reset()
 		sim, err := tb.Simulate([]float64{4e9, 4e9}, SimConfig{
 			Seed: 13, DurationSec: 0.25, Faults: plan, Workers: workers,
 			ChurnCatalog: map[string]*nfgraph.Graph{"gamma": graphFor(t, gammaSpec)},
@@ -229,14 +222,11 @@ func TestSimulateParallelChurnByteIdentity(t *testing.T) {
 			t.Fatal(err)
 		}
 		stats := marshalSim(t, sim)
-		var buf bytes.Buffer
-		if err := reg.WriteJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
+		buf := metricsJSON(t)
 		if !bytes.Contains(stats, []byte("RewireSummaries")) {
 			t.Fatalf("churn run did not rewire: %s", stats)
 		}
-		return stats, scrubWallClock(t, buf.Bytes())
+		return stats, scrubWallClock(t, buf)
 	}
 
 	serialStats, serialMetrics := run(1)

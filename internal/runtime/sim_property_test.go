@@ -93,8 +93,7 @@ func compileRandom(t *testing.T, src string) *metacompiler.Deployment {
 func runSim(t *testing.T, d *metacompiler.Deployment, offered []float64, cfg SimConfig,
 	engine func(*Testbed, []float64, SimConfig) (*SimResult, error)) ([]byte, []byte) {
 	t.Helper()
-	reg := obs.Default()
-	reg.Reset()
+	obs.Reset()
 	sim, err := engine(New(d, 42), offered, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -103,11 +102,7 @@ func runSim(t *testing.T, d *metacompiler.Deployment, offered []float64, cfg Sim
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := reg.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return stats, buf.Bytes()
+	return stats, metricsJSON(t)
 }
 
 // TestSimulateMatchesReference holds the batched arena engine byte-identical
@@ -115,11 +110,10 @@ func runSim(t *testing.T, d *metacompiler.Deployment, offered []float64, cfg Sim
 // metrics snapshot — across 50+ random topologies × seeds, spanning
 // underload and overload (queue growth, drop onset, re-parked packets).
 func TestSimulateMatchesReference(t *testing.T) {
-	reg := obs.Default()
-	reg.Enable()
+	obs.Enable()
 	t.Cleanup(func() {
-		reg.Disable()
-		reg.Reset()
+		obs.Disable()
+		obs.Reset()
 	})
 
 	rng := rand.New(rand.NewSource(404))
@@ -284,19 +278,11 @@ func TestQuantileSelectAdversarial(t *testing.T) {
 // itself; the waits are continuous, all equal to the deadline, tied on a
 // grid that holds the deadline, and signed zeros.
 func TestDelayTailMatchesSort(t *testing.T) {
-	reg := obs.Default()
-	reg.Enable()
+	obs.Enable()
 	t.Cleanup(func() {
-		reg.Disable()
-		reg.Reset()
+		obs.Disable()
+		obs.Reset()
 	})
-	snapshot := func() []byte {
-		var b bytes.Buffer
-		if err := reg.WriteJSON(&b); err != nil {
-			t.Fatal(err)
-		}
-		return b.Bytes()
-	}
 
 	const bound = 2345
 	chains := []*nfgraph.Graph{graphFor(t, deadlineSpec), graphFor(t, simpleSpec)}
@@ -335,12 +321,12 @@ func TestDelayTailMatchesSort(t *testing.T) {
 				t.Fatalf("%s n=%d: p99 %v, want %v", sh.name, n, got, want)
 			}
 
-			reg.Reset()
+			obs.Reset()
 			wantComp := finalizeDeadlines(chains, [][]float64{waits, waits})
-			wantSnap := snapshot()
-			reg.Reset()
+			wantSnap := metricsJSON(t)
+			obs.Reset()
 			gotComp := deadlineCompliance(tails)
-			if fmt.Sprint(gotComp) != fmt.Sprint(wantComp) || !bytes.Equal(snapshot(), wantSnap) {
+			if fmt.Sprint(gotComp) != fmt.Sprint(wantComp) || !bytes.Equal(metricsJSON(t), wantSnap) {
 				t.Fatalf("%s n=%d: compliance %v, want %v (or the counters differ)", sh.name, n, gotComp, wantComp)
 			}
 		}

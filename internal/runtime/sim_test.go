@@ -195,12 +195,15 @@ func TestPacketRingGrowsToOccupancy(t *testing.T) {
 }
 
 // TestSimulateRejectsNonFiniteOffered: an infinite offered rate would
-// inject packets forever, so Simulate refuses it, and NaN, up front.
+// inject packets forever, and a negative one nothing, so Simulate refuses
+// them, and NaN, up front, naming the chain.
 func TestSimulateRejectsNonFiniteOffered(t *testing.T) {
 	_, _, tb := deploy(t, hw.NewPaperTestbed(), simpleSpec, placer.SchemeLemur)
-	for _, r := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
-		if _, err := tb.Simulate([]float64{r}, SimConfig{Seed: 1}); err == nil || !strings.Contains(err.Error(), "not finite") {
-			t.Errorf("offered %v: want a not-finite error, got %v", r, err)
+	for r, want := range map[float64]string{math.Inf(1): "not finite", math.Inf(-1): "not finite",
+		math.NaN(): "not finite", -1: "negative", -1e-9: "negative"} {
+		_, err := tb.Simulate([]float64{r}, SimConfig{Seed: 1})
+		if err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "chain 0") {
+			t.Errorf("offered %v: want a %s error naming chain 0, got %v", r, want, err)
 		}
 	}
 }

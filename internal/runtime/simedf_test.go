@@ -33,11 +33,10 @@ chain webdl {
 // default-policy output to pre-EDF goldens), this holds the whole PR
 // invisible to deadline-free deployments.
 func TestDeadlineFreePolicyByteIdentity(t *testing.T) {
-	reg := obs.Default()
-	reg.Enable()
+	obs.Enable()
 	t.Cleanup(func() {
-		reg.Disable()
-		reg.Reset()
+		obs.Disable()
+		obs.Reset()
 	})
 
 	type variant struct {
@@ -127,11 +126,10 @@ func TestSchedPolicyValidation(t *testing.T) {
 // actually live: a Deadline root in the emitted schedulers, slacks
 // reported, and per-chain compliance present in the result.
 func TestSimulateDeadlineMatchesReference(t *testing.T) {
-	reg := obs.Default()
-	reg.Enable()
+	obs.Enable()
 	t.Cleanup(func() {
-		reg.Disable()
-		reg.Reset()
+		obs.Disable()
+		obs.Reset()
 	})
 
 	for _, pol := range []string{"", SchedEDF, SchedRR} {
@@ -155,30 +153,24 @@ func TestSimulateDeadlineMatchesReference(t *testing.T) {
 			offered := []float64{resRef.ChainRates[0] * lf}
 			cfg := SimConfig{Seed: 11, DurationSec: 0.12, SchedPolicy: pol}
 
-			reg.Reset()
+			obs.Reset()
 			ref, err := tbRef.simulateReference(offered, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			var refMetrics bytes.Buffer
-			if err := reg.WriteJSON(&refMetrics); err != nil {
-				t.Fatal(err)
-			}
-			reg.Reset()
+			refMetrics := metricsJSON(t)
+			obs.Reset()
 			fast, err := tbFast.Simulate(offered, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			var fastMetrics bytes.Buffer
-			if err := reg.WriteJSON(&fastMetrics); err != nil {
-				t.Fatal(err)
-			}
+			fastMetrics := metricsJSON(t)
 
 			refJSON, fastJSON := fmt.Sprintf("%+v", ref), fmt.Sprintf("%+v", fast)
 			if refJSON != fastJSON {
 				t.Fatalf("policy %q load %.1f: engines diverged\nref:  %s\nfast: %s", pol, lf, refJSON, fastJSON)
 			}
-			if !bytes.Equal(refMetrics.Bytes(), fastMetrics.Bytes()) {
+			if !bytes.Equal(refMetrics, fastMetrics) {
 				t.Fatalf("policy %q load %.1f: metrics snapshots diverged", pol, lf)
 			}
 			if len(fast.DeadlineCompliance) != 1 {

@@ -13,43 +13,43 @@ import (
 	"lemur/internal/hw"
 )
 
-// Op is an instruction opcode in our eBPF subset.
-type Op uint8
+// op is an instruction opcode in our eBPF subset.
+type op uint8
 
 // Opcodes. Loads read the packet at a constant offset; arithmetic operates
 // on 64-bit registers; jumps are PC-relative and, per the verifier, must be
 // forward.
 const (
-	OpMovImm Op = iota // dst = imm
-	OpMovReg           // dst = src
-	OpLdB              // dst = pkt[off] (byte)
-	OpLdH              // dst = big-endian uint16 at pkt[off]
-	OpLdW              // dst = big-endian uint32 at pkt[off]
-	OpStB              // pkt[off] = dst (byte)
-	OpAddImm
-	OpAndImm
-	OpXorReg
-	OpShrImm
-	OpStackW // stack[off] = dst (word) — exercises the 512 B stack limit
-	OpLdStkW // dst = stack[off]
-	OpJEq    // if dst == imm: pc += off
-	OpJNe
-	OpJGt
-	OpJGe
-	OpJLt
-	OpJLe
-	OpJEqReg // if dst == src: pc += off
-	OpJA     // pc += off
-	OpCall   // forbidden by the verifier; present so rejection is testable
-	OpExit   // return r0
+	opMovImm op = iota // dst = imm
+	opMovReg           // dst = src
+	opLdB              // dst = pkt[off] (byte)
+	opLdH              // dst = big-endian uint16 at pkt[off]
+	opLdW              // dst = big-endian uint32 at pkt[off]
+	opStB              // pkt[off] = dst (byte)
+	opAddImm
+	opAndImm
+	opXorReg
+	opShrImm
+	opStackW // stack[off] = dst (word) — exercises the 512 B stack limit
+	opLdStkW // dst = stack[off]
+	opJEq    // if dst == imm: pc += off
+	opJNe
+	opJGt
+	opJGe
+	opJLt
+	opJLe
+	opJEqReg // if dst == src: pc += off
+	opJA     // pc += off
+	opCall   // forbidden by the verifier; present so rejection is testable
+	opExit   // return r0
 )
 
-// NumRegs is the register file size (r0..r10 like eBPF).
-const NumRegs = 11
+// numRegs is the register file size (r0..r10 like eBPF).
+const numRegs = 11
 
-// Insn is one instruction.
-type Insn struct {
-	Op       Op
+// insn is one instruction.
+type insn struct {
+	Op       op
 	Dst, Src uint8
 	Off      int32 // jump displacement, packet offset, or stack offset
 	Imm      int64
@@ -58,7 +58,7 @@ type Insn struct {
 // Program is an eBPF program plus metadata.
 type Program struct {
 	Name  string
-	Insns []Insn
+	Insns []insn
 	// StackBytes is the declared stack usage (the verifier checks it
 	// against the NIC's 512-byte limit, and StackW/LdStkW offsets against
 	// the declaration).
@@ -67,61 +67,61 @@ type Program struct {
 
 // XDP actions returned in r0.
 const (
-	XDPDrop int64 = 0
-	XDPPass int64 = 1
-	XDPTx   int64 = 2
+	xdpDrop int64 = 0
+	xdpPass int64 = 1
+	xdpTx   int64 = 2
 )
 
 // Verifier errors.
 var (
-	ErrTooManyInsns = errors.New("smartnic: program exceeds instruction limit")
-	ErrStackLimit   = errors.New("smartnic: stack exceeds limit")
-	ErrBackEdge     = errors.New("smartnic: back-edge jump rejected")
-	ErrCall         = errors.New("smartnic: function calls not supported")
-	ErrBadRegister  = errors.New("smartnic: register out of range")
-	ErrNoExit       = errors.New("smartnic: program can fall off the end")
+	errTooManyInsns = errors.New("smartnic: program exceeds instruction limit")
+	errStackLimit   = errors.New("smartnic: stack exceeds limit")
+	errBackEdge     = errors.New("smartnic: back-edge jump rejected")
+	errCall         = errors.New("smartnic: function calls not supported")
+	errBadRegister  = errors.New("smartnic: register out of range")
+	errNoExit       = errors.New("smartnic: program can fall off the end")
 )
 
-// Verify statically checks the program against the NIC's execution limits,
+// verify statically checks the program against the NIC's execution limits,
 // mirroring the checks that forced the paper's loop-unrolled, fully-inlined
 // NF implementations.
-func Verify(p *Program, spec *hw.SmartNICSpec) error {
+func verify(p *Program, spec *hw.SmartNICSpec) error {
 	if len(p.Insns) == 0 {
-		return fmt.Errorf("%w: empty program", ErrNoExit)
+		return fmt.Errorf("%w: empty program", errNoExit)
 	}
 	if len(p.Insns) > spec.MaxInstructions {
-		return fmt.Errorf("%w: %d > %d", ErrTooManyInsns, len(p.Insns), spec.MaxInstructions)
+		return fmt.Errorf("%w: %d > %d", errTooManyInsns, len(p.Insns), spec.MaxInstructions)
 	}
 	if p.StackBytes > spec.StackBytes {
-		return fmt.Errorf("%w: %d > %d", ErrStackLimit, p.StackBytes, spec.StackBytes)
+		return fmt.Errorf("%w: %d > %d", errStackLimit, p.StackBytes, spec.StackBytes)
 	}
 	for pc, in := range p.Insns {
-		if int(in.Dst) >= NumRegs || int(in.Src) >= NumRegs {
-			return fmt.Errorf("%w: insn %d", ErrBadRegister, pc)
+		if int(in.Dst) >= numRegs || int(in.Src) >= numRegs {
+			return fmt.Errorf("%w: insn %d", errBadRegister, pc)
 		}
 		switch in.Op {
-		case OpCall:
-			return fmt.Errorf("%w: insn %d", ErrCall, pc)
-		case OpJEq, OpJNe, OpJGt, OpJGe, OpJLt, OpJLe, OpJEqReg, OpJA:
+		case opCall:
+			return fmt.Errorf("%w: insn %d", errCall, pc)
+		case opJEq, opJNe, opJGt, opJGe, opJLt, opJLe, opJEqReg, opJA:
 			// Off = 0 targets the next instruction (a harmless fallthrough);
 			// anything negative is a loop back-edge, which the NIC rejects.
 			if in.Off < 0 {
-				return fmt.Errorf("%w: insn %d offset %d", ErrBackEdge, pc, in.Off)
+				return fmt.Errorf("%w: insn %d offset %d", errBackEdge, pc, in.Off)
 			}
 			if pc+1+int(in.Off) > len(p.Insns) {
 				return fmt.Errorf("smartnic: insn %d jumps past program end", pc)
 			}
-		case OpStackW, OpLdStkW:
+		case opStackW, opLdStkW:
 			if in.Off < 0 || int(in.Off)+8 > p.StackBytes {
 				return fmt.Errorf("%w: insn %d accesses stack[%d] beyond declared %d",
-					ErrStackLimit, pc, in.Off, p.StackBytes)
+					errStackLimit, pc, in.Off, p.StackBytes)
 			}
 		}
 	}
 	// Because all jumps are forward, falling off the end is possible unless
 	// the last reachable instruction is an Exit; require a terminal Exit.
-	if p.Insns[len(p.Insns)-1].Op != OpExit {
-		return ErrNoExit
+	if p.Insns[len(p.Insns)-1].Op != opExit {
+		return errNoExit
 	}
 	return nil
 }
@@ -130,11 +130,11 @@ func Verify(p *Program, spec *hw.SmartNICSpec) error {
 // as SmartNICSpec.StackBytes and Verify holds programs to.
 const maxStackBytes = 512
 
-// Run executes a verified program over the packet. Packet loads/stores are
+// run executes a verified program over the packet. Packet loads/stores are
 // bounds-checked at runtime (out-of-bounds access drops the packet, the
 // XDP contract). Forward-only jumps guarantee termination.
-func Run(p *Program, pkt []byte) (int64, error) {
-	var regs [NumRegs]int64
+func run(p *Program, pkt []byte) (int64, error) {
+	var regs [numRegs]int64
 	// Programs within the eBPF stack limit hw declares run on a local
 	// array; only an oversized (unverifiable) one pays for a heap stack.
 	var local [maxStackBytes]byte
@@ -147,87 +147,87 @@ func Run(p *Program, pkt []byte) (int64, error) {
 	for pc < len(p.Insns) {
 		in := p.Insns[pc]
 		switch in.Op {
-		case OpMovImm:
+		case opMovImm:
 			regs[in.Dst] = in.Imm
-		case OpMovReg:
+		case opMovReg:
 			regs[in.Dst] = regs[in.Src]
-		case OpLdB, OpLdH, OpLdW:
+		case opLdB, opLdH, opLdW:
 			n := 1
 			switch in.Op {
-			case OpLdH:
+			case opLdH:
 				n = 2
-			case OpLdW:
+			case opLdW:
 				n = 4
 			}
 			off := int(in.Off)
 			if off < 0 || off+n > len(pkt) {
-				return XDPDrop, nil
+				return xdpDrop, nil
 			}
 			v := int64(0)
 			for i := 0; i < n; i++ {
 				v = v<<8 | int64(pkt[off+i])
 			}
 			regs[in.Dst] = v
-		case OpStB:
+		case opStB:
 			off := int(in.Off)
 			if off < 0 || off >= len(pkt) {
-				return XDPDrop, nil
+				return xdpDrop, nil
 			}
 			pkt[off] = byte(regs[in.Dst])
-		case OpAddImm:
+		case opAddImm:
 			regs[in.Dst] += in.Imm
-		case OpAndImm:
+		case opAndImm:
 			regs[in.Dst] &= in.Imm
-		case OpXorReg:
+		case opXorReg:
 			regs[in.Dst] ^= regs[in.Src]
-		case OpShrImm:
+		case opShrImm:
 			regs[in.Dst] = int64(uint64(regs[in.Dst]) >> uint(in.Imm))
-		case OpStackW:
+		case opStackW:
 			for i := 0; i < 8; i++ {
 				stack[int(in.Off)+i] = byte(regs[in.Dst] >> (56 - 8*i))
 			}
-		case OpLdStkW:
+		case opLdStkW:
 			v := int64(0)
 			for i := 0; i < 8; i++ {
 				v = v<<8 | int64(stack[int(in.Off)+i])
 			}
 			regs[in.Dst] = v
-		case OpJEq:
+		case opJEq:
 			if regs[in.Dst] == in.Imm {
 				pc += int(in.Off)
 			}
-		case OpJNe:
+		case opJNe:
 			if regs[in.Dst] != in.Imm {
 				pc += int(in.Off)
 			}
-		case OpJGt:
+		case opJGt:
 			if regs[in.Dst] > in.Imm {
 				pc += int(in.Off)
 			}
-		case OpJGe:
+		case opJGe:
 			if regs[in.Dst] >= in.Imm {
 				pc += int(in.Off)
 			}
-		case OpJLt:
+		case opJLt:
 			if regs[in.Dst] < in.Imm {
 				pc += int(in.Off)
 			}
-		case OpJLe:
+		case opJLe:
 			if regs[in.Dst] <= in.Imm {
 				pc += int(in.Off)
 			}
-		case OpJEqReg:
+		case opJEqReg:
 			if regs[in.Dst] == regs[in.Src] {
 				pc += int(in.Off)
 			}
-		case OpJA:
+		case opJA:
 			pc += int(in.Off)
-		case OpExit:
+		case opExit:
 			return regs[0], nil
 		default:
-			return XDPDrop, fmt.Errorf("smartnic: bad opcode %d at %d", in.Op, pc)
+			return xdpDrop, fmt.Errorf("smartnic: bad opcode %d at %d", in.Op, pc)
 		}
 		pc++
 	}
-	return XDPDrop, ErrNoExit
+	return xdpDrop, errNoExit
 }

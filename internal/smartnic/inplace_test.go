@@ -54,7 +54,7 @@ func TestNICProcessFrameInPlaceMatches(t *testing.T) {
 // error.
 func TestNICProcessFrameInPlaceXDPDrop(t *testing.T) {
 	nic := NewNIC(nicSpec())
-	prog := &Program{Name: "drop", Insns: []Insn{{Op: OpMovImm, Dst: 0, Imm: XDPDrop}, {Op: OpExit}}}
+	prog := &Program{Name: "drop", Insns: []insn{{Op: opMovImm, Dst: 0, Imm: xdpDrop}, {Op: opExit}}}
 	if err := nic.Load(2, 2, &PathProgram{Prog: prog}); err != nil {
 		t.Fatal(err)
 	}
@@ -70,12 +70,12 @@ func TestNICProcessFrameInPlaceXDPDrop(t *testing.T) {
 // switch.
 func TestRunAllocFree(t *testing.T) {
 	prog := SynthesizeNF("stacked", 3600, maxStackBytes)
-	if err := Verify(prog, nicSpec()); err != nil {
+	if err := verify(prog, nicSpec()); err != nil {
 		t.Fatal(err)
 	}
 	pkt := testFrame(80)
 	if allocs := testing.AllocsPerRun(100, func() {
-		if _, err := Run(prog, pkt); err != nil {
+		if _, err := run(prog, pkt); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {

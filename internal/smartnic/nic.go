@@ -42,8 +42,8 @@ func NewNIC(spec *hw.SmartNICSpec) *NIC {
 	return &NIC{Spec: spec, entries: make(map[uint64]*PathProgram)}
 }
 
-// ErrNoProgram is returned for frames whose (SPI, SI) has no loaded program.
-var ErrNoProgram = errors.New("smartnic: no program for service path")
+// errNoProgram is returned for frames whose (SPI, SI) has no loaded program.
+var errNoProgram = errors.New("smartnic: no program for service path")
 
 // Load verifies and installs a path program. Verification failure means the
 // offload is rejected, exactly as a real NIC would refuse the program —
@@ -52,7 +52,7 @@ func (n *NIC) Load(spi uint32, si uint8, pp *PathProgram) error {
 	if pp.Prog == nil {
 		return errors.New("smartnic: nil program")
 	}
-	if err := Verify(pp.Prog, n.Spec); err != nil {
+	if err := verify(pp.Prog, n.Spec); err != nil {
 		return fmt.Errorf("smartnic: load %s: %w", pp.Prog.Name, err)
 	}
 	n.entries[uint64(spi)<<8|uint64(si)] = pp
@@ -112,13 +112,13 @@ func (n *NIC) ProcessFrameInPlace(frame []byte, env *nf.Env) (out []byte, rerr e
 	}
 	pp, ok := n.entries[uint64(spi)<<8|uint64(si)]
 	if !ok {
-		return nil, fmt.Errorf("%w: spi=%d si=%d", ErrNoProgram, spi, si)
+		return nil, fmt.Errorf("%w: spi=%d si=%d", errNoProgram, spi, si)
 	}
-	action, err := Run(pp.Prog, inner)
+	action, err := run(pp.Prog, inner)
 	if err != nil {
 		return nil, err
 	}
-	if action == XDPDrop {
+	if action == xdpDrop {
 		return nil, nil
 	}
 	p := &n.scratch

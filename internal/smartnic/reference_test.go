@@ -20,9 +20,9 @@ func processCopy(n *NIC, frame []byte, env *nf.Env) ([]byte, error) {
 	}
 	pp := n.entries[uint64(spi)<<8|uint64(si)]
 	if pp == nil {
-		return nil, ErrNoProgram
+		return nil, errNoProgram
 	}
-	if action, err := Run(pp.Prog, inner); err != nil || action == XDPDrop {
+	if action, err := run(pp.Prog, inner); err != nil || action == xdpDrop {
 		return nil, err
 	}
 	var p packet.Packet

@@ -17,46 +17,46 @@ func nicSpec() *hw.SmartNICSpec {
 func TestVerifierLimits(t *testing.T) {
 	spec := nicSpec()
 	ok := SynthesizeNF("ok", 100, 64)
-	if err := Verify(ok, spec); err != nil {
+	if err := verify(ok, spec); err != nil {
 		t.Errorf("valid program rejected: %v", err)
 	}
 	big := SynthesizeNF("big", 5000, 64)
-	if err := Verify(big, spec); !errors.Is(err, ErrTooManyInsns) {
+	if err := verify(big, spec); !errors.Is(err, errTooManyInsns) {
 		t.Errorf("oversize: %v", err)
 	}
 	deep := SynthesizeNF("deep", 100, 1024)
-	if err := Verify(deep, spec); !errors.Is(err, ErrStackLimit) {
+	if err := verify(deep, spec); !errors.Is(err, errStackLimit) {
 		t.Errorf("stack: %v", err)
 	}
-	back := &Program{Insns: []Insn{
-		{Op: OpMovImm, Dst: 0, Imm: 1},
-		{Op: OpJA, Off: -1},
-		{Op: OpExit},
+	back := &Program{Insns: []insn{
+		{Op: opMovImm, Dst: 0, Imm: 1},
+		{Op: opJA, Off: -1},
+		{Op: opExit},
 	}}
-	if err := Verify(back, spec); !errors.Is(err, ErrBackEdge) {
+	if err := verify(back, spec); !errors.Is(err, errBackEdge) {
 		t.Errorf("back edge: %v", err)
 	}
-	call := &Program{Insns: []Insn{{Op: OpCall}, {Op: OpExit}}}
-	if err := Verify(call, spec); !errors.Is(err, ErrCall) {
+	call := &Program{Insns: []insn{{Op: opCall}, {Op: opExit}}}
+	if err := verify(call, spec); !errors.Is(err, errCall) {
 		t.Errorf("call: %v", err)
 	}
-	noExit := &Program{Insns: []Insn{{Op: OpMovImm, Dst: 0, Imm: 1}}}
-	if err := Verify(noExit, spec); !errors.Is(err, ErrNoExit) {
+	noExit := &Program{Insns: []insn{{Op: opMovImm, Dst: 0, Imm: 1}}}
+	if err := verify(noExit, spec); !errors.Is(err, errNoExit) {
 		t.Errorf("no exit: %v", err)
 	}
-	badReg := &Program{Insns: []Insn{{Op: OpMovImm, Dst: 99}, {Op: OpExit}}}
-	if err := Verify(badReg, spec); !errors.Is(err, ErrBadRegister) {
+	badReg := &Program{Insns: []insn{{Op: opMovImm, Dst: 99}, {Op: opExit}}}
+	if err := verify(badReg, spec); !errors.Is(err, errBadRegister) {
 		t.Errorf("bad reg: %v", err)
 	}
-	jumpPast := &Program{Insns: []Insn{{Op: OpJA, Off: 5}, {Op: OpExit}}}
-	if err := Verify(jumpPast, spec); err == nil {
+	jumpPast := &Program{Insns: []insn{{Op: opJA, Off: 5}, {Op: opExit}}}
+	if err := verify(jumpPast, spec); err == nil {
 		t.Error("jump past end must fail")
 	}
-	stackOOB := &Program{StackBytes: 8, Insns: []Insn{{Op: OpStackW, Dst: 1, Off: 8}, {Op: OpExit}}}
-	if err := Verify(stackOOB, spec); !errors.Is(err, ErrStackLimit) {
+	stackOOB := &Program{StackBytes: 8, Insns: []insn{{Op: opStackW, Dst: 1, Off: 8}, {Op: opExit}}}
+	if err := verify(stackOOB, spec); !errors.Is(err, errStackLimit) {
 		t.Errorf("stack oob: %v", err)
 	}
-	if err := Verify(&Program{}, spec); err == nil {
+	if err := verify(&Program{}, spec); err == nil {
 		t.Error("empty program must fail")
 	}
 }
@@ -66,10 +66,10 @@ func TestChaChaBarelyFits(t *testing.T) {
 	// the 4096 limit, reproducing "we solved these challenges by ... loop
 	// unrolling" (§A.3).
 	chacha := SynthesizeNF("chacha", nf.Registry["FastEncrypt"].EBPFInstructions, 256)
-	if err := Verify(chacha, nicSpec()); err != nil {
+	if err := verify(chacha, nicSpec()); err != nil {
 		t.Errorf("chacha must fit: %v", err)
 	}
-	if got, err := Run(chacha, testFrame(80)); err != nil || got != XDPPass {
+	if got, err := run(chacha, testFrame(80)); err != nil || got != xdpPass {
 		t.Errorf("chacha run = %d, %v", got, err)
 	}
 }
@@ -119,7 +119,7 @@ func TestNICProcessFrame(t *testing.T) {
 func TestNICLoadRejectsUnverifiable(t *testing.T) {
 	nic := NewNIC(nicSpec())
 	big := SynthesizeNF("big", 10000, 64)
-	if err := nic.Load(1, 1, &PathProgram{Prog: big}); !errors.Is(err, ErrTooManyInsns) {
+	if err := nic.Load(1, 1, &PathProgram{Prog: big}); !errors.Is(err, errTooManyInsns) {
 		t.Errorf("load: %v", err)
 	}
 	if err := nic.Load(1, 1, &PathProgram{}); err == nil {
@@ -127,7 +127,7 @@ func TestNICLoadRejectsUnverifiable(t *testing.T) {
 	}
 	// Nothing loaded: frames miss.
 	enc, _ := nsh.Encap(testFrame(1), 1, 1)
-	if _, err := nic.ProcessFrameInPlace(enc, &nf.Env{}); !errors.Is(err, ErrNoProgram) {
+	if _, err := nic.ProcessFrameInPlace(enc, &nf.Env{}); !errors.Is(err, errNoProgram) {
 		t.Errorf("miss: %v", err)
 	}
 	if _, err := nic.ProcessFrameInPlace(testFrame(1), &nf.Env{}); err == nil {
@@ -140,12 +140,12 @@ func TestNICLoadRejectsUnverifiable(t *testing.T) {
 // frame passes on with its SI advanced.
 func TestNICXDPDropPath(t *testing.T) {
 	nic := NewNIC(nicSpec())
-	prog := &Program{Name: "no-ssh", Insns: []Insn{
-		{Op: OpLdH, Dst: 1, Off: packet.EthernetLen + packet.IPv4Len + 2},
-		{Op: OpMovImm, Dst: 0, Imm: XDPPass},
-		{Op: OpJNe, Dst: 1, Imm: 22, Off: 1},
-		{Op: OpMovImm, Dst: 0, Imm: XDPDrop},
-		{Op: OpExit},
+	prog := &Program{Name: "no-ssh", Insns: []insn{
+		{Op: opLdH, Dst: 1, Off: packet.EthernetLen + packet.IPv4Len + 2},
+		{Op: opMovImm, Dst: 0, Imm: xdpPass},
+		{Op: opJNe, Dst: 1, Imm: 22, Off: 1},
+		{Op: opMovImm, Dst: 0, Imm: xdpDrop},
+		{Op: opExit},
 	}}
 	if err := nic.Load(2, 2, &PathProgram{Prog: prog, AdvanceSI: 1}); err != nil {
 		t.Fatal(err)
@@ -166,29 +166,29 @@ func TestNICXDPDropPath(t *testing.T) {
 
 func TestRunPacketBounds(t *testing.T) {
 	// Loads beyond the frame must drop, not panic.
-	p := &Program{Insns: []Insn{
-		{Op: OpLdW, Dst: 1, Off: 9999},
-		{Op: OpMovImm, Dst: 0, Imm: XDPPass},
-		{Op: OpExit},
+	p := &Program{Insns: []insn{
+		{Op: opLdW, Dst: 1, Off: 9999},
+		{Op: opMovImm, Dst: 0, Imm: xdpPass},
+		{Op: opExit},
 	}}
-	got, err := Run(p, testFrame(1))
-	if err != nil || got != XDPDrop {
+	got, err := run(p, testFrame(1))
+	if err != nil || got != xdpDrop {
 		t.Errorf("oob load: %d, %v", got, err)
 	}
 }
 
 // branch assembles a program that sets r1 = 5 and r2 = imm, runs jump op
-// (against imm, or against r2 for OpJEqReg) over two instructions, and
+// (against imm, or against r2 for opJEqReg) over two instructions, and
 // returns 1 when the jump is taken and 0 when it falls through.
-func branch(op Op, imm int64) *Program {
-	return &Program{Insns: []Insn{
-		{Op: OpMovImm, Dst: 1, Imm: 5},
-		{Op: OpMovImm, Dst: 2, Imm: imm},
+func branch(op op, imm int64) *Program {
+	return &Program{Insns: []insn{
+		{Op: opMovImm, Dst: 1, Imm: 5},
+		{Op: opMovImm, Dst: 2, Imm: imm},
 		{Op: op, Dst: 1, Src: 2, Imm: imm, Off: 2},
-		{Op: OpMovImm, Dst: 0, Imm: 0},
-		{Op: OpExit},
-		{Op: OpMovImm, Dst: 0, Imm: 1},
-		{Op: OpExit},
+		{Op: opMovImm, Dst: 0, Imm: 0},
+		{Op: opExit},
+		{Op: opMovImm, Dst: 0, Imm: 1},
+		{Op: opExit},
 	}}
 }
 
@@ -202,51 +202,51 @@ func TestRunOpcodes(t *testing.T) {
 		prog *Program
 		want int64
 	}{
-		{"mov imm", &Program{Insns: []Insn{{Op: OpMovImm, Dst: 0, Imm: 7}, {Op: OpExit}}}, 7},
-		{"mov reg", &Program{Insns: []Insn{{Op: OpMovImm, Dst: 1, Imm: 9}, {Op: OpMovReg, Dst: 0, Src: 1}, {Op: OpExit}}}, 9},
-		{"load byte ip.proto", &Program{Insns: []Insn{{Op: OpLdB, Dst: 0, Off: packet.EthernetLen + 9}, {Op: OpExit}}}, int64(packet.IPProtoTCP)},
-		{"load half tcp.dport", &Program{Insns: []Insn{{Op: OpLdH, Dst: 0, Off: packet.EthernetLen + packet.IPv4Len + 2}, {Op: OpExit}}}, 443},
-		{"load word ip.src", &Program{Insns: []Insn{{Op: OpLdW, Dst: 0, Off: packet.EthernetLen + 12}, {Op: OpExit}}}, 0x0a010203},
-		{"store byte", &Program{Insns: []Insn{
-			{Op: OpMovImm, Dst: 1, Imm: 0x111},
-			{Op: OpStB, Dst: 1, Off: packet.EthernetLen + 9},
-			{Op: OpLdB, Dst: 0, Off: packet.EthernetLen + 9},
-			{Op: OpExit},
+		{"mov imm", &Program{Insns: []insn{{Op: opMovImm, Dst: 0, Imm: 7}, {Op: opExit}}}, 7},
+		{"mov reg", &Program{Insns: []insn{{Op: opMovImm, Dst: 1, Imm: 9}, {Op: opMovReg, Dst: 0, Src: 1}, {Op: opExit}}}, 9},
+		{"load byte ip.proto", &Program{Insns: []insn{{Op: opLdB, Dst: 0, Off: packet.EthernetLen + 9}, {Op: opExit}}}, int64(packet.IPProtoTCP)},
+		{"load half tcp.dport", &Program{Insns: []insn{{Op: opLdH, Dst: 0, Off: packet.EthernetLen + packet.IPv4Len + 2}, {Op: opExit}}}, 443},
+		{"load word ip.src", &Program{Insns: []insn{{Op: opLdW, Dst: 0, Off: packet.EthernetLen + 12}, {Op: opExit}}}, 0x0a010203},
+		{"store byte", &Program{Insns: []insn{
+			{Op: opMovImm, Dst: 1, Imm: 0x111},
+			{Op: opStB, Dst: 1, Off: packet.EthernetLen + 9},
+			{Op: opLdB, Dst: 0, Off: packet.EthernetLen + 9},
+			{Op: opExit},
 		}}, 0x11},
-		{"alu", &Program{Insns: []Insn{
-			{Op: OpMovImm, Dst: 0, Imm: 0xf0},
-			{Op: OpAddImm, Dst: 0, Imm: 0x0f},
-			{Op: OpAndImm, Dst: 0, Imm: 0x3c},
-			{Op: OpMovImm, Dst: 1, Imm: 0x01},
-			{Op: OpXorReg, Dst: 0, Src: 1},
-			{Op: OpShrImm, Dst: 0, Imm: 2},
-			{Op: OpExit},
+		{"alu", &Program{Insns: []insn{
+			{Op: opMovImm, Dst: 0, Imm: 0xf0},
+			{Op: opAddImm, Dst: 0, Imm: 0x0f},
+			{Op: opAndImm, Dst: 0, Imm: 0x3c},
+			{Op: opMovImm, Dst: 1, Imm: 0x01},
+			{Op: opXorReg, Dst: 0, Src: 1},
+			{Op: opShrImm, Dst: 0, Imm: 2},
+			{Op: opExit},
 		}}, 0x0f},
-		{"stack word", &Program{StackBytes: 16, Insns: []Insn{
-			{Op: OpMovImm, Dst: 1, Imm: word},
-			{Op: OpStackW, Dst: 1, Off: 8},
-			{Op: OpLdStkW, Dst: 0, Off: 8},
-			{Op: OpExit},
+		{"stack word", &Program{StackBytes: 16, Insns: []insn{
+			{Op: opMovImm, Dst: 1, Imm: word},
+			{Op: opStackW, Dst: 1, Off: 8},
+			{Op: opLdStkW, Dst: 0, Off: 8},
+			{Op: opExit},
 		}}, word},
-		{"jeq taken", branch(OpJEq, 5), 1},
-		{"jeq not taken", branch(OpJEq, 6), 0},
-		{"jne taken", branch(OpJNe, 6), 1},
-		{"jne not taken", branch(OpJNe, 5), 0},
-		{"jgt taken", branch(OpJGt, 4), 1},
-		{"jgt not taken", branch(OpJGt, 5), 0},
-		{"jge taken", branch(OpJGe, 5), 1},
-		{"jge not taken", branch(OpJGe, 6), 0},
-		{"jlt taken", branch(OpJLt, 6), 1},
-		{"jlt not taken", branch(OpJLt, 5), 0},
-		{"jle taken", branch(OpJLe, 5), 1},
-		{"jle not taken", branch(OpJLe, 4), 0},
-		{"jeq reg taken", branch(OpJEqReg, 5), 1},
-		{"jeq reg not taken", branch(OpJEqReg, 6), 0},
-		{"ja", branch(OpJA, 0), 1},
+		{"jeq taken", branch(opJEq, 5), 1},
+		{"jeq not taken", branch(opJEq, 6), 0},
+		{"jne taken", branch(opJNe, 6), 1},
+		{"jne not taken", branch(opJNe, 5), 0},
+		{"jgt taken", branch(opJGt, 4), 1},
+		{"jgt not taken", branch(opJGt, 5), 0},
+		{"jge taken", branch(opJGe, 5), 1},
+		{"jge not taken", branch(opJGe, 6), 0},
+		{"jlt taken", branch(opJLt, 6), 1},
+		{"jlt not taken", branch(opJLt, 5), 0},
+		{"jle taken", branch(opJLe, 5), 1},
+		{"jle not taken", branch(opJLe, 4), 0},
+		{"jeq reg taken", branch(opJEqReg, 5), 1},
+		{"jeq reg not taken", branch(opJEqReg, 6), 0},
+		{"ja", branch(opJA, 0), 1},
 	}
-	ran := map[Op]bool{}
+	ran := map[op]bool{}
 	for _, c := range cases {
-		got, err := Run(c.prog, testFrame(443))
+		got, err := run(c.prog, testFrame(443))
 		if err != nil || got != c.want {
 			t.Errorf("%s: Run = %#x, %v; want %#x", c.name, got, err, c.want)
 		}
@@ -254,15 +254,15 @@ func TestRunOpcodes(t *testing.T) {
 			ran[in.Op] = true
 		}
 	}
-	for op := OpMovImm; op <= OpExit; op++ {
-		if op != OpCall && !ran[op] {
+	for op := opMovImm; op <= opExit; op++ {
+		if op != opCall && !ran[op] {
 			t.Errorf("opcode %d is in no case", op)
 		}
 	}
-	if _, err := Run(&Program{Insns: []Insn{{Op: OpCall}, {Op: OpExit}}}, testFrame(443)); err == nil {
+	if _, err := run(&Program{Insns: []insn{{Op: opCall}, {Op: opExit}}}, testFrame(443)); err == nil {
 		t.Error("OpCall must be a run error")
 	}
-	if _, err := Run(&Program{Insns: []Insn{{Op: OpMovImm}}}, testFrame(443)); !errors.Is(err, ErrNoExit) {
-		t.Errorf("falling off the end: %v, want ErrNoExit", err)
+	if _, err := run(&Program{Insns: []insn{{Op: opMovImm}}}, testFrame(443)); !errors.Is(err, errNoExit) {
+		t.Errorf("falling off the end: %v, want errNoExit", err)
 	}
 }

@@ -23,7 +23,7 @@ import (
 
 // Schedule holds one aggregate's pre-generated flow population: one arena of
 // five-tuples in birth order. LifeSec is the constant flow lifetime; 0 means
-// flows never expire (LongLived). Flow i is born at BornAt(i).
+// flows never expire (LongLived). Flow i is born at bornAt(i).
 type Schedule struct {
 	Tuples  []packet.FiveTuple
 	LifeSec float64
@@ -32,9 +32,9 @@ type Schedule struct {
 	firstSec, gapSec float64
 }
 
-// BornAt returns flow i's birth time in seconds, nondecreasing in i. It is
+// bornAt returns flow i's birth time in seconds, nondecreasing in i. It is
 // indexed arithmetic, not a running sum, so it is exact for every i alike.
-func (s *Schedule) BornAt(i int) float64 { return s.firstSec + float64(i)*s.gapSec }
+func (s *Schedule) bornAt(i int) float64 { return s.firstSec + float64(i)*s.gapSec }
 
 // ScheduleInto pre-generates the flow schedule for cfg covering simulated
 // time [0, horizonSec] into dst's arena (reused when capacity suffices; a
@@ -65,7 +65,7 @@ func ScheduleInto(dst *Schedule, cfg Config, horizonSec float64) (*Schedule, err
 	} else {
 		life, first, gap = cfg.LifeSec, -cfg.LifeSec, 1/float64(cfg.NewFlowsSec)
 		// Every birth up to the horizon, counted on the birth times the
-		// replay will compare against (BornAt's expression).
+		// replay will compare against (bornAt's expression).
 		for first+float64(n)*gap <= horizonSec {
 			n++
 		}
@@ -119,13 +119,13 @@ func NewScheduled(cfg Config, s *Schedule) (*ScheduleGen, error) {
 // backwards in a simulation run, so head and tail only grow.
 func (sg *ScheduleGen) advance(nowSec float64) {
 	s := sg.s
-	for sg.tail < len(s.Tuples) && s.BornAt(sg.tail) <= nowSec {
+	for sg.tail < len(s.Tuples) && s.bornAt(sg.tail) <= nowSec {
 		sg.tail++
 	}
 	if s.LifeSec <= 0 {
 		return
 	}
-	for sg.head < sg.tail && s.BornAt(sg.head)+s.LifeSec <= nowSec {
+	for sg.head < sg.tail && s.bornAt(sg.head)+s.LifeSec <= nowSec {
 		sg.head++
 	}
 }

@@ -35,8 +35,8 @@ func TestScheduleLongLivedMatchesGenerator(t *testing.T) {
 		if tu != g.flows[i] {
 			t.Fatalf("tuple %d: schedule %v != generator %v", i, tu, g.flows[i])
 		}
-		if s.BornAt(i) != 0 {
-			t.Fatalf("long-lived flow %d born %v, want 0", i, s.BornAt(i))
+		if s.bornAt(i) != 0 {
+			t.Fatalf("long-lived flow %d born %v, want 0", i, s.bornAt(i))
 		}
 	}
 	if s.LifeSec != 0 {
@@ -99,7 +99,7 @@ func TestScheduleIntoRejects(t *testing.T) {
 		if _, err := ScheduleInto(dst, tc.cfg, 0.5); err == nil {
 			t.Errorf("%s: no error", tc.name)
 		}
-		if len(dst.Tuples) != len(want) || dst.Tuples[0] != want[0] || dst.BornAt(1) != -1+0.01 {
+		if len(dst.Tuples) != len(want) || dst.Tuples[0] != want[0] || dst.bornAt(1) != -1+0.01 {
 			t.Fatalf("%s: the rejected config changed dst", tc.name)
 		}
 		// The incremental generator refuses the same config rather than
@@ -122,7 +122,7 @@ func TestScheduleIntoRejects(t *testing.T) {
 	}
 }
 
-// TestBornAtMatchesStored: BornAt is bit for bit the birth time the
+// TestBornAtMatchesStored: bornAt is bit for bit the birth time the
 // schedule used to store per flow — 0 for immortal flows, and for churn the
 // value of the fill loop's own expression.
 func TestBornAtMatchesStored(t *testing.T) {
@@ -131,8 +131,8 @@ func TestBornAtMatchesStored(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range long.Tuples {
-		if math.Float64bits(long.BornAt(i)) != 0 {
-			t.Fatalf("immortal flow %d born %v, want +0", i, long.BornAt(i))
+		if math.Float64bits(long.bornAt(i)) != 0 {
+			t.Fatalf("immortal flow %d born %v, want +0", i, long.bornAt(i))
 		}
 	}
 	for _, rate := range []int{10_000, 100_000, 333_333} {
@@ -144,13 +144,13 @@ func TestBornAtMatchesStored(t *testing.T) {
 		ia := 1 / float64(cfg.NewFlowsSec)
 		for i := 0; i < 1_000_000; i++ {
 			stored := -cfg.LifeSec + float64(i)*ia
-			if math.Float64bits(s.BornAt(i)) != math.Float64bits(stored) {
-				t.Fatalf("rate %d flow %d: BornAt %v != stored %v", rate, i, s.BornAt(i), stored)
+			if math.Float64bits(s.bornAt(i)) != math.Float64bits(stored) {
+				t.Fatalf("rate %d flow %d: bornAt %v != stored %v", rate, i, s.bornAt(i), stored)
 			}
 		}
 		// The arena ends at the last birth inside the horizon.
-		if n := len(s.Tuples); s.BornAt(n-1) > 0 || s.BornAt(n) <= 0 {
-			t.Fatalf("rate %d: %d flows, births %v and %v around horizon 0", rate, n, s.BornAt(n-1), s.BornAt(n))
+		if n := len(s.Tuples); s.bornAt(n-1) > 0 || s.bornAt(n) <= 0 {
+			t.Fatalf("rate %d: %d flows, births %v and %v around horizon 0", rate, n, s.bornAt(n-1), s.bornAt(n))
 		}
 	}
 }
@@ -166,7 +166,7 @@ func TestScheduleChurnWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i < len(s.Tuples); i++ {
-		if s.BornAt(i) < s.BornAt(i-1) {
+		if s.bornAt(i) < s.bornAt(i-1) {
 			t.Fatalf("births out of order at %d", i)
 		}
 	}
@@ -174,7 +174,7 @@ func TestScheduleChurnWindow(t *testing.T) {
 		head, tail := s.FlowsAt(now)
 		brute := 0
 		for i := range s.Tuples {
-			if s.BornAt(i) <= now && s.BornAt(i)+s.LifeSec > now {
+			if s.bornAt(i) <= now && s.bornAt(i)+s.LifeSec > now {
 				brute++
 				if i < head || i >= tail {
 					t.Fatalf("live flow %d outside window [%d,%d) at t=%v", i, head, tail, now)
@@ -335,10 +335,10 @@ func FuzzFlowSchedule(f *testing.F) {
 			t.Fatalf("regeneration length %d != %d", len(again.Tuples), len(s.Tuples))
 		}
 		for i := range s.Tuples {
-			if s.Tuples[i] != again.Tuples[i] || s.BornAt(i) != again.BornAt(i) {
+			if s.Tuples[i] != again.Tuples[i] || s.bornAt(i) != again.bornAt(i) {
 				t.Fatalf("regeneration diverged at %d", i)
 			}
-			if i > 0 && s.BornAt(i) < s.BornAt(i-1) {
+			if i > 0 && s.bornAt(i) < s.bornAt(i-1) {
 				t.Fatalf("births out of order at %d", i)
 			}
 		}
@@ -354,7 +354,7 @@ func FuzzFlowSchedule(f *testing.F) {
 			sg.NextInto(nil, now)
 			brute := 0
 			for j := range s.Tuples {
-				if s.BornAt(j) <= now && (s.LifeSec <= 0 || s.BornAt(j)+s.LifeSec > now) {
+				if s.bornAt(j) <= now && (s.LifeSec <= 0 || s.bornAt(j)+s.LifeSec > now) {
 					brute++
 					if j < sg.head || j >= sg.tail {
 						t.Fatalf("live flow %d outside replay window [%d,%d) at t=%v",
@@ -423,14 +423,14 @@ func TestScheduleGenDigest(t *testing.T) {
 // later than nowSec and not yet expired. O(log n); the replay generator
 // tracks the same window incrementally.
 func (s *Schedule) FlowsAt(nowSec float64) (head, tail int) {
-	tail = sort.Search(len(s.Tuples), func(i int) bool { return s.BornAt(i) > nowSec })
+	tail = sort.Search(len(s.Tuples), func(i int) bool { return s.bornAt(i) > nowSec })
 	if s.LifeSec <= 0 {
 		return 0, tail
 	}
 	// Expiry predicate is born+life <= now everywhere (here, the replay
 	// window, and the tests' brute-force scans) — mixing algebraically
 	// equivalent forms like born <= now-life is not float-safe.
-	head = sort.Search(tail, func(i int) bool { return s.BornAt(i)+s.LifeSec > nowSec })
+	head = sort.Search(tail, func(i int) bool { return s.bornAt(i)+s.LifeSec > nowSec })
 	return head, tail
 }
 

@@ -226,11 +226,10 @@ func TestDeployImplicitlyPlaces(t *testing.T) {
 // runs and its artifacts come from — so a failover run, which rewires its
 // deployment in place, leaves the next Deploy as fresh as a new System's.
 func TestDeployCompilesOncePerCall(t *testing.T) {
-	reg := obs.Default()
-	reg.Enable()
+	obs.Enable()
 	t.Cleanup(func() {
-		reg.Disable()
-		reg.Reset()
+		obs.Disable()
+		obs.Reset()
 	})
 	newSys := func() *System {
 		sys := New(WithP4Only("IPv4Fwd"), WithServers(2))

@@ -14,12 +14,13 @@
 // are exempt (the struct's own comment may cover them) except when the
 // struct itself is undocumented.
 //
-// With -testonly, run from the module root, it instead fails if an exported
-// identifier under internal/ or in the root package is used only by
-// _test.go files, or a struct field under internal/ is read by no non-test
-// file (only written, or not used at all), and it is not listed in
-// tools/doccheck/testonly.txt; or if a line there names something gone or
-// no longer test-only (see testonly.go).
+// With -testonly, run from the module root, it instead fails if a
+// package-level identifier under internal/ or in the root package, exported
+// or not, is used by no non-test file, an exported one under internal/ by
+// no non-test file of another package, or a struct field under internal/ is
+// read by no non-test file (only written, or not used at all), and it is
+// not listed in tools/doccheck/testonly.txt; or if a line there names
+// something gone or no longer a finding (see testonly.go).
 //
 // With -guards it instead reads the `go test -json` streams of ci.sh's two
 // whole-suite passes (one under -race, one with -coverprofile) and fails
@@ -41,7 +42,7 @@ func main() {
 	switch {
 	case len(os.Args) == 2 && os.Args[1] == "-testonly":
 		bad, err := testOnly(".", filepath.Join("tools", "doccheck", "testonly.txt"), os.Stdout)
-		exit(bad, err, "test-only identifier(s), unread field(s) or stale allow-list line(s)")
+		exit(bad, err, "unused or package-only identifier(s), unread field(s) or stale allow-list line(s)")
 		return
 	case len(os.Args) == 5 && os.Args[1] == "-guards":
 		bad, err := guards(os.Args[2], os.Args[3], os.Args[4], os.Stdout)

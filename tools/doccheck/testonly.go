@@ -21,13 +21,16 @@ import (
 // testOnly is the -testonly mode: it loads every package of the module in
 // root and of the benchmark module in root/bench and type-checks their
 // non-test files. It fails on:
-//   - an exported func, method, type, const or var declared under internal/
-//     or in the module's root package that no non-test file uses;
+//   - a package-level func, method, type, const or var declared under
+//     internal/ or in the module's root package, exported or not, that no
+//     non-test file uses (see names);
+//   - an exported one declared under internal/ that no non-test file of
+//     another package uses (see names for the two exemptions);
 //   - a field of a package-level struct type declared under internal/,
 //     exported or not, that no non-test file reads (see unreadFields);
 //
 // unless the allow-list names it, and on an allow-list line that names
-// something gone or no longer test-only. Test files are never parsed, so a
+// something gone or no longer a finding. Test files are never parsed, so a
 // use from a test does not count. It returns the number of findings and
 // writes them to w.
 func testOnly(root, allowPath string, w io.Writer) (int, error) {
@@ -36,7 +39,8 @@ func testOnly(root, allowPath string, w io.Writer) (int, error) {
 		return 0, err
 	}
 	l := &loader{fset: token.NewFileSet(), checked: map[string]*types.Package{},
-		uses: map[types.Object]bool{}, reads: map[types.Object]bool{}, compared: map[*types.Struct]bool{}}
+		uses: map[types.Object]bool{}, foreign: map[types.Object]bool{},
+		reads: map[types.Object]bool{}, compared: map[*types.Struct]bool{}}
 	l.std = importer.ForCompiler(l.fset, "source", nil)
 	module := ""
 	for _, dir := range []string{root, filepath.Join(root, "bench")} {
@@ -56,7 +60,7 @@ func testOnly(root, allowPath string, w io.Writer) (int, error) {
 			}
 		}
 	}
-	findings := l.unused(module)
+	findings := l.names(module)
 	for name, f := range l.unreadFields(module + "/internal/") {
 		findings[name] = f
 	}
@@ -67,11 +71,11 @@ func testOnly(root, allowPath string, w io.Writer) (int, error) {
 			continue
 		}
 		f := findings[name]
-		fmt.Fprintf(w, "%s: %s %s (delete it, or list it in %s)\n", f.pos, name, f.what, allowPath)
+		fmt.Fprintf(w, "%s: %s %s (%s, or list it in %s)\n", f.pos, name, f.what, f.fix, allowPath)
 		bad++
 	}
 	for _, name := range sortedKeys(allow) {
-		fmt.Fprintf(w, "%s:%d: %s is gone or used outside tests; delete the line\n", allowPath, allow[name], name)
+		fmt.Fprintf(w, "%s:%d: %s is gone or no longer a finding; delete the line\n", allowPath, allow[name], name)
 		bad++
 	}
 	return bad, nil
@@ -142,12 +146,16 @@ type loader struct {
 	fset    *token.FileSet
 	std     types.Importer
 	checked map[string]*types.Package
-	// decls are the exported objects declared in non-test files and uses
-	// the objects some non-test file refers to outside their own
-	// declaration. named are the module's package-level named types.
-	decls []types.Object
-	uses  map[types.Object]bool
-	named []*types.Named
+	// decls are the package-level objects and methods declared in non-test
+	// files, uses the objects some non-test file refers to outside their
+	// own declaration, and foreign those a non-test file of another
+	// package refers to. named are the module's package-level named types
+	// and literals the interface types written in non-test files.
+	decls    []types.Object
+	uses     map[types.Object]bool
+	foreign  map[types.Object]bool
+	named    []*types.Named
+	literals []*types.Interface
 	// reads are the fields some non-test file reads, and compared the
 	// struct types that some non-test file compares with == or != or uses
 	// as a map key, which reads every field they hold.
@@ -184,7 +192,7 @@ func (l *loader) check(p *listedPkg) error {
 	}
 	l.checked[p.ImportPath] = pkg
 	for _, f := range files {
-		l.recordFile(f, info)
+		l.recordFile(pkg, f, info)
 		l.recordReads(f, info)
 	}
 	for _, n := range pkg.Scope().Names() {
@@ -197,17 +205,18 @@ func (l *loader) check(p *listedPkg) error {
 	return nil
 }
 
-// recordFile notes the file's exported declarations and its uses. A use
-// inside the used object's own declaration (recursion, a self-referencing
-// type) or in a method receiver does not count.
-func (l *loader) recordFile(f *ast.File, info *types.Info) {
+// recordFile notes the file's package-level declarations, its uses and its
+// interface literals. A use inside the used object's own declaration
+// (recursion, a self-referencing type) or in a method receiver does not
+// count.
+func (l *loader) recordFile(pkg *types.Package, f *ast.File, info *types.Info) {
 	type span struct{ from, to token.Pos }
 	own := map[types.Object]span{}
 	receivers := map[*ast.Ident]bool{}
 	declare := func(id *ast.Ident, decl ast.Node) {
 		if obj := info.Defs[id]; obj != nil { // nil for the blank identifier
 			own[obj] = span{decl.Pos(), decl.End()}
-			if id.IsExported() {
+			if id.Name != "init" && id.Name != "main" {
 				l.decls = append(l.decls, obj)
 			}
 		}
@@ -238,11 +247,19 @@ func (l *loader) recordFile(f *ast.File, info *types.Info) {
 		}
 	}
 	ast.Inspect(f, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && !receivers[id] {
-			if obj := origin(info.Uses[id]); obj != nil {
-				if s, ok := own[obj]; !ok || id.Pos() < s.from || id.Pos() >= s.to {
+		switch n := n.(type) {
+		case *ast.Ident:
+			if obj := origin(info.Uses[n]); obj != nil && !receivers[n] {
+				if s, ok := own[obj]; !ok || n.Pos() < s.from || n.Pos() >= s.to {
 					l.uses[obj] = true
+					if obj.Pkg() != pkg {
+						l.foreign[obj] = true
+					}
 				}
+			}
+		case *ast.InterfaceType:
+			if it, ok := info.TypeOf(n).(*types.Interface); ok && it.NumMethods() > 0 {
+				l.literals = append(l.literals, it)
 			}
 		}
 		return true
@@ -335,32 +352,48 @@ func origin(obj types.Object) types.Object {
 	return obj
 }
 
-// finding is where a finding's object is declared and what is wrong with it.
+// finding is where a finding's object is declared, what is wrong with it
+// and how to mend it.
 type finding struct {
-	pos  token.Position
-	what string
+	pos       token.Position
+	what, fix string
 }
 
-// unused returns the exported objects declared in the module's root package
-// or in packages under its internal/ that no non-test file uses, keyed
-// `pkg.Name` or `pkg.Type.Method`, with pkg the root package's name or the
-// path below internal/. A method that makes a module type, its own or one
-// that embeds it, satisfy a package-level interface of the module or of the
-// standard library it imports counts as used.
-func (l *loader) unused(module string) map[string]finding {
-	ifaces := l.interfaces()
+// names returns the package-level objects and methods declared in the
+// module's root package or in packages under its internal/ that break a
+// rule, keyed `pkg.Name` or `pkg.Type.Method`, with pkg the root package's
+// name or the path below internal/:
+//   - one, exported or not, that no non-test file uses;
+//   - an exported one under internal/ that no non-test file of another
+//     package (cmd/, the root package, bench/ or another internal/ one)
+//     uses.
+//
+// A method that makes a module type, its own or one that embeds it,
+// satisfy a package-level interface of the module or of the standard
+// library it imports, or an interface literal of a non-test file, counts
+// as used by another package. So does a type named, through pointers,
+// slices, maps or func signatures, in the type of an object another
+// package uses (see exposed): no exported func returns an unexported type.
+func (l *loader) names(module string) map[string]finding {
+	ifaces := append(l.interfaces(), l.literals...)
+	exposed := l.exposed()
 	out := map[string]finding{}
 	for _, obj := range l.decls {
 		pkg, name := obj.Pkg().Path(), obj.Name()
+		internal := false
 		if pkg == module {
 			pkg = obj.Pkg().Name()
 		} else if rest, ok := strings.CutPrefix(pkg, module+"/internal/"); ok {
-			pkg = rest
+			pkg, internal = rest, true
 		} else {
 			continue
 		}
+		f := finding{l.fset.Position(obj.Pos()), "is used by no non-test file", "delete it"}
 		if l.uses[obj] {
-			continue
+			if !internal || !obj.Exported() || l.foreign[obj] || exposed[obj] {
+				continue
+			}
+			f.what, f.fix = "is used only inside its own package", "unexport it"
 		}
 		if fn, ok := obj.(*types.Func); ok && fn.Type().(*types.Signature).Recv() != nil {
 			if l.satisfies(fn, ifaces) {
@@ -372,7 +405,60 @@ func (l *loader) unused(module string) map[string]finding {
 			}
 			name = recv.(*types.Named).Obj().Name() + "." + name
 		}
-		out[pkg+"."+name] = finding{l.fset.Position(obj.Pos()), "is used only by tests"}
+		out[pkg+"."+name] = f
+	}
+	return out
+}
+
+// exposed returns the package-level type names named in the type of an
+// object some non-test file of another package uses: through pointers,
+// slices, arrays, maps, channels, func signatures, anonymous structs and
+// type arguments, and, for a type name itself, through its underlying type
+// unless that is a struct or an interface, whose fields and methods are
+// objects of their own.
+func (l *loader) exposed() map[types.Object]bool {
+	out := map[types.Object]bool{}
+	var walk func(t types.Type)
+	walk = func(t types.Type) {
+		switch t := types.Unalias(t).(type) {
+		case *types.Named:
+			out[t.Origin().Obj()] = true
+			for i := 0; i < t.TypeArgs().Len(); i++ {
+				walk(t.TypeArgs().At(i))
+			}
+		case *types.Pointer:
+			walk(t.Elem())
+		case *types.Slice:
+			walk(t.Elem())
+		case *types.Array:
+			walk(t.Elem())
+		case *types.Chan:
+			walk(t.Elem())
+		case *types.Map:
+			walk(t.Key())
+			walk(t.Elem())
+		case *types.Signature:
+			for _, tuple := range []*types.Tuple{t.Params(), t.Results()} {
+				for i := 0; i < tuple.Len(); i++ {
+					walk(tuple.At(i).Type())
+				}
+			}
+		case *types.Struct:
+			for i := 0; i < t.NumFields(); i++ {
+				walk(t.Field(i).Type())
+			}
+		}
+	}
+	for obj := range l.foreign {
+		if _, ok := obj.(*types.TypeName); ok {
+			switch u := obj.Type().Underlying().(type) {
+			case *types.Struct, *types.Interface:
+			default:
+				walk(u)
+			}
+			continue
+		}
+		walk(obj.Type())
 	}
 	return out
 }
@@ -395,7 +481,7 @@ func (l *loader) unreadFields(prefix string) map[string]finding {
 			if f.Embedded() || st.Tag(i) != "" || f.Name() == "_" || l.reads[f] {
 				continue
 			}
-			out[pkg+"."+named.Obj().Name()+"."+f.Name()] = finding{l.fset.Position(f.Pos()), "is read by no non-test file"}
+			out[pkg+"."+named.Obj().Name()+"."+f.Name()] = finding{l.fset.Position(f.Pos()), "is read by no non-test file", "delete it"}
 		}
 	}
 	return out

@@ -65,9 +65,9 @@ func main() { a.FromBench() }
 	allow := filepath.Join(root, "testonly.txt")
 	checkAllowLists(t, root, allow, []allowCase{
 		{"listed", "a.Unused  # oracle\na.Dead # oracle\n", nil},
-		{"unlisted", "a.Dead # oracle\n", []string{"a.Unused is used only by tests"}},
+		{"unlisted", "a.Dead # oracle\n", []string{"a.Unused is used by no non-test file"}},
 		{"stale", "a.Unused # oracle\na.Dead # oracle\na.Used # now used\na.Gone # deleted\n",
-			[]string{"a.Gone is gone or used outside tests", "a.Used is gone or used outside tests"}},
+			[]string{"a.Gone is gone or no longer a finding", "a.Used is gone or no longer a finding"}},
 	})
 	if err := os.WriteFile(allow, []byte("a.Unused\n"), 0o644); err != nil {
 		t.Fatal(err)
@@ -75,6 +75,62 @@ func main() { a.FromBench() }
 	if _, err := testOnly(root, allow, &strings.Builder{}); err == nil {
 		t.Error("a line without a reason must be refused")
 	}
+}
+
+// TestTestOnlyExports runs the two name rules beyond "no non-test use" on a
+// planted tree: an exported func that only its own package calls fails, and
+// so does an unexported func that only a test calls; an exported type named
+// in the result of an exported func main calls passes, as does an
+// unexported method reached only through an interface literal in a type
+// assertion; and an allow-list line silences an exported name its package
+// alone uses, and fails once the name is gone.
+func TestTestOnlyExports(t *testing.T) {
+	root := t.TempDir()
+	writeTree(t, root, map[string]string{
+		"go.mod": "module m\n\ngo 1.22\n",
+		"main.go": `package main
+
+import "m/internal/e"
+
+func main() { _ = e.Make(); e.Run() }
+`,
+		"internal/e/e.go": `package e
+
+type Made struct{}
+
+func Make() *Made { _ = Inside() + Listed(); return &Made{} }
+
+func Inside() int { return 1 }
+func Listed() int { return 2 }
+func testHelper() int { return 3 }
+
+type syncer struct{}
+
+func (syncer) sync() {}
+
+func Run() { apply(syncer{}) }
+
+func apply(x any) {
+	if s, ok := x.(interface{ sync() }); ok {
+		s.sync()
+	}
+}
+`,
+		"internal/e/e_test.go": `package e
+
+import "testing"
+
+func TestE(t *testing.T) { _ = testHelper() }
+`,
+	})
+	inside := "e.Inside is used only inside its own package"
+	helper := "e.testHelper is used by no non-test file"
+	checkAllowLists(t, root, filepath.Join(root, "testonly.txt"), []allowCase{
+		{"unlisted", "", []string{inside, "e.Listed is used only inside its own package", helper}},
+		{"listed", "e.Listed  # kept exported\n", []string{inside, helper}},
+		{"stale", "e.Listed # kept exported\ne.Gone # deleted\n",
+			[]string{inside, helper, "e.Gone is gone or no longer a finding"}},
+	})
 }
 
 // TestTestOnlyFields runs the field half of the check on a planted tree:
@@ -140,8 +196,8 @@ func TestF(t *testing.T) { _ = (&W{}).TestRead }
 		{"listed", "f.W.Listed  # modelled state\n", append(writes, "f.W.TestRead is read")},
 		{"unlisted", "", append(writes, "f.W.Listed is read", "f.W.TestRead is read")},
 		{"stale", "f.W.Listed # modelled state\nf.W.Read # now read\nf.W.Gone # deleted\n",
-			append(writes, "f.W.TestRead is read", "f.W.Gone is gone or used outside tests",
-				"f.W.Read is gone or used outside tests")},
+			append(writes, "f.W.TestRead is read", "f.W.Gone is gone or no longer a finding",
+				"f.W.Read is gone or no longer a finding")},
 	})
 }
 
