@@ -490,18 +490,22 @@ func ParseCIDR(s string) (addr uint32, bits int, err error) {
 	return addr, bits, nil
 }
 
+// parseIPv4 parses a dotted quad without allocating: a traffic generator
+// rebuilt in place parses its prefixes on every rebuild.
 func parseIPv4(s string) (uint32, error) {
 	var a packet.IPv4Addr
-	parts := strings.Split(s, ".")
-	if len(parts) != 4 {
-		return 0, fmt.Errorf("bad IPv4 %q", s)
-	}
-	for i, part := range parts {
+	rest := s
+	for i := range a {
+		part, tail, dot := strings.Cut(rest, ".")
+		if dot == (i == len(a)-1) {
+			return 0, fmt.Errorf("bad IPv4 %q", s)
+		}
 		v, err := strconv.ParseUint(part, 10, 8)
 		if err != nil {
 			return 0, fmt.Errorf("bad IPv4 %q", s)
 		}
 		a[i] = byte(v)
+		rest = tail
 	}
 	return a.Uint32(), nil
 }

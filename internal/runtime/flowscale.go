@@ -23,13 +23,16 @@ type frameSource interface {
 	HeadersInto(buf []byte, nowSec float64) []byte
 }
 
-// schedSlot is the flow schedule a Testbed keeps for one chain slot: the
-// arena and the (trafficgen.Config, horizon) it was generated from, which
-// is everything ScheduleInto reads.
+// schedSlot is what a Testbed keeps for one chain slot's traffic: the flow
+// schedule, with the (trafficgen.Config, horizon) it was generated from,
+// which is everything ScheduleInto reads, and the packet source the last
+// run drew from, rebuilt in place by the next.
 type schedSlot struct {
 	cfg     trafficgen.Config
 	horizon float64
 	sched   *trafficgen.Schedule
+	replay  *trafficgen.ScheduleGen // FlowScale > 0
+	gen     *trafficgen.Generator   // FlowScale <= 0
 }
 
 // newChainGen builds chain ci's traffic source for cfg. FlowScale <= 0 is
@@ -39,15 +42,25 @@ type schedSlot struct {
 // arriving at FlowScale/LifeSec flows per second whose steady-state live
 // window holds FlowScale flows. The schedule lives in the Testbed's slot
 // for the chain: a run that asks for the one already there replays it, any
-// other regenerates it into the same arena.
+// other regenerates it into the same arena. Either source is rebuilt into
+// the slot's, so the source a run returns is valid until the next run.
 func (tb *Testbed) newChainGen(agg nfspec.Aggregate, ci int, cfg *SimConfig) (frameSource, error) {
 	tcfg := trafficgen.Config{
 		Mode: trafficgen.LongLived, Seed: cfg.Seed + int64(ci),
 		SrcCIDR: agg.SrcCIDR, DstCIDR: agg.DstCIDR,
 		Proto: agg.Proto, DstPort: agg.DstPort,
 	}
+	if ci >= len(tb.scheds) {
+		tb.scheds = grown(tb.scheds, ci+1-len(tb.scheds))
+	}
+	slot := &tb.scheds[ci]
 	if cfg.FlowScale <= 0 {
-		return trafficgen.New(tcfg)
+		gen, err := trafficgen.NewInto(slot.gen, tcfg)
+		if err != nil {
+			return nil, err
+		}
+		slot.gen = gen
+		return gen, nil
 	}
 	if cfg.FlowChurn {
 		tcfg.Mode = trafficgen.ShortLived
@@ -55,18 +68,19 @@ func (tb *Testbed) newChainGen(agg nfspec.Aggregate, ci int, cfg *SimConfig) (fr
 	} else {
 		tcfg.Flows = cfg.FlowScale
 	}
-	if ci >= len(tb.scheds) {
-		tb.scheds = grown(tb.scheds, ci+1-len(tb.scheds))
-	}
-	slot := &tb.scheds[ci]
 	if slot.sched == nil || slot.cfg != tcfg || slot.horizon != cfg.DurationSec {
 		sched, err := trafficgen.ScheduleInto(slot.sched, tcfg, cfg.DurationSec)
 		if err != nil {
 			return nil, err // slot.sched is untouched and still matches its key
 		}
-		*slot = schedSlot{tcfg, cfg.DurationSec, sched}
+		slot.cfg, slot.horizon, slot.sched = tcfg, cfg.DurationSec, sched
 	}
-	return trafficgen.NewScheduled(tcfg, slot.sched)
+	replay, err := trafficgen.NewScheduledInto(slot.replay, tcfg, slot.sched)
+	if err != nil {
+		return nil, err
+	}
+	slot.replay = replay
+	return replay, nil
 }
 
 // syncStateGauges publishes every deployed stateful NF's end-of-run table

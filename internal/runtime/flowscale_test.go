@@ -257,3 +257,45 @@ func TestWarmScheduleInvalidates(t *testing.T) {
 		}
 	})
 }
+
+// TestWarmChainGenReuses: a warm Testbed rebuilds a chain's packet source
+// in the one its slot kept, a plain generator or a schedule replay, without
+// allocating, and the rebuilt source emits what a fresh Testbed's does even
+// after the old one had been drawn from.
+func TestWarmChainGenReuses(t *testing.T) {
+	agg := nfspec.Aggregate{SrcCIDR: "10.1.0.0/16", DstCIDR: "172.16.0.0/12"}
+	for _, cfg := range []SimConfig{
+		{Seed: 7, DurationSec: 0.1},
+		{Seed: 7, DurationSec: 0.1, FlowScale: 2000},
+		{Seed: 7, DurationSec: 0.1, FlowScale: 2000, FlowChurn: true},
+	} {
+		warm := &Testbed{}
+		first, err := warm.newChainGen(agg, 0, &cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 100; i++ {
+			first.NextInto(nil, float64(i)*1e-4)
+		}
+		if n := testing.AllocsPerRun(10, func() { warm.newChainGen(agg, 0, &cfg) }); n != 0 {
+			t.Errorf("FlowScale %d churn %v: a warm rebuild made %v allocations, want 0", cfg.FlowScale, cfg.FlowChurn, n)
+		}
+		got, err := warm.newChainGen(agg, 0, &cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != first {
+			t.Errorf("FlowScale %d churn %v: the warm Testbed built a new source", cfg.FlowScale, cfg.FlowChurn)
+		}
+		want, err := (&Testbed{}).newChainGen(agg, 0, &cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 300; i++ {
+			now := float64(i) * 1e-4
+			if g, w := got.NextInto(nil, now), want.NextInto(nil, now); !bytes.Equal(g, w) {
+				t.Fatalf("FlowScale %d churn %v: frame %d of the rebuilt source differs from a fresh one's", cfg.FlowScale, cfg.FlowChurn, i)
+			}
+		}
+	}
+}

@@ -125,3 +125,39 @@ func TestNextIntoNilBuffer(t *testing.T) {
 		t.Fatalf("undecodable frame: %v", err)
 	}
 }
+
+// TestConstructorAllocs pins what building a packet source costs, a cost a
+// run pays once per chain and per-packet budgets (the runtime's
+// TestSimulateAllocBudget) cancel out. A fresh New, NewScheduled or
+// ScheduleInto makes at most the allocations listed: the generator with its
+// stream, its flow array, the arena. When the draws came from a *rand.Rand
+// they were 13, 6, 7 and 5, its source and Rand two of each; keeping one
+// next to the stream adds them back. Rebuilding into a reused value
+// allocates nothing.
+func TestConstructorAllocs(t *testing.T) {
+	long := Config{Mode: LongLived, Seed: 3}
+	churn := Config{Mode: ShortLived, Seed: 4, NewFlowsSec: 500}
+	sched, err := ScheduleInto(nil, churn, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, _ := New(long)
+	replay, _ := NewScheduled(churn, sched)
+	for _, c := range []struct {
+		name string
+		most float64
+		f    func()
+	}{
+		{"New(long-lived)", 2, func() { New(long) }},
+		{"New(short-lived)", 1, func() { New(churn) }},
+		{"NewScheduled", 1, func() { NewScheduled(churn, sched) }},
+		{"ScheduleInto(nil)", 2, func() { ScheduleInto(nil, churn, 0.5) }},
+		{"NewInto(reused)", 0, func() { NewInto(gen, long) }},
+		{"NewScheduledInto(reused)", 0, func() { NewScheduledInto(replay, churn, sched) }},
+		{"ScheduleInto(reused)", 0, func() { ScheduleInto(sched, churn, 0.5) }},
+	} {
+		if n := testing.AllocsPerRun(20, c.f); n > c.most {
+			t.Errorf("%s: %v allocations, want at most %v", c.name, n, c.most)
+		}
+	}
+}

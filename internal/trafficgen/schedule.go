@@ -1,10 +1,6 @@
 package trafficgen
 
-import (
-	"math/rand"
-
-	"lemur/internal/packet"
-)
+import "lemur/internal/packet"
 
 // Arena flow schedules. The incremental Generator synthesizes flows as the
 // simulation advances, which is fine at footnote-6 populations (tens of
@@ -79,11 +75,12 @@ func ScheduleInto(dst *Schedule, cfg Config, horizonSec float64) (*Schedule, err
 	}
 	dst.Tuples = dst.Tuples[:n]
 
-	rng := rand.New(rand.NewSource(cfg.Seed + 1))
+	var rng stream
+	rng.seed(cfg.Seed + 1)
 	var redund [64]byte
-	rng.Read(redund[:]) // mirror the generator's redundant-chunk draw
+	rng.read(redund[:]) // mirror the generator's redundant-chunk draw
 	for i := range dst.Tuples {
-		dst.Tuples[i] = synthTuple(rng, sp, &cfg)
+		dst.Tuples[i] = synthTuple(&rng, sp, &cfg)
 	}
 	return dst, nil
 }
@@ -94,7 +91,7 @@ func ScheduleInto(dst *Schedule, cfg Config, horizonSec float64) (*Schedule, err
 // advances incrementally — O(1) amortized per packet, no retirement scan —
 // and retirement order equals birth order by construction.
 type ScheduleGen struct {
-	g          *Generator
+	g          Generator // the emission engine, no flows drawn
 	s          *Schedule
 	head, tail int
 }
@@ -103,16 +100,26 @@ type ScheduleGen struct {
 // the schedule was generated from (payload shape, frame size and seed come
 // from it). The live window is positioned at t=0.
 func NewScheduled(cfg Config, s *Schedule) (*ScheduleGen, error) {
+	return NewScheduledInto(nil, cfg, s)
+}
+
+// NewScheduledInto builds the replay generator NewScheduled(cfg, s) would
+// into dst (a nil dst allocates a fresh ScheduleGen) and returns it: the
+// frames it emits equal NewScheduled's byte for byte. A config it rejects
+// leaves dst as it was.
+func NewScheduledInto(dst *ScheduleGen, cfg Config, s *Schedule) (*ScheduleGen, error) {
 	cfg = cfg.withDefaults()
 	sp, err := parseSpace(cfg)
 	if err != nil {
 		return nil, err
 	}
-	g := &Generator{}
-	g.reset(cfg, sp) // the emission engine, no flows drawn
-	sg := &ScheduleGen{g: g, s: s}
-	sg.advance(0)
-	return sg, nil
+	if dst == nil {
+		dst = &ScheduleGen{}
+	}
+	dst.g.reset(cfg, sp)
+	dst.s, dst.head, dst.tail = s, 0, 0
+	dst.advance(0)
+	return dst, nil
 }
 
 // advance slides the live window forward to nowSec. Time never goes
@@ -142,7 +149,7 @@ func (sg *ScheduleGen) pick(nowSec float64) packet.FiveTuple {
 		}
 		return sg.s.Tuples[sg.tail-1]
 	}
-	return sg.s.Tuples[sg.head+sg.g.rng.Intn(live)]
+	return sg.s.Tuples[sg.head+sg.g.rng.intn(live)]
 }
 
 // NextInto produces the next frame at simulated time nowSec into buf,

@@ -6,7 +6,6 @@ import (
 	"flag"
 	"fmt"
 	"math"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"sort"
@@ -230,53 +229,11 @@ func TestScheduledGenReplay(t *testing.T) {
 	}
 }
 
-// legacyChurnGen replicates the pre-fix ShortLived retirement algorithm —
-// rebuild the whole flow/born arrays on every emission — as the oracle for
-// the expiry-window regression test. The rng draw sequence (redundant
-// chunk, tuple synthesis, flow selection) is the one the real generator
-// uses, so tuple streams must match exactly.
-type legacyChurnGen struct {
-	cfg   Config
-	rng   *rand.Rand
-	sp    addrSpace
-	flows []packet.FiveTuple
-	born  []float64
-}
-
-func newLegacyChurn(t *testing.T, cfg Config) *legacyChurnGen {
-	cfg = cfg.withDefaults()
-	sp, err := parseSpace(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := &legacyChurnGen{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed + 1)), sp: sp}
-	g.rng.Read(make([]byte, 64))
-	return g
-}
-
-func (g *legacyChurnGen) nextTuple(nowSec float64) packet.FiveTuple {
-	live := g.flows[:0]
-	liveBorn := g.born[:0]
-	for i, f := range g.flows {
-		if nowSec-g.born[i] < g.cfg.LifeSec {
-			live = append(live, f)
-			liveBorn = append(liveBorn, g.born[i])
-		}
-	}
-	g.flows, g.born = live, liveBorn
-	target := int(float64(g.cfg.NewFlowsSec) * g.cfg.LifeSec)
-	if len(g.flows) < target {
-		g.flows = append(g.flows, synthTuple(g.rng, g.sp, &g.cfg))
-		g.born = append(g.born, nowSec)
-	}
-	return g.flows[g.rng.Intn(len(g.flows))]
-}
-
 // TestShortLivedRetirementMatchesLegacy pins the expiry-window fix: the
 // O(1)-amortized head-advance retirement must yield the same same-seed
 // tuple sequence and live population as the original O(n)-per-packet
-// rebuild, across several seeds and enough simulated time to cross many
-// lifetimes (including the compaction path).
+// rebuild (randGen's), across several seeds and enough simulated time to
+// cross many lifetimes (including the compaction path).
 func TestShortLivedRetirementMatchesLegacy(t *testing.T) {
 	for _, seed := range []int64{1, 7, 1234} {
 		cfg := Config{Mode: ShortLived, NewFlowsSec: 400, Seed: seed}
@@ -284,7 +241,7 @@ func TestShortLivedRetirementMatchesLegacy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		l := newLegacyChurn(t, cfg)
+		l := newRandGen(t, cfg)
 		for i := 0; i < 12000; i++ {
 			now := float64(i) * 0.00075 // 9 s: ~9 lifetimes of churn
 			got := g.nextTuple(now)

@@ -12,7 +12,6 @@ package trafficgen
 import (
 	"encoding/binary"
 	"fmt"
-	"math/rand"
 	"strconv"
 
 	"lemur/internal/bpf"
@@ -133,17 +132,17 @@ func parseSpace(cfg Config) (addrSpace, error) {
 // optional dst port, src port) is shared by the incremental generator and
 // the schedule pre-generator, so both synthesize identical flow sequences
 // from the same seed.
-func synthTuple(rng *rand.Rand, sp addrSpace, cfg *Config) packet.FiveTuple {
-	src := sp.srcBase&sp.srcMask | rng.Uint32()&^sp.srcMask
-	dst := sp.dstBase&sp.dstMask | rng.Uint32()&^sp.dstMask
+func synthTuple(rng *stream, sp addrSpace, cfg *Config) packet.FiveTuple {
+	src := sp.srcBase&sp.srcMask | rng.uint32()&^sp.srcMask
+	dst := sp.dstBase&sp.dstMask | rng.uint32()&^sp.dstMask
 	dport := cfg.DstPort
 	if dport == 0 {
-		dport = uint16(1024 + rng.Intn(60000))
+		dport = uint16(1024 + rng.intn(60000))
 	}
 	return packet.FiveTuple{
 		Src:     packet.AddrFromUint32(src),
 		Dst:     packet.AddrFromUint32(dst),
-		SrcPort: uint16(1024 + rng.Intn(60000)),
+		SrcPort: uint16(1024 + rng.intn(60000)),
 		DstPort: dport,
 		Proto:   cfg.Proto,
 	}
@@ -153,12 +152,12 @@ func synthTuple(rng *rand.Rand, sp addrSpace, cfg *Config) packet.FiveTuple {
 // incrementally as simulated time advances.
 type Generator struct {
 	cfg    Config
-	rng    *rand.Rand
 	sp     addrSpace
 	flows  []packet.FiveTuple
 	born   []float64 // ShortLived: flow birth time
 	head   int       // ShortLived: index of the oldest live flow
-	redund []byte    // shared redundant chunk
+	redund [64]byte  // shared redundant chunk
+	rng    stream
 }
 
 // reset points g at cfg and sp with no flows drawn: its rng is seeded in
@@ -166,15 +165,8 @@ type Generator struct {
 // redundant chunk redrawn, and the flow arrays kept for their capacity.
 func (g *Generator) reset(cfg Config, sp addrSpace) {
 	g.cfg, g.sp = cfg, sp
-	if g.rng == nil {
-		g.rng = rand.New(rand.NewSource(cfg.Seed + 1))
-	} else {
-		g.rng.Seed(cfg.Seed + 1)
-	}
-	if g.redund == nil {
-		g.redund = make([]byte, 64)
-	}
-	g.rng.Read(g.redund)
+	g.rng.seed(cfg.Seed + 1)
+	g.rng.read(g.redund[:])
 	g.flows, g.born = g.flows[:0], g.born[:0]
 	g.head = 0
 }
@@ -201,6 +193,9 @@ func NewInto(dst *Generator, cfg Config) (*Generator, error) {
 	}
 	dst.reset(cfg, sp)
 	if cfg.Mode == LongLived {
+		if cap(dst.flows) < cfg.Flows {
+			dst.flows = make([]packet.FiveTuple, 0, cfg.Flows)
+		}
 		for i := 0; i < cfg.Flows; i++ {
 			dst.flows = append(dst.flows, dst.newTuple())
 		}
@@ -209,7 +204,7 @@ func NewInto(dst *Generator, cfg Config) (*Generator, error) {
 }
 
 func (g *Generator) newTuple() packet.FiveTuple {
-	return synthTuple(g.rng, g.sp, &g.cfg)
+	return synthTuple(&g.rng, g.sp, &g.cfg)
 }
 
 // NextInto produces the next frame at simulated time nowSec, serializing it
@@ -291,31 +286,36 @@ func (g *Generator) nextTuple(nowSec float64) packet.FiveTuple {
 		}
 	}
 	live := g.flows[g.head:]
-	return live[g.rng.Intn(len(live))]
+	return live[g.rng.intn(len(live))]
 }
 
 // fillPayload writes p: an HTTP head with probability HTTPShare, then per
 // 64-B chunk the redundant chunk (probability Redundancy) or a fresh random
 // one. With write false it makes exactly the same rng draws and writes
-// nothing, which keeps every later draw of the stream where it was.
+// nothing, which keeps every later draw of the stream where it was; without
+// redundant chunks those draws are one Uint64 a chunk, skipped in one pass.
 func (g *Generator) fillPayload(p []byte, write bool) {
-	if g.cfg.HTTPShare > 0 && g.rng.Float64() < g.cfg.HTTPShare {
+	if g.cfg.HTTPShare > 0 && g.rng.float64() < g.cfg.HTTPShare {
 		var hb [64]byte
 		head := append(hb[:0], "GET /path/item HTTP/1.1\r\nHost: site-"...)
-		head = strconv.AppendInt(head, int64(g.rng.Intn(1000)), 10)
+		head = strconv.AppendInt(head, int64(g.rng.intn(1000)), 10)
 		head = append(head, ".example\r\n\r\n"...)
 		if write {
 			copy(p, head)
 		}
 		p = p[min(len(head), len(p)):]
 	}
+	if !write && g.cfg.Redundancy <= 0 {
+		g.rng.skip((len(p) + 63) / 64)
+		return
+	}
 	for off := 0; off < len(p); off += 64 {
 		end := min(off+64, len(p))
-		if g.cfg.Redundancy > 0 && g.rng.Float64() < g.cfg.Redundancy {
+		if g.cfg.Redundancy > 0 && g.rng.float64() < g.cfg.Redundancy {
 			if write {
-				copy(p[off:end], g.redund)
+				copy(p[off:end], g.redund[:])
 			}
-		} else if seed := g.rng.Uint64(); write {
+		} else if seed := g.rng.uint64(); write {
 			fillRandom(p[off:end], seed)
 		}
 	}
