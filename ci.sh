@@ -230,10 +230,11 @@ fuzz_smoke FuzzChainSpec ./internal/nfspec
 # documents.
 fuzz_smoke FuzzParseBlocks ./internal/nfspec
 
-# Benchmark smoke: one iteration of the candidate-evaluation
-# micro-benchmark proves it still compiles and runs.
+# Benchmark smoke: one iteration of the candidate-evaluation and NF-kernel
+# micro-benchmarks proves they still compile and run.
 echo "==> benchmark smoke"
 go test -run '^$' -bench 'BenchmarkEvaluateCandidate' -benchtime 1x -benchmem ./internal/placer
+go test -run '^$' -bench 'BenchmarkNFProcess' -benchtime 1x -benchmem ./internal/nf
 
 # The repository benchmark (bench/, a module of its own that root ./... does
 # not reach): vet and test it against this tree, then run every workload

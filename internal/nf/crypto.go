@@ -3,8 +3,10 @@ package nf
 import (
 	"crypto/aes"
 	"crypto/cipher"
+	"crypto/subtle"
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"lemur/internal/packet"
 )
@@ -14,24 +16,38 @@ import (
 // place; payloads are processed in whole 16-byte blocks, with a trailing
 // partial block left clear (the simulated dataplane keeps frame sizes fixed,
 // so we cannot pad).
+//
+// The CBC mode is built once per instance and carries the chaining IV, so an
+// instance is mutable state like the flow tables: every deployment compiles
+// its own NF instances, and a subgroup's NFs run on one simulator shard at a
+// time.
 type encrypt struct {
 	base
-	block cipher.Block
-	iv    [16]byte
+	mode cbcMode
 }
+
+// cbcMode is what cipher.NewCBCEncrypter and NewCBCDecrypter return for an
+// AES block: a BlockMode whose IV can be reset without rebuilding it.
+type cbcMode interface {
+	cipher.BlockMode
+	SetIV([]byte)
+}
+
+// staticIV restarts every packet's CBC chain.
+var staticIV = []byte("lemur-static-iv!")
 
 // newEncrypt builds the AES-CBC encryptor. Param "key" (string, 16 bytes)
 // overrides the default key.
 func newEncrypt(name string, params Params) (NF, error) {
-	return newCBC(name, "Encrypt", params)
+	return newCBC(name, "Encrypt", params, cipher.NewCBCEncrypter)
 }
 
 // Decrypt is the inverse NF.
 func newDecrypt(name string, params Params) (NF, error) {
-	return newCBC(name, "Decrypt", params)
+	return newCBC(name, "Decrypt", params, cipher.NewCBCDecrypter)
 }
 
-func newCBC(name, class string, params Params) (NF, error) {
+func newCBC(name, class string, params Params, newMode func(cipher.Block, []byte) cipher.BlockMode) (NF, error) {
 	key := []byte(params.str("key", "lemur-aes-cbc-16"))
 	if len(key) != 16 {
 		return nil, fmt.Errorf("nf: %s %s: key must be 16 bytes, got %d", class, name, len(key))
@@ -40,44 +56,20 @@ func newCBC(name, class string, params Params) (NF, error) {
 	if err != nil {
 		return nil, fmt.Errorf("nf: %s %s: %w", class, name, err)
 	}
-	e := &encrypt{base: base{name: name, class: class}, block: blk}
-	copy(e.iv[:], "lemur-static-iv!")
-	return e, nil
+	return &encrypt{base: base{name: name, class: class}, mode: newMode(blk, staticIV).(cbcMode)}, nil
 }
 
-// Process encrypts (class Encrypt) or decrypts (class Decrypt) the payload.
-// CBC chaining runs inline over e.block rather than through
-// cipher.NewCBCEncrypter, whose per-packet construction is a heap allocation
-// on the simulator's hot path; the output is bit-identical.
+// Process encrypts (class Encrypt) or decrypts (class Decrypt) the payload's
+// whole blocks in place, each packet chained from the static IV. The mode is
+// reused across packets, so this allocates nothing.
 func (e *encrypt) Process(p *packet.Packet, _ *Env) {
 	pay := p.Payload()
 	n := len(pay) &^ 15 // whole AES blocks
 	if n == 0 {
 		return
 	}
-	if e.class == "Encrypt" {
-		prev := e.iv[:]
-		for off := 0; off < n; off += 16 {
-			blk := pay[off : off+16]
-			for i := range blk {
-				blk[i] ^= prev[i]
-			}
-			e.block.Encrypt(blk, blk)
-			prev = blk
-		}
-	} else {
-		var prev, ct [16]byte
-		prev = e.iv
-		for off := 0; off < n; off += 16 {
-			blk := pay[off : off+16]
-			copy(ct[:], blk)
-			e.block.Decrypt(blk, blk)
-			for i := range blk {
-				blk[i] ^= prev[i]
-			}
-			prev = ct
-		}
-	}
+	e.mode.SetIV(staticIV)
+	e.mode.CryptBlocks(pay[:n], pay[:n])
 }
 
 // fastEncrypt is the ChaCha20 NF ("Fast Enc." in Table 3). ChaCha has no
@@ -121,50 +113,47 @@ func (f *fastEncrypt) Process(p *packet.Packet, _ *Env) {
 	for off := 0; off < len(pay); off += 64 {
 		chachaBlock(&f.key, nonce, counter, &stream)
 		counter++
-		n := len(pay) - off
-		if n > 64 {
-			n = 64
-		}
-		for i := 0; i < n; i++ {
-			pay[off+i] ^= stream[i]
-		}
+		subtle.XORBytes(pay[off:], pay[off:], stream[:])
 	}
 }
 
-// chachaBlock computes one 64-byte ChaCha20 keystream block (RFC 8439 §2.3).
+// chachaBlock computes one 64-byte ChaCha20 keystream block (RFC 8439 §2.3),
+// keeping the 16 state words in locals through the 20 rounds.
 func chachaBlock(key *[8]uint32, nonce [3]uint32, counter uint32, out *[64]byte) {
-	var s [16]uint32
-	s[0], s[1], s[2], s[3] = 0x61707865, 0x3320646e, 0x79622d32, 0x6b206574
-	copy(s[4:12], key[:])
-	s[12] = counter
-	s[13], s[14], s[15] = nonce[0], nonce[1], nonce[2]
-	w := s
+	const c0, c1, c2, c3 = 0x61707865, 0x3320646e, 0x79622d32, 0x6b206574
+	x0, x1, x2, x3 := uint32(c0), uint32(c1), uint32(c2), uint32(c3)
+	x4, x5, x6, x7, x8, x9, x10, x11 := key[0], key[1], key[2], key[3], key[4], key[5], key[6], key[7]
+	x12, x13, x14, x15 := counter, nonce[0], nonce[1], nonce[2]
 	for i := 0; i < 10; i++ {
 		// column rounds
-		quarter(&w, 0, 4, 8, 12)
-		quarter(&w, 1, 5, 9, 13)
-		quarter(&w, 2, 6, 10, 14)
-		quarter(&w, 3, 7, 11, 15)
+		x0, x4, x8, x12 = quarter(x0, x4, x8, x12)
+		x1, x5, x9, x13 = quarter(x1, x5, x9, x13)
+		x2, x6, x10, x14 = quarter(x2, x6, x10, x14)
+		x3, x7, x11, x15 = quarter(x3, x7, x11, x15)
 		// diagonal rounds
-		quarter(&w, 0, 5, 10, 15)
-		quarter(&w, 1, 6, 11, 12)
-		quarter(&w, 2, 7, 8, 13)
-		quarter(&w, 3, 4, 9, 14)
+		x0, x5, x10, x15 = quarter(x0, x5, x10, x15)
+		x1, x6, x11, x12 = quarter(x1, x6, x11, x12)
+		x2, x7, x8, x13 = quarter(x2, x7, x8, x13)
+		x3, x4, x9, x14 = quarter(x3, x4, x9, x14)
 	}
-	for i := range w {
-		binary.LittleEndian.PutUint32(out[i*4:], w[i]+s[i])
+	for i, w := range [16]uint32{
+		x0 + c0, x1 + c1, x2 + c2, x3 + c3,
+		x4 + key[0], x5 + key[1], x6 + key[2], x7 + key[3],
+		x8 + key[4], x9 + key[5], x10 + key[6], x11 + key[7],
+		x12 + counter, x13 + nonce[0], x14 + nonce[1], x15 + nonce[2],
+	} {
+		binary.LittleEndian.PutUint32(out[i*4:], w)
 	}
 }
 
-func quarter(s *[16]uint32, a, b, c, d int) {
-	s[a] += s[b]
-	s[d] = rotl(s[d]^s[a], 16)
-	s[c] += s[d]
-	s[b] = rotl(s[b]^s[c], 12)
-	s[a] += s[b]
-	s[d] = rotl(s[d]^s[a], 8)
-	s[c] += s[d]
-	s[b] = rotl(s[b]^s[c], 7)
+func quarter(a, b, c, d uint32) (uint32, uint32, uint32, uint32) {
+	a += b
+	d = bits.RotateLeft32(d^a, 16)
+	c += d
+	b = bits.RotateLeft32(b^c, 12)
+	a += b
+	d = bits.RotateLeft32(d^a, 8)
+	c += d
+	b = bits.RotateLeft32(b^c, 7)
+	return a, b, c, d
 }
-
-func rotl(v uint32, n uint) uint32 { return v<<n | v>>(32-n) }

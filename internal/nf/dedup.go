@@ -77,9 +77,7 @@ func (d *Dedup) Process(p *packet.Packet, _ *Env) {
 			slot := d.nextID - uint32(d.cache.count()) + uint32(d.cache.age(pos))
 			binary.BigEndian.PutUint32(pay[off:], 0xDED0DED0)
 			binary.BigEndian.PutUint32(pay[off+4:], slot)
-			for i := off + dedupShim; i < off+d.chunk; i++ {
-				pay[i] = 0
-			}
+			clear(pay[off+dedupShim : off+d.chunk])
 			continue
 		}
 		if d.maxSize > 0 {

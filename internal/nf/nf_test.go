@@ -2,6 +2,7 @@ package nf
 
 import (
 	"encoding/binary"
+	"encoding/hex"
 	"math/rand"
 	"slices"
 	"strings"
@@ -232,7 +233,8 @@ func TestFastEncryptInvolution(t *testing.T) {
 }
 
 func TestChaChaRFC8439Vector(t *testing.T) {
-	// RFC 8439 §2.3.2 test vector.
+	// RFC 8439 §2.3.2 test vector: key bytes 00..1f, nonce
+	// 000000090000004a00000000, block counter 1.
 	var key [8]uint32
 	for i := range key {
 		key[i] = uint32(4*i) | uint32(4*i+1)<<8 | uint32(4*i+2)<<16 | uint32(4*i+3)<<24
@@ -240,11 +242,10 @@ func TestChaChaRFC8439Vector(t *testing.T) {
 	nonce := [3]uint32{0x09000000, 0x4a000000, 0x00000000}
 	var out [64]byte
 	chachaBlock(&key, nonce, 1, &out)
-	want := []byte{0x10, 0xf1, 0xe7, 0xe4, 0xd1, 0x3b, 0x59, 0x15}
-	for i, b := range want {
-		if out[i] != b {
-			t.Fatalf("keystream[%d] = %#x, want %#x (full: %x)", i, out[i], b, out[:16])
-		}
+	want := "10f1e7e4d13b5915500fdd1fa32071c4c7d1f4c733c068030422aa9ac3d46c4e" +
+		"d2826446079faa0914c2d705d98b02a2b5129cd1de164eb9cbd083e8a2503c4e"
+	if got := hex.EncodeToString(out[:]); got != want {
+		t.Fatalf("keystream block\n got %s\nwant %s", got, want)
 	}
 }
 
@@ -673,7 +674,7 @@ func BenchmarkNFProcess(b *testing.B) {
 	for i := range payload {
 		payload[i] = byte(i * 7)
 	}
-	for _, class := range []string{"ACL", "Encrypt", "FastEncrypt", "Dedup", "NAT", "LB", "Match", "IPv4Fwd"} {
+	for _, class := range []string{"ACL", "Encrypt", "Decrypt", "FastEncrypt", "Dedup", "NAT", "LB", "Match", "IPv4Fwd"} {
 		inst, err := New(class, "b0", nil)
 		if err != nil {
 			b.Fatal(err)
@@ -682,6 +683,7 @@ func BenchmarkNFProcess(b *testing.B) {
 			e := env()
 			p := udp(packet.IPv4Addr{10, 0, 0, 1}, packet.IPv4Addr{10, 0, 1, 2}, 4000, 80, payload)
 			b.ReportAllocs()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				p.Drop = false
 				inst.Process(p, e)

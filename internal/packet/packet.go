@@ -388,14 +388,17 @@ func putNSH(b []byte, h nsh) {
 	binary.BigEndian.PutUint32(b[4:8], h.SPI<<8|uint32(h.SI))
 }
 
+// ipChecksum is the RFC 1071 header checksum of an IPv4Len-byte header:
+// five 32-bit big-endian words summed into 64 bits and folded to 16, which
+// equals the sum over 16-bit words.
 func ipChecksum(b []byte) uint16 {
-	var sum uint32
-	for i := 0; i+1 < len(b); i += 2 {
-		sum += uint32(binary.BigEndian.Uint16(b[i : i+2]))
-	}
-	for sum > 0xFFFF {
-		sum = sum&0xFFFF + sum>>16
-	}
+	_ = b[IPv4Len-1]
+	sum := uint64(binary.BigEndian.Uint32(b[0:])) + uint64(binary.BigEndian.Uint32(b[4:])) +
+		uint64(binary.BigEndian.Uint32(b[8:])) + uint64(binary.BigEndian.Uint32(b[12:])) +
+		uint64(binary.BigEndian.Uint32(b[16:]))
+	sum = sum&0xFFFF + sum>>16 // < 0x60000
+	sum = sum&0xFFFF + sum>>16 // <= 0x10004
+	sum = sum&0xFFFF + sum>>16 // <= 0xFFFF
 	return ^uint16(sum)
 }
 
