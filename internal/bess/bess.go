@@ -41,68 +41,6 @@ func CrossSocket(srv *hw.ServerSpec, shares []CoreShare) bool {
 	return false
 }
 
-// Branch re-tags packets leaving a subgroup at a branch point. Filtered
-// branches match explicitly; filterless ones split remaining traffic per
-// flow hash in proportion to Weight.
-type Branch struct {
-	Filter *bpf.Filter
-	Weight float64
-	SPI    uint32
-	SI     uint8
-}
-
-// pickBranch mirrors the PISA switch's branch selection: filtered branches
-// first in order, then a stable per-flow weighted choice among filterless
-// ones. Two passes over the (short) branch list keep it allocation-free.
-func pickBranch(branches []Branch, p *packet.Packet) *Branch {
-	var totalW float64
-	weightless := 0
-	for i := range branches {
-		b := &branches[i]
-		if b.Filter != nil {
-			if b.Filter.Match(p) {
-				return b
-			}
-			continue
-		}
-		weightless++
-		totalW += b.Weight
-	}
-	if weightless == 0 {
-		return nil
-	}
-	var u float64
-	if tu, err := p.Tuple(); err == nil {
-		u = float64(tu.Hash()%100000) / 100000
-	}
-	if totalW <= 0 {
-		idx := int(u*float64(weightless)) % weightless
-		for i := range branches {
-			if branches[i].Filter != nil {
-				continue
-			}
-			if idx == 0 {
-				return &branches[i]
-			}
-			idx--
-		}
-	}
-	acc := 0.0
-	var last *Branch
-	for i := range branches {
-		b := &branches[i]
-		if b.Filter != nil {
-			continue
-		}
-		acc += b.Weight / totalW
-		if u < acc {
-			return b
-		}
-		last = b
-	}
-	return last
-}
-
 // Subgroup is a run-to-completion group of server-placed NFs: one packet
 // batch is fully processed by every NF in the group before the next batch,
 // giving zero-copy transfer, no scheduling overhead, and no cross-core
@@ -113,7 +51,7 @@ type Subgroup struct {
 	SPI       uint32
 	EntrySI   uint8 // packets tagged (SPI, EntrySI) enter this subgroup
 	AdvanceSI uint8 // SI decrement applied by the mux on exit
-	Branches  []Branch
+	Branches  []bpf.Branch
 
 	// CyclesPerPkt is the profiled per-packet cost of the whole subgroup
 	// including coordination overheads (NSH decap/encap, demux steering).
@@ -294,7 +232,7 @@ func (pl *Pipeline) ProcessFrameInPlace(frame []byte, env *nf.Env) (out []byte, 
 		return nil, fmt.Errorf("bess: subgroup %s: SI underflow (si=%d advance=%d)",
 			sg.Name, si, sg.AdvanceSI)
 	}
-	if b := pickBranch(sg.Branches, p); b != nil {
+	if b := bpf.PickBranch(sg.Branches, p); b != nil {
 		outSPI, outSI = b.SPI, b.SI
 	}
 	if &p.Data[0] == &inner[0] {

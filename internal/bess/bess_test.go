@@ -170,7 +170,7 @@ func TestSIUnderflow(t *testing.T) {
 func TestBranchReTag(t *testing.T) {
 	pl := NewPipeline(server())
 	sg := mkSub(t, "sg0")
-	sg.Branches = []Branch{
+	sg.Branches = []bpf.Branch{
 		{Filter: bpf.MustCompile("udp.dport == 53"), SPI: 30, SI: 4},
 		{Filter: nil, SPI: 31, SI: 4},
 	}

@@ -3,6 +3,7 @@ package bess
 import (
 	"fmt"
 
+	"lemur/internal/bpf"
 	"lemur/internal/nf"
 	"lemur/internal/nsh"
 	"lemur/internal/packet"
@@ -36,7 +37,7 @@ func processCopy(pl *Pipeline, frame []byte, env *nf.Env) ([]byte, error) {
 		return nil, fmt.Errorf("SI underflow (si=%d advance=%d)", si, sg.AdvanceSI)
 	}
 	outSPI, outSI := spi, si-sg.AdvanceSI
-	if b := pickBranch(sg.Branches, &p); b != nil {
+	if b := bpf.PickBranch(sg.Branches, &p); b != nil {
 		outSPI, outSI = b.SPI, b.SI
 	}
 	return nsh.Encap(p.Data, outSPI, outSI)

@@ -357,8 +357,7 @@ func (d *Deployment) installSegment(ci int, sp *ServicePath, seg segment, next *
 	lastNode := nodes[len(nodes)-1]
 
 	// Branch retargeting when the segment ends at a branch node.
-	var pisaBranches []pisa.Branch
-	var bessBranches []bess.Branch
+	var branches []bpf.Branch
 	if lastNode.IsBranch() {
 		for _, bt := range branchTargetsAt(sp, seg.end-1, chainPaths) {
 			var flt *bpf.Filter
@@ -369,8 +368,7 @@ func (d *Deployment) installSegment(ci int, sp *ServicePath, seg segment, next *
 				}
 				flt = f
 			}
-			pisaBranches = append(pisaBranches, pisa.Branch{Filter: flt, Weight: bt.weight, SPI: bt.spi, SI: bt.si})
-			bessBranches = append(bessBranches, bess.Branch{Filter: flt, Weight: bt.weight, SPI: bt.spi, SI: bt.si})
+			branches = append(branches, bpf.Branch{Filter: flt, Weight: bt.weight, SPI: bt.spi, SI: bt.si})
 		}
 	}
 
@@ -379,11 +377,11 @@ func (d *Deployment) installSegment(ci int, sp *ServicePath, seg segment, next *
 		e := &pisa.PathEntry{
 			Apply:     nfs,
 			AdvanceSI: advance,
-			Branches:  pisaBranches,
+			Branches:  branches,
 			Out:       pisa.Forward{Kind: pisa.Egress},
 		}
 		switch {
-		case len(pisaBranches) > 0:
+		case len(branches) > 0:
 			// A branching entry cannot know which platform each target
 			// lives on: re-inject and let the target's own entry or relay
 			// steer the packet.
@@ -415,7 +413,7 @@ func (d *Deployment) installSegment(ci int, sp *ServicePath, seg segment, next *
 			SPI:       sp.SPI,
 			EntrySI:   entrySI,
 			AdvanceSI: advance,
-			Branches:  bessBranches,
+			Branches:  branches,
 		}
 		if psg != nil {
 			sub.CyclesPerPkt = psg.Cycles
@@ -437,7 +435,7 @@ func (d *Deployment) installSegment(ci int, sp *ServicePath, seg segment, next *
 		if nic == nil {
 			return fmt.Errorf("metacompiler: no NIC runtime for %q", seg.device)
 		}
-		if len(pisaBranches) > 0 {
+		if len(branches) > 0 {
 			return fmt.Errorf("metacompiler: branch node %s cannot run on a SmartNIC", lastNode.Name())
 		}
 		insns := 0

@@ -241,7 +241,7 @@ func TestSwitchAdvanceSI(t *testing.T) {
 func TestSwitchBranchReTag(t *testing.T) {
 	s := mkSwitch(t)
 	s.SetEntry(2, 4, &PathEntry{
-		Branches: []Branch{
+		Branches: []bpf.Branch{
 			{Filter: bpf.MustCompile("udp.dport == 53"), SPI: 21, SI: 9},
 			{Filter: nil, SPI: 22, SI: 9}, // default branch
 		},

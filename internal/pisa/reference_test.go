@@ -3,6 +3,7 @@ package pisa
 import (
 	"fmt"
 
+	"lemur/internal/bpf"
 	"lemur/internal/nf"
 	"lemur/internal/nsh"
 	"lemur/internal/packet"
@@ -45,7 +46,7 @@ func processCopy(s *Switch, frame []byte, env *nf.Env) ([]byte, Forward, error) 
 	}
 	p.SyncHeaders()
 	outSPI, outSI := spi, si
-	if b := pickBranch(e.Branches, &p); b != nil {
+	if b := bpf.PickBranch(e.Branches, &p); b != nil {
 		outSPI, outSI = b.SPI, b.SI
 	} else if e.AdvanceSI > 0 {
 		if si < e.AdvanceSI {

@@ -44,79 +44,15 @@ type Forward struct {
 	Target string
 }
 
-// Branch re-tags matching packets onto another service path, implementing a
-// branch point in the NF-graph on the switch. Branches with a Filter match
-// explicitly; filterless branches split remaining traffic by flow hash in
-// proportion to Weight (operator-estimated splits, §3.2).
-type Branch struct {
-	Filter *bpf.Filter
-	Weight float64
-	SPI    uint32
-	SI     uint8
-}
-
-// pickBranch selects the branch for a packet: filtered branches first in
-// order, then a stable per-flow weighted choice among filterless ones.
-// Returns nil if no branch applies. Two passes over the (short) branch list
-// keep it allocation-free.
-func pickBranch(branches []Branch, p *packet.Packet) *Branch {
-	var totalW float64
-	weightless := 0
-	for i := range branches {
-		b := &branches[i]
-		if b.Filter != nil {
-			if b.Filter.Match(p) {
-				return b
-			}
-			continue
-		}
-		weightless++
-		totalW += b.Weight
-	}
-	if weightless == 0 {
-		return nil
-	}
-	var u float64
-	if tu, err := p.Tuple(); err == nil {
-		u = float64(tu.Hash()%100000) / 100000
-	}
-	if totalW <= 0 {
-		idx := int(u*float64(weightless)) % weightless
-		for i := range branches {
-			if branches[i].Filter != nil {
-				continue
-			}
-			if idx == 0 {
-				return &branches[i]
-			}
-			idx--
-		}
-	}
-	acc := 0.0
-	var last *Branch
-	for i := range branches {
-		b := &branches[i]
-		if b.Filter != nil {
-			continue
-		}
-		acc += b.Weight / totalW
-		if u < acc {
-			return b
-		}
-		last = b
-	}
-	return last
-}
-
 // PathEntry is the switch's program for one (SPI, SI) point of a service
 // path: NFs to apply on-switch, the SI advance, optional branch re-tagging,
 // NSH encap/decap, and the forwarding decision.
 type PathEntry struct {
-	Apply     []nf.NF  // switch-resident NFs, run in order
-	AdvanceSI uint8    // consolidated SI decrement (§4.2 optimization b)
-	Branches  []Branch // evaluated after Apply; first match wins
-	Encap     bool     // push NSH before forwarding (entering the path)
-	Decap     bool     // strip NSH before forwarding (leaving the path)
+	Apply     []nf.NF      // switch-resident NFs, run in order
+	AdvanceSI uint8        // consolidated SI decrement (§4.2 optimization b)
+	Branches  []bpf.Branch // evaluated after Apply; first match wins
+	Encap     bool         // push NSH before forwarding (entering the path)
+	Decap     bool         // strip NSH before forwarding (leaving the path)
 	Out       Forward
 }
 
@@ -277,7 +213,7 @@ func (s *Switch) process(frame []byte, env *nf.Env, p *packet.Packet) (out []byt
 	// Compute the outgoing tag: advance past the NFs applied here, or jump
 	// to a branch target (filters first, then per-flow weighted choice).
 	outSPI, outSI := spi, si
-	if b := pickBranch(e.Branches, p); b != nil {
+	if b := bpf.PickBranch(e.Branches, p); b != nil {
 		outSPI, outSI = b.SPI, b.SI
 	} else if e.AdvanceSI > 0 {
 		if si < e.AdvanceSI {

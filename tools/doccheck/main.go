@@ -1,26 +1,29 @@
-// Command doccheck fails (exit 1) if any exported symbol in the given
-// package directories lacks a doc comment. It is the CI docs gate behind
-// the repo's godoc policy: exported identifiers in the audited packages
-// must say what they are — for quantities, in which units; for anything
-// that computes, whether the result is deterministic.
+// Command doccheck is the repository's static gate. Run from the module
+// root with no arguments, it loads and type-checks every package of the
+// module and of bench/ once (see load) and fails (exit 1) on a finding of
+// any of three checks:
 //
-// Usage: go run ./tools/doccheck <pkg-dir> [<pkg-dir>...]
+//   - godoc coverage: an exported func, method, type, or the first name of
+//     an exported const/var spec, in one of the audited packages, without a
+//     doc comment. Grouped specs inherit the block comment; methods of
+//     unexported types and struct fields are exempt. Exported identifiers
+//     must say what they are — for quantities, in which units; for
+//     anything that computes, whether the result is deterministic;
+//   - test-only names: a package-level identifier under internal/ or in the
+//     root package, exported or not, that no non-test file uses, an
+//     exported one under internal/ that no non-test file of another package
+//     uses, or a struct field under internal/ that no non-test file reads,
+//     unless tools/doccheck/testonly.txt lists it; and a line there that
+//     names something gone or no longer a finding (see testonly.go);
+//   - docs: a backticked package symbol, flag or test name in README.md,
+//     ARCHITECTURE.md, OPERATIONS.md, EXPERIMENTS.md or DESIGN.md that
+//     names nothing in the tree, a kind of reference the docs no longer
+//     hold, and an over-long CHANGES.md entry (see docs.go).
 //
-//	go run ./tools/doccheck -testonly
+// Usage:
+//
+//	go run ./tools/doccheck
 //	go run ./tools/doccheck -guards <manifest> <race.json> <cover.json>
-//
-// Checks exported funcs, methods, types, and the first name of exported
-// const/var specs. Grouped specs inherit the block comment; struct fields
-// are exempt (the struct's own comment may cover them) except when the
-// struct itself is undocumented.
-//
-// With -testonly, run from the module root, it instead fails if a
-// package-level identifier under internal/ or in the root package, exported
-// or not, is used by no non-test file, an exported one under internal/ by
-// no non-test file of another package, or a struct field under internal/ is
-// read by no non-test file (only written, or not used at all), and it is
-// not listed in tools/doccheck/testonly.txt; or if a line there names
-// something gone or no longer a finding (see testonly.go).
 //
 // With -guards it instead reads the `go test -json` streams of ci.sh's two
 // whole-suite passes (one under -race, one with -coverprofile) and fails
@@ -31,32 +34,28 @@ package main
 import (
 	"fmt"
 	"go/ast"
-	"go/parser"
 	"go/token"
+	"io"
 	"os"
 	"path/filepath"
-	"strings"
 )
+
+// audited are the packages, as directories below the module root, whose
+// exported names must each carry a doc comment.
+var audited = []string{".", "internal/placer", "internal/metacompiler", "internal/runtime", "internal/daemon", "internal/experiments"}
 
 func main() {
 	switch {
-	case len(os.Args) == 2 && os.Args[1] == "-testonly":
-		bad, err := testOnly(".", filepath.Join("tools", "doccheck", "testonly.txt"), os.Stdout)
-		exit(bad, err, "unused or package-only identifier(s), unread field(s) or stale allow-list line(s)")
-		return
+	case len(os.Args) == 1:
+		bad, err := check(".", os.Stdout)
+		exit(bad, err, "finding(s)")
 	case len(os.Args) == 5 && os.Args[1] == "-guards":
 		bad, err := guards(os.Args[2], os.Args[3], os.Args[4], os.Stdout)
 		exit(bad, err, "guard finding(s)")
-		return
-	case len(os.Args) < 2 || strings.HasPrefix(os.Args[1], "-"):
-		fmt.Fprintln(os.Stderr, "usage: doccheck <pkg-dir> [<pkg-dir>...] | doccheck -testonly | doccheck -guards <manifest> <race.json> <cover.json>")
+	default:
+		fmt.Fprintln(os.Stderr, "usage: doccheck | doccheck -guards <manifest> <race.json> <cover.json>")
 		os.Exit(2)
 	}
-	bad := 0
-	for _, dir := range os.Args[1:] {
-		bad += checkDir(dir)
-	}
-	exit(bad, nil, "exported symbol(s) without doc comments")
 }
 
 // exit ends a mode that returned bad findings or err: status 2 on an error,
@@ -72,29 +71,53 @@ func exit(bad int, err error, what string) {
 	}
 }
 
-func checkDir(dir string) int {
-	fset := token.NewFileSet()
-	pkgs, err := parser.ParseDir(fset, dir, func(fi os.FileInfo) bool {
-		return !strings.HasSuffix(fi.Name(), "_test.go")
-	}, parser.ParseComments)
+// check runs the three checks of the static gate on one load of the module
+// in root, writes their findings to w and returns how many there are.
+func check(root string, w io.Writer) (int, error) {
+	l, err := load(root)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "doccheck: %s: %v\n", dir, err)
-		os.Exit(2)
+		return 0, err
 	}
-	bad := 0
-	for _, pkg := range pkgs {
-		for path, f := range pkg.Files {
-			bad += checkFile(fset, filepath.ToSlash(path), f)
-		}
+	bad, err := l.godoc(w)
+	if err != nil {
+		return 0, err
 	}
-	return bad
+	n, err := l.testOnly(filepath.Join(root, "tools", "doccheck", "testonly.txt"), w)
+	if err != nil {
+		return 0, err
+	}
+	bad += n
+	n, err = l.docs(root, w)
+	return bad + n, err
 }
 
-func checkFile(fset *token.FileSet, path string, f *ast.File) int {
+// godoc is the godoc-coverage check: checkFile over the non-test files of
+// each audited package, which must have been loaded.
+func (l *loader) godoc(w io.Writer) (int, error) {
+	bad := 0
+	for _, dir := range audited {
+		path := l.module
+		if dir != "." {
+			path += "/" + dir
+		}
+		files, ok := l.files[path]
+		if !ok {
+			return 0, fmt.Errorf("audited package %s is not in the module", path)
+		}
+		for _, f := range files {
+			bad += checkFile(l.fset, f, w)
+		}
+	}
+	return bad, nil
+}
+
+// checkFile writes each exported name of f without a doc comment to w and
+// returns how many there are.
+func checkFile(fset *token.FileSet, f *ast.File, w io.Writer) int {
 	bad := 0
 	report := func(pos token.Pos, kind, name string) {
 		p := fset.Position(pos)
-		fmt.Printf("%s:%d: %s %s has no doc comment\n", path, p.Line, kind, name)
+		fmt.Fprintf(w, "%s:%d: %s %s has no doc comment\n", p.Filename, p.Line, kind, name)
 		bad++
 	}
 	for _, decl := range f.Decls {

@@ -18,9 +18,37 @@ import (
 	"strings"
 )
 
-// testOnly is the -testonly mode: it loads every package of the module in
-// root and of the benchmark module in root/bench and type-checks their
-// non-test files. It fails on:
+// load parses and type-checks the non-test files of every package of the
+// module in root and of the benchmark module in root/bench, dependencies
+// first and each package once, and parses their test files for the names of
+// their tests. It is the one load the gate's checks share.
+func load(root string) (*loader, error) {
+	l := &loader{fset: token.NewFileSet(), checked: map[string]*types.Package{},
+		files: map[string][]*ast.File{}, tests: map[string]bool{}, flags: map[string]map[string]bool{},
+		uses: map[types.Object]bool{}, foreign: map[types.Object]bool{},
+		reads: map[types.Object]bool{}, compared: map[*types.Struct]bool{}}
+	l.std = importer.ForCompiler(l.fset, "source", nil)
+	for _, dir := range []string{root, filepath.Join(root, "bench")} {
+		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err != nil {
+			continue // a tree without the benchmark module
+		}
+		pkgs, err := goList(dir)
+		if err != nil {
+			return nil, err
+		}
+		for _, p := range pkgs {
+			if l.module == "" {
+				l.module = p.Module.Path
+			}
+			if err := l.check(p); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return l, nil
+}
+
+// testOnly is the test-only check. It fails on:
 //   - a package-level func, method, type, const or var declared under
 //     internal/ or in the module's root package, exported or not, that no
 //     non-test file uses (see names);
@@ -29,39 +57,17 @@ import (
 //   - a field of a package-level struct type declared under internal/,
 //     exported or not, that no non-test file reads (see unreadFields);
 //
-// unless the allow-list names it, and on an allow-list line that names
-// something gone or no longer a finding. Test files are never parsed, so a
-// use from a test does not count. It returns the number of findings and
-// writes them to w.
-func testOnly(root, allowPath string, w io.Writer) (int, error) {
+// unless the allow-list at allowPath names it, and on an allow-list line
+// that names something gone or no longer a finding. Test files are never
+// type-checked, so a use from a test does not count. It returns the number
+// of findings and writes them to w.
+func (l *loader) testOnly(allowPath string, w io.Writer) (int, error) {
 	allow, err := readAllowList(allowPath)
 	if err != nil {
 		return 0, err
 	}
-	l := &loader{fset: token.NewFileSet(), checked: map[string]*types.Package{},
-		uses: map[types.Object]bool{}, foreign: map[types.Object]bool{},
-		reads: map[types.Object]bool{}, compared: map[*types.Struct]bool{}}
-	l.std = importer.ForCompiler(l.fset, "source", nil)
-	module := ""
-	for _, dir := range []string{root, filepath.Join(root, "bench")} {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err != nil {
-			continue // a tree without the benchmark module
-		}
-		pkgs, err := goList(dir)
-		if err != nil {
-			return 0, err
-		}
-		for _, p := range pkgs {
-			if module == "" {
-				module = p.Module.Path
-			}
-			if err := l.check(p); err != nil {
-				return 0, err
-			}
-		}
-	}
-	findings := l.names(module)
-	for name, f := range l.unreadFields(module + "/internal/") {
+	findings := l.names(l.module)
+	for name, f := range l.unreadFields(l.module + "/internal/") {
 		findings[name] = f
 	}
 	bad := 0
@@ -83,11 +89,11 @@ func testOnly(root, allowPath string, w io.Writer) (int, error) {
 
 // listedPkg is the part of `go list -json` output the check reads.
 type listedPkg struct {
-	ImportPath string
-	Dir        string
-	Standard   bool
-	GoFiles    []string
-	Module     *struct{ Path string }
+	ImportPath                         string
+	Dir                                string
+	Standard                           bool
+	GoFiles, TestGoFiles, XTestGoFiles []string
+	Module                             *struct{ Path string }
 }
 
 // goList lists the packages of the module in dir, dependencies first,
@@ -145,7 +151,15 @@ func readAllowList(path string) (map[string]int, error) {
 type loader struct {
 	fset    *token.FileSet
 	std     types.Importer
+	module  string // the import path of the module in the root directory
 	checked map[string]*types.Package
+	// files are each package's non-test files by import path, tests the
+	// names of the top-level Test, Fuzz and Benchmark funcs of every test
+	// file, and flags each cmd/ tool's flag names by tool (see
+	// recordFlags).
+	files map[string][]*ast.File
+	tests map[string]bool
+	flags map[string]map[string]bool
 	// decls are the package-level objects and methods declared in non-test
 	// files, uses the objects some non-test file refers to outside their
 	// own declaration, and foreign those a non-test file of another
@@ -178,11 +192,22 @@ func (l *loader) check(p *listedPkg) error {
 	}
 	var files []*ast.File
 	for _, name := range p.GoFiles {
-		f, err := parser.ParseFile(l.fset, filepath.Join(p.Dir, name), nil, parser.SkipObjectResolution)
+		f, err := parser.ParseFile(l.fset, filepath.Join(p.Dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
 		files = append(files, f)
+	}
+	for _, name := range append(p.TestGoFiles, p.XTestGoFiles...) {
+		f, err := parser.ParseFile(l.fset, filepath.Join(p.Dir, name), nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil && testFunc.MatchString(fn.Name.Name) {
+				l.tests[fn.Name.Name] = true
+			}
+		}
 	}
 	info := &types.Info{Uses: map[*ast.Ident]types.Object{}, Defs: map[*ast.Ident]types.Object{},
 		Types: map[ast.Expr]types.TypeAndValue{}}
@@ -191,9 +216,17 @@ func (l *loader) check(p *listedPkg) error {
 		return fmt.Errorf("type-check %s: %w", p.ImportPath, err)
 	}
 	l.checked[p.ImportPath] = pkg
+	l.files[p.ImportPath] = files
+	tool, isCmd := strings.CutPrefix(p.ImportPath, p.Module.Path+"/cmd/")
+	if isCmd {
+		l.flags[tool] = map[string]bool{}
+	}
 	for _, f := range files {
 		l.recordFile(pkg, f, info)
 		l.recordReads(f, info)
+		if isCmd {
+			l.recordFlags(tool, f, info)
+		}
 	}
 	for _, n := range pkg.Scope().Names() {
 		if tn, ok := pkg.Scope().Lookup(n).(*types.TypeName); ok && !tn.IsAlias() {

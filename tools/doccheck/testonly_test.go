@@ -62,8 +62,9 @@ import "m/internal/a"
 func main() { a.FromBench() }
 `,
 	})
+	l := mustLoad(t, root)
 	allow := filepath.Join(root, "testonly.txt")
-	checkAllowLists(t, root, allow, []allowCase{
+	checkAllowLists(t, l, allow, []allowCase{
 		{"listed", "a.Unused  # oracle\na.Dead # oracle\n", nil},
 		{"unlisted", "a.Dead # oracle\n", []string{"a.Unused is used by no non-test file"}},
 		{"stale", "a.Unused # oracle\na.Dead # oracle\na.Used # now used\na.Gone # deleted\n",
@@ -72,7 +73,7 @@ func main() { a.FromBench() }
 	if err := os.WriteFile(allow, []byte("a.Unused\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := testOnly(root, allow, &strings.Builder{}); err == nil {
+	if _, err := l.testOnly(allow, &strings.Builder{}); err == nil {
 		t.Error("a line without a reason must be refused")
 	}
 }
@@ -125,7 +126,7 @@ func TestE(t *testing.T) { _ = testHelper() }
 	})
 	inside := "e.Inside is used only inside its own package"
 	helper := "e.testHelper is used by no non-test file"
-	checkAllowLists(t, root, filepath.Join(root, "testonly.txt"), []allowCase{
+	checkAllowLists(t, mustLoad(t, root), filepath.Join(root, "testonly.txt"), []allowCase{
 		{"unlisted", "", []string{inside, "e.Listed is used only inside its own package", helper}},
 		{"listed", "e.Listed  # kept exported\n", []string{inside, helper}},
 		{"stale", "e.Listed # kept exported\ne.Gone # deleted\n",
@@ -192,7 +193,7 @@ func TestF(t *testing.T) { _ = (&W{}).TestRead }
 	})
 	writes := []string{"f.W.Added is read by no non-test file", "f.W.Assigned is read", "f.W.Atomic is read",
 		"f.W.Incr is read", "f.W.Keyed is read"}
-	checkAllowLists(t, root, filepath.Join(root, "testonly.txt"), []allowCase{
+	checkAllowLists(t, mustLoad(t, root), filepath.Join(root, "testonly.txt"), []allowCase{
 		{"listed", "f.W.Listed  # modelled state\n", append(writes, "f.W.TestRead is read")},
 		{"unlisted", "", append(writes, "f.W.Listed is read", "f.W.TestRead is read")},
 		{"stale", "f.W.Listed # modelled state\nf.W.Read # now read\nf.W.Gone # deleted\n",
@@ -208,27 +209,29 @@ type allowCase struct {
 	want       []string
 }
 
-// checkAllowLists runs the check on root once per case, with the case's
-// list written to allow.
-func checkAllowLists(t *testing.T, root, allow string, cases []allowCase) {
+// mustLoad loads the tree at root or fails the test.
+func mustLoad(t *testing.T, root string) *loader {
+	t.Helper()
+	l, err := load(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
+
+// checkAllowLists runs the check on the loaded tree once per case, with the
+// case's list written to allow.
+func checkAllowLists(t *testing.T, l *loader, allow string, cases []allowCase) {
 	t.Helper()
 	for _, tc := range cases {
 		if err := os.WriteFile(allow, []byte(tc.list), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		var out strings.Builder
-		bad, err := testOnly(root, allow, &out)
+		bad, err := l.testOnly(allow, &out)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		lines := strings.Split(strings.TrimSpace(out.String()), "\n")
-		if bad != len(tc.want) || (bad > 0 && len(lines) != bad) {
-			t.Fatalf("%s: %d findings, want %d:\n%s", tc.name, bad, len(tc.want), out.String())
-		}
-		for i, w := range tc.want {
-			if !strings.Contains(lines[i], w) {
-				t.Errorf("%s: finding %d = %q, want %q", tc.name, i, lines[i], w)
-			}
-		}
+		checkFindings(t, tc.name, bad, out.String(), tc.want)
 	}
 }
