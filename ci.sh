@@ -238,14 +238,15 @@ go test -run '^$' -bench 'BenchmarkNFProcess' -benchtime 1x -benchmem ./internal
 # (0.97 measured; a generator and schedule replay built afresh per chain
 # and run instead of rebuilt in place are 1.26, the raw delay samples 15.3,
 # regenerating the warm deployment's flow schedules on every run 380). Heap objects per cell on ctl_place_fleet
-# repeat to five digits and are held below 1600 (1346 measured; a scratch
-# per candidate slot is 1729, a candidate's dependency lists as heap slices
-# of their own 8458). Heap bytes per op on ctl_reconcile are held below
-# 65000 (55.7 K measured; a text render per Compile and Apply is 75.7 K, a
+# repeat to five digits and are held below 1115 (1061 measured; a per-input
+# stage-verdict memo in front of the shared compile cache is 1151, a scratch
+# per candidate slot 1729, a candidate's dependency lists as heap slices of
+# their own 8458). Heap bytes per op on ctl_reconcile are held below 65000
+# (31.0 K measured; a text render per Compile and Apply is 75.7 K, a
 # chain prep copied and an evaluation scratch built per placer call 124 K,
 # a whole-document parse and a full artifact render per op on top of them
 # 295 K, and a rate LP with a column per slot ever admitted 508 K). Heap
-# bytes per cell on ctl_place_fleet are held below 225000 (201 K measured; a
+# bytes per cell on ctl_place_fleet are held below 225000 (175.5 K measured; a
 # hash stored per flow-table entry and a generator built per verified chain
 # are 239 K, a text render per Compile 288 K, an evaluation scratch per
 # candidate slot, warmed per variant, 376 K, and on top of it a flow-table
@@ -293,7 +294,7 @@ for w in $workloads; do
     sim_stateful_churn) counted_below "$w" alloc_bytes_per_work 290 'a hash stored per table entry again?' "$last" ;;
     sim_failover_steps) counted_below "$w" alloc_bytes_per_work 38 'a hash stored per table entry again, a flow-table arena that copies itself to grow, or raw delay samples?' "$last" ;;
     ctl_place_fleet)
-      counted_below "$w" allocs_per_work 1600 'a scratch per candidate slot, or per-candidate dependency lists back on the heap?' "$last"
+      counted_below "$w" allocs_per_work 1115 'a per-input stage memo in front of the compile cache, a scratch per candidate slot, or per-candidate dependency lists back on the heap?' "$last"
       counted_below "$w" alloc_bytes_per_work 225000 'a hash stored per table entry or a generator per verified chain again, or a text render per Compile/Apply?' "$last"
       ;;
     ctl_reconcile) counted_below "$w" alloc_bytes_per_work 65000 'a text render per Compile/Apply again?' "$last" ;;

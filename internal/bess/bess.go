@@ -198,8 +198,8 @@ func (pl *Pipeline) coreLoad(core int) float64 {
 // packet in place performs no allocation and no payload copy. NFs may change
 // the frame's length (nf.tunnel, nf.detunnel): the returned frame is a slice
 // of the input with the same base pointer unless an NF had to replace the
-// packet buffer (a VLAN push with no tail room), in which case the mux falls
-// back to the allocating nsh.Encap.
+// packet buffer (a VLAN push with no tail room), in which case the mux
+// encaps into that buffer, growing it when it has no room for the header.
 func (pl *Pipeline) ProcessFrameInPlace(frame []byte, env *nf.Env) (out []byte, rerr error) {
 	mFrames.Inc()
 	defer func() {
@@ -244,5 +244,5 @@ func (pl *Pipeline) ProcessFrameInPlace(frame []byte, env *nf.Env) (out []byte, 
 		}
 		return full, nil
 	}
-	return nsh.Encap(p.Data, outSPI, outSI)
+	return nsh.EncapInPlace(p.Data, outSPI, outSI)
 }

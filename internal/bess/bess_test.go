@@ -24,7 +24,7 @@ func frame(dport uint16) []byte {
 
 func encFrame(t *testing.T, spi uint32, si uint8, dport uint16) []byte {
 	t.Helper()
-	out, err := nsh.Encap(frame(dport), spi, si)
+	out, err := nsh.EncapInPlace(frame(dport), spi, si)
 	if err != nil {
 		t.Fatal(err)
 	}

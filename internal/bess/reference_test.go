@@ -2,6 +2,7 @@ package bess
 
 import (
 	"fmt"
+	"slices"
 
 	"lemur/internal/bpf"
 	"lemur/internal/nf"
@@ -12,8 +13,9 @@ import (
 // processCopy is the server hop under the copying contract — the input is
 // never mutated and the output is a fresh buffer — walked apart from
 // ProcessFrameInPlace: decap into a private copy, run the subgroup on its
-// own decode, re-encap with the allocating nsh.Encap. The in-place tests
-// hold the production hop to it byte for byte.
+// own decode, re-encap into a buffer of its own (a clipped slice, so
+// nsh.EncapInPlace allocates). The in-place tests hold the production hop to
+// it byte for byte.
 func processCopy(pl *Pipeline, frame []byte, env *nf.Env) ([]byte, error) {
 	inner, spi, si, err := nsh.DecapInPlace(append([]byte(nil), frame...))
 	if err != nil {
@@ -40,5 +42,5 @@ func processCopy(pl *Pipeline, frame []byte, env *nf.Env) ([]byte, error) {
 	if b := bpf.PickBranch(sg.Branches, &p); b != nil {
 		outSPI, outSI = b.SPI, b.SI
 	}
-	return nsh.Encap(p.Data, outSPI, outSI)
+	return nsh.EncapInPlace(slices.Clip(p.Data), outSPI, outSI)
 }

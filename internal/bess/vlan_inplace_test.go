@@ -31,7 +31,7 @@ var vlanCases = []struct {
 
 func vlanEncFrame(t *testing.T, vid, dport uint16) []byte {
 	t.Helper()
-	out, err := nsh.Encap(packet.Builder{
+	out, err := nsh.EncapInPlace(packet.Builder{
 		Src: packet.IPv4Addr{10, 0, 0, 1}, Dst: packet.IPv4Addr{172, 16, 0, 1},
 		SrcPort: 4000, DstPort: dport, VLANID: vid, Payload: []byte("payload-bytes!!!"),
 	}.Build(), 1, 10)
@@ -44,7 +44,7 @@ func vlanEncFrame(t *testing.T, vid, dport uint16) []byte {
 // TestVLANInPlaceMatches: a hop that changes the frame's length emits on the
 // in-place path exactly the bytes of the copying processCopy, with tail room
 // (where the frame must stay in the caller's buffer) and without it
-// (Tunnel's copying fallback, then nsh.Encap).
+// (Tunnel's copying fallback, then an encap that grows that copy).
 func TestVLANInPlaceMatches(t *testing.T) {
 	for _, tc := range vlanCases {
 		for _, room := range []int{0, packet.VLANLen} {

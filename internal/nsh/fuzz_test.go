@@ -9,7 +9,7 @@ import (
 )
 
 // randomFrame builds a well-formed frame with randomized header fields,
-// VLAN-tagged half the time (Encap must handle both L2 layouts).
+// VLAN-tagged half the time (the encap must handle both L2 layouts).
 func randomFrame(rng *rand.Rand) []byte {
 	b := packet.Builder{
 		Src:     packet.IPv4Addr{10, byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256))},
@@ -25,7 +25,7 @@ func randomFrame(rng *rand.Rand) []byte {
 }
 
 // TestEncapDecapRoundTripFuzz: for random frames and random (SPI, SI),
-// Encap -> Tag -> SetTag -> DecapInPlace must return the tag and the
+// EncapInPlace -> Tag -> SetTag -> DecapInPlace must return the tag and the
 // original frame bytes exactly (mirrors the seeded-random fuzz style of
 // internal/bpf).
 func TestEncapDecapRoundTripFuzz(t *testing.T) {
@@ -35,9 +35,9 @@ func TestEncapDecapRoundTripFuzz(t *testing.T) {
 		spi := uint32(rng.Intn(maxSPI + 1))
 		si := uint8(rng.Intn(256))
 
-		enc, err := Encap(frame, spi, si)
+		enc, err := EncapInPlace(append([]byte(nil), frame...), spi, si)
 		if err != nil {
-			t.Fatalf("trial %d: Encap(spi=%d si=%d): %v", trial, spi, si, err)
+			t.Fatalf("trial %d: EncapInPlace(spi=%d si=%d): %v", trial, spi, si, err)
 		}
 		gotSPI, gotSI, err := Tag(enc)
 		if err != nil {
@@ -77,7 +77,7 @@ func TestDecodeGarbageNeverPanics(t *testing.T) {
 		// Bias some trials toward almost-valid frames: real frame, truncated.
 		if rng.Intn(3) == 0 {
 			full := randomFrame(rng)
-			if enc, err := Encap(full, uint32(rng.Intn(maxSPI+1)), uint8(rng.Intn(256))); err == nil {
+			if enc, err := encapCopy(full, uint32(rng.Intn(maxSPI+1)), uint8(rng.Intn(256))); err == nil {
 				full = enc
 			}
 			buf = full[:rng.Intn(len(full)+1)]
@@ -92,7 +92,7 @@ func TestDecodeGarbageNeverPanics(t *testing.T) {
 			_, _, _, _ = DecapInPlace(append([]byte(nil), buf...))
 			_, _, _, _ = DecapShift(append([]byte(nil), buf...))
 			_ = SetTag(buf, uint32(rng.Intn(maxSPI+1)), uint8(rng.Intn(256)))
-			_, _ = Encap(buf, uint32(rng.Intn(maxSPI+1)), uint8(rng.Intn(256)))
+			_, _ = EncapInPlace(append([]byte(nil), buf...), uint32(rng.Intn(maxSPI+1)), uint8(rng.Intn(256)))
 		}()
 	}
 }

@@ -8,9 +8,9 @@ import (
 	"lemur/internal/packet"
 )
 
-// In-place encap/decap for every device hop. Encap output is byte-identical
-// to Encap's, decap output to the plain frame Encap wrapped, and both reuse
-// the caller's buffer instead of allocating:
+// In-place encap/decap for every device hop. Each reuses the caller's buffer
+// instead of allocating, and each is held byte for byte to a copying codec
+// in this package's tests:
 //
 //   - EncapInPlace / DecapInPlace grow or shrink the frame at its tail,
 //     memmoving the payload and preserving the buffer base pointer so pooled
@@ -20,9 +20,12 @@ import (
 //     NSH header (the inner frame aliases frame[NSHLen:]) and encap slides
 //     them back, so a server hop never copies the packet payload at all.
 
-// EncapInPlace inserts an NSH header like Encap but reuses frame's backing
-// array when its capacity allows, shifting the L3 payload right by NSHLen.
-// The returned slice shares frame's base pointer unless a grow was needed.
+// EncapInPlace inserts an NSH header (MD type 2, no metadata) between the L2
+// headers (Ethernet plus an optional outer VLAN tag) and the IPv4 payload.
+// It reuses frame's backing array when its capacity allows, shifting the L3
+// payload right by NSHLen; otherwise it writes a new frame and leaves frame
+// as it was. The returned slice shares frame's base pointer unless a grow
+// was needed.
 func EncapInPlace(frame []byte, spi uint32, si uint8) ([]byte, error) {
 	if spi > maxSPI {
 		return nil, fmt.Errorf("nsh: encap: SPI %#x exceeds 24 bits", spi)
@@ -96,8 +99,8 @@ func DecapShift(frame []byte) (inner []byte, spi uint32, si uint8, err error) {
 
 // EncapShift re-encapsulates after a DecapShift: full[NSHLen:] must hold a
 // plain (decapped) frame whose L2 header EncapShift slides back to the front
-// of full before writing a fresh NSH header, exactly as Encap would. The
-// whole of full is a valid encapsulated frame on return.
+// of full before writing a fresh NSH header, exactly as EncapInPlace would.
+// The whole of full is a valid encapsulated frame on return.
 func EncapShift(full []byte, spi uint32, si uint8) error {
 	if spi > maxSPI {
 		return fmt.Errorf("nsh: encap: SPI %#x exceeds 24 bits", spi)
@@ -123,7 +126,7 @@ func EncapShift(full []byte, spi uint32, si uint8) error {
 	return nil
 }
 
-// putBaseHeader writes the 8-byte NSH header Encap produces: ver=0,
+// putBaseHeader writes the 8-byte NSH header EncapInPlace produces: ver=0,
 // ttl=initialTTL, len=2, mdtype=2, nextproto=IPv4, then the service path.
 func putBaseHeader(b []byte, spi uint32, si uint8) {
 	b0 := uint32(initialTTL)<<22 | uint32(2)<<16 | uint32(2)<<12 | uint32(0x01)

@@ -16,12 +16,12 @@ func vlanFrame(t *testing.T) []byte {
 }
 
 // TestEncapInPlaceMatchesEncap: the in-place variant must produce the exact
-// bytes of the allocating Encap, with and without spare capacity, for plain
-// and VLAN-tagged frames.
+// bytes of the allocating encapCopy, with and without spare capacity, for
+// plain and VLAN-tagged frames.
 func TestEncapInPlaceMatchesEncap(t *testing.T) {
 	for _, mk := range []func(*testing.T) []byte{plainFrame, vlanFrame} {
 		orig := mk(t)
-		want, err := Encap(orig, 0x2345, 12)
+		want, err := encapCopy(orig, 0x2345, 12)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -33,7 +33,7 @@ func TestEncapInPlaceMatchesEncap(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Fatal("EncapInPlace (tight) diverges from Encap")
+			t.Fatal("EncapInPlace (tight) diverges from encapCopy")
 		}
 
 		// Spare capacity: must reuse the buffer and still match.
@@ -44,7 +44,7 @@ func TestEncapInPlaceMatchesEncap(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got2, want) {
-			t.Fatal("EncapInPlace (roomy) diverges from Encap")
+			t.Fatal("EncapInPlace (roomy) diverges from encapCopy")
 		}
 		if &got2[0] != &roomy[0] {
 			t.Fatal("EncapInPlace with spare capacity must not reallocate")
@@ -56,7 +56,7 @@ func TestEncapInPlaceMatchesEncap(t *testing.T) {
 // pointer preserved.
 func TestDecapInPlaceMatchesDecap(t *testing.T) {
 	orig := plainFrame(t)
-	enc, err := Encap(orig, 77, 5)
+	enc, err := encapCopy(orig, 77, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,11 +82,11 @@ func TestDecapInPlaceMatchesDecap(t *testing.T) {
 
 // TestShiftRoundTrip: DecapShift exposes the inner frame without copying the
 // payload; EncapShift re-wraps it. The round trip must be byte-identical to
-// decapCopy followed by Encap, and the inner slice must alias the frame.
+// decapCopy followed by encapCopy, and the inner slice must alias the frame.
 func TestShiftRoundTrip(t *testing.T) {
 	for _, mk := range []func(*testing.T) []byte{plainFrame, vlanFrame} {
 		orig := mk(t)
-		enc, err := Encap(orig, 300, 8)
+		enc, err := encapCopy(orig, 300, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +107,7 @@ func TestShiftRoundTrip(t *testing.T) {
 			t.Fatal("DecapShift inner must alias frame[NSHLen:]")
 		}
 
-		wantEnc, err := Encap(wantInner, 301, 6)
+		wantEnc, err := encapCopy(wantInner, 301, 6)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,7 +115,7 @@ func TestShiftRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(frame, wantEnc) {
-			t.Fatal("EncapShift diverges from Encap")
+			t.Fatal("EncapShift diverges from encapCopy")
 		}
 	}
 }
@@ -131,7 +131,7 @@ func TestShiftErrors(t *testing.T) {
 	if _, err := EncapInPlace(plainFrame(t), maxSPI+1, 1); err == nil {
 		t.Error("EncapInPlace SPI overflow must fail")
 	}
-	enc, _ := Encap(plainFrame(t), 1, 1)
+	enc, _ := encapCopy(plainFrame(t), 1, 1)
 	if _, err := EncapInPlace(enc, 2, 2); err == nil {
 		t.Error("double EncapInPlace must fail")
 	}

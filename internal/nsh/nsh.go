@@ -61,32 +61,6 @@ func nshOffset(frame []byte) (int, error) {
 	return hdrOff, nil
 }
 
-// Encap inserts an NSH header (MD type 2, no metadata) between the L2
-// headers (Ethernet plus an optional outer VLAN tag) and the IPv4 payload,
-// returning a new frame.
-func Encap(frame []byte, spi uint32, si uint8) ([]byte, error) {
-	if spi > maxSPI {
-		return nil, fmt.Errorf("nsh: encap: SPI %#x exceeds 24 bits", spi)
-	}
-	etOff, hdrOff, err := tagOffset(frame)
-	if err != nil {
-		return nil, fmt.Errorf("nsh: encap: %w", err)
-	}
-	switch et := binary.BigEndian.Uint16(frame[etOff:]); et {
-	case packet.EtherTypeNSH:
-		return nil, errors.New("nsh: encap: frame already encapsulated")
-	case packet.EtherTypeIPv4:
-	default:
-		return nil, fmt.Errorf("nsh: encap: inner ethertype %#x unsupported", et)
-	}
-	out := make([]byte, len(frame)+packet.NSHLen)
-	copy(out, frame[:hdrOff])
-	binary.BigEndian.PutUint16(out[etOff:], packet.EtherTypeNSH)
-	putBaseHeader(out[hdrOff:], spi, si)
-	copy(out[hdrOff+packet.NSHLen:], frame[hdrOff:])
-	return out, nil
-}
-
 // Tag reads the SPI/SI of an encapsulated frame without modifying it.
 func Tag(frame []byte) (spi uint32, si uint8, err error) {
 	off, err := nshOffset(frame)

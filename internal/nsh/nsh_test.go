@@ -18,7 +18,7 @@ func plainFrame(t *testing.T) []byte {
 
 func TestEncapDecapRoundTrip(t *testing.T) {
 	orig := plainFrame(t)
-	enc, err := Encap(orig, 0x1234, 9)
+	enc, err := encapCopy(orig, 0x1234, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,24 +48,23 @@ func TestEncapDecapRoundTrip(t *testing.T) {
 }
 
 func TestEncapErrors(t *testing.T) {
-	orig := plainFrame(t)
-	if _, err := Encap(orig, maxSPI+1, 1); err == nil {
+	if _, err := EncapInPlace(plainFrame(t), maxSPI+1, 1); err == nil {
 		t.Error("want SPI overflow error")
 	}
-	enc, _ := Encap(orig, 1, 1)
-	if _, err := Encap(enc, 2, 2); err == nil {
+	enc, _ := EncapInPlace(plainFrame(t), 1, 1)
+	if _, err := EncapInPlace(enc, 2, 2); err == nil {
 		t.Error("want double-encap error")
 	}
-	if _, err := Encap(make([]byte, 3), 1, 1); err == nil {
+	if _, err := EncapInPlace(make([]byte, 3), 1, 1); err == nil {
 		t.Error("want short-frame error")
 	}
-	if _, _, _, err := DecapInPlace(orig); !errors.Is(err, ErrNotEncapped) {
+	if _, _, _, err := DecapInPlace(plainFrame(t)); !errors.Is(err, ErrNotEncapped) {
 		t.Errorf("DecapInPlace on plain frame: %v, want ErrNotEncapped", err)
 	}
 }
 
 func TestSetTag(t *testing.T) {
-	enc, _ := Encap(plainFrame(t), 1, 1)
+	enc, _ := encapCopy(plainFrame(t), 1, 1)
 	if err := SetTag(enc, 77, 33); err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +84,7 @@ func TestEncapTagProperty(t *testing.T) {
 	orig := plainFrame(t)
 	f := func(spi uint32, si uint8) bool {
 		spi &= maxSPI
-		enc, err := Encap(orig, spi, si)
+		enc, err := encapCopy(orig, spi, si)
 		if err != nil {
 			return false
 		}

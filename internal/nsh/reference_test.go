@@ -3,10 +3,39 @@ package nsh
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"testing"
 
 	"lemur/internal/packet"
 )
+
+// encapCopy is the copying encap the in-place codecs are held to: it inserts
+// an NSH header (MD type 2, no metadata) between the L2 headers (Ethernet
+// plus an optional outer VLAN tag) and the IPv4 payload of a new frame, and
+// never touches its input.
+func encapCopy(frame []byte, spi uint32, si uint8) ([]byte, error) {
+	if spi > maxSPI {
+		return nil, fmt.Errorf("nsh: encap: SPI %#x exceeds 24 bits", spi)
+	}
+	etOff, hdrOff, err := tagOffset(frame)
+	if err != nil {
+		return nil, fmt.Errorf("nsh: encap: %w", err)
+	}
+	switch et := binary.BigEndian.Uint16(frame[etOff:]); et {
+	case packet.EtherTypeNSH:
+		return nil, errors.New("nsh: encap: frame already encapsulated")
+	case packet.EtherTypeIPv4:
+	default:
+		return nil, fmt.Errorf("nsh: encap: inner ethertype %#x unsupported", et)
+	}
+	out := make([]byte, len(frame)+packet.NSHLen)
+	copy(out, frame[:hdrOff])
+	binary.BigEndian.PutUint16(out[etOff:], packet.EtherTypeNSH)
+	putBaseHeader(out[hdrOff:], spi, si)
+	copy(out[hdrOff+packet.NSHLen:], frame[hdrOff:])
+	return out, nil
+}
 
 // decapCopy is the copying decap the in-place codecs are held to: it strips
 // the NSH header into a fresh buffer, restoring the plain L2+IPv4 frame, and
@@ -30,10 +59,10 @@ func decapCopy(frame []byte) (out []byte, spi uint32, si uint8, err error) {
 
 // FuzzNSHInPlace: on arbitrary frames with arbitrary spare capacity, the
 // in-place quartet gives exactly the copying codec's bytes, tags and
-// verdicts. EncapInPlace equals Encap and stays in a buffer with room for
+// verdicts. EncapInPlace equals encapCopy and stays in a buffer with room for
 // the header; DecapInPlace and DecapShift equal decapCopy, on any input,
 // and keep the base pointer and the frame[NSHLen:] alias respectively;
-// EncapShift, on any buffer, equals Encap of what follows its first NSHLen
+// EncapShift, on any buffer, equals encapCopy of what follows its first NSHLen
 // bytes; and a round trip restores the frame.
 func FuzzNSHInPlace(f *testing.F) {
 	plain := packet.Builder{
@@ -45,7 +74,7 @@ func FuzzNSHInPlace(f *testing.F) {
 	}
 	tagged := plain
 	tagged.VLANID = 42
-	enc, _ := Encap(plain.Build(), 7, 3)
+	enc, _ := encapCopy(plain.Build(), 7, 3)
 	f.Add(plain.Build(), uint8(packet.NSHLen), uint32(7), uint8(3))
 	f.Add(tagged.Build(), uint8(0), uint32(maxSPI), uint8(255))
 	f.Add(enc, uint8(packet.TailRoom), uint32(1), uint8(0))
@@ -60,15 +89,15 @@ func FuzzNSHInPlace(f *testing.F) {
 			return buf
 		}
 
-		// Encap against EncapInPlace.
-		want, werr := Encap(frame, spi, si)
+		// encapCopy against EncapInPlace.
+		want, werr := encapCopy(frame, spi, si)
 		if !bytes.Equal(frame, in) {
-			t.Fatal("Encap mutated its input")
+			t.Fatal("encapCopy mutated its input")
 		}
 		buf := withRoom()
 		got, gerr := EncapInPlace(buf, spi, si)
 		if (gerr == nil) != (werr == nil) {
-			t.Fatalf("EncapInPlace err %v, Encap err %v", gerr, werr)
+			t.Fatalf("EncapInPlace err %v, encapCopy err %v", gerr, werr)
 		}
 		if werr == nil {
 			if !bytes.Equal(got, want) {
@@ -106,10 +135,10 @@ func FuzzNSHInPlace(f *testing.F) {
 			if &inner[0] != &buf[packet.NSHLen] {
 				t.Fatal("DecapShift inner must alias frame[NSHLen:]")
 			}
-			// Re-wrapping the shifted frame is Encap of the decapped one.
-			wantRe, rerr := Encap(wantDec, spi, si)
+			// Re-wrapping the shifted frame is encapCopy of the decapped one.
+			wantRe, rerr := encapCopy(wantDec, spi, si)
 			if err := EncapShift(buf, spi, si); (err == nil) != (rerr == nil) {
-				t.Fatalf("EncapShift after DecapShift err %v, Encap err %v", err, rerr)
+				t.Fatalf("EncapShift after DecapShift err %v, encapCopy err %v", err, rerr)
 			} else if err == nil && !bytes.Equal(buf, wantRe) {
 				t.Fatalf("EncapShift after DecapShift:\n want %x\n got  %x", wantRe, buf)
 			}
@@ -123,9 +152,9 @@ func FuzzNSHInPlace(f *testing.F) {
 				t.Fatal("EncapShift accepted a buffer shorter than the header")
 			}
 		} else {
-			wantSh, werr := Encap(frame[packet.NSHLen:], spi, si)
+			wantSh, werr := encapCopy(frame[packet.NSHLen:], spi, si)
 			if (serr == nil) != (werr == nil) {
-				t.Fatalf("EncapShift err %v, Encap err %v", serr, werr)
+				t.Fatalf("EncapShift err %v, encapCopy err %v", serr, werr)
 			}
 			if werr == nil && !bytes.Equal(buf, wantSh) {
 				t.Fatalf("EncapShift:\n want %x\n got  %x", wantSh, buf)

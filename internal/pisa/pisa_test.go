@@ -204,7 +204,7 @@ func TestSwitchReturnPathAdvanceAndDecap(t *testing.T) {
 		Apply: []nf.NF{fwdNF}, Decap: true,
 		Out: Forward{Kind: Egress},
 	})
-	enc, err := nsh.Encap(ingressFrame(t, 443), 5, 3)
+	enc, err := nsh.EncapInPlace(ingressFrame(t, 443), 5, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestSwitchReturnPathAdvanceAndDecap(t *testing.T) {
 func TestSwitchAdvanceSI(t *testing.T) {
 	s := mkSwitch(t)
 	s.SetEntry(9, 8, &PathEntry{AdvanceSI: 3, Out: Forward{Kind: ToServer, Target: "srv"}})
-	enc, _ := nsh.Encap(ingressFrame(t, 1), 9, 8)
+	enc, _ := nsh.EncapInPlace(ingressFrame(t, 1), 9, 8)
 	out, _, err := s.ProcessFrameInPlace(enc, &nf.Env{})
 	if err != nil {
 		t.Fatal(err)
@@ -247,7 +247,7 @@ func TestSwitchBranchReTag(t *testing.T) {
 		},
 		Out: Forward{Kind: ToServer, Target: "srv"},
 	})
-	enc, _ := nsh.Encap(ingressFrame(t, 53), 2, 4)
+	enc, _ := nsh.EncapInPlace(ingressFrame(t, 53), 2, 4)
 	out, _, err := s.ProcessFrameInPlace(enc, &nf.Env{})
 	if err != nil {
 		t.Fatal(err)
@@ -256,7 +256,7 @@ func TestSwitchBranchReTag(t *testing.T) {
 	if spi != 21 || si != 9 {
 		t.Errorf("branch tag = %d/%d, want 21/9", spi, si)
 	}
-	enc2, _ := nsh.Encap(ingressFrame(t, 80), 2, 4)
+	enc2, _ := nsh.EncapInPlace(ingressFrame(t, 80), 2, 4)
 	out2, _, _ := s.ProcessFrameInPlace(enc2, &nf.Env{})
 	spi2, _, _ := nsh.Tag(out2)
 	if spi2 != 22 {
@@ -272,7 +272,7 @@ func TestSwitchNoPath(t *testing.T) {
 	}
 	// Tagged frame with no entry.
 	s.AddClassifierRule(ClassifierRule{SPI: 1, SI: 1})
-	enc, _ := nsh.Encap(ingressFrame(t, 80), 99, 9)
+	enc, _ := nsh.EncapInPlace(ingressFrame(t, 80), 99, 9)
 	if _, _, err := s.ProcessFrameInPlace(enc, &nf.Env{}); !errors.Is(err, errNoPath) {
 		t.Errorf("tagged miss: %v", err)
 	}

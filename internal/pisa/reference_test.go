@@ -2,6 +2,7 @@ package pisa
 
 import (
 	"fmt"
+	"slices"
 
 	"lemur/internal/bpf"
 	"lemur/internal/nf"
@@ -12,9 +13,8 @@ import (
 // processCopy is the switch hop under the copying contract — the input is
 // never mutated and the output is a fresh buffer — walked apart from
 // process: classify or read the tag, run the entry's NFs on a private
-// copy, then encap with the allocating nsh.Encap, decap into a fresh
-// buffer, or retag. The in-place tests hold the production hop to it byte
-// for byte, verdict for verdict.
+// copy, then encap or decap into a fresh buffer, or retag. The in-place
+// tests hold the production hop to it byte for byte, verdict for verdict.
 func processCopy(s *Switch, frame []byte, env *nf.Env) ([]byte, Forward, error) {
 	drop := Forward{Kind: Dropped}
 	spi, si, tagErr := nsh.Tag(frame)
@@ -57,7 +57,7 @@ func processCopy(s *Switch, frame []byte, env *nf.Env) ([]byte, Forward, error) 
 	out := append([]byte(nil), p.Data...)
 	switch {
 	case e.Encap && !tagged:
-		enc, err := nsh.Encap(out, outSPI, outSI)
+		enc, err := nsh.EncapInPlace(slices.Clip(out), outSPI, outSI)
 		if err != nil {
 			return nil, drop, err
 		}

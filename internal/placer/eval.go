@@ -26,7 +26,6 @@ const unassigned hw.Platform = -1
 // evaluation. Read-only after build, shared by concurrent evaluations.
 type chainTemplate struct {
 	assign []Assign        // by Node.Seq; server nodes carry no device yet
-	pisa   string          // the chain's stretch of the stage-memo key
 	subs   [2][]*Subgroup  // [unsplit, split]; subs[1] nil when there are no marks
 	breaks []*nfgraph.Node // the split variant's break marks
 	nics   []*NICUse
@@ -38,7 +37,6 @@ type chainTemplate struct {
 // server, so its subgroup structure does not depend on which).
 func newChainTemplate(in *Input, ci int, g *nfgraph.Graph, assign map[*nfgraph.Node]Assign) *chainTemplate {
 	t := &chainTemplate{assign: make([]Assign, len(g.Order))}
-	key := make([]byte, len(g.Order))
 	onServer := 0
 	for i, n := range g.Order {
 		a, ok := assign[n]
@@ -48,9 +46,8 @@ func newChainTemplate(in *Input, ci int, g *nfgraph.Graph, assign map[*nfgraph.N
 		if a.Platform == hw.Server {
 			onServer++
 		}
-		t.assign[i], key[i] = a, stageKeyByte(a.Platform)
+		t.assign[i] = a
 	}
-	t.pisa = string(key)
 	// Both variants' subgroups and node lists come from one slab, which the
 	// template keeps alive and evaluations only read (evaluate stamps copies;
 	// a winner's are copied again by materialise).
@@ -142,13 +139,11 @@ type evalScratch struct {
 	in *Input
 	p  *inputPrep
 
-	// assign is the dense assignment, indexed p.base[ci]+n.Seq; key is the
-	// stage-memo key over it. res is the Result under evaluation: &own for
-	// a stamped candidate, whose subgroups and NIC uses live in the slabs;
-	// a heap Result whose (partly pinned) subgroups are heap values for
-	// the incremental calls.
+	// assign is the dense assignment, indexed p.base[ci]+n.Seq. res is the
+	// Result under evaluation: &own for a stamped candidate, whose subgroups
+	// and NIC uses live in the slabs; a heap Result whose (partly pinned)
+	// subgroups are heap values for the incremental calls.
 	assign  []Assign
-	key     []byte
 	res     *Result
 	own     Result
 	slab    []Subgroup
@@ -180,9 +175,9 @@ type evalScratch struct {
 	// which reason puts into words if anyone asks.
 	short tminShortfall
 
-	// A stage-memo miss's working memory: the candidate's logical tables
-	// with their dependency lists, and the compile cache's key for them.
-	// Both are dead once the verdict is stored.
+	// The stage check's working memory: the candidate's logical tables with
+	// their dependency lists, and the compile cache's key for them. Both are
+	// dead once the cache has answered.
 	tables     tableBuf
 	compileKey []byte
 
@@ -197,12 +192,12 @@ type evalScratch struct {
 func newEvalScratch(in *Input) *evalScratch { return new(evalScratch).bind(in) }
 
 // bind points the scratch at in, whose prep is installed, and sizes the
-// dense assignment and the stage key for it; the rest of the scratch is
-// resized where it is used.
+// dense assignment for it; the rest of the scratch is resized where it is
+// used.
 func (ev *evalScratch) bind(in *Input) *evalScratch {
 	ev.in, ev.p = in, in.prep
 	n := len(ev.p.nodes)
-	ev.assign, ev.key = room(ev.assign, n)[:n], room(ev.key, n)[:n]
+	ev.assign = room(ev.assign, n)[:n]
 	return ev
 }
 
@@ -219,13 +214,6 @@ func room[T any](s []T, n int) []T {
 	return make([]T, 0, 2*n)
 }
 
-func stageKeyByte(p hw.Platform) byte {
-	if p == hw.PISA {
-		return 'p'
-	}
-	return '.'
-}
-
 // evaluate stamps variant (0 unsplit, 1 split) of the candidate's templates
 // with their servers into the scratch and runs the common back half. The
 // verdict is left in ev.res.
@@ -238,7 +226,6 @@ func (ev *evalScratch) evaluate(c *candidate, variant int, policy allocPolicy) {
 			name = servers[c.srv[ci]].Name
 		}
 		base := p.base[ci]
-		copy(ev.key[base:], t.pisa)
 		for i, a := range t.assign {
 			if a.Platform == hw.Server {
 				a.Device = name
@@ -303,14 +290,14 @@ func (ev *evalScratch) finishResult(res *Result, policy allocPolicy) {
 	res.Reason = ev.reason()
 }
 
-// load fills the dense assignment and the stage key from a map.
+// load fills the dense assignment from a map.
 func (ev *evalScratch) load(assign map[*nfgraph.Node]Assign) {
 	for i, n := range ev.p.nodes {
 		a, ok := assign[n]
 		if !ok {
 			a.Platform = unassigned
 		}
-		ev.assign[i], ev.key[i] = a, stageKeyByte(a.Platform)
+		ev.assign[i] = a
 	}
 }
 

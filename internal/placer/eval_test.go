@@ -264,13 +264,14 @@ func TestEvaluateCandidateSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestStageCheckMissAllocs: a stage-memo miss whose program the compile
-// cache has seen lowers the candidate, builds the cache key and reads the
-// verdict without touching the heap; what is left is the memo's own entry —
-// the key's string and, for a program that does not fit, its reason.
-func TestStageCheckMissAllocs(t *testing.T) {
+// TestStageCheckAllocs: a stage check whose program the compile cache has
+// seen lowers the candidate, builds the cache key and reads the verdict
+// without touching the heap, for a program that fits and for one that
+// overflows the switch (whose reason is the cached error's own string). The
+// fixture's switch sets run on the paper's switch, where all of them fit,
+// and on one two stages deep, where some do not.
+func TestStageCheckAllocs(t *testing.T) {
 	in, w, _ := warmCandidateSlot(t)
-	ev := w.ev
 	var capable []int // dense indices of the nodes with a P4 implementation
 	for i, n := range in.prep.nodes {
 		if n.Meta.PISA != nil {
@@ -281,42 +282,54 @@ func TestStageCheckMissAllocs(t *testing.T) {
 	if 1<<len(capable) < programs {
 		t.Fatalf("fixture has %d P4-capable nodes, too few for %d distinct switch sets", len(capable), programs)
 	}
-	// load puts the mask's subset of the capable nodes on the switch, the
-	// rest on servers: a distinct stage key per mask.
-	load := func(mask int) {
-		for bit, i := range capable {
-			p := hw.Server
-			if mask>>bit&1 == 1 {
-				p = hw.PISA
+	shallow := *in.Topo.Switch
+	shallow.Stages = 2
+	fits, overflows := 0, 0
+	for _, sw := range []*hw.PISASpec{in.Topo.Switch, &shallow} {
+		topo := *in.Topo
+		topo.Switch = sw
+		in.Topo = &topo
+		in.ensurePrep()
+		ev := w.ev.bind(in)
+		// load puts the mask's subset of the capable nodes on the switch,
+		// the rest on servers: a distinct switch program per mask.
+		load := func(mask int) {
+			for bit, i := range capable {
+				p := hw.Server
+				if mask>>bit&1 == 1 {
+					p = hw.PISA
+				}
+				ev.assign[i].Platform = p
 			}
-			ev.assign[i].Platform, ev.key[i] = p, stageKeyByte(p)
+		}
+		for mask := 0; mask < programs; mask++ {
+			load(mask)
+			if _, ok := ev.stageCheck(); ok { // warms the compile cache and sizes the scratch's buffers
+				fits++
+			} else {
+				overflows++
+			}
+		}
+		// AllocsPerRun rounds down, so one run is a sweep of every program:
+		// a single object anywhere in it reads as one.
+		before := pisa.SharedCache().Stats()
+		allocs := testing.AllocsPerRun(5, func() {
+			for mask := 0; mask < programs; mask++ {
+				load(mask)
+				if reason, ok := ev.stageCheck(); ok != (reason == "") {
+					t.Fatalf("%d stages, mask %d: verdict %v with reason %q", sw.Stages, mask, ok, reason)
+				}
+			}
+		})
+		if st := pisa.SharedCache().Stats(); st.Misses != before.Misses {
+			t.Fatalf("%d stages: the compile cache was not warm: %d misses during the measurement", sw.Stages, st.Misses-before.Misses)
+		}
+		if allocs != 0 {
+			t.Errorf("%d stages: %d stage checks on a warm compile cache allocate %.0f objects, want 0", sw.Stages, programs, allocs)
 		}
 	}
-	for mask := 0; mask < programs; mask++ {
-		load(mask)
-		ev.stageCheck() // warms the compile cache and sizes the scratch's buffers
-	}
-	compileBefore := pisa.SharedCache().Stats()
-	in.prep.stage = &stageMemo{m: make(map[string]stageVerdict, 2*programs)} // forget the verdicts, keep the programs
-
-	mask, failed := 0, 0
-	allocs := testing.AllocsPerRun(programs-1, func() {
-		load(mask)
-		if _, ok := ev.stageCheck(); !ok {
-			failed++
-		}
-		mask++
-	})
-	if misses := len(in.prep.stage.m); misses != programs {
-		t.Fatalf("%d stage-memo misses over %d distinct keys", misses, programs)
-	}
-	if st := pisa.SharedCache().Stats(); st.Misses != compileBefore.Misses {
-		t.Fatalf("the compile cache was not warm: %d misses during the measurement", st.Misses-compileBefore.Misses)
-	}
-	// One string per entry, a second for each failing verdict's reason.
-	if limit := float64(programs+failed) / float64(programs-1); allocs > limit {
-		t.Errorf("a stage-memo miss allocates %.2f objects, want at most %.2f (the memo's key, %d of %d with a reason)",
-			allocs, limit, failed, programs)
+	if fits == 0 || overflows == 0 {
+		t.Fatalf("%d programs fit and %d overflow; the fixture must exercise both verdicts", fits, overflows)
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 
 	"lemur/internal/nfgraph"
 	"lemur/internal/nfspec"
-	"lemur/internal/obs"
 	"lemur/internal/pisa"
 	"lemur/internal/profile"
 )
@@ -105,18 +104,15 @@ func TestParallelMatchesSerialProperty(t *testing.T) {
 	}
 }
 
-// TestWarmCacheMatchesColdProperty: placements computed against cold caches
-// (shared PISA compile cache and per-input stage memo) must equal placements
-// computed fully warm — the memoized verdicts may never change a decision.
+// TestWarmCacheMatchesColdProperty: placements computed against a cold
+// shared PISA compile cache must equal placements computed fully warm — the
+// cached verdicts may never change a decision.
 func TestWarmCacheMatchesColdProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(777))
 	trials := 40
 	if testing.Short() {
 		trials = 10
 	}
-	obs.Enable()
-	defer obs.Disable()
-	memoHits := mStageMemoHit.Value()
 	for trial := 0; trial < trials; trial++ {
 		in := buildRandomInput(t, rng)
 		scheme := Schemes()[trial%len(Schemes())]
@@ -135,10 +131,8 @@ func TestWarmCacheMatchesColdProperty(t *testing.T) {
 				trial, scheme, c, w)
 		}
 	}
-	// The verdict caches must actually have been exercised: the per-input
-	// stage memo absorbs most repeats, the shared compile cache catches
-	// identical programs across distinct inputs.
-	if st, mh := pisa.SharedCache().Stats(), mStageMemoHit.Value()-memoHits; st.Hits == 0 && mh == 0 {
-		t.Errorf("warm passes produced no cache hits: pisa=%+v stage-memo=%d", st, mh)
+	// The verdict cache must actually have been exercised.
+	if st := pisa.SharedCache().Stats(); st.Hits == 0 {
+		t.Errorf("warm passes produced no cache hits: pisa=%+v", st)
 	}
 }

@@ -82,7 +82,7 @@ type Input struct {
 	Parallel int
 
 	// prep caches per-input derived state (worst-case node cycles, server
-	// indices, stage verdicts). Every entry point installs one that matches
+	// indices, table names). Every entry point installs one that matches
 	// the input's current chains, DB and topology (ensurePrep), so copies
 	// of an Input with a swapped cost database or a reduced topology stay
 	// correct.

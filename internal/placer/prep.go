@@ -9,18 +9,17 @@ import (
 
 	"lemur/internal/hw"
 	"lemur/internal/nfgraph"
-	"lemur/internal/obs"
 	"lemur/internal/profile"
 )
 
 // inputPrep caches derived state that every candidate evaluation of one
-// placement input recomputes otherwise. It has three parts. The chain half
+// placement input recomputes otherwise. It has two halves. The chain half
 // depends only on the chain set and the cost database: flattened nodes,
 // profiled worst-case cycles, path expansions, PISA table names, the LP's
 // fixed vectors. The topology half holds the server and SmartNIC indices the
 // evaluation scratch keys its core ledger and LP links by, and the fleet
-// summary the branch-and-bound search relaxes against. The stage-check memo
-// depends on the chain set and the switch.
+// summary the branch-and-bound search relaxes against. Stage verdicts are not
+// the prep's: the stage check asks the shared compile cache (stageCheck).
 //
 // ensurePrep installs a prep that matches the input at every entry point
 // (Place, Reconfigure, ReEvaluate, and the heuristic, for the ablations that
@@ -35,7 +34,6 @@ import (
 type inputPrep struct {
 	*chainPrep
 	*topoPrep
-	stage *stageMemo
 }
 
 // prepFamily is what the preps derived from one fresh build share. The
@@ -137,48 +135,21 @@ type survivors struct {
 	topo         *topoPrep
 }
 
-// stageMemo memoizes stageCheck verdicts keyed by the PISA-assignment
-// bitstring over nodes. Guarded: parallel workers share one prep.
-type stageMemo struct {
-	mu sync.Mutex
-	m  map[string]stageVerdict
-}
-
-func newStageMemo() *stageMemo { return &stageMemo{m: make(map[string]stageVerdict)} }
-
-// stageVerdict is a memoized stageCheck outcome.
-type stageVerdict struct {
-	stages int
-	reason string
-	ok     bool
-}
-
-var (
-	mStageMemoHit  = obs.C("lemur_placer_stage_memo_total", obs.L("result", "hit"))
-	mStageMemoMiss = obs.C("lemur_placer_stage_memo_total", obs.L("result", "miss"))
-)
-
 // ensurePrep installs (or refreshes) the prep for the input's current DB,
 // topology and chain set. Called at every entry point, before workers fan
 // out. A new database starts a family; a new chain set is derived within the
-// family (derive) and starts its stage memo empty, since the memo's keys span
-// the chain set; a new topology keeps the chain half, and the memo too when
-// the switch is the same.
+// family (derive); a new topology keeps the chain half.
 func (in *Input) ensurePrep() {
 	p := in.prep
 	switch {
 	case p == nil || p.fam.db != in.DB:
 		// Nobody else holds the new family yet: no lock.
 		fam := &prepFamily{db: in.DB, byChain: make(map[*nfgraph.Graph]*chainEntry, len(in.Chains))}
-		in.prep = &inputPrep{chainPrep: fam.chainHalf(nil, in.Chains), topoPrep: newTopoPrep(in.Topo), stage: newStageMemo()}
+		in.prep = &inputPrep{chainPrep: fam.chainHalf(nil, in.Chains), topoPrep: newTopoPrep(in.Topo)}
 	case !slices.Equal(p.chains, in.Chains):
 		in.prep = p.fam.derive(p, in)
 	case p.topo != in.Topo:
-		memo := p.stage
-		if p.topo.Switch != in.Topo.Switch {
-			memo = newStageMemo()
-		}
-		in.prep = &inputPrep{chainPrep: p.chainPrep, topoPrep: newTopoPrep(in.Topo), stage: memo}
+		in.prep = &inputPrep{chainPrep: p.chainPrep, topoPrep: newTopoPrep(in.Topo)}
 	}
 }
 
@@ -190,7 +161,7 @@ func (f *prepFamily) derive(from *inputPrep, in *Input) *inputPrep {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return &inputPrep{chainPrep: f.chainHalf(from.chainPrep, in.Chains), topoPrep: tp, stage: newStageMemo()}
+	return &inputPrep{chainPrep: f.chainHalf(from.chainPrep, in.Chains), topoPrep: tp}
 }
 
 // chainHalf is the one chain-half builder: it derives the chain half of

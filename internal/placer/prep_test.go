@@ -69,8 +69,7 @@ func asFresh(t *testing.T, label string, in *Input) {
 // overwrite the first; a retry of an extension from the same prep, which
 // reads back what the first attempt wrote; a compaction, which keeps the
 // entries of the chains it does not renumber; and a swapped chain list. A
-// changed cost database starts a family of its own, and no change of chain
-// set carries a stage memo over.
+// changed cost database starts a family of its own.
 func TestChainPrepExtensionMatchesFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(2502))
 	extended, inPlace, siblings, retries, compactions := 0, 0, 0, 0, 0
@@ -100,9 +99,6 @@ func TestChainPrepExtensionMatchesFresh(t *testing.T) {
 			wroteInPlace := &grown.prep.nodes[0] == &old.nodes[0]
 			if wroteInPlace {
 				inPlace++
-			}
-			if grown.prep.stage == old.stage {
-				t.Fatalf("%s: the stage memo survived an admission", label)
 			}
 
 			// A sibling: the same prep extended by another chain at slot
@@ -153,9 +149,6 @@ func TestChainPrepExtensionMatchesFresh(t *testing.T) {
 		swapped.Chains[0], swapped.Chains[1] = swapped.Chains[1], swapped.Chains[0]
 		swapped.ensurePrep()
 		asFresh(t, fmt.Sprintf("trial %d: swapped chain list", trial), &swapped)
-		if swapped.prep.stage == in.prep.stage {
-			t.Fatalf("trial %d: the stage memo survived a swapped chain list", trial)
-		}
 
 		// Another cost database over the same chains: a family of its own.
 		redb := *in

@@ -317,10 +317,9 @@ func retiring(prev *Result, in *Input, retire []int) *Result {
 // surviving returns the input a delta is solved on and the expanded dead
 // set: in itself when nothing it names is dead, otherwise a copy over the
 // surviving servers and SmartNICs, same specs. The copy's prep shares the
-// chain half and, the switch being the same, the stage memo; the cut
-// topology and its half are the prep family's, cut once per dead set (see
-// prepFamily.survivors). A non-empty reason (the ToR died, no server is left)
-// means there is nothing to solve on.
+// chain half; the cut topology and its half are the prep family's, cut once
+// per dead set (see prepFamily.survivors). A non-empty reason (the ToR died,
+// no server is left) means there is nothing to solve on.
 func surviving(in *Input, failed NodeSet) (*Input, NodeSet, string) {
 	if failed[in.Topo.Switch.Name] {
 		return nil, nil, fmt.Sprintf("ToR switch %s failed (all traffic enters via the ToR)", in.Topo.Switch.Name)
@@ -337,7 +336,7 @@ func surviving(in *Input, failed NodeSet) (*Input, NodeSet, string) {
 	}
 	rin := *in
 	rin.Topo = half.topo
-	rin.prep = &inputPrep{chainPrep: in.prep.chainPrep, topoPrep: half, stage: in.prep.stage}
+	rin.prep = &inputPrep{chainPrep: in.prep.chainPrep, topoPrep: half}
 	return &rin, dead, ""
 }
 
@@ -552,8 +551,6 @@ func assembleReplace(ev *evalScratch, prev *Result, assign map[*nfgraph.Node]Ass
 			ev.fresh = append(ev.fresh, moved[ci])
 		}
 	}
-	// The switch program spans all chains; the stage memo still applies
-	// (same switch, same chain set).
 	if ev.finishResult(res, policyPinned); !res.Feasible {
 		return nil, res.Reason
 	}

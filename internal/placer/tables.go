@@ -225,45 +225,21 @@ func (b *tableBuf) lower(in *Input, assign []Assign, base []int, optimize bool) 
 	return b.tables
 }
 
-// stageCheck compiles the placement's switch program and records the stage
-// count. It returns false with a reason when the program does not fit.
-// Verdicts are memoized at two levels: per input keyed by the switch-resident
-// node set (skipping table construction entirely), and below that in the
-// shared content-keyed compile cache — across schemes, coalescing variants
-// and δ points the same program recurs constantly, and δ never changes it.
-// Table construction (optimized codegen) depends only on that set — node
-// names, PISA profiles and graph structure are fixed per input — so ev.key
-// is a complete key for the verdict.
-//
-// A miss lowers the scratch's dense assignment into the scratch's table
-// buffer and asks the compile cache for the verdict alone, so up to the
-// verdict the memo stores it leaves nothing on the heap (DESIGN.md, "Who
-// owns a candidate's tables").
+// stageCheck lowers the placement's switch program and records the stage
+// count. It returns false with a reason when the program does not fit. The
+// verdict comes from the shared content-keyed compile cache: across schemes,
+// coalescing variants and δ points the same program recurs constantly, and
+// δ never changes it. The lowering writes into the scratch's table buffer and
+// the key into its key buffer, and a cached verdict's reason is the error's
+// own string, so on a warm cache the check leaves nothing on the heap
+// (DESIGN.md, "Who owns a candidate's tables").
 func (ev *evalScratch) stageCheck() (string, bool) {
-	memo := ev.p.stage
-	memo.mu.Lock()
-	v, ok := memo.m[string(ev.key)]
-	memo.mu.Unlock()
-	if ok {
-		mStageMemoHit.Inc()
-	} else {
-		// Compute outside the lock: verdicts are content-determined, so a
-		// concurrent duplicate insert stores the same value.
-		mStageMemoMiss.Inc()
-		tables := ev.tables.lower(ev.in, ev.assign, ev.p.base, true)
-		stages, err := pisa.SharedCache().Stages(ev.in.Topo.Switch, tables, &ev.compileKey)
-		v = stageVerdict{stages: stages, ok: err == nil}
-		if err != nil {
-			v.reason = err.Error()
-		}
-		memo.mu.Lock()
-		memo.m[string(ev.key)] = v
-		memo.mu.Unlock()
-	}
-	ev.res.Stages = v.stages
-	if !v.ok {
+	tables := ev.tables.lower(ev.in, ev.assign, ev.p.base, true)
+	stages, err := pisa.SharedCache().Stages(ev.in.Topo.Switch, tables, &ev.compileKey)
+	ev.res.Stages = stages
+	if err != nil {
 		mStageCheckFail.Inc()
-		return v.reason, false
+		return err.Error(), false
 	}
 	mStageCheckOK.Inc()
 	return "", true

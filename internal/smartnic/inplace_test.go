@@ -28,7 +28,7 @@ func TestNICProcessFrameInPlaceMatches(t *testing.T) {
 	ref, fast := mk(), mk()
 	env := &nf.Env{}
 	for i := 0; i < 30; i++ {
-		enc, err := nsh.Encap(testFrame(uint16(80+i)), 4, 6)
+		enc, err := nsh.EncapInPlace(testFrame(uint16(80+i)), 4, 6)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,7 +58,7 @@ func TestNICProcessFrameInPlaceXDPDrop(t *testing.T) {
 	if err := nic.Load(2, 2, &PathProgram{Prog: prog}); err != nil {
 		t.Fatal(err)
 	}
-	enc, _ := nsh.Encap(testFrame(1), 2, 2)
+	enc, _ := nsh.EncapInPlace(testFrame(1), 2, 2)
 	out, err := nic.ProcessFrameInPlace(enc, &nf.Env{})
 	if err != nil || out != nil {
 		t.Errorf("out=%v err=%v, want nil drop", out, err)

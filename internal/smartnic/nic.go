@@ -142,5 +142,5 @@ func (n *NIC) ProcessFrameInPlace(frame []byte, env *nf.Env) (out []byte, rerr e
 		}
 		return full, nil
 	}
-	return nsh.Encap(p.Data, spi, si-pp.AdvanceSI)
+	return nsh.EncapInPlace(p.Data, spi, si-pp.AdvanceSI)
 }

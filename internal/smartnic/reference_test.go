@@ -2,6 +2,7 @@ package smartnic
 
 import (
 	"fmt"
+	"slices"
 
 	"lemur/internal/nf"
 	"lemur/internal/nsh"
@@ -11,8 +12,9 @@ import (
 // processCopy is the NIC hop under the copying contract — the input is never
 // mutated and the output is a fresh buffer — walked apart from
 // ProcessFrameInPlace: decap into a private copy, run the XDP program and
-// the NFs on their own decode, re-encap with the allocating nsh.Encap. The
-// in-place tests hold the production hop to it byte for byte.
+// the NFs on their own decode, re-encap into a buffer of its own (a clipped
+// slice, so nsh.EncapInPlace allocates). The in-place tests hold the
+// production hop to it byte for byte.
 func processCopy(n *NIC, frame []byte, env *nf.Env) ([]byte, error) {
 	inner, spi, si, err := nsh.DecapInPlace(append([]byte(nil), frame...))
 	if err != nil {
@@ -38,5 +40,5 @@ func processCopy(n *NIC, frame []byte, env *nf.Env) ([]byte, error) {
 	if si < pp.AdvanceSI {
 		return nil, fmt.Errorf("SI underflow (si=%d advance=%d)", si, pp.AdvanceSI)
 	}
-	return nsh.Encap(p.Data, spi, si-pp.AdvanceSI)
+	return nsh.EncapInPlace(slices.Clip(p.Data), spi, si-pp.AdvanceSI)
 }

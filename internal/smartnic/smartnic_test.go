@@ -94,7 +94,7 @@ func TestNICProcessFrame(t *testing.T) {
 	}
 	frame := testFrame(80)
 	orig := append([]byte(nil), frame...)
-	enc, _ := nsh.Encap(frame, 4, 6)
+	enc, _ := nsh.EncapInPlace(frame, 4, 6)
 	out, err := nic.ProcessFrameInPlace(enc, &nf.Env{})
 	if err != nil {
 		t.Fatal(err)
@@ -126,7 +126,7 @@ func TestNICLoadRejectsUnverifiable(t *testing.T) {
 		t.Error("nil program must fail")
 	}
 	// Nothing loaded: frames miss.
-	enc, _ := nsh.Encap(testFrame(1), 1, 1)
+	enc, _ := nsh.EncapInPlace(testFrame(1), 1, 1)
 	if _, err := nic.ProcessFrameInPlace(enc, &nf.Env{}); !errors.Is(err, errNoProgram) {
 		t.Errorf("miss: %v", err)
 	}
@@ -150,11 +150,11 @@ func TestNICXDPDropPath(t *testing.T) {
 	if err := nic.Load(2, 2, &PathProgram{Prog: prog, AdvanceSI: 1}); err != nil {
 		t.Fatal(err)
 	}
-	ssh, _ := nsh.Encap(testFrame(22), 2, 2)
+	ssh, _ := nsh.EncapInPlace(testFrame(22), 2, 2)
 	if out, err := nic.ProcessFrameInPlace(ssh, &nf.Env{}); err != nil || out != nil {
 		t.Errorf("port 22: out=%v err=%v, want nil drop", out, err)
 	}
-	web, _ := nsh.Encap(testFrame(80), 2, 2)
+	web, _ := nsh.EncapInPlace(testFrame(80), 2, 2)
 	out, err := nic.ProcessFrameInPlace(web, &nf.Env{})
 	if err != nil {
 		t.Fatal(err)

@@ -49,7 +49,7 @@ func TestNICVLANInPlaceMatches(t *testing.T) {
 				ref, fast := mk(), mk()
 				env := &nf.Env{}
 				for i := 0; i < 20; i++ {
-					in, err := nsh.Encap(packet.Builder{
+					in, err := nsh.EncapInPlace(packet.Builder{
 						Src: packet.IPv4Addr{10, 1, 2, 3}, Dst: packet.IPv4Addr{172, 16, 5, 6},
 						SrcPort: 3333, DstPort: uint16(80 + i), Proto: packet.IPProtoTCP,
 						VLANID: tc.vid, Payload: make([]byte, 64),
